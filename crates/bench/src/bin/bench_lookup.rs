@@ -66,9 +66,9 @@ struct Row {
     /// end-to-end socket path through `vr-wire`).
     mode: &'static str,
     /// Batch width driven through `lookup_batch` (`null` for scalar;
-    /// the const-generic lane width W for lane rows; the sweep-picked
-    /// width for channel-service rows; the dispatcher chunk width for
-    /// sharded rows).
+    /// the const-generic lane width W for lane rows; the span floor
+    /// (`ServiceConfig::batch_width`) for channel-service rows; the
+    /// dispatcher chunk width for sharded rows).
     batch_size: Option<usize>,
     /// Worker/shard-thread count (`null` for the single-threaded modes).
     workers: Option<usize>,
@@ -400,7 +400,6 @@ fn push_service(
     iters: usize,
     worker_counts: &[usize],
     scalar_ref_ns: f64,
-    pinned_width: &mut Option<usize>,
 ) {
     let packets: Vec<(VnId, u32)> = probes
         .iter()
@@ -413,11 +412,8 @@ fn push_service(
     // makes both observability costs first-class numbers in the
     // artifact — the acceptance budgets are the attached row staying
     // within 5% of the detached one, and the traced row within 5% of
-    // the detached one as well. The first service constructed at
-    // this scale runs the width sweep; every later one (the paired
-    // detached/traced rows AND all later repetitions) pins that width,
-    // so paired rows differ in exactly one thing — the record or trace
-    // path — even after the min-merge across repetitions.
+    // the detached one as well. Paired rows differ in exactly one
+    // thing — the record or trace path.
     //
     // Service rows get an iteration floor: they carry the overhead
     // acceptance budget, and min-of-N only sees through scheduler noise
@@ -433,13 +429,11 @@ fn push_service(
                 workers,
                 telemetry,
                 trace_sample,
-                batch_width: *pinned_width,
                 ..ServiceConfig::default()
             };
             let mut service =
                 LookupService::new(tables.to_vec(), cfg).expect("service construction");
             let width = service.batch_width();
-            *pinned_width = Some(width);
             // One process() call spans only tens of µs — below the
             // scheduler jitter of a multi-threaded path. Time runs of
             // `repeat` back-to-back calls so each sample covers
@@ -583,7 +577,6 @@ fn run_scale(
     // by the rest of the sequence are the only way min-timing can see
     // through a burst longer than one row's measurement window.
     let mut best: Vec<Row> = Vec::new();
-    let mut service_width: Option<usize> = None;
     for rep in 0..reps.max(1) {
         let mut pass: Vec<Row> = Vec::new();
         measure_scale(
@@ -594,7 +587,6 @@ fn run_scale(
             iters,
             &batch_sizes,
             worker_counts,
-            &mut service_width,
             &unibit,
             &pushed,
             &flat,
@@ -653,7 +645,6 @@ fn measure_scale(
     iters: usize,
     batch_sizes: &[usize],
     worker_counts: &[usize],
-    pinned_width: &mut Option<usize>,
     unibit: &UnibitTrie,
     pushed: &LeafPushedTrie,
     flat: &FlatTrie,
@@ -826,7 +817,6 @@ fn measure_scale(
         iters,
         worker_counts,
         jump_vn_scalar_ns,
-        pinned_width,
     );
     push_sharded(
         rows,
@@ -860,7 +850,9 @@ const CACHE_ROW_SLOTS: usize = vr_engine::DEFAULT_CACHE_SLOTS * 2;
 /// `vr_net::SkewedTraffic` (uniform and Zipf s = 1.0), each stream
 /// measured twice — `jump_lane` walks every packet through
 /// `lookup_batch_mixed`; `cached_jump_lane` probes the generation-tagged
-/// [`LpmCache`] first and batch-walks only the misses.
+/// [`LpmCache`] first and walks only the misses. (The row names date
+/// from when that walk stepped lanes; they stay so the gate baseline
+/// and the CI matrix check keep matching.)
 ///
 /// The recorded hit rate is honest: the cache is warmed on one stream
 /// from the distribution, stats are reset, and the rate is taken from a
@@ -960,9 +952,8 @@ fn run_cached_rows(rows: &mut Vec<Row>, iters: usize) {
     }
 }
 
-/// Packets per `LookupRequest` frame in the wire rows — matched to the
-/// service rows' typical sweep-picked width so `wire_jump` vs
-/// `service_jump` isolates the transport, not the batching.
+/// Packets per `LookupRequest` frame in the wire rows: one span of the
+/// service's default width, so each frame is exactly one hand-off.
 const WIRE_BATCH: usize = 64;
 
 /// End-to-end serving-tier rows: the same merged-jump datapath the
@@ -1235,17 +1226,14 @@ fn bench_gate(rows: &[Row]) {
     {
         // A baseline row with no counterpart means the harness matrix
         // changed without regenerating the baseline — fail loudly
-        // rather than silently gating less than before. The channel
-        // service's width is picked by a construction-time sweep, so it
-        // is measurement output, not a matrix axis — ignore it there.
-        let width_is_tuned = matches!(b.variant.as_str(), "service_jump" | "service_jump_notel");
+        // rather than silently gating less than before.
         let row = rows
             .iter()
             .find(|r| {
                 r.scale == b.scale
                     && r.variant == b.variant
                     && r.mode == b.mode
-                    && (width_is_tuned || r.batch_size == b.batch_size)
+                    && r.batch_size == b.batch_size
                     && r.workers == b.workers
                     && r.traffic == b.traffic.as_deref()
             })

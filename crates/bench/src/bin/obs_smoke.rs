@@ -155,8 +155,11 @@ fn main() {
 
     // Seed the anomaly: burst past the depth-1 queue, then let the
     // next supervised ticks observe the stall and fill the
-    // post-trigger window.
-    for _ in 0..8 {
+    // post-trigger window. The burst is tens of milliseconds of worker
+    // time: when the scheduler wakes the worker onto this thread's CPU
+    // the worker first runs ahead on its sleeper credit (a few
+    // milliseconds) and a short burst never finds the queue full.
+    for _ in 0..256 {
         let _ = plane.service_mut().submit(packets.clone());
     }
     let _ = plane.service_mut().collect_all();

@@ -2,9 +2,9 @@
 //!
 //! Real router traffic is heavily skewed: a small set of hot destinations
 //! dominates, yet every lookup still pays the full DIR-16 root load plus
-//! sub-slab chase (and, for mixed-VN batches, the per-VN group/scatter of
-//! `lookup_batch_mixed`). This module short-circuits the repeat lookups
-//! with a per-worker **result cache** in front of the lane stepper:
+//! sub-slab chase. This module short-circuits the repeat lookups with a
+//! per-worker **result cache** in front of the trie walk
+//! (`lookup_batch_mixed`):
 //!
 //! * **Direct-mapped, fixed-size, power-of-two** slot array keyed by
 //!   `(dst_addr, vnid)` and storing the encoded next-hop result — 16
@@ -22,7 +22,7 @@
 //! * **Allocation-free batch flow.** [`LpmCache::lookup_batch`] probes
 //!   the whole batch (prefetching slots [`SLOT_AHEAD`] packets ahead),
 //!   compacts the misses into a dense sub-batch, walks *only the misses*
-//!   through the trie's batched lane path, then scatters the results back
+//!   through `lookup_batch_mixed`, then scatters the results back
 //!   into submission order and fills the slots. The miss scratch buffers
 //!   live in the cache and are reused across batches.
 //!
@@ -51,7 +51,7 @@ use crate::EngineError;
 pub const DEFAULT_CACHE_SLOTS: usize = 1 << 16;
 
 /// How many packets ahead of the probe cursor the slot line is
-/// prefetched, mirroring the lane stepper's root-sweep lookahead.
+/// prefetched, the same lookahead the lane stepper's root sweep uses.
 const SLOT_AHEAD: usize = 8;
 
 /// Fibonacci hashing constant (2^64 / φ) spreading the packed
@@ -259,8 +259,8 @@ impl LpmCache {
 
     /// Resolves a possibly mixed-VN batch against `trie` at `generation`,
     /// answering repeats from the cache: probe all packets (slots
-    /// prefetched [`SLOT_AHEAD`] ahead), compact the misses, batch-walk
-    /// only the misses through the lane stepper, scatter the results back
+    /// prefetched [`SLOT_AHEAD`] ahead), compact the misses, walk only
+    /// the misses (each with its own VN), scatter the results back
     /// into submission order, and fill the freshly walked slots.
     ///
     /// Results are bit-identical to an uncached
@@ -344,8 +344,7 @@ impl LpmCache {
         m
     }
 
-    /// Walk phase: resolves the compacted misses through the trie's
-    /// batched lane path into the miss scratch.
+    /// Walk phase: resolves the compacted misses into the miss scratch.
     #[inline]
     fn walk_phase(&mut self, trie: &JumpTrie) {
         let m = self.miss_packets.len();

@@ -75,19 +75,17 @@ pub struct TableSnapshot {
     pub generation: u64,
 }
 
-/// Batch widths tried by the construction-time sweep when
-/// [`ServiceConfig::batch_width`] is `None`. PR 1 hardcoded 8 and paid
-/// for it (paper-scale speedup ~1.0x); the sweet spot is machine- and
-/// table-dependent, so we measure instead of guessing.
-pub const BATCH_WIDTH_CANDIDATES: [usize; 6] = [8, 16, 32, 64, 128, 256];
+/// Span floor used when [`ServiceConfig::batch_width`] is `None`.
+const DEFAULT_BATCH_WIDTH: usize = 64;
 
 /// Tuning knobs of a [`LookupService`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ServiceConfig {
     /// Worker threads (shards). Each owns an order-preserving input FIFO.
     pub workers: usize,
-    /// Lookup batch width; `None` picks one by sweeping
-    /// [`BATCH_WIDTH_CANDIDATES`] against the freshly built table.
+    /// Fewest keys worth a hand-off of their own: [`LookupService::process`]
+    /// cuts a call into at most `workers` spans of at least this many
+    /// keys. `None` means 64.
     pub batch_width: Option<usize>,
     /// Depth of each worker's input queue, in batches; producers block
     /// (backpressure) once a shard is this far behind.
@@ -310,7 +308,7 @@ struct Worker {
 pub struct ServiceReport {
     /// Worker threads the service ran with.
     pub workers: usize,
-    /// Batch width in effect (post-sweep).
+    /// Span floor in effect ([`ServiceConfig::batch_width`], or 64).
     pub batch_width: usize,
     /// Lookups resolved.
     pub lookups: u64,
@@ -447,79 +445,21 @@ pub struct UpdateRecord {
     pub dirty_buckets: usize,
 }
 
-/// Resolves a possibly mixed-VN batch against one trie, preserving
-/// per-packet output positions. Uniform-VN batches (the common case —
-/// the dispatcher shards by flow) take the direct stage-lockstep path;
-/// mixed batches are grouped per VN and scattered back. Public so the
-/// bench can measure it as the uncached baseline the result cache is
-/// compared against.
+/// Resolves a possibly mixed-VN batch against one trie in one in-order
+/// pass: the merged trie answers every VN from the same walk and the
+/// VNID only picks a column of the leaf's NHI vector, so each packet
+/// walks with its own VN and nothing is grouped, sorted or allocated.
+/// Public so the bench can measure it as the uncached baseline the
+/// result cache is compared against.
 pub fn lookup_batch_mixed(
     trie: &JumpTrie,
     packets: &[(VnId, u32)],
     out: &mut [Option<NextHop>],
 ) {
     debug_assert_eq!(packets.len(), out.len());
-    let Some(&(first_vn, _)) = packets.first() else {
-        return;
-    };
-    if packets.iter().all(|&(vn, _)| vn == first_vn) {
-        let dsts: Vec<u32> = packets.iter().map(|&(_, d)| d).collect();
-        trie.lookup_batch_vn(usize::from(first_vn), &dsts, out);
-        return;
+    for (slot, &(vn, dst)) in out.iter_mut().zip(packets) {
+        *slot = trie.lookup_vn(usize::from(vn), dst);
     }
-    // Group lanes by VN; K ≤ 64 so a flat scan of small groups is fine.
-    let mut groups: Vec<(VnId, Vec<u32>, Vec<u32>)> = Vec::new();
-    for (i, &(vn, dst)) in packets.iter().enumerate() {
-        let group = match groups.iter_mut().find(|(v, _, _)| *v == vn) {
-            Some(g) => g,
-            None => {
-                groups.push((vn, Vec::new(), Vec::new()));
-                groups.last_mut().expect("just pushed")
-            }
-        };
-        group.1.push(dst);
-        group.2.push(u32::try_from(i).expect("batch too large"));
-    }
-    let mut scratch: Vec<Option<NextHop>> = Vec::new();
-    for (vn, dsts, idxs) in &groups {
-        scratch.clear();
-        scratch.resize(dsts.len(), None);
-        trie.lookup_batch_vn(usize::from(*vn), dsts, &mut scratch);
-        for (&idx, &nh) in idxs.iter().zip(scratch.iter()) {
-            out[idx as usize] = nh;
-        }
-    }
-}
-
-/// Measures each candidate width against the trie and returns the one
-/// with the lowest ns/lookup. Cheap (one pass per candidate) and run
-/// once at service construction.
-#[must_use]
-pub fn tune_batch_width(trie: &JumpTrie, probes: &[u32], candidates: &[usize]) -> usize {
-    assert!(!candidates.is_empty(), "need at least one candidate width");
-    if probes.is_empty() {
-        return candidates[0];
-    }
-    let mut best = (candidates[0], f64::INFINITY);
-    let mut out = vec![None; probes.len()];
-    for &width in candidates {
-        // One untimed pass warms the slabs so the first candidate is not
-        // penalized for faulting pages in.
-        for chunk_start in (0..probes.len()).step_by(width) {
-            let chunk = &probes[chunk_start..(chunk_start + width).min(probes.len())];
-            trie.lookup_batch(chunk, &mut out[..chunk.len()]);
-        }
-        let watch = Stopwatch::start();
-        for chunk_start in (0..probes.len()).step_by(width) {
-            let chunk = &probes[chunk_start..(chunk_start + width).min(probes.len())];
-            trie.lookup_batch(chunk, &mut out[..chunk.len()]);
-        }
-        let ns = watch.elapsed_ns() as f64 / probes.len() as f64;
-        if ns < best.1 {
-            best = (width, ns);
-        }
-    }
-    best.0
 }
 
 /// N-shard concurrent lookup service over an immutable, atomically
@@ -581,6 +521,10 @@ impl LookupService {
         if cfg.workers == 0 {
             return Err(EngineError::InvalidParameter("need at least one worker"));
         }
+        let batch_width = cfg.batch_width.unwrap_or(DEFAULT_BATCH_WIDTH);
+        if batch_width == 0 {
+            return Err(EngineError::InvalidParameter("batch width must be positive"));
+        }
         if cfg.lookup_cache == Some(0) {
             return Err(EngineError::InvalidParameter(
                 "cache capacity must be at least 1 slot",
@@ -597,26 +541,6 @@ impl LookupService {
             .map(|sample| Tracer::new(sample, DEFAULT_TRACE_CAPACITY));
         let trie = Self::build_trie(&tables)?;
         Self::audit_snapshot(&trie, telemetry.as_ref().map(|t| &t.audit))?;
-        let batch_width = match cfg.batch_width {
-            Some(0) => {
-                return Err(EngineError::InvalidParameter("batch width must be positive"))
-            }
-            Some(w) => w,
-            None => {
-                let probes: Vec<u32> = tables
-                    .iter()
-                    .flat_map(|t| t.prefixes().map(|p| p.addr() | 0x7F))
-                    .take(4096)
-                    .collect();
-                let width = tune_batch_width(&trie, &probes, &BATCH_WIDTH_CANDIDATES);
-                if let Some(t) = &telemetry {
-                    t.registry.events().publish(EventKind::BatchRetune {
-                        width: width as u64,
-                    });
-                }
-                width
-            }
-        };
         if let Some(t) = &telemetry {
             t.batch_width.set(batch_width as u64);
             t.generation.set(0);
@@ -794,7 +718,8 @@ impl LookupService {
         self.workers.len()
     }
 
-    /// Batch width in effect (configured or sweep-selected).
+    /// Span floor in effect: the fewest keys [`process`](Self::process)
+    /// hands a worker as a job of their own.
     #[must_use]
     pub fn batch_width(&self) -> usize {
         self.batch_width
@@ -889,18 +814,32 @@ impl LookupService {
         done
     }
 
-    /// Resolves a packet stream end to end: shards it into batches of the
-    /// service width, fans them out, and returns per-packet results in
-    /// input order.
+    /// Resolves a packet stream end to end and returns per-packet results
+    /// in input order. The call is cut into at most `workers` contiguous
+    /// spans of at least [`batch_width`](Self::batch_width) keys (one
+    /// shorter span when the whole call is shorter), each span is one
+    /// job, and a worker resolves its span against the one snapshot it
+    /// pins — so the hand-off is paid per worker per call, not per chunk.
+    /// Batches a caller [`submit`](Self::submit)ted and never collected
+    /// are drained and counted in the report, but are not part of the
+    /// result.
     pub fn process(&mut self, packets: &[(VnId, u32)]) -> Vec<Option<NextHop>> {
         let first_seq = self.next_seq;
-        for chunk in packets.chunks(self.batch_width) {
-            self.submit(chunk.to_vec());
+        let spans = (packets.len() / self.batch_width).clamp(1, self.workers.len());
+        let (len, longer) = (packets.len() / spans, packets.len() % spans);
+        let mut rest = packets;
+        for span in 0..spans {
+            let (head, tail) = rest.split_at(len + usize::from(span < longer));
+            rest = tail;
+            if !head.is_empty() {
+                self.submit(head.to_vec());
+            }
         }
         let mut out = Vec::with_capacity(packets.len());
         for batch in self.collect_all() {
-            debug_assert!(batch.seq >= first_seq, "stale batch left uncollected");
-            out.extend(batch.results);
+            if batch.seq >= first_seq {
+                out.extend(batch.results);
+            }
         }
         out
     }
@@ -1372,7 +1311,15 @@ mod tests {
             let mut service = LookupService::new(tables.clone(), cfg).unwrap();
             let packets: Vec<(VnId, u32)> =
                 (0..64u32).map(|i| (0, 0x0A01_0000 | i)).collect();
-            let _ = service.process(&packets);
+            // Four jobs a round, submitted directly: `process` would
+            // hand each worker one span.
+            let round = |service: &mut LookupService| {
+                for chunk in packets.chunks(16) {
+                    service.submit(chunk.to_vec());
+                }
+                let _ = service.collect_all();
+            };
+            round(&mut service);
             let _ = service
                 .apply_updates(&[RouteUpdate::Announce {
                     vnid: 0,
@@ -1380,7 +1327,7 @@ mod tests {
                     next_hop: 5,
                 }])
                 .unwrap();
-            let _ = service.process(&packets);
+            round(&mut service);
             let snap = service.tracer().expect("tracer on").snapshot();
             assert!(snap.recorded >= 8, "every batch sampled");
             assert_eq!(snap.sample, 1);
@@ -1523,25 +1470,18 @@ mod tests {
     }
 
     #[test]
-    fn auto_tuned_width_comes_from_the_candidate_sweep() {
-        let t = TableSpec::paper_worst_case(5).generate().unwrap();
+    fn unset_batch_width_means_64() {
         let cfg = ServiceConfig {
             workers: 1,
             batch_width: None,
             queue_depth: 4,
             ..ServiceConfig::default()
         };
-        let service = LookupService::new(vec![t], cfg).unwrap();
-        assert!(BATCH_WIDTH_CANDIDATES.contains(&service.batch_width()));
-        let _ = service.shutdown();
-    }
-
-    #[test]
-    fn tune_batch_width_handles_degenerate_probes() {
-        let trie = JumpTrie::from_table(&table("10.0.0.0/8 1\n"));
-        assert_eq!(tune_batch_width(&trie, &[], &[8, 32]), 8);
-        let picked = tune_batch_width(&trie, &[0x0A00_0001; 64], &[8, 32]);
-        assert!([8, 32].contains(&picked));
+        let service = LookupService::new(vec![table("10.0.0.0/8 1\n")], cfg).unwrap();
+        assert_eq!(service.batch_width(), 64);
+        let snap = service.telemetry_snapshot().unwrap();
+        assert_eq!(snap.gauge("vr_service_batch_width"), Some(64));
+        assert_eq!(service.shutdown().batch_width, 64);
     }
 
     #[test]
@@ -1632,7 +1572,12 @@ mod tests {
         let base: Vec<(VnId, u32)> = t.prefixes().map(|p| (0, p.addr())).collect();
         let packets: Vec<(VnId, u32)> = base.iter().copied().cycle().take(64 * 256).collect();
         let mut service = LookupService::new(vec![t], cfg).unwrap();
-        let _ = service.process(&packets);
+        // One job per 64 keys, submitted directly: `process` would hand
+        // the single worker one span and never fill its queue.
+        for chunk in packets.chunks(64) {
+            service.submit(chunk.to_vec());
+        }
+        let _ = service.collect_all();
         let snap = service.telemetry_snapshot().unwrap();
         // With one worker, depth-1 queue, and 256 batches, the submitter
         // must have outrun the worker at least once.
@@ -1861,9 +1806,100 @@ mod tests {
         let mut service = LookupService::new(vec![t], small_cfg(2)).unwrap();
         let _ = service.process(&packets);
         let report = service.shutdown();
-        assert_eq!(report.batches, 640 / 16);
+        // One span per worker, each bucketed once.
+        assert_eq!(report.batches, 2);
         let bucketed: u64 = report.latency_histogram_ns.iter().sum();
         assert_eq!(bucketed, report.batches);
         assert!(report.mean_ns_per_lookup() > 0.0);
+    }
+
+    #[test]
+    fn process_matches_a_per_key_walk_at_every_span_boundary() {
+        let tables = churn_family(83, 5);
+        let oracle = LookupService::build_trie(&tables).unwrap();
+        let keys: Vec<(VnId, u32)> = (0..4096u32)
+            .map(|i| {
+                let vn = (i % 5) as VnId;
+                let prefix = tables[usize::from(vn)]
+                    .prefixes()
+                    .nth(i as usize % 300)
+                    .unwrap();
+                (vn, prefix.addr() | (i.wrapping_mul(0x9E37_79B9) >> 24))
+            })
+            .collect();
+        let w = 16;
+        for workers in [1, 2, 3] {
+            for cache in [None, Some(512)] {
+                let cfg = ServiceConfig {
+                    lookup_cache: cache,
+                    ..small_cfg(workers)
+                };
+                let mut service = LookupService::new(tables.clone(), cfg).unwrap();
+                for n in [0, 1, w - 1, w, w + 1, workers * w - 1, workers * w + 1, 4096] {
+                    let want: Vec<Option<NextHop>> = keys[..n]
+                        .iter()
+                        .map(|&(vn, dst)| oracle.lookup_vn(usize::from(vn), dst))
+                        .collect();
+                    assert_eq!(
+                        service.process(&keys[..n]),
+                        want,
+                        "n {n} workers {workers} cache {cache:?}"
+                    );
+                }
+                let _ = service.shutdown();
+            }
+        }
+    }
+
+    #[test]
+    fn process_hands_each_worker_one_span_per_call() {
+        let t = TableSpec::paper_worst_case(13).generate().unwrap();
+        let packets: Vec<(VnId, u32)> = (0..4096u32)
+            .map(|i| (0, i.wrapping_mul(0x9E37_79B9)))
+            .collect();
+        for workers in [1, 3] {
+            let mut service = LookupService::new(vec![t.clone()], small_cfg(workers)).unwrap();
+            assert_eq!(service.process(&packets).len(), 4096);
+            let snap = service.telemetry_snapshot().unwrap();
+            assert_eq!(
+                snap.counter("vr_service_batches_total"),
+                Some(workers as u64)
+            );
+            let report = service.shutdown();
+            assert_eq!(report.batches, workers as u64);
+            assert_eq!(report.lookups, 4096);
+        }
+    }
+
+    #[test]
+    fn process_spans_are_never_shorter_than_the_width() {
+        let t = table("10.0.0.0/8 1\n");
+        // 3 workers, width 16: 40 keys fill two spans of 20, not 16+16+8.
+        let mut service = LookupService::new(vec![t], small_cfg(3)).unwrap();
+        let packets = vec![(0, 0x0A00_0001); 40];
+        assert_eq!(service.process(&packets), vec![Some(1); 40]);
+        assert_eq!(service.report().batches, 2);
+        // Shorter than the width: still one span, and nothing for no keys.
+        assert_eq!(service.process(&packets[..5]), vec![Some(1); 5]);
+        assert_eq!(service.report().batches, 3);
+        assert!(service.process(&[]).is_empty());
+        assert_eq!(service.report().batches, 3);
+        let _ = service.shutdown();
+    }
+
+    #[test]
+    fn process_after_an_uncollected_submit_returns_only_its_own_results() {
+        let t = table("10.0.0.0/8 1\n192.168.0.0/16 2\n");
+        let mut service = LookupService::new(vec![t], small_cfg(2)).unwrap();
+        let stale = service.submit(vec![(0, 0xC0A8_0001); 3]);
+        assert_eq!(stale, 0);
+        assert_eq!(
+            service.process(&[(0, 0x0A00_0001), (0, 0x0B00_0000)]),
+            vec![Some(1), None]
+        );
+        // The stale batch was drained and counted, just not returned.
+        let report = service.shutdown();
+        assert_eq!(report.batches, 2);
+        assert_eq!(report.lookups, 5);
     }
 }

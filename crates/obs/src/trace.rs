@@ -44,7 +44,9 @@ pub enum Stage {
     Dequeue,
     /// LPM result-cache probe loop over the batch.
     CacheProbe,
-    /// Trie lane walk (all packets when uncached, misses when cached).
+    /// Trie walk (all packets when uncached, misses when cached). Named
+    /// for the lane stepper it first timed; the name stays so stored
+    /// traces keep their meaning.
     LaneWalk,
     /// Scatter of walk results back into batch order + cache fill.
     Scatter,

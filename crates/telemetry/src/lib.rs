@@ -24,7 +24,7 @@
 //!   so hot-path code never touches `std::time::Instant` directly
 //!   (`vr-audit lint` enforces this in the engine's timed modules).
 //! * [`EventRing`] — a bounded ring of structured events (generation
-//!   swaps, audit rejections, worker stalls, batch-width retunes) with
+//!   swaps, audit rejections, worker stalls, α re-merges) with
 //!   monotonic sequence numbers, so a scraper can *detect* droppage
 //!   instead of silently missing history.
 //!
