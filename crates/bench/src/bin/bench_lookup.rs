@@ -56,8 +56,8 @@ const FAMILY_K: usize = 4;
 #[derive(Debug, Serialize)]
 struct Row {
     /// `"paper"` (3,725-prefix edge table, cache-resident),
-    /// `"backbone"` (262,144 prefixes — slabs exceed L2, where the
-    /// stage-lockstep batch path earns its keep), or `"smoke"` (tiny
+    /// `"backbone"` (262,144 prefixes — slabs exceed L2, though the
+    /// cycled 65 536-probe set stays L2-resident), or `"smoke"` (tiny
     /// CI-only table).
     scale: &'static str,
     table_prefixes: usize,
@@ -1317,11 +1317,16 @@ fn main() {
             &[1, 2, 4],
             reps,
         );
-        // A backbone-scale table whose per-level slabs exceed L2: the
-        // dependent loads of a scalar walk miss, and the batch path's B
-        // independent loads per level pay off. The full iteration count is
-        // kept — min-of-N timing needs samples to find a preemption-free
-        // window, and measurement is cheap next to trie construction.
+        // A backbone-scale table whose per-level slabs exceed L2. These
+        // rows still do not show the batch/lane paths ahead of the scalar
+        // loop (they read 0.4-0.5x): `run_scale` cycles the same 65 536
+        // probes `iters` = 40 times, so the paths those probes touch stay
+        // L2-resident and there is no miss latency for independent loads
+        // to overlap. With 2^20 table-covering keys the lane path wins
+        // 1.99x here and 2.61x at 1 048 576 prefixes (DESIGN.md §14). The
+        // full iteration count is kept — min-of-N timing needs samples to
+        // find a preemption-free window, and measurement is cheap next to
+        // trie construction.
         let backbone = TableSpec {
             prefixes: 262_144,
             ..TableSpec::paper_worst_case(2012)

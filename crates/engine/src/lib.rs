@@ -21,21 +21,27 @@
 //! Correctness is checked against the `vr-net` linear-scan oracle: every
 //! completed lookup is compared with `RoutingTable::lookup`.
 //!
-//! Beyond the cycle-level model, [`service`] hosts the production-shaped
-//! datapath: a concurrent sharded [`LookupService`] resolving packet
+//! Beyond the cycle-level model, the crate hosts the production-shaped
+//! datapath: one private service core — a worker pool resolving packet
 //! batches against an immutable `JumpTrie` behind an RCU-style
-//! generation-counted snapshot swap, so route updates never stall
+//! generation-counted snapshot swap, with one publish protocol, one
+//! audit gate, one telemetry vocabulary and a join-on-drop lifecycle —
+//! and two public facades over it that differ only in dispatch policy,
+//! as the paper's VM and VS organizations do: [`service`]'s
+//! [`LookupService`] hands each worker a contiguous span and owns the
+//! incremental route-update path; [`sharded`]'s [`ShardedService`]
+//! hash-scatters packets by destination. Route updates never stall
 //! in-flight lookups. [`cache`] adds the per-worker LPM result cache in
-//! front of that walk — direct-mapped, generation-tagged so every publish
+//! front of the walk — direct-mapped, generation-tagged so every publish
 //! invalidates it in O(1) — which skewed (Zipf) traffic turns into a
 //! multiple of the uncached throughput. With
 //! [`ServiceConfig::trace_sample`](service::ServiceConfig::trace_sample)
-//! set, both services thread a sampled `vr-obs` [`Tracer`] through the
-//! hot path: 1-in-N batches carry an owned stage recorder through the
-//! queue (enqueue → dequeue → cache probe → lane walk → scatter →
-//! complete), and publishes / update batches land as control-plane
-//! spans on the same timeline — exportable as Chrome trace JSON and
-//! servable over the vr-obs HTTP plane.
+//! set, the core threads a sampled `vr-obs` [`Tracer`] through the hot
+//! path: 1-in-N batches carry an owned stage recorder through the queue
+//! (enqueue → dequeue → cache probe → lane walk → scatter → complete),
+//! and publishes / update batches land as control-plane spans on the
+//! same timeline — exportable as Chrome trace JSON and servable over the
+//! vr-obs HTTP plane.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -48,6 +54,7 @@ pub mod police;
 pub mod report;
 pub mod router;
 pub mod service;
+mod service_core;
 pub mod sharded;
 
 pub use cache::{CacheStats, LpmCache, DEFAULT_CACHE_SLOTS};

@@ -1,79 +1,50 @@
-//! Concurrent sharded lookup service with RCU-style table swap.
+//! Span-dispatched lookup service with incremental route updates.
 //!
 //! The cycle-level [`PipelineEngine`](crate::PipelineEngine) models the
 //! paper's hardware; this module is the *production* datapath the ROADMAP
-//! asks for: N worker threads, each draining packet batches from its own
-//! order-preserving FIFO channel and resolving them against an
-//! [`Arc`]-shared immutable [`JumpTrie`].
+//! asks for. [`LookupService`] is one of the two facades over the shared
+//! service core (worker pool, `Publish`-slot table swap, audit gate,
+//! telemetry, join-on-drop — see `service_core.rs`); what it adds is how
+//! packets reach the workers and how routes change:
+//!
+//! **Span dispatch.** [`LookupService::process`] cuts a call into at most
+//! `workers` contiguous spans of at least
+//! [`ServiceConfig::batch_width`] keys, one job per span, and
+//! concatenates the results in order — the paper's VM organization, one
+//! time-shared pipeline serving every VN.
 //!
 //! **Route updates publish incrementally.** [`LookupService::apply_updates`]
 //! keeps an incremental plant — the live [`MergedTrie`] plus its per-/16
 //! [`JumpSlabs`] decomposition — applies announce/withdraw deltas in
 //! place, re-derives only the dirty buckets, and assembles a fresh
-//! [`JumpTrie`] for the RCU swap. Past
+//! [`JumpTrie`] for the swap. Past
 //! [`ServiceConfig::dirty_rebuild_threshold`] dirty buckets (or with
 //! [`ServiceConfig::full_rebuild`] set for A/B comparison) it falls back
-//! to the from-scratch clone-and-rebuild path.
-//!
-//! **Reconfiguration never stalls the datapath.** Virtualized platforms
-//! (the Terabit hybrid FPGA-ASIC switch-virtualization work in PAPERS.md)
-//! pair a fast lookup plane with non-blocking table reloads; we reproduce
-//! that with an RCU-style swap. The live table sits in a vr-sync
-//! [`Publish`] slot: workers pin the current snapshot — one lock + one
-//! refcount increment — **once per batch**, then resolve the whole batch
-//! against that pinned [`SyncArc`]. A route update builds a complete new
-//! [`JumpTrie`] *outside* the slot and publishes it with
-//! [`Publish::update`], deriving `generation + 1` atomically with the
-//! swap. Consequences, which the integration tests assert and the
-//! `vr-sync` model checker proves over every bounded interleaving
-//! (`programs::publish_vs_lookup`):
-//!
-//! * readers never block on writers (the slot is held for a handle clone
-//!   or a handle store, never across a lookup or a rebuild);
-//! * every batch resolves against exactly one generation — old or new,
-//!   never a torn mix;
-//! * the old table is freed by the last reader's refcount drop, the
-//!   grace period RCU gets from epochs and we get from `SyncArc`.
+//! to the from-scratch clone-and-rebuild path. Either way the new table
+//! is built *outside* the core's publish slot, so reconfiguration never
+//! stalls the datapath (the non-blocking reload of the Terabit hybrid
+//! FPGA-ASIC platform in PAPERS.md), and the control plane's mirror of
+//! the tables ([`LookupService::tables`]) and the plant are committed
+//! only after the core's audit gate accepts the candidate: a rejected
+//! publish leaves table, mirror and generation untouched.
 //!
 //! Per-worker counters (lookups, misses, batch latencies, generations
 //! observed) ride back with each completed batch and aggregate into a
 //! [`ServiceReport`].
-//!
-//! **Publishing is audited.** In debug builds (and in release with the
-//! `audit-on-publish` feature) every candidate snapshot runs through
-//! `vr-audit`'s structural verifier *before* the swap: a trie with a
-//! corrupt tag, an out-of-slab child base, or a truncated NHI vector is
-//! rejected with [`EngineError::AuditRejected`] and the live generation
-//! keeps serving. A malformed table misroutes silently — the only cheap
-//! place to catch it is the publish boundary.
 
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use vr_sync::{
-    spsc_bounded, spsc_unbounded, Publish, SpscReceiver, SpscSender, SyncArc, TrySendError,
-};
-use vr_audit::AuditMetrics;
 use vr_net::table::{NextHop, RoutingTable};
-use vr_net::{RouteUpdate, VnId};
 use vr_net::Ipv4Prefix;
-use vr_obs::{Stage, TraceBuilder, Tracer, DEFAULT_TRACE_CAPACITY};
-use vr_telemetry::{Counter, EventKind, Gauge, Histogram, MetricsRegistry, Stopwatch, TelemetrySnapshot};
+use vr_net::{RouteUpdate, VnId};
+use vr_obs::{Stage, TraceBuilder, Tracer};
+use vr_sync::SyncArc;
+use vr_telemetry::{Counter, Gauge, Histogram, MetricsRegistry, Stopwatch, TelemetrySnapshot};
 use vr_trie::{DirtyBuckets, JumpSlabs, JumpTrie, MergedTrie};
 
-use crate::cache::{CacheStats, LpmCache};
+pub use crate::service_core::TableSnapshot;
+use crate::service_core::{build_trie, Done, Job, ServiceCore, ShardedConfig};
 use crate::EngineError;
-
-/// An immutable routing snapshot: one [`JumpTrie`] plus the generation
-/// that published it. Workers pin a snapshot per batch; publishers swap
-/// whole snapshots, so trie and generation can never tear apart.
-#[derive(Debug)]
-pub struct TableSnapshot {
-    /// The lookup structure (K-wide for merged virtual networks).
-    pub trie: JumpTrie,
-    /// Monotonic publish counter; 0 is the table the service started with.
-    pub generation: u64,
-}
 
 /// Span floor used when [`ServiceConfig::batch_width`] is `None`.
 const DEFAULT_BATCH_WIDTH: usize = 64;
@@ -158,143 +129,26 @@ pub struct CompletedBatch {
     pub worker: usize,
 }
 
-struct Job {
-    seq: u64,
-    packets: Vec<(VnId, u32)>,
-    /// `Some` on sampled batches: the owned stage recorder riding with
-    /// the job (see [`ServiceConfig::trace_sample`]).
-    trace: Option<TraceBuilder>,
-}
-
-/// Registry handles owned by the service's control plane. Workers get
-/// their own cloned [`WorkerMetrics`]; these cover publish/audit/tuning
-/// paths that run on the caller's thread.
-struct ServiceTelemetry {
-    registry: Arc<MetricsRegistry>,
-    swaps: Counter,
-    audit_rejections: Counter,
-    queue_stalls: Counter,
+/// Registry handles of the route-update path, bound on the core's
+/// registry; the core itself counts swaps, rejections and stalls.
+struct UpdateTelemetry {
     updates: Counter,
     incremental_publishes: Counter,
     full_rebuilds: Counter,
     update_ns: Histogram,
-    generation: Gauge,
-    generation_lag: Gauge,
-    batch_width: Gauge,
     dirty_buckets: Gauge,
-    audit: AuditMetrics,
 }
 
-impl ServiceTelemetry {
-    fn new(workers: usize) -> Self {
-        let registry = Arc::new(MetricsRegistry::new(workers));
+impl UpdateTelemetry {
+    fn for_registry(registry: &MetricsRegistry) -> Self {
         Self {
-            swaps: registry.counter("vr_service_swaps_total"),
-            audit_rejections: registry.counter("vr_service_audit_rejections_total"),
-            queue_stalls: registry.counter("vr_service_queue_stalls_total"),
             updates: registry.counter("vr_service_updates_total"),
             incremental_publishes: registry.counter("vr_service_incremental_publishes_total"),
             full_rebuilds: registry.counter("vr_service_full_rebuilds_total"),
             update_ns: registry.histogram("vr_service_update_ns"),
-            generation: registry.gauge("vr_service_generation"),
-            generation_lag: registry.gauge("vr_service_generation_lag"),
-            batch_width: registry.gauge("vr_service_batch_width"),
             dirty_buckets: registry.gauge("vr_service_dirty_buckets"),
-            audit: AuditMetrics::register(&registry),
-            registry,
         }
     }
-
-    fn worker_metrics(&self) -> WorkerMetrics {
-        WorkerMetrics::for_registry(&self.registry)
-    }
-}
-
-/// Per-worker handles cloned into each shard's thread. Counters are
-/// sharded by worker id, so the hot path never contends on a cache
-/// line; histograms record once per *batch* (batch wall time and mean
-/// ns/lookup at batch granularity), keeping the per-packet overhead at
-/// a fraction of an atomic op.
-#[derive(Clone)]
-pub(crate) struct WorkerMetrics {
-    lookups: Counter,
-    misses: Counter,
-    batches: Counter,
-    batch_ns: Histogram,
-    lookup_ns: Histogram,
-}
-
-impl WorkerMetrics {
-    /// Binds the standard worker metric names against `registry`; the
-    /// sharded service reuses the exact `vr_service_*` names so
-    /// dashboards and the bench read one vocabulary.
-    pub(crate) fn for_registry(registry: &MetricsRegistry) -> Self {
-        Self {
-            lookups: registry.counter("vr_service_lookups_total"),
-            misses: registry.counter("vr_service_misses_total"),
-            batches: registry.counter("vr_service_batches_total"),
-            batch_ns: registry.histogram("vr_service_batch_ns"),
-            lookup_ns: registry.histogram("vr_service_lookup_ns"),
-        }
-    }
-
-    pub(crate) fn observe_batch(&self, worker: usize, results: &[Option<NextHop>], elapsed_ns: u64) {
-        let n = results.len() as u64;
-        self.lookups.add(worker, n);
-        self.misses
-            .add(worker, results.iter().filter(|nh| nh.is_none()).count() as u64);
-        self.batches.inc(worker);
-        self.batch_ns.record(elapsed_ns);
-        self.lookup_ns.record(elapsed_ns / n.max(1));
-    }
-}
-
-/// Per-worker handles for the LPM result-cache counters, cloned into
-/// each worker/shard thread alongside [`WorkerMetrics`]. The worker
-/// flushes its cache's stat delta once per batch — a few sharded
-/// `add`s, never per packet. The hit-rate gauge is set from the
-/// worker's *cumulative* stats in per-mille; workers overwrite each
-/// other, but under steady traffic every worker converges on the same
-/// rate, so the gauge reads as the service-wide figure.
-#[derive(Clone)]
-pub(crate) struct CacheMetrics {
-    hits: Counter,
-    misses: Counter,
-    fills: Counter,
-    hit_rate_permille: Gauge,
-}
-
-impl CacheMetrics {
-    /// Binds the cache metric names against `registry`; the sharded
-    /// service reuses the same `vr_cache_*` vocabulary.
-    pub(crate) fn for_registry(registry: &MetricsRegistry) -> Self {
-        Self {
-            hits: registry.counter("vr_cache_hits_total"),
-            misses: registry.counter("vr_cache_misses_total"),
-            fills: registry.counter("vr_cache_fills_total"),
-            hit_rate_permille: registry.gauge("vr_cache_hit_rate_permille"),
-        }
-    }
-
-    pub(crate) fn observe(&self, worker: usize, delta: CacheStats, cumulative: CacheStats) {
-        if delta.hits == 0 && delta.misses == 0 && delta.fills == 0 {
-            return;
-        }
-        self.hits.add(worker, delta.hits);
-        self.misses.add(worker, delta.misses);
-        self.fills.add(worker, delta.fills);
-        let probes = cumulative.hits + cumulative.misses;
-        if let Some(permille) = (cumulative.hits * 1000).checked_div(probes) {
-            self.hit_rate_permille.set(permille);
-        }
-    }
-}
-
-struct Worker {
-    /// `None` once the shard has been disconnected during shutdown.
-    job_tx: Option<SpscSender<Job>>,
-    done_rx: SpscReceiver<CompletedBatch>,
-    handle: Option<JoinHandle<()>>,
 }
 
 /// Aggregated service counters, serializable for experiment reports.
@@ -330,10 +184,8 @@ pub struct ServiceReport {
     pub generation_min: u64,
     /// Highest snapshot generation any collected batch resolved against.
     pub generation_max: u64,
-    /// Publishes rejected by the structural audit gate. With telemetry
-    /// enabled this is read back from the registry's
-    /// `vr_service_audit_rejections_total` counter rather than threaded
-    /// by hand.
+    /// Publishes rejected by the structural audit gate, counted with
+    /// telemetry on or off.
     pub audit_rejections: u64,
     /// Route updates applied through [`LookupService::apply_updates`].
     pub updates_applied: u64,
@@ -344,6 +196,9 @@ pub struct ServiceReport {
     /// [`ServiceConfig::full_rebuild`] baseline plus dirty-threshold
     /// fallbacks of the incremental path.
     pub full_rebuilds: u64,
+    /// Submits that blocked on a full worker queue, counted with
+    /// telemetry on or off.
+    pub queue_stalls: u64,
 }
 
 impl<'de> Deserialize<'de> for ServiceReport {
@@ -380,6 +235,7 @@ impl<'de> Deserialize<'de> for ServiceReport {
             updates_applied: field_or_default(&mut map, "updates_applied")?,
             incremental_publishes: field_or_default(&mut map, "incremental_publishes")?,
             full_rebuilds: field_or_default(&mut map, "full_rebuilds")?,
+            queue_stalls: field_or_default(&mut map, "queue_stalls")?,
         })
     }
 }
@@ -394,10 +250,10 @@ impl ServiceReport {
         }
     }
 
-    fn observe(&mut self, done: &CompletedBatch) {
-        let n = done.results.len() as u64;
+    fn observe(&mut self, done: &Done) {
+        let n = done.job.results.len() as u64;
         self.lookups += n;
-        self.misses += done.results.iter().filter(|nh| nh.is_none()).count() as u64;
+        self.misses += done.misses;
         self.batches += 1;
         if let Some(per_lookup) = done.elapsed_ns.checked_div(n) {
             let bucket = (63 - u64::leading_zeros(per_lookup.max(1))).min(31) as usize;
@@ -484,20 +340,15 @@ pub fn lookup_batch_mixed(
 /// assert_eq!(report.swaps, 1);
 /// ```
 pub struct LookupService {
-    current: Publish<TableSnapshot>,
-    /// Control-plane mirror of the per-VN tables, fed by
-    /// [`apply_updates`](Self::apply_updates).
+    core: ServiceCore,
+    /// Control-plane mirror of the per-VN tables: always the family the
+    /// datapath is serving, replaced or edited only once a publish is
+    /// accepted.
     tables: Vec<RoutingTable>,
-    workers: Vec<Worker>,
     batch_width: usize,
-    next_seq: u64,
-    /// Batches submitted but not yet collected, per worker.
-    in_flight: Vec<u64>,
     report: ServiceReport,
     /// `None` when [`ServiceConfig::telemetry`] is off.
-    telemetry: Option<ServiceTelemetry>,
-    /// `None` when [`ServiceConfig::trace_sample`] is off.
-    tracer: Option<Tracer>,
+    telemetry: Option<UpdateTelemetry>,
     /// Route updates clone-and-rebuild instead of patching sub-slabs.
     full_rebuild: bool,
     /// Dirty-bucket fallback threshold of the incremental path.
@@ -509,71 +360,40 @@ pub struct LookupService {
 }
 
 impl LookupService {
-    /// Builds the jump trie and spawns the worker shards.
+    /// Builds the jump trie and spawns the workers.
     ///
     /// # Errors
-    /// Rejects an empty table set, zero workers, and merge failures
-    /// (more than 64 virtual networks).
+    /// Rejects an empty table set, zero workers, a zero batch width,
+    /// cache size or sample rate, and merge failures (more than 64
+    /// virtual networks).
     pub fn new(tables: Vec<RoutingTable>, cfg: ServiceConfig) -> Result<Self, EngineError> {
         if tables.is_empty() {
             return Err(EngineError::InvalidParameter("need at least one table"));
-        }
-        if cfg.workers == 0 {
-            return Err(EngineError::InvalidParameter("need at least one worker"));
         }
         let batch_width = cfg.batch_width.unwrap_or(DEFAULT_BATCH_WIDTH);
         if batch_width == 0 {
             return Err(EngineError::InvalidParameter("batch width must be positive"));
         }
-        if cfg.lookup_cache == Some(0) {
-            return Err(EngineError::InvalidParameter(
-                "cache capacity must be at least 1 slot",
-            ));
-        }
-        if cfg.trace_sample == Some(0) {
-            return Err(EngineError::InvalidParameter(
-                "trace sample rate must be at least 1",
-            ));
-        }
-        let telemetry = cfg.telemetry.then(|| ServiceTelemetry::new(cfg.workers));
-        let tracer = cfg
-            .trace_sample
-            .map(|sample| Tracer::new(sample, DEFAULT_TRACE_CAPACITY));
-        let trie = Self::build_trie(&tables)?;
-        Self::audit_snapshot(&trie, telemetry.as_ref().map(|t| &t.audit))?;
-        if let Some(t) = &telemetry {
-            t.batch_width.set(batch_width as u64);
-            t.generation.set(0);
-        }
-        let current = Publish::new(TableSnapshot {
-            trie,
-            generation: 0,
+        let pool = ShardedConfig {
+            shards: cfg.workers,
+            queue_depth: cfg.queue_depth,
+            telemetry: cfg.telemetry,
+            lookup_cache: cfg.lookup_cache,
+            trace_sample: cfg.trace_sample,
+        };
+        let core = ServiceCore::new(build_trie(&tables)?, pool, TraceBuilder::set_worker)?;
+        let telemetry = core.metrics().map(|registry| {
+            registry
+                .gauge("vr_service_batch_width")
+                .set(batch_width as u64);
+            UpdateTelemetry::for_registry(registry)
         });
-        let workers = (0..cfg.workers)
-            .map(|id| {
-                Self::spawn_worker(
-                    id,
-                    &current,
-                    cfg.queue_depth,
-                    telemetry.as_ref().map(ServiceTelemetry::worker_metrics),
-                    cfg.lookup_cache,
-                    telemetry
-                        .as_ref()
-                        .map(|t| CacheMetrics::for_registry(&t.registry)),
-                    tracer.clone(),
-                )
-            })
-            .collect();
         Ok(Self {
-            current,
+            core,
             tables,
-            workers,
             batch_width,
-            next_seq: 0,
-            in_flight: vec![0; cfg.workers],
             report: ServiceReport::new(cfg.workers, batch_width),
             telemetry,
-            tracer,
             full_rebuild: cfg.full_rebuild,
             dirty_threshold: cfg.dirty_rebuild_threshold,
             plant: None,
@@ -581,141 +401,10 @@ impl LookupService {
         })
     }
 
-    pub(crate) fn build_trie(tables: &[RoutingTable]) -> Result<JumpTrie, EngineError> {
-        if tables.len() == 1 {
-            Ok(JumpTrie::from_table(&tables[0]))
-        } else {
-            Ok(JumpTrie::from_merged(
-                &MergedTrie::from_tables(tables)?.leaf_pushed(),
-            ))
-        }
-    }
-
-    /// Structural audit gate for candidate snapshots: active in debug
-    /// builds and under the `audit-on-publish` feature, a no-op otherwise.
-    /// With `metrics` attached, each run's duration and violation count
-    /// land in the registry (`vr_audit_*`).
-    #[cfg(any(debug_assertions, feature = "audit-on-publish"))]
-    pub(crate) fn audit_snapshot(
-        trie: &JumpTrie,
-        metrics: Option<&AuditMetrics>,
-    ) -> Result<(), EngineError> {
-        let watch = Stopwatch::start();
-        let report = vr_audit::audit_jump(trie);
-        if let Some(m) = metrics {
-            m.observe(&report, watch.elapsed_ns());
-        }
-        if report.is_clean() {
-            Ok(())
-        } else {
-            Err(EngineError::AuditRejected(report.summary()))
-        }
-    }
-
-    #[cfg(not(any(debug_assertions, feature = "audit-on-publish")))]
-    #[allow(clippy::unnecessary_wraps)]
-    pub(crate) fn audit_snapshot(
-        _trie: &JumpTrie,
-        _metrics: Option<&AuditMetrics>,
-    ) -> Result<(), EngineError> {
-        Ok(())
-    }
-
-    fn spawn_worker(
-        id: usize,
-        current: &Publish<TableSnapshot>,
-        queue_depth: usize,
-        metrics: Option<WorkerMetrics>,
-        cache_slots: Option<usize>,
-        cache_metrics: Option<CacheMetrics>,
-        tracer: Option<Tracer>,
-    ) -> Worker {
-        let (job_tx, job_rx) = spsc_bounded::<Job>(queue_depth);
-        // Results must never backpressure the submitter: a bounded done
-        // queue would let a worker block mid-send while the dispatcher is
-        // still fanning out jobs — a submit/drain deadlock.
-        let (done_tx, done_rx) = spsc_unbounded::<CompletedBatch>();
-        let current = current.clone();
-        let handle = std::thread::spawn(move || {
-            // Worker-private result cache (capacity validated in `new`);
-            // nothing about it is shared, so probes and fills are plain
-            // loads and stores.
-            let mut cache = cache_slots.and_then(|slots| LpmCache::new(slots).ok());
-            while let Ok(mut job) = job_rx.recv() {
-                // Close the queue-residency span the moment the job is
-                // picked up (sampled batches only).
-                if let Some(tb) = job.trace.as_mut() {
-                    tb.mark(Stage::Dequeue);
-                }
-                // RCU read-side critical section: pin the snapshot with
-                // one refcount bump; the slot is never held across the
-                // lookups themselves.
-                let snapshot: SyncArc<TableSnapshot> = current.read();
-                let watch = Stopwatch::start();
-                let mut results = vec![None; job.packets.len()];
-                match cache.as_mut() {
-                    // Cached path: probe, batch-walk only the misses,
-                    // scatter + fill. The snapshot's generation doubles
-                    // as the slot tag, so a publish that happened since
-                    // the last batch invalidates every slot for free.
-                    Some(c) => match job.trace.as_mut() {
-                        Some(tb) => c.lookup_batch_traced(
-                            &snapshot.trie,
-                            snapshot.generation,
-                            &job.packets,
-                            &mut results,
-                            tb,
-                        ),
-                        None => c.lookup_batch(
-                            &snapshot.trie,
-                            snapshot.generation,
-                            &job.packets,
-                            &mut results,
-                        ),
-                    },
-                    None => {
-                        lookup_batch_mixed(&snapshot.trie, &job.packets, &mut results);
-                        if let Some(tb) = job.trace.as_mut() {
-                            tb.mark(Stage::LaneWalk);
-                        }
-                    }
-                }
-                let elapsed_ns = watch.elapsed_ns();
-                if let Some(m) = &metrics {
-                    m.observe_batch(id, &results, elapsed_ns);
-                }
-                if let (Some(c), Some(cm)) = (cache.as_mut(), &cache_metrics) {
-                    cm.observe(id, c.take_delta(), c.stats());
-                }
-                if let (Some(mut tb), Some(tr)) = (job.trace.take(), tracer.as_ref()) {
-                    tb.set_worker(id as u64);
-                    tb.set_generation(snapshot.generation);
-                    tb.mark(Stage::Complete);
-                    tr.record(tb.finish());
-                }
-                let done = CompletedBatch {
-                    seq: job.seq,
-                    results,
-                    generation: snapshot.generation,
-                    elapsed_ns,
-                    worker: id,
-                };
-                if done_tx.send(done).is_err() {
-                    break; // service dropped the receiving half
-                }
-            }
-        });
-        Worker {
-            job_tx: Some(job_tx),
-            done_rx,
-            handle: Some(handle),
-        }
-    }
-
-    /// Worker shard count.
+    /// Worker thread count.
     #[must_use]
     pub fn workers(&self) -> usize {
-        self.workers.len()
+        self.core.workers()
     }
 
     /// Span floor in effect: the fewest keys [`process`](Self::process)
@@ -728,7 +417,7 @@ impl LookupService {
     /// Generation of the currently published snapshot.
     #[must_use]
     pub fn generation(&self) -> u64 {
-        self.current.peek(|s| s.generation)
+        self.core.generation()
     }
 
     /// The control-plane view of the per-VN tables.
@@ -737,79 +426,49 @@ impl LookupService {
         &self.tables
     }
 
-    /// Enqueues one batch on the next shard (round-robin) and returns its
-    /// sequence number. Blocks only when that shard's queue is full; the
-    /// stall is counted (`vr_service_queue_stalls_total`) and ringed as a
-    /// [`EventKind::WorkerStall`] before the blocking send, so
-    /// backpressure is observable while it is happening.
+    /// Copies the core's control-plane counts into the report.
+    fn mirror_counts(&mut self) {
+        let counts = self.core.counts();
+        self.report.swaps = counts.swaps;
+        self.report.audit_rejections = counts.audit_rejections;
+        self.report.queue_stalls = counts.queue_stalls;
+    }
+
+    /// Enqueues one batch on the next worker (round-robin) and returns
+    /// its sequence number. Blocks only when that worker's queue is full;
+    /// the stall is counted (`vr_service_queue_stalls_total`, and in the
+    /// report) and ringed as a
+    /// [`WorkerStall`](vr_telemetry::EventKind::WorkerStall) before the
+    /// blocking send, so backpressure is observable while it is
+    /// happening.
     pub fn submit(&mut self, packets: Vec<(VnId, u32)>) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let worker = (seq % self.workers.len() as u64) as usize;
-        self.in_flight[worker] += 1;
-        // Sampled batches get a trace builder; the enqueue span closes
-        // just before the send, so a blocking (backpressured) send shows
-        // up as queue residency in the dequeue span.
-        let mut trace = self
-            .tracer
-            .as_ref()
-            .filter(|tr| tr.should_sample(seq))
-            .map(|tr| tr.begin(seq, packets.len()));
-        if let Some(tb) = trace.as_mut() {
-            tb.mark(Stage::Enqueue);
-        }
-        let tx = self.workers[worker]
-            .job_tx
-            .as_ref()
-            .expect("submit after shutdown");
-        let blocked = match tx.try_send(Job { seq, packets, trace }) {
-            Ok(()) => None,
-            Err(TrySendError::Full(job)) => {
-                if let Some(t) = &self.telemetry {
-                    t.queue_stalls.inc(worker);
-                    t.registry.events().publish(EventKind::WorkerStall {
-                        worker: worker as u64,
-                    });
-                }
-                Some(job)
-            }
-            // Let the blocking send below surface the disconnect.
-            Err(TrySendError::Disconnected(job)) => Some(job),
-        };
-        if let Some(job) = blocked {
-            tx.send(job)
-                .expect("worker thread alive while service exists");
-        }
+        let worker = (self.core.next_seq() % self.core.workers() as u64) as usize;
+        let seq = self.core.submit(
+            worker,
+            Job {
+                packets,
+                ..Job::default()
+            },
+        );
+        self.mirror_counts();
         seq
     }
 
     /// Waits for every submitted batch, aggregates counters, and returns
-    /// the batches sorted by submission sequence. Updates the
-    /// `vr_service_generation_lag` gauge to the widest gap between the
-    /// published generation and a collected batch's pinned generation —
-    /// the software analogue of table-reload latency: how far behind the
-    /// freshest table the datapath was still serving.
+    /// the batches sorted by submission sequence.
     pub fn collect_all(&mut self) -> Vec<CompletedBatch> {
-        let published = self.current.peek(|s| s.generation);
-        let mut max_lag = 0u64;
         let mut done: Vec<CompletedBatch> = Vec::new();
-        for (worker, pending) in self.in_flight.iter_mut().enumerate() {
-            while *pending > 0 {
-                let batch = self.workers[worker]
-                    .done_rx
-                    .recv()
-                    .expect("worker thread alive while service exists");
-                self.report.observe(&batch);
-                max_lag = max_lag.max(published.saturating_sub(batch.generation));
-                done.push(batch);
-                *pending -= 1;
-            }
-        }
-        if let Some(t) = &self.telemetry {
-            if !done.is_empty() {
-                t.generation_lag.set(max_lag);
-            }
-        }
+        let report = &mut self.report;
+        self.core.drain(|batch| {
+            report.observe(&batch);
+            done.push(CompletedBatch {
+                seq: batch.job.seq,
+                results: batch.job.results,
+                generation: batch.generation,
+                elapsed_ns: batch.elapsed_ns,
+                worker: batch.worker,
+            });
+        });
         done.sort_by_key(|b| b.seq);
         done
     }
@@ -824,8 +483,8 @@ impl LookupService {
     /// are drained and counted in the report, but are not part of the
     /// result.
     pub fn process(&mut self, packets: &[(VnId, u32)]) -> Vec<Option<NextHop>> {
-        let first_seq = self.next_seq;
-        let spans = (packets.len() / self.batch_width).clamp(1, self.workers.len());
+        let first_seq = self.core.next_seq();
+        let spans = (packets.len() / self.batch_width).clamp(1, self.core.workers());
         let (len, longer) = (packets.len() / spans, packets.len() % spans);
         let mut rest = packets;
         for span in 0..spans {
@@ -844,27 +503,28 @@ impl LookupService {
         out
     }
 
-    /// Publishes a fresh snapshot built from `tables`, replacing the
-    /// control-plane mirror. The build runs outside the swap lock;
-    /// in-flight batches finish on their pinned snapshot. Returns the new
-    /// generation.
+    /// Publishes a fresh snapshot built from `tables` and, once the
+    /// audit gate has accepted it, replaces the control-plane mirror.
+    /// The build runs outside the swap lock; in-flight batches finish on
+    /// their pinned snapshot. Returns the new generation.
     ///
     /// # Errors
-    /// Propagates trie construction failures (the live table is untouched
-    /// on error). The VN count must not change — workers' batches carry
-    /// VN ids that must stay valid across swaps.
+    /// Propagates trie construction failures and audit rejections; the
+    /// live table, the mirror and the incremental plant are untouched on
+    /// error. The VN count must not change — workers' batches carry VN
+    /// ids that must stay valid across swaps.
     pub fn publish_tables(&mut self, tables: Vec<RoutingTable>) -> Result<u64, EngineError> {
         if tables.len() != self.tables.len() {
             return Err(EngineError::InvalidParameter(
                 "table count must not change across a swap",
             ));
         }
-        let trie = Self::build_trie(&tables)?;
+        let generation = self.publish_trie(build_trie(&tables)?)?;
         self.tables = tables;
         // The wholesale replacement invalidates the incremental plant; it
         // is rebuilt lazily on the next incremental update or α read.
         self.plant = None;
-        self.publish_trie(trie)
+        Ok(generation)
     }
 
     /// Atomically swaps in an already-built trie (the RCU write side) and
@@ -875,45 +535,9 @@ impl LookupService {
     /// rejects a structurally invalid trie with
     /// [`EngineError::AuditRejected`]; the live snapshot is untouched.
     pub fn publish_trie(&mut self, trie: JumpTrie) -> Result<u64, EngineError> {
-        // Guard-style span: audit + swap both land in vr_service_publish_ns
-        // (recorded on every exit path, including the rejection return).
-        let _span = self
-            .telemetry
-            .as_ref()
-            .map(|t| t.registry.span("vr_service_publish_ns"));
-        let trace_start = self.tracer.as_ref().map(Tracer::now_ns);
-        if let Err(err) = Self::audit_snapshot(&trie, self.telemetry.as_ref().map(|t| &t.audit)) {
-            if let Some(t) = &self.telemetry {
-                t.audit_rejections.inc(0);
-                let generation = self.current.peek(|s| s.generation) + 1;
-                t.registry
-                    .events()
-                    .publish(EventKind::AuditRejected { generation });
-                // Report field sourced from the registry, per contract.
-                self.report.audit_rejections = t.audit_rejections.value();
-            } else {
-                self.report.audit_rejections += 1;
-            }
-            return Err(err);
-        }
-        // Read-modify-publish in one critical section: the new generation
-        // is derived from the outgoing snapshot atomically with the swap.
-        let generation = self.current.update(|cur| {
-            let generation = cur.generation + 1;
-            (SyncArc::new(TableSnapshot { trie, generation }), generation)
-        });
-        self.report.swaps += 1;
-        if let Some(t) = &self.telemetry {
-            t.swaps.inc(0);
-            t.generation.set(generation);
-            t.registry
-                .events()
-                .publish(EventKind::GenerationSwap { generation });
-        }
-        if let (Some(tr), Some(start)) = (self.tracer.as_ref(), trace_start) {
-            tr.record_span(Stage::Publish, start, generation);
-        }
-        Ok(generation)
+        let outcome = self.core.publish(trie);
+        self.mirror_counts();
+        outcome
     }
 
     /// Applies a route-update stream (`vr_net::update`) to the mirrored
@@ -939,7 +563,7 @@ impl LookupService {
     /// [`EngineError::AuditRejected`] from the publish gate.
     pub fn apply_updates(&mut self, updates: &[RouteUpdate]) -> Result<u64, EngineError> {
         let watch = Stopwatch::start();
-        let trace_start = self.tracer.as_ref().map(Tracer::now_ns);
+        let trace_start = self.core.tracer().map(Tracer::now_ns);
         for update in updates {
             if usize::from(update.vnid()) >= self.tables.len() {
                 return Err(EngineError::InvalidParameter("update for unknown VN"));
@@ -972,7 +596,7 @@ impl LookupService {
             t.dirty_buckets.set(dirty as u64);
             t.update_ns.record(watch.elapsed_ns());
         }
-        if let (Some(tr), Some(start)) = (self.tracer.as_ref(), trace_start) {
+        if let (Some(tr), Some(start)) = (self.core.tracer(), trace_start) {
             tr.record_span(Stage::ApplyUpdates, start, generation);
         }
         Ok(generation)
@@ -1123,7 +747,7 @@ impl LookupService {
     /// control plane size the live structure without re-building it.
     #[must_use]
     pub fn snapshot(&self) -> SyncArc<TableSnapshot> {
-        self.current.read()
+        self.core.snapshot()
     }
 
     /// Per-call bookkeeping of [`LookupService::apply_updates`], oldest
@@ -1144,7 +768,7 @@ impl LookupService {
     /// another thread while the service keeps running.
     #[must_use]
     pub fn metrics(&self) -> Option<&Arc<MetricsRegistry>> {
-        self.telemetry.as_ref().map(|t| &t.registry)
+        self.core.metrics()
     }
 
     /// The live batch tracer, when the service was configured with
@@ -1153,29 +777,22 @@ impl LookupService {
     /// thread while the service keeps running.
     #[must_use]
     pub fn tracer(&self) -> Option<&Tracer> {
-        self.tracer.as_ref()
+        self.core.tracer()
     }
 
     /// Captures a [`TelemetrySnapshot`] of every registered metric plus
     /// the event ring; `None` with telemetry off.
     #[must_use]
     pub fn telemetry_snapshot(&self) -> Option<TelemetrySnapshot> {
-        self.telemetry.as_ref().map(|t| t.registry.snapshot())
+        self.core.telemetry_snapshot()
     }
 
-    /// Drains outstanding batches, stops the workers, and returns the
-    /// final report.
+    /// Drains outstanding batches, stops and joins the workers (the
+    /// core's `Drop`, which also runs when the service is simply
+    /// dropped), and returns the final report.
     #[must_use]
     pub fn shutdown(mut self) -> ServiceReport {
         let _ = self.collect_all();
-        for worker in &mut self.workers {
-            // Dropping the sender disconnects the shard's FIFO; the
-            // worker exits its recv loop.
-            drop(worker.job_tx.take());
-            if let Some(handle) = worker.handle.take() {
-                let _ = handle.join();
-            }
-        }
         std::mem::take(&mut self.report)
     }
 }
@@ -1183,7 +800,7 @@ impl LookupService {
 impl std::fmt::Debug for LookupService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LookupService")
-            .field("workers", &self.workers.len())
+            .field("workers", &self.workers())
             .field("batch_width", &self.batch_width)
             .field("generation", &self.generation())
             .field("tables", &self.tables.len())
@@ -1194,7 +811,9 @@ impl std::fmt::Debug for LookupService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service_core::contract::{self, contract_tests, Kind};
     use vr_net::synth::TableSpec;
+    use vr_telemetry::EventKind;
 
     fn table(text: &str) -> RoutingTable {
         text.parse().unwrap()
@@ -1210,149 +829,22 @@ mod tests {
         }
     }
 
-    #[test]
-    fn resolves_like_the_oracle_across_shards() {
-        let t = TableSpec::paper_worst_case(21).generate().unwrap();
-        let packets: Vec<(VnId, u32)> = t
-            .prefixes()
-            .flat_map(|p| [(0, p.addr()), (0, p.addr() | 0xFF)])
-            .collect();
-        for workers in [1, 2, 4] {
-            let mut service = LookupService::new(vec![t.clone()], small_cfg(workers)).unwrap();
-            let results = service.process(&packets);
-            assert_eq!(results.len(), packets.len());
-            for (&(_, dst), nh) in packets.iter().zip(&results) {
-                assert_eq!(*nh, t.lookup(dst), "dst {dst:#010x}");
-            }
-            let report = service.shutdown();
-            assert_eq!(report.lookups, packets.len() as u64);
-            assert_eq!(report.generations_seen, vec![0]);
-            assert_eq!(report.workers, workers);
+    impl LookupService {
+        pub(crate) fn core_mut(&mut self) -> &mut ServiceCore {
+            &mut self.core
         }
     }
 
-    #[test]
-    fn serves_merged_vns_and_mixed_batches() {
-        let tables = vec![
-            table("10.0.0.0/8 1\n10.1.1.0/24 2\n"),
-            table("10.0.0.0/8 7\n172.16.0.0/12 8\n"),
-        ];
-        let mut service = LookupService::new(tables.clone(), small_cfg(2)).unwrap();
-        // Deliberately interleave VNs inside each batch.
-        let packets: Vec<(VnId, u32)> = (0..200)
-            .map(|i| {
-                let vn = (i % 2) as VnId;
-                let dst = if i % 3 == 0 { 0x0A01_0103 } else { 0xAC10_0001 };
-                (vn, dst)
-            })
-            .collect();
-        let results = service.process(&packets);
-        for (&(vn, dst), nh) in packets.iter().zip(&results) {
-            assert_eq!(*nh, tables[usize::from(vn)].lookup(dst), "vn {vn} dst {dst:#010x}");
-        }
-        let _ = service.shutdown();
-    }
-
-    #[test]
-    fn cached_service_matches_uncached_and_counts_hits() {
-        let tables = vec![
-            table("10.0.0.0/8 1\n10.1.0.0/16 2\n"),
-            table("172.16.0.0/12 3\n"),
-        ];
-        let cached_cfg = ServiceConfig {
-            lookup_cache: Some(512),
-            ..small_cfg(2)
-        };
-        let mut cached = LookupService::new(tables.clone(), cached_cfg).unwrap();
-        let mut plain = LookupService::new(tables, small_cfg(2)).unwrap();
-        let packets: Vec<(VnId, u32)> = (0..256)
-            .map(|i| {
-                let vn = (i % 2) as VnId;
-                let dst = if i % 4 == 0 { 0x0A01_0103 } else { 0xAC10_0001 };
-                (vn, dst)
-            })
-            .collect();
-        // Two passes: pass 2 is answered almost entirely from the cache
-        // and must still be bit-identical.
-        for _ in 0..2 {
-            assert_eq!(cached.process(&packets), plain.process(&packets));
-        }
-        let snap = cached.telemetry_snapshot().unwrap();
-        let hits = snap.counter("vr_cache_hits_total").unwrap_or(0);
-        let misses = snap.counter("vr_cache_misses_total").unwrap_or(0);
-        let fills = snap.counter("vr_cache_fills_total").unwrap_or(0);
-        assert_eq!(hits + misses, 512, "every probe counted");
-        assert!(hits > 0, "repeat traffic must hit");
-        assert_eq!(misses, fills, "every miss walk fills its slot");
-        // A publish bumps the generation; the next pass must re-walk
-        // (no stale hits) yet still agree with the uncached service.
-        let new_tables = vec![
-            table("10.0.0.0/8 9\n10.1.0.0/16 2\n"),
-            table("172.16.0.0/12 3\n"),
-        ];
-        cached.publish_tables(new_tables.clone()).unwrap();
-        plain.publish_tables(new_tables).unwrap();
-        assert_eq!(cached.process(&packets), plain.process(&packets));
-        let _ = cached.shutdown();
-        let _ = plain.shutdown();
-    }
-
-    #[test]
-    fn traced_service_records_validating_stage_chains() {
-        let tables = vec![table("10.0.0.0/8 1\n10.1.0.0/16 2\n")];
-        // Sample every batch so this test is deterministic; exercise
-        // both the cached and uncached worker paths.
-        for cache in [None, Some(256)] {
-            let cfg = ServiceConfig {
-                trace_sample: Some(1),
-                lookup_cache: cache,
-                ..small_cfg(2)
-            };
-            let mut service = LookupService::new(tables.clone(), cfg).unwrap();
-            let packets: Vec<(VnId, u32)> =
-                (0..64u32).map(|i| (0, 0x0A01_0000 | i)).collect();
-            // Four jobs a round, submitted directly: `process` would
-            // hand each worker one span.
-            let round = |service: &mut LookupService| {
-                for chunk in packets.chunks(16) {
-                    service.submit(chunk.to_vec());
-                }
-                let _ = service.collect_all();
-            };
-            round(&mut service);
-            let _ = service
-                .apply_updates(&[RouteUpdate::Announce {
-                    vnid: 0,
-                    prefix: "10.2.0.0/16".parse().unwrap(),
-                    next_hop: 5,
-                }])
-                .unwrap();
-            round(&mut service);
-            let snap = service.tracer().expect("tracer on").snapshot();
-            assert!(snap.recorded >= 8, "every batch sampled");
-            assert_eq!(snap.sample, 1);
-            for trace in &snap.traces {
-                trace.validate().unwrap();
-            }
-            // The worker batches carry worker attribution and the
-            // post-publish ones observed the bumped generation.
-            assert!(snap.traces.iter().any(|t| t.worker.is_some()));
-            assert!(snap
-                .traces
-                .iter()
-                .any(|t| t.worker.is_some() && t.generation == 1));
-            // Control-plane spans: the apply_updates call plus the
-            // publish nested inside it.
-            assert!(snap
-                .traces
-                .iter()
-                .any(|t| t.stages[0].stage == Stage::Publish && t.generation == 1));
-            assert!(snap
-                .traces
-                .iter()
-                .any(|t| t.stages[0].stage == Stage::ApplyUpdates));
-            let _ = service.shutdown();
-        }
+    contract_tests! { Kind::Spans;
+        resolves_like_the_oracle_across_shards => oracle_parity_across_worker_counts,
+        serves_merged_vns_and_mixed_batches => mixed_vn_batches_resolve_per_network,
+        empty_tiny_and_ragged_calls_keep_input_order => empty_tiny_and_ragged_calls_keep_input_order,
+        cached_service_matches_uncached_and_counts_hits => cached_matches_uncached_across_a_publish,
+        traced_service_records_validating_stage_chains => traced_jobs_record_validating_stage_chains,
+        telemetry_off_disables_the_registry => telemetry_off_still_reports,
+        process_after_an_uncollected_submit_returns_only_its_own_results =>
+            process_after_an_uncollected_submit_returns_only_its_own_results,
+        drop_joins_the_workers_and_frees_the_snapshot => drop_joins_the_workers_and_frees_the_snapshot,
     }
 
     #[test]
@@ -1427,46 +919,25 @@ mod tests {
 
     #[test]
     fn audit_gate_rejects_corrupt_trie_and_keeps_serving() {
+        contract::rejected_publish_changes_nothing_and_is_counted(Kind::Spans);
+        // A refused table build leaves the warm incremental plant alone.
         let t = table("10.0.0.0/8 1\n");
-        let mut service = LookupService::new(vec![t], small_cfg(1)).unwrap();
-        // A structurally corrupt trie: NHI slab truncated to nothing while
-        // the root still points leaf entries at vector slot 1.
-        let good = JumpTrie::from_table(&table("10.0.0.0/8 1\n"));
-        let p = good.raw_parts();
-        let corrupt = JumpTrie::from_raw_parts(
-            p.root.to_vec(),
-            p.words.to_vec(),
-            p.level_offsets.to_vec(),
-            Vec::new(),
-            p.k,
-        );
-        let err = service.publish_trie(corrupt).unwrap_err();
-        assert!(matches!(err, EngineError::AuditRejected(_)));
-        assert!(err.to_string().contains("structural audit"));
-        // The rejected generation never went live; lookups still resolve.
-        assert_eq!(service.generation(), 0);
-        assert_eq!(service.process(&[(0, 0x0A00_0001)]), vec![Some(1)]);
-        let report = service.shutdown();
-        assert_eq!(report.swaps, 0);
+        let mut service = LookupService::new(vec![t.clone(), t.clone()], small_cfg(1)).unwrap();
+        let _ = service.alpha().unwrap();
+        service.core.gate = contract::refuse;
+        assert!(service.publish_tables(vec![t.clone(), t]).is_err());
+        assert!(service.plant.is_some());
+        assert_eq!(service.shutdown().audit_rejections, 1);
     }
 
     #[test]
     fn rejects_bad_configs() {
-        assert!(LookupService::new(vec![], small_cfg(1)).is_err());
-        let t = table("10.0.0.0/8 1\n");
-        assert!(LookupService::new(vec![t.clone()], small_cfg(0)).is_err());
+        contract::bad_configurations_are_rejected(Kind::Spans);
         let zero_width = ServiceConfig {
-            workers: 1,
             batch_width: Some(0),
-            queue_depth: 4,
-            ..ServiceConfig::default()
+            ..small_cfg(1)
         };
-        assert!(LookupService::new(vec![t.clone()], zero_width).is_err());
-        let mut service = LookupService::new(vec![t], small_cfg(1)).unwrap();
-        assert!(service
-            .publish_tables(vec![RoutingTable::new(), RoutingTable::new()])
-            .is_err());
-        let _ = service.shutdown();
+        assert!(LookupService::new(vec![table("10.0.0.0/8 1\n")], zero_width).is_err());
     }
 
     #[test]
@@ -1486,40 +957,14 @@ mod tests {
 
     #[test]
     fn registry_counters_match_the_report() {
-        let t = TableSpec::paper_worst_case(31).generate().unwrap();
-        let packets: Vec<(VnId, u32)> = t.prefixes().map(|p| (0, p.addr())).take(320).collect();
-        let mut service = LookupService::new(vec![t], small_cfg(2)).unwrap();
-        let _ = service.process(&packets);
-        let snap = service.telemetry_snapshot().unwrap();
-        let report = service.report().clone();
-        assert_eq!(snap.counter("vr_service_lookups_total"), Some(report.lookups));
-        assert_eq!(snap.counter("vr_service_misses_total"), Some(report.misses));
-        assert_eq!(snap.counter("vr_service_batches_total"), Some(report.batches));
-        assert_eq!(snap.gauge("vr_service_batch_width"), Some(16));
-        assert_eq!(snap.gauge("vr_service_generation"), Some(0));
-        let batch_hist = snap.histogram("vr_service_batch_ns").unwrap();
-        assert_eq!(batch_hist.count, report.batches);
-        assert_eq!(
-            snap.histogram("vr_service_lookup_ns").unwrap().count,
-            report.batches
-        );
-        assert_eq!(report.generation_min, 0);
-        assert_eq!(report.generation_max, 0);
-        let _ = service.shutdown();
-    }
-
-    #[test]
-    fn telemetry_off_disables_the_registry() {
+        contract::registry_counters_match_the_report(Kind::Spans);
         let t = table("10.0.0.0/8 1\n");
-        let cfg = ServiceConfig {
-            telemetry: false,
-            ..small_cfg(1)
-        };
-        let mut service = LookupService::new(vec![t], cfg).unwrap();
-        assert!(service.metrics().is_none());
-        assert!(service.telemetry_snapshot().is_none());
-        assert_eq!(service.process(&[(0, 0x0A00_0001)]), vec![Some(1)]);
-        let _ = service.shutdown();
+        let mut service = LookupService::new(vec![t], small_cfg(2)).unwrap();
+        let _ = service.process(&[(0, 0x0A00_0001); 40]);
+        let snap = service.telemetry_snapshot().unwrap();
+        assert_eq!(snap.gauge("vr_service_batch_width"), Some(16));
+        let report = service.shutdown();
+        assert_eq!((report.generation_min, report.generation_max), (0, 0));
     }
 
     #[test]
@@ -1563,31 +1008,38 @@ mod tests {
     #[test]
     fn queue_stalls_are_counted_when_a_shard_backs_up() {
         let t = TableSpec::paper_worst_case(17).generate().unwrap();
-        let cfg = ServiceConfig {
-            workers: 1,
-            batch_width: Some(64),
-            queue_depth: 1,
-            ..ServiceConfig::default()
-        };
         let base: Vec<(VnId, u32)> = t.prefixes().map(|p| (0, p.addr())).collect();
         let packets: Vec<(VnId, u32)> = base.iter().copied().cycle().take(64 * 256).collect();
-        let mut service = LookupService::new(vec![t], cfg).unwrap();
-        // One job per 64 keys, submitted directly: `process` would hand
-        // the single worker one span and never fill its queue.
-        for chunk in packets.chunks(64) {
-            service.submit(chunk.to_vec());
+        // The report counts stalls with the registry on or off.
+        for telemetry in [true, false] {
+            let cfg = ServiceConfig {
+                workers: 1,
+                batch_width: Some(64),
+                queue_depth: 1,
+                telemetry,
+                ..ServiceConfig::default()
+            };
+            let mut service = LookupService::new(vec![t.clone()], cfg).unwrap();
+            // One job per 64 keys, submitted directly: `process` would hand
+            // the single worker one span and never fill its queue.
+            for chunk in packets.chunks(64) {
+                service.submit(chunk.to_vec());
+            }
+            let _ = service.collect_all();
+            // With one worker, depth-1 queue, and 256 batches, the
+            // submitter must have outrun the worker at least once.
+            let stalls = service.report().queue_stalls;
+            assert!(stalls > 0);
+            if let Some(snap) = service.telemetry_snapshot() {
+                assert_eq!(snap.counter("vr_service_queue_stalls_total"), Some(stalls));
+                assert!(snap
+                    .events
+                    .events
+                    .iter()
+                    .any(|e| matches!(e.kind, EventKind::WorkerStall { worker: 0 })));
+            }
+            let _ = service.shutdown();
         }
-        let _ = service.collect_all();
-        let snap = service.telemetry_snapshot().unwrap();
-        // With one worker, depth-1 queue, and 256 batches, the submitter
-        // must have outrun the worker at least once.
-        assert!(snap.counter("vr_service_queue_stalls_total").unwrap() > 0);
-        assert!(snap
-            .events
-            .events
-            .iter()
-            .any(|e| matches!(e.kind, EventKind::WorkerStall { worker: 0 })));
-        let _ = service.shutdown();
     }
 
     #[test]
@@ -1608,6 +1060,7 @@ mod tests {
             updates_applied: 0,
             incremental_publishes: 0,
             full_rebuilds: 0,
+            queue_stalls: 0,
         };
         let mut json = serde_json::to_string(&report).unwrap();
         // Simulate a pre-telemetry artifact: strip every later-added field.
@@ -1618,6 +1071,7 @@ mod tests {
             "updates_applied",
             "incremental_publishes",
             "full_rebuilds",
+            "queue_stalls",
         ] {
             json = json.replace(&format!(",\"{field}\":0"), "");
             json = json.replace(&format!(",\"{field}\":1"), "");
@@ -1816,7 +1270,7 @@ mod tests {
     #[test]
     fn process_matches_a_per_key_walk_at_every_span_boundary() {
         let tables = churn_family(83, 5);
-        let oracle = LookupService::build_trie(&tables).unwrap();
+        let oracle = build_trie(&tables).unwrap();
         let keys: Vec<(VnId, u32)> = (0..4096u32)
             .map(|i| {
                 let vn = (i % 5) as VnId;
@@ -1885,21 +1339,5 @@ mod tests {
         assert!(service.process(&[]).is_empty());
         assert_eq!(service.report().batches, 3);
         let _ = service.shutdown();
-    }
-
-    #[test]
-    fn process_after_an_uncollected_submit_returns_only_its_own_results() {
-        let t = table("10.0.0.0/8 1\n192.168.0.0/16 2\n");
-        let mut service = LookupService::new(vec![t], small_cfg(2)).unwrap();
-        let stale = service.submit(vec![(0, 0xC0A8_0001); 3]);
-        assert_eq!(stale, 0);
-        assert_eq!(
-            service.process(&[(0, 0x0A00_0001), (0, 0x0B00_0000)]),
-            vec![Some(1), None]
-        );
-        // The stale batch was drained and counted, just not returned.
-        let report = service.shutdown();
-        assert_eq!(report.batches, 2);
-        assert_eq!(report.lookups, 5);
     }
 }

@@ -1,95 +1,44 @@
-//! Core-sharded lookup service: per-shard private snapshots behind
-//! hash-routed SPSC queues.
+//! Hash-sharded lookup service: the service core behind a
+//! destination-hash scatter.
 //!
-//! [`LookupService`](crate::LookupService) fans batches out round-robin
-//! and every worker pins the shared snapshot through a vr-sync
-//! `Publish` slot — one lock acquisition and one refcount bump per
-//! batch, on a cache line all workers share. At millions of batches per
-//! second that shared line is the scaling ceiling, not the lookups.
+//! [`LookupService`](crate::LookupService) hands each worker one
+//! contiguous span of a call. [`ShardedService`] is the other facade
+//! over the same core (worker pool, `Publish`-slot table swap, audit
+//! gate, telemetry, join-on-drop — see `service_core.rs`) and differs
+//! only in how packets reach the workers, the way the paper's VS
+//! organization puts a VNID distributor in front of K copies of the
+//! same pipeline: the dispatcher routes every packet by a cheap
+//! multiplicative hash of its destination address ([`shard_of`]), so a
+//! given flow always lands on the same shard — order within a flow is
+//! preserved and a shard's private result cache sees all of that flow's
+//! repeats — and the gathered results are written back through each
+//! job's origin map, restoring input order. Job buffers are recycled
+//! through a spare pool, so the steady-state
+//! [`process_into`](ShardedService::process_into) path allocates
+//! nothing.
 //!
-//! [`ShardedService`] removes the sharing entirely, the way the paper's
-//! VS organization gives each virtual router its *own* engine instead of
-//! arbitrating one: N shard threads each **own** their snapshot
-//! (`SyncArc<TableSnapshot>` moved into the thread — no lock, no shared
-//! refcount traffic on the read side), and each drains a private SPSC
-//! request queue. The dispatcher routes every packet by a cheap
-//! multiplicative hash of its destination address, so a given flow
-//! always lands on the same shard (order within a flow is preserved) and
-//! the queues are genuinely single-producer single-consumer.
+//! Publishing is the core's one protocol: a shard pins the published
+//! snapshot once per job, so every sub-batch resolves against exactly
+//! one generation — old or new, never a torn mix (the `service_swap`
+//! acceptance tests run against both services) — and a job submitted
+//! after a publish returned can only see the new table.
 //!
-//! **Republish is a broadcast, not a swap.** A new generation is sent
-//! down each shard's queue as a [`ShardJob::Publish`] message, in FIFO
-//! order with the batches. Consequences:
-//!
-//! * every batch resolves against exactly the snapshot that was current
-//!   when it entered its shard's queue — old or new, never a torn mix
-//!   (the `service_swap` acceptance tests run against both services);
-//! * a publish never stalls the datapath: shards swap their private
-//!   `Arc` between batches, and the dispatcher keeps accepting traffic
-//!   while the broadcast drains;
-//! * the old snapshot is freed when the last shard drops its `SyncArc` —
-//!   the same grace-period-by-refcount the RCU path relies on. The
-//!   vr-sync model checker replays the wave over every bounded
-//!   interleaving (`programs::shard_publish_wave`).
-//!
-//! Telemetry reuses the `vr_service_*` metric vocabulary on the
-//! service's own [`MetricsRegistry`] (counters sharded by shard id), so
-//! the bench and exporters read both services identically.
+//! Telemetry uses the core's `vr_service_*` / `vr_cache_*` vocabulary
+//! (counters sharded by shard id), so the bench and exporters read both
+//! services identically; sampled traces carry shard (not worker)
+//! attribution.
 
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use vr_sync::{
-    spsc_bounded, spsc_unbounded, AtomicGen, SpscReceiver, SpscSender, SyncArc, TrySendError,
-};
-use vr_audit::AuditMetrics;
 use vr_net::table::{NextHop, RoutingTable};
 use vr_net::VnId;
-use vr_obs::{Stage, TraceBuilder, Tracer, DEFAULT_TRACE_CAPACITY};
-use vr_telemetry::{
-    Counter, EventKind, Gauge, MetricsRegistry, Stopwatch, TelemetrySnapshot,
-};
+use vr_obs::{TraceBuilder, Tracer};
+use vr_telemetry::{MetricsRegistry, TelemetrySnapshot};
 use vr_trie::JumpTrie;
 
-use crate::cache::LpmCache;
-use crate::service::{lookup_batch_mixed, CacheMetrics, TableSnapshot, WorkerMetrics};
-use crate::{EngineError, LookupService};
-
-/// Tuning knobs of a [`ShardedService`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ShardedConfig {
-    /// Shard threads. Each owns a private snapshot and an SPSC queue.
-    pub shards: usize,
-    /// Depth of each shard's request queue, in jobs; the dispatcher
-    /// blocks (and counts a stall) once a shard is this far behind.
-    pub queue_depth: usize,
-    /// Whether to run with a live [`MetricsRegistry`] (per-shard
-    /// counters, batch/lookup histograms, the event ring).
-    pub telemetry: bool,
-    /// Slot count of each shard's private LPM result cache
-    /// ([`crate::cache::LpmCache`]); `None` disables caching. Slots are
-    /// tagged with the publish generation, so a
-    /// [`ShardJob::Publish`] broadcast invalidates every shard's cache
-    /// in O(1) the moment the shard adopts the new snapshot.
-    pub lookup_cache: Option<usize>,
-    /// 1-in-N shard-job trace sampling rate; `None` disables tracing.
-    /// Sampled jobs carry an owned [`vr_obs::TraceBuilder`] through
-    /// their shard's queue and close the same stage chain as the
-    /// channel service, with shard (not worker) attribution.
-    pub trace_sample: Option<u32>,
-}
-
-impl Default for ShardedConfig {
-    fn default() -> Self {
-        Self {
-            shards: std::thread::available_parallelism().map_or(2, |n| n.get().min(8)),
-            queue_depth: 64,
-            telemetry: true,
-            lookup_cache: None,
-            trace_sample: None,
-        }
-    }
-}
+pub use crate::service_core::ShardedConfig;
+use crate::service_core::{build_trie, Done, Job, ServiceCore};
+use crate::EngineError;
 
 /// Routes a destination address to a shard: one multiplicative hash
 /// (Fibonacci constant) and a multiply-shift range reduction — no
@@ -122,63 +71,6 @@ pub struct ShardedBatch {
     pub generation: u64,
     /// Shard-side wall time resolving the job, in nanoseconds.
     pub elapsed_ns: u64,
-    /// The routed packets, retained so the dispatcher can recycle the
-    /// buffers without reallocating.
-    packets: Vec<(VnId, u32)>,
-}
-
-/// A unit of work in a shard's queue: either a routed sub-batch or a
-/// new snapshot to adopt. Delivered in FIFO order, which is what makes
-/// the never-torn property trivial — a job sees exactly the snapshots
-/// published before it was enqueued.
-enum ShardJob {
-    Batch(Job),
-    Publish(SyncArc<TableSnapshot>),
-}
-
-/// Reusable job buffers; drained back into the dispatcher's spare pool
-/// on the process path so steady state allocates nothing per call.
-#[derive(Default)]
-struct Job {
-    seq: u64,
-    packets: Vec<(VnId, u32)>,
-    origins: Vec<u32>,
-    results: Vec<Option<NextHop>>,
-    /// `Some` on sampled jobs: the owned stage recorder riding with the
-    /// job (see [`ShardedConfig::trace_sample`]). Always `None` in the
-    /// spare pool — the shard takes it before the buffers recycle.
-    trace: Option<TraceBuilder>,
-}
-
-struct Shard {
-    /// `None` once the shard has been disconnected during shutdown.
-    job_tx: Option<SpscSender<ShardJob>>,
-    done_rx: SpscReceiver<ShardedBatch>,
-    handle: Option<JoinHandle<()>>,
-}
-
-/// Control-plane registry handles of a [`ShardedService`].
-struct ShardedTelemetry {
-    registry: Arc<MetricsRegistry>,
-    swaps: Counter,
-    audit_rejections: Counter,
-    queue_stalls: Counter,
-    generation: Gauge,
-    audit: AuditMetrics,
-}
-
-impl ShardedTelemetry {
-    fn new(shards: usize) -> Self {
-        let registry = Arc::new(MetricsRegistry::new(shards));
-        Self {
-            swaps: registry.counter("vr_service_swaps_total"),
-            audit_rejections: registry.counter("vr_service_audit_rejections_total"),
-            queue_stalls: registry.counter("vr_service_queue_stalls_total"),
-            generation: registry.gauge("vr_service_generation"),
-            audit: AuditMetrics::register(&registry),
-            registry,
-        }
-    }
 }
 
 /// Aggregated sharded-service counters, serializable for experiment
@@ -200,17 +92,18 @@ pub struct ShardedReport {
     pub generations_seen: Vec<u64>,
     /// Total shard-side busy time across all jobs, in nanoseconds.
     pub busy_ns: u64,
-    /// Dispatcher blocks on a full shard queue.
+    /// Dispatcher blocks on a full shard queue, counted with telemetry
+    /// on or off.
     pub queue_stalls: u64,
-    /// Publishes rejected by the structural audit gate.
+    /// Publishes rejected by the structural audit gate, counted with
+    /// telemetry on or off.
     pub audit_rejections: u64,
 }
 
 impl ShardedReport {
-    fn observe(&mut self, done: &ShardedBatch) {
-        let n = done.results.len() as u64;
-        self.lookups += n;
-        self.misses += done.results.iter().filter(|nh| nh.is_none()).count() as u64;
+    fn observe(&mut self, done: &Done) {
+        self.lookups += done.job.results.len() as u64;
+        self.misses += done.misses;
         self.batches += 1;
         self.busy_ns += done.elapsed_ns;
         if let Err(pos) = self.generations_seen.binary_search(&done.generation) {
@@ -228,8 +121,8 @@ impl ShardedReport {
     }
 }
 
-/// N-shard lookup service with per-shard private snapshots and
-/// hash-routed SPSC request queues.
+/// N-shard lookup service: hash-routed SPSC request queues in front of
+/// the shared service core.
 ///
 /// ```
 /// use vr_engine::{ShardedConfig, ShardedService};
@@ -242,8 +135,8 @@ impl ShardedReport {
 /// let packets = vec![(0, 0x0A01_0103), (0, 0x0A02_0000), (0, 0x0B00_0000)];
 /// assert_eq!(service.process(&packets), vec![Some(2), Some(1), None]);
 ///
-/// // Republish broadcasts to every shard; in-flight jobs keep their
-/// // queued-behind snapshot.
+/// // Republish: in-flight jobs keep the snapshot they pinned, later
+/// // ones see the new table on every shard.
 /// let updated: RoutingTable = "10.0.0.0/8 5\n".parse().unwrap();
 /// service.publish_tables(vec![updated]).unwrap();
 /// assert_eq!(service.process(&[(0, 0x0A01_0103)]), vec![Some(5)]);
@@ -251,21 +144,11 @@ impl ShardedReport {
 /// assert_eq!(report.swaps, 1);
 /// ```
 pub struct ShardedService {
-    shards: Vec<Shard>,
-    /// Control-plane mirror of the per-VN tables.
+    core: ServiceCore,
+    /// Control-plane mirror of the per-VN tables, replaced only once a
+    /// publish is accepted.
     tables: Vec<RoutingTable>,
-    /// Publisher-side master generation (shards learn it by broadcast).
-    /// An [`AtomicGen`] so the bump is a release publication by
-    /// construction — a `Relaxed` store is inexpressible.
-    generation: AtomicGen,
-    next_seq: u64,
-    /// Jobs submitted but not yet collected, per shard.
-    in_flight: Vec<u64>,
     report: ShardedReport,
-    /// `None` when [`ShardedConfig::telemetry`] is off.
-    telemetry: Option<ShardedTelemetry>,
-    /// `None` when [`ShardedConfig::trace_sample`] is off.
-    tracer: Option<Tracer>,
     /// Recycled job buffers for the allocation-free process path.
     spare: Vec<Job>,
 }
@@ -277,7 +160,7 @@ impl ShardedService {
     /// Rejects an empty table set, zero shards, merge failures, and (in
     /// audited builds) a structurally invalid trie.
     pub fn new(tables: Vec<RoutingTable>, cfg: ShardedConfig) -> Result<Self, EngineError> {
-        let trie = LookupService::build_trie(&tables)?;
+        let trie = build_trie(&tables)?;
         Self::with_trie(tables, trie, cfg)
     }
 
@@ -286,9 +169,9 @@ impl ShardedService {
     /// rebuild). The trie must serve every VN in `tables`.
     ///
     /// # Errors
-    /// Rejects an empty table set, zero shards, a trie whose NHI arity
-    /// does not cover the VN count, and (in audited builds) a
-    /// structurally invalid trie.
+    /// Rejects an empty table set, zero shards, a zero cache size or
+    /// sample rate, a trie whose NHI arity does not cover the VN count,
+    /// and (in audited builds) a structurally invalid trie.
     pub fn with_trie(
         tables: Vec<RoutingTable>,
         trie: JumpTrie,
@@ -297,170 +180,32 @@ impl ShardedService {
         if tables.is_empty() {
             return Err(EngineError::InvalidParameter("need at least one table"));
         }
-        if cfg.shards == 0 {
-            return Err(EngineError::InvalidParameter("need at least one shard"));
-        }
         if trie.arity() < tables.len() {
             return Err(EngineError::InvalidParameter(
                 "trie NHI arity must cover every VN",
             ));
         }
-        if cfg.lookup_cache == Some(0) {
-            return Err(EngineError::InvalidParameter(
-                "cache capacity must be at least 1 slot",
-            ));
-        }
-        if cfg.trace_sample == Some(0) {
-            return Err(EngineError::InvalidParameter(
-                "trace sample rate must be at least 1",
-            ));
-        }
-        let telemetry = cfg.telemetry.then(|| ShardedTelemetry::new(cfg.shards));
-        let tracer = cfg
-            .trace_sample
-            .map(|sample| Tracer::new(sample, DEFAULT_TRACE_CAPACITY));
-        LookupService::audit_snapshot(&trie, telemetry.as_ref().map(|t| &t.audit))?;
-        if let Some(t) = &telemetry {
-            t.generation.set(0);
-        }
-        let snapshot = SyncArc::new(TableSnapshot {
-            trie,
-            generation: 0,
-        });
-        let shards = (0..cfg.shards)
-            .map(|id| {
-                Self::spawn_shard(
-                    id,
-                    snapshot.clone(),
-                    cfg.queue_depth,
-                    telemetry
-                        .as_ref()
-                        .map(|t| WorkerMetrics::for_registry(&t.registry)),
-                    cfg.lookup_cache,
-                    telemetry
-                        .as_ref()
-                        .map(|t| CacheMetrics::for_registry(&t.registry)),
-                    tracer.clone(),
-                )
-            })
-            .collect();
         Ok(Self {
-            shards,
+            core: ServiceCore::new(trie, cfg, TraceBuilder::set_shard)?,
             tables,
-            generation: AtomicGen::new(0),
-            next_seq: 0,
-            in_flight: vec![0; cfg.shards],
             report: ShardedReport {
                 shards: cfg.shards,
                 ..ShardedReport::default()
             },
-            telemetry,
-            tracer,
             spare: Vec::new(),
         })
-    }
-
-    fn spawn_shard(
-        id: usize,
-        snapshot: SyncArc<TableSnapshot>,
-        queue_depth: usize,
-        metrics: Option<WorkerMetrics>,
-        cache_slots: Option<usize>,
-        cache_metrics: Option<CacheMetrics>,
-        tracer: Option<Tracer>,
-    ) -> Shard {
-        let (job_tx, job_rx) = spsc_bounded::<ShardJob>(queue_depth);
-        // Results must never backpressure the dispatcher mid-scatter; an
-        // unbounded done queue keeps the shard loop send-safe (same
-        // reasoning as LookupService::spawn_worker).
-        let (done_tx, done_rx) = spsc_unbounded::<ShardedBatch>();
-        let handle = std::thread::spawn(move || {
-            // The shard OWNS its snapshot: no lock, no shared refcount
-            // bump per batch. Publishes arrive as queue messages.
-            let mut snapshot = snapshot;
-            // Shard-private result cache (capacity validated in
-            // `with_trie`): generation tags make a Publish adoption an
-            // implicit whole-cache invalidation.
-            let mut cache = cache_slots.and_then(|slots| LpmCache::new(slots).ok());
-            while let Ok(job) = job_rx.recv() {
-                match job {
-                    ShardJob::Publish(next) => snapshot = next,
-                    ShardJob::Batch(mut job) => {
-                        if let Some(tb) = job.trace.as_mut() {
-                            tb.mark(Stage::Dequeue);
-                        }
-                        let watch = Stopwatch::start();
-                        job.results.clear();
-                        job.results.resize(job.packets.len(), None);
-                        match cache.as_mut() {
-                            Some(c) => match job.trace.as_mut() {
-                                Some(tb) => c.lookup_batch_traced(
-                                    &snapshot.trie,
-                                    snapshot.generation,
-                                    &job.packets,
-                                    &mut job.results,
-                                    tb,
-                                ),
-                                None => c.lookup_batch(
-                                    &snapshot.trie,
-                                    snapshot.generation,
-                                    &job.packets,
-                                    &mut job.results,
-                                ),
-                            },
-                            None => {
-                                lookup_batch_mixed(&snapshot.trie, &job.packets, &mut job.results);
-                                if let Some(tb) = job.trace.as_mut() {
-                                    tb.mark(Stage::LaneWalk);
-                                }
-                            }
-                        }
-                        let elapsed_ns = watch.elapsed_ns();
-                        if let Some(m) = &metrics {
-                            m.observe_batch(id, &job.results, elapsed_ns);
-                        }
-                        if let (Some(c), Some(cm)) = (cache.as_mut(), &cache_metrics) {
-                            cm.observe(id, c.take_delta(), c.stats());
-                        }
-                        if let (Some(mut tb), Some(tr)) = (job.trace.take(), tracer.as_ref()) {
-                            tb.set_shard(id as u64);
-                            tb.set_generation(snapshot.generation);
-                            tb.mark(Stage::Complete);
-                            tr.record(tb.finish());
-                        }
-                        let done = ShardedBatch {
-                            seq: job.seq,
-                            shard: id,
-                            results: job.results,
-                            origins: job.origins,
-                            generation: snapshot.generation,
-                            elapsed_ns,
-                            packets: job.packets,
-                        };
-                        if done_tx.send(done).is_err() {
-                            break; // service dropped the receiving half
-                        }
-                    }
-                }
-            }
-        });
-        Shard {
-            job_tx: Some(job_tx),
-            done_rx,
-            handle: Some(handle),
-        }
     }
 
     /// Shard count.
     #[must_use]
     pub fn shards(&self) -> usize {
-        self.shards.len()
+        self.core.workers()
     }
 
     /// Generation of the most recently published snapshot.
     #[must_use]
     pub fn generation(&self) -> u64 {
-        self.generation.load_acquire()
+        self.core.generation()
     }
 
     /// The control-plane view of the per-VN tables.
@@ -469,75 +214,41 @@ impl ShardedService {
         &self.tables
     }
 
-    /// Sends one job down a shard's queue, blocking on backpressure;
-    /// the stall is counted and ringed first so it is observable while
-    /// it is happening.
-    fn send_job(&mut self, shard: usize, job: ShardJob) {
-        let tx = self.shards[shard]
-            .job_tx
-            .as_ref()
-            .expect("submit after shutdown");
-        let blocked = match tx.try_send(job) {
-            Ok(()) => None,
-            Err(TrySendError::Full(job)) => {
-                self.report.queue_stalls += 1;
-                if let Some(t) = &self.telemetry {
-                    t.queue_stalls.inc(shard);
-                    t.registry.events().publish(EventKind::WorkerStall {
-                        worker: shard as u64,
-                    });
-                }
-                Some(job)
-            }
-            // Let the blocking send below surface the disconnect.
-            Err(TrySendError::Disconnected(job)) => Some(job),
-        };
-        if let Some(job) = blocked {
-            tx.send(job)
-                .expect("shard thread alive while service exists");
-        }
+    /// Copies the core's control-plane counts into the report.
+    fn mirror_counts(&mut self) {
+        let counts = self.core.counts();
+        self.report.swaps = counts.swaps;
+        self.report.audit_rejections = counts.audit_rejections;
+        self.report.queue_stalls = counts.queue_stalls;
     }
 
     /// Scatters `packets` across the shards by destination hash and
     /// enqueues at most one job per shard. Returns the number of jobs
     /// created (collect that many sub-batches via [`Self::collect_all`],
     /// or use [`Self::process`] for gathered, input-ordered results).
+    ///
+    /// # Panics
+    /// If `packets` holds more than `u32::MAX` keys.
     pub fn submit(&mut self, packets: &[(VnId, u32)]) -> usize {
-        let shard_count = self.shards.len();
+        let shard_count = self.core.workers();
         let mut jobs: Vec<Job> = (0..shard_count)
             .map(|_| self.spare.pop().unwrap_or_default())
             .collect();
         for (i, &(vn, dst)) in packets.iter().enumerate() {
-            let s = shard_of(dst, shard_count);
-            jobs[s].packets.push((vn, dst));
-            jobs[s]
-                .origins
-                .push(u32::try_from(i).expect("batch too large"));
+            let job = &mut jobs[shard_of(dst, shard_count)];
+            job.packets.push((vn, dst));
+            job.origins.push(u32::try_from(i).expect("batch too large"));
         }
         let mut issued = 0;
-        for (s, mut job) in jobs.into_iter().enumerate() {
+        for (shard, job) in jobs.into_iter().enumerate() {
             if job.packets.is_empty() {
                 self.spare.push(job);
-                continue;
+            } else {
+                self.core.submit(shard, job);
+                issued += 1;
             }
-            job.seq = self.next_seq;
-            self.next_seq += 1;
-            // Sampled jobs get a trace builder; the enqueue span closes
-            // just before the send (a backpressured send shows up as
-            // queue residency in the dequeue span).
-            job.trace = self
-                .tracer
-                .as_ref()
-                .filter(|tr| tr.should_sample(job.seq))
-                .map(|tr| {
-                    let mut tb = tr.begin(job.seq, job.packets.len());
-                    tb.mark(Stage::Enqueue);
-                    tb
-                });
-            self.in_flight[s] += 1;
-            issued += 1;
-            self.send_job(s, ShardJob::Batch(job));
         }
+        self.mirror_counts();
         issued
     }
 
@@ -547,17 +258,18 @@ impl ShardedService {
     /// allocation-free instead.
     pub fn collect_all(&mut self) -> Vec<ShardedBatch> {
         let mut done: Vec<ShardedBatch> = Vec::new();
-        for (shard, pending) in self.in_flight.iter_mut().enumerate() {
-            while *pending > 0 {
-                let batch = self.shards[shard]
-                    .done_rx
-                    .recv()
-                    .expect("shard thread alive while service exists");
-                self.report.observe(&batch);
-                done.push(batch);
-                *pending -= 1;
-            }
-        }
+        let report = &mut self.report;
+        self.core.drain(|batch| {
+            report.observe(&batch);
+            done.push(ShardedBatch {
+                seq: batch.job.seq,
+                shard: batch.worker,
+                results: batch.job.results,
+                origins: batch.job.origins,
+                generation: batch.generation,
+                elapsed_ns: batch.elapsed_ns,
+            });
+        });
         done.sort_by_key(|b| b.seq);
         done
     }
@@ -573,7 +285,9 @@ impl ShardedService {
     }
 
     /// [`Self::process`] into a caller-owned output slice (the bench's
-    /// steady-state loop reuses one).
+    /// steady-state loop reuses one). Sub-batches a caller
+    /// [`submit`](Self::submit)ted and never collected are drained and
+    /// counted in the report, but are not part of the result.
     ///
     /// # Panics
     /// If `packets` and `out` differ in length.
@@ -583,100 +297,59 @@ impl ShardedService {
             out.len(),
             "batch destination and output slices must match"
         );
+        let first_seq = self.core.next_seq();
         self.submit(packets);
-        for (shard, pending) in self.in_flight.iter_mut().enumerate() {
-            while *pending > 0 {
-                let batch = self.shards[shard]
-                    .done_rx
-                    .recv()
-                    .expect("shard thread alive while service exists");
-                self.report.observe(&batch);
-                for (&origin, &nh) in batch.origins.iter().zip(batch.results.iter()) {
+        let (report, spare) = (&mut self.report, &mut self.spare);
+        self.core.drain(|batch| {
+            report.observe(&batch);
+            let mut job = batch.job;
+            if job.seq >= first_seq {
+                for (&origin, &nh) in job.origins.iter().zip(&job.results) {
                     out[origin as usize] = nh;
                 }
-                *pending -= 1;
-                let mut job = Job {
-                    seq: 0,
-                    packets: batch.packets,
-                    origins: batch.origins,
-                    results: batch.results,
-                    trace: None,
-                };
-                job.packets.clear();
-                job.origins.clear();
-                self.spare.push(job);
             }
-        }
+            job.packets.clear();
+            job.origins.clear();
+            spare.push(job);
+        });
     }
 
-    /// Publishes a fresh snapshot built from `tables`, replacing the
-    /// control-plane mirror. The build runs outside every queue;
-    /// in-flight jobs finish on the snapshot queued ahead of the
-    /// broadcast. Returns the new generation.
+    /// Publishes a fresh snapshot built from `tables` and, once the
+    /// audit gate has accepted it, replaces the control-plane mirror.
+    /// The build runs outside the swap lock; in-flight jobs finish on
+    /// the snapshot they pinned. Returns the new generation.
     ///
     /// # Errors
-    /// Propagates trie construction failures and audit rejections (the
-    /// live generation keeps serving on error). The VN count must not
-    /// change — queued jobs carry VN ids that must stay valid.
+    /// Propagates trie construction failures and audit rejections; the
+    /// live table and the mirror are untouched on error. The VN count
+    /// must not change — queued jobs carry VN ids that must stay valid.
     pub fn publish_tables(&mut self, tables: Vec<RoutingTable>) -> Result<u64, EngineError> {
         if tables.len() != self.tables.len() {
             return Err(EngineError::InvalidParameter(
                 "table count must not change across a swap",
             ));
         }
-        let trie = LookupService::build_trie(&tables)?;
+        let generation = self.publish_trie(build_trie(&tables)?)?;
         self.tables = tables;
-        self.publish_trie(trie)
+        Ok(generation)
     }
 
-    /// Broadcasts an already-built trie to every shard (the RCU write
-    /// side, as a FIFO message per queue) and returns the new
-    /// generation.
+    /// Atomically swaps in an already-built trie (the RCU write side)
+    /// and returns the new generation.
     ///
     /// # Errors
     /// In audited builds, rejects a structurally invalid trie with
     /// [`EngineError::AuditRejected`]; no shard sees it.
     pub fn publish_trie(&mut self, trie: JumpTrie) -> Result<u64, EngineError> {
-        let _span = self
-            .telemetry
-            .as_ref()
-            .map(|t| t.registry.span("vr_service_publish_ns"));
-        let trace_start = self.tracer.as_ref().map(Tracer::now_ns);
-        if let Err(err) =
-            LookupService::audit_snapshot(&trie, self.telemetry.as_ref().map(|t| &t.audit))
-        {
-            self.report.audit_rejections += 1;
-            if let Some(t) = &self.telemetry {
-                t.audit_rejections.inc(0);
-                t.registry.events().publish(EventKind::AuditRejected {
-                    generation: self.generation.load_acquire() + 1,
-                });
-            }
-            return Err(err);
-        }
-        let generation = self.generation.bump_release();
-        let snapshot = SyncArc::new(TableSnapshot { trie, generation });
-        for shard in 0..self.shards.len() {
-            self.send_job(shard, ShardJob::Publish(snapshot.clone()));
-        }
-        self.report.swaps += 1;
-        if let Some(t) = &self.telemetry {
-            t.swaps.inc(0);
-            t.generation.set(generation);
-            t.registry
-                .events()
-                .publish(EventKind::GenerationSwap { generation });
-        }
-        if let (Some(tr), Some(start)) = (self.tracer.as_ref(), trace_start) {
-            tr.record_span(Stage::Publish, start, generation);
-        }
-        Ok(generation)
+        let outcome = self.core.publish(trie);
+        self.mirror_counts();
+        outcome
     }
 
     /// The live metrics registry (`None` with telemetry off).
     #[must_use]
     pub fn metrics(&self) -> Option<&Arc<MetricsRegistry>> {
-        self.telemetry.as_ref().map(|t| &t.registry)
+        self.core.metrics()
     }
 
     /// The live shard-job tracer (`None` when
@@ -684,14 +357,14 @@ impl ShardedService {
     /// completed traces from another thread.
     #[must_use]
     pub fn tracer(&self) -> Option<&Tracer> {
-        self.tracer.as_ref()
+        self.core.tracer()
     }
 
     /// One coherent pass over every live metric (`None` with telemetry
     /// off).
     #[must_use]
     pub fn telemetry_snapshot(&self) -> Option<TelemetrySnapshot> {
-        self.telemetry.as_ref().map(|t| t.registry.snapshot())
+        self.core.telemetry_snapshot()
     }
 
     /// Accumulated counters so far (final totals come from
@@ -701,40 +374,19 @@ impl ShardedService {
         &self.report
     }
 
-    /// Drains outstanding jobs, stops the shards, and returns the final
-    /// report.
+    /// Drains outstanding jobs, stops and joins the shards (the core's
+    /// `Drop`, which also runs when the service is simply dropped), and
+    /// returns the final report.
     pub fn shutdown(mut self) -> ShardedReport {
         let _ = self.collect_all();
-        for shard in &mut self.shards {
-            shard.job_tx = None; // disconnect: the shard loop exits
-        }
-        for shard in &mut self.shards {
-            if let Some(handle) = shard.handle.take() {
-                let _ = handle.join();
-            }
-        }
-        self.report.clone()
-    }
-}
-
-impl Drop for ShardedService {
-    fn drop(&mut self) {
-        for shard in &mut self.shards {
-            shard.job_tx = None;
-        }
-        for shard in &mut self.shards {
-            if let Some(handle) = shard.handle.take() {
-                let _ = handle.join();
-            }
-        }
+        std::mem::take(&mut self.report)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vr_net::table::RouteEntry;
-    use vr_net::Ipv4Prefix;
+    use crate::service_core::contract::{self, contract_tests, Kind};
 
     fn table(text: &str) -> RoutingTable {
         text.parse().unwrap()
@@ -747,8 +399,26 @@ mod tests {
         }
     }
 
-    fn probes(n: u32) -> Vec<(VnId, u32)> {
-        (0..n).map(|i| (0, i.wrapping_mul(0x9E37_79B9))).collect()
+    impl ShardedService {
+        pub(crate) fn core_mut(&mut self) -> &mut ServiceCore {
+            &mut self.core
+        }
+    }
+
+    contract_tests! { Kind::Hash;
+        matches_oracle_across_shard_counts => oracle_parity_across_worker_counts,
+        mixed_vn_batches_resolve_per_network => mixed_vn_batches_resolve_per_network,
+        process_restores_input_order_with_empty_and_tiny_batches =>
+            empty_tiny_and_ragged_calls_keep_input_order,
+        cached_shards_match_uncached_across_publishes => cached_matches_uncached_across_a_publish,
+        traced_shards_record_validating_chains_with_shard_attribution =>
+            traced_jobs_record_validating_stage_chains,
+        telemetry_merges_per_shard_counters => registry_counters_match_the_report,
+        telemetry_off_still_reports => telemetry_off_still_reports,
+        audit_gate_rejects_corrupt_trie_in_debug => rejected_publish_changes_nothing_and_is_counted,
+        process_after_an_uncollected_submit_returns_only_its_own_results =>
+            process_after_an_uncollected_submit_returns_only_its_own_results,
+        drop_joins_the_workers_and_frees_the_snapshot => drop_joins_the_workers_and_frees_the_snapshot,
     }
 
     #[test]
@@ -763,33 +433,12 @@ mod tests {
     }
 
     #[test]
-    fn matches_oracle_across_shard_counts() {
-        let t = table("0.0.0.0/0 9\n10.0.0.0/8 1\n10.1.0.0/16 2\n10.1.1.0/24 3\n");
-        let packets = probes(512);
-        for shards in [1, 2, 4] {
-            let mut svc = ShardedService::new(vec![t.clone()], cfg(shards)).unwrap();
-            let got = svc.process(&packets);
-            for (i, &(_, dst)) in packets.iter().enumerate() {
-                assert_eq!(got[i], t.lookup(dst), "shards {shards} dst {dst:#010x}");
-            }
-            let report = svc.shutdown();
-            assert_eq!(report.lookups, packets.len() as u64);
-            assert_eq!(report.shards, shards);
-        }
-    }
-
-    #[test]
-    fn mixed_vn_batches_resolve_per_network() {
-        let tables = vec![table("10.0.0.0/8 1\n"), table("10.0.0.0/8 7\n")];
-        let mut svc = ShardedService::new(tables, cfg(2)).unwrap();
-        let packets: Vec<(VnId, u32)> = (0..64u32)
-            .map(|i| ((i % 2) as VnId, 0x0A00_0000 | i))
-            .collect();
-        let got = svc.process(&packets);
-        for (i, &(vn, _)) in packets.iter().enumerate() {
-            assert_eq!(got[i], Some(if vn == 0 { 1 } else { 7 }));
-        }
-        let _ = svc.shutdown();
+    fn rejects_bad_configurations() {
+        contract::bad_configurations_are_rejected(Kind::Hash);
+        // A K=1 trie cannot serve a 2-VN table set.
+        let t = table("10.0.0.0/8 1\n");
+        let trie = JumpTrie::from_table(&t);
+        assert!(ShardedService::with_trie(vec![t.clone(), t], trie, cfg(2)).is_err());
     }
 
     #[test]
@@ -797,180 +446,12 @@ mod tests {
         let mut svc = ShardedService::new(vec![table("0.0.0.0/0 1\n")], cfg(4)).unwrap();
         assert_eq!(svc.publish_tables(vec![table("0.0.0.0/0 2\n")]).unwrap(), 1);
         // Every destination hashes somewhere; all must see generation 1.
-        let got = svc.process(&probes(256));
-        assert!(got.iter().all(|nh| *nh == Some(2)));
+        let probes: Vec<(VnId, u32)> = (0..256u32)
+            .map(|i| (0, i.wrapping_mul(0x9E37_79B9)))
+            .collect();
+        assert!(svc.process(&probes).iter().all(|nh| *nh == Some(2)));
         let report = svc.shutdown();
         assert_eq!(report.swaps, 1);
-        assert!(report.generations_seen.contains(&1));
-    }
-
-    #[test]
-    fn process_restores_input_order_with_empty_and_tiny_batches() {
-        let t = RoutingTable::from_entries(
-            (0u32..256).map(|i| RouteEntry::new(Ipv4Prefix::must(i << 24, 8), (i % 250) as u8)),
-        );
-        let mut svc = ShardedService::new(vec![t.clone()], cfg(3)).unwrap();
-        assert!(svc.process(&[]).is_empty());
-        for len in [1usize, 2, 3, 7] {
-            let packets: Vec<(VnId, u32)> = (0..len as u32)
-                .map(|i| (0, i.wrapping_mul(0x01F3_5A7D)))
-                .collect();
-            let got = svc.process(&packets);
-            for (i, &(_, dst)) in packets.iter().enumerate() {
-                assert_eq!(got[i], t.lookup(dst), "len {len} lane {i}");
-            }
-        }
-        let _ = svc.shutdown();
-    }
-
-    #[test]
-    fn rejects_bad_configurations() {
-        let t = table("10.0.0.0/8 1\n");
-        assert!(ShardedService::new(vec![], cfg(2)).is_err());
-        assert!(ShardedService::new(vec![t.clone()], cfg(0)).is_err());
-        // A K=1 trie cannot serve a 2-VN table set.
-        let trie = JumpTrie::from_table(&t);
-        assert!(ShardedService::with_trie(vec![t.clone(), t.clone()], trie, cfg(2)).is_err());
-        // VN count is pinned across publishes.
-        let mut svc = ShardedService::new(vec![t.clone()], cfg(2)).unwrap();
-        assert!(svc.publish_tables(vec![t.clone(), t]).is_err());
-        let _ = svc.shutdown();
-    }
-
-    #[test]
-    fn telemetry_merges_per_shard_counters() {
-        let mut svc = ShardedService::new(vec![table("0.0.0.0/0 1\n")], cfg(2)).unwrap();
-        let _ = svc.process(&probes(128));
-        svc.publish_tables(vec![table("0.0.0.0/0 2\n")]).unwrap();
-        let _ = svc.process(&probes(128));
-        let snap = svc.telemetry_snapshot().expect("telemetry on");
-        let lookups = snap
-            .counters
-            .iter()
-            .find(|c| c.name == "vr_service_lookups_total")
-            .expect("lookups counter");
-        assert_eq!(lookups.value, 256);
-        assert!(snap
-            .histograms
-            .iter()
-            .any(|h| h.name == "vr_service_lookup_ns" && h.count > 0));
-        let _ = svc.shutdown();
-    }
-
-    #[test]
-    fn telemetry_off_still_reports() {
-        let mut svc = ShardedService::new(
-            vec![table("0.0.0.0/0 1\n")],
-            ShardedConfig {
-                shards: 2,
-                telemetry: false,
-                ..ShardedConfig::default()
-            },
-        )
-        .unwrap();
-        assert!(svc.metrics().is_none());
-        let _ = svc.process(&probes(64));
-        let report = svc.shutdown();
-        assert_eq!(report.lookups, 64);
-    }
-
-    #[test]
-    fn cached_shards_match_uncached_across_publishes() {
-        let t = || table("10.0.0.0/8 1\n10.1.0.0/16 2\n192.168.0.0/16 3\n");
-        let cached_cfg = ShardedConfig {
-            lookup_cache: Some(256),
-            ..cfg(2)
-        };
-        let mut cached = ShardedService::new(vec![t()], cached_cfg).unwrap();
-        let mut plain = ShardedService::new(vec![t()], cfg(2)).unwrap();
-        // Repeating destinations so shard caches see hits on pass 2.
-        let packets: Vec<(VnId, u32)> = (0..128)
-            .map(|i| (0, [0x0A01_0103u32, 0xC0A8_0101, 0x0A02_0000][i % 3]))
-            .collect();
-        for _ in 0..2 {
-            assert_eq!(cached.process(&packets), plain.process(&packets));
-        }
-        let snap = cached.metrics().unwrap().snapshot();
-        assert!(snap.counter("vr_cache_hits_total").unwrap_or(0) > 0);
-        // Publish broadcast: adopted generation invalidates all slots,
-        // results stay oracle-identical.
-        let updated = table("10.0.0.0/8 7\n192.168.0.0/16 3\n");
-        cached.publish_tables(vec![updated.clone()]).unwrap();
-        plain.publish_tables(vec![updated]).unwrap();
-        assert_eq!(cached.process(&packets), plain.process(&packets));
-        assert!(ShardedService::new(
-            vec![t()],
-            ShardedConfig {
-                lookup_cache: Some(0),
-                ..cfg(1)
-            },
-        )
-        .is_err());
-        let _ = cached.shutdown();
-        let _ = plain.shutdown();
-    }
-
-    #[test]
-    fn traced_shards_record_validating_chains_with_shard_attribution() {
-        let t = table("10.0.0.0/8 1\n10.1.0.0/16 2\n");
-        for cache in [None, Some(128)] {
-            let mut svc = ShardedService::new(
-                vec![t.clone()],
-                ShardedConfig {
-                    trace_sample: Some(1),
-                    lookup_cache: cache,
-                    ..cfg(2)
-                },
-            )
-            .unwrap();
-            let _ = svc.process(&probes(128));
-            svc.publish_tables(vec![t.clone()]).unwrap();
-            let _ = svc.process(&probes(128));
-            let snap = svc.tracer().expect("tracer on").snapshot();
-            assert!(snap.recorded > 0);
-            for trace in &snap.traces {
-                trace.validate().unwrap();
-            }
-            assert!(snap.traces.iter().any(|tr| tr.shard.is_some()));
-            assert!(snap.traces.iter().all(|tr| tr.worker.is_none()));
-            assert!(snap
-                .traces
-                .iter()
-                .any(|tr| tr.stages[0].stage == Stage::Publish && tr.generation == 1));
-            assert!(snap
-                .traces
-                .iter()
-                .any(|tr| tr.shard.is_some() && tr.generation == 1));
-            let _ = svc.shutdown();
-        }
-        // Zero sample rate is a config error, as for the cache.
-        assert!(ShardedService::new(
-            vec![t],
-            ShardedConfig {
-                trace_sample: Some(0),
-                ..cfg(1)
-            },
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn audit_gate_rejects_corrupt_trie_in_debug() {
-        // An internal root entry pointing past the (empty) word slab.
-        let bad = JumpTrie::from_raw_parts(
-            vec![7; vr_trie::jump::ROOT_ENTRIES],
-            vec![],
-            vec![0],
-            vec![0],
-            1,
-        );
-        let mut svc = ShardedService::new(vec![table("10.0.0.0/8 1\n")], cfg(1)).unwrap();
-        let result = svc.publish_trie(bad);
-        if cfg!(debug_assertions) {
-            assert!(matches!(result, Err(EngineError::AuditRejected(_))));
-            assert_eq!(svc.report().audit_rejections, 1);
-            assert_eq!(svc.generation(), 0);
-        }
-        let _ = svc.shutdown();
+        assert_eq!(report.generations_seen, vec![1]);
     }
 }

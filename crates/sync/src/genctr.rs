@@ -1,51 +1,9 @@
-//! Generation counters and cache generation tags.
+//! Cache generation tags.
 //!
-//! [`AtomicGen`] is the only way the workspace is allowed to express an
-//! atomic generation counter. Its API is deliberately narrow: acquire
-//! loads, release stores, release bumps. A `Relaxed` publication is not
-//! expressible — the type is the static proof obligation that lint rule 9
-//! (`no-relaxed-publish`) enforces textually and the model checker proves
-//! behaviourally (see `programs::publish_vs_lookup` with the
-//! `RelaxedGenStore` seeded bug).
-
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Monotonic generation counter with publish/observe ordering built in.
-#[derive(Debug)]
-pub struct AtomicGen(AtomicU64);
-
-impl AtomicGen {
-    /// New counter starting at `value` (generation 0 = "nothing published").
-    #[inline]
-    pub const fn new(value: u64) -> Self {
-        AtomicGen(AtomicU64::new(value))
-    }
-
-    /// Observe the counter with acquire ordering: everything the publisher
-    /// wrote before the matching `store_release`/`bump_release` is visible.
-    #[inline]
-    pub fn load_acquire(&self) -> u64 {
-        #[cfg(vr_model)]
-        crate::trace::record("gen.load", "Acquire");
-        self.0.load(Ordering::Acquire)
-    }
-
-    /// Publish a specific generation value with release ordering.
-    #[inline]
-    pub fn store_release(&self, value: u64) {
-        #[cfg(vr_model)]
-        crate::trace::record("gen.store", "Release");
-        self.0.store(value, Ordering::Release);
-    }
-
-    /// Advance the counter by one and return the *new* generation.
-    #[inline]
-    pub fn bump_release(&self) -> u64 {
-        #[cfg(vr_model)]
-        crate::trace::record("gen.bump", "AcqRel");
-        self.0.fetch_add(1, Ordering::AcqRel) + 1
-    }
-}
+//! The generation itself lives inside the published snapshot
+//! ([`crate::Publish::update`] derives `generation + 1` under the slot's
+//! lock), so the only free-standing generation type is the tag a cache
+//! slot stores to tell which generation filled it.
 
 /// Generation tag stored in a cache slot.
 ///
@@ -85,17 +43,6 @@ impl GenTag {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bump_is_monotonic_and_returns_new_value() {
-        let g = AtomicGen::new(0);
-        assert_eq!(g.load_acquire(), 0);
-        assert_eq!(g.bump_release(), 1);
-        assert_eq!(g.bump_release(), 2);
-        assert_eq!(g.load_acquire(), 2);
-        g.store_release(9);
-        assert_eq!(g.load_acquire(), 9);
-    }
 
     #[test]
     fn empty_tag_never_matches_a_live_generation() {

@@ -1,18 +1,16 @@
 //! vr-sync: the concurrency discipline layer of the workspace.
 //!
 //! Every lock-free protocol the engine relies on — the RCU-style `Arc`
-//! snapshot swap in `LookupService`, the generation-tagged O(1) cache
-//! invalidation in `LpmCache`, and the FIFO publish broadcast in
-//! `ShardedService` — goes through the wrapper types in this crate instead
-//! of touching `std::sync` / `crossbeam` primitives directly:
+//! snapshot swap both services share, the generation-tagged O(1) cache
+//! invalidation in `LpmCache`, and the queues between dispatcher and
+//! workers — goes through the wrapper types in this crate instead of
+//! touching `std::sync` / `crossbeam` primitives directly:
 //!
 //! * [`SyncArc<T>`] — shared immutable snapshot handle (a thin `Arc`).
 //! * [`Publish<T>`] — the single-writer/multi-reader publication slot used
-//!   for RCU snapshot swaps; readers pay one lock + one refcount per batch.
-//! * [`AtomicGen`] — a monotonically increasing generation counter with a
-//!   deliberately narrow API (`load_acquire` / `store_release` /
-//!   `bump_release`): there is no way to express a `Relaxed` publication
-//!   through it, which is the whole point.
+//!   for RCU snapshot swaps; readers pay one lock + one refcount per batch,
+//!   and the generation is derived under the same lock as the swap, so a
+//!   `Relaxed` publication is not expressible.
 //! * [`GenTag`] — the generation tag stored in cache slots, with an
 //!   unreachable `EMPTY` sentinel that can never match a live generation.
 //! * [`spsc_bounded`] / [`spsc_unbounded`] — the single-producer queues
@@ -42,7 +40,7 @@ mod spsc;
 pub mod trace;
 
 pub use arc::SyncArc;
-pub use genctr::{AtomicGen, GenTag};
+pub use genctr::GenTag;
 pub use publish::Publish;
 pub use spsc::{
     spsc_bounded, spsc_unbounded, SpscReceiver, SpscSender, TryRecvError, TrySendError,

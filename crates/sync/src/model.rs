@@ -48,7 +48,7 @@
 use std::collections::VecDeque;
 
 /// Memory ordering a model step requests. Mirrors the discipline surface
-/// of the real wrappers (`AtomicGen` cannot even express `Relaxed`; model
+/// of the real wrappers (`Publish` cannot even express `Relaxed`; model
 /// programs can, to seed bugs).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MemOrdering {

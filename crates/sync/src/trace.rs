@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// One recorded wrapper operation.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TraceOp {
-    /// Wrapper operation label, e.g. `"publish.store"` or `"gen.bump"`.
+    /// Wrapper operation label, e.g. `"publish.store"` or `"spsc.send"`.
     pub op: &'static str,
     /// Memory-ordering label the wrapper used, e.g. `"Release"`.
     pub ordering: &'static str,
@@ -51,12 +51,11 @@ pub fn capture<R>(f: impl FnOnce() -> R) -> (R, Vec<TraceOp>) {
 }
 
 /// Assert the discipline over a captured trace: no publication-side op
-/// (`publish.*`, `gen.store`, `gen.bump`) may carry a `Relaxed` ordering.
+/// (`publish.*`) may carry a `Relaxed` ordering.
 pub fn assert_no_relaxed_publication(ops: &[TraceOp]) {
     for o in ops {
-        let publication = o.op.starts_with("publish.") || o.op == "gen.store" || o.op == "gen.bump";
         assert!(
-            !(publication && o.ordering == "Relaxed"),
+            !(o.op.starts_with("publish.") && o.ordering == "Relaxed"),
             "relaxed publication recorded: {o:?}"
         );
     }
