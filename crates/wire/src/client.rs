@@ -15,7 +15,7 @@ use std::time::Duration;
 use vr_net::VnId;
 use vr_net::RouteUpdate;
 
-use crate::frame::{encode, Message, WireError};
+use crate::frame::{encode_into, Message, WireError};
 use crate::FrameDecoder;
 
 enum Conn {
@@ -54,6 +54,12 @@ impl Conn {
 pub struct WireClient {
     conn: Conn,
     decoder: FrameDecoder,
+    /// The frame being sent, reused by every [`Self::send`]: the
+    /// caller's CPU pays no per-frame allocation or regrowth.
+    encode_buf: Vec<u8>,
+    /// The socket read chunk, reused by every [`Self::recv`] (no 16 KiB
+    /// zero-fill per call).
+    read_buf: Box<[u8]>,
     next_id: u64,
 }
 
@@ -90,6 +96,8 @@ impl WireClient {
         Self {
             conn,
             decoder: FrameDecoder::new(),
+            encode_buf: Vec::new(),
+            read_buf: vec![0u8; 16 * 1024].into_boxed_slice(),
             next_id: 1,
         }
     }
@@ -113,7 +121,9 @@ impl WireClient {
     /// # Errors
     /// Socket write failure.
     pub fn send(&mut self, msg: &Message) -> Result<(), WireError> {
-        self.conn.write_all(&encode(msg))?;
+        self.encode_buf.clear();
+        encode_into(msg, &mut self.encode_buf);
+        self.conn.write_all(&self.encode_buf)?;
         Ok(())
     }
 
@@ -123,14 +133,13 @@ impl WireClient {
     /// Socket failure, clean server close (`Protocol`), or a framing
     /// error in the server's stream.
     pub fn recv(&mut self) -> Result<Message, WireError> {
-        let mut buf = [0u8; 16 * 1024];
         loop {
             if let Some(msg) = self.decoder.next_message()? {
                 return Ok(msg);
             }
-            match self.conn.read_some(&mut buf) {
+            match self.conn.read_some(&mut self.read_buf) {
                 Ok(0) => return Err(WireError::Protocol("connection closed by server")),
-                Ok(n) => self.decoder.feed(&buf[..n]),
+                Ok(n) => self.decoder.feed(&self.read_buf[..n]),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(WireError::Io(e.to_string())),
             }

@@ -22,6 +22,12 @@
 //! at most [`MAX_PAYLOAD_BYTES`] bytes, never allocate unbounded
 //! memory.
 //!
+//! Both sides sum every payload byte ([`crc32`], once in
+//! [`encode_into`] and once in the decoder), so the checksum is a
+//! per-byte cost of the serving path: it runs eight bytes a step over
+//! eight compile-time tables (slicing-by-8, 8 KiB, safe Rust), about a
+//! quarter of the one-byte-a-step loop's time per KiB.
+//!
 //! Payload layouts (`id` is a caller-chosen correlation id echoed in
 //! the reply; counts are `u32`):
 //!
@@ -287,10 +293,14 @@ impl Message {
     }
 }
 
-/// CRC-32 (IEEE 802.3, reflected) lookup table, generated at compile
-/// time — the protocol stays dependency-free.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE 802.3, reflected) lookup tables for slicing-by-8,
+/// generated at compile time — the protocol stays dependency-free.
+/// `CRC_TABLES[0]` is the classic one-byte table; `CRC_TABLES[k][b]` is
+/// the CRC of byte `b` followed by `k` zero bytes, so eight lookups
+/// advance the register over eight input bytes at once. 8 × 256 × 4 B
+/// = 8 KiB, a quarter of a 32 KiB L1d.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -303,18 +313,43 @@ const CRC_TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
-/// CRC-32 (IEEE) of `bytes`.
+/// CRC-32 (IEEE) of `bytes`: eight bytes per step through
+/// [`CRC_TABLES`], the classic bytewise step for the tail.
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][usize::from(lo as u8)]
+            ^ t[6][usize::from((lo >> 8) as u8)]
+            ^ t[5][usize::from((lo >> 16) as u8)]
+            ^ t[4][usize::from((lo >> 24) as u8)]
+            ^ t[3][usize::from(hi as u8)]
+            ^ t[2][usize::from((hi >> 8) as u8)]
+            ^ t[1][usize::from((hi >> 16) as u8)]
+            ^ t[0][usize::from((hi >> 24) as u8)];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][usize::from(crc as u8 ^ b)];
     }
     !crc
 }

@@ -12,6 +12,20 @@
 //! construction, extending the engine's never-torn batch guarantee
 //! across the wire.
 //!
+//! The backend thread makes one `lookup` call per *drained queue*, not
+//! per frame: the lookup frames already queued behind the one it
+//! dequeued (pipelined by one connection, or sent by several) are
+//! resolved together, up to a fixed key cap, and answered one
+//! `LookupResponse` each, in dequeue order, all tagged with the one
+//! generation that call resolved against — so never-torn spans the
+//! frames of a group. A queued update ends the group and runs after
+//! it: updates stay barriers. A frame naming a VN the backend does not
+//! host is answered `ErrorReply(UnknownVn)` by itself and never
+//! reaches the engine. The fixed cost of a backend call (a worker
+//! hand-off and its wake-ups, a few µs) is then paid once per group
+//! instead of once per frame; with one frame in flight a group is that
+//! frame.
+//!
 //! Admission control sheds, it never stalls:
 //!
 //! 1. **Connection gate** — past `max_connections`, the socket gets an
@@ -98,6 +112,10 @@ pub trait WireBackend: Send + 'static {
     fn apply_updates(&mut self, updates: &[RouteUpdate]) -> Result<u64, String>;
     /// The currently live generation.
     fn generation(&self) -> u64;
+    /// How many virtual networks are hosted: a lookup may name VN ids
+    /// `0..vn_count()` and nothing else. The server checks every frame
+    /// against it, so [`Self::lookup`] never sees an unhosted VN.
+    fn vn_count(&self) -> usize;
 }
 
 impl WireBackend for LookupService {
@@ -113,6 +131,10 @@ impl WireBackend for LookupService {
     fn generation(&self) -> u64 {
         LookupService::generation(self)
     }
+
+    fn vn_count(&self) -> usize {
+        self.tables().len()
+    }
 }
 
 impl WireBackend for ShardedService {
@@ -127,6 +149,10 @@ impl WireBackend for ShardedService {
 
     fn generation(&self) -> u64 {
         ShardedService::generation(self)
+    }
+
+    fn vn_count(&self) -> usize {
+        self.tables().len()
     }
 }
 
@@ -144,6 +170,10 @@ impl WireBackend for vr_control::ControlPlane {
 
     fn generation(&self) -> u64 {
         self.service().generation()
+    }
+
+    fn vn_count(&self) -> usize {
+        self.service().tables().len()
     }
 }
 
@@ -200,11 +230,28 @@ impl WireStream for UnixStream {
 /// One decoded work frame in flight to the backend thread.
 struct Job {
     msg: Message,
+    reply: ReplyTo,
+}
+
+/// Where the backend thread sends a job's answer.
+struct ReplyTo {
     /// The connection's bounded reply queue.
-    reply: Sender<Message>,
+    queue: Sender<Message>,
     /// Kill switch for the slow-reader case: shutting the socket down
     /// wakes both connection threads into their exit paths.
     stream: Arc<dyn WireStream>,
+}
+
+impl ReplyTo {
+    fn send(&self, msg: Message, metrics: &WireMetrics) {
+        if let Err(TrySendError::Full(_)) = self.queue.try_send(msg) {
+            // The client asked for work, then stopped reading the
+            // answers. Cut it loose rather than let its queue
+            // backpressure the shared backend.
+            WireMetrics::bump(&metrics.slow_reader_disconnects, 0, 1);
+            self.stream.shutdown_both();
+        }
+    }
 }
 
 /// Counters the server publishes when given a registry. Handles are
@@ -629,8 +676,10 @@ fn handle_frame(
         } else {
             let job = Job {
                 msg,
-                reply: reply_tx.clone(),
-                stream: Arc::clone(stream),
+                reply: ReplyTo {
+                    queue: reply_tx.clone(),
+                    stream: Arc::clone(stream),
+                },
             };
             match job_tx.try_send(job) {
                 Ok(()) => None,
@@ -693,51 +742,149 @@ fn writer_loop(stream: &Arc<dyn WireStream>, reply_rx: &Receiver<Message>) {
     }
 }
 
+/// Key cap of one backend call: the backend thread stops adding
+/// queued lookup frames to a group once it holds this many keys. A few
+/// thousand keys per worker is where the service hand-off costs 1.03×
+/// the walk (ROADMAP, layer budget); past that a larger call only
+/// delays the group's first reply.
+const GROUP_KEY_CAP: usize = 8 * 1024;
+
+/// The lookup frames one backend call serves: their keys back to back
+/// in one reused buffer, and per frame what the reply needs.
+#[derive(Default)]
+struct Group {
+    keys: Vec<(VnId, u32)>,
+    /// (correlation id, key count, destination), in dequeue order.
+    frames: Vec<(u64, usize, ReplyTo)>,
+}
+
+impl Group {
+    /// Whether a frame of `n` keys may join: an open group takes frames
+    /// up to the cap; an empty one takes any frame, so a frame larger
+    /// than the cap is served alone.
+    fn admits(&self, n: usize) -> bool {
+        self.frames.is_empty() || self.keys.len() + n <= GROUP_KEY_CAP
+    }
+
+    /// One backend call for the whole group, then one `LookupResponse`
+    /// per frame, all tagged with the generation that call resolved
+    /// against. Leaves the group empty.
+    fn serve<B: WireBackend>(&mut self, backend: &mut B, metrics: &WireMetrics) {
+        if self.frames.is_empty() {
+            return;
+        }
+        let (results, generation) = backend.lookup(&self.keys);
+        let mut rest = results.as_slice();
+        for (id, n, to) in self.frames.drain(..) {
+            let reply = match rest.split_at_checked(n) {
+                Some((own, tail)) => {
+                    rest = tail;
+                    Message::LookupResponse {
+                        id,
+                        generation,
+                        results: own.to_vec(),
+                    }
+                }
+                None => Message::ErrorReply {
+                    id,
+                    code: ErrorCode::Internal,
+                    message: "backend returned fewer results than keys".into(),
+                },
+            };
+            to.send(reply, metrics);
+        }
+        self.keys.clear();
+    }
+}
+
 /// The single backend thread: owns the engine, serializes lookups and
 /// updates, scatters replies back to connection writer queues.
+///
+/// Lookups are served one backend call per *drained queue*: once a
+/// `LookupRequest` is dequeued, the lookup frames already waiting
+/// behind it join its group (up to [`GROUP_KEY_CAP`] keys), one
+/// `lookup` call resolves them all, and the results are cut back into
+/// one `LookupResponse` per frame, in dequeue order. Whatever is
+/// dequeued next and cannot join — an update, or a frame that would
+/// overflow the cap — closes the group and runs after it, so an update
+/// is still a barrier and every frame of a group carries the one
+/// generation its call resolved against. With one frame in flight a
+/// group is that frame. A frame naming a VN the backend does not host
+/// never joins: it alone is answered `UnknownVn`.
 fn backend_loop<B: WireBackend>(mut backend: B, job_rx: &Receiver<Job>, metrics: &WireMetrics) -> B {
-    while let Ok(job) = job_rx.recv() {
-        let reply = match job.msg {
-            Message::LookupRequest { id, packets } => {
-                WireMetrics::bump(&metrics.lookup_packets, 0, packets.len() as u64);
-                let (results, generation) = backend.lookup(&packets);
-                Message::LookupResponse {
-                    id,
-                    generation,
-                    results,
-                }
+    let mut group = Group::default();
+    // A lookup frame dequeued for a group it did not fit: opens the next.
+    let mut held: Option<Job> = None;
+    loop {
+        // Block only with no group open; an open group takes what is
+        // already queued and never waits for more.
+        let job = if held.is_some() {
+            held.take()
+        } else if group.frames.is_empty() {
+            match job_rx.recv() {
+                Ok(job) => Some(job),
+                Err(_) => return backend,
             }
-            Message::RouteUpdateBatch { id, updates } => {
-                WireMetrics::bump(&metrics.updates, 0, updates.len() as u64);
-                match backend.apply_updates(&updates) {
-                    Ok(generation) => Message::UpdateAck { id, generation },
-                    Err(message) => Message::ErrorReply {
-                        id,
-                        code: ErrorCode::Internal,
-                        message,
-                    },
-                }
-            }
-            // The reader never forwards anything else.
-            other => Message::ErrorReply {
-                id: other.id(),
-                code: ErrorCode::Internal,
-                message: "non-work frame reached the backend".into(),
-            },
+        } else if group.keys.len() < GROUP_KEY_CAP {
+            job_rx.try_recv().ok()
+        } else {
+            None
         };
-        match job.reply.try_send(reply) {
-            Ok(()) => {}
-            Err(TrySendError::Full(_)) => {
-                // The client asked for work, then stopped reading the
-                // answers. Cut it loose rather than let its queue
-                // backpressure the shared backend.
-                WireMetrics::bump(&metrics.slow_reader_disconnects, 0, 1);
-                job.stream.shutdown_both();
+        match job {
+            Some(Job {
+                msg: Message::LookupRequest { id, packets },
+                reply,
+            }) if group.admits(packets.len()) => {
+                let vn_count = backend.vn_count();
+                match packets.iter().find(|&&(vn, _)| usize::from(vn) >= vn_count) {
+                    Some(&(vn, _)) => reply.send(
+                        Message::ErrorReply {
+                            id,
+                            code: ErrorCode::UnknownVn,
+                            message: format!("vn {vn} is not hosted ({vn_count} are)"),
+                        },
+                        metrics,
+                    ),
+                    None => {
+                        WireMetrics::bump(&metrics.lookup_packets, 0, packets.len() as u64);
+                        group.keys.extend_from_slice(&packets);
+                        group.frames.push((id, packets.len(), reply));
+                    }
+                }
             }
-            Err(TrySendError::Disconnected(_)) => {}
+            closing => {
+                group.serve(&mut backend, metrics);
+                match closing {
+                    None => {}
+                    Some(job @ Job { msg: Message::LookupRequest { .. }, .. }) => held = Some(job),
+                    Some(Job { msg, reply }) => reply.send(apply(&mut backend, msg, metrics), metrics),
+                }
+            }
         }
     }
-    backend
+}
+
+/// Runs a non-lookup job: a route-update batch, one publish.
+fn apply<B: WireBackend>(backend: &mut B, msg: Message, metrics: &WireMetrics) -> Message {
+    match msg {
+        Message::RouteUpdateBatch { id, updates } => {
+            WireMetrics::bump(&metrics.updates, 0, updates.len() as u64);
+            match backend.apply_updates(&updates) {
+                Ok(generation) => Message::UpdateAck { id, generation },
+                Err(message) => Message::ErrorReply {
+                    id,
+                    code: ErrorCode::Internal,
+                    message,
+                },
+            }
+        }
+        // The reader never forwards anything else.
+        other => Message::ErrorReply {
+            id: other.id(),
+            code: ErrorCode::Internal,
+            message: "non-work frame reached the backend".into(),
+        },
+    }
 }
 
 #[cfg(test)]
@@ -751,13 +898,23 @@ mod tests {
     struct FakeBackend {
         generation: u64,
         lookup_delay: Duration,
+        /// Key count of every `lookup` call, in call order.
+        calls: Vec<usize>,
+        /// The first `lookup` call blocks until the paired sender fires
+        /// or drops, so a test can fill the job queue behind it.
+        first_call_gate: Option<Receiver<()>>,
     }
 
     impl FakeBackend {
+        /// VN ids `0..VNS` are hosted.
+        const VNS: usize = 16;
+
         fn new() -> Self {
             Self {
                 generation: 1,
                 lookup_delay: Duration::ZERO,
+                calls: Vec::new(),
+                first_call_gate: None,
             }
         }
 
@@ -772,6 +929,10 @@ mod tests {
 
     impl WireBackend for FakeBackend {
         fn lookup(&mut self, packets: &[(VnId, u32)]) -> (Vec<Option<NextHop>>, u64) {
+            self.calls.push(packets.len());
+            if let Some(gate) = self.first_call_gate.take() {
+                let _ = gate.recv();
+            }
             if !self.lookup_delay.is_zero() {
                 std::thread::sleep(self.lookup_delay);
             }
@@ -792,6 +953,10 @@ mod tests {
 
         fn generation(&self) -> u64 {
             self.generation
+        }
+
+        fn vn_count(&self) -> usize {
+            Self::VNS
         }
     }
 
@@ -985,5 +1150,213 @@ mod tests {
         assert_eq!(count("vr_wire_connections_total"), Some(1));
         assert_eq!(count("vr_wire_requests_total"), Some(1));
         assert_eq!(count("vr_wire_lookup_packets_total"), Some(1));
+    }
+
+    /// A server whose first `lookup` call blocks until the returned
+    /// sender fires: whatever the test sends meanwhile queues behind it.
+    fn start_gated() -> (WireServer<FakeBackend>, crate::WireClient, Sender<()>) {
+        let (open, gate) = bounded(1);
+        let mut backend = FakeBackend::new();
+        backend.first_call_gate = Some(gate);
+        let server = WireServer::serve_tcp("127.0.0.1:0", backend, ServerConfig::default(), None)
+            .expect("bind");
+        let client = connect(&server);
+        (server, client, open)
+    }
+
+    fn connect(server: &WireServer<FakeBackend>) -> crate::WireClient {
+        let mut client =
+            crate::WireClient::connect_tcp(server.local_addr().expect("addr")).expect("connect");
+        client
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout");
+        client
+    }
+
+    /// `n` keys that are `id`'s alone, so a reply cut from the wrong
+    /// part of a grouped result cannot pass for the right one.
+    fn keys_of(id: u64, n: usize) -> Vec<(VnId, u32)> {
+        (0..n)
+            .map(|i| ((id % FakeBackend::VNS as u64) as VnId, (id as u32) * 100_000 + i as u32))
+            .collect()
+    }
+
+    /// What the backend answers for [`keys_of`]`(id, n)`.
+    fn results_of(id: u64, n: usize) -> Vec<Option<NextHop>> {
+        keys_of(id, n)
+            .iter()
+            .map(|&(vn, dst)| FakeBackend::expected(vn, dst))
+            .collect()
+    }
+
+    fn send_lookup(client: &mut crate::WireClient, id: u64, n: usize) {
+        client
+            .send(&Message::LookupRequest {
+                id,
+                packets: keys_of(id, n),
+            })
+            .expect("send");
+    }
+
+    /// The reader handles a connection's frames in order, so once the
+    /// pong is back every work frame sent before the ping sits in the
+    /// job queue. Only valid while the gate holds the backend (no
+    /// lookup reply can overtake the pong).
+    fn enqueue_barrier(client: &mut crate::WireClient) {
+        client.ping().expect("pong: earlier frames are queued");
+    }
+
+    /// Receives the `LookupResponse` for (`id`, `n`) and checks every
+    /// result; returns its generation.
+    fn expect_lookup_reply(client: &mut crate::WireClient, id: u64, n: usize) -> u64 {
+        let reply = client.recv().expect("reply");
+        let Message::LookupResponse {
+            id: got,
+            generation,
+            results,
+        } = reply
+        else {
+            panic!("expected LookupResponse {id}, got {reply:?}");
+        };
+        assert_eq!(got, id, "replies come back in request order");
+        assert_eq!(results, results_of(id, n), "frame {id} got its own slice of the group's results");
+        generation
+    }
+
+    fn assert_grouped(calls: &[usize], frames: usize, keys: usize) {
+        assert!(
+            calls.len() < frames,
+            "{frames} queued frames must share backend calls, saw {calls:?}"
+        );
+        assert!(calls.iter().all(|&n| n <= GROUP_KEY_CAP), "call above the cap: {calls:?}");
+        assert_eq!(calls.iter().sum::<usize>(), keys, "every key looked up once: {calls:?}");
+    }
+
+    #[test]
+    fn queued_frames_share_calls_and_an_update_is_a_barrier() {
+        let (server, mut client, open) = start_gated();
+        let burst = 8u64;
+        for id in 1..=burst {
+            send_lookup(&mut client, id, id as usize);
+        }
+        let update = vr_net::RouteUpdate::Announce {
+            vnid: 2,
+            prefix: vr_net::Ipv4Prefix::new(0x0A00_0000, 8).expect("prefix"),
+            next_hop: 4,
+        };
+        client
+            .send(&Message::RouteUpdateBatch {
+                id: 100,
+                updates: vec![update],
+            })
+            .expect("send update");
+        for id in 101..=100 + burst {
+            send_lookup(&mut client, id, (id - 100) as usize);
+        }
+        enqueue_barrier(&mut client);
+        open.send(()).expect("backend waits on the gate");
+
+        for id in 1..=burst {
+            assert_eq!(expect_lookup_reply(&mut client, id, id as usize), 1, "before the update");
+        }
+        let ack = client.recv().expect("ack");
+        assert!(
+            matches!(ack, Message::UpdateAck { id: 100, generation: 2 }),
+            "got {ack:?}"
+        );
+        for id in 101..=100 + burst {
+            let n = (id - 100) as usize;
+            assert_eq!(expect_lookup_reply(&mut client, id, n), 2, "after the update");
+        }
+        let backend = server.shutdown().expect("backend");
+        let keys = 2 * (1..=burst as usize).sum::<usize>();
+        assert_grouped(&backend.calls, 2 * burst as usize, keys);
+    }
+
+    #[test]
+    fn interleaved_connections_each_get_their_own_replies() {
+        let (server, mut a, open) = start_gated();
+        let mut b = connect(&server);
+        let per_conn = 6u64;
+        // A barrier after every frame pins the queue order to A, B, A, B…
+        for i in 0..per_conn {
+            send_lookup(&mut a, 1_000 + i, 3);
+            enqueue_barrier(&mut a);
+            send_lookup(&mut b, 2_000 + i, 5);
+            enqueue_barrier(&mut b);
+        }
+        open.send(()).expect("backend waits on the gate");
+        for i in 0..per_conn {
+            expect_lookup_reply(&mut a, 1_000 + i, 3);
+            expect_lookup_reply(&mut b, 2_000 + i, 5);
+        }
+        // Nothing of B's leaked onto A (or the reverse): both are idle.
+        a.ping().expect("a idle");
+        b.ping().expect("b idle");
+        let backend = server.shutdown().expect("backend");
+        assert_grouped(&backend.calls, 2 * per_conn as usize, per_conn as usize * 8);
+    }
+
+    #[test]
+    fn frame_above_the_cap_is_served_alone() {
+        let (server, mut client, open) = start_gated();
+        let big = GROUP_KEY_CAP + 1;
+        send_lookup(&mut client, 1, 2);
+        send_lookup(&mut client, 2, big);
+        send_lookup(&mut client, 3, 2);
+        send_lookup(&mut client, 4, 2);
+        enqueue_barrier(&mut client);
+        open.send(()).expect("backend waits on the gate");
+        expect_lookup_reply(&mut client, 1, 2);
+        expect_lookup_reply(&mut client, 2, big);
+        expect_lookup_reply(&mut client, 3, 2);
+        expect_lookup_reply(&mut client, 4, 2);
+        let backend = server.shutdown().expect("backend");
+        let calls = &backend.calls;
+        assert_eq!(calls.iter().filter(|&&n| n == big).count(), 1, "alone: {calls:?}");
+        assert!(calls.iter().all(|&n| n == big || n <= GROUP_KEY_CAP), "{calls:?}");
+        assert_eq!(calls.iter().sum::<usize>(), big + 6);
+    }
+
+    #[test]
+    fn unknown_vn_frame_is_refused_alone_inside_a_burst() {
+        let (server, mut client, open) = start_gated();
+        send_lookup(&mut client, 1, 4);
+        send_lookup(&mut client, 2, 4);
+        let mut poisoned = keys_of(3, 4);
+        poisoned[2].0 = FakeBackend::VNS as VnId;
+        client
+            .send(&Message::LookupRequest {
+                id: 3,
+                packets: poisoned,
+            })
+            .expect("send");
+        send_lookup(&mut client, 4, 4);
+        send_lookup(&mut client, 5, 4);
+        enqueue_barrier(&mut client);
+        open.send(()).expect("backend waits on the gate");
+        // The refusal is sent when the frame is dequeued, so it may
+        // overtake its neighbours' results; they stay in order.
+        let mut refused = false;
+        let mut served = Vec::new();
+        for _ in 0..5 {
+            match client.recv().expect("reply") {
+                Message::ErrorReply {
+                    id: 3,
+                    code: ErrorCode::UnknownVn,
+                    ..
+                } => refused = true,
+                Message::LookupResponse { id, results, .. } => {
+                    assert_eq!(results, results_of(id, 4), "neighbour {id} is unaffected");
+                    served.push(id);
+                }
+                other => panic!("unexpected reply {other:?}"),
+            }
+        }
+        assert!(refused, "frame 3 answered UnknownVn");
+        assert_eq!(served, vec![1, 2, 4, 5]);
+        client.ping().expect("connection survives the refusal");
+        let backend = server.shutdown().expect("backend");
+        assert_eq!(backend.calls.iter().sum::<usize>(), 16, "refused keys never reach the backend");
     }
 }

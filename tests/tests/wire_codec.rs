@@ -170,6 +170,95 @@ proptest! {
             }
         }
     }
+
+    #[test]
+    fn crc_kernel_equals_the_bitwise_reference(
+        bytes in prop::collection::vec(any::<u8>(), 0..4097),
+        skip in 0usize..8,
+    ) {
+        // `skip` moves the slice's start off the allocation's alignment.
+        let bytes = &bytes[skip.min(bytes.len())..];
+        prop_assert_eq!(crc32(bytes), crc32_bitwise(bytes));
+    }
+}
+
+/// CRC-32 (IEEE, reflected) one bit at a time, no table: the reference
+/// the word-at-a-time kernel in `vr_wire::frame` must equal.
+fn crc32_bitwise(bytes: &[u8]) -> u32 {
+    let mut crc = 0xFFFF_FFFFu32;
+    for &b in bytes {
+        crc ^= u32::from(b);
+        for _ in 0..8 {
+            crc = if crc & 1 == 1 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
+        }
+    }
+    !crc
+}
+
+#[test]
+fn crc_kernel_equals_the_reference_at_every_length_and_offset() {
+    // Every split between the 8-byte steps and the bytewise tail, at
+    // every alignment of the first word.
+    let buffer: Vec<u8> = (0..80u32).map(|i| (i.wrapping_mul(151) ^ (i >> 2)) as u8).collect();
+    for start in 0..8 {
+        for len in 0..=64 {
+            let bytes = &buffer[start..start + len];
+            assert_eq!(crc32(bytes), crc32_bitwise(bytes), "start {start}, len {len}");
+        }
+    }
+}
+
+#[test]
+fn crc_fixed_vectors() {
+    assert_eq!(crc32(b""), 0);
+    assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    assert_eq!(crc32(&[0x00; 32]), 0x190A_55AD);
+    assert_eq!(crc32(&[0xFF; 32]), 0xFF6C_AB0B);
+    let ramp: Vec<u8> = (0x00..=0x1F).collect();
+    assert_eq!(crc32(&ramp), 0x9126_7E8A);
+}
+
+/// Frames written by the encoder as it stood before the CRC kernel
+/// changed (bytewise table loop): a 42-byte and a 30-byte payload, so
+/// both the word steps and the tail are on the path. They must decode
+/// unchanged, and today's encoder must produce the same bytes — the
+/// wire format did not move.
+#[test]
+fn frames_from_the_previous_encoder_still_decode() {
+    const REQUEST: [u8; 58] = [
+        0x56, 0x52, 0x57, 0x31, 0x01, 0x01, 0x00, 0x00, 0x2A, 0x00, 0x00, 0x00, //
+        0x87, 0x33, 0xE0, 0x0B, 0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01, //
+        0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x0A, 0x03, 0x00, //
+        0x01, 0x01, 0xA8, 0xC0, 0x0E, 0x00, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, //
+        0x00, 0x00, 0x00, 0x00, 0x07, 0x00, 0x08, 0x08, 0x08, 0x08,
+    ];
+    const RESPONSE: [u8; 46] = [
+        0x56, 0x52, 0x57, 0x31, 0x01, 0x02, 0x00, 0x00, 0x1E, 0x00, 0x00, 0x00, //
+        0xE8, 0x75, 0xBE, 0xCD, 0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01, //
+        0x2A, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00, //
+        0x00, 0x00, 0xFF, 0x00, 0xFF, 0xFF, 0x09, 0x00, 0xFF, 0xFF,
+    ];
+    let request = Message::LookupRequest {
+        id: 0x0102_0304_0506_0708,
+        packets: vec![
+            (0, 0x0A00_0001),
+            (3, 0xC0A8_0101),
+            (14, 0xFFFF_FFFF),
+            (65535, 0),
+            (7, 0x0808_0808),
+        ],
+    };
+    let response = Message::LookupResponse {
+        id: 0x0102_0304_0506_0708,
+        generation: 42,
+        results: vec![Some(0), Some(255), None, Some(9), None],
+    };
+    let mut stream = REQUEST.to_vec();
+    stream.extend_from_slice(&RESPONSE);
+    let got = decode_chunked(&stream, 7).expect("old frames decode");
+    assert_eq!(got, vec![request.clone(), response.clone()]);
+    assert_eq!(encode(&request), REQUEST);
+    assert_eq!(encode(&response), RESPONSE);
 }
 
 /// Builds a valid frame for `msg`, then applies `tweak` to the bytes.

@@ -1,0 +1,76 @@
+//! Regression: a `LookupRequest` naming a VN the backend does not host
+//! used to reach `JumpTrie::lookup_vn` unchecked, index the next-hop
+//! slab past its row, and — when that panicked a worker — kill the
+//! backend thread, after which the server closed every existing and
+//! every new connection. One hostile frame must cost one typed
+//! `ErrorReply { code: UnknownVn }` and nothing else.
+
+use std::time::Duration;
+
+use vr_engine::{LookupService, ServiceConfig};
+use vr_net::synth::FamilySpec;
+use vr_net::RoutingTable;
+use vr_wire::{ErrorCode, Message, ServerConfig, WireClient, WireServer};
+
+fn two_tables() -> Vec<RoutingTable> {
+    FamilySpec::paper_worst_case(2, 0.5, 4177)
+        .generate()
+        .expect("family generation")
+}
+
+fn connect(server: &WireServer<LookupService>) -> WireClient {
+    let mut client = WireClient::connect_tcp(server.local_addr().expect("tcp addr")).expect("connect");
+    client
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    client
+}
+
+fn expect_served(client: &mut WireClient, tables: &[RoutingTable], packets: &[(u16, u32)]) {
+    let reply = client.lookup(packets).expect("reply");
+    let Message::LookupResponse { results, .. } = reply else {
+        panic!("expected LookupResponse, got {reply:?}");
+    };
+    let want: Vec<_> = packets
+        .iter()
+        .map(|&(vn, dst)| tables[usize::from(vn)].lookup(dst))
+        .collect();
+    assert_eq!(results, want);
+}
+
+#[test]
+fn unknown_vn_gets_a_typed_error_and_the_server_keeps_serving() {
+    let tables = two_tables();
+    let service = LookupService::new(tables.clone(), ServiceConfig::default()).expect("service");
+    let server =
+        WireServer::serve_tcp("127.0.0.1:0", service, ServerConfig::default(), None).expect("bind");
+    let mut client = connect(&server);
+    let known = [(0u16, 0x0A00_0001u32), (1, 0xC0A8_0101), (1, 0x0808_0808)];
+    expect_served(&mut client, &tables, &known);
+
+    // VN 2 against two tables, alone and buried in an otherwise valid
+    // frame; VN 65535 for the far end of the id space.
+    for hostile in [
+        vec![(2u16, 0x0A00_0001u32)],
+        vec![(0, 0x0A00_0001), (2, 0x0A00_0001), (1, 0x0A00_0001)],
+        vec![(u16::MAX, 1); 64],
+    ] {
+        let reply = client.lookup(&hostile).expect("a reply, not a closed socket");
+        assert!(
+            matches!(
+                reply,
+                Message::ErrorReply {
+                    code: ErrorCode::UnknownVn,
+                    ..
+                }
+            ),
+            "got {reply:?}"
+        );
+    }
+
+    // Same connection, a fresh connection, and the backend thread are
+    // all still alive.
+    expect_served(&mut client, &tables, &known);
+    expect_served(&mut connect(&server), &tables, &known);
+    assert!(server.shutdown().is_some(), "backend thread survived and returned the service");
+}
