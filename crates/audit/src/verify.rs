@@ -19,8 +19,8 @@ use vr_trie::flat::{self, FlatStrideParts, FlatTrieParts};
 use vr_trie::jump::{self, JumpTrieParts};
 use vr_trie::unibit::NodeId;
 use vr_trie::{
-    BraidedTrie, FlatStrideTrie, FlatTrie, JumpTrie, LeafPushedTrie, MergedLeafPushed, MergedTrie,
-    StrideTrie, UnibitTrie,
+    BraidedTrie, FlatStrideTrie, FlatTrie, JumpTrie, LeafPushedTrie, LookupBackend,
+    MergedLeafPushed, MergedTrie, StrideTrie, UnibitTrie,
 };
 
 /// Highest valid encoded NHI code: `0` = no route, `1 + nh` with
@@ -345,9 +345,7 @@ pub fn audit_flat_with_table(trie: &FlatTrie, table: &RoutingTable) -> AuditRepo
     let mut a = Audit::new(format!("flat(k={})", trie.arity()));
     let stats = check_flat(&mut a, trie.raw_parts());
     let oracle = UnibitTrie::from_table(table);
-    check_parity(&mut a, CheckKind::OracleParity, table, |ip| {
-        (trie.lookup(ip), oracle.lookup(ip))
-    });
+    check_parity(&mut a, CheckKind::OracleParity, table, trie, &oracle);
     a.finish(stats)
 }
 
@@ -488,9 +486,7 @@ pub fn audit_jump_with_table(trie: &JumpTrie, table: &RoutingTable) -> AuditRepo
     let mut a = Audit::new(format!("jump(k={})", trie.arity()));
     let stats = check_jump(&mut a, trie.raw_parts());
     let oracle = UnibitTrie::from_table(table);
-    check_parity(&mut a, CheckKind::JumpConsistency, table, |ip| {
-        (trie.lookup(ip), oracle.lookup(ip))
-    });
+    check_parity(&mut a, CheckKind::JumpConsistency, table, trie, &oracle);
     a.finish(stats)
 }
 
@@ -505,9 +501,7 @@ pub fn audit_jump_against_stride(
 ) -> AuditReport {
     let mut a = Audit::new(format!("jump(k={})<-stride", trie.arity()));
     let stats = check_jump(&mut a, trie.raw_parts());
-    check_parity(&mut a, CheckKind::JumpConsistency, table, |ip| {
-        (trie.lookup(ip), source.lookup(ip))
-    });
+    check_parity(&mut a, CheckKind::JumpConsistency, table, trie, source);
     a.finish(stats)
 }
 
@@ -753,9 +747,7 @@ pub fn audit_flat_stride_with_table(trie: &FlatStrideTrie, table: &RoutingTable)
     let mut a = Audit::new(format!("flat_stride({:?})", trie.strides()));
     let stats = check_flat_stride(&mut a, trie.raw_parts());
     let oracle = UnibitTrie::from_table(table);
-    check_parity(&mut a, CheckKind::OracleParity, table, |ip| {
-        (trie.lookup(ip), oracle.lookup(ip))
-    });
+    check_parity(&mut a, CheckKind::OracleParity, table, trie, &oracle);
     a.finish(stats)
 }
 
@@ -1023,18 +1015,18 @@ fn host_mask(prefix: &Ipv4Prefix) -> u32 {
     }
 }
 
-/// Runs `lookup` over the parity probes of `table`, recording every
-/// mismatch between the audited structure (first tuple element) and the
-/// oracle (second element) under `check`.
+/// Walks `trie` and `oracle` over the parity probes of `table` (VN 0),
+/// recording every disagreement under `check`.
 fn check_parity(
     a: &mut Audit,
     check: CheckKind,
     table: &RoutingTable,
-    lookup: impl Fn(u32) -> (Option<NextHop>, Option<NextHop>),
+    trie: &impl LookupBackend,
+    oracle: &impl LookupBackend,
 ) {
     a.declare(check);
     for ip in parity_probes(table) {
-        let (got, want) = lookup(ip);
+        let (got, want) = (trie.lookup_vn(0, ip), oracle.lookup_vn(0, ip));
         if got != want {
             a.error(
                 check,

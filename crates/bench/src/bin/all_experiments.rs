@@ -1,681 +1,24 @@
-//! Runs every table/figure experiment in sequence — the one-shot
+//! Runs the experiment table (`vr_bench::EXPERIMENTS`) — the one-shot
 //! regeneration entry point backing EXPERIMENTS.md.
+//!
+//! `all_experiments [--quick] [<name>...]`: no name runs every experiment
+//! in table order, names run just those. Exits 1 when a paper claim
+//! fails and 2 on a name the table does not have.
 
-use vr_bench::{config_from_args, emit, opt_num};
-use vr_power::claims::verify_claims;
-use vr_power::experiments::{
-    ablation_balance, ablation_gating, ablation_merged_memory, ablation_stride, braiding_study,
-    cache_skew_study, device_sweep, fig2_series, fig3_series, fig4_series, full_router_budget,
-    latency_comparison, lookup_service_study, merged_scaling, multiway_study,
-    optimal_stride_study, power_sweep, queueing_study, statics_rows, table2_rows, table3_rows,
-    tcam_comparison, thermal_study, update_cost, utilization_study,
-};
-use vr_power::report::num;
-use vr_power::Device;
+use std::process::ExitCode;
+use vr_bench::config_from_args;
 
-fn main() {
-    let cfg = config_from_args();
-
-    let t2 = table2_rows(&Device::xc6vlx760());
-    emit(
-        "table2",
-        &["Resource", "Amount"],
-        &t2.iter()
-            .map(|r| vec![r.resource.clone(), r.amount.clone()])
-            .collect::<Vec<_>>(),
-        &t2,
-    );
-
-    let f2 = fig2_series();
-    emit(
-        "fig2",
-        &["Setup", "Frequency (MHz)", "BRAM power (mW)"],
-        &f2.iter()
-            .map(|p| {
-                vec![
-                    format!("{} ({})", p.mode, p.grade),
-                    num(p.freq_mhz, 0),
-                    num(p.power_mw, 3),
-                ]
-            })
-            .collect::<Vec<_>>(),
-        &f2,
-    );
-
-    let t3 = table3_rows();
-    emit(
-        "table3",
-        &["Setup", "Power (µW)"],
-        &t3.iter()
-            .map(|r| {
-                vec![
-                    r.setup.clone(),
-                    format!("⌈M/block⌉ × {} × f", num(r.uw_per_block_mhz, 2)),
-                ]
-            })
-            .collect::<Vec<_>>(),
-        &t3,
-    );
-
-    let f3 = fig3_series();
-    emit(
-        "fig3",
-        &["Series", "Frequency (MHz)", "Per-stage power (mW)"],
-        &f3.iter()
-            .map(|p| {
-                vec![
-                    format!("logic ({})", p.grade),
-                    num(p.freq_mhz, 0),
-                    num(p.power_mw, 3),
-                ]
-            })
-            .collect::<Vec<_>>(),
-        &f3,
-    );
-
-    let st = statics_rows();
-    emit(
-        "statics",
-        &["Grade", "Base (W)", "Min −5% (W)", "Max +5% (W)"],
-        &st.iter()
-            .map(|r| {
-                vec![
-                    r.grade.to_string(),
-                    num(r.base_w, 2),
-                    num(r.min_w, 3),
-                    num(r.max_w, 3),
-                ]
-            })
-            .collect::<Vec<_>>(),
-        &st,
-    );
-
-    let f4 = fig4_series(&cfg).expect("fig4");
-    emit(
-        "fig4",
-        &[
-            "Series",
-            "K",
-            "Pointer memory (Mb)",
-            "NHI memory (Mb)",
-            "measured α",
-        ],
-        &f4.iter()
-            .map(|p| {
-                vec![
-                    p.series.clone(),
-                    p.k.to_string(),
-                    num(p.pointer_mbits, 3),
-                    num(p.nhi_mbits, 3),
-                    opt_num(p.measured_alpha, 3),
-                ]
-            })
-            .collect::<Vec<_>>(),
-        &f4,
-    );
-
-    let sweep = power_sweep(&cfg).expect("power sweep");
-    emit(
-        "fig5",
-        &[
-            "Series",
-            "Grade",
-            "K",
-            "Model (W)",
-            "Experimental (W)",
-            "measured α",
-        ],
-        &sweep
-            .iter()
-            .map(|p| {
-                vec![
-                    p.series.clone(),
-                    p.grade.to_string(),
-                    p.k.to_string(),
-                    num(p.model_w, 3),
-                    num(p.experimental_w, 3),
-                    opt_num(p.alpha, 3),
-                ]
-            })
-            .collect::<Vec<_>>(),
-        &sweep,
-    );
-    let virtualized: Vec<_> = sweep.iter().filter(|p| p.series != "NV").cloned().collect();
-    emit(
-        "fig6",
-        &[
-            "Series",
-            "Grade",
-            "K",
-            "Model (W)",
-            "Experimental (W)",
-            "measured α",
-        ],
-        &virtualized
-            .iter()
-            .map(|p| {
-                vec![
-                    p.series.clone(),
-                    p.grade.to_string(),
-                    p.k.to_string(),
-                    num(p.model_w, 3),
-                    num(p.experimental_w, 3),
-                    opt_num(p.alpha, 3),
-                ]
-            })
-            .collect::<Vec<_>>(),
-        &virtualized,
-    );
-    emit(
-        "fig7",
-        &["Series", "Grade", "K", "Error (%)"],
-        &sweep
-            .iter()
-            .map(|p| {
-                vec![
-                    p.series.clone(),
-                    p.grade.to_string(),
-                    p.k.to_string(),
-                    num(p.error_pct, 3),
-                ]
-            })
-            .collect::<Vec<_>>(),
-        &sweep,
-    );
-    emit(
-        "fig8",
-        &[
-            "Series",
-            "Grade",
-            "K",
-            "Capacity (Gbps)",
-            "mW/Gbps",
-            "Clock (MHz)",
-        ],
-        &sweep
-            .iter()
-            .map(|p| {
-                vec![
-                    p.series.clone(),
-                    p.grade.to_string(),
-                    p.k.to_string(),
-                    num(p.capacity_gbps, 1),
-                    num(p.mw_per_gbps, 2),
-                    num(p.freq_mhz, 1),
-                ]
-            })
-            .collect::<Vec<_>>(),
-        &sweep,
-    );
-
-    let ab1 = ablation_merged_memory(&cfg).expect("ablation merged mem");
-    emit(
-        "ablation_merged_mem",
-        &[
-            "K",
-            "measured α",
-            "Eq.5 literal (Mb)",
-            "structural (Mb)",
-            "literal / structural",
-        ],
-        &ab1.iter()
-            .map(|r| {
-                vec![
-                    r.k.to_string(),
-                    num(r.alpha, 3),
-                    num(r.literal_mbits, 3),
-                    num(r.structural_mbits, 3),
-                    num(r.literal_mbits / r.structural_mbits.max(1e-12), 2),
-                ]
-            })
-            .collect::<Vec<_>>(),
-        &ab1,
-    );
-
-    let ab2 = ablation_gating(&cfg, 4.min(cfg.k_max)).expect("ablation gating");
-    emit(
-        "ablation_gating",
-        &[
-            "Offered load",
-            "Gated dynamic (mW)",
-            "Ungated dynamic (mW)",
-            "Saving (%)",
-        ],
-        &ab2.iter()
-            .map(|r| {
-                vec![
-                    num(r.offered_load, 2),
-                    num(r.gated_dynamic_w * 1e3, 3),
-                    num(r.ungated_dynamic_w * 1e3, 3),
-                    num(
-                        (1.0 - r.gated_dynamic_w / r.ungated_dynamic_w.max(1e-12)) * 100.0,
-                        1,
-                    ),
-                ]
-            })
-            .collect::<Vec<_>>(),
-        &ab2,
-    );
-
-    let stride = ablation_stride(&cfg).expect("ablation stride");
-    emit(
-        "ablation_stride",
-        &[
-            "Stride",
-            "Stages",
-            "Latency (cycles)",
-            "Entries",
-            "Memory (Mb)",
-            "BRAM blocks",
-            "Dynamic (mW)",
-        ],
-        &stride
-            .iter()
-            .map(|r| {
-                vec![
-                    r.stride.to_string(),
-                    r.stages.to_string(),
-                    r.latency_cycles.to_string(),
-                    r.entries.to_string(),
-                    num(r.memory_mbits, 3),
-                    r.bram_blocks.to_string(),
-                    num(r.dynamic_w * 1e3, 1),
-                ]
-            })
-            .collect::<Vec<_>>(),
-        &stride,
-    );
-
-    let balance = ablation_balance(&cfg).expect("ablation balance");
-    emit(
-        "ablation_balance",
-        &[
-            "Stages",
-            "Even max stage (Kb)",
-            "Balanced max stage (Kb)",
-            "Critical-stage saving (%)",
-            "Even blocks",
-            "Balanced blocks",
-        ],
-        &balance
-            .iter()
-            .map(|r| {
-                vec![
-                    r.stages.to_string(),
-                    num(r.even_max_kbits, 1),
-                    num(r.balanced_max_kbits, 1),
-                    num((1.0 - r.balanced_max_kbits / r.even_max_kbits) * 100.0, 1),
-                    r.even_blocks.to_string(),
-                    r.balanced_blocks.to_string(),
-                ]
-            })
-            .collect::<Vec<_>>(),
-        &balance,
-    );
-
-    let tcam = tcam_comparison(&cfg).expect("tcam comparison");
-    emit(
-        "tcam_baseline",
-        &["Engine", "K", "Power (W)", "Throughput (Gbps)", "mW/Gbps"],
-        &tcam
-            .iter()
-            .map(|r| {
-                vec![
-                    r.engine.clone(),
-                    r.k.to_string(),
-                    num(r.power_w, 3),
-                    num(r.throughput_gbps, 1),
-                    num(r.mw_per_gbps, 2),
-                ]
-            })
-            .collect::<Vec<_>>(),
-        &tcam,
-    );
-
-    let upd = update_cost(&cfg, 4.min(cfg.k_max)).expect("update cost");
-    emit(
-        "updates",
-        &[
-            "Updates",
-            "Writes/update",
-            "Nodes before",
-            "Nodes after",
-            "Write rate (%)",
-            "Merged BRAM power (mW)",
-        ],
-        &upd.iter()
-            .map(|r| {
-                vec![
-                    r.updates.to_string(),
-                    num(r.mean_writes_per_update, 2),
-                    r.nodes_before.to_string(),
-                    r.nodes_after.to_string(),
-                    num(r.write_rate * 100.0, 3),
-                    num(r.bram_power_w * 1e3, 2),
-                ]
-            })
-            .collect::<Vec<_>>(),
-        &upd,
-    );
-
-    let mw = multiway_study(&cfg).expect("multiway study");
-    emit(
-        "multiway",
-        &[
-            "Ways",
-            "Stages/way",
-            "Total nodes",
-            "Balance",
-            "Latency (cycles)",
-            "Energy/lookup (pJ)",
-            "Dynamic (mW)",
-        ],
-        &mw.iter()
-            .map(|r| {
-                vec![
-                    format!("2^{} = {}", r.split_bits, r.ways),
-                    r.stages_per_way.to_string(),
-                    r.total_nodes.to_string(),
-                    num(r.balance_factor, 2),
-                    num(r.latency_cycles, 1),
-                    num(r.energy_per_lookup_pj, 1),
-                    num(r.dynamic_power_w * 1e3, 1),
-                ]
-            })
-            .collect::<Vec<_>>(),
-        &mw,
-    );
-
-    let q = queueing_study(&cfg, 4.min(cfg.k_max)).expect("queueing study");
-    emit(
-        "queueing",
-        &[
-            "Burst length",
-            "Mean wait (cycles)",
-            "Max queue depth",
-            "Throughput (Gbps)",
-            "Correct",
-        ],
-        &q.iter()
-            .map(|r| {
-                vec![
-                    r.burst_len.to_string(),
-                    num(r.mean_wait_cycles, 2),
-                    r.max_queue_depth.to_string(),
-                    num(r.throughput_gbps, 1),
-                    r.fully_correct.to_string(),
-                ]
-            })
-            .collect::<Vec<_>>(),
-        &q,
-    );
-
-    let th = thermal_study(&cfg, 8.min(cfg.k_max)).expect("thermal study");
-    emit(
-        "thermal",
-        &[
-            "Scheme",
-            "Grade",
-            "Nominal (W)",
-            "Thermal-aware (W)",
-            "Junction (°C)",
-            "Stable",
-        ],
-        &th.iter()
-            .map(|r| {
-                vec![
-                    r.scheme.clone(),
-                    r.grade.to_string(),
-                    num(r.nominal_w, 3),
-                    num(r.thermal_w, 3),
-                    num(r.junction_c, 1),
-                    r.converged.to_string(),
-                ]
-            })
-            .collect::<Vec<_>>(),
-        &th,
-    );
-
-    let dv = device_sweep(&cfg, 8.min(cfg.k_max)).expect("device sweep");
-    emit(
-        "devices",
-        &["Device", "Max VS engines", "Fits", "Power (W)", "mW/Gbps"],
-        &dv.iter()
-            .map(|r| {
-                vec![
-                    r.device.clone(),
-                    r.max_vs_engines.to_string(),
-                    r.fits.to_string(),
-                    opt_num(r.power_w, 3),
-                    opt_num(r.mw_per_gbps, 2),
-                ]
-            })
-            .collect::<Vec<_>>(),
-        &dv,
-    );
-
-    let lat = latency_comparison(&cfg, 4.min(cfg.k_max)).expect("latency comparison");
-    emit(
-        "latency",
-        &["Engine", "Depth (cycles)", "Clock (MHz)", "Latency (ns)"],
-        &lat.iter()
-            .map(|r| {
-                vec![
-                    r.engine.clone(),
-                    r.cycles.to_string(),
-                    num(r.clock_mhz, 1),
-                    num(r.latency_ns, 1),
-                ]
-            })
-            .collect::<Vec<_>>(),
-        &lat,
-    );
-
-    let util = utilization_study(&cfg).expect("utilization study");
-    emit(
-        "utilization",
-        &["Traffic", "Scheme", "Total (W)", "Dynamic (mW)"],
-        &util
-            .iter()
-            .map(|r| {
-                vec![
-                    r.traffic.clone(),
-                    r.scheme.clone(),
-                    num(r.total_w, 4),
-                    num(r.dynamic_w * 1e3, 2),
-                ]
-            })
-            .collect::<Vec<_>>(),
-        &util,
-    );
-
-    let br = braiding_study(&cfg).expect("braiding study");
-    emit(
-        "braiding",
-        &[
-            "Workload",
-            "Plain merge nodes",
-            "Braided nodes",
-            "Extra saving (%)",
-            "Swapped nodes",
-        ],
-        &br.iter()
-            .map(|r| {
-                vec![
-                    r.workload.clone(),
-                    r.plain_nodes.to_string(),
-                    r.braided_nodes.to_string(),
-                    num(r.extra_saving * 100.0, 1),
-                    r.braided_node_count.to_string(),
-                ]
-            })
-            .collect::<Vec<_>>(),
-        &br,
-    );
-
-    let os = optimal_stride_study(&cfg).expect("optimal stride study");
-    emit(
-        "optimal_strides",
-        &[
-            "Depth bound",
-            "Uniform entries",
-            "Optimal entries",
-            "Saving (%)",
-            "Schedule",
-        ],
-        &os.iter()
-            .map(|r| {
-                vec![
-                    r.max_levels.to_string(),
-                    r.uniform_entries.to_string(),
-                    r.optimal_entries.to_string(),
-                    num(r.saving * 100.0, 1),
-                    format!("{:?}", r.strides),
-                ]
-            })
-            .collect::<Vec<_>>(),
-        &os,
-    );
-
-    let fr = full_router_budget();
-    emit(
-        "full_router",
-        &[
-            "Device",
-            "I/O pins",
-            "Lookup-only engines",
-            "Full-router engines",
-        ],
-        &fr.iter()
-            .map(|r| {
-                vec![
-                    r.device.clone(),
-                    r.io_pins.to_string(),
-                    r.lookup_only_engines.to_string(),
-                    r.full_router_engines.to_string(),
-                ]
-            })
-            .collect::<Vec<_>>(),
-        &fr,
-    );
-
-    let ms = merged_scaling(&cfg).expect("merged scaling");
-    emit(
-        "merged_scaling",
-        &[
-            "K",
-            "measured α",
-            "Merged memory (Mb)",
-            "36Kb blocks",
-            "Fits XC6VLX760",
-        ],
-        &ms.iter()
-            .map(|r| {
-                vec![
-                    r.k.to_string(),
-                    num(r.alpha, 3),
-                    num(r.memory_mbits, 2),
-                    r.bram_36k.to_string(),
-                    r.fits_one_device.to_string(),
-                ]
-            })
-            .collect::<Vec<_>>(),
-        &ms,
-    );
-
-    let svc = lookup_service_study(&cfg, 4).expect("lookup service study");
-    emit(
-        "lookup_service",
-        &[
-            "K",
-            "Workers",
-            "Batch width",
-            "Mpps",
-            "ns/lookup",
-            "Speedup",
-            "Generations",
-        ],
-        &svc.iter()
-            .map(|r| {
-                vec![
-                    r.k.to_string(),
-                    r.workers.to_string(),
-                    r.batch_width.to_string(),
-                    num(r.packets_per_sec / 1e6, 3),
-                    num(r.ns_per_lookup, 1),
-                    num(r.speedup_vs_one_worker, 2),
-                    r.generations_seen.to_string(),
-                ]
-            })
-            .collect::<Vec<_>>(),
-        &svc,
-    );
-
-    let skew = cache_skew_study(&cfg, 4).expect("cache skew study");
-    emit(
-        "cache_skew",
-        &[
-            "K",
-            "Zipf s",
-            "Slots",
-            "Hit rate",
-            "ns uncached",
-            "ns cached",
-            "Speedup",
-            "Memory W",
-            "Cached W",
-            "W/Gbps",
-            "W/Gbps cached",
-        ],
-        &skew
-            .iter()
-            .map(|r| {
-                vec![
-                    r.k.to_string(),
-                    num(r.zipf_s, 2),
-                    r.cache_slots.to_string(),
-                    num(r.hit_rate, 3),
-                    num(r.ns_uncached, 1),
-                    num(r.ns_cached, 1),
-                    num(r.speedup, 2),
-                    num(r.memory_w, 3),
-                    num(r.memory_w_cached, 3),
-                    num(r.w_per_gbps_uncached, 3),
-                    num(r.w_per_gbps_cached, 3),
-                ]
-            })
-            .collect::<Vec<_>>(),
-        &skew,
-    );
-
-    let checks = verify_claims(&cfg).expect("claims");
-    emit(
-        "claims",
-        &["", "Claim", "Paper", "Statement", "Measured"],
-        &checks
-            .iter()
-            .map(|c| {
-                vec![
-                    if c.holds { "✓" } else { "✗" }.to_string(),
-                    c.id.clone(),
-                    c.section.clone(),
-                    c.statement.clone(),
-                    c.measured.clone(),
-                ]
-            })
-            .collect::<Vec<_>>(),
-        &checks,
-    );
-
-    let max_err = sweep
-        .iter()
-        .map(|p| p.error_pct.abs())
-        .fold(0.0f64, f64::max);
-    let failed_claims = checks.iter().filter(|c| !c.holds).count();
-    println!(
-        "\nAll experiments regenerated. Max |model error| = {max_err:.3}% (paper: ≤3%); \
-         {}/{} paper claims hold.",
-        checks.len() - failed_claims,
-        checks.len()
-    );
+fn main() -> ExitCode {
+    let names: Vec<String> = std::env::args()
+        .skip(1)
+        .filter(|arg| arg != "--quick")
+        .collect();
+    match vr_bench::run(config_from_args(), &names) {
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::from(1),
+        Err(unknown) => {
+            eprintln!("[all_experiments] {unknown}");
+            ExitCode::from(2)
+        }
+    }
 }

@@ -1,6 +1,8 @@
-//! Lookup datapath microbenchmark: scalar pointer-chasing vs the
-//! stage-lockstep `lookup_batch` path, per trie variant and batch size,
-//! on a paper-scale table — plus the DIR-16 `JumpTrie` front end, the
+//! Lookup datapath microbenchmark: the scalar walk of every trie
+//! encoding, and the stage-lockstep batch walk of the three level-slab
+//! layouts that carry one (`flat`, `flat_stride`, `jump`), per batch
+//! size, on a paper-scale table — every encoding driven through the one
+//! generic `push_backend` over `vr_trie::LookupBackend` — plus the
 //! per-VN (`lookup_vn`) datapath on merged tries, the explicit-width
 //! lane stepper (mode `"lane"`, the software analogue of the paper's
 //! BRAM pipeline), and the concurrent `LookupService` /
@@ -33,20 +35,19 @@
 //! `results/TELEMETRY_smoke.prom` / `.json`.
 
 use serde::{Deserialize, Serialize};
-use std::cell::Cell;
 use std::time::Instant;
 use vr_bench::results_dir;
 use vr_engine::service::lookup_batch_mixed;
 use vr_engine::{LookupService, LpmCache, ServiceConfig, ShardedConfig, ShardedService};
-use vr_telemetry::{Histogram, Stopwatch};
+use vr_telemetry::{Histogram, Stopwatch, TelemetrySnapshot};
 use vr_net::synth::{FamilySpec, TableSpec};
 use vr_net::table::NextHop;
 use vr_net::{SkewedSpec, SkewedTraffic, VnId};
 use vr_power::report::write_json;
 use vr_wire::{replay, ReplayConfig, ServerConfig, TrafficModel, WireClient, WireServer};
 use vr_trie::{
-    lookup_lanes, lookup_lanes_vn, FlatStrideTrie, FlatTrie, JumpTrie, LeafPushedTrie, MergedTrie,
-    StrideTrie, UnibitTrie,
+    lookup_lanes, lookup_lanes_vn, FlatStrideTrie, FlatTrie, JumpTrie, LeafPushedTrie,
+    LookupBackend, MergedTrie, StrideTrie, UnibitTrie,
 };
 
 /// Number of virtual networks in the merged/per-VN and service rows.
@@ -181,77 +182,103 @@ fn percentile_pass(
     pass.finish("percentile_pass")
 }
 
-/// Measures the scalar and batched paths of one variant and returns the
-/// scalar ns/lookup (the reference for derived rows such as service mode).
-#[allow(clippy::too_many_arguments)]
-fn push_variant(
-    rows: &mut Vec<Row>,
-    scale: &'static str,
+/// What every row of one scale shares: its label and table size, the
+/// probe set, and the timed-sample count.
+struct Scale<'a> {
+    name: &'static str,
     table_prefixes: usize,
-    variant: &'static str,
-    probes: &[u32],
+    probes: &'a [u32],
     iters: usize,
-    batch_sizes: &[usize],
-    scalar: impl Fn(u32) -> Option<NextHop>,
-    batch: impl Fn(&[u32], &mut [Option<NextHop>]),
-) -> f64 {
-    let scalar_ns = time_ns_per_lookup(probes.len(), iters, || {
-        probes
-            .iter()
-            .filter(|&&ip| scalar(std::hint::black_box(ip)).is_some())
-            .count()
-    });
-    let (p50_ns, p99_ns) = percentile_pass(PCTL_SCALAR_CHUNK, probes, |chunk| {
-        chunk.iter().filter(|&&ip| scalar(ip).is_some()).count()
-    });
-    rows.push(Row {
-        scale,
-        table_prefixes,
-        variant,
-        mode: "scalar",
-        batch_size: None,
-        workers: None,
-        ns_per_lookup: scalar_ns,
-        packets_per_sec: 1e9 / scalar_ns,
-        speedup_vs_scalar: 1.0,
-        p50_ns,
-        p99_ns,
-        traffic: None,
-        cache_hit_rate: None,
-    });
-    let mut out = vec![None; probes.len()];
-    for &width in batch_sizes {
-        let ns = time_ns_per_lookup(probes.len(), iters, || {
-            let mut hits = 0usize;
-            for chunk in probes.chunks(width) {
-                let slot = &mut out[..chunk.len()];
-                batch(std::hint::black_box(chunk), slot);
-                hits += slot.iter().filter(|nh| nh.is_some()).count();
-            }
-            hits
-        });
-        let (p50_ns, p99_ns) = percentile_pass(width, probes, |chunk| {
-            let slot = &mut out[..chunk.len()];
-            batch(chunk, slot);
-            slot.iter().filter(|nh| nh.is_some()).count()
-        });
-        rows.push(Row {
-            scale,
-            table_prefixes,
+}
+
+impl Scale<'_> {
+    /// A single-threaded probe-cycle row; service rows fill `workers` in.
+    fn row(
+        &self,
+        variant: &'static str,
+        mode: &'static str,
+        batch_size: Option<usize>,
+        ns: f64,
+        scalar_ref_ns: f64,
+        (p50_ns, p99_ns): (Option<f64>, Option<f64>),
+    ) -> Row {
+        Row {
+            scale: self.name,
+            table_prefixes: self.table_prefixes,
             variant,
-            mode: "batch",
-            batch_size: Some(width),
+            mode,
+            batch_size,
             workers: None,
             ns_per_lookup: ns,
             packets_per_sec: 1e9 / ns,
-            speedup_vs_scalar: scalar_ns / ns,
+            speedup_vs_scalar: scalar_ref_ns / ns,
             p50_ns,
             p99_ns,
             traffic: None,
             cache_hit_rate: None,
-        });
+        }
     }
-    eprintln!("[bench_lookup] {scale}/{variant} done");
+}
+
+/// A counter cycling `0..VNS`, so merged rows exercise every NHI-vector
+/// column; a constant 0 for the single-table encodings (`VNS` = 1).
+fn vn_cycle<const VNS: usize>() -> impl FnMut() -> usize {
+    let mut vn = 0usize;
+    move || {
+        let now = vn;
+        vn = (vn + 1) % VNS;
+        now
+    }
+}
+
+/// Measures one encoding through [`LookupBackend`] and returns its
+/// scalar ns/lookup (the reference for derived rows such as service
+/// mode). Monomorphised per encoding, not `dyn`: a virtual call per key
+/// would show in the few-ns scalar rows. The VNID advances per key on
+/// the scalar row and per call on batch rows. Pass `batch_sizes` only
+/// for the encodings that override `lookup_batch_vn`; a batch row for
+/// the provided method would time the scalar loop twice.
+fn push_backend<const VNS: usize>(
+    rows: &mut Vec<Row>,
+    scale: &Scale<'_>,
+    variant: &'static str,
+    backend: &impl LookupBackend,
+    batch_sizes: &[usize],
+) -> f64 {
+    let probes = scale.probes;
+    let mut next_vn = vn_cycle::<VNS>();
+    let scalar_ns = time_ns_per_lookup(probes.len(), scale.iters, || {
+        probes
+            .iter()
+            .filter(|&&ip| backend.lookup_vn(next_vn(), std::hint::black_box(ip)).is_some())
+            .count()
+    });
+    let pctl = percentile_pass(PCTL_SCALAR_CHUNK, probes, |chunk| {
+        chunk
+            .iter()
+            .filter(|&&ip| backend.lookup_vn(next_vn(), ip).is_some())
+            .count()
+    });
+    rows.push(scale.row(variant, "scalar", None, scalar_ns, scalar_ns, pctl));
+    let mut out = vec![None; probes.len()];
+    for &width in batch_sizes {
+        let ns = time_ns_per_lookup(probes.len(), scale.iters, || {
+            let mut hits = 0usize;
+            for chunk in probes.chunks(width) {
+                let slot = &mut out[..chunk.len()];
+                backend.lookup_batch_vn(next_vn(), std::hint::black_box(chunk), slot);
+                hits += slot.iter().filter(|nh| nh.is_some()).count();
+            }
+            hits
+        });
+        let pctl = percentile_pass(width, probes, |chunk| {
+            let slot = &mut out[..chunk.len()];
+            backend.lookup_batch_vn(next_vn(), chunk, slot);
+            slot.iter().filter(|nh| nh.is_some()).count()
+        });
+        rows.push(scale.row(variant, "batch", Some(width), ns, scalar_ns, pctl));
+    }
+    eprintln!("[bench_lookup] {}/{variant} done", scale.name);
     scalar_ns
 }
 
@@ -264,44 +291,48 @@ const PCTL_LANE_CHUNK: usize = 512;
 /// the whole probe set in one call per iteration — the shape that lets
 /// the prefetch distance and lane refill amortize — and records it as
 /// mode `"lane"` with `batch_size = W`.
-#[allow(clippy::too_many_arguments)]
 fn push_lane(
     rows: &mut Vec<Row>,
-    scale: &'static str,
-    table_prefixes: usize,
+    scale: &Scale<'_>,
     variant: &'static str,
     width: usize,
-    probes: &[u32],
-    iters: usize,
     scalar_ns: f64,
-    work: impl Fn(&[u32], &mut [Option<NextHop>]),
+    mut work: impl FnMut(&[u32], &mut [Option<NextHop>]),
 ) {
+    let probes = scale.probes;
     let mut out = vec![None; probes.len()];
-    let ns = time_ns_per_lookup(probes.len(), iters, || {
+    let ns = time_ns_per_lookup(probes.len(), scale.iters, || {
         work(std::hint::black_box(probes), &mut out);
         out.iter().filter(|nh| nh.is_some()).count()
     });
-    let (p50_ns, p99_ns) = percentile_pass(PCTL_LANE_CHUNK, probes, |chunk| {
+    let pctl = percentile_pass(PCTL_LANE_CHUNK, probes, |chunk| {
         let slot = &mut out[..chunk.len()];
         work(chunk, slot);
         slot.iter().filter(|nh| nh.is_some()).count()
     });
-    rows.push(Row {
-        scale,
-        table_prefixes,
-        variant,
-        mode: "lane",
-        batch_size: Some(width),
-        workers: None,
-        ns_per_lookup: ns,
-        packets_per_sec: 1e9 / ns,
-        speedup_vs_scalar: scalar_ns / ns,
-        p50_ns,
-        p99_ns,
-        traffic: None,
-        cache_hit_rate: None,
-    });
-    eprintln!("[bench_lookup] {scale}/{variant} W={width} done");
+    rows.push(scale.row(variant, "lane", Some(width), ns, scalar_ns, pctl));
+    eprintln!("[bench_lookup] {}/{variant} W={width} done", scale.name);
+}
+
+/// The probe set as service packets, the VNID cycling per packet.
+fn vn_cycled_packets(probes: &[u32]) -> Vec<(VnId, u32)> {
+    probes
+        .iter()
+        .enumerate()
+        .map(|(i, &ip)| ((i % FAMILY_K) as VnId, ip))
+        .collect()
+}
+
+/// `(p50, p99)` of the live `vr_service_lookup_ns` histogram the workers
+/// feed — the service's real per-lookup distribution, timer-free on the
+/// measuring thread.
+fn live_percentiles(snapshot: Option<TelemetrySnapshot>) -> (Option<f64>, Option<f64>) {
+    snapshot
+        .and_then(|s| {
+            s.histogram("vr_service_lookup_ns")
+                .map(|h| (Some(h.p50 as f64), Some(h.p99 as f64)))
+        })
+        .unwrap_or((None, None))
 }
 
 /// Sub-batch widths driven through `ShardedService::process_into`: one
@@ -316,27 +347,19 @@ const SHARDED_CHUNKS: [usize; 2] = [512, 2048];
 /// (`with_trie`), so construction never shadows the steady-state
 /// measurement; p50/p99 come from the live `vr_service_lookup_ns`
 /// histogram the shard workers feed.
-#[allow(clippy::too_many_arguments)]
 fn push_sharded(
     rows: &mut Vec<Row>,
-    scale: &'static str,
-    table_prefixes: usize,
+    scale: &Scale<'_>,
     family: &[vr_net::RoutingTable],
     merged_jump: &JumpTrie,
-    probes: &[u32],
-    iters: usize,
     worker_counts: &[usize],
     scalar_ref_ns: f64,
 ) {
-    let packets: Vec<(VnId, u32)> = probes
-        .iter()
-        .enumerate()
-        .map(|(i, &ip)| ((i % FAMILY_K) as VnId, ip))
-        .collect();
+    let packets = vn_cycled_packets(scale.probes);
     // Same iteration floor as the channel-service rows: the
     // multi-threaded min only sees through scheduler noise with enough
     // samples.
-    let iters = iters.max(16);
+    let iters = scale.iters.max(16);
     for &shards in worker_counts {
         for &chunk in &SHARDED_CHUNKS {
             let cfg = ShardedConfig {
@@ -360,52 +383,30 @@ fn push_sharded(
                 }
                 hits
             });
-            let (p50_ns, p99_ns) = service
-                .telemetry_snapshot()
-                .and_then(|s| {
-                    s.histogram("vr_service_lookup_ns")
-                        .map(|h| (Some(h.p50 as f64), Some(h.p99 as f64)))
-                })
-                .unwrap_or((None, None));
+            let pctl = live_percentiles(service.telemetry_snapshot());
             let _ = service.shutdown();
             rows.push(Row {
-                scale,
-                table_prefixes,
-                variant: "sharded_jump",
-                mode: "service",
-                batch_size: Some(chunk),
                 workers: Some(shards),
-                ns_per_lookup: ns,
-                packets_per_sec: 1e9 / ns,
-                speedup_vs_scalar: scalar_ref_ns / ns,
-                p50_ns,
-                p99_ns,
-                traffic: None,
-                cache_hit_rate: None,
+                ..scale.row("sharded_jump", "service", Some(chunk), ns, scalar_ref_ns, pctl)
             });
-            eprintln!("[bench_lookup] {scale}/sharded_jump shards={shards} chunk={chunk} done");
+            eprintln!(
+                "[bench_lookup] {}/sharded_jump shards={shards} chunk={chunk} done",
+                scale.name
+            );
         }
     }
 }
 
 /// Measures `LookupService::process` end to end (channel hops, snapshot
 /// clone, scatter/gather) at each worker count.
-#[allow(clippy::too_many_arguments)]
 fn push_service(
     rows: &mut Vec<Row>,
-    scale: &'static str,
-    table_prefixes: usize,
+    scale: &Scale<'_>,
     tables: &[vr_net::RoutingTable],
-    probes: &[u32],
-    iters: usize,
     worker_counts: &[usize],
     scalar_ref_ns: f64,
 ) {
-    let packets: Vec<(VnId, u32)> = probes
-        .iter()
-        .enumerate()
-        .map(|(i, &ip)| ((i % FAMILY_K) as VnId, ip))
-        .collect();
+    let packets = vn_cycled_packets(scale.probes);
     // Each worker count is measured three times: registry attached
     // (`service_jump`), detached (`service_jump_notel`), and attached
     // with 1-in-64 batch tracing (`service_jump_traced`). The triple
@@ -418,7 +419,7 @@ fn push_service(
     // Service rows get an iteration floor: they carry the overhead
     // acceptance budget, and min-of-N only sees through scheduler noise
     // on multi-threaded runs with enough samples.
-    let iters = iters.max(16);
+    let iters = scale.iters.max(16);
     for &workers in worker_counts {
         for &(variant, telemetry, trace_sample) in &[
             ("service_jump", true, None),
@@ -459,34 +460,17 @@ fn push_service(
             // pass — run after the throughput timing above, so the
             // per-chunk timer reads never touch the ns_per_lookup
             // column that carries the overhead budget.
-            let (p50_ns, p99_ns) = if telemetry {
-                service
-                    .telemetry_snapshot()
-                    .and_then(|s| {
-                        s.histogram("vr_service_lookup_ns")
-                            .map(|h| (Some(h.p50 as f64), Some(h.p99 as f64)))
-                    })
-                    .unwrap_or((None, None))
+            let pctl = if telemetry {
+                live_percentiles(service.telemetry_snapshot())
             } else {
                 service_percentile_pass(&mut service, &packets, repeat)
             };
             let _ = service.shutdown();
             rows.push(Row {
-                scale,
-                table_prefixes,
-                variant,
-                mode: "service",
-                batch_size: Some(width),
                 workers: Some(workers),
-                ns_per_lookup: ns,
-                packets_per_sec: 1e9 / ns,
-                speedup_vs_scalar: scalar_ref_ns / ns,
-                p50_ns,
-                p99_ns,
-                traffic: None,
-                cache_hit_rate: None,
+                ..scale.row(variant, "service", Some(width), ns, scalar_ref_ns, pctl)
             });
-            eprintln!("[bench_lookup] {scale}/{variant} workers={workers} done");
+            eprintln!("[bench_lookup] {}/{variant} workers={workers} done", scale.name);
         }
     }
 }
@@ -567,8 +551,16 @@ fn run_scale(
         .map(|i| seeds[i % seeds.len()] ^ (i as u32).wrapping_mul(0x9E37_79B9) >> 24)
         .collect();
 
-    let n = spec.prefixes;
-    let batch_sizes = [8usize, 32, 128, 512];
+    let scale = Scale {
+        name: scale,
+        table_prefixes: spec.prefixes,
+        probes: &probes,
+        iters,
+    };
+    // Batch rows only for the encodings that override the trait's batch
+    // method; the pointer tries get the scalar row alone.
+    let widths = &[8usize, 32, 128, 512][..];
+    let scalar_only = &[][..];
 
     // The whole measurement sequence runs `reps` times, minutes apart in
     // wall-clock, and each row keeps its fastest repetition. On shared
@@ -579,24 +571,35 @@ fn run_scale(
     let mut best: Vec<Row> = Vec::new();
     for rep in 0..reps.max(1) {
         let mut pass: Vec<Row> = Vec::new();
-        measure_scale(
-            &mut pass,
-            scale,
-            n,
-            &probes,
-            iters,
-            &batch_sizes,
-            worker_counts,
-            &unibit,
-            &pushed,
-            &flat,
-            &stride,
-            &flat_stride,
-            &jump,
-            &merged_flat,
-            &merged_jump,
-            &family,
-        );
+        push_backend::<1>(&mut pass, &scale, "unibit", &unibit, scalar_only);
+        push_backend::<1>(&mut pass, &scale, "leaf_pushed", &pushed, scalar_only);
+        push_backend::<1>(&mut pass, &scale, "flat", &flat, widths);
+        push_backend::<1>(&mut pass, &scale, "stride_8888", &stride, scalar_only);
+        push_backend::<1>(&mut pass, &scale, "flat_stride_8888", &flat_stride, widths);
+        let jump_ns = push_backend::<1>(&mut pass, &scale, "jump", &jump, widths);
+        // Explicit lane widths through the same jump trie: W = 8 keeps
+        // all lanes inside one cache-port burst, W = 16 is the default
+        // the batch path uses.
+        push_lane(&mut pass, &scale, "jump_lane", 8, jump_ns, |d, o| {
+            lookup_lanes::<8>(&jump, d, o);
+        });
+        push_lane(&mut pass, &scale, "jump_lane", 16, jump_ns, |d, o| {
+            lookup_lanes::<16>(&jump, d, o);
+        });
+        push_backend::<FAMILY_K>(&mut pass, &scale, "merged_flat_vn", &merged_flat, widths);
+        let jump_vn_ns =
+            push_backend::<FAMILY_K>(&mut pass, &scale, "merged_jump_vn", &merged_jump, widths);
+        // The merged-VN lane rows cycle the VNID per call exactly like
+        // the batch rows above.
+        let mut next_vn = vn_cycle::<FAMILY_K>();
+        push_lane(&mut pass, &scale, "merged_jump_lane_vn", 8, jump_vn_ns, |d, o| {
+            lookup_lanes_vn::<8>(&merged_jump, next_vn(), d, o);
+        });
+        push_lane(&mut pass, &scale, "merged_jump_lane_vn", 16, jump_vn_ns, |d, o| {
+            lookup_lanes_vn::<16>(&merged_jump, next_vn(), d, o);
+        });
+        push_service(&mut pass, &scale, &family, worker_counts, jump_vn_ns);
+        push_sharded(&mut pass, &scale, &family, &merged_jump, worker_counts, jump_vn_ns);
         if best.is_empty() {
             best = pass;
         } else {
@@ -606,7 +609,7 @@ fn run_scale(
                 }
             }
         }
-        eprintln!("[bench_lookup] {scale} rep {}/{} done", rep + 1, reps.max(1));
+        eprintln!("[bench_lookup] {} rep {}/{} done", scale.name, rep + 1, reps.max(1));
     }
 
     // Re-derive throughput and speedups from the merged minima so each
@@ -634,201 +637,6 @@ fn run_scale(
         }
     }
     rows.append(&mut best);
-}
-
-#[allow(clippy::too_many_arguments)]
-fn measure_scale(
-    rows: &mut Vec<Row>,
-    scale: &'static str,
-    n: usize,
-    probes: &[u32],
-    iters: usize,
-    batch_sizes: &[usize],
-    worker_counts: &[usize],
-    unibit: &UnibitTrie,
-    pushed: &LeafPushedTrie,
-    flat: &FlatTrie,
-    stride: &StrideTrie,
-    flat_stride: &FlatStrideTrie,
-    jump: &JumpTrie,
-    merged_flat: &FlatTrie,
-    merged_jump: &JumpTrie,
-    family: &[vr_net::RoutingTable],
-) {
-    push_variant(
-        rows,
-        scale,
-        n,
-        "unibit",
-        probes,
-        iters,
-        batch_sizes,
-        |ip| unibit.lookup(ip),
-        |d, o| unibit.lookup_batch(d, o),
-    );
-    push_variant(
-        rows,
-        scale,
-        n,
-        "leaf_pushed",
-        probes,
-        iters,
-        batch_sizes,
-        |ip| pushed.lookup(ip),
-        |d, o| pushed.lookup_batch(d, o),
-    );
-    push_variant(
-        rows,
-        scale,
-        n,
-        "flat",
-        probes,
-        iters,
-        batch_sizes,
-        |ip| flat.lookup(ip),
-        |d, o| flat.lookup_batch(d, o),
-    );
-    push_variant(
-        rows,
-        scale,
-        n,
-        "stride_8888",
-        probes,
-        iters,
-        batch_sizes,
-        |ip| stride.lookup(ip),
-        |d, o| stride.lookup_batch(d, o),
-    );
-    push_variant(
-        rows,
-        scale,
-        n,
-        "flat_stride_8888",
-        probes,
-        iters,
-        batch_sizes,
-        |ip| flat_stride.lookup(ip),
-        |d, o| flat_stride.lookup_batch(d, o),
-    );
-    let jump_scalar_ns = push_variant(
-        rows,
-        scale,
-        n,
-        "jump",
-        probes,
-        iters,
-        batch_sizes,
-        |ip| jump.lookup(ip),
-        |d, o| jump.lookup_batch(d, o),
-    );
-    // Explicit lane widths through the same jump trie: W = 8 keeps all
-    // lanes inside one cache-port burst, W = 16 is the default the batch
-    // path uses.
-    push_lane(rows, scale, n, "jump_lane", 8, probes, iters, jump_scalar_ns, |d, o| {
-        lookup_lanes::<8>(jump, d, o);
-    });
-    push_lane(rows, scale, n, "jump_lane", 16, probes, iters, jump_scalar_ns, |d, o| {
-        lookup_lanes::<16>(jump, d, o);
-    });
-
-    let vn_scalar = Cell::new(0usize);
-    let vn_batch = Cell::new(0usize);
-    push_variant(
-        rows,
-        scale,
-        n,
-        "merged_flat_vn",
-        probes,
-        iters,
-        batch_sizes,
-        |ip| {
-            let vn = vn_scalar.get();
-            vn_scalar.set((vn + 1) % FAMILY_K);
-            merged_flat.lookup_vn(vn, ip)
-        },
-        |d, o| {
-            let vn = vn_batch.get();
-            vn_batch.set((vn + 1) % FAMILY_K);
-            merged_flat.lookup_batch_vn(vn, d, o)
-        },
-    );
-    let vn_scalar = Cell::new(0usize);
-    let vn_batch = Cell::new(0usize);
-    let jump_vn_scalar_ns = push_variant(
-        rows,
-        scale,
-        n,
-        "merged_jump_vn",
-        probes,
-        iters,
-        batch_sizes,
-        |ip| {
-            let vn = vn_scalar.get();
-            vn_scalar.set((vn + 1) % FAMILY_K);
-            merged_jump.lookup_vn(vn, ip)
-        },
-        |d, o| {
-            let vn = vn_batch.get();
-            vn_batch.set((vn + 1) % FAMILY_K);
-            merged_jump.lookup_batch_vn(vn, d, o)
-        },
-    );
-    // The merged-VN lane rows cycle the VNID per call exactly like the
-    // batch rows above, so every NHI-vector column is exercised.
-    let vn_lane = Cell::new(0usize);
-    push_lane(
-        rows,
-        scale,
-        n,
-        "merged_jump_lane_vn",
-        8,
-        probes,
-        iters,
-        jump_vn_scalar_ns,
-        |d, o| {
-            let vn = vn_lane.get();
-            vn_lane.set((vn + 1) % FAMILY_K);
-            lookup_lanes_vn::<8>(merged_jump, vn, d, o);
-        },
-    );
-    let vn_lane = Cell::new(0usize);
-    push_lane(
-        rows,
-        scale,
-        n,
-        "merged_jump_lane_vn",
-        16,
-        probes,
-        iters,
-        jump_vn_scalar_ns,
-        |d, o| {
-            let vn = vn_lane.get();
-            vn_lane.set((vn + 1) % FAMILY_K);
-            lookup_lanes_vn::<16>(merged_jump, vn, d, o);
-        },
-    );
-
-    push_service(
-        rows,
-        scale,
-        n,
-        family,
-        probes,
-        iters,
-        worker_counts,
-        jump_vn_scalar_ns,
-    );
-    push_sharded(
-        rows,
-        scale,
-        n,
-        family,
-        merged_jump,
-        probes,
-        iters,
-        worker_counts,
-        jump_vn_scalar_ns,
-    );
 }
 
 /// K of the result-cache rows: the paper's 15-network worst case, so

@@ -1,8 +1,12 @@
 //! # vr-bench — experiment harness and benchmarks
 //!
-//! One binary per table/figure of the paper (see DESIGN.md §5):
-//! `cargo run --release -p vr-bench --bin fig5` prints the series the
-//! paper plots and writes CSV + JSON under `results/`.
+//! One table entry per table/figure of the paper (see DESIGN.md §5) in
+//! [`EXPERIMENTS`]: `cargo run --release -p vr-bench --bin
+//! all_experiments -- fig5` prints the series the paper plots and writes
+//! CSV + JSON under `results/`; with no name it runs the whole table.
+//! The other binaries (`bench_lookup`, `control_churn`, `obs_smoke`,
+//! `replay_client`, `vrpower`, `wire_smoke`, `workload_stats`) are tools
+//! and CI smokes, not paper experiments.
 //!
 //! Every binary accepts `--quick` (or env `VR_QUICK=1`) to run the reduced
 //! configuration used by the test suite instead of the full paper scale.
@@ -10,6 +14,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod experiments;
+
+pub use experiments::{run, Ctx, Experiment, EXPERIMENTS};
 use serde::Serialize;
 use std::path::PathBuf;
 use vr_power::experiments::ExperimentConfig;

@@ -1,8 +1,8 @@
 //! The paper's claims as checkable artifacts.
 //!
 //! Every quantitative claim the paper makes is encoded here as a
-//! [`ClaimCheck`] evaluated against this reproduction's own sweep — the
-//! `claims` binary prints the checklist, and the integration tests pin
+//! [`ClaimCheck`] evaluated against this reproduction's own sweep —
+//! `all_experiments -- claims` prints the checklist, and the integration tests pin
 //! every verdict to `holds == true`. This is the repository's one-glance
 //! answer to "does the reproduction actually reproduce the paper?".
 

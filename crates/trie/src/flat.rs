@@ -603,6 +603,34 @@ impl FlatStrideTrie {
     }
 }
 
+/// Forwards to the inherent methods (which win name resolution over the
+/// trait's), so generic drivers time the same walks callers name directly.
+impl crate::LookupBackend for FlatTrie {
+    #[inline]
+    fn lookup_vn(&self, vn: usize, ip: u32) -> Option<NextHop> {
+        FlatTrie::lookup_vn(self, vn, ip)
+    }
+
+    #[inline]
+    fn lookup_batch_vn(&self, vn: usize, dsts: &[u32], out: &mut [Option<NextHop>]) {
+        FlatTrie::lookup_batch_vn(self, vn, dsts, out);
+    }
+}
+
+impl crate::LookupBackend for FlatStrideTrie {
+    #[inline]
+    fn lookup_vn(&self, vn: usize, ip: u32) -> Option<NextHop> {
+        debug_assert_eq!(vn, 0, "single-table encoding hosts only VN 0");
+        self.lookup(ip)
+    }
+
+    #[inline]
+    fn lookup_batch_vn(&self, vn: usize, dsts: &[u32], out: &mut [Option<NextHop>]) {
+        debug_assert_eq!(vn, 0, "single-table encoding hosts only VN 0");
+        self.lookup_batch(dsts, out);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

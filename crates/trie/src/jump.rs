@@ -418,6 +418,20 @@ impl JumpTrie {
     }
 }
 
+/// Forwards to the inherent methods (which win name resolution over the
+/// trait's), so generic drivers time the same walks callers name directly.
+impl crate::LookupBackend for JumpTrie {
+    #[inline]
+    fn lookup_vn(&self, vn: usize, ip: u32) -> Option<NextHop> {
+        JumpTrie::lookup_vn(self, vn, ip)
+    }
+
+    #[inline]
+    fn lookup_batch_vn(&self, vn: usize, dsts: &[u32], out: &mut [Option<NextHop>]) {
+        JumpTrie::lookup_batch_vn(self, vn, dsts, out);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

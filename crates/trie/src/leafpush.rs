@@ -77,79 +77,6 @@ impl LeafPushedTrie {
         }
     }
 
-    /// Batched longest-prefix match: element `i` of `out` receives exactly
-    /// `self.lookup(dsts[i])`.
-    ///
-    /// Destinations advance one level per pass over the batch (stage
-    /// lockstep), so a pass issues B independent node reads instead of one
-    /// dependent pointer chain — see [`UnibitTrie::lookup_batch`].
-    ///
-    /// Same dense-sweep + scalar-tail hybrid as [`FlatTrie::lookup_batch`]:
-    /// while most lanes are live, each pass is a linear zip sweep with
-    /// resolved lanes parked at their leaf and skipped; once under an
-    /// eighth of the batch survives, the stragglers finish with plain
-    /// scalar chases. The index-list compaction this replaces made batch
-    /// mode *slower* than scalar at paper scale (0.68× at width 8): one
-    /// /32 route dragged every batch through 32 list-rebuild passes whose
-    /// bookkeeping dwarfed the node reads.
-    ///
-    /// [`UnibitTrie::lookup_batch`]: crate::UnibitTrie::lookup_batch
-    /// [`FlatTrie::lookup_batch`]: crate::FlatTrie::lookup_batch
-    ///
-    /// # Panics
-    /// If `dsts` and `out` differ in length.
-    pub fn lookup_batch(&self, dsts: &[u32], out: &mut [Option<NextHop>]) {
-        assert_eq!(
-            dsts.len(),
-            out.len(),
-            "batch destination and output slices must match"
-        );
-        let root_node = &self.nodes[self.root.idx()];
-        if root_node.children.is_none() {
-            out.fill(root_node.nhi);
-            return;
-        }
-        // `cur[i]` is the node packet `i` is parked at; a lane parked at a
-        // leaf has already written its result and is skipped by the
-        // `children` test.
-        let mut cur: Vec<NodeId> = vec![self.root; dsts.len()];
-        let mut remaining = dsts.len();
-        let mut depth = 0u8;
-        while remaining * 8 >= dsts.len() && remaining > 0 {
-            debug_assert!(depth < 32, "full trie deeper than address width");
-            for (c, (&dst, slot)) in cur.iter_mut().zip(dsts.iter().zip(out.iter_mut())) {
-                let Some((l, r)) = self.nodes[c.idx()].children else {
-                    continue;
-                };
-                let bit = (dst >> (31 - depth)) & 1;
-                let next = if bit == 0 { l } else { r };
-                let node = &self.nodes[next.idx()];
-                if node.children.is_none() {
-                    *slot = node.nhi;
-                    remaining -= 1;
-                }
-                *c = next;
-            }
-            depth += 1;
-        }
-        if remaining > 0 {
-            for (c, (&dst, slot)) in cur.iter().zip(dsts.iter().zip(out.iter_mut())) {
-                let mut node = &self.nodes[c.idx()];
-                if node.children.is_none() {
-                    continue;
-                }
-                let mut lvl = depth;
-                while let Some((l, r)) = node.children {
-                    debug_assert!(lvl < 32, "full trie deeper than address width");
-                    let bit = (dst >> (31 - lvl)) & 1;
-                    node = &self.nodes[if bit == 0 { l } else { r }.idx()];
-                    lvl += 1;
-                }
-                *slot = node.nhi;
-            }
-        }
-    }
-
     /// The root node id (entry point for stage-by-stage traversal in the
     /// pipeline simulator).
     #[must_use]
@@ -237,6 +164,14 @@ fn alloc_leaf(nodes: &mut Vec<LpNode>, nhi: Option<NextHop>) -> NodeId {
         nhi,
     });
     id
+}
+
+impl crate::LookupBackend for LeafPushedTrie {
+    #[inline]
+    fn lookup_vn(&self, vn: usize, ip: u32) -> Option<NextHop> {
+        debug_assert_eq!(vn, 0, "single-table encoding hosts only VN 0");
+        self.lookup(ip)
+    }
 }
 
 #[cfg(test)]

@@ -34,7 +34,12 @@
 //!   (Mᵢ,ⱼ in the paper's notation), separating pointer memory from NHI
 //!   memory exactly as Fig. 4 does;
 //! * [`calibrate`] — searches the synthetic family generator's shared
-//!   fraction for a target α (the paper sweeps α ∈ {0.2, 0.8}).
+//!   fraction for a target α (the paper sweeps α ∈ {0.2, 0.8});
+//! * [`LookupBackend`] — the two-method trait (`lookup_vn`, and a
+//!   `lookup_batch_vn` that defaults to the scalar loop) the benchmark,
+//!   audit and parity drivers are written against; only the three
+//!   level-slab layouts ([`FlatTrie`], [`FlatStrideTrie`], [`JumpTrie`])
+//!   carry a batch walk of their own.
 //!
 //! All structures are index-arena based (no `Box` chains): node identity is
 //! a `u32`, which keeps tries compact and traversals cache-friendly — the
@@ -47,6 +52,7 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod backend;
 pub mod braid;
 pub mod calibrate;
 pub mod flat;
@@ -61,6 +67,7 @@ pub mod stats;
 pub mod subslab;
 pub mod unibit;
 
+pub use backend::LookupBackend;
 pub use braid::BraidedTrie;
 pub use flat::{FlatStrideParts, FlatStrideTrie, FlatTrie, FlatTrieParts};
 pub use jump::{JumpTrie, JumpTrieParts};

@@ -336,47 +336,6 @@ impl MergedTrie {
         best
     }
 
-    /// Batched longest-prefix match in virtual network `vnid`: element `i`
-    /// of `out` receives exactly `self.lookup(vnid, dsts[i])`.
-    ///
-    /// Destinations advance one level per pass over the batch (stage
-    /// lockstep) — see [`UnibitTrie::lookup_batch`].
-    ///
-    /// [`UnibitTrie::lookup_batch`]: crate::UnibitTrie::lookup_batch
-    ///
-    /// # Panics
-    /// If `dsts` and `out` differ in length.
-    pub fn lookup_batch(&self, vnid: usize, dsts: &[u32], out: &mut [Option<NextHop>]) {
-        assert_eq!(
-            dsts.len(),
-            out.len(),
-            "batch destination and output slices must match"
-        );
-        debug_assert!(vnid < self.k);
-        out.fill(self.nodes[0].nhis[vnid]);
-        let mut cur: Vec<usize> = vec![0; dsts.len()];
-        let mut active: Vec<u32> = (0..u32::try_from(dsts.len()).expect("batch too large")).collect();
-        let mut survivors: Vec<u32> = Vec::with_capacity(active.len());
-        for depth in 0..32u8 {
-            if active.is_empty() {
-                break;
-            }
-            for &i in &active {
-                let idx = i as usize;
-                let bit = ((dsts[idx] >> (31 - depth)) & 1) as usize;
-                if let Some(child) = self.nodes[cur[idx]].children[bit] {
-                    cur[idx] = child.idx();
-                    if let Some(nh) = self.nodes[child.idx()].nhis[vnid] {
-                        out[idx] = Some(nh);
-                    }
-                    survivors.push(i);
-                }
-            }
-            active.clear();
-            std::mem::swap(&mut active, &mut survivors);
-        }
-    }
-
     /// Applies leaf pushing, producing the structure the pipeline stores.
     #[must_use]
     pub fn leaf_pushed(&self) -> MergedLeafPushed {
@@ -566,47 +525,6 @@ impl MergedLeafPushed {
         }
     }
 
-    /// Batched longest-prefix match in virtual network `vnid`: element `i`
-    /// of `out` receives exactly `self.lookup(vnid, dsts[i])`.
-    ///
-    /// Destinations advance one level per pass over the batch (stage
-    /// lockstep) — see [`UnibitTrie::lookup_batch`].
-    ///
-    /// [`UnibitTrie::lookup_batch`]: crate::UnibitTrie::lookup_batch
-    ///
-    /// # Panics
-    /// If `dsts` and `out` differ in length.
-    pub fn lookup_batch(&self, vnid: usize, dsts: &[u32], out: &mut [Option<NextHop>]) {
-        assert_eq!(
-            dsts.len(),
-            out.len(),
-            "batch destination and output slices must match"
-        );
-        debug_assert!(vnid < self.k);
-        let mut cur: Vec<NodeId> = vec![self.root; dsts.len()];
-        let mut active: Vec<u32> = (0..u32::try_from(dsts.len()).expect("batch too large")).collect();
-        let mut survivors: Vec<u32> = Vec::with_capacity(active.len());
-        let mut depth = 0u8;
-        while !active.is_empty() {
-            debug_assert!(depth <= 32, "full trie deeper than address width");
-            for &i in &active {
-                let idx = i as usize;
-                let node = &self.nodes[cur[idx].idx()];
-                match node.children {
-                    None => out[idx] = node.nhis[vnid],
-                    Some((l, r)) => {
-                        let bit = (dsts[idx] >> (31 - depth)) & 1;
-                        cur[idx] = if bit == 0 { l } else { r };
-                        survivors.push(i);
-                    }
-                }
-            }
-            active.clear();
-            std::mem::swap(&mut active, &mut survivors);
-            depth += 1;
-        }
-    }
-
     /// The root node id (entry point for stage-by-stage traversal in the
     /// pipeline simulator).
     #[must_use]
@@ -704,6 +622,20 @@ pub fn merge_tables(tables: &[RoutingTable]) -> Result<(MergedTrie, MergedLeafPu
     let merged = MergedTrie::from_tables(tables)?;
     let pushed = merged.leaf_pushed();
     Ok((merged, pushed))
+}
+
+impl crate::LookupBackend for MergedTrie {
+    #[inline]
+    fn lookup_vn(&self, vn: usize, ip: u32) -> Option<NextHop> {
+        self.lookup(vn, ip)
+    }
+}
+
+impl crate::LookupBackend for MergedLeafPushed {
+    #[inline]
+    fn lookup_vn(&self, vn: usize, ip: u32) -> Option<NextHop> {
+        self.lookup(vn, ip)
+    }
 }
 
 #[cfg(test)]

@@ -238,52 +238,6 @@ impl StrideTrie {
         best.map(|(_, nh)| nh)
     }
 
-    /// Batched longest-prefix match: element `i` of `out` receives exactly
-    /// `self.lookup(dsts[i])`.
-    ///
-    /// Destinations advance one level per pass over the batch (stage
-    /// lockstep) — see [`UnibitTrie::lookup_batch`]. As in [`walk_step`],
-    /// an expanded NHI found deeper always stems from a longer prefix, so
-    /// the running result is simply overwritten per level.
-    ///
-    /// [`UnibitTrie::lookup_batch`]: crate::UnibitTrie::lookup_batch
-    /// [`walk_step`]: StrideTrie::walk_step
-    ///
-    /// # Panics
-    /// If `dsts` and `out` differ in length.
-    pub fn lookup_batch(&self, dsts: &[u32], out: &mut [Option<NextHop>]) {
-        assert_eq!(
-            dsts.len(),
-            out.len(),
-            "batch destination and output slices must match"
-        );
-        out.fill(None);
-        let mut cur: Vec<usize> = vec![0; dsts.len()];
-        let mut active: Vec<u32> = (0..u32::try_from(dsts.len()).expect("batch too large")).collect();
-        let mut survivors: Vec<u32> = Vec::with_capacity(active.len());
-        for level in 0..self.strides.len() {
-            if active.is_empty() {
-                break;
-            }
-            let consumed = self.boundaries[level];
-            let stride = self.strides[level];
-            for &i in &active {
-                let idx = i as usize;
-                let slot = extract_bits(dsts[idx], consumed, stride) as usize;
-                let entry = self.nodes[cur[idx]].entries[slot];
-                if entry.nhi.is_some() {
-                    out[idx] = entry.nhi;
-                }
-                if let Some(child) = entry.child {
-                    cur[idx] = child.idx();
-                    survivors.push(i);
-                }
-            }
-            active.clear();
-            std::mem::swap(&mut active, &mut survivors);
-        }
-    }
-
     /// Per-level statistics: every entry slot is a memory word; a slot
     /// counts as a "prefix node" when it stores an expanded NHI.
     #[must_use]
@@ -418,6 +372,14 @@ fn extract_bits(addr: u32, offset: u8, count: u8) -> u32 {
     debug_assert!(offset + count <= 32 && count > 0);
     let shifted = addr >> (32 - u32::from(offset) - u32::from(count));
     shifted & ((1u64 << count) as u32).wrapping_sub(1)
+}
+
+impl crate::LookupBackend for StrideTrie {
+    #[inline]
+    fn lookup_vn(&self, vn: usize, ip: u32) -> Option<NextHop> {
+        debug_assert_eq!(vn, 0, "single-table encoding hosts only VN 0");
+        self.lookup(ip)
+    }
 }
 
 #[cfg(test)]

@@ -213,48 +213,6 @@ impl UnibitTrie {
         best
     }
 
-    /// Batched longest-prefix match: element `i` of `out` receives exactly
-    /// `self.lookup(dsts[i])`.
-    ///
-    /// Destinations advance through the trie in stage lockstep (one level
-    /// per pass over the batch), the software analogue of the paper's
-    /// one-packet-per-stage pipeline: each pass issues B independent node
-    /// reads instead of chasing one pointer chain at a time, hiding
-    /// cache-miss latency.
-    ///
-    /// # Panics
-    /// If `dsts` and `out` differ in length.
-    pub fn lookup_batch(&self, dsts: &[u32], out: &mut [Option<NextHop>]) {
-        assert_eq!(
-            dsts.len(),
-            out.len(),
-            "batch destination and output slices must match"
-        );
-        let root_nh = self.nodes[NodeId::ROOT.idx()].next_hop;
-        out.fill(root_nh);
-        let mut cur: Vec<NodeId> = vec![NodeId::ROOT; dsts.len()];
-        let mut active: Vec<u32> = (0..u32::try_from(dsts.len()).expect("batch too large")).collect();
-        let mut survivors: Vec<u32> = Vec::with_capacity(active.len());
-        for depth in 0..32u8 {
-            if active.is_empty() {
-                break;
-            }
-            for &i in &active {
-                let idx = i as usize;
-                let bit = (dsts[idx] >> (31 - depth)) & 1;
-                if let Some(child) = self.nodes[cur[idx].idx()].children[bit as usize] {
-                    cur[idx] = child;
-                    if let Some(nh) = self.nodes[child.idx()].next_hop {
-                        out[idx] = Some(nh);
-                    }
-                    survivors.push(i);
-                }
-            }
-            active.clear();
-            std::mem::swap(&mut active, &mut survivors);
-        }
-    }
-
     /// Exact-match query: the next hop stored *at* `prefix`, if any.
     #[must_use]
     pub fn get(&self, prefix: &Ipv4Prefix) -> Option<NextHop> {
@@ -366,6 +324,14 @@ impl Iterator for Walk<'_> {
 
 fn prefix_bits(prefix: &Ipv4Prefix) -> impl Iterator<Item = bool> + '_ {
     prefix.bits()
+}
+
+impl crate::LookupBackend for UnibitTrie {
+    #[inline]
+    fn lookup_vn(&self, vn: usize, ip: u32) -> Option<NextHop> {
+        debug_assert_eq!(vn, 0, "single-table encoding hosts only VN 0");
+        self.lookup(ip)
+    }
 }
 
 #[cfg(test)]

@@ -1,16 +1,46 @@
-//! Property-based parity: `lookup_batch` must be element-wise identical
-//! to the scalar `lookup` oracle on every trie variant, for arbitrary
-//! tables (with and without a default route) and arbitrary batches —
-//! including empty ones. The scalar paths are themselves proven against
-//! the linear-scan oracle in `oracle_equivalence.rs`, so batch == scalar
-//! closes the loop.
+//! Property-based parity: `LookupBackend::lookup_batch_vn` must be
+//! element-wise identical to a scalar oracle on every trie variant, for
+//! arbitrary tables (with and without a default route) and arbitrary
+//! batches — including empty ones. One generic check runs per encoding:
+//! the three level-slab layouts exercise their own batch walks, the
+//! pointer tries the trait's provided scalar loop. The scalar paths are
+//! themselves proven against the linear-scan oracle in
+//! `oracle_equivalence.rs`, so batch == scalar closes the loop.
 
 use proptest::prelude::*;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use vr_net::table::{NextHop, RouteEntry};
 use vr_net::{Ipv4Prefix, RoutingTable};
 use vr_trie::{
-    FlatStrideTrie, FlatTrie, JumpTrie, LeafPushedTrie, MergedTrie, StrideTrie, UnibitTrie,
+    FlatStrideTrie, FlatTrie, JumpTrie, LeafPushedTrie, LookupBackend, MergedTrie, StrideTrie,
+    UnibitTrie,
 };
+
+/// `backend`'s batch walk and its scalar walk must both equal `oracle`'s
+/// scalar walk on `batch` in each of `vns` virtual networks; the empty
+/// batch is a no-op.
+fn assert_batch_parity<B: LookupBackend>(
+    backend: &B,
+    oracle: &impl LookupBackend,
+    vns: usize,
+    batch: &[u32],
+) {
+    let who = std::any::type_name::<B>();
+    let mut out = vec![None; batch.len()];
+    for vn in 0..vns {
+        backend.lookup_batch_vn(vn, &[], &mut []);
+        backend.lookup_batch_vn(vn, batch, &mut out);
+        for (&ip, &got) in batch.iter().zip(&out) {
+            let expect = oracle.lookup_vn(vn, ip);
+            assert_eq!(
+                backend.lookup_vn(vn, ip),
+                expect,
+                "{who} scalar vn {vn} ip {ip:#010x}"
+            );
+            assert_eq!(got, expect, "{who} batch vn {vn} ip {ip:#010x}");
+        }
+    }
+}
 
 /// Strategy: an arbitrary routing table of up to `max` routes. `min_len`
 /// = 1 excludes the /0 default route, so both "has default" and "no
@@ -35,17 +65,27 @@ fn arb_batch() -> impl Strategy<Value = Vec<u32>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
+    /// The provided batch method (every encoding that does not override
+    /// it) against the linear-scan oracle, mismatched lengths included.
     #[test]
-    fn unibit_batch_matches_scalar(
+    fn default_batch_is_the_scalar_loop(
         table in arb_table(64, 0),
         batch in arb_batch(),
     ) {
-        let trie = UnibitTrie::from_table(&table);
-        let mut out = vec![None; batch.len()];
-        trie.lookup_batch(&batch, &mut out);
-        for (i, &ip) in batch.iter().enumerate() {
-            prop_assert_eq!(out[i], trie.lookup(ip), "ip {:#010x}", ip);
+        fn check(backend: &impl LookupBackend, table: &RoutingTable, batch: &[u32]) {
+            assert_batch_parity(backend, table, 1, batch);
+            let refused = catch_unwind(AssertUnwindSafe(|| {
+                backend.lookup_batch_vn(0, &[0], &mut []);
+            }));
+            assert!(refused.is_err(), "mismatched lengths must panic");
         }
+        let unibit = UnibitTrie::from_table(&table);
+        let merged = MergedTrie::from_tables(std::slice::from_ref(&table)).unwrap();
+        check(&unibit, &table, &batch);
+        check(&LeafPushedTrie::from_unibit(&unibit), &table, &batch);
+        check(&StrideTrie::from_table(&table, &[8, 8, 8, 8]).unwrap(), &table, &batch);
+        check(&merged, &table, &batch);
+        check(&merged.leaf_pushed(), &table, &batch);
     }
 
     #[test]
@@ -54,17 +94,7 @@ proptest! {
         batch in arb_batch(),
     ) {
         let pushed = LeafPushedTrie::from_unibit(&UnibitTrie::from_table(&table));
-        let flat = FlatTrie::from_leaf_pushed(&pushed);
-        let mut out = vec![None; batch.len()];
-        pushed.lookup_batch(&batch, &mut out);
-        let mut flat_out = vec![None; batch.len()];
-        flat.lookup_batch(&batch, &mut flat_out);
-        for (i, &ip) in batch.iter().enumerate() {
-            let expect = pushed.lookup(ip);
-            prop_assert_eq!(out[i], expect, "pushed ip {:#010x}", ip);
-            prop_assert_eq!(flat_out[i], expect, "flat ip {:#010x}", ip);
-            prop_assert_eq!(flat.lookup(ip), expect, "flat scalar ip {:#010x}", ip);
-        }
+        assert_batch_parity(&FlatTrie::from_leaf_pushed(&pushed), &pushed, 1, &batch);
     }
 
     #[test]
@@ -74,21 +104,8 @@ proptest! {
     ) {
         let merged = MergedTrie::from_tables(&tables).unwrap();
         let pushed = merged.leaf_pushed();
-        let flat = FlatTrie::from_merged(&pushed);
-        for vnid in 0..tables.len() {
-            let mut out = vec![None; batch.len()];
-            merged.lookup_batch(vnid, &batch, &mut out);
-            let mut pushed_out = vec![None; batch.len()];
-            pushed.lookup_batch(vnid, &batch, &mut pushed_out);
-            let mut flat_out = vec![None; batch.len()];
-            flat.lookup_batch_vn(vnid, &batch, &mut flat_out);
-            for (i, &ip) in batch.iter().enumerate() {
-                let expect = merged.lookup(vnid, ip);
-                prop_assert_eq!(out[i], expect, "merged vn {} ip {:#010x}", vnid, ip);
-                prop_assert_eq!(pushed_out[i], expect, "pushed vn {} ip {:#010x}", vnid, ip);
-                prop_assert_eq!(flat_out[i], expect, "flat vn {} ip {:#010x}", vnid, ip);
-            }
-        }
+        assert_batch_parity(&pushed, &merged, tables.len(), &batch);
+        assert_batch_parity(&FlatTrie::from_merged(&pushed), &merged, tables.len(), &batch);
     }
 
     #[test]
@@ -99,17 +116,7 @@ proptest! {
     ) {
         let strides: &[u8] = [&[8u8, 8, 8, 8][..], &[4; 8][..], &[2; 16][..]][stride_pick];
         let trie = StrideTrie::from_table(&table, strides).unwrap();
-        let flat = FlatStrideTrie::from_stride(&trie);
-        let mut out = vec![None; batch.len()];
-        trie.lookup_batch(&batch, &mut out);
-        let mut flat_out = vec![None; batch.len()];
-        flat.lookup_batch(&batch, &mut flat_out);
-        for (i, &ip) in batch.iter().enumerate() {
-            let expect = trie.lookup(ip);
-            prop_assert_eq!(out[i], expect, "stride ip {:#010x}", ip);
-            prop_assert_eq!(flat_out[i], expect, "flat stride ip {:#010x}", ip);
-            prop_assert_eq!(flat.lookup(ip), expect, "flat scalar ip {:#010x}", ip);
-        }
+        assert_batch_parity(&FlatStrideTrie::from_stride(&trie), &trie, 1, &batch);
     }
 
     #[test]
@@ -117,14 +124,7 @@ proptest! {
         table in arb_table(64, 0), // default routes allowed (/0 reachable)
         batch in arb_batch(),
     ) {
-        let jump = JumpTrie::from_table(&table);
-        let mut out = vec![None; batch.len()];
-        jump.lookup_batch(&batch, &mut out);
-        for (i, &ip) in batch.iter().enumerate() {
-            let expect = table.lookup(ip);
-            prop_assert_eq!(jump.lookup(ip), expect, "jump scalar ip {:#010x}", ip);
-            prop_assert_eq!(out[i], expect, "jump batch ip {:#010x}", ip);
-        }
+        assert_batch_parity(&JumpTrie::from_table(&table), &table, 1, &batch);
     }
 
     #[test]
@@ -134,14 +134,7 @@ proptest! {
     ) {
         let pushed = LeafPushedTrie::from_unibit(&UnibitTrie::from_table(&table));
         let flat = FlatTrie::from_leaf_pushed(&pushed);
-        let jump = JumpTrie::from_leaf_pushed(&pushed);
-        let mut out = vec![None; batch.len()];
-        jump.lookup_batch(&batch, &mut out);
-        for (i, &ip) in batch.iter().enumerate() {
-            let expect = flat.lookup(ip);
-            prop_assert_eq!(jump.lookup(ip), expect, "jump scalar ip {:#010x}", ip);
-            prop_assert_eq!(out[i], expect, "jump batch ip {:#010x}", ip);
-        }
+        assert_batch_parity(&JumpTrie::from_leaf_pushed(&pushed), &flat, 1, &batch);
     }
 
     #[test]
@@ -151,15 +144,7 @@ proptest! {
     ) {
         let merged = MergedTrie::from_tables(&tables).unwrap();
         let jump = JumpTrie::from_merged(&merged.leaf_pushed());
-        for vnid in 0..tables.len() {
-            let mut out = vec![None; batch.len()];
-            jump.lookup_batch_vn(vnid, &batch, &mut out);
-            for (i, &ip) in batch.iter().enumerate() {
-                let expect = merged.lookup(vnid, ip);
-                prop_assert_eq!(jump.lookup_vn(vnid, ip), expect, "jump vn {} ip {:#010x}", vnid, ip);
-                prop_assert_eq!(out[i], expect, "jump batch vn {} ip {:#010x}", vnid, ip);
-            }
-        }
+        assert_batch_parity(&jump, &merged, tables.len(), &batch);
     }
 
     #[test]
@@ -168,16 +153,13 @@ proptest! {
         batch in arb_batch(),
     ) {
         let flat = FlatTrie::from_unibit(&UnibitTrie::from_table(&table));
-        let mut out = vec![None; batch.len()];
-        flat.lookup_batch(&batch, &mut out);
-        for (i, &ip) in batch.iter().enumerate() {
-            prop_assert_eq!(out[i], table.lookup(ip), "ip {:#010x}", ip);
-        }
+        assert_batch_parity(&flat, &table, 1, &batch);
     }
 }
 
-/// Deterministic anchor: every variant agrees on the same empty batch
-/// (no panics, no writes) and on a shared paper-scale batch.
+/// Deterministic anchor: every variant agrees with the table oracle on
+/// the empty batch (no panics, no writes) and on a shared paper-scale
+/// batch.
 #[test]
 fn all_variants_handle_empty_and_paper_scale_batches() {
     let table = vr_net::synth::TableSpec::paper_worst_case(7)
@@ -185,69 +167,22 @@ fn all_variants_handle_empty_and_paper_scale_batches() {
         .unwrap();
     let unibit = UnibitTrie::from_table(&table);
     let pushed = LeafPushedTrie::from_unibit(&unibit);
-    let flat = FlatTrie::from_leaf_pushed(&pushed);
     let stride = StrideTrie::from_table(&table, &[8, 8, 8, 8]).unwrap();
-    let flat_stride = FlatStrideTrie::from_stride(&stride);
-    let jump = JumpTrie::from_leaf_pushed(&pushed);
     let merged = MergedTrie::from_tables(std::slice::from_ref(&table)).unwrap();
-    let merged_pushed = merged.leaf_pushed();
-
-    // Empty batches are no-ops everywhere.
-    unibit.lookup_batch(&[], &mut []);
-    pushed.lookup_batch(&[], &mut []);
-    flat.lookup_batch(&[], &mut []);
-    stride.lookup_batch(&[], &mut []);
-    flat_stride.lookup_batch(&[], &mut []);
-    jump.lookup_batch(&[], &mut []);
-    merged.lookup_batch(0, &[], &mut []);
-    merged_pushed.lookup_batch(0, &[], &mut []);
 
     let batch: Vec<u32> = table
         .prefixes()
         .flat_map(|p| [p.addr(), p.addr() | 0x3F, p.addr().wrapping_sub(1)])
         .collect();
-    let mut out = vec![None; batch.len()];
-    let mut checked = 0usize;
-    for (label, result) in [
-        ("unibit", {
-            unibit.lookup_batch(&batch, &mut out);
-            out.clone()
-        }),
-        ("leaf-pushed", {
-            pushed.lookup_batch(&batch, &mut out);
-            out.clone()
-        }),
-        ("flat", {
-            flat.lookup_batch(&batch, &mut out);
-            out.clone()
-        }),
-        ("stride", {
-            stride.lookup_batch(&batch, &mut out);
-            out.clone()
-        }),
-        ("flat-stride", {
-            flat_stride.lookup_batch(&batch, &mut out);
-            out.clone()
-        }),
-        ("jump", {
-            jump.lookup_batch(&batch, &mut out);
-            out.clone()
-        }),
-        ("merged", {
-            merged.lookup_batch(0, &batch, &mut out);
-            out.clone()
-        }),
-        ("merged-pushed", {
-            merged_pushed.lookup_batch(0, &batch, &mut out);
-            out.clone()
-        }),
-    ] {
-        for (i, &ip) in batch.iter().enumerate() {
-            assert_eq!(result[i], table.lookup(ip), "{label} ip {ip:#010x}");
-            checked += 1;
-        }
-    }
-    assert!(checked > 10_000, "must cover a paper-scale probe set");
+    assert!(batch.len() > 10_000, "must cover a paper-scale probe set");
+    assert_batch_parity(&unibit, &table, 1, &batch);
+    assert_batch_parity(&pushed, &table, 1, &batch);
+    assert_batch_parity(&FlatTrie::from_leaf_pushed(&pushed), &table, 1, &batch);
+    assert_batch_parity(&stride, &table, 1, &batch);
+    assert_batch_parity(&FlatStrideTrie::from_stride(&stride), &table, 1, &batch);
+    assert_batch_parity(&JumpTrie::from_leaf_pushed(&pushed), &table, 1, &batch);
+    assert_batch_parity(&merged, &table, 1, &batch);
+    assert_batch_parity(&merged.leaf_pushed(), &table, 1, &batch);
 }
 
 /// Edge lengths the direct-index front end must get right: a /0 default
