@@ -9,7 +9,7 @@
 //! is the counterweight:
 //!
 //! * [`verify`] walks every encoding (uni-bit, leaf-pushed, multibit
-//!   stride, flat, flat-stride, DIR-16 jump, merged, braided) and checks
+//!   stride, flat, flat-stride, DIR-16 jump, merged) and checks
 //!   the invariants each one's lookup loop relies on: tag decodability,
 //!   child bounds and fanout accounting, strictly descending level order
 //!   (acyclicity), leaf-pushing completeness, K-wide NHI vector coverage,
@@ -51,7 +51,7 @@ pub use report::{
     MAX_RECORDED_VIOLATIONS,
 };
 pub use verify::{
-    audit_braided, audit_flat, audit_flat_parts, audit_flat_stride, audit_flat_stride_parts,
+    audit_flat, audit_flat_parts, audit_flat_stride, audit_flat_stride_parts,
     audit_flat_stride_with_table, audit_flat_with_table, audit_jump, audit_jump_against_stride,
     audit_jump_parts, audit_jump_with_table, audit_leaf_pushed, audit_merged,
     audit_merged_leaf_pushed, audit_unibit, parity_probes,

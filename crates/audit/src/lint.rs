@@ -70,14 +70,13 @@ use std::path::{Path, PathBuf};
 /// Hot-path modules where `.unwrap()` / `.expect(` are forbidden
 /// (allowlist entries excepted): the per-packet lookup datapath and the
 /// table-swap service.
-pub const HOT_PATH_FILES: [&str; 11] = [
+pub const HOT_PATH_FILES: [&str; 10] = [
     "crates/trie/src/flat.rs",
     "crates/trie/src/jump.rs",
     "crates/trie/src/lane.rs",
     "crates/engine/src/service.rs",
     "crates/engine/src/service_core.rs",
     "crates/engine/src/sharded.rs",
-    "crates/engine/src/datapath.rs",
     "crates/engine/src/cache.rs",
     // The wire serving tier sits on the per-frame path: a panic in the
     // codec or the connection loop takes the whole connection (or the
@@ -93,12 +92,10 @@ pub const HOT_PATH_FILES: [&str; 11] = [
 /// exporter ever sees. The vr-obs modules are held to the same rule —
 /// the tracer stamps every hot-path span, so its clock must be the one
 /// audited epoch (`Stopwatch`), not ad-hoc `Instant` reads.
-pub const TIMED_FILES: [&str; 11] = [
+pub const TIMED_FILES: [&str; 9] = [
     "crates/engine/src/service.rs",
     "crates/engine/src/service_core.rs",
     "crates/engine/src/sharded.rs",
-    "crates/engine/src/datapath.rs",
-    "crates/engine/src/multiway.rs",
     "crates/engine/src/engine.rs",
     "crates/obs/src/trace.rs",
     "crates/obs/src/flight.rs",
@@ -689,6 +686,16 @@ mod tests {
         findings
     }
 
+    /// A deleted module must take its entry with it: a listed path that
+    /// is not on disk is a fence around nothing.
+    #[test]
+    fn every_fenced_file_exists() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        for rel in HOT_PATH_FILES.iter().chain(&TIMED_FILES) {
+            assert!(root.join(rel).is_file(), "{rel} is listed but missing");
+        }
+    }
+
     #[test]
     fn unsafe_fires_outside_vendor() {
         let findings = lint_text("crates/x/src/lib.rs", "fn f() { unsafe { } }\n", "");
@@ -751,7 +758,7 @@ mod tests {
     #[test]
     fn raw_instant_in_tests_and_comments_is_ignored() {
         let text = "fn f() {}\n// Instant::now() in prose\n#[cfg(test)]\nmod tests { fn g() { let t = Instant::now(); } }\n";
-        assert!(lint_text("crates/engine/src/multiway.rs", text, "").is_empty());
+        assert!(lint_text("crates/engine/src/engine.rs", text, "").is_empty());
     }
 
     #[test]

@@ -19,15 +19,13 @@
 use std::process::ExitCode;
 
 use vr_audit::{
-    audit_braided, audit_flat, audit_flat_stride, audit_flat_stride_with_table,
-    audit_flat_with_table, audit_jump, audit_jump_against_stride, audit_jump_with_table,
-    audit_leaf_pushed, audit_merged, audit_merged_leaf_pushed, audit_unibit, lint_workspace,
-    AuditReport,
+    audit_flat, audit_flat_stride, audit_flat_stride_with_table, audit_flat_with_table, audit_jump,
+    audit_jump_against_stride, audit_jump_with_table, audit_leaf_pushed, audit_merged,
+    audit_merged_leaf_pushed, audit_unibit, lint_workspace, AuditReport,
 };
 use vr_net::synth::{ClusterSpec, FamilySpec, TableSpec, PAPER_TABLE_PREFIXES};
 use vr_trie::{
-    BraidedTrie, FlatStrideTrie, FlatTrie, JumpTrie, LeafPushedTrie, MergedTrie, StrideTrie,
-    UnibitTrie,
+    FlatStrideTrie, FlatTrie, JumpTrie, LeafPushedTrie, MergedTrie, StrideTrie, UnibitTrie,
 };
 
 const USAGE: &str = "vr-audit: structural invariant verifier for lookup-table encodings
@@ -179,7 +177,7 @@ fn cmd_tables(args: &[String]) -> Result<bool, String> {
         ));
     }
 
-    // K-table family: the virtualization (merged / braided) encodings.
+    // K-table family: the virtualization (merged) encodings.
     let mut family = FamilySpec::paper_worst_case(k, 0.5, seed ^ 0x5EED);
     family.prefixes_per_table = (prefixes / k).max(64);
     let tables = family.generate().map_err(|e| format!("generating family: {e}"))?;
@@ -189,8 +187,6 @@ fn cmd_tables(args: &[String]) -> Result<bool, String> {
     reports.push(audit_merged_leaf_pushed(&mlp, &tables));
     reports.push(audit_flat(&FlatTrie::from_merged(&mlp)));
     reports.push(audit_jump(&JumpTrie::from_merged(&mlp)));
-    let braided = BraidedTrie::from_tables(&tables).map_err(|e| format!("braiding: {e}"))?;
-    reports.push(audit_braided(&braided, &tables));
 
     emit(&reports, out.as_deref(), pretty)
 }

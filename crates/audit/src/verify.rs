@@ -19,8 +19,8 @@ use vr_trie::flat::{self, FlatStrideParts, FlatTrieParts};
 use vr_trie::jump::{self, JumpTrieParts};
 use vr_trie::unibit::NodeId;
 use vr_trie::{
-    BraidedTrie, FlatStrideTrie, FlatTrie, JumpTrie, LeafPushedTrie, LookupBackend,
-    MergedLeafPushed, MergedTrie, StrideTrie, UnibitTrie,
+    FlatStrideTrie, FlatTrie, JumpTrie, LeafPushedTrie, LookupBackend, MergedLeafPushed,
+    MergedTrie, StrideTrie, UnibitTrie,
 };
 
 /// Highest valid encoded NHI code: `0` = no route, `1 + nh` with
@@ -949,41 +949,6 @@ pub fn audit_merged_leaf_pushed(trie: &MergedLeafPushed, tables: &[RoutingTable]
     })
 }
 
-/// Audits a [`BraidedTrie`] by per-VNID lookup parity against the source
-/// tables (the braid bits have no raw-slab view; semantic parity is the
-/// decisive check) plus node-accounting sanity.
-#[must_use]
-pub fn audit_braided(trie: &BraidedTrie, tables: &[RoutingTable]) -> AuditReport {
-    let mut a = Audit::new(format!("braided(k={})", trie.arity()));
-    a.declare(CheckKind::Invariants);
-    let per_vn_total: usize = (0..trie.arity()).map(|v| trie.vn_node_count(v)).sum();
-    if trie.node_count() > per_vn_total && per_vn_total > 0 {
-        a.error(
-            CheckKind::Invariants,
-            Coordinates::none(),
-            format!(
-                "shape holds {} nodes but the VNs only occupy {per_vn_total} in total",
-                trie.node_count()
-            ),
-        );
-    }
-    if tables.len() != trie.arity() {
-        a.declare(CheckKind::NhiVector);
-        a.error(
-            CheckKind::NhiVector,
-            Coordinates::none(),
-            format!("{} source tables for arity {}", tables.len(), trie.arity()),
-        );
-    } else {
-        check_vn_parity(&mut a, tables, |vn, ip| trie.lookup(vn, ip));
-    }
-    a.finish(AuditStats {
-        nodes: trie.node_count() as u64,
-        arity: trie.arity() as u64,
-        ..AuditStats::default()
-    })
-}
-
 // ---------------------------------------------------------------------------
 // Parity probing
 // ---------------------------------------------------------------------------
@@ -1193,7 +1158,7 @@ mod tests {
     }
 
     #[test]
-    fn merged_and_braided_audit_against_sources() {
+    fn merged_audits_against_sources() {
         let tables = [
             table("10.0.0.0/8 1\n10.1.1.0/24 2\n"),
             table("10.0.0.0/8 7\n172.16.0.0/12 8\n"),
@@ -1203,7 +1168,5 @@ mod tests {
         assert!(audit_merged(&merged).is_clean());
         let pushed = merged.leaf_pushed();
         assert!(audit_merged_leaf_pushed(&pushed, &tables).is_clean());
-        let braided = BraidedTrie::from_tables(&tables).unwrap();
-        assert!(audit_braided(&braided, &tables).is_clean());
     }
 }

@@ -9,11 +9,10 @@ use serde::Serialize;
 use std::cell::{Cell, OnceCell};
 use vr_power::claims::{verify_claims, ClaimCheck};
 use vr_power::experiments::{
-    ablation_balance, ablation_gating, ablation_merged_memory, ablation_stride, braiding_study,
-    cache_skew_study, device_sweep, fig2_series, fig3_series, fig4_series, full_router_budget,
-    latency_comparison, lookup_service_study, merged_scaling, multiway_study, optimal_stride_study,
-    power_sweep, queueing_study, statics_rows, table2_rows, table3_rows, tcam_comparison,
-    thermal_study, update_cost, utilization_study, ExperimentConfig, SweepPoint,
+    ablation_gating, ablation_merged_memory, ablation_stride, cache_skew_study, device_sweep,
+    fig2_series, fig3_series, fig4_series, merged_scaling, power_sweep, queueing_study,
+    statics_rows, table2_rows, table3_rows, tcam_comparison, update_cost, utilization_study,
+    ExperimentConfig, SweepPoint,
 };
 use vr_power::report::num;
 use vr_power::{Device, SpeedGrade};
@@ -70,20 +69,12 @@ pub const EXPERIMENTS: &[Experiment] = &[
     ("ablation_merged_mem", ablation_merged_mem),
     ("ablation_gating", ablation_gating_study),
     ("ablation_stride", ablation_stride_study),
-    ("ablation_balance", ablation_balance_study),
     ("tcam_baseline", tcam_baseline),
     ("updates", updates),
-    ("multiway", multiway),
     ("queueing", queueing),
-    ("thermal", thermal),
     ("devices", devices),
-    ("latency", latency),
     ("utilization", utilization),
-    ("braiding", braiding),
-    ("optimal_strides", optimal_strides),
-    ("full_router", full_router),
     ("merged_scaling", merged_scaling_wall),
-    ("lookup_service", lookup_service),
     ("cache_skew", cache_skew),
     ("claims", claims),
 ];
@@ -450,33 +441,6 @@ fn ablation_stride_study(ctx: &Ctx) {
     );
 }
 
-/// Ablation: memory-balanced level→stage partitioning vs the even split
-/// (after the paper's refs. [7][8] — the critical stage bounds clock and
-/// BRAM waste).
-fn ablation_balance_study(ctx: &Ctx) {
-    ctx.emit(
-        &[
-            "Stages",
-            "Even max stage (Kb)",
-            "Balanced max stage (Kb)",
-            "Critical-stage saving (%)",
-            "Even blocks",
-            "Balanced blocks",
-        ],
-        &ablation_balance(&ctx.cfg).expect("ablation balance"),
-        |r| {
-            vec![
-                r.stages.to_string(),
-                num(r.even_max_kbits, 1),
-                num(r.balanced_max_kbits, 1),
-                num((1.0 - r.balanced_max_kbits / r.even_max_kbits) * 100.0, 1),
-                r.even_blocks.to_string(),
-                r.balanced_blocks.to_string(),
-            ]
-        },
-    );
-}
-
 /// Baseline: the paper's FPGA trie engine vs TCAM organizations (§II-B,
 /// refs. [20][10]) on one power / throughput / mW-per-Gbps axis.
 fn tcam_baseline(ctx: &Ctx) {
@@ -522,35 +486,6 @@ fn updates(ctx: &Ctx) {
     );
 }
 
-/// Multi-way pipelining study (paper ref. [7]): per-lookup energy and
-/// latency vs the number of re-rooted sub-pipelines, measured on the
-/// cycle-level simulator.
-fn multiway(ctx: &Ctx) {
-    ctx.emit(
-        &[
-            "Ways",
-            "Stages/way",
-            "Total nodes",
-            "Balance",
-            "Latency (cycles)",
-            "Energy/lookup (pJ)",
-            "Dynamic (mW)",
-        ],
-        &multiway_study(&ctx.cfg).expect("multiway study"),
-        |r| {
-            vec![
-                format!("2^{} = {}", r.split_bits, r.ways),
-                r.stages_per_way.to_string(),
-                r.total_nodes.to_string(),
-                num(r.balance_factor, 2),
-                num(r.latency_cycles, 1),
-                num(r.energy_per_lookup_pj, 1),
-                num(r.dynamic_power_w * 1e3, 1),
-            ]
-        },
-    );
-}
-
 /// Queueing study: burstiness vs distributor queueing delay at constant
 /// mean load (the Fig. 1 distributor, QoS angle of §I).
 fn queueing(ctx: &Ctx) {
@@ -575,33 +510,6 @@ fn queueing(ctx: &Ctx) {
     );
 }
 
-/// Thermal study: self-consistent leakage ↔ temperature operating points
-/// per scheme (extension of §V-A's temperature note; §II-B's cooling
-/// motivation).
-fn thermal(ctx: &Ctx) {
-    ctx.emit(
-        &[
-            "Scheme",
-            "Grade",
-            "Nominal (W)",
-            "Thermal-aware (W)",
-            "Junction (°C)",
-            "Stable",
-        ],
-        &thermal_study(&ctx.cfg, 8.min(ctx.cfg.k_max)).expect("thermal study"),
-        |r| {
-            vec![
-                r.scheme.clone(),
-                r.grade.to_string(),
-                num(r.nominal_w, 3),
-                num(r.thermal_w, 3),
-                num(r.junction_c, 1),
-                r.converged.to_string(),
-            ]
-        },
-    );
-}
-
 /// Device sweep: right-sizing the FPGA for a K-engine separate design
 /// (extension of the paper's §VI device-family exploration).
 fn devices(ctx: &Ctx) {
@@ -620,23 +528,6 @@ fn devices(ctx: &Ctx) {
     );
 }
 
-/// Latency comparison: uni-bit organizations at their achievable clocks
-/// vs depth-bounded stride engines (§I's latency-guarantee motivation).
-fn latency(ctx: &Ctx) {
-    ctx.emit(
-        &["Engine", "Depth (cycles)", "Clock (MHz)", "Latency (ns)"],
-        &latency_comparison(&ctx.cfg, 4.min(ctx.cfg.k_max)).expect("latency comparison"),
-        |r| {
-            vec![
-                r.engine.clone(),
-                r.cycles.to_string(),
-                num(r.clock_mhz, 1),
-                num(r.latency_ns, 1),
-            ]
-        },
-    );
-}
-
 /// Utilization study (§IV-A): non-uniform µ over a heterogeneous family —
 /// where the traffic lands changes Eq. 4's dynamic power; Eq. 6 is
 /// indifferent.
@@ -650,77 +541,6 @@ fn utilization(ctx: &Ctx) {
                 r.scheme.clone(),
                 num(r.total_w, 4),
                 num(r.dynamic_w * 1e3, 2),
-            ]
-        },
-    );
-}
-
-/// Braiding study (paper ref. [17]): plain overlay merging vs trie
-/// braiding, including the mirrored-tables showcase.
-fn braiding(ctx: &Ctx) {
-    ctx.emit(
-        &[
-            "Workload",
-            "Plain merge nodes",
-            "Braided nodes",
-            "Extra saving (%)",
-            "Swapped nodes",
-        ],
-        &braiding_study(&ctx.cfg).expect("braiding study"),
-        |r| {
-            vec![
-                r.workload.clone(),
-                r.plain_nodes.to_string(),
-                r.braided_nodes.to_string(),
-                num(r.extra_saving * 100.0, 1),
-                r.braided_node_count.to_string(),
-            ]
-        },
-    );
-}
-
-/// Optimal variable-stride study (Srinivasan–Varghese CPE DP; the
-/// depth-bounded lever of paper ref. [8]).
-fn optimal_strides(ctx: &Ctx) {
-    ctx.emit(
-        &[
-            "Depth bound",
-            "Uniform entries",
-            "Optimal entries",
-            "Saving (%)",
-            "Schedule",
-        ],
-        &optimal_stride_study(&ctx.cfg).expect("optimal stride study"),
-        |r| {
-            vec![
-                r.max_levels.to_string(),
-                r.uniform_entries.to_string(),
-                r.optimal_entries.to_string(),
-                num(r.saving * 100.0, 1),
-                format!("{:?}", r.strides),
-            ]
-        },
-    );
-}
-
-/// Full-router pin budget (§VI-A): how many separate engines fit when
-/// the complete parse/lookup/edit/schedule data path claims its pins,
-/// per catalog device.
-fn full_router(ctx: &Ctx) {
-    ctx.emit(
-        &[
-            "Device",
-            "I/O pins",
-            "Lookup-only engines",
-            "Full-router engines",
-        ],
-        &full_router_budget(),
-        |r| {
-            vec![
-                r.device.clone(),
-                r.io_pins.to_string(),
-                r.lookup_only_engines.to_string(),
-                r.full_router_engines.to_string(),
             ]
         },
     );
@@ -745,34 +565,6 @@ fn merged_scaling_wall(ctx: &Ctx) {
                 num(r.memory_mbits, 2),
                 r.bram_36k.to_string(),
                 r.fits_one_device.to_string(),
-            ]
-        },
-    );
-}
-
-/// Concurrent lookup service throughput vs worker count (wall-clock
-/// timed: rows differ run to run).
-fn lookup_service(ctx: &Ctx) {
-    ctx.emit(
-        &[
-            "K",
-            "Workers",
-            "Batch width",
-            "Mpps",
-            "ns/lookup",
-            "Speedup",
-            "Generations",
-        ],
-        &lookup_service_study(&ctx.cfg, 4).expect("lookup service study"),
-        |r| {
-            vec![
-                r.k.to_string(),
-                r.workers.to_string(),
-                r.batch_width.to_string(),
-                num(r.packets_per_sec / 1e6, 3),
-                num(r.ns_per_lookup, 1),
-                num(r.speedup_vs_one_worker, 2),
-                r.generations_seen.to_string(),
             ]
         },
     );
@@ -874,17 +666,34 @@ mod tests {
         &text[..end]
     }
 
-    /// A first slice of ROADMAP's `docs-check`: every experiment the docs
-    /// tell a reader to run, and every `results/` table they cite, exists.
+    /// A first slice of ROADMAP's `docs-check`, in both directions: every
+    /// experiment the docs tell a reader to run, and every `results/` table
+    /// they cite, exists; every experiment has its table on disk (and no
+    /// table outlives its experiment) and its `all_experiments -- <name>`
+    /// entry in EXPERIMENTS.md.
     #[test]
     fn docs_cite_only_experiments_the_table_has() {
         // `results/` files written by other binaries (`replay_client`,
         // the flight recorder's numbered dumps).
         const NOT_EXPERIMENTS: [&str; 2] = ["wire_replay", "flightrec_NNNN"];
         let known = names();
-        let root = crate::results_dir();
-        let root = root.parent().expect("workspace root");
+        let results = crate::results_dir();
+        let root = results.parent().expect("workspace root");
+
+        let mut on_disk: Vec<String> = std::fs::read_dir(&results)
+            .expect("results/")
+            .map(|entry| entry.expect("results/ entry").path())
+            .filter(|path| path.extension().is_some_and(|ext| ext == "csv"))
+            .map(|path| path.file_stem().unwrap().to_string_lossy().into_owned())
+            .filter(|stem| !NOT_EXPERIMENTS.contains(&stem.as_str()))
+            .collect();
+        on_disk.sort_unstable();
+        let mut expected = known.clone();
+        expected.sort_unstable();
+        assert_eq!(on_disk, expected, "results/*.csv vs EXPERIMENTS");
+
         let mut cited = 0usize;
+        let mut justified = Vec::new();
         for doc in ["README.md", "EXPERIMENTS.md", "DESIGN.md"] {
             let text = std::fs::read_to_string(root.join(doc)).expect(doc);
             for (at, _) in text.match_indices("all_experiments -- ") {
@@ -895,6 +704,9 @@ mod tests {
                 for name in args.split_whitespace().filter(|a| !a.starts_with("--")) {
                     assert!(known.contains(&name), "{doc}: `all_experiments -- {name}`");
                     cited += 1;
+                    if doc == "EXPERIMENTS.md" {
+                        justified.push(name.to_string());
+                    }
                 }
             }
             for (at, _) in text.match_indices("results/") {
@@ -911,5 +723,11 @@ mod tests {
             }
         }
         assert!(cited > EXPERIMENTS.len(), "only {cited} citations found");
+        for name in known {
+            assert!(
+                justified.iter().any(|j| j == name),
+                "EXPERIMENTS.md has no `all_experiments -- {name}` entry"
+            );
+        }
     }
 }

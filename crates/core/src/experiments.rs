@@ -654,50 +654,6 @@ pub fn ablation_stride(cfg: &ExperimentConfig) -> Result<Vec<StrideRow>, PowerEr
     })
 }
 
-/// One row of the stage-balancing ablation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct BalanceRow {
-    /// Pipeline stages.
-    pub stages: usize,
-    /// Critical-stage memory with the even level-per-stage split, Kbit.
-    pub even_max_kbits: f64,
-    /// Critical-stage memory with the balanced partition, Kbit.
-    pub balanced_max_kbits: f64,
-    /// BRAM blocks (18 Kb) under the even split.
-    pub even_blocks: u64,
-    /// BRAM blocks (18 Kb) under the balanced partition.
-    pub balanced_blocks: u64,
-}
-
-/// Ablation (ours, after paper refs. [7][8]): memory-balanced level→stage
-/// partitioning vs the even split, on the worst-case table.
-///
-/// # Errors
-/// Propagates table-generation and trie errors.
-pub fn ablation_balance(cfg: &ExperimentConfig) -> Result<Vec<BalanceRow>, PowerError> {
-    let table = vr_net::synth::TableSpec::paper_worst_case(cfg.seed).generate()?;
-    let lp = LeafPushedTrie::from_unibit(&UnibitTrie::from_table(&table));
-    let stats = lp.stats();
-    let layout = MemoryLayout::default();
-    fan_out(vec![4usize, 8, 16, 28], |stages| {
-        let even = PipelineProfile::from_stats(&stats, stages, 1, layout)?;
-        let balanced = PipelineProfile::balanced(&stats, stages, 1, layout)?;
-        Ok(BalanceRow {
-            stages,
-            even_max_kbits: even.max_stage_memory_bits() as f64 / 1024.0,
-            balanced_max_kbits: balanced.max_stage_memory_bits() as f64 / 1024.0,
-            even_blocks: vr_fpga::bram::blocks_for_stages(
-                BramMode::K18,
-                &even.per_stage_memory_bits(),
-            ),
-            balanced_blocks: vr_fpga::bram::blocks_for_stages(
-                BramMode::K18,
-                &balanced.per_stage_memory_bits(),
-            ),
-        })
-    })
-}
-
 /// One row of the TCAM baseline comparison.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TcamRow {
@@ -848,62 +804,6 @@ pub fn update_cost(cfg: &ExperimentConfig, k: usize) -> Result<Vec<UpdateRow>, P
     Ok(rows)
 }
 
-/// One row of the latency comparison.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LatencyRow {
-    /// Engine label.
-    pub engine: String,
-    /// Pipeline depth in cycles.
-    pub cycles: usize,
-    /// Operating clock in MHz.
-    pub clock_mhz: f64,
-    /// Lookup latency in nanoseconds.
-    pub latency_ns: f64,
-}
-
-/// Latency comparison (§I ties virtualization to preserved latency
-/// guarantees): the uni-bit organizations at their achievable clocks vs
-/// depth-bounded stride engines at the base clock.
-///
-/// # Errors
-/// Propagates scenario construction errors.
-pub fn latency_comparison(cfg: &ExperimentConfig, k: usize) -> Result<Vec<LatencyRow>, PowerError> {
-    let (_, frac_high) = cfg.resolve_shared_fractions();
-    let tables = cfg.family(k, frac_high)?;
-    let grade = SpeedGrade::Minus2;
-    let uni_bit_points = vec![
-        ("NV / VS uni-bit", SchemeKind::Separate),
-        ("VM uni-bit", SchemeKind::Merged),
-    ];
-    let mut rows = fan_out(uni_bit_points, |(label, scheme)| {
-        let scenario = Scenario::build(
-            &tables,
-            ScenarioSpec {
-                stages: cfg.stages,
-                ..ScenarioSpec::paper_default(scheme, grade)
-            },
-            Device::xc6vlx760(),
-        )?;
-        Ok(LatencyRow {
-            engine: label.into(),
-            cycles: cfg.stages,
-            clock_mhz: scenario.freq_mhz(),
-            latency_ns: cfg.stages as f64 / scenario.freq_mhz() * 1e3,
-        })
-    })?;
-    for stride in [2u8, 4, 8] {
-        let levels = 32 / usize::from(stride);
-        let f = grade.base_clock_mhz();
-        rows.push(LatencyRow {
-            engine: format!("stride-{stride} multi-bit"),
-            cycles: levels,
-            clock_mhz: f,
-            latency_ns: levels as f64 / f * 1e3,
-        });
-    }
-    Ok(rows)
-}
-
 /// One row of the utilization study.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct UtilizationRow {
@@ -968,70 +868,6 @@ pub fn utilization_study(cfg: &ExperimentConfig) -> Result<Vec<UtilizationRow>, 
     })
 }
 
-/// One row of the multi-way pipelining study.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct MultiwayRow {
-    /// Split bits s (2^s ways).
-    pub split_bits: u8,
-    /// Number of sub-pipelines.
-    pub ways: usize,
-    /// Stages per sub-pipeline.
-    pub stages_per_way: usize,
-    /// Total leaf-pushed nodes across ways.
-    pub total_nodes: usize,
-    /// Memory-balance factor (max way / mean way).
-    pub balance_factor: f64,
-    /// Simulated mean lookup latency, in cycles.
-    pub latency_cycles: f64,
-    /// Simulated dynamic energy per lookup, in pJ.
-    pub energy_per_lookup_pj: f64,
-    /// Simulated dynamic power at a saturated input, in watts.
-    pub dynamic_power_w: f64,
-}
-
-/// Multi-way pipelining study (paper ref. [7]): split the worst-case
-/// table into 2^s re-rooted sub-pipelines and measure — on the cycle-level
-/// simulator — how latency and per-lookup energy fall as only the
-/// addressed way activates per lookup.
-///
-/// # Errors
-/// Propagates generation, partition and engine errors.
-pub fn multiway_study(cfg: &ExperimentConfig) -> Result<Vec<MultiwayRow>, PowerError> {
-    use vr_engine::{EngineConfig, MultiwayEngine};
-    use vr_trie::PartitionedTrie;
-
-    let table = vr_net::synth::TableSpec::paper_worst_case(cfg.seed).generate()?;
-    let inputs: Vec<(vr_net::VnId, u32)> = table
-        .prefixes()
-        .map(|p| (0, p.addr() | 1))
-        .take(2000)
-        .collect();
-    fan_out(vec![0u8, 1, 2, 3, 4], |split| {
-        let partition = PartitionedTrie::from_table(&table, split)?;
-        let (ways, total_nodes, balance) = (
-            partition.ways(),
-            partition.total_nodes(),
-            partition.balance_factor(),
-        );
-        let mut engine = MultiwayEngine::new(partition, EngineConfig::paper_default())?;
-        for done in engine.run_batch(&inputs) {
-            debug_assert_eq!(done.next_hop, table.lookup(done.dst));
-        }
-        let stats = engine.stats();
-        Ok(MultiwayRow {
-            split_bits: split,
-            ways,
-            stages_per_way: engine.stages_per_way(),
-            total_nodes,
-            balance_factor: balance,
-            latency_cycles: stats.mean_latency_cycles(),
-            energy_per_lookup_pj: (stats.logic_energy_pj + stats.bram_energy_pj)
-                / stats.completed.max(1) as f64,
-            dynamic_power_w: stats.dynamic_power_w(SpeedGrade::Minus2.base_clock_mhz()),
-        })
-    })
-}
-
 /// One row of the queueing study.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct QueueingRow {
@@ -1081,69 +917,6 @@ pub fn queueing_study(cfg: &ExperimentConfig, k: usize) -> Result<Vec<QueueingRo
             max_queue_depth: report.max_queue_depth,
             throughput_gbps: report.achieved_throughput_gbps(),
             fully_correct: report.is_fully_correct(),
-        })
-    })
-}
-
-/// One row of the thermal study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ThermalRow {
-    /// Scheme label.
-    pub scheme: String,
-    /// Speed grade.
-    pub grade: SpeedGrade,
-    /// Nominal (temperature-uncorrected) total power, in watts.
-    pub nominal_w: f64,
-    /// Thermally self-consistent total power across devices, in watts.
-    pub thermal_w: f64,
-    /// Hottest device's junction temperature, in °C.
-    pub junction_c: f64,
-    /// Every device found a stable operating point.
-    pub converged: bool,
-}
-
-/// Thermal study (extension of §V-A's temperature note and §II-B's
-/// cooling motivation): solve each scheme's self-consistent leakage ↔
-/// temperature fixed point. Consolidation concentrates heat in one device
-/// — it runs hotter and leaks more than any single NV device — but the
-/// fleet total still collapses by ~K.
-///
-/// # Errors
-/// Propagates generation and scenario errors.
-pub fn thermal_study(cfg: &ExperimentConfig, k: usize) -> Result<Vec<ThermalRow>, PowerError> {
-    use vr_fpga::thermal::ThermalModel;
-    let (_, frac_high) = cfg.resolve_shared_fractions();
-    let tables = cfg.family(k, frac_high)?;
-    let thermal = ThermalModel::default();
-    let mut points = Vec::new();
-    for grade in SpeedGrade::ALL {
-        for scheme in SchemeKind::ALL {
-            points.push((grade, scheme));
-        }
-    }
-    fan_out(points, |(grade, scheme)| {
-        let scenario = Scenario::build(
-            &tables,
-            ScenarioSpec {
-                stages: cfg.stages,
-                ..ScenarioSpec::paper_default(scheme, grade)
-            },
-            Device::xc6vlx760(),
-        )?;
-        let estimate = analytical_power(&scenario);
-        let devices = scenario.devices() as f64;
-        // Per-device load: NV spreads the dynamic power over K
-        // devices; the virtualized schemes concentrate it in one.
-        let per_device_dynamic = estimate.dynamic_w() / devices;
-        let per_device_static_ref = estimate.static_w / devices;
-        let point = thermal.solve(per_device_dynamic, per_device_static_ref);
-        Ok(ThermalRow {
-            scheme: scheme.label().into(),
-            grade,
-            nominal_w: estimate.total_w(),
-            thermal_w: point.total_w * devices,
-            junction_c: point.junction_c,
-            converged: point.converged,
         })
     })
 }
@@ -1210,149 +983,6 @@ pub fn device_sweep(cfg: &ExperimentConfig, k: usize) -> Result<Vec<DeviceRow>, 
     })
 }
 
-/// One row of the braiding study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BraidingRow {
-    /// Workload label.
-    pub workload: String,
-    /// Plain overlay-merged node count.
-    pub plain_nodes: usize,
-    /// Braided-merge node count.
-    pub braided_nodes: usize,
-    /// Braiding's extra saving over plain merging (fraction of plain).
-    pub extra_saving: f64,
-    /// Shape nodes carrying at least one swapped orientation.
-    pub braided_node_count: usize,
-}
-
-/// Braiding study (paper ref. [17]): plain overlay merging vs trie
-/// braiding across overlap regimes, plus the mirrored-tables showcase
-/// where orientation is the *only* difference between networks.
-///
-/// # Errors
-/// Propagates generation and merge errors.
-pub fn braiding_study(cfg: &ExperimentConfig) -> Result<Vec<BraidingRow>, PowerError> {
-    use vr_trie::{BraidedTrie, MergedTrie};
-    let k = 4.min(cfg.k_max.max(2));
-    let overlap_points = vec![
-        ("low overlap", 0.1),
-        ("mid overlap", 0.5),
-        ("high overlap", 0.9),
-    ];
-    let mut rows = fan_out(overlap_points, |(label, frac)| {
-        let tables = cfg.family(k, frac)?;
-        let plain = MergedTrie::from_tables(&tables)?.node_count();
-        let braided_trie = BraidedTrie::from_tables(&tables)?;
-        Ok(BraidingRow {
-            workload: format!("{label} (s={frac})"),
-            plain_nodes: plain,
-            braided_nodes: braided_trie.node_count(),
-            extra_saving: 1.0 - braided_trie.node_count() as f64 / plain as f64,
-            braided_node_count: braided_trie.braided_node_count(),
-        })
-    })?;
-    // Mirrored pair: identical structure, opposite orientation.
-    let mut spec = vr_net::synth::TableSpec::paper_worst_case(cfg.seed);
-    spec.prefixes = cfg.prefixes_per_table;
-    spec.include_default_route = false;
-    let a = spec.generate()?;
-    let b: vr_net::RoutingTable = a
-        .iter()
-        .map(|e| {
-            let len = e.prefix.len();
-            let mut addr = 0u32;
-            for i in 0..len {
-                if !e.prefix.bit(i) {
-                    addr |= 1 << (31 - i);
-                }
-            }
-            vr_net::RouteEntry::new(vr_net::Ipv4Prefix::must(addr, len), e.next_hop)
-        })
-        .collect();
-    let tables = [a, b];
-    let plain = MergedTrie::from_tables(&tables)?.node_count();
-    let braided_trie = BraidedTrie::from_tables(&tables)?;
-    rows.push(BraidingRow {
-        workload: "mirrored pair".into(),
-        plain_nodes: plain,
-        braided_nodes: braided_trie.node_count(),
-        extra_saving: 1.0 - braided_trie.node_count() as f64 / plain as f64,
-        braided_node_count: braided_trie.braided_node_count(),
-    });
-    Ok(rows)
-}
-
-/// One row of the optimal-stride study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct OptimalStrideRow {
-    /// Pipeline depth bound (levels).
-    pub max_levels: usize,
-    /// Entries of the uniform schedule at that depth.
-    pub uniform_entries: usize,
-    /// Entries of the DP-optimal schedule.
-    pub optimal_entries: usize,
-    /// The optimal schedule found.
-    pub strides: Vec<u8>,
-    /// Memory saving of optimal vs uniform.
-    pub saving: f64,
-}
-
-/// Optimal variable-stride study (Srinivasan–Varghese CPE DP; ref. [8]'s
-/// depth-bounded lever): at each pipeline depth bound, compare the
-/// uniform stride schedule against the memory-optimal one.
-///
-/// # Errors
-/// Propagates generation and trie errors.
-pub fn optimal_stride_study(
-    cfg: &ExperimentConfig,
-) -> Result<Vec<OptimalStrideRow>, PowerError> {
-    use vr_trie::multibit::optimal_strides;
-    use vr_trie::StrideTrie;
-    let table = vr_net::synth::TableSpec::paper_worst_case(cfg.seed).generate()?;
-    let unibit = UnibitTrie::from_table(&table);
-    fan_out(vec![(4usize, 8u8), (8, 4), (16, 2)], |(max_levels, uniform)| {
-        let optimal = optimal_strides(&unibit, 8, max_levels)?;
-        let opt_trie = StrideTrie::from_table(&table, &optimal)?;
-        let uni_trie = StrideTrie::from_table(&table, &vec![uniform; max_levels])?;
-        Ok(OptimalStrideRow {
-            max_levels,
-            uniform_entries: uni_trie.entry_count(),
-            optimal_entries: opt_trie.entry_count(),
-            strides: optimal,
-            saving: 1.0 - opt_trie.entry_count() as f64 / uni_trie.entry_count() as f64,
-        })
-    })
-}
-
-/// One row of the full-router pin-budget comparison.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FullRouterRow {
-    /// Device name.
-    pub device: String,
-    /// User I/O pins available.
-    pub io_pins: u64,
-    /// Max separate engines with the lookup-only interface (§VI-A's 15).
-    pub lookup_only_engines: usize,
-    /// Max separate engines with the complete data path.
-    pub full_router_engines: usize,
-}
-
-/// Full-router pin budget (§VI-A: "this number may become even less when
-/// other inputs and outputs are considered"): the lookup-only interface
-/// vs the complete parse/lookup/edit/schedule data path, per device.
-#[must_use]
-pub fn full_router_budget() -> Vec<FullRouterRow> {
-    Device::catalog()
-        .into_iter()
-        .map(|device| FullRouterRow {
-            device: device.name.clone(),
-            io_pins: device.io_pins,
-            lookup_only_engines: vr_fpga::io::max_engines(&device),
-            full_router_engines: vr_engine::datapath::full_router_max_engines(&device),
-        })
-        .collect()
-}
-
 /// One row of the merged-scheme scalability experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MergedScalingRow {
@@ -1396,101 +1026,6 @@ pub fn merged_scaling(cfg: &ExperimentConfig) -> Result<Vec<MergedScalingRow>, P
             fits_one_device: bram_36k <= device.bram_36k_blocks,
         })
     })
-}
-
-/// One row of the concurrent lookup-service study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ServiceRow {
-    /// Virtual networks hosted (merged K-wide trie when > 1).
-    pub k: usize,
-    /// Worker shards.
-    pub workers: usize,
-    /// Batch width in effect (sweep-selected).
-    pub batch_width: usize,
-    /// End-to-end throughput in packets per second.
-    pub packets_per_sec: f64,
-    /// Mean worker-side ns per lookup.
-    pub ns_per_lookup: f64,
-    /// Speedup over the single-worker row.
-    pub speedup_vs_one_worker: f64,
-    /// Snapshot generations the workers were observed resolving against
-    /// (≥ 2 proves lookups kept flowing across the mid-run table swap).
-    pub generations_seen: usize,
-    /// Fraction of lookups that missed every route.
-    pub miss_fraction: f64,
-}
-
-/// Concurrent lookup-service scaling study: the `JumpTrie`-backed
-/// [`vr_engine::LookupService`] driven at 1/2/4 workers over a K-network
-/// family, with a route-update burst published mid-run so every row also
-/// exercises the RCU-style snapshot swap under load.
-///
-/// # Errors
-/// Propagates generation, trie, and service-construction errors.
-pub fn lookup_service_study(cfg: &ExperimentConfig, k: usize) -> Result<Vec<ServiceRow>, PowerError> {
-    use vr_engine::service::{LookupService, ServiceConfig};
-    use vr_net::{UpdateMix, UpdateStream, VnId};
-
-    let tables = cfg.family(k, 0.5)?;
-    // Probe stream: perturbed installed prefixes, round-robin across VNs,
-    // so walks reach realistic depths in every virtual network.
-    let packets: Vec<(VnId, u32)> = tables
-        .iter()
-        .enumerate()
-        .flat_map(|(vn, t)| {
-            t.prefixes().flat_map(move |p| {
-                [(vn as VnId, p.addr() | 0x2B), (vn as VnId, p.addr() ^ 0x0101)]
-            })
-        })
-        .collect();
-    let updates =
-        UpdateStream::new(tables.clone(), UpdateMix::default(), 16, cfg.seed)?.batch(64);
-
-    let mut rows: Vec<ServiceRow> = Vec::new();
-    for workers in [1usize, 2, 4] {
-        let service_cfg = ServiceConfig {
-            workers,
-            ..ServiceConfig::default()
-        };
-        let mut service = LookupService::new(tables.clone(), service_cfg)?;
-        let start = std::time::Instant::now();
-        // First half, swap under load, second half: the swap must neither
-        // stall nor corrupt the stream.
-        let half = packets.len() / 2;
-        let mut results = service.process(&packets[..half]);
-        service.apply_updates(&updates)?;
-        results.extend(service.process(&packets[half..]));
-        let elapsed = start.elapsed().as_secs_f64();
-        let report = service.shutdown();
-        let ns_per_lookup = report.mean_ns_per_lookup();
-        let packets_per_sec = if elapsed > 0.0 {
-            results.len() as f64 / elapsed
-        } else {
-            0.0
-        };
-        let baseline = rows
-            .first()
-            .map_or(packets_per_sec, |r: &ServiceRow| r.packets_per_sec);
-        rows.push(ServiceRow {
-            k,
-            workers,
-            batch_width: report.batch_width,
-            packets_per_sec,
-            ns_per_lookup,
-            speedup_vs_one_worker: if baseline > 0.0 {
-                packets_per_sec / baseline
-            } else {
-                1.0
-            },
-            generations_seen: report.generations_seen.len(),
-            miss_fraction: if report.lookups > 0 {
-                report.misses as f64 / report.lookups as f64
-            } else {
-                0.0
-            },
-        });
-    }
-    Ok(rows)
 }
 
 /// Zipf exponents swept by [`cache_skew_study`]: uniform traffic
@@ -1855,19 +1390,6 @@ mod tests {
     }
 
     #[test]
-    fn ablation_balance_never_hurts() {
-        let cfg = ExperimentConfig::quick();
-        let rows = ablation_balance(&cfg).unwrap();
-        assert_eq!(rows.len(), 4);
-        for r in &rows {
-            assert!(r.balanced_max_kbits <= r.even_max_kbits + 1e-9, "N={}", r.stages);
-            assert!(r.balanced_blocks <= r.even_blocks + 2, "N={}", r.stages);
-        }
-        // At a short pipeline the balancing win is substantial.
-        assert!(rows[0].balanced_max_kbits < 0.9 * rows[0].even_max_kbits);
-    }
-
-    #[test]
     fn tcam_comparison_reproduces_the_related_work_claims() {
         let cfg = ExperimentConfig::quick();
         let rows = tcam_comparison(&cfg).unwrap();
@@ -1900,19 +1422,6 @@ mod tests {
             assert!(r.bram_power_w > 0.0);
             assert!(r.nodes_before > 0 && r.nodes_after > 0);
         }
-    }
-
-    #[test]
-    fn latency_comparison_orders_engines() {
-        let cfg = ExperimentConfig::quick();
-        let rows = latency_comparison(&cfg, 4).unwrap();
-        let at = |label: &str| rows.iter().find(|r| r.engine == label).unwrap();
-        // Merged runs the same depth at a slower clock → higher latency.
-        assert!(at("VM uni-bit").latency_ns > at("NV / VS uni-bit").latency_ns);
-        // Depth-bounded engines cut latency with stride width.
-        assert!(at("stride-8 multi-bit").latency_ns < at("stride-2 multi-bit").latency_ns);
-        assert!(at("stride-8 multi-bit").latency_ns < at("NV / VS uni-bit").latency_ns);
-        assert!(rows.iter().all(|r| r.latency_ns > 0.0));
     }
 
     #[test]
@@ -1952,31 +1461,6 @@ mod tests {
     }
 
     #[test]
-    fn multiway_study_shows_the_power_lever() {
-        let cfg = ExperimentConfig::quick();
-        let rows = multiway_study(&cfg).unwrap();
-        assert_eq!(rows.len(), 5);
-        // Deeper splits: more (and shorter) ways, lower latency, lower
-        // energy per lookup — ref. [7]'s claim.
-        let first = &rows[0];
-        let last = rows.last().unwrap();
-        assert_eq!(first.ways, 1);
-        assert_eq!(last.ways, 16);
-        assert!(last.stages_per_way < first.stages_per_way);
-        assert!(last.latency_cycles < first.latency_cycles);
-        assert!(
-            last.energy_per_lookup_pj < first.energy_per_lookup_pj,
-            "split {} vs mono {}",
-            last.energy_per_lookup_pj,
-            first.energy_per_lookup_pj
-        );
-        for r in &rows {
-            assert!(r.balance_factor >= 1.0);
-            assert!(r.dynamic_power_w > 0.0);
-        }
-    }
-
-    #[test]
     fn queueing_study_shows_burstiness_cost() {
         let cfg = ExperimentConfig::quick();
         let rows = queueing_study(&cfg, 3).unwrap();
@@ -1989,39 +1473,6 @@ mod tests {
         let last = rows.last().unwrap();
         assert!(last.mean_wait_cycles > rows[1].mean_wait_cycles);
         assert!(last.max_queue_depth > rows[0].max_queue_depth);
-    }
-
-    #[test]
-    fn thermal_study_shows_concentration_and_collapse() {
-        let cfg = ExperimentConfig::quick();
-        let k = 6;
-        let rows = thermal_study(&cfg, k).unwrap();
-        assert_eq!(rows.len(), 6);
-        let at = |scheme: &str, grade: SpeedGrade| {
-            rows.iter()
-                .find(|r| r.scheme == scheme && r.grade == grade)
-                .unwrap()
-        };
-        let g = SpeedGrade::Minus2;
-        let nv = at("Non-virtualized", g);
-        let vs = at("Virtualized-separate", g);
-        for r in &rows {
-            assert!(r.converged, "{} {}", r.scheme, r.grade);
-            // Near the reference junction the correction is small either
-            // way (slightly negative when the device runs cooler than the
-            // 50 °C the §V-A figures were taken at).
-            let rel = (r.thermal_w - r.nominal_w).abs() / r.nominal_w;
-            assert!(rel < 0.10, "{} {}: correction {rel}", r.scheme, r.grade);
-        }
-        // Consolidation concentrates heat: the shared device runs hotter
-        // than any single NV device...
-        assert!(vs.junction_c > nv.junction_c);
-        // ...but the fleet total still collapses by ≈ K.
-        assert!(nv.thermal_w > 0.7 * k as f64 * vs.thermal_w);
-        // The low-power grade runs cooler.
-        assert!(
-            at("Virtualized-separate", SpeedGrade::Minus1L).junction_c < vs.junction_c
-        );
     }
 
     #[test]
@@ -2045,64 +1496,6 @@ mod tests {
     }
 
     #[test]
-    fn braiding_study_beats_plain_merging_where_it_should() {
-        let cfg = ExperimentConfig::quick();
-        let rows = braiding_study(&cfg).unwrap();
-        assert_eq!(rows.len(), 4);
-        for r in &rows {
-            // Greedy braiding can only help or tie plain merging here.
-            assert!(
-                r.braided_nodes <= r.plain_nodes + r.plain_nodes / 20,
-                "{}: braided {} vs plain {}",
-                r.workload,
-                r.braided_nodes,
-                r.plain_nodes
-            );
-        }
-        // The mirrored showcase must show a dramatic saving.
-        let mirrored = rows.iter().find(|r| r.workload == "mirrored pair").unwrap();
-        assert!(mirrored.extra_saving > 0.3, "saving {}", mirrored.extra_saving);
-        assert!(mirrored.braided_node_count > 0);
-    }
-
-    #[test]
-    fn optimal_stride_study_always_saves() {
-        let cfg = ExperimentConfig::quick();
-        let rows = optimal_stride_study(&cfg).unwrap();
-        assert_eq!(rows.len(), 3);
-        for r in &rows {
-            assert!(r.optimal_entries <= r.uniform_entries, "{:?}", r.strides);
-            assert!(r.saving >= 0.0);
-            assert_eq!(
-                r.strides.iter().map(|&s| u32::from(s)).sum::<u32>(),
-                32,
-                "{:?}",
-                r.strides
-            );
-            assert!(r.strides.len() <= r.max_levels);
-        }
-        // Tight depth bounds cost memory.
-        assert!(rows[0].optimal_entries >= rows[2].optimal_entries);
-    }
-
-    #[test]
-    fn full_router_budget_shrinks_engine_counts() {
-        let rows = full_router_budget();
-        assert_eq!(rows.len(), 3);
-        for r in &rows {
-            assert!(
-                r.full_router_engines < r.lookup_only_engines,
-                "{}: full {} vs lookup-only {}",
-                r.device,
-                r.full_router_engines,
-                r.lookup_only_engines
-            );
-        }
-        let lx760 = rows.iter().find(|r| r.device == "XC6VLX760").unwrap();
-        assert_eq!(lx760.lookup_only_engines, 15);
-    }
-
-    #[test]
     fn merged_scaling_finds_the_memory_wall_direction() {
         let cfg = ExperimentConfig::quick();
         let rows = merged_scaling(&cfg).unwrap();
@@ -2122,27 +1515,6 @@ mod tests {
         let tables = cfg.family(3, 0.5).unwrap();
         let e = quick_estimate(&tables, SchemeKind::Separate, SpeedGrade::Minus2).unwrap();
         assert!(e.total_w() > 3.0 && e.total_w() < 7.0);
-    }
-
-    #[test]
-    fn lookup_service_study_scales_and_swaps() {
-        let cfg = ExperimentConfig::quick();
-        let rows = lookup_service_study(&cfg, 2).unwrap();
-        assert_eq!(rows.len(), 3);
-        assert_eq!(
-            rows.iter().map(|r| r.workers).collect::<Vec<_>>(),
-            vec![1, 2, 4]
-        );
-        for row in &rows {
-            assert_eq!(row.k, 2);
-            assert!(row.packets_per_sec > 0.0);
-            assert!(row.batch_width >= 1);
-            // The mid-run update burst published generation 1; batches
-            // were served against at most the pre- and post-swap tables.
-            assert!((1..=2).contains(&row.generations_seen));
-            assert!(row.miss_fraction < 1.0);
-        }
-        assert!((rows[0].speedup_vs_one_worker - 1.0).abs() < f64::EPSILON);
     }
 
     #[test]

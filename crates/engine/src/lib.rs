@@ -47,10 +47,7 @@
 #![warn(missing_docs)]
 
 pub mod cache;
-pub mod datapath;
 pub mod engine;
-pub mod multiway;
-pub mod police;
 pub mod report;
 pub mod router;
 pub mod service;
@@ -58,9 +55,7 @@ mod service_core;
 pub mod sharded;
 
 pub use cache::{CacheStats, LpmCache, DEFAULT_CACHE_SLOTS};
-pub use datapath::StageMetrics;
 pub use engine::{CompletedLookup, EngineConfig, EngineStats, PipelineEngine};
-pub use multiway::MultiwayEngine;
 pub use report::SimReport;
 pub use router::{ArrivalModel, SimConfig, VirtualRouterSim};
 pub use service::{

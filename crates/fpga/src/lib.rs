@@ -39,7 +39,6 @@ pub mod logic;
 pub mod par;
 pub mod static_power;
 pub mod tcam;
-pub mod thermal;
 pub mod timing;
 pub mod units;
 pub mod xpe;

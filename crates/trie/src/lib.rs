@@ -53,7 +53,6 @@
 #![warn(missing_docs)]
 
 pub mod backend;
-pub mod braid;
 pub mod calibrate;
 pub mod flat;
 pub mod jump;
@@ -61,20 +60,17 @@ pub mod lane;
 pub mod leafpush;
 pub mod merge;
 pub mod multibit;
-pub mod partition;
 pub mod pipeline_map;
 pub mod stats;
 pub mod subslab;
 pub mod unibit;
 
 pub use backend::LookupBackend;
-pub use braid::BraidedTrie;
 pub use flat::{FlatStrideParts, FlatStrideTrie, FlatTrie, FlatTrieParts};
 pub use jump::{JumpTrie, JumpTrieParts};
 pub use lane::{lookup_lanes, lookup_lanes_vn, DEFAULT_LANE_WIDTH};
 pub use leafpush::LeafPushedTrie;
 pub use multibit::StrideTrie;
-pub use partition::PartitionedTrie;
 pub use merge::{MergedLeafPushed, MergedTrie};
 pub use pipeline_map::{MemoryLayout, PipelineProfile, StageProfile};
 pub use stats::TrieStats;

@@ -282,91 +282,6 @@ impl StrideTrie {
     }
 }
 
-/// Computes a memory-optimal stride schedule for `trie` under a pipeline
-/// depth bound — the classic controlled-prefix-expansion dynamic program
-/// (Srinivasan & Varghese; the "depth-bounded" lever of paper ref. \[8\]).
-///
-/// A stride covering uni-bit levels `[i, j)` expands every level-`i` node
-/// into `2^(j−i)` entries, so its memory cost is `nodes(i) × 2^(j−i)`
-/// entry words. The DP minimizes total entries over schedules of at most
-/// `max_levels` strides, each at most `max_stride` bits wide.
-///
-/// # Errors
-/// Rejects `max_stride` outside `1..=8` and bounds that cannot cover 32
-/// bits (`max_levels × max_stride < 32`).
-pub fn optimal_strides(
-    trie: &crate::unibit::UnibitTrie,
-    max_stride: u8,
-    max_levels: usize,
-) -> Result<Vec<u8>, TrieError> {
-    if max_stride == 0 || max_stride > 8 {
-        return Err(TrieError::InvalidParameter("max stride must be 1..=8"));
-    }
-    if max_levels * usize::from(max_stride) < 32 {
-        return Err(TrieError::InvalidParameter(
-            "depth bound too tight to cover 32 bits",
-        ));
-    }
-    let stats = trie.stats();
-    // A multi-bit node is spawned at bit-level i exactly by the uni-bit
-    // *internal* nodes there: a prefix ending at i expands inside its
-    // parent's node, only strictly-longer prefixes descend across the
-    // boundary. The root node always exists.
-    let nodes: Vec<u64> = (0..32usize)
-        .map(|i| {
-            let internal = stats.internal_at_level(i) as u64;
-            if i == 0 {
-                internal.max(1)
-            } else {
-                internal
-            }
-        })
-        .collect();
-
-    // dp[r][j] = minimal entries covering bit-levels [0, j) with r strides.
-    let inf = u64::MAX;
-    let levels_cap = max_levels.min(32);
-    let mut dp = vec![vec![inf; 33]; levels_cap + 1];
-    let mut choice = vec![vec![0usize; 33]; levels_cap + 1];
-    dp[0][0] = 0;
-    for r in 1..=levels_cap {
-        for j in 1..=32usize {
-            let lo = j.saturating_sub(usize::from(max_stride));
-            for i in lo..j {
-                if dp[r - 1][i] == inf {
-                    continue;
-                }
-                let width = (j - i) as u32;
-                let cost = dp[r - 1][i] + nodes[i] * (1u64 << width);
-                if cost < dp[r][j] {
-                    dp[r][j] = cost;
-                    choice[r][j] = i;
-                }
-            }
-        }
-    }
-    // Best level count within the bound.
-    let best_r = (1..=levels_cap)
-        .min_by_key(|&r| dp[r][32])
-        .expect("at least one level");
-    if dp[best_r][32] == inf {
-        return Err(TrieError::InvalidParameter(
-            "depth bound too tight to cover 32 bits",
-        ));
-    }
-    let mut strides = Vec::with_capacity(best_r);
-    let mut j = 32usize;
-    let mut r = best_r;
-    while r > 0 {
-        let i = choice[r][j];
-        strides.push((j - i) as u8);
-        j = i;
-        r -= 1;
-    }
-    strides.reverse();
-    Ok(strides)
-}
-
 /// Extracts `count` bits of `addr` starting `offset` bits from the MSB.
 fn extract_bits(addr: u32, offset: u8, count: u8) -> u32 {
     debug_assert!(offset + count <= 32 && count > 0);
@@ -498,57 +413,6 @@ mod tests {
         assert_eq!(stats.total_nodes, trie.entry_count());
         assert!(stats.check_invariants());
         assert!(stats.depth() <= 4);
-    }
-
-    #[test]
-    fn optimal_strides_beat_uniform_at_equal_depth() {
-        let table = TableSpec::paper_worst_case(71).generate().unwrap();
-        let unibit = crate::unibit::UnibitTrie::from_table(&table);
-        for (uniform, levels) in [(4u8, 8usize), (8, 4)] {
-            let optimal = optimal_strides(&unibit, 8, levels).unwrap();
-            assert!(optimal.len() <= levels);
-            assert_eq!(optimal.iter().map(|&s| u32::from(s)).sum::<u32>(), 32);
-            let opt_trie = StrideTrie::from_table(&table, &optimal).unwrap();
-            let uni_trie = StrideTrie::from_table(&table, &vec![uniform; levels]).unwrap();
-            assert!(
-                opt_trie.entry_count() <= uni_trie.entry_count(),
-                "depth {levels}: optimal {} vs uniform {}",
-                opt_trie.entry_count(),
-                uni_trie.entry_count()
-            );
-            // And of course it still forwards correctly.
-            for p in table.prefixes().take(200) {
-                let probe = p.addr() | 1;
-                assert_eq!(opt_trie.lookup(probe), table.lookup(probe));
-            }
-        }
-    }
-
-    #[test]
-    fn looser_depth_bounds_never_cost_more_memory() {
-        let table = TableSpec::paper_worst_case(72).generate().unwrap();
-        let unibit = crate::unibit::UnibitTrie::from_table(&table);
-        let mut prev = u64::MAX;
-        for levels in [4usize, 8, 16, 32] {
-            let strides = optimal_strides(&unibit, 8, levels).unwrap();
-            let trie = StrideTrie::from_table(&table, &strides).unwrap();
-            let entries = trie.entry_count() as u64;
-            assert!(
-                entries <= prev,
-                "levels {levels}: {entries} > previous {prev}"
-            );
-            prev = entries;
-        }
-    }
-
-    #[test]
-    fn optimal_strides_validation() {
-        let unibit = crate::unibit::UnibitTrie::new();
-        assert!(optimal_strides(&unibit, 0, 32).is_err());
-        assert!(optimal_strides(&unibit, 9, 32).is_err());
-        assert!(optimal_strides(&unibit, 8, 3).is_err()); // 3×8 < 32
-        let strides = optimal_strides(&unibit, 8, 4).unwrap();
-        assert_eq!(strides.iter().map(|&s| u32::from(s)).sum::<u32>(), 32);
     }
 
     #[test]

@@ -187,124 +187,6 @@ impl PipelineProfile {
     pub fn max_stage_memory_bits(&self) -> u64 {
         self.per_stage_memory_bits().into_iter().max().unwrap_or(0)
     }
-
-    /// Builds a **memory-balanced** profile: trie levels are partitioned
-    /// into contiguous stage groups minimizing the *maximum* stage memory
-    /// (the classic linear-partition DP). The paper's refs. \[7\]\[8\]
-    /// balance per-stage memory exactly because the critical stage bounds
-    /// both the clock and the BRAM waste; the `ablation_balance` bench
-    /// quantifies the win over the even level-per-stage split.
-    ///
-    /// # Errors
-    /// Rejects zero stages and a zero NHI multiplier.
-    pub fn balanced(
-        stats: &TrieStats,
-        n_stages: usize,
-        nhi_width_multiplier: usize,
-        layout: MemoryLayout,
-    ) -> Result<Self, TrieError> {
-        if n_stages == 0 {
-            return Err(TrieError::ZeroStages);
-        }
-        if nhi_width_multiplier == 0 {
-            return Err(TrieError::InvalidParameter(
-                "NHI width multiplier must be at least 1",
-            ));
-        }
-        let depth = stats.depth();
-        // Per-level memory bits.
-        let level_bits: Vec<u64> = (0..depth)
-            .map(|l| {
-                stats.internal_at_level(l) as u64 * u64::from(layout.pointer_bits)
-                    + stats.leaves_at_level(l) as u64
-                        * u64::from(layout.nhi_bits)
-                        * nhi_width_multiplier as u64
-            })
-            .collect();
-        let boundaries = partition_min_max(&level_bits, n_stages.min(depth.max(1)));
-
-        let mut stages = Vec::with_capacity(n_stages);
-        for stage in 0..n_stages {
-            let (first, last) = boundaries
-                .get(stage)
-                .copied()
-                .unwrap_or((depth, depth)); // empty trailing stage
-            let (mut pointer_nodes, mut leaf_nodes) = (0usize, 0usize);
-            for level in first..last {
-                pointer_nodes += stats.internal_at_level(level);
-                leaf_nodes += stats.leaves_at_level(level);
-            }
-            let levels = if first < last {
-                Some((first as u8, (last - 1) as u8))
-            } else {
-                None
-            };
-            stages.push(StageProfile {
-                stage,
-                levels,
-                pointer_nodes,
-                leaf_nodes,
-                pointer_bits: pointer_nodes as u64 * u64::from(layout.pointer_bits),
-                nhi_bits: leaf_nodes as u64
-                    * u64::from(layout.nhi_bits)
-                    * nhi_width_multiplier as u64,
-            });
-        }
-        Ok(Self {
-            stages,
-            nhi_width_multiplier,
-            layout,
-        })
-    }
-}
-
-/// Partitions `weights` into at most `parts` contiguous groups minimizing
-/// the maximum group sum; returns half-open `(first, last)` ranges, one
-/// per non-empty group. Standard O(parts × n²) DP — n ≤ 33 here.
-fn partition_min_max(weights: &[u64], parts: usize) -> Vec<(usize, usize)> {
-    let n = weights.len();
-    if n == 0 || parts == 0 {
-        return Vec::new();
-    }
-    let parts = parts.min(n);
-    // prefix[i] = sum of weights[..i]
-    let mut prefix = vec![0u64; n + 1];
-    for (i, &w) in weights.iter().enumerate() {
-        prefix[i + 1] = prefix[i] + w;
-    }
-    let seg = |a: usize, b: usize| prefix[b] - prefix[a]; // sum of [a, b)
-
-    // dp[p][i] = minimal max-group-sum splitting weights[..i] into p groups.
-    let inf = u64::MAX;
-    let mut dp = vec![vec![inf; n + 1]; parts + 1];
-    let mut cut = vec![vec![0usize; n + 1]; parts + 1];
-    dp[0][0] = 0;
-    for p in 1..=parts {
-        for i in 1..=n {
-            for j in (p - 1)..i {
-                if dp[p - 1][j] == inf {
-                    continue;
-                }
-                let candidate = dp[p - 1][j].max(seg(j, i));
-                if candidate < dp[p][i] {
-                    dp[p][i] = candidate;
-                    cut[p][i] = j;
-                }
-            }
-        }
-    }
-    // Reconstruct boundaries.
-    let mut bounds = Vec::with_capacity(parts);
-    let mut i = n;
-    let mut p = parts;
-    while p > 0 {
-        let j = cut[p][i];
-        bounds.push((j, i));
-        i = j;
-        p -= 1;
-    }
-    bounds.reverse();
-    bounds
 }
 
 #[cfg(test)]
@@ -427,139 +309,5 @@ mod tests {
     fn zero_nhi_multiplier_is_rejected() {
         let (lp, _) = single_profile(11, 28);
         assert!(PipelineProfile::from_stats(&lp.stats(), 28, 0, MemoryLayout::default()).is_err());
-        assert!(PipelineProfile::balanced(&lp.stats(), 28, 0, MemoryLayout::default()).is_err());
-        assert!(matches!(
-            PipelineProfile::balanced(&lp.stats(), 0, 1, MemoryLayout::default()),
-            Err(TrieError::ZeroStages)
-        ));
-    }
-
-    #[test]
-    fn balanced_mapping_never_worsens_the_critical_stage() {
-        for seed in [1u64, 5, 9] {
-            for n_stages in [4usize, 8, 16, 28] {
-                let (lp, even) = single_profile(seed, n_stages);
-                let balanced = PipelineProfile::balanced(
-                    &lp.stats(),
-                    n_stages,
-                    1,
-                    MemoryLayout::default(),
-                )
-                .unwrap();
-                assert!(
-                    balanced.max_stage_memory_bits() <= even.max_stage_memory_bits(),
-                    "seed {seed} N={n_stages}: balanced {} > even {}",
-                    balanced.max_stage_memory_bits(),
-                    even.max_stage_memory_bits()
-                );
-                // Same total memory, every node assigned exactly once.
-                assert_eq!(balanced.total_memory_bits(), even.total_memory_bits());
-                let nodes: usize = balanced
-                    .stages
-                    .iter()
-                    .map(|s| s.pointer_nodes + s.leaf_nodes)
-                    .sum();
-                assert_eq!(nodes, lp.node_count());
-            }
-        }
-    }
-
-    #[test]
-    fn balanced_mapping_improves_skewed_tries_substantially() {
-        // Paper-scale tries are bottom-heavy: the even split leaves one
-        // stage holding the bulge. Balancing must cut the critical stage.
-        let (lp, even) = single_profile(3, 8);
-        let balanced =
-            PipelineProfile::balanced(&lp.stats(), 8, 1, MemoryLayout::default()).unwrap();
-        assert!(
-            (balanced.max_stage_memory_bits() as f64)
-                < 0.9 * even.max_stage_memory_bits() as f64,
-            "balanced {} vs even {}",
-            balanced.max_stage_memory_bits(),
-            even.max_stage_memory_bits()
-        );
-    }
-
-    #[test]
-    fn balanced_ranges_are_contiguous_and_ordered() {
-        let (lp, _) = single_profile(7, 12);
-        let balanced =
-            PipelineProfile::balanced(&lp.stats(), 12, 1, MemoryLayout::default()).unwrap();
-        let mut next = 0u8;
-        for s in &balanced.stages {
-            if let Some((a, b)) = s.levels {
-                assert_eq!(a, next);
-                assert!(b >= a);
-                next = b + 1;
-            }
-        }
-        assert_eq!(usize::from(next), lp.stats().depth());
-    }
-
-    mod partition_props {
-        use super::super::partition_min_max;
-        use proptest::prelude::*;
-
-        /// Brute-force optimal max-group-sum by trying every cut set.
-        fn brute_force(weights: &[u64], parts: usize) -> u64 {
-            fn rec(weights: &[u64], parts: usize) -> u64 {
-                if parts == 1 {
-                    return weights.iter().sum();
-                }
-                let mut best = u64::MAX;
-                // First group = weights[..i], i ≥ 1, leaving enough items.
-                for i in 1..=(weights.len() - (parts - 1)) {
-                    let head: u64 = weights[..i].iter().sum();
-                    let rest = rec(&weights[i..], parts - 1);
-                    best = best.min(head.max(rest));
-                }
-                best
-            }
-            rec(weights, parts.min(weights.len()))
-        }
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(128))]
-
-            #[test]
-            fn dp_matches_brute_force(
-                weights in prop::collection::vec(0u64..1000, 1..9),
-                parts in 1usize..5,
-            ) {
-                let bounds = partition_min_max(&weights, parts);
-                // Covers every item exactly once, in order.
-                let mut next = 0usize;
-                for &(a, b) in &bounds {
-                    prop_assert_eq!(a, next);
-                    prop_assert!(b > a);
-                    next = b;
-                }
-                prop_assert_eq!(next, weights.len());
-                // Achieves the optimal max group sum.
-                let achieved = bounds
-                    .iter()
-                    .map(|&(a, b)| weights[a..b].iter().sum::<u64>())
-                    .max()
-                    .unwrap();
-                prop_assert_eq!(achieved, brute_force(&weights, parts));
-            }
-        }
-    }
-
-    #[test]
-    fn partition_handles_edge_shapes() {
-        // One giant level dominates: it must sit alone in its group.
-        let weights = [1u64, 1, 1000, 1, 1];
-        let bounds = partition_min_max(&weights, 3);
-        assert_eq!(bounds.iter().map(|(a, b)| b - a).sum::<usize>(), 5);
-        let max_group: u64 = bounds
-            .iter()
-            .map(|&(a, b)| weights[a..b].iter().sum::<u64>())
-            .max()
-            .unwrap();
-        assert_eq!(max_group, 1000);
-        // More parts than items degrades gracefully.
-        assert_eq!(partition_min_max(&[5, 5], 10).len(), 2);
-        assert!(partition_min_max(&[], 3).is_empty());
     }
 }

@@ -13,7 +13,7 @@
 
 use proptest::prelude::*;
 use vr_audit::{
-    audit_braided, audit_flat, audit_flat_stride_with_table, audit_flat_with_table, audit_jump,
+    audit_flat, audit_flat_stride_with_table, audit_flat_with_table, audit_jump,
     audit_jump_against_stride, audit_jump_with_table, audit_leaf_pushed, audit_merged,
     audit_merged_leaf_pushed, audit_unibit, CheckKind,
 };
@@ -21,8 +21,8 @@ use vr_net::synth::{FamilySpec, TableSpec};
 use vr_net::table::{NextHop, RouteEntry};
 use vr_net::{Ipv4Prefix, RoutingTable};
 use vr_trie::{
-    flat, jump, BraidedTrie, FlatStrideTrie, FlatTrie, JumpTrie, LeafPushedTrie, MergedTrie,
-    StrideTrie, UnibitTrie,
+    flat, jump, FlatStrideTrie, FlatTrie, JumpTrie, LeafPushedTrie, MergedTrie, StrideTrie,
+    UnibitTrie,
 };
 
 /// Strategy: an arbitrary routing table of 1 to `max` routes.
@@ -197,7 +197,6 @@ fn every_constructor_audits_clean_at_paper_scale() {
         audit_merged_leaf_pushed(&mlp, &tables),
         audit_flat(&FlatTrie::from_merged(&mlp)),
         audit_jump(&JumpTrie::from_merged(&mlp)),
-        audit_braided(&BraidedTrie::from_tables(&tables).unwrap(), &tables),
     ] {
         assert!(report.is_clean(), "{}", report.summary());
     }

@@ -144,41 +144,6 @@ proptest! {
     }
 
     #[test]
-    fn braided_trie_matches_every_oracle(
-        tables in prop::collection::vec(arb_table(24), 1..4),
-        probes in prop::collection::vec(any::<u32>(), 16),
-    ) {
-        use vr_trie::BraidedTrie;
-        let braided = BraidedTrie::from_tables(&tables).unwrap();
-        // Braiding never stores more than the separate tries combined.
-        let per_vn: usize = (0..tables.len()).map(|v| braided.vn_node_count(v)).sum();
-        prop_assert!(braided.node_count() <= per_vn.max(1));
-        for (vnid, table) in tables.iter().enumerate() {
-            for &ip in &probes {
-                prop_assert_eq!(
-                    braided.lookup(vnid, ip),
-                    table.lookup(ip),
-                    "vn {} ip {:#010x}", vnid, ip
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn frame_parser_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..80)) {
-        // Arbitrary bytes either parse (and then satisfy the header
-        // checksum invariant) or produce a typed error — never a panic.
-        use vr_engine::datapath::{internet_checksum, parse_frame};
-        if let Ok(packet) = parse_frame(&bytes) {
-            prop_assert!(packet.header_len >= 20);
-            prop_assert_eq!(
-                internet_checksum(&bytes[14..14 + packet.header_len]),
-                0
-            );
-        }
-    }
-
-    #[test]
     fn pipeline_engine_matches_oracle(seed in any::<u64>()) {
         use vr_engine::{EngineConfig, PipelineEngine};
         use vr_trie::pipeline_map::{MemoryLayout, PipelineProfile};
