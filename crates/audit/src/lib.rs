@@ -1,15 +1,16 @@
 //! `vr-audit`: structural invariant verifier for the workspace's lookup
 //! table encodings, plus source-level lints.
 //!
-//! The datapath crates trade safety margins for speed: [`vr_trie`]'s flat
-//! and jump encodings index raw `u32` slabs with no bounds checks beyond
-//! the slice's own, and the engine swaps whole tables under live traffic.
+//! The datapath crates trade safety margins for speed: [`vr_trie`]'s
+//! flat-stride and jump encodings index raw word slabs with no bounds
+//! checks beyond the slice's own, and the engine swaps whole tables under
+//! live traffic.
 //! A single corrupt word — a flipped leaf tag, a child base pointing past
 //! its level — silently misroutes packets rather than crashing. This crate
 //! is the counterweight:
 //!
-//! * [`verify`] walks every encoding (uni-bit, leaf-pushed, multibit
-//!   stride, flat, flat-stride, DIR-16 jump, merged) and checks
+//! * [`verify`] walks every encoding (uni-bit, leaf-pushed,
+//!   flat-stride, DIR-16 jump, merged, merged leaf-pushed) and checks
 //!   the invariants each one's lookup loop relies on: tag decodability,
 //!   child bounds and fanout accounting, strictly descending level order
 //!   (acyclicity), leaf-pushing completeness, K-wide NHI vector coverage,
@@ -51,8 +52,7 @@ pub use report::{
     MAX_RECORDED_VIOLATIONS,
 };
 pub use verify::{
-    audit_flat, audit_flat_parts, audit_flat_stride, audit_flat_stride_parts,
-    audit_flat_stride_with_table, audit_flat_with_table, audit_jump, audit_jump_against_stride,
+    audit_flat_stride, audit_flat_stride_parts, audit_flat_stride_with_table, audit_jump,
     audit_jump_parts, audit_jump_with_table, audit_leaf_pushed, audit_merged,
     audit_merged_leaf_pushed, audit_unibit, parity_probes,
 };

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! vr-audit tables   [--prefixes N] [--seed S] [--k K] [--out PATH] [--pretty]
-//! vr-audit artifact <trie.json> [--structure jump|flat|flat-stride] [--out PATH] [--pretty]
+//! vr-audit artifact <trie.json> [--structure jump|flat-stride] [--out PATH] [--pretty]
 //! vr-audit lint     [--root PATH] [--allow PATH] [--out PATH] [--pretty] [--format json|text]
 //! ```
 //!
@@ -19,20 +19,18 @@
 use std::process::ExitCode;
 
 use vr_audit::{
-    audit_flat, audit_flat_stride, audit_flat_stride_with_table, audit_flat_with_table, audit_jump,
-    audit_jump_against_stride, audit_jump_with_table, audit_leaf_pushed, audit_merged,
-    audit_merged_leaf_pushed, audit_unibit, lint_workspace, AuditReport,
+    audit_flat_stride, audit_flat_stride_with_table, audit_jump, audit_jump_with_table,
+    audit_leaf_pushed, audit_merged, audit_merged_leaf_pushed, audit_unibit, lint_workspace,
+    AuditReport,
 };
 use vr_net::synth::{ClusterSpec, FamilySpec, TableSpec, PAPER_TABLE_PREFIXES};
-use vr_trie::{
-    FlatStrideTrie, FlatTrie, JumpTrie, LeafPushedTrie, MergedTrie, StrideTrie, UnibitTrie,
-};
+use vr_trie::{FlatStrideTrie, JumpTrie, LeafPushedTrie, MergedTrie, StrideTrie, UnibitTrie};
 
 const USAGE: &str = "vr-audit: structural invariant verifier for lookup-table encodings
 
 Usage:
   vr-audit tables   [--prefixes N] [--seed S] [--k K] [--out PATH] [--pretty]
-  vr-audit artifact <trie.json> [--structure jump|flat|flat-stride] [--out PATH] [--pretty]
+  vr-audit artifact <trie.json> [--structure jump|flat-stride] [--out PATH] [--pretty]
   vr-audit lint     [--root PATH] [--allow PATH] [--out PATH] [--pretty] [--format json|text]
 
 Exit status: 0 clean, 1 violations found, 2 usage or I/O error.";
@@ -152,11 +150,6 @@ fn cmd_tables(args: &[String]) -> Result<bool, String> {
     reports.push(audit_unibit(&unibit));
     let leaf_pushed = LeafPushedTrie::from_unibit(&unibit);
     reports.push(audit_leaf_pushed(&leaf_pushed));
-    reports.push(audit_flat_with_table(&FlatTrie::from_unibit(&unibit), &table));
-    reports.push(audit_flat_with_table(
-        &FlatTrie::from_leaf_pushed(&leaf_pushed),
-        &table,
-    ));
     reports.push(audit_jump_with_table(&JumpTrie::from_table(&table), &table));
     reports.push(audit_jump_with_table(&JumpTrie::from_unibit(&unibit), &table));
     reports.push(audit_jump_with_table(
@@ -170,11 +163,6 @@ fn cmd_tables(args: &[String]) -> Result<bool, String> {
             &FlatStrideTrie::from_stride(&stride),
             &table,
         ));
-        reports.push(audit_jump_against_stride(
-            &JumpTrie::from_stride(&stride),
-            &stride,
-            &table,
-        ));
     }
 
     // K-table family: the virtualization (merged) encodings.
@@ -185,7 +173,6 @@ fn cmd_tables(args: &[String]) -> Result<bool, String> {
     reports.push(audit_merged(&merged));
     let mlp = merged.leaf_pushed();
     reports.push(audit_merged_leaf_pushed(&mlp, &tables));
-    reports.push(audit_flat(&FlatTrie::from_merged(&mlp)));
     reports.push(audit_jump(&JumpTrie::from_merged(&mlp)));
 
     emit(&reports, out.as_deref(), pretty)
@@ -213,15 +200,11 @@ fn cmd_artifact(args: &[String]) -> Result<bool, String> {
             &serde_json::from_str::<JumpTrie>(&text)
                 .map_err(|e| format!("{path}: not a serialized JumpTrie: {e}"))?,
         ),
-        "flat" => audit_flat(
-            &serde_json::from_str::<FlatTrie>(&text)
-                .map_err(|e| format!("{path}: not a serialized FlatTrie: {e}"))?,
-        ),
         "flat-stride" => audit_flat_stride(
             &serde_json::from_str::<FlatStrideTrie>(&text)
                 .map_err(|e| format!("{path}: not a serialized FlatStrideTrie: {e}"))?,
         ),
-        other => return Err(format!("unknown --structure {other} (jump|flat|flat-stride)")),
+        other => return Err(format!("unknown --structure {other} (jump|flat-stride)")),
     };
     emit(&[report], out.as_deref(), pretty)
 }

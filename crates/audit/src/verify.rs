@@ -15,36 +15,32 @@
 use crate::report::{Audit, AuditReport, AuditStats, CheckKind, Coordinates};
 use vr_net::table::NextHop;
 use vr_net::{Ipv4Prefix, RoutingTable};
-use vr_trie::flat::{self, FlatStrideParts, FlatTrieParts};
+use vr_trie::flat::{self, FlatStrideParts};
 use vr_trie::jump::{self, JumpTrieParts};
 use vr_trie::unibit::NodeId;
 use vr_trie::{
-    FlatStrideTrie, FlatTrie, JumpTrie, LeafPushedTrie, LookupBackend, MergedLeafPushed,
-    MergedTrie, StrideTrie, UnibitTrie,
+    FlatStrideTrie, JumpTrie, LeafPushedTrie, LookupBackend, MergedLeafPushed, MergedTrie,
+    UnibitTrie,
 };
 
 /// Highest valid encoded NHI code: `0` = no route, `1 + nh` with
 /// `nh: u8`, so anything above `256` silently truncates on decode.
 const MAX_NHI_CODE: u16 = 1 + (NextHop::MAX as u16);
 
-/// One level deeper than the address width: a full binary trie over
-/// 32-bit addresses has at most 33 levels (root at depth 0).
-const MAX_BINARY_LEVELS: usize = 33;
-
 // ---------------------------------------------------------------------------
 // Shared helpers
 // ---------------------------------------------------------------------------
 
+/// Sub-slab levels below the DIR-16 root: it already consumed 16 of the
+/// 32 address bits, so at most 16 word levels remain.
+const MAX_SUB_LEVELS: usize = 16;
+
 /// Validates a level-offset array against its word array: starts at zero,
 /// strictly increases (every live level is non-empty), ends exactly at
-/// `words_len`. Returns the offsets as `usize` when usable for slab
-/// indexing, `None` when traversal over them would be unsound.
-fn check_level_offsets(
-    a: &mut Audit,
-    offsets: &[u32],
-    words_len: usize,
-    max_levels: usize,
-) -> Option<Vec<usize>> {
+/// `words_len`, and stays within [`MAX_SUB_LEVELS`]. Returns the offsets
+/// as `usize` when usable for slab indexing, `None` when traversal over
+/// them would be unsound.
+fn check_level_offsets(a: &mut Audit, offsets: &[u32], words_len: usize) -> Option<Vec<usize>> {
     a.declare(CheckKind::LevelOrder);
     if offsets.is_empty() {
         a.error(
@@ -86,11 +82,11 @@ fn check_level_offsets(
         ok = false;
     }
     let levels = offsets.len() - 1;
-    if levels > max_levels {
+    if levels > MAX_SUB_LEVELS {
         a.error(
             CheckKind::LevelOrder,
             Coordinates::none(),
-            format!("{levels} levels exceed the {max_levels}-level address-width bound"),
+            format!("{levels} levels exceed the {MAX_SUB_LEVELS}-level address-width bound"),
         );
         ok = false;
     }
@@ -139,7 +135,6 @@ fn check_binary_slab(
     offsets: &[usize],
     level: usize,
     leaf_slots: Option<usize>,
-    level_label: &str,
 ) -> (usize, usize) {
     let levels = offsets.len() - 1;
     let (lo, hi) = (offsets[level], offsets[level + 1]);
@@ -147,9 +142,9 @@ fn check_binary_slab(
     let mut leaves = 0usize;
     for (off, &word) in words[lo..hi].iter().enumerate() {
         let abs = lo + off;
-        if word & flat::LEAF_BIT != 0 {
+        if word & jump::LEAF_BIT != 0 {
             leaves += 1;
-            let slot = (word & flat::PAYLOAD_MASK) as usize;
+            let slot = (word & jump::PAYLOAD_MASK) as usize;
             if let Some(count) = leaf_slots {
                 if slot >= count {
                     a.error(
@@ -166,7 +161,7 @@ fn check_binary_slab(
             a.error(
                 CheckKind::LeafCompleteness,
                 Coordinates::word(level, abs, u64::from(word)),
-                format!("internal word in the deepest {level_label} level"),
+                "internal word in the deepest sub-slab level",
             );
             continue;
         }
@@ -231,8 +226,8 @@ fn sweep_binary_reachability(
     }
     while let Some(i) = queue.pop() {
         let word = words[i];
-        if word & flat::LEAF_BIT != 0 {
-            let slot = (word & flat::PAYLOAD_MASK) as usize;
+        if word & jump::LEAF_BIT != 0 {
+            let slot = (word & jump::PAYLOAD_MASK) as usize;
             if slot < leaf_slots {
                 referenced[slot] = true;
             }
@@ -266,90 +261,6 @@ fn sweep_binary_reachability(
 }
 
 // ---------------------------------------------------------------------------
-// FlatTrie
-// ---------------------------------------------------------------------------
-
-fn check_flat(a: &mut Audit, parts: FlatTrieParts<'_>) -> AuditStats {
-    a.declare(CheckKind::TagDecode);
-    a.declare(CheckKind::ChildBounds);
-    a.declare(CheckKind::LeafCompleteness);
-    a.declare(CheckKind::Invariants);
-    let leaf_slots = check_nhi_slab(a, parts.nhis, parts.k);
-    let mut stats = AuditStats {
-        nodes: parts.words.len() as u64,
-        nhi_entries: parts.nhis.len() as u64,
-        arity: parts.k as u64,
-        ..AuditStats::default()
-    };
-    let Some(offsets) =
-        check_level_offsets(a, parts.level_offsets, parts.words.len(), MAX_BINARY_LEVELS)
-    else {
-        return stats;
-    };
-    let levels = offsets.len() - 1;
-    stats.levels = levels as u64;
-    if offsets[1] - offsets[0] != 1 {
-        a.error(
-            CheckKind::LevelOrder,
-            Coordinates::level(0),
-            format!("level 0 holds {} words instead of exactly the root", offsets[1]),
-        );
-    }
-    let mut internal_per_level = Vec::with_capacity(levels);
-    let mut total_leaves = 0usize;
-    for level in 0..levels {
-        let (internal, leaves) =
-            check_binary_slab(a, parts.words, &offsets, level, leaf_slots, "flat");
-        internal_per_level.push(internal);
-        total_leaves += leaves;
-    }
-    stats.leaves = total_leaves as u64;
-    check_binary_fanout(a, &offsets, &internal_per_level);
-    let total_internal: usize = internal_per_level.iter().sum();
-    if total_leaves != total_internal + 1 {
-        a.error(
-            CheckKind::Invariants,
-            Coordinates::none(),
-            format!(
-                "full-binary identity broken: {total_leaves} leaves vs {total_internal} internal words"
-            ),
-        );
-    }
-    if let Some(slots) = leaf_slots {
-        let (dead, stale) =
-            sweep_binary_reachability(a, parts.words, [0usize], slots, &[]);
-        stats.dead_words = dead;
-        stats.stale_nhi_vectors = stale;
-    }
-    stats
-}
-
-/// Audits a [`FlatTrie`]'s raw encoding.
-#[must_use]
-pub fn audit_flat_parts(parts: FlatTrieParts<'_>) -> AuditReport {
-    let mut a = Audit::new(format!("flat(k={})", parts.k));
-    let stats = check_flat(&mut a, parts);
-    a.finish(stats)
-}
-
-/// Audits a [`FlatTrie`].
-#[must_use]
-pub fn audit_flat(trie: &FlatTrie) -> AuditReport {
-    audit_flat_parts(trie.raw_parts())
-}
-
-/// Audits a [`FlatTrie`] structurally and checks lookup parity against an
-/// independently built uni-bit oracle for `table`.
-#[must_use]
-pub fn audit_flat_with_table(trie: &FlatTrie, table: &RoutingTable) -> AuditReport {
-    let mut a = Audit::new(format!("flat(k={})", trie.arity()));
-    let stats = check_flat(&mut a, trie.raw_parts());
-    let oracle = UnibitTrie::from_table(table);
-    check_parity(&mut a, CheckKind::OracleParity, table, trie, &oracle);
-    a.finish(stats)
-}
-
-// ---------------------------------------------------------------------------
 // JumpTrie
 // ---------------------------------------------------------------------------
 
@@ -377,9 +288,7 @@ fn check_jump(a: &mut Audit, parts: JumpTrieParts<'_>) -> AuditStats {
         );
         return stats;
     }
-    // Sub-slab levels: the root already consumed 16 bits, so at most
-    // 16 word levels remain below it.
-    let Some(offsets) = check_level_offsets(a, parts.level_offsets, parts.words.len(), 16) else {
+    let Some(offsets) = check_level_offsets(a, parts.level_offsets, parts.words.len()) else {
         return stats;
     };
     let levels = offsets.len() - 1;
@@ -443,7 +352,7 @@ fn check_jump(a: &mut Audit, parts: JumpTrieParts<'_>) -> AuditStats {
     let mut total_leaves = 0usize;
     for level in 0..levels {
         let (internal, leaves) =
-            check_binary_slab(a, parts.words, &offsets, level, leaf_slots, "sub-slab");
+            check_binary_slab(a, parts.words, &offsets, level, leaf_slots);
         internal_per_level.push(internal);
         total_leaves += leaves;
     }
@@ -487,21 +396,6 @@ pub fn audit_jump_with_table(trie: &JumpTrie, table: &RoutingTable) -> AuditRepo
     let stats = check_jump(&mut a, trie.raw_parts());
     let oracle = UnibitTrie::from_table(table);
     check_parity(&mut a, CheckKind::JumpConsistency, table, trie, &oracle);
-    a.finish(stats)
-}
-
-/// Audits a [`JumpTrie`] built via [`JumpTrie::from_stride`]: structural
-/// checks plus lookup parity against the source stride trie (the
-/// prefix-expansion consistency check for the stride ingestion path).
-#[must_use]
-pub fn audit_jump_against_stride(
-    trie: &JumpTrie,
-    source: &StrideTrie,
-    table: &RoutingTable,
-) -> AuditReport {
-    let mut a = Audit::new(format!("jump(k={})<-stride", trie.arity()));
-    let stats = check_jump(&mut a, trie.raw_parts());
-    check_parity(&mut a, CheckKind::JumpConsistency, table, trie, source);
     a.finish(stats)
 }
 
@@ -1038,6 +932,7 @@ fn check_vn_parity(
 mod tests {
     use super::*;
     use vr_net::synth::TableSpec;
+    use vr_trie::StrideTrie;
 
     fn table(text: &str) -> RoutingTable {
         text.parse().unwrap()
@@ -1045,16 +940,6 @@ mod tests {
 
     fn sample() -> RoutingTable {
         table("0.0.0.0/0 9\n10.0.0.0/8 1\n10.1.0.0/16 2\n10.1.1.0/24 3\n192.168.0.0/17 5\n")
-    }
-
-    #[test]
-    fn well_formed_flat_is_clean() {
-        let t = sample();
-        let flat = FlatTrie::from_unibit(&UnibitTrie::from_table(&t));
-        let report = audit_flat_with_table(&flat, &t);
-        assert!(report.is_clean(), "{}", report.summary());
-        assert_eq!(report.stats.dead_words, 0);
-        assert_eq!(report.stats.stale_nhi_vectors, 0);
     }
 
     #[test]
@@ -1072,79 +957,61 @@ mod tests {
         let flat = FlatStrideTrie::from_stride(&stride);
         let report = audit_flat_stride_with_table(&flat, &t);
         assert!(report.is_clean(), "{}", report.summary());
-        let jump = JumpTrie::from_stride(&stride);
-        let report = audit_jump_against_stride(&jump, &stride, &t);
-        assert!(report.is_clean(), "{}", report.summary());
     }
 
     #[test]
     fn empty_structures_are_clean() {
         let empty = UnibitTrie::new();
         assert!(audit_unibit(&empty).is_clean());
-        assert!(audit_flat(&FlatTrie::from_unibit(&empty)).is_clean());
         assert!(audit_jump(&JumpTrie::from_unibit(&empty)).is_clean());
         assert!(audit_leaf_pushed(&LeafPushedTrie::from_unibit(&empty)).is_clean());
     }
 
+    /// The sample's jump trie with its sub-slab words and NHI slab passed
+    /// through `mutate`, audited.
+    fn audit_mutated(mutate: impl FnOnce(&mut Vec<u32>, &mut Vec<u16>, &[u32])) -> AuditReport {
+        let jump = JumpTrie::from_table(&sample());
+        let p = jump.raw_parts();
+        let (mut words, mut nhis) = (p.words.to_vec(), p.nhis.to_vec());
+        mutate(&mut words, &mut nhis, p.level_offsets);
+        audit_jump(&JumpTrie::from_raw_parts(
+            p.root.to_vec(),
+            words,
+            p.level_offsets.to_vec(),
+            nhis,
+            p.k,
+        ))
+    }
+
     #[test]
     fn flipped_leaf_tag_is_caught() {
-        let t = sample();
-        let flat = FlatTrie::from_unibit(&UnibitTrie::from_table(&t));
-        let parts = flat.raw_parts();
-        let mut words = parts.words.to_vec();
-        // Find a leaf in a non-final level and strip its tag: the payload
-        // becomes a bogus child base.
-        let offsets: Vec<usize> = parts.level_offsets.iter().map(|&o| o as usize).collect();
-        let victim = (offsets[0]..offsets[offsets.len() - 2])
-            .find(|&i| words[i] & flat::LEAF_BIT != 0)
-            .expect("some leaf above the deepest level");
-        words[victim] &= flat::PAYLOAD_MASK;
-        let mutated = FlatTrie::from_raw_parts(
-            words,
-            parts.level_offsets.to_vec(),
-            parts.nhis.to_vec(),
-            parts.k,
-        );
-        let report = audit_flat(&mutated);
+        let report = audit_mutated(|words, _, offsets| {
+            // Find a leaf in a non-final sub-slab level and strip its tag:
+            // the payload becomes a bogus child base.
+            let above_deepest = offsets[offsets.len() - 2] as usize;
+            let victim = (0..above_deepest)
+                .find(|&i| words[i] & jump::LEAF_BIT != 0)
+                .expect("some leaf above the deepest level");
+            words[victim] &= jump::PAYLOAD_MASK;
+        });
         assert!(!report.is_clean(), "tag flip must be detected");
     }
 
     #[test]
     fn oob_child_base_is_caught() {
-        let t = sample();
-        let jump = JumpTrie::from_table(&t);
-        let parts = jump.raw_parts();
-        let mut words = parts.words.to_vec();
-        let victim = words
-            .iter()
-            .position(|&w| w & jump::LEAF_BIT == 0)
-            .expect("some internal sub-slab word");
-        words[victim] = jump::PAYLOAD_MASK; // far out of every slab
-        let mutated = JumpTrie::from_raw_parts(
-            parts.root.to_vec(),
-            words,
-            parts.level_offsets.to_vec(),
-            parts.nhis.to_vec(),
-            parts.k,
-        );
-        let report = audit_jump(&mutated);
+        let report = audit_mutated(|words, _, _| {
+            let victim = words
+                .iter()
+                .position(|&w| w & jump::LEAF_BIT == 0)
+                .expect("some internal sub-slab word");
+            words[victim] = jump::PAYLOAD_MASK; // far out of every slab
+        });
         assert!(!report.is_clean(), "out-of-bounds child must be detected");
     }
 
     #[test]
     fn truncated_nhi_slab_is_caught() {
-        let t = sample();
-        let flat = FlatTrie::from_unibit(&UnibitTrie::from_table(&t));
-        let parts = flat.raw_parts();
-        let mut nhis = parts.nhis.to_vec();
-        nhis.truncate(nhis.len() / 2);
-        let mutated = FlatTrie::from_raw_parts(
-            parts.words.to_vec(),
-            parts.level_offsets.to_vec(),
-            nhis,
-            parts.k,
-        );
-        let report = audit_flat(&mutated);
+        let report = audit_mutated(|_, nhis, _| nhis.truncate(nhis.len() / 2));
         assert!(!report.is_clean(), "truncated NHI slab must be detected");
     }
 
@@ -1153,7 +1020,6 @@ mod tests {
         let t = TableSpec::paper_worst_case(23).generate().unwrap();
         let unibit = UnibitTrie::from_table(&t);
         assert!(audit_unibit(&unibit).is_clean());
-        assert!(audit_flat_with_table(&FlatTrie::from_unibit(&unibit), &t).is_clean());
         assert!(audit_jump_with_table(&JumpTrie::from_table(&t), &t).is_clean());
     }
 

@@ -1,6 +1,6 @@
 //! Lookup datapath microbenchmark: the scalar walk of every trie
-//! encoding, and the stage-lockstep batch walk of the three level-slab
-//! layouts that carry one (`flat`, `flat_stride`, `jump`), per batch
+//! encoding, and the stage-lockstep batch walk of the two level-slab
+//! layouts that carry one (`flat_stride`, `jump`), per batch
 //! size, on a paper-scale table — every encoding driven through the one
 //! generic `push_backend` over `vr_trie::LookupBackend` — plus the
 //! per-VN (`lookup_vn`) datapath on merged tries, the explicit-width
@@ -11,14 +11,15 @@
 //! numbers travel with the repo.
 //!
 //! `cargo run --release -p vr-bench --bin bench_lookup` (accepts
-//! `--quick` / `VR_QUICK=1` for a reduced probe set, and `--smoke` for a
-//! tiny single-scale run that still covers every variant/mode pair and
+//! `--quick` for a reduced probe set, and `--smoke` for a tiny
+//! single-scale run that still covers every variant/mode pair and
 //! writes `BENCH_lookup_smoke.json` — used by CI to keep the harness
 //! honest without paying for a full measurement). The smoke run also
-//! enforces the bench-regression gate: gated datapath rows are compared
-//! against the checked-in `crates/bench/bench_gate_baseline.json` and a
-//! regression past `VR_BENCH_GATE_TOLERANCE` (default 1.5×) fails the
-//! run; `VR_BENCH_GATE=0` disables the gate.
+//! enforces the bench-regression gate: the single-threaded datapath rows
+//! are compared against the checked-in
+//! `crates/bench/bench_gate_baseline.json` and a regression past
+//! `GATE_TOLERANCE` (1.5×) fails the run. The service rows are measured
+//! but not gated here (see `GATED_VARIANTS`).
 //!
 //! Latency **distribution** columns (`p50_ns`/`p99_ns`) ride along for
 //! every row except the deliberately registry-free service control:
@@ -29,10 +30,9 @@
 //! detached (`service_jump_notel`), and attached with 1-in-64 batch
 //! tracing (`service_jump_traced`) — so the record-path and trace-path
 //! overheads are visible deltas in the artifact, not guesses. Under
-//! `--smoke` (and the `telemetry` cargo feature, on by default) the run
-//! also scrapes a live registry twice, validates the Prometheus
-//! exposition, checks counter monotonicity between scrapes, and writes
-//! `results/TELEMETRY_smoke.prom` / `.json`.
+//! `--smoke` the run also scrapes a live registry twice, validates the
+//! Prometheus exposition, checks counter monotonicity between scrapes,
+//! and writes `results/TELEMETRY_smoke.prom` / `.json`.
 
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -46,8 +46,8 @@ use vr_net::{SkewedSpec, SkewedTraffic, VnId};
 use vr_power::report::write_json;
 use vr_wire::{replay, ReplayConfig, ServerConfig, TrafficModel, WireClient, WireServer};
 use vr_trie::{
-    lookup_lanes, lookup_lanes_vn, FlatStrideTrie, FlatTrie, JumpTrie, LeafPushedTrie,
-    LookupBackend, MergedTrie, StrideTrie, UnibitTrie,
+    lookup_lanes, lookup_lanes_vn, FlatStrideTrie, JumpTrie, LeafPushedTrie, LookupBackend,
+    MergedTrie, StrideTrie, UnibitTrie,
 };
 
 /// Number of virtual networks in the merged/per-VN and service rows.
@@ -526,7 +526,6 @@ fn run_scale(
     let table = spec.generate().unwrap();
     let unibit = UnibitTrie::from_table(&table);
     let pushed = LeafPushedTrie::from_unibit(&unibit);
-    let flat = FlatTrie::from_leaf_pushed(&pushed);
     let stride = StrideTrie::from_table(&table, &[8, 8, 8, 8]).unwrap();
     let flat_stride = FlatStrideTrie::from_stride(&stride);
     let jump = JumpTrie::from_leaf_pushed(&pushed);
@@ -541,7 +540,6 @@ fn run_scale(
     .generate()
     .unwrap();
     let merged = MergedTrie::from_tables(&family).unwrap().leaf_pushed();
-    let merged_flat = FlatTrie::from_merged(&merged);
     let merged_jump = JumpTrie::from_merged(&merged);
 
     // Probe set: perturbed prefix addresses cycled to `probe_count`, so
@@ -573,7 +571,6 @@ fn run_scale(
         let mut pass: Vec<Row> = Vec::new();
         push_backend::<1>(&mut pass, &scale, "unibit", &unibit, scalar_only);
         push_backend::<1>(&mut pass, &scale, "leaf_pushed", &pushed, scalar_only);
-        push_backend::<1>(&mut pass, &scale, "flat", &flat, widths);
         push_backend::<1>(&mut pass, &scale, "stride_8888", &stride, scalar_only);
         push_backend::<1>(&mut pass, &scale, "flat_stride_8888", &flat_stride, widths);
         let jump_ns = push_backend::<1>(&mut pass, &scale, "jump", &jump, widths);
@@ -586,7 +583,6 @@ fn run_scale(
         push_lane(&mut pass, &scale, "jump_lane", 16, jump_ns, |d, o| {
             lookup_lanes::<16>(&jump, d, o);
         });
-        push_backend::<FAMILY_K>(&mut pass, &scale, "merged_flat_vn", &merged_flat, widths);
         let jump_vn_ns =
             push_backend::<FAMILY_K>(&mut pass, &scale, "merged_jump_vn", &merged_jump, widths);
         // The merged-VN lane rows cycle the VNID per call exactly like
@@ -825,12 +821,7 @@ fn run_wire_rows(rows: &mut Vec<Row>, scale: &'static str, prefixes: usize, batc
 /// on the paper-scale rows [`run_cached_rows`] just measured — Zipf
 /// s = 1.0 must hit ≥ 90% and run ≥ 2× the uncached walk, and uniform
 /// traffic (the cache's worst case) must cost ≤ 10% overhead.
-/// `VR_CACHE_GATE=0` disables it, mirroring `VR_BENCH_GATE`.
 fn cache_gate(rows: &[Row]) {
-    if std::env::var("VR_CACHE_GATE").is_ok_and(|v| v == "0") {
-        eprintln!("[bench_lookup] cache gate disabled (VR_CACHE_GATE=0)");
-        return;
-    }
     let find = |variant: &str, traffic: &str| {
         rows.iter()
             .find(|r| r.variant == variant && r.traffic == Some(traffic))
@@ -873,9 +864,8 @@ fn cache_gate(rows: &[Row]) {
 /// line per family, cumulative buckets, `+Inf == _count` — and (b) no
 /// counter moved backwards between the scrapes. The final scrape is
 /// written out as `results/TELEMETRY_smoke.prom` / `.json` so the CI
-/// telemetry job can upload real exporter output as artifacts alongside
-/// the other generated results.
-#[cfg(feature = "telemetry")]
+/// `bench-smoke` job can upload real exporter output as artifacts
+/// alongside the other generated results.
 fn telemetry_smoke() {
     use vr_telemetry::export::{check_prometheus, to_prometheus};
     let family = FamilySpec {
@@ -889,7 +879,7 @@ fn telemetry_smoke() {
         ServiceConfig {
             workers: 2,
             // Cache on, so the vr_cache_* counter families land in the
-            // exposition the CI telemetry job validates.
+            // exposition the CI `bench-smoke` job validates.
             lookup_cache: Some(vr_engine::DEFAULT_CACHE_SLOTS),
             ..ServiceConfig::default()
         },
@@ -965,28 +955,33 @@ struct BaselineRow {
 }
 
 /// Datapaths the smoke gate defends: the DIR-16 walk, both lane
-/// variants, the cached lane walk, and both service organizations. The
+/// variants and the cached lane walk — single-threaded rows only. The
 /// slower pedagogical tries (unibit, stride, …) are deliberately
 /// ungated — they exist for the trajectory narrative, not as
-/// performance promises.
-const GATED_VARIANTS: [&str; 7] = [
+/// performance promises — and so are the service rows: they cross
+/// thread boundaries, so on a two-vCPU runner one run in six reads every
+/// one of them at ~140 ns (the worker woke on the other vCPU) on an
+/// unchanged tree. The service path is gated where it is pinned to one
+/// CPU and judged on ten-run medians: `svc_scan` and `wire_bulk` in the
+/// repo benchmark.
+const GATED_VARIANTS: [&str; 5] = [
     "jump",
     "jump_lane",
     "cached_jump_lane",
     "merged_jump_vn",
     "merged_jump_lane_vn",
-    "service_jump",
-    "sharded_jump",
 ];
+
+/// How far past its machine-adjusted baseline a gated row may read —
+/// generous on purpose, because the gate exists to catch datapath
+/// regressions, not scheduler noise.
+const GATE_TOLERANCE: f64 = 1.5;
 
 /// `--smoke` regression gate: compares the fresh smoke rows for the
 /// gated datapaths against the checked-in baseline
 /// (`crates/bench/bench_gate_baseline.json`, recorded by this same
 /// binary in `--smoke` mode) and fails the run when any gated row
-/// regresses past the tolerance. `VR_BENCH_GATE=0` disables the gate;
-/// `VR_BENCH_GATE_TOLERANCE` (default 1.5) rescales it — generous on
-/// purpose, because the gate exists to catch datapath regressions, not
-/// scheduler noise.
+/// regresses past [`GATE_TOLERANCE`].
 ///
 /// Absolute ns/lookup varies several-fold between runners (and between
 /// minutes on a noisy-neighbour VM), so each comparison is normalized
@@ -997,14 +992,6 @@ const GATED_VARIANTS: [&str; 7] = [
 /// fails. The trade is explicit: a regression in *both* scalar walks
 /// reads as runner drift — the scalar rows are each other's only gate.
 fn bench_gate(rows: &[Row]) {
-    if std::env::var("VR_BENCH_GATE").is_ok_and(|v| v == "0") {
-        eprintln!("[bench_lookup] bench gate disabled (VR_BENCH_GATE=0)");
-        return;
-    }
-    let tolerance = std::env::var("VR_BENCH_GATE_TOLERANCE")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(1.5);
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/bench_gate_baseline.json");
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("[bench_lookup] bench gate baseline missing at {path}: {e}"));
@@ -1053,16 +1040,11 @@ fn bench_gate(rows: &[Row]) {
                 )
             });
         checked += 1;
-        // Service rows cross thread boundaries, so on a small runner
-        // they measure the scheduler as much as the datapath; their
-        // run-to-run spread is several-fold wider than the in-process
-        // walks and they get double the budget.
-        let mode_slack = if row.mode == "service" { 2.0 } else { 1.0 };
-        let limit = b.ns_per_lookup * machine * tolerance * mode_slack;
+        let limit = b.ns_per_lookup * machine * GATE_TOLERANCE;
         if row.ns_per_lookup > limit {
             regressions.push(format!(
                 "{}/{} batch={:?} workers={:?}: {:.2} ns/lookup exceeds {:.2} ns \
-                 ({tolerance}x machine-adjusted baseline {:.2} ns x {machine:.2})",
+                 ({GATE_TOLERANCE}x machine-adjusted baseline {:.2} ns x {machine:.2})",
                 row.variant, row.mode, row.batch_size, row.workers, row.ns_per_lookup, limit,
                 b.ns_per_lookup
             ));
@@ -1070,13 +1052,15 @@ fn bench_gate(rows: &[Row]) {
     }
     assert!(checked > 0, "bench gate compared no rows — empty baseline?");
     if regressions.is_empty() {
-        eprintln!("[bench_lookup] bench gate ok: {checked} rows within {tolerance}x of baseline");
+        eprintln!(
+            "[bench_lookup] bench gate ok: {checked} rows within {GATE_TOLERANCE}x of baseline"
+        );
     } else {
         for r in &regressions {
             eprintln!("[bench_lookup] bench gate REGRESSION: {r}");
         }
         panic!(
-            "[bench_lookup] bench gate: {} row(s) regressed past {tolerance}x of baseline",
+            "[bench_lookup] bench gate: {} row(s) regressed past {GATE_TOLERANCE}x of baseline",
             regressions.len()
         );
     }
@@ -1084,8 +1068,7 @@ fn bench_gate(rows: &[Row]) {
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let quick = std::env::args().any(|a| a == "--quick")
-        || std::env::var("VR_QUICK").is_ok_and(|v| v == "1");
+    let quick = std::env::args().any(|a| a == "--quick");
 
     let mut rows = Vec::new();
     if smoke {
@@ -1108,7 +1091,6 @@ fn main() {
         run_wire_rows(&mut rows, "smoke", 512, 100);
         bench_gate(&rows);
         cache_gate(&rows);
-        #[cfg(feature = "telemetry")]
         telemetry_smoke();
     } else {
         let (probe_count, iters, reps) = if quick {

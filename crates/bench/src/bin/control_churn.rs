@@ -299,8 +299,7 @@ fn forced_drop(tables: &[RoutingTable]) -> ForcedDrop {
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let quick = std::env::args().any(|a| a == "--quick")
-        || std::env::var("VR_QUICK").is_ok_and(|v| v == "1");
+    let quick = std::env::args().any(|a| a == "--quick");
 
     // Paper scale: K=15 networks × 3,725 prefixes; a batch is ~1 % of
     // one table (37 updates), the paper's §V-B write-rate assumption.

@@ -55,8 +55,7 @@ fn flag_num<T: std::str::FromStr>(name: &str, default: T) -> T {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick")
-        || std::env::var("VR_QUICK").is_ok_and(|v| v == "1");
+    let quick = std::env::args().any(|a| a == "--quick");
     let model = match flag_value("--model").as_deref() {
         Some("uniform") => TrafficModel::Uniform,
         Some("flash") => TrafficModel::FlashCrowd {

@@ -8,8 +8,8 @@
 //! `replay_client`, `vrpower`, `wire_smoke`, `workload_stats`) are tools
 //! and CI smokes, not paper experiments.
 //!
-//! Every binary accepts `--quick` (or env `VR_QUICK=1`) to run the reduced
-//! configuration used by the test suite instead of the full paper scale.
+//! Every binary accepts `--quick` to run the reduced configuration used
+//! by the test suite instead of the full paper scale.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,8 +25,7 @@ use vr_power::report::{render_table, to_csv, write_json};
 /// Resolves the experiment configuration from CLI args / environment.
 #[must_use]
 pub fn config_from_args() -> ExperimentConfig {
-    let quick = std::env::args().any(|a| a == "--quick")
-        || std::env::var("VR_QUICK").is_ok_and(|v| v == "1");
+    let quick = std::env::args().any(|a| a == "--quick");
     if quick {
         eprintln!("[vr-bench] running QUICK configuration");
         ExperimentConfig::quick()

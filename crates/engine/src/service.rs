@@ -152,13 +152,7 @@ impl UpdateTelemetry {
 }
 
 /// Aggregated service counters, serializable for experiment reports.
-///
-/// `Deserialize` is hand-written so artifacts produced before the
-/// telemetry fields existed (`generation_min`, `generation_max`,
-/// `audit_rejections`) still parse — missing fields default to zero.
-/// `generations_seen` is retained as the legacy alias of the
-/// generations-observed span.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ServiceReport {
     /// Worker threads the service ran with.
     pub workers: usize,
@@ -199,45 +193,6 @@ pub struct ServiceReport {
     /// Submits that blocked on a full worker queue, counted with
     /// telemetry on or off.
     pub queue_stalls: u64,
-}
-
-impl<'de> Deserialize<'de> for ServiceReport {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        fn field_or_default<'de, T, E>(
-            map: &mut Vec<(String, serde::Value)>,
-            field: &str,
-        ) -> Result<T, E>
-        where
-            T: Deserialize<'de> + Default,
-            E: serde::de::Error,
-        {
-            match map.iter().position(|(k, _)| k == field) {
-                Some(idx) => serde::de::from_value(map.swap_remove(idx).1),
-                None => Ok(T::default()),
-            }
-        }
-        let mut map =
-            serde::__priv::expect_map::<D::Error>(deserializer.take_value()?, "ServiceReport")?;
-        let ty = "ServiceReport";
-        Ok(Self {
-            workers: serde::__priv::take_field(&mut map, ty, "workers")?,
-            batch_width: serde::__priv::take_field(&mut map, ty, "batch_width")?,
-            lookups: serde::__priv::take_field(&mut map, ty, "lookups")?,
-            misses: serde::__priv::take_field(&mut map, ty, "misses")?,
-            batches: serde::__priv::take_field(&mut map, ty, "batches")?,
-            swaps: serde::__priv::take_field(&mut map, ty, "swaps")?,
-            generations_seen: serde::__priv::take_field(&mut map, ty, "generations_seen")?,
-            latency_histogram_ns: serde::__priv::take_field(&mut map, ty, "latency_histogram_ns")?,
-            busy_ns: serde::__priv::take_field(&mut map, ty, "busy_ns")?,
-            generation_min: field_or_default(&mut map, "generation_min")?,
-            generation_max: field_or_default(&mut map, "generation_max")?,
-            audit_rejections: field_or_default(&mut map, "audit_rejections")?,
-            updates_applied: field_or_default(&mut map, "updates_applied")?,
-            incremental_publishes: field_or_default(&mut map, "incremental_publishes")?,
-            full_rebuilds: field_or_default(&mut map, "full_rebuilds")?,
-            queue_stalls: field_or_default(&mut map, "queue_stalls")?,
-        })
-    }
 }
 
 impl ServiceReport {
@@ -1040,53 +995,6 @@ mod tests {
             }
             let _ = service.shutdown();
         }
-    }
-
-    #[test]
-    fn old_report_json_without_telemetry_fields_still_parses() {
-        let report = ServiceReport {
-            workers: 2,
-            batch_width: 16,
-            lookups: 100,
-            misses: 3,
-            batches: 7,
-            swaps: 1,
-            generations_seen: vec![0, 1],
-            latency_histogram_ns: vec![0; 32],
-            busy_ns: 12345,
-            generation_min: 0,
-            generation_max: 1,
-            audit_rejections: 0,
-            updates_applied: 0,
-            incremental_publishes: 0,
-            full_rebuilds: 0,
-            queue_stalls: 0,
-        };
-        let mut json = serde_json::to_string(&report).unwrap();
-        // Simulate a pre-telemetry artifact: strip every later-added field.
-        for field in [
-            "generation_min",
-            "generation_max",
-            "audit_rejections",
-            "updates_applied",
-            "incremental_publishes",
-            "full_rebuilds",
-            "queue_stalls",
-        ] {
-            json = json.replace(&format!(",\"{field}\":0"), "");
-            json = json.replace(&format!(",\"{field}\":1"), "");
-        }
-        assert!(!json.contains("generation_min"), "{json}");
-        let parsed: ServiceReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(parsed.lookups, 100);
-        assert_eq!(parsed.generations_seen, vec![0, 1]);
-        assert_eq!(parsed.generation_min, 0);
-        assert_eq!(parsed.generation_max, 0); // defaulted, not present
-        assert_eq!(parsed.audit_rejections, 0);
-        // A current round trip is lossless.
-        let full: ServiceReport =
-            serde_json::from_str(&serde_json::to_string(&report).unwrap()).unwrap();
-        assert_eq!(full, report);
     }
 
     fn churn_family(seed: u64, k: usize) -> Vec<vr_net::RoutingTable> {

@@ -3,19 +3,20 @@
 //! written against, so an encoding is enumerated once per driver instead
 //! of once per entry point.
 //!
-//! Each impl sits next to its type. Only the three level-slab layouts
-//! override the batch method: a stage-lockstep walk pays off when each
-//! pass streams one contiguous slab ([`FlatTrie`], [`FlatStrideTrie`])
-//! or prefetches into one ([`JumpTrie`]'s lane stepper). The pointer
-//! tries allocate nodes in insertion order, so a lockstep pass over them
-//! chases the same scattered arena slots as the scalar walk plus its own
-//! bookkeeping — their hand-written walkers measured 0.66–1.26× scalar
-//! and were removed; they take the provided scalar loop.
+//! Each impl sits next to its type. Exactly two layouts override the
+//! batch method, each because a measurement puts it ahead of the scalar
+//! loop somewhere: [`FlatStrideTrie`]'s dense sweep streams one
+//! contiguous slab per pass, and [`JumpTrie`]'s lane stepper prefetches
+//! into one (it wins once the table outgrows the cache, past ~65 536
+//! prefixes). The pointer tries allocate nodes in insertion order, so a
+//! lockstep pass over them chases the same scattered arena slots as the
+//! scalar walk plus its own bookkeeping — their hand-written walkers
+//! measured 0.66–1.26× scalar and were removed; they take the provided
+//! scalar loop.
 //!
 //! The serving path does not go through this trait: it calls
 //! [`JumpTrie`]'s inherent methods by name.
 //!
-//! [`FlatTrie`]: crate::FlatTrie
 //! [`FlatStrideTrie`]: crate::FlatStrideTrie
 //! [`JumpTrie`]: crate::JumpTrie
 

@@ -1,8 +1,8 @@
 //! DIR-16 jump-table front end: a 2^16-entry direct-index root table
 //! fused with level-ordered sub-trie slabs.
 //!
-//! The flat level-slab tries ([`FlatTrie`]) fixed the *layout* of the
-//! paper's pipeline memories but kept its *depth*: a /24 route still
+//! A level-ordered slab per trie level fixes the *layout* of the paper's
+//! pipeline memories (§V-D) but keeps its *depth*: a /24 route still
 //! costs up to 24 dependent loads from the root. Hardware IP-lookup
 //! engines (DIR-24-8 and its FPGA tilings — see PAPERS.md) spend cheap
 //! dense memory on the top of the trie instead: the first address bits
@@ -15,11 +15,15 @@
 //!   (high bit set) resolves the lookup immediately with an NHI-slab
 //!   slot; an internal entry is the child-base word of the covering
 //!   depth-16 trie node, continuing into `words`.
-//! * `words` — the depth ≥ 17 remainder of the leaf-pushed trie in the
-//!   same breadth-first level-slab layout as [`FlatTrie`] (one `u32` per
-//!   node, children adjacent). Because ~90 % of real routes sit at
+//! * `words` — the depth ≥ 17 remainder of the leaf-pushed trie, stored
+//!   breadth-first, one contiguous slab per level, one `u32` per node.
+//!   An internal word holds the absolute index of its left child
+//!   (children of a full binary trie are emitted adjacently, so one
+//!   offset addresses both); a leaf word ([`LEAF_BIT`] set) holds an
+//!   NHI-slab slot — the paper's split of pipeline memory into "pointer"
+//!   and "NHI" words (Fig. 4). Because ~90 % of real routes sit at
 //!   /16–/24, the remainder is shallow *and small*, so it stays
-//!   cache-resident even when a full flat trie would not.
+//!   cache-resident even when the whole trie would not.
 //! * `nhis` — K-wide VNID-indexed NHI vectors shared by both tiers, so
 //!   one structure serves single tables (K = 1) and the virtualized
 //!   merged scheme (§IV-C).
@@ -35,11 +39,9 @@
 
 use crate::leafpush::LeafPushedTrie;
 use crate::merge::MergedLeafPushed;
-use crate::multibit::StrideTrie;
 use crate::unibit::{NodeId, UnibitTrie};
 use serde::{Deserialize, Serialize};
 use vr_net::table::{NextHop, RoutingTable};
-use vr_net::Ipv4Prefix;
 
 /// High bit of a root entry or node word: set for leaves.
 pub const LEAF_BIT: u32 = 1 << 31;
@@ -188,52 +190,6 @@ impl JumpTrie {
         )
     }
 
-    /// Converts a fixed-stride multi-bit trie (`K = 1`) by re-expressing
-    /// its expanded entries as exact-length routes and rebuilding.
-    ///
-    /// Prefix expansion preserves longest-prefix-match semantics (an
-    /// expanded NHI stored at level `l` stems from a route of length
-    /// ≤ the level boundary, and deeper entries always win), so the
-    /// reconstructed jump trie answers every lookup identically to the
-    /// source stride trie.
-    #[must_use]
-    pub fn from_stride(trie: &StrideTrie) -> Self {
-        let strides = trie.strides();
-        let mut boundaries = Vec::with_capacity(strides.len());
-        let mut acc = 0u8;
-        for &s in strides {
-            boundaries.push(acc);
-            acc += s;
-        }
-        let mut table = RoutingTable::new();
-        // BFS over (node, path-bits) pairs, mirroring the stride layout:
-        // every slot with an expanded NHI becomes one exact-length route.
-        let mut frontier: Vec<(u32, u32)> = vec![(0, 0)];
-        let mut next: Vec<(u32, u32)> = Vec::new();
-        let mut level = 0usize;
-        while !frontier.is_empty() {
-            let stride = strides[level];
-            let len = boundaries[level] + stride;
-            let shift = 32 - u32::from(len);
-            for &(node, path) in &frontier {
-                for slot in 0..(1u32 << stride) {
-                    let addr = path | (slot << shift);
-                    let (nhi, child) = trie.walk_step(node, addr);
-                    if let Some(nh) = nhi {
-                        table.insert(Ipv4Prefix::must(addr, len), nh);
-                    }
-                    if let Some(child_id) = child {
-                        next.push((child_id, addr));
-                    }
-                }
-            }
-            frontier.clear();
-            std::mem::swap(&mut frontier, &mut next);
-            level += 1;
-        }
-        Self::from_table(&table)
-    }
-
     /// Shared construction: descend the full binary trie to depth 16,
     /// writing final entries for leaves met on the way, then flatten the
     /// surviving depth-16 subtrees breadth-first into `words`.
@@ -287,7 +243,7 @@ impl JumpTrie {
         // frontier of depth-17 nodes is the children of every depth-16
         // internal node, emitted adjacently — so a root entry is simply
         // the base index of its two children, the same encoding as an
-        // internal FlatTrie word.
+        // internal sub-slab word.
         let mut words: Vec<u32> = Vec::new();
         let mut level_offsets = vec![0u32];
         let mut frontier: Vec<NodeId> = Vec::with_capacity(subtrees.len() * 2);
@@ -490,22 +446,21 @@ mod tests {
     }
 
     #[test]
-    fn paper_scale_parity_with_flat_and_oracle() {
+    fn paper_scale_parity_with_oracle() {
         let t = TableSpec::paper_worst_case(11).generate().unwrap();
-        let flat = crate::FlatTrie::from_unibit(&UnibitTrie::from_table(&t));
-        let jump = JumpTrie::from_table(&t);
+        let pushed = LeafPushedTrie::from_unibit(&UnibitTrie::from_table(&t));
+        let jump = JumpTrie::from_leaf_pushed(&pushed);
         let dsts = probes(&t);
         let mut out = vec![None; dsts.len()];
         jump.lookup_batch(&dsts, &mut out);
         for (i, &ip) in dsts.iter().enumerate() {
             let expect = t.lookup(ip);
             assert_eq!(jump.lookup(ip), expect, "scalar ip {ip:#010x}");
-            assert_eq!(flat.lookup(ip), expect, "flat ip {ip:#010x}");
             assert_eq!(out[i], expect, "batch ip {ip:#010x}");
         }
         // The sub-slabs only hold the > /16 remainder.
         assert!(jump.sub_levels() <= 16);
-        assert!(jump.sub_node_count() < flat.node_count());
+        assert!(jump.sub_node_count() < pushed.node_count());
     }
 
     #[test]
@@ -527,19 +482,6 @@ mod tests {
             jump.lookup_batch_vn(vn, &dsts, &mut out);
             for (i, &ip) in dsts.iter().enumerate() {
                 assert_eq!(out[i], t.lookup(ip));
-            }
-        }
-    }
-
-    #[test]
-    fn from_stride_matches_the_stride_trie() {
-        let t = TableSpec::paper_worst_case(5).generate().unwrap();
-        for strides in [&[8u8, 8, 8, 8][..], &[4; 8][..], &[6, 6, 6, 6, 4, 4][..]] {
-            let stride = StrideTrie::from_table(&t, strides).unwrap();
-            let jump = JumpTrie::from_stride(&stride);
-            for ip in probes(&t) {
-                assert_eq!(jump.lookup(ip), stride.lookup(ip), "ip {ip:#010x}");
-                assert_eq!(jump.lookup(ip), t.lookup(ip), "oracle ip {ip:#010x}");
             }
         }
     }

@@ -13,13 +13,14 @@
 //! * [`LeafPushedTrie`] — the leaf-pushing transform (Ruiz-Sánchez et al.,
 //!   paper ref. \[16\]): a *full* binary trie whose NHI lives only in
 //!   leaves, which is what the pipeline stages store;
-//! * [`FlatTrie`] / [`FlatStrideTrie`] — level-ordered flat storage: one
-//!   contiguous slab per pipeline stage with packed `u32` node words,
-//!   plus stage-lockstep `lookup_batch` (software pipelining) to hide
-//!   cache-miss latency on the lookup path;
-//! * [`JumpTrie`] — DIR-16 jump-table front end: a 2^16-entry
+//! * [`FlatStrideTrie`] — level-ordered flat storage of the multi-bit
+//!   trie: one contiguous slab of packed `u64` entries per pipeline
+//!   stage, plus a stage-lockstep `lookup_batch` (software pipelining)
+//!   to hide cache-miss latency on the lookup path;
+//! * [`JumpTrie`] — the one binary level-slab layout: a 2^16-entry
 //!   direct-index root resolving the first 16 bits in one load, fused
-//!   with level-slab sub-tries for the > /16 remainder;
+//!   with per-level slabs of packed `u32` node words for the > /16
+//!   remainder ([`jump`] defines the word and NHI codec);
 //! * [`MergedTrie`] / [`MergedLeafPushed`] — the K-way overlay used by the
 //!   virtualized-merged scheme, with *measured* merging efficiency α
 //!   (Assumption 4) and K-wide leaf vectors;
@@ -37,9 +38,9 @@
 //!   fraction for a target α (the paper sweeps α ∈ {0.2, 0.8});
 //! * [`LookupBackend`] — the two-method trait (`lookup_vn`, and a
 //!   `lookup_batch_vn` that defaults to the scalar loop) the benchmark,
-//!   audit and parity drivers are written against; only the three
-//!   level-slab layouts ([`FlatTrie`], [`FlatStrideTrie`], [`JumpTrie`])
-//!   carry a batch walk of their own.
+//!   audit and parity drivers are written against; only the two
+//!   level-slab layouts ([`FlatStrideTrie`], [`JumpTrie`]) carry a batch
+//!   walk of their own.
 //!
 //! All structures are index-arena based (no `Box` chains): node identity is
 //! a `u32`, which keeps tries compact and traversals cache-friendly — the
@@ -66,7 +67,7 @@ pub mod subslab;
 pub mod unibit;
 
 pub use backend::LookupBackend;
-pub use flat::{FlatStrideParts, FlatStrideTrie, FlatTrie, FlatTrieParts};
+pub use flat::{FlatStrideParts, FlatStrideTrie};
 pub use jump::{JumpTrie, JumpTrieParts};
 pub use lane::{lookup_lanes, lookup_lanes_vn, DEFAULT_LANE_WIDTH};
 pub use leafpush::LeafPushedTrie;

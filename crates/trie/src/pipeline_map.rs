@@ -180,13 +180,6 @@ impl PipelineProfile {
     pub fn per_stage_memory_bits(&self) -> Vec<u64> {
         self.stages.iter().map(StageProfile::memory_bits).collect()
     }
-
-    /// The largest stage memory — relevant to timing: the critical stage
-    /// bounds the clock (used by `vr-fpga`'s frequency model).
-    #[must_use]
-    pub fn max_stage_memory_bits(&self) -> u64 {
-        self.per_stage_memory_bits().into_iter().max().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -292,17 +285,6 @@ mod tests {
             profile.nhi_memory_bits(),
             pushed.leaf_count() as u64 * 8 * 4
         );
-    }
-
-    #[test]
-    fn max_stage_memory_is_max_of_per_stage() {
-        let (_, profile) = single_profile(10, PAPER_PIPELINE_STAGES);
-        let per = profile.per_stage_memory_bits();
-        assert_eq!(
-            profile.max_stage_memory_bits(),
-            per.iter().copied().max().unwrap()
-        );
-        assert_eq!(per.len(), PAPER_PIPELINE_STAGES);
     }
 
     #[test]

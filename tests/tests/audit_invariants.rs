@@ -13,17 +13,13 @@
 
 use proptest::prelude::*;
 use vr_audit::{
-    audit_flat, audit_flat_stride_with_table, audit_flat_with_table, audit_jump,
-    audit_jump_against_stride, audit_jump_with_table, audit_leaf_pushed, audit_merged,
-    audit_merged_leaf_pushed, audit_unibit, CheckKind,
+    audit_flat_stride_with_table, audit_jump, audit_jump_with_table, audit_leaf_pushed,
+    audit_merged, audit_merged_leaf_pushed, audit_unibit, CheckKind,
 };
 use vr_net::synth::{FamilySpec, TableSpec};
 use vr_net::table::{NextHop, RouteEntry};
 use vr_net::{Ipv4Prefix, RoutingTable};
-use vr_trie::{
-    flat, jump, FlatStrideTrie, FlatTrie, JumpTrie, LeafPushedTrie, MergedTrie, StrideTrie,
-    UnibitTrie,
-};
+use vr_trie::{jump, FlatStrideTrie, JumpTrie, LeafPushedTrie, MergedTrie, StrideTrie, UnibitTrie};
 
 /// Strategy: an arbitrary routing table of 1 to `max` routes.
 fn arb_table(max: usize) -> impl Strategy<Value = RoutingTable> {
@@ -44,30 +40,22 @@ fn rebuild_jump(trie: &JumpTrie, mutate: impl FnOnce(&mut Vec<u32>, &mut Vec<u16
     JumpTrie::from_raw_parts(p.root.to_vec(), words, p.level_offsets.to_vec(), nhis, p.k)
 }
 
-fn rebuild_flat(trie: &FlatTrie, mutate: impl FnOnce(&mut Vec<u32>, &mut Vec<u16>)) -> FlatTrie {
-    let p = trie.raw_parts();
-    let mut words = p.words.to_vec();
-    let mut nhis = p.nhis.to_vec();
-    mutate(&mut words, &mut nhis);
-    FlatTrie::from_raw_parts(words, p.level_offsets.to_vec(), nhis, p.k)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Flipping any word's leaf/internal tag bit must be detected: it
-    /// either breaks fanout accounting, points a "child" at an NHI slot,
-    /// or plants an internal word in the deepest level.
+    /// Flipping any sub-slab word's leaf/internal tag bit must be
+    /// detected: it either breaks fanout accounting, points a "child" at
+    /// an NHI slot, or plants an internal word in the deepest level.
     #[test]
-    fn flat_detects_flipped_tag(table in arb_table(48), site in any::<usize>()) {
-        let trie = FlatTrie::from_table_unibit_path(&table);
+    fn jump_detects_flipped_tag(table in arb_table(48), site in any::<usize>()) {
+        let trie = JumpTrie::from_table(&table);
         let p = trie.raw_parts();
         if p.words.is_empty() {
             continue;
         }
         let at = site % p.words.len();
-        let mutated = rebuild_flat(&trie, |words, _| words[at] ^= flat::LEAF_BIT);
-        prop_assert!(!audit_flat(&mutated).is_clean(), "tag flip at word {at} not caught");
+        let mutated = rebuild_jump(&trie, |words, _| words[at] ^= jump::LEAF_BIT);
+        prop_assert!(!audit_jump(&mutated).is_clean(), "tag flip at word {at} not caught");
     }
 
     /// An internal word whose child base lands outside every slab must
@@ -144,20 +132,7 @@ proptest! {
         prop_assert!(audit_unibit(&unibit).is_clean());
         let pushed = LeafPushedTrie::from_unibit(&unibit);
         prop_assert!(audit_leaf_pushed(&pushed).is_clean());
-        prop_assert!(audit_flat_with_table(&FlatTrie::from_leaf_pushed(&pushed), &table).is_clean());
         prop_assert!(audit_jump_with_table(&JumpTrie::from_table(&table), &table).is_clean());
-    }
-}
-
-/// Helper: `FlatTrie` has no `from_table`; the unibit path is its
-/// canonical single-table constructor chain.
-trait FromTableViaUnibit {
-    fn from_table_unibit_path(table: &RoutingTable) -> FlatTrie;
-}
-
-impl FromTableViaUnibit for FlatTrie {
-    fn from_table_unibit_path(table: &RoutingTable) -> FlatTrie {
-        FlatTrie::from_unibit(&UnibitTrie::from_table(table))
     }
 }
 
@@ -172,8 +147,6 @@ fn every_constructor_audits_clean_at_paper_scale() {
     assert!(audit_leaf_pushed(&pushed).is_clean());
 
     for report in [
-        audit_flat_with_table(&FlatTrie::from_unibit(&unibit), &table),
-        audit_flat_with_table(&FlatTrie::from_leaf_pushed(&pushed), &table),
         audit_jump_with_table(&JumpTrie::from_table(&table), &table),
         audit_jump_with_table(&JumpTrie::from_unibit(&unibit), &table),
         audit_jump_with_table(&JumpTrie::from_leaf_pushed(&pushed), &table),
@@ -185,8 +158,6 @@ fn every_constructor_audits_clean_at_paper_scale() {
         let stride = StrideTrie::from_table(&table, strides).unwrap();
         let fs = audit_flat_stride_with_table(&FlatStrideTrie::from_stride(&stride), &table);
         assert!(fs.is_clean(), "{}", fs.summary());
-        let js = audit_jump_against_stride(&JumpTrie::from_stride(&stride), &stride, &table);
-        assert!(js.is_clean(), "{}", js.summary());
     }
 
     let tables = FamilySpec::paper_worst_case(4, 0.5, 23).generate().unwrap();
@@ -195,7 +166,6 @@ fn every_constructor_audits_clean_at_paper_scale() {
     let mlp = merged.leaf_pushed();
     for report in [
         audit_merged_leaf_pushed(&mlp, &tables),
-        audit_flat(&FlatTrie::from_merged(&mlp)),
         audit_jump(&JumpTrie::from_merged(&mlp)),
     ] {
         assert!(report.is_clean(), "{}", report.summary());

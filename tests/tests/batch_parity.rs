@@ -2,7 +2,7 @@
 //! element-wise identical to a scalar oracle on every trie variant, for
 //! arbitrary tables (with and without a default route) and arbitrary
 //! batches — including empty ones. One generic check runs per encoding:
-//! the three level-slab layouts exercise their own batch walks, the
+//! the two level-slab layouts exercise their own batch walks, the
 //! pointer tries the trait's provided scalar loop. The scalar paths are
 //! themselves proven against the linear-scan oracle in
 //! `oracle_equivalence.rs`, so batch == scalar closes the loop.
@@ -12,8 +12,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use vr_net::table::{NextHop, RouteEntry};
 use vr_net::{Ipv4Prefix, RoutingTable};
 use vr_trie::{
-    FlatStrideTrie, FlatTrie, JumpTrie, LeafPushedTrie, LookupBackend, MergedTrie, StrideTrie,
-    UnibitTrie,
+    FlatStrideTrie, JumpTrie, LeafPushedTrie, LookupBackend, MergedTrie, StrideTrie, UnibitTrie,
 };
 
 /// `backend`'s batch walk and its scalar walk must both equal `oracle`'s
@@ -89,15 +88,6 @@ proptest! {
     }
 
     #[test]
-    fn leaf_pushed_and_flat_batch_match_scalar(
-        table in arb_table(64, 1), // no default route
-        batch in arb_batch(),
-    ) {
-        let pushed = LeafPushedTrie::from_unibit(&UnibitTrie::from_table(&table));
-        assert_batch_parity(&FlatTrie::from_leaf_pushed(&pushed), &pushed, 1, &batch);
-    }
-
-    #[test]
     fn merged_batch_matches_scalar_per_vn(
         tables in prop::collection::vec(arb_table(32, 0), 1..5),
         batch in arb_batch(),
@@ -105,7 +95,6 @@ proptest! {
         let merged = MergedTrie::from_tables(&tables).unwrap();
         let pushed = merged.leaf_pushed();
         assert_batch_parity(&pushed, &merged, tables.len(), &batch);
-        assert_batch_parity(&FlatTrie::from_merged(&pushed), &merged, tables.len(), &batch);
     }
 
     #[test]
@@ -128,13 +117,12 @@ proptest! {
     }
 
     #[test]
-    fn jump_matches_flat_oracle_without_default_route(
+    fn jump_matches_leaf_pushed_oracle_without_default_route(
         table in arb_table(64, 1), // no default route — misses must stay misses
         batch in arb_batch(),
     ) {
         let pushed = LeafPushedTrie::from_unibit(&UnibitTrie::from_table(&table));
-        let flat = FlatTrie::from_leaf_pushed(&pushed);
-        assert_batch_parity(&JumpTrie::from_leaf_pushed(&pushed), &flat, 1, &batch);
+        assert_batch_parity(&JumpTrie::from_leaf_pushed(&pushed), &pushed, 1, &batch);
     }
 
     #[test]
@@ -145,15 +133,6 @@ proptest! {
         let merged = MergedTrie::from_tables(&tables).unwrap();
         let jump = JumpTrie::from_merged(&merged.leaf_pushed());
         assert_batch_parity(&jump, &merged, tables.len(), &batch);
-    }
-
-    #[test]
-    fn flat_from_unibit_batch_matches_table_oracle(
-        table in arb_table(64, 1), // no default route
-        batch in arb_batch(),
-    ) {
-        let flat = FlatTrie::from_unibit(&UnibitTrie::from_table(&table));
-        assert_batch_parity(&flat, &table, 1, &batch);
     }
 }
 
@@ -177,7 +156,6 @@ fn all_variants_handle_empty_and_paper_scale_batches() {
     assert!(batch.len() > 10_000, "must cover a paper-scale probe set");
     assert_batch_parity(&unibit, &table, 1, &batch);
     assert_batch_parity(&pushed, &table, 1, &batch);
-    assert_batch_parity(&FlatTrie::from_leaf_pushed(&pushed), &table, 1, &batch);
     assert_batch_parity(&stride, &table, 1, &batch);
     assert_batch_parity(&FlatStrideTrie::from_stride(&stride), &table, 1, &batch);
     assert_batch_parity(&JumpTrie::from_leaf_pushed(&pushed), &table, 1, &batch);
