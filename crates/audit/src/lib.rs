@@ -9,8 +9,8 @@
 //! its level — silently misroutes packets rather than crashing. This crate
 //! is the counterweight:
 //!
-//! * [`verify`] walks every encoding (uni-bit, leaf-pushed,
-//!   flat-stride, DIR-16 jump, merged, merged leaf-pushed) and checks
+//! * [`verify`] walks every encoding (uni-bit, leaf-pushed at any arity,
+//!   flat-stride, DIR-16 jump, merged) and checks
 //!   the invariants each one's lookup loop relies on: tag decodability,
 //!   child bounds and fanout accounting, strictly descending level order
 //!   (acyclicity), leaf-pushing completeness, K-wide NHI vector coverage,
@@ -53,6 +53,6 @@ pub use report::{
 };
 pub use verify::{
     audit_flat_stride, audit_flat_stride_parts, audit_flat_stride_with_table, audit_jump,
-    audit_jump_parts, audit_jump_with_table, audit_leaf_pushed, audit_merged,
-    audit_merged_leaf_pushed, audit_unibit, parity_probes,
+    audit_jump_parts, audit_jump_with_table, audit_jump_with_tables, audit_leaf_pushed,
+    audit_merged, audit_unibit, parity_probes,
 };

@@ -20,11 +20,13 @@ use std::process::ExitCode;
 
 use vr_audit::{
     audit_flat_stride, audit_flat_stride_with_table, audit_jump, audit_jump_with_table,
-    audit_leaf_pushed, audit_merged, audit_merged_leaf_pushed, audit_unibit, lint_workspace,
+    audit_jump_with_tables, audit_leaf_pushed, audit_merged, audit_unibit, lint_workspace,
     AuditReport,
 };
 use vr_net::synth::{ClusterSpec, FamilySpec, TableSpec, PAPER_TABLE_PREFIXES};
-use vr_trie::{FlatStrideTrie, JumpTrie, LeafPushedTrie, MergedTrie, StrideTrie, UnibitTrie};
+use vr_trie::{
+    FlatStrideTrie, JumpSlabs, JumpTrie, LeafPushedTrie, MergedTrie, StrideTrie, UnibitTrie,
+};
 
 const USAGE: &str = "vr-audit: structural invariant verifier for lookup-table encodings
 
@@ -149,7 +151,7 @@ fn cmd_tables(args: &[String]) -> Result<bool, String> {
     let unibit = UnibitTrie::from_table(&table);
     reports.push(audit_unibit(&unibit));
     let leaf_pushed = LeafPushedTrie::from_unibit(&unibit);
-    reports.push(audit_leaf_pushed(&leaf_pushed));
+    reports.push(audit_leaf_pushed(&leaf_pushed, std::slice::from_ref(&table)));
     reports.push(audit_jump_with_table(&JumpTrie::from_table(&table), &table));
     reports.push(audit_jump_with_table(&JumpTrie::from_unibit(&unibit), &table));
     reports.push(audit_jump_with_table(
@@ -172,8 +174,14 @@ fn cmd_tables(args: &[String]) -> Result<bool, String> {
     let merged = MergedTrie::from_tables(&tables).map_err(|e| format!("merging: {e}"))?;
     reports.push(audit_merged(&merged));
     let mlp = merged.leaf_pushed();
-    reports.push(audit_merged_leaf_pushed(&mlp, &tables));
-    reports.push(audit_jump(&JumpTrie::from_merged(&mlp)));
+    reports.push(audit_leaf_pushed(&mlp, &tables));
+    reports.push(audit_jump(&JumpTrie::from_leaf_pushed(&mlp)));
+    // The structure a service publishes after an update comes from the
+    // other builder: per-bucket sub-slabs, assembled.
+    reports.push(audit_jump_with_tables(
+        &JumpSlabs::from_merged(&merged).assemble(),
+        &tables,
+    ));
 
     emit(&reports, out.as_deref(), pretty)
 }

@@ -18,10 +18,7 @@ use vr_net::{Ipv4Prefix, RoutingTable};
 use vr_trie::flat::{self, FlatStrideParts};
 use vr_trie::jump::{self, JumpTrieParts};
 use vr_trie::unibit::NodeId;
-use vr_trie::{
-    FlatStrideTrie, JumpTrie, LeafPushedTrie, LookupBackend, MergedLeafPushed, MergedTrie,
-    UnibitTrie,
-};
+use vr_trie::{FlatStrideTrie, JumpTrie, LeafPushedTrie, LookupBackend, MergedTrie, UnibitTrie};
 
 /// Highest valid encoded NHI code: `0` = no route, `1 + nh` with
 /// `nh: u8`, so anything above `256` silently truncates on decode.
@@ -395,7 +392,17 @@ pub fn audit_jump_with_table(trie: &JumpTrie, table: &RoutingTable) -> AuditRepo
     let mut a = Audit::new(format!("jump(k={})", trie.arity()));
     let stats = check_jump(&mut a, trie.raw_parts());
     let oracle = UnibitTrie::from_table(table);
-    check_parity(&mut a, CheckKind::JumpConsistency, table, trie, &oracle);
+    check_parity(&mut a, CheckKind::JumpConsistency, 0, table, trie, &oracle);
+    a.finish(stats)
+}
+
+/// Audits a K-way [`JumpTrie`] structurally and checks every virtual
+/// network's lookups against an oracle built from its own table.
+#[must_use]
+pub fn audit_jump_with_tables(trie: &JumpTrie, tables: &[RoutingTable]) -> AuditReport {
+    let mut a = Audit::new(format!("jump(k={})", trie.arity()));
+    let stats = check_jump(&mut a, trie.raw_parts());
+    check_vn_parity(&mut a, tables, trie.arity(), trie);
     a.finish(stats)
 }
 
@@ -641,7 +648,7 @@ pub fn audit_flat_stride_with_table(trie: &FlatStrideTrie, table: &RoutingTable)
     let mut a = Audit::new(format!("flat_stride({:?})", trie.strides()));
     let stats = check_flat_stride(&mut a, trie.raw_parts());
     let oracle = UnibitTrie::from_table(table);
-    check_parity(&mut a, CheckKind::OracleParity, table, trie, &oracle);
+    check_parity(&mut a, CheckKind::OracleParity, 0, table, trie, &oracle);
     a.finish(stats)
 }
 
@@ -649,34 +656,29 @@ pub fn audit_flat_stride_with_table(trie: &FlatStrideTrie, table: &RoutingTable)
 // Pointer tries
 // ---------------------------------------------------------------------------
 
-/// Traverses a full binary pointer trie from `root`, verifying that every
+/// Traverses a leaf-pushed trie from its root, verifying that every
 /// node is visited exactly once (tree, not DAG or cycle) and that every
 /// path terminates within the 32-bit address depth. Returns
 /// `(visited, leaves, internal)`.
-fn sweep_full_binary(
-    a: &mut Audit,
-    root: NodeId,
-    node_count: usize,
-    children: impl Fn(NodeId) -> Option<(NodeId, NodeId)>,
-    label: &str,
-) -> (usize, usize, usize) {
+fn sweep_full_binary(a: &mut Audit, trie: &LeafPushedTrie) -> (usize, usize, usize) {
+    let node_count = trie.node_count();
     a.declare(CheckKind::LevelOrder);
     a.declare(CheckKind::LeafCompleteness);
     a.declare(CheckKind::Invariants);
     let mut visited = std::collections::HashSet::new();
     let mut leaves = 0usize;
     let mut internal = 0usize;
-    let mut stack = vec![(root, 0u32)];
+    let mut stack = vec![(NodeId::ROOT, 0u32)];
     while let Some((id, depth)) = stack.pop() {
         if !visited.insert(id) {
             a.error(
                 CheckKind::Invariants,
                 Coordinates::word(depth as usize, id.raw() as usize, 0),
-                format!("{label} node {} reached twice (cycle or shared subtree)", id.raw()),
+                format!("leaf-pushed node {} reached twice (cycle or shared subtree)", id.raw()),
             );
             continue;
         }
-        match children(id) {
+        match trie.node_children(id) {
             None => leaves += 1,
             Some((l, r)) => {
                 internal += 1;
@@ -684,7 +686,7 @@ fn sweep_full_binary(
                     a.error(
                         CheckKind::LeafCompleteness,
                         Coordinates::word(depth as usize, id.raw() as usize, 0),
-                        format!("{label} internal node at depth {depth} exceeds the address width"),
+                        format!("leaf-pushed internal node at depth {depth} exceeds the address width"),
                     );
                     continue;
                 }
@@ -747,34 +749,6 @@ pub fn audit_unibit(trie: &UnibitTrie) -> AuditReport {
     })
 }
 
-/// Audits a [`LeafPushedTrie`]: fullness, single-visit tree shape, and
-/// depth bounds.
-#[must_use]
-pub fn audit_leaf_pushed(trie: &LeafPushedTrie) -> AuditReport {
-    let mut a = Audit::new("leaf_pushed");
-    let (visited, leaves, _) = sweep_full_binary(
-        &mut a,
-        trie.root(),
-        trie.node_count(),
-        |id| trie.node_children(id),
-        "leaf-pushed",
-    );
-    if !trie.is_full() {
-        a.error(
-            CheckKind::Invariants,
-            Coordinates::none(),
-            "trie reports itself non-full (leaf/internal identity broken)",
-        );
-    }
-    a.finish(AuditStats {
-        nodes: visited as u64,
-        leaves: leaves as u64,
-        nhi_entries: leaves as u64,
-        arity: 1,
-        ..AuditStats::default()
-    })
-}
-
 /// Audits a [`MergedTrie`]: presence/subtree accounting via its own
 /// invariant check, plus arity bounds.
 #[must_use]
@@ -803,20 +777,18 @@ pub fn audit_merged(trie: &MergedTrie) -> AuditReport {
     })
 }
 
-/// Audits a [`MergedLeafPushed`] trie: fullness, tree shape, depth
-/// bounds, and per-VNID lookup parity against the source tables (every
-/// virtual network's routes must be answered from its slice of the NHI
-/// vectors, with no stale cross-VN answers).
+/// Audits a [`LeafPushedTrie`] of any arity: fullness, single-visit tree
+/// shape, depth bounds, and per-VNID lookup parity against the source
+/// `tables` (every virtual network's routes must be answered from its
+/// slice of the NHI vectors, with no stale cross-VN answers). The report
+/// is named `leaf_pushed` at arity 1 and `merged_leaf_pushed(k=K)` above.
 #[must_use]
-pub fn audit_merged_leaf_pushed(trie: &MergedLeafPushed, tables: &[RoutingTable]) -> AuditReport {
-    let mut a = Audit::new(format!("merged_leaf_pushed(k={})", trie.arity()));
-    let (visited, leaves, _) = sweep_full_binary(
-        &mut a,
-        trie.root(),
-        trie.node_count(),
-        |id| trie.node_children(id),
-        "merged",
-    );
+pub fn audit_leaf_pushed(trie: &LeafPushedTrie, tables: &[RoutingTable]) -> AuditReport {
+    let mut a = Audit::new(match trie.arity() {
+        1 => "leaf_pushed".to_string(),
+        k => format!("merged_leaf_pushed(k={k})"),
+    });
+    let (visited, leaves, _) = sweep_full_binary(&mut a, trie);
     if !trie.is_full() {
         a.error(
             CheckKind::Invariants,
@@ -824,16 +796,7 @@ pub fn audit_merged_leaf_pushed(trie: &MergedLeafPushed, tables: &[RoutingTable]
             "trie reports itself non-full (leaf/internal identity broken)",
         );
     }
-    a.declare(CheckKind::NhiVector);
-    if tables.len() != trie.arity() {
-        a.error(
-            CheckKind::NhiVector,
-            Coordinates::none(),
-            format!("{} source tables for arity {}", tables.len(), trie.arity()),
-        );
-    } else {
-        check_vn_parity(&mut a, tables, |vn, ip| trie.lookup(vn, ip));
-    }
+    check_vn_parity(&mut a, tables, trie.arity(), trie);
     a.finish(AuditStats {
         nodes: visited as u64,
         leaves: leaves as u64,
@@ -874,57 +837,55 @@ fn host_mask(prefix: &Ipv4Prefix) -> u32 {
     }
 }
 
-/// Walks `trie` and `oracle` over the parity probes of `table` (VN 0),
-/// recording every disagreement under `check`.
+/// Walks virtual network `vn` of `trie` and the single-table `oracle` over
+/// the parity probes of `table`, recording every disagreement under
+/// `check`.
 fn check_parity(
     a: &mut Audit,
     check: CheckKind,
+    vn: usize,
     table: &RoutingTable,
     trie: &impl LookupBackend,
     oracle: &impl LookupBackend,
 ) {
     a.declare(check);
     for ip in parity_probes(table) {
-        let (got, want) = (trie.lookup_vn(0, ip), oracle.lookup_vn(0, ip));
+        let (got, want) = (trie.lookup_vn(vn, ip), oracle.lookup_vn(0, ip));
         if got != want {
             a.error(
                 check,
                 Coordinates {
-                    level: None,
+                    level: u32::try_from(vn).ok(),
                     offset: Some(u64::from(ip)),
                     word: None,
                 },
-                format!("lookup({ip:#010x}) = {got:?}, oracle says {want:?}"),
+                format!("vn {vn} lookup({ip:#010x}) = {got:?}, oracle says {want:?}"),
             );
         }
     }
 }
 
-/// Per-VNID parity: every virtual network's lookups must match an oracle
-/// built from that network's own table alone.
+/// Per-VNID parity: `tables` must cover the structure's `arity` exactly,
+/// and every virtual network's lookups must match an oracle built from
+/// that network's own table alone.
 fn check_vn_parity(
     a: &mut Audit,
     tables: &[RoutingTable],
-    lookup: impl Fn(usize, u32) -> Option<NextHop>,
+    arity: usize,
+    trie: &impl LookupBackend,
 ) {
-    a.declare(CheckKind::OracleParity);
+    a.declare(CheckKind::NhiVector);
+    if tables.len() != arity {
+        a.error(
+            CheckKind::NhiVector,
+            Coordinates::none(),
+            format!("{} source tables for arity {arity}", tables.len()),
+        );
+        return;
+    }
     for (vn, table) in tables.iter().enumerate() {
         let oracle = UnibitTrie::from_table(table);
-        for ip in parity_probes(table) {
-            let got = lookup(vn, ip);
-            let want = oracle.lookup(ip);
-            if got != want {
-                a.error(
-                    CheckKind::OracleParity,
-                    Coordinates {
-                        level: u32::try_from(vn).ok(),
-                        offset: Some(u64::from(ip)),
-                        word: None,
-                    },
-                    format!("vn {vn} lookup({ip:#010x}) = {got:?}, oracle says {want:?}"),
-                );
-            }
-        }
+        check_parity(a, CheckKind::OracleParity, vn, table, trie, &oracle);
     }
 }
 
@@ -964,7 +925,8 @@ mod tests {
         let empty = UnibitTrie::new();
         assert!(audit_unibit(&empty).is_clean());
         assert!(audit_jump(&JumpTrie::from_unibit(&empty)).is_clean());
-        assert!(audit_leaf_pushed(&LeafPushedTrie::from_unibit(&empty)).is_clean());
+        let pushed = LeafPushedTrie::from_unibit(&empty);
+        assert!(audit_leaf_pushed(&pushed, &[RoutingTable::new()]).is_clean());
     }
 
     /// The sample's jump trie with its sub-slab words and NHI slab passed
@@ -1033,6 +995,6 @@ mod tests {
         let merged = MergedTrie::from_tables(&tables).unwrap();
         assert!(audit_merged(&merged).is_clean());
         let pushed = merged.leaf_pushed();
-        assert!(audit_merged_leaf_pushed(&pushed, &tables).is_clean());
+        assert!(audit_leaf_pushed(&pushed, &tables).is_clean());
     }
 }

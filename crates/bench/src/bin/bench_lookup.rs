@@ -540,7 +540,7 @@ fn run_scale(
     .generate()
     .unwrap();
     let merged = MergedTrie::from_tables(&family).unwrap().leaf_pushed();
-    let merged_jump = JumpTrie::from_merged(&merged);
+    let merged_jump = JumpTrie::from_leaf_pushed(&merged);
 
     // Probe set: perturbed prefix addresses cycled to `probe_count`, so
     // walks reach realistic depths instead of missing at the root.
@@ -670,7 +670,7 @@ fn run_cached_rows(rows: &mut Vec<Row>, iters: usize) {
         .unwrap();
     let n = family[0].prefixes().count();
     let merged = MergedTrie::from_tables(&family).unwrap().leaf_pushed();
-    let jump = JumpTrie::from_merged(&merged);
+    let jump = JumpTrie::from_leaf_pushed(&merged);
     // Any fixed generation works when driving the trie directly; the
     // services tag slots with the live RCU publish generation instead.
     const GENERATION: u64 = 1;

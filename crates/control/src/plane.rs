@@ -771,6 +771,30 @@ mod tests {
         let _ = plane.shutdown();
     }
 
+    /// The service's two builders (from-scratch at construction, per-bucket
+    /// assembly after an update) must publish one footprint for one family,
+    /// or the first batch reads as a phantom step in watts.
+    #[test]
+    fn reannouncing_an_unchanged_route_costs_no_watts() {
+        let tables = vr_net::synth::FamilySpec {
+            prefixes_per_table: 400,
+            ..vr_net::synth::FamilySpec::paper_worst_case(4, 0.5, 2012)
+        }
+        .generate()
+        .unwrap();
+        let route = tables[1].iter().next().unwrap();
+        let unchanged = [RouteUpdate::Announce {
+            vnid: 1,
+            prefix: route.prefix,
+            next_hop: route.next_hop,
+        }];
+        let mut plane =
+            ControlPlane::new(small_service(tables), ControlConfig::default()).unwrap();
+        let o = plane.apply_batch(&unchanged).unwrap();
+        assert!(o.power_delta_w.abs() < 1e-9, "phantom delta {} W", o.power_delta_w);
+        let _ = plane.shutdown();
+    }
+
     #[test]
     fn alpha_pm_clamps_degenerate_inputs() {
         assert_eq!(alpha_pm(1.0), 1000);

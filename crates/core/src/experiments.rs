@@ -339,39 +339,37 @@ pub fn fig4_series(cfg: &ExperimentConfig) -> Result<Vec<Fig4Point>, PowerError>
     let (frac_low, frac_high) = cfg.resolve_shared_fractions();
     let layout = MemoryLayout::default();
     let per_k = fan_out((1..=cfg.k_max_fig4).collect(), |k| {
-        let mut points = Vec::new();
-        // Separate: K independent leaf-pushed tries.
-        let tables = cfg.family(k, frac_high)?;
-        let (mut ptr_bits, mut nhi_bits) = (0u64, 0u64);
-        for table in &tables {
-            let lp = LeafPushedTrie::from_unibit(&UnibitTrie::from_table(table));
-            let profile = PipelineProfile::for_single(&lp, cfg.stages, layout)?;
-            ptr_bits += profile.pointer_memory_bits();
-            nhi_bits += profile.nhi_memory_bits();
-        }
-        points.push(Fig4Point {
-            series: "separate".into(),
-            k,
-            pointer_mbits: ptr_bits as f64 / MBIT,
-            nhi_mbits: nhi_bits as f64 / MBIT,
-            measured_alpha: None,
-        });
-        // Merged at the two α targets.
+        // A series point sizes a set of engines, one leaf-pushed trie
+        // apiece: K tries of arity 1 for the separate scheme, one of
+        // arity K for the merged one at each of the two α targets.
+        let point = |label: &str, tries: &[LeafPushedTrie], measured_alpha| {
+            let (mut ptr_bits, mut nhi_bits) = (0u64, 0u64);
+            for trie in tries {
+                let profile = PipelineProfile::for_trie(trie, cfg.stages, layout)?;
+                ptr_bits += profile.pointer_memory_bits();
+                nhi_bits += profile.nhi_memory_bits();
+            }
+            Ok::<_, PowerError>(Fig4Point {
+                series: label.into(),
+                k,
+                pointer_mbits: ptr_bits as f64 / MBIT,
+                nhi_mbits: nhi_bits as f64 / MBIT,
+                measured_alpha,
+            })
+        };
+        let separate: Vec<LeafPushedTrie> = cfg
+            .family(k, frac_high)?
+            .iter()
+            .map(|t| LeafPushedTrie::from_unibit(&UnibitTrie::from_table(t)))
+            .collect();
+        let mut points = vec![point("separate", &separate, None)?];
         for (label, frac) in [
             ("merged (α≈0.8)", frac_high),
             ("merged (α≈0.2)", frac_low),
         ] {
-            let tables = cfg.family(k, frac)?;
-            let merged = MergedTrie::from_tables(&tables)?;
-            let pushed = merged.leaf_pushed();
-            let profile = PipelineProfile::for_merged(&pushed, cfg.stages, layout)?;
-            points.push(Fig4Point {
-                series: label.into(),
-                k,
-                pointer_mbits: profile.pointer_memory_bits() as f64 / MBIT,
-                nhi_mbits: profile.nhi_memory_bits() as f64 / MBIT,
-                measured_alpha: Some(merged.merging_efficiency()),
-            });
+            let merged = MergedTrie::from_tables(&cfg.family(k, frac)?)?;
+            let alpha = Some(merged.merging_efficiency());
+            points.push(point(label, &[merged.leaf_pushed()], alpha)?);
         }
         Ok(points)
     })?;
@@ -781,7 +779,7 @@ pub fn update_cost(cfg: &ExperimentConfig, k: usize) -> Result<Vec<UpdateRow>, P
         let mean_writes = writes as f64 / updates as f64;
         let write_rate = (0.01 * mean_writes / 29.0).min(1.0); // 29 ≈ path writes at reference
         let pushed = merged.leaf_pushed();
-        let profile = PipelineProfile::for_merged(&pushed, cfg.stages, MemoryLayout::default())?;
+        let profile = PipelineProfile::for_trie(&pushed, cfg.stages, MemoryLayout::default())?;
         let blocks = vr_fpga::bram::blocks_for_stages(
             BramMode::K18,
             &profile.per_stage_memory_bits(),
@@ -1014,7 +1012,7 @@ pub fn merged_scaling(cfg: &ExperimentConfig) -> Result<Vec<MergedScalingRow>, P
         let tables = cfg.family(k, frac_low)?;
         let merged = MergedTrie::from_tables(&tables)?;
         let pushed = merged.leaf_pushed();
-        let profile = PipelineProfile::for_merged(&pushed, cfg.stages, layout)?;
+        let profile = PipelineProfile::for_trie(&pushed, cfg.stages, layout)?;
         let per_stage = profile.per_stage_memory_bits();
         let blocks18 = vr_fpga::bram::blocks_for_stages(BramMode::K18, &per_stage);
         let bram_36k = blocks18.div_ceil(2);
@@ -1092,7 +1090,7 @@ pub fn cache_skew_study(cfg: &ExperimentConfig, k: usize) -> Result<Vec<CacheSke
 
     let tables = cfg.family(k, 0.5)?;
     let merged = MergedTrie::from_tables(&tables)?;
-    let jump = JumpTrie::from_merged(&merged.leaf_pushed());
+    let jump = JumpTrie::from_leaf_pushed(&merged.leaf_pushed());
     let estimate = quick_estimate(&tables, SchemeKind::Merged, SpeedGrade::Minus2)?;
     let bits_per_packet = f64::from(vr_net::traffic::MIN_PACKET_BYTES * 8);
 

@@ -12,9 +12,8 @@ use vr_fpga::logic::PeProfile;
 use vr_fpga::timing::{self, TimingContext};
 use vr_fpga::{BramMode, Device, SchemeKind, SpeedGrade};
 use vr_net::RoutingTable;
-use vr_trie::merge::merge_tables;
 use vr_trie::pipeline_map::{MemoryLayout, PAPER_PIPELINE_STAGES};
-use vr_trie::{LeafPushedTrie, PipelineProfile, UnibitTrie};
+use vr_trie::{LeafPushedTrie, MergedTrie, PipelineProfile, UnibitTrie};
 
 /// Everything needed to evaluate one configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -115,38 +114,35 @@ impl Scenario {
         }
         let mu = resolve_mu(spec.utilization.as_deref(), k)?;
 
-        let single_profiles = || -> Result<Vec<Vec<u64>>, PowerError> {
+        // The paper's K engines vs. one: K tries of arity 1, or one of
+        // arity K; `stage_bits` sizes either.
+        let stage_bits = |trie: &LeafPushedTrie| -> Result<Vec<u64>, PowerError> {
+            let profile = PipelineProfile::for_trie(trie, spec.stages, spec.layout)?;
+            Ok(profile.per_stage_memory_bits())
+        };
+        let single_stage_bits = || -> Result<Vec<Vec<u64>>, PowerError> {
             tables
                 .iter()
-                .map(|t| {
-                    let lp = LeafPushedTrie::from_unibit(&UnibitTrie::from_table(t));
-                    let profile = PipelineProfile::for_single(&lp, spec.stages, spec.layout)?;
-                    Ok(profile.per_stage_memory_bits())
-                })
+                .map(|t| stage_bits(&LeafPushedTrie::from_unibit(&UnibitTrie::from_table(t))))
                 .collect()
         };
 
         let (engine_stage_bits, alpha) = match spec.scheme {
-            SchemeKind::NonVirtualized | SchemeKind::Separate => (single_profiles()?, None),
+            SchemeKind::NonVirtualized | SchemeKind::Separate => (single_stage_bits()?, None),
             SchemeKind::Merged => {
-                let (merged, pushed) = merge_tables(tables)?;
-                let measured_alpha = merged.merging_efficiency();
-                let stage_bits = match spec.merged_memory {
-                    MergedMemoryModel::Structural => {
-                        let profile =
-                            PipelineProfile::for_merged(&pushed, spec.stages, spec.layout)?;
-                        profile.per_stage_memory_bits()
-                    }
+                let merged = MergedTrie::from_tables(tables)?;
+                let merged_stage_bits = match spec.merged_memory {
+                    MergedMemoryModel::Structural => stage_bits(&merged.leaf_pushed())?,
                     MergedMemoryModel::PaperLiteral { alpha } => {
                         if !(0.0..=1.0).contains(&alpha) || !alpha.is_finite() {
                             return Err(PowerError::InvalidParameter(
                                 "literal Eq. 5 alpha must be in [0, 1]",
                             ));
                         }
-                        paper_literal_merged_stage_bits(&single_profiles()?, alpha)
+                        paper_literal_merged_stage_bits(&single_stage_bits()?, alpha)
                     }
                 };
-                (vec![stage_bits], Some(measured_alpha))
+                (vec![merged_stage_bits], Some(merged.merging_efficiency()))
             }
         };
 

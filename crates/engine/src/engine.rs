@@ -5,6 +5,10 @@
 //! Latency is exactly the stage count; throughput is one packet per cycle
 //! when the input is saturated — the properties the paper's architecture
 //! guarantees by construction and our tests assert.
+//!
+//! The stage memories hold one [`LeafPushedTrie`] whatever the scheme: an
+//! NV or VS engine is the arity-1 case, the merged engine the arity-K one
+//! whose leaf read indexes the NHI vector by VNID (§IV-C).
 
 use serde::{Deserialize, Serialize};
 use vr_fpga::bram::BramMode;
@@ -13,7 +17,7 @@ use vr_fpga::grade::SpeedGrade;
 use vr_net::table::NextHop;
 use vr_net::VnId;
 use vr_trie::unibit::NodeId;
-use vr_trie::{LeafPushedTrie, MergedLeafPushed, PipelineProfile, StrideTrie};
+use vr_trie::{LeafPushedTrie, PipelineProfile};
 
 use crate::EngineError;
 
@@ -109,58 +113,6 @@ impl EngineStats {
 }
 
 #[derive(Debug, Clone)]
-enum TrieStore {
-    Single(LeafPushedTrie),
-    Merged(MergedLeafPushed),
-    Stride(StrideTrie),
-}
-
-impl TrieStore {
-    fn root(&self) -> NodeId {
-        match self {
-            TrieStore::Single(t) => t.root(),
-            TrieStore::Merged(t) => t.root(),
-            TrieStore::Stride(_) => NodeId::ROOT,
-        }
-    }
-
-    /// One stage-memory read: returns the NHI found at this step (if any;
-    /// deeper finds are always longer matches, so callers overwrite) and
-    /// the node to continue at (`None` = walk finished).
-    ///
-    /// `level` is the trie level being processed — a bit index for the
-    /// uni-bit stores, unused for stride nodes (they know their level).
-    fn step(
-        &self,
-        vnid: VnId,
-        dst: u32,
-        level: u8,
-        cursor: NodeId,
-    ) -> (Option<NextHop>, Option<NodeId>) {
-        match self {
-            TrieStore::Single(t) => match t.node_children(cursor) {
-                None => (t.node_nhi(cursor), None),
-                Some((l, r)) => {
-                    let bit = (dst >> (31 - u32::from(level))) & 1;
-                    (None, Some(if bit == 0 { l } else { r }))
-                }
-            },
-            TrieStore::Merged(t) => match t.node_children(cursor) {
-                None => (t.node_nhi_for(cursor, usize::from(vnid)), None),
-                Some((l, r)) => {
-                    let bit = (dst >> (31 - u32::from(level))) & 1;
-                    (None, Some(if bit == 0 { l } else { r }))
-                }
-            },
-            TrieStore::Stride(t) => {
-                let (found, next) = t.walk_step(cursor.raw(), dst);
-                (found, next.map(NodeId::from_raw))
-            }
-        }
-    }
-}
-
-#[derive(Debug, Clone)]
 struct Slot {
     vnid: VnId,
     dst: u32,
@@ -180,8 +132,8 @@ struct Slot {
 ///
 /// let table: RoutingTable = "10.0.0.0/8 1\n".parse().unwrap();
 /// let trie = LeafPushedTrie::from_unibit(&UnibitTrie::from_table(&table));
-/// let profile = PipelineProfile::for_single(&trie, 28, MemoryLayout::default()).unwrap();
-/// let mut engine = PipelineEngine::new_single(trie, &profile, EngineConfig::paper_default()).unwrap();
+/// let profile = PipelineProfile::for_trie(&trie, 28, MemoryLayout::default()).unwrap();
+/// let mut engine = PipelineEngine::new(trie, &profile, EngineConfig::paper_default()).unwrap();
 ///
 /// engine.tick(Some((0, 0x0A00_0001))); // inject a packet for 10.0.0.1
 /// let done = engine.drain().pop().unwrap();
@@ -190,7 +142,9 @@ struct Slot {
 /// ```
 #[derive(Debug, Clone)]
 pub struct PipelineEngine {
-    store: TrieStore,
+    /// The stage memories' content: one network's trie (arity 1) behind
+    /// the VNID distributor, or the K-way merged one.
+    trie: LeafPushedTrie,
     /// Trie-level range handled by each stage (`None` = pass-through).
     stage_levels: Vec<Option<(u8, u8)>>,
     /// BRAM blocks backing each stage's memory.
@@ -201,63 +155,13 @@ pub struct PipelineEngine {
 }
 
 impl PipelineEngine {
-    /// Builds an engine over a single-network trie.
+    /// Builds an engine over `trie`: a single-network engine at arity 1
+    /// (NV, or one of VS's K), the merged engine at arity K.
     ///
     /// # Errors
     /// Rejects an empty profile or non-positive frequency.
-    pub fn new_single(
+    pub fn new(
         trie: LeafPushedTrie,
-        profile: &PipelineProfile,
-        cfg: EngineConfig,
-    ) -> Result<Self, EngineError> {
-        Self::build(TrieStore::Single(trie), profile, cfg)
-    }
-
-    /// Builds an engine over a merged (K-network) trie.
-    ///
-    /// # Errors
-    /// Rejects an empty profile or non-positive frequency.
-    pub fn new_merged(
-        trie: MergedLeafPushed,
-        profile: &PipelineProfile,
-        cfg: EngineConfig,
-    ) -> Result<Self, EngineError> {
-        Self::build(TrieStore::Merged(trie), profile, cfg)
-    }
-
-    /// Builds an engine over a fixed-stride multi-bit trie: one pipeline
-    /// stage per stride level (the depth-bounded organization of the
-    /// paper's refs. [7][8]). `entry_bits` sizes each slot's memory word.
-    ///
-    /// # Errors
-    /// Rejects non-positive frequency.
-    pub fn new_stride(
-        trie: StrideTrie,
-        entry_bits: u32,
-        cfg: EngineConfig,
-    ) -> Result<Self, EngineError> {
-        if !cfg.freq_mhz.is_finite() || cfg.freq_mhz <= 0.0 {
-            return Err(EngineError::InvalidParameter("frequency must be positive"));
-        }
-        let levels = trie.levels();
-        let stage_levels = (0..levels).map(|l| Some((l as u8, l as u8))).collect();
-        let stage_blocks = trie
-            .per_stage_memory_bits(entry_bits)
-            .iter()
-            .map(|&bits| cfg.bram_mode.blocks_for(bits))
-            .collect();
-        Ok(Self {
-            store: TrieStore::Stride(trie),
-            stage_levels,
-            stage_blocks,
-            slots: vec![None; levels],
-            cfg,
-            stats: EngineStats::default(),
-        })
-    }
-
-    fn build(
-        store: TrieStore,
         profile: &PipelineProfile,
         cfg: EngineConfig,
     ) -> Result<Self, EngineError> {
@@ -275,7 +179,7 @@ impl PipelineEngine {
             .collect();
         let n = profile.stage_count();
         Ok(Self {
-            store,
+            trie,
             stage_levels,
             stage_blocks,
             slots: vec![None; n],
@@ -294,12 +198,6 @@ impl PipelineEngine {
     #[must_use]
     pub fn stats(&self) -> &EngineStats {
         &self.stats
-    }
-
-    /// The engine's configuration.
-    #[must_use]
-    pub fn config(&self) -> &EngineConfig {
-        &self.cfg
     }
 
     /// Whether any packet is still in flight.
@@ -341,7 +239,7 @@ impl PipelineEngine {
             let mut slot = Slot {
                 vnid,
                 dst,
-                cursor: self.store.root(),
+                cursor: NodeId::ROOT,
                 result: None,
                 done: false,
                 entered_cycle: self.stats.cycles,
@@ -368,25 +266,6 @@ impl PipelineEngine {
         out
     }
 
-    /// Drives a whole batch through the pipeline at full line rate — one
-    /// injection per cycle, then a drain — and returns the completed
-    /// lookups in exit order (`inputs.len()` of them).
-    ///
-    /// Cycle-exact: counters and energy accounting advance exactly as if
-    /// the caller had issued `tick(Some(..))` per packet followed by
-    /// `drain()`, so saturated-throughput and power figures are unchanged;
-    /// this is the batched entry point the experiment sweeps drive.
-    pub fn run_batch(&mut self, inputs: &[(VnId, u32)]) -> Vec<CompletedLookup> {
-        let mut out = Vec::with_capacity(inputs.len());
-        for &(vnid, dst) in inputs {
-            if let Some(done) = self.tick(Some((vnid, dst))) {
-                out.push(done);
-            }
-        }
-        out.extend(self.drain());
-        out
-    }
-
     /// Performs stage `j`'s trie-level steps on `slot`.
     fn process_stage(&mut self, slot: &mut Slot, j: usize) {
         let Some((first, last)) = self.stage_levels[j] else {
@@ -402,13 +281,19 @@ impl PipelineEngine {
             self.stats.memory_reads += 1;
             self.stats.bram_energy_pj +=
                 self.stage_blocks[j] as f64 * self.cfg.bram_mode.uw_per_block_mhz(self.cfg.grade);
-            let (found, next) = self.store.step(slot.vnid, slot.dst, level, slot.cursor);
-            if found.is_some() {
-                slot.result = found; // deeper finds are longer matches
-            }
-            match next {
-                Some(node) => slot.cursor = node,
-                None => slot.done = true,
+            match self.trie.node_children(slot.cursor) {
+                Some((l, r)) => {
+                    let bit = (slot.dst >> (31 - u32::from(level))) & 1;
+                    slot.cursor = if bit == 0 { l } else { r };
+                }
+                None => {
+                    // An arity-1 engine sits behind the VNID distributor
+                    // (Fig. 1), which already consumed the VNID; the
+                    // merged engine indexes its leaf vector by it.
+                    let vn = if self.trie.arity() == 1 { 0 } else { usize::from(slot.vnid) };
+                    slot.result = self.trie.node_nhis(slot.cursor).get(vn).copied().flatten();
+                    slot.done = true;
+                }
             }
         }
     }
@@ -443,9 +328,9 @@ mod tests {
     fn build_engine(seed: u64, stages: usize) -> (RoutingTable, PipelineEngine) {
         let table = TableSpec::paper_worst_case(seed).generate().unwrap();
         let lp = LeafPushedTrie::from_unibit(&UnibitTrie::from_table(&table));
-        let profile = PipelineProfile::for_single(&lp, stages, MemoryLayout::default()).unwrap();
+        let profile = PipelineProfile::for_trie(&lp, stages, MemoryLayout::default()).unwrap();
         let engine =
-            PipelineEngine::new_single(lp, &profile, EngineConfig::paper_default()).unwrap();
+            PipelineEngine::new(lp, &profile, EngineConfig::paper_default()).unwrap();
         (table, engine)
     }
 
@@ -511,7 +396,6 @@ mod tests {
 
     #[test]
     fn merged_engine_resolves_per_vnid() {
-        use vr_trie::merge::merge_tables;
         let tables = vr_net::synth::FamilySpec {
             k: 3,
             prefixes_per_table: 200,
@@ -522,15 +406,15 @@ mod tests {
         }
         .generate()
         .unwrap();
-        let (_, pushed) = merge_tables(&tables).unwrap();
-        let profile = PipelineProfile::for_merged(
+        let pushed = vr_trie::MergedTrie::from_tables(&tables).unwrap().leaf_pushed();
+        let profile = PipelineProfile::for_trie(
             &pushed,
             PAPER_PIPELINE_STAGES,
             MemoryLayout::default(),
         )
         .unwrap();
         let mut engine =
-            PipelineEngine::new_merged(pushed, &profile, EngineConfig::paper_default()).unwrap();
+            PipelineEngine::new(pushed, &profile, EngineConfig::paper_default()).unwrap();
         let mut inputs = Vec::new();
         for (vnid, table) in tables.iter().enumerate() {
             for p in table.prefixes().take(50) {
@@ -557,51 +441,6 @@ mod tests {
     }
 
     #[test]
-    fn stride_engine_matches_oracle_with_short_latency() {
-        let table = TableSpec::paper_worst_case(12).generate().unwrap();
-        for stride in [2u8, 4, 8] {
-            let trie = StrideTrie::from_table(&table, &vec![stride; 32 / usize::from(stride)])
-                .unwrap();
-            let levels = trie.levels();
-            let mut engine =
-                PipelineEngine::new_stride(trie, 32, EngineConfig::paper_default()).unwrap();
-            assert_eq!(engine.stage_count(), levels);
-            let probes: Vec<u32> = table
-                .prefixes()
-                .map(|p| p.addr().wrapping_add(11))
-                .take(300)
-                .collect();
-            let mut outputs = Vec::new();
-            for &ip in &probes {
-                if let Some(done) = engine.tick(Some((0, ip))) {
-                    outputs.push(done);
-                }
-            }
-            outputs.extend(engine.drain());
-            assert_eq!(outputs.len(), probes.len());
-            for done in outputs {
-                assert_eq!(
-                    done.next_hop,
-                    table.lookup(done.dst),
-                    "stride {stride} dst {:#010x}",
-                    done.dst
-                );
-                // Depth-bounded pipelines: latency = 32/stride cycles.
-                assert_eq!(done.latency_cycles, levels as u64);
-            }
-        }
-    }
-
-    #[test]
-    fn stride_engine_rejects_bad_frequency() {
-        let table = TableSpec::paper_worst_case(13).generate().unwrap();
-        let trie = StrideTrie::from_table(&table, &[8, 8, 8, 8]).unwrap();
-        let mut cfg = EngineConfig::paper_default();
-        cfg.freq_mhz = 0.0;
-        assert!(PipelineEngine::new_stride(trie, 32, cfg).is_err());
-    }
-
-    #[test]
     fn gated_idle_engine_burns_no_dynamic_energy() {
         let (_, mut engine) = build_engine(5, PAPER_PIPELINE_STAGES);
         for _ in 0..100 {
@@ -617,11 +456,11 @@ mod tests {
         let table = TableSpec::paper_worst_case(6).generate().unwrap();
         let lp = LeafPushedTrie::from_unibit(&UnibitTrie::from_table(&table));
         let profile =
-            PipelineProfile::for_single(&lp, PAPER_PIPELINE_STAGES, MemoryLayout::default())
+            PipelineProfile::for_trie(&lp, PAPER_PIPELINE_STAGES, MemoryLayout::default())
                 .unwrap();
         let mut cfg = EngineConfig::paper_default();
         cfg.gating = GatingPolicy::NONE;
-        let mut engine = PipelineEngine::new_single(lp, &profile, cfg).unwrap();
+        let mut engine = PipelineEngine::new(lp, &profile, cfg).unwrap();
         for _ in 0..100 {
             engine.tick(None);
         }
@@ -658,10 +497,10 @@ mod tests {
         let table = TableSpec::paper_worst_case(8).generate().unwrap();
         let lp = LeafPushedTrie::from_unibit(&UnibitTrie::from_table(&table));
         let profile =
-            PipelineProfile::for_single(&lp, 28, MemoryLayout::default()).unwrap();
+            PipelineProfile::for_trie(&lp, 28, MemoryLayout::default()).unwrap();
         let mut cfg = EngineConfig::paper_default();
         cfg.freq_mhz = -1.0;
-        assert!(PipelineEngine::new_single(lp, &profile, cfg).is_err());
+        assert!(PipelineEngine::new(lp, &profile, cfg).is_err());
     }
 
     #[test]

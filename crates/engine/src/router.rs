@@ -19,9 +19,8 @@ use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use vr_fpga::SchemeKind;
 use vr_net::{RoutingTable, TrafficGenerator};
-use vr_trie::merge::merge_tables;
 use vr_trie::pipeline_map::MemoryLayout;
-use vr_trie::{LeafPushedTrie, PipelineProfile, UnibitTrie};
+use vr_trie::{LeafPushedTrie, MergedTrie, PipelineProfile, UnibitTrie};
 
 /// How packets arrive at the router.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -82,22 +81,23 @@ impl VirtualRouterSim {
         if tables.is_empty() {
             return Err(EngineError::InvalidParameter("need at least one table"));
         }
-        let layout = MemoryLayout::default();
-        let engines = match cfg.organization {
+        // The paper's K engines vs. one: K tries of arity 1, or one of
+        // arity K. Everything after this line is scheme-blind.
+        let tries = match cfg.organization {
             SchemeKind::NonVirtualized | SchemeKind::Separate => tables
                 .iter()
-                .map(|t| {
-                    let lp = LeafPushedTrie::from_unibit(&UnibitTrie::from_table(t));
-                    let profile = PipelineProfile::for_single(&lp, cfg.stages, layout)?;
-                    PipelineEngine::new_single(lp, &profile, cfg.engine)
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-            SchemeKind::Merged => {
-                let (_, pushed) = merge_tables(&tables)?;
-                let profile = PipelineProfile::for_merged(&pushed, cfg.stages, layout)?;
-                vec![PipelineEngine::new_merged(pushed, &profile, cfg.engine)?]
-            }
+                .map(|t| LeafPushedTrie::from_unibit(&UnibitTrie::from_table(t)))
+                .collect(),
+            SchemeKind::Merged => vec![MergedTrie::from_tables(&tables)?.leaf_pushed()],
         };
+        let engines = tries
+            .into_iter()
+            .map(|trie| {
+                let profile =
+                    PipelineProfile::for_trie(&trie, cfg.stages, MemoryLayout::default())?;
+                PipelineEngine::new(trie, &profile, cfg.engine)
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         Ok(Self {
             organization: cfg.organization,
             engines,

@@ -61,15 +61,10 @@ pub struct TableSnapshot {
 }
 
 /// The lookup structure both services publish for a table family: the
-/// plain jump trie for one table, the merged leaf-pushed one for K.
+/// jump trie of its K-way merged leaf-pushed trie (K = 1 included).
 pub(crate) fn build_trie(tables: &[RoutingTable]) -> Result<JumpTrie, EngineError> {
-    if tables.len() == 1 {
-        Ok(JumpTrie::from_table(&tables[0]))
-    } else {
-        Ok(JumpTrie::from_merged(
-            &MergedTrie::from_tables(tables)?.leaf_pushed(),
-        ))
-    }
+    let merged = MergedTrie::from_tables(tables)?;
+    Ok(JumpTrie::from_leaf_pushed(&merged.leaf_pushed()))
 }
 
 /// Structural audit gate for candidate snapshots: active in debug builds

@@ -72,12 +72,6 @@ impl Ipv4Prefix {
         self.len
     }
 
-    /// `true` only for the zero-length default route.
-    #[must_use]
-    pub fn is_default_route(&self) -> bool {
-        self.len == 0
-    }
-
     /// The netmask corresponding to the prefix length.
     #[must_use]
     pub fn netmask(&self) -> u32 {

@@ -286,12 +286,6 @@ impl Tracer {
         }
     }
 
-    /// Tracer with the default 1-in-64 sampling and default capacity.
-    #[must_use]
-    pub fn with_defaults() -> Self {
-        Self::new(DEFAULT_SAMPLE, DEFAULT_TRACE_CAPACITY)
-    }
-
     /// The configured 1-in-N sampling rate.
     #[must_use]
     pub fn sample(&self) -> u32 {

@@ -26,7 +26,11 @@
 //!   cache-resident even when the whole trie would not.
 //! * `nhis` — K-wide VNID-indexed NHI vectors shared by both tiers, so
 //!   one structure serves single tables (K = 1) and the virtualized
-//!   merged scheme (§IV-C).
+//!   merged scheme (§IV-C). Identical vectors share one slot: every
+//!   writer of the slab goes through `NhiInterner`, which belongs to
+//!   the codec defined here, so the from-scratch builder and
+//!   [`JumpSlabs::assemble`](crate::subslab::JumpSlabs::assemble)
+//!   publish the same footprint for the same tables.
 //!
 //! A lookup therefore bottoms out in 1 load for prefixes at /16 or
 //! shorter and `1 + (depth − 16)` loads beyond — 2–3 dependent loads for
@@ -38,7 +42,6 @@
 //! shadow bank while the live bank keeps serving.
 
 use crate::leafpush::LeafPushedTrie;
-use crate::merge::MergedLeafPushed;
 use crate::unibit::{NodeId, UnibitTrie};
 use serde::{Deserialize, Serialize};
 use vr_net::table::{NextHop, RoutingTable};
@@ -68,6 +71,117 @@ pub(crate) fn encode_nhi(nhi: Option<NextHop>) -> NhiCode {
 #[allow(clippy::cast_possible_truncation)]
 pub(crate) fn decode_nhi(code: NhiCode) -> Option<NextHop> {
     code.checked_sub(1).map(|v| v as NextHop)
+}
+
+/// The NHI slab's writer: deduplicates K-wide vectors into the growing
+/// slab, returning each vector's slot. Both builders of a [`JumpTrie`]
+/// ([`JumpTrie::from_leaf_pushed`] and
+/// [`JumpSlabs::assemble`](crate::subslab::JumpSlabs::assemble)) emit
+/// their leaves through it, so the same tables publish the same-sized
+/// structure whichever path built it — the hardware's shared NHI memory,
+/// and the footprint the control plane prices in watts.
+///
+/// A build interns one vector per direct bucket (up to 65,536) plus one
+/// per leaf word, while the distinct-vector count is orders of magnitude
+/// smaller — and repeats arrive in long address-space runs (an empty /8
+/// is thousands of consecutive identical direct buckets). Two levels
+/// exploit that shape:
+///
+/// * a **last-vector memo** short-circuits consecutive repeats with one
+///   slice compare, no hashing;
+/// * misses go through an open-addressed table keyed by an FNV-1a hash,
+///   with keys stored as slots into the slab itself (no owned `Vec`
+///   keys, no `SipHash`) — the per-publish assembly is on the control
+///   plane's per-batch path, so constant factors here are throughput.
+pub(crate) struct NhiInterner {
+    k: usize,
+    /// The growing NHI slab (k entries per interned vector).
+    slab: Vec<NhiCode>,
+    /// Open-addressed table of `(fnv_hash, slot + 1)`; 0 means empty.
+    table: Vec<(u64, u32)>,
+    /// Live entries, to trigger growth at 1/2 load.
+    len: usize,
+    /// Memo of the most recently interned vector's slot.
+    last: Option<u32>,
+}
+
+impl NhiInterner {
+    pub(crate) fn new(k: usize) -> Self {
+        Self {
+            k,
+            slab: Vec::new(),
+            table: vec![(0, 0); 1024],
+            len: 0,
+            last: None,
+        }
+    }
+
+    fn hash(vector: &[NhiCode]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for &x in vector {
+            h = (h ^ u64::from(x)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
+
+    fn slot_slice(&self, slot: u32) -> &[NhiCode] {
+        let start = slot as usize * self.k;
+        &self.slab[start..start + self.k]
+    }
+
+    pub(crate) fn intern(&mut self, vector: &[NhiCode]) -> u32 {
+        debug_assert_eq!(vector.len(), self.k);
+        if let Some(slot) = self.last {
+            if self.slot_slice(slot) == vector {
+                return slot;
+            }
+        }
+        let hash = Self::hash(vector);
+        let mask = self.table.len() - 1;
+        let mut i = (hash as usize) & mask;
+        loop {
+            let (h, tagged) = self.table[i];
+            if tagged == 0 {
+                break;
+            }
+            let slot = tagged - 1;
+            if h == hash && self.slot_slice(slot) == vector {
+                self.last = Some(slot);
+                return slot;
+            }
+            i = (i + 1) & mask;
+        }
+        let slot = u32::try_from(self.slab.len() / self.k).expect("NHI slab overflow");
+        debug_assert_eq!(slot & LEAF_BIT, 0, "jump trie too large");
+        self.slab.extend_from_slice(vector);
+        self.table[i] = (hash, slot + 1);
+        self.len += 1;
+        self.last = Some(slot);
+        if self.len * 2 >= self.table.len() {
+            self.grow();
+        }
+        slot
+    }
+
+    fn grow(&mut self) {
+        let next = vec![(0u64, 0u32); self.table.len() * 2];
+        let old = std::mem::replace(&mut self.table, next);
+        let mask = self.table.len() - 1;
+        for (h, tagged) in old {
+            if tagged == 0 {
+                continue;
+            }
+            let mut i = (h as usize) & mask;
+            while self.table[i].1 != 0 {
+                i = (i + 1) & mask;
+            }
+            self.table[i] = (h, tagged);
+        }
+    }
+
+    pub(crate) fn into_slab(self) -> Vec<NhiCode> {
+        self.slab
+    }
 }
 
 /// Two-tier lookup structure: direct-indexed first 16 bits, level-slab
@@ -155,60 +269,23 @@ impl JumpTrie {
         }
     }
 
-    /// Builds the jump trie from a leaf-pushed trie (`K = 1`).
+    /// Builds the jump trie from a leaf-pushed trie of any arity; leaves
+    /// keep their K-wide VNID-indexed NHI vectors, interned into one slab.
+    ///
+    /// Descends the full binary trie to depth 16, writing final entries
+    /// for leaves met on the way, then flattens the surviving depth-16
+    /// subtrees breadth-first into `words`.
     #[must_use]
     pub fn from_leaf_pushed(trie: &LeafPushedTrie) -> Self {
-        Self::build(
-            trie.root(),
-            1,
-            |id| trie.node_children(id),
-            |id, _vn| trie.node_nhi(id),
-        )
-    }
-
-    /// Leaf-pushes and converts a uni-bit trie (`K = 1`).
-    #[must_use]
-    pub fn from_unibit(trie: &UnibitTrie) -> Self {
-        Self::from_leaf_pushed(&LeafPushedTrie::from_unibit(trie))
-    }
-
-    /// Builds directly from a routing table (`K = 1`).
-    #[must_use]
-    pub fn from_table(table: &RoutingTable) -> Self {
-        Self::from_unibit(&UnibitTrie::from_table(table))
-    }
-
-    /// Converts a K-way merged leaf-pushed trie; leaves keep their K-wide
-    /// VNID-indexed NHI vectors.
-    #[must_use]
-    pub fn from_merged(trie: &MergedLeafPushed) -> Self {
-        Self::build(
-            trie.root(),
-            trie.arity(),
-            |id| trie.node_children(id),
-            |id, vn| trie.node_nhi_for(id, vn),
-        )
-    }
-
-    /// Shared construction: descend the full binary trie to depth 16,
-    /// writing final entries for leaves met on the way, then flatten the
-    /// surviving depth-16 subtrees breadth-first into `words`.
-    fn build(
-        root: NodeId,
-        k: usize,
-        children: impl Fn(NodeId) -> Option<(NodeId, NodeId)>,
-        nhi: impl Fn(NodeId, usize) -> Option<NextHop>,
-    ) -> Self {
-        assert!(k >= 1, "NHI vector width must be at least 1");
+        let k = trie.arity();
         let mut table = vec![0u32; ROOT_ENTRIES];
-        let mut nhis: Vec<NhiCode> = Vec::new();
-        let emit_leaf = |nhis: &mut Vec<NhiCode>, id: NodeId| -> u32 {
-            let slot = u32::try_from(nhis.len() / k).expect("NHI slab overflow");
-            debug_assert_eq!(slot & LEAF_BIT, 0, "jump trie too large");
-            for vn in 0..k {
-                nhis.push(encode_nhi(nhi(id, vn)));
+        let mut interner = NhiInterner::new(k);
+        let mut codes: Vec<NhiCode> = vec![0; k];
+        let mut emit_leaf = |id: NodeId| -> u32 {
+            for (code, nhi) in codes.iter_mut().zip(trie.node_nhis(id)) {
+                *code = encode_nhi(*nhi);
             }
-            LEAF_BIT | slot
+            LEAF_BIT | interner.intern(&codes)
         };
 
         // Iterative descent to depth 16. `stack` holds (node, index of the
@@ -216,11 +293,11 @@ impl JumpTrie {
         // whole aligned run of buckets and is emitted once.
         let mut subtrees: Vec<NodeId> = Vec::new(); // depth-16 internal nodes
         let mut subtree_buckets: Vec<usize> = Vec::new(); // their root slots
-        let mut stack: Vec<(NodeId, usize, u32)> = vec![(root, 0, 0)];
+        let mut stack: Vec<(NodeId, usize, u32)> = vec![(NodeId::ROOT, 0, 0)];
         while let Some((id, bucket, depth)) = stack.pop() {
-            match children(id) {
+            match trie.node_children(id) {
                 None => {
-                    let entry = emit_leaf(&mut nhis, id);
+                    let entry = emit_leaf(id);
                     let run = 1usize << (JUMP_BITS - depth);
                     table[bucket..bucket + run].fill(entry);
                 }
@@ -248,7 +325,7 @@ impl JumpTrie {
         let mut level_offsets = vec![0u32];
         let mut frontier: Vec<NodeId> = Vec::with_capacity(subtrees.len() * 2);
         for (&id, &bucket) in subtrees.iter().zip(&subtree_buckets) {
-            let (l, r) = children(id).expect("subtree roots are internal");
+            let (l, r) = trie.node_children(id).expect("subtree roots are internal");
             let child_base = u32::try_from(frontier.len()).expect("jump trie too large");
             debug_assert_eq!(child_base & LEAF_BIT, 0, "jump trie too large");
             table[bucket] = child_base;
@@ -260,7 +337,7 @@ impl JumpTrie {
             let next_offset = u32::try_from(words.len() + frontier.len())
                 .expect("jump trie exceeds u32 words");
             for &id in &frontier {
-                match children(id) {
+                match trie.node_children(id) {
                     Some((l, r)) => {
                         let child_base = next_offset + u32::try_from(next.len()).unwrap();
                         debug_assert_eq!(child_base & LEAF_BIT, 0, "jump trie too large");
@@ -268,7 +345,7 @@ impl JumpTrie {
                         next.push(l);
                         next.push(r);
                     }
-                    None => words.push(emit_leaf(&mut nhis, id)),
+                    None => words.push(emit_leaf(id)),
                 }
             }
             level_offsets.push(next_offset);
@@ -279,9 +356,31 @@ impl JumpTrie {
             root: table,
             words,
             level_offsets,
-            nhis,
+            nhis: interner.into_slab(),
             k,
         }
+    }
+
+    /// Leaf-pushes and converts a uni-bit trie (`K = 1`).
+    #[must_use]
+    pub fn from_unibit(trie: &UnibitTrie) -> Self {
+        Self::from_leaf_pushed(&LeafPushedTrie::from_unibit(trie))
+    }
+
+    /// Builds directly from a routing table (`K = 1`).
+    #[must_use]
+    pub fn from_table(table: &RoutingTable) -> Self {
+        Self::from_unibit(&UnibitTrie::from_table(table))
+    }
+
+    /// [`JumpTrie::from_leaf_pushed`] under its pre-unification name, kept
+    /// only because `benchmark/src/layers.rs` spells
+    /// `JumpTrie::from_leaf_pushed(&merged.leaf_pushed())` and a PR that changes
+    /// the library may not edit the benchmark; it goes when a
+    /// `benchmark`-type PR switches that call.
+    #[must_use]
+    pub fn from_merged(trie: &LeafPushedTrie) -> Self {
+        Self::from_leaf_pushed(trie)
     }
 
     /// NHI vector width (1, or K for merged tries).
@@ -471,7 +570,7 @@ mod tests {
             table(""),
         ];
         let merged = MergedTrie::from_tables(&tables).unwrap();
-        let jump = JumpTrie::from_merged(&merged.leaf_pushed());
+        let jump = JumpTrie::from_leaf_pushed(&merged.leaf_pushed());
         assert_eq!(jump.arity(), 3);
         for (vn, t) in tables.iter().enumerate() {
             for ip in probes(t) {

@@ -12,7 +12,10 @@
 //!   incremental insert/withdraw, and per-level statistics;
 //! * [`LeafPushedTrie`] — the leaf-pushing transform (Ruiz-Sánchez et al.,
 //!   paper ref. \[16\]): a *full* binary trie whose NHI lives only in
-//!   leaves, which is what the pipeline stages store;
+//!   leaves, which is what the pipeline stages store. It carries its
+//!   arity K — a leaf holds a K-wide NHI vector indexed by VNID — so the
+//!   single-table trie (K = 1) and the merged scheme's are one type built
+//!   by one recursion;
 //! * [`FlatStrideTrie`] — level-ordered flat storage of the multi-bit
 //!   trie: one contiguous slab of packed `u64` entries per pipeline
 //!   stage, plus a stage-lockstep `lookup_batch` (software pipelining)
@@ -20,10 +23,11 @@
 //! * [`JumpTrie`] — the one binary level-slab layout: a 2^16-entry
 //!   direct-index root resolving the first 16 bits in one load, fused
 //!   with per-level slabs of packed `u32` node words for the > /16
-//!   remainder ([`jump`] defines the word and NHI codec);
-//! * [`MergedTrie`] / [`MergedLeafPushed`] — the K-way overlay used by the
-//!   virtualized-merged scheme, with *measured* merging efficiency α
-//!   (Assumption 4) and K-wide leaf vectors;
+//!   remainder ([`jump`] defines the word and NHI codec, the interning
+//!   NHI-slab writer included);
+//! * [`MergedTrie`] — the K-way overlay used by the virtualized-merged
+//!   scheme, with *measured* merging efficiency α (Assumption 4);
+//!   [`MergedTrie::leaf_pushed`] is its [`LeafPushedTrie`] of arity K;
 //! * [`JumpSlabs`] / [`DirtyBuckets`] — per-/16-bucket sub-slab store for
 //!   the control plane: route updates re-derive only dirty buckets and
 //!   assemble a publishable [`JumpTrie`] without a from-scratch rebuild;
@@ -72,7 +76,7 @@ pub use jump::{JumpTrie, JumpTrieParts};
 pub use lane::{lookup_lanes, lookup_lanes_vn, DEFAULT_LANE_WIDTH};
 pub use leafpush::LeafPushedTrie;
 pub use multibit::StrideTrie;
-pub use merge::{MergedLeafPushed, MergedTrie};
+pub use merge::MergedTrie;
 pub use pipeline_map::{MemoryLayout, PipelineProfile, StageProfile};
 pub use stats::TrieStats;
 pub use subslab::{DirtyBuckets, JumpSlabs};

@@ -19,7 +19,13 @@
 //! [`MergedTrie::insert`] and [`MergedTrie::remove`] announce/withdraw one
 //! virtual network's route, maintaining per-VN subtree accounting so
 //! presence masks, per-VN node counts and pruning stay exact under churn.
+//!
+//! This module holds the overlay only. The structure the pipeline stores
+//! is its leaf-pushed form, [`MergedTrie::leaf_pushed`] — a
+//! [`LeafPushedTrie`] of arity K, the same type (and the same `push`
+//! recursion) a single table leaf-pushes into at K = 1.
 
+use crate::leafpush::LeafPushedTrie;
 use crate::unibit::{NodeId, UnibitTrie};
 use crate::TrieError;
 use vr_net::table::NextHop;
@@ -336,10 +342,11 @@ impl MergedTrie {
         best
     }
 
-    /// Applies leaf pushing, producing the structure the pipeline stores.
+    /// Applies leaf pushing, producing the structure the pipeline stores:
+    /// a full binary trie whose leaves hold K-wide NHI vectors.
     #[must_use]
-    pub fn leaf_pushed(&self) -> MergedLeafPushed {
-        MergedLeafPushed::from_merged(self)
+    pub fn leaf_pushed(&self) -> LeafPushedTrie {
+        LeafPushedTrie::from_merged(self)
     }
 
     /// Internal-consistency check used by property tests: reachability,
@@ -389,8 +396,9 @@ impl MergedTrie {
 
     /// Child of node `id` along branch `bit` (0 = left, 1 = right).
     ///
-    /// Exposes the merged structure read-only so sub-slab builders
-    /// ([`crate::subslab::JumpSlabs`]) can descend without cloning.
+    /// Exposes the merged structure read-only so leaf pushing and the
+    /// sub-slab builder ([`crate::subslab::JumpSlabs`]) can descend
+    /// without cloning.
     ///
     /// # Panics
     /// Panics if `bit > 1` or `id` is not a live node id.
@@ -407,10 +415,6 @@ impl MergedTrie {
     #[must_use]
     pub fn node_nhis(&self, id: NodeId) -> &[Option<NextHop>] {
         &self.nodes[id.idx()].nhis
-    }
-
-    fn node(&self, id: NodeId) -> &MergedNode {
-        &self.nodes[id.idx()]
     }
 }
 
@@ -443,195 +447,7 @@ fn full_mask(k: usize) -> u64 {
     }
 }
 
-#[derive(Debug, Clone)]
-struct MlpNode {
-    children: Option<(NodeId, NodeId)>,
-    /// K-wide NHI vector; meaningful only at leaves.
-    nhis: Vec<Option<NextHop>>,
-}
-
-/// Leaf-pushed merged trie: a full binary trie whose leaves store K-wide
-/// NHI vectors (one entry per virtual network, indexed by VNID).
-#[derive(Debug, Clone)]
-pub struct MergedLeafPushed {
-    nodes: Vec<MlpNode>,
-    root: NodeId,
-    k: usize,
-}
-
-impl MergedLeafPushed {
-    /// Applies leaf pushing to a merged trie.
-    #[must_use]
-    pub fn from_merged(merged: &MergedTrie) -> Self {
-        let mut nodes = Vec::with_capacity(merged.node_count() * 2);
-        let inherited = vec![None; merged.k];
-        let root = push(merged, NodeId(0), &inherited, &mut nodes);
-        Self {
-            nodes,
-            root,
-            k: merged.k,
-        }
-    }
-
-    /// Number of virtual networks.
-    #[must_use]
-    pub fn arity(&self) -> usize {
-        self.k
-    }
-
-    /// Total node count.
-    #[must_use]
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Number of leaves — each stores a K-wide NHI vector.
-    #[must_use]
-    pub fn leaf_count(&self) -> usize {
-        self.nodes.iter().filter(|n| n.children.is_none()).count()
-    }
-
-    /// Number of internal (pointer) nodes.
-    #[must_use]
-    pub fn internal_count(&self) -> usize {
-        self.node_count() - self.leaf_count()
-    }
-
-    /// Total NHI entries stored (leaves × K): the hardware provisions the
-    /// full vector width per leaf regardless of empty entries (§V-D).
-    #[must_use]
-    pub fn nhi_entries(&self) -> usize {
-        self.leaf_count() * self.k
-    }
-
-    /// Longest-prefix match for `ip` in virtual network `vnid`: walk to a
-    /// leaf, then index the vector by VNID.
-    #[must_use]
-    pub fn lookup(&self, vnid: usize, ip: u32) -> Option<NextHop> {
-        debug_assert!(vnid < self.k);
-        let mut cur = self.root;
-        let mut depth = 0u8;
-        loop {
-            let node = &self.nodes[cur.idx()];
-            match node.children {
-                None => return node.nhis[vnid],
-                Some((l, r)) => {
-                    debug_assert!(depth < 32);
-                    let bit = (ip >> (31 - depth)) & 1;
-                    cur = if bit == 0 { l } else { r };
-                    depth += 1;
-                }
-            }
-        }
-    }
-
-    /// The root node id (entry point for stage-by-stage traversal in the
-    /// pipeline simulator).
-    #[must_use]
-    pub fn root(&self) -> NodeId {
-        self.root
-    }
-
-    /// Children of a node: `Some((left, right))` for internal nodes,
-    /// `None` for leaves.
-    #[must_use]
-    pub fn node_children(&self, id: NodeId) -> Option<(NodeId, NodeId)> {
-        self.nodes[id.idx()].children
-    }
-
-    /// The NHI stored at a leaf for virtual network `vnid`.
-    #[must_use]
-    pub fn node_nhi_for(&self, id: NodeId, vnid: usize) -> Option<NextHop> {
-        self.nodes[id.idx()].nhis.get(vnid).copied().flatten()
-    }
-
-    /// Full-binary structural invariant (leaves = internal + 1).
-    #[must_use]
-    pub fn is_full(&self) -> bool {
-        self.leaf_count() == self.internal_count() + 1
-    }
-
-    /// Per-level statistics (prefix nodes = leaves with ≥1 NHI entry).
-    #[must_use]
-    pub fn stats(&self) -> crate::stats::TrieStats {
-        let mut stats = crate::stats::TrieStats::default();
-        let mut stack = vec![(self.root, 0u8)];
-        while let Some((id, depth)) = stack.pop() {
-            let node = &self.nodes[id.idx()];
-            match node.children {
-                None => stats.record(depth, true, node.nhis.iter().any(Option::is_some)),
-                Some((l, r)) => {
-                    stats.record(depth, false, false);
-                    stack.push((r, depth + 1));
-                    stack.push((l, depth + 1));
-                }
-            }
-        }
-        stats
-    }
-}
-
-fn push(
-    merged: &MergedTrie,
-    id: NodeId,
-    inherited: &[Option<NextHop>],
-    nodes: &mut Vec<MlpNode>,
-) -> NodeId {
-    let node = merged.node(id);
-    let effective: Vec<Option<NextHop>> = node
-        .nhis
-        .iter()
-        .zip(inherited)
-        .map(|(own, inh)| own.or(*inh))
-        .collect();
-    let slot = NodeId(u32::try_from(nodes.len()).expect("merged leaf-pushed trie exceeds u32"));
-    nodes.push(MlpNode {
-        children: None,
-        nhis: Vec::new(),
-    });
-    if node.is_leaf() {
-        nodes[slot.idx()].nhis = effective;
-        return slot;
-    }
-    let left = match node.children[0] {
-        Some(child) => push(merged, child, &effective, nodes),
-        None => alloc_leaf(nodes, effective.clone()),
-    };
-    let right = match node.children[1] {
-        Some(child) => push(merged, child, &effective, nodes),
-        None => alloc_leaf(nodes, effective.clone()),
-    };
-    nodes[slot.idx()].children = Some((left, right));
-    slot
-}
-
-fn alloc_leaf(nodes: &mut Vec<MlpNode>, nhis: Vec<Option<NextHop>>) -> NodeId {
-    let id = NodeId(u32::try_from(nodes.len()).expect("merged leaf-pushed trie exceeds u32"));
-    nodes.push(MlpNode {
-        children: None,
-        nhis,
-    });
-    id
-}
-
-/// Convenience: build everything from tables and return both views.
-///
-/// # Errors
-/// Same arity constraints as [`MergedTrie::from_tries`].
-pub fn merge_tables(tables: &[RoutingTable]) -> Result<(MergedTrie, MergedLeafPushed), TrieError> {
-    let merged = MergedTrie::from_tables(tables)?;
-    let pushed = merged.leaf_pushed();
-    Ok((merged, pushed))
-}
-
 impl crate::LookupBackend for MergedTrie {
-    #[inline]
-    fn lookup_vn(&self, vn: usize, ip: u32) -> Option<NextHop> {
-        self.lookup(vn, ip)
-    }
-}
-
-impl crate::LookupBackend for MergedLeafPushed {
     #[inline]
     fn lookup_vn(&self, vn: usize, ip: u32) -> Option<NextHop> {
         self.lookup(vn, ip)
@@ -641,7 +457,6 @@ impl crate::LookupBackend for MergedLeafPushed {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::leafpush::LeafPushedTrie;
     use vr_net::synth::{FamilySpec, TableSpec};
 
     fn family(k: usize, shared: f64, seed: u64) -> Vec<RoutingTable> {
@@ -720,13 +535,13 @@ mod tests {
     #[test]
     fn leaf_pushed_merged_lookup_matches_per_table_lookup() {
         let tables = family(3, 0.5, 22);
-        let (_, pushed) = merge_tables(&tables).unwrap();
+        let pushed = MergedTrie::from_tables(&tables).unwrap().leaf_pushed();
         assert!(pushed.is_full());
         for (vnid, table) in tables.iter().enumerate() {
             for prefix in table.prefixes().take(100) {
                 let probe = prefix.addr().wrapping_add(2);
                 assert_eq!(
-                    pushed.lookup(vnid, probe),
+                    pushed.lookup_vn(vnid, probe),
                     table.lookup(probe),
                     "vn {vnid} probe {probe:#010x}"
                 );
@@ -737,7 +552,7 @@ mod tests {
     #[test]
     fn nhi_entries_scale_with_arity() {
         let tables = family(5, 0.8, 3);
-        let (_, pushed) = merge_tables(&tables).unwrap();
+        let pushed = MergedTrie::from_tables(&tables).unwrap().leaf_pushed();
         assert_eq!(pushed.arity(), 5);
         assert_eq!(pushed.nhi_entries(), pushed.leaf_count() * 5);
     }
@@ -745,7 +560,8 @@ mod tests {
     #[test]
     fn single_table_merge_equals_plain_leaf_pushing() {
         let t = TableSpec::paper_worst_case(8).generate().unwrap();
-        let (merged, pushed) = merge_tables(std::slice::from_ref(&t)).unwrap();
+        let merged = MergedTrie::from_tables(std::slice::from_ref(&t)).unwrap();
+        let pushed = merged.leaf_pushed();
         let plain = LeafPushedTrie::from_unibit(&UnibitTrie::from_table(&t));
         assert_eq!(merged.node_count(), UnibitTrie::from_table(&t).node_count());
         assert_eq!(pushed.node_count(), plain.node_count());
@@ -852,7 +668,7 @@ mod tests {
         for (vn, table) in tables.iter().enumerate() {
             for prefix in table.prefixes().take(60) {
                 let probe = prefix.addr().wrapping_add(9);
-                assert_eq!(pushed.lookup(vn, probe), table.lookup(probe), "vn {vn}");
+                assert_eq!(pushed.lookup_vn(vn, probe), table.lookup(probe), "vn {vn}");
             }
         }
     }
@@ -903,7 +719,7 @@ mod tests {
 
     #[test]
     fn stats_of_leaf_pushed_merged_are_consistent() {
-        let (_, pushed) = merge_tables(&family(3, 0.6, 13)).unwrap();
+        let pushed = MergedTrie::from_tables(&family(3, 0.6, 13)).unwrap().leaf_pushed();
         let s = pushed.stats();
         assert_eq!(s.total_nodes, pushed.node_count());
         assert_eq!(s.leaves, pushed.leaf_count());

@@ -11,8 +11,7 @@
 //! * **NHI memory** — leaves × NHI width × K (merged leaves store a K-wide
 //!   next-hop vector indexed by VNID; K = 1 for non-merged engines).
 
-use crate::stats::TrieStats;
-use crate::{LeafPushedTrie, MergedLeafPushed, TrieError};
+use crate::{LeafPushedTrie, TrieError};
 use serde::{Deserialize, Serialize};
 
 /// The paper's pipeline depth N (§VI: "for all pipelines we assume a
@@ -76,24 +75,22 @@ pub struct PipelineProfile {
 }
 
 impl PipelineProfile {
-    /// Builds a profile from per-level statistics.
+    /// Profile of the pipeline storing `trie`: an NV or per-VS-engine
+    /// pipeline at arity 1, a merged one (leaves carry K-wide NHI vectors)
+    /// at arity K.
     ///
     /// # Errors
-    /// Rejects zero stages and a zero NHI multiplier.
-    pub fn from_stats(
-        stats: &TrieStats,
+    /// Rejects zero stages.
+    pub fn for_trie(
+        trie: &LeafPushedTrie,
         n_stages: usize,
-        nhi_width_multiplier: usize,
         layout: MemoryLayout,
     ) -> Result<Self, TrieError> {
         if n_stages == 0 {
             return Err(TrieError::ZeroStages);
         }
-        if nhi_width_multiplier == 0 {
-            return Err(TrieError::InvalidParameter(
-                "NHI width multiplier must be at least 1",
-            ));
-        }
+        let stats = trie.stats();
+        let nhi_width_multiplier = trie.arity();
         let depth = stats.depth();
         let mut stages = Vec::with_capacity(n_stages);
         for stage in 0..n_stages {
@@ -125,30 +122,6 @@ impl PipelineProfile {
             nhi_width_multiplier,
             layout,
         })
-    }
-
-    /// Profile of a single-network (NV or per-VS-engine) pipeline.
-    ///
-    /// # Errors
-    /// Rejects zero stages.
-    pub fn for_single(
-        trie: &LeafPushedTrie,
-        n_stages: usize,
-        layout: MemoryLayout,
-    ) -> Result<Self, TrieError> {
-        Self::from_stats(&trie.stats(), n_stages, 1, layout)
-    }
-
-    /// Profile of a merged pipeline: leaves carry K-wide NHI vectors.
-    ///
-    /// # Errors
-    /// Rejects zero stages.
-    pub fn for_merged(
-        trie: &MergedLeafPushed,
-        n_stages: usize,
-        layout: MemoryLayout,
-    ) -> Result<Self, TrieError> {
-        Self::from_stats(&trie.stats(), n_stages, trie.arity(), layout)
     }
 
     /// Number of stages.
@@ -185,14 +158,14 @@ impl PipelineProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::merge::merge_tables;
+    use crate::merge::MergedTrie;
     use crate::unibit::UnibitTrie;
     use vr_net::synth::{FamilySpec, TableSpec};
 
     fn single_profile(seed: u64, n_stages: usize) -> (LeafPushedTrie, PipelineProfile) {
         let table = TableSpec::paper_worst_case(seed).generate().unwrap();
         let lp = LeafPushedTrie::from_unibit(&UnibitTrie::from_table(&table));
-        let profile = PipelineProfile::for_single(&lp, n_stages, MemoryLayout::default()).unwrap();
+        let profile = PipelineProfile::for_trie(&lp, n_stages, MemoryLayout::default()).unwrap();
         (lp, profile)
     }
 
@@ -200,7 +173,7 @@ mod tests {
     fn zero_stages_is_rejected() {
         let (lp, _) = single_profile(1, 28);
         assert!(matches!(
-            PipelineProfile::for_single(&lp, 0, MemoryLayout::default()),
+            PipelineProfile::for_trie(&lp, 0, MemoryLayout::default()),
             Err(TrieError::ZeroStages)
         ));
     }
@@ -276,20 +249,14 @@ mod tests {
         }
         .generate()
         .unwrap();
-        let (_, pushed) = merge_tables(&tables).unwrap();
+        let pushed = MergedTrie::from_tables(&tables).unwrap().leaf_pushed();
         let profile =
-            PipelineProfile::for_merged(&pushed, PAPER_PIPELINE_STAGES, MemoryLayout::default())
+            PipelineProfile::for_trie(&pushed, PAPER_PIPELINE_STAGES, MemoryLayout::default())
                 .unwrap();
         assert_eq!(profile.nhi_width_multiplier, 4);
         assert_eq!(
             profile.nhi_memory_bits(),
             pushed.leaf_count() as u64 * 8 * 4
         );
-    }
-
-    #[test]
-    fn zero_nhi_multiplier_is_rejected() {
-        let (lp, _) = single_profile(11, 28);
-        assert!(PipelineProfile::from_stats(&lp.stats(), 28, 0, MemoryLayout::default()).is_err());
     }
 }

@@ -21,13 +21,16 @@
 //! (leaf-push completeness, even child pairs, level-ordered slabs) and is
 //! expected to pass the `vr-audit` structural verifier on every publish;
 //! property tests in this module and in `tests/` hold it to lookup parity
-//! with the from-scratch [`JumpTrie::from_merged`] build.
+//! and to the same footprint as the from-scratch
+//! [`JumpTrie::from_leaf_pushed`] build.
 //!
-//! Leaf NHI vectors are interned during assembly (identical K-wide
+//! Leaf NHI vectors are interned during assembly through the same
+//! `NhiInterner` the from-scratch builder uses (identical K-wide
 //! vectors share one slab slot), mirroring the hardware's shared NHI
-//! memory, so per-bucket duplication does not inflate the published slab.
+//! memory, so per-bucket duplication does not inflate the published slab
+//! and both builders publish the same-sized structure.
 
-use crate::jump::{encode_nhi, NhiCode, JumpTrie, JUMP_BITS, LEAF_BIT, ROOT_ENTRIES};
+use crate::jump::{encode_nhi, JumpTrie, NhiCode, NhiInterner, JUMP_BITS, LEAF_BIT, ROOT_ENTRIES};
 use crate::merge::MergedTrie;
 use crate::unibit::NodeId;
 use vr_net::Ipv4Prefix;
@@ -79,9 +82,9 @@ pub struct JumpSlabs {
 
 impl JumpSlabs {
     /// Decomposes a merged trie into per-bucket sub-slabs (the
-    /// incremental counterpart of [`JumpTrie::from_merged`], which
-    /// leaf-pushes on the fly instead of materializing
-    /// [`crate::MergedLeafPushed`]).
+    /// incremental counterpart of [`JumpTrie::from_leaf_pushed`],
+    /// leaf-pushing on the fly instead of reading a materialized
+    /// [`crate::LeafPushedTrie`]).
     #[must_use]
     pub fn from_merged(merged: &MergedTrie) -> Self {
         let k = merged.arity();
@@ -127,12 +130,6 @@ impl JumpSlabs {
             }
         }
         slabs
-    }
-
-    /// NHI vector width K.
-    #[must_use]
-    pub fn arity(&self) -> usize {
-        self.k
     }
 
     /// Re-derives one /16 bucket from the (already updated) merged trie:
@@ -232,112 +229,6 @@ impl JumpSlabs {
             }
         }
         JumpTrie::from_raw_parts(root, words, level_offsets, interner.into_slab(), self.k)
-    }
-}
-
-/// NHI-vector interner for [`JumpSlabs::assemble`]: deduplicates K-wide
-/// vectors into the growing NHI slab, returning each vector's slot.
-///
-/// Assembly interns one vector per direct bucket (up to 65,536) plus one
-/// per leaf word, while the distinct-vector count is orders of magnitude
-/// smaller — and repeats arrive in long address-space runs (an empty /8
-/// is thousands of consecutive identical direct buckets). Two levels
-/// exploit that shape:
-///
-/// * a **last-vector memo** short-circuits consecutive repeats with one
-///   slice compare, no hashing;
-/// * misses go through an open-addressed table keyed by an FNV-1a hash,
-///   with keys stored as slots into the slab itself (no owned `Vec`
-///   keys, no `SipHash`) — the per-publish assembly is on the control
-///   plane's per-batch path, so constant factors here are throughput.
-struct NhiInterner {
-    k: usize,
-    /// The growing NHI slab (k entries per interned vector).
-    slab: Vec<NhiCode>,
-    /// Open-addressed table of `(fnv_hash, slot + 1)`; 0 means empty.
-    table: Vec<(u64, u32)>,
-    /// Live entries, to trigger growth at 1/2 load.
-    len: usize,
-    /// Memo of the most recently interned vector's slot.
-    last: Option<u32>,
-}
-
-impl NhiInterner {
-    fn new(k: usize) -> Self {
-        Self {
-            k,
-            slab: Vec::new(),
-            table: vec![(0, 0); 1024],
-            len: 0,
-            last: None,
-        }
-    }
-
-    fn hash(vector: &[NhiCode]) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for &x in vector {
-            h = (h ^ u64::from(x)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
-    }
-
-    fn slot_slice(&self, slot: u32) -> &[NhiCode] {
-        let start = slot as usize * self.k;
-        &self.slab[start..start + self.k]
-    }
-
-    fn intern(&mut self, vector: &[NhiCode]) -> u32 {
-        debug_assert_eq!(vector.len(), self.k);
-        if let Some(slot) = self.last {
-            if self.slot_slice(slot) == vector {
-                return slot;
-            }
-        }
-        let hash = Self::hash(vector);
-        let mask = self.table.len() - 1;
-        let mut i = (hash as usize) & mask;
-        loop {
-            let (h, tagged) = self.table[i];
-            if tagged == 0 {
-                break;
-            }
-            let slot = tagged - 1;
-            if h == hash && self.slot_slice(slot) == vector {
-                self.last = Some(slot);
-                return slot;
-            }
-            i = (i + 1) & mask;
-        }
-        let slot = u32::try_from(self.slab.len() / self.k).expect("NHI slab overflow");
-        debug_assert_eq!(slot & LEAF_BIT, 0, "assembled jump trie too large");
-        self.slab.extend_from_slice(vector);
-        self.table[i] = (hash, slot + 1);
-        self.len += 1;
-        self.last = Some(slot);
-        if self.len * 2 >= self.table.len() {
-            self.grow();
-        }
-        slot
-    }
-
-    fn grow(&mut self) {
-        let next = vec![(0u64, 0u32); self.table.len() * 2];
-        let old = std::mem::replace(&mut self.table, next);
-        let mask = self.table.len() - 1;
-        for (h, tagged) in old {
-            if tagged == 0 {
-                continue;
-            }
-            let mut i = (h as usize) & mask;
-            while self.table[i].1 != 0 {
-                i = (i + 1) & mask;
-            }
-            self.table[i] = (h, tagged);
-        }
-    }
-
-    fn into_slab(self) -> Vec<NhiCode> {
-        self.slab
     }
 }
 
@@ -521,7 +412,8 @@ mod tests {
 
     fn assert_parity(slabs: &JumpSlabs, merged: &MergedTrie, tables: &[RoutingTable]) {
         let assembled = slabs.assemble();
-        let oracle = JumpTrie::from_merged(&merged.leaf_pushed());
+        let oracle = JumpTrie::from_leaf_pushed(&merged.leaf_pushed());
+        assert_eq!(assembled.memory_bits(8), oracle.memory_bits(8), "footprint");
         for (vn, table) in tables.iter().enumerate() {
             for ip in probes(tables) {
                 assert_eq!(
@@ -532,7 +424,7 @@ mod tests {
                 assert_eq!(
                     assembled.lookup_vn(vn, ip),
                     oracle.lookup_vn(vn, ip),
-                    "vn {vn} ip {ip:#010x} vs from_merged"
+                    "vn {vn} ip {ip:#010x} vs from_leaf_pushed"
                 );
             }
         }
@@ -556,6 +448,23 @@ mod tests {
         let merged = MergedTrie::from_tables(&tables).unwrap();
         let slabs = JumpSlabs::from_merged(&merged);
         assert_parity(&slabs, &merged, &tables);
+    }
+
+    /// The K = 15 paper family is where one structure with two writers
+    /// cost watts: the from-scratch build published 861 840 NHI codes and
+    /// the first update batch 181 815, a phantom −1.4 W power delta.
+    #[test]
+    fn both_builders_publish_one_footprint_for_the_paper_family() {
+        let tables = FamilySpec::paper_worst_case(15, 0.5, 2012).generate().unwrap();
+        let merged = MergedTrie::from_tables(&tables).unwrap();
+        let scratch = JumpTrie::from_leaf_pushed(&merged.leaf_pushed());
+        let assembled = JumpSlabs::from_merged(&merged).assemble();
+        assert_eq!(assembled.memory_bits(8), scratch.memory_bits(8));
+        for (vn, table) in tables.iter().enumerate() {
+            for ip in probes(std::slice::from_ref(table)) {
+                assert_eq!(assembled.lookup_vn(vn, ip), scratch.lookup_vn(vn, ip), "vn {vn}");
+            }
+        }
     }
 
     #[test]

@@ -18,13 +18,6 @@ impl NodeId {
     /// The root node's id (always 0 in a live trie).
     pub const ROOT: NodeId = NodeId(0);
 
-    /// Wraps a raw index (for callers holding indices from other node
-    /// arenas, e.g. the stride trie's walk interface).
-    #[must_use]
-    pub fn from_raw(raw: u32) -> Self {
-        NodeId(raw)
-    }
-
     /// The raw index.
     #[must_use]
     pub fn raw(self) -> u32 {

@@ -13,13 +13,15 @@
 
 use proptest::prelude::*;
 use vr_audit::{
-    audit_flat_stride_with_table, audit_jump, audit_jump_with_table, audit_leaf_pushed,
-    audit_merged, audit_merged_leaf_pushed, audit_unibit, CheckKind,
+    audit_flat_stride_with_table, audit_jump, audit_jump_with_table, audit_jump_with_tables,
+    audit_leaf_pushed, audit_merged, audit_unibit, CheckKind,
 };
 use vr_net::synth::{FamilySpec, TableSpec};
 use vr_net::table::{NextHop, RouteEntry};
 use vr_net::{Ipv4Prefix, RoutingTable};
-use vr_trie::{jump, FlatStrideTrie, JumpTrie, LeafPushedTrie, MergedTrie, StrideTrie, UnibitTrie};
+use vr_trie::{
+    jump, FlatStrideTrie, JumpSlabs, JumpTrie, LeafPushedTrie, MergedTrie, StrideTrie, UnibitTrie,
+};
 
 /// Strategy: an arbitrary routing table of 1 to `max` routes.
 fn arb_table(max: usize) -> impl Strategy<Value = RoutingTable> {
@@ -113,9 +115,9 @@ proptest! {
     fn merged_detects_vnid_gap(tables in prop::collection::vec(arb_table(24), 2..5)) {
         let merged = MergedTrie::from_tables(&tables).unwrap();
         let pushed = merged.leaf_pushed();
-        prop_assert!(audit_merged_leaf_pushed(&pushed, &tables).is_clean());
+        prop_assert!(audit_leaf_pushed(&pushed, &tables).is_clean());
         let gapped = &tables[..tables.len() - 1];
-        let report = audit_merged_leaf_pushed(&pushed, gapped);
+        let report = audit_leaf_pushed(&pushed, gapped);
         prop_assert!(!report.is_clean());
         prop_assert!(
             report.checks.iter().any(|c| c.check == CheckKind::NhiVector && !c.passed),
@@ -131,7 +133,7 @@ proptest! {
         let unibit = UnibitTrie::from_table(&table);
         prop_assert!(audit_unibit(&unibit).is_clean());
         let pushed = LeafPushedTrie::from_unibit(&unibit);
-        prop_assert!(audit_leaf_pushed(&pushed).is_clean());
+        prop_assert!(audit_leaf_pushed(&pushed, std::slice::from_ref(&table)).is_clean());
         prop_assert!(audit_jump_with_table(&JumpTrie::from_table(&table), &table).is_clean());
     }
 }
@@ -144,7 +146,7 @@ fn every_constructor_audits_clean_at_paper_scale() {
     let unibit = UnibitTrie::from_table(&table);
     assert!(audit_unibit(&unibit).is_clean());
     let pushed = LeafPushedTrie::from_unibit(&unibit);
-    assert!(audit_leaf_pushed(&pushed).is_clean());
+    assert!(audit_leaf_pushed(&pushed, std::slice::from_ref(&table)).is_clean());
 
     for report in [
         audit_jump_with_table(&JumpTrie::from_table(&table), &table),
@@ -165,8 +167,9 @@ fn every_constructor_audits_clean_at_paper_scale() {
     assert!(audit_merged(&merged).is_clean());
     let mlp = merged.leaf_pushed();
     for report in [
-        audit_merged_leaf_pushed(&mlp, &tables),
-        audit_jump(&JumpTrie::from_merged(&mlp)),
+        audit_leaf_pushed(&mlp, &tables),
+        audit_jump(&JumpTrie::from_leaf_pushed(&mlp)),
+        audit_jump_with_tables(&JumpSlabs::from_merged(&merged).assemble(), &tables),
     ] {
         assert!(report.is_clean(), "{}", report.summary());
     }

@@ -12,7 +12,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use vr_net::table::{NextHop, RouteEntry};
 use vr_net::{Ipv4Prefix, RoutingTable};
 use vr_trie::{
-    FlatStrideTrie, JumpTrie, LeafPushedTrie, LookupBackend, MergedTrie, StrideTrie, UnibitTrie,
+    FlatStrideTrie, JumpSlabs, JumpTrie, LeafPushedTrie, LookupBackend, MergedTrie, StrideTrie,
+    UnibitTrie,
 };
 
 /// `backend`'s batch walk and its scalar walk must both equal `oracle`'s
@@ -84,7 +85,6 @@ proptest! {
         check(&LeafPushedTrie::from_unibit(&unibit), &table, &batch);
         check(&StrideTrie::from_table(&table, &[8, 8, 8, 8]).unwrap(), &table, &batch);
         check(&merged, &table, &batch);
-        check(&merged.leaf_pushed(), &table, &batch);
     }
 
     #[test]
@@ -131,8 +131,13 @@ proptest! {
         batch in arb_batch(),
     ) {
         let merged = MergedTrie::from_tables(&tables).unwrap();
-        let jump = JumpTrie::from_merged(&merged.leaf_pushed());
+        let jump = JumpTrie::from_leaf_pushed(&merged.leaf_pushed());
         assert_batch_parity(&jump, &merged, tables.len(), &batch);
+        // The incremental builder publishes the same-sized structure for
+        // the same family (the footprint the control plane prices).
+        let assembled = JumpSlabs::from_merged(&merged).assemble();
+        prop_assert_eq!(assembled.memory_bits(8), jump.memory_bits(8));
+        assert_batch_parity(&assembled, &merged, tables.len(), &batch);
     }
 }
 
@@ -160,7 +165,6 @@ fn all_variants_handle_empty_and_paper_scale_batches() {
     assert_batch_parity(&FlatStrideTrie::from_stride(&stride), &table, 1, &batch);
     assert_batch_parity(&JumpTrie::from_leaf_pushed(&pushed), &table, 1, &batch);
     assert_batch_parity(&merged, &table, 1, &batch);
-    assert_batch_parity(&merged.leaf_pushed(), &table, 1, &batch);
 }
 
 /// Edge lengths the direct-index front end must get right: a /0 default

@@ -220,7 +220,7 @@ proptest! {
         batches in prop::collection::vec((1usize..300, 0u8..3), 1..10),
     ) {
         let tables = family(seed);
-        let trie = JumpTrie::from_merged(
+        let trie = JumpTrie::from_leaf_pushed(
             &MergedTrie::from_tables(&tables).expect("merge").leaf_pushed(),
         );
         let mut cache = LpmCache::new(64).expect("cache");

@@ -88,7 +88,7 @@ proptest! {
         batch in arb_batch(),
     ) {
         let merged = MergedTrie::from_tables(&tables).unwrap();
-        let jump = JumpTrie::from_merged(&merged.leaf_pushed());
+        let jump = JumpTrie::from_leaf_pushed(&merged.leaf_pushed());
         for vnid in 0..tables.len() {
             assert_lane_parity(&jump, vnid, &batch);
         }

@@ -5,7 +5,6 @@
 use proptest::prelude::*;
 use vr_net::table::{NextHop, RouteEntry};
 use vr_net::{Ipv4Prefix, RoutingTable};
-use vr_trie::merge::merge_tables;
 use vr_trie::{LeafPushedTrie, MergedTrie, UnibitTrie};
 
 /// Strategy: an arbitrary routing table of up to `max` routes.
@@ -37,7 +36,7 @@ proptest! {
         let pushed = LeafPushedTrie::from_unibit(&trie);
         prop_assert!(pushed.is_full());
         for ip in probes {
-            prop_assert_eq!(pushed.lookup(ip), table.lookup(ip), "ip {:#010x}", ip);
+            prop_assert_eq!(pushed.lookup_vn(0, ip), table.lookup(ip), "ip {:#010x}", ip);
         }
     }
 
@@ -54,8 +53,27 @@ proptest! {
         for (vnid, table) in tables.iter().enumerate() {
             for &ip in &probes {
                 prop_assert_eq!(merged.lookup(vnid, ip), table.lookup(ip));
-                prop_assert_eq!(pushed.lookup(vnid, ip), table.lookup(ip));
+                prop_assert_eq!(pushed.lookup_vn(vnid, ip), table.lookup(ip));
             }
+        }
+    }
+
+    /// K = 1 really is K: leaf-pushing one table through the merged
+    /// overlay gives the trie leaf-pushing it directly gives.
+    #[test]
+    fn single_table_merge_leaf_pushes_like_the_table(
+        table in arb_table(64),
+        probes in prop::collection::vec(any::<u32>(), 32),
+    ) {
+        let merged = MergedTrie::from_tables(std::slice::from_ref(&table)).unwrap();
+        let via_merge = LeafPushedTrie::from_merged(&merged);
+        let direct = LeafPushedTrie::from_unibit(&UnibitTrie::from_table(&table));
+        prop_assert_eq!(via_merge.arity(), 1);
+        prop_assert_eq!(via_merge.node_count(), direct.node_count());
+        prop_assert_eq!(via_merge.leaf_count(), direct.leaf_count());
+        prop_assert_eq!(via_merge.stats(), direct.stats());
+        for ip in probes {
+            prop_assert_eq!(via_merge.lookup_vn(0, ip), direct.lookup_vn(0, ip), "ip {:#010x}", ip);
         }
     }
 
@@ -159,9 +177,9 @@ proptest! {
         .generate()
         .unwrap();
         let pushed = LeafPushedTrie::from_unibit(&UnibitTrie::from_table(&table));
-        let profile = PipelineProfile::for_single(&pushed, 28, MemoryLayout::default()).unwrap();
+        let profile = PipelineProfile::for_trie(&pushed, 28, MemoryLayout::default()).unwrap();
         let mut engine =
-            PipelineEngine::new_single(pushed, &profile, EngineConfig::paper_default()).unwrap();
+            PipelineEngine::new(pushed, &profile, EngineConfig::paper_default()).unwrap();
 
         let probes: Vec<u32> = table.prefixes().map(|p| p.addr() ^ (seed as u32)).collect();
         let mut outputs = Vec::new();
@@ -187,15 +205,16 @@ fn three_structures_agree_on_paper_scale_table() {
         .unwrap();
     let trie = UnibitTrie::from_table(&table);
     let pushed = LeafPushedTrie::from_unibit(&trie);
-    let (merged, merged_pushed) = merge_tables(std::slice::from_ref(&table)).unwrap();
+    let merged = MergedTrie::from_tables(std::slice::from_ref(&table)).unwrap();
+    let merged_pushed = merged.leaf_pushed();
     let mut checked = 0usize;
     for p in table.prefixes() {
         for probe in [p.addr(), p.addr() | 0xFF, p.addr().wrapping_sub(1)] {
             let expect = table.lookup(probe);
             assert_eq!(trie.lookup(probe), expect);
-            assert_eq!(pushed.lookup(probe), expect);
+            assert_eq!(pushed.lookup_vn(0, probe), expect);
             assert_eq!(merged.lookup(0, probe), expect);
-            assert_eq!(merged_pushed.lookup(0, probe), expect);
+            assert_eq!(merged_pushed.lookup_vn(0, probe), expect);
             checked += 1;
         }
     }
