@@ -1,13 +1,13 @@
 //! The experiment table behind `all_experiments`: one `fn(&Ctx)` per
 //! table/figure/study, each writing `results/<name>.{csv,json}` under
 //! its table name. Experiments that read the K × scheme × grade power
-//! sweep (`fig5`–`fig8`, `lowpower`, the closing summary) share one
+//! sweep (`fig5`–`fig8`, `lowpower`, `claims`, the closing summary) share one
 //! computation of it through [`Ctx`].
 
 use crate::{emit, opt_num};
 use serde::Serialize;
 use std::cell::{Cell, OnceCell};
-use vr_power::claims::{verify_claims, ClaimCheck};
+use vr_power::claims::{check_claims, ClaimCheck};
 use vr_power::experiments::{
     ablation_gating, ablation_merged_memory, ablation_stride, cache_skew_study, device_sweep,
     fig2_series, fig3_series, fig4_series, merged_scaling, power_sweep, queueing_study,
@@ -611,7 +611,7 @@ fn cache_skew(ctx: &Ctx) {
 fn claims(ctx: &Ctx) {
     let checks = ctx
         .claims
-        .get_or_init(|| verify_claims(&ctx.cfg).expect("claim checks"));
+        .get_or_init(|| check_claims(ctx.sweep(), ctx.cfg.k_max).expect("claim checks"));
     ctx.emit(
         &["", "Claim", "Paper", "Statement", "Measured"],
         checks,

@@ -31,21 +31,33 @@ fn find<'a>(
     series: &str,
     grade: SpeedGrade,
     k: usize,
-) -> &'a SweepPoint {
+) -> Result<&'a SweepPoint, PowerError> {
     points
         .iter()
         .find(|p| p.series == series && p.grade == grade && p.k == k)
-        .expect("sweep covers every series × grade × k")
+        .ok_or(PowerError::InvalidParameter(
+            "claims need a sweep covering every series × grade at K = 1 and K = k_max",
+        ))
 }
 
-/// Evaluates the full claim checklist on `cfg`'s workload scale.
+/// Evaluates the full claim checklist on `cfg`'s workload scale:
+/// [`power_sweep`], then [`check_claims`].
 ///
 /// # Errors
-/// Propagates sweep construction errors.
+/// Rejects `k_max == 0`; propagates sweep construction errors.
 pub fn verify_claims(cfg: &ExperimentConfig) -> Result<Vec<ClaimCheck>, PowerError> {
-    let points = power_sweep(cfg)?;
+    check_claims(&power_sweep(cfg)?, cfg.k_max)
+}
+
+/// Checks the eight claims against an already computed [`power_sweep`]
+/// over K = 1..=`k_max`.
+///
+/// # Errors
+/// [`PowerError::InvalidParameter`] if `points` lacks a point a claim
+/// reads (a sweep of another `k_max`, or an empty one).
+pub fn check_claims(points: &[SweepPoint], k_max: usize) -> Result<Vec<ClaimCheck>, PowerError> {
     let g = SpeedGrade::Minus2;
-    let k = cfg.k_max;
+    let k = k_max;
     let mut checks = Vec::new();
 
     // 1. Abstract / Fig. 7: model error within ±3 %.
@@ -62,8 +74,8 @@ pub fn verify_claims(cfg: &ExperimentConfig) -> Result<Vec<ClaimCheck>, PowerErr
     });
 
     // 2. Abstract: savings proportional to K.
-    let nv = find(&points, "NV", g, k);
-    let vs = find(&points, "VS", g, k);
+    let nv = find(points, "NV", g, k)?;
+    let vs = find(points, "VS", g, k)?;
     let ratio = nv.model_w / vs.model_w;
     checks.push(ClaimCheck {
         id: "savings-prop-k".into(),
@@ -74,7 +86,7 @@ pub fn verify_claims(cfg: &ExperimentConfig) -> Result<Vec<ClaimCheck>, PowerErr
     });
 
     // 3. Fig. 6: measured virtualized power decreases with K.
-    let vs_first = find(&points, "VS", g, 1);
+    let vs_first = find(points, "VS", g, 1)?;
     checks.push(ClaimCheck {
         id: "fig6-decrease".into(),
         section: "§VI-A, Fig. 6".into(),
@@ -87,8 +99,8 @@ pub fn verify_claims(cfg: &ExperimentConfig) -> Result<Vec<ClaimCheck>, PowerErr
     });
 
     // 4. §VI-B / Fig. 8: efficiency ordering VS < NV < VM.
-    let vm_hi = find(&points, "VM (α≈0.8)", g, k);
-    let vm_lo = find(&points, "VM (α≈0.2)", g, k);
+    let vm_hi = find(points, "VM (α≈0.8)", g, k)?;
+    let vm_lo = find(points, "VM (α≈0.2)", g, k)?;
     checks.push(ClaimCheck {
         id: "fig8-ordering".into(),
         section: "§VI-B, Fig. 8".into(),
@@ -103,7 +115,7 @@ pub fn verify_claims(cfg: &ExperimentConfig) -> Result<Vec<ClaimCheck>, PowerErr
     });
 
     // 5. §VI-B: -1L saves ≈30 % power.
-    let vs_lo = find(&points, "VS", SpeedGrade::Minus1L, k);
+    let vs_lo = find(points, "VS", SpeedGrade::Minus1L, k)?;
     let saving = 1.0 - vs_lo.model_w / vs.model_w;
     checks.push(ClaimCheck {
         id: "lowpower-30pct".into(),
@@ -134,8 +146,8 @@ pub fn verify_claims(cfg: &ExperimentConfig) -> Result<Vec<ClaimCheck>, PowerErr
     });
 
     // 8. §IV-C: merged throughput collapses with K.
-    let vm_k = find(&points, "VM (α≈0.8)", g, k);
-    let vm_1 = find(&points, "VM (α≈0.8)", g, 1);
+    let vm_k = find(points, "VM (α≈0.8)", g, k)?;
+    let vm_1 = find(points, "VM (α≈0.8)", g, 1)?;
     checks.push(ClaimCheck {
         id: "vm-clock-collapse".into(),
         section: "§IV-C, §VI-B".into(),
@@ -166,5 +178,29 @@ mod tests {
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), checks.len());
+    }
+
+    #[test]
+    fn a_sweep_over_no_k_is_a_typed_error_not_a_panic() {
+        let cfg = ExperimentConfig {
+            k_max: 0,
+            k_max_fig4: 0,
+            ..ExperimentConfig::quick()
+        };
+        let rejected =
+            |r: Result<(), PowerError>| matches!(r, Err(PowerError::InvalidParameter(_)));
+        assert!(rejected(power_sweep(&cfg).map(drop)));
+        assert!(rejected(verify_claims(&cfg).map(drop)));
+        assert!(rejected(crate::experiments::fig4_series(&cfg).map(drop)));
+        assert!(rejected(
+            crate::experiments::ablation_merged_memory(&cfg).map(drop)
+        ));
+        // The checks read K = 1 and K = k_max of every series: an empty
+        // sweep, or one that stops short of k_max, is refused as well.
+        assert!(rejected(check_claims(&[], 0).map(drop)));
+        let quick = ExperimentConfig::quick();
+        let points = power_sweep(&quick).unwrap();
+        assert!(rejected(check_claims(&points, quick.k_max + 1).map(drop)));
+        assert_eq!(check_claims(&points, quick.k_max), verify_claims(&quick));
     }
 }

@@ -5,6 +5,17 @@
 //! paper-vs-measured comparison. Integration tests assert the *shapes*
 //! (who wins, what grows, where limits bind) on a reduced configuration.
 //!
+//! The sweeps over K build each structure once and price it many times
+//! ([`crate::scenario`]'s two halves). One α family is generated at the
+//! sweep's largest K and sliced — families are prefix-nested — its
+//! single-table engines are built once and NV and VS at K price the first
+//! K of them, and its merged engines at K = 1..k_max come off one growing
+//! `MergedTrie` (`merged_chain`). Only those independent builds are fanned
+//! across threads; the points are priced in a serial loop, each through
+//! [`Scenario::price`] with every check a from-scratch
+//! [`Scenario::build`] runs. Nothing is kept between calls. Single-K
+//! studies call [`Scenario::build`] directly.
+//!
 //! | Paper artifact | Function |
 //! |---|---|
 //! | Table II (device) | [`table2_rows`] |
@@ -19,7 +30,7 @@
 
 use crate::models::analytical_power;
 use crate::resources::MergedMemoryModel;
-use crate::scenario::{Scenario, ScenarioSpec};
+use crate::scenario::{EngineStructure, Scenario, ScenarioSpec};
 use crate::validate::validate_scenario;
 use crate::PowerError;
 use parking_lot::Mutex;
@@ -296,14 +307,17 @@ pub struct Fig4Point {
 
 const MBIT: f64 = 1024.0 * 1024.0;
 
-/// Fans independent sweep points across threads, one scoped thread per
-/// point (every sweep here has at most a few dozen), and returns the
-/// results in input order. The first failing point's error is returned.
+/// Fans independent jobs across threads, one scoped thread per job
+/// (every caller has at most a dozen), and returns the results in input
+/// order. The first failing job's error is returned.
 ///
-/// All the workload experiments decompose this way: each point builds its
-/// own tables/tries/scenarios from shared read-only inputs, so the sweeps
-/// are embarrassingly parallel and wall-clock shrinks to the slowest
-/// point.
+/// A job is whatever shares nothing but read-only inputs with its
+/// siblings. For the studies that vary a load, a stride, a device or a µ
+/// vector over fixed tables that is one sweep point. For the K sweeps it
+/// is not: the points of one table family share their structures
+/// ([`separate_by_k`], [`merged_by_k`]), so those sweeps fan only the
+/// single-table pass and one growth chain per α family, and price the
+/// points in a serial loop.
 fn fan_out<P, R, F>(points: Vec<P>, work: F) -> Result<Vec<R>, PowerError>
 where
     P: Send,
@@ -330,50 +344,131 @@ where
         .collect()
 }
 
+/// Walks K up one table family on a single growing [`MergedTrie`]. For
+/// each `k` of the ascending `ks`, tables `..k` are announced — each table
+/// once over the whole walk, through [`MergedTrie::add_vn`] — and `visit`
+/// sees the arity-`k` trie, the one
+/// `MergedTrie::from_tables(&tables[..k])` builds.
+///
+/// # Panics
+/// Panics unless `ks` ascends within `1..=tables.len()`.
+fn merged_chain<R>(
+    tables: &[RoutingTable],
+    ks: impl IntoIterator<Item = usize>,
+    mut visit: impl FnMut(&MergedTrie) -> Result<R, PowerError>,
+) -> Result<Vec<R>, PowerError> {
+    let mut trie = MergedTrie::new(1)?;
+    let mut announced = 0;
+    let mut out = Vec::new();
+    for k in ks {
+        assert!(
+            k > announced && k <= tables.len(),
+            "ks must ascend within the family"
+        );
+        for (vn, table) in tables.iter().enumerate().take(k).skip(announced) {
+            if vn > 0 {
+                trie.add_vn()?;
+            }
+            for entry in table.iter() {
+                trie.insert(vn, entry.prefix, entry.next_hop);
+            }
+        }
+        announced = k;
+        out.push(visit(&trie)?);
+    }
+    Ok(out)
+}
+
+/// Builds, once per family, the structure a K sweep prices at every
+/// K = 1..=`tables.len()`: index `k - 1` holds the structure over
+/// `&tables[..k]`.
+type ByK = fn(&[RoutingTable], usize, MemoryLayout) -> Result<Vec<EngineStructure>, PowerError>;
+
+/// [`ByK`] for the K single-table engines NV and VS share: one engine
+/// per table, built once; K takes the first K.
+fn separate_by_k(
+    tables: &[RoutingTable],
+    stages: usize,
+    layout: MemoryLayout,
+) -> Result<Vec<EngineStructure>, PowerError> {
+    let singles = EngineStructure::separate(tables, stages, layout)?;
+    Ok((1..=tables.len()).map(|k| singles.first(k)).collect())
+}
+
+/// [`ByK`] for the merged engine, along one [`merged_chain`].
+fn merged_by_k(
+    tables: &[RoutingTable],
+    stages: usize,
+    layout: MemoryLayout,
+) -> Result<Vec<EngineStructure>, PowerError> {
+    merged_chain(tables, 1..=tables.len(), |trie| {
+        EngineStructure::merged(trie, stages, layout)
+    })
+}
+
 /// Reproduces Fig. 4: memory requirements of the merged scheme (at the two
 /// α targets) and the separate scheme, as K grows.
 ///
+/// Each α family is generated once at `k_max_fig4` and every series walks
+/// it once: the separate series sizes one engine per table and sums the
+/// first K, the merged ones ride a `merged_chain`.
+///
 /// # Errors
-/// Propagates family-generation and trie errors.
+/// Rejects `k_max_fig4 == 0`; propagates family-generation and trie
+/// errors.
 pub fn fig4_series(cfg: &ExperimentConfig) -> Result<Vec<Fig4Point>, PowerError> {
+    if cfg.k_max_fig4 == 0 {
+        return Err(PowerError::InvalidParameter(
+            "k_max_fig4 must be at least 1",
+        ));
+    }
     let (frac_low, frac_high) = cfg.resolve_shared_fractions();
     let layout = MemoryLayout::default();
-    let per_k = fan_out((1..=cfg.k_max_fig4).collect(), |k| {
-        // A series point sizes a set of engines, one leaf-pushed trie
-        // apiece: K tries of arity 1 for the separate scheme, one of
-        // arity K for the merged one at each of the two α targets.
-        let point = |label: &str, tries: &[LeafPushedTrie], measured_alpha| {
-            let (mut ptr_bits, mut nhi_bits) = (0u64, 0u64);
-            for trie in tries {
-                let profile = PipelineProfile::for_trie(trie, cfg.stages, layout)?;
-                ptr_bits += profile.pointer_memory_bits();
-                nhi_bits += profile.nhi_memory_bits();
+    let tables_high = cfg.family(cfg.k_max_fig4, frac_high)?;
+    let tables_low = cfg.family(cfg.k_max_fig4, frac_low)?;
+    // Pointer and NHI bits of the pipeline storing one leaf-pushed trie.
+    let memory = |trie: &LeafPushedTrie| -> Result<(u64, u64), PowerError> {
+        let profile = PipelineProfile::for_trie(trie, cfg.stages, layout)?;
+        Ok((profile.pointer_memory_bits(), profile.nhi_memory_bits()))
+    };
+    let point = |series: &str, k, (ptr_bits, nhi_bits): (u64, u64), measured_alpha| Fig4Point {
+        series: series.into(),
+        k,
+        pointer_mbits: ptr_bits as f64 / MBIT,
+        nhi_mbits: nhi_bits as f64 / MBIT,
+        measured_alpha,
+    };
+    let series = fan_out(
+        vec![
+            ("separate", &tables_high, false),
+            ("merged (α≈0.8)", &tables_high, true),
+            ("merged (α≈0.2)", &tables_low, true),
+        ],
+        |(label, tables, merged)| {
+            if merged {
+                // One engine of arity K at each K.
+                return merged_chain(tables, 1..=tables.len(), |trie| {
+                    let alpha = Some(trie.merging_efficiency());
+                    let bits = memory(&trie.leaf_pushed())?;
+                    Ok(point(label, trie.arity(), bits, alpha))
+                });
             }
-            Ok::<_, PowerError>(Fig4Point {
-                series: label.into(),
-                k,
-                pointer_mbits: ptr_bits as f64 / MBIT,
-                nhi_mbits: nhi_bits as f64 / MBIT,
-                measured_alpha,
-            })
-        };
-        let separate: Vec<LeafPushedTrie> = cfg
-            .family(k, frac_high)?
-            .iter()
-            .map(|t| LeafPushedTrie::from_unibit(&UnibitTrie::from_table(t)))
-            .collect();
-        let mut points = vec![point("separate", &separate, None)?];
-        for (label, frac) in [
-            ("merged (α≈0.8)", frac_high),
-            ("merged (α≈0.2)", frac_low),
-        ] {
-            let merged = MergedTrie::from_tables(&cfg.family(k, frac)?)?;
-            let alpha = Some(merged.merging_efficiency());
-            points.push(point(label, &[merged.leaf_pushed()], alpha)?);
-        }
-        Ok(points)
-    })?;
-    let mut out: Vec<Fig4Point> = per_k.into_iter().flatten().collect();
+            // K engines of arity 1: a running sum over the tables.
+            let (mut ptr_bits, mut nhi_bits) = (0u64, 0u64);
+            tables
+                .iter()
+                .enumerate()
+                .map(|(i, table)| {
+                    let (ptr, nhi) =
+                        memory(&LeafPushedTrie::from_unibit(&UnibitTrie::from_table(table)))?;
+                    ptr_bits += ptr;
+                    nhi_bits += nhi;
+                    Ok(point(label, i + 1, (ptr_bits, nhi_bits), None))
+                })
+                .collect()
+        },
+    )?;
+    let mut out: Vec<Fig4Point> = series.into_iter().flatten().collect();
     out.sort_by(|a, b| (a.k, &a.series).cmp(&(b.k, &b.series)));
     Ok(out)
 }
@@ -412,32 +507,53 @@ pub struct SweepPoint {
 /// Runs the full Figs. 5–8 sweep: K = 1..=k_max × {NV, VS, VM(α_low),
 /// VM(α_high)} × both speed grades.
 ///
+/// Structures are built once and priced many times. Each α family is
+/// generated once at `k_max`; the high-α family's `k_max` single-table
+/// engines serve NV and VS at every K (`separate_by_k`) and each family's
+/// merged engines come off one growing trie (`merged_by_k`) — three
+/// independent builds, fanned out. Every one of the `8 × k_max` points is
+/// then priced through [`Scenario::price`], with all of its checks.
+///
 /// # Errors
-/// Propagates scenario construction errors (VS points beyond the pin limit
-/// are impossible with the paper's k_max = 15 and are an error otherwise).
+/// Rejects `k_max == 0`; propagates scenario construction errors (VS
+/// points beyond the pin limit are impossible with the paper's
+/// k_max = 15 and are an error otherwise).
 pub fn power_sweep(cfg: &ExperimentConfig) -> Result<Vec<SweepPoint>, PowerError> {
+    if cfg.k_max == 0 {
+        return Err(PowerError::InvalidParameter("k_max must be at least 1"));
+    }
     let (frac_low, frac_high) = cfg.resolve_shared_fractions();
+    let layout = MemoryLayout::default();
+    let tables_high = cfg.family(cfg.k_max, frac_high)?;
+    let tables_low = cfg.family(cfg.k_max, frac_low)?;
+    let builds: Vec<(ByK, &[RoutingTable])> = vec![
+        (separate_by_k, &tables_high),
+        (merged_by_k, &tables_high),
+        (merged_by_k, &tables_low),
+    ];
+    let by_k = fan_out(builds, |(build, tables)| build(tables, cfg.stages, layout))?;
+    // Series label, scheme, and which of `builds` it prices.
+    let series = [
+        ("NV", SchemeKind::NonVirtualized, 0),
+        ("VS", SchemeKind::Separate, 0),
+        ("VM (α≈0.8)", SchemeKind::Merged, 1),
+        ("VM (α≈0.2)", SchemeKind::Merged, 2),
+    ];
     let par = ParSimulator::default();
-    let per_k = fan_out((1..=cfg.k_max).collect(), |k| {
-        let mut points = Vec::new();
-        let tables_high = cfg.family(k, frac_high)?;
-        let tables_low = cfg.family(k, frac_low)?;
+    let mut out = Vec::with_capacity(cfg.k_max * series.len() * SpeedGrade::ALL.len());
+    for k in 1..=cfg.k_max {
         for grade in SpeedGrade::ALL {
-            let mut eval = |series: &str,
-                            scheme: SchemeKind,
-                            tables: &[RoutingTable],
-                            merged_memory: MergedMemoryModel|
-             -> Result<(), PowerError> {
+            for (label, scheme, build) in series {
                 let spec = ScenarioSpec {
                     stages: cfg.stages,
-                    merged_memory,
                     ..ScenarioSpec::paper_default(scheme, grade)
                 };
-                let scenario = Scenario::build(tables, spec, Device::xc6vlx760())?;
+                let structure = by_k[build][k - 1].clone();
+                let scenario = Scenario::price(structure, spec, Device::xc6vlx760())?;
                 let point = validate_scenario(&scenario, &par);
                 let capacity = scenario.capacity_gbps();
-                points.push(SweepPoint {
-                    series: series.into(),
+                out.push(SweepPoint {
+                    series: label.into(),
                     scheme,
                     grade,
                     k,
@@ -449,36 +565,9 @@ pub fn power_sweep(cfg: &ExperimentConfig) -> Result<Vec<SweepPoint>, PowerError
                     mw_per_gbps: mw_per_gbps(point.experimental_w, capacity),
                     freq_mhz: scenario.freq_mhz(),
                 });
-                Ok(())
-            };
-            eval(
-                "NV",
-                SchemeKind::NonVirtualized,
-                &tables_high,
-                MergedMemoryModel::Structural,
-            )?;
-            eval(
-                "VS",
-                SchemeKind::Separate,
-                &tables_high,
-                MergedMemoryModel::Structural,
-            )?;
-            eval(
-                "VM (α≈0.8)",
-                SchemeKind::Merged,
-                &tables_high,
-                MergedMemoryModel::Structural,
-            )?;
-            eval(
-                "VM (α≈0.2)",
-                SchemeKind::Merged,
-                &tables_low,
-                MergedMemoryModel::Structural,
-            )?;
+            }
         }
-        Ok(points)
-    })?;
-    let mut out: Vec<SweepPoint> = per_k.into_iter().flatten().collect();
+    }
     out.sort_by(|a, b| {
         (a.k, &a.series, a.grade.label()).cmp(&(b.k, &b.series, b.grade.label()))
     });
@@ -503,41 +592,48 @@ pub struct AblationMergedMemRow {
 }
 
 /// Compares Eq. 5 as printed against the structural merged memory
-/// (DESIGN.md §3) across K.
+/// (DESIGN.md §3) across K, on one family: its single-table engines and
+/// its merged chain are each built once.
 ///
 /// # Errors
-/// Propagates scenario construction errors.
+/// Rejects `k_max == 0`; propagates scenario construction errors.
 pub fn ablation_merged_memory(
     cfg: &ExperimentConfig,
 ) -> Result<Vec<AblationMergedMemRow>, PowerError> {
+    if cfg.k_max == 0 {
+        return Err(PowerError::InvalidParameter("k_max must be at least 1"));
+    }
     let (_, frac_high) = cfg.resolve_shared_fractions();
-    fan_out((1..=cfg.k_max).collect(), |k| {
-        let tables = cfg.family(k, frac_high)?;
-        let structural = Scenario::build(
-            &tables,
-            ScenarioSpec {
-                stages: cfg.stages,
-                ..ScenarioSpec::paper_default(SchemeKind::Merged, SpeedGrade::Minus2)
-            },
-            Device::xc6vlx760(),
-        )?;
-        let alpha = structural.alpha().expect("merged scenario has alpha");
-        let literal = Scenario::build(
-            &tables,
-            ScenarioSpec {
-                stages: cfg.stages,
-                merged_memory: MergedMemoryModel::PaperLiteral { alpha },
-                ..ScenarioSpec::paper_default(SchemeKind::Merged, SpeedGrade::Minus2)
-            },
-            Device::xc6vlx760(),
-        )?;
-        Ok(AblationMergedMemRow {
-            k,
-            alpha,
-            literal_mbits: literal.resources().memory_bits as f64 / MBIT,
-            structural_mbits: structural.resources().memory_bits as f64 / MBIT,
+    let layout = MemoryLayout::default();
+    let tables = cfg.family(cfg.k_max, frac_high)?;
+    let by_k = fan_out(vec![separate_by_k as ByK, merged_by_k], |build| {
+        build(&tables, cfg.stages, layout)
+    })?;
+    let memory_mbits = |structure: EngineStructure, merged_memory| {
+        let spec = ScenarioSpec {
+            stages: cfg.stages,
+            merged_memory,
+            ..ScenarioSpec::paper_default(SchemeKind::Merged, SpeedGrade::Minus2)
+        };
+        let scenario = Scenario::price(structure, spec, Device::xc6vlx760())?;
+        Ok::<_, PowerError>(scenario.resources().memory_bits as f64 / MBIT)
+    };
+    by_k[0]
+        .iter()
+        .zip(&by_k[1])
+        .map(|(singles, structural)| {
+            let alpha = structural.alpha.expect("merged structure has alpha");
+            Ok(AblationMergedMemRow {
+                k: structural.k,
+                alpha,
+                literal_mbits: memory_mbits(
+                    singles.paper_literal(alpha, alpha)?,
+                    MergedMemoryModel::PaperLiteral { alpha },
+                )?,
+                structural_mbits: memory_mbits(structural.clone(), MergedMemoryModel::Structural)?,
+            })
         })
-    })
+        .collect()
 }
 
 /// One row of the clock-gating ablation.
@@ -679,11 +775,13 @@ pub fn tcam_comparison(cfg: &ExperimentConfig) -> Result<Vec<TcamRow>, PowerErro
         .into_iter()
         .map(|k| k.max(1))
         .collect();
-    let per_k = fan_out(ks, |k| {
-        let mut rows = Vec::new();
-        let tables = cfg.family(k, frac_high)?;
-        let scenario = Scenario::build(
-            &tables,
+    // One engine per table of the largest family; K takes the first K.
+    let tables = cfg.family(cfg.k_max.max(1), frac_high)?;
+    let singles = EngineStructure::separate(&tables, cfg.stages, MemoryLayout::default())?;
+    let mut rows = Vec::new();
+    for k in ks {
+        let scenario = Scenario::price(
+            singles.first(k),
             ScenarioSpec {
                 stages: cfg.stages,
                 ..ScenarioSpec::paper_default(SchemeKind::Separate, SpeedGrade::Minus2)
@@ -715,9 +813,8 @@ pub fn tcam_comparison(cfg: &ExperimentConfig) -> Result<Vec<TcamRow>, PowerErro
                 mw_per_gbps: spec.mw_per_gbps(),
             });
         }
-        Ok(rows)
-    })?;
-    Ok(per_k.into_iter().flatten().collect())
+    }
+    Ok(rows)
 }
 
 /// One row of the update-cost experiment.
@@ -1008,9 +1105,12 @@ pub fn merged_scaling(cfg: &ExperimentConfig) -> Result<Vec<MergedScalingRow>, P
     let device = Device::xc6vlx760();
     let layout = MemoryLayout::default();
     let ks: Vec<usize> = (2..=cfg.k_max_fig4.max(cfg.k_max)).step_by(4).collect();
-    fan_out(ks, |k| {
-        let tables = cfg.family(k, frac_low)?;
-        let merged = MergedTrie::from_tables(&tables)?;
+    let Some(&k_top) = ks.last() else {
+        return Ok(Vec::new());
+    };
+    let tables = cfg.family(k_top, frac_low)?;
+    merged_chain(&tables, ks, |merged| {
+        let k = merged.arity();
         let pushed = merged.leaf_pushed();
         let profile = PipelineProfile::for_trie(&pushed, cfg.stages, layout)?;
         let per_stage = profile.per_stage_memory_bits();

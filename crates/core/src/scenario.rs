@@ -1,9 +1,17 @@
 //! Building concrete evaluation scenarios.
 //!
-//! A [`Scenario`] binds a K-table workload to a scheme, speed grade, BRAM
-//! granularity and pipeline length, resolving everything the equations
-//! need: per-engine per-stage memories (Mᵢ,ⱼ), the measured merging
-//! efficiency α, the achievable clock and the utilization vector µ.
+//! A scenario is built in two halves, split where the paper splits its
+//! models. The **structural half**, [`EngineStructure`], is what the
+//! resource equations (Eqs. 1/3/5) are functions of: per-engine per-stage
+//! memories (Mᵢ,ⱼ) and the measured merging efficiency α, derived from
+//! the tables, the pipeline length and the word layout alone. The
+//! **pricing half**, [`Scenario::price`], binds a structure to a scheme,
+//! speed grade, BRAM granularity and device — the utilization vector µ,
+//! the achievable clock and the device fit, everything Eqs. 2/4/6 and
+//! Table III read. [`Scenario::build`] composes the two for one point; a
+//! sweep builds each structure once and prices it under every grade and
+//! scheme that shares it (NV and VS price the same K single-table
+//! engines).
 
 use crate::resources::{paper_literal_merged_stage_bits, MergedMemoryModel, ResourceUsage};
 use crate::PowerError;
@@ -51,6 +59,123 @@ impl ScenarioSpec {
     }
 }
 
+/// The grade-free structural half of a scenario: the engines one device
+/// hosts, as the resource models see them. Either K engines of arity 1
+/// (one per table — what NV and VS both price) or one engine of arity K
+/// (the merged trie), with the α measured on it.
+///
+/// A plain value: nothing in it depends on scheme pricing, speed grade or
+/// device, so one structure can be priced many times.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct EngineStructure {
+    /// Number of virtual networks K the engines serve.
+    pub k: usize,
+    /// Per-engine per-stage memory bits Mᵢ,ⱼ.
+    pub engine_stage_bits: Vec<Vec<u64>>,
+    /// Measured merging efficiency (merged structures only).
+    pub alpha: Option<f64>,
+}
+
+impl EngineStructure {
+    /// K single-table engines, one per table: each table's leaf-pushed
+    /// uni-bit trie mapped onto `stages` pipeline stages.
+    ///
+    /// # Errors
+    /// Rejects an empty table set and zero stages.
+    pub fn separate(
+        tables: &[RoutingTable],
+        stages: usize,
+        layout: MemoryLayout,
+    ) -> Result<Self, PowerError> {
+        if tables.is_empty() {
+            return Err(PowerError::InvalidParameter("need at least one table"));
+        }
+        let engine_stage_bits = tables
+            .iter()
+            .map(|t| {
+                let trie = LeafPushedTrie::from_unibit(&UnibitTrie::from_table(t));
+                stage_bits(&trie, stages, layout)
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(Self {
+            k: tables.len(),
+            engine_stage_bits,
+            alpha: None,
+        })
+    }
+
+    /// The one arity-K engine storing `merged`, with its measured α.
+    ///
+    /// # Errors
+    /// Rejects zero stages.
+    pub fn merged(
+        merged: &MergedTrie,
+        stages: usize,
+        layout: MemoryLayout,
+    ) -> Result<Self, PowerError> {
+        Ok(Self {
+            k: merged.arity(),
+            engine_stage_bits: vec![stage_bits(&merged.leaf_pushed(), stages, layout)?],
+            alpha: Some(merged.merging_efficiency()),
+        })
+    }
+
+    /// Eq. 5 exactly as printed: one merged engine holding `alpha × Σ` of
+    /// the K engines of `self` (a [`EngineStructure::separate`]
+    /// structure), stage by stage. `measured_alpha` is the efficiency
+    /// measured on the tables' actual merge, which the result reports.
+    ///
+    /// # Errors
+    /// Rejects an `alpha` outside `[0, 1]`.
+    pub fn paper_literal(&self, alpha: f64, measured_alpha: f64) -> Result<Self, PowerError> {
+        if !(0.0..=1.0).contains(&alpha) || !alpha.is_finite() {
+            return Err(PowerError::InvalidParameter(
+                "literal Eq. 5 alpha must be in [0, 1]",
+            ));
+        }
+        Ok(Self {
+            k: self.k,
+            engine_stage_bits: vec![paper_literal_merged_stage_bits(
+                &self.engine_stage_bits,
+                alpha,
+            )],
+            alpha: Some(measured_alpha),
+        })
+    }
+
+    /// The structure of the first `k` tables of a
+    /// [`EngineStructure::separate`] structure: its first `k` engines.
+    /// Single-table engines do not depend on their neighbours, so this
+    /// equals building `&tables[..k]` afresh.
+    ///
+    /// # Panics
+    /// Panics if `k` is 0 or exceeds the engine count.
+    #[must_use]
+    pub fn first(&self, k: usize) -> Self {
+        assert!(
+            k >= 1 && k <= self.engine_stage_bits.len(),
+            "k out of range"
+        );
+        Self {
+            k,
+            engine_stage_bits: self.engine_stage_bits[..k].to_vec(),
+            alpha: self.alpha,
+        }
+    }
+}
+
+/// Mᵢ,ⱼ of the pipeline storing `trie`.
+fn stage_bits(
+    trie: &LeafPushedTrie,
+    stages: usize,
+    layout: MemoryLayout,
+) -> Result<Vec<u64>, PowerError> {
+    if stages == 0 {
+        return Err(PowerError::InvalidParameter("need at least one stage"));
+    }
+    Ok(PipelineProfile::for_trie(trie, stages, layout)?.per_stage_memory_bits())
+}
+
 /// A fully resolved scenario, ready for the Eq. 2/4/6 evaluation.
 ///
 /// ```
@@ -81,13 +206,10 @@ impl ScenarioSpec {
 #[derive(Debug, Clone)]
 pub struct Scenario {
     spec: ScenarioSpec,
-    k: usize,
+    /// The engines on one device (K for NV/VS, 1 for VM). NV replicates
+    /// the device K times, one engine live on each.
+    structure: EngineStructure,
     mu: Vec<f64>,
-    /// Per-engine per-stage memory bits on one device (1 engine for
-    /// NV/VM, K engines for VS). NV replicates the device K times.
-    engine_stage_bits: Vec<Vec<u64>>,
-    /// Measured merging efficiency (merged scenarios only).
-    alpha: Option<f64>,
     /// Resolved operating frequency in MHz.
     freq_mhz: f64,
     device: Device,
@@ -95,7 +217,8 @@ pub struct Scenario {
 
 impl Scenario {
     /// Builds a scenario for `tables` (one per virtual network) on
-    /// `device`.
+    /// `device`: the [`EngineStructure`] `spec` asks for, then
+    /// [`Scenario::price`].
     ///
     /// # Errors
     /// Rejects empty workloads, invalid µ vectors, zero stages; propagates
@@ -105,46 +228,59 @@ impl Scenario {
         spec: ScenarioSpec,
         device: Device,
     ) -> Result<Self, PowerError> {
-        let k = tables.len();
-        if k == 0 {
+        if tables.is_empty() {
             return Err(PowerError::InvalidParameter("need at least one table"));
         }
-        if spec.stages == 0 {
-            return Err(PowerError::InvalidParameter("need at least one stage"));
-        }
-        let mu = resolve_mu(spec.utilization.as_deref(), k)?;
-
-        // The paper's K engines vs. one: K tries of arity 1, or one of
-        // arity K; `stage_bits` sizes either.
-        let stage_bits = |trie: &LeafPushedTrie| -> Result<Vec<u64>, PowerError> {
-            let profile = PipelineProfile::for_trie(trie, spec.stages, spec.layout)?;
-            Ok(profile.per_stage_memory_bits())
-        };
-        let single_stage_bits = || -> Result<Vec<Vec<u64>>, PowerError> {
-            tables
-                .iter()
-                .map(|t| stage_bits(&LeafPushedTrie::from_unibit(&UnibitTrie::from_table(t))))
-                .collect()
-        };
-
-        let (engine_stage_bits, alpha) = match spec.scheme {
-            SchemeKind::NonVirtualized | SchemeKind::Separate => (single_stage_bits()?, None),
+        let singles = || EngineStructure::separate(tables, spec.stages, spec.layout);
+        let structure = match spec.scheme {
+            SchemeKind::NonVirtualized | SchemeKind::Separate => singles()?,
             SchemeKind::Merged => {
                 let merged = MergedTrie::from_tables(tables)?;
-                let merged_stage_bits = match spec.merged_memory {
-                    MergedMemoryModel::Structural => stage_bits(&merged.leaf_pushed())?,
-                    MergedMemoryModel::PaperLiteral { alpha } => {
-                        if !(0.0..=1.0).contains(&alpha) || !alpha.is_finite() {
-                            return Err(PowerError::InvalidParameter(
-                                "literal Eq. 5 alpha must be in [0, 1]",
-                            ));
-                        }
-                        paper_literal_merged_stage_bits(&single_stage_bits()?, alpha)
+                match spec.merged_memory {
+                    MergedMemoryModel::Structural => {
+                        EngineStructure::merged(&merged, spec.stages, spec.layout)?
                     }
-                };
-                (vec![merged_stage_bits], Some(merged.merging_efficiency()))
+                    MergedMemoryModel::PaperLiteral { alpha } => {
+                        singles()?.paper_literal(alpha, merged.merging_efficiency())?
+                    }
+                }
             }
         };
+        Self::price(structure, spec, device)
+    }
+
+    /// The pricing half: binds a built `structure` to `spec`'s scheme,
+    /// grade, BRAM granularity and µ on `device`, resolving the clock and
+    /// checking the fit. `spec.scheme` says how the engines are deployed —
+    /// K single-table engines on K devices (NV) or one (VS), or the one
+    /// merged engine (VM).
+    ///
+    /// # Errors
+    /// Rejects a structure whose engine count or stage count is not what
+    /// `spec` describes and invalid µ vectors; propagates device-fit
+    /// failures.
+    pub fn price(
+        structure: EngineStructure,
+        spec: ScenarioSpec,
+        device: Device,
+    ) -> Result<Self, PowerError> {
+        let k = structure.k;
+        let engines = match spec.scheme {
+            SchemeKind::NonVirtualized | SchemeKind::Separate => k,
+            SchemeKind::Merged => 1,
+        };
+        if k == 0 || structure.engine_stage_bits.len() != engines {
+            return Err(PowerError::InvalidParameter(
+                "structure must hold K single-table engines (NV/VS) or one merged engine (VM)",
+            ));
+        }
+        let mapped = |bits: &Vec<u64>| bits.len() == spec.stages;
+        if spec.stages == 0 || !structure.engine_stage_bits.iter().all(mapped) {
+            return Err(PowerError::InvalidParameter(
+                "structure must be mapped onto the spec's (non-zero) stage count",
+            ));
+        }
+        let mu = resolve_mu(spec.utilization.as_deref(), k)?;
 
         let ctx = match spec.scheme {
             SchemeKind::NonVirtualized => TimingContext::SINGLE,
@@ -161,10 +297,8 @@ impl Scenario {
 
         let scenario = Self {
             spec,
-            k,
+            structure,
             mu,
-            engine_stage_bits,
-            alpha,
             freq_mhz,
             device,
         };
@@ -181,7 +315,7 @@ impl Scenario {
     /// Number of virtual networks K.
     #[must_use]
     pub fn k(&self) -> usize {
-        self.k
+        self.structure.k
     }
 
     /// The normalized utilization vector µ.
@@ -193,7 +327,7 @@ impl Scenario {
     /// Measured merging efficiency, for merged scenarios.
     #[must_use]
     pub fn alpha(&self) -> Option<f64> {
-        self.alpha
+        self.structure.alpha
     }
 
     /// Resolved operating frequency in MHz.
@@ -211,14 +345,14 @@ impl Scenario {
     /// Per-engine per-stage memory bits on one device.
     #[must_use]
     pub fn engine_stage_bits(&self) -> &[Vec<u64>] {
-        &self.engine_stage_bits
+        &self.structure.engine_stage_bits
     }
 
     /// Number of devices D (Eq. 1 vs Eqs. 3/5).
     #[must_use]
     pub fn devices(&self) -> usize {
         match self.spec.scheme {
-            SchemeKind::NonVirtualized => self.k,
+            SchemeKind::NonVirtualized => self.k(),
             _ => 1,
         }
     }
@@ -232,14 +366,14 @@ impl Scenario {
         match self.spec.scheme {
             SchemeKind::NonVirtualized => {
                 let widest = self
-                    .engine_stage_bits
+                    .engine_stage_bits()
                     .iter()
                     .max_by_key(|bits| bits.iter().sum::<u64>())
                     .cloned()
                     .unwrap_or_default();
                 ResourceUsage::from_stage_bits(
                     self.spec.scheme,
-                    self.k,
+                    self.k(),
                     std::slice::from_ref(&widest),
                     self.spec.bram_mode,
                     PeProfile::PAPER_UNIBIT,
@@ -248,7 +382,7 @@ impl Scenario {
             _ => ResourceUsage::from_stage_bits(
                 self.spec.scheme,
                 1,
-                &self.engine_stage_bits,
+                self.engine_stage_bits(),
                 self.spec.bram_mode,
                 PeProfile::PAPER_UNIBIT,
             ),
@@ -265,7 +399,7 @@ impl Scenario {
         // conservative, same-shaped stand-in for near-identical engines
         // (Assumption 2 keeps them close).
         let widest = self
-            .engine_stage_bits
+            .engine_stage_bits()
             .iter()
             .max_by_key(|bits| bits.iter().sum::<u64>())
             .cloned()
@@ -274,7 +408,7 @@ impl Scenario {
             self.spec.grade,
             self.spec.bram_mode,
             widest,
-            self.engine_stage_bits.len(),
+            self.engine_stage_bits().len(),
             self.freq_mhz,
         )
     }
@@ -284,7 +418,7 @@ impl Scenario {
     #[must_use]
     pub fn capacity_gbps(&self) -> f64 {
         let engines_total = match self.spec.scheme {
-            SchemeKind::NonVirtualized | SchemeKind::Separate => self.k,
+            SchemeKind::NonVirtualized | SchemeKind::Separate => self.k(),
             SchemeKind::Merged => 1,
         };
         timing::aggregate_throughput_gbps(self.freq_mhz, engines_total)
@@ -470,6 +604,71 @@ mod tests {
             Device::xc6vlx760()
         )
         .is_err());
+    }
+
+    #[test]
+    fn one_structure_prices_like_a_build_per_point() {
+        let tables = family(5);
+        let (stages, layout) = (PAPER_PIPELINE_STAGES, MemoryLayout::default());
+        let singles = EngineStructure::separate(&tables, stages, layout).unwrap();
+        assert_eq!(
+            singles.first(3),
+            EngineStructure::separate(&tables[..3], stages, layout).unwrap()
+        );
+        let merged = MergedTrie::from_tables(&tables).unwrap();
+        let merged = EngineStructure::merged(&merged, stages, layout).unwrap();
+        for grade in SpeedGrade::ALL {
+            for (scheme, structure) in [
+                (SchemeKind::NonVirtualized, &singles),
+                (SchemeKind::Separate, &singles),
+                (SchemeKind::Merged, &merged),
+            ] {
+                let spec = ScenarioSpec::paper_default(scheme, grade);
+                let priced =
+                    Scenario::price(structure.clone(), spec.clone(), Device::xc6vlx760()).unwrap();
+                let built = Scenario::build(&tables, spec, Device::xc6vlx760()).unwrap();
+                assert_eq!(
+                    crate::models::analytical_power(&priced),
+                    crate::models::analytical_power(&built)
+                );
+                assert_eq!(priced.resources(), built.resources());
+                assert_eq!(priced.mu(), built.mu());
+            }
+        }
+    }
+
+    #[test]
+    fn price_rejects_a_structure_the_spec_does_not_describe() {
+        let tables = family(3);
+        let singles =
+            EngineStructure::separate(&tables, PAPER_PIPELINE_STAGES, MemoryLayout::default())
+                .unwrap();
+        let price = |structure: &EngineStructure, spec| {
+            Scenario::price(structure.clone(), spec, Device::xc6vlx760())
+        };
+        // Three single-table engines are not one merged engine.
+        let vm = ScenarioSpec::paper_default(SchemeKind::Merged, SpeedGrade::Minus2);
+        assert!(matches!(
+            price(&singles, vm),
+            Err(PowerError::InvalidParameter(_))
+        ));
+        // Mapped onto 28 stages, priced as 14.
+        let mut vs = ScenarioSpec::paper_default(SchemeKind::Separate, SpeedGrade::Minus2);
+        vs.stages = 14;
+        assert!(matches!(
+            price(&singles, vs),
+            Err(PowerError::InvalidParameter(_))
+        ));
+        // K says four networks, three engines are present.
+        let short = EngineStructure {
+            k: 4,
+            ..singles.clone()
+        };
+        let vs = ScenarioSpec::paper_default(SchemeKind::Separate, SpeedGrade::Minus2);
+        assert!(matches!(
+            price(&short, vs),
+            Err(PowerError::InvalidParameter(_))
+        ));
     }
 
     #[test]

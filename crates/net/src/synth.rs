@@ -13,7 +13,9 @@
 //! node overlap (merging efficiency α, Assumption 4). [`FamilySpec`]
 //! generates K tables as `shared core + per-table unique prefixes`; the
 //! share of core prefixes monotonically controls the resulting α (the exact
-//! α is *measured* on the merged trie in `vr-trie`).
+//! α is *measured* on the merged trie in `vr-trie`). Families are
+//! prefix-nested — the first k tables of a K-table family are the k-table
+//! family — so a sweep over K generates once at the largest K and slices.
 
 use crate::error::NetError;
 use crate::prefix::Ipv4Prefix;
@@ -239,6 +241,14 @@ impl TableSpec {
 /// Per-table next hops for core prefixes differ — different networks
 /// forward the same destination differently, which is what forces the
 /// merged trie to store K-wide NHI vectors at its leaves.
+///
+/// **Families are prefix-nested.** With every other field equal, the
+/// family of `k` tables is the first `k` tables of any larger family:
+/// `FamilySpec { k, .. }.generate() == FamilySpec { k: k_max, .. }
+/// .generate()[..k]` for every `k ≤ k_max`. The core is drawn before any
+/// table and table i consumes the RNG stream only after tables `0..i`, so
+/// K never feeds back into what an earlier table holds. K sweeps rely on
+/// this to generate one family at `k_max` and slice it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FamilySpec {
     /// Number of virtual networks K.
@@ -504,6 +514,34 @@ fn sample_distinct_prefixes(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The nesting guarantee in [`FamilySpec`]'s docs.
+        #[test]
+        fn family_of_k_is_a_prefix_of_the_family_of_k_max(
+            k_max in 1usize..=8,
+            k_pick in any::<usize>(),
+            shared_pct in 0u32..=100,
+            prefixes_per_table in 1usize..=120,
+            seed in any::<u64>(),
+        ) {
+            let spec = |k| FamilySpec {
+                k,
+                prefixes_per_table,
+                shared_fraction: f64::from(shared_pct) / 100.0,
+                seed,
+                distribution: PrefixLenDistribution::edge_default(),
+                next_hops: 16,
+            };
+            let k = 1 + k_pick % k_max;
+            let largest = spec(k_max).generate().unwrap();
+            prop_assert_eq!(largest.len(), k_max);
+            prop_assert_eq!(&spec(k).generate().unwrap()[..], &largest[..k]);
+        }
+    }
 
     #[test]
     fn generation_is_deterministic() {

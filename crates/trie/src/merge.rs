@@ -19,6 +19,10 @@
 //! [`MergedTrie::insert`] and [`MergedTrie::remove`] announce/withdraw one
 //! virtual network's route, maintaining per-VN subtree accounting so
 //! presence masks, per-VN node counts and pruning stay exact under churn.
+//! It also grows: [`MergedTrie::add_vn`] widens a built arity-K trie to
+//! K + 1, so a sweep over K announces each table of a family once into one
+//! trie (K tables for K merged engines) instead of re-merging tables
+//! `0..K` from scratch at every K (K(K+1)/2 tables).
 //!
 //! This module holds the overlay only. The structure the pipeline stores
 //! is its leaf-pushed form, [`MergedTrie::leaf_pushed`] — a
@@ -139,6 +143,33 @@ impl MergedTrie {
             }
         }
         Ok(merged)
+    }
+
+    /// Widens the trie by one virtual network and returns its VNID (the
+    /// old arity). The new network announces nothing yet, so no node lies
+    /// in all K + 1 tries and the common-node count restarts at 0.
+    ///
+    /// Announcing table K into the widened arity-K trie replays exactly
+    /// the insertions [`MergedTrie::from_tables`] makes for
+    /// `&tables[..=K]`, so node ids, counters and the leaf-pushed arena
+    /// come out identical: a K sweep over one family grows one trie
+    /// instead of re-merging tables `0..K` at every K.
+    ///
+    /// # Errors
+    /// [`TrieError::BadMergeArity`] past [`MAX_MERGE_ARITY`]; the trie is
+    /// left unchanged.
+    pub fn add_vn(&mut self) -> Result<usize, TrieError> {
+        if self.k == MAX_MERGE_ARITY {
+            return Err(TrieError::BadMergeArity(self.k + 1));
+        }
+        for node in &mut self.nodes {
+            node.nhis.push(None);
+            node.subtree_prefixes.push(0);
+        }
+        self.per_vn_nodes.push(0);
+        self.common_nodes = 0;
+        self.k += 1;
+        Ok(self.k - 1)
     }
 
     /// Number of virtual networks merged.
@@ -457,6 +488,7 @@ impl crate::LookupBackend for MergedTrie {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use vr_net::synth::{FamilySpec, TableSpec};
 
     fn family(k: usize, shared: f64, seed: u64) -> Vec<RoutingTable> {
@@ -715,6 +747,121 @@ mod tests {
         merged.insert(1, "172.16.0.0/12".parse().unwrap(), 2);
         assert!(merged.nodes.len() <= arena, "free list must be reused");
         assert!(merged.check_invariants());
+    }
+
+    #[test]
+    fn add_vn_past_the_arity_limit_is_a_typed_error() {
+        let mut merged = MergedTrie::new(MAX_MERGE_ARITY - 1).unwrap();
+        assert_eq!(merged.add_vn(), Ok(MAX_MERGE_ARITY - 1));
+        assert_eq!(merged.arity(), MAX_MERGE_ARITY);
+        assert_eq!(
+            merged.add_vn(),
+            Err(TrieError::BadMergeArity(MAX_MERGE_ARITY + 1))
+        );
+        assert_eq!(merged.arity(), MAX_MERGE_ARITY);
+        assert!(merged.check_invariants());
+    }
+
+    #[test]
+    fn add_vn_with_a_free_list_keeps_recycled_slots_consistent() {
+        let mut merged = MergedTrie::new(1).unwrap();
+        let p: Ipv4Prefix = "10.1.2.0/24".parse().unwrap();
+        let q: Ipv4Prefix = "172.16.0.0/12".parse().unwrap();
+        merged.insert(0, p, 1);
+        merged.remove(0, &p);
+        assert!(!merged.free.is_empty());
+        assert_eq!(merged.add_vn(), Ok(1));
+        // The new VN's announcement reuses slots freed at arity 1.
+        merged.insert(1, q, 2);
+        merged.insert(0, q, 3);
+        assert!(merged.check_invariants());
+        assert_eq!(merged.lookup(1, 0xAC10_0001), Some(2));
+        assert_eq!(merged.lookup(0, 0xAC10_0001), Some(3));
+        assert_eq!(merged.common_node_count(), merged.node_count());
+    }
+
+    /// Strategy: an arbitrary routing table of up to `max` routes.
+    fn arb_table(max: usize) -> impl Strategy<Value = RoutingTable> {
+        prop::collection::vec((any::<u32>(), 0u8..=32, any::<NextHop>()), 0..max).prop_map(
+            |routes| {
+                RoutingTable::from_entries(routes.into_iter().map(|(addr, len, nh)| {
+                    vr_net::table::RouteEntry::new(Ipv4Prefix::must(addr, len), nh)
+                }))
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The growth chain is `from_tables(&tables[..k])` at every k, and
+        /// the grown trie keeps its accounting under churn on old and new
+        /// VNs alike.
+        #[test]
+        fn grown_trie_equals_from_tables_at_every_k(
+            tables in prop::collection::vec(arb_table(40), 1..7),
+            probes in prop::collection::vec(any::<u32>(), 16),
+            churn in prop::collection::vec((any::<usize>(), any::<u32>(), 0u8..=32, any::<NextHop>()), 24),
+        ) {
+            let mut grown = MergedTrie::new(1).unwrap();
+            for (vn, table) in tables.iter().enumerate() {
+                if vn > 0 {
+                    prop_assert_eq!(grown.add_vn(), Ok(vn));
+                    prop_assert_eq!(grown.common_node_count(), 0);
+                    prop_assert!(grown.check_invariants());
+                }
+                for entry in table.iter() {
+                    grown.insert(vn, entry.prefix, entry.next_hop);
+                }
+                let k = vn + 1;
+                let fresh = MergedTrie::from_tables(&tables[..k]).unwrap();
+                prop_assert!(grown.check_invariants());
+                prop_assert_eq!(grown.arity(), k);
+                prop_assert_eq!(grown.node_count(), fresh.node_count());
+                for v in 0..k {
+                    prop_assert_eq!(grown.vn_node_count(v), fresh.vn_node_count(v));
+                }
+                prop_assert_eq!(grown.common_node_count(), fresh.common_node_count());
+                prop_assert_eq!(
+                    grown.merging_efficiency().to_bits(),
+                    fresh.merging_efficiency().to_bits()
+                );
+                let (pushed, expected) = (grown.leaf_pushed(), fresh.leaf_pushed());
+                prop_assert_eq!(pushed.stats(), expected.stats());
+                prop_assert_eq!(pushed.node_count(), expected.node_count());
+                prop_assert_eq!(pushed.leaf_count(), expected.leaf_count());
+                for (v, table) in tables[..k].iter().enumerate() {
+                    for &ip in &probes {
+                        prop_assert_eq!(grown.lookup(v, ip), table.lookup(ip));
+                        prop_assert_eq!(pushed.lookup_vn(v, ip), expected.lookup_vn(v, ip));
+                    }
+                }
+            }
+
+            // Withdraw / re-announce churn across every VN of the grown
+            // trie, mirrored into the reference tables.
+            let mut tables = tables;
+            let k = tables.len();
+            for (pick, addr, len, nh) in churn {
+                let vn = pick % k;
+                let victim = tables[vn].prefixes().nth(pick % tables[vn].len().max(1));
+                if let Some(prefix) = victim {
+                    prop_assert_eq!(grown.remove(vn, &prefix), tables[vn].remove(&prefix));
+                }
+                let prefix = Ipv4Prefix::must(addr, len);
+                prop_assert_eq!(grown.insert(vn, prefix, nh), tables[vn].insert(prefix, nh));
+                prop_assert!(grown.check_invariants());
+            }
+            let fresh = MergedTrie::from_tables(&tables).unwrap();
+            prop_assert_eq!(grown.node_count(), fresh.node_count());
+            prop_assert_eq!(grown.common_node_count(), fresh.common_node_count());
+            for (v, table) in tables.iter().enumerate() {
+                prop_assert_eq!(grown.vn_node_count(v), fresh.vn_node_count(v));
+                for &ip in &probes {
+                    prop_assert_eq!(grown.lookup(v, ip), table.lookup(ip));
+                }
+            }
+        }
     }
 
     #[test]

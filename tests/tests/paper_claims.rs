@@ -7,6 +7,7 @@
 use vr_fpga::par::ParSimulator;
 use vr_integration_tests::{family, scenario};
 use vr_power::efficiency::efficiency_point;
+use vr_power::experiments::{power_sweep, ExperimentConfig, SweepPoint};
 use vr_power::models::analytical_power;
 use vr_power::validate::validate_scenario;
 use vr_power::{SchemeKind, SpeedGrade};
@@ -154,4 +155,97 @@ fn merged_clock_collapse() {
     let base = SpeedGrade::Minus2.base_clock_mhz();
     assert!(vm.freq_mhz() < 0.6 * base);
     assert!(vs.freq_mhz() > 0.9 * base);
+}
+
+/// The Figs. 5–8 sweep the way it was first written, kept as the
+/// reference `power_sweep` is held to: every point generates its own
+/// K-table family and builds its own scenario from scratch, sharing
+/// nothing with any other point.
+fn rebuild_every_point(cfg: &ExperimentConfig) -> Vec<SweepPoint> {
+    use vr_power::{Device, Scenario, ScenarioSpec};
+    let (frac_low, frac_high) = cfg.resolve_shared_fractions();
+    let par = ParSimulator::default();
+    let mut points = Vec::new();
+    for k in 1..=cfg.k_max {
+        for (series, scheme, frac) in [
+            ("NV", SchemeKind::NonVirtualized, frac_high),
+            ("VM (α≈0.2)", SchemeKind::Merged, frac_low),
+            ("VM (α≈0.8)", SchemeKind::Merged, frac_high),
+            ("VS", SchemeKind::Separate, frac_high),
+        ] {
+            for grade in [SpeedGrade::Minus1L, SpeedGrade::Minus2] {
+                let tables = cfg.family(k, frac).expect("family generation");
+                let spec = ScenarioSpec {
+                    stages: cfg.stages,
+                    ..ScenarioSpec::paper_default(scheme, grade)
+                };
+                let scenario =
+                    Scenario::build(&tables, spec, Device::xc6vlx760()).expect("scenario build");
+                let point = validate_scenario(&scenario, &par);
+                let capacity = scenario.capacity_gbps();
+                points.push(SweepPoint {
+                    series: series.into(),
+                    scheme,
+                    grade,
+                    k,
+                    alpha: scenario.alpha(),
+                    model_w: point.model_w,
+                    experimental_w: point.experimental_w,
+                    error_pct: point.error_pct,
+                    capacity_gbps: capacity,
+                    mw_per_gbps: vr_fpga::timing::mw_per_gbps(point.experimental_w, capacity),
+                    freq_mhz: scenario.freq_mhz(),
+                });
+            }
+        }
+    }
+    points
+}
+
+/// `f64` fields compared by bit pattern: sharing structures across the
+/// sweep's points may not move a single ulp.
+fn assert_bit_equal(shared: &[SweepPoint], rebuilt: &[SweepPoint]) {
+    assert_eq!(shared.len(), rebuilt.len());
+    for (s, r) in shared.iter().zip(rebuilt) {
+        let who = format!("{} {} K={}", r.series, r.grade, r.k);
+        assert_eq!(
+            (&s.series, s.scheme, s.grade, s.k),
+            (&r.series, r.scheme, r.grade, r.k)
+        );
+        assert_eq!(
+            s.alpha.map(f64::to_bits),
+            r.alpha.map(f64::to_bits),
+            "{who}: alpha"
+        );
+        for (name, a, b) in [
+            ("model_w", s.model_w, r.model_w),
+            ("experimental_w", s.experimental_w, r.experimental_w),
+            ("error_pct", s.error_pct, r.error_pct),
+            ("capacity_gbps", s.capacity_gbps, r.capacity_gbps),
+            ("mw_per_gbps", s.mw_per_gbps, r.mw_per_gbps),
+            ("freq_mhz", s.freq_mhz, r.freq_mhz),
+        ] {
+            assert_eq!(a.to_bits(), b.to_bits(), "{who}: {name} {a} vs {b}");
+        }
+    }
+}
+
+/// Building each structure once and pricing it many times is an
+/// optimisation of the sweep, not a change to it: every point equals the
+/// one a from-scratch build of that point alone produces.
+#[test]
+fn shared_structure_sweep_equals_a_rebuild_of_every_point() {
+    let cfg = ExperimentConfig::quick();
+    let shared = power_sweep(&cfg).expect("power sweep");
+    assert_bit_equal(&shared, &rebuild_every_point(&cfg));
+}
+
+/// The same at the paper's scale (K = 15 × 3 725 prefixes, 120 points);
+/// the CI `reproduce` job runs it with `--release -- --ignored`.
+#[test]
+#[ignore = "paper scale: ~2 s in release, far longer unoptimised"]
+fn shared_structure_sweep_equals_a_rebuild_of_every_point_at_paper_scale() {
+    let cfg = ExperimentConfig::paper();
+    let shared = power_sweep(&cfg).expect("power sweep");
+    assert_bit_equal(&shared, &rebuild_every_point(&cfg));
 }
