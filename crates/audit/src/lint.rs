@@ -26,9 +26,9 @@
 //!    incremental control plane exists to avoid. The one sanctioned
 //!    full-rebuild fallback is waived through the allowlist, so any new
 //!    clone needs an explicit entry (and a reviewer's eyes) to land.
-//! 6. **no-prefetch-outside-lane** — the `_mm_prefetch` intrinsic (and
+//! 6. **no-prefetch-outside-home** — the `_mm_prefetch` intrinsic (and
 //!    with it the workspace's only `#[allow(unsafe_code)]`) lives in
-//!    exactly one audited place: the lane stepper ([`PREFETCH_HOME`]).
+//!    exactly one audited place: the safe wrapper in [`PREFETCH_HOME`].
 //!    Anywhere else it fires, keeping `unsafe_code = forbid` meaningful
 //!    across the rest of the workspace.
 //! 7. **no-raw-cache-slot** — reading a result-cache slot's stored
@@ -73,7 +73,7 @@ use std::path::{Path, PathBuf};
 pub const HOT_PATH_FILES: [&str; 10] = [
     "crates/trie/src/flat.rs",
     "crates/trie/src/jump.rs",
-    "crates/trie/src/lane.rs",
+    "crates/trie/src/prefetch.rs",
     "crates/engine/src/service.rs",
     "crates/engine/src/service_core.rs",
     "crates/engine/src/sharded.rs",
@@ -117,9 +117,10 @@ pub const PUBLISH_PATH_FILES: [&str; 3] = [
 ];
 
 /// The one module allowed to use the software-prefetch intrinsic (and
-/// the `#[allow(unsafe_code)]` wrapping it): the lane stepper. Everywhere
-/// else `_mm_prefetch` fires [`LintRule::NoPrefetchOutsideLane`].
-pub const PREFETCH_HOME: &str = "crates/trie/src/lane.rs";
+/// the `#[allow(unsafe_code)]` wrapping it): the bounds-checked hint the
+/// result cache calls. Everywhere else `_mm_prefetch` fires
+/// [`LintRule::NoPrefetchOutsideHome`].
+pub const PREFETCH_HOME: &str = "crates/trie/src/prefetch.rs";
 
 /// The one engine module allowed to touch a result-cache slot's stored
 /// `.nhi` field: the cache itself, whose probe API pairs every read with
@@ -198,9 +199,9 @@ pub enum LintRule {
     /// `tables.clone()` on the service publish path outside the
     /// sanctioned full-rebuild fallback.
     NoTablesClone,
-    /// The `_mm_prefetch` intrinsic outside its sanctioned home, the
-    /// lane stepper module.
-    NoPrefetchOutsideLane,
+    /// The `_mm_prefetch` intrinsic outside its sanctioned home
+    /// ([`PREFETCH_HOME`]).
+    NoPrefetchOutsideHome,
     /// A raw `.nhi` cache-slot field access in an engine module outside
     /// the generation-checked probe API's home module.
     NoRawCacheSlot,
@@ -224,7 +225,7 @@ impl LintRule {
             LintRule::NoRawPowerLiteral => "no-raw-power-literal",
             LintRule::NoRawInstant => "no-raw-instant",
             LintRule::NoTablesClone => "no-tables-clone",
-            LintRule::NoPrefetchOutsideLane => "no-prefetch-outside-lane",
+            LintRule::NoPrefetchOutsideHome => "no-prefetch-outside-home",
             LintRule::NoRawCacheSlot => "no-raw-cache-slot",
             LintRule::NoRawAtomic => "no-raw-atomic",
             LintRule::NoRelaxedPublish => "no-relaxed-publish",
@@ -582,7 +583,7 @@ fn lint_file(
         }
         if !in_tests && !path_matches(rel, &[PREFETCH_HOME]) {
             if let Some(col) = stripped.find("_mm_prefetch") {
-                push(LintRule::NoPrefetchOutsideLane, col);
+                push(LintRule::NoPrefetchOutsideHome, col);
             }
         }
         if !in_tests && rel.starts_with(CACHE_SLOT_SCOPE) && !path_matches(rel, &[CACHE_HOME]) {
@@ -779,15 +780,15 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_is_confined_to_the_lane_module() {
+    fn prefetch_is_confined_to_its_home_module() {
         let text = "core::arch::x86_64::_mm_prefetch::<0>(p);\n";
         let findings = lint_text("crates/trie/src/jump.rs", text, "");
         assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].rule, LintRule::NoPrefetchOutsideLane);
+        assert_eq!(findings[0].rule, LintRule::NoPrefetchOutsideHome);
         // The engine must not grow its own prefetch either.
         assert_eq!(
             lint_text("crates/engine/src/sharded.rs", text, "")[0].rule,
-            LintRule::NoPrefetchOutsideLane
+            LintRule::NoPrefetchOutsideHome
         );
         // In its sanctioned home the intrinsic is fine.
         assert!(lint_text(PREFETCH_HOME, text, "").is_empty());

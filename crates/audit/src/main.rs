@@ -177,7 +177,7 @@ fn cmd_tables(args: &[String]) -> Result<bool, String> {
     reports.push(audit_leaf_pushed(&mlp, &tables));
     reports.push(audit_jump(&JumpTrie::from_leaf_pushed(&mlp)));
     // The structure a service publishes after an update comes from the
-    // other builder: per-bucket sub-slabs, assembled.
+    // other builder: per-bucket blocks, assembled.
     reports.push(audit_jump_with_tables(
         &JumpSlabs::from_merged(&merged).assemble(),
         &tables,

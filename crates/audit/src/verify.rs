@@ -10,7 +10,10 @@
 //! Severity policy: anything that can send a lookup out of bounds, into a
 //! cycle, or to a wrong next hop is an `Error` and fails the audit; pure
 //! accounting findings (dead slabs, stale NHI vectors) are `Info` and are
-//! reported without failing — wasted memory cannot corrupt a lookup.
+//! reported without failing — wasted memory cannot corrupt a lookup. A
+//! [`JumpTrie`] block no entry references is the exception: every block
+//! is born with exactly one referrer, so an orphan means an internal
+//! entry was overwritten and the lookups through it now answer wrongly.
 
 use crate::report::{Audit, AuditReport, AuditStats, CheckKind, Coordinates};
 use vr_net::table::NextHop;
@@ -27,68 +30,6 @@ const MAX_NHI_CODE: u16 = 1 + (NextHop::MAX as u16);
 // ---------------------------------------------------------------------------
 // Shared helpers
 // ---------------------------------------------------------------------------
-
-/// Sub-slab levels below the DIR-16 root: it already consumed 16 of the
-/// 32 address bits, so at most 16 word levels remain.
-const MAX_SUB_LEVELS: usize = 16;
-
-/// Validates a level-offset array against its word array: starts at zero,
-/// strictly increases (every live level is non-empty), ends exactly at
-/// `words_len`, and stays within [`MAX_SUB_LEVELS`]. Returns the offsets
-/// as `usize` when usable for slab indexing, `None` when traversal over
-/// them would be unsound.
-fn check_level_offsets(a: &mut Audit, offsets: &[u32], words_len: usize) -> Option<Vec<usize>> {
-    a.declare(CheckKind::LevelOrder);
-    if offsets.is_empty() {
-        a.error(
-            CheckKind::LevelOrder,
-            Coordinates::none(),
-            "level offsets are empty (missing end sentinel)",
-        );
-        return None;
-    }
-    if offsets[0] != 0 {
-        a.error(
-            CheckKind::LevelOrder,
-            Coordinates::level(0),
-            format!("first level offset is {} instead of 0", offsets[0]),
-        );
-        return None;
-    }
-    let mut ok = true;
-    for (level, pair) in offsets.windows(2).enumerate() {
-        if pair[1] <= pair[0] {
-            a.error(
-                CheckKind::LevelOrder,
-                Coordinates::level(level),
-                format!(
-                    "level offsets not strictly increasing: {} then {}",
-                    pair[0], pair[1]
-                ),
-            );
-            ok = false;
-        }
-    }
-    let last = *offsets.last().expect("non-empty") as usize;
-    if last != words_len {
-        a.error(
-            CheckKind::LevelOrder,
-            Coordinates::none(),
-            format!("level offsets end at {last} but the word array holds {words_len}"),
-        );
-        ok = false;
-    }
-    let levels = offsets.len() - 1;
-    if levels > MAX_SUB_LEVELS {
-        a.error(
-            CheckKind::LevelOrder,
-            Coordinates::none(),
-            format!("{levels} levels exceed the {MAX_SUB_LEVELS}-level address-width bound"),
-        );
-        ok = false;
-    }
-    ok.then(|| offsets.iter().map(|&o| o as usize).collect())
-}
 
 /// Validates the NHI slab shape. Returns the number of leaf vectors when
 /// slot-indexed checks are sound.
@@ -123,152 +64,114 @@ fn check_nhi_slab(a: &mut Audit, nhis: &[u16], k: usize) -> Option<usize> {
     Some(nhis.len() / k)
 }
 
-/// Checks every word of one binary level slab and counts internals.
-/// Internal words must point at an even-aligned pair inside the next
-/// level's slab; leaf words must name an existing NHI vector.
-fn check_binary_slab(
-    a: &mut Audit,
-    words: &[u32],
-    offsets: &[usize],
-    level: usize,
-    leaf_slots: Option<usize>,
-) -> (usize, usize) {
-    let levels = offsets.len() - 1;
-    let (lo, hi) = (offsets[level], offsets[level + 1]);
-    let mut internal = 0usize;
-    let mut leaves = 0usize;
-    for (off, &word) in words[lo..hi].iter().enumerate() {
-        let abs = lo + off;
-        if word & jump::LEAF_BIT != 0 {
-            leaves += 1;
-            let slot = (word & jump::PAYLOAD_MASK) as usize;
-            if let Some(count) = leaf_slots {
-                if slot >= count {
-                    a.error(
-                        CheckKind::NhiVector,
-                        Coordinates::word(level, abs, u64::from(word)),
-                        format!("leaf references NHI vector {slot} of {count}"),
-                    );
-                }
-            }
-            continue;
-        }
-        internal += 1;
-        if level + 1 >= levels {
-            a.error(
-                CheckKind::LeafCompleteness,
-                Coordinates::word(level, abs, u64::from(word)),
-                "internal word in the deepest sub-slab level",
-            );
-            continue;
-        }
-        let base = word as usize;
-        let (nlo, nhi_bound) = (offsets[level + 1], offsets[level + 2]);
-        if base < nlo || base + 2 > nhi_bound {
-            a.error(
-                CheckKind::ChildBounds,
-                Coordinates::word(level, abs, u64::from(word)),
-                format!("child pair {base}..{} outside next slab {nlo}..{nhi_bound}", base + 2),
-            );
-        } else if !(base - nlo).is_multiple_of(2) {
-            a.error(
-                CheckKind::ChildBounds,
-                Coordinates::word(level, abs, u64::from(word)),
-                format!("child base {base} not pair-aligned in slab starting at {nlo}"),
-            );
-        }
-    }
-    (internal, leaves)
-}
-
-/// Per-level fanout accounting: `internal` nodes in level `l` must open
-/// exactly `2 × internal` words in level `l + 1`.
-fn check_binary_fanout(a: &mut Audit, offsets: &[usize], internal_per_level: &[usize]) {
-    a.declare(CheckKind::ChildBounds);
-    for (level, &internal) in internal_per_level.iter().enumerate() {
-        if level + 2 > offsets.len() - 1 {
-            break;
-        }
-        let next_size = offsets[level + 2] - offsets[level + 1];
-        if internal * 2 != next_size {
-            a.error(
-                CheckKind::ChildBounds,
-                Coordinates::level(level),
-                format!(
-                    "{internal} internal words should open {} words in the next level, found {next_size}",
-                    internal * 2
-                ),
-            );
-        }
-    }
-}
-
-/// Reachability sweep over binary level-slab words: BFS from `seeds`
-/// (word indices), following in-bounds internal words only. Reports dead
-/// words and stale NHI vectors as `Info`.
-fn sweep_binary_reachability(
-    a: &mut Audit,
-    words: &[u32],
-    seeds: impl IntoIterator<Item = usize>,
-    leaf_slots: usize,
-    pre_referenced_slots: &[bool],
-) -> (u64, u64) {
-    a.declare(CheckKind::Reachability);
-    let mut visited = vec![false; words.len()];
-    let mut referenced = pre_referenced_slots.to_vec();
-    referenced.resize(leaf_slots, false);
-    let mut queue: Vec<usize> = seeds.into_iter().filter(|&i| i < words.len()).collect();
-    for &i in &queue {
-        visited[i] = true;
-    }
-    while let Some(i) = queue.pop() {
-        let word = words[i];
-        if word & jump::LEAF_BIT != 0 {
-            let slot = (word & jump::PAYLOAD_MASK) as usize;
-            if slot < leaf_slots {
-                referenced[slot] = true;
-            }
-            continue;
-        }
-        let base = word as usize;
-        for child in [base, base + 1] {
-            if child < words.len() && !visited[child] {
-                visited[child] = true;
-                queue.push(child);
-            }
-        }
-    }
-    let dead = visited.iter().filter(|v| !**v).count() as u64;
-    let stale = referenced.iter().filter(|r| !**r).count() as u64;
-    if dead > 0 {
-        a.info(
-            CheckKind::Reachability,
-            Coordinates::none(),
-            format!("{dead} of {} words unreachable from the root", words.len()),
-        );
-    }
-    if stale > 0 {
-        a.info(
-            CheckKind::Reachability,
-            Coordinates::none(),
-            format!("{stale} of {leaf_slots} NHI vectors referenced by no leaf"),
-        );
-    }
-    (dead, stale)
-}
-
 // ---------------------------------------------------------------------------
 // JumpTrie
 // ---------------------------------------------------------------------------
 
+/// Which tier claimed a tail block: the root table (level 1, address
+/// bits 16–23) or a level-1 block (level 2, bits 24–31).
+#[derive(Clone, Copy, PartialEq)]
+enum Owner {
+    Nobody,
+    Root,
+    LevelOne,
+}
+
+/// State of one [`JumpTrie`] audit: the per-block owner map and the
+/// per-vector reference map the three entry passes fill in.
+struct JumpAudit<'a> {
+    parts: JumpTrieParts<'a>,
+    /// NHI vectors in the slab, when slot-indexed checks are sound.
+    leaf_slots: Option<usize>,
+    owners: Vec<Owner>,
+    referenced: Vec<bool>,
+}
+
+impl JumpAudit<'_> {
+    /// A leaf entry must name an existing NHI vector.
+    fn leaf(&mut self, a: &mut Audit, at: Coordinates, entry: u32) {
+        let slot = (entry & jump::PAYLOAD_MASK) as usize;
+        match self.leaf_slots {
+            Some(count) if slot >= count => a.error(
+                CheckKind::NhiVector,
+                at,
+                format!("leaf references NHI vector {slot} of {count}"),
+            ),
+            Some(_) => self.referenced[slot] = true,
+            None => {}
+        }
+    }
+
+    /// An internal entry must be the base of a whole block inside the
+    /// tail that no other entry has claimed.
+    fn claim(&mut self, a: &mut Audit, at: Coordinates, entry: u32, owner: Owner) {
+        let base = entry as usize;
+        if !base.is_multiple_of(jump::BLOCK_ENTRIES) {
+            a.error(
+                CheckKind::ChildBounds,
+                at,
+                format!("block base {base} is not a multiple of {}", jump::BLOCK_ENTRIES),
+            );
+        } else if base + jump::BLOCK_ENTRIES > self.parts.tail.len() {
+            a.error(
+                CheckKind::ChildBounds,
+                at,
+                format!(
+                    "block {base}..{} outside the tail of {}",
+                    base + jump::BLOCK_ENTRIES,
+                    self.parts.tail.len()
+                ),
+            );
+        } else if self.owners[base / jump::BLOCK_ENTRIES] != Owner::Nobody {
+            a.error(
+                CheckKind::ChildBounds,
+                at,
+                format!("block at {base} referenced twice"),
+            );
+        } else {
+            self.owners[base / jump::BLOCK_ENTRIES] = owner;
+        }
+    }
+
+    /// Checks every entry of the blocks `owner` claimed. Level-1 entries
+    /// may claim level-2 blocks; a level-2 block holds leaves only — the
+    /// address has no bits left below it.
+    fn sweep_blocks(&mut self, a: &mut Audit, owner: Owner) {
+        let level = if owner == Owner::Root { 1 } else { 2 };
+        for block in 0..self.owners.len() {
+            if self.owners[block] != owner {
+                continue;
+            }
+            let base = block * jump::BLOCK_ENTRIES;
+            for at in base..base + jump::BLOCK_ENTRIES {
+                let entry = self.parts.tail[at];
+                let coords = Coordinates::word(level, at, u64::from(entry));
+                if entry & jump::LEAF_BIT != 0 {
+                    self.leaf(a, coords, entry);
+                } else if owner == Owner::Root {
+                    self.claim(a, coords, entry, Owner::LevelOne);
+                } else {
+                    a.error(
+                        CheckKind::LeafCompleteness,
+                        coords,
+                        "internal entry in a level-2 block",
+                    );
+                }
+            }
+        }
+    }
+}
+
 fn check_jump(a: &mut Audit, parts: JumpTrieParts<'_>) -> AuditStats {
     a.declare(CheckKind::TagDecode);
     a.declare(CheckKind::ChildBounds);
+    a.declare(CheckKind::LevelOrder);
     a.declare(CheckKind::LeafCompleteness);
     a.declare(CheckKind::Invariants);
+    a.declare(CheckKind::Reachability);
     let leaf_slots = check_nhi_slab(a, parts.nhis, parts.k);
     let mut stats = AuditStats {
-        nodes: (parts.root.len() + parts.words.len()) as u64,
+        nodes: (parts.root.len() + parts.tail.len()) as u64,
         nhi_entries: parts.nhis.len() as u64,
         arity: parts.k as u64,
         ..AuditStats::default()
@@ -285,87 +188,66 @@ fn check_jump(a: &mut Audit, parts: JumpTrieParts<'_>) -> AuditStats {
         );
         return stats;
     }
-    let Some(offsets) = check_level_offsets(a, parts.level_offsets, parts.words.len()) else {
-        return stats;
-    };
-    let levels = offsets.len() - 1;
-    stats.levels = 1 + levels as u64;
-
-    // Root entries: leaves resolve immediately (aligned runs may share an
-    // NHI slot — legal); internal entries must each own a distinct pair
-    // in the level-0 word slab, and those pairs must partition it.
-    let level0 = offsets.get(1).copied().unwrap_or(0);
-    let mut pair_owner = vec![false; level0 / 2];
-    let mut root_internal = 0usize;
-    let mut root_referenced = vec![false; leaf_slots.unwrap_or(0)];
-    for (bucket, &entry) in parts.root.iter().enumerate() {
-        if entry & jump::LEAF_BIT != 0 {
-            let slot = (entry & jump::PAYLOAD_MASK) as usize;
-            match leaf_slots {
-                Some(count) if slot >= count => a.error(
-                    CheckKind::NhiVector,
-                    Coordinates::word(0, bucket, u64::from(entry)),
-                    format!("root entry references NHI vector {slot} of {count}"),
-                ),
-                Some(_) => root_referenced[slot] = true,
-                None => {}
-            }
-            continue;
-        }
-        root_internal += 1;
-        let base = entry as usize;
-        if levels == 0 || base + 2 > level0 {
-            a.error(
-                CheckKind::ChildBounds,
-                Coordinates::word(0, bucket, u64::from(entry)),
-                format!("root entry child pair {base}..{} outside level-0 slab of {level0}", base + 2),
-            );
-        } else if !base.is_multiple_of(2) {
-            a.error(
-                CheckKind::ChildBounds,
-                Coordinates::word(0, bucket, u64::from(entry)),
-                format!("root entry child base {base} not pair-aligned"),
-            );
-        } else if std::mem::replace(&mut pair_owner[base / 2], true) {
-            a.error(
-                CheckKind::ChildBounds,
-                Coordinates::word(0, bucket, u64::from(entry)),
-                format!("child pair at {base} claimed by two root entries"),
-            );
-        }
-    }
-    if root_internal * 2 != level0 {
+    if !parts.tail.len().is_multiple_of(jump::BLOCK_ENTRIES) {
         a.error(
-            CheckKind::ChildBounds,
-            Coordinates::level(0),
+            CheckKind::LevelOrder,
+            Coordinates::none(),
             format!(
-                "{root_internal} internal root entries should open {} level-0 words, found {level0}",
-                root_internal * 2
+                "tail of {} entries is not whole {}-entry blocks",
+                parts.tail.len(),
+                jump::BLOCK_ENTRIES
             ),
         );
+        return stats;
     }
 
-    let mut internal_per_level = Vec::with_capacity(levels);
-    let mut total_leaves = 0usize;
-    for level in 0..levels {
-        let (internal, leaves) =
-            check_binary_slab(a, parts.words, &offsets, level, leaf_slots);
-        internal_per_level.push(internal);
-        total_leaves += leaves;
+    // Root entries claim level-1 blocks (aligned runs of leaves may share
+    // an NHI slot — legal), level-1 entries claim level-2 blocks, and
+    // every block must end up claimed exactly once.
+    let mut audit = JumpAudit {
+        parts,
+        leaf_slots,
+        owners: vec![Owner::Nobody; parts.tail.len() / jump::BLOCK_ENTRIES],
+        referenced: vec![false; leaf_slots.unwrap_or(0)],
+    };
+    for (bucket, &entry) in parts.root.iter().enumerate() {
+        let coords = Coordinates::word(0, bucket, u64::from(entry));
+        if entry & jump::LEAF_BIT != 0 {
+            audit.leaf(a, coords, entry);
+        } else {
+            audit.claim(a, coords, entry, Owner::Root);
+        }
     }
-    stats.leaves = total_leaves as u64;
-    check_binary_fanout(a, &offsets, &internal_per_level);
-    if let Some(slots) = leaf_slots {
-        let seeds: Vec<usize> = parts
-            .root
-            .iter()
-            .filter(|&&e| e & jump::LEAF_BIT == 0)
-            .flat_map(|&e| [e as usize, e as usize + 1])
-            .collect();
-        let (dead, stale) =
-            sweep_binary_reachability(a, parts.words, seeds, slots, &root_referenced);
-        stats.dead_words = dead;
-        stats.stale_nhi_vectors = stale;
+    audit.sweep_blocks(a, Owner::Root);
+    audit.sweep_blocks(a, Owner::LevelOne);
+
+    let owned = |owner| audit.owners.iter().filter(|&&o| o == owner).count() as u64;
+    stats.levels = 1 + u64::from(owned(Owner::Root) > 0) + u64::from(owned(Owner::LevelOne) > 0);
+    stats.leaves = audit.referenced.len() as u64;
+    stats.dead_words = owned(Owner::Nobody) * jump::BLOCK_ENTRIES as u64;
+    stats.stale_nhi_vectors = audit.referenced.iter().filter(|r| !**r).count() as u64;
+    for (block, _) in audit.owners.iter().enumerate().filter(|(_, &o)| o == Owner::Nobody) {
+        let base = block * jump::BLOCK_ENTRIES;
+        a.error(
+            CheckKind::ChildBounds,
+            Coordinates {
+                level: None,
+                offset: Some(base as u64),
+                word: None,
+            },
+            format!("block at {base} referenced by no entry"),
+        );
+    }
+    if stats.stale_nhi_vectors > 0 {
+        a.info(
+            CheckKind::Reachability,
+            Coordinates::none(),
+            format!(
+                "{} of {} NHI vectors referenced by no leaf",
+                stats.stale_nhi_vectors,
+                audit.referenced.len()
+            ),
+        );
     }
     stats
 }
@@ -929,51 +811,117 @@ mod tests {
         assert!(audit_leaf_pushed(&pushed, &[RoutingTable::new()]).is_clean());
     }
 
-    /// The sample's jump trie with its sub-slab words and NHI slab passed
+    /// A table with a level-2 block (10.1.1.0/24 has a /26 inside), two
+    /// level-1 blocks, and more than one NHI vector.
+    fn deep_sample() -> RoutingTable {
+        table("0.0.0.0/0 9\n10.1.0.0/16 2\n10.1.1.0/24 3\n10.1.1.64/26 4\n192.168.0.0/17 5\n")
+    }
+
+    /// The deep sample's jump trie with its tail and NHI slab passed
     /// through `mutate`, audited.
-    fn audit_mutated(mutate: impl FnOnce(&mut Vec<u32>, &mut Vec<u16>, &[u32])) -> AuditReport {
-        let jump = JumpTrie::from_table(&sample());
+    fn audit_mutated(mutate: impl FnOnce(&mut Vec<u32>, &mut Vec<u32>, &mut Vec<u16>)) -> AuditReport {
+        let jump = JumpTrie::from_table(&deep_sample());
         let p = jump.raw_parts();
-        let (mut words, mut nhis) = (p.words.to_vec(), p.nhis.to_vec());
-        mutate(&mut words, &mut nhis, p.level_offsets);
-        audit_jump(&JumpTrie::from_raw_parts(
-            p.root.to_vec(),
-            words,
-            p.level_offsets.to_vec(),
-            nhis,
-            p.k,
-        ))
+        let (mut root, mut tail, mut nhis) = (p.root.to_vec(), p.tail.to_vec(), p.nhis.to_vec());
+        mutate(&mut root, &mut tail, &mut nhis);
+        audit_jump(&JumpTrie::from_raw_parts(root, tail, nhis, p.k))
+    }
+
+    fn failed_checks(report: &AuditReport) -> Vec<CheckKind> {
+        report.checks.iter().filter(|c| !c.passed).map(|c| c.check).collect()
+    }
+
+    /// Index in `tail` of the one level-1 entry that opens a level-2
+    /// block, and that block's base.
+    fn level_two_link(root: &[u32], tail: &[u32]) -> (usize, usize) {
+        let level_one = root[0x0A01] as usize;
+        let at = level_one + 1; // 10.1.1.x
+        assert_eq!(tail[at] & jump::LEAF_BIT, 0);
+        (at, tail[at] as usize)
+    }
+
+    #[test]
+    fn deep_sample_is_clean_and_three_blocks() {
+        let report = audit_mutated(|_, tail, _| assert_eq!(tail.len(), 3 * jump::BLOCK_ENTRIES));
+        assert!(report.is_clean(), "{}", report.summary());
+        assert_eq!(report.stats.levels, 3);
+        assert_eq!(report.stats.dead_words, 0);
+        assert_eq!(report.stats.stale_nhi_vectors, 0);
     }
 
     #[test]
     fn flipped_leaf_tag_is_caught() {
-        let report = audit_mutated(|words, _, offsets| {
-            // Find a leaf in a non-final sub-slab level and strip its tag:
-            // the payload becomes a bogus child base.
-            let above_deepest = offsets[offsets.len() - 2] as usize;
-            let victim = (0..above_deepest)
-                .find(|&i| words[i] & jump::LEAF_BIT != 0)
-                .expect("some leaf above the deepest level");
-            words[victim] &= jump::PAYLOAD_MASK;
+        // A leaf in a level-1 block with its tag stripped: the payload (a
+        // small NHI slot) becomes a bogus, misaligned block base.
+        let report = audit_mutated(|root, tail, _| {
+            let at = root[0x0A01] as usize + 7;
+            assert_ne!(tail[at] & jump::LEAF_BIT, 0);
+            tail[at] = (tail[at] & jump::PAYLOAD_MASK) | 1;
         });
-        assert!(!report.is_clean(), "tag flip must be detected");
+        assert_eq!(failed_checks(&report), [CheckKind::ChildBounds]);
     }
 
     #[test]
     fn oob_child_base_is_caught() {
-        let report = audit_mutated(|words, _, _| {
-            let victim = words
-                .iter()
-                .position(|&w| w & jump::LEAF_BIT == 0)
-                .expect("some internal sub-slab word");
-            words[victim] = jump::PAYLOAD_MASK; // far out of every slab
+        // Aligned, but past the end of the tail.
+        let report = audit_mutated(|root, tail, _| root[0x0A01] = tail.len() as u32);
+        assert!(failed_checks(&report).contains(&CheckKind::ChildBounds));
+    }
+
+    #[test]
+    fn block_referenced_twice_is_caught() {
+        let report = audit_mutated(|root, _, _| root[0x0A02] = root[0x0A01]);
+        assert_eq!(failed_checks(&report), [CheckKind::ChildBounds]);
+        // ... from two tiers as well: a root entry naming a level-2 block.
+        let report = audit_mutated(|root, tail, _| {
+            root[0x0A02] = level_two_link(root, tail).1 as u32;
         });
-        assert!(!report.is_clean(), "out-of-bounds child must be detected");
+        assert_eq!(failed_checks(&report), [CheckKind::ChildBounds]);
+    }
+
+    #[test]
+    fn orphan_block_is_caught() {
+        // The only reference to the level-2 block becomes a valid leaf:
+        // every lookup stays in bounds, and the /24 below answers wrongly.
+        let report = audit_mutated(|root, tail, _| {
+            let (at, _) = level_two_link(root, tail);
+            tail[at] = tail[at - 1];
+        });
+        assert_eq!(failed_checks(&report), [CheckKind::ChildBounds]);
+        assert_eq!(report.stats.dead_words, jump::BLOCK_ENTRIES as u64);
+    }
+
+    #[test]
+    fn internal_entry_in_level_two_block_is_caught() {
+        let report = audit_mutated(|root, tail, _| {
+            let (_, level_two) = level_two_link(root, tail);
+            tail[level_two + 3] = 0; // an aligned in-bounds base, one level too deep
+        });
+        assert_eq!(failed_checks(&report), [CheckKind::LeafCompleteness]);
+    }
+
+    #[test]
+    fn leaf_slot_past_the_nhi_slab_is_caught() {
+        let report = audit_mutated(|root, tail, nhis| {
+            let (_, level_two) = level_two_link(root, tail);
+            tail[level_two] = jump::LEAF_BIT | nhis.len() as u32;
+        });
+        assert_eq!(failed_checks(&report), [CheckKind::NhiVector]);
+    }
+
+    #[test]
+    fn truncated_tail_is_caught() {
+        // Not whole blocks: nothing below the root can be trusted.
+        let report = audit_mutated(|_, tail, _| tail.truncate(tail.len() - 1));
+        assert_eq!(failed_checks(&report), [CheckKind::LevelOrder]);
+        // Whole blocks, one too few: the last base now points past the end.
+        let report = audit_mutated(|_, tail, _| tail.truncate(tail.len() - jump::BLOCK_ENTRIES));
+        assert_eq!(failed_checks(&report), [CheckKind::ChildBounds]);
     }
 
     #[test]
     fn truncated_nhi_slab_is_caught() {
-        let report = audit_mutated(|_, nhis, _| nhis.truncate(nhis.len() / 2));
+        let report = audit_mutated(|_, _, nhis| nhis.truncate(nhis.len() / 2));
         assert!(!report.is_clean(), "truncated NHI slab must be detected");
     }
 

@@ -407,11 +407,11 @@ impl std::fmt::Debug for ControlPlane {
     }
 }
 
-/// Total live-snapshot footprint in bits (root + words + NHI slab).
+/// Total live-snapshot footprint in bits (root + tail blocks + NHI slab).
 fn footprint_bits(service: &LookupService, nhi_bits: u64) -> u64 {
     let snapshot = service.snapshot();
-    let (root, words, nhis) = snapshot.trie.memory_bits(nhi_bits);
-    root + words + nhis
+    let (root, tail, nhis) = snapshot.trie.memory_bits(nhi_bits);
+    root + tail + nhis
 }
 
 /// α as a parts-per-mille integer for gauges and events (1000 = 1.0).
@@ -457,8 +457,13 @@ mod tests {
 
         let dir = std::env::temp_dir().join(format!("vr_control_flight_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        // One worker behind a depth-1 queue: a burst of submits is
-        // guaranteed to find the queue full and publish WorkerStall.
+        // One worker behind a depth-1 queue, and jobs long enough (2^18
+        // keys, milliseconds each) to outlast a scheduler time slice: a
+        // woken worker that preempts the submitter on a shared CPU cannot
+        // finish its job before the submitter runs again, so a burst of
+        // submits is guaranteed to find the queue full and publish
+        // WorkerStall. (At 4 096 keys a job fit inside one slice and the
+        // two threads could run strictly in turn, never stalling.)
         let service = LookupService::new(
             paired_tables(),
             ServiceConfig {
@@ -478,7 +483,7 @@ mod tests {
             ..FlightConfig::new(&dir)
         }));
 
-        let packets: Vec<(VnId, u32)> = (0..4096).map(|i| (0, 0x0A00_0000 | i)).collect();
+        let packets: Vec<(VnId, u32)> = (0..1 << 18).map(|i| (0, 0x0A00_0000 | i)).collect();
         for _ in 0..8 {
             let _ = plane.service_mut().submit(packets.clone());
         }
@@ -758,11 +763,15 @@ mod tests {
         let mut plane =
             ControlPlane::new(small_service(paired_tables()), ControlConfig::default()).unwrap();
         assert!(plane.power_delta_w().abs() < 1e-12);
-        // A burst of new distinct /24s grows the trie footprint.
-        let burst: Vec<RouteUpdate> = (0..64u32)
+        // A burst of new /24s, one per /16 bucket, opens 64 blocks: 512 Kib,
+        // well past one BRAM's quantum (64 /24s inside one /16 are a
+        // single 8 Kib block, which the last BRAM's slack can absorb).
+        // Both networks announce them, so α stays above the re-merge
+        // floor and the baseline is not re-anchored under the burst.
+        let burst: Vec<RouteUpdate> = (0..128u32)
             .map(|i| RouteUpdate::Announce {
-                vnid: 0,
-                prefix: vr_net::Ipv4Prefix::must(0x2D00_0000 | (i << 8), 24),
+                vnid: (i & 1) as VnId,
+                prefix: vr_net::Ipv4Prefix::must(0x2D00_0000 | ((i >> 1) << 16), 24),
                 next_hop: 3,
             })
             .collect();

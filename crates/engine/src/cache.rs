@@ -1,8 +1,8 @@
 //! Hot-path LPM result cache with generation invalidation.
 //!
 //! Real router traffic is heavily skewed: a small set of hot destinations
-//! dominates, yet every lookup still pays the full DIR-16 root load plus
-//! sub-slab chase. This module short-circuits the repeat lookups with a
+//! dominates, yet every lookup still pays the DIR-16 root load plus up to
+//! two block loads. This module short-circuits the repeat lookups with a
 //! per-worker **result cache** in front of the trie walk
 //! (`lookup_batch_mixed`):
 //!
@@ -38,7 +38,7 @@ use vr_net::table::NextHop;
 use vr_net::VnId;
 use vr_obs::{Stage, TraceBuilder};
 use vr_sync::GenTag;
-use vr_trie::lane::prefetch_index;
+use vr_trie::prefetch::prefetch_index;
 use vr_trie::JumpTrie;
 
 use crate::service::lookup_batch_mixed;

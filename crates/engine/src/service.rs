@@ -934,8 +934,7 @@ mod tests {
         let p = good.raw_parts();
         let corrupt = JumpTrie::from_raw_parts(
             p.root.to_vec(),
-            p.words.to_vec(),
-            p.level_offsets.to_vec(),
+            p.tail.to_vec(),
             Vec::new(),
             p.k,
         );

@@ -63,8 +63,10 @@ pub struct TableSnapshot {
 /// The lookup structure both services publish for a table family: the
 /// jump trie of its K-way merged leaf-pushed trie (K = 1 included).
 pub(crate) fn build_trie(tables: &[RoutingTable]) -> Result<JumpTrie, EngineError> {
-    let merged = MergedTrie::from_tables(tables)?;
-    Ok(JumpTrie::from_leaf_pushed(&merged.leaf_pushed()))
+    // The merged trie is dropped before the blocks are filled, so the
+    // build peaks at the larger of the two, not their sum.
+    let pushed = MergedTrie::from_tables(tables)?.leaf_pushed();
+    Ok(JumpTrie::from_leaf_pushed(&pushed))
 }
 
 /// Structural audit gate for candidate snapshots: active in debug builds
@@ -1001,8 +1003,7 @@ pub(crate) mod contract {
                 let p = good.raw_parts();
                 let corrupt = JumpTrie::from_raw_parts(
                     p.root.to_vec(),
-                    p.words.to_vec(),
-                    p.level_offsets.to_vec(),
+                    p.tail.to_vec(),
                     Vec::new(),
                     p.k,
                 );

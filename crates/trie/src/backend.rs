@@ -3,19 +3,19 @@
 //! written against, so an encoding is enumerated once per driver instead
 //! of once per entry point.
 //!
-//! Each impl sits next to its type. Exactly two layouts override the
-//! batch method, each because a measurement puts it ahead of the scalar
-//! loop somewhere: [`FlatStrideTrie`]'s dense sweep streams one
-//! contiguous slab per pass, and [`JumpTrie`]'s lane stepper prefetches
-//! into one (it wins once the table outgrows the cache, past ~65 536
-//! prefixes). The pointer tries allocate nodes in insertion order, so a
-//! lockstep pass over them chases the same scattered arena slots as the
-//! scalar walk plus its own bookkeeping — their hand-written walkers
-//! measured 0.66–1.26× scalar and were removed; they take the provided
-//! scalar loop.
+//! Each impl sits next to its type. Exactly one layout overrides the
+//! batch method, because a measurement puts it ahead of the scalar loop:
+//! [`FlatStrideTrie`]'s dense sweep streams one contiguous slab per pass.
+//! [`JumpTrie`]'s walk is at most three dependent loads with no loop, so
+//! there is nothing for a batch stepper to overlap and its batch path is
+//! the provided scalar loop. The pointer tries allocate nodes in
+//! insertion order, so a lockstep pass over them chases the same
+//! scattered arena slots as the scalar walk plus its own bookkeeping —
+//! their hand-written walkers measured 0.66–1.26× scalar and were
+//! removed; they take the provided scalar loop too.
 //!
 //! The serving path does not go through this trait: it calls
-//! [`JumpTrie`]'s inherent methods by name.
+//! [`JumpTrie::lookup_vn`](crate::JumpTrie::lookup_vn) by name.
 //!
 //! [`FlatStrideTrie`]: crate::FlatStrideTrie
 //! [`JumpTrie`]: crate::JumpTrie

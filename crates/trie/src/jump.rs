@@ -1,40 +1,41 @@
-//! DIR-16 jump-table front end: a 2^16-entry direct-index root table
-//! fused with level-ordered sub-trie slabs.
+//! DIR-16-8-8: a 2^16-entry direct-index root table over a tail of
+//! 256-entry stride-8 blocks — the serving structure.
 //!
-//! A level-ordered slab per trie level fixes the *layout* of the paper's
-//! pipeline memories (§V-D) but keeps its *depth*: a /24 route still
-//! costs up to 24 dependent loads from the root. Hardware IP-lookup
-//! engines (DIR-24-8 and its FPGA tilings — see PAPERS.md) spend cheap
-//! dense memory on the top of the trie instead: the first address bits
-//! index a direct table in **one** load, and only the minority of longer
-//! prefixes continue into a deeper structure.
-//!
-//! [`JumpTrie`] is the software rendition at a 16-bit split (DIR-16):
+//! The paper's engine (§V-D) answers one lookup per cycle whatever the
+//! prefix depth, because each pipeline stage owns one trie level. Software
+//! pays for depth: every level is a dependent load. Hardware IP-lookup
+//! engines (DIR-24-8 and its FPGA tilings, MashUp's fixed-stride tiles —
+//! see PAPERS.md) spend dense memory to bound it, and [`JumpTrie`] does
+//! the same with three fixed strides, 16 + 8 + 8:
 //!
 //! * `root` — 65 536 `u32` entries, indexed by `ip >> 16`. A leaf entry
-//!   (high bit set) resolves the lookup immediately with an NHI-slab
-//!   slot; an internal entry is the child-base word of the covering
-//!   depth-16 trie node, continuing into `words`.
-//! * `words` — the depth ≥ 17 remainder of the leaf-pushed trie, stored
-//!   breadth-first, one contiguous slab per level, one `u32` per node.
-//!   An internal word holds the absolute index of its left child
-//!   (children of a full binary trie are emitted adjacently, so one
-//!   offset addresses both); a leaf word ([`LEAF_BIT`] set) holds an
-//!   NHI-slab slot — the paper's split of pipeline memory into "pointer"
-//!   and "NHI" words (Fig. 4). Because ~90 % of real routes sit at
-//!   /16–/24, the remainder is shallow *and small*, so it stays
-//!   cache-resident even when the whole trie would not.
-//! * `nhis` — K-wide VNID-indexed NHI vectors shared by both tiers, so
+//!   ([`LEAF_BIT`] set) resolves the lookup with an NHI-slab slot; an
+//!   internal entry is the base in `tail` of the bucket's level-1 block.
+//! * `tail` — 256-entry blocks, each the leaf-pushed trie below one node
+//!   expanded over the next 8 address bits. A level-1 block (bits 16–23)
+//!   holds leaves or bases of level-2 blocks (bits 24–31); a level-2
+//!   block holds leaves only, since a full trie over 32-bit addresses has
+//!   no internal node at depth 32. Blocks lie bucket by bucket in address
+//!   order, a bucket's level-1 block ahead of its level-2 blocks.
+//! * `nhis` — K-wide VNID-indexed NHI vectors shared by every tier, so
 //!   one structure serves single tables (K = 1) and the virtualized
 //!   merged scheme (§IV-C). Identical vectors share one slot: every
-//!   writer of the slab goes through `NhiInterner`, which belongs to
-//!   the codec defined here, so the from-scratch builder and
-//!   [`JumpSlabs::assemble`](crate::subslab::JumpSlabs::assemble)
-//!   publish the same footprint for the same tables.
+//!   writer goes through `NhiInterner`.
 //!
-//! A lookup therefore bottoms out in 1 load for prefixes at /16 or
-//! shorter and `1 + (depth − 16)` loads beyond — 2–3 dependent loads for
-//! the common /16–/24 band instead of 16–24.
+//! A lookup is `root[ip >> 16]` → `tail[e + ((ip >> 8) & 255)]` →
+//! `tail[e + (ip & 255)]` → `nhis[slot·K + vn]`: **at most three slab
+//! loads and one NHI load, two forward branches, no loop**. The price is
+//! the DIR-24-8 trade — a leaf `d` bits into a block is stored `2^(8−d)`
+//! times — so the K = 15 paper family's tail is 4 433 KiB (4 294 level-1
+//! and 139 level-2 blocks) where one word per binary node was 342 KiB,
+//! and a 1 M-prefix table's is 18.3 MiB where it was 5.6 MiB. The walk
+//! is 2–5× shorter at every measured scale (DESIGN.md §9).
+//!
+//! Both builders — [`JumpTrie::from_leaf_pushed`] from scratch and
+//! [`JumpSlabs::assemble`](crate::subslab::JumpSlabs::assemble) from the
+//! control plane's per-bucket store — fill blocks through the one
+//! [`fill_blocks`] and intern vectors in address order, so they publish
+//! identical slabs for the same tables, field for field.
 //!
 //! The structure is immutable by design: route updates build a fresh
 //! `JumpTrie` and publish it atomically (see `vr-engine`'s
@@ -46,15 +47,21 @@ use crate::unibit::{NodeId, UnibitTrie};
 use serde::{Deserialize, Serialize};
 use vr_net::table::{NextHop, RoutingTable};
 
-/// High bit of a root entry or node word: set for leaves.
+/// High bit of a root or block entry: set for leaves.
 pub const LEAF_BIT: u32 = 1 << 31;
-/// Low 31 bits: child base (internal) or NHI-slab slot (leaf).
+/// Low 31 bits: child block base (internal) or NHI-slab slot (leaf).
 pub const PAYLOAD_MASK: u32 = LEAF_BIT - 1;
 
 /// Bits resolved by the direct-index root table.
 pub const JUMP_BITS: u32 = 16;
 /// Number of root-table entries (2^16).
 pub const ROOT_ENTRIES: usize = 1 << JUMP_BITS;
+/// Address bits one tail block resolves: two block levels finish the
+/// address below the root.
+const TAIL_STRIDE: u32 = 8;
+const _: () = assert!(JUMP_BITS + 2 * TAIL_STRIDE == u32::BITS);
+/// Entries in one tail block (2^8).
+pub const BLOCK_ENTRIES: usize = 1 << TAIL_STRIDE;
 
 /// Encoded `Option<NextHop>`: `0` = no route, `1 + nh` = `Some(nh)`.
 pub(crate) type NhiCode = u16;
@@ -81,11 +88,13 @@ pub(crate) fn decode_nhi(code: NhiCode) -> Option<NextHop> {
 /// structure whichever path built it — the hardware's shared NHI memory,
 /// and the footprint the control plane prices in watts.
 ///
-/// A build interns one vector per direct bucket (up to 65,536) plus one
-/// per leaf word, while the distinct-vector count is orders of magnitude
-/// smaller — and repeats arrive in long address-space runs (an empty /8
-/// is thousands of consecutive identical direct buckets). Two levels
-/// exploit that shape:
+/// It is called once per leaf of the leaf-pushed trie — never once per
+/// block entry, which outnumber leaves tenfold — while the
+/// distinct-vector count is orders of magnitude smaller, and repeats
+/// arrive in long address-space runs. The per-bucket store
+/// ([`JumpSlabs`](crate::subslab::JumpSlabs)) keeps one small interner's
+/// output per bucket, so the table starts small. Two levels exploit the
+/// shape:
 ///
 /// * a **last-vector memo** short-circuits consecutive repeats with one
 ///   slice compare, no hashing;
@@ -110,7 +119,7 @@ impl NhiInterner {
         Self {
             k,
             slab: Vec::new(),
-            table: vec![(0, 0); 1024],
+            table: vec![(0, 0); 64],
             len: 0,
             last: None,
         }
@@ -184,32 +193,85 @@ impl NhiInterner {
     }
 }
 
-/// Two-tier lookup structure: direct-indexed first 16 bits, level-slab
-/// binary trie for the remainder.
+/// Walks the top `bits` levels of a full binary trie below `node` in
+/// address order, reading it through `children` (`None` for a leaf).
+/// `visit(at, run, node, internal)` receives each leaf met `d` bits down
+/// with the aligned run of `2^(bits − d)` slots it covers, and each
+/// internal node surviving to the cut with its one slot.
+///
+/// The one descent of both [`JumpTrie`] builders, at the root
+/// (`bits` = 16) and inside [`fill_blocks`] (`bits` = 8).
+pub(crate) fn descend<N>(
+    node: N,
+    bits: u32,
+    children: &impl Fn(&N) -> Option<(N, N)>,
+    mut visit: impl FnMut(usize, usize, N, bool),
+) {
+    let mut stack = vec![(node, 0usize, 0u32)];
+    while let Some((node, at, depth)) = stack.pop() {
+        match children(&node) {
+            Some((left, right)) if depth < bits => {
+                let half = 1usize << (bits - depth - 1);
+                stack.push((right, at + half, depth + 1));
+                stack.push((left, at, depth + 1));
+            }
+            kids => visit(at, 1 << (bits - depth), node, kids.is_some()),
+        }
+    }
+}
+
+/// Appends to `tail` the blocks of the subtree below the internal `node`
+/// — its own block first, then the blocks of the internal nodes 8 bits
+/// down, in address order — and returns the first block's base. A leaf
+/// `fill`s its whole run in one call; `leaf` turns it into its entry
+/// (`LEAF_BIT | slot`) and is called once per leaf, in address order.
+/// Internal entries are indices into `tail`, so a bucket-local `tail`
+/// yields bucket-local bases.
+pub(crate) fn fill_blocks<N>(
+    node: N,
+    children: &impl Fn(&N) -> Option<(N, N)>,
+    tail: &mut Vec<u32>,
+    leaf: &mut impl FnMut(&N) -> u32,
+) -> u32 {
+    let base = tail.len();
+    tail.resize(base + BLOCK_ENTRIES, 0);
+    descend(node, TAIL_STRIDE, children, |at, run, node, internal| {
+        let entry = if internal {
+            fill_blocks(node, children, tail, leaf)
+        } else {
+            leaf(&node)
+        };
+        tail[base + at..base + at + run].fill(entry);
+    });
+    let base = u32::try_from(base).expect("jump trie tail exceeds u32 entries");
+    debug_assert_eq!(base & LEAF_BIT, 0, "jump trie too large");
+    base
+}
+
+/// Three-tier lookup structure: direct-indexed first 16 bits, then two
+/// levels of 256-entry stride-8 blocks.
 ///
 /// ```
 /// use vr_net::RoutingTable;
-/// use vr_trie::JumpTrie;
+/// use vr_trie::{JumpTrie, LookupBackend};
 ///
 /// let table: RoutingTable = "10.0.0.0/8 1\n10.1.1.0/24 2\n".parse().unwrap();
 /// let jump = JumpTrie::from_table(&table);
-/// assert_eq!(jump.lookup(0x0A01_0103), Some(2)); // 3 loads: root + 2 levels
+/// assert_eq!(jump.lookup(0x0A01_0103), Some(2)); // 2 loads: root + level-1 block
 /// assert_eq!(jump.lookup(0x0A02_0000), Some(1)); // 1 load: root entry is final
 ///
 /// let dsts = [0x0A01_0103, 0x0A02_0000, 0x0B00_0000];
 /// let mut out = [None; 3];
-/// jump.lookup_batch(&dsts, &mut out);
+/// jump.lookup_batch_vn(0, &dsts, &mut out); // the trait's scalar loop
 /// assert_eq!(out, [Some(2), Some(1), None]);
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct JumpTrie {
     /// 2^16 direct-index entries, one per /16 bucket.
     root: Vec<u32>,
-    /// Depth ≥ 17 node words, levels concatenated breadth-first
-    /// (level 0 holds the depth-17 nodes).
-    words: Vec<u32>,
-    /// Start of each sub-slab level in `words`, plus one end sentinel.
-    level_offsets: Vec<u32>,
+    /// 256-entry blocks below the root, bucket by bucket, a bucket's
+    /// level-1 block ahead of its level-2 blocks.
+    tail: Vec<u32>,
     /// Leaf NHI vectors: `k` consecutive codes per leaf, VNID-indexed.
     nhis: Vec<NhiCode>,
     /// NHI vector width (1 for single tries, K for merged).
@@ -219,14 +281,12 @@ pub struct JumpTrie {
 /// Borrowed view of a [`JumpTrie`]'s raw encoding, consumed by the
 /// `vr-audit` structural verifier. Field meanings match the private
 /// fields of [`JumpTrie`] one for one.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JumpTrieParts<'a> {
     /// 2^16 direct-index entries, one per /16 bucket.
     pub root: &'a [u32],
-    /// Depth ≥ 17 node words, levels concatenated breadth-first.
-    pub words: &'a [u32],
-    /// Start of each sub-slab level in `words`, plus one end sentinel.
-    pub level_offsets: &'a [u32],
+    /// 256-entry blocks below the root.
+    pub tail: &'a [u32],
     /// Leaf NHI vectors, `k` consecutive codes per leaf.
     pub nhis: &'a [u16],
     /// NHI vector width.
@@ -239,8 +299,7 @@ impl JumpTrie {
     pub fn raw_parts(&self) -> JumpTrieParts<'_> {
         JumpTrieParts {
             root: &self.root,
-            words: &self.words,
-            level_offsets: &self.level_offsets,
+            tail: &self.tail,
             nhis: &self.nhis,
             k: self.k,
         }
@@ -250,20 +309,13 @@ impl JumpTrie {
     /// the inverse of [`JumpTrie::raw_parts`]. This is the ingestion path
     /// for serialized table artifacts (and for the mutation tests that
     /// feed deliberately corrupt encodings to the verifier): nothing here
-    /// proves the words well-formed, so callers must run the `vr-audit`
+    /// proves the entries well-formed, so callers must run the `vr-audit`
     /// structural checks before publishing the result to a datapath.
     #[must_use]
-    pub fn from_raw_parts(
-        root: Vec<u32>,
-        words: Vec<u32>,
-        level_offsets: Vec<u32>,
-        nhis: Vec<u16>,
-        k: usize,
-    ) -> Self {
+    pub fn from_raw_parts(root: Vec<u32>, tail: Vec<u32>, nhis: Vec<u16>, k: usize) -> Self {
         Self {
             root,
-            words,
-            level_offsets,
+            tail,
             nhis,
             k,
         }
@@ -273,89 +325,46 @@ impl JumpTrie {
     /// keep their K-wide VNID-indexed NHI vectors, interned into one slab.
     ///
     /// Descends the full binary trie to depth 16, writing final entries
-    /// for leaves met on the way, then flattens the surviving depth-16
-    /// subtrees breadth-first into `words`.
+    /// for leaves met on the way, and expands each surviving depth-16
+    /// subtree into its blocks.
     #[must_use]
     pub fn from_leaf_pushed(trie: &LeafPushedTrie) -> Self {
         let k = trie.arity();
-        let mut table = vec![0u32; ROOT_ENTRIES];
+        let children = |id: &NodeId| trie.node_children(*id);
+        // One block per internal node at depth 16 and at depth 24, counted
+        // first so the tail is allocated once. The two partial walks cost
+        // 0.7 ms on the paper family; growing a 4.4 MiB tail by doubling
+        // instead first-touches ~850 more pages, 2.5 ms on the build host.
+        let internal_at = |depth| {
+            let mut count = 0usize;
+            descend(NodeId::ROOT, depth, &children, |_, _, _, internal| {
+                count += usize::from(internal);
+            });
+            count
+        };
+        let blocks = internal_at(JUMP_BITS) + internal_at(JUMP_BITS + TAIL_STRIDE);
+        let mut root = vec![0u32; ROOT_ENTRIES];
+        let mut tail = Vec::with_capacity(blocks * BLOCK_ENTRIES);
         let mut interner = NhiInterner::new(k);
         let mut codes: Vec<NhiCode> = vec![0; k];
-        let mut emit_leaf = |id: NodeId| -> u32 {
-            for (code, nhi) in codes.iter_mut().zip(trie.node_nhis(id)) {
+        let mut leaf = |id: &NodeId| -> u32 {
+            for (code, nhi) in codes.iter_mut().zip(trie.node_nhis(*id)) {
                 *code = encode_nhi(*nhi);
             }
             LEAF_BIT | interner.intern(&codes)
         };
-
-        // Iterative descent to depth 16. `stack` holds (node, index of the
-        // first covered /16 bucket, depth); a leaf above the cut covers a
-        // whole aligned run of buckets and is emitted once.
-        let mut subtrees: Vec<NodeId> = Vec::new(); // depth-16 internal nodes
-        let mut subtree_buckets: Vec<usize> = Vec::new(); // their root slots
-        let mut stack: Vec<(NodeId, usize, u32)> = vec![(NodeId::ROOT, 0, 0)];
-        while let Some((id, bucket, depth)) = stack.pop() {
-            match trie.node_children(id) {
-                None => {
-                    let entry = emit_leaf(id);
-                    let run = 1usize << (JUMP_BITS - depth);
-                    table[bucket..bucket + run].fill(entry);
-                }
-                Some((l, r)) if depth < JUMP_BITS => {
-                    let half = 1usize << (JUMP_BITS - depth - 1);
-                    stack.push((r, bucket + half, depth + 1));
-                    stack.push((l, bucket, depth + 1));
-                }
-                Some(_) => {
-                    // Internal node exactly at the cut: its children open
-                    // the sub-slab; the entry is patched below once the
-                    // child base is known.
-                    subtree_buckets.push(bucket);
-                    subtrees.push(id);
-                }
-            }
-        }
-
-        // Flatten all surviving subtrees together, level by level: the
-        // frontier of depth-17 nodes is the children of every depth-16
-        // internal node, emitted adjacently — so a root entry is simply
-        // the base index of its two children, the same encoding as an
-        // internal sub-slab word.
-        let mut words: Vec<u32> = Vec::new();
-        let mut level_offsets = vec![0u32];
-        let mut frontier: Vec<NodeId> = Vec::with_capacity(subtrees.len() * 2);
-        for (&id, &bucket) in subtrees.iter().zip(&subtree_buckets) {
-            let (l, r) = trie.node_children(id).expect("subtree roots are internal");
-            let child_base = u32::try_from(frontier.len()).expect("jump trie too large");
-            debug_assert_eq!(child_base & LEAF_BIT, 0, "jump trie too large");
-            table[bucket] = child_base;
-            frontier.push(l);
-            frontier.push(r);
-        }
-        let mut next: Vec<NodeId> = Vec::new();
-        while !frontier.is_empty() {
-            let next_offset = u32::try_from(words.len() + frontier.len())
-                .expect("jump trie exceeds u32 words");
-            for &id in &frontier {
-                match trie.node_children(id) {
-                    Some((l, r)) => {
-                        let child_base = next_offset + u32::try_from(next.len()).unwrap();
-                        debug_assert_eq!(child_base & LEAF_BIT, 0, "jump trie too large");
-                        words.push(child_base);
-                        next.push(l);
-                        next.push(r);
-                    }
-                    None => words.push(emit_leaf(id)),
-                }
-            }
-            level_offsets.push(next_offset);
-            frontier.clear();
-            std::mem::swap(&mut frontier, &mut next);
-        }
+        descend(NodeId::ROOT, JUMP_BITS, &children, |bucket, run, id, internal| {
+            let entry = if internal {
+                fill_blocks(id, &children, &mut tail, &mut leaf)
+            } else {
+                leaf(&id)
+            };
+            root[bucket..bucket + run].fill(entry);
+        });
+        debug_assert_eq!(tail.len(), blocks * BLOCK_ENTRIES);
         Self {
-            root: table,
-            words,
-            level_offsets,
+            root,
+            tail,
             nhis: interner.into_slab(),
             k,
         }
@@ -375,7 +384,7 @@ impl JumpTrie {
 
     /// [`JumpTrie::from_leaf_pushed`] under its pre-unification name, kept
     /// only because `benchmark/src/layers.rs` spells
-    /// `JumpTrie::from_leaf_pushed(&merged.leaf_pushed())` and a PR that changes
+    /// `JumpTrie::from_merged(&merged.leaf_pushed())` and a PR that changes
     /// the library may not edit the benchmark; it goes when a
     /// `benchmark`-type PR switches that call.
     #[must_use]
@@ -387,19 +396,6 @@ impl JumpTrie {
     #[must_use]
     pub fn arity(&self) -> usize {
         self.k
-    }
-
-    /// Node words stored below the jump table (depth ≥ 17 remainder).
-    #[must_use]
-    pub fn sub_node_count(&self) -> usize {
-        self.words.len()
-    }
-
-    /// Number of sub-slab levels (the deepest lookup costs one root load
-    /// plus this many word loads).
-    #[must_use]
-    pub fn sub_levels(&self) -> usize {
-        self.level_offsets.len() - 1
     }
 
     /// Number of NHI vectors stored.
@@ -415,13 +411,14 @@ impl JumpTrie {
         direct as f64 / ROOT_ENTRIES as f64
     }
 
-    /// Memory footprint in bits `(root, sub-slab pointer words, NHI
-    /// entries)`, the Fig. 4-style split extended with the DIR table.
+    /// Memory footprint in bits `(root, tail blocks, NHI entries)`, the
+    /// Fig. 4-style split extended with the DIR table. Every block entry
+    /// is priced, the `2^(8−d)` copies of an expanded leaf included.
     #[must_use]
     pub fn memory_bits(&self, nhi_bits: u64) -> (u64, u64, u64) {
         (
             self.root.len() as u64 * 32,
-            self.words.len() as u64 * 32,
+            self.tail.len() as u64 * 32,
             self.nhis.len() as u64 * nhi_bits,
         )
     }
@@ -432,58 +429,35 @@ impl JumpTrie {
         self.lookup_vn(0, ip)
     }
 
-    /// Longest-prefix match for `ip` in virtual network `vnid`.
+    /// Longest-prefix match for `ip` in virtual network `vnid`; `None`
+    /// for a VN the structure does not host, in every build profile.
     #[must_use]
+    #[inline]
     pub fn lookup_vn(&self, vnid: usize, ip: u32) -> Option<NextHop> {
-        debug_assert!(vnid < self.k);
-        let mut word = self.root[(ip >> JUMP_BITS) as usize];
-        let mut level = JUMP_BITS;
-        while word & LEAF_BIT == 0 {
-            debug_assert!(level < 32, "full trie deeper than address width");
-            let bit = (ip >> (31 - level)) & 1;
-            word = self.words[(word + bit) as usize];
-            level += 1;
+        if vnid >= self.k {
+            return None;
         }
-        let slot = (word & PAYLOAD_MASK) as usize;
+        const BLOCK_MASK: usize = BLOCK_ENTRIES - 1;
+        let mut entry = self.root[(ip >> JUMP_BITS) as usize];
+        if entry & LEAF_BIT == 0 {
+            entry = self.tail[entry as usize + ((ip >> TAIL_STRIDE) as usize & BLOCK_MASK)];
+            if entry & LEAF_BIT == 0 {
+                entry = self.tail[entry as usize + (ip as usize & BLOCK_MASK)];
+                debug_assert_ne!(entry & LEAF_BIT, 0, "internal entry in a level-2 block");
+            }
+        }
+        let slot = (entry & PAYLOAD_MASK) as usize;
         decode_nhi(self.nhis[slot * self.k + vnid])
-    }
-
-    /// Batched longest-prefix match in VN 0: element `i` of `out`
-    /// receives exactly `self.lookup(dsts[i])`.
-    ///
-    /// # Panics
-    /// If `dsts` and `out` differ in length.
-    pub fn lookup_batch(&self, dsts: &[u32], out: &mut [Option<NextHop>]) {
-        self.lookup_batch_vn(0, dsts, out);
-    }
-
-    /// Batched longest-prefix match in one virtual network, via the
-    /// lane-interleaved stepper (see [`crate::lane`]): a fixed-width
-    /// group of in-flight keys advances one DIR-16 + sub-slab stage per
-    /// iteration with each lane's next word prefetched a stage ahead,
-    /// retiring and refilling lanes so divergent-depth keys never stall
-    /// the group. Allocation-free.
-    ///
-    /// # Panics
-    /// If `dsts` and `out` differ in length.
-    pub fn lookup_batch_vn(&self, vnid: usize, dsts: &[u32], out: &mut [Option<NextHop>]) {
-        crate::lane::lookup_lanes_vn::<{ crate::lane::DEFAULT_LANE_WIDTH }>(
-            self, vnid, dsts, out,
-        );
     }
 }
 
-/// Forwards to the inherent methods (which win name resolution over the
-/// trait's), so generic drivers time the same walks callers name directly.
+/// Forwards to the inherent walk (which wins name resolution over the
+/// trait's), so generic drivers time the walk callers name directly; the
+/// batch path is the trait's scalar loop.
 impl crate::LookupBackend for JumpTrie {
     #[inline]
     fn lookup_vn(&self, vn: usize, ip: u32) -> Option<NextHop> {
         JumpTrie::lookup_vn(self, vn, ip)
-    }
-
-    #[inline]
-    fn lookup_batch_vn(&self, vn: usize, dsts: &[u32], out: &mut [Option<NextHop>]) {
-        JumpTrie::lookup_batch_vn(self, vn, dsts, out);
     }
 }
 
@@ -491,10 +465,17 @@ impl crate::LookupBackend for JumpTrie {
 mod tests {
     use super::*;
     use crate::merge::MergedTrie;
+    use crate::LookupBackend;
     use vr_net::synth::TableSpec;
 
     fn table(text: &str) -> RoutingTable {
         text.parse().unwrap()
+    }
+
+    /// Blocks below the root table, level 1 and level 2 together.
+    fn block_count(jump: &JumpTrie) -> usize {
+        assert_eq!(jump.tail.len() % BLOCK_ENTRIES, 0);
+        jump.tail.len() / BLOCK_ENTRIES
     }
 
     fn probes(table: &RoutingTable) -> Vec<u32> {
@@ -509,14 +490,15 @@ mod tests {
     #[test]
     fn empty_trie_resolves_everything_to_none() {
         let jump = JumpTrie::from_unibit(&UnibitTrie::new());
-        assert_eq!(jump.sub_node_count(), 0);
-        assert_eq!(jump.sub_levels(), 0);
+        let parts = jump.raw_parts();
+        assert!(parts.tail.is_empty());
+        assert!(parts.root.iter().all(|&e| e & LEAF_BIT != 0));
         assert_eq!(jump.leaf_count(), 1);
         assert!((jump.direct_hit_fraction() - 1.0).abs() < f64::EPSILON);
         assert_eq!(jump.lookup(0), None);
         assert_eq!(jump.lookup(u32::MAX), None);
         let mut out = [Some(7)];
-        jump.lookup_batch(&[123], &mut out);
+        jump.lookup_batch_vn(0, &[123], &mut out);
         assert_eq!(out, [None]);
     }
 
@@ -530,17 +512,39 @@ mod tests {
         for ip in probes(&t) {
             assert_eq!(jump.lookup(ip), t.lookup(ip), "ip {ip:#010x}");
         }
+        // 10.1/16 opens a level-1 block and 10.1.1/24 a level-2 block
+        // under it; 192.168/16 opens a level-1 block only.
+        assert_eq!(block_count(&jump), 3);
     }
 
     #[test]
     fn short_prefixes_resolve_in_the_root_table() {
-        // All routes at /16 or shorter: no sub-slab at all.
+        // All routes at /16 or shorter: no block at all.
         let t = table("10.0.0.0/8 1\n10.1.0.0/16 2\n0.0.0.0/0 3\n");
         let jump = JumpTrie::from_table(&t);
-        assert_eq!(jump.sub_node_count(), 0);
+        assert_eq!(block_count(&jump), 0);
         assert!((jump.direct_hit_fraction() - 1.0).abs() < f64::EPSILON);
         for ip in probes(&t) {
             assert_eq!(jump.lookup(ip), t.lookup(ip));
+        }
+    }
+
+    #[test]
+    fn all_host_routes_fill_level_two_blocks() {
+        // Every route a /32: each populated /24 costs one level-2 block
+        // under its /16's level-1 block, and every answer is two blocks
+        // deep.
+        let t = table("10.1.1.1/32 1\n10.1.1.2/32 2\n10.1.9.200/32 3\n10.7.0.0/32 4\n");
+        let jump = JumpTrie::from_table(&t);
+        assert_eq!(block_count(&jump), 2 + 3);
+        let parts = jump.raw_parts();
+        let level_one = parts.root[0x0A01] as usize;
+        assert_eq!(level_one & LEAF_BIT as usize, 0);
+        let level_two = parts.tail[level_one + 1] as usize;
+        assert_eq!(level_two, level_one + BLOCK_ENTRIES, "level-2 blocks follow their level-1 block");
+        assert!(parts.tail[level_two..level_two + BLOCK_ENTRIES].iter().all(|&e| e & LEAF_BIT != 0));
+        for ip in probes(&t) {
+            assert_eq!(jump.lookup(ip), t.lookup(ip), "ip {ip:#010x}");
         }
     }
 
@@ -551,15 +555,13 @@ mod tests {
         let jump = JumpTrie::from_leaf_pushed(&pushed);
         let dsts = probes(&t);
         let mut out = vec![None; dsts.len()];
-        jump.lookup_batch(&dsts, &mut out);
+        jump.lookup_batch_vn(0, &dsts, &mut out);
         for (i, &ip) in dsts.iter().enumerate() {
             let expect = t.lookup(ip);
             assert_eq!(jump.lookup(ip), expect, "scalar ip {ip:#010x}");
+            assert_eq!(pushed.lookup_vn(0, ip), expect, "leaf-pushed ip {ip:#010x}");
             assert_eq!(out[i], expect, "batch ip {ip:#010x}");
         }
-        // The sub-slabs only hold the > /16 remainder.
-        assert!(jump.sub_levels() <= 16);
-        assert!(jump.sub_node_count() < pushed.node_count());
     }
 
     #[test]
@@ -573,15 +575,28 @@ mod tests {
         let jump = JumpTrie::from_leaf_pushed(&merged.leaf_pushed());
         assert_eq!(jump.arity(), 3);
         for (vn, t) in tables.iter().enumerate() {
-            for ip in probes(t) {
-                assert_eq!(jump.lookup_vn(vn, ip), t.lookup(ip), "vn {vn} ip {ip:#010x}");
-            }
             let dsts = probes(t);
             let mut out = vec![None; dsts.len()];
             jump.lookup_batch_vn(vn, &dsts, &mut out);
             for (i, &ip) in dsts.iter().enumerate() {
+                assert_eq!(jump.lookup_vn(vn, ip), t.lookup(ip), "vn {vn} ip {ip:#010x}");
                 assert_eq!(out[i], t.lookup(ip));
             }
+        }
+    }
+
+    /// An unhosted VN is `None`, not its neighbour's column of the next
+    /// leaf vector (runs under `--release` too: the guard is not a
+    /// `debug_assert`).
+    #[test]
+    fn unhosted_vn_resolves_to_none() {
+        let t = table("0.0.0.0/0 9\n10.1.1.0/24 3\n");
+        let merged = MergedTrie::from_tables(&[t.clone(), t]).unwrap();
+        let jump = JumpTrie::from_leaf_pushed(&merged.leaf_pushed());
+        for ip in [0, 0x0A01_0101, u32::MAX] {
+            assert_eq!(jump.lookup_vn(1, ip), jump.lookup_vn(0, ip));
+            assert_eq!(jump.lookup_vn(2, ip), None);
+            assert_eq!(jump.lookup_vn(usize::MAX, ip), None);
         }
     }
 
@@ -589,16 +604,18 @@ mod tests {
     fn memory_split_accounts_every_word() {
         let t = TableSpec::paper_worst_case(3).generate().unwrap();
         let jump = JumpTrie::from_table(&t);
-        let (root_bits, word_bits, nhi_bits) = jump.memory_bits(8);
+        let parts = jump.raw_parts();
+        let (root_bits, tail_bits, nhi_bits) = jump.memory_bits(8);
         assert_eq!(root_bits, (ROOT_ENTRIES as u64) * 32);
-        assert_eq!(word_bits, jump.sub_node_count() as u64 * 32);
+        assert_eq!(tail_bits, parts.tail.len() as u64 * 32);
+        assert!(block_count(&jump) > 0);
         assert_eq!(nhi_bits, jump.leaf_count() as u64 * 8);
     }
 
     #[test]
     fn empty_batches_are_no_ops() {
         let jump = JumpTrie::from_unibit(&UnibitTrie::new());
-        jump.lookup_batch(&[], &mut []);
+        jump.lookup_batch_vn(0, &[], &mut []);
     }
 
     #[test]
@@ -606,6 +623,6 @@ mod tests {
     fn mismatched_batch_lengths_panic() {
         let jump = JumpTrie::from_unibit(&UnibitTrie::new());
         let mut out = [None; 2];
-        jump.lookup_batch(&[1, 2, 3], &mut out);
+        jump.lookup_batch_vn(0, &[1, 2, 3], &mut out);
     }
 }

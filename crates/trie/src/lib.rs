@@ -20,21 +20,18 @@
 //!   trie: one contiguous slab of packed `u64` entries per pipeline
 //!   stage, plus a stage-lockstep `lookup_batch` (software pipelining)
 //!   to hide cache-miss latency on the lookup path;
-//! * [`JumpTrie`] — the one binary level-slab layout: a 2^16-entry
-//!   direct-index root resolving the first 16 bits in one load, fused
-//!   with per-level slabs of packed `u32` node words for the > /16
-//!   remainder ([`jump`] defines the word and NHI codec, the interning
-//!   NHI-slab writer included);
+//! * [`JumpTrie`] — the serving structure, DIR-16-8-8: a 2^16-entry
+//!   direct-index root resolving the first 16 bits in one load, over a
+//!   tail of 256-entry stride-8 blocks for the > /16 remainder, so a
+//!   lookup is at most three slab loads and one NHI load ([`jump`]
+//!   defines the entry and NHI codec, the block filler and the interning
+//!   NHI-slab writer);
 //! * [`MergedTrie`] — the K-way overlay used by the virtualized-merged
 //!   scheme, with *measured* merging efficiency α (Assumption 4);
 //!   [`MergedTrie::leaf_pushed`] is its [`LeafPushedTrie`] of arity K;
-//! * [`JumpSlabs`] / [`DirtyBuckets`] — per-/16-bucket sub-slab store for
+//! * [`JumpSlabs`] / [`DirtyBuckets`] — per-/16-bucket block store for
 //!   the control plane: route updates re-derive only dirty buckets and
 //!   assemble a publishable [`JumpTrie`] without a from-scratch rebuild;
-//! * [`lane`] — lane-interleaved batch stepping over [`JumpTrie`]: a
-//!   fixed-width group of in-flight keys advanced one stage per
-//!   iteration with software prefetch one stage ahead, the in-software
-//!   analogue of the paper's stage-overlapped pipeline occupancy;
 //! * [`pipeline_map`] — level→stage mapping and per-stage memory sizing
 //!   (Mᵢ,ⱼ in the paper's notation), separating pointer memory from NHI
 //!   memory exactly as Fig. 4 does;
@@ -42,15 +39,14 @@
 //!   fraction for a target α (the paper sweeps α ∈ {0.2, 0.8});
 //! * [`LookupBackend`] — the two-method trait (`lookup_vn`, and a
 //!   `lookup_batch_vn` that defaults to the scalar loop) the benchmark,
-//!   audit and parity drivers are written against; only the two
-//!   level-slab layouts ([`FlatStrideTrie`], [`JumpTrie`]) carry a batch
-//!   walk of their own.
+//!   audit and parity drivers are written against; only
+//!   [`FlatStrideTrie`] carries a batch walk of its own.
 //!
 //! All structures are index-arena based (no `Box` chains): node identity is
 //! a `u32`, which keeps tries compact and traversals cache-friendly — the
 //! same reasons the paper's hardware keeps per-stage memories dense.
 
-// `deny`, not `forbid`: the lane module carries the one sanctioned
+// `deny`, not `forbid`: the prefetch module carries the one sanctioned
 // `#[allow(unsafe_code)]` in the workspace — the prefetch intrinsic
 // behind a bounds-checked wrapper. A `vr-audit` lint rule pins the
 // intrinsic to that module; every other crate keeps `forbid`.
@@ -61,11 +57,11 @@ pub mod backend;
 pub mod calibrate;
 pub mod flat;
 pub mod jump;
-pub mod lane;
 pub mod leafpush;
 pub mod merge;
 pub mod multibit;
 pub mod pipeline_map;
+pub mod prefetch;
 pub mod stats;
 pub mod subslab;
 pub mod unibit;
@@ -73,7 +69,6 @@ pub mod unibit;
 pub use backend::LookupBackend;
 pub use flat::{FlatStrideParts, FlatStrideTrie};
 pub use jump::{JumpTrie, JumpTrieParts};
-pub use lane::{lookup_lanes, lookup_lanes_vn, DEFAULT_LANE_WIDTH};
 pub use leafpush::LeafPushedTrie;
 pub use multibit::StrideTrie;
 pub use merge::MergedTrie;

@@ -36,38 +36,39 @@ fn arb_table(max: usize) -> impl Strategy<Value = RoutingTable> {
 
 fn rebuild_jump(trie: &JumpTrie, mutate: impl FnOnce(&mut Vec<u32>, &mut Vec<u16>)) -> JumpTrie {
     let p = trie.raw_parts();
-    let mut words = p.words.to_vec();
+    let mut tail = p.tail.to_vec();
     let mut nhis = p.nhis.to_vec();
-    mutate(&mut words, &mut nhis);
-    JumpTrie::from_raw_parts(p.root.to_vec(), words, p.level_offsets.to_vec(), nhis, p.k)
+    mutate(&mut tail, &mut nhis);
+    JumpTrie::from_raw_parts(p.root.to_vec(), tail, nhis, p.k)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Flipping any sub-slab word's leaf/internal tag bit must be
-    /// detected: it either breaks fanout accounting, points a "child" at
-    /// an NHI slot, or plants an internal word in the deepest level.
+    /// Flipping any block entry's leaf/internal tag bit must be detected:
+    /// a leaf turned internal is a misaligned or already-claimed base (or
+    /// an internal entry in a level-2 block); an internal entry turned
+    /// leaf orphans its block and names an NHI slot that does not exist.
     #[test]
     fn jump_detects_flipped_tag(table in arb_table(48), site in any::<usize>()) {
         let trie = JumpTrie::from_table(&table);
         let p = trie.raw_parts();
-        if p.words.is_empty() {
+        if p.tail.is_empty() {
             continue;
         }
-        let at = site % p.words.len();
-        let mutated = rebuild_jump(&trie, |words, _| words[at] ^= jump::LEAF_BIT);
-        prop_assert!(!audit_jump(&mutated).is_clean(), "tag flip at word {at} not caught");
+        let at = site % p.tail.len();
+        let mutated = rebuild_jump(&trie, |tail, _| tail[at] ^= jump::LEAF_BIT);
+        prop_assert!(!audit_jump(&mutated).is_clean(), "tag flip at entry {at} not caught");
     }
 
-    /// An internal word whose child base lands outside every slab must
+    /// An internal entry whose block base lands outside the tail must
     /// trip `ChildBounds`.
     #[test]
     fn jump_detects_oob_child_base(table in arb_table(48), site in any::<usize>()) {
         let trie = JumpTrie::from_table(&table);
         let p = trie.raw_parts();
         let internals: Vec<usize> = p
-            .words
+            .tail
             .iter()
             .enumerate()
             .filter(|(_, w)| *w & jump::LEAF_BIT == 0)
@@ -77,7 +78,7 @@ proptest! {
             continue;
         }
         let at = internals[site % internals.len()];
-        let mutated = rebuild_jump(&trie, |words, _| words[at] = jump::PAYLOAD_MASK);
+        let mutated = rebuild_jump(&trie, |tail, _| tail[at] = jump::PAYLOAD_MASK);
         let report = audit_jump(&mutated);
         prop_assert!(!report.is_clean());
         prop_assert!(
@@ -178,17 +179,17 @@ fn every_constructor_audits_clean_at_paper_scale() {
 /// Reports serialize with coordinates a debugger can act on.
 #[test]
 fn violation_coordinates_locate_the_damage() {
-    let table: RoutingTable = "10.0.0.0/8 1\n10.1.0.0/16 2\n10.1.1.0/24 3\n"
+    let table: RoutingTable = "10.0.0.0/8 1\n10.1.0.0/16 2\n10.1.1.0/24 3\n10.1.1.128/25 4\n"
         .parse()
         .unwrap();
     let trie = JumpTrie::from_table(&table);
     let p = trie.raw_parts();
     let bad_word = p
-        .words
+        .tail
         .iter()
         .position(|w| w & jump::LEAF_BIT == 0)
-        .expect("table deep enough for an internal word");
-    let mutated = rebuild_jump(&trie, |words, _| words[bad_word] = jump::PAYLOAD_MASK);
+        .expect("table deep enough for a level-2 block");
+    let mutated = rebuild_jump(&trie, |tail, _| tail[bad_word] = jump::PAYLOAD_MASK);
     let report = audit_jump(&mutated);
     assert!(!report.is_clean());
     let v = report

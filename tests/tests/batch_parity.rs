@@ -2,10 +2,12 @@
 //! element-wise identical to a scalar oracle on every trie variant, for
 //! arbitrary tables (with and without a default route) and arbitrary
 //! batches — including empty ones. One generic check runs per encoding:
-//! the two level-slab layouts exercise their own batch walks, the
-//! pointer tries the trait's provided scalar loop. The scalar paths are
-//! themselves proven against the linear-scan oracle in
-//! `oracle_equivalence.rs`, so batch == scalar closes the loop.
+//! `FlatStrideTrie` exercises its own batch walk, every other encoding
+//! the trait's provided scalar loop. The scalar paths are themselves
+//! proven against the linear-scan oracle in `oracle_equivalence.rs`, so
+//! batch == scalar closes the loop. `JumpTrie`'s stride-8 blocks get a
+//! property of their own on /25–/32-heavy families, probed at every
+//! block boundary.
 
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -133,11 +135,57 @@ proptest! {
         let merged = MergedTrie::from_tables(&tables).unwrap();
         let jump = JumpTrie::from_leaf_pushed(&merged.leaf_pushed());
         assert_batch_parity(&jump, &merged, tables.len(), &batch);
-        // The incremental builder publishes the same-sized structure for
-        // the same family (the footprint the control plane prices).
+        // The incremental builder publishes the same structure for the
+        // same family, field for field.
         let assembled = JumpSlabs::from_merged(&merged).assemble();
-        prop_assert_eq!(assembled.memory_bits(8), jump.memory_bits(8));
-        assert_batch_parity(&assembled, &merged, tables.len(), &batch);
+        prop_assert!(assembled.raw_parts() == jump.raw_parts());
+    }
+
+    /// The block layout on the tables that stress it: K ∈ {1, 3, 15}
+    /// networks of mostly /25–/32 routes packed into four /16s, so
+    /// buckets open level-2 blocks and networks share them. `JumpTrie`,
+    /// the leaf-pushed trie it was filled from and each network's own
+    /// table agree at every prefix's first address, last host and
+    /// predecessor, and at both ends of every /24 of each populated /16.
+    #[test]
+    fn jump_blocks_match_both_oracles_on_deep_families(
+        routes in prop::collection::vec(
+            prop::collection::vec((0u32..4, any::<u16>(), any::<u8>(), any::<NextHop>()), 0..16),
+            15..16,
+        ),
+        k_pick in 0usize..3,
+    ) {
+        let tables: Vec<RoutingTable> = routes[..[1, 3, 15][k_pick]]
+            .iter()
+            .map(|routes| {
+                RoutingTable::from_entries(routes.iter().map(|&(bucket, low, len, nh)| {
+                    let len = if len % 5 == 0 { len % 25 } else { 25 + len % 8 };
+                    let addr = (0x0A0A + bucket * 0x0101) << 16 | u32::from(low);
+                    RouteEntry::new(Ipv4Prefix::must(addr, len), nh)
+                }))
+            })
+            .collect();
+        let pushed = MergedTrie::from_tables(&tables).unwrap().leaf_pushed();
+        let jump = JumpTrie::from_leaf_pushed(&pushed);
+        let mut probes = Vec::new();
+        for prefix in tables.iter().flat_map(RoutingTable::prefixes) {
+            let first = prefix.addr();
+            let last = first | u32::MAX.checked_shr(u32::from(prefix.len())).unwrap_or(0);
+            probes.extend([first, last, first.wrapping_sub(1), last.wrapping_add(1)]);
+            if prefix.len() >= 16 {
+                let bucket = first & 0xFFFF_0000;
+                probes.extend((0..256).flat_map(|i| [bucket | i << 8, bucket | i << 8 | 0xFF]));
+            }
+        }
+        probes.sort_unstable();
+        probes.dedup();
+        for (vn, table) in tables.iter().enumerate() {
+            for &ip in &probes {
+                let want = table.lookup(ip);
+                prop_assert_eq!(pushed.lookup_vn(vn, ip), want, "leaf-pushed vn {} ip {:#010x}", vn, ip);
+                prop_assert_eq!(jump.lookup_vn(vn, ip), want, "jump vn {} ip {:#010x}", vn, ip);
+            }
+        }
     }
 }
 
@@ -169,7 +217,7 @@ fn all_variants_handle_empty_and_paper_scale_batches() {
 
 /// Edge lengths the direct-index front end must get right: a /0 default
 /// route (fills every root bucket), /16 prefixes (exactly the jump
-/// width), and /32 host routes (deepest possible sub-trie walk).
+/// width), and /32 host routes (two blocks deep).
 #[test]
 fn jump_handles_length_extremes() {
     let table = RoutingTable::from_entries([
@@ -191,7 +239,7 @@ fn jump_handles_length_extremes() {
     ];
     let batch: Vec<u32> = probes.iter().map(|&(ip, _)| ip).collect();
     let mut out = vec![None; batch.len()];
-    jump.lookup_batch(&batch, &mut out);
+    jump.lookup_batch_vn(0, &batch, &mut out);
     for (i, &(ip, expect)) in probes.iter().enumerate() {
         assert_eq!(table.lookup(ip), expect, "oracle ip {ip:#010x}");
         assert_eq!(jump.lookup(ip), expect, "scalar ip {ip:#010x}");

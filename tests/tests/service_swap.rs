@@ -40,7 +40,7 @@ fn batch(seed: u32, len: usize) -> Vec<(VnId, u32)> {
 
 /// Batches submitted before, during, and after a swap each carry a
 /// generation tag; every result in a batch must match that generation's
-/// next hop. A torn read (old root table, new sub-slab, or vice versa)
+/// next hop. A torn read (old root table, new tail blocks, or vice versa)
 /// would surface as a mixed or empty result inside one batch.
 #[test]
 fn inflight_batches_resolve_old_or_new_never_torn() {

@@ -4,12 +4,20 @@
 //! backend thread, after which the server closed every existing and
 //! every new connection. One hostile frame must cost one typed
 //! `ErrorReply { code: UnknownVn }` and nothing else.
+//!
+//! The wire tier's typed reply sits ahead of the walk; the walk itself
+//! answers `None` for a VN it does not host, in every build profile, so
+//! an in-process caller that skips the wire tier reads a miss and never
+//! a neighbour's next hop. `cargo test --release` runs the second test
+//! with `debug_assert!` compiled out.
 
 use std::time::Duration;
 
-use vr_engine::{LookupService, ServiceConfig};
+use vr_engine::service::lookup_batch_mixed;
+use vr_engine::{LookupService, LpmCache, ServiceConfig};
 use vr_net::synth::FamilySpec;
 use vr_net::RoutingTable;
+use vr_trie::{JumpTrie, MergedTrie};
 use vr_wire::{ErrorCode, Message, ServerConfig, WireClient, WireServer};
 
 fn two_tables() -> Vec<RoutingTable> {
@@ -73,4 +81,46 @@ fn unknown_vn_gets_a_typed_error_and_the_server_keeps_serving() {
     expect_served(&mut client, &tables, &known);
     expect_served(&mut connect(&server), &tables, &known);
     assert!(server.shutdown().is_some(), "backend thread survived and returned the service");
+}
+
+/// Below the wire tier an unhosted VN is a miss at every entry point: the
+/// walk, the mixed-VN batch, the result cache (cold, then answering from
+/// its slots) and the service.
+#[test]
+fn unhosted_vn_is_a_miss_at_every_tier_below_the_wire() {
+    let tables = two_tables();
+    let k = tables.len() as u16;
+    let trie = JumpTrie::from_leaf_pushed(&MergedTrie::from_tables(&tables).expect("merge").leaf_pushed());
+    // Destinations VN 0 routes, so "the next leaf vector's VN 0 column"
+    // would read as a hit.
+    let packets: Vec<(u16, u32)> = tables[0]
+        .prefixes()
+        .take(200)
+        .flat_map(|p| [(0, p.addr()), (k, p.addr()), (u16::MAX, p.addr())])
+        .collect();
+    let want: Vec<_> = packets
+        .iter()
+        .map(|&(vn, dst)| tables.get(usize::from(vn)).and_then(|t| t.lookup(dst)))
+        .collect();
+    assert!(want.iter().any(Option::is_some));
+
+    for &(vn, dst) in &packets {
+        let hosted = tables.get(usize::from(vn)).and_then(|t| t.lookup(dst));
+        assert_eq!(trie.lookup_vn(usize::from(vn), dst), hosted);
+    }
+    let mut out = vec![Some(0xEE); packets.len()];
+    lookup_batch_mixed(&trie, &packets, &mut out);
+    assert_eq!(out, want);
+
+    let mut cache = LpmCache::new(1 << 12).expect("cache");
+    for pass in ["cold", "warm"] {
+        out.fill(Some(0xEE));
+        cache.lookup_batch(&trie, 1, &packets, &mut out);
+        assert_eq!(out, want, "{pass} cache");
+    }
+
+    let mut service = LookupService::new(tables, ServiceConfig::default()).expect("service");
+    assert_eq!(service.process(&packets), want);
+    assert_eq!(service.process(&[(k, 0x0A00_0001)]), vec![None]);
+    let _ = service.shutdown();
 }
