@@ -2,15 +2,14 @@
 //! table encodings, plus source-level lints.
 //!
 //! The datapath crates trade safety margins for speed: [`vr_trie`]'s
-//! flat-stride and jump encodings index raw word slabs with no bounds
-//! checks beyond the slice's own, and the engine swaps whole tables under
-//! live traffic.
+//! jump encoding indexes raw word slabs with no bounds checks beyond the
+//! slice's own, and the engine swaps whole tables under live traffic.
 //! A single corrupt word — a flipped leaf tag, a child base pointing past
 //! its level — silently misroutes packets rather than crashing. This crate
 //! is the counterweight:
 //!
 //! * [`verify`] walks every encoding (uni-bit, leaf-pushed at any arity,
-//!   flat-stride, DIR-16 jump, merged) and checks
+//!   DIR-16 jump, merged) and checks
 //!   the invariants each one's lookup loop relies on: tag decodability,
 //!   child bounds and fanout accounting, strictly descending level order
 //!   (acyclicity), leaf-pushing completeness, K-wide NHI vector coverage,
@@ -52,7 +51,6 @@ pub use report::{
     MAX_RECORDED_VIOLATIONS,
 };
 pub use verify::{
-    audit_flat_stride, audit_flat_stride_parts, audit_flat_stride_with_table, audit_jump,
-    audit_jump_parts, audit_jump_with_table, audit_jump_with_tables, audit_leaf_pushed,
-    audit_merged, audit_unibit, parity_probes,
+    audit_jump, audit_jump_parts, audit_jump_with_table, audit_jump_with_tables,
+    audit_leaf_pushed, audit_merged, audit_unibit, parity_probes,
 };

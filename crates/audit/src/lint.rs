@@ -70,8 +70,7 @@ use std::path::{Path, PathBuf};
 /// Hot-path modules where `.unwrap()` / `.expect(` are forbidden
 /// (allowlist entries excepted): the per-packet lookup datapath and the
 /// table-swap service.
-pub const HOT_PATH_FILES: [&str; 10] = [
-    "crates/trie/src/flat.rs",
+pub const HOT_PATH_FILES: [&str; 9] = [
     "crates/trie/src/jump.rs",
     "crates/trie/src/prefetch.rs",
     "crates/engine/src/service.rs",
@@ -714,7 +713,7 @@ mod tests {
     #[test]
     fn hot_path_unwrap_fires_only_in_hot_files() {
         let text = "fn f() { x.unwrap(); }\n";
-        assert_eq!(lint_text("crates/trie/src/flat.rs", text, "").len(), 1);
+        assert_eq!(lint_text("crates/trie/src/jump.rs", text, "").len(), 1);
         assert!(lint_text("crates/trie/src/unibit.rs", text, "").is_empty());
     }
 
@@ -727,9 +726,9 @@ mod tests {
     #[test]
     fn allowlist_waives_findings() {
         let text = "let cap = v.len().try_into().expect(\"slab overflow\");\n";
-        let allow = "crates/trie/src/flat.rs\texpect(\"slab overflow\")";
-        assert!(lint_text("crates/trie/src/flat.rs", text, allow).is_empty());
-        assert_eq!(lint_text("crates/trie/src/flat.rs", text, "").len(), 1);
+        let allow = "crates/trie/src/jump.rs\texpect(\"slab overflow\")";
+        assert!(lint_text("crates/trie/src/jump.rs", text, allow).is_empty());
+        assert_eq!(lint_text("crates/trie/src/jump.rs", text, "").len(), 1);
     }
 
     #[test]
@@ -866,12 +865,12 @@ mod tests {
     #[test]
     fn findings_carry_exact_columns() {
         let text = "fn f() {\n    let x = foo.unwrap();\n}\n";
-        let findings = lint_text("crates/trie/src/flat.rs", text, "");
+        let findings = lint_text("crates/trie/src/jump.rs", text, "");
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].line, 2);
         // `.unwrap()` starts at byte 15 → 1-based column 16.
         assert_eq!(findings[0].column, 16);
-        assert!(findings[0].render().starts_with("crates/trie/src/flat.rs:2:16:"));
+        assert!(findings[0].render().starts_with("crates/trie/src/jump.rs:2:16:"));
     }
 
     #[test]

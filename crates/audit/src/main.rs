@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! vr-audit tables   [--prefixes N] [--seed S] [--k K] [--out PATH] [--pretty]
-//! vr-audit artifact <trie.json> [--structure jump|flat-stride] [--out PATH] [--pretty]
+//! vr-audit artifact <trie.json> [--out PATH] [--pretty]
 //! vr-audit lint     [--root PATH] [--allow PATH] [--out PATH] [--pretty] [--format json|text]
 //! ```
 //!
@@ -12,33 +12,27 @@
 //! every `from_*` constructor the workspace has, audits each one, and
 //! emits the [`AuditReport`]s as a JSON array — the CI `audit` job runs
 //! this at paper scale and uploads the output. `artifact` audits a
-//! serialized trie from disk. `lint` runs the source rules over the
+//! serialized `JumpTrie` from disk. `lint` runs the source rules over the
 //! workspace tree. Exit status: 0 clean, 1 violations found, 2 usage or
 //! I/O error.
 
 use std::process::ExitCode;
 
 use vr_audit::{
-    audit_flat_stride, audit_flat_stride_with_table, audit_jump, audit_jump_with_table,
-    audit_jump_with_tables, audit_leaf_pushed, audit_merged, audit_unibit, lint_workspace,
-    AuditReport,
+    audit_jump, audit_jump_with_table, audit_jump_with_tables, audit_leaf_pushed, audit_merged,
+    audit_unibit, lint_workspace, AuditReport,
 };
 use vr_net::synth::{ClusterSpec, FamilySpec, TableSpec, PAPER_TABLE_PREFIXES};
-use vr_trie::{
-    FlatStrideTrie, JumpSlabs, JumpTrie, LeafPushedTrie, MergedTrie, StrideTrie, UnibitTrie,
-};
+use vr_trie::{JumpSlabs, JumpTrie, LeafPushedTrie, MergedTrie, UnibitTrie};
 
 const USAGE: &str = "vr-audit: structural invariant verifier for lookup-table encodings
 
 Usage:
   vr-audit tables   [--prefixes N] [--seed S] [--k K] [--out PATH] [--pretty]
-  vr-audit artifact <trie.json> [--structure jump|flat-stride] [--out PATH] [--pretty]
+  vr-audit artifact <trie.json> [--out PATH] [--pretty]
   vr-audit lint     [--root PATH] [--allow PATH] [--out PATH] [--pretty] [--format json|text]
 
 Exit status: 0 clean, 1 violations found, 2 usage or I/O error.";
-
-/// Stride schedules exercised by `tables` (each must sum to 32).
-const STRIDE_SCHEDULES: [&[u8]; 2] = [&[8, 8, 8, 8], &[4, 4, 4, 4, 4, 4, 4, 4]];
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -158,14 +152,6 @@ fn cmd_tables(args: &[String]) -> Result<bool, String> {
         &JumpTrie::from_leaf_pushed(&leaf_pushed),
         &table,
     ));
-    for strides in STRIDE_SCHEDULES {
-        let stride = StrideTrie::from_table(&table, strides)
-            .map_err(|e| format!("stride trie {strides:?}: {e}"))?;
-        reports.push(audit_flat_stride_with_table(
-            &FlatStrideTrie::from_stride(&stride),
-            &table,
-        ));
-    }
 
     // K-table family: the virtualization (merged) encodings.
     let mut family = FamilySpec::paper_worst_case(k, 0.5, seed ^ 0x5EED);
@@ -188,13 +174,11 @@ fn cmd_tables(args: &[String]) -> Result<bool, String> {
 
 fn cmd_artifact(args: &[String]) -> Result<bool, String> {
     let mut path: Option<&str> = None;
-    let mut structure = "jump";
     let mut out: Option<String> = None;
     let mut pretty = false;
     let mut flags = Flags::new(args);
     while let Some(flag) = flags.next() {
         match flag {
-            "--structure" => structure = flags.value(flag)?,
             "--out" => out = Some(flags.value(flag)?.to_string()),
             "--pretty" => pretty = true,
             other if !other.starts_with("--") && path.is_none() => path = Some(other),
@@ -203,18 +187,9 @@ fn cmd_artifact(args: &[String]) -> Result<bool, String> {
     }
     let path = path.ok_or(format!("artifact needs a file path\n\n{USAGE}"))?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let report = match structure {
-        "jump" => audit_jump(
-            &serde_json::from_str::<JumpTrie>(&text)
-                .map_err(|e| format!("{path}: not a serialized JumpTrie: {e}"))?,
-        ),
-        "flat-stride" => audit_flat_stride(
-            &serde_json::from_str::<FlatStrideTrie>(&text)
-                .map_err(|e| format!("{path}: not a serialized FlatStrideTrie: {e}"))?,
-        ),
-        other => return Err(format!("unknown --structure {other} (jump|flat-stride)")),
-    };
-    emit(&[report], out.as_deref(), pretty)
+    let trie = serde_json::from_str::<JumpTrie>(&text)
+        .map_err(|e| format!("{path}: not a serialized JumpTrie: {e}"))?;
+    emit(&[audit_jump(&trie)], out.as_deref(), pretty)
 }
 
 fn cmd_lint(args: &[String]) -> Result<bool, String> {

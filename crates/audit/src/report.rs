@@ -36,7 +36,7 @@ pub enum CheckKind {
     /// registered virtual network.
     NhiVector,
     /// Jump-table prefix-expansion consistency against the source table
-    /// (or source stride trie) the jump trie was built from.
+    /// the jump trie was built from.
     JumpConsistency,
     /// Lookup parity against an independently built oracle structure.
     OracleParity,
@@ -164,7 +164,7 @@ pub struct AuditStats {
 /// The result of one verifier pass over one structure.
 #[derive(Debug, Clone, Serialize)]
 pub struct AuditReport {
-    /// What was audited (e.g. `"flat"`, `"jump(k=8)"`).
+    /// What was audited (e.g. `"unibit"`, `"jump(k=8)"`).
     pub structure: String,
     /// Summary statistics.
     pub stats: AuditStats,
@@ -303,7 +303,7 @@ mod tests {
 
     #[test]
     fn clean_audit_reports_clean() {
-        let mut audit = Audit::new("flat");
+        let mut audit = Audit::new("unibit");
         audit.declare(CheckKind::TagDecode);
         audit.declare(CheckKind::LevelOrder);
         let report = audit.finish(AuditStats::default());
@@ -342,7 +342,7 @@ mod tests {
 
     #[test]
     fn violations_are_capped_not_lost() {
-        let mut audit = Audit::new("flat");
+        let mut audit = Audit::new("unibit");
         for i in 0..(MAX_RECORDED_VIOLATIONS + 10) {
             audit.error(
                 CheckKind::TagDecode,
@@ -358,7 +358,7 @@ mod tests {
 
     #[test]
     fn report_serializes_to_json() {
-        let mut audit = Audit::new("flat_stride");
+        let mut audit = Audit::new("merged_leaf_pushed(k=4)");
         audit.error(
             CheckKind::LeafCompleteness,
             Coordinates::level(4),
@@ -370,7 +370,7 @@ mod tests {
         });
         let json = serde_json::to_string(&report).unwrap();
         assert!(json.contains("LeafCompleteness"));
-        assert!(json.contains("flat_stride"));
+        assert!(json.contains("merged_leaf_pushed(k=4)"));
         assert!(json.contains("42"));
     }
 }

@@ -18,10 +18,9 @@
 use crate::report::{Audit, AuditReport, AuditStats, CheckKind, Coordinates};
 use vr_net::table::NextHop;
 use vr_net::{Ipv4Prefix, RoutingTable};
-use vr_trie::flat::{self, FlatStrideParts};
 use vr_trie::jump::{self, JumpTrieParts};
 use vr_trie::unibit::NodeId;
-use vr_trie::{FlatStrideTrie, JumpTrie, LeafPushedTrie, LookupBackend, MergedTrie, UnibitTrie};
+use vr_trie::{JumpTrie, LeafPushedTrie, LookupBackend, MergedTrie, UnibitTrie};
 
 /// Highest valid encoded NHI code: `0` = no route, `1 + nh` with
 /// `nh: u8`, so anything above `256` silently truncates on decode.
@@ -289,252 +288,6 @@ pub fn audit_jump_with_tables(trie: &JumpTrie, tables: &[RoutingTable]) -> Audit
 }
 
 // ---------------------------------------------------------------------------
-// FlatStrideTrie
-// ---------------------------------------------------------------------------
-
-fn check_flat_stride(a: &mut Audit, parts: FlatStrideParts<'_>) -> AuditStats {
-    a.declare(CheckKind::TagDecode);
-    a.declare(CheckKind::ChildBounds);
-    a.declare(CheckKind::LevelOrder);
-    a.declare(CheckKind::LeafCompleteness);
-    a.declare(CheckKind::Invariants);
-    let mut stats = AuditStats {
-        nodes: parts.entries.len() as u64,
-        levels: parts.strides.len() as u64,
-        arity: 1,
-        ..AuditStats::default()
-    };
-    let schedule_ok = !parts.strides.is_empty()
-        && parts.strides.iter().all(|&s| (1..=8).contains(&s))
-        && parts.strides.iter().map(|&s| u32::from(s)).sum::<u32>() == 32;
-    if !schedule_ok {
-        a.error(
-            CheckKind::Invariants,
-            Coordinates::none(),
-            format!("invalid stride schedule {:?} (strides must be 1..=8 and sum to 32)", parts.strides),
-        );
-        return stats;
-    }
-    let levels = parts.strides.len();
-    if parts.level_offsets.len() != levels + 1 {
-        a.error(
-            CheckKind::LevelOrder,
-            Coordinates::none(),
-            format!(
-                "{} level offsets for a {levels}-level schedule (want {})",
-                parts.level_offsets.len(),
-                levels + 1
-            ),
-        );
-        return stats;
-    }
-    let mut ok = parts.level_offsets[0] == 0;
-    if !ok {
-        a.error(
-            CheckKind::LevelOrder,
-            Coordinates::level(0),
-            format!("first level offset is {} instead of 0", parts.level_offsets[0]),
-        );
-    }
-    for (level, pair) in parts.level_offsets.windows(2).enumerate() {
-        if pair[1] < pair[0] {
-            a.error(
-                CheckKind::LevelOrder,
-                Coordinates::level(level),
-                format!("level offsets decrease: {} then {}", pair[0], pair[1]),
-            );
-            ok = false;
-        }
-    }
-    if *parts.level_offsets.last().expect("non-empty") != parts.entries.len() as u64 {
-        a.error(
-            CheckKind::LevelOrder,
-            Coordinates::none(),
-            format!(
-                "level offsets end at {} but the entry array holds {}",
-                parts.level_offsets.last().expect("non-empty"),
-                parts.entries.len()
-            ),
-        );
-        ok = false;
-    }
-    if !ok {
-        return stats;
-    }
-    #[allow(clippy::cast_possible_truncation)]
-    let offsets: Vec<usize> = parts.level_offsets.iter().map(|&o| o as usize).collect();
-    // Only trailing levels may be empty (a table that never reaches the
-    // deep strides leaves them as zero-width slabs).
-    let mut seen_empty = false;
-    for level in 0..levels {
-        let width = 1usize << parts.strides[level];
-        let size = offsets[level + 1] - offsets[level];
-        if size == 0 {
-            seen_empty = true;
-        } else if seen_empty {
-            a.error(
-                CheckKind::LevelOrder,
-                Coordinates::level(level),
-                "non-empty slab after an empty one (levels must drain monotonically)",
-            );
-        }
-        if !size.is_multiple_of(width) {
-            a.error(
-                CheckKind::LevelOrder,
-                Coordinates::level(level),
-                format!("slab of {size} entries is not a multiple of the 2^{} node width", parts.strides[level]),
-            );
-        }
-    }
-    if offsets[1] != 1usize << parts.strides[0] {
-        a.error(
-            CheckKind::LevelOrder,
-            Coordinates::level(0),
-            format!(
-                "level 0 holds {} entries instead of exactly one root node of {}",
-                offsets[1],
-                1usize << parts.strides[0]
-            ),
-        );
-    }
-    let mut children_per_level = vec![0usize; levels];
-    let mut nhi_count = 0u64;
-    for level in 0..levels {
-        let (lo, hi) = (offsets[level], offsets[level + 1]);
-        for (off, &word) in parts.entries[lo..hi].iter().enumerate() {
-            let abs = lo + off;
-            if word >> 48 != 0 {
-                a.error(
-                    CheckKind::TagDecode,
-                    Coordinates::word(level, abs, word),
-                    "entry has non-zero bits above the NHI field",
-                );
-            }
-            #[allow(clippy::cast_possible_truncation)]
-            let code = (word >> flat::NHI_SHIFT) as u16;
-            if code > MAX_NHI_CODE {
-                a.error(
-                    CheckKind::TagDecode,
-                    Coordinates::word(level, abs, word),
-                    format!("NHI code {code} exceeds the encodable range 0..={MAX_NHI_CODE}"),
-                );
-            }
-            if code != 0 {
-                nhi_count += 1;
-            }
-            let child = word & u64::from(u32::MAX);
-            if child == 0 {
-                continue;
-            }
-            if level + 1 >= levels {
-                a.error(
-                    CheckKind::LeafCompleteness,
-                    Coordinates::word(level, abs, word),
-                    "entry in the deepest stride level still has a child",
-                );
-                continue;
-            }
-            children_per_level[level] += 1;
-            #[allow(clippy::cast_possible_truncation)]
-            let base = (child - 1) as usize;
-            let width = 1usize << parts.strides[level + 1];
-            let (nlo, nhi_bound) = (offsets[level + 1], offsets[level + 2]);
-            if base < nlo || base + width > nhi_bound {
-                a.error(
-                    CheckKind::ChildBounds,
-                    Coordinates::word(level, abs, word),
-                    format!("child block {base}..{} outside next slab {nlo}..{nhi_bound}", base + width),
-                );
-            } else if !(base - nlo).is_multiple_of(width) {
-                a.error(
-                    CheckKind::ChildBounds,
-                    Coordinates::word(level, abs, word),
-                    format!("child base {base} not aligned to the 2^{} block width", parts.strides[level + 1]),
-                );
-            }
-        }
-    }
-    stats.nhi_entries = nhi_count;
-    for (level, &children) in children_per_level.iter().enumerate().take(levels - 1) {
-        let width = 1usize << parts.strides[level + 1];
-        let next_size = offsets[level + 2] - offsets[level + 1];
-        if children * width != next_size {
-            a.error(
-                CheckKind::ChildBounds,
-                Coordinates::level(level),
-                format!(
-                    "{children} children should open {} entries in the next level, found {next_size}",
-                    children * width
-                ),
-            );
-        }
-    }
-    // Reachability over node blocks.
-    a.declare(CheckKind::Reachability);
-    let mut visited = vec![false; parts.entries.len()];
-    let mut queue: Vec<(usize, usize)> = Vec::new();
-    if !parts.entries.is_empty() {
-        queue.push((0, 0)); // (block base, level)
-    }
-    let mut reached = 0usize;
-    while let Some((base, level)) = queue.pop() {
-        let width = 1usize << parts.strides[level];
-        if base + width > parts.entries.len() || visited[base] {
-            continue;
-        }
-        for slot in 0..width {
-            visited[base + slot] = true;
-        }
-        reached += width;
-        if level + 1 >= levels {
-            continue;
-        }
-        for slot in 0..width {
-            let child = parts.entries[base + slot] & u64::from(u32::MAX);
-            if child != 0 {
-                #[allow(clippy::cast_possible_truncation)]
-                queue.push(((child - 1) as usize, level + 1));
-            }
-        }
-    }
-    let dead = (parts.entries.len() - reached) as u64;
-    stats.dead_words = dead;
-    if dead > 0 {
-        a.info(
-            CheckKind::Reachability,
-            Coordinates::none(),
-            format!("{dead} of {} entries unreachable from the root block", parts.entries.len()),
-        );
-    }
-    stats
-}
-
-/// Audits a [`FlatStrideTrie`]'s raw encoding.
-#[must_use]
-pub fn audit_flat_stride_parts(parts: FlatStrideParts<'_>) -> AuditReport {
-    let mut a = Audit::new(format!("flat_stride({:?})", parts.strides));
-    let stats = check_flat_stride(&mut a, parts);
-    a.finish(stats)
-}
-
-/// Audits a [`FlatStrideTrie`].
-#[must_use]
-pub fn audit_flat_stride(trie: &FlatStrideTrie) -> AuditReport {
-    audit_flat_stride_parts(trie.raw_parts())
-}
-
-/// Audits a [`FlatStrideTrie`] structurally and checks lookup parity
-/// against an independently built uni-bit oracle for `table`.
-#[must_use]
-pub fn audit_flat_stride_with_table(trie: &FlatStrideTrie, table: &RoutingTable) -> AuditReport {
-    let mut a = Audit::new(format!("flat_stride({:?})", trie.strides()));
-    let stats = check_flat_stride(&mut a, trie.raw_parts());
-    let oracle = UnibitTrie::from_table(table);
-    check_parity(&mut a, CheckKind::OracleParity, 0, table, trie, &oracle);
-    a.finish(stats)
-}
-
-// ---------------------------------------------------------------------------
 // Pointer tries
 // ---------------------------------------------------------------------------
 
@@ -775,7 +528,6 @@ fn check_vn_parity(
 mod tests {
     use super::*;
     use vr_net::synth::TableSpec;
-    use vr_trie::StrideTrie;
 
     fn table(text: &str) -> RoutingTable {
         text.parse().unwrap()
@@ -790,15 +542,6 @@ mod tests {
         let t = sample();
         let jump = JumpTrie::from_table(&t);
         let report = audit_jump_with_table(&jump, &t);
-        assert!(report.is_clean(), "{}", report.summary());
-    }
-
-    #[test]
-    fn well_formed_stride_is_clean() {
-        let t = sample();
-        let stride = StrideTrie::from_table(&t, &[8, 8, 8, 8]).unwrap();
-        let flat = FlatStrideTrie::from_stride(&stride);
-        let report = audit_flat_stride_with_table(&flat, &t);
         assert!(report.is_clean(), "{}", report.summary());
     }
 

@@ -709,12 +709,14 @@ pub struct StrideRow {
 /// Ablation (ours, after paper refs. [7][8]): the multi-bit stride
 /// depth/memory/power trade-off on the worst-case table. Wider strides
 /// shorten the pipeline (less logic power, lower latency) but expand
-/// memory via CPE (more BRAM power).
+/// memory via CPE (more BRAM power). Per-stage entries come from the
+/// closed-form node count `vr_trie::pipeline_map::stride_stage_entries`;
+/// no stride trie is built.
 ///
 /// # Errors
-/// Propagates table-generation and trie errors.
+/// Propagates table-generation and stride-schedule errors.
 pub fn ablation_stride(cfg: &ExperimentConfig) -> Result<Vec<StrideRow>, PowerError> {
-    use vr_trie::StrideTrie;
+    use vr_trie::pipeline_map::stride_stage_entries;
     let table = vr_net::synth::TableSpec {
         prefixes: cfg.prefixes_per_table,
         seed: cfg.seed,
@@ -730,20 +732,21 @@ pub fn ablation_stride(cfg: &ExperimentConfig) -> Result<Vec<StrideRow>, PowerEr
     let grade = SpeedGrade::Minus2;
     let f = grade.base_clock_mhz();
     fan_out(vec![1u8, 2, 4, 8], |stride| {
-        let trie = StrideTrie::from_table(&table, &vec![stride; 32 / usize::from(stride)])?;
-        let per_stage = trie.per_stage_memory_bits(ENTRY_BITS);
+        let entries = stride_stage_entries(&table, &vec![stride; 32 / usize::from(stride)])?;
+        let stages = entries.len();
+        let per_stage: Vec<u64> = entries.iter().map(|&e| e * u64::from(ENTRY_BITS)).collect();
         let blocks = vr_fpga::bram::blocks_for_stages(BramMode::K18, &per_stage);
         let memory_bits: u64 = per_stage.iter().sum();
-        let dynamic_w = vr_fpga::logic::pipeline_logic_power_w(grade, trie.levels(), f)
+        let dynamic_w = vr_fpga::logic::pipeline_logic_power_w(grade, stages, f)
             + vr_fpga::bram::bram_power_w(BramMode::K18, grade, blocks, f);
         Ok(StrideRow {
             stride,
-            stages: trie.levels(),
-            entries: trie.entry_count(),
+            stages,
+            entries: entries.iter().sum::<u64>() as usize,
             memory_mbits: memory_bits as f64 / MBIT,
             bram_blocks: blocks,
             dynamic_w,
-            latency_cycles: trie.levels(),
+            latency_cycles: stages,
         })
     })
 }

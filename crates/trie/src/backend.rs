@@ -1,23 +1,18 @@
 //! [`LookupBackend`] — the one interface the "for each encoding" drivers
-//! (`bench_lookup`, `vr-audit`'s parity checks, `batch_parity.rs`) are
-//! written against, so an encoding is enumerated once per driver instead
-//! of once per entry point.
+//! (`bench_lookup`, `vr-audit`'s parity checks) are written against, so
+//! an encoding is enumerated once per driver instead of once per entry
+//! point.
 //!
-//! Each impl sits next to its type. Exactly one layout overrides the
-//! batch method, because a measurement puts it ahead of the scalar loop:
-//! [`FlatStrideTrie`]'s dense sweep streams one contiguous slab per pass.
-//! [`JumpTrie`]'s walk is at most three dependent loads with no loop, so
-//! there is nothing for a batch stepper to overlap and its batch path is
-//! the provided scalar loop. The pointer tries allocate nodes in
-//! insertion order, so a lockstep pass over them chases the same
-//! scattered arena slots as the scalar walk plus its own bookkeeping —
-//! their hand-written walkers measured 0.66–1.26× scalar and were
-//! removed; they take the provided scalar loop too.
+//! It is one method. Each impl sits next to its type and forwards to the
+//! encoding's own scalar walk; a batch is the caller's loop. A batch walk
+//! earns a place only where a measurement puts it ahead of that loop, and
+//! none does: [`JumpTrie`]'s walk is at most three dependent loads with no
+//! loop, leaving a batch stepper nothing to overlap, and the pointer
+//! tries' lockstep walkers measured 0.66–1.26× scalar and were removed.
 //!
 //! The serving path does not go through this trait: it calls
 //! [`JumpTrie::lookup_vn`](crate::JumpTrie::lookup_vn) by name.
 //!
-//! [`FlatStrideTrie`]: crate::FlatStrideTrie
 //! [`JumpTrie`]: crate::JumpTrie
 
 use vr_net::table::NextHop;
@@ -30,9 +25,7 @@ use vr_net::RoutingTable;
 /// use vr_trie::{JumpTrie, LookupBackend, UnibitTrie};
 ///
 /// fn hits(backend: &impl LookupBackend, dsts: &[u32]) -> usize {
-///     let mut out = vec![None; dsts.len()];
-///     backend.lookup_batch_vn(0, dsts, &mut out);
-///     out.iter().flatten().count()
+///     dsts.iter().filter(|&&ip| backend.lookup_vn(0, ip).is_some()).count()
 /// }
 ///
 /// let table: vr_net::RoutingTable = "10.0.0.0/8 1\n".parse().unwrap();
@@ -45,23 +38,6 @@ pub trait LookupBackend {
     /// Longest-prefix match for `ip` in virtual network `vn`.
     /// Single-table encodings host exactly VN 0.
     fn lookup_vn(&self, vn: usize, ip: u32) -> Option<NextHop>;
-
-    /// Batched longest-prefix match in one virtual network: element `i`
-    /// of `out` receives exactly `self.lookup_vn(vn, dsts[i])`. The
-    /// provided method is the scalar loop.
-    ///
-    /// # Panics
-    /// If `dsts` and `out` differ in length.
-    fn lookup_batch_vn(&self, vn: usize, dsts: &[u32], out: &mut [Option<NextHop>]) {
-        assert_eq!(
-            dsts.len(),
-            out.len(),
-            "batch destination and output slices must match"
-        );
-        for (slot, &ip) in out.iter_mut().zip(dsts) {
-            *slot = self.lookup_vn(vn, ip);
-        }
-    }
 }
 
 /// The linear-scan oracle the parity drivers compare every encoding

@@ -253,17 +253,13 @@ pub(crate) fn fill_blocks<N>(
 ///
 /// ```
 /// use vr_net::RoutingTable;
-/// use vr_trie::{JumpTrie, LookupBackend};
+/// use vr_trie::JumpTrie;
 ///
 /// let table: RoutingTable = "10.0.0.0/8 1\n10.1.1.0/24 2\n".parse().unwrap();
 /// let jump = JumpTrie::from_table(&table);
 /// assert_eq!(jump.lookup(0x0A01_0103), Some(2)); // 2 loads: root + level-1 block
 /// assert_eq!(jump.lookup(0x0A02_0000), Some(1)); // 1 load: root entry is final
-///
-/// let dsts = [0x0A01_0103, 0x0A02_0000, 0x0B00_0000];
-/// let mut out = [None; 3];
-/// jump.lookup_batch_vn(0, &dsts, &mut out); // the trait's scalar loop
-/// assert_eq!(out, [Some(2), Some(1), None]);
+/// assert_eq!(jump.lookup(0x0B00_0000), None);
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct JumpTrie {
@@ -452,8 +448,7 @@ impl JumpTrie {
 }
 
 /// Forwards to the inherent walk (which wins name resolution over the
-/// trait's), so generic drivers time the walk callers name directly; the
-/// batch path is the trait's scalar loop.
+/// trait's), so generic drivers time the walk callers name directly.
 impl crate::LookupBackend for JumpTrie {
     #[inline]
     fn lookup_vn(&self, vn: usize, ip: u32) -> Option<NextHop> {
@@ -465,7 +460,6 @@ impl crate::LookupBackend for JumpTrie {
 mod tests {
     use super::*;
     use crate::merge::MergedTrie;
-    use crate::LookupBackend;
     use vr_net::synth::TableSpec;
 
     fn table(text: &str) -> RoutingTable {
@@ -497,9 +491,6 @@ mod tests {
         assert!((jump.direct_hit_fraction() - 1.0).abs() < f64::EPSILON);
         assert_eq!(jump.lookup(0), None);
         assert_eq!(jump.lookup(u32::MAX), None);
-        let mut out = [Some(7)];
-        jump.lookup_batch_vn(0, &[123], &mut out);
-        assert_eq!(out, [None]);
     }
 
     #[test]
@@ -553,14 +544,10 @@ mod tests {
         let t = TableSpec::paper_worst_case(11).generate().unwrap();
         let pushed = LeafPushedTrie::from_unibit(&UnibitTrie::from_table(&t));
         let jump = JumpTrie::from_leaf_pushed(&pushed);
-        let dsts = probes(&t);
-        let mut out = vec![None; dsts.len()];
-        jump.lookup_batch_vn(0, &dsts, &mut out);
-        for (i, &ip) in dsts.iter().enumerate() {
+        for ip in probes(&t) {
             let expect = t.lookup(ip);
-            assert_eq!(jump.lookup(ip), expect, "scalar ip {ip:#010x}");
+            assert_eq!(jump.lookup(ip), expect, "jump ip {ip:#010x}");
             assert_eq!(pushed.lookup_vn(0, ip), expect, "leaf-pushed ip {ip:#010x}");
-            assert_eq!(out[i], expect, "batch ip {ip:#010x}");
         }
     }
 
@@ -575,12 +562,8 @@ mod tests {
         let jump = JumpTrie::from_leaf_pushed(&merged.leaf_pushed());
         assert_eq!(jump.arity(), 3);
         for (vn, t) in tables.iter().enumerate() {
-            let dsts = probes(t);
-            let mut out = vec![None; dsts.len()];
-            jump.lookup_batch_vn(vn, &dsts, &mut out);
-            for (i, &ip) in dsts.iter().enumerate() {
+            for ip in probes(t) {
                 assert_eq!(jump.lookup_vn(vn, ip), t.lookup(ip), "vn {vn} ip {ip:#010x}");
-                assert_eq!(out[i], t.lookup(ip));
             }
         }
     }
@@ -610,19 +593,5 @@ mod tests {
         assert_eq!(tail_bits, parts.tail.len() as u64 * 32);
         assert!(block_count(&jump) > 0);
         assert_eq!(nhi_bits, jump.leaf_count() as u64 * 8);
-    }
-
-    #[test]
-    fn empty_batches_are_no_ops() {
-        let jump = JumpTrie::from_unibit(&UnibitTrie::new());
-        jump.lookup_batch_vn(0, &[], &mut []);
-    }
-
-    #[test]
-    #[should_panic(expected = "batch destination and output slices must match")]
-    fn mismatched_batch_lengths_panic() {
-        let jump = JumpTrie::from_unibit(&UnibitTrie::new());
-        let mut out = [None; 2];
-        jump.lookup_batch_vn(0, &[1, 2, 3], &mut out);
     }
 }

@@ -16,10 +16,6 @@
 //!   arity K — a leaf holds a K-wide NHI vector indexed by VNID — so the
 //!   single-table trie (K = 1) and the merged scheme's are one type built
 //!   by one recursion;
-//! * [`FlatStrideTrie`] — level-ordered flat storage of the multi-bit
-//!   trie: one contiguous slab of packed `u64` entries per pipeline
-//!   stage, plus a stage-lockstep `lookup_batch` (software pipelining)
-//!   to hide cache-miss latency on the lookup path;
 //! * [`JumpTrie`] — the serving structure, DIR-16-8-8: a 2^16-entry
 //!   direct-index root resolving the first 16 bits in one load, over a
 //!   tail of 256-entry stride-8 blocks for the > /16 remainder, so a
@@ -34,13 +30,12 @@
 //!   assemble a publishable [`JumpTrie`] without a from-scratch rebuild;
 //! * [`pipeline_map`] — level→stage mapping and per-stage memory sizing
 //!   (Mᵢ,ⱼ in the paper's notation), separating pointer memory from NHI
-//!   memory exactly as Fig. 4 does;
+//!   memory exactly as Fig. 4 does, and the closed-form per-stage entry
+//!   count of a fixed-stride multi-bit pipeline (refs. \[7\]\[8\]);
 //! * [`calibrate`] — searches the synthetic family generator's shared
 //!   fraction for a target α (the paper sweeps α ∈ {0.2, 0.8});
-//! * [`LookupBackend`] — the two-method trait (`lookup_vn`, and a
-//!   `lookup_batch_vn` that defaults to the scalar loop) the benchmark,
-//!   audit and parity drivers are written against; only
-//!   [`FlatStrideTrie`] carries a batch walk of its own.
+//! * [`LookupBackend`] — the one-method trait (`lookup_vn`) the
+//!   benchmark and audit drivers are written against.
 //!
 //! All structures are index-arena based (no `Box` chains): node identity is
 //! a `u32`, which keeps tries compact and traversals cache-friendly — the
@@ -55,11 +50,9 @@
 
 pub mod backend;
 pub mod calibrate;
-pub mod flat;
 pub mod jump;
 pub mod leafpush;
 pub mod merge;
-pub mod multibit;
 pub mod pipeline_map;
 pub mod prefetch;
 pub mod stats;
@@ -67,10 +60,8 @@ pub mod subslab;
 pub mod unibit;
 
 pub use backend::LookupBackend;
-pub use flat::{FlatStrideParts, FlatStrideTrie};
 pub use jump::{JumpTrie, JumpTrieParts};
 pub use leafpush::LeafPushedTrie;
-pub use multibit::StrideTrie;
 pub use merge::MergedTrie;
 pub use pipeline_map::{MemoryLayout, PipelineProfile, StageProfile};
 pub use stats::TrieStats;

@@ -10,9 +10,14 @@
 //! * **pointer memory** — internal nodes × pointer word width;
 //! * **NHI memory** — leaves × NHI width × K (merged leaves store a K-wide
 //!   next-hop vector indexed by VNID; K = 1 for non-merged engines).
+//!
+//! [`stride_stage_entries`] sizes the other pipeline the paper's refs.
+//! \[7\]\[8\] build — one fixed-stride multi-bit level per stage — from
+//! per-stage node counts, without building the trie.
 
 use crate::{LeafPushedTrie, TrieError};
 use serde::{Deserialize, Serialize};
+use vr_net::RoutingTable;
 
 /// The paper's pipeline depth N (§VI: "for all pipelines we assume a
 /// length of 28 stages").
@@ -155,6 +160,51 @@ impl PipelineProfile {
     }
 }
 
+/// Entries (memory words) per stage of the fixed-stride multi-bit trie
+/// that controlled prefix expansion (ref. \[16\]) builds over `table`,
+/// one stride per stage.
+///
+/// Stage 0 is one root node of `2^s₀` entries. A prefix longer than the
+/// `b_l` bits consumed before stage `l > 0` descends through stage `l`,
+/// and prefixes sharing their top `b_l` bits share the node there, so the
+/// stage holds one `2^s_l`-entry node per distinct top-`b_l`-bit value
+/// among the prefixes longer than `b_l`. Prefixes that end inside a
+/// stride expand into entries of a node that already exists.
+///
+/// # Errors
+/// Strides must be non-zero, each ≤ 8 (hardware keeps per-stage memory
+/// words addressable), and sum to exactly 32.
+pub fn stride_stage_entries(table: &RoutingTable, strides: &[u8]) -> Result<Vec<u64>, TrieError> {
+    if strides.is_empty() {
+        return Err(TrieError::InvalidParameter("stride schedule is empty"));
+    }
+    if strides.iter().any(|&s| s == 0 || s > 8) {
+        return Err(TrieError::InvalidParameter("each stride must be 1..=8"));
+    }
+    if strides.iter().map(|&s| u32::from(s)).sum::<u32>() != 32 {
+        return Err(TrieError::InvalidParameter("strides must sum to 32"));
+    }
+    let mut consumed = 0u8;
+    let mut entries = Vec::with_capacity(strides.len());
+    for &stride in strides {
+        let nodes = if consumed == 0 {
+            1
+        } else {
+            let mut tops: Vec<u32> = table
+                .prefixes()
+                .filter(|p| p.len() > consumed)
+                .map(|p| p.addr() >> (32 - consumed))
+                .collect();
+            tops.sort_unstable();
+            tops.dedup();
+            tops.len() as u64
+        };
+        entries.push(nodes << stride);
+        consumed += stride;
+    }
+    Ok(entries)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -257,6 +307,52 @@ mod tests {
         assert_eq!(
             profile.nhi_memory_bits(),
             pushed.leaf_count() as u64 * 8 * 4
+        );
+    }
+
+    #[test]
+    fn stride_entries_of_hand_tables() {
+        let entries = |text: &str, strides: &[u8]| {
+            let table: RoutingTable = text.parse().unwrap();
+            stride_stage_entries(&table, strides).unwrap()
+        };
+        // A default route expands into the root node and opens nothing.
+        assert_eq!(entries("0.0.0.0/0 1\n", &[8; 4]), [256, 0, 0, 0]);
+        assert_eq!(entries("", &[4; 8]), [16, 0, 0, 0, 0, 0, 0, 0]);
+        // A /6 inside the first 8-bit stride expands within stage 0.
+        assert_eq!(entries("4.0.0.0/6 7\n", &[8; 4]), [256, 0, 0, 0]);
+        // The /8 fills root entries; the /11 opens one stage-1 node.
+        assert_eq!(
+            entries("10.0.0.0/8 1\n10.32.0.0/11 2\n", &[8; 4]),
+            [256, 256, 0, 0]
+        );
+        // A lone host route: one 2-entry node on every uni-bit stage.
+        assert_eq!(entries("1.2.3.4/32 1\n", &[1; 32]), vec![2; 32]);
+    }
+
+    #[test]
+    fn stride_schedule_is_validated() {
+        let table: RoutingTable = "10.0.0.0/8 1\n".parse().unwrap();
+        for bad in [
+            &[][..],
+            &[0, 32],
+            &[16, 16],
+            &[8, 8, 8, 4],
+            &[8, 8, 8, 8, 1],
+        ] {
+            assert!(
+                matches!(
+                    stride_stage_entries(&table, bad),
+                    Err(TrieError::InvalidParameter(_))
+                ),
+                "{bad:?}"
+            );
+        }
+        assert_eq!(
+            stride_stage_entries(&table, &[6, 6, 6, 6, 4, 4])
+                .unwrap()
+                .len(),
+            6
         );
     }
 }

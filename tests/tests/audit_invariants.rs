@@ -13,15 +13,13 @@
 
 use proptest::prelude::*;
 use vr_audit::{
-    audit_flat_stride_with_table, audit_jump, audit_jump_with_table, audit_jump_with_tables,
-    audit_leaf_pushed, audit_merged, audit_unibit, CheckKind,
+    audit_jump, audit_jump_with_table, audit_jump_with_tables, audit_leaf_pushed, audit_merged,
+    audit_unibit, CheckKind,
 };
 use vr_net::synth::{FamilySpec, TableSpec};
 use vr_net::table::{NextHop, RouteEntry};
 use vr_net::{Ipv4Prefix, RoutingTable};
-use vr_trie::{
-    jump, FlatStrideTrie, JumpSlabs, JumpTrie, LeafPushedTrie, MergedTrie, StrideTrie, UnibitTrie,
-};
+use vr_trie::{jump, JumpSlabs, JumpTrie, LeafPushedTrie, MergedTrie, UnibitTrie};
 
 /// Strategy: an arbitrary routing table of 1 to `max` routes.
 fn arb_table(max: usize) -> impl Strategy<Value = RoutingTable> {
@@ -155,12 +153,6 @@ fn every_constructor_audits_clean_at_paper_scale() {
         audit_jump_with_table(&JumpTrie::from_leaf_pushed(&pushed), &table),
     ] {
         assert!(report.is_clean(), "{}", report.summary());
-    }
-
-    for strides in [&[8u8, 8, 8, 8][..], &[4, 4, 4, 4, 4, 4, 4, 4][..]] {
-        let stride = StrideTrie::from_table(&table, strides).unwrap();
-        let fs = audit_flat_stride_with_table(&FlatStrideTrie::from_stride(&stride), &table);
-        assert!(fs.is_clean(), "{}", fs.summary());
     }
 
     let tables = FamilySpec::paper_worst_case(4, 0.5, 23).generate().unwrap();
