@@ -8,8 +8,8 @@
 //! its level — silently misroutes packets rather than crashing. This crate
 //! is the counterweight:
 //!
-//! * [`verify`] walks every encoding (uni-bit, leaf-pushed at any arity,
-//!   DIR-16 jump, merged) and checks
+//! * [`verify`] walks every encoding (the pointer trie and its
+//!   leaf-pushed form at any arity, DIR-16 jump) and checks
 //!   the invariants each one's lookup loop relies on: tag decodability,
 //!   child bounds and fanout accounting, strictly descending level order
 //!   (acyclicity), leaf-pushing completeness, K-wide NHI vector coverage,
@@ -52,5 +52,5 @@ pub use report::{
 };
 pub use verify::{
     audit_jump, audit_jump_parts, audit_jump_with_table, audit_jump_with_tables,
-    audit_leaf_pushed, audit_merged, audit_unibit, parity_probes,
+    audit_leaf_pushed, audit_merged, parity_probes,
 };

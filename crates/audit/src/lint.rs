@@ -714,7 +714,7 @@ mod tests {
     fn hot_path_unwrap_fires_only_in_hot_files() {
         let text = "fn f() { x.unwrap(); }\n";
         assert_eq!(lint_text("crates/trie/src/jump.rs", text, "").len(), 1);
-        assert!(lint_text("crates/trie/src/unibit.rs", text, "").is_empty());
+        assert!(lint_text("crates/trie/src/merge.rs", text, "").is_empty());
     }
 
     #[test]

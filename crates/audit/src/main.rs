@@ -20,10 +20,10 @@ use std::process::ExitCode;
 
 use vr_audit::{
     audit_jump, audit_jump_with_table, audit_jump_with_tables, audit_leaf_pushed, audit_merged,
-    audit_unibit, lint_workspace, AuditReport,
+    lint_workspace, AuditReport,
 };
 use vr_net::synth::{ClusterSpec, FamilySpec, TableSpec, PAPER_TABLE_PREFIXES};
-use vr_trie::{JumpSlabs, JumpTrie, LeafPushedTrie, MergedTrie, UnibitTrie};
+use vr_trie::{JumpSlabs, JumpTrie, MergedTrie};
 
 const USAGE: &str = "vr-audit: structural invariant verifier for lookup-table encodings
 
@@ -141,13 +141,14 @@ fn cmd_tables(args: &[String]) -> Result<bool, String> {
 
     let mut reports = Vec::new();
 
-    // Single-table pipeline: every constructor path for every encoding.
-    let unibit = UnibitTrie::from_table(&table);
-    reports.push(audit_unibit(&unibit));
-    let leaf_pushed = LeafPushedTrie::from_unibit(&unibit);
+    // Single-table pipeline: every constructor path for every encoding,
+    // the pointer trie at K = 1 included.
+    let single = MergedTrie::from_tables(std::slice::from_ref(&table))
+        .map_err(|e| format!("building the single-table trie: {e}"))?;
+    reports.push(audit_merged(&single));
+    let leaf_pushed = single.leaf_pushed();
     reports.push(audit_leaf_pushed(&leaf_pushed, std::slice::from_ref(&table)));
     reports.push(audit_jump_with_table(&JumpTrie::from_table(&table), &table));
-    reports.push(audit_jump_with_table(&JumpTrie::from_unibit(&unibit), &table));
     reports.push(audit_jump_with_table(
         &JumpTrie::from_leaf_pushed(&leaf_pushed),
         &table,

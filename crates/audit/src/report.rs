@@ -164,7 +164,7 @@ pub struct AuditStats {
 /// The result of one verifier pass over one structure.
 #[derive(Debug, Clone, Serialize)]
 pub struct AuditReport {
-    /// What was audited (e.g. `"unibit"`, `"jump(k=8)"`).
+    /// What was audited (e.g. `"merged(k=1)"`, `"jump(k=8)"`).
     pub structure: String,
     /// Summary statistics.
     pub stats: AuditStats,
@@ -303,7 +303,7 @@ mod tests {
 
     #[test]
     fn clean_audit_reports_clean() {
-        let mut audit = Audit::new("unibit");
+        let mut audit = Audit::new("merged(k=1)");
         audit.declare(CheckKind::TagDecode);
         audit.declare(CheckKind::LevelOrder);
         let report = audit.finish(AuditStats::default());
@@ -342,7 +342,7 @@ mod tests {
 
     #[test]
     fn violations_are_capped_not_lost() {
-        let mut audit = Audit::new("unibit");
+        let mut audit = Audit::new("merged(k=1)");
         for i in 0..(MAX_RECORDED_VIOLATIONS + 10) {
             audit.error(
                 CheckKind::TagDecode,

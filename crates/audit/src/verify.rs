@@ -19,8 +19,7 @@ use crate::report::{Audit, AuditReport, AuditStats, CheckKind, Coordinates};
 use vr_net::table::NextHop;
 use vr_net::{Ipv4Prefix, RoutingTable};
 use vr_trie::jump::{self, JumpTrieParts};
-use vr_trie::unibit::NodeId;
-use vr_trie::{JumpTrie, LeafPushedTrie, LookupBackend, MergedTrie, UnibitTrie};
+use vr_trie::{JumpTrie, LeafPushedTrie, LookupBackend, MergedTrie, NodeId};
 
 /// Highest valid encoded NHI code: `0` = no route, `1 + nh` with
 /// `nh: u8`, so anything above `256` silently truncates on decode.
@@ -266,14 +265,14 @@ pub fn audit_jump(trie: &JumpTrie) -> AuditReport {
 }
 
 /// Audits a [`JumpTrie`] structurally and checks prefix-expansion
-/// consistency against an independently built uni-bit oracle for the
-/// source `table`.
+/// consistency against an independently built uni-bit oracle (the
+/// pointer trie at K = 1) for the source `table`.
 #[must_use]
 pub fn audit_jump_with_table(trie: &JumpTrie, table: &RoutingTable) -> AuditReport {
     let mut a = Audit::new(format!("jump(k={})", trie.arity()));
     let stats = check_jump(&mut a, trie.raw_parts());
-    let oracle = UnibitTrie::from_table(table);
-    check_parity(&mut a, CheckKind::JumpConsistency, 0, table, trie, &oracle);
+    let tables = std::slice::from_ref(table);
+    check_vn_parity(&mut a, CheckKind::JumpConsistency, tables, 1, trie);
     a.finish(stats)
 }
 
@@ -283,7 +282,7 @@ pub fn audit_jump_with_table(trie: &JumpTrie, table: &RoutingTable) -> AuditRepo
 pub fn audit_jump_with_tables(trie: &JumpTrie, tables: &[RoutingTable]) -> AuditReport {
     let mut a = Audit::new(format!("jump(k={})", trie.arity()));
     let stats = check_jump(&mut a, trie.raw_parts());
-    check_vn_parity(&mut a, tables, trie.arity(), trie);
+    check_vn_parity(&mut a, CheckKind::OracleParity, tables, trie.arity(), trie);
     a.finish(stats)
 }
 
@@ -349,43 +348,9 @@ fn sweep_full_binary(a: &mut Audit, trie: &LeafPushedTrie) -> (usize, usize, usi
     (visited.len(), leaves, internal)
 }
 
-/// Audits a [`UnibitTrie`]: arena accounting (via its own invariant
-/// check) plus an independent depth-bounded traversal.
-#[must_use]
-pub fn audit_unibit(trie: &UnibitTrie) -> AuditReport {
-    let mut a = Audit::new("unibit");
-    a.declare(CheckKind::Invariants);
-    a.declare(CheckKind::LevelOrder);
-    if !trie.check_invariants() {
-        a.error(
-            CheckKind::Invariants,
-            Coordinates::none(),
-            "arena accounting does not match reachability from the root",
-        );
-    }
-    let mut max_depth = 0u32;
-    let mut nodes = 0u64;
-    for (_, depth) in trie.walk() {
-        nodes += 1;
-        max_depth = max_depth.max(u32::from(depth));
-    }
-    if max_depth > 32 {
-        a.error(
-            CheckKind::LevelOrder,
-            Coordinates::none(),
-            format!("trie depth {max_depth} exceeds the 32-bit address width"),
-        );
-    }
-    a.finish(AuditStats {
-        nodes,
-        levels: u64::from(max_depth) + 1,
-        arity: 1,
-        ..AuditStats::default()
-    })
-}
-
-/// Audits a [`MergedTrie`]: presence/subtree accounting via its own
-/// invariant check, plus arity bounds.
+/// Audits a [`MergedTrie`] of any arity (a single table's trie is
+/// K = 1): presence/subtree/slab accounting, reachability and the 32-bit
+/// depth bound via its own invariant check, plus arity bounds.
 #[must_use]
 pub fn audit_merged(trie: &MergedTrie) -> AuditReport {
     let mut a = Audit::new(format!("merged(k={})", trie.arity()));
@@ -395,7 +360,7 @@ pub fn audit_merged(trie: &MergedTrie) -> AuditReport {
         a.error(
             CheckKind::Invariants,
             Coordinates::none(),
-            "presence masks, subtree counters, and reachability disagree",
+            "presence masks, subtree counters, slabs, depth, and reachability disagree",
         );
     }
     if trie.arity() == 0 || trie.arity() > 64 {
@@ -431,7 +396,7 @@ pub fn audit_leaf_pushed(trie: &LeafPushedTrie, tables: &[RoutingTable]) -> Audi
             "trie reports itself non-full (leaf/internal identity broken)",
         );
     }
-    check_vn_parity(&mut a, tables, trie.arity(), trie);
+    check_vn_parity(&mut a, CheckKind::OracleParity, tables, trie.arity(), trie);
     a.finish(AuditStats {
         nodes: visited as u64,
         leaves: leaves as u64,
@@ -472,39 +437,13 @@ fn host_mask(prefix: &Ipv4Prefix) -> u32 {
     }
 }
 
-/// Walks virtual network `vn` of `trie` and the single-table `oracle` over
-/// the parity probes of `table`, recording every disagreement under
-/// `check`.
-fn check_parity(
-    a: &mut Audit,
-    check: CheckKind,
-    vn: usize,
-    table: &RoutingTable,
-    trie: &impl LookupBackend,
-    oracle: &impl LookupBackend,
-) {
-    a.declare(check);
-    for ip in parity_probes(table) {
-        let (got, want) = (trie.lookup_vn(vn, ip), oracle.lookup_vn(0, ip));
-        if got != want {
-            a.error(
-                check,
-                Coordinates {
-                    level: u32::try_from(vn).ok(),
-                    offset: Some(u64::from(ip)),
-                    word: None,
-                },
-                format!("vn {vn} lookup({ip:#010x}) = {got:?}, oracle says {want:?}"),
-            );
-        }
-    }
-}
-
-/// Per-VNID parity: `tables` must cover the structure's `arity` exactly,
-/// and every virtual network's lookups must match an oracle built from
-/// that network's own table alone.
+/// Per-VNID parity under `check`: `tables` must cover the structure's
+/// `arity` exactly, and every virtual network's lookups must match that
+/// network's column of an oracle pointer trie built from `tables`, probed
+/// at its own table's [`parity_probes`]; each disagreement is an error.
 fn check_vn_parity(
     a: &mut Audit,
+    check: CheckKind,
     tables: &[RoutingTable],
     arity: usize,
     trie: &impl LookupBackend,
@@ -518,9 +457,25 @@ fn check_vn_parity(
         );
         return;
     }
+    let Ok(oracle) = MergedTrie::from_tables(tables) else {
+        let why = "no oracle merge of the tables";
+        a.error(CheckKind::NhiVector, Coordinates::none(), why);
+        return;
+    };
+    a.declare(check);
     for (vn, table) in tables.iter().enumerate() {
-        let oracle = UnibitTrie::from_table(table);
-        check_parity(a, CheckKind::OracleParity, vn, table, trie, &oracle);
+        for ip in parity_probes(table) {
+            let (got, want) = (trie.lookup_vn(vn, ip), oracle.lookup(vn, ip));
+            if got != want {
+                let at = Coordinates {
+                    level: u32::try_from(vn).ok(),
+                    offset: Some(u64::from(ip)),
+                    word: None,
+                };
+                let why = format!("vn {vn} lookup({ip:#010x}) = {got:?}, oracle says {want:?}");
+                a.error(check, at, why);
+            }
+        }
     }
 }
 
@@ -547,10 +502,10 @@ mod tests {
 
     #[test]
     fn empty_structures_are_clean() {
-        let empty = UnibitTrie::new();
-        assert!(audit_unibit(&empty).is_clean());
-        assert!(audit_jump(&JumpTrie::from_unibit(&empty)).is_clean());
-        let pushed = LeafPushedTrie::from_unibit(&empty);
+        let empty = MergedTrie::new(1).unwrap();
+        assert!(audit_merged(&empty).is_clean());
+        assert!(audit_jump(&JumpTrie::from_table(&RoutingTable::new())).is_clean());
+        let pushed = empty.leaf_pushed();
         assert!(audit_leaf_pushed(&pushed, &[RoutingTable::new()]).is_clean());
     }
 
@@ -671,8 +626,8 @@ mod tests {
     #[test]
     fn paper_scale_structures_are_clean() {
         let t = TableSpec::paper_worst_case(23).generate().unwrap();
-        let unibit = UnibitTrie::from_table(&t);
-        assert!(audit_unibit(&unibit).is_clean());
+        let single = MergedTrie::from_tables(std::slice::from_ref(&t)).unwrap();
+        assert!(audit_merged(&single).is_clean());
         assert!(audit_jump_with_table(&JumpTrie::from_table(&t), &t).is_clean());
     }
 

@@ -40,7 +40,7 @@ use vr_net::synth::{FamilySpec, TableSpec};
 use vr_net::{SkewedSpec, SkewedTraffic, VnId};
 use vr_power::report::write_json;
 use vr_wire::{replay, ReplayConfig, ServerConfig, TrafficModel, WireClient, WireServer};
-use vr_trie::{JumpTrie, LeafPushedTrie, LookupBackend, MergedTrie, UnibitTrie};
+use vr_trie::{JumpTrie, LookupBackend, MergedTrie};
 
 /// Number of virtual networks in the merged/per-VN and service rows.
 const FAMILY_K: usize = 4;
@@ -466,8 +466,11 @@ fn run_scale(
     reps: usize,
 ) {
     let table = spec.generate().unwrap();
-    let unibit = UnibitTrie::from_table(&table);
-    let pushed = LeafPushedTrie::from_unibit(&unibit);
+    // The `unibit` row is the paper's uni-bit trie (§V-D): the one pointer
+    // trie, `MergedTrie`, at K = 1. The variant keeps the paper's name so
+    // CI's row matrix and `BENCH_lookup.json` keep their keys.
+    let unibit = MergedTrie::from_tables(std::slice::from_ref(&table)).unwrap();
+    let pushed = unibit.leaf_pushed();
     let jump = JumpTrie::from_leaf_pushed(&pushed);
 
     // Per-VN datapath inputs: a K-way merged family resolved through

@@ -4,14 +4,14 @@
 
 use vr_net::stats::TableStats;
 use vr_net::synth::{TableSpec, PAPER_TRIE_NODES, PAPER_TRIE_NODES_LEAF_PUSHED};
-use vr_trie::{LeafPushedTrie, UnibitTrie};
+use vr_trie::MergedTrie;
 
 fn main() {
     let spec = TableSpec::paper_worst_case(2012);
     let table = spec.generate().expect("generation");
     let stats = TableStats::of(&table);
-    let trie = UnibitTrie::from_table(&table);
-    let pushed = LeafPushedTrie::from_unibit(&trie);
+    let trie = MergedTrie::from_tables(std::slice::from_ref(&table)).expect("one table");
+    let pushed = trie.leaf_pushed();
 
     println!("synthetic worst-case table (seed {}):", spec.seed);
     println!("  prefixes            {}", stats.routes);

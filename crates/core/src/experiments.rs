@@ -45,7 +45,7 @@ use vr_net::synth::{FamilySpec, PrefixLenDistribution};
 use vr_net::RoutingTable;
 use vr_trie::calibrate::CalibrationSpec;
 use vr_trie::pipeline_map::{MemoryLayout, PAPER_PIPELINE_STAGES};
-use vr_trie::{LeafPushedTrie, MergedTrie, PipelineProfile, UnibitTrie};
+use vr_trie::{LeafPushedTrie, MergedTrie, PipelineProfile};
 
 /// Frequencies swept in Figs. 2 and 3 (MHz).
 pub const FREQ_SWEEP_MHZ: [f64; 9] = [
@@ -459,8 +459,8 @@ pub fn fig4_series(cfg: &ExperimentConfig) -> Result<Vec<Fig4Point>, PowerError>
                 .iter()
                 .enumerate()
                 .map(|(i, table)| {
-                    let (ptr, nhi) =
-                        memory(&LeafPushedTrie::from_unibit(&UnibitTrie::from_table(table)))?;
+                    let trie = MergedTrie::from_tables(std::slice::from_ref(table))?;
+                    let (ptr, nhi) = memory(&trie.leaf_pushed())?;
                     ptr_bits += ptr;
                     nhi_bits += nhi;
                     Ok(point(label, i + 1, (ptr_bits, nhi_bits), None))

@@ -21,7 +21,7 @@ use vr_fpga::timing::{self, TimingContext};
 use vr_fpga::{BramMode, Device, SchemeKind, SpeedGrade};
 use vr_net::RoutingTable;
 use vr_trie::pipeline_map::{MemoryLayout, PAPER_PIPELINE_STAGES};
-use vr_trie::{LeafPushedTrie, MergedTrie, PipelineProfile, UnibitTrie};
+use vr_trie::{LeafPushedTrie, MergedTrie, PipelineProfile};
 
 /// Everything needed to evaluate one configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -93,8 +93,8 @@ impl EngineStructure {
         let engine_stage_bits = tables
             .iter()
             .map(|t| {
-                let trie = LeafPushedTrie::from_unibit(&UnibitTrie::from_table(t));
-                stage_bits(&trie, stages, layout)
+                let trie = MergedTrie::from_tables(std::slice::from_ref(t))?;
+                stage_bits(&trie.leaf_pushed(), stages, layout)
             })
             .collect::<Result<_, _>>()?;
         Ok(Self {

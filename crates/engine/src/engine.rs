@@ -16,8 +16,7 @@ use vr_fpga::gating::GatingPolicy;
 use vr_fpga::grade::SpeedGrade;
 use vr_net::table::NextHop;
 use vr_net::VnId;
-use vr_trie::unibit::NodeId;
-use vr_trie::{LeafPushedTrie, PipelineProfile};
+use vr_trie::{LeafPushedTrie, NodeId, PipelineProfile};
 
 use crate::EngineError;
 
@@ -128,10 +127,10 @@ struct Slot {
 /// use vr_engine::{EngineConfig, PipelineEngine};
 /// use vr_net::RoutingTable;
 /// use vr_trie::pipeline_map::{MemoryLayout, PipelineProfile};
-/// use vr_trie::{LeafPushedTrie, UnibitTrie};
+/// use vr_trie::MergedTrie;
 ///
 /// let table: RoutingTable = "10.0.0.0/8 1\n".parse().unwrap();
-/// let trie = LeafPushedTrie::from_unibit(&UnibitTrie::from_table(&table));
+/// let trie = MergedTrie::from_tables(&[table]).unwrap().leaf_pushed();
 /// let profile = PipelineProfile::for_trie(&trie, 28, MemoryLayout::default()).unwrap();
 /// let mut engine = PipelineEngine::new(trie, &profile, EngineConfig::paper_default()).unwrap();
 ///
@@ -323,11 +322,18 @@ mod tests {
     use vr_net::synth::TableSpec;
     use vr_net::RoutingTable;
     use vr_trie::pipeline_map::{MemoryLayout, PAPER_PIPELINE_STAGES};
-    use vr_trie::UnibitTrie;
+    use vr_trie::MergedTrie;
+
+    /// One table's leaf-pushed trie (K = 1).
+    fn single(table: &RoutingTable) -> LeafPushedTrie {
+        MergedTrie::from_tables(std::slice::from_ref(table))
+            .unwrap()
+            .leaf_pushed()
+    }
 
     fn build_engine(seed: u64, stages: usize) -> (RoutingTable, PipelineEngine) {
         let table = TableSpec::paper_worst_case(seed).generate().unwrap();
-        let lp = LeafPushedTrie::from_unibit(&UnibitTrie::from_table(&table));
+        let lp = single(&table);
         let profile = PipelineProfile::for_trie(&lp, stages, MemoryLayout::default()).unwrap();
         let engine =
             PipelineEngine::new(lp, &profile, EngineConfig::paper_default()).unwrap();
@@ -406,13 +412,10 @@ mod tests {
         }
         .generate()
         .unwrap();
-        let pushed = vr_trie::MergedTrie::from_tables(&tables).unwrap().leaf_pushed();
-        let profile = PipelineProfile::for_trie(
-            &pushed,
-            PAPER_PIPELINE_STAGES,
-            MemoryLayout::default(),
-        )
-        .unwrap();
+        let pushed = MergedTrie::from_tables(&tables).unwrap().leaf_pushed();
+        let profile =
+            PipelineProfile::for_trie(&pushed, PAPER_PIPELINE_STAGES, MemoryLayout::default())
+                .unwrap();
         let mut engine =
             PipelineEngine::new(pushed, &profile, EngineConfig::paper_default()).unwrap();
         let mut inputs = Vec::new();
@@ -454,7 +457,7 @@ mod tests {
     #[test]
     fn ungated_idle_engine_burns_full_power() {
         let table = TableSpec::paper_worst_case(6).generate().unwrap();
-        let lp = LeafPushedTrie::from_unibit(&UnibitTrie::from_table(&table));
+        let lp = single(&table);
         let profile =
             PipelineProfile::for_trie(&lp, PAPER_PIPELINE_STAGES, MemoryLayout::default())
                 .unwrap();
@@ -495,7 +498,7 @@ mod tests {
     #[test]
     fn rejects_bad_configs() {
         let table = TableSpec::paper_worst_case(8).generate().unwrap();
-        let lp = LeafPushedTrie::from_unibit(&UnibitTrie::from_table(&table));
+        let lp = single(&table);
         let profile =
             PipelineProfile::for_trie(&lp, 28, MemoryLayout::default()).unwrap();
         let mut cfg = EngineConfig::paper_default();

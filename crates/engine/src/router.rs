@@ -20,7 +20,7 @@ use std::collections::VecDeque;
 use vr_fpga::SchemeKind;
 use vr_net::{RoutingTable, TrafficGenerator};
 use vr_trie::pipeline_map::MemoryLayout;
-use vr_trie::{LeafPushedTrie, MergedTrie, PipelineProfile, UnibitTrie};
+use vr_trie::{MergedTrie, PipelineProfile};
 
 /// How packets arrive at the router.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -86,8 +86,8 @@ impl VirtualRouterSim {
         let tries = match cfg.organization {
             SchemeKind::NonVirtualized | SchemeKind::Separate => tables
                 .iter()
-                .map(|t| LeafPushedTrie::from_unibit(&UnibitTrie::from_table(t)))
-                .collect(),
+                .map(|t| Ok(MergedTrie::from_tables(std::slice::from_ref(t))?.leaf_pushed()))
+                .collect::<Result<_, EngineError>>()?,
             SchemeKind::Merged => vec![MergedTrie::from_tables(&tables)?.leaf_pushed()],
         };
         let engines = tries

@@ -924,12 +924,17 @@ mod tests {
 
     #[test]
     fn swaps_and_rejections_reach_events_and_counters() {
+        // The audit gate is compiled out of unaudited builds (release
+        // without `audit-on-publish`): there the corrupt trie below is
+        // accepted and counted as a second swap.
+        let audited = cfg!(any(debug_assertions, feature = "audit-on-publish"));
+        let (swaps, rejections) = if audited { (1, 1) } else { (2, 0) };
         let t = table("10.0.0.0/8 1\n");
         let mut service = LookupService::new(vec![t.clone()], small_cfg(1)).unwrap();
         service
             .publish_tables(vec![table("10.0.0.0/8 2\n")])
             .unwrap();
-        // A corrupt candidate: rejected, counted, ringed.
+        // A corrupt candidate: rejected, counted, ringed where audited.
         let good = JumpTrie::from_table(&t);
         let p = good.raw_parts();
         let corrupt = JumpTrie::from_raw_parts(
@@ -938,25 +943,32 @@ mod tests {
             Vec::new(),
             p.k,
         );
-        assert!(service.publish_trie(corrupt).is_err());
+        assert_eq!(service.publish_trie(corrupt).is_err(), audited);
         let snap = service.telemetry_snapshot().unwrap();
-        assert_eq!(snap.counter("vr_service_swaps_total"), Some(1));
-        assert_eq!(snap.counter("vr_service_audit_rejections_total"), Some(1));
-        assert_eq!(snap.gauge("vr_service_generation"), Some(1));
-        // Debug builds audit on construction + both publishes.
-        assert!(snap.counter("vr_audit_runs_total").unwrap() >= 2);
-        assert!(snap.counter("vr_audit_violations_total").unwrap() > 0);
+        assert_eq!(snap.counter("vr_service_swaps_total"), Some(swaps));
+        assert_eq!(
+            snap.counter("vr_service_audit_rejections_total"),
+            Some(rejections)
+        );
+        assert_eq!(snap.gauge("vr_service_generation"), Some(swaps));
+        if audited {
+            // Audited builds audit on construction + both publishes.
+            assert!(snap.counter("vr_audit_runs_total").unwrap() >= 2);
+            assert!(snap.counter("vr_audit_violations_total").unwrap() > 0);
+        }
         assert!(snap.histogram("vr_service_publish_ns").unwrap().count >= 2);
         let kinds: Vec<&EventKind> = snap.events.events.iter().map(|e| &e.kind).collect();
         assert!(kinds
             .iter()
             .any(|k| matches!(k, EventKind::GenerationSwap { generation: 1 })));
-        assert!(kinds
-            .iter()
-            .any(|k| matches!(k, EventKind::AuditRejected { generation: 2 })));
+        assert!(kinds.iter().any(|k| match k {
+            EventKind::AuditRejected { generation } => audited && *generation == 2,
+            EventKind::GenerationSwap { generation } => !audited && *generation == 2,
+            _ => false,
+        }));
         let report = service.shutdown();
-        assert_eq!(report.audit_rejections, 1);
-        assert_eq!(report.swaps, 1);
+        assert_eq!(report.audit_rejections, rejections);
+        assert_eq!(report.swaps, swaps);
     }
 
     #[test]

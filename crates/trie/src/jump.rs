@@ -43,7 +43,7 @@
 //! shadow bank while the live bank keeps serving.
 
 use crate::leafpush::LeafPushedTrie;
-use crate::unibit::{NodeId, UnibitTrie};
+use crate::merge::{MergedTrie, NodeId};
 use serde::{Deserialize, Serialize};
 use vr_net::table::{NextHop, RoutingTable};
 
@@ -366,16 +366,12 @@ impl JumpTrie {
         }
     }
 
-    /// Leaf-pushes and converts a uni-bit trie (`K = 1`).
-    #[must_use]
-    pub fn from_unibit(trie: &UnibitTrie) -> Self {
-        Self::from_leaf_pushed(&LeafPushedTrie::from_unibit(trie))
-    }
-
     /// Builds directly from a routing table (`K = 1`).
     #[must_use]
     pub fn from_table(table: &RoutingTable) -> Self {
-        Self::from_unibit(&UnibitTrie::from_table(table))
+        let trie = MergedTrie::from_tables(std::slice::from_ref(table))
+            .expect("one table is merge arity 1");
+        Self::from_leaf_pushed(&trie.leaf_pushed())
     }
 
     /// [`JumpTrie::from_leaf_pushed`] under its pre-unification name, kept
@@ -459,7 +455,6 @@ impl crate::LookupBackend for JumpTrie {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::merge::MergedTrie;
     use vr_net::synth::TableSpec;
 
     fn table(text: &str) -> RoutingTable {
@@ -483,7 +478,7 @@ mod tests {
 
     #[test]
     fn empty_trie_resolves_everything_to_none() {
-        let jump = JumpTrie::from_unibit(&UnibitTrie::new());
+        let jump = JumpTrie::from_table(&RoutingTable::new());
         let parts = jump.raw_parts();
         assert!(parts.tail.is_empty());
         assert!(parts.root.iter().all(|&e| e & LEAF_BIT != 0));
@@ -542,7 +537,9 @@ mod tests {
     #[test]
     fn paper_scale_parity_with_oracle() {
         let t = TableSpec::paper_worst_case(11).generate().unwrap();
-        let pushed = LeafPushedTrie::from_unibit(&UnibitTrie::from_table(&t));
+        let pushed = MergedTrie::from_tables(std::slice::from_ref(&t))
+            .unwrap()
+            .leaf_pushed();
         let jump = JumpTrie::from_leaf_pushed(&pushed);
         for ip in probes(&t) {
             let expect = t.lookup(ip);

@@ -10,18 +10,17 @@
 //!
 //! The merged scheme (§IV-C) is the same trie with the leaf's next hop
 //! widened to a K-entry vector indexed by VNID, so [`LeafPushedTrie`]
-//! carries its arity K: [`LeafPushedTrie::from_unibit`] builds the K = 1
-//! case, [`LeafPushedTrie::from_merged`] the K-wide one, both through the
-//! same `push` recursion, and Eq. 5's memory term is the single-engine one
-//! with the NHI word × K.
+//! carries its arity K: [`LeafPushedTrie::from_merged`] pushes the one
+//! pointer trie, [`MergedTrie`], at whatever arity it has (a single table
+//! is K = 1), and Eq. 5's memory term is the single-engine one with the
+//! NHI word × K.
 //!
 //! For the paper's worst-case table, leaf pushing grows the trie from 9726
 //! to 16127 nodes (§V-E); the calibration test in this module keeps our
 //! synthetic generator in that growth regime.
 
-use crate::merge::MergedTrie;
+use crate::merge::{MergedTrie, NodeId};
 use crate::stats::TrieStats;
-use crate::unibit::{NodeId, UnibitTrie};
 use vr_net::table::NextHop;
 
 #[derive(Debug, Clone, Copy)]
@@ -46,19 +45,11 @@ pub struct LeafPushedTrie {
 }
 
 impl LeafPushedTrie {
-    /// Applies leaf pushing to a single table's trie (K = 1).
-    #[must_use]
-    pub fn from_unibit(trie: &UnibitTrie) -> Self {
-        let own = |id| [trie.node_next_hop(id)];
-        Pusher::run(1, trie.node_count(), |id| trie.children(id), own)
-    }
-
-    /// Applies leaf pushing to a K-way merged trie.
+    /// Applies leaf pushing to a merged trie of any arity K (K = 1 for a
+    /// single table).
     #[must_use]
     pub fn from_merged(merged: &MergedTrie) -> Self {
-        let children = |id| [merged.node_child(id, 0), merged.node_child(id, 1)];
-        let own = |id| merged.node_nhis(id);
-        Pusher::run(merged.arity(), merged.node_count(), children, own)
+        Pusher::run(merged)
     }
 
     /// Number of virtual networks K (the NHI vector width).
@@ -94,10 +85,8 @@ impl LeafPushedTrie {
 
     /// Longest-prefix match for `ip` in virtual network `vnid`: walk
     /// destination bits to a leaf, then index its vector by VNID. Exactly
-    /// the pipeline's per-stage behaviour.
-    ///
-    /// # Panics
-    /// Panics if `vnid ≥ arity`.
+    /// the pipeline's per-stage behaviour. `None` for a VN the trie does
+    /// not host.
     #[must_use]
     pub fn lookup_vn(&self, vnid: usize, ip: u32) -> Option<NextHop> {
         let mut cur = NodeId::ROOT;
@@ -107,7 +96,7 @@ impl LeafPushedTrie {
             cur = if (ip >> (31 - depth)) & 1 == 0 { l } else { r };
             depth += 1;
         }
-        self.node_nhis(cur)[vnid]
+        self.node_nhis(cur).get(vnid).copied().flatten()
     }
 
     /// Children of a node: `Some((left, right))` for internal nodes,
@@ -161,12 +150,9 @@ impl LeafPushedTrie {
     }
 }
 
-/// The one leaf-pushing recursion, over a source trie read through two
-/// accessors: a node's two child edges, and the next hops stored at it,
-/// indexed by VNID (one entry for a uni-bit trie, K for a merged one).
-struct Pusher<C, O> {
-    children: C,
-    own: O,
+/// The one leaf-pushing recursion over a [`MergedTrie`].
+struct Pusher<'a> {
+    src: &'a MergedTrie,
     out: LeafPushedTrie,
     /// Longest match seen so far on the current path, per VN. One vector
     /// for the whole build: a node overwrites the entries it stores and
@@ -177,18 +163,13 @@ struct Pusher<C, O> {
     undo: Vec<(usize, Option<NextHop>)>,
 }
 
-impl<C, O, N> Pusher<C, O>
-where
-    C: Fn(NodeId) -> [Option<NodeId>; 2],
-    O: Fn(NodeId) -> N,
-    N: AsRef<[Option<NextHop>]>,
-{
-    fn run(k: usize, src_nodes: usize, children: C, own: O) -> LeafPushedTrie {
+impl Pusher<'_> {
+    fn run(src: &MergedTrie) -> LeafPushedTrie {
         // A full binary trie has one more leaf than internal nodes, and
         // every internal node is a source node.
+        let (k, src_nodes) = (src.arity(), src.node_count());
         let mut pusher = Pusher {
-            children,
-            own,
+            src,
             out: LeafPushedTrie {
                 nodes: Vec::with_capacity(src_nodes * 2 + 1),
                 nhis: Vec::with_capacity((src_nodes + 1) * k),
@@ -204,13 +185,14 @@ where
     /// Recursively leaf-pushes the subtree rooted at `id`, carrying the
     /// longest matching NHI seen so far per VN. Returns the new node's id.
     fn push(&mut self, id: NodeId) -> NodeId {
+        let src = self.src;
         let mark = self.undo.len();
-        for (vn, nh) in (self.own)(id).as_ref().iter().enumerate() {
+        for (vn, nh) in src.node_nhis(id).iter().enumerate() {
             if let Some(nh) = *nh {
                 self.undo.push((vn, self.inherited[vn].replace(nh)));
             }
         }
-        let slot = match (self.children)(id) {
+        let slot = match [src.node_child(id, 0), src.node_child(id, 1)] {
             [None, None] => self.alloc_leaf(),
             children => {
                 let slot = node_id(self.out.nodes.len());
@@ -261,18 +243,22 @@ mod tests {
         s.parse().unwrap()
     }
 
-    fn trie_of(entries: &[(&str, u8)]) -> UnibitTrie {
-        let table = RoutingTable::from_entries(
+    /// One table's pointer trie (K = 1).
+    fn single(table: &RoutingTable) -> MergedTrie {
+        MergedTrie::from_tables(std::slice::from_ref(table)).unwrap()
+    }
+
+    fn trie_of(entries: &[(&str, u8)]) -> MergedTrie {
+        single(&RoutingTable::from_entries(
             entries
                 .iter()
                 .map(|(s, nh)| vr_net::RouteEntry::new(p(s), *nh)),
-        );
-        UnibitTrie::from_table(&table)
+        ))
     }
 
     #[test]
     fn empty_trie_becomes_single_nhi_less_leaf() {
-        let lp = LeafPushedTrie::from_unibit(&UnibitTrie::new());
+        let lp = trie_of(&[]).leaf_pushed();
         assert_eq!(lp.node_count(), 1);
         assert_eq!(lp.leaf_count(), 1);
         assert_eq!(lp.lookup_vn(0, 0), None);
@@ -281,7 +267,7 @@ mod tests {
 
     #[test]
     fn single_prefix_pushes_to_both_sides() {
-        let lp = LeafPushedTrie::from_unibit(&trie_of(&[("128.0.0.0/1", 1)]));
+        let lp = trie_of(&[("128.0.0.0/1", 1)]).leaf_pushed();
         // Root becomes internal with two leaves: left (no match), right (1).
         assert_eq!(lp.node_count(), 3);
         assert_eq!(lp.lookup_vn(0, 0x0000_0000), None);
@@ -291,17 +277,14 @@ mod tests {
 
     #[test]
     fn default_route_fills_every_leaf() {
-        let lp = LeafPushedTrie::from_unibit(&trie_of(&[("0.0.0.0/0", 9), ("128.0.0.0/1", 1)]));
+        let lp = trie_of(&[("0.0.0.0/0", 9), ("128.0.0.0/1", 1)]).leaf_pushed();
         assert_eq!(lp.lookup_vn(0, 0x0000_0000), Some(9));
         assert_eq!(lp.lookup_vn(0, 0x8000_0000), Some(1));
     }
 
     #[test]
     fn nested_prefixes_push_longest_match() {
-        let lp = LeafPushedTrie::from_unibit(&trie_of(&[
-            ("10.0.0.0/8", 1),
-            ("10.1.0.0/16", 2),
-        ]));
+        let lp = trie_of(&[("10.0.0.0/8", 1), ("10.1.0.0/16", 2)]).leaf_pushed();
         assert_eq!(lp.lookup_vn(0, 0x0A01_0203), Some(2)); // inside /16
         assert_eq!(lp.lookup_vn(0, 0x0A02_0203), Some(1)); // inside /8 only
         assert_eq!(lp.lookup_vn(0, 0x0B00_0000), None);
@@ -311,12 +294,12 @@ mod tests {
     #[test]
     fn lookup_agrees_with_unibit_on_paper_scale_table() {
         let table = TableSpec::paper_worst_case(77).generate().unwrap();
-        let trie = UnibitTrie::from_table(&table);
-        let lp = LeafPushedTrie::from_unibit(&trie);
+        let trie = single(&table);
+        let lp = trie.leaf_pushed();
         let mut probes: Vec<u32> = table.prefixes().map(|q| q.addr().wrapping_add(3)).collect();
         probes.extend([0, u32::MAX, 0x7FFF_FFFF]);
         for ip in probes {
-            assert_eq!(lp.lookup_vn(0, ip), trie.lookup(ip), "ip {ip:#010x}");
+            assert_eq!(lp.lookup_vn(0, ip), trie.lookup(0, ip), "ip {ip:#010x}");
         }
     }
 
@@ -324,8 +307,8 @@ mod tests {
     fn growth_matches_paper_regime() {
         // §V-E: 9726 -> 16127 nodes, a growth factor of ~1.66.
         let table = TableSpec::paper_worst_case(2012).generate().unwrap();
-        let trie = UnibitTrie::from_table(&table);
-        let lp = LeafPushedTrie::from_unibit(&trie);
+        let trie = single(&table);
+        let lp = trie.leaf_pushed();
         let factor = lp.node_count() as f64 / trie.node_count() as f64;
         assert!(
             (1.2..=2.0).contains(&factor),
@@ -337,7 +320,7 @@ mod tests {
     #[test]
     fn stats_agree_with_counts() {
         let table = TableSpec::paper_worst_case(5).generate().unwrap();
-        let lp = LeafPushedTrie::from_unibit(&UnibitTrie::from_table(&table));
+        let lp = single(&table).leaf_pushed();
         let s = lp.stats();
         assert_eq!(s.total_nodes, lp.node_count());
         assert_eq!(s.leaves, lp.leaf_count());

@@ -8,8 +8,13 @@
 //!
 //! This crate implements that whole layer:
 //!
-//! * [`UnibitTrie`] — arena-based uni-bit trie with longest-prefix match,
-//!   incremental insert/withdraw, and per-level statistics;
+//! * [`MergedTrie`] — the one pointer trie: the arena-based uni-bit trie
+//!   with its next hop widened to a K-entry vector indexed by VNID, so a
+//!   single table is K = 1 and the virtualized-merged scheme's K-way
+//!   overlay is the same type. Longest-prefix match, incremental
+//!   announce/withdraw per VN, per-level statistics, and *measured*
+//!   merging efficiency α (Assumption 4); [`MergedTrie::leaf_pushed`] is
+//!   its [`LeafPushedTrie`] of arity K;
 //! * [`LeafPushedTrie`] — the leaf-pushing transform (Ruiz-Sánchez et al.,
 //!   paper ref. \[16\]): a *full* binary trie whose NHI lives only in
 //!   leaves, which is what the pipeline stages store. It carries its
@@ -22,9 +27,6 @@
 //!   lookup is at most three slab loads and one NHI load ([`jump`]
 //!   defines the entry and NHI codec, the block filler and the interning
 //!   NHI-slab writer);
-//! * [`MergedTrie`] — the K-way overlay used by the virtualized-merged
-//!   scheme, with *measured* merging efficiency α (Assumption 4);
-//!   [`MergedTrie::leaf_pushed`] is its [`LeafPushedTrie`] of arity K;
 //! * [`JumpSlabs`] / [`DirtyBuckets`] — per-/16-bucket block store for
 //!   the control plane: route updates re-derive only dirty buckets and
 //!   assemble a publishable [`JumpTrie`] without a from-scratch rebuild;
@@ -57,16 +59,14 @@ pub mod pipeline_map;
 pub mod prefetch;
 pub mod stats;
 pub mod subslab;
-pub mod unibit;
 
 pub use backend::LookupBackend;
 pub use jump::{JumpTrie, JumpTrieParts};
 pub use leafpush::LeafPushedTrie;
-pub use merge::MergedTrie;
+pub use merge::{MergedTrie, NodeId};
 pub use pipeline_map::{MemoryLayout, PipelineProfile, StageProfile};
 pub use stats::TrieStats;
 pub use subslab::{DirtyBuckets, JumpSlabs};
-pub use unibit::{NodeId, UnibitTrie};
 
 /// Errors produced by trie construction and mapping.
 #[derive(Debug, Clone, PartialEq)]

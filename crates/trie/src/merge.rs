@@ -1,11 +1,14 @@
-//! K-way trie merging for the virtualized-merged scheme (§IV-C, §V-D).
+//! The pointer trie: the uni-bit trie of §V-D with its next hop widened
+//! to a K-entry vector indexed by VNID (§IV-C). A single table is K = 1.
 //!
-//! The merged scheme overlays the K virtual networks' tries into one: a
-//! merged node exists wherever *any* constituent trie has a node, and a
-//! merged leaf stores a K-wide NHI vector indexed by VNID. Structural
-//! similarity between tries means merged size ≪ sum of sizes; the paper
-//! quantifies this with the **merging efficiency** α (Assumption 4:
-//! common nodes / total nodes).
+//! One trie level per prefix bit: a prefix of length L lives at depth L,
+//! the root at depth 0 holds the default route, and a lookup walks the
+//! destination bits MSB-first remembering the last next hop seen. The
+//! merged scheme overlays the K virtual networks' tries into one: a node
+//! exists wherever *any* constituent trie has a node, and stores one NHI
+//! entry per VN. Structural similarity between tries means merged size ≪
+//! sum of sizes; the paper quantifies this with the **merging
+//! efficiency** α (Assumption 4: common nodes / total nodes).
 //!
 //! We measure α on the built structure as
 //! `common nodes (present in all K tries) / mean per-trie node count`,
@@ -14,8 +17,8 @@
 //! tables. [`MergedTrie::overlap_ratio`] additionally reports the laxer
 //! `shared (≥2 tries) / merged total` metric for comparison.
 //!
-//! The merged trie is fully **incremental** (the authors' follow-up work,
-//! paper ref. \[6\], adds on-the-fly updates to virtualized routers):
+//! The trie is fully **incremental** (the authors' follow-up work, paper
+//! ref. \[6\], adds on-the-fly updates to virtualized routers):
 //! [`MergedTrie::insert`] and [`MergedTrie::remove`] announce/withdraw one
 //! virtual network's route, maintaining per-VN subtree accounting so
 //! presence masks, per-VN node counts and pruning stay exact under churn.
@@ -24,14 +27,18 @@
 //! trie (K tables for K merged engines) instead of re-merging tables
 //! `0..K` from scratch at every K (K(K+1)/2 tables).
 //!
+//! Per-VN state lives in two flat slabs of `k` entries per node (NHI
+//! entries and subtree counters): no node owns a heap allocation, and an
+//! update keeps its root-to-node path on the stack.
+//!
 //! This module holds the overlay only. The structure the pipeline stores
 //! is its leaf-pushed form, [`MergedTrie::leaf_pushed`] — a
-//! [`LeafPushedTrie`] of arity K, the same type (and the same `push`
-//! recursion) a single table leaf-pushes into at K = 1.
+//! [`LeafPushedTrie`] of arity K.
 
 use crate::leafpush::LeafPushedTrie;
-use crate::unibit::{NodeId, UnibitTrie};
+use crate::stats::TrieStats;
 use crate::TrieError;
+use std::ops::Range;
 use vr_net::table::NextHop;
 use vr_net::{Ipv4Prefix, RoutingTable};
 
@@ -39,28 +46,39 @@ use vr_net::{Ipv4Prefix, RoutingTable};
 /// paper evaluates K ≤ 15, Fig. 4 sweeps to 30).
 pub const MAX_MERGE_ARITY: usize = 64;
 
-#[derive(Debug, Clone)]
+/// Index of a node in a trie arena.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct NodeId(pub(crate) u32);
+
+impl NodeId {
+    /// The root node's id (always 0 in a live trie).
+    pub const ROOT: NodeId = NodeId(0);
+
+    /// The raw index.
+    #[must_use]
+    pub fn raw(self) -> u32 {
+        self.0
+    }
+
+    #[inline]
+    pub(crate) fn idx(self) -> usize {
+        self.0 as usize
+    }
+}
+
+#[derive(Debug, Clone, Copy)]
 struct MergedNode {
     children: [Option<NodeId>; 2],
     /// Bit k set ⇔ VN k has ≥1 prefix at or below this node — i.e. the
     /// node lies in VN k's own trie.
     presence: u64,
-    /// Per-VN prefix NHI stored at this position (pre leaf pushing).
-    nhis: Vec<Option<NextHop>>,
-    /// Per-VN count of prefixes in this node's subtree (incl. itself);
-    /// drives presence maintenance and pruning under withdrawals.
-    subtree_prefixes: Vec<u32>,
 }
 
 impl MergedNode {
-    fn empty(k: usize) -> Self {
-        Self {
-            children: [None, None],
-            presence: 0,
-            nhis: vec![None; k],
-            subtree_prefixes: vec![0; k],
-        }
-    }
+    const EMPTY: MergedNode = MergedNode {
+        children: [None, None],
+        presence: 0,
+    };
 
     fn is_leaf(&self) -> bool {
         self.children[0].is_none() && self.children[1].is_none()
@@ -68,7 +86,8 @@ impl MergedNode {
 }
 
 /// The K-way overlay of uni-bit tries (before leaf pushing), supporting
-/// incremental announce/withdraw per virtual network.
+/// incremental announce/withdraw per virtual network. One routing table
+/// is the K = 1 case.
 ///
 /// ```
 /// use vr_trie::MergedTrie;
@@ -79,6 +98,7 @@ impl MergedNode {
 /// merged.insert(1, p, 9); // VN 1 announces the same prefix, other hop
 /// assert_eq!(merged.lookup(0, 0x0A000001), Some(7));
 /// assert_eq!(merged.lookup(1, 0x0A000001), Some(9));
+/// assert_eq!(merged.lookup(2, 0x0A000001), None); // VN 2 is not hosted
 /// assert_eq!(merged.merging_efficiency(), 1.0); // identical structures
 /// merged.remove(1, &p);
 /// assert_eq!(merged.lookup(1, 0x0A000001), None);
@@ -86,6 +106,13 @@ impl MergedNode {
 #[derive(Debug, Clone)]
 pub struct MergedTrie {
     nodes: Vec<MergedNode>,
+    /// Per-VN prefix NHI stored at each node (pre leaf pushing), `k`
+    /// consecutive entries per node, indexed by VNID.
+    nhis: Vec<Option<NextHop>>,
+    /// Per-VN count of prefixes in each node's subtree (itself included),
+    /// laid out like `nhis`; drives presence maintenance and pruning under
+    /// withdrawals.
+    subtree: Vec<u32>,
     free: Vec<NodeId>,
     live_nodes: usize,
     k: usize,
@@ -106,7 +133,9 @@ impl MergedTrie {
             return Err(TrieError::BadMergeArity(k));
         }
         Ok(Self {
-            nodes: vec![MergedNode::empty(k)],
+            nodes: vec![MergedNode::EMPTY],
+            nhis: vec![None; k],
+            subtree: vec![0; k],
             free: Vec::new(),
             live_nodes: 1,
             k,
@@ -115,17 +144,8 @@ impl MergedTrie {
         })
     }
 
-    /// Merges `tries` (one per virtual network, VNID = index) by
-    /// re-announcing every stored route.
-    ///
-    /// # Errors
-    /// Same arity constraints as [`MergedTrie::new`].
-    pub fn from_tries(tries: &[UnibitTrie]) -> Result<Self, TrieError> {
-        let tables: Vec<RoutingTable> = tries.iter().map(UnibitTrie::to_table).collect();
-        Self::from_tables(&tables)
-    }
-
-    /// Builds the merged trie from routing tables.
+    /// Builds the merged trie from routing tables (VNID = index); one
+    /// table builds the single-table trie.
     ///
     /// # Errors
     /// Same arity constraints as [`MergedTrie::new`].
@@ -136,7 +156,10 @@ impl MergedTrie {
         // a typical ~3-nodes-per-prefix fill of the biggest table to avoid
         // repeated arena reallocation during the bulk build.
         let largest = tables.iter().map(RoutingTable::len).max().unwrap_or(0);
-        merged.nodes.reserve(largest.saturating_mul(3) + 1);
+        let nodes = largest.saturating_mul(3) + 1;
+        merged.nodes.reserve(nodes);
+        merged.nhis.reserve(nodes * merged.k);
+        merged.subtree.reserve(nodes * merged.k);
         for (vnid, table) in tables.iter().enumerate() {
             for entry in table.iter() {
                 merged.insert(vnid, entry.prefix, entry.next_hop);
@@ -162,10 +185,8 @@ impl MergedTrie {
         if self.k == MAX_MERGE_ARITY {
             return Err(TrieError::BadMergeArity(self.k + 1));
         }
-        for node in &mut self.nodes {
-            node.nhis.push(None);
-            node.subtree_prefixes.push(0);
-        }
+        self.nhis = widen(&self.nhis, self.k, None);
+        self.subtree = widen(&self.subtree, self.k, 0);
         self.per_vn_nodes.push(0);
         self.common_nodes = 0;
         self.k += 1;
@@ -190,6 +211,12 @@ impl MergedTrie {
         self.per_vn_nodes[vnid]
     }
 
+    /// Node `id`'s `k` entries in the per-VN slabs.
+    #[inline]
+    fn row(&self, id: NodeId) -> Range<usize> {
+        id.idx() * self.k..(id.idx() + 1) * self.k
+    }
+
     /// Announces (or replaces) a route for virtual network `vnid`.
     /// Returns the previous next hop, if the prefix was already present.
     ///
@@ -197,11 +224,10 @@ impl MergedTrie {
     /// Panics if `vnid ≥ arity`.
     pub fn insert(&mut self, vnid: usize, prefix: Ipv4Prefix, next_hop: NextHop) -> Option<NextHop> {
         assert!(vnid < self.k, "vnid out of range");
-        // Walk/create the path.
-        let mut path = Vec::with_capacity(usize::from(prefix.len()) + 1);
+        // Walk/create the path: the root, then one node per prefix bit.
+        let mut path = [NodeId::ROOT; 33];
         let mut cur = NodeId::ROOT;
-        path.push(cur);
-        for bit in prefix.bits() {
+        for (depth, bit) in prefix.bits().enumerate() {
             let slot = usize::from(bit);
             cur = match self.nodes[cur.idx()].children[slot] {
                 Some(child) => child,
@@ -211,15 +237,15 @@ impl MergedTrie {
                     child
                 }
             };
-            path.push(cur);
+            path[depth + 1] = cur;
         }
-        let prev = self.nodes[cur.idx()].nhis[vnid].replace(next_hop);
+        let prev = self.nhis[cur.idx() * self.k + vnid].replace(next_hop);
         if prev.is_none() {
             let bit = 1u64 << vnid;
             let full = full_mask(self.k);
-            for id in path {
+            for id in &path[..=usize::from(prefix.len())] {
+                self.subtree[id.idx() * self.k + vnid] += 1;
                 let node = &mut self.nodes[id.idx()];
-                node.subtree_prefixes[vnid] += 1;
                 if node.presence & bit == 0 {
                     node.presence |= bit;
                     self.per_vn_nodes[vnid] += 1;
@@ -239,21 +265,21 @@ impl MergedTrie {
     /// Panics if `vnid ≥ arity`.
     pub fn remove(&mut self, vnid: usize, prefix: &Ipv4Prefix) -> Option<NextHop> {
         assert!(vnid < self.k, "vnid out of range");
-        let mut path = Vec::with_capacity(usize::from(prefix.len()) + 1);
+        let mut path = [NodeId::ROOT; 33];
         let mut cur = NodeId::ROOT;
-        path.push((cur, 0u8));
-        for bit in prefix.bits() {
-            let slot = usize::from(bit);
-            cur = self.nodes[cur.idx()].children[slot]?;
-            path.push((cur, slot as u8));
+        for (depth, bit) in prefix.bits().enumerate() {
+            cur = self.nodes[cur.idx()].children[usize::from(bit)]?;
+            path[depth + 1] = cur;
         }
-        let removed = self.nodes[cur.idx()].nhis[vnid].take()?;
+        let removed = self.nhis[cur.idx() * self.k + vnid].take()?;
         let bit = 1u64 << vnid;
         let full = full_mask(self.k);
-        for (id, _) in &path {
+        let len = usize::from(prefix.len());
+        for id in &path[..=len] {
+            let count = &mut self.subtree[id.idx() * self.k + vnid];
+            *count -= 1;
             let node = &mut self.nodes[id.idx()];
-            node.subtree_prefixes[vnid] -= 1;
-            if node.subtree_prefixes[vnid] == 0 && node.presence & bit != 0 {
+            if *count == 0 && node.presence & bit != 0 {
                 if node.presence == full {
                     self.common_nodes -= 1;
                 }
@@ -263,16 +289,15 @@ impl MergedTrie {
         }
         // Prune orphaned nodes bottom-up (never the root). A node with
         // zero presence has no prefixes in its subtree for any VN, hence
-        // no live descendants either.
-        while path.len() > 1 {
-            let (id, slot) = *path.last().expect("path non-empty");
+        // no live descendants and no NHI entries either.
+        for depth in (1..=len).rev() {
+            let id = path[depth];
             let node = &self.nodes[id.idx()];
             if node.presence != 0 || !node.is_leaf() {
                 break;
             }
-            path.pop();
-            let (parent, _) = *path.last().expect("root remains");
-            self.nodes[parent.idx()].children[usize::from(slot)] = None;
+            let parent = &mut self.nodes[path[depth - 1].idx()];
+            parent.children[usize::from(parent.children[1] == Some(id))] = None;
             self.free.push(id);
             self.live_nodes -= 1;
         }
@@ -282,22 +307,31 @@ impl MergedTrie {
     fn alloc(&mut self) -> NodeId {
         self.live_nodes += 1;
         if let Some(id) = self.free.pop() {
-            self.nodes[id.idx()] = MergedNode::empty(self.k);
+            // Its slab rows are clear already: a node is freed only once
+            // no VN has a prefix at or below it.
+            self.nodes[id.idx()] = MergedNode::EMPTY;
             id
         } else {
             let id =
                 NodeId(u32::try_from(self.nodes.len()).expect("merged trie exceeds u32 nodes"));
-            self.nodes.push(MergedNode::empty(self.k));
+            self.nodes.push(MergedNode::EMPTY);
+            self.nhis.resize(self.nhis.len() + self.k, None);
+            self.subtree.resize(self.subtree.len() + self.k, 0);
             id
         }
     }
 
-    /// Iterates the live nodes (root first, depth-first).
-    fn walk(&self) -> Walk<'_> {
-        Walk {
-            trie: self,
-            stack: vec![NodeId::ROOT],
-        }
+    /// Iterates the live nodes with their depths (root first,
+    /// depth-first, children in bit order).
+    fn walk(&self) -> impl Iterator<Item = (NodeId, u8)> + '_ {
+        let mut stack = vec![(NodeId::ROOT, 0u8)];
+        std::iter::from_fn(move || {
+            let (id, depth) = stack.pop()?;
+            // Push right then left so left is visited first.
+            let [left, right] = self.nodes[id.idx()].children;
+            stack.extend(right.into_iter().chain(left).map(|c| (c, depth + 1)));
+            Some((id, depth))
+        })
     }
 
     /// Nodes present in *all* K constituent tries. O(1): the count is
@@ -313,7 +347,7 @@ impl MergedTrie {
     #[must_use]
     pub fn shared_node_count(&self) -> usize {
         self.walk()
-            .filter(|id| self.nodes[id.idx()].presence.count_ones() >= 2)
+            .filter(|(id, _)| self.nodes[id.idx()].presence.count_ones() >= 2)
             .count()
     }
 
@@ -349,21 +383,26 @@ impl MergedTrie {
         1.0 - self.node_count() as f64 / total as f64
     }
 
-    /// Longest-prefix match for `ip` in virtual network `vnid`.
+    /// Longest-prefix match for `ip` in virtual network `vnid`; `None`
+    /// for a VN the trie does not host, in every build profile.
     ///
     /// Walks the merged structure but only honours NHI entries belonging to
     /// `vnid` — a software rendition of the VNID-indexed lookup (§IV-C).
     #[must_use]
     pub fn lookup(&self, vnid: usize, ip: u32) -> Option<NextHop> {
-        debug_assert!(vnid < self.k);
+        // Load-bearing in release: past `k`, the slab index below lands
+        // in the next node's entries instead of failing.
+        if vnid >= self.k {
+            return None;
+        }
         let mut cur = 0usize;
-        let mut best = self.nodes[cur].nhis[vnid];
+        let mut best = self.nhis[vnid];
         for depth in 0..32u8 {
             let bit = ((ip >> (31 - depth)) & 1) as usize;
             match self.nodes[cur].children[bit] {
                 Some(child) => {
                     cur = child.idx();
-                    if let Some(nh) = self.nodes[cur].nhis[vnid] {
+                    if let Some(nh) = self.nhis[cur * self.k + vnid] {
                         best = Some(nh);
                     }
                 }
@@ -380,8 +419,20 @@ impl MergedTrie {
         LeafPushedTrie::from_merged(self)
     }
 
+    /// Per-level statistics of the live trie (a prefix node stores an
+    /// entry for at least one VN).
+    #[must_use]
+    pub fn stats(&self) -> TrieStats {
+        let mut stats = TrieStats::default();
+        for (id, depth) in self.walk() {
+            let routed = self.node_nhis(id).iter().any(Option::is_some);
+            stats.record(depth, self.nodes[id.idx()].is_leaf(), routed);
+        }
+        stats
+    }
+
     /// Internal-consistency check used by property tests: reachability,
-    /// counters and presence/subtree invariants all agree.
+    /// depth, counters and presence/subtree invariants all agree.
     #[must_use]
     pub fn check_invariants(&self) -> bool {
         let mut reachable = 0usize;
@@ -389,21 +440,26 @@ impl MergedTrie {
         let mut prefix_totals = vec![0u64; self.k];
         let mut common = 0usize;
         let full = full_mask(self.k);
-        for id in self.walk() {
+        for (id, depth) in self.walk() {
+            if depth > 32 {
+                return false;
+            }
             reachable += 1;
             let node = &self.nodes[id.idx()];
             if node.presence == full {
                 common += 1;
             }
-            for vn in 0..self.k {
+            let row = self.row(id);
+            let entries = self.nhis[row.clone()].iter().zip(&self.subtree[row]);
+            for (vn, (nhi, &count)) in entries.enumerate() {
                 let bit_set = node.presence & (1u64 << vn) != 0;
-                if bit_set != (node.subtree_prefixes[vn] > 0) {
+                if bit_set != (count > 0) {
                     return false;
                 }
                 if bit_set {
                     per_vn[vn] += 1;
                 }
-                if node.nhis[vn].is_some() {
+                if nhi.is_some() {
                     prefix_totals[vn] += 1;
                 }
             }
@@ -413,16 +469,14 @@ impl MergedTrie {
             }
         }
         // Root subtree counters must equal total prefixes per VN.
-        let root = &self.nodes[NodeId::ROOT.idx()];
-        for (vn, total) in prefix_totals.iter().enumerate() {
-            if u64::from(root.subtree_prefixes[vn]) != *total {
-                return false;
-            }
-        }
-        reachable == self.live_nodes
+        let root = &self.subtree[self.row(NodeId::ROOT)];
+        root.iter().map(|&count| u64::from(count)).eq(prefix_totals)
+            && reachable == self.live_nodes
             && per_vn == self.per_vn_nodes
             && common == self.common_nodes
             && self.live_nodes + self.free.len() == self.nodes.len()
+            && self.nhis.len() == self.nodes.len() * self.k
+            && self.subtree.len() == self.nodes.len() * self.k
     }
 
     /// Child of node `id` along branch `bit` (0 = left, 1 = right).
@@ -445,29 +499,18 @@ impl MergedTrie {
     /// Panics if `id` is not a live node id.
     #[must_use]
     pub fn node_nhis(&self, id: NodeId) -> &[Option<NextHop>] {
-        &self.nodes[id.idx()].nhis
+        &self.nhis[self.row(id)]
     }
 }
 
-struct Walk<'a> {
-    trie: &'a MergedTrie,
-    stack: Vec<NodeId>,
-}
-
-impl Iterator for Walk<'_> {
-    type Item = NodeId;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let id = self.stack.pop()?;
-        let node = &self.trie.nodes[id.idx()];
-        if let Some(r) = node.children[1] {
-            self.stack.push(r);
-        }
-        if let Some(l) = node.children[0] {
-            self.stack.push(l);
-        }
-        Some(id)
+/// `slab` (rows of `k` entries) with a `fill` entry appended to each row.
+fn widen<T: Copy>(slab: &[T], k: usize, fill: T) -> Vec<T> {
+    let mut wide = Vec::with_capacity(slab.len() / k * (k + 1));
+    for row in slab.chunks_exact(k) {
+        wide.extend_from_slice(row);
+        wide.push(fill);
     }
+    wide
 }
 
 fn full_mask(k: usize) -> u64 {
@@ -504,6 +547,15 @@ mod tests {
         .unwrap()
     }
 
+    /// One table's trie: K = 1.
+    fn single(table: &RoutingTable) -> MergedTrie {
+        MergedTrie::from_tables(std::slice::from_ref(table)).unwrap()
+    }
+
+    fn p(s: &str) -> Ipv4Prefix {
+        s.parse().unwrap()
+    }
+
     #[test]
     fn arity_bounds_are_enforced() {
         assert!(matches!(
@@ -517,14 +569,34 @@ mod tests {
         ));
     }
 
+    /// K identical tables overlay into the single table's K = 1 trie,
+    /// before and after leaf pushing.
     #[test]
     fn merging_identical_tables_is_free() {
         let t = TableSpec::paper_worst_case(4).generate().unwrap();
-        let single = UnibitTrie::from_table(&t);
+        let single = single(&t);
         let merged = MergedTrie::from_tables(&[t.clone(), t.clone(), t]).unwrap();
         assert_eq!(merged.node_count(), single.node_count());
         assert!((merged.merging_efficiency() - 1.0).abs() < 1e-12);
         assert!((merged.node_saving() - 2.0 / 3.0).abs() < 1e-9);
+        let (pushed, plain) = (merged.leaf_pushed(), single.leaf_pushed());
+        assert_eq!(pushed.node_count(), plain.node_count());
+        assert_eq!(pushed.leaf_count(), plain.leaf_count());
+    }
+
+    /// Leaf pushing a K = 1 trie is plain leaf pushing: the pointer trie's
+    /// internal nodes stay, level by level, and new leaves complete them
+    /// into a full binary trie.
+    #[test]
+    fn single_table_merge_equals_plain_leaf_pushing() {
+        let merged = single(&TableSpec::paper_worst_case(8).generate().unwrap());
+        let (plain, pushed) = (merged.stats(), merged.leaf_pushed().stats());
+        assert_eq!(pushed.levels.len(), plain.levels.len());
+        for (p, q) in pushed.levels.iter().zip(&plain.levels) {
+            assert_eq!(p.internal, q.internal);
+        }
+        assert_eq!(pushed.leaves, pushed.internal + 1);
+        assert!((merged.merging_efficiency() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -590,24 +662,12 @@ mod tests {
     }
 
     #[test]
-    fn single_table_merge_equals_plain_leaf_pushing() {
-        let t = TableSpec::paper_worst_case(8).generate().unwrap();
-        let merged = MergedTrie::from_tables(std::slice::from_ref(&t)).unwrap();
-        let pushed = merged.leaf_pushed();
-        let plain = LeafPushedTrie::from_unibit(&UnibitTrie::from_table(&t));
-        assert_eq!(merged.node_count(), UnibitTrie::from_table(&t).node_count());
-        assert_eq!(pushed.node_count(), plain.node_count());
-        assert_eq!(pushed.leaf_count(), plain.leaf_count());
-        assert!((merged.merging_efficiency() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn merged_node_count_between_max_and_sum() {
         let tables = family(4, 0.5, 31);
-        let tries: Vec<UnibitTrie> = tables.iter().map(UnibitTrie::from_table).collect();
-        let merged = MergedTrie::from_tries(&tries).unwrap();
-        let max = tries.iter().map(UnibitTrie::node_count).max().unwrap();
-        let sum: usize = tries.iter().map(UnibitTrie::node_count).sum();
+        let merged = MergedTrie::from_tables(&tables).unwrap();
+        let counts: Vec<usize> = tables.iter().map(|t| single(t).node_count()).collect();
+        let max = *counts.iter().max().unwrap();
+        let sum: usize = counts.iter().sum();
         assert!(merged.node_count() >= max);
         assert!(merged.node_count() <= sum);
     }
@@ -747,6 +807,73 @@ mod tests {
         merged.insert(1, "172.16.0.0/12".parse().unwrap(), 2);
         assert!(merged.nodes.len() <= arena, "free list must be reused");
         assert!(merged.check_invariants());
+    }
+
+    #[test]
+    fn default_route_at_root() {
+        let mut t = MergedTrie::new(1).unwrap();
+        t.insert(0, Ipv4Prefix::DEFAULT_ROUTE, 7);
+        assert_eq!(t.node_count(), 1);
+        assert_eq!(t.lookup(0, 0xDEAD_BEEF), Some(7));
+        assert!(t.check_invariants());
+    }
+
+    #[test]
+    fn remove_prunes_chains() {
+        let mut t = MergedTrie::new(1).unwrap();
+        t.insert(0, p("10.1.2.0/24"), 1);
+        assert_eq!(t.node_count(), 25);
+        assert_eq!(t.remove(0, &p("10.1.2.0/24")), Some(1));
+        assert_eq!(t.node_count(), 1);
+        assert_eq!(t.vn_node_count(0), 0);
+        assert!(t.check_invariants());
+        // Only the /8 → /16 tail goes when a /16 under a /8 is withdrawn.
+        t.insert(0, p("10.0.0.0/8"), 1);
+        t.insert(0, p("10.1.0.0/16"), 2);
+        let n = t.node_count();
+        t.remove(0, &p("10.1.0.0/16"));
+        assert_eq!(t.node_count(), n - 8);
+        assert_eq!(t.lookup(0, 0x0A01_0000), Some(1));
+        assert!(t.check_invariants());
+    }
+
+    #[test]
+    fn remove_inner_prefix_keeps_descendants() {
+        let mut t = MergedTrie::new(1).unwrap();
+        t.insert(0, p("10.0.0.0/8"), 1);
+        t.insert(0, p("10.1.0.0/16"), 2);
+        let n = t.node_count();
+        assert_eq!(t.remove(0, &p("10.0.0.0/8")), Some(1));
+        assert_eq!(t.node_count(), n); // nothing prunable
+        assert_eq!(t.lookup(0, 0x0A01_0000), Some(2));
+        assert_eq!(t.lookup(0, 0x0A02_0000), None);
+        assert!(t.check_invariants());
+    }
+
+    #[test]
+    fn stats_count_levels() {
+        let mut t = MergedTrie::new(1).unwrap();
+        t.insert(0, p("128.0.0.0/1"), 1);
+        t.insert(0, p("0.0.0.0/1"), 2);
+        let s = t.stats();
+        assert_eq!(s.total_nodes, 3);
+        assert_eq!(s.nodes_at_level(0), 1);
+        assert_eq!(s.nodes_at_level(1), 2);
+        assert_eq!(s.leaves, 2);
+        assert_eq!(s.prefix_nodes, 2);
+        assert!(s.check_invariants());
+    }
+
+    #[test]
+    fn paper_scale_trie_node_counts_are_in_regime() {
+        // §V-E: 3725 prefixes -> 9726 trie nodes (no leaf pushing). The
+        // synthetic generator must land in the same order of magnitude.
+        let table = TableSpec::paper_worst_case(2012).generate().unwrap();
+        let nodes = single(&table).node_count();
+        assert!(
+            (6_000..=40_000).contains(&nodes),
+            "node count {nodes} out of the paper's regime"
+        );
     }
 
     #[test]

@@ -209,12 +209,13 @@ pub fn stride_stage_entries(table: &RoutingTable, strides: &[u8]) -> Result<Vec<
 mod tests {
     use super::*;
     use crate::merge::MergedTrie;
-    use crate::unibit::UnibitTrie;
     use vr_net::synth::{FamilySpec, TableSpec};
 
     fn single_profile(seed: u64, n_stages: usize) -> (LeafPushedTrie, PipelineProfile) {
         let table = TableSpec::paper_worst_case(seed).generate().unwrap();
-        let lp = LeafPushedTrie::from_unibit(&UnibitTrie::from_table(&table));
+        let lp = MergedTrie::from_tables(std::slice::from_ref(&table))
+            .unwrap()
+            .leaf_pushed();
         let profile = PipelineProfile::for_trie(&lp, n_stages, MemoryLayout::default()).unwrap();
         (lp, profile)
     }

@@ -30,8 +30,7 @@ use crate::jump::{
     descend, encode_nhi, fill_blocks, JumpTrie, NhiCode, NhiInterner, JUMP_BITS, LEAF_BIT,
     PAYLOAD_MASK, ROOT_ENTRIES,
 };
-use crate::merge::MergedTrie;
-use crate::unibit::NodeId;
+use crate::merge::{MergedTrie, NodeId};
 use vr_net::Ipv4Prefix;
 
 /// One /16 bucket in bucket-local encoding.

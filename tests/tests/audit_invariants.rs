@@ -14,12 +14,12 @@
 use proptest::prelude::*;
 use vr_audit::{
     audit_jump, audit_jump_with_table, audit_jump_with_tables, audit_leaf_pushed, audit_merged,
-    audit_unibit, CheckKind,
+    CheckKind,
 };
 use vr_net::synth::{FamilySpec, TableSpec};
 use vr_net::table::{NextHop, RouteEntry};
 use vr_net::{Ipv4Prefix, RoutingTable};
-use vr_trie::{jump, JumpSlabs, JumpTrie, LeafPushedTrie, MergedTrie, UnibitTrie};
+use vr_trie::{jump, JumpSlabs, JumpTrie, MergedTrie};
 
 /// Strategy: an arbitrary routing table of 1 to `max` routes.
 fn arb_table(max: usize) -> impl Strategy<Value = RoutingTable> {
@@ -129,9 +129,9 @@ proptest! {
     /// paths — the verifier's false-positive guard at the fuzz scale.
     #[test]
     fn arbitrary_tables_audit_clean(table in arb_table(48)) {
-        let unibit = UnibitTrie::from_table(&table);
-        prop_assert!(audit_unibit(&unibit).is_clean());
-        let pushed = LeafPushedTrie::from_unibit(&unibit);
+        let single = MergedTrie::from_tables(std::slice::from_ref(&table)).unwrap();
+        prop_assert!(audit_merged(&single).is_clean());
+        let pushed = single.leaf_pushed();
         prop_assert!(audit_leaf_pushed(&pushed, std::slice::from_ref(&table)).is_clean());
         prop_assert!(audit_jump_with_table(&JumpTrie::from_table(&table), &table).is_clean());
     }
@@ -142,14 +142,13 @@ proptest! {
 #[test]
 fn every_constructor_audits_clean_at_paper_scale() {
     let table = TableSpec::paper_worst_case(23).generate().unwrap();
-    let unibit = UnibitTrie::from_table(&table);
-    assert!(audit_unibit(&unibit).is_clean());
-    let pushed = LeafPushedTrie::from_unibit(&unibit);
+    let single = MergedTrie::from_tables(std::slice::from_ref(&table)).unwrap();
+    assert!(audit_merged(&single).is_clean());
+    let pushed = single.leaf_pushed();
     assert!(audit_leaf_pushed(&pushed, std::slice::from_ref(&table)).is_clean());
 
     for report in [
         audit_jump_with_table(&JumpTrie::from_table(&table), &table),
-        audit_jump_with_table(&JumpTrie::from_unibit(&unibit), &table),
         audit_jump_with_table(&JumpTrie::from_leaf_pushed(&pushed), &table),
     ] {
         assert!(report.is_clean(), "{}", report.summary());

@@ -1,14 +1,14 @@
-//! Property-based equivalence: every fast lookup path (uni-bit trie,
-//! leaf-pushed trie, merged trie, DIR-16-8-8 jump trie, cycle-level
-//! pipeline) must agree with the linear-scan oracle on arbitrary tables
-//! and probe addresses, and the stride pipeline's closed-form sizing
-//! with the uni-bit trie's node counts.
+//! Property-based equivalence: every fast lookup path (the pointer trie
+//! at K = 1 and K > 1, leaf-pushed trie, DIR-16-8-8 jump trie,
+//! cycle-level pipeline) must agree with the linear-scan oracle on
+//! arbitrary tables and probe addresses, and the stride pipeline's
+//! closed-form sizing with the uni-bit trie's node counts.
 
 use proptest::prelude::*;
 use vr_net::table::{NextHop, RouteEntry};
 use vr_net::{Ipv4Prefix, RoutingTable};
 use vr_trie::pipeline_map::stride_stage_entries;
-use vr_trie::{JumpSlabs, JumpTrie, LeafPushedTrie, MergedTrie, UnibitTrie};
+use vr_trie::{JumpSlabs, JumpTrie, LeafPushedTrie, LookupBackend, MergedTrie};
 
 /// Strategy: an arbitrary routing table of up to `max` routes.
 fn arb_table(max: usize) -> impl Strategy<Value = RoutingTable> {
@@ -21,22 +21,26 @@ fn arb_table(max: usize) -> impl Strategy<Value = RoutingTable> {
     })
 }
 
+/// One table's pointer trie: the uni-bit trie, K = 1.
+fn single(table: &RoutingTable) -> MergedTrie {
+    MergedTrie::from_tables(std::slice::from_ref(table)).unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn trie_matches_oracle(table in arb_table(64), probes in prop::collection::vec(any::<u32>(), 32)) {
-        let trie = UnibitTrie::from_table(&table);
+        let trie = single(&table);
         prop_assert!(trie.check_invariants());
         for ip in probes {
-            prop_assert_eq!(trie.lookup(ip), table.lookup(ip), "ip {:#010x}", ip);
+            prop_assert_eq!(trie.lookup(0, ip), table.lookup(ip), "ip {:#010x}", ip);
         }
     }
 
     #[test]
     fn leaf_pushed_matches_oracle(table in arb_table(64), probes in prop::collection::vec(any::<u32>(), 32)) {
-        let trie = UnibitTrie::from_table(&table);
-        let pushed = LeafPushedTrie::from_unibit(&trie);
+        let pushed = LeafPushedTrie::from_merged(&single(&table));
         prop_assert!(pushed.is_full());
         for ip in probes {
             prop_assert_eq!(pushed.lookup_vn(0, ip), table.lookup(ip), "ip {:#010x}", ip);
@@ -61,55 +65,65 @@ proptest! {
         }
     }
 
-    /// K = 1 really is K: leaf-pushing one table through the merged
-    /// overlay gives the trie leaf-pushing it directly gives.
+    /// K = 1 leaf pushing depends on the table alone: the bulk build and
+    /// a route-by-route build in reverse order push to the same trie.
     #[test]
     fn single_table_merge_leaf_pushes_like_the_table(
         table in arb_table(64),
         probes in prop::collection::vec(any::<u32>(), 32),
     ) {
-        let merged = MergedTrie::from_tables(std::slice::from_ref(&table)).unwrap();
-        let via_merge = LeafPushedTrie::from_merged(&merged);
-        let direct = LeafPushedTrie::from_unibit(&UnibitTrie::from_table(&table));
+        let via_merge = single(&table).leaf_pushed();
+        let mut by_route = MergedTrie::new(1).unwrap();
+        for e in table.iter().collect::<Vec<_>>().into_iter().rev() {
+            by_route.insert(0, e.prefix, e.next_hop);
+        }
+        let direct = by_route.leaf_pushed();
         prop_assert_eq!(via_merge.arity(), 1);
         prop_assert_eq!(via_merge.node_count(), direct.node_count());
         prop_assert_eq!(via_merge.leaf_count(), direct.leaf_count());
         prop_assert_eq!(via_merge.stats(), direct.stats());
         for ip in probes {
             prop_assert_eq!(via_merge.lookup_vn(0, ip), direct.lookup_vn(0, ip), "ip {:#010x}", ip);
+            prop_assert_eq!(via_merge.lookup_vn(0, ip), table.lookup(ip), "ip {:#010x}", ip);
         }
     }
 
+    /// Announcing one route and undoing it (re-announcing the old next
+    /// hop, or withdrawing a new prefix) restores the node count and every
+    /// answer; in between, the trie answers like the table with the route.
     #[test]
-    fn insert_remove_round_trip(table in arb_table(48), extra in (any::<u32>(), 1u8..=32, any::<NextHop>())) {
-        let mut trie = UnibitTrie::from_table(&table);
+    fn insert_remove_round_trip(
+        table in arb_table(48),
+        extra in (any::<u32>(), 1u8..=32, any::<NextHop>()),
+        probes in prop::collection::vec(any::<u32>(), 16),
+    ) {
+        let mut trie = single(&table);
         let nodes_before = trie.node_count();
         let prefix = Ipv4Prefix::must(extra.0, extra.1);
-        let existing = table.get(&prefix);
-        trie.insert(prefix, extra.2);
-        prop_assert_eq!(trie.get(&prefix), Some(extra.2));
-        match existing {
-            Some(nh) => {
-                // Restore and expect identical structure.
-                trie.insert(prefix, nh);
-                prop_assert_eq!(trie.node_count(), nodes_before);
-            }
-            None => {
-                trie.remove(&prefix);
-                prop_assert_eq!(trie.node_count(), nodes_before);
-                prop_assert_eq!(trie.get(&prefix), None);
-            }
+        let probes: Vec<u32> = probes.into_iter().chain([prefix.addr()]).collect();
+        let mut with = table.clone();
+        let existing = with.insert(prefix, extra.2);
+        prop_assert_eq!(trie.insert(0, prefix, extra.2), existing);
+        for &ip in &probes {
+            prop_assert_eq!(trie.lookup(0, ip), with.lookup(ip), "ip {:#010x}", ip);
         }
+        match existing {
+            Some(nh) => prop_assert_eq!(trie.insert(0, prefix, nh), Some(extra.2)),
+            None => prop_assert_eq!(trie.remove(0, &prefix), Some(extra.2)),
+        }
+        prop_assert_eq!(trie.node_count(), nodes_before);
         prop_assert!(trie.check_invariants());
-        prop_assert_eq!(trie.to_table().len(), trie.prefix_count());
+        for &ip in &probes {
+            prop_assert_eq!(trie.lookup(0, ip), table.lookup(ip), "ip {:#010x}", ip);
+        }
     }
 
     #[test]
     fn merged_node_count_is_bounded(tables in prop::collection::vec(arb_table(32), 1..5)) {
-        let tries: Vec<UnibitTrie> = tables.iter().map(UnibitTrie::from_table).collect();
-        let merged = MergedTrie::from_tries(&tries).unwrap();
-        let max = tries.iter().map(UnibitTrie::node_count).max().unwrap();
-        let sum: usize = tries.iter().map(UnibitTrie::node_count).sum();
+        let merged = MergedTrie::from_tables(&tables).unwrap();
+        let counts: Vec<usize> = tables.iter().map(|t| single(t).node_count()).collect();
+        let max = *counts.iter().max().unwrap();
+        let sum: usize = counts.iter().sum();
         prop_assert!(merged.node_count() >= max);
         prop_assert!(merged.node_count() <= sum);
         // Leaf pushing preserves fullness and never shrinks the trie.
@@ -128,7 +142,7 @@ proptest! {
         let stride = [1u8, 2, 4, 8][stride_pick];
         let strides = vec![stride; 32 / usize::from(stride)];
         let entries = stride_stage_entries(&table, &strides).unwrap();
-        let stats = UnibitTrie::from_table(&table).stats();
+        let stats = single(&table).stats();
         prop_assert_eq!(entries.len(), strides.len());
         prop_assert_eq!(entries[0], 1u64 << stride);
         for (stage, &got) in entries.iter().enumerate().skip(1) {
@@ -250,7 +264,7 @@ proptest! {
         }
         .generate()
         .unwrap();
-        let pushed = LeafPushedTrie::from_unibit(&UnibitTrie::from_table(&table));
+        let pushed = single(&table).leaf_pushed();
         let profile = PipelineProfile::for_trie(&pushed, 28, MemoryLayout::default()).unwrap();
         let mut engine =
             PipelineEngine::new(pushed, &profile, EngineConfig::paper_default()).unwrap();
@@ -277,22 +291,46 @@ fn three_structures_agree_on_paper_scale_table() {
     let table = vr_net::synth::TableSpec::paper_worst_case(42)
         .generate()
         .unwrap();
-    let trie = UnibitTrie::from_table(&table);
-    let pushed = LeafPushedTrie::from_unibit(&trie);
-    let merged = MergedTrie::from_tables(std::slice::from_ref(&table)).unwrap();
-    let merged_pushed = merged.leaf_pushed();
+    let trie = single(&table);
+    let pushed = trie.leaf_pushed();
+    let jump = JumpTrie::from_leaf_pushed(&pushed);
     let mut checked = 0usize;
     for p in table.prefixes() {
         for probe in [p.addr(), p.addr() | 0xFF, p.addr().wrapping_sub(1)] {
             let expect = table.lookup(probe);
-            assert_eq!(trie.lookup(probe), expect);
+            assert_eq!(trie.lookup(0, probe), expect);
             assert_eq!(pushed.lookup_vn(0, probe), expect);
-            assert_eq!(merged.lookup(0, probe), expect);
-            assert_eq!(merged_pushed.lookup_vn(0, probe), expect);
+            assert_eq!(jump.lookup(probe), expect);
             checked += 1;
         }
     }
     assert!(checked > 10_000, "must cover a paper-scale probe set");
+}
+
+/// The one unhosted-VN contract of `LookupBackend::lookup_vn`: past the
+/// arity the answer is `None` in every build profile — never a panic and
+/// never a hosted VN's route. Every hosted VN has a default route, so a
+/// backend that answered for the wrong VN would return `Some`.
+#[test]
+fn unhosted_vns_resolve_to_none_in_every_backend() {
+    fn unhosted(name: &str, backend: &impl LookupBackend, k: usize) {
+        for ip in [0, 0x0A01_0101, 0x0A01_FFFF, u32::MAX] {
+            assert!(backend.lookup_vn(k - 1, ip).is_some(), "{name}(k={k})");
+            for vn in [k, k + 7] {
+                let got = backend.lookup_vn(vn, ip);
+                assert!(got.is_none(), "{name}(k={k}) vn {vn} ip {ip:#x}: {got:?}");
+            }
+        }
+    }
+    let tables = ["0.0.0.0/0 1\n10.1.1.0/24 3\n", "0.0.0.0/0 4\n"].map(|t| t.parse().unwrap());
+    unhosted("table", &tables[0], 1);
+    for k in 1..=tables.len() {
+        let merged = MergedTrie::from_tables(&tables[..k]).unwrap();
+        let pushed = merged.leaf_pushed();
+        unhosted("jump", &JumpTrie::from_leaf_pushed(&pushed), k);
+        unhosted("leaf_pushed", &pushed, k);
+        unhosted("merged", &merged, k);
+    }
 }
 
 /// Edge lengths the direct-index front end must get right: a /0 default
