@@ -289,7 +289,7 @@ const SHARDED_CHUNKS: [usize; 2] = [512, 2048];
 /// service at one scale reuses the same prebuilt merged trie
 /// (`with_trie`), so construction never shadows the steady-state
 /// measurement; p50/p99 come from the live `vr_service_lookup_ns`
-/// histogram the shard workers feed.
+/// histogram the shards feed.
 fn push_sharded(
     rows: &mut Vec<Row>,
     scale: &Scale<'_>,
@@ -340,8 +340,9 @@ fn push_sharded(
     }
 }
 
-/// Measures `LookupService::process` end to end (channel hops, snapshot
-/// clone, scatter/gather) at each worker count.
+/// Measures `LookupService::process` end to end (the caller's own span,
+/// channel hops to the other lanes' threads, snapshot pins, gather) at
+/// each lane count.
 fn push_service(
     rows: &mut Vec<Row>,
     scale: &Scale<'_>,
@@ -395,7 +396,7 @@ fn push_service(
                 }
                 hits
             });
-            // Attached rows: the workers have been feeding
+            // Attached rows: the lanes have been feeding
             // vr_service_lookup_ns the whole run; its quantiles are the
             // service's real per-lookup distribution, timer-free on this
             // thread. The registry-free control has no histogram to
@@ -703,7 +704,8 @@ fn run_cached_rows(rows: &mut Vec<Row>, iters: usize) {
 }
 
 /// Packets per `LookupRequest` frame in the wire rows: one span of the
-/// service's default width, so each frame is exactly one hand-off.
+/// service's default width, so each frame is exactly one span (lane 0's,
+/// resolved on the backend thread).
 const WIRE_BATCH: usize = 64;
 
 /// End-to-end serving-tier rows: the same merged-jump datapath the

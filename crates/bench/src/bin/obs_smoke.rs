@@ -10,7 +10,7 @@
 //! * `/snapshot.json` parses and names the service counters;
 //! * `/traces.json` validates as a Chrome trace-event document with at
 //!   least one sampled batch in it;
-//! * a seeded `WorkerStall` (burst into a depth-1 queue) produces
+//! * a seeded `WorkerStall` (burst into lane 1's depth-1 queue) produces
 //!   **exactly one** flight-recorder dump under `results/`, and that
 //!   dump itself validates as Chrome trace JSON naming the trigger;
 //! * `/flight` reflects the dump.
@@ -56,14 +56,14 @@ fn main() {
     let family = FamilySpec::paper_worst_case(FAMILY_K, 0.5, 2012)
         .generate()
         .expect("family generation");
-    // One worker behind a depth-1 queue: the submit burst below is
-    // guaranteed to find the queue full and publish the WorkerStall
-    // event the flight recorder triggers on. Every batch is traced so
-    // the pre/post windows fill deterministically.
+    // Two lanes, lane 1's thread behind a depth-1 queue: the submit
+    // burst below is guaranteed to find that queue full and publish the
+    // WorkerStall event the flight recorder triggers on. Every batch is
+    // traced so the pre/post windows fill deterministically.
     let service = LookupService::new(
         family,
         ServiceConfig {
-            workers: 1,
+            workers: 2,
             queue_depth: 1,
             trace_sample: Some(1),
             lookup_cache: Some(vr_engine::DEFAULT_CACHE_SLOTS),
@@ -153,13 +153,16 @@ fn main() {
     let trace_events = check_chrome_trace(&traces).expect("/traces.json validates");
     assert!(trace_events > 0, "no sampled batches in /traces.json");
 
-    // Seed the anomaly: burst past the depth-1 queue, then let the
+    // Seed the anomaly: burst past lane 1's depth-1 queue, then let the
     // next supervised ticks observe the stall and fill the
-    // post-trigger window. The burst is tens of milliseconds of worker
-    // time: when the scheduler wakes the worker onto this thread's CPU
-    // the worker first runs ahead on its sleeper credit (a few
+    // post-trigger window. Round-robin alternates the lanes, so the
+    // caller's lane-0 jobs are one key each and every lane-1 job is the
+    // full 4 096. The burst is tens of milliseconds of worker time:
+    // when the scheduler wakes the worker onto this thread's CPU the
+    // worker first runs ahead on its sleeper credit (a few
     // milliseconds) and a short burst never finds the queue full.
     for _ in 0..256 {
+        let _ = plane.service_mut().submit(packets[..1].to_vec());
         let _ = plane.service_mut().submit(packets.clone());
     }
     let _ = plane.service_mut().collect_all();

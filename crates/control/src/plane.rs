@@ -457,17 +457,19 @@ mod tests {
 
         let dir = std::env::temp_dir().join(format!("vr_control_flight_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        // One worker behind a depth-1 queue, and jobs long enough (2^18
-        // keys, milliseconds each) to outlast a scheduler time slice: a
-        // woken worker that preempts the submitter on a shared CPU cannot
-        // finish its job before the submitter runs again, so a burst of
-        // submits is guaranteed to find the queue full and publish
-        // WorkerStall. (At 4 096 keys a job fit inside one slice and the
-        // two threads could run strictly in turn, never stalling.)
+        // Two lanes, so round-robin alternates the caller's lane 0 and
+        // lane 1's thread behind a depth-1 queue. Lane 0 gets 1-key jobs,
+        // lane 1 jobs long enough (2^18 keys, milliseconds each) to
+        // outlast a scheduler time slice: a woken worker that preempts
+        // the submitter on a shared CPU cannot finish its job before the
+        // submitter runs again, so a burst of submits is guaranteed to
+        // find lane 1's queue full and publish WorkerStall. (At 4 096
+        // keys a job fit inside one slice and the two threads could run
+        // strictly in turn, never stalling.)
         let service = LookupService::new(
             paired_tables(),
             ServiceConfig {
-                workers: 1,
+                workers: 2,
                 batch_width: Some(8),
                 queue_depth: 1,
                 trace_sample: Some(1),
@@ -484,10 +486,19 @@ mod tests {
         }));
 
         let packets: Vec<(VnId, u32)> = (0..1 << 18).map(|i| (0, 0x0A00_0000 | i)).collect();
-        for _ in 0..8 {
-            let _ = plane.service_mut().submit(packets.clone());
+        // Four bursts of eight pairs: tens of milliseconds of lane-1
+        // time, well past the few milliseconds a woken worker can run
+        // ahead on its sleeper credit, with at most eight long jobs
+        // held at once. Each burst's jobs are built up front, so a
+        // submit is far cheaper than a lane-1 job.
+        for _ in 0..4 {
+            let jobs = vec![packets.clone(); 8];
+            for job in jobs {
+                let _ = plane.service_mut().submit(packets[..1].to_vec());
+                let _ = plane.service_mut().submit(job);
+            }
+            let _ = plane.service_mut().collect_all();
         }
-        let _ = plane.service_mut().collect_all();
 
         // One control tick sees the stall and freezes the pre-window...
         let _ = plane.apply_batch(&[]).unwrap();

@@ -3,15 +3,17 @@
 //! The cycle-level [`PipelineEngine`](crate::PipelineEngine) models the
 //! paper's hardware; this module is the *production* datapath the ROADMAP
 //! asks for. [`LookupService`] is one of the two facades over the shared
-//! service core (worker pool, `Publish`-slot table swap, audit gate,
-//! telemetry, join-on-drop — see `service_core.rs`); what it adds is how
-//! packets reach the workers and how routes change:
+//! service core (lanes — the calling thread and `workers − 1` worker
+//! threads — `Publish`-slot table swap, audit gate, telemetry,
+//! join-on-drop — see `service_core.rs`); what it adds is how packets
+//! reach the lanes and how routes change:
 //!
 //! **Span dispatch.** [`LookupService::process`] cuts a call into at most
 //! `workers` contiguous spans of at least
 //! [`ServiceConfig::batch_width`] keys, one job per span, and
 //! concatenates the results in order — the paper's VM organization, one
-//! time-shared pipeline serving every VN.
+//! time-shared pipeline serving every VN. The first span is the
+//! caller's own, so a one-span call never leaves the calling thread.
 //!
 //! **Route updates publish incrementally.** [`LookupService::apply_updates`]
 //! keeps an incremental plant — the live [`MergedTrie`] plus its per-/16
@@ -52,14 +54,17 @@ const DEFAULT_BATCH_WIDTH: usize = 64;
 /// Tuning knobs of a [`LookupService`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ServiceConfig {
-    /// Worker threads (shards). Each owns an order-preserving input FIFO.
+    /// Lanes: the calling thread plus `workers − 1` worker threads, each
+    /// lane with an order-preserving input FIFO. One lane spawns no
+    /// thread.
     pub workers: usize,
-    /// Fewest keys worth a hand-off of their own: [`LookupService::process`]
+    /// Fewest keys worth a lane of their own: [`LookupService::process`]
     /// cuts a call into at most `workers` spans of at least this many
     /// keys. `None` means 64.
     pub batch_width: Option<usize>,
-    /// Depth of each worker's input queue, in batches; producers block
-    /// (backpressure) once a shard is this far behind.
+    /// Depth of each lane's input queue, in batches. Producers block
+    /// (backpressure) once a worker thread is this far behind; lane 0's
+    /// queue is resolved by the caller instead.
     pub queue_depth: usize,
     /// Whether to run the service with a live [`MetricsRegistry`]:
     /// per-worker sharded counters, batch/lookup latency histograms, the
@@ -154,7 +159,7 @@ impl UpdateTelemetry {
 /// Aggregated service counters, serializable for experiment reports.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ServiceReport {
-    /// Worker threads the service ran with.
+    /// Lanes the service ran with: the caller and `workers − 1` threads.
     pub workers: usize,
     /// Span floor in effect ([`ServiceConfig::batch_width`], or 64).
     pub batch_width: usize,
@@ -315,10 +320,10 @@ pub struct LookupService {
 }
 
 impl LookupService {
-    /// Builds the jump trie and spawns the workers.
+    /// Builds the jump trie and spawns the threads of lanes 1..N.
     ///
     /// # Errors
-    /// Rejects an empty table set, zero workers, a zero batch width,
+    /// Rejects an empty table set, zero lanes, a zero batch width,
     /// cache size or sample rate, and merge failures (more than 64
     /// virtual networks).
     pub fn new(tables: Vec<RoutingTable>, cfg: ServiceConfig) -> Result<Self, EngineError> {
@@ -356,14 +361,14 @@ impl LookupService {
         })
     }
 
-    /// Worker thread count.
+    /// Lane count: the caller plus one per worker thread.
     #[must_use]
     pub fn workers(&self) -> usize {
         self.core.workers()
     }
 
     /// Span floor in effect: the fewest keys [`process`](Self::process)
-    /// hands a worker as a job of their own.
+    /// hands a lane as a job of their own.
     #[must_use]
     pub fn batch_width(&self) -> usize {
         self.batch_width
@@ -389,10 +394,11 @@ impl LookupService {
         self.report.queue_stalls = counts.queue_stalls;
     }
 
-    /// Enqueues one batch on the next worker (round-robin) and returns
-    /// its sequence number. Blocks only when that worker's queue is full;
-    /// the stall is counted (`vr_service_queue_stalls_total`, and in the
-    /// report) and ringed as a
+    /// Enqueues one batch on the next lane (round-robin) and returns its
+    /// sequence number. Lane 0 is the caller's: a full lane-0 queue is
+    /// resolved on the spot, never waited on. Another lane blocks only
+    /// when its queue is full; the stall is counted
+    /// (`vr_service_queue_stalls_total`, and in the report) and ringed as a
     /// [`WorkerStall`](vr_telemetry::EventKind::WorkerStall) before the
     /// blocking send, so backpressure is observable while it is
     /// happening.
@@ -432,8 +438,10 @@ impl LookupService {
     /// in input order. The call is cut into at most `workers` contiguous
     /// spans of at least [`batch_width`](Self::batch_width) keys (one
     /// shorter span when the whole call is shorter), each span is one
-    /// job, and a worker resolves its span against the one snapshot it
-    /// pins — so the hand-off is paid per worker per call, not per chunk.
+    /// job, and each lane resolves its span against the one snapshot it
+    /// pins. The first span runs on the calling thread, so a one-span
+    /// call makes no hand-off and a longer one makes one per other lane,
+    /// not one per chunk.
     /// Batches a caller [`submit`](Self::submit)ted and never collected
     /// are drained and counted in the report, but are not part of the
     /// result.
@@ -791,7 +799,7 @@ mod tests {
     }
 
     contract_tests! { Kind::Spans;
-        resolves_like_the_oracle_across_shards => oracle_parity_across_worker_counts,
+        resolves_like_the_oracle_across_shards => oracle_parity,
         serves_merged_vns_and_mixed_batches => mixed_vn_batches_resolve_per_network,
         empty_tiny_and_ragged_calls_keep_input_order => empty_tiny_and_ragged_calls_keep_input_order,
         cached_service_matches_uncached_and_counts_hits => cached_matches_uncached_across_a_publish,
@@ -800,6 +808,8 @@ mod tests {
         process_after_an_uncollected_submit_returns_only_its_own_results =>
             process_after_an_uncollected_submit_returns_only_its_own_results,
         drop_joins_the_workers_and_frees_the_snapshot => drop_joins_the_workers_and_frees_the_snapshot,
+        lane_zero_jobs_resolve_on_the_generation_they_were_submitted_under =>
+            lane_zero_jobs_resolve_on_the_generation_they_were_submitted_under,
     }
 
     #[test]
@@ -874,7 +884,10 @@ mod tests {
 
     #[test]
     fn audit_gate_rejects_corrupt_trie_and_keeps_serving() {
-        contract::rejected_publish_changes_nothing_and_is_counted(Kind::Spans);
+        contract::run(
+            contract::rejected_publish_changes_nothing_and_is_counted,
+            Kind::Spans,
+        );
         // A refused table build leaves the warm incremental plant alone.
         let t = table("10.0.0.0/8 1\n");
         let mut service = LookupService::new(vec![t.clone(), t.clone()], small_cfg(1)).unwrap();
@@ -887,7 +900,7 @@ mod tests {
 
     #[test]
     fn rejects_bad_configs() {
-        contract::bad_configurations_are_rejected(Kind::Spans);
+        contract::run(contract::bad_configurations_are_rejected, Kind::Spans);
         let zero_width = ServiceConfig {
             batch_width: Some(0),
             ..small_cfg(1)
@@ -912,7 +925,7 @@ mod tests {
 
     #[test]
     fn registry_counters_match_the_report() {
-        contract::registry_counters_match_the_report(Kind::Spans);
+        contract::run(contract::registry_counters_match_the_report, Kind::Spans);
         let t = table("10.0.0.0/8 1\n");
         let mut service = LookupService::new(vec![t], small_cfg(2)).unwrap();
         let _ = service.process(&[(0, 0x0A00_0001); 40]);
@@ -975,25 +988,30 @@ mod tests {
     fn queue_stalls_are_counted_when_a_shard_backs_up() {
         let t = TableSpec::paper_worst_case(17).generate().unwrap();
         let base: Vec<(VnId, u32)> = t.prefixes().map(|p| (0, p.addr())).collect();
-        let packets: Vec<(VnId, u32)> = base.iter().copied().cycle().take(64 * 256).collect();
+        let long: Vec<(VnId, u32)> = base.iter().copied().cycle().take(1 << 15).collect();
         // The report counts stalls with the registry on or off.
         for telemetry in [true, false] {
             let cfg = ServiceConfig {
-                workers: 1,
+                workers: 2,
                 batch_width: Some(64),
                 queue_depth: 1,
                 telemetry,
                 ..ServiceConfig::default()
             };
             let mut service = LookupService::new(vec![t.clone()], cfg).unwrap();
-            // One job per 64 keys, submitted directly: `process` would hand
-            // the single worker one span and never fill its queue.
-            for chunk in packets.chunks(64) {
-                service.submit(chunk.to_vec());
+            // Submitted directly, round-robin alternates the lanes: the
+            // caller resolves a 1-key lane-0 job between two 2^15-key jobs
+            // for lane 1's depth-1 queue, built up front so a submit is
+            // far cheaper than a lane-1 job. The burst is milliseconds of
+            // lane-1 time, longer than a woken thread can run ahead of
+            // its submitter on a shared CPU.
+            let jobs = vec![long.clone(); 64];
+            for job in jobs {
+                service.submit(base[..1].to_vec());
+                service.submit(job);
             }
             let _ = service.collect_all();
-            // With one worker, depth-1 queue, and 256 batches, the
-            // submitter must have outrun the worker at least once.
+            // The submitter must have outrun lane 1 at least once.
             let stalls = service.report().queue_stalls;
             assert!(stalls > 0);
             if let Some(snap) = service.telemetry_snapshot() {
@@ -1002,10 +1020,33 @@ mod tests {
                     .events
                     .events
                     .iter()
-                    .any(|e| matches!(e.kind, EventKind::WorkerStall { worker: 0 })));
+                    .any(|e| matches!(e.kind, EventKind::WorkerStall { worker: 1 })));
             }
             let _ = service.shutdown();
         }
+    }
+
+    #[test]
+    fn the_calling_lane_never_stalls_and_holds_at_most_its_depth() {
+        let t = table("10.0.0.0/8 1\n");
+        let depth = 4;
+        let cfg = ServiceConfig {
+            queue_depth: depth,
+            ..small_cfg(1)
+        };
+        let mut service = LookupService::new(vec![t], cfg).unwrap();
+        for i in 0..256 {
+            service.submit(vec![(0, 0x0A00_0000 | i)]);
+            assert!(service.core.unresolved_local() <= depth);
+        }
+        let batches = service.collect_all();
+        assert_eq!(batches.len(), 256);
+        assert!(batches
+            .iter()
+            .all(|b| b.worker == 0 && b.results == [Some(1)]));
+        let snap = service.telemetry_snapshot().unwrap();
+        assert_eq!(snap.counter("vr_service_queue_stalls_total"), Some(0));
+        assert_eq!(service.shutdown().queue_stalls, 0);
     }
 
     fn churn_family(seed: u64, k: usize) -> Vec<vr_net::RoutingTable> {

@@ -1,6 +1,7 @@
-//! The service core both public services are built on: a pool of worker
-//! threads, the published table, the audit gate in front of it, the
-//! control-plane telemetry and the lifecycle.
+//! The service core both public services are built on: N lanes (the
+//! calling thread and N − 1 worker threads), the published table, the
+//! audit gate in front of it, the control-plane telemetry and the
+//! lifecycle.
 //!
 //! The paper's VS and VM routers are the same lookup pipeline and differ
 //! only in how packets reach it; [`LookupService`](crate::LookupService)
@@ -8,11 +9,17 @@
 //! (contiguous spans vs a destination hash), so everything behind the
 //! dispatch decision lives here, once:
 //!
-//! * **One worker loop.** Each worker drains its own bounded FIFO of
-//!   [`Job`]s, resolves a job through its private
+//! * **One worker loop.** Lane 0 is the thread that calls
+//!   [`ServiceCore::submit`] / [`ServiceCore::drain`]: its jobs wait in a
+//!   local list of at most `queue_depth` and the caller resolves them
+//!   itself, in `drain` once the other lanes' jobs are already queued,
+//!   so a one-lane service spawns no thread and a one-span call never
+//!   leaves the caller. Lanes 1..N each own a thread draining a bounded
+//!   FIFO of [`Job`]s. Every lane resolves a job through the same
+//!   `WorkerState::resolve` — its private
 //!   [`LpmCache`](crate::cache::LpmCache) or
-//!   [`lookup_batch_mixed`](crate::service::lookup_batch_mixed), and
-//!   hands the buffers back as a [`Done`] on an unbounded return queue.
+//!   [`lookup_batch_mixed`](crate::service::lookup_batch_mixed) — and
+//!   hands the buffers back as a [`Done`].
 //! * **One publish protocol.** The live table sits in a vr-sync
 //!   [`Publish`] slot. A worker pins the current snapshot — one lock,
 //!   one refcount increment — **once per job** and resolves the whole
@@ -26,9 +33,10 @@
 //!   `audit-on-publish` feature) every candidate runs through
 //!   `vr-audit`'s structural verifier before the swap; a rejected table
 //!   never goes live and is counted.
-//! * **One lifecycle.** Dropping the core disconnects every queue and
-//!   joins every worker, so neither service can leak a thread or keep a
-//!   snapshot pinned past its own drop.
+//! * **One lifecycle.** Dropping the core drops lane 0's pending jobs,
+//!   disconnects every queue and joins every worker thread, so neither
+//!   service can leak a thread or keep a snapshot pinned past its own
+//!   drop.
 
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -96,10 +104,12 @@ fn audit_snapshot(trie: &JumpTrie, metrics: Option<&AuditMetrics>) -> Result<(),
 /// update knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShardedConfig {
-    /// Shard (worker) threads. Each drains its own SPSC queue.
+    /// Shards (lanes). Shard 0 is the calling thread; each of the other
+    /// `shards − 1` is a thread draining its own SPSC queue.
     pub shards: usize,
-    /// Depth of each shard's request queue, in jobs; the dispatcher
-    /// blocks (and counts a stall) once a shard is this far behind.
+    /// Depth of each shard's request queue, in jobs. The dispatcher
+    /// blocks (and counts a stall) once a thread's queue is this far
+    /// behind; shard 0's queue is worked off by the caller instead.
     pub queue_depth: usize,
     /// Whether to run with a live [`MetricsRegistry`] (per-shard
     /// counters, batch/lookup histograms, the event ring).
@@ -149,11 +159,11 @@ pub(crate) struct Job {
     pub trace: Option<TraceBuilder>,
 }
 
-/// One resolved job leaving a worker.
+/// One resolved job leaving a lane.
 pub(crate) struct Done {
     /// The job's buffers, `results` filled.
     pub job: Job,
-    /// Worker that served the job.
+    /// Lane that served the job (0 is the calling thread).
     pub worker: usize,
     /// Lookups in the job that matched no route.
     pub misses: u64,
@@ -259,6 +269,7 @@ impl WorkerMetrics {
     }
 }
 
+/// Lanes 1..N: a thread behind a bounded job queue.
 struct Worker {
     job_tx: SpscSender<Job>,
     done_rx: SpscReceiver<Done>,
@@ -267,7 +278,8 @@ struct Worker {
     in_flight: u64,
 }
 
-/// Everything a worker thread owns besides its two queue ends.
+/// Everything a lane owns besides its queue: the worker thread's state,
+/// or lane 0's on the calling thread.
 struct WorkerState {
     id: usize,
     current: Publish<TableSnapshot>,
@@ -343,10 +355,18 @@ impl WorkerState {
     }
 }
 
-/// The worker pool, the published table and the gate in front of it.
+/// The lanes, the published table and the gate in front of it.
 pub(crate) struct ServiceCore {
     current: Publish<TableSnapshot>,
+    /// Lane 0, resolved on the calling thread.
+    local: WorkerState,
+    /// Lane-0 jobs submitted and not yet resolved, at most `queue_depth`.
+    pending: Vec<Job>,
+    /// Lane-0 jobs resolved and not yet drained.
+    resolved: Vec<Done>,
+    /// Lanes 1..N.
     workers: Vec<Worker>,
+    queue_depth: usize,
     next_seq: u64,
     counts: ControlCounts,
     /// `None` when [`ShardedConfig::telemetry`] is off.
@@ -361,12 +381,12 @@ pub(crate) struct ServiceCore {
 
 impl ServiceCore {
     /// Audits `trie`, publishes it as generation 0 and spawns the
-    /// workers; `attribute` is how a sampled job names the thread that
-    /// ran it ([`TraceBuilder::set_worker`] or
+    /// threads of lanes 1..N; `attribute` is how a sampled job names the
+    /// lane that ran it ([`TraceBuilder::set_worker`] or
     /// [`TraceBuilder::set_shard`]).
     ///
     /// # Errors
-    /// Rejects zero workers, a zero-slot cache, a zero sample rate and
+    /// Rejects zero lanes, a zero-slot cache, a zero sample rate and
     /// (in audited builds) a structurally invalid trie.
     pub fn new(
         trie: JumpTrie,
@@ -374,9 +394,7 @@ impl ServiceCore {
         attribute: fn(&mut TraceBuilder, u64),
     ) -> Result<Self, EngineError> {
         if cfg.shards == 0 {
-            return Err(EngineError::InvalidParameter(
-                "need at least one worker thread",
-            ));
+            return Err(EngineError::InvalidParameter("need at least one lane"));
         }
         if cfg.lookup_cache == Some(0) {
             return Err(EngineError::InvalidParameter(
@@ -400,26 +418,28 @@ impl ServiceCore {
             trie,
             generation: 0,
         });
-        let workers = (0..cfg.shards)
-            .map(|id| {
-                let registry = telemetry.as_ref().map(|t| &*t.registry);
-                Self::spawn_worker(
-                    cfg.queue_depth,
-                    WorkerState {
-                        id,
-                        current: current.clone(),
-                        // Capacity validated above.
-                        cache: cfg.lookup_cache.and_then(|slots| LpmCache::new(slots).ok()),
-                        metrics: registry.map(WorkerMetrics::for_registry),
-                        tracer: tracer.clone(),
-                        attribute,
-                    },
-                )
-            })
+        let lane = |id| WorkerState {
+            id,
+            current: current.clone(),
+            // Capacity validated above.
+            cache: cfg.lookup_cache.and_then(|slots| LpmCache::new(slots).ok()),
+            metrics: telemetry
+                .as_ref()
+                .map(|t| WorkerMetrics::for_registry(&t.registry)),
+            tracer: tracer.clone(),
+            attribute,
+        };
+        let local = lane(0);
+        let workers = (1..cfg.shards)
+            .map(|id| Self::spawn_worker(cfg.queue_depth, lane(id)))
             .collect();
         Ok(Self {
             current,
+            local,
+            pending: Vec::new(),
+            resolved: Vec::new(),
             workers,
+            queue_depth: cfg.queue_depth,
             next_seq: 0,
             counts: ControlCounts::default(),
             telemetry,
@@ -449,9 +469,9 @@ impl ServiceCore {
         }
     }
 
-    /// Worker thread count.
+    /// Lane count: the caller plus one per worker thread.
     pub fn workers(&self) -> usize {
-        self.workers.len()
+        self.workers.len() + 1
     }
 
     /// Sequence number the next [`submit`](Self::submit) will stamp.
@@ -490,9 +510,10 @@ impl ServiceCore {
         self.telemetry.as_ref().map(|t| t.registry.snapshot())
     }
 
-    /// Stamps `job` with the next sequence number, enqueues it on
-    /// `worker` and returns that number. Blocks only when the worker's
-    /// queue is full; the stall is counted
+    /// Stamps `job` with the next sequence number, enqueues it on lane
+    /// `worker` and returns that number. Lane 0 never blocks: a submit
+    /// that finds `queue_depth` jobs pending there resolves them first.
+    /// Another lane blocks when its queue is full; the stall is counted
     /// (`vr_service_queue_stalls_total`) and ringed as a
     /// [`EventKind::WorkerStall`] before the blocking send, so
     /// backpressure is observable while it is happening.
@@ -512,7 +533,15 @@ impl ServiceCore {
                 tb.mark(Stage::Enqueue);
                 tb
             });
-        let target = &mut self.workers[worker];
+        let Some(target) = worker.checked_sub(1).map(|i| &mut self.workers[i]) else {
+            // The caller is lane 0: a full queue is worked off, not
+            // waited on.
+            if self.pending.len() >= self.queue_depth {
+                self.resolve_local();
+            }
+            self.pending.push(job);
+            return seq;
+        };
         target.in_flight += 1;
         let blocked = match target.job_tx.try_send(job) {
             Ok(()) => return seq,
@@ -536,14 +565,28 @@ impl ServiceCore {
         seq
     }
 
-    /// Waits for every submitted job, worker by worker, and hands each
-    /// to `each`. Sets the `vr_service_generation_lag` gauge to the
-    /// widest gap between the published generation and a drained job's
-    /// pinned one — the software analogue of table-reload latency: how
-    /// far behind the freshest table the datapath was still serving.
+    /// Resolves every pending lane-0 job on the calling thread.
+    fn resolve_local(&mut self) {
+        let local = &mut self.local;
+        self.resolved
+            .extend(self.pending.drain(..).map(|job| local.resolve(job)));
+    }
+
+    /// Waits for every submitted job, lane by lane, and hands each to
+    /// `each`; the caller resolves lane 0's jobs first, while the other
+    /// lanes work on theirs. Sets the `vr_service_generation_lag` gauge
+    /// to the widest gap between the published generation and a drained
+    /// job's pinned one — the software analogue of table-reload latency:
+    /// how far behind the freshest table the datapath was still serving.
     pub fn drain(&mut self, mut each: impl FnMut(Done)) {
+        self.resolve_local();
         let published = self.generation();
         let mut max_lag = None;
+        let mut observe = |done: Done| {
+            max_lag = max_lag.max(Some(published.saturating_sub(done.generation)));
+            each(done);
+        };
+        self.resolved.drain(..).for_each(&mut observe);
         for worker in &mut self.workers {
             while worker.in_flight > 0 {
                 let done = worker
@@ -551,8 +594,7 @@ impl ServiceCore {
                     .recv()
                     .expect("worker thread alive while service exists");
                 worker.in_flight -= 1;
-                max_lag = max_lag.max(Some(published.saturating_sub(done.generation)));
-                each(done);
+                observe(done);
             }
         }
         if let (Some(t), Some(lag)) = (&self.telemetry, max_lag) {
@@ -562,13 +604,15 @@ impl ServiceCore {
 
     /// Atomically swaps in an already-built trie (the RCU write side) and
     /// returns the new generation. In-flight jobs finish on the snapshot
-    /// they pinned.
+    /// they pinned; lane-0 jobs submitted before the call resolve first,
+    /// on the old one.
     ///
     /// # Errors
     /// In audited builds, rejects a structurally invalid trie with
     /// [`EngineError::AuditRejected`]; the live snapshot is untouched and
     /// the rejection is counted.
     pub fn publish(&mut self, trie: JumpTrie) -> Result<u64, EngineError> {
+        self.resolve_local();
         // Guard-style span: audit + swap both land in vr_service_publish_ns
         // (recorded on every exit path, including the rejection return).
         let _span = self
@@ -608,9 +652,10 @@ impl ServiceCore {
 }
 
 impl Drop for ServiceCore {
-    /// Disconnects every queue, then joins every worker: a worker
+    /// Disconnects every queue, then joins every worker thread: a worker
     /// finishes the job it is on, fails its next send or receive, and
     /// exits, so no thread and no snapshot pin outlives the service.
+    /// Lane 0's pending jobs hold no pin and are dropped unresolved.
     fn drop(&mut self) {
         let handles: Vec<JoinHandle<()>> = self.workers.drain(..).map(|w| w.handle).collect();
         for handle in handles {
@@ -622,8 +667,8 @@ impl Drop for ServiceCore {
 }
 
 /// What both facades owe their callers, written once. Every case takes
-/// the facade to run over; each facade's test module names its tests in
-/// a `contract_tests!` table.
+/// the facade to run over and a lane count; each facade's test module
+/// names its tests in a `contract_tests!` table.
 #[cfg(test)]
 pub(crate) mod contract {
     use super::*;
@@ -631,18 +676,40 @@ pub(crate) mod contract {
     use vr_net::synth::TableSpec;
 
     /// One `#[test]` per row, named `$name`, running contract case `$case`
-    /// over the facade `$kind`.
+    /// over the facade `$kind` at every lane count.
     macro_rules! contract_tests {
         ($kind:expr; $($name:ident => $case:ident,)*) => {
             $(
                 #[test]
                 fn $name() {
-                    crate::service_core::contract::$case($kind);
+                    crate::service_core::contract::run(
+                        crate::service_core::contract::$case,
+                        $kind,
+                    );
                 }
             )*
         };
     }
     pub(crate) use contract_tests;
+
+    /// Runs `case` over `kind` at 1 (the caller alone), 2 and 4 lanes.
+    pub(crate) fn run(case: fn(Kind, usize), kind: Kind) {
+        for lanes in [1, 2, 4] {
+            case(kind, lanes);
+        }
+    }
+
+    impl ServiceCore {
+        /// Worker threads the core spawned.
+        fn threads(&self) -> usize {
+            self.workers.len()
+        }
+
+        /// Lane-0 jobs submitted and not yet resolved.
+        pub(crate) fn unresolved_local(&self) -> usize {
+            self.pending.len()
+        }
+    }
 
     /// Which facade a case runs over.
     #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -720,6 +787,16 @@ pub(crate) mod contract {
             }
         }
 
+        /// Collects every submitted job: its generation and results, in
+        /// submission order.
+        fn collect(&mut self) -> Vec<(u64, Vec<Option<NextHop>>)> {
+            on!(self, s => s
+                .collect_all()
+                .into_iter()
+                .map(|b| (b.generation, b.results))
+                .collect())
+        }
+
         fn publish_tables(&mut self, tables: Vec<RoutingTable>) -> Result<u64, EngineError> {
             on!(self, s => s.publish_tables(tables))
         }
@@ -790,29 +867,31 @@ pub(crate) mod contract {
         (0..n).map(|i| (0, i.wrapping_mul(0x9E37_79B9))).collect()
     }
 
-    pub(crate) fn oracle_parity_across_worker_counts(kind: Kind) {
+    pub(crate) fn oracle_parity(kind: Kind, lanes: usize) {
         let t = TableSpec::paper_worst_case(21).generate().unwrap();
         let packets: Vec<(VnId, u32)> = t
             .prefixes()
             .flat_map(|p| [(0, p.addr()), (0, p.addr() | 0xFF)])
             .collect();
-        let want = oracle(std::slice::from_ref(&t), &packets);
-        for workers in [1, 2, 4] {
-            let mut svc = kind.build(vec![t.clone()], pool(workers)).unwrap();
-            assert_eq!(svc.process(&packets), want, "workers {workers}");
-            let totals = svc.finish();
-            assert_eq!(totals.lookups, packets.len() as u64);
-            assert_eq!(totals.generations_seen, vec![0]);
-            assert_eq!(totals.shards, workers);
-        }
+        let mut svc = kind.build(vec![t.clone()], pool(lanes)).unwrap();
+        // The caller is lane 0: N lanes spawn N − 1 threads.
+        assert_eq!(svc.core().threads(), lanes - 1);
+        assert_eq!(
+            svc.process(&packets),
+            oracle(std::slice::from_ref(&t), &packets)
+        );
+        let totals = svc.finish();
+        assert_eq!(totals.lookups, packets.len() as u64);
+        assert_eq!(totals.generations_seen, vec![0]);
+        assert_eq!(totals.shards, lanes);
     }
 
-    pub(crate) fn mixed_vn_batches_resolve_per_network(kind: Kind) {
+    pub(crate) fn mixed_vn_batches_resolve_per_network(kind: Kind, lanes: usize) {
         let tables = vec![
             table("10.0.0.0/8 1\n10.1.1.0/24 2\n"),
             table("10.0.0.0/8 7\n172.16.0.0/12 8\n"),
         ];
-        let mut svc = kind.build(tables.clone(), pool(2)).unwrap();
+        let mut svc = kind.build(tables.clone(), pool(lanes)).unwrap();
         // Deliberately interleave VNs inside each job.
         let packets: Vec<(VnId, u32)> = (0..200u32)
             .map(|i| {
@@ -824,9 +903,9 @@ pub(crate) mod contract {
         let _ = svc.finish();
     }
 
-    pub(crate) fn empty_tiny_and_ragged_calls_keep_input_order(kind: Kind) {
+    pub(crate) fn empty_tiny_and_ragged_calls_keep_input_order(kind: Kind, lanes: usize) {
         let t = TableSpec::paper_worst_case(5).generate().unwrap();
-        let mut svc = kind.build(vec![t.clone()], pool(3)).unwrap();
+        let mut svc = kind.build(vec![t.clone()], pool(lanes)).unwrap();
         let addrs: Vec<u32> = t.prefixes().map(|p| p.addr()).collect();
         for len in [0usize, 1, 2, 3, 7, 47, 48, 49, 1000] {
             let packets: Vec<(VnId, u32)> = (0..len)
@@ -841,17 +920,17 @@ pub(crate) mod contract {
         let _ = svc.finish();
     }
 
-    pub(crate) fn cached_matches_uncached_across_a_publish(kind: Kind) {
+    pub(crate) fn cached_matches_uncached_across_a_publish(kind: Kind, lanes: usize) {
         let tables = vec![
             table("10.0.0.0/8 1\n10.1.0.0/16 2\n"),
             table("172.16.0.0/12 3\n"),
         ];
         let cached_pool = ShardedConfig {
             lookup_cache: Some(512),
-            ..pool(2)
+            ..pool(lanes)
         };
         let mut cached = kind.build(tables.clone(), cached_pool).unwrap();
-        let mut plain = kind.build(tables.clone(), pool(2)).unwrap();
+        let mut plain = kind.build(tables.clone(), pool(lanes)).unwrap();
         let packets: Vec<(VnId, u32)> = (0..256)
             .map(|i| {
                 let dst = if i % 4 == 0 { 0x0A01_0103 } else { 0xAC10_0001 };
@@ -885,15 +964,15 @@ pub(crate) mod contract {
         let _ = plain.finish();
     }
 
-    pub(crate) fn traced_jobs_record_validating_stage_chains(kind: Kind) {
+    pub(crate) fn traced_jobs_record_validating_stage_chains(kind: Kind, lanes: usize) {
         let t = table("10.0.0.0/8 1\n10.1.0.0/16 2\n");
         // Sample every job so the case is deterministic; exercise both
-        // the cached and the uncached worker path.
+        // the cached and the uncached resolve path.
         for cache in [None, Some(256)] {
             let knobs = ShardedConfig {
                 trace_sample: Some(1),
                 lookup_cache: cache,
-                ..pool(2)
+                ..pool(lanes)
             };
             let mut svc = kind.build(vec![t.clone()], knobs).unwrap();
             let _ = svc.process(&scattered(128));
@@ -904,18 +983,20 @@ pub(crate) mod contract {
             for trace in &snap.traces {
                 trace.validate().unwrap();
             }
-            // Jobs name the thread that ran them the facade's way, and
-            // the post-publish ones observed the bumped generation.
+            // Jobs name the lane that ran them the facade's way, the
+            // caller's as 0, and the post-publish ones observed the
+            // bumped generation.
             let jobs: Vec<_> = snap
                 .traces
                 .iter()
                 .filter(|tr| tr.worker.is_some() || tr.shard.is_some())
                 .collect();
-            assert!(jobs.len() >= 4, "every job sampled");
             let by_shard = kind == Kind::Hash;
-            assert!(jobs
-                .iter()
-                .all(|tr| tr.shard.is_some() == by_shard && tr.worker.is_none() == by_shard));
+            for tr in &jobs {
+                let lane = if by_shard { tr.shard } else { tr.worker };
+                assert!(lane.is_some_and(|lane| lane < lanes as u64), "{tr:?}");
+                assert_eq!(tr.stages[1].stage, Stage::Dequeue);
+            }
             assert!(jobs.iter().any(|tr| tr.generation == 1));
             // The publish lands as a control-plane span on the same
             // timeline.
@@ -923,14 +1004,14 @@ pub(crate) mod contract {
                 .traces
                 .iter()
                 .any(|tr| tr.stages[0].stage == Stage::Publish && tr.generation == 1));
-            let _ = svc.finish();
+            assert_eq!(jobs.len() as u64, svc.finish().batches, "every job sampled");
         }
     }
 
     /// With telemetry on the registry's worker counters equal the
     /// report's; with it off there is no registry and the report still
     /// counts.
-    fn telemetry_case(kind: Kind, telemetry: bool) {
+    fn telemetry_case(kind: Kind, lanes: usize, telemetry: bool) {
         let t = TableSpec::paper_worst_case(31).generate().unwrap();
         let packets: Vec<(VnId, u32)> = t
             .prefixes()
@@ -939,7 +1020,7 @@ pub(crate) mod contract {
             .collect();
         let knobs = ShardedConfig {
             telemetry,
-            ..pool(2)
+            ..pool(lanes)
         };
         let mut svc = kind.build(vec![t.clone()], knobs).unwrap();
         assert_eq!(
@@ -967,22 +1048,22 @@ pub(crate) mod contract {
         }
     }
 
-    pub(crate) fn registry_counters_match_the_report(kind: Kind) {
-        telemetry_case(kind, true);
+    pub(crate) fn registry_counters_match_the_report(kind: Kind, lanes: usize) {
+        telemetry_case(kind, lanes, true);
     }
 
-    pub(crate) fn telemetry_off_still_reports(kind: Kind) {
-        telemetry_case(kind, false);
+    pub(crate) fn telemetry_off_still_reports(kind: Kind, lanes: usize) {
+        telemetry_case(kind, lanes, false);
     }
 
-    pub(crate) fn rejected_publish_changes_nothing_and_is_counted(kind: Kind) {
+    pub(crate) fn rejected_publish_changes_nothing_and_is_counted(kind: Kind, lanes: usize) {
         let old = table("10.0.0.0/8 1\n");
         let new = table("10.0.0.0/8 2\n");
         // The report counts the same with the registry on or off.
         for telemetry in [true, false] {
             let knobs = ShardedConfig {
                 telemetry,
-                ..pool(1)
+                ..pool(lanes)
             };
             let mut svc = kind.build(vec![old.clone()], knobs).unwrap();
             // The gate refuses a table build: the mirror must keep
@@ -1030,32 +1111,35 @@ pub(crate) mod contract {
         }
     }
 
-    pub(crate) fn bad_configurations_are_rejected(kind: Kind) {
+    pub(crate) fn bad_configurations_are_rejected(kind: Kind, lanes: usize) {
         let t = table("10.0.0.0/8 1\n");
-        assert!(kind.build(vec![], pool(1)).is_err());
+        assert!(kind.build(vec![], pool(lanes)).is_err());
         for bad in [
             pool(0),
             ShardedConfig {
                 lookup_cache: Some(0),
-                ..pool(1)
+                ..pool(lanes)
             },
             ShardedConfig {
                 trace_sample: Some(0),
-                ..pool(1)
+                ..pool(lanes)
             },
         ] {
             assert!(kind.build(vec![t.clone()], bad).is_err());
         }
         // The VN count is pinned across publishes.
-        let mut svc = kind.build(vec![t.clone()], pool(1)).unwrap();
+        let mut svc = kind.build(vec![t.clone()], pool(lanes)).unwrap();
         assert!(svc.publish_tables(vec![t.clone(), t]).is_err());
         assert_eq!(svc.generation(), 0);
         let _ = svc.finish();
     }
 
-    pub(crate) fn process_after_an_uncollected_submit_returns_only_its_own_results(kind: Kind) {
+    pub(crate) fn process_after_an_uncollected_submit_returns_only_its_own_results(
+        kind: Kind,
+        lanes: usize,
+    ) {
         let t = table("10.0.0.0/8 1\n192.168.0.0/16 2\n");
-        let mut svc = kind.build(vec![t], pool(2)).unwrap();
+        let mut svc = kind.build(vec![t], pool(lanes)).unwrap();
         svc.submit_only(&[(0, 0xC0A8_0001); 3]);
         assert_eq!(
             svc.process(&[(0, 0x0A00_0001), (0, 0x0B00_0000)]),
@@ -1065,21 +1149,40 @@ pub(crate) mod contract {
         assert_eq!(svc.finish().lookups, 5);
     }
 
-    pub(crate) fn drop_joins_the_workers_and_frees_the_snapshot(kind: Kind) {
+    pub(crate) fn drop_joins_the_workers_and_frees_the_snapshot(kind: Kind, lanes: usize) {
         let t = TableSpec::paper_worst_case(3).generate().unwrap();
-        let mut svc = kind.build(vec![t], pool(2)).unwrap();
+        let mut svc = kind.build(vec![t], pool(lanes)).unwrap();
         let pin = svc.core().snapshot();
-        // A backlog nobody collects: the workers are still busy, each
-        // pinning the snapshot, when the service goes away.
+        // A backlog nobody collects: the worker threads are still busy,
+        // each pinning the snapshot, and lane 0's jobs still pending,
+        // when the service goes away.
         let packets = scattered(2048);
         for _ in 0..8 {
             svc.submit_only(&packets);
         }
+        assert!(svc.core().unresolved_local() > 0);
         drop(svc);
         assert_eq!(
             SyncArc::strong_count(&pin),
             1,
             "a worker outlived the service and still pins its table"
         );
+    }
+
+    pub(crate) fn lane_zero_jobs_resolve_on_the_generation_they_were_submitted_under(
+        kind: Kind,
+        lanes: usize,
+    ) {
+        // Destination 0 is lane 0's under both dispatches: the first
+        // span, and the hash of 0.
+        let key = [(0, 0)];
+        let mut svc = kind
+            .build(vec![table("0.0.0.0/0 1\n")], pool(lanes))
+            .unwrap();
+        svc.submit_only(&key);
+        svc.publish_tables(vec![table("0.0.0.0/0 2\n")]).unwrap();
+        svc.submit_only(&key);
+        assert_eq!(svc.collect(), vec![(0, vec![Some(1)]), (1, vec![Some(2)])]);
+        let _ = svc.finish();
     }
 }

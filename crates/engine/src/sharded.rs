@@ -3,8 +3,9 @@
 //!
 //! [`LookupService`](crate::LookupService) hands each worker one
 //! contiguous span of a call. [`ShardedService`] is the other facade
-//! over the same core (worker pool, `Publish`-slot table swap, audit
-//! gate, telemetry, join-on-drop — see `service_core.rs`) and differs
+//! over the same core (lanes — shard 0 is the calling thread, each other
+//! shard a worker thread — `Publish`-slot table swap, audit gate,
+//! telemetry, join-on-drop — see `service_core.rs`) and differs
 //! only in how packets reach the workers, the way the paper's VS
 //! organization puts a VNID distributor in front of K copies of the
 //! same pipeline: the dispatcher routes every packet by a cheap
@@ -77,7 +78,7 @@ pub struct ShardedBatch {
 /// reports.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ShardedReport {
-    /// Shard threads the service ran with.
+    /// Shards the service ran with: the caller and `shards − 1` threads.
     pub shards: usize,
     /// Lookups resolved.
     pub lookups: u64,
@@ -121,8 +122,9 @@ impl ShardedReport {
     }
 }
 
-/// N-shard lookup service: hash-routed SPSC request queues in front of
-/// the shared service core.
+/// N-shard lookup service: a destination-hash scatter in front of the
+/// shared service core (shard 0 on the calling thread, the rest behind
+/// SPSC request queues).
 ///
 /// ```
 /// use vr_engine::{ShardedConfig, ShardedService};
@@ -151,10 +153,14 @@ pub struct ShardedService {
     report: ShardedReport,
     /// Recycled job buffers for the allocation-free process path.
     spare: Vec<Job>,
+    /// One job per shard while [`Self::submit`] scatters a call; empty
+    /// between calls and kept for its capacity.
+    scatter: Vec<Job>,
 }
 
 impl ShardedService {
-    /// Builds the jump trie from `tables` and spawns the shards.
+    /// Builds the jump trie from `tables` and spawns the threads of
+    /// shards 1..N.
     ///
     /// # Errors
     /// Rejects an empty table set, zero shards, merge failures, and (in
@@ -164,7 +170,7 @@ impl ShardedService {
         Self::with_trie(tables, trie, cfg)
     }
 
-    /// Spawns the shards around an already-built trie (callers that
+    /// Spawns the shard threads around an already-built trie (callers that
     /// benchmark multiple services over one table family skip the
     /// rebuild). The trie must serve every VN in `tables`.
     ///
@@ -193,6 +199,7 @@ impl ShardedService {
                 ..ShardedReport::default()
             },
             spare: Vec::new(),
+            scatter: Vec::new(),
         })
     }
 
@@ -231,16 +238,16 @@ impl ShardedService {
     /// If `packets` holds more than `u32::MAX` keys.
     pub fn submit(&mut self, packets: &[(VnId, u32)]) -> usize {
         let shard_count = self.core.workers();
-        let mut jobs: Vec<Job> = (0..shard_count)
-            .map(|_| self.spare.pop().unwrap_or_default())
-            .collect();
+        let spare = &mut self.spare;
+        self.scatter
+            .extend((0..shard_count).map(|_| spare.pop().unwrap_or_default()));
         for (i, &(vn, dst)) in packets.iter().enumerate() {
-            let job = &mut jobs[shard_of(dst, shard_count)];
+            let job = &mut self.scatter[shard_of(dst, shard_count)];
             job.packets.push((vn, dst));
             job.origins.push(u32::try_from(i).expect("batch too large"));
         }
         let mut issued = 0;
-        for (shard, job) in jobs.into_iter().enumerate() {
+        for (shard, job) in self.scatter.drain(..).enumerate() {
             if job.packets.is_empty() {
                 self.spare.push(job);
             } else {
@@ -374,7 +381,7 @@ impl ShardedService {
         &self.report
     }
 
-    /// Drains outstanding jobs, stops and joins the shards (the core's
+    /// Drains outstanding jobs, stops and joins the shard threads (the core's
     /// `Drop`, which also runs when the service is simply dropped), and
     /// returns the final report.
     pub fn shutdown(mut self) -> ShardedReport {
@@ -406,7 +413,7 @@ mod tests {
     }
 
     contract_tests! { Kind::Hash;
-        matches_oracle_across_shard_counts => oracle_parity_across_worker_counts,
+        matches_oracle_across_shard_counts => oracle_parity,
         mixed_vn_batches_resolve_per_network => mixed_vn_batches_resolve_per_network,
         process_restores_input_order_with_empty_and_tiny_batches =>
             empty_tiny_and_ragged_calls_keep_input_order,
@@ -419,6 +426,8 @@ mod tests {
         process_after_an_uncollected_submit_returns_only_its_own_results =>
             process_after_an_uncollected_submit_returns_only_its_own_results,
         drop_joins_the_workers_and_frees_the_snapshot => drop_joins_the_workers_and_frees_the_snapshot,
+        lane_zero_jobs_resolve_on_the_generation_they_were_submitted_under =>
+            lane_zero_jobs_resolve_on_the_generation_they_were_submitted_under,
     }
 
     #[test]
@@ -434,7 +443,7 @@ mod tests {
 
     #[test]
     fn rejects_bad_configurations() {
-        contract::bad_configurations_are_rejected(Kind::Hash);
+        contract::run(contract::bad_configurations_are_rejected, Kind::Hash);
         // A K=1 trie cannot serve a 2-VN table set.
         let t = table("10.0.0.0/8 1\n");
         let trie = JumpTrie::from_table(&t);

@@ -21,10 +21,11 @@
 //! frames of a group. A queued update ends the group and runs after
 //! it: updates stay barriers. A frame naming a VN the backend does not
 //! host is answered `ErrorReply(UnknownVn)` by itself and never
-//! reaches the engine. The fixed cost of a backend call (a worker
-//! hand-off and its wake-ups, a few µs) is then paid once per group
-//! instead of once per frame; with one frame in flight a group is that
-//! frame.
+//! reaches the engine. The fixed cost of a backend call (its
+//! bookkeeping, plus a hand-off and a wake-up per span given to a
+//! worker thread; the first span runs on the backend thread itself) is
+//! then paid once per group instead of once per frame; with one frame
+//! in flight a group is that frame.
 //!
 //! Admission control sheds, it never stalls:
 //!
