@@ -403,9 +403,14 @@ impl LookupService {
     /// blocking send, so backpressure is observable while it is
     /// happening.
     pub fn submit(&mut self, packets: Vec<(VnId, u32)>) -> u64 {
-        let worker = (self.core.next_seq() % self.core.workers() as u64) as usize;
+        let lane = (self.core.next_seq() % self.core.workers() as u64) as usize;
+        self.submit_to(lane, packets)
+    }
+
+    /// Enqueues one batch on lane `lane` and returns its sequence number.
+    fn submit_to(&mut self, lane: usize, packets: Vec<(VnId, u32)>) -> u64 {
         let seq = self.core.submit(
-            worker,
+            lane,
             Job {
                 packets,
                 ..Job::default()
@@ -437,11 +442,11 @@ impl LookupService {
     /// Resolves a packet stream end to end and returns per-packet results
     /// in input order. The call is cut into at most `workers` contiguous
     /// spans of at least [`batch_width`](Self::batch_width) keys (one
-    /// shorter span when the whole call is shorter), each span is one
-    /// job, and each lane resolves its span against the one snapshot it
-    /// pins. The first span runs on the calling thread, so a one-span
-    /// call makes no hand-off and a longer one makes one per other lane,
-    /// not one per chunk.
+    /// shorter span when the whole call is shorter), span `i` is one job
+    /// on lane `i`, and each lane resolves its span against the one
+    /// snapshot it pins. The first span runs on the calling thread, so a
+    /// one-span call makes no hand-off at any lane count and a longer one
+    /// makes one per other lane, not one per chunk.
     /// Batches a caller [`submit`](Self::submit)ted and never collected
     /// are drained and counted in the report, but are not part of the
     /// result.
@@ -454,7 +459,7 @@ impl LookupService {
             let (head, tail) = rest.split_at(len + usize::from(span < longer));
             rest = tail;
             if !head.is_empty() {
-                self.submit(head.to_vec());
+                self.submit_to(span, head.to_vec());
             }
         }
         let mut out = Vec::with_capacity(packets.len());

@@ -692,9 +692,9 @@ pub(crate) mod contract {
     }
     pub(crate) use contract_tests;
 
-    /// Runs `case` over `kind` at 1 (the caller alone), 2 and 4 lanes.
+    /// Runs `case` over `kind` at 1 (the caller alone), 2, 3 and 4 lanes.
     pub(crate) fn run(case: fn(Kind, usize), kind: Kind) {
-        for lanes in [1, 2, 4] {
+        for lanes in [1, 2, 3, 4] {
             case(kind, lanes);
         }
     }
@@ -787,14 +787,21 @@ pub(crate) mod contract {
             }
         }
 
-        /// Collects every submitted job: its generation and results, in
-        /// submission order.
-        fn collect(&mut self) -> Vec<(u64, Vec<Option<NextHop>>)> {
-            on!(self, s => s
-                .collect_all()
-                .into_iter()
-                .map(|b| (b.generation, b.results))
-                .collect())
+        /// Collects every submitted job: the lane that served it, its
+        /// generation and its results, in submission order.
+        fn collect(&mut self) -> Vec<(usize, u64, Vec<Option<NextHop>>)> {
+            match self {
+                Either::Spans(s) => s
+                    .collect_all()
+                    .into_iter()
+                    .map(|b| (b.worker, b.generation, b.results))
+                    .collect(),
+                Either::Hash(s) => s
+                    .collect_all()
+                    .into_iter()
+                    .map(|b| (b.shard, b.generation, b.results))
+                    .collect(),
+            }
         }
 
         fn publish_tables(&mut self, tables: Vec<RoutingTable>) -> Result<u64, EngineError> {
@@ -978,14 +985,21 @@ pub(crate) mod contract {
             let _ = svc.process(&scattered(128));
             svc.publish_tables(vec![t.clone()]).unwrap();
             let _ = svc.process(&scattered(128));
+            // A one-span call, all of it destination 0, is one lane-0 job
+            // however many jobs came before it.
+            let first_short = svc.core().next_seq();
+            let short_calls = 2 * lanes;
+            for _ in 0..short_calls {
+                assert_eq!(svc.process(&[(0, 0); 3]).len(), 3);
+            }
             let snap = svc.tracer().expect("tracer on").snapshot();
             assert_eq!(snap.sample, 1);
             for trace in &snap.traces {
                 trace.validate().unwrap();
             }
-            // Jobs name the lane that ran them the facade's way, the
-            // caller's as 0, and the post-publish ones observed the
-            // bumped generation.
+            // Jobs name the lane that ran them the facade's way and only
+            // that way, the caller's as 0, and the post-publish ones
+            // observed the bumped generation.
             let jobs: Vec<_> = snap
                 .traces
                 .iter()
@@ -993,9 +1007,19 @@ pub(crate) mod contract {
                 .collect();
             let by_shard = kind == Kind::Hash;
             for tr in &jobs {
-                let lane = if by_shard { tr.shard } else { tr.worker };
+                let (lane, other) = if by_shard {
+                    (tr.shard, tr.worker)
+                } else {
+                    (tr.worker, tr.shard)
+                };
                 assert!(lane.is_some_and(|lane| lane < lanes as u64), "{tr:?}");
+                assert!(other.is_none(), "{tr:?}");
                 assert_eq!(tr.stages[1].stage, Stage::Dequeue);
+            }
+            let short: Vec<_> = jobs.iter().filter(|tr| tr.seq >= first_short).collect();
+            assert_eq!(short.len(), short_calls);
+            for tr in short {
+                assert_eq!(tr.worker.or(tr.shard), Some(0), "{tr:?}");
             }
             assert!(jobs.iter().any(|tr| tr.generation == 1));
             // The publish lands as a control-plane span on the same
@@ -1173,8 +1197,11 @@ pub(crate) mod contract {
         kind: Kind,
         lanes: usize,
     ) {
-        // Destination 0 is lane 0's under both dispatches: the first
-        // span, and the hash of 0.
+        // The pre-publish job is lane 0's under both dispatches: seq 0
+        // under round-robin, and the hash of destination 0. The caller
+        // still holds it when the publish starts. The post-publish job
+        // goes to seq 1's lane or to lane 0 again, and sees the new table
+        // either way.
         let key = [(0, 0)];
         let mut svc = kind
             .build(vec![table("0.0.0.0/0 1\n")], pool(lanes))
@@ -1182,7 +1209,14 @@ pub(crate) mod contract {
         svc.submit_only(&key);
         svc.publish_tables(vec![table("0.0.0.0/0 2\n")]).unwrap();
         svc.submit_only(&key);
-        assert_eq!(svc.collect(), vec![(0, vec![Some(1)]), (1, vec![Some(2)])]);
+        let second = match kind {
+            Kind::Spans => 1 % lanes,
+            Kind::Hash => 0,
+        };
+        assert_eq!(
+            svc.collect(),
+            vec![(0, 0, vec![Some(1)]), (second, 1, vec![Some(2)])]
+        );
         let _ = svc.finish();
     }
 }
