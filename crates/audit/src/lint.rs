@@ -78,8 +78,8 @@ pub const HOT_PATH_FILES: [&str; 9] = [
     "crates/engine/src/sharded.rs",
     "crates/engine/src/cache.rs",
     // The wire serving tier sits on the per-frame path: a panic in the
-    // codec or the connection loop takes the whole connection (or the
-    // backend thread) down with it.
+    // codec or the connection loop takes the whole connection down
+    // with it.
     "crates/wire/src/frame.rs",
     "crates/wire/src/decoder.rs",
     "crates/wire/src/server.rs",

@@ -705,12 +705,12 @@ fn run_cached_rows(rows: &mut Vec<Row>, iters: usize) {
 
 /// Packets per `LookupRequest` frame in the wire rows: one span of the
 /// service's default width, so each frame is exactly one span (lane 0's,
-/// resolved on the backend thread).
+/// resolved on the connection's own thread).
 const WIRE_BATCH: usize = 64;
 
 /// End-to-end serving-tier rows: the same merged-jump datapath the
 /// `service_jump` rows measure, but reached through the `vr-wire`
-/// loopback socket — codec, CRC, syscalls, and the backend channel all
+/// loopback socket — codec, CRC, syscalls, and the backend lock all
 /// included. `ns_per_lookup` here is offered-load throughput seen by a
 /// serial client (one frame in flight); the p50/p99 columns carry the
 /// frame round-trip time amortized per packet, which is transport

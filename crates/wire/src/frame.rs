@@ -171,8 +171,9 @@ pub enum OverloadReason {
     /// The connection's token bucket ran dry (per-connection rate
     /// limit). The request was *not* executed.
     RateLimited,
-    /// The backend job queue hit its watermark. The request was *not*
-    /// executed.
+    /// A server-side queue was full. The request was *not* executed.
+    /// The server in this crate queues nothing and never sends it; the
+    /// code stays so the wire format does not change.
     QueueFull,
 }
 

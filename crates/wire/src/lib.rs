@@ -17,10 +17,12 @@
 //!   poison the stream (fail-stop, no resynchronization).
 //! * [`server`] — the blocking [`WireServer`] over TCP or Unix-domain
 //!   sockets: thread-per-connection behind the shared
-//!   `vr_obs::AcceptGate`, a backend thread that owns the lookup
-//!   service and control plane, and admission control that sheds with
-//!   explicit `Overloaded` frames (token-bucket rate limit, bounded
-//!   job queue, slow-reader disconnect) instead of stalling.
+//!   `vr_obs::AcceptGate`, each connection running its frames to
+//!   completion (decode, walk, encode, write) against a backend held
+//!   behind one lock, and admission control that sheds with explicit
+//!   `Overloaded` frames (connection gate, token-bucket rate limit)
+//!   or, for a peer that stops reading, a write timeout, instead of
+//!   stalling.
 //! * [`client`] — a small blocking [`WireClient`] used by the replay
 //!   binary, the smoke harness, and tests.
 //! * [`replay`] — synthetic traffic replay (uniform / Zipf /

@@ -2,66 +2,66 @@
 //!
 //! Shape: an accept loop per listener (TCP and/or Unix-domain) admits
 //! connections through the shared [`vr_obs::AcceptGate`]; each admitted
-//! connection gets a reader thread (owns the [`FrameDecoder`] and the
-//! token bucket) and a writer thread (owns the bounded reply queue and
-//! the socket's write side). Decoded work frames flow over one bounded
-//! job channel into a single backend thread that owns the
-//! [`WireBackend`] — so lookups and route-update batches are
-//! *serialized*, and a lookup batch can never straddle a publish: the
-//! `(results, generation)` pair it returns is torn-free by
-//! construction, extending the engine's never-torn batch guarantee
-//! across the wire.
+//! connection gets one thread, which runs every frame it reads to
+//! completion: decode, admission, the trie walk, encode, write. There is
+//! no queue and no other thread between a frame's arrival and its walk.
+//! The [`WireBackend`] sits behind one lock, so lookups and route-update
+//! batches from every connection are *serialized*, and a lookup call can
+//! never straddle a publish: the `(results, generation)` pair it returns
+//! is torn-free by construction, extending the engine's never-torn batch
+//! guarantee across the wire.
 //!
-//! The backend thread makes one `lookup` call per *drained queue*, not
-//! per frame: the lookup frames already queued behind the one it
-//! dequeued (pipelined by one connection, or sent by several) are
-//! resolved together, up to a fixed key cap, and answered one
-//! `LookupResponse` each, in dequeue order, all tagged with the one
-//! generation that call resolved against — so never-torn spans the
-//! frames of a group. A queued update ends the group and runs after
-//! it: updates stay barriers. A frame naming a VN the backend does not
-//! host is answered `ErrorReply(UnknownVn)` by itself and never
-//! reaches the engine. The fixed cost of a backend call (its
-//! bookkeeping, plus a hand-off and a wake-up per span given to a
-//! worker thread; the first span runs on the backend thread itself) is
-//! then paid once per group instead of once per frame; with one frame
-//! in flight a group is that frame.
+//! A connection makes one `lookup` call per *socket read*, not per
+//! frame: the lookup frames one read delivered (a client's pipelined
+//! burst) are resolved together, up to a fixed key cap, under one
+//! acquisition of the lock, and answered one `LookupResponse` each, all
+//! tagged with the one generation that call resolved against, so
+//! never-torn spans the frames of a group. Every reply goes out in
+//! request order, encoded into one reused buffer and sent with one
+//! write per read. An update frame closes the open group and runs after
+//! it: updates stay barriers on their connection. A frame naming a VN
+//! the backend does not host is answered `ErrorReply(UnknownVn)` by
+//! itself and never reaches the engine.
 //!
 //! Admission control sheds, it never stalls:
 //!
 //! 1. **Connection gate** — past `max_connections`, the socket gets an
 //!    `Overloaded(Connections)` frame via the shared half-close-drain
-//!    helper and is closed.
+//!    helper and is closed. The gate also bounds how many connection
+//!    threads can wait on the backend lock.
 //! 2. **Token bucket** — per-connection packets-per-second budget;
 //!    over-budget frames get `Overloaded(RateLimited)` and the
 //!    connection stays open.
-//! 3. **Queue watermark** — a full backend job queue returns
-//!    `Overloaded(QueueFull)` immediately instead of queueing the
-//!    caller behind a convoy.
-//! 4. **Slow reader** — a full per-connection reply queue (the client
-//!    stopped reading) disconnects the offender so it cannot wedge the
-//!    backend; a write timeout bounds the cost of a half-dead peer.
+//! 3. **Slow reader** — a client that stops reading its replies blocks
+//!    its own thread's write; the write timeout bounds that and then
+//!    disconnects it. The lock is never held across a write, so a
+//!    wedged peer costs only its own thread.
 
-use std::io::{self, Read, Write};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use parking_lot::Mutex;
 use vr_engine::{LookupService, ShardedService};
 use vr_net::{NextHop, RouteUpdate, VnId};
-use vr_obs::{shed_with, AcceptGate};
+use vr_obs::{shed_with, AcceptGate, ShedStream};
 use vr_telemetry::{Counter, MetricsRegistry, Stopwatch};
 
-use crate::frame::{encode, encode_into, ErrorCode, Message, OverloadReason, WireError};
+use crate::frame::{encode, encode_into, ErrorCode, Message, OverloadReason};
 use crate::FrameDecoder;
 
-/// Reader poll granularity: the read timeout that lets a blocked
-/// reader notice a doomed/stopping connection.
+/// Reader poll granularity: the read timeout that lets an idle
+/// connection notice that the server is stopping.
 const READER_TICK: Duration = Duration::from_millis(100);
+
+/// Socket read size: one read holds a key cap's worth of pipelined
+/// 16-key frames (~124 B each), so a burst is not cut into groups by
+/// the read.
+const READ_BUF_LEN: usize = 64 * 1024;
 
 /// Tuning for [`WireServer`]. `Default` is sized for tests and the
 /// smoke harness; the replay binary overrides per scenario.
@@ -69,9 +69,11 @@ const READER_TICK: Duration = Duration::from_millis(100);
 pub struct ServerConfig {
     /// Concurrent-connection bound enforced by the accept gate.
     pub max_connections: usize,
-    /// Backend job queue depth — the overload watermark.
+    /// Unused: the server no longer reads it. Frames run to completion
+    /// on their connection's thread, so there is no job queue to bound.
     pub job_queue_depth: usize,
-    /// Per-connection reply queue depth — the slow-reader bound.
+    /// Unused: the server no longer reads it. A connection writes its
+    /// own replies, so there is no reply queue to bound.
     pub writer_queue_depth: usize,
     /// Per-connection token-bucket rate in packets/updates per second;
     /// `0` disables rate limiting.
@@ -81,8 +83,8 @@ pub struct ServerConfig {
     pub rate_burst: u64,
     /// Back-off hint stamped into `Overloaded` frames.
     pub retry_after_ms: u32,
-    /// Socket write timeout — bounds how long a wedged peer can hold
-    /// the writer thread.
+    /// Socket write timeout — bounds how long a peer that stops reading
+    /// can hold its connection's thread.
     pub write_timeout_ms: u64,
 }
 
@@ -100,10 +102,9 @@ impl Default for ServerConfig {
     }
 }
 
-/// What the server needs from a lookup/control engine. Implementations
-/// run on the single backend thread, so `&mut self` methods are
-/// naturally serialized — a lookup can never interleave with an update
-/// publish.
+/// What the server needs from a lookup/control engine. The server holds
+/// it behind one lock, so `&mut self` methods are serialized across
+/// connections — a lookup can never interleave with an update publish.
 pub trait WireBackend: Send + 'static {
     /// Resolves a packet batch; returns per-packet next hops in input
     /// order plus the snapshot generation the whole batch used.
@@ -114,7 +115,8 @@ pub trait WireBackend: Send + 'static {
     /// The currently live generation.
     fn generation(&self) -> u64;
     /// How many virtual networks are hosted: a lookup may name VN ids
-    /// `0..vn_count()` and nothing else. The server checks every frame
+    /// `0..vn_count()` and nothing else. The server reads it once, when
+    /// it starts (updates never add a VN), and checks every frame
     /// against it, so [`Self::lookup`] never sees an unhosted VN.
     fn vn_count(&self) -> usize;
 }
@@ -178,30 +180,13 @@ impl WireBackend for vr_control::ControlPlane {
     }
 }
 
-/// The socket abstraction both listeners produce. All methods take
-/// `&self` (sockets support concurrent read/write through shared
-/// references), so one `Arc` serves the reader, the writer, and the
-/// backend's kill switch.
-trait WireStream: Send + Sync {
-    fn read_some(&self, buf: &mut [u8]) -> io::Result<usize>;
-    fn write_frame(&self, bytes: &[u8]) -> io::Result<()>;
-    fn shutdown_both(&self);
+/// The socket kinds both listeners produce: sheddable by the accept
+/// gate, and given a read tick and a write timeout once admitted.
+trait WireStream: ShedStream + Send + 'static {
     fn set_timeouts(&self, read: Duration, write: Duration);
 }
 
 impl WireStream for TcpStream {
-    fn read_some(&self, buf: &mut [u8]) -> io::Result<usize> {
-        (&mut &*self).read(buf)
-    }
-
-    fn write_frame(&self, bytes: &[u8]) -> io::Result<()> {
-        (&mut &*self).write_all(bytes)
-    }
-
-    fn shutdown_both(&self) {
-        let _ = self.shutdown(std::net::Shutdown::Both);
-    }
-
     fn set_timeouts(&self, read: Duration, write: Duration) {
         let _ = self.set_read_timeout(Some(read));
         let _ = self.set_write_timeout(Some(write));
@@ -210,59 +195,18 @@ impl WireStream for TcpStream {
 
 #[cfg(unix)]
 impl WireStream for UnixStream {
-    fn read_some(&self, buf: &mut [u8]) -> io::Result<usize> {
-        (&mut &*self).read(buf)
-    }
-
-    fn write_frame(&self, bytes: &[u8]) -> io::Result<()> {
-        (&mut &*self).write_all(bytes)
-    }
-
-    fn shutdown_both(&self) {
-        let _ = self.shutdown(std::net::Shutdown::Both);
-    }
-
     fn set_timeouts(&self, read: Duration, write: Duration) {
         let _ = self.set_read_timeout(Some(read));
         let _ = self.set_write_timeout(Some(write));
     }
 }
 
-/// One decoded work frame in flight to the backend thread.
-struct Job {
-    msg: Message,
-    reply: ReplyTo,
-}
-
-/// Where the backend thread sends a job's answer.
-struct ReplyTo {
-    /// The connection's bounded reply queue.
-    queue: Sender<Message>,
-    /// Kill switch for the slow-reader case: shutting the socket down
-    /// wakes both connection threads into their exit paths.
-    stream: Arc<dyn WireStream>,
-}
-
-impl ReplyTo {
-    fn send(&self, msg: Message, metrics: &WireMetrics) {
-        if let Err(TrySendError::Full(_)) = self.queue.try_send(msg) {
-            // The client asked for work, then stopped reading the
-            // answers. Cut it loose rather than let its queue
-            // backpressure the shared backend.
-            WireMetrics::bump(&metrics.slow_reader_disconnects, 0, 1);
-            self.stream.shutdown_both();
-        }
-    }
-}
-
 /// Counters the server publishes when given a registry. Handles are
 /// cheap clones; shard indexes wrap inside the counter.
-#[derive(Clone)]
 struct WireMetrics {
     connections: Option<Counter>,
     shed_connections: Option<Counter>,
     shed_rate_limited: Option<Counter>,
-    shed_queue_full: Option<Counter>,
     slow_reader_disconnects: Option<Counter>,
     requests: Option<Counter>,
     lookup_packets: Option<Counter>,
@@ -277,7 +221,6 @@ impl WireMetrics {
             connections: c("vr_wire_connections_total"),
             shed_connections: c("vr_wire_shed_connections_total"),
             shed_rate_limited: c("vr_wire_shed_rate_limited_total"),
-            shed_queue_full: c("vr_wire_shed_queue_full_total"),
             slow_reader_disconnects: c("vr_wire_slow_reader_disconnects_total"),
             requests: c("vr_wire_requests_total"),
             lookup_packets: c("vr_wire_lookup_packets_total"),
@@ -342,27 +285,33 @@ impl TokenBucket {
 }
 
 /// Shared server state the accept loops and connections see.
-struct Shared {
+struct Shared<B> {
     gate: Arc<AcceptGate>,
     stopping: Mutex<bool>,
     cfg: ServerConfig,
     metrics: WireMetrics,
-    /// Cloned once per admitted connection; taken (set to `None`) at
-    /// shutdown so the backend's channel fully disconnects once the
-    /// last connection reader exits.
-    job_tx: Mutex<Option<Sender<Job>>>,
+    /// [`WireBackend::vn_count`], read once at start.
+    vn_count: usize,
+    /// Held for one group's `lookup` or one `apply_updates`, never
+    /// across a socket read or write.
+    backend: Mutex<B>,
+}
+
+impl<B> Shared<B> {
+    fn stopping(&self) -> bool {
+        *self.stopping.lock()
+    }
 }
 
 /// A running `VRW1` server. Dropping it (or calling
-/// [`WireServer::shutdown`]) stops the accept loops, disconnects the
-/// job queue, and joins the backend thread.
+/// [`WireServer::shutdown`]) stops the accept loops and joins every
+/// connection thread.
 pub struct WireServer<B: WireBackend> {
     addr: Option<SocketAddr>,
     #[cfg(unix)]
     uds_path: Option<std::path::PathBuf>,
-    shared: Arc<Shared>,
-    accept_threads: Vec<std::thread::JoinHandle<()>>,
-    backend_thread: Option<std::thread::JoinHandle<B>>,
+    shared: Arc<Shared<B>>,
+    accept_threads: Vec<JoinHandle<()>>,
 }
 
 impl<B: WireBackend> WireServer<B> {
@@ -379,9 +328,9 @@ impl<B: WireBackend> WireServer<B> {
     ) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        let mut server = Self::start(backend, cfg, registry)?;
+        let mut server = Self::start(backend, cfg, registry);
         server.addr = Some(local);
-        server.spawn_acceptor("vr-wire-tcp", move |shared| tcp_accept_loop(&listener, &shared))?;
+        server.spawn_acceptor("vr-wire-tcp", move || listener.accept().map(|(s, _)| s))?;
         Ok(server)
     }
 
@@ -400,48 +349,39 @@ impl<B: WireBackend> WireServer<B> {
         let path = path.as_ref().to_path_buf();
         let _ = std::fs::remove_file(&path);
         let listener = UnixListener::bind(&path)?;
-        let mut server = Self::start(backend, cfg, registry)?;
+        let mut server = Self::start(backend, cfg, registry);
         server.uds_path = Some(path);
-        server.spawn_acceptor("vr-wire-uds", move |shared| uds_accept_loop(&listener, &shared))?;
+        server.spawn_acceptor("vr-wire-uds", move || listener.accept().map(|(s, _)| s))?;
         Ok(server)
     }
 
-    fn start(
-        backend: B,
-        cfg: ServerConfig,
-        registry: Option<&Arc<MetricsRegistry>>,
-    ) -> io::Result<Self> {
-        let metrics = WireMetrics::new(registry);
-        let (job_tx, job_rx) = bounded::<Job>(cfg.job_queue_depth.max(1));
+    fn start(backend: B, cfg: ServerConfig, registry: Option<&Arc<MetricsRegistry>>) -> Self {
         let shared = Arc::new(Shared {
             gate: AcceptGate::new(cfg.max_connections),
             stopping: Mutex::new(false),
             cfg,
-            metrics: metrics.clone(),
-            job_tx: Mutex::new(Some(job_tx)),
+            metrics: WireMetrics::new(registry),
+            vn_count: backend.vn_count(),
+            backend: Mutex::new(backend),
         });
-        let backend_thread = std::thread::Builder::new()
-            .name("vr-wire-backend".into())
-            .spawn(move || backend_loop(backend, &job_rx, &metrics))?;
-        Ok(Self {
+        Self {
             addr: None,
             #[cfg(unix)]
             uds_path: None,
             shared,
             accept_threads: Vec::new(),
-            backend_thread: Some(backend_thread),
-        })
+        }
     }
 
-    fn spawn_acceptor(
+    fn spawn_acceptor<S: WireStream>(
         &mut self,
         name: &str,
-        run: impl FnOnce(Arc<Shared>) + Send + 'static,
+        accept: impl FnMut() -> io::Result<S> + Send + 'static,
     ) -> io::Result<()> {
         let shared = Arc::clone(&self.shared);
         let handle = std::thread::Builder::new()
             .name(name.into())
-            .spawn(move || run(shared))?;
+            .spawn(move || accept_loop(accept, &shared))?;
         self.accept_threads.push(handle);
         Ok(())
     }
@@ -459,25 +399,23 @@ impl<B: WireBackend> WireServer<B> {
         self.shared.gate.active()
     }
 
-    /// Stops accepting, disconnects the job queue, joins the backend
-    /// thread, and returns the backend (so a test can compare the
-    /// served state against an oracle).
+    /// Stops accepting, joins every connection thread, and returns the
+    /// backend (so a test can compare the served state against an
+    /// oracle). A connection notices the stop after its current read,
+    /// or within a reader tick when idle; one blocked writing to a peer
+    /// that stopped reading is bounded by the write timeout.
     #[must_use = "the returned backend carries final state; drop it explicitly if unwanted"]
-    pub fn shutdown(mut self) -> Option<B> {
-        self.stop_accepting();
-        // Replacing the shared handle is not possible (connections hold
-        // clones), but connection readers observe `stopping` within a
-        // reader tick and drop their job senders; the backend exits
-        // when the channel fully disconnects.
-        let backend = self.backend_thread.take().and_then(|h| h.join().ok());
-        #[cfg(unix)]
-        if let Some(path) = self.uds_path.take() {
-            let _ = std::fs::remove_file(path);
-        }
-        backend
+    pub fn shutdown(self) -> Option<B> {
+        let shared = Arc::clone(&self.shared);
+        // Drop stops the accept loops, which join their connections:
+        // afterwards `shared` is the last reference.
+        drop(self);
+        Arc::try_unwrap(shared).ok().map(|s| s.backend.into_inner())
     }
+}
 
-    fn stop_accepting(&mut self) {
+impl<B: WireBackend> Drop for WireServer<B> {
+    fn drop(&mut self) {
         *self.shared.stopping.lock() = true;
         // Poke each blocked accept() awake with a throwaway connection.
         if let Some(addr) = self.addr {
@@ -488,19 +426,6 @@ impl<B: WireBackend> WireServer<B> {
             let _ = UnixStream::connect(path);
         }
         for handle in self.accept_threads.drain(..) {
-            let _ = handle.join();
-        }
-        // Release the server's own job sender: the backend now exits as
-        // soon as every connection reader (each observes `stopping`
-        // within a reader tick) drops its clone.
-        *self.shared.job_tx.lock() = None;
-    }
-}
-
-impl<B: WireBackend> Drop for WireServer<B> {
-    fn drop(&mut self) {
-        self.stop_accepting();
-        if let Some(handle) = self.backend_thread.take() {
             let _ = handle.join();
         }
         #[cfg(unix)]
@@ -520,44 +445,35 @@ impl<B: WireBackend> std::fmt::Debug for WireServer<B> {
     }
 }
 
-fn tcp_accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
+/// One listener's loop. It owns the threads of the connections it
+/// admitted: finished ones are pruned on each admit, and the rest are
+/// joined when the server stops, so joining the accept thread joins
+/// every connection it started.
+fn accept_loop<B: WireBackend, S: WireStream>(
+    mut accept: impl FnMut() -> io::Result<S>,
+    shared: &Arc<Shared<B>>,
+) {
+    let mut connections: Vec<JoinHandle<()>> = Vec::new();
     loop {
-        let Ok((stream, _)) = listener.accept() else {
-            if *shared.stopping.lock() {
-                return;
-            }
-            continue;
-        };
-        if *shared.stopping.lock() {
-            return;
+        let accepted = accept();
+        if shared.stopping() {
+            break;
         }
-        admit(stream, shared);
+        let Ok(stream) = accepted else { continue };
+        connections.retain(|c| !c.is_finished());
+        connections.extend(admit(stream, shared));
+    }
+    for connection in connections {
+        let _ = connection.join();
     }
 }
 
-#[cfg(unix)]
-fn uds_accept_loop(listener: &UnixListener, shared: &Arc<Shared>) {
-    loop {
-        let Ok((stream, _)) = listener.accept() else {
-            if *shared.stopping.lock() {
-                return;
-            }
-            continue;
-        };
-        if *shared.stopping.lock() {
-            return;
-        }
-        admit(stream, shared);
-    }
-}
-
-/// Gate + spawn for one fresh connection; works for any stream kind
-/// that is both sheddable (`vr_obs::ShedStream`) and servable
-/// ([`WireStream`]).
-fn admit<S>(stream: S, shared: &Arc<Shared>)
-where
-    S: WireStream + vr_obs::ShedStream + 'static,
-{
+/// Gate + spawn for one fresh connection; `None` when it was shed or
+/// its thread could not be spawned.
+fn admit<B: WireBackend, S: WireStream>(
+    stream: S,
+    shared: &Arc<Shared<B>>,
+) -> Option<JoinHandle<()>> {
     let Some(permit) = shared.gate.try_admit() else {
         WireMetrics::bump(&shared.metrics.shed_connections, 0, 1);
         let refusal = encode(&Message::Overloaded {
@@ -570,184 +486,187 @@ where
             &refusal,
             Duration::from_millis(shared.cfg.write_timeout_ms),
         );
-        return;
-    };
-    let Some(job_tx) = shared.job_tx.lock().clone() else {
-        // Shutdown raced the accept: no backend to serve this socket.
-        return;
+        return None;
     };
     WireMetrics::bump(&shared.metrics.connections, 0, 1);
-    let conn_shared = Arc::clone(shared);
-    let spawned = std::thread::Builder::new()
+    let shared = Arc::clone(shared);
+    // Spawn failure (resource exhaustion): the permit drops with the
+    // closure; the socket closes unreplied, which the client sees as a
+    // refused connection.
+    std::thread::Builder::new()
         .name("vr-wire-conn".into())
         .spawn(move || {
-            // Held for the reader's lifetime; the writer's final flush
-            // after reader exit is bounded by the write timeout.
             let _permit = permit;
-            serve_connection(Arc::new(stream), &conn_shared, &job_tx);
-        });
-    // Spawn failure (resource exhaustion): the permit already dropped
-    // with the closure; the socket closes unreplied, which the client
-    // sees as a refused connection.
-    drop(spawned);
+            serve_connection(stream, &shared);
+        })
+        .ok()
 }
 
-/// The reader side of one connection: decode frames, run admission,
-/// forward work to the backend, echo pings locally.
-fn serve_connection(stream: Arc<dyn WireStream>, shared: &Arc<Shared>, job_tx: &Sender<Job>) {
+/// One connection, start to finish: read, serve every complete frame
+/// the read delivered, write all their replies at once, repeat.
+fn serve_connection<B: WireBackend, S: WireStream>(mut stream: S, shared: &Shared<B>) {
     stream.set_timeouts(
         READER_TICK,
         Duration::from_millis(shared.cfg.write_timeout_ms),
     );
-    let (reply_tx, reply_rx) = bounded::<Message>(shared.cfg.writer_queue_depth.max(1));
-    let writer_stream = Arc::clone(&stream);
-    let writer = std::thread::Builder::new()
-        .name("vr-wire-writer".into())
-        .spawn(move || writer_loop(&writer_stream, &reply_rx));
-    if writer.is_err() {
-        stream.shutdown_both();
-        return;
-    }
-    let mut decoder = FrameDecoder::new();
-    let mut bucket = TokenBucket::new(shared.cfg.rate_limit_pps, shared.cfg.rate_burst);
-    let mut read_buf = [0u8; 16 * 1024];
-    'conn: loop {
-        match stream.read_some(&mut read_buf) {
-            Ok(0) => break 'conn,
-            Ok(n) => decoder.feed(&read_buf[..n]),
+    let mut conn = Connection {
+        shared,
+        decoder: FrameDecoder::new(),
+        bucket: TokenBucket::new(shared.cfg.rate_limit_pps, shared.cfg.rate_burst),
+        group: Group::default(),
+        out: Vec::with_capacity(4 * 1024),
+    };
+    let mut read_buf = vec![0u8; READ_BUF_LEN];
+    loop {
+        let read = stream.read(&mut read_buf);
+        if shared.stopping() {
+            return;
+        }
+        match read {
+            Ok(0) => return,
+            Ok(n) => conn.decoder.feed(&read_buf[..n]),
             Err(e)
                 if matches!(
                     e.kind(),
                     io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::Interrupted
                 ) =>
             {
-                if *shared.stopping.lock() {
-                    break 'conn;
-                }
-                continue;
+                continue
             }
-            Err(_) => break 'conn,
+            Err(_) => return,
         }
-        loop {
-            match decoder.next_message() {
-                Ok(Some(msg)) => {
-                    if !handle_frame(msg, &stream, shared, job_tx, &mut bucket, &reply_tx) {
-                        break 'conn;
-                    }
-                }
-                Ok(None) => break,
-                Err(err) => {
-                    // Framing is unrecoverable: report once, then tear
-                    // the connection down (fail-stop, no resync).
-                    WireMetrics::bump(&shared.metrics.decode_errors, 0, 1);
-                    let _ = reply_tx.try_send(error_reply(0, &err));
-                    break 'conn;
-                }
+        let open = conn.serve_frames();
+        if let Err(e) = stream.write_all(&conn.out) {
+            if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) {
+                // The peer sends but does not read: the write timeout
+                // ran out. Cut it loose.
+                WireMetrics::bump(&shared.metrics.slow_reader_disconnects, 0, 1);
             }
+            return;
         }
-    }
-    // Dropping the last reply sender lets the writer drain and exit;
-    // the socket closes when the writer's Arc drops.
-    drop(reply_tx);
-}
-
-/// Routes one decoded frame. Returns `false` when the connection must
-/// close (slow reader or server stopping).
-fn handle_frame(
-    msg: Message,
-    stream: &Arc<dyn WireStream>,
-    shared: &Arc<Shared>,
-    job_tx: &Sender<Job>,
-    bucket: &mut TokenBucket,
-    reply_tx: &Sender<Message>,
-) -> bool {
-    let metrics = &shared.metrics;
-    // (correlation id, token cost) for the two work-frame kinds; None
-    // for everything else.
-    let work = match &msg {
-        Message::LookupRequest { id, packets } => Some((*id, packets.len() as u64)),
-        Message::RouteUpdateBatch { id, updates } => Some((*id, updates.len() as u64)),
-        _ => None,
-    };
-    let reply = if let Some((id, cost)) = work {
-        WireMetrics::bump(&metrics.requests, 0, 1);
-        if !bucket.try_take(cost.max(1)) {
-            WireMetrics::bump(&metrics.shed_rate_limited, 0, 1);
-            Some(overloaded(id, OverloadReason::RateLimited, shared))
-        } else {
-            let job = Job {
-                msg,
-                reply: ReplyTo {
-                    queue: reply_tx.clone(),
-                    stream: Arc::clone(stream),
-                },
-            };
-            match job_tx.try_send(job) {
-                Ok(()) => None,
-                Err(TrySendError::Full(job)) => {
-                    WireMetrics::bump(&metrics.shed_queue_full, 0, 1);
-                    drop(job);
-                    Some(overloaded(id, OverloadReason::QueueFull, shared))
-                }
-                Err(TrySendError::Disconnected(_)) => return false,
-            }
-        }
-    } else if let Message::Ping { id } = msg {
-        Some(Message::Pong { id })
-    } else {
-        Some(Message::ErrorReply {
-            id: msg.id(),
-            code: ErrorCode::BadRequest,
-            message: format!("unexpected client frame type 0x{:02x}", msg.frame_type()),
-        })
-    };
-    let Some(reply) = reply else { return true };
-    match reply_tx.try_send(reply) {
-        Ok(()) => true,
-        Err(_) => {
-            // Reply queue full while we are still reading: the peer
-            // writes but does not read. Disconnect it.
-            WireMetrics::bump(&metrics.slow_reader_disconnects, 0, 1);
-            stream.shutdown_both();
-            false
-        }
-    }
-}
-
-fn overloaded(id: u64, reason: OverloadReason, shared: &Arc<Shared>) -> Message {
-    Message::Overloaded {
-        id,
-        reason,
-        retry_after_ms: shared.cfg.retry_after_ms,
-    }
-}
-
-fn error_reply(id: u64, err: &WireError) -> Message {
-    Message::ErrorReply {
-        id,
-        code: ErrorCode::BadRequest,
-        message: err.to_string(),
-    }
-}
-
-/// Writer side of one connection: encode and flush queued replies.
-fn writer_loop(stream: &Arc<dyn WireStream>, reply_rx: &Receiver<Message>) {
-    let mut buf = Vec::with_capacity(4 * 1024);
-    while let Ok(msg) = reply_rx.recv() {
-        buf.clear();
-        encode_into(&msg, &mut buf);
-        if stream.write_frame(&buf).is_err() {
-            stream.shutdown_both();
+        conn.out.clear();
+        if !open {
             return;
         }
     }
 }
 
-/// Key cap of one backend call: the backend thread stops adding
-/// queued lookup frames to a group once it holds this many keys. A few
-/// thousand keys per worker is where the service hand-off costs 1.03×
-/// the walk (ROADMAP, layer budget); past that a larger call only
-/// delays the group's first reply.
+/// What one connection's thread keeps between reads.
+struct Connection<'a, B> {
+    shared: &'a Shared<B>,
+    decoder: FrameDecoder,
+    bucket: TokenBucket,
+    group: Group,
+    /// The replies to the current read's frames, encoded back to back.
+    out: Vec<u8>,
+}
+
+impl<B: WireBackend> Connection<'_, B> {
+    /// Serves every complete frame the decoder holds, appending each
+    /// reply to `out` in request order. Returns `false` when the stream
+    /// is poisoned and the connection must close.
+    fn serve_frames(&mut self) -> bool {
+        loop {
+            match self.decoder.next_message() {
+                Ok(Some(msg)) => self.handle(msg),
+                Ok(None) => {
+                    self.group.serve(&self.shared.backend, &mut self.out);
+                    return true;
+                }
+                Err(err) => {
+                    // Framing is unrecoverable: report once, then tear
+                    // the connection down (fail-stop, no resync).
+                    WireMetrics::bump(&self.shared.metrics.decode_errors, 0, 1);
+                    self.reply(&Message::ErrorReply {
+                        id: 0,
+                        code: ErrorCode::BadRequest,
+                        message: err.to_string(),
+                    });
+                    return false;
+                }
+            }
+        }
+    }
+
+    /// Routes one decoded frame: a hosted lookup joins the open group;
+    /// everything else is answered after it.
+    fn handle(&mut self, msg: Message) {
+        let shared = self.shared;
+        let metrics = &shared.metrics;
+        // Token cost of the two work-frame kinds; pings and the rest
+        // are free.
+        let cost = match &msg {
+            Message::LookupRequest { packets, .. } => Some(packets.len()),
+            Message::RouteUpdateBatch { updates, .. } => Some(updates.len()),
+            _ => None,
+        };
+        if let Some(cost) = cost {
+            WireMetrics::bump(&metrics.requests, 0, 1);
+            if !self.bucket.try_take((cost as u64).max(1)) {
+                WireMetrics::bump(&metrics.shed_rate_limited, 0, 1);
+                self.reply(&Message::Overloaded {
+                    id: msg.id(),
+                    reason: OverloadReason::RateLimited,
+                    retry_after_ms: shared.cfg.retry_after_ms,
+                });
+                return;
+            }
+        }
+        let reply = match msg {
+            Message::LookupRequest { id, packets } => {
+                match packets.iter().find(|&&(vn, _)| usize::from(vn) >= shared.vn_count) {
+                    Some(&(vn, _)) => Message::ErrorReply {
+                        id,
+                        code: ErrorCode::UnknownVn,
+                        message: format!("vn {vn} is not hosted ({} are)", shared.vn_count),
+                    },
+                    None => {
+                        if !self.group.admits(packets.len()) {
+                            self.group.serve(&shared.backend, &mut self.out);
+                        }
+                        WireMetrics::bump(&metrics.lookup_packets, 0, packets.len() as u64);
+                        self.group.keys.extend_from_slice(&packets);
+                        self.group.frames.push((id, packets.len()));
+                        return;
+                    }
+                }
+            }
+            Message::RouteUpdateBatch { id, updates } => {
+                // A barrier: the lookups before it resolve first.
+                self.group.serve(&shared.backend, &mut self.out);
+                WireMetrics::bump(&metrics.updates, 0, updates.len() as u64);
+                match shared.backend.lock().apply_updates(&updates) {
+                    Ok(generation) => Message::UpdateAck { id, generation },
+                    Err(message) => Message::ErrorReply {
+                        id,
+                        code: ErrorCode::Internal,
+                        message,
+                    },
+                }
+            }
+            Message::Ping { id } => Message::Pong { id },
+            other => Message::ErrorReply {
+                id: other.id(),
+                code: ErrorCode::BadRequest,
+                message: format!("unexpected client frame type 0x{:02x}", other.frame_type()),
+            },
+        };
+        self.reply(&reply);
+    }
+
+    /// Answers a frame that does not join the group, after the group's
+    /// own replies.
+    fn reply(&mut self, msg: &Message) {
+        self.group.serve(&self.shared.backend, &mut self.out);
+        encode_into(msg, &mut self.out);
+    }
+}
+
+/// Key cap of one backend call: a connection stops adding lookup
+/// frames to a group once it holds this many keys. A few thousand keys
+/// per worker is where the service hand-off costs 1.03× the walk
+/// (ROADMAP, layer budget); past that a larger call only delays the
+/// group's first reply.
 const GROUP_KEY_CAP: usize = 8 * 1024;
 
 /// The lookup frames one backend call serves: their keys back to back
@@ -755,8 +674,8 @@ const GROUP_KEY_CAP: usize = 8 * 1024;
 #[derive(Default)]
 struct Group {
     keys: Vec<(VnId, u32)>,
-    /// (correlation id, key count, destination), in dequeue order.
-    frames: Vec<(u64, usize, ReplyTo)>,
+    /// (correlation id, key count), in request order.
+    frames: Vec<(u64, usize)>,
 }
 
 impl Group {
@@ -767,16 +686,17 @@ impl Group {
         self.frames.is_empty() || self.keys.len() + n <= GROUP_KEY_CAP
     }
 
-    /// One backend call for the whole group, then one `LookupResponse`
-    /// per frame, all tagged with the generation that call resolved
-    /// against. Leaves the group empty.
-    fn serve<B: WireBackend>(&mut self, backend: &mut B, metrics: &WireMetrics) {
+    /// One backend call for the whole group under one acquisition of
+    /// the lock, then one `LookupResponse` per frame appended to `out`,
+    /// all tagged with the generation that call resolved against.
+    /// Leaves the group empty.
+    fn serve<B: WireBackend>(&mut self, backend: &Mutex<B>, out: &mut Vec<u8>) {
         if self.frames.is_empty() {
             return;
         }
-        let (results, generation) = backend.lookup(&self.keys);
+        let (results, generation) = backend.lock().lookup(&self.keys);
         let mut rest = results.as_slice();
-        for (id, n, to) in self.frames.drain(..) {
+        for (id, n) in self.frames.drain(..) {
             let reply = match rest.split_at_checked(n) {
                 Some((own, tail)) => {
                     rest = tail;
@@ -792,118 +712,27 @@ impl Group {
                     message: "backend returned fewer results than keys".into(),
                 },
             };
-            to.send(reply, metrics);
+            encode_into(&reply, out);
         }
         self.keys.clear();
-    }
-}
-
-/// The single backend thread: owns the engine, serializes lookups and
-/// updates, scatters replies back to connection writer queues.
-///
-/// Lookups are served one backend call per *drained queue*: once a
-/// `LookupRequest` is dequeued, the lookup frames already waiting
-/// behind it join its group (up to [`GROUP_KEY_CAP`] keys), one
-/// `lookup` call resolves them all, and the results are cut back into
-/// one `LookupResponse` per frame, in dequeue order. Whatever is
-/// dequeued next and cannot join — an update, or a frame that would
-/// overflow the cap — closes the group and runs after it, so an update
-/// is still a barrier and every frame of a group carries the one
-/// generation its call resolved against. With one frame in flight a
-/// group is that frame. A frame naming a VN the backend does not host
-/// never joins: it alone is answered `UnknownVn`.
-fn backend_loop<B: WireBackend>(mut backend: B, job_rx: &Receiver<Job>, metrics: &WireMetrics) -> B {
-    let mut group = Group::default();
-    // A lookup frame dequeued for a group it did not fit: opens the next.
-    let mut held: Option<Job> = None;
-    loop {
-        // Block only with no group open; an open group takes what is
-        // already queued and never waits for more.
-        let job = if held.is_some() {
-            held.take()
-        } else if group.frames.is_empty() {
-            match job_rx.recv() {
-                Ok(job) => Some(job),
-                Err(_) => return backend,
-            }
-        } else if group.keys.len() < GROUP_KEY_CAP {
-            job_rx.try_recv().ok()
-        } else {
-            None
-        };
-        match job {
-            Some(Job {
-                msg: Message::LookupRequest { id, packets },
-                reply,
-            }) if group.admits(packets.len()) => {
-                let vn_count = backend.vn_count();
-                match packets.iter().find(|&&(vn, _)| usize::from(vn) >= vn_count) {
-                    Some(&(vn, _)) => reply.send(
-                        Message::ErrorReply {
-                            id,
-                            code: ErrorCode::UnknownVn,
-                            message: format!("vn {vn} is not hosted ({vn_count} are)"),
-                        },
-                        metrics,
-                    ),
-                    None => {
-                        WireMetrics::bump(&metrics.lookup_packets, 0, packets.len() as u64);
-                        group.keys.extend_from_slice(&packets);
-                        group.frames.push((id, packets.len(), reply));
-                    }
-                }
-            }
-            closing => {
-                group.serve(&mut backend, metrics);
-                match closing {
-                    None => {}
-                    Some(job @ Job { msg: Message::LookupRequest { .. }, .. }) => held = Some(job),
-                    Some(Job { msg, reply }) => reply.send(apply(&mut backend, msg, metrics), metrics),
-                }
-            }
-        }
-    }
-}
-
-/// Runs a non-lookup job: a route-update batch, one publish.
-fn apply<B: WireBackend>(backend: &mut B, msg: Message, metrics: &WireMetrics) -> Message {
-    match msg {
-        Message::RouteUpdateBatch { id, updates } => {
-            WireMetrics::bump(&metrics.updates, 0, updates.len() as u64);
-            match backend.apply_updates(&updates) {
-                Ok(generation) => Message::UpdateAck { id, generation },
-                Err(message) => Message::ErrorReply {
-                    id,
-                    code: ErrorCode::Internal,
-                    message,
-                },
-            }
-        }
-        // The reader never forwards anything else.
-        other => Message::ErrorReply {
-            id: other.id(),
-            code: ErrorCode::Internal,
-            message: "non-work frame reached the backend".into(),
-        },
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc::{channel, Receiver, Sender};
     use std::time::Duration;
 
     /// Deterministic engine stand-in: next hop = low byte of (vn + dst),
-    /// zero dst = no route; updates bump the generation. `lookup_delay`
-    /// simulates a slow backend for the queue-watermark tests.
+    /// zero dst = no route; updates bump the generation.
     struct FakeBackend {
         generation: u64,
-        lookup_delay: Duration,
-        /// Key count of every `lookup` call, in call order.
-        calls: Vec<usize>,
-        /// The first `lookup` call blocks until the paired sender fires
-        /// or drops, so a test can fill the job queue behind it.
-        first_call_gate: Option<Receiver<()>>,
+        /// The keys of every `lookup` call, in call order.
+        calls: Vec<Vec<(VnId, u32)>>,
+        /// The first `lookup` call reports that it holds the lock, then
+        /// waits until the test opens the gate (see [`plug`]).
+        first_call_gate: Option<(Sender<()>, Receiver<()>)>,
     }
 
     impl FakeBackend {
@@ -913,7 +742,6 @@ mod tests {
         fn new() -> Self {
             Self {
                 generation: 1,
-                lookup_delay: Duration::ZERO,
                 calls: Vec::new(),
                 first_call_gate: None,
             }
@@ -926,16 +754,19 @@ mod tests {
                 Some((u32::from(vn).wrapping_add(dst) & 0xFF) as u8)
             }
         }
+
+        /// Key count of every call, in call order.
+        fn call_sizes(&self) -> Vec<usize> {
+            self.calls.iter().map(Vec::len).collect()
+        }
     }
 
     impl WireBackend for FakeBackend {
         fn lookup(&mut self, packets: &[(VnId, u32)]) -> (Vec<Option<NextHop>>, u64) {
-            self.calls.push(packets.len());
-            if let Some(gate) = self.first_call_gate.take() {
-                let _ = gate.recv();
-            }
-            if !self.lookup_delay.is_zero() {
-                std::thread::sleep(self.lookup_delay);
+            self.calls.push(packets.to_vec());
+            if let Some((entered, open)) = self.first_call_gate.take() {
+                let _ = entered.send(());
+                let _ = open.recv();
             }
             let results = packets
                 .iter()
@@ -1066,51 +897,6 @@ mod tests {
         drop(server);
     }
 
-    #[test]
-    fn full_job_queue_sheds_with_queue_full() {
-        let cfg = ServerConfig {
-            job_queue_depth: 1,
-            writer_queue_depth: 64,
-            ..ServerConfig::default()
-        };
-        let mut backend = FakeBackend::new();
-        backend.lookup_delay = Duration::from_millis(50);
-        let server = WireServer::serve_tcp("127.0.0.1:0", backend, cfg, None).expect("bind");
-        let addr = server.local_addr().expect("addr");
-        let mut client = crate::WireClient::connect_tcp(addr).expect("connect");
-        client
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .expect("timeout");
-        // Flood without reading: the slow backend drains one job at a
-        // time, so most of the burst must bounce off the depth-1 queue.
-        let burst = 8;
-        for i in 0..burst {
-            client
-                .send(&Message::LookupRequest {
-                    id: 100 + i,
-                    packets: vec![(0, 1)],
-                })
-                .expect("send");
-        }
-        let mut served = 0;
-        let mut shed = 0;
-        for _ in 0..burst {
-            match client.recv().expect("reply") {
-                Message::LookupResponse { .. } => served += 1,
-                Message::Overloaded {
-                    reason: OverloadReason::QueueFull,
-                    ..
-                } => shed += 1,
-                other => panic!("unexpected reply {other:?}"),
-            }
-        }
-        assert!(served >= 1, "at least one admitted");
-        assert!(shed >= 1, "at least one shed, served={served}");
-        // Live after the storm.
-        client.ping().expect("connection survived");
-        drop(server);
-    }
-
     #[cfg(unix)]
     #[test]
     fn uds_round_trip() {
@@ -1153,16 +939,23 @@ mod tests {
         assert_eq!(count("vr_wire_lookup_packets_total"), Some(1));
     }
 
-    /// A server whose first `lookup` call blocks until the returned
-    /// sender fires: whatever the test sends meanwhile queues behind it.
-    fn start_gated() -> (WireServer<FakeBackend>, crate::WireClient, Sender<()>) {
-        let (open, gate) = bounded(1);
+    /// The test's side of [`FakeBackend::first_call_gate`].
+    struct Gate {
+        entered: Receiver<()>,
+        open: Sender<()>,
+    }
+
+    /// A server whose first `lookup` call holds the backend lock until
+    /// the test opens the gate.
+    fn start_gated() -> (WireServer<FakeBackend>, crate::WireClient, Gate) {
+        let (entered_tx, entered) = channel();
+        let (open, open_rx) = channel();
         let mut backend = FakeBackend::new();
-        backend.first_call_gate = Some(gate);
+        backend.first_call_gate = Some((entered_tx, open_rx));
         let server = WireServer::serve_tcp("127.0.0.1:0", backend, ServerConfig::default(), None)
             .expect("bind");
         let client = connect(&server);
-        (server, client, open)
+        (server, client, Gate { entered, open })
     }
 
     fn connect(server: &WireServer<FakeBackend>) -> crate::WireClient {
@@ -1174,12 +967,35 @@ mod tests {
         client
     }
 
+    /// Correlation id of the one-key frame that holds the gate.
+    const PLUG: u64 = 999;
+
+    /// Sends the [`PLUG`] frame and waits until its call holds the lock.
+    /// The connection's thread is parked in that call, so the frames the
+    /// test writes next wait in the socket, and its next read takes
+    /// them all at once.
+    fn plug(client: &mut crate::WireClient, gate: &Gate) {
+        send_lookup(client, PLUG, 1);
+        gate.entered.recv().expect("the plug's call holds the lock");
+    }
+
+    /// Opens the gate; the plug's reply comes first.
+    fn unplug(client: &mut crate::WireClient, gate: &Gate) {
+        gate.open.send(()).expect("the plug's call waits on the gate");
+        expect_lookup_reply(client, PLUG, 1);
+    }
+
     /// `n` keys that are `id`'s alone, so a reply cut from the wrong
     /// part of a grouped result cannot pass for the right one.
     fn keys_of(id: u64, n: usize) -> Vec<(VnId, u32)> {
         (0..n)
             .map(|i| ((id % FakeBackend::VNS as u64) as VnId, (id as u32) * 100_000 + i as u32))
             .collect()
+    }
+
+    /// The frame id a [`keys_of`] key belongs to.
+    fn owner(&(_, dst): &(VnId, u32)) -> u64 {
+        u64::from(dst / 100_000)
     }
 
     /// What the backend answers for [`keys_of`]`(id, n)`.
@@ -1199,14 +1015,6 @@ mod tests {
             .expect("send");
     }
 
-    /// The reader handles a connection's frames in order, so once the
-    /// pong is back every work frame sent before the ping sits in the
-    /// job queue. Only valid while the gate holds the backend (no
-    /// lookup reply can overtake the pong).
-    fn enqueue_barrier(client: &mut crate::WireClient) {
-        client.ping().expect("pong: earlier frames are queued");
-    }
-
     /// Receives the `LookupResponse` for (`id`, `n`) and checks every
     /// result; returns its generation.
     fn expect_lookup_reply(client: &mut crate::WireClient, id: u64, n: usize) -> u64 {
@@ -1224,18 +1032,10 @@ mod tests {
         generation
     }
 
-    fn assert_grouped(calls: &[usize], frames: usize, keys: usize) {
-        assert!(
-            calls.len() < frames,
-            "{frames} queued frames must share backend calls, saw {calls:?}"
-        );
-        assert!(calls.iter().all(|&n| n <= GROUP_KEY_CAP), "call above the cap: {calls:?}");
-        assert_eq!(calls.iter().sum::<usize>(), keys, "every key looked up once: {calls:?}");
-    }
-
     #[test]
     fn queued_frames_share_calls_and_an_update_is_a_barrier() {
-        let (server, mut client, open) = start_gated();
+        let (server, mut client, gate) = start_gated();
+        plug(&mut client, &gate);
         let burst = 8u64;
         for id in 1..=burst {
             send_lookup(&mut client, id, id as usize);
@@ -1254,8 +1054,7 @@ mod tests {
         for id in 101..=100 + burst {
             send_lookup(&mut client, id, (id - 100) as usize);
         }
-        enqueue_barrier(&mut client);
-        open.send(()).expect("backend waits on the gate");
+        unplug(&mut client, &gate);
 
         for id in 1..=burst {
             assert_eq!(expect_lookup_reply(&mut client, id, id as usize), 1, "before the update");
@@ -1270,23 +1069,22 @@ mod tests {
             assert_eq!(expect_lookup_reply(&mut client, id, n), 2, "after the update");
         }
         let backend = server.shutdown().expect("backend");
-        let keys = 2 * (1..=burst as usize).sum::<usize>();
-        assert_grouped(&backend.calls, 2 * burst as usize, keys);
+        // The plug, then one call on each side of the update.
+        let per_side = (1..=burst as usize).sum::<usize>();
+        assert_eq!(backend.call_sizes(), vec![1, per_side, per_side]);
     }
 
     #[test]
     fn interleaved_connections_each_get_their_own_replies() {
-        let (server, mut a, open) = start_gated();
+        let (server, mut a, gate) = start_gated();
         let mut b = connect(&server);
+        plug(&mut a, &gate);
         let per_conn = 6u64;
-        // A barrier after every frame pins the queue order to A, B, A, B…
         for i in 0..per_conn {
             send_lookup(&mut a, 1_000 + i, 3);
-            enqueue_barrier(&mut a);
             send_lookup(&mut b, 2_000 + i, 5);
-            enqueue_barrier(&mut b);
         }
-        open.send(()).expect("backend waits on the gate");
+        unplug(&mut a, &gate);
         for i in 0..per_conn {
             expect_lookup_reply(&mut a, 1_000 + i, 3);
             expect_lookup_reply(&mut b, 2_000 + i, 5);
@@ -1295,25 +1093,35 @@ mod tests {
         a.ping().expect("a idle");
         b.ping().expect("b idle");
         let backend = server.shutdown().expect("backend");
-        assert_grouped(&backend.calls, 2 * per_conn as usize, per_conn as usize * 8);
+        // Groups never span connections: every call's keys come from
+        // one connection (A's ids are 1 000.., B's 2 000..).
+        let connection_of = |call: &Vec<(VnId, u32)>| {
+            let conns: std::collections::BTreeSet<u64> = call.iter().map(|k| owner(k) / 1_000).collect();
+            assert_eq!(conns.len(), 1, "a call spans connections: {call:?}");
+            conns.into_iter().next()
+        };
+        let by_conn: Vec<_> = backend.calls.iter().map(connection_of).collect();
+        // A's burst, written while A's thread held the gate, is one call.
+        assert_eq!(by_conn.iter().filter(|&&c| c == Some(1)).count(), 1, "{by_conn:?}");
+        let keys: usize = backend.call_sizes().iter().sum();
+        assert_eq!(keys, 1 + per_conn as usize * 8, "every key looked up once");
     }
 
     #[test]
     fn frame_above_the_cap_is_served_alone() {
-        let (server, mut client, open) = start_gated();
+        let (server, _) = start_tcp(ServerConfig::default());
+        let mut client = connect(&server);
         let big = GROUP_KEY_CAP + 1;
         send_lookup(&mut client, 1, 2);
         send_lookup(&mut client, 2, big);
         send_lookup(&mut client, 3, 2);
         send_lookup(&mut client, 4, 2);
-        enqueue_barrier(&mut client);
-        open.send(()).expect("backend waits on the gate");
         expect_lookup_reply(&mut client, 1, 2);
         expect_lookup_reply(&mut client, 2, big);
         expect_lookup_reply(&mut client, 3, 2);
         expect_lookup_reply(&mut client, 4, 2);
         let backend = server.shutdown().expect("backend");
-        let calls = &backend.calls;
+        let calls = backend.call_sizes();
         assert_eq!(calls.iter().filter(|&&n| n == big).count(), 1, "alone: {calls:?}");
         assert!(calls.iter().all(|&n| n == big || n <= GROUP_KEY_CAP), "{calls:?}");
         assert_eq!(calls.iter().sum::<usize>(), big + 6);
@@ -1321,7 +1129,8 @@ mod tests {
 
     #[test]
     fn unknown_vn_frame_is_refused_alone_inside_a_burst() {
-        let (server, mut client, open) = start_gated();
+        let (server, mut client, gate) = start_gated();
+        plug(&mut client, &gate);
         send_lookup(&mut client, 1, 4);
         send_lookup(&mut client, 2, 4);
         let mut poisoned = keys_of(3, 4);
@@ -1334,30 +1143,32 @@ mod tests {
             .expect("send");
         send_lookup(&mut client, 4, 4);
         send_lookup(&mut client, 5, 4);
-        enqueue_barrier(&mut client);
-        open.send(()).expect("backend waits on the gate");
-        // The refusal is sent when the frame is dequeued, so it may
-        // overtake its neighbours' results; they stay in order.
-        let mut refused = false;
-        let mut served = Vec::new();
-        for _ in 0..5 {
-            match client.recv().expect("reply") {
+        client.send(&Message::Ping { id: 6 }).expect("send ping");
+        unplug(&mut client, &gate);
+        // Every reply in request order: the refusal and the pong do not
+        // overtake their neighbours.
+        expect_lookup_reply(&mut client, 1, 4);
+        expect_lookup_reply(&mut client, 2, 4);
+        let refusal = client.recv().expect("refusal");
+        assert!(
+            matches!(
+                refusal,
                 Message::ErrorReply {
                     id: 3,
                     code: ErrorCode::UnknownVn,
                     ..
-                } => refused = true,
-                Message::LookupResponse { id, results, .. } => {
-                    assert_eq!(results, results_of(id, 4), "neighbour {id} is unaffected");
-                    served.push(id);
                 }
-                other => panic!("unexpected reply {other:?}"),
-            }
-        }
-        assert!(refused, "frame 3 answered UnknownVn");
-        assert_eq!(served, vec![1, 2, 4, 5]);
+            ),
+            "got {refusal:?}"
+        );
+        expect_lookup_reply(&mut client, 4, 4);
+        expect_lookup_reply(&mut client, 5, 4);
+        let pong = client.recv().expect("pong");
+        assert!(matches!(pong, Message::Pong { id: 6 }), "got {pong:?}");
         client.ping().expect("connection survives the refusal");
         let backend = server.shutdown().expect("backend");
-        assert_eq!(backend.calls.iter().sum::<usize>(), 16, "refused keys never reach the backend");
+        // Refused keys never reach the backend; the refusal closes the
+        // group of 1 and 2, and 4 and 5 open the next.
+        assert_eq!(backend.call_sizes(), vec![1, 8, 8]);
     }
 }

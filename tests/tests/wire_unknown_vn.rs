@@ -1,8 +1,8 @@
 //! Regression: a `LookupRequest` naming a VN the backend does not host
 //! used to reach `JumpTrie::lookup_vn` unchecked, index the next-hop
 //! slab past its row, and — when that panicked a worker — kill the
-//! backend thread, after which the server closed every existing and
-//! every new connection. One hostile frame must cost one typed
+//! thread that owned the service, after which the server closed every
+//! existing and every new connection. One hostile frame must cost one typed
 //! `ErrorReply { code: UnknownVn }` and nothing else.
 //!
 //! The wire tier's typed reply sits ahead of the walk; the walk itself
@@ -76,11 +76,10 @@ fn unknown_vn_gets_a_typed_error_and_the_server_keeps_serving() {
         );
     }
 
-    // Same connection, a fresh connection, and the backend thread are
-    // all still alive.
+    // The same connection and a fresh one are both still served.
     expect_served(&mut client, &tables, &known);
     expect_served(&mut connect(&server), &tables, &known);
-    assert!(server.shutdown().is_some(), "backend thread survived and returned the service");
+    assert!(server.shutdown().is_some(), "the server survived and returned the service");
 }
 
 /// Below the wire tier an unhosted VN is a miss at every entry point: the
