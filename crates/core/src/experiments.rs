@@ -7,11 +7,13 @@
 //!
 //! The sweeps over K build each structure once and price it many times
 //! ([`crate::scenario`]'s two halves). One α family is generated at the
-//! sweep's largest K and sliced — families are prefix-nested — its
-//! single-table engines are built once and NV and VS at K price the first
-//! K of them, and its merged engines at K = 1..k_max come off one growing
-//! `MergedTrie` (`merged_chain`). Only those independent builds are fanned
-//! across threads; the points are priced in a serial loop, each through
+//! sweep's largest K — families are prefix-nested, so its first K tables
+//! are the family at K — merged into one `MergedTrie`, and walked once
+//! ([`MergedTrie::sweep_stats`]). Every structure a sweep prices is read
+//! off that walk: NV and VS at K price the family's first K single-table
+//! engines, the merged engine at K is the trie over its first K tables,
+//! and no trie is leaf-pushed. Only the per-family jobs are fanned across
+//! threads; the points are priced in a serial loop, each through
 //! [`Scenario::price`] with every check a from-scratch
 //! [`Scenario::build`] runs. Nothing is kept between calls. Single-K
 //! studies call [`Scenario::build`] directly.
@@ -33,7 +35,6 @@ use crate::resources::MergedMemoryModel;
 use crate::scenario::{EngineStructure, Scenario, ScenarioSpec};
 use crate::validate::validate_scenario;
 use crate::PowerError;
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use vr_fpga::bram::single_block_power_mw;
 use vr_fpga::logic::stage_logic_power_mw;
@@ -45,7 +46,7 @@ use vr_net::synth::{FamilySpec, PrefixLenDistribution};
 use vr_net::RoutingTable;
 use vr_trie::calibrate::CalibrationSpec;
 use vr_trie::pipeline_map::{MemoryLayout, PAPER_PIPELINE_STAGES};
-use vr_trie::{LeafPushedTrie, MergedTrie, PipelineProfile};
+use vr_trie::{MergedTrie, PipelineProfile, SweepStats, TrieStats};
 
 /// Frequencies swept in Figs. 2 and 3 (MHz).
 pub const FREQ_SWEEP_MHZ: [f64; 9] = [
@@ -314,104 +315,42 @@ const MBIT: f64 = 1024.0 * 1024.0;
 /// A job is whatever shares nothing but read-only inputs with its
 /// siblings. For the studies that vary a load, a stride, a device or a µ
 /// vector over fixed tables that is one sweep point. For the K sweeps it
-/// is not: the points of one table family share their structures
-/// ([`separate_by_k`], [`merged_by_k`]), so those sweeps fan only the
-/// single-table pass and one growth chain per α family, and price the
-/// points in a serial loop.
+/// is not: every point of one table family reads its structures off that
+/// family's one walk ([`family_sweep`]), so those sweeps fan one job per
+/// α family and price the points in a serial loop.
 fn fan_out<P, R, F>(points: Vec<P>, work: F) -> Result<Vec<R>, PowerError>
 where
     P: Send,
     R: Send,
     F: Fn(P) -> Result<R, PowerError> + Sync,
 {
-    let slots: Mutex<Vec<Option<Result<R, PowerError>>>> =
-        Mutex::new(points.iter().map(|_| None).collect());
+    let work = &work;
     crossbeam::thread::scope(|scope| {
-        for (i, point) in points.into_iter().enumerate() {
-            let slots = &slots;
-            let work = &work;
-            scope.spawn(move |_| {
-                let result = work(point);
-                slots.lock()[i] = Some(result);
-            });
-        }
+        let jobs: Vec<_> = points
+            .into_iter()
+            .map(|point| scope.spawn(move |_| work(point)))
+            .collect();
+        jobs.into_iter()
+            .map(|job| job.join().expect("experiment worker panicked"))
+            .collect()
     })
-    .expect("experiment worker panicked");
-    slots
-        .into_inner()
-        .into_iter()
-        .map(|slot| slot.expect("worker filled its slot"))
-        .collect()
+    .expect("experiment worker panicked")
 }
 
-/// Walks K up one table family on a single growing [`MergedTrie`]. For
-/// each `k` of the ascending `ks`, tables `..k` are announced — each table
-/// once over the whole walk, through [`MergedTrie::add_vn`] — and `visit`
-/// sees the arity-`k` trie, the one
-/// `MergedTrie::from_tables(&tables[..k])` builds.
-///
-/// # Panics
-/// Panics unless `ks` ascends within `1..=tables.len()`.
-fn merged_chain<R>(
-    tables: &[RoutingTable],
-    ks: impl IntoIterator<Item = usize>,
-    mut visit: impl FnMut(&MergedTrie) -> Result<R, PowerError>,
-) -> Result<Vec<R>, PowerError> {
-    let mut trie = MergedTrie::new(1)?;
-    let mut announced = 0;
-    let mut out = Vec::new();
-    for k in ks {
-        assert!(
-            k > announced && k <= tables.len(),
-            "ks must ascend within the family"
-        );
-        for (vn, table) in tables.iter().enumerate().take(k).skip(announced) {
-            if vn > 0 {
-                trie.add_vn()?;
-            }
-            for entry in table.iter() {
-                trie.insert(vn, entry.prefix, entry.next_hop);
-            }
-        }
-        announced = k;
-        out.push(visit(&trie)?);
-    }
-    Ok(out)
-}
-
-/// Builds, once per family, the structure a K sweep prices at every
-/// K = 1..=`tables.len()`: index `k - 1` holds the structure over
-/// `&tables[..k]`.
-type ByK = fn(&[RoutingTable], usize, MemoryLayout) -> Result<Vec<EngineStructure>, PowerError>;
-
-/// [`ByK`] for the K single-table engines NV and VS share: one engine
-/// per table, built once; K takes the first K.
-fn separate_by_k(
-    tables: &[RoutingTable],
-    stages: usize,
-    layout: MemoryLayout,
-) -> Result<Vec<EngineStructure>, PowerError> {
-    let singles = EngineStructure::separate(tables, stages, layout)?;
-    Ok((1..=tables.len()).map(|k| singles.first(k)).collect())
-}
-
-/// [`ByK`] for the merged engine, along one [`merged_chain`].
-fn merged_by_k(
-    tables: &[RoutingTable],
-    stages: usize,
-    layout: MemoryLayout,
-) -> Result<Vec<EngineStructure>, PowerError> {
-    merged_chain(tables, 1..=tables.len(), |trie| {
-        EngineStructure::merged(trie, stages, layout)
-    })
+/// One α family's K sweep: its `k` tables are generated at shared
+/// fraction `frac`, merged into one [`MergedTrie`], and walked once. Every
+/// structure a sweep prices at K ≤ `k` is read off the result.
+fn family_sweep(cfg: &ExperimentConfig, k: usize, frac: f64) -> Result<SweepStats, PowerError> {
+    Ok(MergedTrie::from_tables(&cfg.family(k, frac)?)?.sweep_stats())
 }
 
 /// Reproduces Fig. 4: memory requirements of the merged scheme (at the two
 /// α targets) and the separate scheme, as K grows.
 ///
-/// Each α family is generated once at `k_max_fig4` and every series walks
-/// it once: the separate series sizes one engine per table and sums the
-/// first K, the merged ones ride a `merged_chain`.
+/// Each α family is generated once at `k_max_fig4` and walked once
+/// ([`family_sweep`]): the separate series sums the high-α family's
+/// single-table engines over the first K, the merged ones read the
+/// arity-K engine at every K.
 ///
 /// # Errors
 /// Rejects `k_max_fig4 == 0`; propagates family-generation and trie
@@ -424,11 +363,12 @@ pub fn fig4_series(cfg: &ExperimentConfig) -> Result<Vec<Fig4Point>, PowerError>
     }
     let (frac_low, frac_high) = cfg.resolve_shared_fractions();
     let layout = MemoryLayout::default();
-    let tables_high = cfg.family(cfg.k_max_fig4, frac_high)?;
-    let tables_low = cfg.family(cfg.k_max_fig4, frac_low)?;
+    let sweeps = fan_out(vec![frac_high, frac_low], |frac| {
+        family_sweep(cfg, cfg.k_max_fig4, frac)
+    })?;
     // Pointer and NHI bits of the pipeline storing one leaf-pushed trie.
-    let memory = |trie: &LeafPushedTrie| -> Result<(u64, u64), PowerError> {
-        let profile = PipelineProfile::for_trie(trie, cfg.stages, layout)?;
+    let memory = |stats: &TrieStats, k| -> Result<(u64, u64), PowerError> {
+        let profile = PipelineProfile::from_stats(stats, k, cfg.stages, layout)?;
         Ok((profile.pointer_memory_bits(), profile.nhi_memory_bits()))
     };
     let point = |series: &str, k, (ptr_bits, nhi_bits): (u64, u64), measured_alpha| Fig4Point {
@@ -438,37 +378,20 @@ pub fn fig4_series(cfg: &ExperimentConfig) -> Result<Vec<Fig4Point>, PowerError>
         nhi_mbits: nhi_bits as f64 / MBIT,
         measured_alpha,
     };
-    let series = fan_out(
-        vec![
-            ("separate", &tables_high, false),
-            ("merged (α≈0.8)", &tables_high, true),
-            ("merged (α≈0.2)", &tables_low, true),
-        ],
-        |(label, tables, merged)| {
-            if merged {
-                // One engine of arity K at each K.
-                return merged_chain(tables, 1..=tables.len(), |trie| {
-                    let alpha = Some(trie.merging_efficiency());
-                    let bits = memory(&trie.leaf_pushed())?;
-                    Ok(point(label, trie.arity(), bits, alpha))
-                });
-            }
-            // K engines of arity 1: a running sum over the tables.
-            let (mut ptr_bits, mut nhi_bits) = (0u64, 0u64);
-            tables
-                .iter()
-                .enumerate()
-                .map(|(i, table)| {
-                    let trie = MergedTrie::from_tables(std::slice::from_ref(table))?;
-                    let (ptr, nhi) = memory(&trie.leaf_pushed())?;
-                    ptr_bits += ptr;
-                    nhi_bits += nhi;
-                    Ok(point(label, i + 1, (ptr_bits, nhi_bits), None))
-                })
-                .collect()
-        },
-    )?;
-    let mut out: Vec<Fig4Point> = series.into_iter().flatten().collect();
+    let merged = ["merged (α≈0.8)", "merged (α≈0.2)"];
+    let mut out = Vec::with_capacity(3 * cfg.k_max_fig4);
+    // K engines of arity 1: a running sum over the tables.
+    let (mut ptr_bits, mut nhi_bits) = (0u64, 0u64);
+    for k in 1..=cfg.k_max_fig4 {
+        let (ptr, nhi) = memory(&sweeps[0].per_vn[k - 1], 1)?;
+        (ptr_bits, nhi_bits) = (ptr_bits + ptr, nhi_bits + nhi);
+        out.push(point("separate", k, (ptr_bits, nhi_bits), None));
+        // One engine of arity K.
+        for (label, sweep) in merged.into_iter().zip(&sweeps) {
+            let bits = memory(&sweep.by_prefix[k - 1], k)?;
+            out.push(point(label, k, bits, Some(sweep.alpha[k - 1])));
+        }
+    }
     out.sort_by(|a, b| (a.k, &a.series).cmp(&(b.k, &b.series)));
     Ok(out)
 }
@@ -508,11 +431,11 @@ pub struct SweepPoint {
 /// VM(α_high)} × both speed grades.
 ///
 /// Structures are built once and priced many times. Each α family is
-/// generated once at `k_max`; the high-α family's `k_max` single-table
-/// engines serve NV and VS at every K (`separate_by_k`) and each family's
-/// merged engines come off one growing trie (`merged_by_k`) — three
-/// independent builds, fanned out. Every one of the `8 × k_max` points is
-/// then priced through [`Scenario::price`], with all of its checks.
+/// generated once at `k_max` and walked once ([`family_sweep`]), one job
+/// per family, fanned out: the high-α family's `k_max` single-table
+/// engines serve NV and VS at every K, and each family's merged engine
+/// at K is read off its walk. Every one of the `8 × k_max` points is then
+/// priced through [`Scenario::price`], with all of its checks.
 ///
 /// # Errors
 /// Rejects `k_max == 0`; propagates scenario construction errors (VS
@@ -524,15 +447,10 @@ pub fn power_sweep(cfg: &ExperimentConfig) -> Result<Vec<SweepPoint>, PowerError
     }
     let (frac_low, frac_high) = cfg.resolve_shared_fractions();
     let layout = MemoryLayout::default();
-    let tables_high = cfg.family(cfg.k_max, frac_high)?;
-    let tables_low = cfg.family(cfg.k_max, frac_low)?;
-    let builds: Vec<(ByK, &[RoutingTable])> = vec![
-        (separate_by_k, &tables_high),
-        (merged_by_k, &tables_high),
-        (merged_by_k, &tables_low),
-    ];
-    let by_k = fan_out(builds, |(build, tables)| build(tables, cfg.stages, layout))?;
-    // Series label, scheme, and which of `builds` it prices.
+    let sweeps = fan_out(vec![frac_high, frac_low], |frac| {
+        family_sweep(cfg, cfg.k_max, frac)
+    })?;
+    // Series label, scheme, and which of the structures at K it prices.
     let series = [
         ("NV", SchemeKind::NonVirtualized, 0),
         ("VS", SchemeKind::Separate, 0),
@@ -542,13 +460,18 @@ pub fn power_sweep(cfg: &ExperimentConfig) -> Result<Vec<SweepPoint>, PowerError
     let par = ParSimulator::default();
     let mut out = Vec::with_capacity(cfg.k_max * series.len() * SpeedGrade::ALL.len());
     for k in 1..=cfg.k_max {
+        let structures = [
+            EngineStructure::separate(&sweeps[0], k, cfg.stages, layout)?,
+            EngineStructure::merged(&sweeps[0], k, cfg.stages, layout)?,
+            EngineStructure::merged(&sweeps[1], k, cfg.stages, layout)?,
+        ];
         for grade in SpeedGrade::ALL {
             for (label, scheme, build) in series {
                 let spec = ScenarioSpec {
                     stages: cfg.stages,
                     ..ScenarioSpec::paper_default(scheme, grade)
                 };
-                let structure = by_k[build][k - 1].clone();
+                let structure = structures[build].clone();
                 let scenario = Scenario::price(structure, spec, Device::xc6vlx760())?;
                 let point = validate_scenario(&scenario, &par);
                 let capacity = scenario.capacity_gbps();
@@ -592,8 +515,7 @@ pub struct AblationMergedMemRow {
 }
 
 /// Compares Eq. 5 as printed against the structural merged memory
-/// (DESIGN.md §3) across K, on one family: its single-table engines and
-/// its merged chain are each built once.
+/// (DESIGN.md §3) across K, on one family read off one walk.
 ///
 /// # Errors
 /// Rejects `k_max == 0`; propagates scenario construction errors.
@@ -605,10 +527,7 @@ pub fn ablation_merged_memory(
     }
     let (_, frac_high) = cfg.resolve_shared_fractions();
     let layout = MemoryLayout::default();
-    let tables = cfg.family(cfg.k_max, frac_high)?;
-    let by_k = fan_out(vec![separate_by_k as ByK, merged_by_k], |build| {
-        build(&tables, cfg.stages, layout)
-    })?;
+    let sweep = family_sweep(cfg, cfg.k_max, frac_high)?;
     let memory_mbits = |structure: EngineStructure, merged_memory| {
         let spec = ScenarioSpec {
             stages: cfg.stages,
@@ -618,19 +537,19 @@ pub fn ablation_merged_memory(
         let scenario = Scenario::price(structure, spec, Device::xc6vlx760())?;
         Ok::<_, PowerError>(scenario.resources().memory_bits as f64 / MBIT)
     };
-    by_k[0]
-        .iter()
-        .zip(&by_k[1])
-        .map(|(singles, structural)| {
-            let alpha = structural.alpha.expect("merged structure has alpha");
+    (1..=cfg.k_max)
+        .map(|k| {
+            let alpha = sweep.alpha[k - 1];
+            let structural = EngineStructure::merged(&sweep, k, cfg.stages, layout)?;
             Ok(AblationMergedMemRow {
-                k: structural.k,
+                k,
                 alpha,
                 literal_mbits: memory_mbits(
-                    singles.paper_literal(alpha, alpha)?,
+                    EngineStructure::separate(&sweep, k, cfg.stages, layout)?
+                        .paper_literal(alpha, alpha)?,
                     MergedMemoryModel::PaperLiteral { alpha },
                 )?,
-                structural_mbits: memory_mbits(structural.clone(), MergedMemoryModel::Structural)?,
+                structural_mbits: memory_mbits(structural, MergedMemoryModel::Structural)?,
             })
         })
         .collect()
@@ -779,12 +698,11 @@ pub fn tcam_comparison(cfg: &ExperimentConfig) -> Result<Vec<TcamRow>, PowerErro
         .map(|k| k.max(1))
         .collect();
     // One engine per table of the largest family; K takes the first K.
-    let tables = cfg.family(cfg.k_max.max(1), frac_high)?;
-    let singles = EngineStructure::separate(&tables, cfg.stages, MemoryLayout::default())?;
+    let sweep = family_sweep(cfg, cfg.k_max.max(1), frac_high)?;
     let mut rows = Vec::new();
     for k in ks {
         let scenario = Scenario::price(
-            singles.first(k),
+            EngineStructure::separate(&sweep, k, cfg.stages, MemoryLayout::default())?,
             ScenarioSpec {
                 stages: cfg.stages,
                 ..ScenarioSpec::paper_default(SchemeKind::Separate, SpeedGrade::Minus2)
@@ -1111,22 +1029,23 @@ pub fn merged_scaling(cfg: &ExperimentConfig) -> Result<Vec<MergedScalingRow>, P
     let Some(&k_top) = ks.last() else {
         return Ok(Vec::new());
     };
-    let tables = cfg.family(k_top, frac_low)?;
-    merged_chain(&tables, ks, |merged| {
-        let k = merged.arity();
-        let pushed = merged.leaf_pushed();
-        let profile = PipelineProfile::for_trie(&pushed, cfg.stages, layout)?;
-        let per_stage = profile.per_stage_memory_bits();
-        let blocks18 = vr_fpga::bram::blocks_for_stages(BramMode::K18, &per_stage);
-        let bram_36k = blocks18.div_ceil(2);
-        Ok(MergedScalingRow {
-            k,
-            alpha: merged.merging_efficiency(),
-            memory_mbits: profile.total_memory_bits() as f64 / MBIT,
-            bram_36k,
-            fits_one_device: bram_36k <= device.bram_36k_blocks,
+    let sweep = family_sweep(cfg, k_top, frac_low)?;
+    ks.into_iter()
+        .map(|k| {
+            let profile =
+                PipelineProfile::from_stats(&sweep.by_prefix[k - 1], k, cfg.stages, layout)?;
+            let per_stage = profile.per_stage_memory_bits();
+            let blocks18 = vr_fpga::bram::blocks_for_stages(BramMode::K18, &per_stage);
+            let bram_36k = blocks18.div_ceil(2);
+            Ok(MergedScalingRow {
+                k,
+                alpha: sweep.alpha[k - 1],
+                memory_mbits: profile.total_memory_bits() as f64 / MBIT,
+                bram_36k,
+                fits_one_device: bram_36k <= device.bram_36k_blocks,
+            })
         })
-    })
+        .collect()
 }
 
 /// Zipf exponents swept by [`cache_skew_study`]: uniform traffic

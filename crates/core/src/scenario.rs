@@ -21,7 +21,7 @@ use vr_fpga::timing::{self, TimingContext};
 use vr_fpga::{BramMode, Device, SchemeKind, SpeedGrade};
 use vr_net::RoutingTable;
 use vr_trie::pipeline_map::{MemoryLayout, PAPER_PIPELINE_STAGES};
-use vr_trie::{LeafPushedTrie, MergedTrie, PipelineProfile};
+use vr_trie::{MergedTrie, PipelineProfile, SweepStats, TrieStats};
 
 /// Everything needed to evaluate one configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -77,46 +77,47 @@ pub struct EngineStructure {
 }
 
 impl EngineStructure {
-    /// K single-table engines, one per table: each table's leaf-pushed
-    /// uni-bit trie mapped onto `stages` pipeline stages.
+    /// K = `k` single-table engines, one per VN of `sweep`'s first `k`:
+    /// each VN's leaf-pushed uni-bit trie mapped onto `stages` stages.
     ///
     /// # Errors
-    /// Rejects an empty table set and zero stages.
+    /// Rejects a `k` outside `1..=K` and zero stages.
     pub fn separate(
-        tables: &[RoutingTable],
+        sweep: &SweepStats,
+        k: usize,
         stages: usize,
         layout: MemoryLayout,
     ) -> Result<Self, PowerError> {
-        if tables.is_empty() {
-            return Err(PowerError::InvalidParameter("need at least one table"));
-        }
-        let engine_stage_bits = tables
+        let singles = k.checked_sub(1).and_then(|at| sweep.per_vn.get(..=at));
+        let singles = singles.ok_or(OUTSIDE_SWEEP)?;
+        let engine_stage_bits = singles
             .iter()
-            .map(|t| {
-                let trie = MergedTrie::from_tables(std::slice::from_ref(t))?;
-                stage_bits(&trie.leaf_pushed(), stages, layout)
-            })
+            .map(|stats| stage_bits(stats, 1, stages, layout))
             .collect::<Result<_, _>>()?;
         Ok(Self {
-            k: tables.len(),
+            k,
             engine_stage_bits,
             alpha: None,
         })
     }
 
-    /// The one arity-K engine storing `merged`, with its measured α.
+    /// The one arity-`k` engine merging `sweep`'s first `k` VNs, with its
+    /// measured α.
     ///
     /// # Errors
-    /// Rejects zero stages.
+    /// Rejects a `k` outside `1..=K` and zero stages.
     pub fn merged(
-        merged: &MergedTrie,
+        sweep: &SweepStats,
+        k: usize,
         stages: usize,
         layout: MemoryLayout,
     ) -> Result<Self, PowerError> {
+        let at = k.checked_sub(1).filter(|&at| at < sweep.by_prefix.len());
+        let at = at.ok_or(OUTSIDE_SWEEP)?;
         Ok(Self {
-            k: merged.arity(),
-            engine_stage_bits: vec![stage_bits(&merged.leaf_pushed(), stages, layout)?],
-            alpha: Some(merged.merging_efficiency()),
+            k,
+            engine_stage_bits: vec![stage_bits(&sweep.by_prefix[at], k, stages, layout)?],
+            alpha: Some(sweep.alpha[at]),
         })
     }
 
@@ -142,38 +143,20 @@ impl EngineStructure {
             alpha: Some(measured_alpha),
         })
     }
-
-    /// The structure of the first `k` tables of a
-    /// [`EngineStructure::separate`] structure: its first `k` engines.
-    /// Single-table engines do not depend on their neighbours, so this
-    /// equals building `&tables[..k]` afresh.
-    ///
-    /// # Panics
-    /// Panics if `k` is 0 or exceeds the engine count.
-    #[must_use]
-    pub fn first(&self, k: usize) -> Self {
-        assert!(
-            k >= 1 && k <= self.engine_stage_bits.len(),
-            "k out of range"
-        );
-        Self {
-            k,
-            engine_stage_bits: self.engine_stage_bits[..k].to_vec(),
-            alpha: self.alpha,
-        }
-    }
 }
 
-/// Mᵢ,ⱼ of the pipeline storing `trie`.
+/// A structure asked of a sweep over K VNs for a K' outside `1..=K`.
+const OUTSIDE_SWEEP: PowerError = PowerError::InvalidParameter("k outside the sweep's 1..=K");
+
+/// Mᵢ,ⱼ of the pipeline storing the arity-`k` leaf-pushed trie `stats`
+/// describes.
 fn stage_bits(
-    trie: &LeafPushedTrie,
+    stats: &TrieStats,
+    k: usize,
     stages: usize,
     layout: MemoryLayout,
 ) -> Result<Vec<u64>, PowerError> {
-    if stages == 0 {
-        return Err(PowerError::InvalidParameter("need at least one stage"));
-    }
-    Ok(PipelineProfile::for_trie(trie, stages, layout)?.per_stage_memory_bits())
+    Ok(PipelineProfile::from_stats(stats, k, stages, layout)?.per_stage_memory_bits())
 }
 
 /// A fully resolved scenario, ready for the Eq. 2/4/6 evaluation.
@@ -228,22 +211,15 @@ impl Scenario {
         spec: ScenarioSpec,
         device: Device,
     ) -> Result<Self, PowerError> {
-        if tables.is_empty() {
-            return Err(PowerError::InvalidParameter("need at least one table"));
-        }
-        let singles = || EngineStructure::separate(tables, spec.stages, spec.layout);
-        let structure = match spec.scheme {
-            SchemeKind::NonVirtualized | SchemeKind::Separate => singles()?,
-            SchemeKind::Merged => {
-                let merged = MergedTrie::from_tables(tables)?;
-                match spec.merged_memory {
-                    MergedMemoryModel::Structural => {
-                        EngineStructure::merged(&merged, spec.stages, spec.layout)?
-                    }
-                    MergedMemoryModel::PaperLiteral { alpha } => {
-                        singles()?.paper_literal(alpha, merged.merging_efficiency())?
-                    }
-                }
+        let (k, sweep) = (tables.len(), MergedTrie::from_tables(tables)?.sweep_stats());
+        let singles = || EngineStructure::separate(&sweep, k, spec.stages, spec.layout);
+        let structure = match (spec.scheme, spec.merged_memory) {
+            (SchemeKind::NonVirtualized | SchemeKind::Separate, _) => singles()?,
+            (SchemeKind::Merged, MergedMemoryModel::Structural) => {
+                EngineStructure::merged(&sweep, k, spec.stages, spec.layout)?
+            }
+            (SchemeKind::Merged, MergedMemoryModel::PaperLiteral { alpha }) => {
+                singles()?.paper_literal(alpha, sweep.alpha[k - 1])?
             }
         };
         Self::price(structure, spec, device)
@@ -610,13 +586,15 @@ mod tests {
     fn one_structure_prices_like_a_build_per_point() {
         let tables = family(5);
         let (stages, layout) = (PAPER_PIPELINE_STAGES, MemoryLayout::default());
-        let singles = EngineStructure::separate(&tables, stages, layout).unwrap();
-        assert_eq!(
-            singles.first(3),
-            EngineStructure::separate(&tables[..3], stages, layout).unwrap()
-        );
-        let merged = MergedTrie::from_tables(&tables).unwrap();
-        let merged = EngineStructure::merged(&merged, stages, layout).unwrap();
+        let sweep = MergedTrie::from_tables(&tables).unwrap().sweep_stats();
+        let singles = EngineStructure::separate(&sweep, 5, stages, layout).unwrap();
+        let merged = EngineStructure::merged(&sweep, 5, stages, layout).unwrap();
+        for structure in [EngineStructure::separate, EngineStructure::merged] {
+            for k in [0, 6] {
+                let outside = structure(&sweep, k, stages, layout);
+                assert!(matches!(outside, Err(PowerError::InvalidParameter(_))));
+            }
+        }
         for grade in SpeedGrade::ALL {
             for (scheme, structure) in [
                 (SchemeKind::NonVirtualized, &singles),
@@ -640,8 +618,9 @@ mod tests {
     #[test]
     fn price_rejects_a_structure_the_spec_does_not_describe() {
         let tables = family(3);
+        let sweep = MergedTrie::from_tables(&tables).unwrap().sweep_stats();
         let singles =
-            EngineStructure::separate(&tables, PAPER_PIPELINE_STAGES, MemoryLayout::default())
+            EngineStructure::separate(&sweep, 3, PAPER_PIPELINE_STAGES, MemoryLayout::default())
                 .unwrap();
         let price = |structure: &EngineStructure, spec| {
             Scenario::price(structure.clone(), spec, Device::xc6vlx760())

@@ -14,7 +14,9 @@
 //!   overlay is the same type. Longest-prefix match, incremental
 //!   announce/withdraw per VN, per-level statistics, and *measured*
 //!   merging efficiency α (Assumption 4); [`MergedTrie::leaf_pushed`] is
-//!   its [`LeafPushedTrie`] of arity K;
+//!   its [`LeafPushedTrie`] of arity K, and [`MergedTrie::sweep_stats`]
+//!   reads the statistics of every prefix sub-trie's and every VN's
+//!   leaf-pushed trie off it in one walk;
 //! * [`LeafPushedTrie`] — the leaf-pushing transform (Ruiz-Sánchez et al.,
 //!   paper ref. \[16\]): a *full* binary trie whose NHI lives only in
 //!   leaves, which is what the pipeline stages store. It carries its
@@ -65,7 +67,7 @@ pub use jump::{JumpTrie, JumpTrieParts};
 pub use leafpush::LeafPushedTrie;
 pub use merge::{MergedTrie, NodeId};
 pub use pipeline_map::{MemoryLayout, PipelineProfile, StageProfile};
-pub use stats::TrieStats;
+pub use stats::{SweepStats, TrieStats};
 pub use subslab::{DirtyBuckets, JumpSlabs};
 
 /// Errors produced by trie construction and mapping.

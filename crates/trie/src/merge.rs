@@ -22,10 +22,9 @@
 //! [`MergedTrie::insert`] and [`MergedTrie::remove`] announce/withdraw one
 //! virtual network's route, maintaining per-VN subtree accounting so
 //! presence masks, per-VN node counts and pruning stay exact under churn.
-//! It also grows: [`MergedTrie::add_vn`] widens a built arity-K trie to
-//! K + 1, so a sweep over K announces each table of a family once into one
-//! trie (K tables for K merged engines) instead of re-merging tables
-//! `0..K` from scratch at every K (K(K+1)/2 tables).
+//! A sweep over K reads every trie it prices off one arity-K trie:
+//! [`MergedTrie::sweep_stats`] walks it once for each k's leaf-pushed
+//! statistics and α over VNs `0..k`, and each VN's own, building none.
 //!
 //! Per-VN state lives in two flat slabs of `k` entries per node (NHI
 //! entries and subtree counters): no node owns a heap allocation, and an
@@ -36,7 +35,7 @@
 //! [`LeafPushedTrie`] of arity K.
 
 use crate::leafpush::LeafPushedTrie;
-use crate::stats::TrieStats;
+use crate::stats::{SweepStats, TrieStats};
 use crate::TrieError;
 use std::ops::Range;
 use vr_net::table::NextHop;
@@ -166,31 +165,6 @@ impl MergedTrie {
             }
         }
         Ok(merged)
-    }
-
-    /// Widens the trie by one virtual network and returns its VNID (the
-    /// old arity). The new network announces nothing yet, so no node lies
-    /// in all K + 1 tries and the common-node count restarts at 0.
-    ///
-    /// Announcing table K into the widened arity-K trie replays exactly
-    /// the insertions [`MergedTrie::from_tables`] makes for
-    /// `&tables[..=K]`, so node ids, counters and the leaf-pushed arena
-    /// come out identical: a K sweep over one family grows one trie
-    /// instead of re-merging tables `0..K` at every K.
-    ///
-    /// # Errors
-    /// [`TrieError::BadMergeArity`] past [`MAX_MERGE_ARITY`]; the trie is
-    /// left unchanged.
-    pub fn add_vn(&mut self) -> Result<usize, TrieError> {
-        if self.k == MAX_MERGE_ARITY {
-            return Err(TrieError::BadMergeArity(self.k + 1));
-        }
-        self.nhis = widen(&self.nhis, self.k, None);
-        self.subtree = widen(&self.subtree, self.k, 0);
-        self.per_vn_nodes.push(0);
-        self.common_nodes = 0;
-        self.k += 1;
-        Ok(self.k - 1)
     }
 
     /// Number of virtual networks merged.
@@ -355,12 +329,7 @@ impl MergedTrie {
     /// over the mean per-trie node count. 1.0 for identical tries.
     #[must_use]
     pub fn merging_efficiency(&self) -> f64 {
-        let mean: f64 =
-            self.per_vn_nodes.iter().sum::<usize>() as f64 / self.per_vn_nodes.len() as f64;
-        if mean == 0.0 {
-            return 0.0;
-        }
-        (self.common_node_count() as f64 / mean).min(1.0)
+        efficiency(&self.per_vn_nodes, self.common_nodes)
     }
 
     /// Laxer overlap metric: nodes shared by ≥2 tries over merged total.
@@ -429,6 +398,91 @@ impl MergedTrie {
             stats.record(depth, self.nodes[id.idx()].is_leaf(), routed);
         }
         stats
+    }
+
+    /// Everything a sweep over K prices, read off this arity-K trie in one
+    /// walk that builds no other trie: for each k in `1..=K` the
+    /// `leaf_pushed().stats()` and `merging_efficiency()` of
+    /// `from_tables(&tables[..k])`, and each VN's own `leaf_pushed().stats()`.
+    ///
+    /// A node is in the trie over VNs `0..k` once k passes its lowest
+    /// presence bit (the root at every k), internal once k passes its
+    /// children's lowest, and leaves a synthetic leaf one level down until
+    /// k passes both children's. A leaf is routed once k passes the lowest
+    /// VN with an entry on its root path (a synthetic leaf's ends at its
+    /// parent). Each such span of k goes into a difference array.
+    #[must_use]
+    pub fn sweep_stats(&self) -> SweepStats {
+        let k = self.k;
+        // Rows of `Counts`, one per level: for each k in `0..=K + 1` a
+        // difference array over k, and per VN its trie's, with a spare
+        // level under the deepest.
+        let mut by_k = vec![[0; 3]; (k + 2) * LEVELS];
+        let mut per_vn = vec![[0; 3]; k * (LEVELS + 1)];
+        // Nodes by how many of VNs 0, 1, … in a row their tries share.
+        let mut ones = vec![0; k + 1];
+        // k > from(mask) ⇔ a VN of `mask` is below k.
+        let from = |mask: u64| (mask.trailing_zeros() as usize).min(k);
+        let presence = |child: Option<NodeId>| child.map_or(0, |c| self.nodes[c.idx()].presence);
+        let mut stack = vec![(NodeId::ROOT, 0usize, 0u64)];
+        while let Some((id, depth, above)) = stack.pop() {
+            let node = &self.nodes[id.idx()];
+            // VNs with an entry on the root path, this node included.
+            let mut routed = above;
+            for (vn, nh) in self.node_nhis(id).iter().enumerate() {
+                routed |= u64::from(nh.is_some()) << vn;
+            }
+            // The root is in every VN's trie, announced or not.
+            let present = node.presence | if depth == 0 { full_mask(k) } else { 0 };
+            let kids = node.children.map(presence);
+            let (inner, lone) = (kids[0] | kids[1], kids[0] ^ kids[1]);
+            let (k_in, k_inner, k_routed) = (from(present), from(inner), from(routed));
+            let k_both = from(kids[0]).max(from(kids[1]));
+            span(&mut by_k, depth, LEAF, k_in, k_inner);
+            span(&mut by_k, depth, ROUTED, k_in.max(k_routed), k_inner);
+            span(&mut by_k, depth, INNER, k_inner, k);
+            span(&mut by_k, depth + 1, LEAF, k_inner, k_both);
+            span(&mut by_k, depth + 1, ROUTED, k_inner.max(k_routed), k_both);
+            ones[(node.presence.trailing_ones() as usize).min(k)] += 1;
+            let leaf = present & !inner;
+            let masks = [inner, leaf, leaf & routed, lone, lone & routed];
+            let mut vns = present;
+            while vns != 0 {
+                let vn = vns.trailing_zeros() as usize;
+                vns &= vns - 1;
+                let [inner, leaf, routed_leaf, lone, routed_lone] =
+                    masks.map(|mask| isize::from(mask >> vn & 1 == 1));
+                let levels = &mut per_vn[vn * (LEVELS + 1) + depth..];
+                levels[0][INNER] += inner;
+                levels[0][LEAF] += leaf;
+                levels[0][ROUTED] += routed_leaf;
+                levels[1][LEAF] += lone;
+                levels[1][ROUTED] += routed_lone;
+            }
+            for child in node.children.into_iter().flatten() {
+                stack.push((child, depth + 1, routed));
+            }
+        }
+        for row in LEVELS..by_k.len() {
+            let earlier = by_k[row - LEVELS];
+            by_k[row] = std::array::from_fn(|i| by_k[row][i] + earlier[i]);
+        }
+        let stats = |rows: &[Counts]| {
+            let mut stats = TrieStats::default();
+            // Levels below the trie's deepest hold no node.
+            for (depth, counts) in rows.iter().enumerate().filter(|(_, c)| **c != [0; 3]) {
+                let [leaves, internal, prefixes] = counts.map(|count| count as usize);
+                stats.add(depth, leaves, internal, prefixes);
+            }
+            stats
+        };
+        SweepStats {
+            by_prefix: by_k.chunks(LEVELS).skip(1).take(k).map(stats).collect(),
+            alpha: (1..=k)
+                .map(|k| efficiency(&self.per_vn_nodes[..k], ones[k..].iter().sum()))
+                .collect(),
+            per_vn: per_vn.chunks(LEVELS + 1).map(stats).collect(),
+        }
     }
 
     /// Internal-consistency check used by property tests: reachability,
@@ -503,14 +557,33 @@ impl MergedTrie {
     }
 }
 
-/// `slab` (rows of `k` entries) with a `fill` entry appended to each row.
-fn widen<T: Copy>(slab: &[T], k: usize, fill: T) -> Vec<T> {
-    let mut wide = Vec::with_capacity(slab.len() / k * (k + 1));
-    for row in slab.chunks_exact(k) {
-        wide.extend_from_slice(row);
-        wide.push(fill);
+/// α over per-VN node counts `per_vn` and `common` nodes, in the one
+/// expression order every reader shares, so equal counts give equal bits.
+fn efficiency(per_vn: &[usize], common: usize) -> f64 {
+    let mean: f64 = per_vn.iter().sum::<usize>() as f64 / per_vn.len() as f64;
+    if mean == 0.0 {
+        return 0.0;
     }
-    wide
+    (common as f64 / mean).min(1.0)
+}
+
+/// Trie levels: the root's, then one per prefix bit.
+const LEVELS: usize = 33;
+
+/// Per-level counts a sweep accumulates, indexed by the constants below.
+type Counts = [isize; 3];
+const LEAF: usize = 0;
+const INNER: usize = 1;
+/// Leaves with a route for some VN.
+const ROUTED: usize = 2;
+
+/// Counts one node at `level` in the difference array `by_k` for every k
+/// in `lo + 1..=hi`.
+fn span(by_k: &mut [Counts], level: usize, count: usize, lo: usize, hi: usize) {
+    if lo < hi {
+        by_k[(lo + 1) * LEVELS + level][count] += 1;
+        by_k[(hi + 1) * LEVELS + level][count] -= 1;
+    }
 }
 
 fn full_mask(k: usize) -> u64 {
@@ -876,119 +949,108 @@ mod tests {
         );
     }
 
-    #[test]
-    fn add_vn_past_the_arity_limit_is_a_typed_error() {
-        let mut merged = MergedTrie::new(MAX_MERGE_ARITY - 1).unwrap();
-        assert_eq!(merged.add_vn(), Ok(MAX_MERGE_ARITY - 1));
-        assert_eq!(merged.arity(), MAX_MERGE_ARITY);
-        assert_eq!(
-            merged.add_vn(),
-            Err(TrieError::BadMergeArity(MAX_MERGE_ARITY + 1))
-        );
-        assert_eq!(merged.arity(), MAX_MERGE_ARITY);
-        assert!(merged.check_invariants());
+    /// Strategy: 1–7 tables drawing routes (/0 to /32) from one pool of up
+    /// to 40, so they overlap; about one table in five is empty.
+    fn arb_family() -> impl Strategy<Value = Vec<RoutingTable>> {
+        let mask = (0u8..5, any::<u64>()).prop_map(|(pick, mask)| if pick == 0 { 0 } else { mask });
+        let route = (any::<u32>(), 0u8..=32, any::<NextHop>())
+            .prop_map(|(addr, len, nh)| vr_net::RouteEntry::new(Ipv4Prefix::must(addr, len), nh));
+        let pool = prop::collection::vec(route, 0..40);
+        (pool, prop::collection::vec(mask, 1..=7)).prop_map(|(pool, masks)| {
+            let picked = |mask: u64| (0..pool.len()).filter(move |i| mask >> i & 1 == 1);
+            let table = |mask| RoutingTable::from_entries(picked(mask).map(|i| pool[i]));
+            masks.into_iter().map(table).collect()
+        })
     }
 
-    #[test]
-    fn add_vn_with_a_free_list_keeps_recycled_slots_consistent() {
-        let mut merged = MergedTrie::new(1).unwrap();
-        let p: Ipv4Prefix = "10.1.2.0/24".parse().unwrap();
-        let q: Ipv4Prefix = "172.16.0.0/12".parse().unwrap();
-        merged.insert(0, p, 1);
-        merged.remove(0, &p);
-        assert!(!merged.free.is_empty());
-        assert_eq!(merged.add_vn(), Ok(1));
-        // The new VN's announcement reuses slots freed at arity 1.
-        merged.insert(1, q, 2);
-        merged.insert(0, q, 3);
-        assert!(merged.check_invariants());
-        assert_eq!(merged.lookup(1, 0xAC10_0001), Some(2));
-        assert_eq!(merged.lookup(0, 0xAC10_0001), Some(3));
-        assert_eq!(merged.common_node_count(), merged.node_count());
-    }
-
-    /// Strategy: an arbitrary routing table of up to `max` routes.
-    fn arb_table(max: usize) -> impl Strategy<Value = RoutingTable> {
-        prop::collection::vec((any::<u32>(), 0u8..=32, any::<NextHop>()), 0..max).prop_map(
-            |routes| {
-                RoutingTable::from_entries(routes.into_iter().map(|(addr, len, nh)| {
-                    vr_net::table::RouteEntry::new(Ipv4Prefix::must(addr, len), nh)
-                }))
-            },
-        )
+    /// `merged.sweep_stats()` is what building and leaf-pushing the trie
+    /// over `tables[..k]` at every k, and each VN's own, gives.
+    fn assert_sweep_exact(merged: &MergedTrie, tables: &[RoutingTable]) {
+        let sweep = merged.sweep_stats();
+        let lens = [sweep.by_prefix.len(), sweep.alpha.len(), sweep.per_vn.len()];
+        assert_eq!(lens, [tables.len(); 3]);
+        for k in 1..=tables.len() {
+            let fresh = MergedTrie::from_tables(&tables[..k]).unwrap();
+            let pushed = fresh.leaf_pushed().stats();
+            assert_eq!(sweep.by_prefix[k - 1], pushed, "k = {k}");
+            let alpha = fresh.merging_efficiency().to_bits();
+            assert_eq!(sweep.alpha[k - 1].to_bits(), alpha, "k = {k}");
+        }
+        for (vn, table) in tables.iter().enumerate() {
+            let pushed = single(table).leaf_pushed().stats();
+            assert_eq!(sweep.per_vn[vn], pushed, "vn {vn}");
+        }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// The growth chain is `from_tables(&tables[..k])` at every k, and
-        /// the grown trie keeps its accounting under churn on old and new
-        /// VNs alike.
+        /// One walk reads off exactly the tries a K sweep prices, before
+        /// and after churn prunes nodes and reuses their free-list slots.
         #[test]
-        fn grown_trie_equals_from_tables_at_every_k(
-            tables in prop::collection::vec(arb_table(40), 1..7),
-            probes in prop::collection::vec(any::<u32>(), 16),
+        fn sweep_stats_equal_built_and_pushed_tries(
+            tables in arb_family(),
             churn in prop::collection::vec((any::<usize>(), any::<u32>(), 0u8..=32, any::<NextHop>()), 24),
         ) {
-            let mut grown = MergedTrie::new(1).unwrap();
-            for (vn, table) in tables.iter().enumerate() {
-                if vn > 0 {
-                    prop_assert_eq!(grown.add_vn(), Ok(vn));
-                    prop_assert_eq!(grown.common_node_count(), 0);
-                    prop_assert!(grown.check_invariants());
-                }
-                for entry in table.iter() {
-                    grown.insert(vn, entry.prefix, entry.next_hop);
-                }
-                let k = vn + 1;
-                let fresh = MergedTrie::from_tables(&tables[..k]).unwrap();
-                prop_assert!(grown.check_invariants());
-                prop_assert_eq!(grown.arity(), k);
-                prop_assert_eq!(grown.node_count(), fresh.node_count());
-                for v in 0..k {
-                    prop_assert_eq!(grown.vn_node_count(v), fresh.vn_node_count(v));
-                }
-                prop_assert_eq!(grown.common_node_count(), fresh.common_node_count());
-                prop_assert_eq!(
-                    grown.merging_efficiency().to_bits(),
-                    fresh.merging_efficiency().to_bits()
-                );
-                let (pushed, expected) = (grown.leaf_pushed(), fresh.leaf_pushed());
-                prop_assert_eq!(pushed.stats(), expected.stats());
-                prop_assert_eq!(pushed.node_count(), expected.node_count());
-                prop_assert_eq!(pushed.leaf_count(), expected.leaf_count());
-                for (v, table) in tables[..k].iter().enumerate() {
-                    for &ip in &probes {
-                        prop_assert_eq!(grown.lookup(v, ip), table.lookup(ip));
-                        prop_assert_eq!(pushed.lookup_vn(v, ip), expected.lookup_vn(v, ip));
-                    }
-                }
-            }
-
-            // Withdraw / re-announce churn across every VN of the grown
-            // trie, mirrored into the reference tables.
+            let mut merged = MergedTrie::from_tables(&tables).unwrap();
+            assert_sweep_exact(&merged, &tables);
             let mut tables = tables;
-            let k = tables.len();
             for (pick, addr, len, nh) in churn {
-                let vn = pick % k;
+                let vn = pick % tables.len();
                 let victim = tables[vn].prefixes().nth(pick % tables[vn].len().max(1));
                 if let Some(prefix) = victim {
-                    prop_assert_eq!(grown.remove(vn, &prefix), tables[vn].remove(&prefix));
+                    prop_assert_eq!(merged.remove(vn, &prefix), tables[vn].remove(&prefix));
                 }
                 let prefix = Ipv4Prefix::must(addr, len);
-                prop_assert_eq!(grown.insert(vn, prefix, nh), tables[vn].insert(prefix, nh));
-                prop_assert!(grown.check_invariants());
+                prop_assert_eq!(merged.insert(vn, prefix, nh), tables[vn].insert(prefix, nh));
             }
-            let fresh = MergedTrie::from_tables(&tables).unwrap();
-            prop_assert_eq!(grown.node_count(), fresh.node_count());
-            prop_assert_eq!(grown.common_node_count(), fresh.common_node_count());
-            for (v, table) in tables.iter().enumerate() {
-                prop_assert_eq!(grown.vn_node_count(v), fresh.vn_node_count(v));
-                for &ip in &probes {
-                    prop_assert_eq!(grown.lookup(v, ip), table.lookup(ip));
-                }
-            }
+            prop_assert!(merged.check_invariants());
+            assert_sweep_exact(&merged, &tables);
         }
+    }
+
+    /// At K = 64 a node in every VN's trie has all 64 presence bits set.
+    #[test]
+    fn sweep_stats_are_exact_at_the_arity_limit() {
+        let base: Vec<_> = family(1, 1.0, 61)[0].iter().take(30).collect();
+        let own = |vn| vr_net::RouteEntry::new(Ipv4Prefix::must(vn << 26, 6 + vn as u8 % 20), 1);
+        let table = |vn| RoutingTable::from_entries(base.iter().copied().chain([own(vn)]));
+        let tables: Vec<_> = (0..MAX_MERGE_ARITY as u32).map(table).collect();
+        let merged = MergedTrie::from_tables(&tables).unwrap();
+        assert!(merged.common_node_count() > 0);
+        assert_sweep_exact(&merged, &tables);
+    }
+
+    /// Slots freed by a withdrawal and taken again by a later announcement
+    /// carry no stale presence bits into the walk.
+    #[test]
+    fn sweep_stats_are_exact_over_recycled_slots() {
+        let p: Ipv4Prefix = "10.1.2.0/24".parse().unwrap();
+        let q: Ipv4Prefix = "172.16.0.0/24".parse().unwrap();
+        let mut tables = vec![RoutingTable::new(), RoutingTable::new()];
+        let mut merged = MergedTrie::from_tables(&tables).unwrap();
+        merged.insert(0, p, 1);
+        merged.remove(0, &p);
+        assert!(!merged.free.is_empty());
+        merged.insert(1, q, 2);
+        tables[1].insert(q, 2);
+        assert!(merged.free.is_empty());
+        assert!(merged.check_invariants());
+        assert_sweep_exact(&merged, &tables);
+    }
+
+    /// Over an empty VN 0 the trie is the root alone, a routeless leaf.
+    #[test]
+    fn sweep_stats_start_from_an_empty_first_vn() {
+        let mut tables = family(2, 0.5, 62);
+        tables.insert(0, RoutingTable::new());
+        let merged = MergedTrie::from_tables(&tables).unwrap();
+        let sweep = merged.sweep_stats();
+        let root = single(&tables[0]).leaf_pushed().stats();
+        assert_eq!((root.total_nodes, root.prefix_nodes), (1, 0));
+        assert_eq!([&sweep.by_prefix[0], &sweep.per_vn[0]], [&root; 2]);
+        assert_eq!(sweep.alpha[0], 0.0);
+        assert_sweep_exact(&merged, &tables);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! \[7\]\[8\] build — one fixed-stride multi-bit level per stage — from
 //! per-stage node counts, without building the trie.
 
-use crate::{LeafPushedTrie, TrieError};
+use crate::{LeafPushedTrie, TrieError, TrieStats};
 use serde::{Deserialize, Serialize};
 use vr_net::RoutingTable;
 
@@ -91,11 +91,23 @@ impl PipelineProfile {
         n_stages: usize,
         layout: MemoryLayout,
     ) -> Result<Self, TrieError> {
+        Self::from_stats(&trie.stats(), trie.arity(), n_stages, layout)
+    }
+
+    /// [`PipelineProfile::for_trie`] of the arity-`nhi_width_multiplier`
+    /// leaf-pushed trie `stats` describes, which need not be built.
+    ///
+    /// # Errors
+    /// Rejects zero stages.
+    pub fn from_stats(
+        stats: &TrieStats,
+        nhi_width_multiplier: usize,
+        n_stages: usize,
+        layout: MemoryLayout,
+    ) -> Result<Self, TrieError> {
         if n_stages == 0 {
             return Err(TrieError::ZeroStages);
         }
-        let stats = trie.stats();
-        let nhi_width_multiplier = trie.arity();
         let depth = stats.depth();
         let mut stages = Vec::with_capacity(n_stages);
         for stage in 0..n_stages {

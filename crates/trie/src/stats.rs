@@ -25,6 +25,18 @@ impl LevelStats {
     }
 }
 
+/// What a sweep over K prices, read off one arity-K
+/// [`crate::MergedTrie`] by [`crate::MergedTrie::sweep_stats`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct SweepStats {
+    /// At index `k - 1`: the leaf-pushed trie over VNs `0..k`.
+    pub by_prefix: Vec<TrieStats>,
+    /// At index `k - 1`: the merging efficiency α of that trie.
+    pub alpha: Vec<f64>,
+    /// At index `vn`: VN `vn`'s own leaf-pushed trie.
+    pub per_vn: Vec<TrieStats>,
+}
+
 /// Aggregated per-level statistics for a trie.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TrieStats {
@@ -43,23 +55,24 @@ pub struct TrieStats {
 impl TrieStats {
     /// Records one node at `depth`.
     pub fn record(&mut self, depth: u8, is_leaf: bool, has_prefix: bool) {
-        let depth = usize::from(depth);
+        let [leaves, internal, prefix] = [is_leaf, !is_leaf, has_prefix].map(usize::from);
+        self.add(usize::from(depth), leaves, internal, prefix);
+    }
+
+    /// Adds `leaves` and `internal` nodes, `prefixes` of them carrying
+    /// a prefix, at `depth`.
+    pub(crate) fn add(&mut self, depth: usize, leaves: usize, internal: usize, prefixes: usize) {
         if self.levels.len() <= depth {
             self.levels.resize(depth + 1, LevelStats::default());
         }
         let level = &mut self.levels[depth];
-        self.total_nodes += 1;
-        if is_leaf {
-            level.leaves += 1;
-            self.leaves += 1;
-        } else {
-            level.internal += 1;
-            self.internal += 1;
-        }
-        if has_prefix {
-            level.prefix_nodes += 1;
-            self.prefix_nodes += 1;
-        }
+        level.leaves += leaves;
+        level.internal += internal;
+        level.prefix_nodes += prefixes;
+        self.leaves += leaves;
+        self.internal += internal;
+        self.prefix_nodes += prefixes;
+        self.total_nodes += leaves + internal;
     }
 
     /// Number of populated levels (max depth + 1); 0 for a statless trie.

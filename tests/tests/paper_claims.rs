@@ -249,3 +249,32 @@ fn shared_structure_sweep_equals_a_rebuild_of_every_point_at_paper_scale() {
     let shared = power_sweep(&cfg).expect("power sweep");
     assert_bit_equal(&shared, &rebuild_every_point(&cfg));
 }
+
+/// The rebuild above goes through `Scenario::build`, which reads its
+/// structures off the same one-walk statistics the sweep does. This keeps
+/// the reference independent: both structures' stage bits equal
+/// pipelines mapped from leaf-pushed tries that are actually built.
+#[test]
+fn walked_structures_equal_pipelines_of_built_leaf_pushed_tries() {
+    use vr_power::scenario::EngineStructure;
+    use vr_trie::{MemoryLayout, MergedTrie, PipelineProfile};
+    let (cfg, layout) = (ExperimentConfig::quick(), MemoryLayout::default());
+    let bits = |tables: &[vr_net::RoutingTable]| {
+        let pushed = MergedTrie::from_tables(tables).unwrap().leaf_pushed();
+        let profile = PipelineProfile::for_trie(&pushed, cfg.stages, layout).unwrap();
+        profile.per_stage_memory_bits()
+    };
+    let (frac_low, frac_high) = cfg.resolve_shared_fractions();
+    for frac in [frac_low, frac_high] {
+        let tables = cfg.family(cfg.k_max, frac).unwrap();
+        let sweep = MergedTrie::from_tables(&tables).unwrap().sweep_stats();
+        for k in 1..=cfg.k_max {
+            let merged = EngineStructure::merged(&sweep, k, cfg.stages, layout).unwrap();
+            let built = [bits(&tables[..k])];
+            assert_eq!(merged.engine_stage_bits, built, "merged K={k}");
+            let singles: Vec<_> = tables[..k].chunks(1).map(bits).collect();
+            let separate = EngineStructure::separate(&sweep, k, cfg.stages, layout).unwrap();
+            assert_eq!(separate.engine_stage_bits, singles, "separate K={k}");
+        }
+    }
+}
