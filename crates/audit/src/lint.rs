@@ -1,5 +1,5 @@
 //! Source lints for the workspace, run by `vr-audit lint` and the CI
-//! `audit` job. Seven rules:
+//! `audit` job. Nine rules, numbered 1–4 and 6–10:
 //!
 //! 1. **no-unsafe** — `unsafe` is forbidden everywhere outside `vendor/`
 //!    (the crates also carry `#![forbid(unsafe_code)]`, but that only
@@ -20,12 +20,10 @@
 //!    `vr-telemetry`'s `Stopwatch`/`Span` API so overhead is paid in one
 //!    audited place and every measurement lands in a histogram instead
 //!    of an ad-hoc local.
-//! 5. **no-tables-clone** — `tables.clone()` is forbidden in the
-//!    service's publish path ([`PUBLISH_PATH_FILES`]): cloning the whole
-//!    table family per update batch is the O(K·table) cost the
-//!    incremental control plane exists to avoid. The one sanctioned
-//!    full-rebuild fallback is waived through the allowlist, so any new
-//!    clone needs an explicit entry (and a reviewer's eyes) to land.
+//! 5. *Retired.* `no-tables-clone` fenced the one clone of a per-VN
+//!    table mirror on the publish path. The services keep no such mirror
+//!    any more (a `LookupService`'s routes live only in its merged
+//!    trie), so there is nothing to clone; the number is not reused.
 //! 6. **no-prefetch-outside-home** — the `_mm_prefetch` intrinsic (and
 //!    with it the workspace's only `#[allow(unsafe_code)]`) lives in
 //!    exactly one audited place: the safe wrapper in [`PREFETCH_HOME`].
@@ -103,16 +101,6 @@ pub const TIMED_FILES: [&str; 9] = [
     // histograms — both must run on the audited Stopwatch epoch.
     "crates/wire/src/server.rs",
     "crates/wire/src/replay.rs",
-];
-
-/// Files on the table-publish path where cloning the table family is
-/// forbidden outside the allowlisted full-rebuild fallback: an
-/// unsanctioned `tables.clone()` here reintroduces the per-batch
-/// O(K·table) copy the incremental update engine removed.
-pub const PUBLISH_PATH_FILES: [&str; 3] = [
-    "crates/engine/src/service.rs",
-    "crates/engine/src/service_core.rs",
-    "crates/engine/src/sharded.rs",
 ];
 
 /// The one module allowed to use the software-prefetch intrinsic (and
@@ -195,9 +183,6 @@ pub enum LintRule {
     /// `Instant::now(` in a timed engine module bypassing the telemetry
     /// `Stopwatch`/`Span` API.
     NoRawInstant,
-    /// `tables.clone()` on the service publish path outside the
-    /// sanctioned full-rebuild fallback.
-    NoTablesClone,
     /// The `_mm_prefetch` intrinsic outside its sanctioned home
     /// ([`PREFETCH_HOME`]).
     NoPrefetchOutsideHome,
@@ -223,7 +208,6 @@ impl LintRule {
             LintRule::NoPanicHotPath => "no-panic-hot-path",
             LintRule::NoRawPowerLiteral => "no-raw-power-literal",
             LintRule::NoRawInstant => "no-raw-instant",
-            LintRule::NoTablesClone => "no-tables-clone",
             LintRule::NoPrefetchOutsideHome => "no-prefetch-outside-home",
             LintRule::NoRawCacheSlot => "no-raw-cache-slot",
             LintRule::NoRawAtomic => "no-raw-atomic",
@@ -521,7 +505,6 @@ fn lint_file(
 ) {
     let hot_path = path_matches(rel, &HOT_PATH_FILES);
     let timed = path_matches(rel, &TIMED_FILES);
-    let publish_path = path_matches(rel, &PUBLISH_PATH_FILES);
     let power_scope = POWER_CRATES.iter().any(|c| rel.starts_with(c))
         && !path_matches(rel, &POWER_LITERAL_HOMES);
     let atomic_home = ATOMIC_HOMES.iter().any(|h| rel.starts_with(h));
@@ -573,11 +556,6 @@ fn lint_file(
         if timed && !in_tests {
             if let Some(col) = stripped.find("Instant::now(") {
                 push(LintRule::NoRawInstant, col);
-            }
-        }
-        if publish_path && !in_tests {
-            if let Some(col) = stripped.find("tables.clone()") {
-                push(LintRule::NoTablesClone, col);
             }
         }
         if !in_tests && !path_matches(rel, &[PREFETCH_HOME]) {
@@ -759,23 +737,6 @@ mod tests {
     fn raw_instant_in_tests_and_comments_is_ignored() {
         let text = "fn f() {}\n// Instant::now() in prose\n#[cfg(test)]\nmod tests { fn g() { let t = Instant::now(); } }\n";
         assert!(lint_text("crates/engine/src/engine.rs", text, "").is_empty());
-    }
-
-    #[test]
-    fn tables_clone_fires_on_publish_path_only() {
-        let text = "let staged = self.tables.clone();\n";
-        let findings = lint_text("crates/engine/src/service.rs", text, "");
-        assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].rule, LintRule::NoTablesClone);
-        // Off the publish path the same line is fine (tests, benches,
-        // oracles clone freely).
-        assert!(lint_text("crates/engine/src/router.rs", text, "").is_empty());
-        // The sanctioned fallback is waived through the allowlist.
-        let allow = "crates/engine/src/service.rs\tself.tables.clone()";
-        assert!(lint_text("crates/engine/src/service.rs", text, allow).is_empty());
-        // Test modules are exempt like every other rule.
-        let test_text = "fn f() {}\n#[cfg(test)]\nmod tests { fn g() { let t = s.tables.clone(); } }\n";
-        assert!(lint_text("crates/engine/src/service.rs", test_text, "").is_empty());
     }
 
     #[test]

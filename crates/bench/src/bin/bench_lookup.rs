@@ -293,7 +293,6 @@ const SHARDED_CHUNKS: [usize; 2] = [512, 2048];
 fn push_sharded(
     rows: &mut Vec<Row>,
     scale: &Scale<'_>,
-    family: &[vr_net::RoutingTable],
     merged_jump: &JumpTrie,
     worker_counts: &[usize],
     scalar_ref_ns: f64,
@@ -309,7 +308,7 @@ fn push_sharded(
                 shards,
                 ..ShardedConfig::default()
             };
-            let mut service = ShardedService::with_trie(family.to_vec(), merged_jump.clone(), cfg)
+            let mut service = ShardedService::with_trie(merged_jump.clone(), cfg)
                 .expect("sharded service construction");
             let mut out = vec![None; chunk.min(packets.len()).max(1)];
             // Like the channel-service rows: back-to-back calls per
@@ -514,7 +513,7 @@ fn run_scale(
         let jump_vn_ns =
             push_backend::<FAMILY_K>(&mut pass, &scale, "merged_jump_vn", &merged_jump);
         push_service(&mut pass, &scale, &family, worker_counts, jump_vn_ns);
-        push_sharded(&mut pass, &scale, &family, &merged_jump, worker_counts, jump_vn_ns);
+        push_sharded(&mut pass, &scale, &merged_jump, worker_counts, jump_vn_ns);
         if best.is_empty() {
             best = pass;
         } else {
@@ -802,7 +801,7 @@ fn telemetry_smoke() {
     .generate()
     .unwrap();
     let mut service = LookupService::new(
-        family,
+        family.clone(),
         ServiceConfig {
             workers: 2,
             // Cache on, so the vr_cache_* counter families land in the
@@ -820,8 +819,7 @@ fn telemetry_smoke() {
     service.process(&packets);
     // One publish, so the structured event log the CI step checks holds
     // a generation swap.
-    let tables = service.tables().to_vec();
-    service.publish_tables(tables).expect("smoke republish");
+    service.publish_tables(family).expect("smoke republish");
     let second = service.telemetry_snapshot().expect("telemetry on by default");
     let _ = service.shutdown();
     // The second pass replays the first pass's packets, so the cache

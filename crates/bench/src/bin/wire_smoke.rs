@@ -54,22 +54,6 @@ fn control_plane(tables: Vec<RoutingTable>) -> ControlPlane {
     ControlPlane::new(service, ControlConfig::default()).expect("control plane")
 }
 
-/// Applies one wire update to the local mirror (the oracle's view).
-fn mirror_apply(mirror: &mut [RoutingTable], update: &RouteUpdate) {
-    match update {
-        RouteUpdate::Announce {
-            vnid,
-            prefix,
-            next_hop,
-        } => {
-            mirror[*vnid as usize].insert(*prefix, *next_hop);
-        }
-        RouteUpdate::Withdraw { vnid, prefix } => {
-            mirror[*vnid as usize].remove(prefix);
-        }
-    }
-}
-
 /// Checks one response batch against the oracle snapshot for its
 /// generation; returns the number of mismatched packets.
 fn verify_record(record: &ReplayRecord, oracle: &BTreeMap<u64, Vec<RoutingTable>>) -> usize {
@@ -138,7 +122,7 @@ fn phase1_oracle_parity(obs_addr: SocketAddr, registry: &Arc<MetricsRegistry>) {
                     // order, so the mirror *is* the table state the
                     // acked generation serves.
                     for update in &batch {
-                        mirror_apply(&mut mirror, update);
+                        update.apply_to(&mut mirror);
                     }
                     snapshots.insert(generation, mirror.clone());
                 }

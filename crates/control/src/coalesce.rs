@@ -150,18 +150,7 @@ mod tests {
         for (target, updates) in [(&mut tables, &batch[..]), (&mut coalesced_tables, &deduped[..])]
         {
             for u in updates {
-                match *u {
-                    RouteUpdate::Announce {
-                        vnid,
-                        prefix,
-                        next_hop,
-                    } => {
-                        target[usize::from(vnid)].insert(prefix, next_hop);
-                    }
-                    RouteUpdate::Withdraw { vnid, prefix } => {
-                        target[usize::from(vnid)].remove(&prefix);
-                    }
-                }
+                u.apply_to(target);
             }
         }
         assert_eq!(tables, coalesced_tables);

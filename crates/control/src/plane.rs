@@ -7,9 +7,10 @@
 //! 1. **Coalesce** — last-writer-wins dedup per `(vnid, prefix)`
 //!    ([`crate::coalesce`]), so the data plane pays one sub-slab
 //!    rebuild per final state, not per intermediate flap.
-//! 2. **Apply** — [`LookupService::apply_updates`] patches only the
-//!    dirty /16 buckets (or falls back to a full rebuild past the
-//!    configured dirty threshold / under `full_rebuild`).
+//! 2. **Apply** — [`LookupService::apply_updates`] edits the service's
+//!    one routing state, its merged trie, and patches only the dirty /16
+//!    buckets (or re-derives every bucket past the configured dirty
+//!    threshold).
 //! 3. **Supervise** — measure α (the merged trie's merging
 //!    efficiency), price the memory-footprint drift in watts against
 //!    the construction-time baseline, and decide whether a re-merge
@@ -21,6 +22,15 @@
 //! not one per batch. A cooldown bounds the rebuild rate even under
 //! oscillating α, and audit rejections are retried a bounded number of
 //! times before surfacing as [`ControlError::RemergeFailed`].
+//!
+//! What a re-merge changes: nothing in the data plane but the
+//! generation. The merged trie prunes nodes on withdraw and keeps α
+//! incrementally, so [`LookupService::remerge_publish`] republishes a
+//! structure bit-equal to the live one, with the same α; the generation
+//! bump only invalidates every lane's result cache. Merging the same K
+//! tables into the same one engine cannot raise α. The trigger means
+//! something only once it can regroup the VNs into several engines
+//! (grouped merging, ROADMAP item 8).
 
 use crate::coalesce::{coalesce, CoalesceStats};
 use crate::ControlError;
@@ -446,6 +456,20 @@ mod tests {
         .unwrap()
     }
 
+    /// Asserts the plane serves exactly a from-scratch build of `tables`.
+    fn assert_serves(plane: &ControlPlane, tables: &[RoutingTable]) {
+        let merged = vr_trie::MergedTrie::from_tables(tables).unwrap();
+        let want = vr_trie::JumpTrie::from_leaf_pushed(&merged.leaf_pushed());
+        assert_eq!(
+            plane.service().snapshot().trie.raw_parts(),
+            want.raw_parts()
+        );
+        assert_eq!(
+            plane.service().alpha().unwrap().to_bits(),
+            merged.merging_efficiency().to_bits()
+        );
+    }
+
     fn paired_tables() -> Vec<RoutingTable> {
         let t = table("10.0.0.0/8 1\n10.1.1.0/24 2\n172.16.0.0/12 3\n");
         vec![t.clone(), t]
@@ -717,8 +741,8 @@ mod tests {
             outcomes.iter().map(|o| o.coalesce.input).sum::<usize>(),
             40
         );
-        // End state matches the stream's own tracked tables.
-        assert_eq!(plane.service().tables(), stream.tables());
+        // End state is a from-scratch build of the stream's own tables.
+        assert_serves(&plane, stream.tables());
         assert!(plane.replay_trace("", 0).is_err());
         let _ = plane.shutdown();
     }
@@ -732,7 +756,7 @@ mod tests {
             ControlPlane::new(small_service(tables), ControlConfig::default()).unwrap();
         let outcomes = plane.replay(&mut stream, 3, 15).unwrap();
         assert_eq!(outcomes.len(), 3);
-        assert_eq!(plane.service().tables(), stream.tables());
+        assert_serves(&plane, stream.tables());
         let snap = plane.service().telemetry_snapshot().unwrap();
         assert_eq!(snap.counter("vr_control_batches_total"), Some(3));
         assert_eq!(snap.counter("vr_control_updates_in_total"), Some(45));

@@ -125,18 +125,7 @@ impl VirtualRouterSim {
     /// after this will count oracle mismatches until
     /// [`VirtualRouterSim::rebuild_engines`] is called.
     pub fn apply_update(&mut self, update: &vr_net::RouteUpdate) {
-        match *update {
-            vr_net::RouteUpdate::Announce {
-                vnid,
-                prefix,
-                next_hop,
-            } => {
-                self.tables[usize::from(vnid)].insert(prefix, next_hop);
-            }
-            vr_net::RouteUpdate::Withdraw { vnid, prefix } => {
-                self.tables[usize::from(vnid)].remove(&prefix);
-            }
-        }
+        update.apply_to(&mut self.tables);
     }
 
     /// Rebuilds the lookup engines from the current (updated) tables —

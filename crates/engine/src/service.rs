@@ -15,20 +15,26 @@
 //! time-shared pipeline serving every VN. The first span is the
 //! caller's own, so a one-span call never leaves the calling thread.
 //!
+//! **One routing state.** The service's routes live in exactly one
+//! mutable place: a [`MergedTrie`], the paper's VM structure, whose
+//! nodes carry every VN's next hops (§III). `new` and
+//! [`LookupService::publish_tables`] keep the merged trie they build the
+//! published [`JumpTrie`] from; the VN count is its arity and α its
+//! [`merging_efficiency`](MergedTrie::merging_efficiency). There is no
+//! per-VN table mirror beside it.
+//!
 //! **Route updates publish incrementally.** [`LookupService::apply_updates`]
-//! keeps an incremental plant — the live [`MergedTrie`] plus its per-/16
-//! [`JumpSlabs`] decomposition — applies announce/withdraw deltas in
-//! place, re-derives only the dirty buckets, and assembles a fresh
-//! [`JumpTrie`] for the swap. Past
-//! [`ServiceConfig::dirty_rebuild_threshold`] dirty buckets (or with
-//! [`ServiceConfig::full_rebuild`] set for A/B comparison) it falls back
-//! to the from-scratch clone-and-rebuild path. Either way the new table
-//! is built *outside* the core's publish slot, so reconfiguration never
-//! stalls the datapath (the non-blocking reload of the Terabit hybrid
-//! FPGA-ASIC platform in PAPERS.md), and the control plane's mirror of
-//! the tables ([`LookupService::tables`]) and the plant are committed
-//! only after the core's audit gate accepts the candidate: a rejected
-//! publish leaves table, mirror and generation untouched.
+//! applies announce/withdraw deltas to the merged trie in place,
+//! re-derives only the dirty /16 buckets of its [`JumpSlabs`]
+//! decomposition (derived from the trie on the first update batch), and
+//! assembles a fresh [`JumpTrie`] for the swap. Past
+//! [`ServiceConfig::dirty_rebuild_threshold`] dirty buckets it re-derives
+//! every bucket in one pass instead. Either way the new table is built
+//! *outside* the core's publish slot, so reconfiguration never stalls
+//! the datapath (the non-blocking reload of the Terabit hybrid FPGA-ASIC
+//! platform in PAPERS.md). A candidate the core's audit gate refuses is
+//! rolled back out of the merged trie and its slabs, so a rejected
+//! publish leaves routes, table and generation untouched.
 //!
 //! Per-worker counters (lookups, misses, batch latencies, generations
 //! observed) ride back with each completed batch and aggregate into a
@@ -45,7 +51,7 @@ use vr_telemetry::{Counter, Gauge, Histogram, MetricsRegistry, Stopwatch, Teleme
 use vr_trie::{DirtyBuckets, JumpSlabs, JumpTrie, MergedTrie};
 
 pub use crate::service_core::TableSnapshot;
-use crate::service_core::{build_trie, Done, Job, ServiceCore, ShardedConfig};
+use crate::service_core::{Done, Job, ServiceCore, ShardedConfig};
 use crate::EngineError;
 
 /// Span floor used when [`ServiceConfig::batch_width`] is `None`.
@@ -73,10 +79,9 @@ pub struct ServiceConfig {
     /// `false` drops the service back to report-only accounting (used by
     /// the bench to measure the overhead delta).
     pub telemetry: bool,
-    /// Route updates rebuild the whole table family from a clone instead
-    /// of patching dirty sub-slabs. Off by default; kept as the A/B
-    /// baseline for the `control_churn` study and as the semantics
-    /// oracle for the incremental path.
+    /// Retired: route updates always patch the merged trie in place.
+    /// [`LookupService::new`] rejects `true`; the field stays only
+    /// until the repo benchmark, which spells it, stops doing so.
     pub full_rebuild: bool,
     /// Dirty-bucket count beyond which an incremental update batch stops
     /// patching per-bucket and re-derives every sub-slab from the merged
@@ -191,9 +196,8 @@ pub struct ServiceReport {
     /// Publishes that went through the incremental dirty-bucket patch
     /// path.
     pub incremental_publishes: u64,
-    /// Publishes that rebuilt the whole structure: the
-    /// [`ServiceConfig::full_rebuild`] baseline plus dirty-threshold
-    /// fallbacks of the incremental path.
+    /// Update publishes past [`ServiceConfig::dirty_rebuild_threshold`]
+    /// dirty buckets, which re-derived every sub-slab in one pass.
     pub full_rebuilds: u64,
     /// Submits that blocked on a full worker queue, counted with
     /// telemetry on or off.
@@ -237,15 +241,6 @@ impl ServiceReport {
     }
 }
 
-/// The incremental update plant: the live [`MergedTrie`] and its
-/// per-/16-bucket [`JumpSlabs`] decomposition, kept in lockstep with the
-/// mirrored tables. Dropped (and lazily rebuilt) whenever the tables are
-/// replaced wholesale via [`LookupService::publish_tables`].
-struct IncrementalPlant {
-    merged: MergedTrie,
-    slabs: JumpSlabs,
-}
-
 /// Per-call bookkeeping entry of [`LookupService::apply_updates`]: which
 /// generation the batch published and through which path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -255,9 +250,12 @@ pub struct UpdateRecord {
     /// Updates in the batch (pre-coalescing — the service applies what
     /// it is given).
     pub updates: usize,
-    /// True when the publish went through the dirty-bucket patch path.
+    /// False when the batch passed
+    /// [`ServiceConfig::dirty_rebuild_threshold`] and every sub-slab was
+    /// re-derived. The first batch after `new` or `publish_tables`
+    /// derives the sub-slabs as set-up and still counts as incremental.
     pub incremental: bool,
-    /// Buckets the batch dirtied (0 on the full-rebuild baseline path).
+    /// Buckets the batch dirtied.
     pub dirty_buckets: usize,
 }
 
@@ -301,22 +299,31 @@ pub fn lookup_batch_mixed(
 /// ```
 pub struct LookupService {
     core: ServiceCore,
-    /// Control-plane mirror of the per-VN tables: always the family the
-    /// datapath is serving, replaced or edited only once a publish is
-    /// accepted.
-    tables: Vec<RoutingTable>,
+    /// The routing state: every VN's routes in one merged trie, always
+    /// the family the datapath is serving. Edited in place by
+    /// `apply_updates` (and rolled back if the gate refuses the batch),
+    /// replaced by `publish_tables` once the gate accepts.
+    merged: MergedTrie,
+    /// The merged trie's per-/16 decomposition: derived on the first
+    /// `apply_updates` after `new` / `publish_tables`, patched per dirty
+    /// bucket after that.
+    slabs: Option<JumpSlabs>,
     batch_width: usize,
     report: ServiceReport,
     /// `None` when [`ServiceConfig::telemetry`] is off.
     telemetry: Option<UpdateTelemetry>,
-    /// Route updates clone-and-rebuild instead of patching sub-slabs.
-    full_rebuild: bool,
-    /// Dirty-bucket fallback threshold of the incremental path.
+    /// Dirty-bucket count past which an update re-derives every bucket.
     dirty_threshold: usize,
-    /// Lazily materialized incremental update state.
-    plant: Option<IncrementalPlant>,
     /// One entry per `apply_updates` call, oldest first.
     update_log: Vec<UpdateRecord>,
+}
+
+/// Merges `tables` and builds the jump trie the service publishes for
+/// them; the merged trie is kept as the service's routing state.
+fn merge_and_build(tables: &[RoutingTable]) -> Result<(MergedTrie, JumpTrie), EngineError> {
+    let merged = MergedTrie::from_tables(tables)?;
+    let trie = JumpTrie::from_leaf_pushed(&merged.leaf_pushed());
+    Ok((merged, trie))
 }
 
 impl LookupService {
@@ -324,7 +331,8 @@ impl LookupService {
     ///
     /// # Errors
     /// Rejects an empty table set, zero lanes, a zero batch width,
-    /// cache size or sample rate, and merge failures (more than 64
+    /// cache size or sample rate, the retired
+    /// [`ServiceConfig::full_rebuild`], and merge failures (more than 64
     /// virtual networks).
     pub fn new(tables: Vec<RoutingTable>, cfg: ServiceConfig) -> Result<Self, EngineError> {
         if tables.is_empty() {
@@ -334,6 +342,11 @@ impl LookupService {
         if batch_width == 0 {
             return Err(EngineError::InvalidParameter("batch width must be positive"));
         }
+        if cfg.full_rebuild {
+            return Err(EngineError::InvalidParameter(
+                "full_rebuild is retired: updates always patch the merged trie",
+            ));
+        }
         let pool = ShardedConfig {
             shards: cfg.workers,
             queue_depth: cfg.queue_depth,
@@ -341,7 +354,8 @@ impl LookupService {
             lookup_cache: cfg.lookup_cache,
             trace_sample: cfg.trace_sample,
         };
-        let core = ServiceCore::new(build_trie(&tables)?, pool, TraceBuilder::set_worker)?;
+        let (merged, trie) = merge_and_build(&tables)?;
+        let core = ServiceCore::new(trie, pool, TraceBuilder::set_worker)?;
         let telemetry = core.metrics().map(|registry| {
             registry
                 .gauge("vr_service_batch_width")
@@ -350,13 +364,12 @@ impl LookupService {
         });
         Ok(Self {
             core,
-            tables,
+            merged,
+            slabs: None,
             batch_width,
             report: ServiceReport::new(cfg.workers, batch_width),
             telemetry,
-            full_rebuild: cfg.full_rebuild,
             dirty_threshold: cfg.dirty_rebuild_threshold,
-            plant: None,
             update_log: Vec::new(),
         })
     }
@@ -380,10 +393,11 @@ impl LookupService {
         self.core.generation()
     }
 
-    /// The control-plane view of the per-VN tables.
+    /// Virtual networks hosted: updates and lookups may name VN ids
+    /// `0..vn_count()`.
     #[must_use]
-    pub fn tables(&self) -> &[RoutingTable] {
-        &self.tables
+    pub fn vn_count(&self) -> usize {
+        self.merged.arity()
     }
 
     /// Copies the core's control-plane counts into the report.
@@ -472,26 +486,27 @@ impl LookupService {
     }
 
     /// Publishes a fresh snapshot built from `tables` and, once the
-    /// audit gate has accepted it, replaces the control-plane mirror.
-    /// The build runs outside the swap lock; in-flight batches finish on
-    /// their pinned snapshot. Returns the new generation.
+    /// audit gate has accepted it, makes their merged trie the routing
+    /// state. The build runs outside the swap lock; in-flight batches
+    /// finish on their pinned snapshot. Returns the new generation.
     ///
     /// # Errors
     /// Propagates trie construction failures and audit rejections; the
-    /// live table, the mirror and the incremental plant are untouched on
-    /// error. The VN count must not change — workers' batches carry VN
-    /// ids that must stay valid across swaps.
+    /// live table and the routing state are untouched on error. The VN
+    /// count must not change — workers' batches carry VN ids that must
+    /// stay valid across swaps.
     pub fn publish_tables(&mut self, tables: Vec<RoutingTable>) -> Result<u64, EngineError> {
-        if tables.len() != self.tables.len() {
+        if tables.len() != self.vn_count() {
             return Err(EngineError::InvalidParameter(
                 "table count must not change across a swap",
             ));
         }
-        let generation = self.publish_trie(build_trie(&tables)?)?;
-        self.tables = tables;
-        // The wholesale replacement invalidates the incremental plant; it
-        // is rebuilt lazily on the next incremental update or α read.
-        self.plant = None;
+        let (merged, trie) = merge_and_build(&tables)?;
+        let generation = self.publish_trie(trie)?;
+        self.merged = merged;
+        // The slabs described the replaced trie; the next update batch
+        // derives them again.
+        self.slabs = None;
         Ok(generation)
     }
 
@@ -508,22 +523,21 @@ impl LookupService {
         outcome
     }
 
-    /// Applies a route-update stream (`vr_net::update`) to the mirrored
-    /// tables and publishes a fresh snapshot — announce/withdraw never
+    /// Applies a route-update stream (`vr_net::update`) to the merged
+    /// trie and publishes a fresh snapshot — announce/withdraw never
     /// stalls in-flight lookups. Returns the new generation.
     ///
     /// Updates are applied in slice order, so a batch carrying several
     /// updates for the same (VN, prefix) resolves last-writer-wins (the
     /// `vr-control` coalescer enforces this deterministically upstream).
-    /// By default the batch goes through the incremental path: deltas
-    /// land in the live [`MergedTrie`], only the dirty /16 buckets are
+    /// The deltas land in the merged trie, only the dirty /16 buckets are
     /// re-derived, and the publishable [`JumpTrie`] is assembled by a
     /// straight copy. Past [`ServiceConfig::dirty_rebuild_threshold`]
-    /// dirty buckets every sub-slab is re-derived in one pass; with
-    /// [`ServiceConfig::full_rebuild`] set the legacy clone-and-rebuild
-    /// baseline runs instead. If the audit gate rejects the assembled
-    /// snapshot, the batch is rolled back and the mirrored tables, the
-    /// plant, and the live generation are all left untouched.
+    /// dirty buckets every sub-slab is re-derived in one pass, as it is
+    /// on the first batch after `new` or
+    /// [`publish_tables`](Self::publish_tables). If the audit gate
+    /// rejects the assembled snapshot, the batch is rolled back and the
+    /// routing state and the live generation are left untouched.
     ///
     /// # Errors
     /// Rejects updates addressing a VN the service does not host (checked
@@ -533,15 +547,11 @@ impl LookupService {
         let watch = Stopwatch::start();
         let trace_start = self.core.tracer().map(Tracer::now_ns);
         for update in updates {
-            if usize::from(update.vnid()) >= self.tables.len() {
+            if usize::from(update.vnid()) >= self.vn_count() {
                 return Err(EngineError::InvalidParameter("update for unknown VN"));
             }
         }
-        let (generation, dirty, patched) = if self.full_rebuild {
-            (self.apply_updates_full(updates)?, 0, false)
-        } else {
-            self.apply_updates_incremental(updates)?
-        };
+        let (generation, dirty, patched) = self.patch_and_publish(updates)?;
         self.report.updates_applied += updates.len() as u64;
         if patched {
             self.report.incremental_publishes += 1;
@@ -570,145 +580,90 @@ impl LookupService {
         Ok(generation)
     }
 
-    /// Legacy baseline: clone the table family, apply the batch, rebuild
-    /// everything. Kept behind [`ServiceConfig::full_rebuild`] for A/B
-    /// benchmarking and as the semantics oracle of the incremental path.
-    fn apply_updates_full(&mut self, updates: &[RouteUpdate]) -> Result<u64, EngineError> {
-        // Sanctioned full-rebuild fallback — the one clone of the table
-        // family the `no-tables-clone` lint permits in this file.
-        let mut staged = self.tables.clone();
-        for update in updates {
-            match *update {
-                RouteUpdate::Announce {
-                    vnid,
-                    prefix,
-                    next_hop,
-                } => {
-                    staged[usize::from(vnid)].insert(prefix, next_hop);
-                }
-                RouteUpdate::Withdraw { vnid, prefix } => {
-                    staged[usize::from(vnid)].remove(&prefix);
-                }
-            }
-        }
-        self.publish_tables(staged)
-    }
-
-    /// Incremental path: delta-apply to the merged trie, patch dirty
-    /// buckets (or re-derive all sub-slabs past the threshold), assemble,
-    /// publish. Returns `(generation, dirty buckets, patched?)`; on a
-    /// publish rejection the deltas are rolled back in reverse order.
-    fn apply_updates_incremental(
+    /// Delta-applies the batch to the merged trie, patches the dirty
+    /// buckets (or re-derives every sub-slab past the threshold or when
+    /// none are derived yet), assembles, publishes. Returns
+    /// `(generation, dirty buckets, patched?)`; on a publish rejection
+    /// the deltas are rolled back in reverse order.
+    fn patch_and_publish(
         &mut self,
         updates: &[RouteUpdate],
     ) -> Result<(u64, usize, bool), EngineError> {
-        self.ensure_plant()?;
-        let Some(mut plant) = self.plant.take() else {
-            return Err(EngineError::InvalidParameter("incremental plant missing"));
-        };
         let mut dirty = DirtyBuckets::new();
         // Undo log: pre-update next hop per (VN, prefix), in apply order.
         let mut applied: Vec<(usize, Ipv4Prefix, Option<NextHop>)> =
             Vec::with_capacity(updates.len());
         for update in updates {
-            match *update {
+            let (vn, prefix, prev) = match *update {
                 RouteUpdate::Announce {
                     vnid,
                     prefix,
                     next_hop,
                 } => {
                     let vn = usize::from(vnid);
-                    let prev = plant.merged.insert(vn, prefix, next_hop);
-                    self.tables[vn].insert(prefix, next_hop);
-                    applied.push((vn, prefix, prev));
-                    dirty.mark_prefix(&prefix);
+                    (vn, prefix, self.merged.insert(vn, prefix, next_hop))
                 }
                 RouteUpdate::Withdraw { vnid, prefix } => {
                     let vn = usize::from(vnid);
-                    let prev = plant.merged.remove(vn, &prefix);
-                    self.tables[vn].remove(&prefix);
-                    applied.push((vn, prefix, prev));
-                    dirty.mark_prefix(&prefix);
+                    (vn, prefix, self.merged.remove(vn, &prefix))
                 }
-            }
+            };
+            applied.push((vn, prefix, prev));
+            dirty.mark_prefix(&prefix);
         }
         let patched = dirty.len() <= self.dirty_threshold;
-        if patched {
-            for bucket in dirty.iter() {
-                plant.slabs.rebuild_bucket(&plant.merged, bucket);
-            }
-        } else {
-            plant.slabs = JumpSlabs::from_merged(&plant.merged);
-        }
-        let trie = plant.slabs.assemble();
-        match self.publish_trie(trie) {
-            Ok(generation) => {
-                self.plant = Some(plant);
-                Ok((generation, dirty.len(), patched))
-            }
-            Err(err) => {
-                // Restore tables and merged trie to the pre-batch state
-                // (reverse order handles repeated keys), then re-derive
-                // the touched buckets so the plant matches again.
-                for (vn, prefix, prev) in applied.into_iter().rev() {
-                    match prev {
-                        Some(nh) => {
-                            plant.merged.insert(vn, prefix, nh);
-                            self.tables[vn].insert(prefix, nh);
-                        }
-                        None => {
-                            plant.merged.remove(vn, &prefix);
-                            self.tables[vn].remove(&prefix);
-                        }
-                    }
-                }
+        let mut slabs = match self.slabs.take() {
+            Some(mut slabs) if patched => {
                 for bucket in dirty.iter() {
-                    plant.slabs.rebuild_bucket(&plant.merged, bucket);
+                    slabs.rebuild_bucket(&self.merged, bucket);
                 }
-                self.plant = Some(plant);
-                Err(err)
+                slabs
+            }
+            _ => JumpSlabs::from_merged(&self.merged),
+        };
+        let outcome = self.publish_trie(slabs.assemble());
+        if outcome.is_err() {
+            // Restore the merged trie to the pre-batch state (reverse
+            // order handles repeated keys), then re-derive the touched
+            // buckets so the slabs match it again.
+            for (vn, prefix, prev) in applied.into_iter().rev() {
+                match prev {
+                    Some(nh) => self.merged.insert(vn, prefix, nh),
+                    None => self.merged.remove(vn, &prefix),
+                };
+            }
+            for bucket in dirty.iter() {
+                slabs.rebuild_bucket(&self.merged, bucket);
             }
         }
+        self.slabs = Some(slabs);
+        outcome.map(|generation| (generation, dirty.len(), patched))
     }
 
-    /// Materializes the incremental plant from the mirrored tables if it
-    /// is not already live.
-    fn ensure_plant(&mut self) -> Result<(), EngineError> {
-        if self.plant.is_none() {
-            let merged = MergedTrie::from_tables(&self.tables)?;
-            let slabs = JumpSlabs::from_merged(&merged);
-            self.plant = Some(IncrementalPlant { merged, slabs });
-        }
-        Ok(())
-    }
-
-    /// Rebuilds the canonical merged structure from the mirrored tables,
-    /// publishes it, and replaces the incremental plant — the re-merge
-    /// endpoint `vr-control` triggers on α drift. Returns the new
-    /// generation; on rejection the old plant and generation stay live.
+    /// Re-derives every sub-slab from the merged trie and publishes the
+    /// result — the re-merge endpoint `vr-control` triggers on α drift.
+    /// The merged trie prunes on withdraw and keeps α incrementally, so
+    /// the republished structure equals the live one; the call bumps the
+    /// generation (and with it every lane's cache tag) and nothing else.
+    /// Returns the new generation; on rejection the old generation
+    /// stays live.
     ///
     /// # Errors
-    /// Propagates merge failures and audit rejections.
+    /// Propagates audit rejections.
     pub fn remerge_publish(&mut self) -> Result<u64, EngineError> {
-        let merged = MergedTrie::from_tables(&self.tables)?;
-        let slabs = JumpSlabs::from_merged(&merged);
-        let trie = slabs.assemble();
-        let generation = self.publish_trie(trie)?;
-        self.plant = Some(IncrementalPlant { merged, slabs });
+        let slabs = JumpSlabs::from_merged(&self.merged);
+        let generation = self.publish_trie(slabs.assemble())?;
+        self.slabs = Some(slabs);
         Ok(generation)
     }
 
-    /// Measured merging efficiency α of the live table family, O(1) when
-    /// the incremental plant is warm (it is materialized on first use).
+    /// Measured merging efficiency α of the live table family, O(1): the
+    /// merged trie keeps it incrementally.
     ///
     /// # Errors
-    /// Propagates merge failures when the plant must be (re)built.
-    pub fn alpha(&mut self) -> Result<f64, EngineError> {
-        self.ensure_plant()?;
-        Ok(self
-            .plant
-            .as_ref()
-            .map_or(0.0, |p| p.merged.merging_efficiency()))
+    /// Never fails; the `Result` is kept for existing callers.
+    pub fn alpha(&self) -> Result<f64, EngineError> {
+        Ok(self.merged.merging_efficiency())
     }
 
     /// The currently published snapshot (one refcount bump) — lets the
@@ -771,7 +726,7 @@ impl std::fmt::Debug for LookupService {
             .field("workers", &self.workers())
             .field("batch_width", &self.batch_width)
             .field("generation", &self.generation())
-            .field("tables", &self.tables.len())
+            .field("vns", &self.vn_count())
             .finish_non_exhaustive()
     }
 }
@@ -779,6 +734,7 @@ impl std::fmt::Debug for LookupService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service_core::build_trie;
     use crate::service_core::contract::{self, contract_tests, Kind};
     use vr_net::synth::TableSpec;
     use vr_telemetry::EventKind;
@@ -893,13 +849,26 @@ mod tests {
             contract::rejected_publish_changes_nothing_and_is_counted,
             Kind::Spans,
         );
-        // A refused table build leaves the warm incremental plant alone.
+        // A refused table build leaves the routing state alone: the next
+        // update batch still patches the family that was serving.
         let t = table("10.0.0.0/8 1\n");
         let mut service = LookupService::new(vec![t.clone(), t.clone()], small_cfg(1)).unwrap();
-        let _ = service.alpha().unwrap();
+        let gate = service.core.gate;
         service.core.gate = contract::refuse;
-        assert!(service.publish_tables(vec![t.clone(), t]).is_err());
-        assert!(service.plant.is_some());
+        assert!(service
+            .publish_tables(vec![t.clone(), table("192.0.2.0/24 3\n")])
+            .is_err());
+        service.core.gate = gate;
+        assert!((service.alpha().unwrap() - 1.0).abs() < 1e-12);
+        let withdraw = RouteUpdate::Withdraw {
+            vnid: 1,
+            prefix: "10.0.0.0/8".parse().unwrap(),
+        };
+        service.apply_updates(&[withdraw]).unwrap();
+        assert_eq!(
+            service.process(&[(0, 0x0A00_0001), (1, 0x0A00_0001), (1, 0xC000_0201)]),
+            vec![Some(1), None, None]
+        );
         assert_eq!(service.shutdown().audit_rejections, 1);
     }
 
@@ -911,6 +880,11 @@ mod tests {
             ..small_cfg(1)
         };
         assert!(LookupService::new(vec![table("10.0.0.0/8 1\n")], zero_width).is_err());
+        let full_rebuild = ServiceConfig {
+            full_rebuild: true,
+            ..small_cfg(1)
+        };
+        assert!(LookupService::new(vec![table("10.0.0.0/8 1\n")], full_rebuild).is_err());
     }
 
     #[test]
@@ -1083,23 +1057,36 @@ mod tests {
         (0..batches).map(|_| stream.batch(per_batch)).collect()
     }
 
+    /// Applies one batch to per-VN shadow tables.
+    fn apply_to_shadow(shadow: &mut [RoutingTable], batch: &[RouteUpdate]) {
+        for update in batch {
+            update.apply_to(shadow);
+        }
+    }
+
+    /// Asserts the live snapshot is exactly a from-scratch build of
+    /// `shadow`, α included.
+    fn assert_serves(service: &LookupService, shadow: &[RoutingTable]) {
+        let merged = MergedTrie::from_tables(shadow).unwrap();
+        let want = JumpTrie::from_leaf_pushed(&merged.leaf_pushed());
+        assert_eq!(service.snapshot().trie.raw_parts(), want.raw_parts());
+        assert_eq!(
+            service.alpha().unwrap().to_bits(),
+            merged.merging_efficiency().to_bits()
+        );
+    }
+
     #[test]
     fn incremental_updates_match_the_full_rebuild_baseline() {
         let tables = churn_family(61, 3);
+        let mut shadow = tables.clone();
         let mut inc = LookupService::new(tables.clone(), small_cfg(1)).unwrap();
-        let full_cfg = ServiceConfig {
-            full_rebuild: true,
-            ..small_cfg(1)
-        };
-        let mut full = LookupService::new(tables.clone(), full_cfg).unwrap();
-        for batch in churn_batches(tables, 61, 6, 40) {
-            let g1 = inc.apply_updates(&batch).unwrap();
-            let g2 = full.apply_updates(&batch).unwrap();
-            assert_eq!(g1, g2);
-            assert_eq!(inc.tables(), full.tables());
-            // Interleaved mid-churn lookups resolve identically.
-            let probes: Vec<(VnId, u32)> = inc
-                .tables()
+        for (i, batch) in churn_batches(tables, 61, 6, 40).iter().enumerate() {
+            assert_eq!(inc.apply_updates(batch).unwrap(), i as u64 + 1);
+            apply_to_shadow(&mut shadow, batch);
+            assert_serves(&inc, &shadow);
+            // Interleaved mid-churn lookups resolve like the shadow tables.
+            let probes: Vec<(VnId, u32)> = shadow
                 .iter()
                 .enumerate()
                 .flat_map(|(vn, t)| {
@@ -1108,15 +1095,74 @@ mod tests {
                         .map(move |p| (vn as VnId, p.addr() | 1))
                 })
                 .collect();
-            assert_eq!(inc.process(&probes), full.process(&probes));
+            let want: Vec<Option<NextHop>> = probes
+                .iter()
+                .map(|&(vn, dst)| shadow[usize::from(vn)].lookup(dst))
+                .collect();
+            assert_eq!(inc.process(&probes), want);
         }
         let inc_report = inc.shutdown();
         assert_eq!(inc_report.updates_applied, 6 * 40);
         assert_eq!(inc_report.incremental_publishes, 6);
         assert_eq!(inc_report.full_rebuilds, 0);
-        let full_report = full.shutdown();
-        assert_eq!(full_report.full_rebuilds, 6);
-        assert_eq!(full_report.incremental_publishes, 0);
+    }
+
+    #[test]
+    fn a_refused_update_batch_rolls_back_on_both_paths() {
+        for threshold in [4096, 0] {
+            let tables = churn_family(71, 3);
+            let mut shadow = tables.clone();
+            let cfg = ServiceConfig {
+                dirty_rebuild_threshold: threshold,
+                ..small_cfg(1)
+            };
+            let mut service = LookupService::new(tables.clone(), cfg).unwrap();
+            let gate = service.core.gate;
+            // Batch 0 is refused before any slab exists, batch 3 after
+            // the slabs have been patched twice.
+            for (i, batch) in churn_batches(tables, 71, 6, 40).iter().enumerate() {
+                if i == 0 || i == 3 {
+                    let before = service.snapshot();
+                    let alpha = service.alpha().unwrap();
+                    service.core.gate = contract::refuse;
+                    assert!(service.apply_updates(batch).is_err());
+                    service.core.gate = gate;
+                    let after = service.snapshot();
+                    assert_eq!(after.generation, before.generation);
+                    assert_eq!(after.trie.raw_parts(), before.trie.raw_parts());
+                    assert_eq!(service.alpha().unwrap().to_bits(), alpha.to_bits());
+                }
+                service.apply_updates(batch).unwrap();
+                apply_to_shadow(&mut shadow, batch);
+                assert_serves(&service, &shadow);
+            }
+            let report = service.shutdown();
+            assert_eq!(report.audit_rejections, 2);
+            assert_eq!(report.swaps, 6);
+        }
+    }
+
+    #[test]
+    fn remerge_republishes_the_live_structure() {
+        let tables = churn_family(97, 4);
+        let mut service = LookupService::new(tables.clone(), small_cfg(1)).unwrap();
+        let batches = churn_batches(tables, 97, 8, 64);
+        let withdrawals = batches
+            .iter()
+            .flatten()
+            .filter(|u| matches!(u, RouteUpdate::Withdraw { .. }))
+            .count();
+        assert!(withdrawals > 0, "the churn must withdraw routes");
+        for batch in &batches {
+            service.apply_updates(batch).unwrap();
+        }
+        let live = service.snapshot();
+        let alpha = service.alpha().unwrap();
+        assert_eq!(service.remerge_publish().unwrap(), live.generation + 1);
+        let remerged = service.snapshot();
+        assert_eq!(remerged.trie.raw_parts(), live.trie.raw_parts());
+        assert_eq!(service.alpha().unwrap().to_bits(), alpha.to_bits());
+        let _ = service.shutdown();
     }
 
     #[test]
@@ -1204,6 +1250,7 @@ mod tests {
         let t = table("10.0.0.0/8 1\n10.1.1.0/24 2\n");
         let mut service =
             LookupService::new(vec![t.clone(), t.clone()], small_cfg(1)).unwrap();
+        assert_serves(&service, &[t.clone(), t.clone()]);
         assert!((service.alpha().unwrap() - 1.0).abs() < 1e-12);
         // Withdrawing everything from VN 1 collapses the common set.
         let withdrawals: Vec<RouteUpdate> = t
@@ -1212,9 +1259,15 @@ mod tests {
             .collect();
         service.apply_updates(&withdrawals).unwrap();
         assert!(service.alpha().unwrap() < 1e-12);
-        // publish_tables invalidates the plant; α rebuilds lazily.
-        service.publish_tables(vec![t.clone(), t]).unwrap();
+        assert_serves(&service, &[t.clone(), RoutingTable::new()]);
+        // publish_tables replaces the routing state, α with it, and the
+        // next batch patches the replacement.
+        service.publish_tables(vec![t.clone(), t.clone()]).unwrap();
         assert!((service.alpha().unwrap() - 1.0).abs() < 1e-12);
+        service.apply_updates(&withdrawals[..1]).unwrap();
+        let mut shadow = vec![t.clone(), t];
+        apply_to_shadow(&mut shadow, &withdrawals[..1]);
+        assert_serves(&service, &shadow);
         let _ = service.shutdown();
     }
 

@@ -147,9 +147,8 @@ impl ShardedReport {
 /// ```
 pub struct ShardedService {
     core: ServiceCore,
-    /// Control-plane mirror of the per-VN tables, replaced only once a
-    /// publish is accepted.
-    tables: Vec<RoutingTable>,
+    /// Virtual networks hosted, fixed for the service's lifetime.
+    vn_count: usize,
     report: ShardedReport,
     /// Recycled job buffers for the allocation-free process path.
     spare: Vec<Job>,
@@ -166,34 +165,21 @@ impl ShardedService {
     /// Rejects an empty table set, zero shards, merge failures, and (in
     /// audited builds) a structurally invalid trie.
     pub fn new(tables: Vec<RoutingTable>, cfg: ShardedConfig) -> Result<Self, EngineError> {
-        let trie = build_trie(&tables)?;
-        Self::with_trie(tables, trie, cfg)
+        Self::with_trie(build_trie(&tables)?, cfg)
     }
 
     /// Spawns the shard threads around an already-built trie (callers that
     /// benchmark multiple services over one table family skip the
-    /// rebuild). The trie must serve every VN in `tables`.
+    /// rebuild). The service hosts one VN per column of the trie's NHI
+    /// vectors.
     ///
     /// # Errors
-    /// Rejects an empty table set, zero shards, a zero cache size or
-    /// sample rate, a trie whose NHI arity does not cover the VN count,
-    /// and (in audited builds) a structurally invalid trie.
-    pub fn with_trie(
-        tables: Vec<RoutingTable>,
-        trie: JumpTrie,
-        cfg: ShardedConfig,
-    ) -> Result<Self, EngineError> {
-        if tables.is_empty() {
-            return Err(EngineError::InvalidParameter("need at least one table"));
-        }
-        if trie.arity() < tables.len() {
-            return Err(EngineError::InvalidParameter(
-                "trie NHI arity must cover every VN",
-            ));
-        }
+    /// Rejects zero shards, a zero cache size or sample rate, and (in
+    /// audited builds) a structurally invalid trie.
+    pub fn with_trie(trie: JumpTrie, cfg: ShardedConfig) -> Result<Self, EngineError> {
         Ok(Self {
+            vn_count: trie.arity(),
             core: ServiceCore::new(trie, cfg, TraceBuilder::set_shard)?,
-            tables,
             report: ShardedReport {
                 shards: cfg.shards,
                 ..ShardedReport::default()
@@ -215,10 +201,11 @@ impl ShardedService {
         self.core.generation()
     }
 
-    /// The control-plane view of the per-VN tables.
+    /// Virtual networks hosted: lookups may name VN ids
+    /// `0..vn_count()`.
     #[must_use]
-    pub fn tables(&self) -> &[RoutingTable] {
-        &self.tables
+    pub fn vn_count(&self) -> usize {
+        self.vn_count
     }
 
     /// Copies the core's control-plane counts into the report.
@@ -321,24 +308,21 @@ impl ShardedService {
         });
     }
 
-    /// Publishes a fresh snapshot built from `tables` and, once the
-    /// audit gate has accepted it, replaces the control-plane mirror.
-    /// The build runs outside the swap lock; in-flight jobs finish on
-    /// the snapshot they pinned. Returns the new generation.
+    /// Publishes a fresh snapshot built from `tables`. The build runs
+    /// outside the swap lock; in-flight jobs finish on the snapshot they
+    /// pinned. Returns the new generation.
     ///
     /// # Errors
     /// Propagates trie construction failures and audit rejections; the
-    /// live table and the mirror are untouched on error. The VN count
-    /// must not change — queued jobs carry VN ids that must stay valid.
+    /// live table is untouched on error. The VN count must not change —
+    /// queued jobs carry VN ids that must stay valid.
     pub fn publish_tables(&mut self, tables: Vec<RoutingTable>) -> Result<u64, EngineError> {
-        if tables.len() != self.tables.len() {
+        if tables.len() != self.vn_count {
             return Err(EngineError::InvalidParameter(
                 "table count must not change across a swap",
             ));
         }
-        let generation = self.publish_trie(build_trie(&tables)?)?;
-        self.tables = tables;
-        Ok(generation)
+        self.publish_trie(build_trie(&tables)?)
     }
 
     /// Atomically swaps in an already-built trie (the RCU write side)
@@ -444,10 +428,13 @@ mod tests {
     #[test]
     fn rejects_bad_configurations() {
         contract::run(contract::bad_configurations_are_rejected, Kind::Hash);
-        // A K=1 trie cannot serve a 2-VN table set.
+        // A K=1 trie hosts one VN, and a 2-VN table set cannot replace it.
         let t = table("10.0.0.0/8 1\n");
-        let trie = JumpTrie::from_table(&t);
-        assert!(ShardedService::with_trie(vec![t.clone(), t], trie, cfg(2)).is_err());
+        let mut svc = ShardedService::with_trie(JumpTrie::from_table(&t), cfg(2)).unwrap();
+        assert_eq!(svc.vn_count(), 1);
+        assert!(svc.publish_tables(vec![t.clone(), t]).is_err());
+        assert_eq!(svc.generation(), 0);
+        let _ = svc.shutdown();
     }
 
     #[test]

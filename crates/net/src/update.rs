@@ -44,6 +44,26 @@ impl RouteUpdate {
             RouteUpdate::Announce { vnid, .. } | RouteUpdate::Withdraw { vnid, .. } => *vnid,
         }
     }
+
+    /// Applies the update to per-VN tables (VNID = index): an announce
+    /// inserts or replaces the route, a withdraw removes it.
+    ///
+    /// # Panics
+    /// If the VNID indexes past `tables`.
+    pub fn apply_to(&self, tables: &mut [RoutingTable]) {
+        match *self {
+            RouteUpdate::Announce {
+                vnid,
+                prefix,
+                next_hop,
+            } => {
+                tables[usize::from(vnid)].insert(prefix, next_hop);
+            }
+            RouteUpdate::Withdraw { vnid, prefix } => {
+                tables[usize::from(vnid)].remove(&prefix);
+            }
+        }
+    }
 }
 
 /// Mix of update kinds; weights need not be normalized.
@@ -169,18 +189,7 @@ impl UpdateStream {
                 }
             }
         };
-        match update {
-            RouteUpdate::Announce {
-                vnid,
-                prefix,
-                next_hop,
-            } => {
-                self.tables[usize::from(vnid)].insert(prefix, next_hop);
-            }
-            RouteUpdate::Withdraw { vnid, prefix } => {
-                self.tables[usize::from(vnid)].remove(&prefix);
-            }
-        }
+        update.apply_to(&mut self.tables);
         update
     }
 
@@ -319,18 +328,7 @@ mod tests {
         let mut s = UpdateStream::new(start.clone(), UpdateMix::default(), 16, 9).unwrap();
         let mut shadow = start;
         for update in s.batch(300) {
-            match update {
-                RouteUpdate::Announce {
-                    vnid,
-                    prefix,
-                    next_hop,
-                } => {
-                    shadow[usize::from(vnid)].insert(prefix, next_hop);
-                }
-                RouteUpdate::Withdraw { vnid, prefix } => {
-                    shadow[usize::from(vnid)].remove(&prefix);
-                }
-            }
+            update.apply_to(&mut shadow);
         }
         assert_eq!(s.tables(), &shadow[..]);
     }

@@ -136,7 +136,7 @@ impl WireBackend for LookupService {
     }
 
     fn vn_count(&self) -> usize {
-        self.tables().len()
+        LookupService::vn_count(self)
     }
 }
 
@@ -155,7 +155,7 @@ impl WireBackend for ShardedService {
     }
 
     fn vn_count(&self) -> usize {
-        self.tables().len()
+        ShardedService::vn_count(self)
     }
 }
 
@@ -176,7 +176,7 @@ impl WireBackend for vr_control::ControlPlane {
     }
 
     fn vn_count(&self) -> usize {
-        self.service().tables().len()
+        self.service().vn_count()
     }
 }
 

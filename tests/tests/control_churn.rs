@@ -1,8 +1,9 @@
 //! Control-plane churn equivalence: replaying any generated update
-//! trace through `vr-control`'s incremental path must yield tables,
-//! generations and lookup results identical to the naive full-rebuild
-//! oracle after every batch — including lookups interleaved mid-churn —
-//! and a forced α-drop must trigger exactly one audited re-merge.
+//! trace through `vr-control`'s incremental path must publish, after
+//! every batch, exactly the trie a naive from-scratch build of the
+//! shadow tables produces, with the same α, and answer every lookup
+//! interleaved mid-churn like the shadow tables — and a forced α-drop
+//! must trigger exactly one audited re-merge.
 
 use proptest::prelude::*;
 use vr_control::{ControlConfig, ControlPlane};
@@ -10,6 +11,7 @@ use vr_engine::{LookupService, ServiceConfig};
 use vr_net::table::{NextHop, RouteEntry};
 use vr_net::{Ipv4Prefix, RouteUpdate, RoutingTable, VnId};
 use vr_telemetry::EventKind;
+use vr_trie::{JumpTrie, MergedTrie};
 
 const K: usize = 3;
 
@@ -66,13 +68,12 @@ fn arb_tables() -> impl Strategy<Value = Vec<RoutingTable>> {
 }
 
 /// A control plane whose re-merge trigger can never fire (α ≥ 0 always),
-/// so incremental and naive replicas publish identical generations.
-fn quiet_plane(tables: Vec<RoutingTable>, full_rebuild: bool) -> ControlPlane {
+/// so each non-empty batch publishes exactly one generation.
+fn quiet_plane(tables: Vec<RoutingTable>) -> ControlPlane {
     let service = LookupService::new(
         tables,
         ServiceConfig {
             workers: 1,
-            full_rebuild,
             ..ServiceConfig::default()
         },
     )
@@ -85,31 +86,13 @@ fn quiet_plane(tables: Vec<RoutingTable>, full_rebuild: bool) -> ControlPlane {
     ControlPlane::new(service, cfg).expect("plane")
 }
 
-/// Apply one raw (uncoalesced) batch to the shadow oracle tables.
-fn apply_to_shadow(shadow: &mut [RoutingTable], batch: &[RouteUpdate]) {
-    for update in batch {
-        match *update {
-            RouteUpdate::Announce {
-                vnid,
-                prefix,
-                next_hop,
-            } => {
-                shadow[vnid as usize].insert(prefix, next_hop);
-            }
-            RouteUpdate::Withdraw { vnid, prefix } => {
-                shadow[vnid as usize].remove(&prefix);
-            }
-        }
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// The headline property: after every batch of any generated trace,
-    /// the incremental plane, the naive full-rebuild plane and the
-    /// linear-scan shadow tables agree on generation, table contents and
-    /// every mid-churn lookup result.
+    /// the incremental plane publishes the trie and α of a naive
+    /// from-scratch build of the shadow tables, one generation per
+    /// batch, and answers every mid-churn lookup like the shadow tables.
     #[test]
     fn incremental_replay_matches_naive_oracle_at_every_generation(
         tables in arb_tables(),
@@ -117,19 +100,23 @@ proptest! {
         extra_probes in prop::collection::vec(any::<u32>(), 8),
     ) {
         let mut shadow = tables.clone();
-        let mut inc = quiet_plane(tables.clone(), false);
-        let mut naive = quiet_plane(tables, true);
+        let mut inc = quiet_plane(tables);
 
-        for batch in &trace {
+        for (i, batch) in trace.iter().enumerate() {
             let inc_out = inc.apply_batch(batch).expect("incremental batch");
-            let naive_out = naive.apply_batch(batch).expect("naive batch");
-            apply_to_shadow(&mut shadow, batch);
+            for update in batch {
+                update.apply_to(&mut shadow);
+            }
+            let naive = MergedTrie::from_tables(&shadow).expect("naive merge");
+            let naive_trie = JumpTrie::from_leaf_pushed(&naive.leaf_pushed());
 
-            prop_assert_eq!(inc_out.generation, naive_out.generation);
-            prop_assert!(!inc_out.remerged && !naive_out.remerged);
+            prop_assert_eq!(inc_out.generation, i as u64 + 1);
+            prop_assert!(!inc_out.remerged);
+            prop_assert_eq!(inc_out.alpha.to_bits(), naive.merging_efficiency().to_bits());
             prop_assert!((0.0..=1.0).contains(&inc_out.alpha), "alpha {}", inc_out.alpha);
-            prop_assert_eq!(inc.service().tables(), shadow.as_slice());
-            prop_assert_eq!(naive.service().tables(), shadow.as_slice());
+            let live = inc.service().snapshot();
+            prop_assert_eq!(live.generation, inc_out.generation);
+            prop_assert!(live.trie.raw_parts() == naive_trie.raw_parts());
 
             // Interleaved mid-churn lookups: probe every prefix the batch
             // touched plus arbitrary addresses, on every VN.
@@ -147,18 +134,15 @@ proptest! {
                 }
             }
             let inc_got = inc.service_mut().process(&probes);
-            let naive_got = naive.service_mut().process(&probes);
             for (i, &(vn, addr)) in probes.iter().enumerate() {
                 let want = shadow[vn as usize].lookup(addr);
                 prop_assert_eq!(inc_got[i], want, "vn {} addr {:#010x}", vn, addr);
-                prop_assert_eq!(naive_got[i], want, "vn {} addr {:#010x}", vn, addr);
             }
         }
 
         let inc_report = inc.shutdown();
-        let naive_report = naive.shutdown();
         prop_assert_eq!(inc_report.full_rebuilds, 0);
-        prop_assert_eq!(naive_report.incremental_publishes, 0);
+        prop_assert_eq!(inc_report.incremental_publishes, trace.len() as u64);
     }
 }
 
@@ -193,7 +177,7 @@ fn forced_alpha_drop_triggers_exactly_one_audited_remerge() {
         ..ControlConfig::default()
     };
     let mut plane = ControlPlane::new(service, cfg).expect("plane");
-    let alpha_before = plane.service_mut().alpha().expect("alpha");
+    let alpha_before = plane.service().alpha().expect("alpha");
     assert!(alpha_before > 0.9, "identical pair must merge well, got {alpha_before}");
     let generation_before = plane.service().generation();
 
