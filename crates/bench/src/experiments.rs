@@ -730,4 +730,65 @@ mod tests {
             );
         }
     }
+
+    /// The next slice of `docs-check`: every `ROADMAP item N` or
+    /// `ROADMAP item N(x)` pointer in README, EXPERIMENTS and DESIGN
+    /// names an open item (a `- **N.` heading in ROADMAP.md), and its
+    /// `(x)`, when given, appears inside that item. A pointer may wrap
+    /// across lines.
+    #[test]
+    fn docs_cite_only_open_roadmap_items() {
+        let root = crate::results_dir()
+            .parent()
+            .expect("workspace root")
+            .to_path_buf();
+        let roadmap = std::fs::read_to_string(root.join("ROADMAP.md")).expect("ROADMAP.md");
+        // Item number → its text, from its heading to the next item or
+        // section heading.
+        let mut items: Vec<(String, String)> = Vec::new();
+        for line in roadmap.lines() {
+            let heading = line
+                .strip_prefix("- **")
+                .and_then(|rest| rest.split_once('.'));
+            if let Some((n, _)) =
+                heading.filter(|(n, _)| !n.is_empty() && n.bytes().all(|b| b.is_ascii_digit()))
+            {
+                items.push((n.to_string(), String::new()));
+            } else if line.starts_with("## ") {
+                items.push((String::new(), String::new()));
+            }
+            if let Some((_, text)) = items.last_mut() {
+                text.push_str(line);
+                text.push('\n');
+            }
+        }
+        let item = |n: &str| items.iter().find(|(m, _)| m == n).map(|(_, text)| text);
+
+        let mut cited = 0usize;
+        for doc in ["README.md", "EXPERIMENTS.md", "DESIGN.md"] {
+            let text = std::fs::read_to_string(root.join(doc)).expect(doc);
+            let words: Vec<&str> = text.split_whitespace().collect();
+            for window in words.windows(3) {
+                let [roadmap, kw, pointer] = window else {
+                    unreachable!()
+                };
+                if !roadmap.ends_with("ROADMAP") || *kw != "item" {
+                    continue;
+                }
+                let n = &pointer[..pointer.bytes().take_while(u8::is_ascii_digit).count()];
+                if n.is_empty() {
+                    continue; // "an open ROADMAP item consumes", not a pointer
+                }
+                let body = item(n)
+                    .unwrap_or_else(|| panic!("{doc}: ROADMAP item {n} is not an open item"));
+                let rest = &pointer[n.len()..];
+                if let Some(sub) = rest.strip_prefix('(').and_then(|r| r.split_once(')')) {
+                    let sub = format!("({})", sub.0);
+                    assert!(body.contains(&sub), "{doc}: ROADMAP item {n} has no {sub}");
+                }
+                cited += 1;
+            }
+        }
+        assert!(cited >= 4, "only {cited} ROADMAP item pointers found");
+    }
 }

@@ -17,7 +17,7 @@
 
 use crate::error::NetError;
 use crate::prefix::Ipv4Prefix;
-use crate::table::{NextHop, RoutingTable};
+use crate::table::{NextHop, RouteEntry, RoutingTable};
 
 /// Derives a stable next hop from a prefix, for dumps that carry no
 /// next-hop column. Any deterministic mixing works; this keeps distinct
@@ -28,13 +28,14 @@ pub fn derive_next_hop(prefix: &Ipv4Prefix) -> NextHop {
     (x >> 24) as NextHop
 }
 
-/// Parses a full dump into a [`RoutingTable`].
+/// Parses a full dump into a [`RoutingTable`]. A prefix on a later line
+/// replaces its earlier next hop.
 ///
 /// # Errors
 /// Returns [`NetError::InvalidDumpLine`] (with a 1-based line number) on the
 /// first malformed line, or a prefix parse error.
 pub fn parse_dump(input: &str) -> Result<RoutingTable, NetError> {
-    let mut table = RoutingTable::new();
+    let mut entries = Vec::new();
     for (idx, raw) in input.lines().enumerate() {
         let line_no = idx + 1;
         let line = match raw.find(['#', ';']) {
@@ -64,9 +65,9 @@ pub fn parse_dump(input: &str) -> Result<RoutingTable, NetError> {
                 reason: "trailing fields after next hop",
             });
         }
-        table.insert(prefix, next_hop);
+        entries.push(RouteEntry::new(prefix, next_hop));
     }
-    Ok(table)
+    Ok(RoutingTable::from_entries(entries))
 }
 
 #[cfg(test)]
@@ -131,5 +132,11 @@ mod tests {
         let t = parse_dump("10.0.0.0/8 1\n10.0.0.0/8 2\n").unwrap();
         assert_eq!(t.len(), 1);
         assert_eq!(t.get(&"10.0.0.0/8".parse().unwrap()), Some(2));
+        // Repeats apart from each other, around a prefix that sorts first.
+        let t = parse_dump("10.0.0.0/8 1\n9.0.0.0/8 5\n10.0.0.0/8 3\n10.0.0.0/8\n10.0.0.0/8 4\n")
+            .unwrap();
+        assert_eq!(t.len(), 2);
+        assert_eq!(t.get(&"10.0.0.0/8".parse().unwrap()), Some(4));
+        assert_eq!(t.get(&"9.0.0.0/8".parse().unwrap()), Some(5));
     }
 }

@@ -19,10 +19,11 @@
 
 use crate::error::NetError;
 use crate::prefix::Ipv4Prefix;
-use crate::table::{NextHop, RoutingTable};
+use crate::table::{NextHop, RouteEntry, RoutingTable};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::collections::HashSet;
 
 /// Number of prefixes in the paper's worst-case edge table (§V-E).
 pub const PAPER_TABLE_PREFIXES: usize = 3725;
@@ -217,19 +218,17 @@ impl TableSpec {
             &mut rng,
             &self.distribution,
             self.prefixes,
-            &[],
+            &mut HashSet::with_capacity(self.prefixes),
             self.clustering,
             &pool,
         )?;
-        let mut table = RoutingTable::new();
-        if self.include_default_route {
-            table.insert(Ipv4Prefix::DEFAULT_ROUTE, 0);
-        }
-        for p in prefixes {
-            let nh = rng.gen_range(0..self.next_hops);
-            table.insert(p, nh);
-        }
-        Ok(table)
+        let default_route = self
+            .include_default_route
+            .then_some(RouteEntry::new(Ipv4Prefix::DEFAULT_ROUTE, 0));
+        Ok(default_route
+            .into_iter()
+            .chain(with_next_hops(&mut rng, &prefixes, self.next_hops))
+            .collect())
     }
 }
 
@@ -306,18 +305,21 @@ impl FamilySpec {
         // low shared fractions still yield structurally distant tables.
         let core_clustering = (core_count > 0).then(|| ClusterSpec::edge_default(core_count));
         let core_pool = cluster_pool(&mut rng, core_clustering);
+        // Every prefix the family has drawn: the core and each table's
+        // unique part, so no unique prefix lands in the core or in
+        // another table.
+        let mut taken = HashSet::with_capacity(core_count + self.k * unique_count);
         // Shared core prefixes (next hops assigned per table below).
         let core = sample_distinct_prefixes(
             &mut rng,
             &self.distribution,
             core_count,
-            &[],
+            &mut taken,
             core_clustering,
             &core_pool,
         )?;
 
         let mut tables = Vec::with_capacity(self.k);
-        let mut taken: Vec<Ipv4Prefix> = core.clone();
         for _ in 0..self.k {
             let unique_clustering =
                 (unique_count > 0).then(|| ClusterSpec::edge_default(unique_count));
@@ -326,16 +328,12 @@ impl FamilySpec {
                 &mut rng,
                 &self.distribution,
                 unique_count,
-                &taken,
+                &mut taken,
                 unique_clustering,
                 &unique_pool,
             )?;
-            taken.extend_from_slice(&unique);
-            let mut table = RoutingTable::new();
-            for p in core.iter().chain(unique.iter()) {
-                table.insert(*p, rng.gen_range(0..self.next_hops));
-            }
-            tables.push(table);
+            let prefixes = core.iter().chain(&unique);
+            tables.push(with_next_hops(&mut rng, prefixes, self.next_hops).collect());
         }
         Ok(tables)
     }
@@ -374,17 +372,17 @@ pub fn generate_heterogeneous(
     let mut rng = SmallRng::seed_from_u64(seed);
     let core_clustering = (core_count > 0).then(|| ClusterSpec::edge_default(core_count));
     let core_pool = cluster_pool(&mut rng, core_clustering);
+    let mut taken = HashSet::with_capacity(sizes.iter().sum());
     let core = sample_distinct_prefixes(
         &mut rng,
         distribution,
         core_count,
-        &[],
+        &mut taken,
         core_clustering,
         &core_pool,
     )?;
 
     let mut tables = Vec::with_capacity(sizes.len());
-    let mut taken: Vec<Ipv4Prefix> = core.clone();
     for &size in sizes {
         let unique_count = size.saturating_sub(core_count);
         let unique_clustering =
@@ -394,18 +392,26 @@ pub fn generate_heterogeneous(
             &mut rng,
             distribution,
             unique_count,
-            &taken,
+            &mut taken,
             unique_clustering,
             &unique_pool,
         )?;
-        taken.extend_from_slice(&unique);
-        let mut table = RoutingTable::new();
-        for p in core.iter().chain(unique.iter()) {
-            table.insert(*p, rng.gen_range(0..next_hops));
-        }
-        tables.push(table);
+        let prefixes = core.iter().chain(&unique);
+        tables.push(with_next_hops(&mut rng, prefixes, next_hops).collect());
     }
     Ok(tables)
+}
+
+/// Pairs each prefix, in order, with a next hop drawn from `0..next_hops`;
+/// collecting the entries builds the table in one bulk pass.
+fn with_next_hops<'a>(
+    rng: &'a mut SmallRng,
+    prefixes: impl IntoIterator<Item = &'a Ipv4Prefix> + 'a,
+    next_hops: NextHop,
+) -> impl Iterator<Item = RouteEntry> + 'a {
+    prefixes
+        .into_iter()
+        .map(move |&p| RouteEntry::new(p, rng.gen_range(0..next_hops)))
 }
 
 /// The cluster base addresses for a clustering spec (`None` → empty pool →
@@ -423,7 +429,14 @@ fn cluster_pool(rng: &mut SmallRng, clustering: Option<ClusterSpec>) -> Vec<(u32
     }
 }
 
-/// Samples `count` prefixes distinct among themselves and from `exclude`.
+/// Samples `count` prefixes distinct among themselves and from `taken`,
+/// and adds each one to `taken`.
+///
+/// A generator owns one `taken` set per call and threads it through every
+/// draw, so a family's K tables cost one insert per drawn prefix, not a
+/// rebuild of everything drawn so far per table. A draw is kept iff
+/// `taken.insert` accepts it; the set is never iterated, so its hash order
+/// cannot reach the output.
 ///
 /// With clustering, prefixes are emitted in **runs of consecutive
 /// same-length blocks** anchored in the allocation pool — mirroring how
@@ -435,14 +448,11 @@ fn sample_distinct_prefixes(
     rng: &mut SmallRng,
     dist: &PrefixLenDistribution,
     count: usize,
-    exclude: &[Ipv4Prefix],
+    taken: &mut HashSet<Ipv4Prefix>,
     clustering: Option<ClusterSpec>,
     pool: &[(u32, u8)],
 ) -> Result<Vec<Ipv4Prefix>, NetError> {
-    use std::collections::HashSet;
-    let excluded: HashSet<Ipv4Prefix> = exclude.iter().copied().collect();
     let mut out = Vec::with_capacity(count);
-    let mut seen: HashSet<Ipv4Prefix> = HashSet::with_capacity(count);
     let mut attempts = 0usize;
     let max_attempts = count.saturating_mul(64).max(1 << 16);
     while out.len() < count {
@@ -485,7 +495,7 @@ fn sample_distinct_prefixes(
             let agg_len = len.saturating_sub(span_bits as u8 + rng.gen_range(0..2));
             if agg_len > 0 && out.len() < count {
                 let p = Ipv4Prefix::must(start, agg_len);
-                if !excluded.contains(&p) && seen.insert(p) {
+                if taken.insert(p) {
                     out.push(p);
                 }
             }
@@ -502,7 +512,7 @@ fn sample_distinct_prefixes(
             }
             let addr = start.wrapping_add(step.wrapping_mul(i as u32));
             let p = Ipv4Prefix::must(addr, len);
-            if excluded.contains(&p) || !seen.insert(p) {
+            if !taken.insert(p) {
                 continue;
             }
             out.push(p);
@@ -701,6 +711,49 @@ mod tests {
         assert!(generate_heterogeneous(&[], 0.5, 1, &d, 8).is_err());
         assert!(generate_heterogeneous(&[100], 1.5, 1, &d, 8).is_err());
         assert!(generate_heterogeneous(&[100], 0.5, 1, &d, 0).is_err());
+    }
+
+    /// FNV-1a over every table's length and every entry's
+    /// `(addr, len, next_hop)`, in table order.
+    fn fingerprint<'a>(tables: impl IntoIterator<Item = &'a RoutingTable>) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut fold = |bytes: &[u8]| {
+            for &b in bytes {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for table in tables {
+            fold(&(table.len() as u64).to_le_bytes());
+            for e in table.iter() {
+                fold(&e.prefix.addr().to_le_bytes());
+                fold(&[e.prefix.len(), e.next_hop]);
+            }
+        }
+        h
+    }
+
+    /// Pins every generator's output, table for table: a change to how
+    /// the generators consume the RNG, dedupe or assign next hops moves
+    /// this constant. It was computed before the generators were last
+    /// rewritten for speed, which changed no table.
+    #[test]
+    fn generators_output_is_pinned() {
+        let mut tables = Vec::new();
+        for seed in [7, 2012] {
+            tables.push(TableSpec::paper_worst_case(seed).generate().unwrap());
+        }
+        for k in [1, 4, 15, 30] {
+            for frac in [0.0, 0.125, 0.5, 0.747, 0.95, 1.0] {
+                tables.extend(
+                    FamilySpec::paper_worst_case(k, frac, 2012)
+                        .generate()
+                        .unwrap(),
+                );
+            }
+        }
+        let d = PrefixLenDistribution::edge_default();
+        tables.extend(generate_heterogeneous(&[3725, 1200, 5000, 300], 0.4, 2012, &d, 16).unwrap());
+        assert_eq!(format!("{:016x}", fingerprint(&tables)), "62b9670146c70fc6");
     }
 
     #[test]

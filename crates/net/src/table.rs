@@ -72,14 +72,18 @@ impl RoutingTable {
         Self::default()
     }
 
-    /// Builds a table from an iterator of entries. Later duplicates replace
-    /// earlier ones.
+    /// Builds a table from an iterator of entries in one bulk pass (sort,
+    /// then build). Later duplicates replace earlier ones, as with
+    /// [`RoutingTable::insert`].
     pub fn from_entries<I: IntoIterator<Item = RouteEntry>>(entries: I) -> Self {
-        let mut t = Self::new();
-        for e in entries {
-            t.insert(e.prefix, e.next_hop);
+        // `BTreeMap`'s bulk build sorts stably and keeps the last of equal
+        // keys; `from_entries_keeps_the_last_of_repeated_prefixes` pins it.
+        Self {
+            entries: entries
+                .into_iter()
+                .map(|e| (e.prefix, e.next_hop))
+                .collect(),
         }
-        t
     }
 
     /// Inserts or replaces a route. Returns the previous next hop, if any.
@@ -268,6 +272,36 @@ mod tests {
         assert_eq!(v.len(), 2);
         assert_eq!(v[0].prefix, p("10.0.0.0/8"));
         assert_eq!(v[0].next_hop, 3);
+    }
+
+    /// The bulk build keeps `insert`'s replace semantics: of repeated
+    /// prefixes, wherever they sit in the input, the last one wins.
+    #[test]
+    fn from_entries_keeps_the_last_of_repeated_prefixes() {
+        let entries = [
+            RouteEntry::new(p("10.0.0.0/8"), 1),
+            RouteEntry::new(p("192.168.0.0/16"), 2),
+            RouteEntry::new(p("10.0.0.0/8"), 3),
+            RouteEntry::new(p("9.0.0.0/8"), 4),
+            RouteEntry::new(p("192.168.0.0/16"), 5),
+            RouteEntry::new(p("10.0.0.0/8"), 6),
+        ];
+        let t = RoutingTable::from_entries(entries);
+        assert_eq!(t.len(), 3);
+        assert_eq!(t.get(&p("10.0.0.0/8")), Some(6));
+        assert_eq!(t.get(&p("192.168.0.0/16")), Some(5));
+        assert_eq!(t.get(&p("9.0.0.0/8")), Some(4));
+        let mut inserted = RoutingTable::new();
+        for e in entries {
+            inserted.insert(e.prefix, e.next_hop);
+        }
+        assert_eq!(t, inserted);
+        // Deserialize builds through `from_entries` too.
+        let json = serde_json::to_string(&entries).unwrap();
+        assert_eq!(
+            serde_json::from_str::<RoutingTable>(&json).unwrap(),
+            inserted
+        );
     }
 
     #[test]
