@@ -1,4 +1,5 @@
-//! One linear lookup pipeline, simulated cycle by cycle.
+//! One linear lookup pipeline, simulated cycle by cycle — the
+//! behavioural half of the model's validation (see DESIGN.md).
 //!
 //! A packet enters stage 0, performs one trie-level step per mapped level
 //! in each stage, and exits after the last stage with its NHI resolved.
@@ -6,9 +7,17 @@
 //! when the input is saturated — the properties the paper's architecture
 //! guarantees by construction and our tests assert.
 //!
-//! The stage memories hold one [`LeafPushedTrie`] whatever the scheme: an
-//! NV or VS engine is the arity-1 case, the merged engine the arity-K one
-//! whose leaf read indexes the NHI vector by VNID (§IV-C).
+//! The stage memories hold the leaf-pushed form of one [`MergedTrie`]
+//! whatever the scheme: an NV or VS engine is the arity-1 case, the
+//! merged engine the arity-K one whose leaf read indexes the NHI vector
+//! by VNID (§IV-C). The engine walks the merged trie itself and reads the
+//! leaf-pushed trie's words off it, as `MergedTrie::sweep_stats` counts
+//! them: a missing child is a synthetic leaf one level down, holding the
+//! best next hop on its path. Each stage-cycle's energy uses the *same*
+//! coefficients the analytical models use (`vr-fpga`): a Table III
+//! µW/MHz coefficient is numerically a pJ/cycle energy, so the measured
+//! dynamic power converges to the model's µ-scaled prediction as
+//! utilization settles.
 
 use serde::{Deserialize, Serialize};
 use vr_fpga::bram::BramMode;
@@ -16,9 +25,9 @@ use vr_fpga::gating::GatingPolicy;
 use vr_fpga::grade::SpeedGrade;
 use vr_net::table::NextHop;
 use vr_net::VnId;
-use vr_trie::{LeafPushedTrie, NodeId, PipelineProfile};
+use vr_trie::{MemoryLayout, MergedTrie, NodeId, PipelineProfile};
 
-use crate::EngineError;
+use crate::PowerError;
 
 /// Electrical configuration of an engine.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -100,23 +109,17 @@ impl EngineStats {
         }
         self.occupied_stage_cycles as f64 / (self.cycles as f64 * stages as f64)
     }
-
-    /// Mean completed-packet latency in cycles.
-    #[must_use]
-    pub fn mean_latency_cycles(&self) -> f64 {
-        if self.completed == 0 {
-            return 0.0;
-        }
-        self.total_latency_cycles as f64 / self.completed as f64
-    }
 }
 
 #[derive(Debug, Clone)]
 struct Slot {
     vnid: VnId,
     dst: u32,
-    cursor: NodeId,
-    result: Option<NextHop>,
+    /// The word the next read fetches: a merged node, or `None` for the
+    /// synthetic leaf one level below a missing child.
+    cursor: Option<NodeId>,
+    /// Longest match read so far on the path for this packet's column.
+    best: Option<NextHop>,
     done: bool,
     entered_cycle: u64,
 }
@@ -124,15 +127,13 @@ struct Slot {
 /// One simulated lookup pipeline.
 ///
 /// ```
-/// use vr_engine::{EngineConfig, PipelineEngine};
 /// use vr_net::RoutingTable;
-/// use vr_trie::pipeline_map::{MemoryLayout, PipelineProfile};
+/// use vr_power::{EngineConfig, PipelineEngine};
 /// use vr_trie::MergedTrie;
 ///
 /// let table: RoutingTable = "10.0.0.0/8 1\n".parse().unwrap();
-/// let trie = MergedTrie::from_tables(&[table]).unwrap().leaf_pushed();
-/// let profile = PipelineProfile::for_trie(&trie, 28, MemoryLayout::default()).unwrap();
-/// let mut engine = PipelineEngine::new(trie, &profile, EngineConfig::paper_default()).unwrap();
+/// let trie = MergedTrie::from_tables(&[table]).unwrap();
+/// let mut engine = PipelineEngine::new(trie, 28, EngineConfig::paper_default()).unwrap();
 ///
 /// engine.tick(Some((0, 0x0A00_0001))); // inject a packet for 10.0.0.1
 /// let done = engine.drain().pop().unwrap();
@@ -141,9 +142,10 @@ struct Slot {
 /// ```
 #[derive(Debug, Clone)]
 pub struct PipelineEngine {
-    /// The stage memories' content: one network's trie (arity 1) behind
-    /// the VNID distributor, or the K-way merged one.
-    trie: LeafPushedTrie,
+    /// The stage memories' content, read in leaf-pushed form: one
+    /// network's trie (arity 1) behind the VNID distributor, or the K-way
+    /// merged one.
+    trie: MergedTrie,
     /// Trie-level range handled by each stage (`None` = pass-through).
     stage_levels: Vec<Option<(u8, u8)>>,
     /// BRAM blocks backing each stage's memory.
@@ -154,34 +156,31 @@ pub struct PipelineEngine {
 }
 
 impl PipelineEngine {
-    /// Builds an engine over `trie`: a single-network engine at arity 1
-    /// (NV, or one of VS's K), the merged engine at arity K.
+    /// Builds a `stages`-stage engine over `trie`: a single-network
+    /// engine at arity 1 (NV, or one of VS's K), the merged engine at
+    /// arity K. The stage map is the one `PipelineProfile` gives the
+    /// trie's leaf-pushed form, whose statistics `sweep_stats` reads.
     ///
     /// # Errors
-    /// Rejects an empty profile or non-positive frequency.
-    pub fn new(
-        trie: LeafPushedTrie,
-        profile: &PipelineProfile,
-        cfg: EngineConfig,
-    ) -> Result<Self, EngineError> {
-        if profile.stage_count() == 0 {
-            return Err(EngineError::InvalidParameter("pipeline needs ≥1 stage"));
-        }
+    /// Rejects zero stages or a non-positive frequency.
+    pub fn new(trie: MergedTrie, stages: usize, cfg: EngineConfig) -> Result<Self, PowerError> {
         if !cfg.freq_mhz.is_finite() || cfg.freq_mhz <= 0.0 {
-            return Err(EngineError::InvalidParameter("frequency must be positive"));
+            return Err(PowerError::InvalidParameter("frequency must be positive"));
         }
+        let k = trie.arity();
+        let pushed = &trie.sweep_stats().by_prefix[k - 1];
+        let profile = PipelineProfile::from_stats(pushed, k, stages, MemoryLayout::default())?;
         let stage_levels = profile.stages.iter().map(|s| s.levels).collect();
         let stage_blocks = profile
             .stages
             .iter()
             .map(|s| cfg.bram_mode.blocks_for(s.memory_bits()))
             .collect();
-        let n = profile.stage_count();
         Ok(Self {
             trie,
             stage_levels,
             stage_blocks,
-            slots: vec![None; n],
+            slots: vec![None; stages],
             cfg,
             stats: EngineStats::default(),
         })
@@ -216,7 +215,7 @@ impl PipelineEngine {
         let out = self.slots[n - 1].take().map(|slot| CompletedLookup {
             vnid: slot.vnid,
             dst: slot.dst,
-            next_hop: slot.result,
+            next_hop: slot.best,
             latency_cycles: self.stats.cycles - slot.entered_cycle,
         });
         if let Some(done) = &out {
@@ -238,8 +237,8 @@ impl PipelineEngine {
             let mut slot = Slot {
                 vnid,
                 dst,
-                cursor: NodeId::ROOT,
-                result: None,
+                cursor: Some(NodeId::ROOT),
+                best: None,
                 done: false,
                 entered_cycle: self.stats.cycles,
             };
@@ -270,29 +269,33 @@ impl PipelineEngine {
         let Some((first, last)) = self.stage_levels[j] else {
             return; // pass-through stage: no memory, no work
         };
+        // An arity-1 engine sits behind the VNID distributor (Fig. 1),
+        // which already consumed the VNID; the merged engine indexes its
+        // leaf vector by it.
+        let column = if self.trie.arity() == 1 { 0 } else { usize::from(slot.vnid) };
         for level in first..=last {
             if slot.done {
                 break;
             }
-            // One memory read: fetch the current node's word. The cursor
-            // is at trie level `level` by construction (levels are walked
-            // in order across stages).
+            // One memory read: fetch the word at the cursor, which is at
+            // trie level `level` by construction (levels are walked in
+            // order across stages).
             self.stats.memory_reads += 1;
             self.stats.bram_energy_pj +=
                 self.stage_blocks[j] as f64 * self.cfg.bram_mode.uw_per_block_mhz(self.cfg.grade);
-            match self.trie.node_children(slot.cursor) {
-                Some((l, r)) => {
-                    let bit = (slot.dst >> (31 - u32::from(level))) & 1;
-                    slot.cursor = if bit == 0 { l } else { r };
-                }
-                None => {
-                    // An arity-1 engine sits behind the VNID distributor
-                    // (Fig. 1), which already consumed the VNID; the
-                    // merged engine indexes its leaf vector by it.
-                    let vn = if self.trie.arity() == 1 { 0 } else { usize::from(slot.vnid) };
-                    slot.result = self.trie.node_nhis(slot.cursor).get(vn).copied().flatten();
-                    slot.done = true;
-                }
+            let Some(id) = slot.cursor else {
+                slot.done = true; // a synthetic leaf: the path's best stands
+                continue;
+            };
+            if let Some(nh) = self.trie.node_nhis(id).get(column).copied().flatten() {
+                slot.best = Some(nh);
+            }
+            let children = [self.trie.node_child(id, 0), self.trie.node_child(id, 1)];
+            if children == [None, None] {
+                slot.done = true;
+            } else {
+                let bit = (slot.dst >> (31 - u32::from(level))) & 1;
+                slot.cursor = children[bit as usize];
             }
         }
     }
@@ -321,22 +324,17 @@ mod tests {
     use super::*;
     use vr_net::synth::TableSpec;
     use vr_net::RoutingTable;
-    use vr_trie::pipeline_map::{MemoryLayout, PAPER_PIPELINE_STAGES};
-    use vr_trie::MergedTrie;
+    use vr_trie::pipeline_map::PAPER_PIPELINE_STAGES;
 
-    /// One table's leaf-pushed trie (K = 1).
-    fn single(table: &RoutingTable) -> LeafPushedTrie {
-        MergedTrie::from_tables(std::slice::from_ref(table))
-            .unwrap()
-            .leaf_pushed()
+    /// One table's trie (K = 1).
+    fn single(table: &RoutingTable) -> MergedTrie {
+        MergedTrie::from_tables(std::slice::from_ref(table)).unwrap()
     }
 
     fn build_engine(seed: u64, stages: usize) -> (RoutingTable, PipelineEngine) {
         let table = TableSpec::paper_worst_case(seed).generate().unwrap();
-        let lp = single(&table);
-        let profile = PipelineProfile::for_trie(&lp, stages, MemoryLayout::default()).unwrap();
         let engine =
-            PipelineEngine::new(lp, &profile, EngineConfig::paper_default()).unwrap();
+            PipelineEngine::new(single(&table), stages, EngineConfig::paper_default()).unwrap();
         (table, engine)
     }
 
@@ -412,12 +410,10 @@ mod tests {
         }
         .generate()
         .unwrap();
-        let pushed = MergedTrie::from_tables(&tables).unwrap().leaf_pushed();
-        let profile =
-            PipelineProfile::for_trie(&pushed, PAPER_PIPELINE_STAGES, MemoryLayout::default())
-                .unwrap();
+        let merged = MergedTrie::from_tables(&tables).unwrap();
         let mut engine =
-            PipelineEngine::new(pushed, &profile, EngineConfig::paper_default()).unwrap();
+            PipelineEngine::new(merged, PAPER_PIPELINE_STAGES, EngineConfig::paper_default())
+                .unwrap();
         let mut inputs = Vec::new();
         for (vnid, table) in tables.iter().enumerate() {
             for p in table.prefixes().take(50) {
@@ -457,13 +453,9 @@ mod tests {
     #[test]
     fn ungated_idle_engine_burns_full_power() {
         let table = TableSpec::paper_worst_case(6).generate().unwrap();
-        let lp = single(&table);
-        let profile =
-            PipelineProfile::for_trie(&lp, PAPER_PIPELINE_STAGES, MemoryLayout::default())
-                .unwrap();
         let mut cfg = EngineConfig::paper_default();
         cfg.gating = GatingPolicy::NONE;
-        let mut engine = PipelineEngine::new(lp, &profile, cfg).unwrap();
+        let mut engine = PipelineEngine::new(single(&table), PAPER_PIPELINE_STAGES, cfg).unwrap();
         for _ in 0..100 {
             engine.tick(None);
         }
@@ -498,12 +490,11 @@ mod tests {
     #[test]
     fn rejects_bad_configs() {
         let table = TableSpec::paper_worst_case(8).generate().unwrap();
-        let lp = single(&table);
-        let profile =
-            PipelineProfile::for_trie(&lp, 28, MemoryLayout::default()).unwrap();
         let mut cfg = EngineConfig::paper_default();
         cfg.freq_mhz = -1.0;
-        assert!(PipelineEngine::new(lp, &profile, cfg).is_err());
+        assert!(PipelineEngine::new(single(&table), 28, cfg).is_err());
+        cfg.freq_mhz = 350.0;
+        assert!(PipelineEngine::new(single(&table), 0, cfg).is_err());
     }
 
     #[test]
@@ -518,6 +509,6 @@ mod tests {
         assert_eq!(s.completed, 100);
         assert!(s.memory_reads > 0);
         assert!(s.occupancy(16) > 0.0);
-        assert_eq!(s.mean_latency_cycles(), 16.0);
+        assert_eq!(s.total_latency_cycles, 100 * 16);
     }
 }

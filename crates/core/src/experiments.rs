@@ -325,16 +325,15 @@ where
     F: Fn(P) -> Result<R, PowerError> + Sync,
 {
     let work = &work;
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let jobs: Vec<_> = points
             .into_iter()
-            .map(|point| scope.spawn(move |_| work(point)))
+            .map(|point| scope.spawn(move || work(point)))
             .collect();
         jobs.into_iter()
             .map(|job| job.join().expect("experiment worker panicked"))
             .collect()
     })
-    .expect("experiment worker panicked")
 }
 
 /// One α family's K sweep: its `k` tables are generated at shared
@@ -572,7 +571,7 @@ pub struct GatingRow {
 /// # Errors
 /// Propagates simulator errors.
 pub fn ablation_gating(cfg: &ExperimentConfig, k: usize) -> Result<Vec<GatingRow>, PowerError> {
-    use vr_engine::{ArrivalModel, EngineConfig, SimConfig, VirtualRouterSim};
+    use crate::{ArrivalModel, EngineConfig, SimConfig, VirtualRouterSim};
     use vr_net::{TrafficGenerator, TrafficSpec};
 
     let (_, frac_high) = cfg.resolve_shared_fractions();
@@ -796,8 +795,8 @@ pub fn update_cost(cfg: &ExperimentConfig, k: usize) -> Result<Vec<UpdateRow>, P
         // write rate, the paper's reference) scaled by the mean writes.
         let mean_writes = writes as f64 / updates as f64;
         let write_rate = (0.01 * mean_writes / 29.0).min(1.0); // 29 ≈ path writes at reference
-        let pushed = merged.leaf_pushed();
-        let profile = PipelineProfile::for_trie(&pushed, cfg.stages, MemoryLayout::default())?;
+        let pushed = &merged.sweep_stats().by_prefix[k - 1];
+        let profile = PipelineProfile::from_stats(pushed, k, cfg.stages, MemoryLayout::default())?;
         let blocks = vr_fpga::bram::blocks_for_stages(
             BramMode::K18,
             &profile.per_stage_memory_bits(),
@@ -909,7 +908,7 @@ pub struct QueueingRow {
 /// # Errors
 /// Propagates generation and simulator errors.
 pub fn queueing_study(cfg: &ExperimentConfig, k: usize) -> Result<Vec<QueueingRow>, PowerError> {
-    use vr_engine::{ArrivalModel, EngineConfig, SimConfig, VirtualRouterSim};
+    use crate::{ArrivalModel, EngineConfig, SimConfig, VirtualRouterSim};
     use vr_net::{TrafficGenerator, TrafficSpec};
     let (_, frac_high) = cfg.resolve_shared_fractions();
     let tables = cfg.family(k, frac_high)?;
@@ -1046,161 +1045,6 @@ pub fn merged_scaling(cfg: &ExperimentConfig) -> Result<Vec<MergedScalingRow>, P
             })
         })
         .collect()
-}
-
-/// Zipf exponents swept by [`cache_skew_study`]: uniform traffic
-/// (`s = 0`) through strongly skewed (`s = 1.5`).
-pub const CACHE_SKEW_SWEEP: [f64; 4] = [0.0, 0.5, 1.0, 1.5];
-
-/// One row of the hot-path result-cache skew sweep: how the per-worker
-/// LPM cache converts traffic skew into throughput and into a dynamic
-/// memory-power discount (watts/Gbps vs Zipf `s`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CacheSkewRow {
-    /// Virtual networks merged into the trie under test.
-    pub k: usize,
-    /// Zipf exponent of the offered traffic (0 = uniform).
-    pub zipf_s: f64,
-    /// Cache capacity in slots (power of two).
-    pub cache_slots: usize,
-    /// Distinct destinations the stream draws from.
-    pub working_set: usize,
-    /// Steady-state cache hit rate over the measured stream.
-    pub hit_rate: f64,
-    /// Mean ns per lookup walking the trie for every packet.
-    pub ns_uncached: f64,
-    /// Mean ns per lookup with the cache probing ahead of the walk.
-    pub ns_cached: f64,
-    /// Throughput ratio, cached over uncached.
-    pub speedup: f64,
-    /// Analytical dynamic memory power of the merged scheme, in watts.
-    pub memory_w: f64,
-    /// Memory power that survives the cache discount, in watts.
-    pub memory_w_cached: f64,
-    /// Power efficiency without the cache, in watts per Gbps.
-    pub w_per_gbps_uncached: f64,
-    /// Power efficiency with the cache, in watts per Gbps.
-    pub w_per_gbps_cached: f64,
-}
-
-/// Hot-path cache skew sweep: a merged `JumpTrie` over a K-network
-/// family is driven by seeded [`vr_net::SkewedTraffic`] streams at each
-/// [`CACHE_SKEW_SWEEP`] exponent, with and without an
-/// [`vr_engine::LpmCache`] in front of the batch walk. Each row records
-/// the measured hit rate and throughput alongside the analytical
-/// memory power discounted by that hit rate
-/// ([`crate::models::cache_discounted_memory_w`]) — the watts/Gbps
-/// vs-skew figure the power model contributes to the cache story.
-///
-/// The hit rate is measured honestly: the cache is warmed on one stream
-/// from the distribution, stats are reset, and the rate is taken over an
-/// independent continuation stream — neither cold misses nor a literal
-/// replay of the warmup inflate it.
-///
-/// # Errors
-/// Propagates generation, trie, cache-construction, and scenario errors.
-pub fn cache_skew_study(cfg: &ExperimentConfig, k: usize) -> Result<Vec<CacheSkewRow>, PowerError> {
-    use vr_engine::service::lookup_batch_mixed;
-    use vr_engine::LpmCache;
-    use vr_net::{NextHop, SkewedSpec, SkewedTraffic, VnId};
-    use vr_trie::JumpTrie;
-
-    const CHUNK: usize = 512;
-    // The probe/fill path tags slots with the publish generation; any
-    // fixed value works when driving the trie directly.
-    const GENERATION: u64 = 1;
-
-    let tables = cfg.family(k, 0.5)?;
-    let merged = MergedTrie::from_tables(&tables)?;
-    let jump = JumpTrie::from_leaf_pushed(&merged.leaf_pushed());
-    let estimate = quick_estimate(&tables, SchemeKind::Merged, SpeedGrade::Minus2)?;
-    let bits_per_packet = f64::from(vr_net::traffic::MIN_PACKET_BYTES * 8);
-
-    // Enough packets that the timed pass dominates, bounded so the quick
-    // configuration stays fast.
-    let measure = (cfg.prefixes_per_table * k * 8).clamp(16_384, 262_144);
-    let slot_sweep = [DEFAULT_SKEW_SLOTS >> 2, DEFAULT_SKEW_SLOTS];
-
-    let mut rows = Vec::new();
-    for &s in &CACHE_SKEW_SWEEP {
-        for &slots in &slot_sweep {
-            let spec = SkewedSpec::zipf(k, s, cfg.seed);
-            let mut traffic = SkewedTraffic::new(spec, &tables)?;
-            let warm_pairs: Vec<(VnId, u32)> = traffic.pairs(measure);
-            let pairs: Vec<(VnId, u32)> = traffic.pairs(measure);
-            let mut out: Vec<Option<NextHop>> = vec![None; CHUNK];
-
-            let start = std::time::Instant::now();
-            for chunk in pairs.chunks(CHUNK) {
-                lookup_batch_mixed(&jump, chunk, &mut out[..chunk.len()]);
-                std::hint::black_box(&out);
-            }
-            let ns_uncached = elapsed_ns_per(&start, pairs.len());
-
-            let mut cache = LpmCache::new(slots)?;
-            for chunk in warm_pairs.chunks(CHUNK) {
-                cache.lookup_batch(&jump, GENERATION, chunk, &mut out[..chunk.len()]);
-            }
-            cache.reset_stats();
-            let start = std::time::Instant::now();
-            for chunk in pairs.chunks(CHUNK) {
-                cache.lookup_batch(&jump, GENERATION, chunk, &mut out[..chunk.len()]);
-                std::hint::black_box(&out);
-            }
-            let ns_cached = elapsed_ns_per(&start, pairs.len());
-            let hit_rate = cache.stats().hit_rate();
-
-            let gbps = |ns: f64| {
-                if ns > 0.0 {
-                    bits_per_packet / ns
-                } else {
-                    0.0
-                }
-            };
-            let static_logic_w = estimate.static_w + estimate.logic_w;
-            let memory_w = estimate.memory_w;
-            let memory_w_cached = crate::models::cache_discounted_memory_w(memory_w, hit_rate);
-            let eff = |total_w: f64, ns: f64| {
-                let g = gbps(ns);
-                if g > 0.0 {
-                    total_w / g
-                } else {
-                    0.0
-                }
-            };
-            rows.push(CacheSkewRow {
-                k,
-                zipf_s: s,
-                cache_slots: cache.capacity(),
-                working_set: traffic.working_set(),
-                hit_rate,
-                ns_uncached,
-                ns_cached,
-                speedup: if ns_cached > 0.0 {
-                    ns_uncached / ns_cached
-                } else {
-                    1.0
-                },
-                memory_w,
-                memory_w_cached,
-                w_per_gbps_uncached: eff(static_logic_w + memory_w, ns_uncached),
-                w_per_gbps_cached: eff(static_logic_w + memory_w_cached, ns_cached),
-            });
-        }
-    }
-    Ok(rows)
-}
-
-/// Default cache capacity swept by [`cache_skew_study`] (matches
-/// `vr_engine::DEFAULT_CACHE_SLOTS`; a quarter-size point rides along to
-/// show capacity sensitivity).
-const DEFAULT_SKEW_SLOTS: usize = 1 << 16;
-
-fn elapsed_ns_per(start: &std::time::Instant, n: usize) -> f64 {
-    if n == 0 {
-        return 0.0;
-    }
-    start.elapsed().as_secs_f64() * 1e9 / n as f64
 }
 
 /// Computes the analytical estimate for a single ad-hoc scenario — a
@@ -1535,30 +1379,5 @@ mod tests {
         let tables = cfg.family(3, 0.5).unwrap();
         let e = quick_estimate(&tables, SchemeKind::Separate, SpeedGrade::Minus2).unwrap();
         assert!(e.total_w() > 3.0 && e.total_w() < 7.0);
-    }
-
-    #[test]
-    fn cache_skew_study_discounts_memory_power_with_skew() {
-        let cfg = ExperimentConfig::quick();
-        let rows = cache_skew_study(&cfg, 2).unwrap();
-        assert_eq!(rows.len(), CACHE_SKEW_SWEEP.len() * 2);
-        for row in &rows {
-            assert_eq!(row.k, 2);
-            assert!(row.cache_slots.is_power_of_two());
-            assert!(row.working_set > 0);
-            assert!((0.0..=1.0).contains(&row.hit_rate));
-            assert!(row.ns_uncached > 0.0 && row.ns_cached > 0.0);
-            assert!(row.memory_w > 0.0);
-            assert!(row.memory_w_cached <= row.memory_w);
-            assert!(row.w_per_gbps_uncached > 0.0 && row.w_per_gbps_cached > 0.0);
-            // The discount is exactly the hit-rate share of memory power.
-            let expected = row.memory_w * (1.0 - row.hit_rate);
-            assert!((row.memory_w_cached - expected).abs() < 1e-12);
-        }
-        // The quick family's working set fits the cache, so skewed
-        // traffic must hit nearly always and uniform traffic must still
-        // hit often enough to discount meaningfully.
-        let skewed = rows.iter().find(|r| r.zipf_s > 1.25).unwrap();
-        assert!(skewed.hit_rate > 0.9, "s=1.5 hit rate {}", skewed.hit_rate);
     }
 }

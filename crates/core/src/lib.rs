@@ -15,11 +15,16 @@
 //! | VM (virtualized-merged) | Eq. 5: 1 device, 1 merged engine | Eq. 6: P_L + Σ(P(L)+P(M_merged)) |
 //!
 //! Everything below the equations comes from the sibling crates: routing
-//! tables (`vr-net`), tries and stage memories (`vr-trie`), device/power/
-//! timing models (`vr-fpga`) and the cycle-level behavioural simulator
-//! (`vr-engine`).
+//! tables (`vr-net`), tries and stage memories (`vr-trie`) and
+//! device/power/timing models (`vr-fpga`). Nothing here links the
+//! serving stack.
 //!
 //! Module map:
+//! * [`engine`] and [`router`] — the cycle-level behavioural simulator
+//!   the models are validated against: one linear lookup pipeline
+//!   ([`PipelineEngine`], §V-D) and the three organizations built from
+//!   it ([`VirtualRouterSim`], §IV), checked against the linear-scan
+//!   oracle and metered with the models' own coefficients;
 //! * [`scenario`] — build a concrete scenario (tables × scheme × grade);
 //! * [`resources`] — Eqs. 1/3/5 plus device-fit checks, including both
 //!   merged-memory models (structural vs. the paper's literal Eq. 5 —
@@ -37,15 +42,19 @@
 
 pub mod claims;
 pub mod efficiency;
+pub mod engine;
 pub mod experiments;
 pub mod models;
 pub mod report;
 pub mod resources;
+pub mod router;
 pub mod scenario;
 pub mod validate;
 
+pub use engine::{CompletedLookup, EngineConfig, EngineStats, PipelineEngine};
 pub use models::{cache_discounted_memory_w, memory_power_delta_w, PowerEstimate};
 pub use resources::{MergedMemoryModel, ResourceUsage};
+pub use router::{ArrivalModel, SimConfig, SimReport, VirtualRouterSim};
 pub use scenario::{Scenario, ScenarioSpec};
 
 // Re-export the identifiers users need to assemble scenarios without
@@ -64,8 +73,6 @@ pub enum PowerError {
     Fpga(vr_fpga::FpgaError),
     /// Propagated network-layer error.
     Net(vr_net::NetError),
-    /// Propagated simulator error.
-    Engine(String),
 }
 
 impl std::fmt::Display for PowerError {
@@ -75,7 +82,6 @@ impl std::fmt::Display for PowerError {
             PowerError::Trie(e) => write!(f, "trie error: {e}"),
             PowerError::Fpga(e) => write!(f, "fpga error: {e}"),
             PowerError::Net(e) => write!(f, "net error: {e}"),
-            PowerError::Engine(e) => write!(f, "engine error: {e}"),
         }
     }
 }
@@ -100,12 +106,6 @@ impl From<vr_net::NetError> for PowerError {
     }
 }
 
-impl From<vr_engine::EngineError> for PowerError {
-    fn from(e: vr_engine::EngineError) -> Self {
-        PowerError::Engine(e.to_string())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,8 +118,6 @@ mod tests {
         assert!(e.to_string().contains("fpga"));
         let e: PowerError = vr_net::NetError::InvalidPrefixLen(99).into();
         assert!(e.to_string().contains("net"));
-        let e: PowerError = vr_engine::EngineError::InvalidParameter("y").into();
-        assert!(e.to_string().contains("engine"));
         assert!(PowerError::InvalidParameter("z").to_string().contains('z'));
     }
 }

@@ -9,18 +9,20 @@
 //!   accounted in `vr-fpga`/`vr-power`, not here.
 //! * **VM**: one merged engine; the merged stream enters directly and the
 //!   leaf NHI vector is indexed by VNID.
+//!
+//! Every completed lookup is checked against the `vr-net` linear-scan
+//! oracle, `RoutingTable::lookup`; a run's [`SimReport`] counts the
+//! agreements.
 
-use crate::engine::{EngineConfig, PipelineEngine};
-use crate::report::SimReport;
-use crate::EngineError;
+use crate::engine::{EngineConfig, EngineStats, PipelineEngine};
+use crate::PowerError;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-use vr_fpga::SchemeKind;
+use vr_fpga::{timing, SchemeKind};
 use vr_net::{RoutingTable, TrafficGenerator};
-use vr_trie::pipeline_map::MemoryLayout;
-use vr_trie::{MergedTrie, PipelineProfile};
+use vr_trie::MergedTrie;
 
 /// How packets arrive at the router.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -65,7 +67,6 @@ pub struct SimConfig {
 
 /// A router organization under simulation.
 pub struct VirtualRouterSim {
-    organization: SchemeKind,
     engines: Vec<PipelineEngine>,
     tables: Vec<RoutingTable>,
     cfg: SimConfig,
@@ -77,45 +78,16 @@ impl VirtualRouterSim {
     /// # Errors
     /// Propagates trie/merge construction errors and rejects empty input
     /// or zero stages.
-    pub fn new(tables: Vec<RoutingTable>, cfg: SimConfig) -> Result<Self, EngineError> {
+    pub fn new(tables: Vec<RoutingTable>, cfg: SimConfig) -> Result<Self, PowerError> {
         if tables.is_empty() {
-            return Err(EngineError::InvalidParameter("need at least one table"));
+            return Err(PowerError::InvalidParameter("need at least one table"));
         }
-        // The paper's K engines vs. one: K tries of arity 1, or one of
-        // arity K. Everything after this line is scheme-blind.
-        let tries = match cfg.organization {
-            SchemeKind::NonVirtualized | SchemeKind::Separate => tables
-                .iter()
-                .map(|t| Ok(MergedTrie::from_tables(std::slice::from_ref(t))?.leaf_pushed()))
-                .collect::<Result<_, EngineError>>()?,
-            SchemeKind::Merged => vec![MergedTrie::from_tables(&tables)?.leaf_pushed()],
-        };
-        let engines = tries
-            .into_iter()
-            .map(|trie| {
-                let profile =
-                    PipelineProfile::for_trie(&trie, cfg.stages, MemoryLayout::default())?;
-                PipelineEngine::new(trie, &profile, cfg.engine)
-            })
-            .collect::<Result<Vec<_>, _>>()?;
+        let engines = engines(&tables, &cfg)?;
         Ok(Self {
-            organization: cfg.organization,
             engines,
             tables,
             cfg,
         })
-    }
-
-    /// Number of engines instantiated (K for NV/VS, 1 for VM).
-    #[must_use]
-    pub fn engine_count(&self) -> usize {
-        self.engines.len()
-    }
-
-    /// The organization being simulated.
-    #[must_use]
-    pub fn organization(&self) -> SchemeKind {
-        self.organization
     }
 
     /// Applies a routing update to the *oracle tables only*. The engines
@@ -134,9 +106,8 @@ impl VirtualRouterSim {
     ///
     /// # Errors
     /// Propagates trie/engine construction errors.
-    pub fn rebuild_engines(&mut self) -> Result<(), EngineError> {
-        let rebuilt = Self::new(self.tables.clone(), self.cfg)?;
-        self.engines = rebuilt.engines;
+    pub fn rebuild_engines(&mut self) -> Result<(), PowerError> {
+        self.engines = engines(&self.tables, &self.cfg)?;
         Ok(())
     }
 
@@ -151,52 +122,39 @@ impl VirtualRouterSim {
         &mut self,
         traffic: &mut TrafficGenerator,
         packets: u64,
-    ) -> Result<SimReport, EngineError> {
-        match self.cfg.arrivals {
-            ArrivalModel::SharedLine { offered_load } => {
-                if !(0.0..=1.0).contains(&offered_load) || !offered_load.is_finite() {
-                    return Err(EngineError::InvalidParameter(
-                        "offered load must be in [0, 1]",
-                    ));
-                }
-                if offered_load == 0.0 && packets > 0 {
-                    return Err(EngineError::InvalidParameter(
-                        "zero offered load can never deliver packets",
-                    ));
-                }
-            }
+    ) -> Result<SimReport, PowerError> {
+        // A shared line is a bursty one whose bursts are one packet long.
+        let bursts = match self.cfg.arrivals {
+            ArrivalModel::SharedLine { offered_load } => Some((offered_load, 1)),
             ArrivalModel::Bursty {
                 burst_probability,
                 burst_len,
-            } => {
-                if !(0.0..=1.0).contains(&burst_probability) || !burst_probability.is_finite() {
-                    return Err(EngineError::InvalidParameter(
-                        "burst probability must be in [0, 1]",
-                    ));
-                }
-                if burst_len == 0 {
-                    return Err(EngineError::InvalidParameter("burst length must be ≥ 1"));
-                }
-                if burst_probability == 0.0 && packets > 0 {
-                    return Err(EngineError::InvalidParameter(
-                        "zero burst probability can never deliver packets",
-                    ));
-                }
+            } => Some((burst_probability, burst_len)),
+            ArrivalModel::PerEngineSaturation => None,
+        };
+        if let Some((probability, len)) = bursts {
+            if len == 0 {
+                return Err(PowerError::InvalidParameter("burst length must be ≥ 1"));
             }
-            ArrivalModel::PerEngineSaturation => {}
+            if !(0.0..=1.0).contains(&probability) {
+                return Err(PowerError::InvalidParameter("arrival probability must be in [0, 1]"));
+            }
+            if probability == 0.0 && packets > 0 {
+                return Err(PowerError::InvalidParameter(
+                    "zero arrival probability can never deliver packets",
+                ));
+            }
         }
         let mut rng = SmallRng::seed_from_u64(self.cfg.arrival_seed);
         let mut offered = 0u64;
         let (mut correct, mut mismatches) = (0u64, 0u64);
         // Engines accumulate across runs (energy accounting is lifetime-
         // based); the report's packet/cycle counts are per-run deltas.
-        let completed_before: u64 = self.engines.iter().map(|e| e.stats().completed).sum();
-        let cycles_before = self
-            .engines
-            .iter()
-            .map(|e| e.stats().cycles)
-            .max()
-            .unwrap_or(0);
+        let cycles = |engines: &[PipelineEngine]| engines.iter().map(|e| e.stats().cycles).max();
+        let completed = |engines: &[PipelineEngine]| -> u64 {
+            engines.iter().map(|e| e.stats().completed).sum()
+        };
+        let (cycles_before, completed_before) = (cycles(&self.engines), completed(&self.engines));
         // The VNID distributor's per-engine queues (Fig. 1). Entries carry
         // their enqueue cycle for queueing-delay accounting.
         let mut queues: Vec<VecDeque<(vr_net::VnId, u32, u64)>> =
@@ -205,68 +163,42 @@ impl VirtualRouterSim {
         let mut max_queue_depth = 0usize;
         let mut total_queue_wait = 0u64;
 
-        let enqueue = |queues: &mut Vec<VecDeque<(vr_net::VnId, u32, u64)>>,
-                           organization: SchemeKind,
-                           p: vr_net::Packet,
-                           cycle: u64|
-         -> Result<(), EngineError> {
-            let engine_idx = match organization {
-                SchemeKind::Merged => 0,
-                _ => usize::from(p.vnid),
-            };
-            if engine_idx >= queues.len() {
-                return Err(EngineError::InvalidParameter(
-                    "traffic VNID exceeds table count",
-                ));
-            }
-            queues[engine_idx].push_back((p.vnid, p.dst, cycle));
-            Ok(())
-        };
-
         loop {
-            let arrivals_open = offered < packets;
             // Decide this cycle's arrivals into the distributor queues.
-            if arrivals_open {
-                match self.cfg.arrivals {
-                    ArrivalModel::SharedLine { offered_load } => {
-                        if rng.gen_range(0.0..1.0) < offered_load {
-                            let p = traffic.next_packet();
-                            offered += 1;
-                            enqueue(&mut queues, self.organization, p, cycle)?;
-                        }
-                    }
-                    ArrivalModel::Bursty {
-                        burst_probability,
-                        burst_len,
-                    } => {
-                        if rng.gen_range(0.0..1.0) < burst_probability {
-                            for _ in 0..burst_len {
-                                if offered >= packets {
-                                    break;
-                                }
-                                let p = traffic.next_packet();
-                                offered += 1;
-                                enqueue(&mut queues, self.organization, p, cycle)?;
-                            }
-                        }
-                    }
-                    ArrivalModel::PerEngineSaturation => {
-                        for (engine_idx, queue) in queues.iter_mut().enumerate() {
-                            if offered >= packets {
-                                break;
-                            }
-                            let p = match self.organization {
-                                // The merged engine carries the whole
-                                // mixed stream; NV/VS engines each stay
-                                // busy with their own network's traffic.
-                                SchemeKind::Merged => traffic.next_packet(),
-                                _ => traffic.packet_for(engine_idx as vr_net::VnId),
+            match bursts {
+                Some((probability, len)) if offered < packets => {
+                    if rng.gen_range(0.0..1.0) < probability {
+                        let burst = (len as u64).min(packets - offered);
+                        for p in (0..burst).map(|_| traffic.next_packet()) {
+                            let engine_idx = match self.cfg.organization {
+                                SchemeKind::Merged => 0,
+                                _ => usize::from(p.vnid),
                             };
-                            offered += 1;
+                            let queue = queues.get_mut(engine_idx).ok_or(
+                                PowerError::InvalidParameter("traffic VNID exceeds table count"),
+                            )?;
                             queue.push_back((p.vnid, p.dst, cycle));
                         }
+                        offered += burst;
                     }
                 }
+                None => {
+                    for (engine_idx, queue) in queues.iter_mut().enumerate() {
+                        if offered >= packets {
+                            break;
+                        }
+                        let p = match self.cfg.organization {
+                            // The merged engine carries the whole mixed
+                            // stream; NV/VS engines each stay busy with
+                            // their own network's traffic.
+                            SchemeKind::Merged => traffic.next_packet(),
+                            _ => traffic.packet_for(engine_idx as vr_net::VnId),
+                        };
+                        offered += 1;
+                        queue.push_back((p.vnid, p.dst, cycle));
+                    }
+                }
+                Some(_) => {}
             }
             max_queue_depth = max_queue_depth.max(queues.iter().map(VecDeque::len).max().unwrap_or(0));
 
@@ -291,23 +223,10 @@ impl VirtualRouterSim {
             }
         }
 
-        let cycles = self
-            .engines
-            .iter()
-            .map(|e| e.stats().cycles)
-            .max()
-            .unwrap_or(0)
-            - cycles_before;
-        let completed: u64 = self
-            .engines
-            .iter()
-            .map(|e| e.stats().completed)
-            .sum::<u64>()
-            - completed_before;
         Ok(SimReport {
-            cycles,
+            cycles: cycles(&self.engines).unwrap_or(0) - cycles_before.unwrap_or(0),
             offered,
-            completed,
+            completed: completed(&self.engines) - completed_before,
             correct,
             mismatches,
             engines: self.engines.len(),
@@ -338,12 +257,106 @@ impl VirtualRouterSim {
     }
 }
 
+/// The organization's engines: the paper's K engines vs. one, that is K
+/// tries of arity 1 or one of arity K. Everything after the trie build
+/// is scheme-blind.
+fn engines(tables: &[RoutingTable], cfg: &SimConfig) -> Result<Vec<PipelineEngine>, PowerError> {
+    let tries = match cfg.organization {
+        SchemeKind::NonVirtualized | SchemeKind::Separate => tables
+            .iter()
+            .map(|t| MergedTrie::from_tables(std::slice::from_ref(t)))
+            .collect::<Result<_, _>>()?,
+        SchemeKind::Merged => vec![MergedTrie::from_tables(tables)?],
+    };
+    tries
+        .into_iter()
+        .map(|trie| PipelineEngine::new(trie, cfg.stages, cfg.engine))
+        .collect()
+}
+
+/// Result of one router-organization simulation run.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct SimReport {
+    /// Cycles simulated (the longest engine's count).
+    pub cycles: u64,
+    /// Packets offered by the traffic source.
+    pub offered: u64,
+    /// Packets that completed the lookup pipeline.
+    pub completed: u64,
+    /// Completed lookups matching the linear-scan oracle.
+    pub correct: u64,
+    /// Completed lookups NOT matching the oracle (must be 0).
+    pub mismatches: u64,
+    /// Number of engines simulated.
+    pub engines: usize,
+    /// Stages per engine.
+    pub stages: usize,
+    /// Operating frequency in MHz used for power/throughput conversion.
+    pub freq_mhz: f64,
+    /// Deepest distributor queue observed (0 when arrivals never collide).
+    pub max_queue_depth: usize,
+    /// Total cycles packets spent waiting in distributor queues.
+    pub total_queue_wait_cycles: u64,
+    /// Per-engine counters.
+    pub per_engine: Vec<EngineStats>,
+}
+
+impl SimReport {
+    /// Total measured dynamic power across engines, in watts.
+    #[must_use]
+    pub fn dynamic_power_w(&self) -> f64 {
+        self.per_engine
+            .iter()
+            .map(|s| s.dynamic_power_w(self.freq_mhz))
+            .sum()
+    }
+
+    /// Achieved throughput in Gbps at 40-byte packets:
+    /// completed packets × 320 bits × f / cycles.
+    #[must_use]
+    pub fn achieved_throughput_gbps(&self) -> f64 {
+        if self.cycles == 0 {
+            return 0.0;
+        }
+        self.completed as f64 / self.cycles as f64 * timing::throughput_gbps(self.freq_mhz)
+    }
+
+    /// Mean pipeline occupancy across engines.
+    #[must_use]
+    pub fn mean_occupancy(&self) -> f64 {
+        if self.per_engine.is_empty() {
+            return 0.0;
+        }
+        self.per_engine
+            .iter()
+            .map(|s| s.occupancy(self.stages))
+            .sum::<f64>()
+            / self.per_engine.len() as f64
+    }
+
+    /// All completed lookups agreed with the oracle.
+    #[must_use]
+    pub fn is_fully_correct(&self) -> bool {
+        self.mismatches == 0 && self.correct == self.completed
+    }
+
+    /// Mean distributor queueing delay per offered packet, in cycles.
+    #[must_use]
+    pub fn mean_queue_wait_cycles(&self) -> f64 {
+        if self.offered == 0 {
+            return 0.0;
+        }
+        self.total_queue_wait_cycles as f64 / self.offered as f64
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use vr_net::synth::FamilySpec;
-    use vr_net::TrafficSpec;
+    use vr_net::{TrafficSpec, VnId};
     use vr_trie::pipeline_map::PAPER_PIPELINE_STAGES;
+    use vr_trie::{LeafPushedTrie, NodeId};
 
     fn family(k: usize, seed: u64) -> Vec<RoutingTable> {
         FamilySpec {
@@ -393,14 +406,13 @@ mod tests {
             config(SchemeKind::Separate, ArrivalModel::PerEngineSaturation),
         )
         .unwrap();
-        assert_eq!(sep.engine_count(), 4);
-        assert_eq!(sep.organization(), SchemeKind::Separate);
+        assert_eq!(sep.engines.len(), 4);
         let merged = VirtualRouterSim::new(
             tables,
             config(SchemeKind::Merged, ArrivalModel::PerEngineSaturation),
         )
         .unwrap();
-        assert_eq!(merged.engine_count(), 1);
+        assert_eq!(merged.engines.len(), 1);
     }
 
     #[test]
@@ -515,6 +527,62 @@ mod tests {
         assert!(report.mean_queue_wait_cycles() >= 1.0);
     }
 
+    /// Depth of the leaf `dst` reaches in a leaf-pushed trie.
+    fn leaf_depth(trie: &LeafPushedTrie, dst: u32) -> u64 {
+        let (mut id, mut depth) = (NodeId::ROOT, 0u32);
+        while let Some((l, r)) = trie.node_children(id) {
+            id = if (dst >> (31 - depth)) & 1 == 0 { l } else { r };
+            depth += 1;
+        }
+        u64::from(depth)
+    }
+
+    /// The engines walk the merged trie as the leaf-pushed one it stands
+    /// for: on a paper-scale family, every lookup of every organization
+    /// reads one word per level down to its leaf in the reference
+    /// `leaf_pushed()` trie, and answers what its table answers.
+    #[test]
+    fn merged_walk_reads_exactly_the_leaf_pushed_path() {
+        let k = 4;
+        let tables = FamilySpec {
+            k,
+            prefixes_per_table: vr_net::synth::PAPER_TABLE_PREFIXES,
+            shared_fraction: 0.5,
+            seed: 2012,
+            distribution: vr_net::synth::PrefixLenDistribution::edge_default(),
+            next_hops: 16,
+        }
+        .generate()
+        .unwrap();
+        let mut traffic = TrafficGenerator::new(TrafficSpec::uniform(k, 5), &tables).unwrap();
+        // Covered destinations, and their complements, which mostly miss.
+        let probes: Vec<(VnId, u32)> = (0..300)
+            .map(|_| traffic.next_packet())
+            .flat_map(|p| [(p.vnid, p.dst), (p.vnid, !p.dst)])
+            .collect();
+        let pushed =
+            |tables: &[RoutingTable]| MergedTrie::from_tables(tables).unwrap().leaf_pushed();
+        for org in SchemeKind::ALL {
+            let cfg = config(org, ArrivalModel::PerEngineSaturation);
+            let mut engines = engines(&tables, &cfg).unwrap();
+            let reference: Vec<LeafPushedTrie> = match org {
+                SchemeKind::Merged => vec![pushed(&tables)],
+                _ => tables.iter().map(|t| pushed(std::slice::from_ref(t))).collect(),
+            };
+            for &(vnid, dst) in &probes {
+                let at = if org == SchemeKind::Merged { 0 } else { usize::from(vnid) };
+                let engine = &mut engines[at];
+                let before = engine.stats().memory_reads;
+                engine.tick(Some((vnid, dst)));
+                let done = engine.drain().pop().unwrap();
+                let reads = engine.stats().memory_reads - before;
+                let expected = leaf_depth(&reference[at], dst) + 1;
+                assert_eq!(reads, expected, "{org} vn {vnid} dst {dst:#010x}");
+                assert_eq!(done.next_hop, tables[usize::from(vnid)].lookup(dst));
+            }
+        }
+    }
+
     #[test]
     fn rejects_bad_parameters() {
         let tables = family(2, 2);
@@ -542,5 +610,69 @@ mod tests {
         )
         .unwrap();
         assert!(sim.run(&mut traffic, 10).is_err());
+    }
+
+    fn stats(cycles: u64, energy_pj: f64) -> EngineStats {
+        EngineStats {
+            cycles,
+            logic_energy_pj: energy_pj,
+            ..EngineStats::default()
+        }
+    }
+
+    #[test]
+    fn dynamic_power_sums_engines() {
+        let report = SimReport {
+            cycles: 100,
+            engines: 2,
+            stages: 28,
+            freq_mhz: 100.0,
+            per_engine: vec![stats(100, 1000.0), stats(100, 1000.0)],
+            ..SimReport::default()
+        };
+        // Each engine: 1000 pJ / 100 cycles × 100 MHz = 1 µW... in watts:
+        // 10 pJ/cycle × 1e8 cycles/s = 1e-3 W.
+        assert!((report.dynamic_power_w() - 2e-3).abs() < 1e-12);
+    }
+
+    #[test]
+    fn throughput_formula() {
+        let report = SimReport {
+            cycles: 1000,
+            offered: 500,
+            completed: 500,
+            correct: 500,
+            engines: 1,
+            stages: 28,
+            freq_mhz: 350.0,
+            ..SimReport::default()
+        };
+        // Half the line rate: 0.5 × 112 Gbps.
+        assert!((report.achieved_throughput_gbps() - 56.0).abs() < 1e-9);
+        assert!(report.is_fully_correct());
+    }
+
+    #[test]
+    fn zero_cycles_edge_cases() {
+        let report = SimReport {
+            freq_mhz: 350.0,
+            ..SimReport::default()
+        };
+        assert_eq!(report.achieved_throughput_gbps(), 0.0);
+        assert_eq!(report.dynamic_power_w(), 0.0);
+        assert_eq!(report.mean_occupancy(), 0.0);
+    }
+
+    #[test]
+    fn mismatches_break_correctness() {
+        let report = SimReport {
+            cycles: 10,
+            offered: 2,
+            completed: 2,
+            correct: 1,
+            mismatches: 1,
+            ..SimReport::default()
+        };
+        assert!(!report.is_fully_correct());
     }
 }

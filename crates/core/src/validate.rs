@@ -14,9 +14,8 @@
 
 use crate::models::{analytical_power, experimental_power_w};
 use crate::scenario::Scenario;
-use crate::PowerError;
+use crate::{ArrivalModel, EngineConfig, PowerError, SimConfig, VirtualRouterSim};
 use serde::{Deserialize, Serialize};
-use vr_engine::{ArrivalModel, EngineConfig, SimConfig, VirtualRouterSim};
 use vr_fpga::par::{percentage_error, ParSimulator};
 use vr_fpga::{SchemeKind, SpeedGrade};
 use vr_net::{RoutingTable, TrafficGenerator, TrafficSpec};

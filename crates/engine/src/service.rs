@@ -1,8 +1,8 @@
 //! Span-dispatched lookup service with incremental route updates.
 //!
-//! The cycle-level [`PipelineEngine`](crate::PipelineEngine) models the
-//! paper's hardware; this module is the *production* datapath the ROADMAP
-//! asks for. [`LookupService`] is one of the two facades over the shared
+//! The cycle-level pipeline simulator in `vr-power` models the paper's
+//! hardware; this module is the *production* datapath the ROADMAP asks
+//! for. [`LookupService`] is one of the two facades over the shared
 //! service core (lanes — the calling thread and `workers − 1` worker
 //! threads — `Publish`-slot table swap, audit gate, telemetry,
 //! join-on-drop — see `service_core.rs`); what it adds is how packets

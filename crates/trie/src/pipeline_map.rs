@@ -15,7 +15,7 @@
 //! \[7\]\[8\] build — one fixed-stride multi-bit level per stage — from
 //! per-stage node counts, without building the trie.
 
-use crate::{LeafPushedTrie, TrieError, TrieStats};
+use crate::{TrieError, TrieStats};
 use serde::{Deserialize, Serialize};
 use vr_net::RoutingTable;
 
@@ -80,22 +80,10 @@ pub struct PipelineProfile {
 }
 
 impl PipelineProfile {
-    /// Profile of the pipeline storing `trie`: an NV or per-VS-engine
-    /// pipeline at arity 1, a merged one (leaves carry K-wide NHI vectors)
-    /// at arity K.
-    ///
-    /// # Errors
-    /// Rejects zero stages.
-    pub fn for_trie(
-        trie: &LeafPushedTrie,
-        n_stages: usize,
-        layout: MemoryLayout,
-    ) -> Result<Self, TrieError> {
-        Self::from_stats(&trie.stats(), trie.arity(), n_stages, layout)
-    }
-
-    /// [`PipelineProfile::for_trie`] of the arity-`nhi_width_multiplier`
-    /// leaf-pushed trie `stats` describes, which need not be built.
+    /// Profile of the pipeline storing the leaf-pushed trie `stats`
+    /// describes, which need not be built: an NV or per-VS-engine
+    /// pipeline at `nhi_width_multiplier` 1, a merged one (leaves carry
+    /// K-wide NHI vectors) at K.
     ///
     /// # Errors
     /// Rejects zero stages.
@@ -221,6 +209,7 @@ pub fn stride_stage_entries(table: &RoutingTable, strides: &[u8]) -> Result<Vec<
 mod tests {
     use super::*;
     use crate::merge::MergedTrie;
+    use crate::LeafPushedTrie;
     use vr_net::synth::{FamilySpec, TableSpec};
 
     fn single_profile(seed: u64, n_stages: usize) -> (LeafPushedTrie, PipelineProfile) {
@@ -228,7 +217,9 @@ mod tests {
         let lp = MergedTrie::from_tables(std::slice::from_ref(&table))
             .unwrap()
             .leaf_pushed();
-        let profile = PipelineProfile::for_trie(&lp, n_stages, MemoryLayout::default()).unwrap();
+        let profile =
+            PipelineProfile::from_stats(&lp.stats(), lp.arity(), n_stages, MemoryLayout::default())
+                .unwrap();
         (lp, profile)
     }
 
@@ -236,7 +227,7 @@ mod tests {
     fn zero_stages_is_rejected() {
         let (lp, _) = single_profile(1, 28);
         assert!(matches!(
-            PipelineProfile::for_trie(&lp, 0, MemoryLayout::default()),
+            PipelineProfile::from_stats(&lp.stats(), lp.arity(), 0, MemoryLayout::default()),
             Err(TrieError::ZeroStages)
         ));
     }
@@ -313,9 +304,13 @@ mod tests {
         .generate()
         .unwrap();
         let pushed = MergedTrie::from_tables(&tables).unwrap().leaf_pushed();
-        let profile =
-            PipelineProfile::for_trie(&pushed, PAPER_PIPELINE_STAGES, MemoryLayout::default())
-                .unwrap();
+        let profile = PipelineProfile::from_stats(
+            &pushed.stats(),
+            pushed.arity(),
+            PAPER_PIPELINE_STAGES,
+            MemoryLayout::default(),
+        )
+        .unwrap();
         assert_eq!(profile.nhi_width_multiplier, 4);
         assert_eq!(
             profile.nhi_memory_bits(),

@@ -6,7 +6,7 @@
 //! cargo run --release -p vr-bench --example update_replay
 //! ```
 
-use vr_engine::{ArrivalModel, EngineConfig, SimConfig, VirtualRouterSim};
+use vr_power::{ArrivalModel, EngineConfig, SimConfig, VirtualRouterSim};
 use vr_net::synth::FamilySpec;
 use vr_net::update::{parse_update_trace, to_update_trace};
 use vr_net::{TrafficGenerator, TrafficSpec, UpdateMix, UpdateStream};

@@ -30,7 +30,7 @@ fn simulator_and_model_agree_on_dynamic_power() {
 /// the offered load halves the simulated dynamic power of a gated engine.
 #[test]
 fn dynamic_power_scales_with_offered_load() {
-    use vr_engine::{ArrivalModel, EngineConfig, SimConfig, VirtualRouterSim};
+    use vr_power::{ArrivalModel, EngineConfig, SimConfig, VirtualRouterSim};
     use vr_net::{TrafficGenerator, TrafficSpec};
 
     let tables = family(2, 0.6, 13);
@@ -136,7 +136,7 @@ fn skewed_utilization_changes_only_dynamic_power() {
 /// the engines clears them.
 #[test]
 fn stale_data_plane_is_detected_and_rebuild_clears_it() {
-    use vr_engine::{ArrivalModel, EngineConfig, SimConfig, VirtualRouterSim};
+    use vr_power::{ArrivalModel, EngineConfig, SimConfig, VirtualRouterSim};
     use vr_net::{RouteUpdate, TrafficGenerator, TrafficSpec};
 
     let tables = family(2, 0.6, 23);

@@ -251,8 +251,7 @@ proptest! {
 
     #[test]
     fn pipeline_engine_matches_oracle(seed in any::<u64>()) {
-        use vr_engine::{EngineConfig, PipelineEngine};
-        use vr_trie::pipeline_map::{MemoryLayout, PipelineProfile};
+        use vr_power::{EngineConfig, PipelineEngine};
 
         let table = vr_net::synth::TableSpec {
             prefixes: 120,
@@ -264,10 +263,8 @@ proptest! {
         }
         .generate()
         .unwrap();
-        let pushed = single(&table).leaf_pushed();
-        let profile = PipelineProfile::for_trie(&pushed, 28, MemoryLayout::default()).unwrap();
         let mut engine =
-            PipelineEngine::new(pushed, &profile, EngineConfig::paper_default()).unwrap();
+            PipelineEngine::new(single(&table), 28, EngineConfig::paper_default()).unwrap();
 
         let probes: Vec<u32> = table.prefixes().map(|p| p.addr() ^ (seed as u32)).collect();
         let mut outputs = Vec::new();

@@ -261,7 +261,7 @@ fn walked_structures_equal_pipelines_of_built_leaf_pushed_tries() {
     let (cfg, layout) = (ExperimentConfig::quick(), MemoryLayout::default());
     let bits = |tables: &[vr_net::RoutingTable]| {
         let pushed = MergedTrie::from_tables(tables).unwrap().leaf_pushed();
-        let profile = PipelineProfile::for_trie(&pushed, cfg.stages, layout).unwrap();
+        let profile = PipelineProfile::from_stats(&pushed.stats(), pushed.arity(), cfg.stages, layout).unwrap();
         profile.per_stage_memory_bits()
     };
     let (frac_low, frac_high) = cfg.resolve_shared_fractions();

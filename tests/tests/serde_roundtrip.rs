@@ -108,7 +108,7 @@ fn scenario_spec_round_trips() {
 
 #[test]
 fn sim_report_round_trips() {
-    use vr_engine::{ArrivalModel, EngineConfig, SimConfig, VirtualRouterSim};
+    use vr_power::{ArrivalModel, EngineConfig, SimConfig, VirtualRouterSim};
     use vr_net::{TrafficGenerator, TrafficSpec};
     let tables = family(2, 0.5, 3);
     let cfg = SimConfig {
