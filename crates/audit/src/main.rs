@@ -9,14 +9,19 @@
 //!
 //! `tables` generates a synthetic routing table (and a K-table family for
 //! the virtualization encodings), builds every lookup structure through
-//! every `from_*` constructor the workspace has, audits each one, and
-//! emits the [`AuditReport`]s as a JSON array — the CI `audit` job runs
-//! this at paper scale and uploads the output. `artifact` audits a
+//! every `from_*` constructor the workspace has, audits each one (the
+//! family's trie again after a seeded 1 % of each VN's routes is
+//! withdrawn and announced again), and emits the [`AuditReport`]s as a
+//! JSON array — the CI `audit` job runs this at paper scale and uploads
+//! the output. `artifact` audits a
 //! serialized `JumpTrie` from disk. `lint` runs the source rules over the
 //! workspace tree. Exit status: 0 clean, 1 violations found, 2 usage or
 //! I/O error.
 
 use std::process::ExitCode;
+
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 use vr_audit::{
     audit_jump, audit_jump_with_table, audit_jump_with_tables, audit_leaf_pushed, audit_merged,
@@ -167,6 +172,25 @@ fn cmd_tables(args: &[String]) -> Result<bool, String> {
     // other builder: per-bucket blocks, assembled.
     reports.push(audit_jump_with_tables(
         &JumpSlabs::from_merged(&merged).assemble(),
+        &tables,
+    ));
+
+    // The update path: a seeded 1 % of each VN's routes withdrawn, then
+    // announced again, leaves a trie that must audit the same.
+    let mut churned = merged;
+    let mut rng = SmallRng::seed_from_u64(seed);
+    for (vn, table) in tables.iter().enumerate() {
+        let picked: Vec<_> = table.iter().filter(|_| rng.gen_bool(0.01)).collect();
+        for route in &picked {
+            churned.remove(vn, &route.prefix);
+        }
+        for route in &picked {
+            churned.insert(vn, route.prefix, route.next_hop);
+        }
+    }
+    reports.push(audit_merged(&churned));
+    reports.push(audit_jump_with_tables(
+        &JumpSlabs::from_merged(&churned).assemble(),
         &tables,
     ));
 

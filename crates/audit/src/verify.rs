@@ -349,8 +349,9 @@ fn sweep_full_binary(a: &mut Audit, trie: &LeafPushedTrie) -> (usize, usize, usi
 }
 
 /// Audits a [`MergedTrie`] of any arity (a single table's trie is
-/// K = 1): presence/subtree/slab accounting, reachability and the 32-bit
-/// depth bound via its own invariant check, plus arity bounds.
+/// K = 1): the presence recursion, node counts, slab size, reachability
+/// and the 32-bit depth bound via its own invariant check, plus arity
+/// bounds.
 #[must_use]
 pub fn audit_merged(trie: &MergedTrie) -> AuditReport {
     let mut a = Audit::new(format!("merged(k={})", trie.arity()));
@@ -360,7 +361,7 @@ pub fn audit_merged(trie: &MergedTrie) -> AuditReport {
         a.error(
             CheckKind::Invariants,
             Coordinates::none(),
-            "presence masks, subtree counters, slabs, depth, and reachability disagree",
+            "presence masks, node counts, the NHI slab, depth, and reachability disagree",
         );
     }
     if trie.arity() == 0 || trie.arity() > 64 {

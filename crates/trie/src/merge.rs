@@ -17,18 +17,23 @@
 //! tables. [`MergedTrie::overlap_ratio`] additionally reports the laxer
 //! `shared (≥2 tries) / merged total` metric for comparison.
 //!
-//! The trie is fully **incremental** (the authors' follow-up work, paper
-//! ref. \[6\], adds on-the-fly updates to virtualized routers):
-//! [`MergedTrie::insert`] and [`MergedTrie::remove`] announce/withdraw one
-//! virtual network's route, maintaining per-VN subtree accounting so
-//! presence masks, per-VN node counts and pruning stay exact under churn.
+//! [`MergedTrie::from_tables`] builds the trie in one preorder pass over
+//! the K tables' routes, sorted together; it never inserts route by route.
+//! After that the trie is fully **incremental** (the authors' follow-up
+//! work, paper ref. \[6\], adds on-the-fly updates to virtualized
+//! routers): [`MergedTrie::insert`] and [`MergedTrie::remove`]
+//! announce/withdraw one virtual network's route. Both keep one invariant
+//! exact — a node's presence bit v is set iff it holds an entry for VN v
+//! or a child has bit v — so a withdrawal finds where VN v's trie ends by
+//! reading its path's entries and children, with no per-VN counters, and
+//! per-VN node counts and pruning stay exact under churn.
 //! A sweep over K reads every trie it prices off one arity-K trie:
 //! [`MergedTrie::sweep_stats`] walks it once for each k's leaf-pushed
 //! statistics and α over VNs `0..k`, and each VN's own, building none.
 //!
-//! Per-VN state lives in two flat slabs of `k` entries per node (NHI
-//! entries and subtree counters): no node owns a heap allocation, and an
-//! update keeps its root-to-node path on the stack.
+//! Per-VN state lives in one flat slab of `k` NHI entries per node: no
+//! node owns a heap allocation, and an update keeps its root-to-node path
+//! on the stack.
 //!
 //! This module holds the overlay only. The structure the pipeline stores
 //! is its leaf-pushed form, [`MergedTrie::leaf_pushed`] — a
@@ -108,10 +113,6 @@ pub struct MergedTrie {
     /// Per-VN prefix NHI stored at each node (pre leaf pushing), `k`
     /// consecutive entries per node, indexed by VNID.
     nhis: Vec<Option<NextHop>>,
-    /// Per-VN count of prefixes in each node's subtree (itself included),
-    /// laid out like `nhis`; drives presence maintenance and pruning under
-    /// withdrawals.
-    subtree: Vec<u32>,
     free: Vec<NodeId>,
     live_nodes: usize,
     k: usize,
@@ -134,7 +135,6 @@ impl MergedTrie {
         Ok(Self {
             nodes: vec![MergedNode::EMPTY],
             nhis: vec![None; k],
-            subtree: vec![0; k],
             free: Vec::new(),
             live_nodes: 1,
             k,
@@ -146,33 +146,81 @@ impl MergedTrie {
     /// Builds the merged trie from routing tables (VNID = index); one
     /// table builds the single-table trie.
     ///
+    /// One pass in preorder over the K tables' routes, sorted together:
+    /// the path to the route before stays open, and each route closes the
+    /// nodes below the prefix it shares with that route and opens its own
+    /// path below it. Nodes are allocated in preorder, and a closed node's
+    /// presence is final, so it is counted then and folded into its
+    /// parent's. No route goes through [`MergedTrie::insert`].
+    ///
     /// # Errors
     /// Same arity constraints as [`MergedTrie::new`].
     pub fn from_tables(tables: &[RoutingTable]) -> Result<Self, TrieError> {
         let mut merged = Self::new(tables.len())?;
-        // Reserve for the whole family, not its largest member: members
-        // that share little merge into about the sum of their tries. The
-        // synthetic tables measure 2.3–3.0 nodes per prefix of the family
-        // when little is shared (0.1–1.5 when most is), so 3 per prefix
-        // builds a low-α K = 15 family (135 737 nodes) without regrowing
-        // the arena or the two K-wide slabs. The unused rest is handed
-        // back after the build (glibc shrinks in place, without a copy):
-        // a trie a service keeps would otherwise pin it, and the
-        // allocator may have served it from pages already resident.
-        let total: usize = tables.iter().map(RoutingTable::len).sum();
-        let nodes = total.saturating_mul(3) + 1;
-        merged.nodes.reserve(nodes);
-        merged.nhis.reserve(nodes * merged.k);
-        merged.subtree.reserve(nodes * merged.k);
-        for (vnid, table) in tables.iter().enumerate() {
-            for entry in table.iter() {
-                merged.insert(vnid, entry.prefix, entry.next_hop);
-            }
+        let mut routes = Vec::with_capacity(tables.iter().map(RoutingTable::len).sum());
+        for (vn, table) in tables.iter().enumerate() {
+            routes.extend(table.iter().map(|e| (e.prefix, vn as u8, e.next_hop)));
         }
-        merged.nodes.shrink_to_fit();
-        merged.nhis.shrink_to_fit();
-        merged.subtree.shrink_to_fit();
+        // A table iterates in `(addr, len)` order, which is preorder, so
+        // the stable sort merges K sorted runs.
+        routes.sort_by_key(|&(prefix, ..)| prefix);
+        // The arena is counted exactly and allocated once, with room for
+        // an eighth more nodes: a service's first announcements would
+        // otherwise copy the whole arena and slab to grow them (2.5–3 ms
+        // on the paper family). A trie that is never updated never
+        // writes the room.
+        let nodes = node_total(&routes);
+        let room = nodes + nodes / 8;
+        merged.nodes = Vec::with_capacity(room);
+        merged.nodes.push(MergedNode::EMPTY);
+        merged.nhis = vec![None; room * merged.k];
+        merged.nhis.truncate(nodes * merged.k);
+        let mut path = [NodeId::ROOT; 33];
+        let mut depth = 0;
+        let mut prev = Ipv4Prefix::DEFAULT_ROUTE;
+        for &(prefix, vn, next_hop) in &routes {
+            let (len, shared) = (usize::from(prefix.len()), usize::from(shared_len(prefix, prev)));
+            while depth > shared {
+                merged.close(&path, depth);
+                depth -= 1;
+            }
+            while depth < len {
+                let child = NodeId(
+                    u32::try_from(merged.nodes.len()).expect("merged trie exceeds u32 nodes"),
+                );
+                merged.nodes.push(MergedNode::EMPTY);
+                let slot = usize::from(prefix.bit(depth as u8));
+                merged.nodes[path[depth].idx()].children[slot] = Some(child);
+                depth += 1;
+                path[depth] = child;
+            }
+            let id = path[len].idx();
+            merged.nhis[id * merged.k + usize::from(vn)] = Some(next_hop);
+            merged.nodes[id].presence |= 1u64 << vn;
+            prev = prefix;
+        }
+        for depth in (0..=depth).rev() {
+            merged.close(&path, depth);
+        }
+        debug_assert_eq!(merged.nodes.len(), nodes);
+        merged.live_nodes = nodes;
         Ok(merged)
+    }
+
+    /// Closes the node at `depth` on the open `path` of a bulk build: its
+    /// presence is final, so the node is counted into the per-VN and
+    /// common totals and its presence folded into its parent's.
+    fn close(&mut self, path: &[NodeId; 33], depth: usize) {
+        let presence = self.nodes[path[depth].idx()].presence;
+        let mut vns = presence;
+        while vns != 0 {
+            self.per_vn_nodes[vns.trailing_zeros() as usize] += 1;
+            vns &= vns - 1;
+        }
+        self.common_nodes += usize::from(presence == full_mask(self.k));
+        if depth > 0 {
+            self.nodes[path[depth - 1].idx()].presence |= presence;
+        }
     }
 
     /// Number of virtual networks merged.
@@ -226,7 +274,6 @@ impl MergedTrie {
             let bit = 1u64 << vnid;
             let full = full_mask(self.k);
             for id in &path[..=usize::from(prefix.len())] {
-                self.subtree[id.idx() * self.k + vnid] += 1;
                 let node = &mut self.nodes[id.idx()];
                 if node.presence & bit == 0 {
                     node.presence |= bit;
@@ -257,17 +304,21 @@ impl MergedTrie {
         let bit = 1u64 << vnid;
         let full = full_mask(self.k);
         let len = usize::from(prefix.len());
-        for id in &path[..=len] {
-            let count = &mut self.subtree[id.idx() * self.k + vnid];
-            *count -= 1;
-            let node = &mut self.nodes[id.idx()];
-            if *count == 0 && node.presence & bit != 0 {
-                if node.presence == full {
-                    self.common_nodes -= 1;
-                }
-                node.presence &= !bit;
-                self.per_vn_nodes[vnid] -= 1;
+        // Bottom-up, a node leaves VN `vnid`'s trie unless it keeps an
+        // entry for it or a child is still in that trie; once one stays,
+        // every node above it does too.
+        for id in path[..=len].iter().rev() {
+            let node = self.nodes[id.idx()];
+            let below = node.children.into_iter().flatten();
+            let below = below.fold(0, |mask, c| mask | self.nodes[c.idx()].presence);
+            if below & bit != 0 || self.nhis[id.idx() * self.k + vnid].is_some() {
+                break;
             }
+            if node.presence == full {
+                self.common_nodes -= 1;
+            }
+            self.nodes[id.idx()].presence &= !bit;
+            self.per_vn_nodes[vnid] -= 1;
         }
         // Prune orphaned nodes bottom-up (never the root). A node with
         // zero presence has no prefixes in its subtree for any VN, hence
@@ -289,7 +340,7 @@ impl MergedTrie {
     fn alloc(&mut self) -> NodeId {
         self.live_nodes += 1;
         if let Some(id) = self.free.pop() {
-            // Its slab rows are clear already: a node is freed only once
+            // Its slab row is clear already: a node is freed only once
             // no VN has a prefix at or below it.
             self.nodes[id.idx()] = MergedNode::EMPTY;
             id
@@ -298,7 +349,6 @@ impl MergedTrie {
                 NodeId(u32::try_from(self.nodes.len()).expect("merged trie exceeds u32 nodes"));
             self.nodes.push(MergedNode::EMPTY);
             self.nhis.resize(self.nhis.len() + self.k, None);
-            self.subtree.resize(self.subtree.len() + self.k, 0);
             id
         }
     }
@@ -494,12 +544,11 @@ impl MergedTrie {
     }
 
     /// Internal-consistency check used by property tests: reachability,
-    /// depth, counters and presence/subtree invariants all agree.
+    /// depth, counters and the presence recursion all agree.
     #[must_use]
     pub fn check_invariants(&self) -> bool {
         let mut reachable = 0usize;
         let mut per_vn = vec![0usize; self.k];
-        let mut prefix_totals = vec![0u64; self.k];
         let mut common = 0usize;
         let full = full_mask(self.k);
         for (id, depth) in self.walk() {
@@ -508,37 +557,31 @@ impl MergedTrie {
             }
             reachable += 1;
             let node = &self.nodes[id.idx()];
-            if node.presence == full {
-                common += 1;
+            // Bit v ⇔ an entry for VN v here, or bit v in a child.
+            let mut expected = 0u64;
+            for (vn, nhi) in self.node_nhis(id).iter().enumerate() {
+                expected |= u64::from(nhi.is_some()) << vn;
             }
-            let row = self.row(id);
-            let entries = self.nhis[row.clone()].iter().zip(&self.subtree[row]);
-            for (vn, (nhi, &count)) in entries.enumerate() {
-                let bit_set = node.presence & (1u64 << vn) != 0;
-                if bit_set != (count > 0) {
-                    return false;
-                }
-                if bit_set {
-                    per_vn[vn] += 1;
-                }
-                if nhi.is_some() {
-                    prefix_totals[vn] += 1;
-                }
+            for child in node.children.into_iter().flatten() {
+                expected |= self.nodes[child.idx()].presence;
             }
+            if node.presence != expected {
+                return false;
+            }
+            for (vn, count) in per_vn.iter_mut().enumerate() {
+                *count += usize::from(node.presence >> vn & 1 == 1);
+            }
+            common += usize::from(node.presence == full);
             // A live non-root node must serve someone.
-            if id != NodeId::ROOT && node.presence == 0 && node.is_leaf() {
+            if id != NodeId::ROOT && node.presence == 0 {
                 return false;
             }
         }
-        // Root subtree counters must equal total prefixes per VN.
-        let root = &self.subtree[self.row(NodeId::ROOT)];
-        root.iter().map(|&count| u64::from(count)).eq(prefix_totals)
-            && reachable == self.live_nodes
+        reachable == self.live_nodes
             && per_vn == self.per_vn_nodes
             && common == self.common_nodes
             && self.live_nodes + self.free.len() == self.nodes.len()
             && self.nhis.len() == self.nodes.len() * self.k
-            && self.subtree.len() == self.nodes.len() * self.k
     }
 
     /// Child of node `id` along branch `bit` (0 = left, 1 = right).
@@ -592,6 +635,28 @@ fn span(by_k: &mut [Counts], level: usize, count: usize, lo: usize, hi: usize) {
         by_k[(lo + 1) * LEVELS + level][count] += 1;
         by_k[(hi + 1) * LEVELS + level][count] -= 1;
     }
+}
+
+/// One VN's route as the bulk build sorts them: prefix, VNID, next hop.
+type Route = (Ipv4Prefix, u8, NextHop);
+
+/// Length of the longest prefix `a` and `b` share.
+fn shared_len(a: Ipv4Prefix, b: Ipv4Prefix) -> u8 {
+    let diverge = (a.addr() ^ b.addr()).leading_zeros() as u8;
+    diverge.min(a.len()).min(b.len())
+}
+
+/// Nodes in the trie over `routes` (sorted in preorder): the root, and
+/// for each route the levels below the longest prefix it shares with the
+/// route before it — in preorder no earlier route shares more.
+fn node_total(routes: &[Route]) -> usize {
+    let mut prev = Ipv4Prefix::DEFAULT_ROUTE;
+    let fresh = routes.iter().map(|&(prefix, ..)| {
+        let shared = shared_len(prefix, prev);
+        prev = prefix;
+        usize::from(prefix.len() - shared)
+    });
+    1 + fresh.sum::<usize>()
 }
 
 fn full_mask(k: usize) -> u64 {
@@ -990,6 +1055,109 @@ mod tests {
         }
     }
 
+    /// The update path's trie over `tables`: every route inserted in a
+    /// seeded shuffled order, then a seeded third of them withdrawn and
+    /// announced again.
+    fn inserted(tables: &[RoutingTable], seed: u64) -> MergedTrie {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let routes = tables.iter().enumerate().map(|(vn, t)| t.iter().map(move |e| (vn, e)));
+        let mut routes: Vec<_> = routes.flatten().collect();
+        for i in (1..routes.len()).rev() {
+            routes.swap(i, rng.gen_range(0..=i));
+        }
+        let mut trie = MergedTrie::new(tables.len()).unwrap();
+        for &(vn, e) in &routes {
+            assert_eq!(trie.insert(vn, e.prefix, e.next_hop), None);
+        }
+        let churned: Vec<_> = routes.into_iter().filter(|_| rng.gen_bool(0.3)).collect();
+        for &(vn, e) in &churned {
+            assert_eq!(trie.remove(vn, &e.prefix), Some(e.next_hop));
+        }
+        assert!(trie.check_invariants());
+        for &(vn, e) in churned.iter().rev() {
+            assert_eq!(trie.insert(vn, e.prefix, e.next_hop), None);
+        }
+        trie
+    }
+
+    /// Addresses that tell tries over `tables` apart: each route's first
+    /// and last address and the one just below it, and both ends of the
+    /// address space.
+    fn probes(tables: &[RoutingTable]) -> Vec<u32> {
+        let edges = tables.iter().flat_map(RoutingTable::prefixes).flat_map(|prefix| {
+            let addr = prefix.addr();
+            [addr, addr | !prefix.netmask(), addr.wrapping_sub(1)]
+        });
+        edges.chain([0, u32::MAX]).collect()
+    }
+
+    /// `bulk` and `grown` are one trie up to node ids: the same node
+    /// counts, α, sweep, answers and served encoding.
+    fn assert_same_trie(bulk: &MergedTrie, grown: &MergedTrie, probes: &[u32]) {
+        assert!(bulk.check_invariants() && grown.check_invariants());
+        assert_eq!(bulk.node_count(), grown.node_count());
+        for vn in 0..bulk.arity() {
+            assert_eq!(bulk.vn_node_count(vn), grown.vn_node_count(vn), "vn {vn}");
+        }
+        assert_eq!(bulk.common_node_count(), grown.common_node_count());
+        let alpha = |t: &MergedTrie| t.merging_efficiency().to_bits();
+        assert_eq!(alpha(bulk), alpha(grown));
+        assert_eq!(bulk.sweep_stats(), grown.sweep_stats());
+        for &ip in probes {
+            for vn in 0..bulk.arity() {
+                assert_eq!(bulk.lookup(vn, ip), grown.lookup(vn, ip), "vn {vn} ip {ip:#010x}");
+            }
+        }
+        let jump = |t: &MergedTrie| crate::JumpTrie::from_leaf_pushed(&t.leaf_pushed());
+        assert_eq!(jump(bulk).raw_parts(), jump(grown).raw_parts());
+    }
+
+    /// Routes at both ends of the length range, an empty VN 0, and all 64
+    /// VNs: the bulk build and the update path agree.
+    #[test]
+    fn bulk_build_equals_insertion_at_the_edges() {
+        let base: Vec<_> = family(1, 1.0, 63)[0].iter().take(30).collect();
+        let own = |vn: u32| {
+            let prefix = Ipv4Prefix::must(vn.wrapping_mul(0x9E37_79B9), (vn % 33) as u8);
+            vr_net::RouteEntry::new(prefix, vn as NextHop)
+        };
+        let table = |vn| match vn {
+            0 => RoutingTable::new(),
+            vn => RoutingTable::from_entries(base.iter().copied().chain([own(vn)])),
+        };
+        let tables: Vec<_> = (0..MAX_MERGE_ARITY as u32).map(table).collect();
+        let prefixes = || tables.iter().flat_map(RoutingTable::prefixes);
+        assert!(prefixes().any(|p| p.len() == 0) && prefixes().any(|p| p.len() == 32));
+        let (bulk, probes) = (MergedTrie::from_tables(&tables).unwrap(), probes(&tables));
+        for seed in 0..4 {
+            assert_same_trie(&bulk, &inserted(&tables, seed), &probes);
+        }
+    }
+
+    /// Withdrawing every route of every VN leaves the root alone, in no
+    /// VN's trie.
+    #[test]
+    fn withdrawing_everything_leaves_the_root() {
+        let mut tables = family(4, 0.5, 64);
+        tables[0].insert(Ipv4Prefix::DEFAULT_ROUTE, 1);
+        tables[1].insert(Ipv4Prefix::must(0xC633_6401, 32), 2);
+        let mut merged = MergedTrie::from_tables(&tables).unwrap();
+        for (vn, table) in tables.iter().enumerate() {
+            for prefix in table.prefixes() {
+                assert!(merged.remove(vn, &prefix).is_some());
+            }
+        }
+        assert!(merged.check_invariants());
+        assert_eq!(merged.node_count(), 1);
+        assert_eq!(merged.nodes[0].presence, 0);
+        assert!(merged.nodes[0].is_leaf());
+        assert!((0..4).all(|vn| merged.vn_node_count(vn) == 0));
+        assert_eq!(merged.common_node_count(), 0);
+        assert_eq!(merged.lookup(0, 0xC633_6401), None);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -1014,6 +1182,15 @@ mod tests {
             }
             prop_assert!(merged.check_invariants());
             assert_sweep_exact(&merged, &tables);
+        }
+
+        /// The bulk build and the update path do not fork: the same
+        /// routes inserted one at a time, in any order and through a
+        /// withdraw / re-announce pass, give the same trie.
+        #[test]
+        fn bulk_build_equals_insertion(tables in arb_family(), seed in any::<u64>()) {
+            let bulk = MergedTrie::from_tables(&tables).unwrap();
+            assert_same_trie(&bulk, &inserted(&tables, seed), &probes(&tables));
         }
     }
 
