@@ -15,7 +15,9 @@ use std::time::Duration;
 use vr_net::VnId;
 use vr_net::RouteUpdate;
 
-use crate::frame::{encode_into, Message, WireError};
+use crate::frame::{
+    encode_into, encode_lookup_request, encode_update_batch, Message, WireError,
+};
 use crate::FrameDecoder;
 
 enum Conn {
@@ -121,8 +123,13 @@ impl WireClient {
     /// # Errors
     /// Socket write failure.
     pub fn send(&mut self, msg: &Message) -> Result<(), WireError> {
+        self.send_with(|out| encode_into(msg, out))
+    }
+
+    /// Sends the one frame `encode` appends to the reused buffer.
+    fn send_with(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> Result<(), WireError> {
         self.encode_buf.clear();
-        encode_into(msg, &mut self.encode_buf);
+        encode(&mut self.encode_buf);
         self.conn.write_all(&self.encode_buf)?;
         Ok(())
     }
@@ -163,10 +170,8 @@ impl WireClient {
     /// Transport or framing failure.
     pub fn lookup(&mut self, packets: &[(VnId, u32)]) -> Result<Message, WireError> {
         let id = self.mint_id();
-        self.request(&Message::LookupRequest {
-            id,
-            packets: packets.to_vec(),
-        })
+        self.send_with(|out| encode_lookup_request(id, packets, out))?;
+        self.recv()
     }
 
     /// Submits a route-update batch; replies with
@@ -177,10 +182,8 @@ impl WireClient {
     /// Transport or framing failure.
     pub fn apply_updates(&mut self, updates: &[RouteUpdate]) -> Result<Message, WireError> {
         let id = self.mint_id();
-        self.request(&Message::RouteUpdateBatch {
-            id,
-            updates: updates.to_vec(),
-        })
+        self.send_with(|out| encode_update_batch(id, updates, out))?;
+        self.recv()
     }
 
     /// Round-trips a ping; returns the echoed correlation id.

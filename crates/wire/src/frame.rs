@@ -24,9 +24,18 @@
 //!
 //! Both sides sum every payload byte ([`crc32`], once in
 //! [`encode_into`] and once in the decoder), so the checksum is a
-//! per-byte cost of the serving path: it runs eight bytes a step over
-//! eight compile-time tables (slicing-by-8, 8 KiB, safe Rust), about a
-//! quarter of the one-byte-a-step loop's time per KiB.
+//! per-byte cost of the serving path. It runs eight bytes a step over
+//! eight compile-time tables (slicing-by-8, 8 KiB, safe Rust); a payload
+//! of 512 bytes or more is split into four stripes summed by four
+//! independent registers in one loop and joined by a GF(2) multiply:
+//! 0.3–0.5 µs per KiB of a 512-lookup request against 0.8–0.9 for one
+//! register.
+//!
+//! The other per-byte work is one pass too: lookup records are written
+//! through one `resize` and read through one bounds check per frame, and
+//! [`encode_lookup_request`] / [`encode_lookup_response`] encode straight
+//! from the caller's slice, so neither the client nor the server builds a
+//! [`Message`] to send a lookup.
 //!
 //! Payload layouts (`id` is a caller-chosen correlation id echoed in
 //! the reply; counts are `u32`):
@@ -330,26 +339,111 @@ const CRC_TABLES: [[u32; 256]; 8] = {
     tables
 };
 
-/// CRC-32 (IEEE) of `bytes`: eight bytes per step through
-/// [`CRC_TABLES`], the classic bytewise step for the tail.
+/// `CRC_X8_POW2[i]` is x^(8·2^i) mod P in the reflected representation
+/// (bit 31 is x^0): the factor that moves a CRC register past 2^i zero
+/// bytes. 32 entries cover every byte count a `usize` stripe can have
+/// on the wire (payloads are bounded far below 2^32 bytes).
+const CRC_X8_POW2: [u32; 32] = {
+    let mut powers = [0u32; 32];
+    powers[0] = 1 << (31 - 8); // x^8
+    let mut i = 1;
+    while i < 32 {
+        powers[i] = gf2_mul(powers[i - 1], powers[i - 1]);
+        i += 1;
+    }
+    powers
+};
+
+/// Payloads at least this long run through four CRC lanes; shorter
+/// ones through one. Measured on one core of a shared x86-64 host, in
+/// ns/B, four lanes against one: 0.52–0.61 vs 0.62–0.64 at 512 B (the
+/// combines eat most of the gain), 0.40 vs 0.65 at 1 044 B, 0.34–0.45
+/// vs 0.63–0.64 at 3 084 B. The ~100 B frames of 16-key lookups stay on
+/// one lane.
+const CRC_LANE_MIN: usize = 512;
+
+/// `a · b mod P` over GF(2), both in the reflected representation.
+/// Masks instead of branches: the bits of a CRC are coin flips.
+const fn gf2_mul(a: u32, mut b: u32) -> u32 {
+    let mut product = 0;
+    let mut i = 0;
+    while i < 32 {
+        // b = b · x^i; add it when a has the x^i term (bit 31 − i).
+        product ^= b & 0u32.wrapping_sub(a >> (31 - i) & 1);
+        b = (b >> 1) ^ (0xEDB8_8320 & 0u32.wrapping_sub(b & 1));
+        i += 1;
+    }
+    product
+}
+
+/// x^(8·n) mod P, the factor that moves a register past `n` zero bytes:
+/// the product of the powers for the set bits of `n`.
+fn crc_shift_factor(n: usize) -> u32 {
+    CRC_X8_POW2
+        .iter()
+        .enumerate()
+        .filter(|&(i, _)| n >> i & 1 == 1)
+        .map(|(_, &power)| power)
+        .reduce(gf2_mul)
+        .unwrap_or(1 << 31) // x^0
+}
+
+/// Advances the register `crc` over one 8-byte word.
+#[inline(always)]
+fn crc_step8(crc: u32, w: &[u8; 8]) -> u32 {
+    let t = &CRC_TABLES;
+    let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+    let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+    t[7][usize::from(lo as u8)]
+        ^ t[6][usize::from((lo >> 8) as u8)]
+        ^ t[5][usize::from((lo >> 16) as u8)]
+        ^ t[4][usize::from((lo >> 24) as u8)]
+        ^ t[3][usize::from(hi as u8)]
+        ^ t[2][usize::from((hi >> 8) as u8)]
+        ^ t[1][usize::from((hi >> 16) as u8)]
+        ^ t[0][usize::from((hi >> 24) as u8)]
+}
+
+/// CRC-32 (IEEE) of `bytes`, through [`CRC_TABLES`] eight bytes a step.
+///
+/// A payload of [`CRC_LANE_MIN`] bytes or more is cut into four equal
+/// stripes of whole words, each summed by its own register in one
+/// interleaved loop: the four dependency chains overlap where one chain
+/// waits on its table loads. The registers are then joined with
+/// crc(A‖B) = crc(A) · x^(8|B|) mod P ⊕ crc(B) (lanes after the first
+/// start from zero), and the last 0..31 bytes run on through the
+/// one-register loop.
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    let mut words = bytes.chunks_exact(8);
-    for w in &mut words {
-        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
-        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
-        crc = t[7][usize::from(lo as u8)]
-            ^ t[6][usize::from((lo >> 8) as u8)]
-            ^ t[5][usize::from((lo >> 16) as u8)]
-            ^ t[4][usize::from((lo >> 24) as u8)]
-            ^ t[3][usize::from(hi as u8)]
-            ^ t[2][usize::from((hi >> 8) as u8)]
-            ^ t[1][usize::from((hi >> 16) as u8)]
-            ^ t[0][usize::from((hi >> 24) as u8)];
+    let mut rest = bytes;
+    if bytes.len() >= CRC_LANE_MIN {
+        let stripe = bytes.len() / 32 * 8;
+        let (stripes, tail) = bytes.split_at(4 * stripe);
+        let (s01, s23) = stripes.split_at(2 * stripe);
+        let (s0, s1) = s01.split_at(stripe);
+        let (s2, s3) = s23.split_at(stripe);
+        let mut lanes = [crc, 0, 0, 0];
+        let words = s0.as_chunks().0.iter().zip(s1.as_chunks().0);
+        let words = words.zip(s2.as_chunks().0.iter().zip(s3.as_chunks().0));
+        for ((w0, w1), (w2, w3)) in words {
+            lanes[0] = crc_step8(lanes[0], w0);
+            lanes[1] = crc_step8(lanes[1], w1);
+            lanes[2] = crc_step8(lanes[2], w2);
+            lanes[3] = crc_step8(lanes[3], w3);
+        }
+        let shift = crc_shift_factor(stripe);
+        crc = lanes[1..]
+            .iter()
+            .fold(lanes[0], |acc, &lane| gf2_mul(acc, shift) ^ lane);
+        rest = tail;
     }
-    for &b in words.remainder() {
+    let (words, bytes) = rest.as_chunks();
+    for w in words {
+        crc = crc_step8(crc, w);
+    }
+    let t = &CRC_TABLES;
+    for &b in bytes {
         crc = (crc >> 8) ^ t[0][usize::from(crc as u8 ^ b)];
     }
     !crc
@@ -367,6 +461,40 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
+/// Appends `items` as `N`-byte records: one `resize` for all of them,
+/// then `write` fills each record in place.
+fn put_records<T, const N: usize>(
+    out: &mut Vec<u8>,
+    items: &[T],
+    write: impl Fn(&mut [u8; N], &T),
+) {
+    let at = out.len();
+    out.resize(at + items.len() * N, 0);
+    for (record, item) in out[at..].as_chunks_mut().0.iter_mut().zip(items) {
+        write(record, item);
+    }
+}
+
+/// Appends one frame of `frame_type`: the header, the payload `payload`
+/// writes, then the payload length and CRC patched into the header.
+/// Every encoder goes through here.
+fn put_frame(out: &mut Vec<u8>, frame_type: u8, payload: impl FnOnce(&mut Vec<u8>)) {
+    let header_at = out.len();
+    out.extend_from_slice(&MAGIC);
+    out.push(VERSION);
+    out.push(frame_type);
+    put_u16(out, 0); // flags, reserved
+    put_u32(out, 0); // payload length backpatched below
+    put_u32(out, 0); // CRC backpatched below
+    let payload_at = out.len();
+    payload(out);
+    let payload_len = (out.len() - payload_at) as u32;
+    debug_assert!(payload_len <= MAX_PAYLOAD_BYTES, "encoder produced an oversized frame");
+    let crc = crc32(&out[payload_at..]);
+    out[header_at + 8..header_at + 12].copy_from_slice(&payload_len.to_le_bytes());
+    out[header_at + 12..header_at + 16].copy_from_slice(&crc.to_le_bytes());
+}
+
 /// Encodes `msg` as one complete frame (header + payload).
 #[must_use]
 pub fn encode(msg: &Message) -> Vec<u8> {
@@ -375,94 +503,105 @@ pub fn encode(msg: &Message) -> Vec<u8> {
     frame
 }
 
+/// Appends a `LookupRequest` frame for `packets` to `out`, straight
+/// from the caller's slice; the bytes equal [`encode_into`]'s for the
+/// same [`Message::LookupRequest`].
+pub fn encode_lookup_request(id: u64, packets: &[(VnId, u32)], out: &mut Vec<u8>) {
+    put_frame(out, 0x01, |out| {
+        put_u64(out, id);
+        put_u32(out, packets.len() as u32);
+        put_records(out, packets, |record: &mut [u8; 6], &(vnid, dst)| {
+            record[..2].copy_from_slice(&vnid.to_le_bytes());
+            record[2..].copy_from_slice(&dst.to_le_bytes());
+        });
+    });
+}
+
+/// Appends a `LookupResponse` frame for `results` to `out`, straight
+/// from the slice (a server answers each frame from its share of one
+/// backend call); the bytes equal [`encode_into`]'s for the same
+/// [`Message::LookupResponse`].
+pub fn encode_lookup_response(
+    id: u64,
+    generation: u64,
+    results: &[Option<NextHop>],
+    out: &mut Vec<u8>,
+) {
+    put_frame(out, 0x02, |out| {
+        put_u64(out, id);
+        put_u64(out, generation);
+        put_u32(out, results.len() as u32);
+        put_records(out, results, |record, nh| {
+            *record = nh.map_or(NO_ROUTE, u16::from).to_le_bytes();
+        });
+    });
+}
+
+/// Appends a `RouteUpdateBatch` frame for `updates` to `out`, straight
+/// from the caller's slice; the bytes equal [`encode_into`]'s for the
+/// same [`Message::RouteUpdateBatch`].
+pub fn encode_update_batch(id: u64, updates: &[RouteUpdate], out: &mut Vec<u8>) {
+    put_frame(out, 0x03, |out| {
+        put_u64(out, id);
+        put_u32(out, updates.len() as u32);
+        put_records(out, updates, |record: &mut [u8; 9], update| {
+            let (kind, vnid, prefix, next_hop) = match *update {
+                RouteUpdate::Announce {
+                    vnid,
+                    prefix,
+                    next_hop,
+                } => (0, vnid, prefix, next_hop),
+                RouteUpdate::Withdraw { vnid, prefix } => (1, vnid, prefix, 0),
+            };
+            record[0] = kind;
+            record[1..3].copy_from_slice(&vnid.to_le_bytes());
+            record[3..7].copy_from_slice(&prefix.addr().to_le_bytes());
+            record[7] = prefix.len();
+            record[8] = next_hop;
+        });
+    });
+}
+
 /// Appends `msg`'s frame to `out` (the buffer-reusing form connection
 /// writers use).
 pub fn encode_into(msg: &Message, out: &mut Vec<u8>) {
-    let header_at = out.len();
-    out.extend_from_slice(&MAGIC);
-    out.push(VERSION);
-    out.push(msg.frame_type());
-    put_u16(out, 0); // flags, reserved
-    put_u32(out, 0); // payload length backpatched below
-    put_u32(out, 0); // CRC backpatched below
-    let payload_at = out.len();
     match msg {
-        Message::LookupRequest { id, packets } => {
-            put_u64(out, *id);
-            put_u32(out, packets.len() as u32);
-            for &(vnid, dst) in packets {
-                put_u16(out, vnid);
-                put_u32(out, dst);
-            }
-        }
+        Message::LookupRequest { id, packets } => encode_lookup_request(*id, packets, out),
         Message::LookupResponse {
             id,
             generation,
             results,
-        } => {
+        } => encode_lookup_response(*id, *generation, results, out),
+        Message::RouteUpdateBatch { id, updates } => encode_update_batch(*id, updates, out),
+        Message::UpdateAck { id, generation } => put_frame(out, 0x04, |out| {
             put_u64(out, *id);
             put_u64(out, *generation);
-            put_u32(out, results.len() as u32);
-            for nh in results {
-                put_u16(out, nh.map_or(NO_ROUTE, u16::from));
-            }
-        }
-        Message::RouteUpdateBatch { id, updates } => {
-            put_u64(out, *id);
-            put_u32(out, updates.len() as u32);
-            for update in updates {
-                match *update {
-                    RouteUpdate::Announce {
-                        vnid,
-                        prefix,
-                        next_hop,
-                    } => {
-                        out.push(0);
-                        put_u16(out, vnid);
-                        put_u32(out, prefix.addr());
-                        out.push(prefix.len());
-                        out.push(next_hop);
-                    }
-                    RouteUpdate::Withdraw { vnid, prefix } => {
-                        out.push(1);
-                        put_u16(out, vnid);
-                        put_u32(out, prefix.addr());
-                        out.push(prefix.len());
-                        out.push(0);
-                    }
-                }
-            }
-        }
-        Message::UpdateAck { id, generation } => {
-            put_u64(out, *id);
-            put_u64(out, *generation);
-        }
-        Message::ErrorReply { id, code, message } => {
+        }),
+        Message::ErrorReply { id, code, message } => put_frame(out, 0x05, |out| {
             put_u64(out, *id);
             out.push(code.to_u8());
-            let bytes = message.as_bytes();
-            let len = bytes.len().min(usize::from(u16::MAX));
+            // Cut at a character boundary: a split character would fail
+            // the peer's utf-8 check and poison its decoder.
+            let mut len = message.len().min(usize::from(u16::MAX));
+            while !message.is_char_boundary(len) {
+                len -= 1;
+            }
             put_u16(out, len as u16);
-            out.extend_from_slice(&bytes[..len]);
-        }
+            out.extend_from_slice(&message.as_bytes()[..len]);
+        }),
         Message::Overloaded {
             id,
             reason,
             retry_after_ms,
-        } => {
+        } => put_frame(out, 0x06, |out| {
             put_u64(out, *id);
             out.push(reason.to_u8());
             put_u32(out, *retry_after_ms);
-        }
+        }),
         Message::Ping { id } | Message::Pong { id } => {
-            put_u64(out, *id);
+            put_frame(out, msg.frame_type(), |out| put_u64(out, *id));
         }
     }
-    let payload_len = (out.len() - payload_at) as u32;
-    debug_assert!(payload_len <= MAX_PAYLOAD_BYTES, "encoder produced an oversized frame");
-    let crc = crc32(&out[payload_at..]);
-    out[header_at + 8..header_at + 12].copy_from_slice(&payload_len.to_le_bytes());
-    out[header_at + 12..header_at + 16].copy_from_slice(&crc.to_le_bytes());
 }
 
 /// A borrowing cursor over a payload slice: every read is
@@ -543,26 +682,33 @@ pub fn decode_payload(frame_type: u8, payload: &[u8]) -> Result<Message, WireErr
         0x01 => {
             let id = cur.u64()?;
             let n = cur.count(6)?;
-            let mut packets = Vec::with_capacity(n);
-            for _ in 0..n {
-                let vnid = cur.u16()?;
-                let dst = cur.u32()?;
-                packets.push((vnid, dst));
-            }
+            let packets = cur
+                .take(n * 6)?
+                .as_chunks()
+                .0
+                .iter()
+                .map(|&[v0, v1, d0, d1, d2, d3]| {
+                    (u16::from_le_bytes([v0, v1]), u32::from_le_bytes([d0, d1, d2, d3]))
+                })
+                .collect();
             Message::LookupRequest { id, packets }
         }
         0x02 => {
             let id = cur.u64()?;
             let generation = cur.u64()?;
             let n = cur.count(2)?;
-            let mut results = Vec::with_capacity(n);
-            for _ in 0..n {
-                let raw = cur.u16()?;
-                results.push(match raw {
-                    NO_ROUTE => None,
-                    nh if nh <= u16::from(u8::MAX) => Some(nh as NextHop),
-                    _ => return Err(WireError::Malformed("next hop out of range")),
-                });
+            let records = cur.take(n * 2)?.as_chunks().0;
+            let mut results = vec![None; n];
+            // One range flag for the whole frame, not a branch out of
+            // the loop per record: only NO_ROUTE (0xFFFF) has a high
+            // byte (`&`, not `&&`, so nothing branches on the data).
+            let mut out_of_range = false;
+            for (result, &[lo, hi]) in results.iter_mut().zip(records) {
+                out_of_range |= (hi != 0) & (lo & hi != 0xFF);
+                *result = (hi == 0).then_some(lo);
+            }
+            if out_of_range {
+                return Err(WireError::Malformed("next hop out of range"));
             }
             Message::LookupResponse {
                 id,

@@ -51,7 +51,9 @@ use vr_net::{NextHop, RouteUpdate, VnId};
 use vr_obs::{shed_with, AcceptGate, ShedStream};
 use vr_telemetry::{Counter, MetricsRegistry, Stopwatch};
 
-use crate::frame::{encode, encode_into, ErrorCode, Message, OverloadReason};
+use crate::frame::{
+    encode, encode_into, encode_lookup_response, ErrorCode, Message, OverloadReason,
+};
 use crate::FrameDecoder;
 
 /// Reader poll granularity: the read timeout that lets an idle
@@ -688,8 +690,9 @@ impl Group {
 
     /// One backend call for the whole group under one acquisition of
     /// the lock, then one `LookupResponse` per frame appended to `out`,
-    /// all tagged with the generation that call resolved against.
-    /// Leaves the group empty.
+    /// encoded straight from that frame's share of the results and all
+    /// tagged with the generation the call resolved against. Leaves the
+    /// group empty.
     fn serve<B: WireBackend>(&mut self, backend: &Mutex<B>, out: &mut Vec<u8>) {
         if self.frames.is_empty() {
             return;
@@ -697,22 +700,20 @@ impl Group {
         let (results, generation) = backend.lock().lookup(&self.keys);
         let mut rest = results.as_slice();
         for (id, n) in self.frames.drain(..) {
-            let reply = match rest.split_at_checked(n) {
+            match rest.split_at_checked(n) {
                 Some((own, tail)) => {
                     rest = tail;
-                    Message::LookupResponse {
-                        id,
-                        generation,
-                        results: own.to_vec(),
-                    }
+                    encode_lookup_response(id, generation, own, out);
                 }
-                None => Message::ErrorReply {
-                    id,
-                    code: ErrorCode::Internal,
-                    message: "backend returned fewer results than keys".into(),
-                },
-            };
-            encode_into(&reply, out);
+                None => encode_into(
+                    &Message::ErrorReply {
+                        id,
+                        code: ErrorCode::Internal,
+                        message: "backend returned fewer results than keys".into(),
+                    },
+                    out,
+                ),
+            }
         }
         self.keys.clear();
     }

@@ -6,7 +6,10 @@
 
 use proptest::prelude::*;
 use vr_net::{Ipv4Prefix, RouteUpdate};
-use vr_wire::frame::{crc32, decode_payload, encode, MAGIC, VERSION};
+use vr_wire::frame::{
+    crc32, decode_payload, encode, encode_lookup_request, encode_lookup_response,
+    encode_update_batch, MAGIC, VERSION,
+};
 use vr_wire::{ErrorCode, FrameDecoder, Message, OverloadReason, WireError, HEADER_LEN, MAX_PAYLOAD_BYTES};
 
 /// Strategy over every message kind with arbitrary contents. Raw
@@ -76,6 +79,32 @@ fn arb_message() -> impl Strategy<Value = Message> {
         })
 }
 
+/// Strategy over lookup requests and responses of 500–1 100 records:
+/// their payloads are past the CRC's four-lane threshold, which
+/// [`arb_message`]'s at most 48 records never reach.
+fn arb_bulk_lookup() -> impl Strategy<Value = Message> {
+    (
+        (any::<bool>(), any::<u64>(), any::<u64>()),
+        prop::collection::vec((any::<u16>(), any::<u32>()), 500..1100),
+        prop::collection::vec((any::<u16>(), any::<u8>()), 500..1100),
+    )
+        .prop_map(|((request, id, generation), packets, raw_results)| {
+            if request {
+                Message::LookupRequest { id, packets }
+            } else {
+                let results = raw_results
+                    .iter()
+                    .map(|&(sel, nh)| if sel % 5 == 0 { None } else { Some(nh) })
+                    .collect();
+                Message::LookupResponse {
+                    id,
+                    generation,
+                    results,
+                }
+            }
+        })
+}
+
 /// Decodes `stream` by feeding `chunk`-sized slices, collecting every
 /// complete message.
 fn decode_chunked(stream: &[u8], chunk: usize) -> Result<Vec<Message>, WireError> {
@@ -91,6 +120,42 @@ fn decode_chunked(stream: &[u8], chunk: usize) -> Result<Vec<Message>, WireError
     Ok(out)
 }
 
+/// `msg`'s frame decodes to `msg` when fed in `chunk`-sized pieces.
+fn assert_round_trips(msg: &Message, chunk: usize) {
+    let stream = encode(msg);
+    let got = decode_chunked(&stream, chunk).expect("valid frame decodes");
+    assert_eq!(got, vec![msg.clone()]);
+}
+
+/// A truncated stream is indistinguishable from a slow peer: the
+/// decoder must park on Ok(None) for every cut point — no error, no
+/// panic, no partial message.
+fn assert_every_strict_prefix_waits(msg: &Message) {
+    let stream = encode(msg);
+    for cut in 0..stream.len() {
+        let mut dec = FrameDecoder::new();
+        dec.feed(&stream[..cut]);
+        assert_eq!(dec.next_message().expect("prefix is not an error"), None);
+    }
+}
+
+/// Flipping one byte of `msg`'s frame never decodes to `msg`.
+fn assert_corruption_is_caught(msg: &Message, at_raw: u32, flip: u8) {
+    let stream = encode(msg);
+    let at = at_raw as usize % stream.len();
+    let mut bad = stream.clone();
+    bad[at] ^= flip;
+    let mut dec = FrameDecoder::new();
+    dec.feed(&bad);
+    match dec.next_message() {
+        // Header damage that inflates the length field legitimately
+        // parks the decoder waiting for bytes that never come.
+        Ok(None) => {}
+        Ok(Some(got)) => assert_ne!(got, *msg, "corrupt byte {at} slipped through undetected"),
+        Err(_) => {}
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -99,9 +164,7 @@ proptest! {
         msg in arb_message(),
         chunk in 1usize..64,
     ) {
-        let stream = encode(&msg);
-        let got = decode_chunked(&stream, chunk).expect("valid frame decodes");
-        prop_assert_eq!(got, vec![msg]);
+        assert_round_trips(&msg, chunk);
     }
 
     #[test]
@@ -116,15 +179,7 @@ proptest! {
 
     #[test]
     fn every_strict_prefix_waits_without_error(msg in arb_message()) {
-        // A truncated stream is indistinguishable from a slow peer: the
-        // decoder must park on Ok(None) for every cut point — no error,
-        // no panic, no partial message.
-        let stream = encode(&msg);
-        for cut in 0..stream.len() {
-            let mut dec = FrameDecoder::new();
-            dec.feed(&stream[..cut]);
-            prop_assert_eq!(dec.next_message().expect("prefix is not an error"), None);
-        }
+        assert_every_strict_prefix_waits(&msg);
     }
 
     #[test]
@@ -133,22 +188,7 @@ proptest! {
         at_raw in any::<u32>(),
         flip in 1u8..=255,
     ) {
-        let stream = encode(&msg);
-        let at = at_raw as usize % stream.len();
-        let mut bad = stream.clone();
-        bad[at] ^= flip;
-        let mut dec = FrameDecoder::new();
-        dec.feed(&bad);
-        match dec.next_message() {
-            // Header damage that inflates the length field legitimately
-            // parks the decoder waiting for bytes that never come.
-            Ok(None) => {}
-            Ok(Some(got)) => prop_assert_ne!(
-                got, msg,
-                "corrupt byte {} slipped through undetected", at
-            ),
-            Err(_) => {}
-        }
+        assert_corruption_is_caught(&msg, at_raw, flip);
     }
 
     #[test]
@@ -182,6 +222,34 @@ proptest! {
     }
 }
 
+proptest! {
+    // Every case moves kilobytes through every cut point; fewer cases
+    // keep the debug run short.
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn bulk_lookups_round_trip_through_arbitrary_chunking(
+        msg in arb_bulk_lookup(),
+        chunk in 1usize..4096,
+    ) {
+        assert_round_trips(&msg, chunk);
+    }
+
+    #[test]
+    fn bulk_lookups_every_strict_prefix_waits(msg in arb_bulk_lookup()) {
+        assert_every_strict_prefix_waits(&msg);
+    }
+
+    #[test]
+    fn bulk_lookups_single_byte_corruption_is_caught(
+        msg in arb_bulk_lookup(),
+        at_raw in any::<u32>(),
+        flip in 1u8..=255,
+    ) {
+        assert_corruption_is_caught(&msg, at_raw, flip);
+    }
+}
+
 /// CRC-32 (IEEE, reflected) one bit at a time, no table: the reference
 /// the word-at-a-time kernel in `vr_wire::frame` must equal.
 fn crc32_bitwise(bytes: &[u8]) -> u32 {
@@ -197,11 +265,16 @@ fn crc32_bitwise(bytes: &[u8]) -> u32 {
 
 #[test]
 fn crc_kernel_equals_the_reference_at_every_length_and_offset() {
-    // Every split between the 8-byte steps and the bytewise tail, at
-    // every alignment of the first word.
-    let buffer: Vec<u8> = (0..80u32).map(|i| (i.wrapping_mul(151) ^ (i >> 2)) as u8).collect();
-    for start in 0..8 {
-        for len in 0..=64 {
+    // Every split between the 8-byte steps and the bytewise tail; the
+    // lengths on both sides of the four-lane threshold (512 B); and
+    // four-stripe splits with every 0..31-byte remainder, at the 3 084 B
+    // of a 512-key request among them — each at every alignment of the
+    // first word.
+    let buffer: Vec<u8> =
+        (0..3200u32).map(|i| (i.wrapping_mul(151) ^ (i >> 2) ^ (i >> 9)) as u8).collect();
+    let lengths = (0..=64).chain(480..=576).chain(1024..1056).chain(3072..3104);
+    for len in lengths {
+        for start in 0..8 {
             let bytes = &buffer[start..start + len];
             assert_eq!(crc32(bytes), crc32_bitwise(bytes), "start {start}, len {len}");
         }
@@ -259,6 +332,63 @@ fn frames_from_the_previous_encoder_still_decode() {
     assert_eq!(got, vec![request.clone(), response.clone()]);
     assert_eq!(encode(&request), REQUEST);
     assert_eq!(encode(&response), RESPONSE);
+}
+
+/// The slice encoders the server and the client write with produce
+/// exactly the bytes of the `Message` encoder, at record counts on both
+/// sides of the CRC's lane threshold.
+#[test]
+fn slice_encoders_match_the_message_encoder() {
+    for n in [0usize, 1, 512, 8192] {
+        let results: Vec<Option<u8>> =
+            (0..n).map(|i| if i % 7 == 3 { None } else { Some(i as u8) }).collect();
+        let mut out = vec![0xAA]; // appends after what the buffer holds
+        encode_lookup_response(9, 77, &results, &mut out);
+        let msg = Message::LookupResponse {
+            id: 9,
+            generation: 77,
+            results,
+        };
+        assert_eq!(out[1..], encode(&msg), "{n} results");
+
+        let packets: Vec<(u16, u32)> =
+            (0..n).map(|i| (i as u16, (i as u32).wrapping_mul(0x9E37_79B9))).collect();
+        out.clear();
+        encode_lookup_request(5, &packets, &mut out);
+        assert_eq!(out, encode(&Message::LookupRequest { id: 5, packets }), "{n} keys");
+
+        let updates: Vec<RouteUpdate> = (0..n.min(512))
+            .map(|i| {
+                let prefix = Ipv4Prefix::new((i as u32) << 8, (i % 33) as u8).expect("plen <= 32");
+                if i % 3 == 0 {
+                    RouteUpdate::Withdraw { vnid: i as u16, prefix }
+                } else {
+                    RouteUpdate::Announce { vnid: i as u16, prefix, next_hop: i as u8 }
+                }
+            })
+            .collect();
+        out.clear();
+        encode_update_batch(3, &updates, &mut out);
+        assert_eq!(out, encode(&Message::RouteUpdateBatch { id: 3, updates }), "{n} updates");
+    }
+}
+
+/// An error message past the 65 535-byte field is cut at a character
+/// boundary: a cut through a multi-byte character used to fail the
+/// peer's utf-8 check and poison its decoder.
+#[test]
+fn long_error_message_is_cut_at_a_character_boundary() {
+    let msg = Message::ErrorReply {
+        id: 4,
+        code: ErrorCode::Internal,
+        message: "é".repeat(40_000),
+    };
+    let got = decode_chunked(&encode(&msg), 4096).expect("a cut message still decodes");
+    let [Message::ErrorReply { id: 4, code: ErrorCode::Internal, message }] = got.as_slice() else {
+        panic!("expected one ErrorReply, got {got:?}");
+    };
+    assert_eq!(message.len(), 65_534);
+    assert_eq!(*message, "é".repeat(32_767));
 }
 
 /// Builds a valid frame for `msg`, then applies `tweak` to the bytes.
