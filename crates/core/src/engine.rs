@@ -11,9 +11,9 @@
 //! whatever the scheme: an NV or VS engine is the arity-1 case, the
 //! merged engine the arity-K one whose leaf read indexes the NHI vector
 //! by VNID (§IV-C). The engine walks the merged trie itself and reads the
-//! leaf-pushed trie's words off it, as `MergedTrie::sweep_stats` counts
-//! them: a missing child is a synthetic leaf one level down, holding the
-//! best next hop on its path. Each stage-cycle's energy uses the *same*
+//! leaf-pushed trie's words off it, as `SweepStats` counts them: a missing
+//! child is a synthetic leaf one level down, holding the best next hop on
+//! its path. Each stage-cycle's energy uses the *same*
 //! coefficients the analytical models use (`vr-fpga`): a Table III
 //! µW/MHz coefficient is numerically a pJ/cycle energy, so the measured
 //! dynamic power converges to the model's µ-scaled prediction as

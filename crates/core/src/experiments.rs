@@ -8,13 +8,13 @@
 //! The sweeps over K build each structure once and price it many times
 //! ([`crate::scenario`]'s two halves). One α family is generated at the
 //! sweep's largest K — families are prefix-nested, so its first K tables
-//! are the family at K — merged into one `MergedTrie`, and walked once
-//! ([`MergedTrie::sweep_stats`]). Every structure a sweep prices is read
-//! off that walk: NV and VS at K price the family's first K single-table
-//! engines, the merged engine at K is the trie over its first K tables,
-//! and no trie is leaf-pushed. Only the per-family jobs are fanned across
-//! threads; the points are priced in a serial loop, each through
-//! [`Scenario::price`] with every check a from-scratch
+//! are the family at K — and its statistics are counted in one pass over
+//! its sorted routes ([`SweepStats::from_tables`]), which builds no trie.
+//! Every structure a sweep prices is read off that pass: NV and VS at K
+//! price the family's first K single-table engines, and the merged engine
+//! at K is the trie over its first K tables. Only the per-family jobs are
+//! fanned across threads; the points are priced in a serial loop, each
+//! through [`Scenario::price`] with every check a from-scratch
 //! [`Scenario::build`] runs. Nothing is kept between calls. Single-K
 //! studies call [`Scenario::build`] directly.
 //!
@@ -46,7 +46,7 @@ use vr_net::synth::{FamilySpec, PrefixLenDistribution};
 use vr_net::RoutingTable;
 use vr_trie::calibrate::CalibrationSpec;
 use vr_trie::pipeline_map::{MemoryLayout, PAPER_PIPELINE_STAGES};
-use vr_trie::{MergedTrie, PipelineProfile, SweepStats, TrieStats};
+use vr_trie::{PipelineProfile, SweepStats, TrieStats};
 
 /// Frequencies swept in Figs. 2 and 3 (MHz).
 pub const FREQ_SWEEP_MHZ: [f64; 9] = [
@@ -316,7 +316,7 @@ const MBIT: f64 = 1024.0 * 1024.0;
 /// siblings. For the studies that vary a load, a stride, a device or a µ
 /// vector over fixed tables that is one sweep point. For the K sweeps it
 /// is not: every point of one table family reads its structures off that
-/// family's one walk ([`family_sweep`]), so those sweeps fan one job per
+/// family's one pass ([`family_sweep`]), so those sweeps fan one job per
 /// α family and price the points in a serial loop.
 fn fan_out<P, R, F>(points: Vec<P>, work: F) -> Result<Vec<R>, PowerError>
 where
@@ -337,16 +337,16 @@ where
 }
 
 /// One α family's K sweep: its `k` tables are generated at shared
-/// fraction `frac`, merged into one [`MergedTrie`], and walked once. Every
+/// fraction `frac` and counted in one pass over their sorted routes. Every
 /// structure a sweep prices at K ≤ `k` is read off the result.
 fn family_sweep(cfg: &ExperimentConfig, k: usize, frac: f64) -> Result<SweepStats, PowerError> {
-    Ok(MergedTrie::from_tables(&cfg.family(k, frac)?)?.sweep_stats())
+    Ok(SweepStats::from_tables(&cfg.family(k, frac)?)?)
 }
 
 /// Reproduces Fig. 4: memory requirements of the merged scheme (at the two
 /// α targets) and the separate scheme, as K grows.
 ///
-/// Each α family is generated once at `k_max_fig4` and walked once
+/// Each α family is generated once at `k_max_fig4` and counted once
 /// ([`family_sweep`]): the separate series sums the high-α family's
 /// single-table engines over the first K, the merged ones read the
 /// arity-K engine at every K.
@@ -430,10 +430,10 @@ pub struct SweepPoint {
 /// VM(α_high)} × both speed grades.
 ///
 /// Structures are built once and priced many times. Each α family is
-/// generated once at `k_max` and walked once ([`family_sweep`]), one job
+/// generated once at `k_max` and counted once ([`family_sweep`]), one job
 /// per family, fanned out: the high-α family's `k_max` single-table
 /// engines serve NV and VS at every K, and each family's merged engine
-/// at K is read off its walk. Every one of the `8 × k_max` points is then
+/// at K is read off its pass. Every one of the `8 × k_max` points is then
 /// priced through [`Scenario::price`], with all of its checks.
 ///
 /// # Errors
@@ -514,7 +514,7 @@ pub struct AblationMergedMemRow {
 }
 
 /// Compares Eq. 5 as printed against the structural merged memory
-/// (DESIGN.md §3) across K, on one family read off one walk.
+/// (DESIGN.md §3) across K, on one family read off one pass.
 ///
 /// # Errors
 /// Rejects `k_max == 0`; propagates scenario construction errors.

@@ -21,7 +21,7 @@ use vr_fpga::timing::{self, TimingContext};
 use vr_fpga::{BramMode, Device, SchemeKind, SpeedGrade};
 use vr_net::RoutingTable;
 use vr_trie::pipeline_map::{MemoryLayout, PAPER_PIPELINE_STAGES};
-use vr_trie::{MergedTrie, PipelineProfile, SweepStats, TrieStats};
+use vr_trie::{PipelineProfile, SweepStats, TrieStats};
 
 /// Everything needed to evaluate one configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -211,7 +211,7 @@ impl Scenario {
         spec: ScenarioSpec,
         device: Device,
     ) -> Result<Self, PowerError> {
-        let (k, sweep) = (tables.len(), MergedTrie::from_tables(tables)?.sweep_stats());
+        let (k, sweep) = (tables.len(), SweepStats::from_tables(tables)?);
         let singles = || EngineStructure::separate(&sweep, k, spec.stages, spec.layout);
         let structure = match (spec.scheme, spec.merged_memory) {
             (SchemeKind::NonVirtualized | SchemeKind::Separate, _) => singles()?,
@@ -586,7 +586,7 @@ mod tests {
     fn one_structure_prices_like_a_build_per_point() {
         let tables = family(5);
         let (stages, layout) = (PAPER_PIPELINE_STAGES, MemoryLayout::default());
-        let sweep = MergedTrie::from_tables(&tables).unwrap().sweep_stats();
+        let sweep = SweepStats::from_tables(&tables).unwrap();
         let singles = EngineStructure::separate(&sweep, 5, stages, layout).unwrap();
         let merged = EngineStructure::merged(&sweep, 5, stages, layout).unwrap();
         for structure in [EngineStructure::separate, EngineStructure::merged] {
@@ -618,7 +618,7 @@ mod tests {
     #[test]
     fn price_rejects_a_structure_the_spec_does_not_describe() {
         let tables = family(3);
-        let sweep = MergedTrie::from_tables(&tables).unwrap().sweep_stats();
+        let sweep = SweepStats::from_tables(&tables).unwrap();
         let singles =
             EngineStructure::separate(&sweep, 3, PAPER_PIPELINE_STAGES, MemoryLayout::default())
                 .unwrap();

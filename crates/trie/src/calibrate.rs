@@ -2,7 +2,8 @@
 //!
 //! The paper sweeps α ∈ {0.2, 0.8} as a free parameter (Assumption 4). Our
 //! synthetic families control structural overlap through the *shared
-//! prefix fraction* `s`, and the realized α is measured on the merged trie.
+//! prefix fraction* `s`, and the realized α is the merged trie's, counted in
+//! one pass over the family's sorted routes without building the trie.
 //! α(s) is monotone non-decreasing, so a bisection over `s` finds the `s`
 //! realizing any reachable α.
 //!
@@ -11,7 +12,7 @@
 //! search reports the closest achievable value when the target lies
 //! outside `[α(0), α(1)]`.
 
-use crate::merge::MergedTrie;
+use crate::merge::merging_efficiency_of;
 use crate::TrieError;
 use vr_net::synth::{FamilySpec, PrefixLenDistribution};
 use vr_net::RoutingTable;
@@ -71,10 +72,6 @@ impl CalibrationSpec {
         .map_err(|_| TrieError::InvalidParameter("family generation failed"))
     }
 
-    fn alpha_of(&self, tables: &[RoutingTable]) -> Result<f64, TrieError> {
-        Ok(MergedTrie::from_tables(tables)?.merging_efficiency())
-    }
-
     /// Runs the bisection.
     ///
     /// # Errors
@@ -88,7 +85,7 @@ impl CalibrationSpec {
         let mut lo = 0.0f64;
         let mut hi = 1.0f64;
         let lo_tables = self.family(lo)?;
-        let lo_alpha = self.alpha_of(&lo_tables)?;
+        let lo_alpha = merging_efficiency_of(&lo_tables)?;
         if lo_alpha >= self.target_alpha {
             // Even disjoint tables overlap at least this much; accept the
             // closest end point if within tolerance.
@@ -106,7 +103,7 @@ impl CalibrationSpec {
             };
         }
         let hi_tables = self.family(hi)?;
-        let hi_alpha = self.alpha_of(&hi_tables)?;
+        let hi_alpha = merging_efficiency_of(&hi_tables)?;
         if hi_alpha <= self.target_alpha {
             return if self.target_alpha - hi_alpha <= self.tolerance {
                 Ok(CalibratedFamily {
@@ -126,7 +123,7 @@ impl CalibrationSpec {
         for _ in 0..self.max_iterations {
             let mid = (lo + hi) / 2.0;
             let tables = self.family(mid)?;
-            let alpha = self.alpha_of(&tables)?;
+            let alpha = merging_efficiency_of(&tables)?;
             let err = (alpha - self.target_alpha).abs();
             if best
                 .as_ref()

@@ -14,9 +14,12 @@
 //!   overlay is the same type. Longest-prefix match, incremental
 //!   announce/withdraw per VN, per-level statistics, and *measured*
 //!   merging efficiency α (Assumption 4); [`MergedTrie::leaf_pushed`] is
-//!   its [`LeafPushedTrie`] of arity K, and [`MergedTrie::sweep_stats`]
-//!   reads the statistics of every prefix sub-trie's and every VN's
-//!   leaf-pushed trie off it in one walk;
+//!   its [`LeafPushedTrie`] of arity K;
+//! * [`SweepStats`] — the statistics of the leaf-pushed trie over every
+//!   VN prefix `0..k` and of every VN's own, with α at each k: counted
+//!   off K tables' sorted routes in the bulk build's one preorder pass
+//!   ([`SweepStats::from_tables`], no trie built), or off a live trie in
+//!   one walk ([`MergedTrie::sweep_stats`]);
 //! * [`LeafPushedTrie`] — the leaf-pushing transform (Ruiz-Sánchez et al.,
 //!   paper ref. \[16\]): a *full* binary trie whose NHI lives only in
 //!   leaves, which is what the pipeline stages store. It carries its

@@ -27,9 +27,12 @@
 //! or a child has bit v — so a withdrawal finds where VN v's trie ends by
 //! reading its path's entries and children, with no per-VN counters, and
 //! per-VN node counts and pruning stay exact under churn.
-//! A sweep over K reads every trie it prices off one arity-K trie:
-//! [`MergedTrie::sweep_stats`] walks it once for each k's leaf-pushed
-//! statistics and α over VNs `0..k`, and each VN's own, building none.
+//! A sweep over K needs each k's leaf-pushed statistics and α over VNs
+//! `0..k`, and each VN's own, not a trie: [`SweepStats::from_tables`]
+//! counts them in the same preorder pass with nothing allocated per node,
+//! and [`MergedTrie::sweep_stats`] reads them off a live trie in one walk.
+//! The pass is written once; it drives the arena, the sweep's counter,
+//! or, for a calibration step, α's node counts alone.
 //!
 //! Per-VN state lives in one flat slab of `k` NHI entries per node: no
 //! node owns a heap allocation, and an update keeps its root-to-node path
@@ -40,7 +43,7 @@
 //! [`LeafPushedTrie`] of arity K.
 
 use crate::leafpush::LeafPushedTrie;
-use crate::stats::{SweepStats, TrieStats};
+use crate::stats::{efficiency, full_mask, NodeCounts, SweepCounter, SweepStats, TrieStats};
 use crate::TrieError;
 use std::ops::Range;
 use vr_net::table::NextHop;
@@ -129,9 +132,7 @@ impl MergedTrie {
     /// # Errors
     /// Rejects arity 0 and arity above [`MAX_MERGE_ARITY`].
     pub fn new(k: usize) -> Result<Self, TrieError> {
-        if k == 0 || k > MAX_MERGE_ARITY {
-            return Err(TrieError::BadMergeArity(k));
-        }
+        check_arity(k)?;
         Ok(Self {
             nodes: vec![MergedNode::EMPTY],
             nhis: vec![None; k],
@@ -146,24 +147,16 @@ impl MergedTrie {
     /// Builds the merged trie from routing tables (VNID = index); one
     /// table builds the single-table trie.
     ///
-    /// One pass in preorder over the K tables' routes, sorted together:
-    /// the path to the route before stays open, and each route closes the
-    /// nodes below the prefix it shares with that route and opens its own
-    /// path below it. Nodes are allocated in preorder, and a closed node's
-    /// presence is final, so it is counted then and folded into its
-    /// parent's. No route goes through [`MergedTrie::insert`].
+    /// One preorder pass over the K tables' routes, sorted together.
+    /// Nodes are allocated in preorder, and a closed node's presence is
+    /// final, so it is counted then and folded into its parent's. No route
+    /// goes through [`MergedTrie::insert`].
     ///
     /// # Errors
     /// Same arity constraints as [`MergedTrie::new`].
     pub fn from_tables(tables: &[RoutingTable]) -> Result<Self, TrieError> {
         let mut merged = Self::new(tables.len())?;
-        let mut routes = Vec::with_capacity(tables.iter().map(RoutingTable::len).sum());
-        for (vn, table) in tables.iter().enumerate() {
-            routes.extend(table.iter().map(|e| (e.prefix, vn as u8, e.next_hop)));
-        }
-        // A table iterates in `(addr, len)` order, which is preorder, so
-        // the stable sort merges K sorted runs.
-        routes.sort_by_key(|&(prefix, ..)| prefix);
+        let routes = sorted_routes(tables);
         // The arena is counted exactly and allocated once, with room for
         // an eighth more nodes: a service's first announcements would
         // otherwise copy the whole arena and slab to grow them (2.5–3 ms
@@ -175,52 +168,10 @@ impl MergedTrie {
         merged.nodes.push(MergedNode::EMPTY);
         merged.nhis = vec![None; room * merged.k];
         merged.nhis.truncate(nodes * merged.k);
-        let mut path = [NodeId::ROOT; 33];
-        let mut depth = 0;
-        let mut prev = Ipv4Prefix::DEFAULT_ROUTE;
-        for &(prefix, vn, next_hop) in &routes {
-            let (len, shared) = (usize::from(prefix.len()), usize::from(shared_len(prefix, prev)));
-            while depth > shared {
-                merged.close(&path, depth);
-                depth -= 1;
-            }
-            while depth < len {
-                let child = NodeId(
-                    u32::try_from(merged.nodes.len()).expect("merged trie exceeds u32 nodes"),
-                );
-                merged.nodes.push(MergedNode::EMPTY);
-                let slot = usize::from(prefix.bit(depth as u8));
-                merged.nodes[path[depth].idx()].children[slot] = Some(child);
-                depth += 1;
-                path[depth] = child;
-            }
-            let id = path[len].idx();
-            merged.nhis[id * merged.k + usize::from(vn)] = Some(next_hop);
-            merged.nodes[id].presence |= 1u64 << vn;
-            prev = prefix;
-        }
-        for depth in (0..=depth).rev() {
-            merged.close(&path, depth);
-        }
+        preorder(&routes, NodeId::ROOT, &mut merged);
         debug_assert_eq!(merged.nodes.len(), nodes);
         merged.live_nodes = nodes;
         Ok(merged)
-    }
-
-    /// Closes the node at `depth` on the open `path` of a bulk build: its
-    /// presence is final, so the node is counted into the per-VN and
-    /// common totals and its presence folded into its parent's.
-    fn close(&mut self, path: &[NodeId; 33], depth: usize) {
-        let presence = self.nodes[path[depth].idx()].presence;
-        let mut vns = presence;
-        while vns != 0 {
-            self.per_vn_nodes[vns.trailing_zeros() as usize] += 1;
-            vns &= vns - 1;
-        }
-        self.common_nodes += usize::from(presence == full_mask(self.k));
-        if depth > 0 {
-            self.nodes[path[depth - 1].idx()].presence |= presence;
-        }
     }
 
     /// Number of virtual networks merged.
@@ -458,29 +409,12 @@ impl MergedTrie {
         stats
     }
 
-    /// Everything a sweep over K prices, read off this arity-K trie in one
-    /// walk that builds no other trie: for each k in `1..=K` the
-    /// `leaf_pushed().stats()` and `merging_efficiency()` of
-    /// `from_tables(&tables[..k])`, and each VN's own `leaf_pushed().stats()`.
-    ///
-    /// A node is in the trie over VNs `0..k` once k passes its lowest
-    /// presence bit (the root at every k), internal once k passes its
-    /// children's lowest, and leaves a synthetic leaf one level down until
-    /// k passes both children's. A leaf is routed once k passes the lowest
-    /// VN with an entry on its root path (a synthetic leaf's ends at its
-    /// parent). Each such span of k goes into a difference array.
+    /// Everything a sweep over K prices, read off this live arity-K trie
+    /// in one walk that builds no other trie: what
+    /// [`SweepStats::from_tables`] gives for the tables it holds.
     #[must_use]
     pub fn sweep_stats(&self) -> SweepStats {
-        let k = self.k;
-        // Rows of `Counts`, one per level: for each k in `0..=K + 1` a
-        // difference array over k, and per VN its trie's, with a spare
-        // level under the deepest.
-        let mut by_k = vec![[0; 3]; (k + 2) * LEVELS];
-        let mut per_vn = vec![[0; 3]; k * (LEVELS + 1)];
-        // Nodes by how many of VNs 0, 1, … in a row their tries share.
-        let mut ones = vec![0; k + 1];
-        // k > from(mask) ⇔ a VN of `mask` is below k.
-        let from = |mask: u64| (mask.trailing_zeros() as usize).min(k);
+        let mut counter = SweepCounter::new(self.k);
         let presence = |child: Option<NodeId>| child.map_or(0, |c| self.nodes[c.idx()].presence);
         let mut stack = vec![(NodeId::ROOT, 0usize, 0u64)];
         while let Some((id, depth, above)) = stack.pop() {
@@ -490,57 +424,12 @@ impl MergedTrie {
             for (vn, nh) in self.node_nhis(id).iter().enumerate() {
                 routed |= u64::from(nh.is_some()) << vn;
             }
-            // The root is in every VN's trie, announced or not.
-            let present = node.presence | if depth == 0 { full_mask(k) } else { 0 };
-            let kids = node.children.map(presence);
-            let (inner, lone) = (kids[0] | kids[1], kids[0] ^ kids[1]);
-            let (k_in, k_inner, k_routed) = (from(present), from(inner), from(routed));
-            let k_both = from(kids[0]).max(from(kids[1]));
-            span(&mut by_k, depth, LEAF, k_in, k_inner);
-            span(&mut by_k, depth, ROUTED, k_in.max(k_routed), k_inner);
-            span(&mut by_k, depth, INNER, k_inner, k);
-            span(&mut by_k, depth + 1, LEAF, k_inner, k_both);
-            span(&mut by_k, depth + 1, ROUTED, k_inner.max(k_routed), k_both);
-            ones[(node.presence.trailing_ones() as usize).min(k)] += 1;
-            let leaf = present & !inner;
-            let masks = [inner, leaf, leaf & routed, lone, lone & routed];
-            let mut vns = present;
-            while vns != 0 {
-                let vn = vns.trailing_zeros() as usize;
-                vns &= vns - 1;
-                let [inner, leaf, routed_leaf, lone, routed_lone] =
-                    masks.map(|mask| isize::from(mask >> vn & 1 == 1));
-                let levels = &mut per_vn[vn * (LEVELS + 1) + depth..];
-                levels[0][INNER] += inner;
-                levels[0][LEAF] += leaf;
-                levels[0][ROUTED] += routed_leaf;
-                levels[1][LEAF] += lone;
-                levels[1][ROUTED] += routed_lone;
-            }
+            counter.node(depth, node.presence, node.children.map(presence), routed);
             for child in node.children.into_iter().flatten() {
                 stack.push((child, depth + 1, routed));
             }
         }
-        for row in LEVELS..by_k.len() {
-            let earlier = by_k[row - LEVELS];
-            by_k[row] = std::array::from_fn(|i| by_k[row][i] + earlier[i]);
-        }
-        let stats = |rows: &[Counts]| {
-            let mut stats = TrieStats::default();
-            // Levels below the trie's deepest hold no node.
-            for (depth, counts) in rows.iter().enumerate().filter(|(_, c)| **c != [0; 3]) {
-                let [leaves, internal, prefixes] = counts.map(|count| count as usize);
-                stats.add(depth, leaves, internal, prefixes);
-            }
-            stats
-        };
-        SweepStats {
-            by_prefix: by_k.chunks(LEVELS).skip(1).take(k).map(stats).collect(),
-            alpha: (1..=k)
-                .map(|k| efficiency(&self.per_vn_nodes[..k], ones[k..].iter().sum()))
-                .collect(),
-            per_vn: per_vn.chunks(LEVELS + 1).map(stats).collect(),
-        }
+        counter.finish()
     }
 
     /// Internal-consistency check used by property tests: reachability,
@@ -608,37 +497,190 @@ impl MergedTrie {
     }
 }
 
-/// α over per-VN node counts `per_vn` and `common` nodes, in the one
-/// expression order every reader shares, so equal counts give equal bits.
-fn efficiency(per_vn: &[usize], common: usize) -> f64 {
-    let mean: f64 = per_vn.iter().sum::<usize>() as f64 / per_vn.len() as f64;
-    if mean == 0.0 {
-        return 0.0;
+/// Rejects a merge of `k` tables outside `1..=MAX_MERGE_ARITY`.
+fn check_arity(k: usize) -> Result<(), TrieError> {
+    if k == 0 || k > MAX_MERGE_ARITY {
+        return Err(TrieError::BadMergeArity(k));
     }
-    (common as f64 / mean).min(1.0)
+    Ok(())
 }
 
-/// Trie levels: the root's, then one per prefix bit.
-const LEVELS: usize = 33;
-
-/// Per-level counts a sweep accumulates, indexed by the constants below.
-type Counts = [isize; 3];
-const LEAF: usize = 0;
-const INNER: usize = 1;
-/// Leaves with a route for some VN.
-const ROUTED: usize = 2;
-
-/// Counts one node at `level` in the difference array `by_k` for every k
-/// in `lo + 1..=hi`.
-fn span(by_k: &mut [Counts], level: usize, count: usize, lo: usize, hi: usize) {
-    if lo < hi {
-        by_k[(lo + 1) * LEVELS + level][count] += 1;
-        by_k[(hi + 1) * LEVELS + level][count] -= 1;
+impl SweepStats {
+    /// What a sweep over K prices, counted straight off the tables' sorted
+    /// routes: `MergedTrie::from_tables(tables)?.sweep_stats()`, with no
+    /// node or NHI entry allocated. It is the bulk build's preorder pass,
+    /// keeping per open node only three masks: the VNs with an entry
+    /// there, each child's presence, and the VNs routed on its root path.
+    ///
+    /// # Errors
+    /// Same arity constraints as [`MergedTrie::new`].
+    pub fn from_tables(tables: &[RoutingTable]) -> Result<Self, TrieError> {
+        check_arity(tables.len())?;
+        let mut counter = SweepCounter::new(tables.len());
+        preorder(&sorted_routes(tables), OpenNode::default(), &mut counter);
+        Ok(counter.finish())
     }
+}
+
+/// `MergedTrie::from_tables(tables)?.merging_efficiency()`, counted in the
+/// same preorder pass, which keeps only each open node's presence mask.
+///
+/// # Errors
+/// Same arity constraints as [`MergedTrie::new`].
+pub(crate) fn merging_efficiency_of(tables: &[RoutingTable]) -> Result<f64, TrieError> {
+    check_arity(tables.len())?;
+    let mut counts = NodeCounts::new(tables.len());
+    preorder(&sorted_routes(tables), 0, &mut counts);
+    Ok(counts.alpha(tables.len()))
 }
 
 /// One VN's route as the bulk build sorts them: prefix, VNID, next hop.
 type Route = (Ipv4Prefix, u8, NextHop);
+
+/// The K tables' routes in preorder, each tagged with its VNID.
+fn sorted_routes(tables: &[RoutingTable]) -> Vec<Route> {
+    let mut routes = Vec::with_capacity(tables.iter().map(RoutingTable::len).sum());
+    for (vn, table) in tables.iter().enumerate() {
+        routes.extend(table.iter().map(|e| (e.prefix, vn as u8, e.next_hop)));
+    }
+    // A table iterates in `(addr, len)` order, which is preorder, so the
+    // stable sort merges K sorted runs.
+    routes.sort_by_key(|&(prefix, ..)| prefix);
+    routes
+}
+
+/// What [`preorder`] drives over the trie of sorted routes. `Open` is what
+/// it keeps of each node on the open path, the root's given.
+trait Preorder {
+    type Open: Copy;
+    /// The child of the open node `parent` on branch `bit`, opened.
+    fn open(&mut self, parent: Self::Open, bit: usize) -> Self::Open;
+    /// VN `vn`'s route ends at the open `node`.
+    fn entry(&mut self, node: &mut Self::Open, vn: u8, next_hop: NextHop);
+    /// No route below `node`, at `depth`, is still to come. `up` is its
+    /// parent and the branch from there, except at the root.
+    fn close(&mut self, depth: usize, node: Self::Open, up: Option<(&mut Self::Open, usize)>);
+}
+
+/// One pass in preorder over `routes`: the path to the route before stays
+/// open, and each route closes the nodes below the prefix it shares with
+/// that route and opens its own path below it. A node's own routes arrive
+/// before any below it, and once it is closed nothing more can reach it.
+fn preorder<P: Preorder>(routes: &[Route], root: P::Open, pass: &mut P) {
+    let mut path = [root; 33];
+    let mut depth = 0;
+    let mut prev = Ipv4Prefix::DEFAULT_ROUTE;
+    // The open path is `prev`'s, so its bit above a node is the node's branch.
+    let close = |pass: &mut P, path: &mut [P::Open; 33], depth: usize, prev: Ipv4Prefix| {
+        let (above, here) = path.split_at_mut(depth);
+        let up = above.last_mut().map(|parent| (parent, usize::from(prev.bit(depth as u8 - 1))));
+        pass.close(depth, here[0], up);
+    };
+    for &(prefix, vn, next_hop) in routes {
+        let (len, shared) = (usize::from(prefix.len()), usize::from(shared_len(prefix, prev)));
+        while depth > shared {
+            close(pass, &mut path, depth, prev);
+            depth -= 1;
+        }
+        while depth < len {
+            path[depth + 1] = pass.open(path[depth], usize::from(prefix.bit(depth as u8)));
+            depth += 1;
+        }
+        pass.entry(&mut path[len], vn, next_hop);
+        prev = prefix;
+    }
+    for depth in (0..=depth).rev() {
+        close(pass, &mut path, depth, prev);
+    }
+}
+
+/// The bulk build: each node opened is allocated in preorder, and a closed
+/// node's presence is counted into the per-VN and common totals and folded
+/// into its parent's.
+impl Preorder for MergedTrie {
+    type Open = NodeId;
+
+    fn open(&mut self, parent: NodeId, bit: usize) -> NodeId {
+        let child = NodeId(u32::try_from(self.nodes.len()).expect("merged trie exceeds u32 nodes"));
+        self.nodes.push(MergedNode::EMPTY);
+        self.nodes[parent.idx()].children[bit] = Some(child);
+        child
+    }
+
+    fn entry(&mut self, node: &mut NodeId, vn: u8, next_hop: NextHop) {
+        self.nhis[node.idx() * self.k + usize::from(vn)] = Some(next_hop);
+        self.nodes[node.idx()].presence |= 1u64 << vn;
+    }
+
+    fn close(&mut self, _: usize, node: NodeId, up: Option<(&mut NodeId, usize)>) {
+        let presence = self.nodes[node.idx()].presence;
+        let mut vns = presence;
+        while vns != 0 {
+            self.per_vn_nodes[vns.trailing_zeros() as usize] += 1;
+            vns &= vns - 1;
+        }
+        self.common_nodes += usize::from(presence == full_mask(self.k));
+        if let Some((parent, _)) = up {
+            self.nodes[parent.idx()].presence |= presence;
+        }
+    }
+}
+
+/// A node on the streamed pass's open path: the VNs with an entry here,
+/// each child's presence mask so far, and the VNs with an entry on the
+/// root path, this node's included.
+#[derive(Clone, Copy, Default)]
+struct OpenNode {
+    entries: u64,
+    kids: [u64; 2],
+    routed: u64,
+}
+
+/// The streamed pass: a closed node's presence is its entries and its
+/// children's, all final, so it is counted then and folded into its
+/// parent's slot for it.
+impl Preorder for SweepCounter {
+    type Open = OpenNode;
+
+    fn open(&mut self, parent: OpenNode, _: usize) -> OpenNode {
+        // The parent's own routes came before this child was opened.
+        OpenNode { routed: parent.routed, ..OpenNode::default() }
+    }
+
+    fn entry(&mut self, node: &mut OpenNode, vn: u8, _: NextHop) {
+        node.entries |= 1u64 << vn;
+        node.routed |= 1u64 << vn;
+    }
+
+    fn close(&mut self, depth: usize, node: OpenNode, up: Option<(&mut OpenNode, usize)>) {
+        let presence = node.entries | node.kids[0] | node.kids[1];
+        self.node(depth, presence, node.kids, node.routed);
+        if let Some((parent, slot)) = up {
+            parent.kids[slot] |= presence;
+        }
+    }
+}
+
+/// α alone: a closed node's presence is its entries and its children's,
+/// counted then and folded into its parent's.
+impl Preorder for NodeCounts {
+    type Open = u64;
+
+    fn open(&mut self, _: u64, _: usize) -> u64 {
+        0
+    }
+
+    fn entry(&mut self, presence: &mut u64, vn: u8, _: NextHop) {
+        *presence |= 1u64 << vn;
+    }
+
+    fn close(&mut self, _: usize, presence: u64, up: Option<(&mut u64, usize)>) {
+        self.node(presence);
+        if let Some((parent, _)) = up {
+            *parent |= presence;
+        }
+    }
+}
 
 /// Length of the longest prefix `a` and `b` share.
 fn shared_len(a: Ipv4Prefix, b: Ipv4Prefix) -> u8 {
@@ -657,14 +699,6 @@ fn node_total(routes: &[Route]) -> usize {
         usize::from(prefix.len() - shared)
     });
     1 + fresh.sum::<usize>()
-}
-
-fn full_mask(k: usize) -> u64 {
-    if k == 64 {
-        u64::MAX
-    } else {
-        (1u64 << k) - 1
-    }
 }
 
 impl crate::LookupBackend for MergedTrie {
@@ -708,11 +742,13 @@ mod tests {
             MergedTrie::from_tables(&[]),
             Err(TrieError::BadMergeArity(0))
         ));
+        assert!(matches!(SweepStats::from_tables(&[]), Err(TrieError::BadMergeArity(0))));
         let too_many = vec![RoutingTable::new(); 65];
         assert!(matches!(
             MergedTrie::from_tables(&too_many),
             Err(TrieError::BadMergeArity(65))
         ));
+        assert!(matches!(SweepStats::from_tables(&too_many), Err(TrieError::BadMergeArity(65))));
     }
 
     /// K identical tables overlay into the single table's K = 1 trie,
@@ -1022,23 +1058,35 @@ mod tests {
         );
     }
 
-    /// Strategy: 1–7 tables drawing routes (/0 to /32) from one pool of up
+    /// Strategy: 1–8 tables drawing routes (/0 to /32) from one pool of up
     /// to 40, so they overlap; about one table in five is empty.
     fn arb_family() -> impl Strategy<Value = Vec<RoutingTable>> {
         let mask = (0u8..5, any::<u64>()).prop_map(|(pick, mask)| if pick == 0 { 0 } else { mask });
         let route = (any::<u32>(), 0u8..=32, any::<NextHop>())
             .prop_map(|(addr, len, nh)| vr_net::RouteEntry::new(Ipv4Prefix::must(addr, len), nh));
         let pool = prop::collection::vec(route, 0..40);
-        (pool, prop::collection::vec(mask, 1..=7)).prop_map(|(pool, masks)| {
+        (pool, prop::collection::vec(mask, 1..=8)).prop_map(|(pool, masks)| {
             let picked = |mask: u64| (0..pool.len()).filter(move |i| mask >> i & 1 == 1);
             let table = |mask| RoutingTable::from_entries(picked(mask).map(|i| pool[i]));
             masks.into_iter().map(table).collect()
         })
     }
 
-    /// `merged.sweep_stats()` is what building and leaf-pushing the trie
-    /// over `tables[..k]` at every k, and each VN's own, gives.
+    /// The streamed pass over `tables` counts what the walk of `merged`,
+    /// their trie, does, and its last α is `merged`'s, bit for bit.
+    fn assert_streamed(merged: &MergedTrie, tables: &[RoutingTable]) {
+        let streamed = SweepStats::from_tables(tables).unwrap();
+        assert_eq!(streamed, merged.sweep_stats());
+        let alpha = merged.merging_efficiency().to_bits();
+        assert_eq!(streamed.alpha.last().map(|alpha| alpha.to_bits()), Some(alpha));
+        assert_eq!(merging_efficiency_of(tables).unwrap().to_bits(), alpha);
+    }
+
+    /// `merged.sweep_stats()` and the streamed pass over `tables` are what
+    /// building and leaf-pushing the trie over `tables[..k]` at every k,
+    /// and each VN's own, gives.
     fn assert_sweep_exact(merged: &MergedTrie, tables: &[RoutingTable]) {
+        assert_streamed(merged, tables);
         let sweep = merged.sweep_stats();
         let lens = [sweep.by_prefix.len(), sweep.alpha.len(), sweep.per_vn.len()];
         assert_eq!(lens, [tables.len(); 3]);
@@ -1184,6 +1232,33 @@ mod tests {
             assert_sweep_exact(&merged, &tables);
         }
 
+        /// The streamed pass counts what the walk of the built trie does,
+        /// and still does after a seeded batch withdraws a third of the
+        /// routes from the trie and the tables and re-announces half of
+        /// those with a new next hop.
+        #[test]
+        fn streamed_stats_equal_the_arena_walk(tables in arb_family(), seed in any::<u64>()) {
+            use rand::rngs::SmallRng;
+            use rand::{Rng, SeedableRng};
+            let mut merged = MergedTrie::from_tables(&tables).unwrap();
+            assert_streamed(&merged, &tables);
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut tables = tables;
+            let routes = tables.iter().enumerate().map(|(vn, t)| t.iter().map(move |e| (vn, e)));
+            let routes: Vec<_> = routes.flatten().collect();
+            let withdrawn: Vec<_> = routes.into_iter().filter(|_| rng.gen_bool(0.3)).collect();
+            for &(vn, e) in &withdrawn {
+                prop_assert_eq!(merged.remove(vn, &e.prefix), tables[vn].remove(&e.prefix));
+            }
+            assert_streamed(&merged, &tables);
+            for &(vn, e) in withdrawn.iter().filter(|_| rng.gen_bool(0.5)) {
+                let nh = e.next_hop.wrapping_add(1);
+                prop_assert_eq!(merged.insert(vn, e.prefix, nh), tables[vn].insert(e.prefix, nh));
+            }
+            prop_assert!(merged.check_invariants());
+            assert_streamed(&merged, &tables);
+        }
+
         /// The bulk build and the update path do not fork: the same
         /// routes inserted one at a time, in any order and through a
         /// withdraw / re-announce pass, give the same trie.
@@ -1204,6 +1279,46 @@ mod tests {
         let merged = MergedTrie::from_tables(&tables).unwrap();
         assert!(merged.common_node_count() > 0);
         assert_sweep_exact(&merged, &tables);
+    }
+
+    /// At K = 64, the streamed pass counts what the walk does over
+    /// families at the edges: /0 and /32 routes in several VNs beside an
+    /// empty VN 0, identical tables (α = 1), pairwise-disjoint tables, and
+    /// no route at all.
+    #[test]
+    fn streamed_stats_equal_the_arena_walk_at_the_edges() {
+        let base: Vec<_> = family(1, 1.0, 65)[0].iter().take(30).collect();
+        let edge = |vn: u32| {
+            let host = Ipv4Prefix::must(0xC633_6400 | (vn % 3), 32);
+            let routes = [(Ipv4Prefix::DEFAULT_ROUTE, vn % 4 == 1), (host, !vn.is_multiple_of(5))];
+            let routes = routes.into_iter().filter(|&(_, keep)| keep);
+            routes.map(move |(prefix, _)| vr_net::RouteEntry::new(prefix, vn as NextHop))
+        };
+        let edges = |vn| match vn {
+            0 => RoutingTable::new(),
+            vn => RoutingTable::from_entries(base.iter().copied().chain(edge(vn))),
+        };
+        let disjoint = |vn: u32| {
+            let own = (0..4).map(|i| Ipv4Prefix::must(vn << 26 | i << 20, 12 + i as u8 * 5));
+            RoutingTable::from_entries(own.map(|prefix| vr_net::RouteEntry::new(prefix, 1)))
+        };
+        let identical = |_| RoutingTable::from_entries(base.iter().copied());
+        let families: [&dyn Fn(u32) -> RoutingTable; 4] =
+            [&edges, &identical, &disjoint, &|_| RoutingTable::new()];
+        let mut alphas = Vec::new();
+        for table in families {
+            let tables: Vec<_> = (0..MAX_MERGE_ARITY as u32).map(table).collect();
+            let merged = MergedTrie::from_tables(&tables).unwrap();
+            assert_streamed(&merged, &tables);
+            alphas.push(merged.merging_efficiency());
+        }
+        let with_len = |len| {
+            let vns = 1..MAX_MERGE_ARITY as u32;
+            vns.filter(|&vn| edges(vn).prefixes().any(|p| p.len() == len)).count()
+        };
+        assert!(with_len(0) > 1 && with_len(32) > 1);
+        assert_eq!(alphas[1], 1.0);
+        assert!(alphas[2] < 0.1 && alphas[3] == 0.0);
     }
 
     /// Slots freed by a withdrawal and taken again by a later announcement

@@ -251,13 +251,13 @@ fn shared_structure_sweep_equals_a_rebuild_of_every_point_at_paper_scale() {
 }
 
 /// The rebuild above goes through `Scenario::build`, which reads its
-/// structures off the same one-walk statistics the sweep does. This keeps
+/// structures off the same streamed statistics the sweep does. This keeps
 /// the reference independent: both structures' stage bits equal
 /// pipelines mapped from leaf-pushed tries that are actually built.
 #[test]
 fn walked_structures_equal_pipelines_of_built_leaf_pushed_tries() {
     use vr_power::scenario::EngineStructure;
-    use vr_trie::{MemoryLayout, MergedTrie, PipelineProfile};
+    use vr_trie::{MemoryLayout, MergedTrie, PipelineProfile, SweepStats};
     let (cfg, layout) = (ExperimentConfig::quick(), MemoryLayout::default());
     let bits = |tables: &[vr_net::RoutingTable]| {
         let pushed = MergedTrie::from_tables(tables).unwrap().leaf_pushed();
@@ -267,7 +267,7 @@ fn walked_structures_equal_pipelines_of_built_leaf_pushed_tries() {
     let (frac_low, frac_high) = cfg.resolve_shared_fractions();
     for frac in [frac_low, frac_high] {
         let tables = cfg.family(cfg.k_max, frac).unwrap();
-        let sweep = MergedTrie::from_tables(&tables).unwrap().sweep_stats();
+        let sweep = SweepStats::from_tables(&tables).unwrap();
         for k in 1..=cfg.k_max {
             let merged = EngineStructure::merged(&sweep, k, cfg.stages, layout).unwrap();
             let built = [bits(&tables[..k])];
@@ -275,6 +275,26 @@ fn walked_structures_equal_pipelines_of_built_leaf_pushed_tries() {
             let singles: Vec<_> = tables[..k].chunks(1).map(bits).collect();
             let separate = EngineStructure::separate(&sweep, k, cfg.stages, layout).unwrap();
             assert_eq!(separate.engine_stage_bits, singles, "separate K={k}");
+        }
+    }
+}
+
+/// The sweeps' statistics, streamed off the sorted routes, equal the walk
+/// of the built merged trie for both α families of the paper's
+/// configuration, at the power sweep's K and at Fig. 4's; the CI
+/// `reproduce` job runs it with `--release -- --ignored`.
+#[test]
+#[ignore = "paper scale: ~0.2 s in release, far longer unoptimised"]
+fn streamed_sweep_stats_equal_the_arena_walk_at_paper_scale() {
+    use vr_trie::{MergedTrie, SweepStats};
+    let cfg = ExperimentConfig::paper();
+    let (frac_low, frac_high) = cfg.resolve_shared_fractions();
+    for frac in [frac_low, frac_high] {
+        for k in [cfg.k_max, cfg.k_max_fig4] {
+            let tables = cfg.family(k, frac).unwrap();
+            let walked = MergedTrie::from_tables(&tables).unwrap().sweep_stats();
+            let streamed = SweepStats::from_tables(&tables).unwrap();
+            assert_eq!(streamed, walked, "K = {k}, shared fraction {frac}");
         }
     }
 }
