@@ -51,6 +51,6 @@ pub use report::{
     MAX_RECORDED_VIOLATIONS,
 };
 pub use verify::{
-    audit_jump, audit_jump_parts, audit_jump_with_table, audit_jump_with_tables,
+    audit_jump, audit_jump_against, audit_jump_parts, audit_jump_with_table, audit_jump_with_tables,
     audit_leaf_pushed, audit_merged, parity_probes,
 };

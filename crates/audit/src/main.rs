@@ -11,7 +11,9 @@
 //! the virtualization encodings), builds every lookup structure through
 //! every `from_*` constructor the workspace has, audits each one (the
 //! family's trie again after a seeded 1 % of each VN's routes is
-//! withdrawn and announced again), and emits the [`AuditReport`]s as a
+//! withdrawn and announced again), holds every jump trie a service
+//! publishes to the one walked off the leaf-pushed trie word for word,
+//! and emits the [`AuditReport`]s as a
 //! JSON array — the CI `audit` job runs this at paper scale and uploads
 //! the output. `artifact` audits a
 //! serialized `JumpTrie` from disk. `lint` runs the source rules over the
@@ -24,11 +26,11 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use vr_audit::{
-    audit_jump, audit_jump_with_table, audit_jump_with_tables, audit_leaf_pushed, audit_merged,
+    audit_jump, audit_jump_against, audit_jump_with_table, audit_leaf_pushed, audit_merged,
     lint_workspace, AuditReport,
 };
 use vr_net::synth::{ClusterSpec, FamilySpec, TableSpec, PAPER_TABLE_PREFIXES};
-use vr_trie::{JumpSlabs, JumpTrie, MergedTrie};
+use vr_trie::{DirtyBuckets, JumpSlabs, JumpTrie, MergedTrie};
 
 const USAGE: &str = "vr-audit: structural invariant verifier for lookup-table encodings
 
@@ -153,46 +155,56 @@ fn cmd_tables(args: &[String]) -> Result<bool, String> {
     reports.push(audit_merged(&single));
     let leaf_pushed = single.leaf_pushed();
     reports.push(audit_leaf_pushed(&leaf_pushed, std::slice::from_ref(&table)));
-    reports.push(audit_jump_with_table(&JumpTrie::from_table(&table), &table));
-    reports.push(audit_jump_with_table(
-        &JumpTrie::from_leaf_pushed(&leaf_pushed),
-        &table,
-    ));
+    // The reference jump trie is the materialised leaf-pushed trie,
+    // walked; every trie a service publishes must equal it word for word.
+    let reference = JumpTrie::from_leaf_pushed(&leaf_pushed);
+    reports.push(audit_jump_with_table(&reference, &table));
+    let tables = std::slice::from_ref(&table);
+    reports.push(audit_jump_against(&JumpTrie::from_table(&table), tables, &reference));
 
     // K-table family: the virtualization (merged) encodings.
     let mut family = FamilySpec::paper_worst_case(k, 0.5, seed ^ 0x5EED);
     family.prefixes_per_table = (prefixes / k).max(64);
     let tables = family.generate().map_err(|e| format!("generating family: {e}"))?;
-    let merged = MergedTrie::from_tables(&tables).map_err(|e| format!("merging: {e}"))?;
+    let (merged, served) =
+        MergedTrie::from_tables_with_jump(&tables).map_err(|e| format!("merging: {e}"))?;
     reports.push(audit_merged(&merged));
     let mlp = merged.leaf_pushed();
     reports.push(audit_leaf_pushed(&mlp, &tables));
-    reports.push(audit_jump(&JumpTrie::from_leaf_pushed(&mlp)));
-    // The structure a service publishes after an update comes from the
-    // other builder: per-bucket blocks, assembled.
-    reports.push(audit_jump_with_tables(
-        &JumpSlabs::from_merged(&merged).assemble(),
-        &tables,
-    ));
+    let reference = JumpTrie::from_leaf_pushed(&mlp);
+    reports.push(audit_jump(&reference));
+    // What the services publish at construction — `LookupService`'s arena
+    // and painter in one pass, `ShardedService`'s painter alone — and
+    // after an update: the per-bucket store, assembled.
+    reports.push(audit_jump_against(&served, &tables, &reference));
+    let painted = JumpTrie::from_tables(&tables).map_err(|e| format!("painting: {e}"))?;
+    reports.push(audit_jump_against(&painted, &tables, &reference));
+    let mut slabs = JumpSlabs::from_merged(&merged);
+    reports.push(audit_jump_against(&slabs.assemble(), &tables, &reference));
 
     // The update path: a seeded 1 % of each VN's routes withdrawn, then
-    // announced again, leaves a trie that must audit the same.
+    // announced again, leaves a trie that must audit the same, and the
+    // buckets patched as a service patches them must assemble into the
+    // reference of the churned trie.
     let mut churned = merged;
+    let mut dirty = DirtyBuckets::new();
     let mut rng = SmallRng::seed_from_u64(seed);
     for (vn, table) in tables.iter().enumerate() {
         let picked: Vec<_> = table.iter().filter(|_| rng.gen_bool(0.01)).collect();
         for route in &picked {
             churned.remove(vn, &route.prefix);
+            dirty.mark_prefix(&route.prefix);
         }
         for route in &picked {
             churned.insert(vn, route.prefix, route.next_hop);
         }
     }
     reports.push(audit_merged(&churned));
-    reports.push(audit_jump_with_tables(
-        &JumpSlabs::from_merged(&churned).assemble(),
-        &tables,
-    ));
+    for bucket in dirty.iter() {
+        slabs.rebuild_bucket(&churned, bucket);
+    }
+    let reference = JumpTrie::from_leaf_pushed(&churned.leaf_pushed());
+    reports.push(audit_jump_against(&slabs.assemble(), &tables, &reference));
 
     emit(&reports, out.as_deref(), pretty)
 }

@@ -286,6 +286,50 @@ pub fn audit_jump_with_tables(trie: &JumpTrie, tables: &[RoutingTable]) -> Audit
     a.finish(stats)
 }
 
+/// Audits a K-way [`JumpTrie`] like [`audit_jump_with_tables`], and holds
+/// its encoding to `reference` — the same tables' trie from another
+/// builder — field for field: a field whose words differ is one
+/// [`CheckKind::OracleParity`] violation, located at its first differing
+/// word.
+#[must_use]
+pub fn audit_jump_against(
+    trie: &JumpTrie,
+    tables: &[RoutingTable],
+    reference: &JumpTrie,
+) -> AuditReport {
+    let mut a = Audit::new(format!("jump(k={})", trie.arity()));
+    let stats = check_jump(&mut a, trie.raw_parts());
+    check_vn_parity(&mut a, CheckKind::OracleParity, tables, trie.arity(), trie);
+    check_same_encoding(&mut a, trie.raw_parts(), reference.raw_parts());
+    a.finish(stats)
+}
+
+fn check_same_encoding(a: &mut Audit, parts: JumpTrieParts<'_>, reference: JumpTrieParts<'_>) {
+    fn first_difference<T: Copy + PartialEq + Into<u64>>(ours: &[T], theirs: &[T]) -> Option<(usize, u64)> {
+        let at = ours.iter().zip(theirs).position(|(x, y)| x != y);
+        let at = at.or((ours.len() != theirs.len()).then(|| ours.len().min(theirs.len())))?;
+        Some((at, ours.get(at).map_or(0, |&word| word.into())))
+    }
+    if parts.k != reference.k {
+        let message = format!("arity {} where the reference has {}", parts.k, reference.k);
+        a.error(CheckKind::OracleParity, Coordinates::none(), message);
+    }
+    let fields = [
+        ("root", parts.root.len(), reference.root.len(), first_difference(parts.root, reference.root)),
+        ("tail", parts.tail.len(), reference.tail.len(), first_difference(parts.tail, reference.tail)),
+        ("NHI slab", parts.nhis.len(), reference.nhis.len(), first_difference(parts.nhis, reference.nhis)),
+    ];
+    for (level, (field, len, want, difference)) in fields.into_iter().enumerate() {
+        if let Some((at, word)) = difference {
+            a.error(
+                CheckKind::OracleParity,
+                Coordinates::word(level, at, word),
+                format!("{field} ({len} entries) differs from the reference's ({want}) at entry {at}"),
+            );
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Pointer tries
 // ---------------------------------------------------------------------------
@@ -622,6 +666,33 @@ mod tests {
     fn truncated_nhi_slab_is_caught() {
         let report = audit_mutated(|_, _, nhis| nhis.truncate(nhis.len() / 2));
         assert!(!report.is_clean(), "truncated NHI slab must be detected");
+    }
+
+    /// Two NHI slots swapped, every leaf renumbered to match: a trie that
+    /// is well formed and answers every lookup alike, whose layout alone
+    /// differs from the reference's.
+    #[test]
+    fn a_layout_differing_from_the_reference_is_caught() {
+        let t = deep_sample();
+        let reference = JumpTrie::from_table(&t);
+        let p = reference.raw_parts();
+        assert!(reference.leaf_count() >= 2);
+        let swap = |entry: u32| match entry & jump::PAYLOAD_MASK {
+            0 if entry & jump::LEAF_BIT != 0 => jump::LEAF_BIT | 1,
+            1 if entry & jump::LEAF_BIT != 0 => jump::LEAF_BIT,
+            _ => entry,
+        };
+        let mut nhis = p.nhis.to_vec();
+        nhis[..2 * p.k].rotate_left(p.k);
+        let (root, tail) = (p.root.iter().map(|&e| swap(e)), p.tail.iter().map(|&e| swap(e)));
+        let swapped = JumpTrie::from_raw_parts(root.collect(), tail.collect(), nhis, p.k);
+        let tables = std::slice::from_ref(&t);
+        assert!(audit_jump_with_table(&swapped, &t).is_clean());
+        assert!(audit_jump_against(&reference, tables, &reference).is_clean());
+        let report = audit_jump_against(&swapped, tables, &reference);
+        assert_eq!(failed_checks(&report), [CheckKind::OracleParity]);
+        // The root and the NHI slab differ; the tail may not hold slot 0 or 1.
+        assert!((2..=3).contains(&report.error_count()), "{}", report.summary());
     }
 
     #[test]

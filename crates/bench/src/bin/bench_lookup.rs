@@ -471,7 +471,7 @@ fn run_scale(
     // CI's row matrix and `BENCH_lookup.json` keep their keys.
     let unibit = MergedTrie::from_tables(std::slice::from_ref(&table)).unwrap();
     let pushed = unibit.leaf_pushed();
-    let jump = JumpTrie::from_leaf_pushed(&pushed);
+    let jump = JumpTrie::from_table(&table);
 
     // Per-VN datapath inputs: a K-way merged family resolved through
     // `lookup_vn`, cycling the VNID so every
@@ -482,8 +482,7 @@ fn run_scale(
     }
     .generate()
     .unwrap();
-    let merged = MergedTrie::from_tables(&family).unwrap().leaf_pushed();
-    let merged_jump = JumpTrie::from_leaf_pushed(&merged);
+    let merged_jump = JumpTrie::from_tables(&family).unwrap();
 
     // Probe set: perturbed prefix addresses cycled to `probe_count`, so
     // walks reach realistic depths instead of missing at the root.
@@ -614,8 +613,7 @@ fn run_cached_rows(rows: &mut Vec<Row>, iters: usize) {
         .generate()
         .unwrap();
     let n = family[0].prefixes().count();
-    let merged = MergedTrie::from_tables(&family).unwrap().leaf_pushed();
-    let jump = JumpTrie::from_leaf_pushed(&merged);
+    let jump = JumpTrie::from_tables(&family).unwrap();
     // Any fixed generation works when driving the trie directly; the
     // services tag slots with the live RCU publish generation instead.
     const GENERATION: u64 = 1;

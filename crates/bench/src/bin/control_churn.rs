@@ -22,7 +22,7 @@ use vr_net::synth::FamilySpec;
 use vr_net::{NextHop, RouteUpdate, RoutingTable, UpdateMix, UpdateStream, VnId};
 use vr_power::report::write_json;
 use vr_telemetry::EventKind;
-use vr_trie::{JumpTrie, MergedTrie};
+use vr_trie::JumpTrie;
 
 /// One point of the α / power trajectory.
 #[derive(Debug, Serialize)]
@@ -121,11 +121,8 @@ fn ab_throughput(
         for update in &deduped {
             update.apply_to(&mut staged);
         }
-        let pushed = MergedTrie::from_tables(&staged)
-            .expect("naive merge")
-            .leaf_pushed();
         naive
-            .publish_trie(JumpTrie::from_leaf_pushed(&pushed))
+            .publish_trie(JumpTrie::from_tables(&staged).expect("naive build"))
             .expect("naive publish");
         current = staged;
     }

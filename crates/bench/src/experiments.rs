@@ -20,7 +20,7 @@ use vr_power::experiments::{
 use vr_power::models::cache_discounted_memory_w;
 use vr_power::report::num;
 use vr_power::{Device, SchemeKind, SpeedGrade};
-use vr_trie::{JumpTrie, MergedTrie};
+use vr_trie::JumpTrie;
 
 /// What one run of the table shares between its experiments.
 pub struct Ctx {
@@ -669,8 +669,7 @@ fn cache_skew_study(
     const GENERATION: u64 = 1;
 
     let tables = cfg.family(k, 0.5)?;
-    let merged = MergedTrie::from_tables(&tables)?;
-    let jump = JumpTrie::from_leaf_pushed(&merged.leaf_pushed());
+    let jump = JumpTrie::from_tables(&tables)?;
     let estimate = quick_estimate(&tables, SchemeKind::Merged, SpeedGrade::Minus2)?;
     let bits_per_packet = f64::from(vr_net::traffic::MIN_PACKET_BYTES * 8);
     let ns_per =

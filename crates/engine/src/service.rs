@@ -319,11 +319,10 @@ pub struct LookupService {
 }
 
 /// Merges `tables` and builds the jump trie the service publishes for
-/// them; the merged trie is kept as the service's routing state.
+/// them, in one pass over their routes; the merged trie is kept as the
+/// service's routing state.
 fn merge_and_build(tables: &[RoutingTable]) -> Result<(MergedTrie, JumpTrie), EngineError> {
-    let merged = MergedTrie::from_tables(tables)?;
-    let trie = JumpTrie::from_leaf_pushed(&merged.leaf_pushed());
-    Ok((merged, trie))
+    Ok(MergedTrie::from_tables_with_jump(tables)?)
 }
 
 impl LookupService {

@@ -51,7 +51,7 @@ use vr_sync::{
 use vr_telemetry::{
     Counter, EventKind, Gauge, Histogram, MetricsRegistry, Stopwatch, TelemetrySnapshot,
 };
-use vr_trie::{JumpTrie, MergedTrie};
+use vr_trie::JumpTrie;
 
 use crate::cache::{CacheStats, LpmCache};
 use crate::service::lookup_batch_mixed;
@@ -71,10 +71,9 @@ pub struct TableSnapshot {
 /// The lookup structure both services publish for a table family: the
 /// jump trie of its K-way merged leaf-pushed trie (K = 1 included).
 pub(crate) fn build_trie(tables: &[RoutingTable]) -> Result<JumpTrie, EngineError> {
-    // The merged trie is dropped before the blocks are filled, so the
-    // build peaks at the larger of the two, not their sum.
-    let pushed = MergedTrie::from_tables(tables)?.leaf_pushed();
-    Ok(JumpTrie::from_leaf_pushed(&pushed))
+    // Painted straight off the sorted routes: no merged or leaf-pushed
+    // trie is built, so the build peaks at the routes plus the slabs.
+    Ok(JumpTrie::from_tables(tables)?)
 }
 
 /// Structural audit gate for candidate snapshots: active in debug builds

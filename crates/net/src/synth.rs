@@ -24,6 +24,45 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// The generators' set of drawn prefixes. It is never iterated, so its
+/// hash order reaches no table, and a prefix is two words: a
+/// multiply-rotate hasher replaces SipHash's rounds.
+type PrefixSet = HashSet<Ipv4Prefix, BuildHasherDefault<PrefixHasher>>;
+
+fn prefix_set(capacity: usize) -> PrefixSet {
+    PrefixSet::with_capacity_and_hasher(capacity, BuildHasherDefault::default())
+}
+
+#[derive(Default)]
+struct PrefixHasher(u64);
+
+impl Hasher for PrefixHasher {
+    /// The product's well-mixed high bits, rotated down to the low bits
+    /// the table indexes by.
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(20)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u8(&mut self, word: u8) {
+        self.write_u64(u64::from(word));
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.write_u64(u64::from(word));
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
 
 /// Number of prefixes in the paper's worst-case edge table (§V-E).
 pub const PAPER_TABLE_PREFIXES: usize = 3725;
@@ -218,7 +257,7 @@ impl TableSpec {
             &mut rng,
             &self.distribution,
             self.prefixes,
-            &mut HashSet::with_capacity(self.prefixes),
+            &mut prefix_set(self.prefixes),
             self.clustering,
             &pool,
         )?;
@@ -308,7 +347,7 @@ impl FamilySpec {
         // Every prefix the family has drawn: the core and each table's
         // unique part, so no unique prefix lands in the core or in
         // another table.
-        let mut taken = HashSet::with_capacity(core_count + self.k * unique_count);
+        let mut taken = prefix_set(core_count + self.k * unique_count);
         // Shared core prefixes (next hops assigned per table below).
         let core = sample_distinct_prefixes(
             &mut rng,
@@ -319,6 +358,7 @@ impl FamilySpec {
             &core_pool,
         )?;
 
+        let core = SortedCore::new(core);
         let mut tables = Vec::with_capacity(self.k);
         for _ in 0..self.k {
             let unique_clustering =
@@ -332,8 +372,7 @@ impl FamilySpec {
                 unique_clustering,
                 &unique_pool,
             )?;
-            let prefixes = core.iter().chain(&unique);
-            tables.push(with_next_hops(&mut rng, prefixes, self.next_hops).collect());
+            tables.push(core.table(&mut rng, &unique, self.next_hops));
         }
         Ok(tables)
     }
@@ -372,7 +411,7 @@ pub fn generate_heterogeneous(
     let mut rng = SmallRng::seed_from_u64(seed);
     let core_clustering = (core_count > 0).then(|| ClusterSpec::edge_default(core_count));
     let core_pool = cluster_pool(&mut rng, core_clustering);
-    let mut taken = HashSet::with_capacity(sizes.iter().sum());
+    let mut taken = prefix_set(sizes.iter().sum());
     let core = sample_distinct_prefixes(
         &mut rng,
         distribution,
@@ -382,6 +421,7 @@ pub fn generate_heterogeneous(
         &core_pool,
     )?;
 
+    let core = SortedCore::new(core);
     let mut tables = Vec::with_capacity(sizes.len());
     for &size in sizes {
         let unique_count = size.saturating_sub(core_count);
@@ -396,10 +436,33 @@ pub fn generate_heterogeneous(
             unique_clustering,
             &unique_pool,
         )?;
-        let prefixes = core.iter().chain(&unique);
-        tables.push(with_next_hops(&mut rng, prefixes, next_hops).collect());
+        tables.push(core.table(&mut rng, &unique, next_hops));
     }
     Ok(tables)
+}
+
+/// A family's shared core, sorted once for all its tables: each prefix
+/// with its index in draw order.
+struct SortedCore(Vec<(Ipv4Prefix, usize)>);
+
+impl SortedCore {
+    fn new(core: Vec<Ipv4Prefix>) -> Self {
+        let mut sorted: Vec<_> = core.into_iter().zip(0..).collect();
+        sorted.sort_unstable();
+        Self(sorted)
+    }
+
+    /// The table of the core and a `unique` part drawn apart from it. Its
+    /// next hops are drawn in draw order, the core's then the unique
+    /// part's, and its entries handed over as two sorted runs, which the
+    /// bulk build's stable sort merges in one pass.
+    fn table(&self, rng: &mut SmallRng, unique: &[Ipv4Prefix], next_hops: NextHop) -> RoutingTable {
+        let hops: Vec<NextHop> = (0..self.0.len()).map(|_| rng.gen_range(0..next_hops)).collect();
+        let mut own: Vec<RouteEntry> = with_next_hops(rng, unique, next_hops).collect();
+        own.sort_unstable_by_key(|e| e.prefix);
+        let shared = self.0.iter().map(|&(prefix, i)| RouteEntry::new(prefix, hops[i]));
+        RoutingTable::from_entries(shared.chain(own))
+    }
 }
 
 /// Pairs each prefix, in order, with a next hop drawn from `0..next_hops`;
@@ -448,7 +511,7 @@ fn sample_distinct_prefixes(
     rng: &mut SmallRng,
     dist: &PrefixLenDistribution,
     count: usize,
-    taken: &mut HashSet<Ipv4Prefix>,
+    taken: &mut PrefixSet,
     clustering: Option<ClusterSpec>,
     pool: &[(u32, u8)],
 ) -> Result<Vec<Ipv4Prefix>, NetError> {

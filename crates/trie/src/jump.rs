@@ -31,11 +31,17 @@
 //! and a 1 M-prefix table's is 18.3 MiB where it was 5.6 MiB. The walk
 //! is 2–5× shorter at every measured scale (DESIGN.md §9).
 //!
-//! Both builders — [`JumpTrie::from_leaf_pushed`] from scratch and
-//! [`JumpSlabs::assemble`](crate::subslab::JumpSlabs::assemble) from the
-//! control plane's per-bucket store — fill blocks through the one
-//! [`fill_blocks`] and intern vectors in address order, so they publish
-//! identical slabs for the same tables, field for field.
+//! One block filler, the `Painter`, fills the slabs from the preorder
+//! events of a trie, whoever streams them: the bulk build's pass over the
+//! sorted routes ([`JumpTrie::from_tables`], and beside the merge arena
+//! in [`MergedTrie::from_tables_with_jump`](crate::MergedTrie::from_tables_with_jump),
+//! which is what a service builds), a replay of a live merged trie (the
+//! control plane's per-bucket store,
+//! [`JumpSlabs`](crate::subslab::JumpSlabs)), or a walk of a materialised
+//! leaf-pushed trie ([`JumpTrie::from_leaf_pushed`], the reference). No
+//! leaf-pushed trie is built on the way, and leaves are interned in
+//! address order whatever the feed, so every builder publishes identical
+//! slabs for the same tables, field for field.
 //!
 //! The structure is immutable by design: route updates build a fresh
 //! `JumpTrie` and publish it atomically (see `vr-engine`'s
@@ -43,7 +49,8 @@
 //! shadow bank while the live bank keeps serving.
 
 use crate::leafpush::LeafPushedTrie;
-use crate::merge::{MergedTrie, NodeId};
+use crate::merge::{block_total, check_arity, preorder, replay, sorted_routes, NodeId, Preorder};
+use crate::TrieError;
 use serde::{Deserialize, Serialize};
 use vr_net::table::{NextHop, RoutingTable};
 
@@ -58,7 +65,7 @@ pub const JUMP_BITS: u32 = 16;
 pub const ROOT_ENTRIES: usize = 1 << JUMP_BITS;
 /// Address bits one tail block resolves: two block levels finish the
 /// address below the root.
-const TAIL_STRIDE: u32 = 8;
+pub(crate) const TAIL_STRIDE: u32 = 8;
 const _: () = assert!(JUMP_BITS + 2 * TAIL_STRIDE == u32::BITS);
 /// Entries in one tail block (2^8).
 pub const BLOCK_ENTRIES: usize = 1 << TAIL_STRIDE;
@@ -81,15 +88,14 @@ pub(crate) fn decode_nhi(code: NhiCode) -> Option<NextHop> {
 }
 
 /// The NHI slab's writer: deduplicates K-wide vectors into the growing
-/// slab, returning each vector's slot. Both builders of a [`JumpTrie`]
-/// ([`JumpTrie::from_leaf_pushed`] and
-/// [`JumpSlabs::assemble`](crate::subslab::JumpSlabs::assemble)) emit
+/// slab, returning each vector's slot. The [`Painter`] and
+/// [`JumpSlabs::assemble`](crate::subslab::JumpSlabs::assemble) emit
 /// their leaves through it, so the same tables publish the same-sized
 /// structure whichever path built it — the hardware's shared NHI memory,
 /// and the footprint the control plane prices in watts.
 ///
-/// It is called once per leaf of the leaf-pushed trie — never once per
-/// block entry, which outnumber leaves tenfold — while the
+/// It is called at most once per leaf of the leaf-pushed view — never
+/// once per block entry, which outnumber leaves tenfold — while the
 /// distinct-vector count is orders of magnitude smaller, and repeats
 /// arrive in long address-space runs. The per-bucket store
 /// ([`JumpSlabs`](crate::subslab::JumpSlabs)) keeps one small interner's
@@ -106,8 +112,10 @@ pub(crate) struct NhiInterner {
     k: usize,
     /// The growing NHI slab (k entries per interned vector).
     slab: Vec<NhiCode>,
-    /// Open-addressed table of `(fnv_hash, slot + 1)`; 0 means empty.
-    table: Vec<(u64, u32)>,
+    /// Open-addressed table of `(hash, slot + 1)`; 0 means empty. Eight
+    /// bytes an entry, so the table a paper family grows touches half the
+    /// pages a 64-bit hash would.
+    table: Vec<(u32, u32)>,
     /// Live entries, to trigger growth at 1/2 load.
     len: usize,
     /// Memo of the most recently interned vector's slot.
@@ -125,12 +133,14 @@ impl NhiInterner {
         }
     }
 
-    fn hash(vector: &[NhiCode]) -> u64 {
+    /// The FNV-1a hash's high half, its best-mixed bits: the table indexes
+    /// by it and keeps it, so growing re-reads no vector.
+    fn hash(vector: &[NhiCode]) -> u32 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         for &x in vector {
             h = (h ^ u64::from(x)).wrapping_mul(0x0000_0100_0000_01b3);
         }
-        h
+        (h >> 32) as u32
     }
 
     fn slot_slice(&self, slot: u32) -> &[NhiCode] {
@@ -147,7 +157,7 @@ impl NhiInterner {
         }
         let hash = Self::hash(vector);
         let mask = self.table.len() - 1;
-        let mut i = (hash as usize) & mask;
+        let mut i = hash as usize & mask;
         loop {
             let (h, tagged) = self.table[i];
             if tagged == 0 {
@@ -173,14 +183,14 @@ impl NhiInterner {
     }
 
     fn grow(&mut self) {
-        let next = vec![(0u64, 0u32); self.table.len() * 2];
+        let next = vec![(0, 0); self.table.len() * 2];
         let old = std::mem::replace(&mut self.table, next);
         let mask = self.table.len() - 1;
         for (h, tagged) in old {
             if tagged == 0 {
                 continue;
             }
-            let mut i = (h as usize) & mask;
+            let mut i = h as usize & mask;
             while self.table[i].1 != 0 {
                 i = (i + 1) & mask;
             }
@@ -193,59 +203,181 @@ impl NhiInterner {
     }
 }
 
-/// Walks the top `bits` levels of a full binary trie below `node` in
-/// address order, reading it through `children` (`None` for a leaf).
-/// `visit(at, run, node, internal)` receives each leaf met `d` bits down
-/// with the aligned run of `2^(bits − d)` slots it covers, and each
-/// internal node surviving to the cut with its one slot.
+/// A node on the [`Painter`]'s open path: its depth, and bit `b` set once
+/// its child on branch `b` has closed.
+#[derive(Clone, Copy)]
+pub(crate) struct Brush {
+    depth: u8,
+    kids: u8,
+}
+
+/// Fills the DIR-16-8-8 slabs from the preorder events of a trie: the bulk
+/// build's pass over sorted routes, or a [`replay`](crate::merge::replay)
+/// of a built [`MergedTrie`] or [`LeafPushedTrie`].
 ///
-/// The one descent of both [`JumpTrie`] builders, at the root
-/// (`bits` = 16) and inside [`fill_blocks`] (`bits` = 8).
-pub(crate) fn descend<N>(
-    node: N,
-    bits: u32,
-    children: &impl Fn(&N) -> Option<(N, N)>,
-    mut visit: impl FnMut(usize, usize, N, bool),
-) {
-    let mut stack = vec![(node, 0usize, 0u32)];
-    while let Some((node, at, depth)) = stack.pop() {
-        match children(&node) {
-            Some((left, right)) if depth < bits => {
-                let half = 1usize << (bits - depth - 1);
-                stack.push((right, at + half, depth + 1));
-                stack.push((left, at, depth + 1));
-            }
-            kids => visit(at, 1 << (bits - depth), node, kids.is_some()),
+/// The leaves of the leaf-pushed view tile the address space, and a
+/// preorder pass meets them in address order, so the painter keeps only
+/// the next address to paint, one K-wide row per depth (the vector in
+/// effect at the open node there: its own entries over its ancestors'),
+/// and the bases of the open level-1 and level-2 blocks. Nothing is
+/// allocated per node, and no leaf-pushed trie is built:
+///
+/// * a node that closes with no child is a leaf, painted over its run;
+/// * a missing left half is painted, in its parent's vector, just
+///   before the right child opens, and a missing right half when the
+///   parent closes — so leaves are interned in address order;
+/// * the first node opened below depth 16 or 24 opens its parent's
+///   block, in preorder, so blocks lie bucket by bucket, a level-1 block
+///   ahead of its level-2 blocks.
+///
+/// The same events give the same `raw_parts()`, whichever trie streams
+/// them. A painter covers either the whole address space or one /16
+/// bucket, whose slabs are then bucket-local (the
+/// [`JumpSlabs`](crate::subslab::JumpSlabs) encoding).
+pub(crate) struct Painter {
+    k: usize,
+    /// Row `d`: the vector in effect at the open node of depth `d`.
+    rows: Vec<NhiCode>,
+    /// Row `d`'s leaf entry once interned, `0` (no leaf bit) until then.
+    /// A node without entries has its parent's vector, so it takes its
+    /// parent's entry and most leaves skip the interner.
+    entries: [u32; u32::BITS as usize + 1],
+    /// Root entries of the buckets painted, bucket `first` at index 0.
+    root: Vec<u32>,
+    first: usize,
+    tail: Vec<u32>,
+    interner: NhiInterner,
+    /// First address not yet painted.
+    at: u64,
+    /// Bases in `tail` of the open level-1 and level-2 blocks.
+    blocks: [usize; 2],
+}
+
+impl Painter {
+    /// A painter for the whole address space, its tail allocated for
+    /// `blocks` blocks, and the root's brush.
+    pub(crate) fn whole(k: usize, blocks: usize) -> (Self, Brush) {
+        (Self::over(k, 0, ROOT_ENTRIES, blocks), Brush { depth: 0, kids: 0 })
+    }
+
+    /// A painter for `bucket` alone, and the brush of its depth-16 node,
+    /// below which `inherited` is in effect.
+    pub(crate) fn bucket(bucket: usize, inherited: &[NhiCode]) -> (Self, Brush) {
+        let k = inherited.len();
+        let mut painter = Self::over(k, bucket, 1, 0);
+        let depth = JUMP_BITS as usize;
+        painter.rows[depth * k..(depth + 1) * k].copy_from_slice(inherited);
+        (painter, Brush { depth: JUMP_BITS as u8, kids: 0 })
+    }
+
+    /// A painter for `buckets` buckets from `first` on.
+    fn over(k: usize, first: usize, buckets: usize, blocks: usize) -> Self {
+        Self {
+            k,
+            rows: vec![0; (u32::BITS as usize + 1) * k],
+            entries: [0; u32::BITS as usize + 1],
+            root: vec![0; buckets],
+            first,
+            tail: Vec::with_capacity(blocks * BLOCK_ENTRIES),
+            interner: NhiInterner::new(k),
+            at: (first as u64) << JUMP_BITS,
+            blocks: [0; 2],
         }
+    }
+
+    /// Interns row `row`'s vector and writes it over the run of the leaf
+    /// `depth` bits down at the next address, then moves past it.
+    fn paint(&mut self, depth: usize, row: usize) {
+        if self.entries[row] == 0 {
+            self.entries[row] = LEAF_BIT | self.interner.intern(&self.rows[row * self.k..][..self.k]);
+        }
+        let entry = self.entries[row];
+        let at = self.at;
+        self.at += 1 << (u32::BITS as usize - depth);
+        let (slab, start, bits) = if depth <= JUMP_BITS as usize {
+            (&mut self.root, (at >> JUMP_BITS) as usize - self.first, JUMP_BITS)
+        } else if depth <= (JUMP_BITS + TAIL_STRIDE) as usize {
+            let index = (at >> TAIL_STRIDE) as usize % BLOCK_ENTRIES;
+            (&mut self.tail, self.blocks[0] + index, JUMP_BITS + TAIL_STRIDE)
+        } else {
+            (&mut self.tail, self.blocks[1] + at as usize % BLOCK_ENTRIES, u32::BITS)
+        };
+        slab[start..start + (1 << (bits as usize - depth))].fill(entry);
+    }
+
+    /// Appends the block below the depth-16 (`level` 0) or depth-24
+    /// (`level` 1) node at the next address, and points its entry there.
+    fn open_block(&mut self, level: usize) {
+        let base = self.tail.len();
+        self.tail.resize(base + BLOCK_ENTRIES, 0);
+        let entry = u32::try_from(base).expect("jump trie tail exceeds u32 entries");
+        debug_assert_eq!(entry & LEAF_BIT, 0, "jump trie too large");
+        let at = self.at;
+        if level == 0 {
+            self.root[(at >> JUMP_BITS) as usize - self.first] = entry;
+        } else {
+            self.tail[self.blocks[0] + (at >> TAIL_STRIDE) as usize % BLOCK_ENTRIES] = entry;
+        }
+        self.blocks[level] = base;
+    }
+
+    /// The painted root entries, tail and NHI slab.
+    pub(crate) fn into_slabs(self) -> (Vec<u32>, Vec<u32>, Vec<NhiCode>) {
+        debug_assert_eq!(self.at, ((self.first + self.root.len()) as u64) << JUMP_BITS);
+        (self.root, self.tail, self.interner.into_slab())
+    }
+
+    /// The jump trie over the whole address space.
+    pub(crate) fn finish(self) -> JumpTrie {
+        debug_assert_eq!(self.root.len(), ROOT_ENTRIES);
+        let k = self.k;
+        let (root, tail, nhis) = self.into_slabs();
+        JumpTrie { root, tail, nhis, k }
     }
 }
 
-/// Appends to `tail` the blocks of the subtree below the internal `node`
-/// — its own block first, then the blocks of the internal nodes 8 bits
-/// down, in address order — and returns the first block's base. A leaf
-/// `fill`s its whole run in one call; `leaf` turns it into its entry
-/// (`LEAF_BIT | slot`) and is called once per leaf, in address order.
-/// Internal entries are indices into `tail`, so a bucket-local `tail`
-/// yields bucket-local bases.
-pub(crate) fn fill_blocks<N>(
-    node: N,
-    children: &impl Fn(&N) -> Option<(N, N)>,
-    tail: &mut Vec<u32>,
-    leaf: &mut impl FnMut(&N) -> u32,
-) -> u32 {
-    let base = tail.len();
-    tail.resize(base + BLOCK_ENTRIES, 0);
-    descend(node, TAIL_STRIDE, children, |at, run, node, internal| {
-        let entry = if internal {
-            fill_blocks(node, children, tail, leaf)
-        } else {
-            leaf(&node)
-        };
-        tail[base + at..base + at + run].fill(entry);
-    });
-    let base = u32::try_from(base).expect("jump trie tail exceeds u32 entries");
-    debug_assert_eq!(base & LEAF_BIT, 0, "jump trie too large");
-    base
+impl Preorder for Painter {
+    type Open = Brush;
+
+    #[inline]
+    fn open(&mut self, parent: Brush, bit: usize) -> Brush {
+        let depth = usize::from(parent.depth) + 1;
+        let k = self.k;
+        self.rows.copy_within((depth - 1) * k..depth * k, depth * k);
+        self.entries[depth] = self.entries[depth - 1];
+        if parent.kids == 0 {
+            if depth == (JUMP_BITS + 1) as usize {
+                self.open_block(0);
+            } else if depth == (JUMP_BITS + TAIL_STRIDE + 1) as usize {
+                self.open_block(1);
+            }
+        }
+        if bit == 1 && parent.kids & 1 == 0 {
+            // The missing left half, in the parent's vector just copied.
+            self.paint(depth, depth);
+        }
+        Brush { depth: depth as u8, kids: 0 }
+    }
+
+    #[inline]
+    fn entry(&mut self, node: &mut Brush, vn: u8, next_hop: NextHop) {
+        let depth = usize::from(node.depth);
+        self.rows[depth * self.k + usize::from(vn)] = encode_nhi(Some(next_hop));
+        self.entries[depth] = 0;
+    }
+
+    #[inline]
+    fn close(&mut self, depth: usize, node: Brush, up: Option<(&mut Brush, usize)>) {
+        match node.kids {
+            0 => self.paint(depth, depth),
+            // The missing right half.
+            1 => self.paint(depth + 1, depth),
+            _ => {}
+        }
+        if let Some((parent, bit)) = up {
+            parent.kids |= 1 << bit;
+        }
+    }
 }
 
 /// Three-tier lookup structure: direct-indexed first 16 bits, then two
@@ -317,61 +449,55 @@ impl JumpTrie {
         }
     }
 
-    /// Builds the jump trie from a leaf-pushed trie of any arity; leaves
-    /// keep their K-wide VNID-indexed NHI vectors, interned into one slab.
+    /// Builds the jump trie over K routing tables (VNID = index) in one
+    /// preorder pass over their sorted routes, building no other trie —
+    /// what a service publishes for a table family.
     ///
-    /// Descends the full binary trie to depth 16, writing final entries
-    /// for leaves met on the way, and expands each surviving depth-16
-    /// subtree into its blocks.
-    #[must_use]
-    pub fn from_leaf_pushed(trie: &LeafPushedTrie) -> Self {
-        let k = trie.arity();
-        let children = |id: &NodeId| trie.node_children(*id);
-        // One block per internal node at depth 16 and at depth 24, counted
-        // first so the tail is allocated once. The two partial walks cost
-        // 0.7 ms on the paper family; growing a 4.4 MiB tail by doubling
-        // instead first-touches ~850 more pages, 2.5 ms on the build host.
-        let internal_at = |depth| {
-            let mut count = 0usize;
-            descend(NodeId::ROOT, depth, &children, |_, _, _, internal| {
-                count += usize::from(internal);
-            });
-            count
-        };
-        let blocks = internal_at(JUMP_BITS) + internal_at(JUMP_BITS + TAIL_STRIDE);
-        let mut root = vec![0u32; ROOT_ENTRIES];
-        let mut tail = Vec::with_capacity(blocks * BLOCK_ENTRIES);
-        let mut interner = NhiInterner::new(k);
-        let mut codes: Vec<NhiCode> = vec![0; k];
-        let mut leaf = |id: &NodeId| -> u32 {
-            for (code, nhi) in codes.iter_mut().zip(trie.node_nhis(*id)) {
-                *code = encode_nhi(*nhi);
-            }
-            LEAF_BIT | interner.intern(&codes)
-        };
-        descend(NodeId::ROOT, JUMP_BITS, &children, |bucket, run, id, internal| {
-            let entry = if internal {
-                fill_blocks(id, &children, &mut tail, &mut leaf)
-            } else {
-                leaf(&id)
-            };
-            root[bucket..bucket + run].fill(entry);
-        });
-        debug_assert_eq!(tail.len(), blocks * BLOCK_ENTRIES);
-        Self {
-            root,
-            tail,
-            nhis: interner.into_slab(),
-            k,
-        }
+    /// # Errors
+    /// Rejects arity 0 and arity above
+    /// [`MAX_MERGE_ARITY`](crate::merge::MAX_MERGE_ARITY).
+    pub fn from_tables(tables: &[RoutingTable]) -> Result<Self, TrieError> {
+        check_arity(tables.len())?;
+        let routes = sorted_routes(tables);
+        let blocks = block_total(&routes);
+        let (mut painter, root) = Painter::whole(tables.len(), blocks);
+        preorder(&routes, root, &mut painter);
+        let trie = painter.finish();
+        debug_assert_eq!(trie.tail.len(), blocks * BLOCK_ENTRIES, "the block count is exact");
+        Ok(trie)
     }
 
     /// Builds directly from a routing table (`K = 1`).
     #[must_use]
     pub fn from_table(table: &RoutingTable) -> Self {
-        let trie = MergedTrie::from_tables(std::slice::from_ref(table))
-            .expect("one table is merge arity 1");
-        Self::from_leaf_pushed(&trie.leaf_pushed())
+        Self::from_tables(std::slice::from_ref(table)).expect("one table is merge arity 1")
+    }
+
+    /// Builds the jump trie from a materialised leaf-pushed trie of any
+    /// arity, by a walk that feeds its leaves to the same painter — the
+    /// reference the one-pass builds are held to.
+    #[must_use]
+    pub fn from_leaf_pushed(trie: &LeafPushedTrie) -> Self {
+        // One block per internal node at depth 16 and at depth 24, counted
+        // first so the tail is allocated once: grown by doubling instead,
+        // repeated builds leave the heap holding ~10 MB more.
+        fn blocks(trie: &LeafPushedTrie, id: NodeId, depth: u32) -> usize {
+            match trie.node_children(id) {
+                Some(_) if depth == JUMP_BITS + TAIL_STRIDE => 1,
+                Some((left, right)) => {
+                    let below = blocks(trie, left, depth + 1) + blocks(trie, right, depth + 1);
+                    usize::from(depth == JUMP_BITS) + below
+                }
+                None => 0,
+            }
+        }
+        let node = |id: NodeId| match trie.node_children(id) {
+            Some((left, right)) => ([Some(left), Some(right)], &[][..]),
+            None => ([None, None], trie.node_nhis(id)),
+        };
+        let (mut painter, root) = Painter::whole(trie.arity(), blocks(trie, NodeId::ROOT, 0));
+        replay(&node, NodeId::ROOT, 0, root, &mut painter);
+        painter.finish()
     }
 
     /// [`JumpTrie::from_leaf_pushed`] under its pre-unification name, kept
@@ -455,6 +581,7 @@ impl crate::LookupBackend for JumpTrie {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MergedTrie;
     use vr_net::synth::TableSpec;
 
     fn table(text: &str) -> RoutingTable {

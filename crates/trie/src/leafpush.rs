@@ -195,7 +195,7 @@ impl Pusher<'_> {
         let slot = match [src.node_child(id, 0), src.node_child(id, 1)] {
             [None, None] => self.alloc_leaf(),
             children => {
-                let slot = node_id(self.out.nodes.len());
+                let slot = NodeId::new(self.out.nodes.len());
                 self.out.nodes.push(LpNode::Leaf(0)); // patched below
                 let [left, right] = children.map(|child| match child {
                     Some(child) => self.push(child),
@@ -214,16 +214,12 @@ impl Pusher<'_> {
 
     /// A leaf holding the vector in effect at the current node.
     fn alloc_leaf(&mut self) -> NodeId {
-        let id = node_id(self.out.nodes.len());
+        let id = NodeId::new(self.out.nodes.len());
         let at = u32::try_from(self.out.nhis.len()).expect("NHI slab exceeds u32 entries");
         self.out.nodes.push(LpNode::Leaf(at));
         self.out.nhis.extend_from_slice(&self.inherited);
         id
     }
-}
-
-fn node_id(index: usize) -> NodeId {
-    NodeId(u32::try_from(index).expect("leaf-pushed trie exceeds u32 nodes"))
 }
 
 impl crate::LookupBackend for LeafPushedTrie {

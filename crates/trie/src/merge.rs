@@ -32,7 +32,11 @@
 //! counts them in the same preorder pass with nothing allocated per node,
 //! and [`MergedTrie::sweep_stats`] reads them off a live trie in one walk.
 //! The pass is written once; it drives the arena, the sweep's counter,
-//! or, for a calibration step, α's node counts alone.
+//! for a calibration step α's node counts alone, or the DIR-16-8-8
+//! painter of [`crate::jump`] — alone ([`JumpTrie::from_tables`]) or
+//! beside the arena ([`MergedTrie::from_tables_with_jump`], what a
+//! service builds). `replay` streams a built trie's events in the same
+//! order, so the painter also reads a live arena or a leaf-pushed trie.
 //!
 //! Per-VN state lives in one flat slab of `k` NHI entries per node: no
 //! node owns a heap allocation, and an update keeps its root-to-node path
@@ -42,9 +46,11 @@
 //! is its leaf-pushed form, [`MergedTrie::leaf_pushed`] — a
 //! [`LeafPushedTrie`] of arity K.
 
+use crate::jump::{JumpTrie, Painter, JUMP_BITS, TAIL_STRIDE};
 use crate::leafpush::LeafPushedTrie;
 use crate::stats::{efficiency, full_mask, NodeCounts, SweepCounter, SweepStats, TrieStats};
 use crate::TrieError;
+use std::num::NonZeroU32;
 use std::ops::Range;
 use vr_net::table::NextHop;
 use vr_net::{Ipv4Prefix, RoutingTable};
@@ -53,23 +59,33 @@ use vr_net::{Ipv4Prefix, RoutingTable};
 /// paper evaluates K ≤ 15, Fig. 4 sweeps to 30).
 pub const MAX_MERGE_ARITY: usize = 64;
 
-/// Index of a node in a trie arena.
+/// Index of a node in a trie arena. It is stored plus one, so an
+/// `Option<NodeId>` child link is four bytes, not eight.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct NodeId(pub(crate) u32);
+pub struct NodeId(NonZeroU32);
 
 impl NodeId {
     /// The root node's id (always 0 in a live trie).
-    pub const ROOT: NodeId = NodeId(0);
+    pub const ROOT: NodeId = NodeId(NonZeroU32::MIN);
+
+    /// The id of the node at `index` in an arena.
+    ///
+    /// # Panics
+    /// Panics past `u32::MAX - 1` nodes.
+    pub(crate) fn new(index: usize) -> Self {
+        let raw = u32::try_from(index + 1).ok().and_then(NonZeroU32::new);
+        NodeId(raw.expect("trie exceeds u32 nodes"))
+    }
 
     /// The raw index.
     #[must_use]
     pub fn raw(self) -> u32 {
-        self.0
+        self.0.get() - 1
     }
 
     #[inline]
     pub(crate) fn idx(self) -> usize {
-        self.0 as usize
+        self.raw() as usize
     }
 }
 
@@ -80,6 +96,8 @@ struct MergedNode {
     /// node lies in VN k's own trie.
     presence: u64,
 }
+
+const _: () = assert!(std::mem::size_of::<MergedNode>() == 16);
 
 impl MergedNode {
     const EMPTY: MergedNode = MergedNode {
@@ -155,23 +173,59 @@ impl MergedTrie {
     /// # Errors
     /// Same arity constraints as [`MergedTrie::new`].
     pub fn from_tables(tables: &[RoutingTable]) -> Result<Self, TrieError> {
-        let mut merged = Self::new(tables.len())?;
+        check_arity(tables.len())?;
         let routes = sorted_routes(tables);
-        // The arena is counted exactly and allocated once, with room for
-        // an eighth more nodes: a service's first announcements would
-        // otherwise copy the whole arena and slab to grow them (2.5–3 ms
-        // on the paper family). A trie that is never updated never
-        // writes the room.
-        let nodes = node_total(&routes);
-        let room = nodes + nodes / 8;
-        merged.nodes = Vec::with_capacity(room);
-        merged.nodes.push(MergedNode::EMPTY);
-        merged.nhis = vec![None; room * merged.k];
-        merged.nhis.truncate(nodes * merged.k);
+        let mut merged = Self::sized_for(tables.len(), &routes);
         preorder(&routes, NodeId::ROOT, &mut merged);
-        debug_assert_eq!(merged.nodes.len(), nodes);
-        merged.live_nodes = nodes;
-        Ok(merged)
+        Ok(merged.built())
+    }
+
+    /// [`MergedTrie::from_tables`] and [`JumpTrie::from_tables`] in one
+    /// preorder pass: the arena and the DIR-16-8-8 painter take the same
+    /// open / entry / close events, so the routing state and the
+    /// structure a service publishes for it cost one walk of the routes.
+    ///
+    /// # Errors
+    /// Same arity constraints as [`MergedTrie::new`].
+    pub fn from_tables_with_jump(tables: &[RoutingTable]) -> Result<(Self, JumpTrie), TrieError> {
+        check_arity(tables.len())?;
+        let routes = sorted_routes(tables);
+        let (painter, brush) = Painter::whole(tables.len(), block_total(&routes));
+        let mut both = (Self::sized_for(tables.len(), &routes), painter);
+        preorder(&routes, (NodeId::ROOT, brush), &mut both);
+        let (merged, painter) = both;
+        Ok((merged.built(), painter.finish()))
+    }
+
+    /// An empty arena for the bulk build over `routes`: counted exactly
+    /// and allocated once, with room for an eighth more nodes. A
+    /// service's first announcements would otherwise copy the whole arena
+    /// and slab to grow them (2.5–3 ms on the paper family); a trie that
+    /// is never updated never writes the room.
+    fn sized_for(k: usize, routes: &[Route]) -> Self {
+        let total = node_total(routes);
+        let room = total + total / 8;
+        let mut nodes = Vec::with_capacity(room);
+        nodes.push(MergedNode::EMPTY);
+        // Every node's row is written in place as the pass opens it.
+        let mut nhis = Vec::with_capacity(room * k);
+        nhis.resize(total * k, None);
+        Self {
+            nodes,
+            nhis,
+            free: Vec::new(),
+            live_nodes: 1,
+            k,
+            per_vn_nodes: vec![0; k],
+            common_nodes: 0,
+        }
+    }
+
+    /// The arena after the bulk build's pass has allocated every node.
+    fn built(mut self) -> Self {
+        debug_assert_eq!(self.nhis.len(), self.nodes.len() * self.k);
+        self.live_nodes = self.nodes.len();
+        self
     }
 
     /// Number of virtual networks merged.
@@ -296,8 +350,7 @@ impl MergedTrie {
             self.nodes[id.idx()] = MergedNode::EMPTY;
             id
         } else {
-            let id =
-                NodeId(u32::try_from(self.nodes.len()).expect("merged trie exceeds u32 nodes"));
+            let id = NodeId::new(self.nodes.len());
             self.nodes.push(MergedNode::EMPTY);
             self.nhis.resize(self.nhis.len() + self.k, None);
             id
@@ -498,7 +551,7 @@ impl MergedTrie {
 }
 
 /// Rejects a merge of `k` tables outside `1..=MAX_MERGE_ARITY`.
-fn check_arity(k: usize) -> Result<(), TrieError> {
+pub(crate) fn check_arity(k: usize) -> Result<(), TrieError> {
     if k == 0 || k > MAX_MERGE_ARITY {
         return Err(TrieError::BadMergeArity(k));
     }
@@ -534,24 +587,68 @@ pub(crate) fn merging_efficiency_of(tables: &[RoutingTable]) -> Result<f64, Trie
     Ok(counts.alpha(tables.len()))
 }
 
-/// One VN's route as the bulk build sorts them: prefix, VNID, next hop.
-type Route = (Ipv4Prefix, u8, NextHop);
+/// One VN's route as the bulk build sorts them, packed into a word: the
+/// prefix's address and length (the sort key), then VNID and next hop.
+#[derive(Clone, Copy)]
+pub(crate) struct Route(u64);
 
-/// The K tables' routes in preorder, each tagged with its VNID.
-fn sorted_routes(tables: &[RoutingTable]) -> Vec<Route> {
+impl Route {
+    /// Bits below the sort key.
+    const KEY_SHIFT: u32 = 24;
+
+    fn new(prefix: Ipv4Prefix, vn: u8, next_hop: NextHop) -> Self {
+        let key = u64::from(prefix.addr()) << 8 | u64::from(prefix.len());
+        Self(key << Self::KEY_SHIFT | u64::from(vn) << 8 | u64::from(next_hop))
+    }
+
+    fn prefix(self) -> Ipv4Prefix {
+        Ipv4Prefix::must((self.0 >> 32) as u32, (self.0 >> Self::KEY_SHIFT) as u8)
+    }
+
+    fn vn(self) -> u8 {
+        (self.0 >> 8) as u8
+    }
+
+    fn next_hop(self) -> NextHop {
+        self.0 as NextHop
+    }
+}
+
+/// The K tables' routes in preorder, each tagged with its VNID: sorted by
+/// `(addr, len)`, VNs in order within a prefix.
+pub(crate) fn sorted_routes(tables: &[RoutingTable]) -> Vec<Route> {
+    const DIGIT_BITS: u32 = 10;
     let mut routes = Vec::with_capacity(tables.iter().map(RoutingTable::len).sum());
     for (vn, table) in tables.iter().enumerate() {
-        routes.extend(table.iter().map(|e| (e.prefix, vn as u8, e.next_hop)));
+        routes.extend(table.iter().map(|e| Route::new(e.prefix, vn as u8, e.next_hop)));
     }
-    // A table iterates in `(addr, len)` order, which is preorder, so the
-    // stable sort merges K sorted runs.
-    routes.sort_by_key(|&(prefix, ..)| prefix);
+    // Least significant digit first over the key: each pass is stable, so
+    // a prefix's routes keep the VN order they were gathered in.
+    let mut spare = vec![Route(0); routes.len()];
+    for shift in (Route::KEY_SHIFT..u64::BITS).step_by(DIGIT_BITS as usize) {
+        let digit = |route: &Route| (route.0 >> shift) as usize % (1 << DIGIT_BITS);
+        let mut starts = [0usize; 1 << DIGIT_BITS];
+        for route in &routes {
+            starts[digit(route)] += 1;
+        }
+        let mut at = 0;
+        for start in &mut starts {
+            (*start, at) = (at, at + *start);
+        }
+        for &route in &routes {
+            let start = &mut starts[digit(&route)];
+            spare[*start] = route;
+            *start += 1;
+        }
+        std::mem::swap(&mut routes, &mut spare);
+    }
     routes
 }
 
-/// What [`preorder`] drives over the trie of sorted routes. `Open` is what
-/// it keeps of each node on the open path, the root's given.
-trait Preorder {
+/// What [`preorder`] drives over the trie of sorted routes, and [`replay`]
+/// over a built one. `Open` is what it keeps of each node on the open
+/// path, the top node's given.
+pub(crate) trait Preorder {
     type Open: Copy;
     /// The child of the open node `parent` on branch `bit`, opened.
     fn open(&mut self, parent: Self::Open, bit: usize) -> Self::Open;
@@ -566,7 +663,7 @@ trait Preorder {
 /// open, and each route closes the nodes below the prefix it shares with
 /// that route and opens its own path below it. A node's own routes arrive
 /// before any below it, and once it is closed nothing more can reach it.
-fn preorder<P: Preorder>(routes: &[Route], root: P::Open, pass: &mut P) {
+pub(crate) fn preorder<P: Preorder>(routes: &[Route], root: P::Open, pass: &mut P) {
     let mut path = [root; 33];
     let mut depth = 0;
     let mut prev = Ipv4Prefix::DEFAULT_ROUTE;
@@ -576,7 +673,8 @@ fn preorder<P: Preorder>(routes: &[Route], root: P::Open, pass: &mut P) {
         let up = above.last_mut().map(|parent| (parent, usize::from(prev.bit(depth as u8 - 1))));
         pass.close(depth, here[0], up);
     };
-    for &(prefix, vn, next_hop) in routes {
+    for &route in routes {
+        let (prefix, vn, next_hop) = (route.prefix(), route.vn(), route.next_hop());
         let (len, shared) = (usize::from(prefix.len()), usize::from(shared_len(prefix, prev)));
         while depth > shared {
             close(pass, &mut path, depth, prev);
@@ -594,6 +692,82 @@ fn preorder<P: Preorder>(routes: &[Route], root: P::Open, pass: &mut P) {
     }
 }
 
+/// Streams the subtree at `id`, `depth` bits down, to `pass` in the order
+/// [`preorder`] streams the routes it was built from — a node's entries,
+/// then its children's subtrees, each child closed into it — and closes
+/// `id` itself last, as a top node. `node` reads a node of the trie: its
+/// children and its own entries.
+pub(crate) fn replay<'t, P: Preorder>(
+    node: &impl Fn(NodeId) -> ([Option<NodeId>; 2], &'t [Option<NextHop>]),
+    id: NodeId,
+    depth: usize,
+    mut open: P::Open,
+    pass: &mut P,
+) {
+    fn below<'t, P: Preorder>(
+        node: &impl Fn(NodeId) -> ([Option<NodeId>; 2], &'t [Option<NextHop>]),
+        id: NodeId,
+        depth: usize,
+        open: &mut P::Open,
+        pass: &mut P,
+    ) {
+        let (children, entries) = node(id);
+        for (vn, next_hop) in entries.iter().enumerate() {
+            if let Some(next_hop) = *next_hop {
+                pass.entry(open, vn as u8, next_hop);
+            }
+        }
+        for (bit, child) in children.into_iter().enumerate() {
+            if let Some(child) = child {
+                let mut kid = pass.open(*open, bit);
+                below(node, child, depth + 1, &mut kid, pass);
+                pass.close(depth + 1, kid, Some((open, bit)));
+            }
+        }
+    }
+    below(node, id, depth, &mut open, pass);
+    pass.close(depth, open, None);
+}
+
+impl MergedTrie {
+    /// [`replay`] over this trie's subtree at `id`, `depth` bits down.
+    pub(crate) fn replay<P: Preorder>(&self, id: NodeId, depth: usize, open: P::Open, pass: &mut P) {
+        let node = |id: NodeId| (self.nodes[id.idx()].children, self.node_nhis(id));
+        replay(&node, id, depth, open, pass);
+    }
+}
+
+/// Two visitors fed one pass: each event goes to the first, then the
+/// second.
+impl<A: Preorder, B: Preorder> Preorder for (A, B) {
+    type Open = (A::Open, B::Open);
+
+    #[inline]
+    fn open(&mut self, parent: Self::Open, bit: usize) -> Self::Open {
+        (self.0.open(parent.0, bit), self.1.open(parent.1, bit))
+    }
+
+    #[inline]
+    fn entry(&mut self, node: &mut Self::Open, vn: u8, next_hop: NextHop) {
+        self.0.entry(&mut node.0, vn, next_hop);
+        self.1.entry(&mut node.1, vn, next_hop);
+    }
+
+    #[inline]
+    fn close(&mut self, depth: usize, node: Self::Open, up: Option<(&mut Self::Open, usize)>) {
+        match up {
+            Some((parent, bit)) => {
+                self.0.close(depth, node.0, Some((&mut parent.0, bit)));
+                self.1.close(depth, node.1, Some((&mut parent.1, bit)));
+            }
+            None => {
+                self.0.close(depth, node.0, None);
+                self.1.close(depth, node.1, None);
+            }
+        }
+    }
+}
+
 /// The bulk build: each node opened is allocated in preorder, and a closed
 /// node's presence is counted into the per-VN and common totals and folded
 /// into its parent's.
@@ -601,7 +775,7 @@ impl Preorder for MergedTrie {
     type Open = NodeId;
 
     fn open(&mut self, parent: NodeId, bit: usize) -> NodeId {
-        let child = NodeId(u32::try_from(self.nodes.len()).expect("merged trie exceeds u32 nodes"));
+        let child = NodeId::new(self.nodes.len());
         self.nodes.push(MergedNode::EMPTY);
         self.nodes[parent.idx()].children[bit] = Some(child);
         child
@@ -630,7 +804,7 @@ impl Preorder for MergedTrie {
 /// each child's presence mask so far, and the VNs with an entry on the
 /// root path, this node's included.
 #[derive(Clone, Copy, Default)]
-struct OpenNode {
+pub(crate) struct OpenNode {
     entries: u64,
     kids: [u64; 2],
     routed: u64,
@@ -693,12 +867,30 @@ fn shared_len(a: Ipv4Prefix, b: Ipv4Prefix) -> u8 {
 /// route before it — in preorder no earlier route shares more.
 fn node_total(routes: &[Route]) -> usize {
     let mut prev = Ipv4Prefix::DEFAULT_ROUTE;
-    let fresh = routes.iter().map(|&(prefix, ..)| {
+    let fresh = routes.iter().map(|route| {
+        let prefix = route.prefix();
         let shared = shared_len(prefix, prev);
         prev = prefix;
         usize::from(prefix.len() - shared)
     });
     1 + fresh.sum::<usize>()
+}
+
+/// Blocks the DIR-16-8-8 slabs over `routes` (sorted in preorder) hold:
+/// one level-1 block per /16 and one level-2 block per /24 with a longer
+/// route below it, for each is an internal node of the trie.
+pub(crate) fn block_total(routes: &[Route]) -> usize {
+    let below = |bits: u32| {
+        let mut last = None;
+        let longer = routes.iter().map(|route| route.prefix()).filter(|p| u32::from(p.len()) > bits);
+        // Sorted by address, so equal tops are adjacent.
+        longer.filter(|prefix| {
+            let top = prefix.addr() >> (u32::BITS - bits);
+            last.replace(top) != Some(top)
+        })
+        .count()
+    };
+    below(JUMP_BITS) + below(JUMP_BITS + TAIL_STRIDE)
 }
 
 impl crate::LookupBackend for MergedTrie {

@@ -18,19 +18,22 @@
 //!    publishable [`JumpTrie`] — one rebase-and-remap pass over the
 //!    entries, no trie walks.
 //!
-//! A bucket is filled by the same [`fill_blocks`] the from-scratch
-//! [`JumpTrie::from_leaf_pushed`] uses, reading the merged trie through
-//! an on-the-fly leaf-pushed view, and assembly interns each bucket's
-//! vectors in address order exactly as that builder does — so the two
+//! Buckets are filled by the painter every [`JumpTrie`] builder runs, fed
+//! a replay of the merged trie's arena below the bucket's depth-16 node;
+//! [`JumpSlabs::from_merged`] walks the arena's top 16 levels once to
+//! reach every bucket, [`JumpSlabs::rebuild_bucket`] one path. Each
+//! bucket numbers its vectors in address order and assembly interns
+//! them in that order, exactly as a from-scratch build does — so the two
 //! publish identical slabs for the same tables, field for field (the
 //! tests here and in `tests/` hold `raw_parts()` equal, after churn too),
 //! and the control plane prices one footprint whichever path built it.
 
 use crate::jump::{
-    descend, encode_nhi, fill_blocks, JumpTrie, NhiCode, NhiInterner, JUMP_BITS, LEAF_BIT,
-    PAYLOAD_MASK, ROOT_ENTRIES,
+    encode_nhi, JumpTrie, NhiCode, NhiInterner, Painter, JUMP_BITS, LEAF_BIT, PAYLOAD_MASK,
+    ROOT_ENTRIES,
 };
 use crate::merge::{MergedTrie, NodeId};
+use std::ops::Range;
 use vr_net::Ipv4Prefix;
 
 /// One /16 bucket in bucket-local encoding.
@@ -47,78 +50,6 @@ struct Bucket {
     nhis: Vec<NhiCode>,
 }
 
-/// A position in the leaf-pushed view of the merged trie — a real merged
-/// node, or the synthetic leaf filling the missing side of an internal
-/// one — with the NHI vector in effect there (own entries over inherited).
-struct Virt {
-    node: Option<NodeId>,
-    eff: Vec<NhiCode>,
-}
-
-impl Virt {
-    fn root(merged: &MergedTrie) -> Self {
-        Self::at(merged, NodeId::ROOT, &vec![0; merged.arity()])
-    }
-
-    fn at(merged: &MergedTrie, id: NodeId, inherited: &[NhiCode]) -> Self {
-        let mut eff = inherited.to_vec();
-        for (slot, nhi) in eff.iter_mut().zip(merged.node_nhis(id)) {
-            if nhi.is_some() {
-                *slot = encode_nhi(*nhi);
-            }
-        }
-        Self {
-            node: Some(id),
-            eff,
-        }
-    }
-
-    /// The merged node here, if the view has children below it.
-    fn internal(&self, merged: &MergedTrie) -> Option<NodeId> {
-        self.node.filter(|&id| {
-            merged.node_child(id, 0).is_some() || merged.node_child(id, 1).is_some()
-        })
-    }
-
-    fn child(&self, merged: &MergedTrie, id: NodeId, bit: usize) -> Self {
-        match merged.node_child(id, bit) {
-            Some(child) => Self::at(merged, child, &self.eff),
-            None => Self {
-                node: None,
-                eff: self.eff.clone(),
-            },
-        }
-    }
-
-    fn children(&self, merged: &MergedTrie) -> Option<(Self, Self)> {
-        let id = self.internal(merged)?;
-        Some((self.child(merged, id, 0), self.child(merged, id, 1)))
-    }
-
-    /// The bucket below this depth-16 position: its blocks if the view
-    /// goes on, one direct vector if it ends here.
-    fn into_bucket(self, merged: &MergedTrie) -> Bucket {
-        if self.internal(merged).is_none() {
-            return Bucket {
-                blocks: Vec::new(),
-                nhis: self.eff,
-            };
-        }
-        let mut interner = NhiInterner::new(merged.arity());
-        let mut blocks = Vec::new();
-        fill_blocks(
-            self,
-            &|at: &Virt| at.children(merged),
-            &mut blocks,
-            &mut |leaf: &Virt| LEAF_BIT | interner.intern(&leaf.eff),
-        );
-        Bucket {
-            blocks,
-            nhis: interner.into_slab(),
-        }
-    }
-}
-
 /// The full DIR-16 decomposition of a [`MergedTrie`], one [`Bucket`] per
 /// root entry, supporting per-bucket rebuild and O(entries) assembly into
 /// a publishable [`JumpTrie`].
@@ -129,45 +60,97 @@ pub struct JumpSlabs {
 }
 
 impl JumpSlabs {
-    /// Decomposes a merged trie into per-bucket blocks (the incremental
-    /// counterpart of [`JumpTrie::from_leaf_pushed`], leaf-pushing on the
-    /// fly instead of reading a materialized [`crate::LeafPushedTrie`]).
+    /// Decomposes a merged trie into per-bucket blocks: one walk of the
+    /// arena's top 16 levels, each bucket painted as
+    /// [`JumpSlabs::rebuild_bucket`] paints it.
     #[must_use]
     pub fn from_merged(merged: &MergedTrie) -> Self {
-        let mut buckets: Vec<Bucket> = Vec::new();
-        // Address order: every visit appends the run right after the last.
-        descend(
-            Virt::root(merged),
-            JUMP_BITS,
-            &|at: &Virt| at.children(merged),
-            |bucket, run, at, _| {
-                debug_assert_eq!(bucket, buckets.len());
-                let built = at.into_bucket(merged);
-                buckets.resize(bucket + run, built);
-            },
-        );
-        debug_assert_eq!(buckets.len(), ROOT_ENTRIES);
-        Self {
+        let empty = Bucket {
+            blocks: Vec::new(),
+            nhis: Vec::new(),
+        };
+        let mut slabs = Self {
             k: merged.arity(),
-            buckets,
-        }
+            buckets: vec![empty; ROOT_ENTRIES],
+        };
+        slabs.paint(merged, &(0..ROOT_ENTRIES));
+        slabs
     }
 
     /// Re-derives one /16 bucket from the (already updated) merged trie:
-    /// a 16-bit descent tracking the inherited NHI vector, then a refill
-    /// of the bucket's blocks if a sub-trie survives.
+    /// a descent of at most 16 nodes gathering the vector in effect, then
+    /// a replay of the bucket's depth-16 node, if it has children,
+    /// through a painter of that bucket alone.
     ///
     /// # Panics
     /// Panics if `bucket ≥ 65536` or `merged` has a different arity.
     pub fn rebuild_bucket(&mut self, merged: &MergedTrie, bucket: usize) {
         assert!(bucket < ROOT_ENTRIES, "bucket index out of range");
         assert_eq!(merged.arity(), self.k, "arity mismatch");
-        let mut at = Virt::root(merged);
-        for depth in 0..JUMP_BITS {
-            let Some(id) = at.internal(merged) else { break };
-            at = at.child(merged, id, (bucket >> (JUMP_BITS - 1 - depth)) & 1);
+        self.paint(merged, &(bucket..bucket + 1));
+    }
+
+    /// Re-derives the `wanted` buckets from `merged`.
+    fn paint(&mut self, merged: &MergedTrie, wanted: &Range<usize>) {
+        let mut rows = vec![0; (JUMP_BITS as usize + 1) * self.k];
+        self.paint_below(merged, Some(NodeId::ROOT), 0, 0, wanted, &mut rows);
+    }
+
+    /// Re-derives the `wanted` buckets among those below `node`, `depth`
+    /// bits down, whose run starts at bucket `first`; `None` is a missing
+    /// child, a leaf in its parent's vector. Row `d` of `rows` is the
+    /// vector in effect at the node on the path `d` bits down: its own
+    /// entries over its parent's.
+    fn paint_below(
+        &mut self,
+        merged: &MergedTrie,
+        node: Option<NodeId>,
+        depth: u32,
+        first: usize,
+        wanted: &Range<usize>,
+        rows: &mut [NhiCode],
+    ) {
+        let (k, at) = (self.k, depth as usize * self.k);
+        if depth > 0 {
+            rows.copy_within(at - k..at, at);
         }
-        self.buckets[bucket] = at.into_bucket(merged);
+        let row = &mut rows[at..at + k];
+        let children = node.map_or([None; 2], |id| {
+            for (code, nhi) in row.iter_mut().zip(merged.node_nhis(id)) {
+                if nhi.is_some() {
+                    *code = encode_nhi(*nhi);
+                }
+            }
+            [merged.node_child(id, 0), merged.node_child(id, 1)]
+        });
+        let run = first..first + (1 << (JUMP_BITS - depth));
+        match (node, children) {
+            // A leaf at depth 16 or above: each bucket of its run is one
+            // leaf.
+            (_, [None, None]) => {
+                for bucket in run.start.max(wanted.start)..run.end.min(wanted.end) {
+                    self.buckets[bucket] = Bucket {
+                        blocks: Vec::new(),
+                        nhis: row.to_vec(),
+                    };
+                }
+            }
+            (Some(id), _) if depth == JUMP_BITS => {
+                let (mut painter, brush) = Painter::bucket(first, row);
+                merged.replay(id, JUMP_BITS as usize, brush, &mut painter);
+                let (_, blocks, nhis) = painter.into_slabs();
+                self.buckets[first] = Bucket { blocks, nhis };
+            }
+            _ => {
+                let half = run.len() / 2;
+                for (bit, child) in children.into_iter().enumerate() {
+                    let start = first + bit * half;
+                    if start < wanted.end && wanted.start < start + half {
+                        self.paint_below(merged, child, depth + 1, start, wanted, rows);
+                    }
+                }
+            }
+        }
     }
 
     /// Concatenates all buckets into a publishable [`JumpTrie`]: each

@@ -298,3 +298,31 @@ fn streamed_sweep_stats_equal_the_arena_walk_at_paper_scale() {
         }
     }
 }
+
+/// The trie the services publish for both α families of the paper's
+/// configuration, at the power sweep's K and at Fig. 4's, is the one a
+/// walk of the materialised leaf-pushed trie gives, word for word, from
+/// each of the painter's feeds; the CI `reproduce` job runs it with
+/// `--release -- --ignored`.
+#[test]
+#[ignore = "paper scale: ~0.5 s in release, far longer unoptimised"]
+fn served_trie_equals_the_leaf_pushed_build_at_paper_scale() {
+    use vr_trie::{JumpSlabs, JumpTrie, MergedTrie};
+    let cfg = ExperimentConfig::paper();
+    let (frac_low, frac_high) = cfg.resolve_shared_fractions();
+    for frac in [frac_low, frac_high] {
+        for k in [cfg.k_max, cfg.k_max_fig4] {
+            let tables = cfg.family(k, frac).unwrap();
+            let (merged, served) = MergedTrie::from_tables_with_jump(&tables).unwrap();
+            let reference = JumpTrie::from_leaf_pushed(&merged.leaf_pushed());
+            let painted = JumpTrie::from_tables(&tables).unwrap();
+            let assembled = JumpSlabs::from_merged(&merged).assemble();
+            for (feed, trie) in [("routes beside the arena", &served), ("routes", &painted), ("arena replay", &assembled)] {
+                assert!(
+                    trie.raw_parts() == reference.raw_parts(),
+                    "{feed}: K = {k}, shared fraction {frac}"
+                );
+            }
+        }
+    }
+}
