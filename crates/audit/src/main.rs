@@ -30,7 +30,7 @@ use vr_audit::{
     lint_workspace, AuditReport,
 };
 use vr_net::synth::{ClusterSpec, FamilySpec, TableSpec, PAPER_TABLE_PREFIXES};
-use vr_trie::{DirtyBuckets, JumpSlabs, JumpTrie, MergedTrie};
+use vr_trie::{DirtyBuckets, JumpTrie, MergedTrie};
 
 const USAGE: &str = "vr-audit: structural invariant verifier for lookup-table encodings
 
@@ -174,18 +174,18 @@ fn cmd_tables(args: &[String]) -> Result<bool, String> {
     let reference = JumpTrie::from_leaf_pushed(&mlp);
     reports.push(audit_jump(&reference));
     // What the services publish at construction — `LookupService`'s arena
-    // and painter in one pass, `ShardedService`'s painter alone — and
-    // after an update: the per-bucket store, assembled.
+    // and painter in one pass, `ShardedService`'s painter alone — and on
+    // a re-merge: every bucket painted from the arena.
     reports.push(audit_jump_against(&served, &tables, &reference));
     let painted = JumpTrie::from_tables(&tables).map_err(|e| format!("painting: {e}"))?;
     reports.push(audit_jump_against(&painted, &tables, &reference));
-    let mut slabs = JumpSlabs::from_merged(&merged);
-    reports.push(audit_jump_against(&slabs.assemble(), &tables, &reference));
+    let repainted = served.repaint(&merged, &DirtyBuckets::all());
+    reports.push(audit_jump_against(&repainted, &tables, &reference));
 
     // The update path: a seeded 1 % of each VN's routes withdrawn, then
     // announced again, leaves a trie that must audit the same, and the
-    // buckets patched as a service patches them must assemble into the
-    // reference of the churned trie.
+    // dirty buckets repainted over the live trie as a service repaints
+    // them must give the reference of the churned trie.
     let mut churned = merged;
     let mut dirty = DirtyBuckets::new();
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -200,11 +200,9 @@ fn cmd_tables(args: &[String]) -> Result<bool, String> {
         }
     }
     reports.push(audit_merged(&churned));
-    for bucket in dirty.iter() {
-        slabs.rebuild_bucket(&churned, bucket);
-    }
     let reference = JumpTrie::from_leaf_pushed(&churned.leaf_pushed());
-    reports.push(audit_jump_against(&slabs.assemble(), &tables, &reference));
+    let repainted = repainted.repaint(&churned, &dirty);
+    reports.push(audit_jump_against(&repainted, &tables, &reference));
 
     emit(&reports, out.as_deref(), pretty)
 }

@@ -1,5 +1,5 @@
 //! Churn study for the `vr-control` control plane: A/B update
-//! throughput (incremental sub-slab patching vs cloning the tables and
+//! throughput (incremental dirty-bucket repaints vs cloning the tables and
 //! building the whole trie from scratch per batch) under the paper's ~1 %
 //! write mix at paper scale (K=15 × 3,725 prefixes), with
 //! oracle-checked mid-churn lookups, the per-batch α / memory-power
@@ -96,7 +96,7 @@ fn probe_set(tables: &[RoutingTable], count: usize, salt: u32) -> Vec<(VnId, u32
 /// Naive: clone the K tables, apply the batch, merge and build the
 /// whole jump trie from scratch, publish it — a batch's cost without an
 /// incremental routing state. Incremental: `apply_updates`, which edits the service's merged trie
-/// and patches the dirty buckets. At the end both services must serve
+/// and repaints the dirty buckets over the live trie. At the end both services must serve
 /// the same trie. Returns (naive ups, incremental ups, oracle lookups,
 /// incremental publishes, fallbacks).
 fn ab_throughput(
@@ -128,15 +128,11 @@ fn ab_throughput(
     }
     let naive_secs = start.elapsed().as_secs_f64();
 
-    // Incremental: dirty-bucket sub-slab patching. Same batches, same
+    // Incremental: dirty-bucket repaints. Same batches, same
     // coalescer; lookups are oracle-checked against shadow tables
     // *between* timed sections so the check never pollutes the clock.
     let mut shadow = tables.to_vec();
     let mut inc = LookupService::new(tables.to_vec(), service_cfg).expect("inc service");
-    // An empty batch derives the sub-slabs before the clock starts: a
-    // set-up cost paid once, where the A/B compares the per-batch
-    // steady state.
-    inc.apply_updates(&[]).expect("slab warm-up");
     let mut oracle_checked = 0usize;
     let mut inc_secs = 0.0f64;
     for (i, batch) in batches.iter().enumerate() {
@@ -164,10 +160,9 @@ fn ab_throughput(
         "end-state tries diverged"
     );
     let _ = naive.shutdown();
-    // The warm-up batch is not one of the timed ones.
-    let timed = &inc.update_log()[1..];
-    let incremental = timed.iter().filter(|r| r.incremental).count() as u64;
-    let fallbacks = timed.len() as u64 - incremental;
+    let log = inc.update_log();
+    let incremental = log.iter().filter(|r| r.incremental).count() as u64;
+    let fallbacks = log.len() as u64 - incremental;
     let _ = inc.shutdown();
     (
         total_updates as f64 / naive_secs,

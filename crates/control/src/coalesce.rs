@@ -3,7 +3,7 @@
 //! Route churn is bursty and repetitive — BGP path hunting announces
 //! and re-announces the same prefix several times within one batch
 //! window. Applying every intermediate state to the data plane wastes
-//! sub-slab rebuilds on states no lookup will ever observe. The
+//! bucket repaints on states no lookup will ever observe. The
 //! coalescer collapses each `(vnid, prefix)` key to its **final**
 //! update in batch order (the same last-writer-wins contract
 //! `UpdateStream::batch` documents), preserving the first-occurrence

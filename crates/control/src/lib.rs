@@ -7,8 +7,8 @@
 //!
 //! * [`coalesce`] — batches of announce/withdraw updates are deduped
 //!   per `(vnid, prefix)` with **last-writer-wins** semantics before
-//!   they touch the data plane, so a flapping route costs one sub-slab
-//!   rebuild instead of many;
+//!   they touch the data plane, so a flapping route dirties its buckets
+//!   once instead of many times;
 //! * [`ControlPlane`] — a supervisor wrapping `vr-engine`'s
 //!   [`LookupService`]: it replays churn traces (live
 //!   [`UpdateStream`]s or parsed text traces), watches the merged
@@ -18,8 +18,8 @@
 //!   a background re-merge and RCU republish with hysteresis, cooldown
 //!   and a bounded retry against audit rejections.
 //!
-//! The division of labour: `vr-engine` owns the mechanism (incremental
-//! sub-slab patching, generation-counted snapshot swaps), this crate
+//! The division of labour: `vr-engine` owns the mechanism (dirty-bucket
+//! repaints of the live trie, generation-counted snapshot swaps), this crate
 //! owns the *policy* (when to coalesce, when to fall back, when a
 //! re-merge is worth the rebuild cost).
 

@@ -5,11 +5,12 @@
 //! supervisor applies goes through three steps:
 //!
 //! 1. **Coalesce** — last-writer-wins dedup per `(vnid, prefix)`
-//!    ([`crate::coalesce`]), so the data plane pays one sub-slab
-//!    rebuild per final state, not per intermediate flap.
+//!    ([`crate::coalesce`]), so the data plane repaints a route's
+//!    buckets once per final state, not per intermediate flap.
 //! 2. **Apply** — [`LookupService::apply_updates`] edits the service's
-//!    one routing state, its merged trie, and patches only the dirty /16
-//!    buckets (or re-derives every bucket past the configured dirty
+//!    one routing state, its merged trie, and publishes a repaint of the
+//!    live trie: the dirty /16 buckets painted from the merged trie, the
+//!    rest copied (every bucket painted past the configured dirty
 //!    threshold).
 //! 3. **Supervise** — measure α (the merged trie's merging
 //!    efficiency), price the memory-footprint drift in watts against
@@ -815,9 +816,10 @@ mod tests {
         let _ = plane.shutdown();
     }
 
-    /// The service's two builders (from-scratch at construction, per-bucket
-    /// assembly after an update) must publish one footprint for one family,
-    /// or the first batch reads as a phantom step in watts.
+    /// The service's two builders (from-scratch at construction, a
+    /// dirty-bucket repaint after an update) must publish one footprint
+    /// for one family, or the first batch reads as a phantom step in
+    /// watts.
     #[test]
     fn reannouncing_an_unchanged_route_costs_no_watts() {
         let tables = vr_net::synth::FamilySpec {

@@ -24,17 +24,18 @@
 //! per-VN table mirror beside it.
 //!
 //! **Route updates publish incrementally.** [`LookupService::apply_updates`]
-//! applies announce/withdraw deltas to the merged trie in place,
-//! re-derives only the dirty /16 buckets of its [`JumpSlabs`]
-//! decomposition (derived from the trie on the first update batch), and
-//! assembles a fresh [`JumpTrie`] for the swap. Past
-//! [`ServiceConfig::dirty_rebuild_threshold`] dirty buckets it re-derives
-//! every bucket in one pass instead. Either way the new table is built
-//! *outside* the core's publish slot, so reconfiguration never stalls
-//! the datapath (the non-blocking reload of the Terabit hybrid FPGA-ASIC
-//! platform in PAPERS.md). A candidate the core's audit gate refuses is
-//! rolled back out of the merged trie and its slabs, so a rejected
-//! publish leaves routes, table and generation untouched.
+//! applies announce/withdraw deltas to the merged trie in place and
+//! builds the next [`JumpTrie`] with [`JumpTrie::repaint`]: the dirty /16
+//! buckets are painted from the merged trie and the rest copied from the
+//! live snapshot, so the published trie is the only copy of the served
+//! layout. Past [`ServiceConfig::dirty_rebuild_threshold`] dirty buckets,
+//! or when the live snapshot is not one this service painted from its
+//! merged trie, every bucket is painted instead. Either way the new table
+//! is built *outside* the core's publish slot, so reconfiguration never
+//! stalls the datapath (the non-blocking reload of the Terabit hybrid
+//! FPGA-ASIC platform in PAPERS.md). A candidate the core's audit gate
+//! refuses is rolled back out of the merged trie, so a rejected publish
+//! leaves routes, table and generation untouched.
 //!
 //! Per-worker counters (lookups, misses, batch latencies, generations
 //! observed) ride back with each completed batch and aggregate into a
@@ -48,7 +49,7 @@ use vr_net::{RouteUpdate, VnId};
 use vr_obs::{Stage, TraceBuilder, Tracer};
 use vr_sync::SyncArc;
 use vr_telemetry::{Counter, Gauge, Histogram, MetricsRegistry, Stopwatch, TelemetrySnapshot};
-use vr_trie::{DirtyBuckets, JumpSlabs, JumpTrie, MergedTrie};
+use vr_trie::{DirtyBuckets, JumpTrie, MergedTrie};
 
 pub use crate::service_core::TableSnapshot;
 use crate::service_core::{Done, Job, ServiceCore, ShardedConfig};
@@ -83,10 +84,13 @@ pub struct ServiceConfig {
     /// [`LookupService::new`] rejects `true`; the field stays only
     /// until the repo benchmark, which spells it, stops doing so.
     pub full_rebuild: bool,
-    /// Dirty-bucket count beyond which an incremental update batch stops
-    /// patching per-bucket and re-derives every sub-slab from the merged
-    /// trie in one pass. 4096 of 65536 buckets (~6 %) keeps the patch
-    /// path ahead of a full decomposition on edge-style tables.
+    /// Dirty-bucket count beyond which an update batch paints every /16
+    /// bucket from the merged trie instead of copying its clean ones from
+    /// the live snapshot, and counts in
+    /// [`ServiceReport::full_rebuilds`]. Both publish the same trie, and
+    /// the copy is the cheaper at every dirty count, so the knob only
+    /// sorts batches in the report; it stays while the repo benchmark
+    /// spells it.
     pub dirty_rebuild_threshold: usize,
     /// Slot count of the per-worker LPM result cache
     /// ([`crate::cache::LpmCache`]), rounded up to a power of two;
@@ -193,11 +197,11 @@ pub struct ServiceReport {
     pub audit_rejections: u64,
     /// Route updates applied through [`LookupService::apply_updates`].
     pub updates_applied: u64,
-    /// Publishes that went through the incremental dirty-bucket patch
-    /// path.
+    /// Update publishes within [`ServiceConfig::dirty_rebuild_threshold`]
+    /// dirty buckets.
     pub incremental_publishes: u64,
     /// Update publishes past [`ServiceConfig::dirty_rebuild_threshold`]
-    /// dirty buckets, which re-derived every sub-slab in one pass.
+    /// dirty buckets, which painted every bucket.
     pub full_rebuilds: u64,
     /// Submits that blocked on a full worker queue, counted with
     /// telemetry on or off.
@@ -251,9 +255,10 @@ pub struct UpdateRecord {
     /// it is given).
     pub updates: usize,
     /// False when the batch passed
-    /// [`ServiceConfig::dirty_rebuild_threshold`] and every sub-slab was
-    /// re-derived. The first batch after `new` or `publish_tables`
-    /// derives the sub-slabs as set-up and still counts as incremental.
+    /// [`ServiceConfig::dirty_rebuild_threshold`] and every bucket was
+    /// painted. A batch that paints every bucket because the live
+    /// snapshot came from [`LookupService::publish_trie`] still counts as
+    /// incremental.
     pub incremental: bool,
     /// Buckets the batch dirtied.
     pub dirty_buckets: usize,
@@ -304,15 +309,15 @@ pub struct LookupService {
     /// `apply_updates` (and rolled back if the gate refuses the batch),
     /// replaced by `publish_tables` once the gate accepts.
     merged: MergedTrie,
-    /// The merged trie's per-/16 decomposition: derived on the first
-    /// `apply_updates` after `new` / `publish_tables`, patched per dirty
-    /// bucket after that.
-    slabs: Option<JumpSlabs>,
+    /// Generation of the last snapshot this service built from `merged`:
+    /// an update batch copies clean buckets from the live snapshot only
+    /// while it is that one, never from a trie `publish_trie` brought in.
+    painted: u64,
     batch_width: usize,
     report: ServiceReport,
     /// `None` when [`ServiceConfig::telemetry`] is off.
     telemetry: Option<UpdateTelemetry>,
-    /// Dirty-bucket count past which an update re-derives every bucket.
+    /// Dirty-bucket count past which an update paints every bucket.
     dirty_threshold: usize,
     /// One entry per `apply_updates` call, oldest first.
     update_log: Vec<UpdateRecord>,
@@ -364,7 +369,7 @@ impl LookupService {
         Ok(Self {
             core,
             merged,
-            slabs: None,
+            painted: 0,
             batch_width,
             report: ServiceReport::new(cfg.workers, batch_width),
             telemetry,
@@ -503,9 +508,7 @@ impl LookupService {
         let (merged, trie) = merge_and_build(&tables)?;
         let generation = self.publish_trie(trie)?;
         self.merged = merged;
-        // The slabs described the replaced trie; the next update batch
-        // derives them again.
-        self.slabs = None;
+        self.painted = generation;
         Ok(generation)
     }
 
@@ -529,14 +532,14 @@ impl LookupService {
     /// Updates are applied in slice order, so a batch carrying several
     /// updates for the same (VN, prefix) resolves last-writer-wins (the
     /// `vr-control` coalescer enforces this deterministically upstream).
-    /// The deltas land in the merged trie, only the dirty /16 buckets are
-    /// re-derived, and the publishable [`JumpTrie`] is assembled by a
-    /// straight copy. Past [`ServiceConfig::dirty_rebuild_threshold`]
-    /// dirty buckets every sub-slab is re-derived in one pass, as it is
-    /// on the first batch after `new` or
-    /// [`publish_tables`](Self::publish_tables). If the audit gate
-    /// rejects the assembled snapshot, the batch is rolled back and the
-    /// routing state and the live generation are left untouched.
+    /// The deltas land in the merged trie, and [`JumpTrie::repaint`]
+    /// paints the dirty /16 buckets from it and copies the rest from the
+    /// live snapshot. Past [`ServiceConfig::dirty_rebuild_threshold`]
+    /// dirty buckets, or after [`publish_trie`](Self::publish_trie)
+    /// brought in a trie this service did not paint, every bucket is
+    /// painted. If the audit gate rejects the new snapshot, the batch is
+    /// rolled back out of the merged trie, and the routing state and the
+    /// live generation are left untouched.
     ///
     /// # Errors
     /// Rejects updates addressing a VN the service does not host (checked
@@ -579,11 +582,11 @@ impl LookupService {
         Ok(generation)
     }
 
-    /// Delta-applies the batch to the merged trie, patches the dirty
-    /// buckets (or re-derives every sub-slab past the threshold or when
-    /// none are derived yet), assembles, publishes. Returns
-    /// `(generation, dirty buckets, patched?)`; on a publish rejection
-    /// the deltas are rolled back in reverse order.
+    /// Delta-applies the batch to the merged trie, repaints the dirty
+    /// buckets over the live snapshot (every bucket past the threshold or
+    /// over a snapshot this service did not paint), publishes. Returns
+    /// `(generation, dirty buckets, within the threshold?)`; on a publish
+    /// rejection the deltas are rolled back in reverse order.
     fn patch_and_publish(
         &mut self,
         updates: &[RouteUpdate],
@@ -610,37 +613,36 @@ impl LookupService {
             applied.push((vn, prefix, prev));
             dirty.mark_prefix(&prefix);
         }
-        let patched = dirty.len() <= self.dirty_threshold;
-        let mut slabs = match self.slabs.take() {
-            Some(mut slabs) if patched => {
-                for bucket in dirty.iter() {
-                    slabs.rebuild_bucket(&self.merged, bucket);
+        let count = dirty.len();
+        let patched = count <= self.dirty_threshold;
+        let live = self.core.snapshot();
+        if !patched || live.generation != self.painted {
+            dirty = DirtyBuckets::all();
+        }
+        let trie = live.trie.repaint(&self.merged, &dirty);
+        drop(live);
+        match self.publish_trie(trie) {
+            Ok(generation) => {
+                self.painted = generation;
+                Ok((generation, count, patched))
+            }
+            Err(err) => {
+                // Restore the merged trie to the pre-batch state (reverse
+                // order handles repeated keys); the live trie was never
+                // touched.
+                for (vn, prefix, prev) in applied.into_iter().rev() {
+                    match prev {
+                        Some(nh) => self.merged.insert(vn, prefix, nh),
+                        None => self.merged.remove(vn, &prefix),
+                    };
                 }
-                slabs
-            }
-            _ => JumpSlabs::from_merged(&self.merged),
-        };
-        let outcome = self.publish_trie(slabs.assemble());
-        if outcome.is_err() {
-            // Restore the merged trie to the pre-batch state (reverse
-            // order handles repeated keys), then re-derive the touched
-            // buckets so the slabs match it again.
-            for (vn, prefix, prev) in applied.into_iter().rev() {
-                match prev {
-                    Some(nh) => self.merged.insert(vn, prefix, nh),
-                    None => self.merged.remove(vn, &prefix),
-                };
-            }
-            for bucket in dirty.iter() {
-                slabs.rebuild_bucket(&self.merged, bucket);
+                Err(err)
             }
         }
-        self.slabs = Some(slabs);
-        outcome.map(|generation| (generation, dirty.len(), patched))
     }
 
-    /// Re-derives every sub-slab from the merged trie and publishes the
-    /// result — the re-merge endpoint `vr-control` triggers on α drift.
+    /// Paints every bucket from the merged trie and publishes the result
+    /// — the re-merge endpoint `vr-control` triggers on α drift.
     /// The merged trie prunes on withdraw and keeps α incrementally, so
     /// the republished structure equals the live one; the call bumps the
     /// generation (and with it every lane's cache tag) and nothing else.
@@ -650,9 +652,9 @@ impl LookupService {
     /// # Errors
     /// Propagates audit rejections.
     pub fn remerge_publish(&mut self) -> Result<u64, EngineError> {
-        let slabs = JumpSlabs::from_merged(&self.merged);
-        let generation = self.publish_trie(slabs.assemble())?;
-        self.slabs = Some(slabs);
+        let trie = self.core.snapshot().trie.repaint(&self.merged, &DirtyBuckets::all());
+        let generation = self.publish_trie(trie)?;
+        self.painted = generation;
         Ok(generation)
     }
 
@@ -1117,8 +1119,9 @@ mod tests {
             };
             let mut service = LookupService::new(tables.clone(), cfg).unwrap();
             let gate = service.core.gate;
-            // Batch 0 is refused before any slab exists, batch 3 after
-            // the slabs have been patched twice.
+            // Batch 0 is refused over the trie `new` built, batch 3 over
+            // one the service has repainted twice; the next batch then
+            // repaints over the untouched live trie again.
             for (i, batch) in churn_batches(tables, 71, 6, 40).iter().enumerate() {
                 if i == 0 || i == 3 {
                     let before = service.snapshot();
@@ -1139,6 +1142,46 @@ mod tests {
             assert_eq!(report.audit_rejections, 2);
             assert_eq!(report.swaps, 6);
         }
+    }
+
+    /// After `publish_trie` brings in a trie of other tables, the next
+    /// batch paints every bucket from the service's own routes: nothing is
+    /// copied from the foreign trie.
+    #[test]
+    fn an_update_after_a_foreign_publish_serves_the_routing_state() {
+        let tables = churn_family(83, 3);
+        let mut shadow = tables.clone();
+        let mut service = LookupService::new(tables.clone(), small_cfg(1)).unwrap();
+        let batches = churn_batches(tables, 83, 2, 40);
+        service.apply_updates(&batches[0]).unwrap();
+        apply_to_shadow(&mut shadow, &batches[0]);
+        service.publish_trie(build_trie(&churn_family(89, 3)).unwrap()).unwrap();
+        service.apply_updates(&batches[1]).unwrap();
+        apply_to_shadow(&mut shadow, &batches[1]);
+        let want = JumpTrie::from_leaf_pushed(&service.merged.leaf_pushed());
+        assert_eq!(service.snapshot().trie.raw_parts(), want.raw_parts());
+        assert_serves(&service, &shadow);
+        assert!(service.update_log().iter().all(|r| r.incremental));
+    }
+
+    /// With a gate that accepts anything, a corrupt trie published
+    /// through `publish_trie` goes live; the next batch reads nothing of
+    /// it, so it neither panics nor carries the damage forward.
+    #[test]
+    fn a_corrupt_foreign_trie_is_never_read_by_the_next_batch() {
+        let tables = churn_family(101, 2);
+        let mut shadow = tables.clone();
+        let mut service = LookupService::new(tables.clone(), small_cfg(1)).unwrap();
+        let gate = service.core.gate;
+        service.core.gate = |_, _| Ok(());
+        // Every root entry names a block past the empty tail, arity 0.
+        let corrupt = JumpTrie::from_raw_parts(vec![7; 1 << 16], Vec::new(), vec![1], 0);
+        service.publish_trie(corrupt).unwrap();
+        service.core.gate = gate;
+        let batch = &churn_batches(tables, 101, 1, 40)[0];
+        service.apply_updates(batch).unwrap();
+        apply_to_shadow(&mut shadow, batch);
+        assert_serves(&service, &shadow);
     }
 
     #[test]

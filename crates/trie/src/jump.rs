@@ -35,13 +35,13 @@
 //! events of a trie, whoever streams them: the bulk build's pass over the
 //! sorted routes ([`JumpTrie::from_tables`], and beside the merge arena
 //! in [`MergedTrie::from_tables_with_jump`](crate::MergedTrie::from_tables_with_jump),
-//! which is what a service builds), a replay of a live merged trie (the
-//! control plane's per-bucket store,
-//! [`JumpSlabs`](crate::subslab::JumpSlabs)), or a walk of a materialised
-//! leaf-pushed trie ([`JumpTrie::from_leaf_pushed`], the reference). No
-//! leaf-pushed trie is built on the way, and leaves are interned in
-//! address order whatever the feed, so every builder publishes identical
-//! slabs for the same tables, field for field.
+//! which is what a service builds), a walk of a live merged trie's arena
+//! that copies the /16 buckets an update batch left clean from the live
+//! jump trie ([`JumpTrie::repaint`], what every update publishes), or a
+//! walk of a materialised leaf-pushed trie ([`JumpTrie::from_leaf_pushed`],
+//! the reference). No leaf-pushed trie is built on the way, and leaves
+//! are interned in address order whatever the feed, so every builder
+//! publishes identical slabs for the same tables, field for field.
 //!
 //! The structure is immutable by design: route updates build a fresh
 //! `JumpTrie` and publish it atomically (see `vr-engine`'s
@@ -50,8 +50,9 @@
 
 use crate::leafpush::LeafPushedTrie;
 use crate::merge::{block_total, check_arity, preorder, replay, sorted_routes, NodeId, Preorder};
-use crate::TrieError;
+use crate::{DirtyBuckets, MergedTrie, TrieError};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use vr_net::table::{NextHop, RoutingTable};
 
 /// High bit of a root or block entry: set for leaves.
@@ -88,26 +89,22 @@ pub(crate) fn decode_nhi(code: NhiCode) -> Option<NextHop> {
 }
 
 /// The NHI slab's writer: deduplicates K-wide vectors into the growing
-/// slab, returning each vector's slot. The [`Painter`] and
-/// [`JumpSlabs::assemble`](crate::subslab::JumpSlabs::assemble) emit
-/// their leaves through it, so the same tables publish the same-sized
-/// structure whichever path built it — the hardware's shared NHI memory,
-/// and the footprint the control plane prices in watts.
+/// slab, returning each vector's slot. The [`Painter`] emits every leaf,
+/// painted or copied, through it, so the same tables publish the
+/// same-sized structure whichever path built it — the hardware's shared
+/// NHI memory, and the footprint the control plane prices in watts.
 ///
 /// It is called at most once per leaf of the leaf-pushed view — never
 /// once per block entry, which outnumber leaves tenfold — while the
 /// distinct-vector count is orders of magnitude smaller, and repeats
-/// arrive in long address-space runs. The per-bucket store
-/// ([`JumpSlabs`](crate::subslab::JumpSlabs)) keeps one small interner's
-/// output per bucket, so the table starts small. Two levels exploit the
-/// shape:
+/// arrive in long address-space runs. Two levels exploit the shape:
 ///
 /// * a **last-vector memo** short-circuits consecutive repeats with one
 ///   slice compare, no hashing;
 /// * misses go through an open-addressed table keyed by an FNV-1a hash,
 ///   with keys stored as slots into the slab itself (no owned `Vec`
-///   keys, no `SipHash`) — the per-publish assembly is on the control
-///   plane's per-batch path, so constant factors here are throughput.
+///   keys, no `SipHash`) — every update batch's repaint interns its
+///   whole slab again, so constant factors here are throughput.
 pub(crate) struct NhiInterner {
     k: usize,
     /// The growing NHI slab (k entries per interned vector).
@@ -231,9 +228,8 @@ pub(crate) struct Brush {
 ///   ahead of its level-2 blocks.
 ///
 /// The same events give the same `raw_parts()`, whichever trie streams
-/// them. A painter covers either the whole address space or one /16
-/// bucket, whose slabs are then bucket-local (the
-/// [`JumpSlabs`](crate::subslab::JumpSlabs) encoding).
+/// them. [`JumpTrie::repaint`] also copies runs of /16 buckets from a
+/// live trie between the events, in address order too.
 pub(crate) struct Painter {
     k: usize,
     /// Row `d`: the vector in effect at the open node of depth `d`.
@@ -242,9 +238,7 @@ pub(crate) struct Painter {
     /// A node without entries has its parent's vector, so it takes its
     /// parent's entry and most leaves skip the interner.
     entries: [u32; u32::BITS as usize + 1],
-    /// Root entries of the buckets painted, bucket `first` at index 0.
     root: Vec<u32>,
-    first: usize,
     tail: Vec<u32>,
     interner: NhiInterner,
     /// First address not yet painted.
@@ -257,32 +251,17 @@ impl Painter {
     /// A painter for the whole address space, its tail allocated for
     /// `blocks` blocks, and the root's brush.
     pub(crate) fn whole(k: usize, blocks: usize) -> (Self, Brush) {
-        (Self::over(k, 0, ROOT_ENTRIES, blocks), Brush { depth: 0, kids: 0 })
-    }
-
-    /// A painter for `bucket` alone, and the brush of its depth-16 node,
-    /// below which `inherited` is in effect.
-    pub(crate) fn bucket(bucket: usize, inherited: &[NhiCode]) -> (Self, Brush) {
-        let k = inherited.len();
-        let mut painter = Self::over(k, bucket, 1, 0);
-        let depth = JUMP_BITS as usize;
-        painter.rows[depth * k..(depth + 1) * k].copy_from_slice(inherited);
-        (painter, Brush { depth: JUMP_BITS as u8, kids: 0 })
-    }
-
-    /// A painter for `buckets` buckets from `first` on.
-    fn over(k: usize, first: usize, buckets: usize, blocks: usize) -> Self {
-        Self {
+        let painter = Self {
             k,
             rows: vec![0; (u32::BITS as usize + 1) * k],
             entries: [0; u32::BITS as usize + 1],
-            root: vec![0; buckets],
-            first,
+            root: vec![0; ROOT_ENTRIES],
             tail: Vec::with_capacity(blocks * BLOCK_ENTRIES),
             interner: NhiInterner::new(k),
-            at: (first as u64) << JUMP_BITS,
+            at: 0,
             blocks: [0; 2],
-        }
+        };
+        (painter, Brush { depth: 0, kids: 0 })
     }
 
     /// Interns row `row`'s vector and writes it over the run of the leaf
@@ -295,7 +274,7 @@ impl Painter {
         let at = self.at;
         self.at += 1 << (u32::BITS as usize - depth);
         let (slab, start, bits) = if depth <= JUMP_BITS as usize {
-            (&mut self.root, (at >> JUMP_BITS) as usize - self.first, JUMP_BITS)
+            (&mut self.root, (at >> JUMP_BITS) as usize, JUMP_BITS)
         } else if depth <= (JUMP_BITS + TAIL_STRIDE) as usize {
             let index = (at >> TAIL_STRIDE) as usize % BLOCK_ENTRIES;
             (&mut self.tail, self.blocks[0] + index, JUMP_BITS + TAIL_STRIDE)
@@ -314,25 +293,129 @@ impl Painter {
         debug_assert_eq!(entry & LEAF_BIT, 0, "jump trie too large");
         let at = self.at;
         if level == 0 {
-            self.root[(at >> JUMP_BITS) as usize - self.first] = entry;
+            self.root[(at >> JUMP_BITS) as usize] = entry;
         } else {
             self.tail[self.blocks[0] + (at >> TAIL_STRIDE) as usize % BLOCK_ENTRIES] = entry;
         }
         self.blocks[level] = base;
     }
 
-    /// The painted root entries, tail and NHI slab.
-    pub(crate) fn into_slabs(self) -> (Vec<u32>, Vec<u32>, Vec<NhiCode>) {
-        debug_assert_eq!(self.at, ((self.first + self.root.len()) as u64) << JUMP_BITS);
-        (self.root, self.tail, self.interner.into_slab())
-    }
-
     /// The jump trie over the whole address space.
     pub(crate) fn finish(self) -> JumpTrie {
-        debug_assert_eq!(self.root.len(), ROOT_ENTRIES);
-        let k = self.k;
-        let (root, tail, nhis) = self.into_slabs();
-        JumpTrie { root, tail, nhis, k }
+        debug_assert_eq!(self.at, 1 << u32::BITS);
+        let nhis = self.interner.into_slab();
+        JumpTrie { root: self.root, tail: self.tail, nhis, k: self.k }
+    }
+
+    /// Paints the subtree of `merged` at `id`, open as `node` over the
+    /// buckets from `first` on, copying from `from` each child's run of
+    /// buckets that no dirty bucket falls in. Below depth 16 every run
+    /// lies in one dirty bucket, so the rest is a plain replay.
+    fn repaint_below(
+        &mut self,
+        merged: &MergedTrie,
+        id: NodeId,
+        first: usize,
+        node: &mut Brush,
+        from: &mut Source<'_>,
+    ) {
+        for (vn, next_hop) in merged.node_nhis(id).iter().enumerate() {
+            if let Some(next_hop) = *next_hop {
+                self.entry(node, vn as u8, next_hop);
+            }
+        }
+        let depth = u32::from(node.depth);
+        let half = (depth < JUMP_BITS).then(|| 1usize << (JUMP_BITS - depth - 1));
+        for bit in 0..2 {
+            let start = first + bit * half.unwrap_or(0);
+            match half {
+                Some(half) if !from.dirty.any_in(start..start + half) => {
+                    if bit == 1 && node.kids & 1 == 0 {
+                        // The missing left half, in this node's vector.
+                        self.paint(depth as usize + 1, depth as usize);
+                    }
+                    self.copy(from, start..start + half);
+                    node.kids |= 1 << bit;
+                }
+                _ => {
+                    if let Some(child) = merged.node_child(id, bit) {
+                        let mut kid = self.open(*node, bit);
+                        self.repaint_below(merged, child, start, &mut kid, from);
+                        self.close(depth as usize + 1, kid, Some((node, bit)));
+                    }
+                }
+            }
+        }
+    }
+
+    /// Copies the buckets `run`, the next to paint, from `from`'s trie:
+    /// a leaf's vector is interned on first sight, and a block's leaves
+    /// are copied in address order, a level-2 block's at its level-1
+    /// entry, so vectors are interned and blocks laid out as painted.
+    fn copy(&mut self, from: &mut Source<'_>, run: Range<usize>) {
+        debug_assert_eq!(self.at, (run.start as u64) << JUMP_BITS);
+        for bucket in run.clone() {
+            let entry = from.live.root[bucket];
+            self.root[bucket] = if entry & LEAF_BIT != 0 {
+                from.leaf(&mut self.interner, entry)
+            } else {
+                let base = self.copy_block(from, entry);
+                for index in base as usize..base as usize + BLOCK_ENTRIES {
+                    let entry = self.tail[index];
+                    self.tail[index] = if entry & LEAF_BIT != 0 {
+                        from.leaf(&mut self.interner, entry)
+                    } else {
+                        let below = self.copy_block(from, entry);
+                        for index in below as usize..below as usize + BLOCK_ENTRIES {
+                            self.tail[index] = from.leaf(&mut self.interner, self.tail[index]);
+                        }
+                        below
+                    };
+                }
+                base
+            };
+        }
+        self.at = (run.end as u64) << JUMP_BITS;
+    }
+
+    /// Appends the block at `base` in `from`'s tail, entries as they are,
+    /// and returns its new base.
+    fn copy_block(&mut self, from: &Source<'_>, base: u32) -> u32 {
+        let new = u32::try_from(self.tail.len()).expect("jump trie tail exceeds u32 entries");
+        debug_assert_eq!(new & LEAF_BIT, 0, "jump trie too large");
+        let base = base as usize;
+        self.tail.extend_from_slice(&from.live.tail[base..base + BLOCK_ENTRIES]);
+        new
+    }
+}
+
+/// What [`JumpTrie::repaint`] copies clean buckets from: the live trie,
+/// which of its buckets are dirty, and each of its NHI slots' leaf entry
+/// in the trie being painted, `0` until first copied.
+struct Source<'a> {
+    live: &'a JumpTrie,
+    dirty: &'a DirtyBuckets,
+    slots: Vec<u32>,
+    /// The last leaf entry copied and its copy (`0`, no leaf, at first):
+    /// block entries repeat in runs.
+    last: (u32, u32),
+}
+
+impl Source<'_> {
+    /// The live trie's leaf `entry` in the trie being painted, its vector
+    /// interned on first sight.
+    #[inline]
+    fn leaf(&mut self, interner: &mut NhiInterner, entry: u32) -> u32 {
+        if entry == self.last.0 {
+            return self.last.1;
+        }
+        let slot = (entry & PAYLOAD_MASK) as usize;
+        if self.slots[slot] == 0 {
+            let k = self.live.k;
+            self.slots[slot] = LEAF_BIT | interner.intern(&self.live.nhis[slot * k..][..k]);
+        }
+        self.last = (entry, self.slots[slot]);
+        self.slots[slot]
     }
 }
 
@@ -508,6 +591,37 @@ impl JumpTrie {
     #[must_use]
     pub fn from_merged(trie: &LeafPushedTrie) -> Self {
         Self::from_leaf_pushed(trie)
+    }
+
+    /// The jump trie of `merged`, painted by one walk of its arena with
+    /// the buckets `dirty` does not name copied from `self` — what a
+    /// route-update batch publishes. A clean bucket's internal entries
+    /// are rebased and its leaves' vectors interned again, in address
+    /// order like every painted leaf, so the result is
+    /// [`JumpTrie::from_leaf_pushed`]`(&merged.leaf_pushed())` field for
+    /// field, provided `self` was painted from `merged` before the updates
+    /// that dirtied `dirty`. With every bucket dirty
+    /// ([`DirtyBuckets::all`]) only the length of `self`'s tail is read,
+    /// to size the new one: the full paint of the arena.
+    ///
+    /// # Panics
+    /// Panics if a bucket is to be copied and `self` has a different
+    /// arity from `merged`.
+    #[must_use]
+    pub fn repaint(&self, merged: &MergedTrie, dirty: &DirtyBuckets) -> JumpTrie {
+        let copying = dirty.len() < ROOT_ENTRIES;
+        if copying {
+            assert_eq!(self.k, merged.arity(), "a repaint copies only from its own arity");
+        }
+        let slots = vec![0; if copying { self.leaf_count() } else { 0 }];
+        // Room for a new block per dirty bucket, which a batch seldom
+        // outgrows: past it the tail is copied to grow.
+        let blocks = self.tail.len() / BLOCK_ENTRIES + if copying { dirty.len() } else { 0 };
+        let mut from = Source { live: self, dirty, slots, last: (0, 0) };
+        let (mut painter, mut root) = Painter::whole(merged.arity(), blocks);
+        painter.repaint_below(merged, NodeId::ROOT, 0, &mut root, &mut from);
+        painter.close(0, root, None);
+        painter.finish()
     }
 
     /// NHI vector width (1, or K for merged tries).

@@ -32,9 +32,9 @@
 //!   lookup is at most three slab loads and one NHI load ([`jump`]
 //!   defines the entry and NHI codec, the block filler and the interning
 //!   NHI-slab writer);
-//! * [`JumpSlabs`] / [`DirtyBuckets`] — per-/16-bucket block store for
-//!   the control plane: route updates re-derive only dirty buckets and
-//!   assemble a publishable [`JumpTrie`] without a from-scratch rebuild;
+//! * [`DirtyBuckets`] — the /16 buckets an update batch touched: the
+//!   batch's [`JumpTrie::repaint`] paints those from the merged trie and
+//!   copies the rest from the live jump trie;
 //! * [`pipeline_map`] — level→stage mapping and per-stage memory sizing
 //!   (Mᵢ,ⱼ in the paper's notation), separating pointer memory from NHI
 //!   memory exactly as Fig. 4 does, and the closed-form per-stage entry
@@ -71,7 +71,7 @@ pub use leafpush::LeafPushedTrie;
 pub use merge::{MergedTrie, NodeId};
 pub use pipeline_map::{MemoryLayout, PipelineProfile, StageProfile};
 pub use stats::{SweepStats, TrieStats};
-pub use subslab::{DirtyBuckets, JumpSlabs};
+pub use subslab::DirtyBuckets;
 
 /// Errors produced by trie construction and mapping.
 #[derive(Debug, Clone, PartialEq)]

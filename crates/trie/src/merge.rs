@@ -35,8 +35,9 @@
 //! for a calibration step α's node counts alone, or the DIR-16-8-8
 //! painter of [`crate::jump`] — alone ([`JumpTrie::from_tables`]) or
 //! beside the arena ([`MergedTrie::from_tables_with_jump`], what a
-//! service builds). `replay` streams a built trie's events in the same
-//! order, so the painter also reads a live arena or a leaf-pushed trie.
+//! service builds). `replay` streams a built leaf-pushed trie's events
+//! in the same order, and [`JumpTrie::repaint`] a live arena's, with the
+//! /16 buckets an update left clean copied from the live jump trie.
 //!
 //! Per-VN state lives in one flat slab of `k` NHI entries per node: no
 //! node owns a heap allocation, and an update keeps its root-to-node path
@@ -528,8 +529,8 @@ impl MergedTrie {
 
     /// Child of node `id` along branch `bit` (0 = left, 1 = right).
     ///
-    /// Exposes the merged structure read-only so leaf pushing and the
-    /// sub-slab builder ([`crate::subslab::JumpSlabs`]) can descend
+    /// Exposes the merged structure read-only so leaf pushing and
+    /// [`JumpTrie::repaint`](crate::JumpTrie::repaint) can descend
     /// without cloning.
     ///
     /// # Panics
@@ -727,14 +728,6 @@ pub(crate) fn replay<'t, P: Preorder>(
     }
     below(node, id, depth, &mut open, pass);
     pass.close(depth, open, None);
-}
-
-impl MergedTrie {
-    /// [`replay`] over this trie's subtree at `id`, `depth` bits down.
-    pub(crate) fn replay<P: Preorder>(&self, id: NodeId, depth: usize, open: P::Open, pass: &mut P) {
-        let node = |id: NodeId| (self.nodes[id.idx()].children, self.node_nhis(id));
-        replay(&node, id, depth, open, pass);
-    }
 }
 
 /// Two visitors fed one pass: each event goes to the first, then the

@@ -1,199 +1,32 @@
-//! Per-bucket block store for incremental [`JumpTrie`] rebuilds.
+//! The /16 buckets an update batch dirties, which is all it repaints.
 //!
-//! [`JumpTrie`] is immutable by design: the RCU publish model wants a
-//! fresh structure per generation. Rebuilding that structure from
-//! scratch after every update batch, however, costs O(K·table) — the
-//! paper's §V-B churn assumption (~1 % write rate) makes that the
-//! dominant control-plane cost long before the datapath notices.
+//! [`JumpTrie`](crate::JumpTrie) is immutable by design: the RCU publish
+//! model wants a fresh structure per generation. Rebuilding that
+//! structure from the routes after every update batch, however, costs
+//! O(K·table) — the paper's §V-B churn assumption (~1 % write rate)
+//! makes that the dominant control-plane cost long before the datapath
+//! notices.
 //!
-//! [`JumpSlabs`] keeps the same DIR-16 decomposition as [`JumpTrie`] but
-//! stores each /16 bucket's blocks *separately*, in bucket-local
-//! encoding. A route update only perturbs the buckets its prefix covers
-//! ([`DirtyBuckets`] tracks which), so an update batch:
+//! A route update only perturbs the /16 buckets its prefix covers, and
+//! [`DirtyBuckets`] tracks which. An update batch:
 //!
-//! 1. applies announce/withdraw to the incremental [`MergedTrie`],
-//! 2. re-derives only the dirty buckets with [`JumpSlabs::rebuild_bucket`]
-//!    (a 16-bit descent plus typically one 256-entry block),
-//! 3. concatenates all buckets with [`JumpSlabs::assemble`] into a
-//!    publishable [`JumpTrie`] — one rebase-and-remap pass over the
-//!    entries, no trie walks.
+//! 1. applies announce/withdraw to the incremental
+//!    [`MergedTrie`](crate::MergedTrie),
+//! 2. builds the next snapshot with
+//!    [`JumpTrie::repaint`](crate::JumpTrie::repaint): one walk of the
+//!    merged trie's top 16 levels that copies each run of clean buckets
+//!    from the live snapshot (rebasing internal entries, interning leaf
+//!    vectors again in address order) and paints the dirty ones from the
+//!    arena, through the one painter every jump-trie builder runs.
 //!
-//! Buckets are filled by the painter every [`JumpTrie`] builder runs, fed
-//! a replay of the merged trie's arena below the bucket's depth-16 node;
-//! [`JumpSlabs::from_merged`] walks the arena's top 16 levels once to
-//! reach every bucket, [`JumpSlabs::rebuild_bucket`] one path. Each
-//! bucket numbers its vectors in address order and assembly interns
-//! them in that order, exactly as a from-scratch build does — so the two
-//! publish identical slabs for the same tables, field for field (the
-//! tests here and in `tests/` hold `raw_parts()` equal, after churn too),
-//! and the control plane prices one footprint whichever path built it.
+//! So the repaint publishes what a from-scratch build of the same tables
+//! publishes, field for field (the tests here and in `tests/` hold
+//! `raw_parts()` equal, after chains of churn batches too), and the
+//! control plane prices one footprint whichever path built it.
 
-use crate::jump::{
-    encode_nhi, JumpTrie, NhiCode, NhiInterner, Painter, JUMP_BITS, LEAF_BIT, PAYLOAD_MASK,
-    ROOT_ENTRIES,
-};
-use crate::merge::{MergedTrie, NodeId};
+use crate::jump::{JUMP_BITS, ROOT_ENTRIES};
 use std::ops::Range;
 use vr_net::Ipv4Prefix;
-
-/// One /16 bucket in bucket-local encoding.
-///
-/// * `blocks` holds the bucket's 256-entry blocks, level-1 block first:
-///   an internal entry is the *local* base of a level-2 block, a leaf
-///   entry is `LEAF_BIT | local NHI slot`. A **direct** bucket (resolved
-///   wholly by the root table) has none.
-/// * `nhis` holds the bucket's distinct K-wide vectors in order of first
-///   appearance by address — exactly one for a direct bucket.
-#[derive(Debug, Clone)]
-struct Bucket {
-    blocks: Vec<u32>,
-    nhis: Vec<NhiCode>,
-}
-
-/// The full DIR-16 decomposition of a [`MergedTrie`], one [`Bucket`] per
-/// root entry, supporting per-bucket rebuild and O(entries) assembly into
-/// a publishable [`JumpTrie`].
-#[derive(Debug, Clone)]
-pub struct JumpSlabs {
-    k: usize,
-    buckets: Vec<Bucket>,
-}
-
-impl JumpSlabs {
-    /// Decomposes a merged trie into per-bucket blocks: one walk of the
-    /// arena's top 16 levels, each bucket painted as
-    /// [`JumpSlabs::rebuild_bucket`] paints it.
-    #[must_use]
-    pub fn from_merged(merged: &MergedTrie) -> Self {
-        let empty = Bucket {
-            blocks: Vec::new(),
-            nhis: Vec::new(),
-        };
-        let mut slabs = Self {
-            k: merged.arity(),
-            buckets: vec![empty; ROOT_ENTRIES],
-        };
-        slabs.paint(merged, &(0..ROOT_ENTRIES));
-        slabs
-    }
-
-    /// Re-derives one /16 bucket from the (already updated) merged trie:
-    /// a descent of at most 16 nodes gathering the vector in effect, then
-    /// a replay of the bucket's depth-16 node, if it has children,
-    /// through a painter of that bucket alone.
-    ///
-    /// # Panics
-    /// Panics if `bucket ≥ 65536` or `merged` has a different arity.
-    pub fn rebuild_bucket(&mut self, merged: &MergedTrie, bucket: usize) {
-        assert!(bucket < ROOT_ENTRIES, "bucket index out of range");
-        assert_eq!(merged.arity(), self.k, "arity mismatch");
-        self.paint(merged, &(bucket..bucket + 1));
-    }
-
-    /// Re-derives the `wanted` buckets from `merged`.
-    fn paint(&mut self, merged: &MergedTrie, wanted: &Range<usize>) {
-        let mut rows = vec![0; (JUMP_BITS as usize + 1) * self.k];
-        self.paint_below(merged, Some(NodeId::ROOT), 0, 0, wanted, &mut rows);
-    }
-
-    /// Re-derives the `wanted` buckets among those below `node`, `depth`
-    /// bits down, whose run starts at bucket `first`; `None` is a missing
-    /// child, a leaf in its parent's vector. Row `d` of `rows` is the
-    /// vector in effect at the node on the path `d` bits down: its own
-    /// entries over its parent's.
-    fn paint_below(
-        &mut self,
-        merged: &MergedTrie,
-        node: Option<NodeId>,
-        depth: u32,
-        first: usize,
-        wanted: &Range<usize>,
-        rows: &mut [NhiCode],
-    ) {
-        let (k, at) = (self.k, depth as usize * self.k);
-        if depth > 0 {
-            rows.copy_within(at - k..at, at);
-        }
-        let row = &mut rows[at..at + k];
-        let children = node.map_or([None; 2], |id| {
-            for (code, nhi) in row.iter_mut().zip(merged.node_nhis(id)) {
-                if nhi.is_some() {
-                    *code = encode_nhi(*nhi);
-                }
-            }
-            [merged.node_child(id, 0), merged.node_child(id, 1)]
-        });
-        let run = first..first + (1 << (JUMP_BITS - depth));
-        match (node, children) {
-            // A leaf at depth 16 or above: each bucket of its run is one
-            // leaf.
-            (_, [None, None]) => {
-                for bucket in run.start.max(wanted.start)..run.end.min(wanted.end) {
-                    self.buckets[bucket] = Bucket {
-                        blocks: Vec::new(),
-                        nhis: row.to_vec(),
-                    };
-                }
-            }
-            (Some(id), _) if depth == JUMP_BITS => {
-                let (mut painter, brush) = Painter::bucket(first, row);
-                merged.replay(id, JUMP_BITS as usize, brush, &mut painter);
-                let (_, blocks, nhis) = painter.into_slabs();
-                self.buckets[first] = Bucket { blocks, nhis };
-            }
-            _ => {
-                let half = run.len() / 2;
-                for (bit, child) in children.into_iter().enumerate() {
-                    let start = first + bit * half;
-                    if start < wanted.end && wanted.start < start + half {
-                        self.paint_below(merged, child, depth + 1, start, wanted, rows);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Concatenates all buckets into a publishable [`JumpTrie`]: each
-    /// bucket's few vectors are interned once into a local→global slot
-    /// table, then its blocks are appended with the bucket's base added
-    /// to internal entries and leaf slots mapped through the table. No
-    /// trie walks and no per-entry interning — cost is O(entries).
-    #[must_use]
-    pub fn assemble(&self) -> JumpTrie {
-        let mut root = vec![0u32; ROOT_ENTRIES];
-        let mut tail = Vec::with_capacity(self.buckets.iter().map(|b| b.blocks.len()).sum());
-        let mut interner = NhiInterner::new(self.k);
-        let mut global: Vec<u32> = Vec::new();
-        for (entry, bucket) in root.iter_mut().zip(&self.buckets) {
-            global.clear();
-            global.extend(
-                bucket
-                    .nhis
-                    .chunks_exact(self.k)
-                    .map(|vector| LEAF_BIT | interner.intern(vector)),
-            );
-            if bucket.blocks.is_empty() {
-                *entry = global[0];
-                continue;
-            }
-            let base = u32::try_from(tail.len()).expect("jump trie tail exceeds u32 entries");
-            debug_assert_eq!(
-                (base as usize + bucket.blocks.len()) & LEAF_BIT as usize,
-                0,
-                "assembled jump trie too large"
-            );
-            *entry = base;
-            tail.extend(bucket.blocks.iter().map(|&local| {
-                if local & LEAF_BIT != 0 {
-                    global[(local & PAYLOAD_MASK) as usize]
-                } else {
-                    base + local
-                }
-            }));
-        }
-        JumpTrie::from_raw_parts(root, tail, interner.into_slab(), self.k)
-    }
-}
 
 /// Bitmap over the 65 536 /16 buckets a batch of updates has touched.
 ///
@@ -222,6 +55,16 @@ impl DirtyBuckets {
         }
     }
 
+    /// Every bucket dirty: a [`JumpTrie::repaint`](crate::JumpTrie::repaint)
+    /// that copies nothing.
+    #[must_use]
+    pub fn all() -> Self {
+        Self {
+            bits: vec![u64::MAX; ROOT_ENTRIES / 64],
+            count: ROOT_ENTRIES,
+        }
+    }
+
     /// Marks one bucket dirty.
     ///
     /// # Panics
@@ -235,7 +78,7 @@ impl DirtyBuckets {
         }
     }
 
-    /// Marks every bucket whose sub-slab (or direct entry) an update to
+    /// Marks every bucket whose blocks (or direct entry) an update to
     /// `prefix` can perturb.
     pub fn mark_prefix(&mut self, prefix: &Ipv4Prefix) {
         let len = u32::from(prefix.len());
@@ -247,6 +90,17 @@ impl DirtyBuckets {
             for bucket in start..start + run {
                 self.mark(bucket);
             }
+        }
+    }
+
+    /// True when a bucket of `run`, an aligned run of a power-of-two
+    /// length, is dirty.
+    pub(crate) fn any_in(&self, run: Range<usize>) -> bool {
+        if run.len() >= 64 {
+            self.bits[run.start / 64..run.end / 64].iter().any(|&word| word != 0)
+        } else {
+            let mask = ((1u64 << run.len()) - 1) << (run.start % 64);
+            self.bits[run.start / 64] & mask != 0
         }
     }
 
@@ -287,6 +141,7 @@ impl DirtyBuckets {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{JumpTrie, MergedTrie};
     use vr_net::synth::{FamilySpec, PrefixLenDistribution};
     use vr_net::{Ipv4Prefix, RoutingTable};
 
@@ -313,24 +168,28 @@ mod tests {
         probes
     }
 
-    /// The assembled trie is the from-scratch build of the same merged
+    /// The repainted trie is the from-scratch build of the same merged
     /// trie, field for field, and answers like the source tables.
-    fn assert_parity(slabs: &JumpSlabs, merged: &MergedTrie, tables: &[RoutingTable]) {
-        let assembled = slabs.assemble();
+    fn assert_parity(repainted: &JumpTrie, merged: &MergedTrie, tables: &[RoutingTable]) {
         let scratch = JumpTrie::from_leaf_pushed(&merged.leaf_pushed());
-        assert!(assembled.raw_parts() == scratch.raw_parts(), "builders disagree");
+        assert!(repainted.raw_parts() == scratch.raw_parts(), "builders disagree");
         for (vn, table) in tables.iter().enumerate() {
             for ip in probes(tables) {
-                assert_eq!(assembled.lookup_vn(vn, ip), table.lookup(ip), "vn {vn} ip {ip:#010x}");
+                assert_eq!(repainted.lookup_vn(vn, ip), table.lookup(ip), "vn {vn} ip {ip:#010x}");
             }
         }
+    }
+
+    /// The full paint of `merged`, from a trie it never reads.
+    fn paint_all(merged: &MergedTrie) -> JumpTrie {
+        let nothing = JumpTrie::from_raw_parts(Vec::new(), Vec::new(), Vec::new(), 0);
+        nothing.repaint(merged, &DirtyBuckets::all())
     }
 
     #[test]
     fn empty_trie_assembles_to_all_none() {
         let merged = MergedTrie::new(2).unwrap();
-        let slabs = JumpSlabs::from_merged(&merged);
-        let trie = slabs.assemble();
+        let trie = paint_all(&merged);
         assert!(trie.raw_parts().tail.is_empty());
         assert_eq!(trie.lookup_vn(0, 0), None);
         assert_eq!(trie.lookup_vn(1, u32::MAX), None);
@@ -342,8 +201,11 @@ mod tests {
     fn from_merged_matches_jump_trie_at_paper_scale() {
         let tables = family(4, 3725, 0.7, 17);
         let merged = MergedTrie::from_tables(&tables).unwrap();
-        let slabs = JumpSlabs::from_merged(&merged);
-        assert_parity(&slabs, &merged, &tables);
+        let trie = paint_all(&merged);
+        assert_parity(&trie, &merged, &tables);
+        // With nothing dirty every bucket is copied, into the same trie.
+        let copied = trie.repaint(&merged, &DirtyBuckets::new());
+        assert!(copied.raw_parts() == trie.raw_parts());
     }
 
     /// The K = 15 paper family is where one structure with two writers
@@ -351,17 +213,16 @@ mod tests {
     /// the first update batch 181 815, a phantom −1.4 W power delta. The
     /// builders now agree by construction — one block filler, one
     /// interning order — so `raw_parts()` is equal field for field, from
-    /// a fresh decomposition and after 1 000 seeded updates patched in
-    /// through `rebuild_bucket`.
+    /// a full paint of the arena and after 1 000 seeded updates repainted
+    /// over the from-scratch build.
     #[test]
     fn both_builders_publish_one_footprint_for_the_paper_family() {
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
         let mut tables = FamilySpec::paper_worst_case(15, 0.5, 2012).generate().unwrap();
         let mut merged = MergedTrie::from_tables(&tables).unwrap();
-        let mut slabs = JumpSlabs::from_merged(&merged);
         let scratch = JumpTrie::from_leaf_pushed(&merged.leaf_pushed());
-        assert!(slabs.assemble().raw_parts() == scratch.raw_parts(), "fresh decomposition");
+        assert!(paint_all(&merged).raw_parts() == scratch.raw_parts(), "full paint");
 
         let mut rng = SmallRng::seed_from_u64(2012);
         let mut dirty = DirtyBuckets::new();
@@ -382,17 +243,14 @@ mod tests {
             };
             dirty.mark_prefix(&prefix);
         }
-        for bucket in dirty.iter() {
-            slabs.rebuild_bucket(&merged, bucket);
-        }
-        assert_parity(&slabs, &merged, &tables[..1]);
+        assert_parity(&scratch.repaint(&merged, &dirty), &merged, &tables[..1]);
     }
 
     #[test]
     fn rebuilt_buckets_track_churn() {
         let mut tables = family(3, 500, 0.6, 23);
         let mut merged = MergedTrie::from_tables(&tables).unwrap();
-        let mut slabs = JumpSlabs::from_merged(&merged);
+        let mut live = paint_all(&merged);
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
         let mut rng = SmallRng::seed_from_u64(5);
@@ -416,11 +274,9 @@ mod tests {
                     }
                 }
             }
-            for bucket in dirty.iter().collect::<Vec<_>>() {
-                slabs.rebuild_bucket(&merged, bucket);
-            }
+            live = live.repaint(&merged, &dirty);
             assert!(merged.check_invariants(), "round {round}");
-            assert_parity(&slabs, &merged, &tables);
+            assert_parity(&live, &merged, &tables);
         }
     }
 
@@ -440,6 +296,7 @@ mod tests {
         assert!(dirty.is_empty());
         dirty.mark_prefix(&"0.0.0.0/0".parse().unwrap());
         assert_eq!(dirty.len(), ROOT_ENTRIES);
+        assert!(dirty.iter().eq(DirtyBuckets::all().iter()));
     }
 
     #[test]
@@ -449,5 +306,7 @@ mod tests {
         dirty.mark(42);
         assert_eq!(dirty.len(), 1);
         assert_eq!(dirty.iter().collect::<Vec<_>>(), vec![42]);
+        assert!(dirty.any_in(32..64) && dirty.any_in(0..256) && !dirty.any_in(64..128));
+        assert!(!dirty.any_in(43..44) && !dirty.any_in(40..42));
     }
 }

@@ -19,7 +19,7 @@ use vr_audit::{
 use vr_net::synth::{FamilySpec, TableSpec};
 use vr_net::table::{NextHop, RouteEntry};
 use vr_net::{Ipv4Prefix, RoutingTable};
-use vr_trie::{jump, JumpSlabs, JumpTrie, MergedTrie};
+use vr_trie::{jump, DirtyBuckets, JumpTrie, MergedTrie};
 
 /// Strategy: an arbitrary routing table of 1 to `max` routes.
 fn arb_table(max: usize) -> impl Strategy<Value = RoutingTable> {
@@ -158,10 +158,11 @@ fn every_constructor_audits_clean_at_paper_scale() {
     let merged = MergedTrie::from_tables(&tables).unwrap();
     assert!(audit_merged(&merged).is_clean());
     let mlp = merged.leaf_pushed();
+    let jump = JumpTrie::from_leaf_pushed(&mlp);
     for report in [
         audit_leaf_pushed(&mlp, &tables),
-        audit_jump(&JumpTrie::from_leaf_pushed(&mlp)),
-        audit_jump_with_tables(&JumpSlabs::from_merged(&merged).assemble(), &tables),
+        audit_jump(&jump),
+        audit_jump_with_tables(&jump.repaint(&merged, &DirtyBuckets::all()), &tables),
     ] {
         assert!(report.is_clean(), "{}", report.summary());
     }

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use vr_net::table::{NextHop, RouteEntry};
 use vr_net::{Ipv4Prefix, RoutingTable};
 use vr_trie::pipeline_map::stride_stage_entries;
-use vr_trie::{JumpSlabs, JumpTrie, LeafPushedTrie, LookupBackend, MergedTrie};
+use vr_trie::{DirtyBuckets, JumpTrie, LeafPushedTrie, LookupBackend, MergedTrie};
 
 /// Strategy: an arbitrary routing table of up to `max` routes.
 fn arb_table(max: usize) -> impl Strategy<Value = RoutingTable> {
@@ -161,8 +161,8 @@ proptest! {
     ) {
         let merged = MergedTrie::from_tables(&tables).unwrap();
         let jump = JumpTrie::from_leaf_pushed(&merged.leaf_pushed());
-        let assembled = JumpSlabs::from_merged(&merged).assemble();
-        prop_assert!(assembled.raw_parts() == jump.raw_parts());
+        let repainted = jump.repaint(&merged, &DirtyBuckets::all());
+        prop_assert!(repainted.raw_parts() == jump.raw_parts());
         for (vn, table) in tables.iter().enumerate() {
             for &ip in &probes {
                 prop_assert_eq!(jump.lookup_vn(vn, ip), table.lookup(ip), "vn {} ip {:#010x}", vn, ip);

@@ -307,7 +307,7 @@ fn streamed_sweep_stats_equal_the_arena_walk_at_paper_scale() {
 #[test]
 #[ignore = "paper scale: ~0.5 s in release, far longer unoptimised"]
 fn served_trie_equals_the_leaf_pushed_build_at_paper_scale() {
-    use vr_trie::{JumpSlabs, JumpTrie, MergedTrie};
+    use vr_trie::{DirtyBuckets, JumpTrie, MergedTrie};
     let cfg = ExperimentConfig::paper();
     let (frac_low, frac_high) = cfg.resolve_shared_fractions();
     for frac in [frac_low, frac_high] {
@@ -316,8 +316,8 @@ fn served_trie_equals_the_leaf_pushed_build_at_paper_scale() {
             let (merged, served) = MergedTrie::from_tables_with_jump(&tables).unwrap();
             let reference = JumpTrie::from_leaf_pushed(&merged.leaf_pushed());
             let painted = JumpTrie::from_tables(&tables).unwrap();
-            let assembled = JumpSlabs::from_merged(&merged).assemble();
-            for (feed, trie) in [("routes beside the arena", &served), ("routes", &painted), ("arena replay", &assembled)] {
+            let repainted = served.repaint(&merged, &DirtyBuckets::all());
+            for (feed, trie) in [("routes beside the arena", &served), ("routes", &painted), ("arena repaint", &repainted)] {
                 assert!(
                     trie.raw_parts() == reference.raw_parts(),
                     "{feed}: K = {k}, shared fraction {frac}"

@@ -1,10 +1,11 @@
 //! The served DIR-16-8-8 trie is one structure whichever feed paints it:
 //! the bulk build's pass over the sorted routes (alone, or beside the
-//! merge arena), a replay of a live merged trie (the per-bucket store,
-//! fresh or patched bucket by bucket after churn), or a walk of the
-//! materialised leaf-pushed trie. Every feed gives equal `raw_parts()`,
-//! answers like the tables, and audits clean; and the layout the paper
-//! families publish is pinned.
+//! merge arena), a walk of a live merged trie's arena (every bucket
+//! painted, or the dirty ones painted and the rest copied from the live
+//! jump trie, batch after batch of churn), or a walk of the materialised
+//! leaf-pushed trie. Every feed gives equal `raw_parts()`, answers like
+//! the tables, and audits clean; and the layout the paper families
+//! publish is pinned.
 
 use proptest::prelude::*;
 use vr_audit::audit_jump;
@@ -12,7 +13,7 @@ use vr_net::synth::FamilySpec;
 use vr_net::table::{NextHop, RouteEntry};
 use vr_net::{Ipv4Prefix, RoutingTable};
 use vr_trie::merge::MAX_MERGE_ARITY;
-use vr_trie::{DirtyBuckets, JumpSlabs, JumpTrie, JumpTrieParts, MergedTrie};
+use vr_trie::{DirtyBuckets, JumpTrie, JumpTrieParts, MergedTrie};
 
 /// FNV-1a over the encoding: the four lengths, then every root, tail and
 /// NHI word in order.
@@ -81,15 +82,16 @@ fn assert_served(jump: &JumpTrie, reference: &JumpTrie, feed: &str) {
 }
 
 /// Every feed of the painter over `tables`, held to the leaf-pushed
-/// reference: the routes alone, the routes beside the arena, and a
-/// replay of the arena (a fresh per-bucket store, assembled).
-fn assert_every_feed(tables: &[RoutingTable]) -> MergedTrie {
+/// reference: the routes alone, the routes beside the arena, and a walk
+/// of the arena painting every bucket. Returns the arena and the trie
+/// painted beside it.
+fn assert_every_feed(tables: &[RoutingTable]) -> (MergedTrie, JumpTrie) {
     let (merged, served) = MergedTrie::from_tables_with_jump(tables).unwrap();
     let want = reference(&merged, tables);
     assert_served(&served, &want, "routes beside the arena");
     assert_served(&JumpTrie::from_tables(tables).unwrap(), &want, "routes");
-    assert_served(&JumpSlabs::from_merged(&merged).assemble(), &want, "arena replay");
-    merged
+    assert_served(&served.repaint(&merged, &DirtyBuckets::all()), &want, "arena repaint");
+    (merged, served)
 }
 
 /// Strategy: 1–8 tables drawing routes (/0 to /32) from one pool of up to
@@ -109,34 +111,36 @@ fn arb_family() -> impl Strategy<Value = Vec<RoutingTable>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Every feed paints the reference, before and after a seeded batch
-    /// withdraws a third of the routes and re-announces half of those
-    /// with a new next hop, patched in bucket by bucket through
-    /// `rebuild_bucket` and assembled, as a service publishes an update.
+    /// Every feed paints the reference; with no bucket dirty the repaint
+    /// is its input, field for field; and so is each of three seeded
+    /// batches that withdraw a third of the routes and re-announce half
+    /// of those with a new next hop, each repainted over the trie the
+    /// batch before published, as a service publishes an update.
     #[test]
     fn every_feed_paints_the_reference(tables in arb_family(), seed in any::<u64>()) {
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
-        let mut merged = assert_every_feed(&tables);
-        let mut slabs = JumpSlabs::from_merged(&merged);
+        let (mut merged, mut live) = assert_every_feed(&tables);
+        let unchanged = live.repaint(&merged, &DirtyBuckets::new());
+        prop_assert!(unchanged.raw_parts() == live.raw_parts(), "no dirty bucket");
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut tables = tables;
-        let routes = tables.iter().enumerate().map(|(vn, t)| t.iter().map(move |e| (vn, e)));
-        let routes: Vec<_> = routes.flatten().collect();
-        let withdrawn: Vec<_> = routes.into_iter().filter(|_| rng.gen_bool(0.3)).collect();
-        let mut dirty = DirtyBuckets::new();
-        for &(vn, e) in &withdrawn {
-            prop_assert_eq!(merged.remove(vn, &e.prefix), tables[vn].remove(&e.prefix));
-            dirty.mark_prefix(&e.prefix);
+        for batch in 0..3 {
+            let routes = tables.iter().enumerate().map(|(vn, t)| t.iter().map(move |e| (vn, e)));
+            let routes: Vec<_> = routes.flatten().collect();
+            let withdrawn: Vec<_> = routes.into_iter().filter(|_| rng.gen_bool(0.3)).collect();
+            let mut dirty = DirtyBuckets::new();
+            for &(vn, e) in &withdrawn {
+                prop_assert_eq!(merged.remove(vn, &e.prefix), tables[vn].remove(&e.prefix));
+                dirty.mark_prefix(&e.prefix);
+            }
+            for &(vn, e) in withdrawn.iter().filter(|_| rng.gen_bool(0.5)) {
+                let nh = e.next_hop.wrapping_add(1);
+                prop_assert_eq!(merged.insert(vn, e.prefix, nh), tables[vn].insert(e.prefix, nh));
+            }
+            live = live.repaint(&merged, &dirty);
+            assert_served(&live, &reference(&merged, &tables), &format!("batch {batch}"));
         }
-        for &(vn, e) in withdrawn.iter().filter(|_| rng.gen_bool(0.5)) {
-            let nh = e.next_hop.wrapping_add(1);
-            prop_assert_eq!(merged.insert(vn, e.prefix, nh), tables[vn].insert(e.prefix, nh));
-        }
-        for bucket in dirty.iter() {
-            slabs.rebuild_bucket(&merged, bucket);
-        }
-        assert_served(&slabs.assemble(), &reference(&merged, &tables), "patched buckets");
     }
 }
 
@@ -171,22 +175,22 @@ fn every_feed_paints_the_reference_at_the_edges() {
     assert!(with_len(0) > 1 && with_len(32) > 1);
 }
 
-/// A bucket rebuilt where the merged trie's path ends above depth 16, and
-/// one whose depth-16 node has only a right child, paint the reference.
+/// A bucket repainted where the merged trie's path ends above depth 16,
+/// and one whose depth-16 node has only a right child, paint the
+/// reference; so does the last repaint's copy of clean bucket 10.1, whose
+/// level-2 block (10.1.1) holds a vector first seen there, ahead in
+/// address order of one first seen in its level-1 block (10.1.2).
 #[test]
 fn rebuilt_buckets_paint_the_reference_at_path_ends() {
     let p = |s: &str| s.parse::<Ipv4Prefix>().unwrap();
-    let mut tables = vec![RoutingTable::new(), RoutingTable::new()];
-    let mut merged = MergedTrie::from_tables(&tables).unwrap();
-    let mut slabs = JumpSlabs::from_merged(&merged);
+    let mut tables = vec![RoutingTable::new(), "10.1.1.1/32 4\n10.1.2.0/24 5\n".parse().unwrap()];
+    let (mut merged, mut live) = MergedTrie::from_tables_with_jump(&tables).unwrap();
     for (vn, prefix, nh) in [(0, "10.0.0.0/8", 1), (1, "10.1.128.0/17", 2), (1, "10.2.0.255/32", 3)] {
         merged.insert(vn, p(prefix), nh);
         tables[vn].insert(p(prefix), nh);
         let mut dirty = DirtyBuckets::new();
         dirty.mark_prefix(&p(prefix));
-        for bucket in dirty.iter() {
-            slabs.rebuild_bucket(&merged, bucket);
-        }
-        assert_served(&slabs.assemble(), &reference(&merged, &tables), prefix);
+        live = live.repaint(&merged, &dirty);
+        assert_served(&live, &reference(&merged, &tables), prefix);
     }
 }
