@@ -177,13 +177,13 @@ fn every_feed_paints_the_reference_at_the_edges() {
 
 /// A bucket repainted where the merged trie's path ends above depth 16,
 /// and one whose depth-16 node has only a right child, paint the
-/// reference; so does the last repaint's copy of clean bucket 10.1, whose
-/// level-2 block (10.1.1) holds a vector first seen there, ahead in
-/// address order of one first seen in its level-1 block (10.1.2).
+/// reference; so do the later repaints' copies of clean bucket 10.3,
+/// whose level-2 block (10.3.1) holds a vector first seen there, ahead in
+/// address order of one first seen in its level-1 block (10.3.2).
 #[test]
 fn rebuilt_buckets_paint_the_reference_at_path_ends() {
     let p = |s: &str| s.parse::<Ipv4Prefix>().unwrap();
-    let mut tables = vec![RoutingTable::new(), "10.1.1.1/32 4\n10.1.2.0/24 5\n".parse().unwrap()];
+    let mut tables = vec![RoutingTable::new(), "10.3.1.1/32 4\n10.3.2.0/24 5\n".parse().unwrap()];
     let (mut merged, mut live) = MergedTrie::from_tables_with_jump(&tables).unwrap();
     for (vn, prefix, nh) in [(0, "10.0.0.0/8", 1), (1, "10.1.128.0/17", 2), (1, "10.2.0.255/32", 3)] {
         merged.insert(vn, p(prefix), nh);
