@@ -2,9 +2,8 @@
 //! throughput (incremental dirty-bucket repaints vs cloning the tables and
 //! building the whole trie from scratch per batch) under the paper's ~1 %
 //! write mix at paper scale (K=15 × 3,725 prefixes), with
-//! oracle-checked mid-churn lookups, the per-batch α / memory-power
-//! trajectory, and a forced α-drop phase proving the hysteretic
-//! re-merge fires exactly once.
+//! oracle-checked mid-churn lookups and the per-batch α / memory-power
+//! trajectory.
 //!
 //! `cargo run --release -p vr-bench --bin control_churn` (accepts
 //! `--quick` for fewer batches and `--smoke` for a tiny CI-only run
@@ -21,7 +20,6 @@ use vr_engine::{LookupService, ServiceConfig};
 use vr_net::synth::FamilySpec;
 use vr_net::{NextHop, RouteUpdate, RoutingTable, UpdateMix, UpdateStream, VnId};
 use vr_power::report::write_json;
-use vr_telemetry::EventKind;
 use vr_trie::JumpTrie;
 
 /// One point of the α / power trajectory.
@@ -33,17 +31,6 @@ struct AlphaPoint {
     power_delta_w: f64,
     updates_in: usize,
     updates_applied: usize,
-    remerged: bool,
-}
-
-/// The forced α-drop phase result.
-#[derive(Debug, Serialize)]
-struct ForcedDrop {
-    alpha_before: f64,
-    alpha_after_drop: f64,
-    generation_before: u64,
-    generation_after: u64,
-    remerge_events: usize,
 }
 
 /// The whole study, persisted as `BENCH_control_churn[_smoke].json`.
@@ -61,7 +48,6 @@ struct ChurnStudy {
     incremental_publishes: u64,
     full_rebuild_fallbacks: u64,
     alpha_trajectory: Vec<AlphaPoint>,
-    forced_drop: ForcedDrop,
 }
 
 /// Deterministic probe set against the *current* shadow tables: one
@@ -189,14 +175,7 @@ fn trajectory(
         },
     )
     .expect("trajectory service");
-    // Floor at 0 keeps the policy quiet: this phase charts drift, the
-    // forced-drop phase exercises the trigger.
-    let cfg = ControlConfig {
-        alpha_floor: 0.0,
-        alpha_rearm: 0.0,
-        ..ControlConfig::default()
-    };
-    let mut plane = ControlPlane::new(service, cfg).expect("control plane");
+    let mut plane = ControlPlane::new(service, ControlConfig::default()).expect("control plane");
     let mut stream = UpdateStream::new(tables.to_vec(), UpdateMix::default(), 16, seed ^ 0x5EED)
         .expect("update stream");
     let outcomes: Vec<BatchOutcome> = plane
@@ -213,86 +192,8 @@ fn trajectory(
             power_delta_w: o.power_delta_w,
             updates_in: o.coalesce.input,
             updates_applied: o.coalesce.output,
-            remerged: o.remerged,
         })
         .collect()
-}
-
-/// Forced α-drop: withdraw every route of the last VN so the common
-/// node set collapses, and prove the armed trigger re-merges exactly
-/// once (hysteresis holds it down afterwards).
-fn forced_drop(tables: &[RoutingTable]) -> ForcedDrop {
-    let service = LookupService::new(
-        tables.to_vec(),
-        ServiceConfig {
-            workers: 1,
-            batch_width: Some(32),
-            ..ServiceConfig::default()
-        },
-    )
-    .expect("forced-drop service");
-    let cfg = ControlConfig {
-        alpha_floor: 0.5,
-        alpha_rearm: 0.9,
-        cooldown_batches: 1,
-        ..ControlConfig::default()
-    };
-    let mut plane = ControlPlane::new(service, cfg).expect("forced-drop plane");
-    let alpha_before = plane.service().alpha().expect("alpha");
-    let generation_before = plane.service().generation();
-    assert!(
-        alpha_before >= 0.5,
-        "family must start above the floor (α = {alpha_before})"
-    );
-
-    let victim = tables.len() - 1;
-    let withdrawals: Vec<RouteUpdate> = tables[victim]
-        .prefixes()
-        .map(|prefix| RouteUpdate::Withdraw {
-            vnid: victim as VnId,
-            prefix,
-        })
-        .collect();
-    let drop_outcome = plane.apply_batch(&withdrawals).expect("drop batch");
-    assert!(drop_outcome.remerged, "α drop below the floor must re-merge");
-
-    // α stays low; three more quiet batches must not re-trigger.
-    for i in 0..3u32 {
-        let o = plane
-            .apply_batch(&[RouteUpdate::Announce {
-                vnid: 0,
-                prefix: vr_net::Ipv4Prefix::must(0xC633_6400 | (i << 8), 24),
-                next_hop: 1,
-            }])
-            .expect("quiet batch");
-        assert!(!o.remerged, "disarmed trigger fired again");
-    }
-
-    let snap = plane
-        .service()
-        .telemetry_snapshot()
-        .expect("telemetry on by default");
-    let remerge_events = snap
-        .events
-        .events
-        .iter()
-        .filter(|e| matches!(e.kind, EventKind::RemergeTriggered { .. }))
-        .count();
-    assert_eq!(remerge_events, 1, "exactly one RemergeTriggered event");
-    let generation_after = plane.service().generation();
-    assert!(
-        generation_after > generation_before,
-        "re-merge must bump the generation"
-    );
-    let alpha_after_drop = drop_outcome.alpha;
-    let _ = plane.shutdown();
-    ForcedDrop {
-        alpha_before,
-        alpha_after_drop,
-        generation_before,
-        generation_after,
-        remerge_events,
-    }
 }
 
 fn main() {
@@ -343,16 +244,6 @@ fn main() {
             p.alpha
         );
     }
-    let drop = forced_drop(&tables);
-    eprintln!(
-        "[control_churn] forced drop: α {:.3} → {:.3}, generation {} → {}, {} re-merge event(s)",
-        drop.alpha_before,
-        drop.alpha_after_drop,
-        drop.generation_before,
-        drop.generation_after,
-        drop.remerge_events
-    );
-
     let study = ChurnStudy {
         scale,
         k,
@@ -366,7 +257,6 @@ fn main() {
         incremental_publishes: inc_publishes,
         full_rebuild_fallbacks: fallbacks,
         alpha_trajectory,
-        forced_drop: drop,
     };
 
     println!(

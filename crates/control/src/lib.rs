@@ -10,18 +10,14 @@
 //!   they touch the data plane, so a flapping route dirties its buckets
 //!   once instead of many times;
 //! * [`ControlPlane`] — a supervisor wrapping `vr-engine`'s
-//!   [`LookupService`]: it replays churn traces (live
-//!   [`UpdateStream`]s or parsed text traces), watches the merged
-//!   trie's measured merging efficiency α after every batch, prices
-//!   the resulting memory-footprint drift in watts with `vr-power`'s
-//!   BRAM model, and — when α sags below a configured floor — triggers
-//!   a background re-merge and RCU republish with hysteresis, cooldown
-//!   and a bounded retry against audit rejections.
+//!   [`LookupService`]: it replays churn from live [`UpdateStream`]s,
+//!   reads the merged trie's measured merging efficiency α after every
+//!   batch, and prices the resulting memory-footprint drift in watts
+//!   with `vr-power`'s BRAM model.
 //!
 //! The division of labour: `vr-engine` owns the mechanism (dirty-bucket
 //! repaints of the live trie, generation-counted snapshot swaps), this crate
-//! owns the *policy* (when to coalesce, when to fall back, when a
-//! re-merge is worth the rebuild cost).
+//! owns the *policy* (what a batch is, what it cost in α and watts).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,7 +29,6 @@ pub use coalesce::{coalesce, CoalesceStats};
 pub use plane::{BatchOutcome, ControlConfig, ControlPlane};
 
 use vr_engine::EngineError;
-use vr_net::NetError;
 #[allow(unused_imports)] // doc links
 use vr_net::UpdateStream;
 
@@ -48,16 +43,6 @@ pub enum ControlError {
     InvalidConfig(&'static str),
     /// The underlying lookup service failed.
     Engine(EngineError),
-    /// Trace parsing or stream construction failed.
-    Net(NetError),
-    /// Every bounded re-merge attempt was rejected by the audit gate;
-    /// the previous generation keeps serving.
-    RemergeFailed {
-        /// Attempts made before giving up.
-        attempts: usize,
-        /// The last audit rejection summary.
-        last: String,
-    },
 }
 
 impl std::fmt::Display for ControlError {
@@ -65,10 +50,6 @@ impl std::fmt::Display for ControlError {
         match self {
             ControlError::InvalidConfig(msg) => write!(f, "invalid control config: {msg}"),
             ControlError::Engine(e) => write!(f, "engine error: {e}"),
-            ControlError::Net(e) => write!(f, "net error: {e}"),
-            ControlError::RemergeFailed { attempts, last } => {
-                write!(f, "re-merge rejected {attempts} time(s); last: {last}")
-            }
         }
     }
 }
@@ -81,12 +62,6 @@ impl From<EngineError> for ControlError {
     }
 }
 
-impl From<NetError> for ControlError {
-    fn from(e: NetError) -> Self {
-        ControlError::Net(e)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -95,14 +70,7 @@ mod tests {
     fn error_display_and_conversion() {
         let e: ControlError = EngineError::InvalidParameter("x").into();
         assert!(e.to_string().contains("engine error"));
-        let e: ControlError = NetError::InvalidPrefixLen(40).into();
-        assert!(e.to_string().contains("net error"));
         assert!(ControlError::InvalidConfig("y").to_string().contains('y'));
-        let e = ControlError::RemergeFailed {
-            attempts: 3,
-            last: "boom".into(),
-        };
-        assert!(e.to_string().contains('3') && e.to_string().contains("boom"));
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The [`ControlPlane`] supervisor: churn replay, α-drift monitoring,
-//! and audited re-merge republish.
+//! The [`ControlPlane`] supervisor: churn replay, α and memory-power
+//! tracking, and the flight recorder's tick.
 //!
 //! Policy lives here; mechanism lives in `vr-engine`. Every batch the
 //! supervisor applies goes through three steps:
@@ -12,48 +12,27 @@
 //!    live trie: the dirty /16 buckets painted from the merged trie, the
 //!    rest copied (every bucket painted past the configured dirty
 //!    threshold).
-//! 3. **Supervise** — measure α (the merged trie's merging
-//!    efficiency), price the memory-footprint drift in watts against
-//!    the construction-time baseline, and decide whether a re-merge
-//!    republish is due.
+//! 3. **Measure** — read α (the merged trie's merging efficiency, kept
+//!    incrementally) and price the memory-footprint drift in watts
+//!    against the footprint at construction.
 //!
-//! The re-merge trigger is hysteretic: it arms at `alpha_rearm`, fires
-//! once when α sinks below `alpha_floor`, then stays disarmed until α
-//! recovers — so a family parked below the floor costs one rebuild,
-//! not one per batch. A cooldown bounds the rebuild rate even under
-//! oscillating α, and audit rejections are retried a bounded number of
-//! times before surfacing as [`ControlError::RemergeFailed`].
-//!
-//! What a re-merge changes: nothing in the data plane but the
-//! generation. The merged trie prunes nodes on withdraw and keeps α
-//! incrementally, so [`LookupService::remerge_publish`] republishes a
-//! structure bit-equal to the live one, with the same α; the generation
-//! bump only invalidates every lane's result cache. Merging the same K
-//! tables into the same one engine cannot raise α. The trigger means
-//! something only once it can regroup the VNs into several engines
-//! (grouped merging, ROADMAP item 8).
+//! α is a property of the K tables alone: the merged trie prunes nodes
+//! on withdraw, so merging the same tables into the same one engine
+//! again would publish a bit-equal structure with the same α. The plane
+//! therefore only reports α; regrouping the VNs into several engines is
+//! ROADMAP item 8, and report-only.
 
 use crate::coalesce::{coalesce, CoalesceStats};
 use crate::ControlError;
 use serde::Serialize;
-use vr_engine::{EngineError, LookupService, ServiceReport};
-use vr_net::update::parse_update_trace;
+use vr_engine::{LookupService, ServiceReport};
 use vr_net::{RouteUpdate, UpdateStream};
 use vr_obs::FlightRecorder;
-use vr_telemetry::{Counter, EventKind, Gauge};
+use vr_telemetry::{Counter, Gauge};
 
-/// Policy knobs of a [`ControlPlane`].
+/// Pricing knobs of a [`ControlPlane`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ControlConfig {
-    /// Re-merge when measured α sinks below this while armed.
-    pub alpha_floor: f64,
-    /// Re-arm the trigger once α recovers to at least this. Must be
-    /// ≥ `alpha_floor`; the gap is the hysteresis band.
-    pub alpha_rearm: f64,
-    /// Minimum batches between re-merges, bounding rebuild rate.
-    pub cooldown_batches: usize,
-    /// Attempts against `AuditRejected` before giving up on a re-merge.
-    pub remerge_retries: usize,
     /// BRAM primitive used to price the memory footprint.
     pub bram_mode: vr_fpga::BramMode,
     /// Speed grade pricing the footprint (Table III coefficients).
@@ -65,16 +44,11 @@ pub struct ControlConfig {
 }
 
 impl Default for ControlConfig {
-    /// Paper-flavoured defaults: the α band brackets the paper's low
-    /// sweep point (α = 0.2); pricing uses 18 Kb BRAM at the -2
-    /// grade's base clock like the reference scenarios.
+    /// Paper-flavoured defaults: 18 Kb BRAM at the -2 grade's base clock
+    /// like the reference scenarios.
     fn default() -> Self {
         let grade = vr_fpga::SpeedGrade::Minus2;
         Self {
-            alpha_floor: 0.2,
-            alpha_rearm: 0.3,
-            cooldown_batches: 8,
-            remerge_retries: 3,
             bram_mode: vr_fpga::BramMode::K18,
             grade,
             freq_mhz: grade.base_clock_mhz(),
@@ -85,16 +59,6 @@ impl Default for ControlConfig {
 
 impl ControlConfig {
     fn validate(&self) -> Result<(), ControlError> {
-        let band = [self.alpha_floor, self.alpha_rearm];
-        if band.iter().any(|a| !a.is_finite() || !(0.0..=1.0).contains(a)) {
-            return Err(ControlError::InvalidConfig("alpha thresholds must be in [0, 1]"));
-        }
-        if self.alpha_rearm < self.alpha_floor {
-            return Err(ControlError::InvalidConfig("alpha_rearm must be >= alpha_floor"));
-        }
-        if self.remerge_retries == 0 {
-            return Err(ControlError::InvalidConfig("remerge_retries must be >= 1"));
-        }
         if !self.freq_mhz.is_finite() || self.freq_mhz <= 0.0 {
             return Err(ControlError::InvalidConfig("freq_mhz must be positive"));
         }
@@ -106,10 +70,10 @@ impl ControlConfig {
 }
 
 /// What one supervised batch did, returned by
-/// [`ControlPlane::apply_batch`] and accumulated by the replay drivers.
+/// [`ControlPlane::apply_batch`] and accumulated by the replay driver.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct BatchOutcome {
-    /// Generation published by the batch (after any re-merge).
+    /// Generation live after the batch.
     pub generation: u64,
     /// Coalescing result for the raw batch.
     pub coalesce: CoalesceStats,
@@ -118,8 +82,6 @@ pub struct BatchOutcome {
     /// Watts of BRAM power the current footprint costs over (positive)
     /// or under (negative) the construction-time baseline.
     pub power_delta_w: f64,
-    /// Whether this batch triggered a re-merge republish.
-    pub remerged: bool,
 }
 
 /// Control-plane metric handles, present when the wrapped service has
@@ -129,26 +91,17 @@ struct ControlTelemetry {
     batches: Counter,
     updates_in: Counter,
     superseded: Counter,
-    remerges: Counter,
     alpha_pm: Gauge,
 }
 
-/// Supervisor wrapping a [`LookupService`] with churn-replay and
-/// α-drift re-merge policy.
+/// Supervisor wrapping a [`LookupService`] with churn replay and α /
+/// memory-power tracking.
 pub struct ControlPlane {
     service: LookupService,
     cfg: ControlConfig,
-    /// Hysteresis state: a re-merge may fire only while armed.
-    armed: bool,
-    /// Batches supervised so far.
-    batches: usize,
-    /// Batch index of the last re-merge, for the cooldown.
-    last_remerge: Option<usize>,
-    /// Footprint (bits) of the snapshot live at construction or after
-    /// the latest re-merge — the "as-merged" reference the power delta
-    /// is priced against.
+    /// Footprint (bits) of the snapshot live at construction — the
+    /// "as-merged" reference the power delta is priced against.
     baseline_bits: u64,
-    remerges: u64,
     telemetry: Option<ControlTelemetry>,
     /// Attached anomaly flight recorder, driven once per supervised
     /// batch (see [`Self::attach_flight_recorder`]).
@@ -169,17 +122,12 @@ impl ControlPlane {
             batches: registry.counter("vr_control_batches_total"),
             updates_in: registry.counter("vr_control_updates_in_total"),
             superseded: registry.counter("vr_control_updates_superseded_total"),
-            remerges: registry.counter("vr_control_remerges_total"),
             alpha_pm: registry.gauge("vr_control_alpha_pm"),
         });
         Ok(Self {
             service,
             cfg,
-            armed: true,
-            batches: 0,
-            last_remerge: None,
             baseline_bits,
-            remerges: 0,
             telemetry,
             flight: None,
             trace_cursor: 0,
@@ -224,41 +172,26 @@ impl ControlPlane {
         &mut self.service
     }
 
-    /// Re-merges performed so far.
+    /// Retired: the plane no longer republishes on α drift, so this is
+    /// always 0. Kept only until the repo benchmark stops reading it
+    /// (ROADMAP item 12(c)).
     #[must_use]
     pub fn remerges(&self) -> u64 {
-        self.remerges
+        0
     }
 
-    /// Coalesces and applies one update batch, then runs the α-drift
-    /// policy. An empty batch (or one coalescing to nothing) still
-    /// counts against the cooldown clock but publishes nothing.
+    /// Coalesces and applies one update batch, then measures α and the
+    /// power delta. An empty batch (or one coalescing to nothing)
+    /// publishes nothing.
     ///
     /// # Errors
-    /// Propagates service failures; a re-merge whose every retry is
-    /// audit-rejected surfaces as [`ControlError::RemergeFailed`]
-    /// (the pre-re-merge generation keeps serving).
+    /// Propagates service failures.
     pub fn apply_batch(&mut self, updates: &[RouteUpdate]) -> Result<BatchOutcome, ControlError> {
         let (deduped, stats) = coalesce(updates);
         let mut generation = self.service.generation();
         if !deduped.is_empty() {
             generation = self.service.apply_updates(&deduped)?;
         }
-        self.batches += 1;
-        let alpha = self.service.alpha()?;
-
-        // Hysteresis: fire once on the way down, re-arm on recovery.
-        let cooled = self
-            .last_remerge
-            .is_none_or(|at| self.batches - at >= self.cfg.cooldown_batches);
-        let mut remerged = false;
-        if self.armed && alpha < self.cfg.alpha_floor && cooled {
-            generation = self.remerge_with_retry()?;
-            remerged = true;
-        } else if !self.armed && alpha >= self.cfg.alpha_rearm {
-            self.armed = true;
-        }
-
         let alpha = self.service.alpha()?;
         let power_delta_w = self.power_delta_w();
         if let Some(t) = &self.telemetry {
@@ -273,7 +206,6 @@ impl ControlPlane {
             coalesce: stats,
             alpha,
             power_delta_w,
-            remerged,
         })
     }
 
@@ -297,29 +229,8 @@ impl ControlPlane {
             .collect()
     }
 
-    /// Parses a text trace ([`parse_update_trace`] format) and replays
-    /// it in batches of `batch_size`.
-    ///
-    /// # Errors
-    /// Fails on malformed trace lines or a failing batch;
-    /// `batch_size == 0` is rejected.
-    pub fn replay_trace(
-        &mut self,
-        trace: &str,
-        batch_size: usize,
-    ) -> Result<Vec<BatchOutcome>, ControlError> {
-        if batch_size == 0 {
-            return Err(ControlError::InvalidConfig("batch_size must be >= 1"));
-        }
-        let updates = parse_update_trace(trace)?;
-        updates
-            .chunks(batch_size)
-            .map(|chunk| self.apply_batch(chunk))
-            .collect()
-    }
-
-    /// Watts the current footprint costs relative to the as-merged
-    /// baseline (positive: churn made the structure more expensive).
+    /// Watts the current footprint costs relative to the footprint at
+    /// construction (positive: churn made the structure more expensive).
     #[must_use]
     pub fn power_delta_w(&self) -> f64 {
         vr_power::memory_power_delta_w(
@@ -370,49 +281,12 @@ impl ControlPlane {
             rec.scan_events(registry.events(), Some(lag), now_ns);
         }
     }
-
-    /// One audited re-merge republish with bounded retry. Only
-    /// `AuditRejected` is retried — it is the gate this loop exists
-    /// for; any other failure propagates immediately.
-    fn remerge_with_retry(&mut self) -> Result<u64, ControlError> {
-        let mut last = String::new();
-        for _ in 0..self.cfg.remerge_retries {
-            match self.service.remerge_publish() {
-                Ok(generation) => {
-                    self.armed = false;
-                    self.last_remerge = Some(self.batches);
-                    self.remerges += 1;
-                    self.baseline_bits = footprint_bits(&self.service, self.cfg.nhi_bits);
-                    let alpha = self.service.alpha()?;
-                    if let Some(t) = &self.telemetry {
-                        t.remerges.inc(0);
-                    }
-                    if let Some(registry) = self.service.metrics() {
-                        registry.events().publish(EventKind::RemergeTriggered {
-                            generation,
-                            alpha_pm: alpha_pm(alpha),
-                        });
-                    }
-                    return Ok(generation);
-                }
-                Err(EngineError::AuditRejected(summary)) => last = summary,
-                Err(e) => return Err(e.into()),
-            }
-        }
-        Err(ControlError::RemergeFailed {
-            attempts: self.cfg.remerge_retries,
-            last,
-        })
-    }
 }
 
 impl std::fmt::Debug for ControlPlane {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ControlPlane")
             .field("cfg", &self.cfg)
-            .field("armed", &self.armed)
-            .field("batches", &self.batches)
-            .field("remerges", &self.remerges)
             .field("baseline_bits", &self.baseline_bits)
             .finish_non_exhaustive()
     }
@@ -437,9 +311,9 @@ fn alpha_pm(alpha: f64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vr_engine::ServiceConfig;
-    use vr_net::update::to_update_trace;
+    use vr_engine::{EngineError, ServiceConfig};
     use vr_net::{RoutingTable, UpdateMix, VnId};
+    use vr_telemetry::EventKind;
 
     fn table(lines: &str) -> RoutingTable {
         lines.parse().unwrap()
@@ -578,25 +452,7 @@ mod tests {
 
     #[test]
     fn config_validation_rejects_bad_bands() {
-        let service = small_service(paired_tables());
-        let bad = ControlConfig {
-            alpha_floor: 0.5,
-            alpha_rearm: 0.4,
-            ..ControlConfig::default()
-        };
-        match ControlPlane::new(service, bad) {
-            Err(ControlError::InvalidConfig(msg)) => assert!(msg.contains("alpha_rearm")),
-            other => panic!("expected config rejection, got {other:?}"),
-        }
         for bad in [
-            ControlConfig {
-                alpha_floor: -0.1,
-                ..ControlConfig::default()
-            },
-            ControlConfig {
-                remerge_retries: 0,
-                ..ControlConfig::default()
-            },
             ControlConfig {
                 freq_mhz: 0.0,
                 ..ControlConfig::default()
@@ -607,144 +463,82 @@ mod tests {
             },
         ] {
             assert!(bad.validate().is_err());
+            let service = small_service(paired_tables());
+            match ControlPlane::new(service, bad) {
+                Err(ControlError::InvalidConfig(_)) => {}
+                other => panic!("expected config rejection, got {other:?}"),
+            }
         }
     }
 
+    /// Collapsing α is an ordinary batch: one generation, one
+    /// `GenerationSwap` and nothing else, and the power delta stays
+    /// priced against the footprint at construction.
     #[test]
-    fn forced_alpha_drop_triggers_exactly_one_remerge() {
+    fn alpha_collapse_publishes_one_generation_against_the_construction_baseline() {
         // Two identical tables: α = 1. Withdrawing everything from VN 1
-        // collapses the common set, α → 0, and the armed trigger must
-        // fire exactly once (hysteresis keeps it disarmed after).
+        // collapses the common set, and a burst of VN 0 /24s, one per /16
+        // bucket, grows the footprint past a BRAM quantum.
         let tables = paired_tables();
-        let plane_cfg = ControlConfig {
-            alpha_floor: 0.5,
-            alpha_rearm: 0.9,
-            cooldown_batches: 1,
-            ..ControlConfig::default()
-        };
-        let mut plane = ControlPlane::new(small_service(tables.clone()), plane_cfg).unwrap();
-
-        let withdrawals: Vec<RouteUpdate> = tables[1]
-            .prefixes()
-            .map(|prefix| RouteUpdate::Withdraw { vnid: 1, prefix })
-            .collect();
-        let outcome = plane.apply_batch(&withdrawals).unwrap();
-        assert!(outcome.remerged, "α drop below the floor must re-merge");
-        assert!(outcome.alpha < 0.5);
-        assert_eq!(plane.remerges(), 1);
-
-        // α stays low; further batches must NOT re-trigger.
-        for _ in 0..5 {
-            let o = plane
-                .apply_batch(&[RouteUpdate::Announce {
-                    vnid: 0,
-                    prefix: "192.0.2.0/24".parse().unwrap(),
-                    next_hop: 4,
-                }])
-                .unwrap();
-            assert!(!o.remerged, "disarmed trigger fired again");
-        }
-        assert_eq!(plane.remerges(), 1);
-
-        // The event ring saw exactly one RemergeTriggered.
-        let snap = plane.service().telemetry_snapshot().unwrap();
-        let remerge_events = snap
-            .events
-            .events
-            .iter()
-            .filter(|e| matches!(e.kind, EventKind::RemergeTriggered { .. }))
-            .count();
-        assert_eq!(remerge_events, 1);
-        let report = plane.shutdown();
-        assert!(report.swaps >= 2, "update publish + re-merge publish");
-    }
-
-    #[test]
-    fn recovery_past_rearm_rearms_the_trigger() {
-        let tables = paired_tables();
-        let plane_cfg = ControlConfig {
-            alpha_floor: 0.5,
-            alpha_rearm: 0.9,
-            cooldown_batches: 1,
-            ..ControlConfig::default()
-        };
-        let mut plane = ControlPlane::new(small_service(tables.clone()), plane_cfg).unwrap();
-        let withdrawals: Vec<RouteUpdate> = tables[1]
-            .prefixes()
-            .map(|prefix| RouteUpdate::Withdraw { vnid: 1, prefix })
-            .collect();
-        assert!(plane.apply_batch(&withdrawals).unwrap().remerged);
-
-        // Re-announce VN 1 identically: α returns to 1, trigger re-arms.
-        let announcements: Vec<RouteUpdate> = tables[1]
-            .iter()
-            .map(|entry| RouteUpdate::Announce {
-                vnid: 1,
-                prefix: entry.prefix,
-                next_hop: entry.next_hop,
-            })
-            .collect();
-        let o = plane.apply_batch(&announcements).unwrap();
-        assert!((o.alpha - 1.0).abs() < 1e-12);
-        assert!(!o.remerged);
-
-        // A second collapse now fires a second re-merge.
-        let o = plane.apply_batch(&withdrawals).unwrap();
-        assert!(o.remerged);
-        assert_eq!(plane.remerges(), 2);
-        let _ = plane.shutdown();
-    }
-
-    #[test]
-    fn cooldown_suppresses_back_to_back_remerges() {
-        let tables = paired_tables();
-        let plane_cfg = ControlConfig {
-            alpha_floor: 0.5,
-            alpha_rearm: 0.9,
-            cooldown_batches: 100,
-            ..ControlConfig::default()
-        };
-        let mut plane = ControlPlane::new(small_service(tables.clone()), plane_cfg).unwrap();
-        let withdrawals: Vec<RouteUpdate> = tables[1]
-            .prefixes()
-            .map(|prefix| RouteUpdate::Withdraw { vnid: 1, prefix })
-            .collect();
-        let announcements: Vec<RouteUpdate> = tables[1]
-            .iter()
-            .map(|entry| RouteUpdate::Announce {
-                vnid: 1,
-                prefix: entry.prefix,
-                next_hop: entry.next_hop,
-            })
-            .collect();
-        assert!(plane.apply_batch(&withdrawals).unwrap().remerged);
-        // Recover (re-arms), collapse again — still inside the cooldown.
-        assert!(!plane.apply_batch(&announcements).unwrap().remerged);
-        let o = plane.apply_batch(&withdrawals).unwrap();
-        assert!(!o.remerged, "cooldown must suppress the second re-merge");
-        assert_eq!(plane.remerges(), 1);
-        let _ = plane.shutdown();
-    }
-
-    #[test]
-    fn replay_trace_round_trips_through_the_plane() {
-        let tables = paired_tables();
-        let mut stream =
-            UpdateStream::new(tables.clone(), UpdateMix::default(), 8, 21).unwrap();
-        let raw = stream.batch(40);
-        let trace = to_update_trace(&raw);
-
         let mut plane =
             ControlPlane::new(small_service(tables.clone()), ControlConfig::default()).unwrap();
-        let outcomes = plane.replay_trace(&trace, 10).unwrap();
-        assert_eq!(outcomes.len(), 4);
-        assert_eq!(
-            outcomes.iter().map(|o| o.coalesce.input).sum::<usize>(),
-            40
+        assert!((plane.service().alpha().unwrap() - 1.0).abs() < 1e-12);
+        let baseline_bits = footprint_bits(plane.service(), 8);
+        let before = plane.service().generation();
+        let cursor = plane.service().metrics().unwrap().events().published();
+
+        let burst: Vec<vr_net::Ipv4Prefix> = (0..64u32)
+            .map(|i| vr_net::Ipv4Prefix::must(0x2D00_0000 | (i << 16), 24))
+            .collect();
+        let withdrawals: Vec<RouteUpdate> = tables[1]
+            .prefixes()
+            .map(|prefix| RouteUpdate::Withdraw { vnid: 1, prefix })
+            .collect();
+        let collapse: Vec<RouteUpdate> = withdrawals
+            .into_iter()
+            .chain(burst.iter().map(|&prefix| RouteUpdate::Announce {
+                vnid: 0,
+                prefix,
+                next_hop: 3,
+            }))
+            .collect();
+        let o = plane.apply_batch(&collapse).unwrap();
+        assert!(o.alpha < 0.5, "α did not collapse: {}", o.alpha);
+        assert_eq!(o.generation, before + 1);
+        assert_eq!(plane.service().generation(), before + 1);
+        let kinds: Vec<EventKind> = plane
+            .service()
+            .metrics()
+            .unwrap()
+            .events()
+            .drain_since(cursor)
+            .events
+            .into_iter()
+            .map(|e| e.kind)
+            .collect();
+        assert_eq!(kinds, [EventKind::GenerationSwap { generation: before + 1 }]);
+        let cfg = ControlConfig::default();
+        let want = vr_power::memory_power_delta_w(
+            cfg.bram_mode,
+            cfg.grade,
+            baseline_bits,
+            footprint_bits(plane.service(), cfg.nhi_bits),
+            cfg.freq_mhz,
         );
-        // End state is a from-scratch build of the stream's own tables.
-        assert_serves(&plane, stream.tables());
-        assert!(plane.replay_trace("", 0).is_err());
+        assert!(o.power_delta_w > 0.0, "footprint growth must cost watts");
+        assert_eq!(o.power_delta_w.to_bits(), want.to_bits());
+
+        // Withdrawing the burst restores the construction footprint (the
+        // K-wide vectors keep their count), so the delta returns to zero
+        // rather than going negative against the collapsed footprint.
+        let unburst: Vec<RouteUpdate> = burst
+            .iter()
+            .map(|&prefix| RouteUpdate::Withdraw { vnid: 0, prefix })
+            .collect();
+        let o = plane.apply_batch(&unburst).unwrap();
+        assert_eq!(o.generation, before + 2);
+        assert_eq!(footprint_bits(plane.service(), 8), baseline_bits);
+        assert!(o.power_delta_w.abs() < 1e-12, "delta {} W", o.power_delta_w);
         let _ = plane.shutdown();
     }
 
@@ -802,8 +596,6 @@ mod tests {
         // A burst of new /24s, one per /16 bucket, opens 64 blocks: 512 Kib,
         // well past one BRAM's quantum (64 /24s inside one /16 are a
         // single 8 Kib block, which the last BRAM's slack can absorb).
-        // Both networks announce them, so α stays above the re-merge
-        // floor and the baseline is not re-anchored under the burst.
         let burst: Vec<RouteUpdate> = (0..128u32)
             .map(|i| RouteUpdate::Announce {
                 vnid: (i & 1) as VnId,

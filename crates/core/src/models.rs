@@ -142,10 +142,10 @@ pub fn efficiency_mw_per_gbps(scenario: &Scenario) -> f64 {
 /// current one, priced with the Table III BRAM model at the paper's 1 %
 /// reference write rate.
 ///
-/// The control plane uses this to decide whether α drift is worth a
-/// re-merge: as churn erodes merging efficiency, the merged structure's
-/// bit footprint grows, and this converts that growth into the watts the
-/// deployment would pay post-republish. Positive means the current
+/// The control plane reports this after every update batch: as churn
+/// erodes merging efficiency, the merged structure's bit footprint
+/// grows, and this converts that growth into the watts the deployment
+/// pays over the footprint it was built with. Positive means the current
 /// footprint costs more than the baseline.
 #[must_use]
 pub fn memory_power_delta_w(

@@ -641,23 +641,6 @@ impl LookupService {
         }
     }
 
-    /// Paints every bucket from the merged trie and publishes the result
-    /// — the re-merge endpoint `vr-control` triggers on α drift.
-    /// The merged trie prunes on withdraw and keeps α incrementally, so
-    /// the republished structure equals the live one; the call bumps the
-    /// generation (and with it every lane's cache tag) and nothing else.
-    /// Returns the new generation; on rejection the old generation
-    /// stays live.
-    ///
-    /// # Errors
-    /// Propagates audit rejections.
-    pub fn remerge_publish(&mut self) -> Result<u64, EngineError> {
-        let trie = self.core.snapshot().trie.repaint(&self.merged, &DirtyBuckets::all());
-        let generation = self.publish_trie(trie)?;
-        self.painted = generation;
-        Ok(generation)
-    }
-
     /// Measured merging efficiency α of the live table family, O(1): the
     /// merged trie keeps it incrementally.
     ///
@@ -1184,8 +1167,12 @@ mod tests {
         assert_serves(&service, &shadow);
     }
 
+    /// The merged trie prunes on withdraw and keeps α incrementally, so
+    /// after any churn an all-dirty repaint — every bucket painted from
+    /// the arena, what the past-threshold arm and the first batch after a
+    /// foreign publish run — equals the live trie field for field.
     #[test]
-    fn remerge_republishes_the_live_structure() {
+    fn an_all_dirty_repaint_equals_the_live_structure() {
         let tables = churn_family(97, 4);
         let mut service = LookupService::new(tables.clone(), small_cfg(1)).unwrap();
         let batches = churn_batches(tables, 97, 8, 64);
@@ -1199,11 +1186,8 @@ mod tests {
             service.apply_updates(batch).unwrap();
         }
         let live = service.snapshot();
-        let alpha = service.alpha().unwrap();
-        assert_eq!(service.remerge_publish().unwrap(), live.generation + 1);
-        let remerged = service.snapshot();
-        assert_eq!(remerged.trie.raw_parts(), live.trie.raw_parts());
-        assert_eq!(service.alpha().unwrap().to_bits(), alpha.to_bits());
+        let repainted = live.trie.repaint(&service.merged, &DirtyBuckets::all());
+        assert_eq!(repainted.raw_parts(), live.trie.raw_parts());
         let _ = service.shutdown();
     }
 
@@ -1264,26 +1248,6 @@ mod tests {
         assert_eq!(snap.counter("vr_service_full_rebuilds_total"), Some(0));
         assert_eq!(snap.gauge("vr_service_dirty_buckets"), Some(256));
         assert_eq!(snap.histogram("vr_service_update_ns").unwrap().count, 1);
-        let _ = service.shutdown();
-    }
-
-    #[test]
-    fn remerge_publish_bumps_generation_and_keeps_lookups() {
-        let tables = vec![
-            table("10.0.0.0/8 1\n10.1.1.0/24 2\n"),
-            table("10.0.0.0/8 7\n172.16.0.0/12 8\n"),
-        ];
-        let mut service = LookupService::new(tables.clone(), small_cfg(1)).unwrap();
-        let generation = service.remerge_publish().unwrap();
-        assert_eq!(generation, 1);
-        for (vn, t) in tables.iter().enumerate() {
-            for probe in [0x0A01_0103u32, 0xAC10_0001, 0x0B00_0000] {
-                assert_eq!(
-                    service.process(&[(vn as VnId, probe)]),
-                    vec![t.lookup(probe)]
-                );
-            }
-        }
         let _ = service.shutdown();
     }
 

@@ -208,75 +208,6 @@ impl UpdateStream {
     }
 }
 
-/// Parses an update trace in the RIS-like text format this crate also
-/// emits: one update per line,
-///
-/// ```text
-/// A|<vnid>|<prefix>|<next-hop>     # announce
-/// W|<vnid>|<prefix>                # withdraw
-/// ```
-///
-/// Blank lines and `#` comments are skipped. Real BGP update feeds
-/// (e.g. RIPE RIS dumps) convert to this format with a one-line awk.
-///
-/// # Errors
-/// [`NetError::InvalidDumpLine`] with a 1-based line number on the first
-/// malformed line.
-pub fn parse_update_trace(input: &str) -> Result<Vec<RouteUpdate>, NetError> {
-    let mut updates = Vec::new();
-    for (idx, raw) in input.lines().enumerate() {
-        let line_no = idx + 1;
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let fields: Vec<&str> = line.split('|').collect();
-        let bad = |reason| NetError::InvalidDumpLine {
-            line: line_no,
-            reason,
-        };
-        let parse_vnid = |s: &str| s.trim().parse::<VnId>().map_err(|_| bad("bad vnid"));
-        match fields.as_slice() {
-            ["A", vnid, prefix, next_hop] => updates.push(RouteUpdate::Announce {
-                vnid: parse_vnid(vnid)?,
-                prefix: prefix.trim().parse()?,
-                next_hop: next_hop
-                    .trim()
-                    .parse()
-                    .map_err(|_| bad("next hop must be an integer 0..=255"))?,
-            }),
-            ["W", vnid, prefix] => updates.push(RouteUpdate::Withdraw {
-                vnid: parse_vnid(vnid)?,
-                prefix: prefix.trim().parse()?,
-            }),
-            _ => return Err(bad("expected A|vnid|prefix|nh or W|vnid|prefix")),
-        }
-    }
-    Ok(updates)
-}
-
-/// Serializes updates into the [`parse_update_trace`] format.
-#[must_use]
-pub fn to_update_trace(updates: &[RouteUpdate]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(updates.len() * 28);
-    for u in updates {
-        match u {
-            RouteUpdate::Announce {
-                vnid,
-                prefix,
-                next_hop,
-            } => {
-                let _ = writeln!(out, "A|{vnid}|{prefix}|{next_hop}");
-            }
-            RouteUpdate::Withdraw { vnid, prefix } => {
-                let _ = writeln!(out, "W|{vnid}|{prefix}");
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -363,39 +294,6 @@ mod tests {
         };
         assert!(UpdateStream::new(tables(1), negative, 16, 0).is_err());
         assert!(UpdateStream::new(tables(1), UpdateMix::default(), 0, 0).is_err());
-    }
-
-    #[test]
-    fn update_trace_round_trips() {
-        let mut s = UpdateStream::new(tables(3), UpdateMix::default(), 16, 5).unwrap();
-        let updates = s.batch(200);
-        let trace = to_update_trace(&updates);
-        let back = parse_update_trace(&trace).unwrap();
-        assert_eq!(back, updates);
-    }
-
-    #[test]
-    fn update_trace_parsing_accepts_comments_and_rejects_garbage() {
-        let good = "# header\nA|0|10.0.0.0/8|7\n\nW|1|192.168.0.0/16 # inline\n";
-        let updates = parse_update_trace(good).unwrap();
-        assert_eq!(updates.len(), 2);
-        assert_eq!(updates[0].vnid(), 0);
-        assert_eq!(updates[1].vnid(), 1);
-
-        for (bad, line) in [
-            ("X|0|10.0.0.0/8|7\n", 1),
-            ("A|0|10.0.0.0/8\n", 1),           // missing next hop
-            ("A|zero|10.0.0.0/8|7\n", 1),      // bad vnid
-            ("A|0|10.0.0.0/8|boom\n", 1),      // bad next hop
-            ("A|0|10.0.0.0/8|7\nW|1\n", 2),    // truncated withdraw
-        ] {
-            match parse_update_trace(bad) {
-                Err(NetError::InvalidDumpLine { line: l, .. }) => assert_eq!(l, line, "{bad:?}"),
-                other => panic!("{bad:?}: expected line error, got {other:?}"),
-            }
-        }
-        // Prefix errors surface as prefix errors.
-        assert!(parse_update_trace("A|0|10.0.0.0/40|7\n").is_err());
     }
 
     #[test]

@@ -20,9 +20,8 @@
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 use std::sync::Arc;
-use vr_telemetry::Stopwatch;
+use vr_telemetry::{EventRing, Stopwatch};
 
 /// Default 1-in-N sampling rate: batch sequence numbers divisible by
 /// 64 are traced. At the bench's 512-packet batches this records one
@@ -242,20 +241,11 @@ impl TraceBuilder {
     }
 }
 
-struct TraceRing {
-    traces: VecDeque<BatchTrace>,
-    /// Completed traces ever recorded (ring sequence numbering: the
-    /// retained window is `[recorded - len, recorded)`).
-    recorded: u64,
-    dropped: u64,
-    next_trace_id: u64,
-}
-
 struct TracerInner {
     epoch: Stopwatch,
     sample: u32,
-    capacity: usize,
-    ring: Mutex<TraceRing>,
+    next_trace_id: Mutex<u64>,
+    ring: EventRing<BatchTrace>,
 }
 
 /// Shared handle to the sampling state and the completed-trace ring.
@@ -275,13 +265,8 @@ impl Tracer {
             inner: Arc::new(TracerInner {
                 epoch: Stopwatch::start(),
                 sample: sample.max(1),
-                capacity: capacity.max(1),
-                ring: Mutex::new(TraceRing {
-                    traces: VecDeque::new(),
-                    recorded: 0,
-                    dropped: 0,
-                    next_trace_id: 0,
-                }),
+                next_trace_id: Mutex::new(0),
+                ring: EventRing::new(capacity),
             }),
         }
     }
@@ -310,12 +295,7 @@ impl Tracer {
     /// builder's first mark should be [`Stage::Enqueue`].
     #[must_use]
     pub fn begin(&self, seq: u64, packets: usize) -> TraceBuilder {
-        let trace_id = {
-            let mut ring = self.inner.ring.lock();
-            let id = ring.next_trace_id;
-            ring.next_trace_id += 1;
-            id
-        };
+        let trace_id = self.mint_trace_id();
         let mark_ns = self.now_ns();
         TraceBuilder {
             epoch: self.inner.epoch,
@@ -332,15 +312,16 @@ impl Tracer {
         }
     }
 
+    fn mint_trace_id(&self) -> u64 {
+        let mut next = self.inner.next_trace_id.lock();
+        let id = *next;
+        *next += 1;
+        id
+    }
+
     /// Deposits a completed trace into the bounded ring.
     pub fn record(&self, trace: BatchTrace) {
-        let mut ring = self.inner.ring.lock();
-        if ring.traces.len() == self.inner.capacity {
-            ring.traces.pop_front();
-            ring.dropped += 1;
-        }
-        ring.traces.push_back(trace);
-        ring.recorded += 1;
+        self.inner.ring.publish(trace);
     }
 
     /// Records a standalone control-plane span (`Publish` /
@@ -348,12 +329,7 @@ impl Tracer {
     /// and ends now.
     pub fn record_span(&self, stage: Stage, start_ns: u64, generation: u64) {
         let end = self.now_ns().max(start_ns);
-        let trace_id = {
-            let mut ring = self.inner.ring.lock();
-            let id = ring.next_trace_id;
-            ring.next_trace_id += 1;
-            id
-        };
+        let trace_id = self.mint_trace_id();
         self.record(BatchTrace {
             trace_id,
             seq: trace_id,
@@ -372,43 +348,36 @@ impl Tracer {
     /// Copies the retained traces out, oldest first.
     #[must_use]
     pub fn snapshot(&self) -> TraceSnapshot {
-        let ring = self.inner.ring.lock();
+        let read = self.inner.ring.read_since(0);
         TraceSnapshot {
             sample: self.inner.sample,
-            recorded: ring.recorded,
-            dropped: ring.dropped,
-            traces: ring.traces.iter().cloned().collect(),
+            recorded: read.next_seq,
+            dropped: read.missed,
+            traces: read.items,
         }
     }
 
     /// Cursor-based incremental read over ring sequence numbers (the
-    /// `recorded` counter), mirroring `EventRing::drain_since`: returns
-    /// retained traces with ring-seq `>= cursor` plus the exact count
-    /// the cursor missed to eviction. Feed `next_seq` back as the next
-    /// cursor.
+    /// `recorded` counter), [`EventRing::read_since`] over the traces:
+    /// returns retained traces with ring-seq `>= cursor` plus the exact
+    /// count the cursor missed to eviction. Feed `next_seq` back as the
+    /// next cursor.
     #[must_use]
     pub fn drain_since(&self, cursor: u64) -> TraceDrain {
-        let ring = self.inner.ring.lock();
-        let len = ring.traces.len() as u64;
-        let first_retained = ring.recorded - len;
-        let missed = first_retained.saturating_sub(cursor);
-        let skip = cursor.saturating_sub(first_retained) as usize;
+        let read = self.inner.ring.read_since(cursor);
         TraceDrain {
-            traces: ring.traces.iter().skip(skip).cloned().collect(),
-            missed,
-            next_seq: ring.recorded,
+            traces: read.items,
+            missed: read.missed,
+            next_seq: read.next_seq,
         }
     }
 }
 
 impl std::fmt::Debug for Tracer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let ring = self.inner.ring.lock();
         f.debug_struct("Tracer")
             .field("sample", &self.inner.sample)
-            .field("capacity", &self.inner.capacity)
-            .field("recorded", &ring.recorded)
-            .field("dropped", &ring.dropped)
+            .field("ring", &self.inner.ring)
             .finish()
     }
 }

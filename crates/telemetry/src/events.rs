@@ -1,10 +1,13 @@
-//! Bounded structured-event ring with droppage-detectable sequencing.
+//! Bounded ring with droppage-detectable sequencing, and the structured
+//! events the service publishes into it.
 //!
 //! Metrics answer "how much"; events answer "what happened, in order".
-//! The ring keeps the most recent `capacity` events. Every event gets a
+//! The ring keeps the most recent `capacity` items. Every item gets a
 //! monotonic sequence number at publish time, so a consumer comparing
 //! the first retained sequence against `dropped` knows exactly how many
-//! older events were evicted — droppage is visible, never silent.
+//! older items were evicted — droppage is visible, never silent. The
+//! ring is generic over its payload: the telemetry registry keeps
+//! [`EventKind`]s in it, `vr-obs`'s tracer its completed traces.
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -29,15 +32,6 @@ pub enum EventKind {
         /// Worker the batch was destined for.
         worker: u64,
     },
-    /// The control plane detected merging-efficiency drift below its
-    /// floor and republished a freshly re-merged table generation.
-    RemergeTriggered {
-        /// Generation published by the re-merge.
-        generation: u64,
-        /// Merging efficiency α after the re-merge, in parts-per-mille
-        /// (events are integer-only; 1000 = α of 1.0).
-        alpha_pm: u64,
-    },
 }
 
 /// One event plus its publish-time sequence number.
@@ -49,28 +43,45 @@ pub struct EventRecord {
     pub kind: EventKind,
 }
 
-/// Bounded MPMC event buffer. Publishing takes a short mutex (events
-/// are control-plane rate — swaps, stalls, re-merges — not per-packet),
-/// keeping the data-plane record path atomic-only.
-pub struct EventRing {
-    inner: Mutex<RingState>,
+/// Bounded MPMC buffer of `T`s (by default [`EventKind`]s). Publishing
+/// takes a short mutex (events are control-plane rate — swaps, stalls,
+/// sampled traces — not per-packet), keeping the data-plane record path
+/// atomic-only.
+pub struct EventRing<T = EventKind> {
+    inner: Mutex<RingState<T>>,
     capacity: usize,
 }
 
-struct RingState {
-    events: VecDeque<EventRecord>,
+struct RingState<T> {
+    /// Retained items, oldest first; the oldest has sequence `dropped`.
+    items: VecDeque<T>,
     next_seq: u64,
     dropped: u64,
 }
 
-impl EventRing {
-    /// Creates a ring retaining at most `capacity` events (min 1).
+/// Result of a generic [`EventRing::read_since`] read.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RingRead<T> {
+    /// Sequence number of `items[0]`; the rest follow contiguously.
+    pub first_seq: u64,
+    /// Retained items with sequence `>= cursor`, oldest first.
+    pub items: Vec<T>,
+    /// Items in `[cursor, first retained seq)` that were evicted before
+    /// this read — the consumer's gap, zero when it kept up. A read from
+    /// 0 misses exactly the evicted items.
+    pub missed: u64,
+    /// Cursor to pass to the next read (= total items ever published).
+    pub next_seq: u64,
+}
+
+impl<T> EventRing<T> {
+    /// Creates a ring retaining at most `capacity` items (min 1).
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         Self {
             inner: Mutex::new(RingState {
-                events: VecDeque::with_capacity(capacity),
+                items: VecDeque::with_capacity(capacity),
                 next_seq: 0,
                 dropped: 0,
             }),
@@ -78,67 +89,87 @@ impl EventRing {
         }
     }
 
-    /// Maximum number of retained events.
+    /// Maximum number of retained items.
     #[must_use]
     pub fn capacity(&self) -> usize {
         self.capacity
     }
 
-    /// Publishes an event, evicting the oldest if the ring is full.
-    /// Returns the event's sequence number.
-    pub fn publish(&self, kind: EventKind) -> u64 {
+    /// Publishes an item, evicting the oldest if the ring is full.
+    /// Returns the item's sequence number.
+    pub fn publish(&self, item: T) -> u64 {
         let mut state = self.inner.lock();
         let seq = state.next_seq;
         state.next_seq += 1;
-        if state.events.len() == self.capacity {
-            state.events.pop_front();
+        if state.items.len() == self.capacity {
+            state.items.pop_front();
             state.dropped += 1;
         }
-        state.events.push_back(EventRecord { seq, kind });
+        state.items.push_back(item);
         seq
     }
 
-    /// Total events ever published.
+    /// Total items ever published.
     #[must_use]
     pub fn published(&self) -> u64 {
         self.inner.lock().next_seq
     }
+}
 
+impl<T: Clone> EventRing<T> {
+    /// Cursor-based incremental read: copies every retained item with
+    /// sequence `>= cursor`, oldest first, without consuming anything
+    /// (the ring stays a bounded MPMC buffer; each consumer keeps its
+    /// own cursor), plus the count the cursor missed to eviction — after
+    /// a wrap, a consumer that fell behind learns exactly how large its
+    /// gap is instead of silently skipping it.
+    #[must_use]
+    pub fn read_since(&self, cursor: u64) -> RingRead<T> {
+        let state = self.inner.lock();
+        // Items below `dropped` are gone; a cursor pointing into that
+        // evicted range missed `dropped - cursor` of them.
+        let first_seq = cursor.max(state.dropped);
+        let skip = (first_seq - state.dropped) as usize;
+        RingRead {
+            first_seq,
+            items: state.items.iter().skip(skip).cloned().collect(),
+            missed: state.dropped.saturating_sub(cursor),
+            next_seq: state.next_seq,
+        }
+    }
+}
+
+impl EventRing {
     /// Copies the retained events out, oldest first.
     #[must_use]
     pub fn snapshot(&self) -> EventRingSnapshot {
-        let state = self.inner.lock();
+        let read = self.read_since(0);
         EventRingSnapshot {
-            next_seq: state.next_seq,
-            dropped: state.dropped,
-            events: state.events.iter().cloned().collect(),
+            next_seq: read.next_seq,
+            dropped: read.missed,
+            events: read.into_records(),
         }
     }
 
-    /// Cursor-based incremental read: returns every retained event with
-    /// `seq >= cursor`, oldest first, without consuming anything (the
-    /// ring itself stays a bounded MPMC buffer; each consumer keeps its
-    /// own cursor). `missed` counts the events the cursor asked for that
-    /// were already evicted — after a wrap, a consumer that fell behind
-    /// learns exactly how large its gap is instead of silently skipping
-    /// it. Feed `next_seq` back as the next call's cursor.
+    /// [`Self::read_since`] as numbered [`EventRecord`]s. Feed
+    /// `next_seq` back as the next call's cursor.
     #[must_use]
     pub fn drain_since(&self, cursor: u64) -> EventDrain {
-        let state = self.inner.lock();
-        // Events below `dropped` are gone; a cursor pointing into that
-        // evicted range missed `dropped - cursor` events.
-        let missed = state.dropped.saturating_sub(cursor);
-        let events: Vec<EventRecord> = state
-            .events
-            .iter()
-            .filter(|e| e.seq >= cursor)
-            .cloned()
-            .collect();
+        let read = self.read_since(cursor);
         EventDrain {
-            events,
-            missed,
-            next_seq: state.next_seq,
+            missed: read.missed,
+            next_seq: read.next_seq,
+            events: read.into_records(),
         }
+    }
+}
+
+impl RingRead<EventKind> {
+    fn into_records(self) -> Vec<EventRecord> {
+        (self.first_seq..)
+            .zip(self.items)
+            .map(|(seq, kind)| EventRecord { seq, kind })
+            .collect()
     }
 }
 
@@ -154,12 +185,12 @@ pub struct EventDrain {
     pub next_seq: u64,
 }
 
-impl std::fmt::Debug for EventRing {
+impl<T> std::fmt::Debug for EventRing<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let state = self.inner.lock();
         f.debug_struct("EventRing")
             .field("capacity", &self.capacity)
-            .field("retained", &state.events.len())
+            .field("retained", &state.items.len())
             .field("next_seq", &state.next_seq)
             .field("dropped", &state.dropped)
             .finish()

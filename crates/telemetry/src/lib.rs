@@ -24,7 +24,7 @@
 //!   so hot-path code never touches `std::time::Instant` directly
 //!   (`vr-audit lint` enforces this in the engine's timed modules).
 //! * [`EventRing`] — a bounded ring of structured events (generation
-//!   swaps, audit rejections, worker stalls, α re-merges) with
+//!   swaps, audit rejections, worker stalls) with
 //!   monotonic sequence numbers, so a scraper can *detect* droppage
 //!   instead of silently missing history.
 //!
@@ -44,7 +44,7 @@ pub mod registry;
 pub mod snapshot;
 pub mod span;
 
-pub use events::{EventDrain, EventKind, EventRecord, EventRing, EventRingSnapshot};
+pub use events::{EventDrain, EventKind, EventRecord, EventRing, EventRingSnapshot, RingRead};
 pub use histogram::{bucket_bounds, bucket_index, Histogram, HistogramSnapshot, BUCKETS};
 pub use registry::{Counter, Gauge, MetricsRegistry};
 pub use snapshot::{CounterSnapshot, GaugeSnapshot, TelemetrySnapshot};

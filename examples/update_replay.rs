@@ -8,7 +8,6 @@
 
 use vr_power::{ArrivalModel, EngineConfig, SimConfig, VirtualRouterSim};
 use vr_net::synth::FamilySpec;
-use vr_net::update::{parse_update_trace, to_update_trace};
 use vr_net::{TrafficGenerator, TrafficSpec, UpdateMix, UpdateStream};
 use vr_power::SchemeKind;
 
@@ -25,16 +24,12 @@ fn main() {
     .generate()
     .expect("family");
 
-    // Produce an update trace the way an operator would export one, then
-    // parse it back — the replay path real deployments would use.
     let mut stream =
         UpdateStream::new(tables.clone(), UpdateMix::default(), 16, 7).expect("stream");
-    let trace_text = to_update_trace(&stream.batch(1500));
-    let updates = parse_update_trace(&trace_text).expect("parse trace");
+    let updates = stream.batch(1500);
     println!(
-        "replaying {} updates ({} bytes of trace) against a {k}-network separate router\n",
-        updates.len(),
-        trace_text.len()
+        "replaying {} updates against a {k}-network separate router\n",
+        updates.len()
     );
 
     let cfg = SimConfig {
