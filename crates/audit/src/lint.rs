@@ -452,7 +452,7 @@ fn collect_rust_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
 }
 
 /// Lints every Rust file under `root` against the rules, waiving
-/// findings matched by `allowlist` (the [`parse_allowlist`] format).
+/// findings matched by `allowlist` (the `parse_allowlist` format).
 /// Allowlist entries that waive nothing become [`LintRule::StaleAllow`]
 /// findings against `allow_name` (the allowlist's display path), so a
 /// stale waiver fails the lint gate until it is pruned.

@@ -175,8 +175,7 @@ fn cmd_tables(args: &[String]) -> Result<bool, String> {
     reports.push(audit_jump(&reference));
     // What the services publish at construction — `LookupService`'s arena
     // and painter in one pass, `ShardedService`'s painter alone — and
-    // past the dirty threshold or after a foreign publish: every bucket
-    // painted from the arena.
+    // after a foreign publish: every bucket painted from the arena.
     reports.push(audit_jump_against(&served, &tables, &reference));
     let painted = JumpTrie::from_tables(&tables).map_err(|e| format!("painting: {e}"))?;
     reports.push(audit_jump_against(&painted, &tables, &reference));

@@ -18,12 +18,13 @@
 //! floor, a property of the cache rather than of the machine.
 //!
 //! Latency **distribution** columns (`p50_ns`/`p99_ns`) ride along for
-//! every row except the deliberately registry-free service control:
-//! single-threaded rows run a separate chunk-granularity instrumented
-//! pass through a detached `vr-telemetry` histogram, service rows read
-//! the live `vr_service_lookup_ns` histogram the workers feed. Service
-//! mode is measured three ways — registry attached (`service_jump`),
-//! detached (`service_jump_notel`), and attached with 1-in-64 batch
+//! every row except the deliberately registry-free service control,
+//! which counts nothing at all: single-threaded rows run a separate
+//! chunk-granularity instrumented pass through a detached `vr-telemetry`
+//! histogram, service rows read the live `vr_service_lookup_ns`
+//! histogram the workers feed. Service mode is measured three ways —
+//! registry attached (`service_jump`), detached, with no accounting at
+//! all (`service_jump_notel`), and attached with 1-in-64 batch
 //! tracing (`service_jump_traced`) — so the record-path and trace-path
 //! overheads are visible deltas in the artifact, not guesses. Under
 //! `--smoke` the run also scrapes a live registry twice, validates the
@@ -77,8 +78,8 @@ struct Row {
     /// rows: chunk-granularity wall time through a detached histogram.
     /// Registry-attached service rows: the workers' live
     /// `vr_service_lookup_ns` histogram. The registry-free
-    /// `service_jump_notel` control: a separate detached
-    /// chunk-granularity pass over `process` — timer-free during the
+    /// `service_jump_notel` control, which counts nothing: a separate
+    /// detached chunk-granularity pass over `process` — timer-free during the
     /// throughput measurement, so the control stays honest.
     p50_ns: Option<f64>,
     /// 99th-percentile ns/lookup from the same histogram.

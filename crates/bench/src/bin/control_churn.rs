@@ -45,8 +45,6 @@ struct ChurnStudy {
     incremental_updates_per_sec: f64,
     speedup: f64,
     oracle_checked_lookups: usize,
-    incremental_publishes: u64,
-    full_rebuild_fallbacks: u64,
     alpha_trajectory: Vec<AlphaPoint>,
 }
 
@@ -83,13 +81,12 @@ fn probe_set(tables: &[RoutingTable], count: usize, salt: u32) -> Vec<(VnId, u32
 /// whole jump trie from scratch, publish it — a batch's cost without an
 /// incremental routing state. Incremental: `apply_updates`, which edits the service's merged trie
 /// and repaints the dirty buckets over the live trie. At the end both services must serve
-/// the same trie. Returns (naive ups, incremental ups, oracle lookups,
-/// incremental publishes, fallbacks).
+/// the same trie. Returns (naive ups, incremental ups, oracle lookups).
 fn ab_throughput(
     tables: &[RoutingTable],
     batches: &[Vec<RouteUpdate>],
     probes_per_batch: usize,
-) -> (f64, f64, usize, u64, u64) {
+) -> (f64, f64, usize) {
     let service_cfg = ServiceConfig {
         workers: 1,
         batch_width: Some(32),
@@ -146,16 +143,11 @@ fn ab_throughput(
         "end-state tries diverged"
     );
     let _ = naive.shutdown();
-    let log = inc.update_log();
-    let incremental = log.iter().filter(|r| r.incremental).count() as u64;
-    let fallbacks = log.len() as u64 - incremental;
     let _ = inc.shutdown();
     (
         total_updates as f64 / naive_secs,
         total_updates as f64 / inc_secs,
         oracle_checked,
-        incremental,
-        fallbacks,
     )
 }
 
@@ -222,8 +214,7 @@ fn main() {
     let drawn: Vec<Vec<RouteUpdate>> = (0..batches).map(|_| stream.batch(batch_size)).collect();
 
     eprintln!("[control_churn] {scale}: K={k} × {prefixes} prefixes, {batches} batches of {batch_size}");
-    let (naive_ups, inc_ups, oracle_checked, inc_publishes, fallbacks) =
-        ab_throughput(&tables, &drawn, probes_per_batch);
+    let (naive_ups, inc_ups, oracle_checked) = ab_throughput(&tables, &drawn, probes_per_batch);
     let speedup = inc_ups / naive_ups;
     eprintln!(
         "[control_churn] naive {naive_ups:.0} ups, incremental {inc_ups:.0} ups ({speedup:.1}x), {oracle_checked} oracle lookups clean"
@@ -254,8 +245,6 @@ fn main() {
         incremental_updates_per_sec: inc_ups,
         speedup,
         oracle_checked_lookups: oracle_checked,
-        incremental_publishes: inc_publishes,
-        full_rebuild_fallbacks: fallbacks,
         alpha_trajectory,
     };
 

@@ -200,12 +200,12 @@ fn main() {
     assert!(flight.contains("flightrec_"), "/flight misses the dump: {flight}");
 
     drop(server);
-    let report = plane.shutdown();
+    let totals = plane.shutdown().expect("telemetry on");
     eprintln!(
         "[obs_smoke] ok: {trace_events} trace events served, dump {} ({} events), {} batches",
         dumps[0].display(),
         dump_events,
-        report.batches
+        totals.counter("vr_service_batches_total").unwrap_or(0)
     );
 
     // Leave no artifacts behind: repeated local runs must not pile up

@@ -5,7 +5,7 @@
 //! ref. \[6\]) makes those updates incremental on FPGA. This crate is
 //! the software control plane that drives that story end to end:
 //!
-//! * [`coalesce`] — batches of announce/withdraw updates are deduped
+//! * [`coalesce`](mod@coalesce) — batches of announce/withdraw updates are deduped
 //!   per `(vnid, prefix)` with **last-writer-wins** semantics before
 //!   they touch the data plane, so a flapping route dirties its buckets
 //!   once instead of many times;

@@ -5,13 +5,13 @@
 //! supervisor applies goes through three steps:
 //!
 //! 1. **Coalesce** — last-writer-wins dedup per `(vnid, prefix)`
-//!    ([`crate::coalesce`]), so the data plane repaints a route's
-//!    buckets once per final state, not per intermediate flap.
+//!    ([`crate::coalesce`](mod@crate::coalesce)), so the data plane
+//!    repaints a route's buckets once per final state, not per
+//!    intermediate flap.
 //! 2. **Apply** — [`LookupService::apply_updates`] edits the service's
 //!    one routing state, its merged trie, and publishes a repaint of the
 //!    live trie: the dirty /16 buckets painted from the merged trie, the
-//!    rest copied (every bucket painted past the configured dirty
-//!    threshold).
+//!    rest copied.
 //! 3. **Measure** — read α (the merged trie's merging efficiency, kept
 //!    incrementally) and price the memory-footprint drift in watts
 //!    against the footprint at construction.
@@ -25,10 +25,10 @@
 use crate::coalesce::{coalesce, CoalesceStats};
 use crate::ControlError;
 use serde::Serialize;
-use vr_engine::{LookupService, ServiceReport};
+use vr_engine::LookupService;
 use vr_net::{RouteUpdate, UpdateStream};
 use vr_obs::FlightRecorder;
-use vr_telemetry::{Counter, Gauge};
+use vr_telemetry::{Counter, Gauge, TelemetrySnapshot};
 
 /// Pricing knobs of a [`ControlPlane`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -242,11 +242,12 @@ impl ControlPlane {
         )
     }
 
-    /// Shuts the wrapped service down and returns its final report. An
-    /// in-flight flight-recorder capture is flushed first so a trigger
-    /// near the end of a run still produces its dump.
+    /// Shuts the wrapped service down and returns its registry's final
+    /// scrape (`None` with telemetry off). An in-flight flight-recorder
+    /// capture is flushed first so a trigger near the end of a run still
+    /// produces its dump.
     #[must_use]
-    pub fn shutdown(mut self) -> ServiceReport {
+    pub fn shutdown(mut self) -> Option<TelemetrySnapshot> {
         if let Some(rec) = self.flight.as_mut() {
             rec.force_flush();
         }

@@ -347,7 +347,7 @@ fn family_sweep(cfg: &ExperimentConfig, k: usize, frac: f64) -> Result<SweepStat
 /// α targets) and the separate scheme, as K grows.
 ///
 /// Each α family is generated once at `k_max_fig4` and counted once
-/// ([`family_sweep`]): the separate series sums the high-α family's
+/// (`family_sweep`): the separate series sums the high-α family's
 /// single-table engines over the first K, the merged ones read the
 /// arity-K engine at every K.
 ///
@@ -430,7 +430,7 @@ pub struct SweepPoint {
 /// VM(α_high)} × both speed grades.
 ///
 /// Structures are built once and priced many times. Each α family is
-/// generated once at `k_max` and counted once ([`family_sweep`]), one job
+/// generated once at `k_max` and counted once (`family_sweep`), one job
 /// per family, fanned out: the high-α family's `k_max` single-table
 /// engines serve NV and VS at every K, and each family's merged engine
 /// at K is read off its pass. Every one of the `8 × k_max` points is then
@@ -624,7 +624,7 @@ pub struct StrideRow {
     pub latency_cycles: usize,
 }
 
-/// Ablation (ours, after paper refs. [7][8]): the multi-bit stride
+/// Ablation (ours, after paper refs. \[7\]\[8\]): the multi-bit stride
 /// depth/memory/power trade-off on the worst-case table. Wider strides
 /// shorten the pipeline (less logic power, lower latency) but expand
 /// memory via CPE (more BRAM power). Per-stage entries come from the
@@ -684,7 +684,7 @@ pub struct TcamRow {
     pub mw_per_gbps: f64,
 }
 
-/// Baseline comparison (§II-B, refs. [20][10]): the paper's trie engines
+/// Baseline comparison (§II-B, refs. \[20\]\[10\]): the paper's trie engines
 /// vs TCAM organizations holding the same K merged tables.
 ///
 /// # Errors
@@ -755,7 +755,7 @@ pub struct UpdateRow {
     pub bram_power_w: f64,
 }
 
-/// Update-cost experiment (after paper ref. [6]): applies an
+/// Update-cost experiment (after paper ref. \[6\]): applies an
 /// announce/withdraw stream to the merged trie and prices the resulting
 /// write rate with the write-aware Table III model.
 ///

@@ -93,7 +93,7 @@ impl VirtualRouterSim {
     /// Applies a routing update to the *oracle tables only*. The engines
     /// keep forwarding from their build-time snapshot — exactly the
     /// stale-data-plane window between a control-plane update and the
-    /// hardware write-back (the problem paper ref. [6] attacks). Runs
+    /// hardware write-back (the problem paper ref. \[6\] attacks). Runs
     /// after this will count oracle mismatches until
     /// [`VirtualRouterSim::rebuild_engines`] is called.
     pub fn apply_update(&mut self, update: &vr_net::RouteUpdate) {

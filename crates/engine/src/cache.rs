@@ -20,7 +20,7 @@
 //!   `ShardedService` shard thread owns its own cache; nothing is shared,
 //!   so the probe/fill path is plain single-threaded loads and stores.
 //! * **Allocation-free batch flow.** [`LpmCache::lookup_batch`] probes
-//!   the whole batch (prefetching slots [`SLOT_AHEAD`] packets ahead),
+//!   the whole batch (prefetching slots `SLOT_AHEAD` packets ahead),
 //!   compacts the misses into a dense sub-batch, walks *only the misses*
 //!   through `lookup_batch_mixed`, then scatters the results back
 //!   into submission order and fills the slots. The miss scratch buffers
@@ -259,7 +259,7 @@ impl LpmCache {
 
     /// Resolves a possibly mixed-VN batch against `trie` at `generation`,
     /// answering repeats from the cache: probe all packets (slots
-    /// prefetched [`SLOT_AHEAD`] ahead), compact the misses, walk only
+    /// prefetched `SLOT_AHEAD` ahead), compact the misses, walk only
     /// the misses (each with its own VN), scatter the results back
     /// into submission order, and fill the freshly walked slots.
     ///

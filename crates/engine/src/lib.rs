@@ -35,10 +35,8 @@ mod service_core;
 pub mod sharded;
 
 pub use cache::{CacheStats, LpmCache, DEFAULT_CACHE_SLOTS};
-pub use service::{
-    CompletedBatch, LookupService, ServiceConfig, ServiceReport, TableSnapshot, UpdateRecord,
-};
-pub use sharded::{shard_of, ShardedBatch, ShardedConfig, ShardedReport, ShardedService};
+pub use service::{CompletedBatch, LookupService, ServiceConfig, TableSnapshot};
+pub use sharded::{shard_of, ShardedBatch, ShardedConfig, ShardedService};
 // Re-exported so service users can consume traces without naming the
 // observability crate themselves.
 pub use vr_obs::{BatchTrace, Stage, TraceSnapshot, Tracer};

@@ -28,18 +28,17 @@
 //! builds the next [`JumpTrie`] with [`JumpTrie::repaint`]: the dirty /16
 //! buckets are painted from the merged trie and the rest copied from the
 //! live snapshot, so the published trie is the only copy of the served
-//! layout. Past [`ServiceConfig::dirty_rebuild_threshold`] dirty buckets,
-//! or when the live snapshot is not one this service painted from its
-//! merged trie, every bucket is painted instead. Either way the new table
-//! is built *outside* the core's publish slot, so reconfiguration never
-//! stalls the datapath (the non-blocking reload of the Terabit hybrid
+//! layout. When the live snapshot is not one this service painted from
+//! its merged trie, every bucket is painted instead. Either way the new
+//! table is built *outside* the core's publish slot, so reconfiguration
+//! never stalls the datapath (the non-blocking reload of the Terabit hybrid
 //! FPGA-ASIC platform in PAPERS.md). A candidate the core's audit gate
 //! refuses is rolled back out of the merged trie, so a rejected publish
 //! leaves routes, table and generation untouched.
 //!
-//! Per-worker counters (lookups, misses, batch latencies, generations
-//! observed) ride back with each completed batch and aggregate into a
-//! [`ServiceReport`].
+//! The service counts in one place, the core's metrics registry
+//! ([`ServiceConfig::telemetry`]): lookups, misses and batch latencies
+//! per lane, swaps, audit rejections, stalls and route updates.
 
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -52,7 +51,7 @@ use vr_telemetry::{Counter, Gauge, Histogram, MetricsRegistry, Stopwatch, Teleme
 use vr_trie::{DirtyBuckets, JumpTrie, MergedTrie};
 
 pub use crate::service_core::TableSnapshot;
-use crate::service_core::{Done, Job, ServiceCore, ShardedConfig};
+use crate::service_core::{Job, ServiceCore, ShardedConfig};
 use crate::EngineError;
 
 /// Span floor used when [`ServiceConfig::batch_width`] is `None`.
@@ -75,22 +74,19 @@ pub struct ServiceConfig {
     pub queue_depth: usize,
     /// Whether to run the service with a live [`MetricsRegistry`]:
     /// per-worker sharded counters, batch/lookup latency histograms, the
-    /// structured-event ring, and publish/audit spans. The record path
-    /// is a handful of relaxed atomics per *batch*, so this defaults on;
-    /// `false` drops the service back to report-only accounting (used by
-    /// the bench to measure the overhead delta).
+    /// structured-event ring, and publish/audit spans. The registry is
+    /// the service's only count. The record path is a handful of relaxed
+    /// atomics per *batch*, so this defaults on; `false` counts nothing
+    /// at all (used by the bench to measure the overhead delta).
     pub telemetry: bool,
     /// Retired: route updates always patch the merged trie in place.
     /// [`LookupService::new`] rejects `true`; the field stays only
     /// until the repo benchmark, which spells it, stops doing so.
     pub full_rebuild: bool,
-    /// Dirty-bucket count beyond which an update batch paints every /16
-    /// bucket from the merged trie instead of copying its clean ones from
-    /// the live snapshot, and counts in
-    /// [`ServiceReport::full_rebuilds`]. Both publish the same trie, and
-    /// the copy is the cheaper at every dirty count, so the knob only
-    /// sorts batches in the report; it stays while the repo benchmark
-    /// spells it.
+    /// Retired: an update batch copies every clean bucket from the live
+    /// snapshot whatever its dirty count, and nothing reads this field;
+    /// it stays only until the repo benchmark, which spells it, stops
+    /// doing so.
     pub dirty_rebuild_threshold: usize,
     /// Slot count of the per-worker LPM result cache
     /// ([`crate::cache::LpmCache`]), rounded up to a power of two;
@@ -147,8 +143,6 @@ pub struct CompletedBatch {
 /// registry; the core itself counts swaps, rejections and stalls.
 struct UpdateTelemetry {
     updates: Counter,
-    incremental_publishes: Counter,
-    full_rebuilds: Counter,
     update_ns: Histogram,
     dirty_buckets: Gauge,
 }
@@ -157,111 +151,10 @@ impl UpdateTelemetry {
     fn for_registry(registry: &MetricsRegistry) -> Self {
         Self {
             updates: registry.counter("vr_service_updates_total"),
-            incremental_publishes: registry.counter("vr_service_incremental_publishes_total"),
-            full_rebuilds: registry.counter("vr_service_full_rebuilds_total"),
             update_ns: registry.histogram("vr_service_update_ns"),
             dirty_buckets: registry.gauge("vr_service_dirty_buckets"),
         }
     }
-}
-
-/// Aggregated service counters, serializable for experiment reports.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct ServiceReport {
-    /// Lanes the service ran with: the caller and `workers − 1` threads.
-    pub workers: usize,
-    /// Span floor in effect ([`ServiceConfig::batch_width`], or 64).
-    pub batch_width: usize,
-    /// Lookups resolved.
-    pub lookups: u64,
-    /// Lookups that matched no route.
-    pub misses: u64,
-    /// Batches completed.
-    pub batches: u64,
-    /// Tables published over the service's lifetime (generation swaps).
-    pub swaps: u64,
-    /// Distinct snapshot generations batches were observed resolving
-    /// against, sorted ascending.
-    pub generations_seen: Vec<u64>,
-    /// Histogram of per-lookup worker latency: bucket `i` counts batches
-    /// whose mean ns/lookup fell in `[2^i, 2^(i+1))`.
-    pub latency_histogram_ns: Vec<u64>,
-    /// Total worker-side busy time across all batches, in nanoseconds.
-    pub busy_ns: u64,
-    /// Lowest snapshot generation any collected batch resolved against.
-    pub generation_min: u64,
-    /// Highest snapshot generation any collected batch resolved against.
-    pub generation_max: u64,
-    /// Publishes rejected by the structural audit gate, counted with
-    /// telemetry on or off.
-    pub audit_rejections: u64,
-    /// Route updates applied through [`LookupService::apply_updates`].
-    pub updates_applied: u64,
-    /// Update publishes within [`ServiceConfig::dirty_rebuild_threshold`]
-    /// dirty buckets.
-    pub incremental_publishes: u64,
-    /// Update publishes past [`ServiceConfig::dirty_rebuild_threshold`]
-    /// dirty buckets, which painted every bucket.
-    pub full_rebuilds: u64,
-    /// Submits that blocked on a full worker queue, counted with
-    /// telemetry on or off.
-    pub queue_stalls: u64,
-}
-
-impl ServiceReport {
-    fn new(workers: usize, batch_width: usize) -> Self {
-        Self {
-            workers,
-            batch_width,
-            latency_histogram_ns: vec![0; 32],
-            ..Self::default()
-        }
-    }
-
-    fn observe(&mut self, done: &Done) {
-        let n = done.job.results.len() as u64;
-        self.lookups += n;
-        self.misses += done.misses;
-        self.batches += 1;
-        if let Some(per_lookup) = done.elapsed_ns.checked_div(n) {
-            let bucket = (63 - u64::leading_zeros(per_lookup.max(1))).min(31) as usize;
-            self.latency_histogram_ns[bucket] += 1;
-        }
-        self.busy_ns += done.elapsed_ns;
-        if let Err(pos) = self.generations_seen.binary_search(&done.generation) {
-            self.generations_seen.insert(pos, done.generation);
-        }
-        self.generation_min = self.generations_seen.first().copied().unwrap_or(0);
-        self.generation_max = self.generations_seen.last().copied().unwrap_or(0);
-    }
-
-    /// Mean worker-side ns per lookup (0 when nothing ran).
-    #[must_use]
-    pub fn mean_ns_per_lookup(&self) -> f64 {
-        if self.lookups == 0 {
-            return 0.0;
-        }
-        self.busy_ns as f64 / self.lookups as f64
-    }
-}
-
-/// Per-call bookkeeping entry of [`LookupService::apply_updates`]: which
-/// generation the batch published and through which path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub struct UpdateRecord {
-    /// Generation the batch published.
-    pub generation: u64,
-    /// Updates in the batch (pre-coalescing — the service applies what
-    /// it is given).
-    pub updates: usize,
-    /// False when the batch passed
-    /// [`ServiceConfig::dirty_rebuild_threshold`] and every bucket was
-    /// painted. A batch that paints every bucket because the live
-    /// snapshot came from [`LookupService::publish_trie`] still counts as
-    /// incremental.
-    pub incremental: bool,
-    /// Buckets the batch dirtied.
-    pub dirty_buckets: usize,
 }
 
 /// Resolves a possibly mixed-VN batch against one trie in one in-order
@@ -299,8 +192,8 @@ pub fn lookup_batch_mixed(
 /// let updated: RoutingTable = "10.0.0.0/8 5\n".parse().unwrap();
 /// service.publish_tables(vec![updated]).unwrap();
 /// assert_eq!(service.process(&[(0, 0x0A01_0103)]), vec![Some(5)]);
-/// let report = service.shutdown();
-/// assert_eq!(report.swaps, 1);
+/// let totals = service.shutdown().unwrap();
+/// assert_eq!(totals.counter("vr_service_swaps_total"), Some(1));
 /// ```
 pub struct LookupService {
     core: ServiceCore,
@@ -314,13 +207,8 @@ pub struct LookupService {
     /// while it is that one, never from a trie `publish_trie` brought in.
     painted: u64,
     batch_width: usize,
-    report: ServiceReport,
     /// `None` when [`ServiceConfig::telemetry`] is off.
     telemetry: Option<UpdateTelemetry>,
-    /// Dirty-bucket count past which an update paints every bucket.
-    dirty_threshold: usize,
-    /// One entry per `apply_updates` call, oldest first.
-    update_log: Vec<UpdateRecord>,
 }
 
 /// Merges `tables` and builds the jump trie the service publishes for
@@ -371,10 +259,7 @@ impl LookupService {
             merged,
             painted: 0,
             batch_width,
-            report: ServiceReport::new(cfg.workers, batch_width),
             telemetry,
-            dirty_threshold: cfg.dirty_rebuild_threshold,
-            update_log: Vec::new(),
         })
     }
 
@@ -404,19 +289,11 @@ impl LookupService {
         self.merged.arity()
     }
 
-    /// Copies the core's control-plane counts into the report.
-    fn mirror_counts(&mut self) {
-        let counts = self.core.counts();
-        self.report.swaps = counts.swaps;
-        self.report.audit_rejections = counts.audit_rejections;
-        self.report.queue_stalls = counts.queue_stalls;
-    }
-
     /// Enqueues one batch on the next lane (round-robin) and returns its
     /// sequence number. Lane 0 is the caller's: a full lane-0 queue is
     /// resolved on the spot, never waited on. Another lane blocks only
     /// when its queue is full; the stall is counted
-    /// (`vr_service_queue_stalls_total`, and in the report) and ringed as a
+    /// (`vr_service_queue_stalls_total`) and ringed as a
     /// [`WorkerStall`](vr_telemetry::EventKind::WorkerStall) before the
     /// blocking send, so backpressure is observable while it is
     /// happening.
@@ -427,24 +304,20 @@ impl LookupService {
 
     /// Enqueues one batch on lane `lane` and returns its sequence number.
     fn submit_to(&mut self, lane: usize, packets: Vec<(VnId, u32)>) -> u64 {
-        let seq = self.core.submit(
+        self.core.submit(
             lane,
             Job {
                 packets,
                 ..Job::default()
             },
-        );
-        self.mirror_counts();
-        seq
+        )
     }
 
-    /// Waits for every submitted batch, aggregates counters, and returns
-    /// the batches sorted by submission sequence.
+    /// Waits for every submitted batch and returns the batches sorted by
+    /// submission sequence.
     pub fn collect_all(&mut self) -> Vec<CompletedBatch> {
         let mut done: Vec<CompletedBatch> = Vec::new();
-        let report = &mut self.report;
         self.core.drain(|batch| {
-            report.observe(&batch);
             done.push(CompletedBatch {
                 seq: batch.job.seq,
                 results: batch.job.results,
@@ -466,8 +339,7 @@ impl LookupService {
     /// one-span call makes no hand-off at any lane count and a longer one
     /// makes one per other lane, not one per chunk.
     /// Batches a caller [`submit`](Self::submit)ted and never collected
-    /// are drained and counted in the report, but are not part of the
-    /// result.
+    /// are drained and counted, but are not part of the result.
     pub fn process(&mut self, packets: &[(VnId, u32)]) -> Vec<Option<NextHop>> {
         let first_seq = self.core.next_seq();
         let spans = (packets.len() / self.batch_width).clamp(1, self.core.workers());
@@ -520,9 +392,7 @@ impl LookupService {
     /// rejects a structurally invalid trie with
     /// [`EngineError::AuditRejected`]; the live snapshot is untouched.
     pub fn publish_trie(&mut self, trie: JumpTrie) -> Result<u64, EngineError> {
-        let outcome = self.core.publish(trie);
-        self.mirror_counts();
-        outcome
+        self.core.publish(trie)
     }
 
     /// Applies a route-update stream (`vr_net::update`) to the merged
@@ -534,12 +404,13 @@ impl LookupService {
     /// `vr-control` coalescer enforces this deterministically upstream).
     /// The deltas land in the merged trie, and [`JumpTrie::repaint`]
     /// paints the dirty /16 buckets from it and copies the rest from the
-    /// live snapshot. Past [`ServiceConfig::dirty_rebuild_threshold`]
-    /// dirty buckets, or after [`publish_trie`](Self::publish_trie)
-    /// brought in a trie this service did not paint, every bucket is
-    /// painted. If the audit gate rejects the new snapshot, the batch is
-    /// rolled back out of the merged trie, and the routing state and the
-    /// live generation are left untouched.
+    /// live snapshot; after [`publish_trie`](Self::publish_trie) brought
+    /// in a trie this service did not paint, every bucket is painted. With
+    /// telemetry on, the batch is counted in `vr_service_updates_total`
+    /// and its dirty-bucket count set in `vr_service_dirty_buckets`. If
+    /// the audit gate rejects the new snapshot, the batch is rolled back
+    /// out of the merged trie, and the routing state and the live
+    /// generation are left untouched.
     ///
     /// # Errors
     /// Rejects updates addressing a VN the service does not host (checked
@@ -553,26 +424,9 @@ impl LookupService {
                 return Err(EngineError::InvalidParameter("update for unknown VN"));
             }
         }
-        let (generation, dirty, patched) = self.patch_and_publish(updates)?;
-        self.report.updates_applied += updates.len() as u64;
-        if patched {
-            self.report.incremental_publishes += 1;
-        } else {
-            self.report.full_rebuilds += 1;
-        }
-        self.update_log.push(UpdateRecord {
-            generation,
-            updates: updates.len(),
-            incremental: patched,
-            dirty_buckets: dirty,
-        });
+        let (generation, dirty) = self.patch_and_publish(updates)?;
         if let Some(t) = &self.telemetry {
             t.updates.add(0, updates.len() as u64);
-            if patched {
-                t.incremental_publishes.inc(0);
-            } else {
-                t.full_rebuilds.inc(0);
-            }
             t.dirty_buckets.set(dirty as u64);
             t.update_ns.record(watch.elapsed_ns());
         }
@@ -583,14 +437,11 @@ impl LookupService {
     }
 
     /// Delta-applies the batch to the merged trie, repaints the dirty
-    /// buckets over the live snapshot (every bucket past the threshold or
-    /// over a snapshot this service did not paint), publishes. Returns
-    /// `(generation, dirty buckets, within the threshold?)`; on a publish
-    /// rejection the deltas are rolled back in reverse order.
-    fn patch_and_publish(
-        &mut self,
-        updates: &[RouteUpdate],
-    ) -> Result<(u64, usize, bool), EngineError> {
+    /// buckets over the live snapshot (every bucket over a snapshot this
+    /// service did not paint), publishes. Returns `(generation, dirty
+    /// buckets)`; on a publish rejection the deltas are rolled back in
+    /// reverse order.
+    fn patch_and_publish(&mut self, updates: &[RouteUpdate]) -> Result<(u64, usize), EngineError> {
         let mut dirty = DirtyBuckets::new();
         // Undo log: pre-update next hop per (VN, prefix), in apply order.
         let mut applied: Vec<(usize, Ipv4Prefix, Option<NextHop>)> =
@@ -614,9 +465,8 @@ impl LookupService {
             dirty.mark_prefix(&prefix);
         }
         let count = dirty.len();
-        let patched = count <= self.dirty_threshold;
         let live = self.core.snapshot();
-        if !patched || live.generation != self.painted {
+        if live.generation != self.painted {
             dirty = DirtyBuckets::all();
         }
         let trie = live.trie.repaint(&self.merged, &dirty);
@@ -624,7 +474,7 @@ impl LookupService {
         match self.publish_trie(trie) {
             Ok(generation) => {
                 self.painted = generation;
-                Ok((generation, count, patched))
+                Ok((generation, count))
             }
             Err(err) => {
                 // Restore the merged trie to the pre-batch state (reverse
@@ -657,19 +507,6 @@ impl LookupService {
         self.core.snapshot()
     }
 
-    /// Per-call bookkeeping of [`LookupService::apply_updates`], oldest
-    /// first: which generation each batch published and via which path.
-    #[must_use]
-    pub fn update_log(&self) -> &[UpdateRecord] {
-        &self.update_log
-    }
-
-    /// Counters aggregated from every batch collected so far.
-    #[must_use]
-    pub fn report(&self) -> &ServiceReport {
-        &self.report
-    }
-
     /// The live metrics registry, when the service was configured with
     /// [`ServiceConfig::telemetry`]. Clone the `Arc` to scrape from
     /// another thread while the service keeps running.
@@ -696,11 +533,11 @@ impl LookupService {
 
     /// Drains outstanding batches, stops and joins the workers (the
     /// core's `Drop`, which also runs when the service is simply
-    /// dropped), and returns the final report.
+    /// dropped), and returns the registry's final scrape (`None` with
+    /// telemetry off).
     #[must_use]
-    pub fn shutdown(mut self) -> ServiceReport {
-        let _ = self.collect_all();
-        std::mem::take(&mut self.report)
+    pub fn shutdown(self) -> Option<TelemetrySnapshot> {
+        self.core.shutdown()
     }
 }
 
@@ -749,7 +586,7 @@ mod tests {
         empty_tiny_and_ragged_calls_keep_input_order => empty_tiny_and_ragged_calls_keep_input_order,
         cached_service_matches_uncached_and_counts_hits => cached_matches_uncached_across_a_publish,
         traced_service_records_validating_stage_chains => traced_jobs_record_validating_stage_chains,
-        telemetry_off_disables_the_registry => telemetry_off_still_reports,
+        telemetry_off_disables_the_registry => telemetry_off_has_no_registry_and_stays_exact,
         process_after_an_uncollected_submit_returns_only_its_own_results =>
             process_after_an_uncollected_submit_returns_only_its_own_results,
         drop_joins_the_workers_and_frees_the_snapshot => drop_joins_the_workers_and_frees_the_snapshot,
@@ -822,9 +659,8 @@ mod tests {
             }])
             .is_err());
         assert_eq!(service.generation(), 1);
-        let report = service.shutdown();
-        assert_eq!(report.swaps, 1);
-        assert!(report.generations_seen.contains(&1));
+        let totals = service.shutdown().unwrap();
+        assert_eq!(totals.counter("vr_service_swaps_total"), Some(1));
     }
 
     #[test]
@@ -853,7 +689,8 @@ mod tests {
             service.process(&[(0, 0x0A00_0001), (1, 0x0A00_0001), (1, 0xC000_0201)]),
             vec![Some(1), None, None]
         );
-        assert_eq!(service.shutdown().audit_rejections, 1);
+        let totals = service.shutdown().unwrap();
+        assert_eq!(totals.counter("vr_service_audit_rejections_total"), Some(1));
     }
 
     #[test]
@@ -883,19 +720,18 @@ mod tests {
         assert_eq!(service.batch_width(), 64);
         let snap = service.telemetry_snapshot().unwrap();
         assert_eq!(snap.gauge("vr_service_batch_width"), Some(64));
-        assert_eq!(service.shutdown().batch_width, 64);
+        let _ = service.shutdown();
     }
 
     #[test]
-    fn registry_counters_match_the_report() {
-        contract::run(contract::registry_counters_match_the_report, Kind::Spans);
+    fn registry_counts_the_input() {
+        contract::run(contract::registry_counts_the_input, Kind::Spans);
         let t = table("10.0.0.0/8 1\n");
         let mut service = LookupService::new(vec![t], small_cfg(2)).unwrap();
         let _ = service.process(&[(0, 0x0A00_0001); 40]);
-        let snap = service.telemetry_snapshot().unwrap();
-        assert_eq!(snap.gauge("vr_service_batch_width"), Some(16));
-        let report = service.shutdown();
-        assert_eq!((report.generation_min, report.generation_max), (0, 0));
+        let totals = service.shutdown().unwrap();
+        assert_eq!(totals.gauge("vr_service_batch_width"), Some(16));
+        assert_eq!(totals.gauge("vr_service_generation_lag"), Some(0));
     }
 
     #[test]
@@ -942,9 +778,7 @@ mod tests {
             EventKind::GenerationSwap { generation } => !audited && *generation == 2,
             _ => false,
         }));
-        let report = service.shutdown();
-        assert_eq!(report.audit_rejections, rejections);
-        assert_eq!(report.swaps, swaps);
+        let _ = service.shutdown();
     }
 
     #[test]
@@ -952,41 +786,33 @@ mod tests {
         let t = TableSpec::paper_worst_case(17).generate().unwrap();
         let base: Vec<(VnId, u32)> = t.prefixes().map(|p| (0, p.addr())).collect();
         let long: Vec<(VnId, u32)> = base.iter().copied().cycle().take(1 << 15).collect();
-        // The report counts stalls with the registry on or off.
-        for telemetry in [true, false] {
-            let cfg = ServiceConfig {
-                workers: 2,
-                batch_width: Some(64),
-                queue_depth: 1,
-                telemetry,
-                ..ServiceConfig::default()
-            };
-            let mut service = LookupService::new(vec![t.clone()], cfg).unwrap();
-            // Submitted directly, round-robin alternates the lanes: the
-            // caller resolves a 1-key lane-0 job between two 2^15-key jobs
-            // for lane 1's depth-1 queue, built up front so a submit is
-            // far cheaper than a lane-1 job. The burst is milliseconds of
-            // lane-1 time, longer than a woken thread can run ahead of
-            // its submitter on a shared CPU.
-            let jobs = vec![long.clone(); 64];
-            for job in jobs {
-                service.submit(base[..1].to_vec());
-                service.submit(job);
-            }
-            let _ = service.collect_all();
-            // The submitter must have outrun lane 1 at least once.
-            let stalls = service.report().queue_stalls;
-            assert!(stalls > 0);
-            if let Some(snap) = service.telemetry_snapshot() {
-                assert_eq!(snap.counter("vr_service_queue_stalls_total"), Some(stalls));
-                assert!(snap
-                    .events
-                    .events
-                    .iter()
-                    .any(|e| matches!(e.kind, EventKind::WorkerStall { worker: 1 })));
-            }
-            let _ = service.shutdown();
+        let cfg = ServiceConfig {
+            workers: 2,
+            batch_width: Some(64),
+            queue_depth: 1,
+            ..ServiceConfig::default()
+        };
+        let mut service = LookupService::new(vec![t], cfg).unwrap();
+        // Submitted directly, round-robin alternates the lanes: the
+        // caller resolves a 1-key lane-0 job between two 2^15-key jobs
+        // for lane 1's depth-1 queue, built up front so a submit is far
+        // cheaper than a lane-1 job. The burst is milliseconds of lane-1
+        // time, longer than a woken thread can run ahead of its submitter
+        // on a shared CPU.
+        let jobs = vec![long; 64];
+        for job in jobs {
+            service.submit(base[..1].to_vec());
+            service.submit(job);
         }
+        let _ = service.collect_all();
+        // The submitter must have outrun lane 1 at least once.
+        let snap = service.shutdown().unwrap();
+        assert!(snap.counter("vr_service_queue_stalls_total").unwrap() > 0);
+        assert!(snap
+            .events
+            .events
+            .iter()
+            .any(|e| matches!(e.kind, EventKind::WorkerStall { worker: 1 })));
     }
 
     #[test]
@@ -1009,7 +835,7 @@ mod tests {
             .all(|b| b.worker == 0 && b.results == [Some(1)]));
         let snap = service.telemetry_snapshot().unwrap();
         assert_eq!(snap.counter("vr_service_queue_stalls_total"), Some(0));
-        assert_eq!(service.shutdown().queue_stalls, 0);
+        let _ = service.shutdown();
     }
 
     fn churn_family(seed: u64, k: usize) -> Vec<vr_net::RoutingTable> {
@@ -1085,26 +911,27 @@ mod tests {
                 .collect();
             assert_eq!(inc.process(&probes), want);
         }
-        let inc_report = inc.shutdown();
-        assert_eq!(inc_report.updates_applied, 6 * 40);
-        assert_eq!(inc_report.incremental_publishes, 6);
-        assert_eq!(inc_report.full_rebuilds, 0);
+        let totals = inc.shutdown().unwrap();
+        assert_eq!(totals.counter("vr_service_updates_total"), Some(6 * 40));
+        assert_eq!(totals.counter("vr_service_swaps_total"), Some(6));
     }
 
+    /// Both paths: batch 0 copies clean buckets from the trie `new`
+    /// built, or, after a foreign publish of the same tables, paints
+    /// every bucket.
     #[test]
     fn a_refused_update_batch_rolls_back_on_both_paths() {
-        for threshold in [4096, 0] {
+        for foreign in [false, true] {
             let tables = churn_family(71, 3);
             let mut shadow = tables.clone();
-            let cfg = ServiceConfig {
-                dirty_rebuild_threshold: threshold,
-                ..small_cfg(1)
-            };
-            let mut service = LookupService::new(tables.clone(), cfg).unwrap();
+            let mut service = LookupService::new(tables.clone(), small_cfg(1)).unwrap();
+            if foreign {
+                service.publish_trie(build_trie(&tables).unwrap()).unwrap();
+            }
             let gate = service.core.gate;
-            // Batch 0 is refused over the trie `new` built, batch 3 over
-            // one the service has repainted twice; the next batch then
-            // repaints over the untouched live trie again.
+            // Batch 0 is refused over the trie built outside the update
+            // path, batch 3 over one the service has repainted twice; the
+            // next batch then repaints over the untouched live trie again.
             for (i, batch) in churn_batches(tables, 71, 6, 40).iter().enumerate() {
                 if i == 0 || i == 3 {
                     let before = service.snapshot();
@@ -1121,9 +948,15 @@ mod tests {
                 apply_to_shadow(&mut shadow, batch);
                 assert_serves(&service, &shadow);
             }
-            let report = service.shutdown();
-            assert_eq!(report.audit_rejections, 2);
-            assert_eq!(report.swaps, 6);
+            let totals = service.shutdown().unwrap();
+            assert_eq!(
+                totals.counter("vr_service_audit_rejections_total"),
+                Some(2)
+            );
+            assert_eq!(
+                totals.counter("vr_service_swaps_total"),
+                Some(6 + u64::from(foreign))
+            );
         }
     }
 
@@ -1144,7 +977,6 @@ mod tests {
         let want = JumpTrie::from_leaf_pushed(&service.merged.leaf_pushed());
         assert_eq!(service.snapshot().trie.raw_parts(), want.raw_parts());
         assert_serves(&service, &shadow);
-        assert!(service.update_log().iter().all(|r| r.incremental));
     }
 
     /// With a gate that accepts anything, a corrupt trie published
@@ -1169,8 +1001,8 @@ mod tests {
 
     /// The merged trie prunes on withdraw and keeps α incrementally, so
     /// after any churn an all-dirty repaint — every bucket painted from
-    /// the arena, what the past-threshold arm and the first batch after a
-    /// foreign publish run — equals the live trie field for field.
+    /// the arena, what the first batch after a foreign publish runs —
+    /// equals the live trie field for field.
     #[test]
     fn an_all_dirty_repaint_equals_the_live_structure() {
         let tables = churn_family(97, 4);
@@ -1192,31 +1024,7 @@ mod tests {
     }
 
     #[test]
-    fn zero_dirty_threshold_falls_back_to_full_slab_rebuild() {
-        let t = table("10.0.0.0/8 1\n10.1.1.0/24 2\n");
-        let cfg = ServiceConfig {
-            dirty_rebuild_threshold: 0,
-            ..small_cfg(1)
-        };
-        let mut service = LookupService::new(vec![t], cfg).unwrap();
-        service
-            .apply_updates(&[RouteUpdate::Announce {
-                vnid: 0,
-                prefix: "192.0.2.0/24".parse().unwrap(),
-                next_hop: 5,
-            }])
-            .unwrap();
-        assert_eq!(service.process(&[(0, 0xC000_0201)]), vec![Some(5)]);
-        let log = service.update_log().to_vec();
-        assert_eq!(log.len(), 1);
-        assert!(!log[0].incremental);
-        assert_eq!(log[0].dirty_buckets, 1);
-        let report = service.shutdown();
-        assert_eq!(report.full_rebuilds, 1);
-    }
-
-    #[test]
-    fn update_telemetry_and_log_track_each_batch() {
+    fn update_telemetry_tracks_each_batch() {
         let t = table("10.0.0.0/8 1\n");
         let mut service = LookupService::new(vec![t], small_cfg(1)).unwrap();
         let updates = [
@@ -1230,22 +1038,12 @@ mod tests {
                 prefix: "10.0.0.0/8".parse().unwrap(),
             },
         ];
-        let generation = service.apply_updates(&updates).unwrap();
-        assert_eq!(
-            service.update_log(),
-            &[UpdateRecord {
-                generation,
-                updates: 2,
-                incremental: true,
-                // Withdrawing the /8 dirties its whole 256-bucket run; the
-                // announced /24 falls inside it and dedupes.
-                dirty_buckets: 256,
-            }]
-        );
+        assert_eq!(service.apply_updates(&updates).unwrap(), 1);
         let snap = service.telemetry_snapshot().unwrap();
         assert_eq!(snap.counter("vr_service_updates_total"), Some(2));
-        assert_eq!(snap.counter("vr_service_incremental_publishes_total"), Some(1));
-        assert_eq!(snap.counter("vr_service_full_rebuilds_total"), Some(0));
+        assert_eq!(snap.counter("vr_service_swaps_total"), Some(1));
+        // Withdrawing the /8 dirties its whole 256-bucket run; the
+        // announced /24 falls inside it and dedupes.
         assert_eq!(snap.gauge("vr_service_dirty_buckets"), Some(256));
         assert_eq!(snap.histogram("vr_service_update_ns").unwrap().count, 1);
         let _ = service.shutdown();
@@ -1275,20 +1073,6 @@ mod tests {
         apply_to_shadow(&mut shadow, &withdrawals[..1]);
         assert_serves(&service, &shadow);
         let _ = service.shutdown();
-    }
-
-    #[test]
-    fn report_histogram_buckets_every_batch() {
-        let t = TableSpec::paper_worst_case(9).generate().unwrap();
-        let packets: Vec<(VnId, u32)> = t.prefixes().map(|p| (0, p.addr())).take(640).collect();
-        let mut service = LookupService::new(vec![t], small_cfg(2)).unwrap();
-        let _ = service.process(&packets);
-        let report = service.shutdown();
-        // One span per worker, each bucketed once.
-        assert_eq!(report.batches, 2);
-        let bucketed: u64 = report.latency_histogram_ns.iter().sum();
-        assert_eq!(bucketed, report.batches);
-        assert!(report.mean_ns_per_lookup() > 0.0);
     }
 
     #[test]
@@ -1338,14 +1122,12 @@ mod tests {
         for workers in [1, 3] {
             let mut service = LookupService::new(vec![t.clone()], small_cfg(workers)).unwrap();
             assert_eq!(service.process(&packets).len(), 4096);
-            let snap = service.telemetry_snapshot().unwrap();
+            let totals = service.shutdown().unwrap();
             assert_eq!(
-                snap.counter("vr_service_batches_total"),
+                totals.counter("vr_service_batches_total"),
                 Some(workers as u64)
             );
-            let report = service.shutdown();
-            assert_eq!(report.batches, workers as u64);
-            assert_eq!(report.lookups, 4096);
+            assert_eq!(totals.counter("vr_service_lookups_total"), Some(4096));
         }
     }
 
@@ -1355,13 +1137,17 @@ mod tests {
         // 3 workers, width 16: 40 keys fill two spans of 20, not 16+16+8.
         let mut service = LookupService::new(vec![t], small_cfg(3)).unwrap();
         let packets = vec![(0, 0x0A00_0001); 40];
+        let batches = |service: &LookupService| {
+            let snap = service.telemetry_snapshot().unwrap();
+            snap.counter("vr_service_batches_total").unwrap()
+        };
         assert_eq!(service.process(&packets), vec![Some(1); 40]);
-        assert_eq!(service.report().batches, 2);
+        assert_eq!(batches(&service), 2);
         // Shorter than the width: still one span, and nothing for no keys.
         assert_eq!(service.process(&packets[..5]), vec![Some(1); 5]);
-        assert_eq!(service.report().batches, 3);
+        assert_eq!(batches(&service), 3);
         assert!(service.process(&[]).is_empty());
-        assert_eq!(service.report().batches, 3);
+        assert_eq!(batches(&service), 3);
         let _ = service.shutdown();
     }
 }

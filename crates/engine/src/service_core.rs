@@ -164,24 +164,10 @@ pub(crate) struct Done {
     pub job: Job,
     /// Lane that served the job (0 is the calling thread).
     pub worker: usize,
-    /// Lookups in the job that matched no route.
-    pub misses: u64,
     /// Generation of the snapshot the whole job resolved against.
     pub generation: u64,
     /// Wall time the worker spent resolving the job, in nanoseconds.
     pub elapsed_ns: u64,
-}
-
-/// Control-plane events the core counts with telemetry on or off; the
-/// facades mirror them into their public reports.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct ControlCounts {
-    /// Tables published (generation swaps).
-    pub swaps: u64,
-    /// Publishes rejected by the structural audit gate.
-    pub audit_rejections: u64,
-    /// Submits that found the worker's queue full and had to block.
-    pub queue_stalls: u64,
 }
 
 /// Registry handles of the control-plane paths that run on the caller's
@@ -331,8 +317,8 @@ impl WorkerState {
             }
         }
         let elapsed_ns = watch.elapsed_ns();
-        let misses = job.results.iter().filter(|nh| nh.is_none()).count() as u64;
         if let Some(m) = &self.metrics {
+            let misses = job.results.iter().filter(|nh| nh.is_none()).count() as u64;
             m.observe_batch(self.id, job.results.len() as u64, misses, elapsed_ns);
             if let Some(c) = self.cache.as_mut() {
                 m.observe_cache(self.id, c.take_delta(), c.stats());
@@ -347,7 +333,6 @@ impl WorkerState {
         Done {
             job,
             worker: self.id,
-            misses,
             generation: snapshot.generation,
             elapsed_ns,
         }
@@ -367,7 +352,6 @@ pub(crate) struct ServiceCore {
     workers: Vec<Worker>,
     queue_depth: usize,
     next_seq: u64,
-    counts: ControlCounts,
     /// `None` when [`ShardedConfig::telemetry`] is off.
     telemetry: Option<CoreTelemetry>,
     /// `None` when [`ShardedConfig::trace_sample`] is off.
@@ -440,7 +424,6 @@ impl ServiceCore {
             workers,
             queue_depth: cfg.queue_depth,
             next_seq: 0,
-            counts: ControlCounts::default(),
             telemetry,
             tracer,
             gate: audit_snapshot,
@@ -486,11 +469,6 @@ impl ServiceCore {
     /// The currently published snapshot (one refcount bump).
     pub fn snapshot(&self) -> SyncArc<TableSnapshot> {
         self.current.read()
-    }
-
-    /// Swaps, audit rejections and queue stalls so far.
-    pub fn counts(&self) -> ControlCounts {
-        self.counts
     }
 
     /// The live metrics registry (`None` with telemetry off).
@@ -545,7 +523,6 @@ impl ServiceCore {
         let blocked = match target.job_tx.try_send(job) {
             Ok(()) => return seq,
             Err(TrySendError::Full(job)) => {
-                self.counts.queue_stalls += 1;
                 if let Some(t) = &self.telemetry {
                     t.queue_stalls.inc(worker);
                     t.registry.events().publish(EventKind::WorkerStall {
@@ -601,6 +578,16 @@ impl ServiceCore {
         }
     }
 
+    /// Drains every submitted job, joins the worker threads (`Drop`) and
+    /// scrapes the registry: the final count of everything the core ran,
+    /// `None` with telemetry off.
+    pub fn shutdown(mut self) -> Option<TelemetrySnapshot> {
+        self.drain(drop);
+        let registry = self.metrics().cloned();
+        drop(self);
+        registry.map(|r| r.snapshot())
+    }
+
     /// Atomically swaps in an already-built trie (the RCU write side) and
     /// returns the new generation. In-flight jobs finish on the snapshot
     /// they pinned; lane-0 jobs submitted before the call resolve first,
@@ -620,7 +607,6 @@ impl ServiceCore {
             .map(|t| t.registry.span("vr_service_publish_ns"));
         let trace_start = self.tracer.as_ref().map(Tracer::now_ns);
         if let Err(err) = (self.gate)(&trie, self.telemetry.as_ref().map(|t| &t.audit)) {
-            self.counts.audit_rejections += 1;
             if let Some(t) = &self.telemetry {
                 t.audit_rejections.inc(0);
                 t.registry.events().publish(EventKind::AuditRejected {
@@ -635,7 +621,6 @@ impl ServiceCore {
             let generation = cur.generation + 1;
             (SyncArc::new(TableSnapshot { trie, generation }), generation)
         });
-        self.counts.swaps += 1;
         if let Some(t) = &self.telemetry {
             t.swaps.inc(0);
             t.generation.set(generation);
@@ -671,7 +656,7 @@ impl Drop for ServiceCore {
 #[cfg(test)]
 pub(crate) mod contract {
     use super::*;
-    use crate::{LookupService, ServiceConfig, ShardedReport, ShardedService};
+    use crate::{shard_of, LookupService, ServiceConfig, ShardedService};
     use vr_net::synth::TableSpec;
 
     /// One `#[test]` per row, named `$name`, running contract case `$case`
@@ -833,25 +818,8 @@ pub(crate) mod contract {
             on!(self, s => s.tracer())
         }
 
-        /// Shuts down; the final figures in the shape both reports share.
-        fn finish(self) -> ShardedReport {
-            match self {
-                Either::Hash(s) => s.shutdown(),
-                Either::Spans(s) => {
-                    let r = s.shutdown();
-                    ShardedReport {
-                        shards: r.workers,
-                        lookups: r.lookups,
-                        misses: r.misses,
-                        batches: r.batches,
-                        swaps: r.swaps,
-                        generations_seen: r.generations_seen,
-                        busy_ns: r.busy_ns,
-                        queue_stalls: r.queue_stalls,
-                        audit_rejections: r.audit_rejections,
-                    }
-                }
-            }
+        fn shutdown(self) -> Option<TelemetrySnapshot> {
+            on!(self, s => s.shutdown())
         }
     }
 
@@ -888,10 +856,12 @@ pub(crate) mod contract {
             svc.process(&packets),
             oracle(std::slice::from_ref(&t), &packets)
         );
-        let totals = svc.finish();
-        assert_eq!(totals.lookups, packets.len() as u64);
-        assert_eq!(totals.generations_seen, vec![0]);
-        assert_eq!(totals.shards, lanes);
+        let totals = svc.shutdown().unwrap();
+        assert_eq!(
+            totals.counter("vr_service_lookups_total"),
+            Some(packets.len() as u64)
+        );
+        assert_eq!(totals.gauge("vr_service_generation"), Some(0));
     }
 
     pub(crate) fn mixed_vn_batches_resolve_per_network(kind: Kind, lanes: usize) {
@@ -908,7 +878,7 @@ pub(crate) mod contract {
             })
             .collect();
         assert_eq!(svc.process(&packets), oracle(&tables, &packets));
-        let _ = svc.finish();
+        let _ = svc.shutdown();
     }
 
     pub(crate) fn empty_tiny_and_ragged_calls_keep_input_order(kind: Kind, lanes: usize) {
@@ -925,7 +895,7 @@ pub(crate) mod contract {
                 "len {len}"
             );
         }
-        let _ = svc.finish();
+        let _ = svc.shutdown();
     }
 
     pub(crate) fn cached_matches_uncached_across_a_publish(kind: Kind, lanes: usize) {
@@ -968,8 +938,8 @@ pub(crate) mod contract {
         let got = cached.process(&packets);
         assert_eq!(got, plain.process(&packets));
         assert_eq!(got, oracle(&new_tables, &packets));
-        let _ = cached.finish();
-        let _ = plain.finish();
+        let _ = cached.shutdown();
+        let _ = plain.shutdown();
     }
 
     pub(crate) fn traced_jobs_record_validating_stage_chains(kind: Kind, lanes: usize) {
@@ -1029,13 +999,19 @@ pub(crate) mod contract {
                 .traces
                 .iter()
                 .any(|tr| tr.stages[0].stage == Stage::Publish && tr.generation == 1));
-            assert_eq!(jobs.len() as u64, svc.finish().batches, "every job sampled");
+            let totals = svc.shutdown().unwrap();
+            assert_eq!(
+                Some(jobs.len() as u64),
+                totals.counter("vr_service_batches_total"),
+                "every job sampled"
+            );
         }
     }
 
-    /// With telemetry on the registry's worker counters equal the
-    /// report's; with it off there is no registry and the report still
-    /// counts.
+    /// Answers are oracle-exact either way. With telemetry on the
+    /// registry counts the known input: 320 lookups and their misses, one
+    /// batch per span or shard job, each histogram fed once a batch. With
+    /// it off there is no registry and nothing is counted.
     fn telemetry_case(kind: Kind, lanes: usize, telemetry: bool) {
         let t = TableSpec::paper_worst_case(31).generate().unwrap();
         let packets: Vec<(VnId, u32)> = t
@@ -1048,43 +1024,45 @@ pub(crate) mod contract {
             ..pool(lanes)
         };
         let mut svc = kind.build(vec![t.clone()], knobs).unwrap();
-        assert_eq!(
-            svc.process(&packets),
-            oracle(std::slice::from_ref(&t), &packets)
-        );
+        let want = oracle(std::slice::from_ref(&t), &packets);
+        assert_eq!(svc.process(&packets), want);
         assert_eq!(svc.metrics().is_some(), telemetry);
-        let snap = svc.telemetry_snapshot();
-        assert_eq!(snap.is_some(), telemetry);
-        let totals = svc.finish();
-        assert_eq!(totals.lookups, 320);
-        let Some(snap) = snap else { return };
-        assert_eq!(
-            snap.counter("vr_service_lookups_total"),
-            Some(totals.lookups)
-        );
-        assert_eq!(snap.counter("vr_service_misses_total"), Some(totals.misses));
-        assert_eq!(
-            snap.counter("vr_service_batches_total"),
-            Some(totals.batches)
-        );
+        assert_eq!(svc.telemetry_snapshot().is_some(), telemetry);
+        let Some(snap) = svc.shutdown() else {
+            assert!(!telemetry);
+            return;
+        };
+        // 320 keys fill every lane's span of at least 16; the hash
+        // scatter issues one job per shard it sends a key to.
+        let jobs = match kind {
+            Kind::Spans => lanes,
+            Kind::Hash => (0..lanes)
+                .filter(|&s| packets.iter().any(|&(_, dst)| shard_of(dst, lanes) == s))
+                .count(),
+        } as u64;
+        let misses = want.iter().filter(|nh| nh.is_none()).count() as u64;
+        assert_eq!(snap.counter("vr_service_lookups_total"), Some(320));
+        assert_eq!(snap.counter("vr_service_misses_total"), Some(misses));
+        assert_eq!(snap.counter("vr_service_batches_total"), Some(jobs));
         assert_eq!(snap.gauge("vr_service_generation"), Some(0));
         for histogram in ["vr_service_batch_ns", "vr_service_lookup_ns"] {
-            assert_eq!(snap.histogram(histogram).unwrap().count, totals.batches);
+            assert_eq!(snap.histogram(histogram).unwrap().count, jobs);
         }
     }
 
-    pub(crate) fn registry_counters_match_the_report(kind: Kind, lanes: usize) {
+    pub(crate) fn registry_counts_the_input(kind: Kind, lanes: usize) {
         telemetry_case(kind, lanes, true);
     }
 
-    pub(crate) fn telemetry_off_still_reports(kind: Kind, lanes: usize) {
+    pub(crate) fn telemetry_off_has_no_registry_and_stays_exact(kind: Kind, lanes: usize) {
         telemetry_case(kind, lanes, false);
     }
 
     pub(crate) fn rejected_publish_changes_nothing_and_is_counted(kind: Kind, lanes: usize) {
         let old = table("10.0.0.0/8 1\n");
         let new = table("10.0.0.0/8 2\n");
-        // The report counts the same with the registry on or off.
+        // Serving is the same with the registry on or off; only the
+        // registry counts.
         for telemetry in [true, false] {
             let knobs = ShardedConfig {
                 telemetry,
@@ -1122,16 +1100,16 @@ pub(crate) mod contract {
             assert_eq!(svc.publish_tables(vec![new.clone()]).unwrap(), 1);
             svc.assert_serves(std::slice::from_ref(&new));
             assert_eq!(svc.process(&[(0, 0x0A00_0001)]), vec![Some(2)]);
-            if let Some(snap) = svc.telemetry_snapshot() {
-                assert_eq!(snap.counter("vr_service_swaps_total"), Some(1));
-                assert_eq!(
-                    snap.counter("vr_service_audit_rejections_total"),
-                    Some(rejections)
-                );
+            match svc.shutdown() {
+                Some(snap) => {
+                    assert_eq!(snap.counter("vr_service_swaps_total"), Some(1));
+                    assert_eq!(
+                        snap.counter("vr_service_audit_rejections_total"),
+                        Some(rejections)
+                    );
+                }
+                None => assert!(!telemetry),
             }
-            let totals = svc.finish();
-            assert_eq!(totals.swaps, 1);
-            assert_eq!(totals.audit_rejections, rejections);
         }
     }
 
@@ -1155,7 +1133,7 @@ pub(crate) mod contract {
         let mut svc = kind.build(vec![t.clone()], pool(lanes)).unwrap();
         assert!(svc.publish_tables(vec![t.clone(), t]).is_err());
         assert_eq!(svc.generation(), 0);
-        let _ = svc.finish();
+        let _ = svc.shutdown();
     }
 
     pub(crate) fn process_after_an_uncollected_submit_returns_only_its_own_results(
@@ -1170,7 +1148,8 @@ pub(crate) mod contract {
             vec![Some(1), None]
         );
         // The stale jobs were drained and counted, just not returned.
-        assert_eq!(svc.finish().lookups, 5);
+        let totals = svc.shutdown().unwrap();
+        assert_eq!(totals.counter("vr_service_lookups_total"), Some(5));
     }
 
     pub(crate) fn drop_joins_the_workers_and_frees_the_snapshot(kind: Kind, lanes: usize) {
@@ -1217,6 +1196,6 @@ pub(crate) mod contract {
             svc.collect(),
             vec![(0, 0, vec![Some(1)]), (second, 1, vec![Some(2)])]
         );
-        let _ = svc.finish();
+        let _ = svc.shutdown();
     }
 }

@@ -29,7 +29,6 @@
 //! services identically; sampled traces carry shard (not worker)
 //! attribution.
 
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use vr_net::table::{NextHop, RoutingTable};
 use vr_net::VnId;
@@ -38,7 +37,7 @@ use vr_telemetry::{MetricsRegistry, TelemetrySnapshot};
 use vr_trie::JumpTrie;
 
 pub use crate::service_core::ShardedConfig;
-use crate::service_core::{build_trie, Done, Job, ServiceCore};
+use crate::service_core::{build_trie, Job, ServiceCore};
 use crate::EngineError;
 
 /// Routes a destination address to a shard: one multiplicative hash
@@ -74,54 +73,6 @@ pub struct ShardedBatch {
     pub elapsed_ns: u64,
 }
 
-/// Aggregated sharded-service counters, serializable for experiment
-/// reports.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct ShardedReport {
-    /// Shards the service ran with: the caller and `shards − 1` threads.
-    pub shards: usize,
-    /// Lookups resolved.
-    pub lookups: u64,
-    /// Lookups that matched no route.
-    pub misses: u64,
-    /// Shard jobs completed.
-    pub batches: u64,
-    /// Generations published over the service's lifetime.
-    pub swaps: u64,
-    /// Distinct snapshot generations jobs were observed resolving
-    /// against, sorted ascending.
-    pub generations_seen: Vec<u64>,
-    /// Total shard-side busy time across all jobs, in nanoseconds.
-    pub busy_ns: u64,
-    /// Dispatcher blocks on a full shard queue, counted with telemetry
-    /// on or off.
-    pub queue_stalls: u64,
-    /// Publishes rejected by the structural audit gate, counted with
-    /// telemetry on or off.
-    pub audit_rejections: u64,
-}
-
-impl ShardedReport {
-    fn observe(&mut self, done: &Done) {
-        self.lookups += done.job.results.len() as u64;
-        self.misses += done.misses;
-        self.batches += 1;
-        self.busy_ns += done.elapsed_ns;
-        if let Err(pos) = self.generations_seen.binary_search(&done.generation) {
-            self.generations_seen.insert(pos, done.generation);
-        }
-    }
-
-    /// Mean shard-side ns per lookup (0 when nothing ran).
-    #[must_use]
-    pub fn mean_ns_per_lookup(&self) -> f64 {
-        if self.lookups == 0 {
-            return 0.0;
-        }
-        self.busy_ns as f64 / self.lookups as f64
-    }
-}
-
 /// N-shard lookup service: a destination-hash scatter in front of the
 /// shared service core (shard 0 on the calling thread, the rest behind
 /// SPSC request queues).
@@ -142,14 +93,13 @@ impl ShardedReport {
 /// let updated: RoutingTable = "10.0.0.0/8 5\n".parse().unwrap();
 /// service.publish_tables(vec![updated]).unwrap();
 /// assert_eq!(service.process(&[(0, 0x0A01_0103)]), vec![Some(5)]);
-/// let report = service.shutdown();
-/// assert_eq!(report.swaps, 1);
+/// let totals = service.shutdown().unwrap();
+/// assert_eq!(totals.counter("vr_service_swaps_total"), Some(1));
 /// ```
 pub struct ShardedService {
     core: ServiceCore,
     /// Virtual networks hosted, fixed for the service's lifetime.
     vn_count: usize,
-    report: ShardedReport,
     /// Recycled job buffers for the allocation-free process path.
     spare: Vec<Job>,
     /// One job per shard while [`Self::submit`] scatters a call; empty
@@ -180,10 +130,6 @@ impl ShardedService {
         Ok(Self {
             vn_count: trie.arity(),
             core: ServiceCore::new(trie, cfg, TraceBuilder::set_shard)?,
-            report: ShardedReport {
-                shards: cfg.shards,
-                ..ShardedReport::default()
-            },
             spare: Vec::new(),
             scatter: Vec::new(),
         })
@@ -206,14 +152,6 @@ impl ShardedService {
     #[must_use]
     pub fn vn_count(&self) -> usize {
         self.vn_count
-    }
-
-    /// Copies the core's control-plane counts into the report.
-    fn mirror_counts(&mut self) {
-        let counts = self.core.counts();
-        self.report.swaps = counts.swaps;
-        self.report.audit_rejections = counts.audit_rejections;
-        self.report.queue_stalls = counts.queue_stalls;
     }
 
     /// Scatters `packets` across the shards by destination hash and
@@ -242,7 +180,6 @@ impl ShardedService {
                 issued += 1;
             }
         }
-        self.mirror_counts();
         issued
     }
 
@@ -252,9 +189,7 @@ impl ShardedService {
     /// allocation-free instead.
     pub fn collect_all(&mut self) -> Vec<ShardedBatch> {
         let mut done: Vec<ShardedBatch> = Vec::new();
-        let report = &mut self.report;
         self.core.drain(|batch| {
-            report.observe(&batch);
             done.push(ShardedBatch {
                 seq: batch.job.seq,
                 shard: batch.worker,
@@ -281,7 +216,7 @@ impl ShardedService {
     /// [`Self::process`] into a caller-owned output slice (the bench's
     /// steady-state loop reuses one). Sub-batches a caller
     /// [`submit`](Self::submit)ted and never collected are drained and
-    /// counted in the report, but are not part of the result.
+    /// counted, but are not part of the result.
     ///
     /// # Panics
     /// If `packets` and `out` differ in length.
@@ -293,9 +228,8 @@ impl ShardedService {
         );
         let first_seq = self.core.next_seq();
         self.submit(packets);
-        let (report, spare) = (&mut self.report, &mut self.spare);
+        let spare = &mut self.spare;
         self.core.drain(|batch| {
-            report.observe(&batch);
             let mut job = batch.job;
             if job.seq >= first_seq {
                 for (&origin, &nh) in job.origins.iter().zip(&job.results) {
@@ -332,9 +266,7 @@ impl ShardedService {
     /// In audited builds, rejects a structurally invalid trie with
     /// [`EngineError::AuditRejected`]; no shard sees it.
     pub fn publish_trie(&mut self, trie: JumpTrie) -> Result<u64, EngineError> {
-        let outcome = self.core.publish(trie);
-        self.mirror_counts();
-        outcome
+        self.core.publish(trie)
     }
 
     /// The live metrics registry (`None` with telemetry off).
@@ -358,19 +290,11 @@ impl ShardedService {
         self.core.telemetry_snapshot()
     }
 
-    /// Accumulated counters so far (final totals come from
-    /// [`Self::shutdown`]).
-    #[must_use]
-    pub fn report(&self) -> &ShardedReport {
-        &self.report
-    }
-
     /// Drains outstanding jobs, stops and joins the shard threads (the core's
     /// `Drop`, which also runs when the service is simply dropped), and
-    /// returns the final report.
-    pub fn shutdown(mut self) -> ShardedReport {
-        let _ = self.collect_all();
-        std::mem::take(&mut self.report)
+    /// returns the registry's final scrape (`None` with telemetry off).
+    pub fn shutdown(self) -> Option<TelemetrySnapshot> {
+        self.core.shutdown()
     }
 }
 
@@ -404,8 +328,9 @@ mod tests {
         cached_shards_match_uncached_across_publishes => cached_matches_uncached_across_a_publish,
         traced_shards_record_validating_chains_with_shard_attribution =>
             traced_jobs_record_validating_stage_chains,
-        telemetry_merges_per_shard_counters => registry_counters_match_the_report,
-        telemetry_off_still_reports => telemetry_off_still_reports,
+        telemetry_merges_per_shard_counters => registry_counts_the_input,
+        telemetry_off_has_no_registry_and_stays_exact =>
+            telemetry_off_has_no_registry_and_stays_exact,
         audit_gate_rejects_corrupt_trie_in_debug => rejected_publish_changes_nothing_and_is_counted,
         process_after_an_uncollected_submit_returns_only_its_own_results =>
             process_after_an_uncollected_submit_returns_only_its_own_results,
@@ -446,8 +371,8 @@ mod tests {
             .map(|i| (0, i.wrapping_mul(0x9E37_79B9)))
             .collect();
         assert!(svc.process(&probes).iter().all(|nh| *nh == Some(2)));
-        let report = svc.shutdown();
-        assert_eq!(report.swaps, 1);
-        assert_eq!(report.generations_seen, vec![1]);
+        let totals = svc.shutdown().unwrap();
+        assert_eq!(totals.counter("vr_service_swaps_total"), Some(1));
+        assert_eq!(totals.gauge("vr_service_generation_lag"), Some(0));
     }
 }

@@ -1,10 +1,10 @@
-//! TCAM-based IP lookup as a power baseline (§II-B, refs. [20][10]).
+//! TCAM-based IP lookup as a power baseline (§II-B, refs. \[20\]\[10\]).
 //!
 //! The paper's related work contrasts trie pipelines with Ternary CAMs:
 //! "TCAMs are known to be power hungry due to its massively parallel
 //! search", mitigated by partitioning so a lookup only triggers a subset
-//! of entries (ref. [20]'s multi-chip load balancing), or replaced by
-//! set-associative memories (ref. [10], IPStash, "35 % power savings
+//! of entries (ref. \[20\]'s multi-chip load balancing), or replaced by
+//! set-associative memories (ref. \[10\], IPStash, "35 % power savings
 //! compared to state-of-the-art TCAM solutions").
 //!
 //! This module models that baseline so the `tcam_baseline` bench can put
@@ -44,7 +44,7 @@ pub struct TcamSpec {
     /// Installed (active) entries.
     pub entries: usize,
     /// Partitions: a search triggers only `entries / partitions` entries
-    /// (ref. [20]'s organization); 1 = monolithic.
+    /// (ref. \[20\]'s organization); 1 = monolithic.
     pub partitions: usize,
     /// Search rate in Msps (≤ [`MAX_SEARCH_RATE_MSPS`]).
     pub search_rate_msps: f64,
@@ -65,7 +65,7 @@ impl TcamSpec {
         }
     }
 
-    /// A partitioned TCAM (ref. [20]): each search triggers one partition.
+    /// A partitioned TCAM (ref. \[20\]): each search triggers one partition.
     #[must_use]
     pub fn partitioned(entries: usize, partitions: usize) -> Self {
         Self {
@@ -74,7 +74,7 @@ impl TcamSpec {
         }
     }
 
-    /// An IPStash-like set-associative organization (ref. [10]): modeled
+    /// An IPStash-like set-associative organization (ref. \[10\]): modeled
     /// as a TCAM with 35 % lower dynamic energy per triggered entry.
     #[must_use]
     pub fn ipstash(entries: usize) -> Self {

@@ -1,7 +1,7 @@
 //! Parser for `bgp.potaroo.net`-style routing-table dumps.
 //!
 //! The paper obtained its edge-network tables from BGP analysis reports
-//! (reference [15]). Real dumps are not bundled here, but any table
+//! (reference \[15\]). Real dumps are not bundled here, but any table
 //! exported as plain text can be loaded with [`parse_dump`]. The accepted
 //! grammar per line is:
 //!

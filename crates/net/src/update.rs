@@ -1,7 +1,7 @@
 //! Route update (announce/withdraw) stream generation.
 //!
 //! §V-B assumes a 1 % write rate — routing tables change while the engine
-//! forwards. The authors' follow-up work (paper ref. [6]) makes those
+//! forwards. The authors' follow-up work (paper ref. \[6\]) makes those
 //! updates incremental on FPGA. This module synthesizes realistic update
 //! streams against a K-table family: withdrawals of currently-installed
 //! routes, re-announcements with changed next hops, and announcements of

@@ -19,7 +19,7 @@
 //! In a normal build the wrappers compile to the underlying primitive with
 //! `#[inline]` delegation — zero cost, verified by the bench-regression
 //! gate. Under `--cfg vr_model` every operation additionally records an
-//! `(op, ordering)` pair into a process-global trace ([`trace`]) so a test
+//! `(op, ordering)` pair into a process-global trace (`trace`) so a test
 //! can assert the discipline dynamically (no `Relaxed` publication ever
 //! reaches the hardware).
 //!

@@ -2,9 +2,10 @@
 //!
 //! A [`TelemetrySnapshot`] is the contract between the running service
 //! and everything downstream: JSON artifacts in CI, the Prometheus
-//! exporter, `ServiceReport` fields, and the audit tooling. Field order
-//! is declaration order and metric vectors are name-sorted at capture,
-//! so two snapshots of identical state serialize to identical bytes.
+//! exporter, the services' final `shutdown` figures, and the audit
+//! tooling. Field order is declaration order and metric vectors are
+//! name-sorted at capture, so two snapshots of identical state
+//! serialize to identical bytes.
 
 use crate::events::EventRingSnapshot;
 use crate::histogram::HistogramSnapshot;

