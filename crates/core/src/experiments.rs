@@ -572,7 +572,7 @@ pub struct GatingRow {
 /// Propagates simulator errors.
 pub fn ablation_gating(cfg: &ExperimentConfig, k: usize) -> Result<Vec<GatingRow>, PowerError> {
     use crate::{ArrivalModel, EngineConfig, SimConfig, VirtualRouterSim};
-    use vr_net::{TrafficGenerator, TrafficSpec};
+    use vr_net::{SkewedSpec, SkewedTraffic};
 
     let (_, frac_high) = cfg.resolve_shared_fractions();
     let tables = cfg.family(k, frac_high)?;
@@ -592,8 +592,7 @@ pub fn ablation_gating(cfg: &ExperimentConfig, k: usize) -> Result<Vec<GatingRow
                 arrival_seed: cfg.seed,
             };
             let mut sim = VirtualRouterSim::new(tables.clone(), sim_cfg)?;
-            let mut traffic =
-                TrafficGenerator::new(TrafficSpec::uniform(k, cfg.seed), &tables)?;
+            let mut traffic = SkewedTraffic::new(SkewedSpec::uniform(k, cfg.seed), &tables)?;
             let report = sim.run(&mut traffic, packets)?;
             Ok(report.dynamic_power_w())
         };
@@ -909,7 +908,7 @@ pub struct QueueingRow {
 /// Propagates generation and simulator errors.
 pub fn queueing_study(cfg: &ExperimentConfig, k: usize) -> Result<Vec<QueueingRow>, PowerError> {
     use crate::{ArrivalModel, EngineConfig, SimConfig, VirtualRouterSim};
-    use vr_net::{TrafficGenerator, TrafficSpec};
+    use vr_net::{SkewedSpec, SkewedTraffic};
     let (_, frac_high) = cfg.resolve_shared_fractions();
     let tables = cfg.family(k, frac_high)?;
     fan_out(vec![1usize, 2, 4, 8, 16], |burst_len| {
@@ -924,7 +923,7 @@ pub fn queueing_study(cfg: &ExperimentConfig, k: usize) -> Result<Vec<QueueingRo
             arrival_seed: cfg.seed,
         };
         let mut sim = VirtualRouterSim::new(tables.clone(), sim_cfg)?;
-        let mut traffic = TrafficGenerator::new(TrafficSpec::uniform(k, cfg.seed), &tables)?;
+        let mut traffic = SkewedTraffic::new(SkewedSpec::uniform(k, cfg.seed), &tables)?;
         let report = sim.run(&mut traffic, 4000)?;
         Ok(QueueingRow {
             burst_len,

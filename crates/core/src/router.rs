@@ -21,7 +21,7 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use vr_fpga::{timing, SchemeKind};
-use vr_net::{RoutingTable, TrafficGenerator};
+use vr_net::{RoutingTable, SkewedTraffic};
 use vr_trie::MergedTrie;
 
 /// How packets arrive at the router.
@@ -30,7 +30,7 @@ pub enum ArrivalModel {
     /// One shared line: at most one packet per cycle arrives with the
     /// given probability (1.0 = saturated line). This is the paper's
     /// setting — the K networks *share* the offered load (µᵢ weights live
-    /// in the traffic generator).
+    /// in the traffic source's tenant mix).
     SharedLine {
         /// Per-cycle arrival probability in `[0, 1]`.
         offered_load: f64,
@@ -116,13 +116,18 @@ impl VirtualRouterSim {
     /// checked against the linear-scan oracle.
     ///
     /// # Errors
-    /// Rejects an invalid offered load or a traffic source whose VNID
-    /// range exceeds the table count.
+    /// Rejects an invalid offered load or a traffic source whose VN count
+    /// differs from the table count.
     pub fn run(
         &mut self,
-        traffic: &mut TrafficGenerator,
+        traffic: &mut SkewedTraffic,
         packets: u64,
     ) -> Result<SimReport, PowerError> {
+        if traffic.spec().k != self.tables.len() {
+            return Err(PowerError::InvalidParameter(
+                "traffic VN count must equal the table count",
+            ));
+        }
         // A shared line is a bursty one whose bursts are one packet long.
         let bursts = match self.cfg.arrivals {
             ArrivalModel::SharedLine { offered_load } => Some((offered_load, 1)),
@@ -169,15 +174,12 @@ impl VirtualRouterSim {
                 Some((probability, len)) if offered < packets => {
                     if rng.gen_range(0.0..1.0) < probability {
                         let burst = (len as u64).min(packets - offered);
-                        for p in (0..burst).map(|_| traffic.next_packet()) {
+                        for (vnid, dst) in (0..burst).map(|_| traffic.next_packet()) {
                             let engine_idx = match self.cfg.organization {
                                 SchemeKind::Merged => 0,
-                                _ => usize::from(p.vnid),
+                                _ => usize::from(vnid),
                             };
-                            let queue = queues.get_mut(engine_idx).ok_or(
-                                PowerError::InvalidParameter("traffic VNID exceeds table count"),
-                            )?;
-                            queue.push_back((p.vnid, p.dst, cycle));
+                            queues[engine_idx].push_back((vnid, dst, cycle));
                         }
                         offered += burst;
                     }
@@ -187,7 +189,7 @@ impl VirtualRouterSim {
                         if offered >= packets {
                             break;
                         }
-                        let p = match self.cfg.organization {
+                        let (vnid, dst) = match self.cfg.organization {
                             // The merged engine carries the whole mixed
                             // stream; NV/VS engines each stay busy with
                             // their own network's traffic.
@@ -195,7 +197,7 @@ impl VirtualRouterSim {
                             _ => traffic.packet_for(engine_idx as vr_net::VnId),
                         };
                         offered += 1;
-                        queue.push_back((p.vnid, p.dst, cycle));
+                        queue.push_back((vnid, dst, cycle));
                     }
                 }
                 Some(_) => {}
@@ -354,7 +356,7 @@ impl SimReport {
 mod tests {
     use super::*;
     use vr_net::synth::FamilySpec;
-    use vr_net::{TrafficSpec, VnId};
+    use vr_net::{SkewedSpec, VnId};
     use vr_trie::pipeline_map::PAPER_PIPELINE_STAGES;
     use vr_trie::{LeafPushedTrie, NodeId};
 
@@ -383,8 +385,7 @@ mod tests {
 
     fn run(org: SchemeKind, k: usize, arrivals: ArrivalModel, packets: u64) -> SimReport {
         let tables = family(k, 7);
-        let mut traffic =
-            TrafficGenerator::new(TrafficSpec::uniform(k, 3), &tables).unwrap();
+        let mut traffic = SkewedTraffic::new(SkewedSpec::uniform(k, 3), &tables).unwrap();
         let mut sim = VirtualRouterSim::new(tables, config(org, arrivals)).unwrap();
         sim.run(&mut traffic, packets).unwrap()
     }
@@ -554,11 +555,11 @@ mod tests {
         }
         .generate()
         .unwrap();
-        let mut traffic = TrafficGenerator::new(TrafficSpec::uniform(k, 5), &tables).unwrap();
+        let mut traffic = SkewedTraffic::new(SkewedSpec::uniform(k, 5), &tables).unwrap();
         // Covered destinations, and their complements, which mostly miss.
         let probes: Vec<(VnId, u32)> = (0..300)
             .map(|_| traffic.next_packet())
-            .flat_map(|p| [(p.vnid, p.dst), (p.vnid, !p.dst)])
+            .flat_map(|(vnid, dst)| [(vnid, dst), (vnid, !dst)])
             .collect();
         let pushed =
             |tables: &[RoutingTable]| MergedTrie::from_tables(tables).unwrap().leaf_pushed();
@@ -599,7 +600,7 @@ mod tests {
             ),
         )
         .unwrap();
-        let mut traffic = TrafficGenerator::new(TrafficSpec::uniform(2, 3), &tables).unwrap();
+        let mut traffic = SkewedTraffic::new(SkewedSpec::uniform(2, 3), &tables).unwrap();
         assert!(sim.run(&mut traffic, 10).is_err());
         let mut sim = VirtualRouterSim::new(
             tables.clone(),
@@ -610,6 +611,46 @@ mod tests {
         )
         .unwrap();
         assert!(sim.run(&mut traffic, 10).is_err());
+    }
+
+    /// Every organization under every arrival model refuses a traffic
+    /// source over `traffic_k` networks when the sim serves two.
+    fn assert_width_refused(traffic_k: usize) {
+        let tables = family(2, 2);
+        let wrong = family(traffic_k, 2);
+        let arrivals = [
+            ArrivalModel::SharedLine { offered_load: 1.0 },
+            ArrivalModel::Bursty {
+                burst_probability: 1.0,
+                burst_len: 4,
+            },
+            ArrivalModel::PerEngineSaturation,
+        ];
+        for org in SchemeKind::ALL {
+            for arrivals in arrivals {
+                let mut sim = VirtualRouterSim::new(tables.clone(), config(org, arrivals)).unwrap();
+                let mut traffic =
+                    SkewedTraffic::new(SkewedSpec::uniform(traffic_k, 3), &wrong).unwrap();
+                let result = sim.run(&mut traffic, 200);
+                assert!(
+                    matches!(result, Err(PowerError::InvalidParameter(_))),
+                    "{org} {arrivals:?}: {result:?}"
+                );
+            }
+        }
+    }
+
+    /// A wider source draws VNs past the oracle tables and, for NV/VS,
+    /// past the distributor queues.
+    #[test]
+    fn wider_traffic_is_a_typed_error() {
+        assert_width_refused(3);
+    }
+
+    /// A narrower source has no pool for the VNs saturation asks it for.
+    #[test]
+    fn narrower_traffic_is_a_typed_error() {
+        assert_width_refused(1);
     }
 
     fn stats(cycles: u64, energy_pj: f64) -> EngineStats {

@@ -256,7 +256,7 @@ impl Scenario {
                 "structure must be mapped onto the spec's (non-zero) stage count",
             ));
         }
-        let mu = resolve_mu(spec.utilization.as_deref(), k)?;
+        let mu = vr_net::tenant_mix(k, spec.utilization.as_deref())?;
 
         let ctx = match spec.scheme {
             SchemeKind::NonVirtualized => TimingContext::SINGLE,
@@ -401,32 +401,6 @@ impl Scenario {
     }
 }
 
-/// Normalizes a µ vector (or builds the uniform one).
-fn resolve_mu(utilization: Option<&[f64]>, k: usize) -> Result<Vec<f64>, PowerError> {
-    match utilization {
-        None => Ok(vec![1.0 / k as f64; k]),
-        Some(w) => {
-            if w.len() != k {
-                return Err(PowerError::InvalidParameter(
-                    "utilization length must equal the table count",
-                ));
-            }
-            if w.iter().any(|x| *x < 0.0 || !x.is_finite()) {
-                return Err(PowerError::InvalidParameter(
-                    "utilization weights must be finite and non-negative",
-                ));
-            }
-            let sum: f64 = w.iter().sum();
-            if sum <= 0.0 {
-                return Err(PowerError::InvalidParameter(
-                    "utilization weights must not be all zero",
-                ));
-            }
-            Ok(w.iter().map(|x| x / sum).collect())
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -467,6 +441,40 @@ mod tests {
         assert_eq!(s.mu().len(), 4);
         for m in s.mu() {
             assert!((m - 0.25).abs() < 1e-12);
+        }
+    }
+
+    /// The one µ normaliser: each bad mix is refused by `tenant_mix`, and
+    /// with the same error by the traffic source and by a scenario (at
+    /// K = 0 the scenario refuses the empty structure first).
+    #[test]
+    fn bad_tenant_mixes_are_rejected_by_both_specs() {
+        use vr_net::{NetError, SkewedSpec, SkewedTraffic};
+        let tables = family(2);
+        let cases: [(usize, Option<Vec<f64>>); 5] = [
+            (0, None),
+            (2, Some(vec![1.0])),
+            (2, Some(vec![-1.0, 2.0])),
+            (2, Some(vec![f64::NAN, 1.0])),
+            (2, Some(vec![0.0, 0.0])),
+        ];
+        for (k, weights) in cases {
+            let err = vr_net::tenant_mix(k, weights.as_deref()).unwrap_err();
+            assert!(matches!(err, NetError::InvalidSpec(_)), "{k} {weights:?}");
+            let traffic = SkewedSpec {
+                tenant_weights: weights.clone(),
+                ..SkewedSpec::uniform(k, 1)
+            };
+            let drawn = SkewedTraffic::new(traffic, &tables[..k]).unwrap_err();
+            assert_eq!(drawn, err, "{k} {weights:?}");
+            let spec = ScenarioSpec {
+                utilization: weights.clone(),
+                ..ScenarioSpec::paper_default(SchemeKind::Separate, SpeedGrade::Minus2)
+            };
+            let priced = Scenario::build(&tables[..k], spec, Device::xc6vlx760()).unwrap_err();
+            if k > 0 {
+                assert_eq!(priced, PowerError::Net(err), "{weights:?}");
+            }
         }
     }
 

@@ -18,7 +18,7 @@ use crate::{ArrivalModel, EngineConfig, PowerError, SimConfig, VirtualRouterSim}
 use serde::{Deserialize, Serialize};
 use vr_fpga::par::{percentage_error, ParSimulator};
 use vr_fpga::{SchemeKind, SpeedGrade};
-use vr_net::{RoutingTable, TrafficGenerator, TrafficSpec};
+use vr_net::{RoutingTable, SkewedSpec, SkewedTraffic};
 
 /// One model-vs-experimental comparison (a point of Fig. 7).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -92,7 +92,7 @@ pub fn behavioral_check(
         arrival_seed: seed,
     };
     let mut sim = VirtualRouterSim::new(tables.to_vec(), sim_cfg)?;
-    let mut traffic = TrafficGenerator::new(TrafficSpec::uniform(tables.len(), seed), tables)?;
+    let mut traffic = SkewedTraffic::new(SkewedSpec::uniform(tables.len(), seed), tables)?;
     let report = sim.run(&mut traffic, packets)?;
 
     let model_dynamic_w = analytical_power(scenario).dynamic_w();

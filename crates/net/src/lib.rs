@@ -14,13 +14,13 @@
 //!   real edge-network tables (see DESIGN.md, substitution table), including
 //!   K-table *families* with a controllable shared core used to realize a
 //!   target merging efficiency α,
-//! * [`traffic`] — packet/stream generation across K virtual networks with
-//!   per-network utilization weights (Assumption 1 of the paper is the
-//!   uniform special case µᵢ = 1/K),
-//! * [`models`] — skewed traffic models: seeded Zipf destination sampling
-//!   over fixed per-network pools, per-VNID tenant mixes, and flash-crowd
-//!   phase shifts (the workloads the hot-path result cache is measured
-//!   against),
+//! * [`traffic`] — the VNID type and the tenant mix µ, the one
+//!   normaliser of per-network utilization weights (Assumption 1 of the
+//!   paper is the uniform special case µᵢ = 1/K),
+//! * [`models`] — the packet source: seeded Zipf destination sampling over
+//!   fixed per-network pools, the VN drawn from the tenant mix, and
+//!   flash-crowd phase shifts. The pipeline simulator draws it uniformly;
+//!   the result-cache and serving benchmarks draw it skewed,
 //! * [`stats`] — prefix-length and coverage statistics.
 //!
 //! Everything is deterministic under a caller-provided seed; no global RNG
@@ -40,8 +40,8 @@ pub mod traffic;
 pub mod update;
 
 pub use error::NetError;
-pub use models::{FlashCrowdStream, SkewedSpec, SkewedTraffic, ZipfSampler};
+pub use models::{FlashCrowdStream, SkewedSpec, SkewedTraffic};
 pub use update::{RouteUpdate, UpdateMix, UpdateStream};
 pub use prefix::Ipv4Prefix;
 pub use table::{NextHop, RouteEntry, RoutingTable};
-pub use traffic::{Packet, TrafficGenerator, TrafficSpec, VnId};
+pub use traffic::{tenant_mix, VnId};

@@ -1,20 +1,16 @@
-//! Skewed traffic models: Zipf destinations, per-VNID tenant mixes, and
+//! Traffic across K virtual networks: the one packet source, drawn from
+//! fixed per-VN destination pools, with Zipf skew, the tenant mix and
 //! flash-crowd phase shifts.
 //!
-//! [`TrafficGenerator`](crate::traffic::TrafficGenerator) draws every
-//! destination fresh (random host bits per packet), which is the right
-//! model for saturation throughput but has no temporal locality at all —
-//! no two packets share an exact destination, so any exact-match result
-//! cache in front of the lookup path sees a 0% hit rate by construction.
-//! Real router traffic is the opposite: a small set of hot destinations
-//! dominates. This module models that regime:
-//!
-//! * [`ZipfSampler`] — seeded rank sampler with P(r) ∝ 1/(r+1)^s and a
-//!   tunable skew exponent `s` (`s = 0` degenerates to uniform),
-//! * [`SkewedTraffic`] — per-VN *concrete destination pools* (one or more
-//!   fixed addresses per table prefix, host bits randomized once at build
-//!   time) drawn through per-VN Zipf samplers, with per-VNID tenant-mix
-//!   weights for the VN choice,
+//! * [`SkewedTraffic`] — the packet source: per-VN *concrete destination
+//!   pools* (one or more fixed addresses per table prefix, host bits
+//!   randomized once at build time) drawn through per-VN Zipf rank CDFs,
+//!   P(r) ∝ 1/(r+1)^s (`s = 0` is uniform), with each packet's VN drawn
+//!   from the tenant mix µ ([`tenant_mix`]; Assumption 1's µᵢ = 1/K by
+//!   default). Real router traffic repeats destinations, so the stream
+//!   does too, and a result cache in front of the lookup path sees the hit
+//!   rate the skew implies; the cache-less pipeline simulator draws the
+//!   same source with `s = 0`.
 //! * [`FlashCrowdStream`] — a phase-shifted wrapper: every `phase_len`
 //!   packets the rank→destination mapping rotates by a seeded offset, so
 //!   the hot set changes identity abruptly while the skew shape stays
@@ -25,75 +21,14 @@
 
 use crate::error::NetError;
 use crate::table::RoutingTable;
-use crate::traffic::{Packet, VnId, MIN_PACKET_BYTES};
+use crate::traffic::{tenant_mix, VnId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-/// A seeded Zipf rank sampler over `0..n` with P(r) ∝ 1/(r+1)^s.
-///
-/// The cumulative distribution is precomputed (one `f64` per rank) and
-/// sampling is a uniform draw plus a binary search — O(log n) per sample,
-/// allocation-free after construction.
-///
-/// ```
-/// use vr_net::models::ZipfSampler;
-///
-/// let mut z = ZipfSampler::new(1000, 1.0, 42).unwrap();
-/// let r = z.sample();
-/// assert!(r < 1000);
-/// // s = 1.0 concentrates mass on the head: the top 1% of ranks carry
-/// // well over a quarter of the probability.
-/// assert!(z.cumulative_mass(10) > 0.25);
-/// ```
-#[derive(Debug, Clone)]
-pub struct ZipfSampler {
-    /// Normalized cumulative weights; `cdf[r]` = P(rank ≤ r).
-    cdf: Vec<f64>,
-    rng: SmallRng,
-}
-
-impl ZipfSampler {
-    /// Builds a sampler over `n` ranks with exponent `s`.
-    ///
-    /// # Errors
-    /// Rejects `n == 0` and a negative or non-finite `s`.
-    pub fn new(n: usize, s: f64, seed: u64) -> Result<Self, NetError> {
-        let cdf = zipf_cdf(n, s)?;
-        Ok(Self {
-            cdf,
-            rng: SmallRng::seed_from_u64(seed),
-        })
-    }
-
-    /// Number of ranks.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.cdf.len()
-    }
-
-    /// True when the sampler has no ranks (never constructible; kept for
-    /// the conventional `len`/`is_empty` pairing).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.cdf.is_empty()
-    }
-
-    /// Total probability mass carried by ranks `0..=r` (clamped to the
-    /// last rank). Useful for sizing caches against a target hit rate.
-    #[must_use]
-    pub fn cumulative_mass(&self, r: usize) -> f64 {
-        self.cdf[r.min(self.cdf.len() - 1)]
-    }
-
-    /// Draws the next rank.
-    pub fn sample(&mut self) -> usize {
-        let x: f64 = self.rng.gen_range(0.0..1.0);
-        self.cdf.partition_point(|c| *c <= x).min(self.cdf.len() - 1)
-    }
-}
-
-/// Builds the normalized Zipf CDF for `n` ranks with exponent `s`.
+/// The normalized Zipf CDF over `n` ranks with exponent `s`:
+/// `cdf[r]` = P(rank ≤ r), with P(r) ∝ 1/(r+1)^s. A draw is a uniform
+/// `x` and a binary search for the first `cdf[r] > x`.
 fn zipf_cdf(n: usize, s: f64) -> Result<Vec<f64>, NetError> {
     if n == 0 {
         return Err(NetError::InvalidSpec("zipf sampler needs at least 1 rank"));
@@ -117,7 +52,7 @@ fn zipf_cdf(n: usize, s: f64) -> Result<Vec<f64>, NetError> {
     Ok(cdf)
 }
 
-/// Specification of a skewed K-network traffic stream.
+/// Specification of a K-network traffic stream.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SkewedSpec {
     /// Number of virtual networks K (VNIDs are `0..k`).
@@ -126,7 +61,7 @@ pub struct SkewedSpec {
     /// `0.0` is uniform over the pool; `1.0` is the classic web/router
     /// working-set skew; larger is hotter.
     pub s: f64,
-    /// Per-VNID tenant-mix weights (need not be normalized); `None`
+    /// Per-VNID tenant-mix weights, normalized by [`tenant_mix`]; `None`
     /// means uniform across networks.
     pub tenant_weights: Option<Vec<f64>>,
     /// Concrete destination addresses materialized per table prefix.
@@ -135,13 +70,11 @@ pub struct SkewedSpec {
     /// RNG seed (pools, rank order, and the draw stream all derive from
     /// it deterministically).
     pub seed: u64,
-    /// Fixed packet size in bytes (minimum 40).
-    pub packet_bytes: u32,
 }
 
 impl SkewedSpec {
     /// Zipf(s) traffic over `k` networks: one concrete destination per
-    /// prefix, uniform tenant mix, 40-byte packets.
+    /// prefix, uniform tenant mix.
     #[must_use]
     pub fn zipf(k: usize, s: f64, seed: u64) -> Self {
         Self {
@@ -150,11 +83,11 @@ impl SkewedSpec {
             tenant_weights: None,
             expansions: 1,
             seed,
-            packet_bytes: MIN_PACKET_BYTES,
         }
     }
 
-    /// Uniform traffic over the same concrete pools (`s = 0`): the
+    /// Uniform traffic over the same concrete pools (`s = 0`): every
+    /// pool entry equally likely. The pipeline simulator's source, and the
     /// locality-free control for skew sweeps.
     #[must_use]
     pub fn uniform(k: usize, seed: u64) -> Self {
@@ -162,13 +95,13 @@ impl SkewedSpec {
     }
 }
 
-/// A seeded skewed-traffic generator over fixed per-VN destination pools.
+/// A seeded traffic generator over fixed per-VN destination pools.
 ///
-/// Unlike [`TrafficGenerator`](crate::traffic::TrafficGenerator), the
-/// concrete destination addresses are materialized once at build time
+/// The concrete destination addresses are materialized once at build time
 /// (host bits randomized under the seed), so the stream *repeats* exact
 /// destinations — hot ranks recur with Zipf frequency. Rank order is a
 /// seeded shuffle of the pool, decorrelating hotness from table order.
+/// Every destination lies under a prefix of its own network's table.
 ///
 /// ```
 /// use vr_net::models::{SkewedSpec, SkewedTraffic};
@@ -177,8 +110,8 @@ impl SkewedSpec {
 /// let tables: Vec<RoutingTable> =
 ///     vec!["10.0.0.0/8 1\n".parse().unwrap(), "11.0.0.0/8 2\n".parse().unwrap()];
 /// let mut gen = SkewedTraffic::new(SkewedSpec::zipf(2, 1.0, 7), &tables).unwrap();
-/// let p = gen.next_packet();
-/// assert!(tables[usize::from(p.vnid)].lookup(p.dst).is_some());
+/// let (vn, dst) = gen.next_packet();
+/// assert!(tables[usize::from(vn)].lookup(dst).is_some());
 /// ```
 #[derive(Debug, Clone)]
 pub struct SkewedTraffic {
@@ -200,22 +133,28 @@ impl SkewedTraffic {
     ///
     /// # Errors
     /// Rejects a spec whose `k` differs from `tables.len()`, empty
-    /// tables, zero `expansions`, sub-minimum packet sizes, invalid
-    /// tenant weights, and an invalid Zipf exponent.
+    /// tables, zero `expansions`, tenant weights [`tenant_mix`] rejects
+    /// (and `k == 0`), and an invalid Zipf exponent.
     pub fn new(spec: SkewedSpec, tables: &[RoutingTable]) -> Result<Self, NetError> {
         if spec.k != tables.len() {
             return Err(NetError::InvalidSpec("spec.k must equal tables.len()"));
         }
-        if spec.k == 0 {
-            return Err(NetError::InvalidSpec("k must be at least 1"));
-        }
+        let mu = tenant_mix(spec.k, spec.tenant_weights.as_deref())?;
         if spec.expansions == 0 {
             return Err(NetError::InvalidSpec("expansions must be at least 1"));
         }
-        if spec.packet_bytes < MIN_PACKET_BYTES {
-            return Err(NetError::InvalidSpec("packet size below 40-byte minimum"));
-        }
-        let vn_cdf = tenant_cdf(spec.k, spec.tenant_weights.as_deref())?;
+        // The cumulative mix for the VN draw. The uniform one is i / k,
+        // not a running sum of 1/k, which rounds differently.
+        let vn_cdf = match spec.tenant_weights {
+            None => (1..=spec.k).map(|i| i as f64 / spec.k as f64).collect(),
+            Some(_) => mu
+                .iter()
+                .scan(0.0, |acc, m| {
+                    *acc += m;
+                    Some(*acc)
+                })
+                .collect(),
+        };
         let mut rng = SmallRng::seed_from_u64(spec.seed);
         let mut pools = Vec::with_capacity(spec.k);
         let mut cdfs = Vec::with_capacity(spec.k);
@@ -265,46 +204,43 @@ impl SkewedTraffic {
         self.pools.iter().map(Vec::len).sum()
     }
 
-    /// Draws the next packet.
-    pub fn next_packet(&mut self) -> Packet {
+    /// Draws the next packet as the `(vnid, dst)` pair the lookup
+    /// engines consume: a VN from the tenant mix, then
+    /// [`SkewedTraffic::packet_for`] that VN.
+    pub fn next_packet(&mut self) -> (VnId, u32) {
         let x: f64 = self.rng.gen_range(0.0..1.0);
         let vn = self
             .vn_cdf
             .partition_point(|c| *c <= x)
             .min(self.spec.k - 1);
-        let cdf = &self.cdfs[vn];
+        self.packet_for(vn as VnId)
+    }
+
+    /// Draws a packet for network `vn`, bypassing the tenant mix: a rank
+    /// from `vn`'s Zipf sampler, mapped through its pool. Capacity
+    /// (saturation) measurements use it to keep every engine busy with
+    /// its own network's traffic.
+    ///
+    /// # Panics
+    /// Panics if `vn` is outside `0..k`.
+    pub fn packet_for(&mut self, vn: VnId) -> (VnId, u32) {
+        let at = usize::from(vn);
+        let cdf = &self.cdfs[at];
         let y: f64 = self.rng.gen_range(0.0..1.0);
         let rank = cdf.partition_point(|c| *c <= y).min(cdf.len() - 1);
-        let pool = &self.pools[vn];
-        let dst = pool[(rank + self.offsets[vn]) % pool.len()];
-        Packet {
-            vnid: vn as VnId,
-            dst,
-            bytes: self.spec.packet_bytes,
-        }
+        let pool = &self.pools[at];
+        (vn, pool[(rank + self.offsets[at]) % pool.len()])
     }
 
-    /// Draws a batch of `n` packets.
-    pub fn batch(&mut self, n: usize) -> Vec<Packet> {
-        (0..n).map(|_| self.next_packet()).collect()
-    }
-
-    /// Draws `n` packets as the `(vnid, dst)` pairs the lookup engines
-    /// consume.
+    /// Draws `n` packets.
     pub fn pairs(&mut self, n: usize) -> Vec<(VnId, u32)> {
-        (0..n)
-            .map(|_| {
-                let p = self.next_packet();
-                (p.vnid, p.dst)
-            })
-            .collect()
+        (0..n).map(|_| self.next_packet()).collect()
     }
 
     /// Rotates every network's rank→destination mapping by a seeded
     /// offset: the skew shape is unchanged but the hot set changes
-    /// identity. Exposed for [`FlashCrowdStream`]; callers can also
-    /// invoke it directly to script their own phase schedule.
-    pub fn shift_hot_set(&mut self) {
+    /// identity ([`FlashCrowdStream`]'s phase boundary).
+    fn shift_hot_set(&mut self) {
         for (vn, offset) in self.offsets.iter_mut().enumerate() {
             let len = self.pools[vn].len();
             if len > 1 {
@@ -326,40 +262,12 @@ fn concrete_destination<R: Rng>(rng: &mut R, addr: u32, len: u8) -> u32 {
     }
 }
 
-/// Builds the cumulative tenant-mix CDF.
-fn tenant_cdf(k: usize, weights: Option<&[f64]>) -> Result<Vec<f64>, NetError> {
-    match weights {
-        None => Ok((1..=k).map(|i| i as f64 / k as f64).collect()),
-        Some(w) => {
-            if w.len() != k {
-                return Err(NetError::InvalidSpec("tenant_weights length must equal k"));
-            }
-            if w.iter().any(|x| *x < 0.0 || !x.is_finite()) {
-                return Err(NetError::InvalidSpec(
-                    "tenant weights must be finite and non-negative",
-                ));
-            }
-            let sum: f64 = w.iter().sum();
-            if sum <= 0.0 {
-                return Err(NetError::InvalidSpec("tenant weights must not be all zero"));
-            }
-            let mut acc = 0.0;
-            Ok(w.iter()
-                .map(|x| {
-                    acc += x / sum;
-                    acc
-                })
-                .collect())
-        }
-    }
-}
-
 /// A flash-crowd stream: Zipf-skewed traffic whose hot set abruptly
 /// changes identity every `phase_len` packets.
 ///
-/// Each phase boundary calls [`SkewedTraffic::shift_hot_set`], modeling a
-/// flash crowd (yesterday's cold destinations become today's hot ones).
-/// Caches warmed on the old hot set see a miss burst at every boundary —
+/// Each phase boundary rotates every network's rank→destination mapping
+/// by a seeded offset, modeling a flash crowd (yesterday's cold
+/// destinations become today's hot ones). Caches warmed on the old hot set see a miss burst at every boundary —
 /// the adversarial case for any result cache.
 ///
 /// ```
@@ -409,14 +317,8 @@ impl FlashCrowdStream {
         self.phase
     }
 
-    /// The wrapped skewed generator.
-    #[must_use]
-    pub fn inner(&self) -> &SkewedTraffic {
-        &self.inner
-    }
-
     /// Draws the next packet, shifting the hot set at phase boundaries.
-    pub fn next_packet(&mut self) -> Packet {
+    pub fn next_packet(&mut self) -> (VnId, u32) {
         if self.sent > 0 && self.sent.is_multiple_of(self.phase_len) {
             self.inner.shift_hot_set();
             self.phase += 1;
@@ -425,19 +327,9 @@ impl FlashCrowdStream {
         self.inner.next_packet()
     }
 
-    /// Draws a batch of `n` packets.
-    pub fn batch(&mut self, n: usize) -> Vec<Packet> {
-        (0..n).map(|_| self.next_packet()).collect()
-    }
-
-    /// Draws `n` packets as `(vnid, dst)` pairs.
+    /// Draws `n` packets.
     pub fn pairs(&mut self, n: usize) -> Vec<(VnId, u32)> {
-        (0..n)
-            .map(|_| {
-                let p = self.next_packet();
-                (p.vnid, p.dst)
-            })
-            .collect()
+        (0..n).map(|_| self.next_packet()).collect()
     }
 }
 
@@ -445,6 +337,7 @@ impl FlashCrowdStream {
 mod tests {
     use super::*;
     use crate::synth::TableSpec;
+    use std::collections::{HashMap, HashSet};
 
     fn tables(k: usize) -> Vec<RoutingTable> {
         (0..k)
@@ -465,43 +358,39 @@ mod tests {
 
     #[test]
     fn zipf_cdf_is_normalized_and_monotone() {
-        let z = ZipfSampler::new(1000, 1.0, 0).unwrap();
-        assert!((z.cumulative_mass(999) - 1.0).abs() < 1e-12);
-        assert!(z.cumulative_mass(0) > z.cumulative_mass(999) / 1000.0);
-        let mut prev = 0.0;
-        for r in 0..1000 {
-            let c = z.cumulative_mass(r);
-            assert!(c >= prev);
-            prev = c;
-        }
+        let cdf = zipf_cdf(1000, 1.0).unwrap();
+        assert!((cdf[999] - 1.0).abs() < 1e-12);
+        assert!(cdf[0] > cdf[999] / 1000.0);
+        assert!(cdf.windows(2).all(|w| w[0] <= w[1]));
     }
 
     #[test]
     fn zipf_zero_is_uniform() {
-        let z = ZipfSampler::new(100, 0.0, 0).unwrap();
-        assert!((z.cumulative_mass(49) - 0.5).abs() < 1e-9);
+        let cdf = zipf_cdf(100, 0.0).unwrap();
+        assert!((cdf[49] - 0.5).abs() < 1e-9);
     }
 
     #[test]
     fn zipf_skew_concentrates_head() {
-        let mut hot = ZipfSampler::new(10_000, 1.2, 7).unwrap();
-        let mut head = 0usize;
+        let spec = SkewedSpec {
+            expansions: 50,
+            ..SkewedSpec::zipf(1, 1.2, 7)
+        };
+        let mut g = SkewedTraffic::new(spec, &tables(1)).unwrap();
+        let top = g.working_set() / 100;
+        let head: HashSet<u32> = g.pools[0][..top].iter().copied().collect();
         const N: usize = 20_000;
-        for _ in 0..N {
-            if hot.sample() < 100 {
-                head += 1;
-            }
-        }
+        let hits = g.pairs(N).iter().filter(|(_, dst)| head.contains(dst)).count();
         // Top 1% of ranks must dominate at s = 1.2 (analytic mass ≈ 0.77).
-        assert!(head as f64 / N as f64 > 0.6, "head share {head}/{N}");
-        assert!(hot.cumulative_mass(99) > 0.7);
+        assert!(hits as f64 / N as f64 > 0.6, "head share {hits}/{N}");
+        assert!(g.cdfs[0][top - 1] > 0.7);
     }
 
     #[test]
     fn zipf_rejects_bad_parameters() {
-        assert!(ZipfSampler::new(0, 1.0, 0).is_err());
-        assert!(ZipfSampler::new(10, -0.5, 0).is_err());
-        assert!(ZipfSampler::new(10, f64::NAN, 0).is_err());
+        assert!(zipf_cdf(0, 1.0).is_err());
+        assert!(zipf_cdf(10, -0.5).is_err());
+        assert!(zipf_cdf(10, f64::NAN).is_err());
     }
 
     #[test]
@@ -510,10 +399,10 @@ mod tests {
         let spec = SkewedSpec::zipf(3, 1.0, 11);
         let mut a = SkewedTraffic::new(spec.clone(), &t).unwrap();
         let mut b = SkewedTraffic::new(spec, &t).unwrap();
-        let batch = a.batch(500);
-        assert_eq!(batch, b.batch(500));
-        for p in &batch {
-            assert!(t[usize::from(p.vnid)].lookup(p.dst).is_some());
+        let pairs = a.pairs(500);
+        assert_eq!(pairs, b.pairs(500));
+        for &(vn, dst) in &pairs {
+            assert!(t[usize::from(vn)].lookup(dst).is_some());
         }
     }
 
@@ -521,25 +410,54 @@ mod tests {
     fn skewed_stream_repeats_destinations() {
         let t = tables(2);
         let mut g = SkewedTraffic::new(SkewedSpec::zipf(2, 1.0, 3), &t).unwrap();
-        let batch = g.batch(2000);
-        let mut distinct: Vec<(VnId, u32)> = batch.iter().map(|p| (p.vnid, p.dst)).collect();
+        let mut distinct = g.pairs(2000);
         distinct.sort_unstable();
         distinct.dedup();
         // Temporal locality: far fewer distinct keys than packets.
-        assert!(distinct.len() < batch.len() / 2, "{} distinct", distinct.len());
+        assert!(distinct.len() < 1000, "{} distinct", distinct.len());
     }
 
     #[test]
     fn tenant_mix_weights_bias_vn_choice() {
-        let t = tables(2);
+        let t = tables(3);
         let spec = SkewedSpec {
-            tenant_weights: Some(vec![1.0, 9.0]),
-            ..SkewedSpec::zipf(2, 0.5, 5)
+            tenant_weights: Some(vec![1.0, 9.0, 0.0]),
+            ..SkewedSpec::zipf(3, 0.5, 5)
         };
         let mut g = SkewedTraffic::new(spec, &t).unwrap();
-        let batch = g.batch(2000);
-        let vn1 = batch.iter().filter(|p| p.vnid == 1).count();
+        let pairs = g.pairs(2000);
+        let vn1 = pairs.iter().filter(|&&(vn, _)| vn == 1).count();
         assert!(vn1 > 1600, "vn1 share {vn1}/2000");
+        // A zero-weight tenant is never drawn.
+        assert!(pairs.iter().all(|&(vn, _)| vn != 2));
+    }
+
+    /// `packet_for` draws only its own VN, and every destination lies
+    /// under a route of that VN's table (no table has a default route).
+    #[test]
+    fn packet_for_stays_on_its_vn() {
+        let t: Vec<RoutingTable> = (0..3)
+            .map(|i| {
+                TableSpec {
+                    prefixes: 200,
+                    seed: 40 + i,
+                    distribution: crate::synth::PrefixLenDistribution::edge_default(),
+                    clustering: None,
+                    include_default_route: false,
+                    next_hops: 4,
+                }
+                .generate()
+                .unwrap()
+            })
+            .collect();
+        let mut g = SkewedTraffic::new(SkewedSpec::uniform(3, 8), &t).unwrap();
+        for vn in [2, 0, 1] {
+            for _ in 0..300 {
+                let (drawn, dst) = g.packet_for(vn);
+                assert_eq!(drawn, vn);
+                assert!(t[usize::from(vn)].lookup(dst).is_some(), "vn {vn} {dst:#010x}");
+            }
+        }
     }
 
     #[test]
@@ -548,12 +466,6 @@ mod tests {
         assert!(SkewedTraffic::new(SkewedSpec::zipf(3, 1.0, 0), &t).is_err());
         let mut spec = SkewedSpec::zipf(2, 1.0, 0);
         spec.expansions = 0;
-        assert!(SkewedTraffic::new(spec, &t).is_err());
-        let mut spec = SkewedSpec::zipf(2, 1.0, 0);
-        spec.packet_bytes = 39;
-        assert!(SkewedTraffic::new(spec, &t).is_err());
-        let mut spec = SkewedSpec::zipf(2, 1.0, 0);
-        spec.tenant_weights = Some(vec![0.0, 0.0]);
         assert!(SkewedTraffic::new(spec, &t).is_err());
         assert!(SkewedTraffic::new(SkewedSpec::zipf(1, 1.0, 0), &[RoutingTable::new()]).is_err());
     }
@@ -573,13 +485,13 @@ mod tests {
         let t = tables(1);
         let spec = SkewedSpec::zipf(1, 1.5, 13);
         let mut fc = FlashCrowdStream::new(spec.clone(), &t, 1000).unwrap();
-        let phase_a = fc.batch(1000);
-        let phase_b = fc.batch(1000);
+        let phase_a = fc.pairs(1000);
+        let phase_b = fc.pairs(1000);
         assert_eq!(fc.phase(), 1);
-        let hot = |batch: &[Packet]| -> u32 {
-            let mut counts = std::collections::HashMap::new();
-            for p in batch {
-                *counts.entry(p.dst).or_insert(0usize) += 1;
+        let hot = |pairs: &[(VnId, u32)]| -> u32 {
+            let mut counts = HashMap::new();
+            for &(_, dst) in pairs {
+                *counts.entry(dst).or_insert(0usize) += 1;
             }
             counts.into_iter().max_by_key(|&(_, c)| c).map(|(d, _)| d).unwrap()
         };
@@ -588,8 +500,8 @@ mod tests {
         assert_ne!(hot(&phase_a), hot(&phase_b));
         // A plain skewed stream over the same spec keeps it stable.
         let mut steady = SkewedTraffic::new(spec, &t).unwrap();
-        let s1 = steady.batch(1000);
-        let s2 = steady.batch(1000);
+        let s1 = steady.pairs(1000);
+        let s2 = steady.pairs(1000);
         assert_eq!(hot(&s1), hot(&s2));
     }
 }

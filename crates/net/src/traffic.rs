@@ -1,16 +1,15 @@
-//! Packet and traffic-stream generation across K virtual networks.
+//! Virtual-network identifiers and the tenant mix µ.
 //!
 //! Assumption 1 of the paper distributes traffic uniformly across the K
-//! virtual routers (µᵢ = 1/K). The generator supports that as the default
-//! and also arbitrary per-network weights, so "more complex distributions
-//! can be modeled by appropriately changing the µᵢ values" (§IV-A) holds
-//! here too.
+//! virtual routers (µᵢ = 1/K), and "more complex distributions can be
+//! modeled by appropriately changing the µᵢ values" (§IV-A).
+//! [`tenant_mix`] is the one place a weight vector becomes µ: the packet
+//! source, [`SkewedTraffic`](crate::models::SkewedTraffic), draws each
+//! packet's VN from it, and the power scenarios weight each VN's dynamic
+//! power by it. A packet, to the lookup engines, is a `(VnId, u32)` pair:
+//! its network and destination; payload is irrelevant to Layer-3 lookup.
 
 use crate::error::NetError;
-use crate::table::RoutingTable;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Virtual-network identifier (VNID). The paper tags packets in the merged
 /// stream with a VNID used to index per-network NHI vectors (§IV-C).
@@ -19,255 +18,41 @@ pub type VnId = u16;
 /// Minimum packet size used for throughput accounting (40 bytes, §VI-B).
 pub const MIN_PACKET_BYTES: u32 = 40;
 
-/// A packet as seen by the lookup engines: which virtual network it belongs
-/// to and its destination address. Payload is irrelevant to Layer-3 lookup.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct Packet {
-    /// Virtual network the packet belongs to.
-    pub vnid: VnId,
-    /// Destination IPv4 address.
-    pub dst: u32,
-    /// Packet size in bytes (≥ 40); used for Gbps accounting.
-    pub bytes: u32,
-}
-
-/// How destination addresses are drawn.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum DestinationModel {
-    /// Uniform random 32-bit addresses. With a default route everything
-    /// still matches; without one, some lookups miss — both paths matter.
-    UniformRandom,
-    /// Pick a random table entry, then randomize its host bits, so every
-    /// packet matches a real route (the paper's throughput experiments
-    /// drive the pipeline at full rate with matching traffic).
-    CoveredByTable,
-}
-
-/// Traffic-stream specification.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TrafficSpec {
-    /// Number of virtual networks K (VNIDs are `0..k`).
-    pub k: usize,
-    /// Per-network utilization weights µᵢ; need not be normalized.
-    /// `None` means uniform (Assumption 1).
-    pub utilization: Option<Vec<f64>>,
-    /// Destination model.
-    pub destinations: DestinationModel,
-    /// RNG seed.
-    pub seed: u64,
-    /// Fixed packet size in bytes (minimum 40).
-    pub packet_bytes: u32,
-}
-
-impl TrafficSpec {
-    /// Uniform traffic over `k` networks with 40-byte minimum packets.
-    #[must_use]
-    pub fn uniform(k: usize, seed: u64) -> Self {
-        Self {
-            k,
-            utilization: None,
-            destinations: DestinationModel::CoveredByTable,
-            seed,
-            packet_bytes: MIN_PACKET_BYTES,
-        }
-    }
-
-    /// The effective (normalized) per-network utilization vector µ.
-    ///
-    /// # Errors
-    /// Rejects mismatched lengths, negative or non-finite weights, and an
-    /// all-zero weight vector.
-    pub fn mu(&self) -> Result<Vec<f64>, NetError> {
-        match &self.utilization {
-            None => {
-                if self.k == 0 {
-                    return Err(NetError::InvalidSpec("k must be at least 1"));
-                }
-                Ok(vec![1.0 / self.k as f64; self.k])
-            }
-            Some(w) => {
-                if w.len() != self.k {
-                    return Err(NetError::InvalidSpec("utilization length must equal k"));
-                }
-                if w.iter().any(|x| *x < 0.0 || !x.is_finite()) {
-                    return Err(NetError::InvalidSpec(
-                        "utilization weights must be finite and non-negative",
-                    ));
-                }
-                let sum: f64 = w.iter().sum();
-                if sum <= 0.0 {
-                    return Err(NetError::InvalidSpec(
-                        "utilization weights must not be all zero",
-                    ));
-                }
-                Ok(w.iter().map(|x| x / sum).collect())
-            }
-        }
-    }
-}
-
-/// A seeded generator producing an endless packet stream for a K-table
-/// family. One instance per simulation; cloning restarts nothing (the RNG
-/// state is part of the generator).
+/// The tenant mix µ over `k` networks: `weights` normalized to sum 1
+/// (each `x / sum`), or the uniform 1/K of Assumption 1 for `None`.
 ///
-/// ```
-/// use vr_net::{RoutingTable, TrafficGenerator, TrafficSpec};
-///
-/// let tables: Vec<RoutingTable> =
-///     vec!["10.0.0.0/8 1\n".parse().unwrap(), "11.0.0.0/8 2\n".parse().unwrap()];
-/// let mut gen = TrafficGenerator::new(TrafficSpec::uniform(2, 7), &tables).unwrap();
-/// let packet = gen.next_packet();
-/// // Covered destinations always match their own network's table.
-/// assert!(tables[usize::from(packet.vnid)].lookup(packet.dst).is_some());
-/// ```
-#[derive(Debug, Clone)]
-pub struct TrafficGenerator {
-    spec: TrafficSpec,
-    mu_cumulative: Vec<f64>,
-    /// Per-network prefix pools for `CoveredByTable` destinations.
-    pools: Vec<Vec<(u32, u8)>>,
-    rng: SmallRng,
-}
-
-impl TrafficGenerator {
-    /// Builds a generator for `tables` (one table per virtual network).
-    ///
-    /// # Errors
-    /// Rejects a spec whose `k` differs from `tables.len()`, invalid
-    /// utilization vectors, sub-minimum packet sizes, and (for
-    /// [`DestinationModel::CoveredByTable`]) empty tables.
-    pub fn new(spec: TrafficSpec, tables: &[RoutingTable]) -> Result<Self, NetError> {
-        if spec.k != tables.len() {
-            return Err(NetError::InvalidSpec("spec.k must equal tables.len()"));
-        }
-        if spec.packet_bytes < MIN_PACKET_BYTES {
-            return Err(NetError::InvalidSpec("packet size below 40-byte minimum"));
-        }
-        let mu = spec.mu()?;
-        let mut acc = 0.0;
-        let mu_cumulative = mu
-            .iter()
-            .map(|m| {
-                acc += m;
-                acc
-            })
-            .collect();
-        let pools: Vec<Vec<(u32, u8)>> = tables
-            .iter()
-            .map(|t| t.prefixes().map(|p| (p.addr(), p.len())).collect())
-            .collect();
-        if spec.destinations == DestinationModel::CoveredByTable
-            && pools.iter().any(Vec::is_empty)
-        {
-            return Err(NetError::InvalidSpec(
-                "covered-destination traffic requires non-empty tables",
-            ));
-        }
-        let rng = SmallRng::seed_from_u64(spec.seed);
-        Ok(Self {
-            spec,
-            mu_cumulative,
-            pools,
-            rng,
-        })
+/// # Errors
+/// Rejects `k == 0`, a weight vector whose length is not `k`, a negative
+/// or non-finite weight, and an all-zero weight vector.
+pub fn tenant_mix(k: usize, weights: Option<&[f64]>) -> Result<Vec<f64>, NetError> {
+    if k == 0 {
+        return Err(NetError::InvalidSpec("k must be at least 1"));
     }
-
-    /// The spec this generator was built from.
-    #[must_use]
-    pub fn spec(&self) -> &TrafficSpec {
-        &self.spec
+    let Some(w) = weights else {
+        return Ok(vec![1.0 / k as f64; k]);
+    };
+    if w.len() != k {
+        return Err(NetError::InvalidSpec("tenant weights length must equal k"));
     }
-
-    /// Draws the next packet.
-    pub fn next_packet(&mut self) -> Packet {
-        let x: f64 = self.rng.gen_range(0.0..1.0);
-        let vnid = self
-            .mu_cumulative
-            .iter()
-            .position(|c| x < *c)
-            .unwrap_or(self.spec.k - 1) as VnId;
-        let dst = match self.spec.destinations {
-            DestinationModel::UniformRandom => self.rng.gen::<u32>(),
-            DestinationModel::CoveredByTable => {
-                let pool = &self.pools[usize::from(vnid)];
-                let (addr, len) = pool[self.rng.gen_range(0..pool.len())];
-                randomize_host_bits(&mut self.rng, addr, len)
-            }
-        };
-        Packet {
-            vnid,
-            dst,
-            bytes: self.spec.packet_bytes,
-        }
+    if w.iter().any(|x| *x < 0.0 || !x.is_finite()) {
+        return Err(NetError::InvalidSpec(
+            "tenant weights must be finite and non-negative",
+        ));
     }
-
-    /// Draws a batch of `n` packets.
-    pub fn batch(&mut self, n: usize) -> Vec<Packet> {
-        (0..n).map(|_| self.next_packet()).collect()
+    let sum: f64 = w.iter().sum();
+    if sum <= 0.0 {
+        return Err(NetError::InvalidSpec("tenant weights must not be all zero"));
     }
-
-    /// Draws a packet for a *specific* virtual network, bypassing the µ
-    /// weights. Used by capacity (saturation) measurements where every
-    /// engine must stay busy with its own network's traffic.
-    ///
-    /// # Panics
-    /// Panics if `vnid` is outside `0..k`.
-    pub fn packet_for(&mut self, vnid: VnId) -> Packet {
-        assert!(usize::from(vnid) < self.spec.k, "vnid out of range");
-        let dst = match self.spec.destinations {
-            DestinationModel::UniformRandom => self.rng.gen::<u32>(),
-            DestinationModel::CoveredByTable => {
-                let pool = &self.pools[usize::from(vnid)];
-                let (addr, len) = pool[self.rng.gen_range(0..pool.len())];
-                randomize_host_bits(&mut self.rng, addr, len)
-            }
-        };
-        Packet {
-            vnid,
-            dst,
-            bytes: self.spec.packet_bytes,
-        }
-    }
-}
-
-/// Fills the host bits below `len` with random bits, keeping the network
-/// part of `addr` intact.
-fn randomize_host_bits<R: Rng>(rng: &mut R, addr: u32, len: u8) -> u32 {
-    let host_bits = 32 - u32::from(len);
-    if host_bits == 0 {
-        addr
-    } else {
-        let mask = ((1u64 << host_bits) - 1) as u32;
-        addr | (rng.gen::<u32>() & mask)
-    }
+    Ok(w.iter().map(|x| x / sum).collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::synth::TableSpec;
-
-    fn tables(k: usize) -> Vec<RoutingTable> {
-        (0..k)
-            .map(|i| {
-                TableSpec {
-                    prefixes: 100,
-                    seed: 100 + i as u64,
-                    distribution: crate::synth::PrefixLenDistribution::edge_default(),
-                    clustering: None,
-                    include_default_route: true,
-                    next_hops: 4,
-                }
-                .generate()
-                .unwrap()
-            })
-            .collect()
-    }
 
     #[test]
     fn uniform_mu_sums_to_one() {
-        let spec = TrafficSpec::uniform(4, 0);
-        let mu = spec.mu().unwrap();
+        let mu = tenant_mix(4, None).unwrap();
         assert_eq!(mu.len(), 4);
         assert!((mu.iter().sum::<f64>() - 1.0).abs() < 1e-12);
         assert!(mu.iter().all(|m| (m - 0.25).abs() < 1e-12));
@@ -275,80 +60,7 @@ mod tests {
 
     #[test]
     fn weighted_mu_normalizes() {
-        let spec = TrafficSpec {
-            utilization: Some(vec![1.0, 3.0]),
-            ..TrafficSpec::uniform(2, 0)
-        };
-        let mu = spec.mu().unwrap();
-        assert!((mu[0] - 0.25).abs() < 1e-12);
-        assert!((mu[1] - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mu_rejects_bad_vectors() {
-        let mut spec = TrafficSpec::uniform(2, 0);
-        spec.utilization = Some(vec![1.0]);
-        assert!(spec.mu().is_err());
-        spec.utilization = Some(vec![-1.0, 1.0]);
-        assert!(spec.mu().is_err());
-        spec.utilization = Some(vec![0.0, 0.0]);
-        assert!(spec.mu().is_err());
-        let zero_k = TrafficSpec::uniform(0, 0);
-        assert!(zero_k.mu().is_err());
-    }
-
-    #[test]
-    fn vnid_distribution_tracks_mu() {
-        let t = tables(3);
-        let spec = TrafficSpec {
-            utilization: Some(vec![0.0, 1.0, 1.0]),
-            ..TrafficSpec::uniform(3, 42)
-        };
-        let mut g = TrafficGenerator::new(spec, &t).unwrap();
-        let batch = g.batch(2000);
-        let mut counts = [0usize; 3];
-        for p in &batch {
-            counts[usize::from(p.vnid)] += 1;
-        }
-        assert_eq!(counts[0], 0);
-        assert!(counts[1] > 800 && counts[2] > 800);
-    }
-
-    #[test]
-    fn covered_destinations_always_match() {
-        let t = tables(2);
-        let mut g = TrafficGenerator::new(TrafficSpec::uniform(2, 7), &t).unwrap();
-        for p in g.batch(500) {
-            assert!(
-                t[usize::from(p.vnid)].lookup(p.dst).is_some(),
-                "covered packet must match its own table"
-            );
-        }
-    }
-
-    #[test]
-    fn generation_is_deterministic() {
-        let t = tables(2);
-        let mut a = TrafficGenerator::new(TrafficSpec::uniform(2, 5), &t).unwrap();
-        let mut b = TrafficGenerator::new(TrafficSpec::uniform(2, 5), &t).unwrap();
-        assert_eq!(a.batch(100), b.batch(100));
-    }
-
-    #[test]
-    fn rejects_mismatched_k_and_small_packets() {
-        let t = tables(2);
-        assert!(TrafficGenerator::new(TrafficSpec::uniform(3, 0), &t).is_err());
-        let mut spec = TrafficSpec::uniform(2, 0);
-        spec.packet_bytes = 39;
-        assert!(TrafficGenerator::new(spec, &t).is_err());
-    }
-
-    #[test]
-    fn rejects_empty_table_for_covered_destinations() {
-        let t = vec![RoutingTable::new()];
-        assert!(TrafficGenerator::new(TrafficSpec::uniform(1, 0), &t).is_err());
-        let mut spec = TrafficSpec::uniform(1, 0);
-        spec.destinations = DestinationModel::UniformRandom;
-        assert!(TrafficGenerator::new(spec, &t).is_ok());
+        let mu = tenant_mix(3, Some(&[1.0, 3.0, 0.0])).unwrap();
+        assert_eq!(mu, [0.25, 0.75, 0.0]);
     }
 }

@@ -8,7 +8,7 @@
 
 use vr_power::{ArrivalModel, EngineConfig, SimConfig, VirtualRouterSim};
 use vr_net::synth::FamilySpec;
-use vr_net::{TrafficGenerator, TrafficSpec, UpdateMix, UpdateStream};
+use vr_net::{SkewedSpec, SkewedTraffic, UpdateMix, UpdateStream};
 use vr_power::SchemeKind;
 
 fn main() {
@@ -40,7 +40,7 @@ fn main() {
         arrival_seed: 3,
     };
     let mut sim = VirtualRouterSim::new(tables.clone(), cfg).expect("sim");
-    let mut traffic = TrafficGenerator::new(TrafficSpec::uniform(k, 9), &tables).expect("traffic");
+    let mut traffic = SkewedTraffic::new(SkewedSpec::uniform(k, 9), &tables).expect("traffic");
 
     let before = sim.run(&mut traffic, 2000).expect("run");
     println!(

@@ -31,7 +31,7 @@ fn simulator_and_model_agree_on_dynamic_power() {
 #[test]
 fn dynamic_power_scales_with_offered_load() {
     use vr_power::{ArrivalModel, EngineConfig, SimConfig, VirtualRouterSim};
-    use vr_net::{TrafficGenerator, TrafficSpec};
+    use vr_net::{SkewedSpec, SkewedTraffic};
 
     let tables = family(2, 0.6, 13);
     let run = |load: f64| {
@@ -43,7 +43,7 @@ fn dynamic_power_scales_with_offered_load() {
             arrival_seed: 7,
         };
         let mut sim = VirtualRouterSim::new(tables.clone(), cfg).unwrap();
-        let mut traffic = TrafficGenerator::new(TrafficSpec::uniform(2, 9), &tables).unwrap();
+        let mut traffic = SkewedTraffic::new(SkewedSpec::uniform(2, 9), &tables).unwrap();
         sim.run(&mut traffic, 4000).unwrap().dynamic_power_w()
     };
     let full = run(1.0);
@@ -137,7 +137,7 @@ fn skewed_utilization_changes_only_dynamic_power() {
 #[test]
 fn stale_data_plane_is_detected_and_rebuild_clears_it() {
     use vr_power::{ArrivalModel, EngineConfig, SimConfig, VirtualRouterSim};
-    use vr_net::{RouteUpdate, TrafficGenerator, TrafficSpec};
+    use vr_net::{RouteUpdate, SkewedSpec, SkewedTraffic};
 
     let tables = family(2, 0.6, 23);
     let cfg = SimConfig {
@@ -148,7 +148,7 @@ fn stale_data_plane_is_detected_and_rebuild_clears_it() {
         arrival_seed: 3,
     };
     let mut sim = VirtualRouterSim::new(tables.clone(), cfg).unwrap();
-    let mut traffic = TrafficGenerator::new(TrafficSpec::uniform(2, 9), &tables).unwrap();
+    let mut traffic = SkewedTraffic::new(SkewedSpec::uniform(2, 9), &tables).unwrap();
 
     // Fresh engines: fully correct.
     let report = sim.run(&mut traffic, 500).unwrap();

@@ -77,7 +77,10 @@ fn routing_table_round_trips_through_json_and_dump() {
 fn net_config_types_round_trip() {
     let spec = vr_net::synth::TableSpec::paper_worst_case(9);
     assert_eq!(round_trip(&spec), spec);
-    let traffic = vr_net::TrafficSpec::uniform(4, 3);
+    let traffic = vr_net::SkewedSpec {
+        tenant_weights: Some(vec![0.5, 0.25, 0.25]),
+        ..vr_net::SkewedSpec::zipf(3, 1.0, 3)
+    };
     assert_eq!(round_trip(&traffic), traffic);
     let mix = vr_net::UpdateMix::default();
     assert_eq!(round_trip(&mix), mix);
@@ -109,7 +112,7 @@ fn scenario_spec_round_trips() {
 #[test]
 fn sim_report_round_trips() {
     use vr_power::{ArrivalModel, EngineConfig, SimConfig, VirtualRouterSim};
-    use vr_net::{TrafficGenerator, TrafficSpec};
+    use vr_net::{SkewedSpec, SkewedTraffic};
     let tables = family(2, 0.5, 3);
     let cfg = SimConfig {
         organization: SchemeKind::Merged,
@@ -119,7 +122,7 @@ fn sim_report_round_trips() {
         arrival_seed: 1,
     };
     let mut sim = VirtualRouterSim::new(tables.clone(), cfg).unwrap();
-    let mut traffic = TrafficGenerator::new(TrafficSpec::uniform(2, 5), &tables).unwrap();
+    let mut traffic = SkewedTraffic::new(SkewedSpec::uniform(2, 5), &tables).unwrap();
     let report = sim.run(&mut traffic, 200).unwrap();
     let back = round_trip(&report);
     assert_eq!(back.cycles, report.cycles);
