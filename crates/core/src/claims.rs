@@ -171,7 +171,11 @@ mod tests {
         let checks = verify_claims(&ExperimentConfig::quick()).unwrap();
         assert_eq!(checks.len(), 8);
         for check in &checks {
-            assert!(check.holds, "{}: {} — measured {}", check.id, check.statement, check.measured);
+            assert!(
+                check.holds,
+                "{}: {} — measured {}",
+                check.id, check.statement, check.measured
+            );
         }
         // Ids are unique (the checklist is keyed by them).
         let mut ids: Vec<&str> = checks.iter().map(|c| c.id.as_str()).collect();

@@ -97,8 +97,7 @@ impl EngineStats {
         if self.cycles == 0 {
             return 0.0;
         }
-        (self.logic_energy_pj + self.bram_energy_pj) * 1e-12 / self.cycles as f64
-            * (freq_mhz * 1e6)
+        (self.logic_energy_pj + self.bram_energy_pj) * 1e-12 / self.cycles as f64 * (freq_mhz * 1e6)
     }
 
     /// Fraction of stage slots occupied over the run.
@@ -272,7 +271,11 @@ impl PipelineEngine {
         // An arity-1 engine sits behind the VNID distributor (Fig. 1),
         // which already consumed the VNID; the merged engine indexes its
         // leaf vector by it.
-        let column = if self.trie.arity() == 1 { 0 } else { usize::from(slot.vnid) };
+        let column = if self.trie.arity() == 1 {
+            0
+        } else {
+            usize::from(slot.vnid)
+        };
         for level in first..=last {
             if slot.done {
                 break;
@@ -463,8 +466,11 @@ mod tests {
         assert!(stats.logic_energy_pj > 0.0);
         assert!(stats.bram_energy_pj > 0.0);
         // Idle ungated logic power equals the full-pipeline logic power.
-        let expected_logic_w =
-            vr_fpga::logic::pipeline_logic_power_w(SpeedGrade::Minus2, PAPER_PIPELINE_STAGES, 350.0);
+        let expected_logic_w = vr_fpga::logic::pipeline_logic_power_w(
+            SpeedGrade::Minus2,
+            PAPER_PIPELINE_STAGES,
+            350.0,
+        );
         let measured_logic_w = stats.logic_energy_pj * 1e-12 / stats.cycles as f64 * 350.0e6;
         assert!((measured_logic_w - expected_logic_w).abs() / expected_logic_w < 1e-9);
     }

@@ -117,10 +117,7 @@ impl ExperimentConfig {
                 Err(_) => fallback,
             }
         };
-        (
-            resolve(self.alpha_low, 0.0),
-            resolve(self.alpha_high, 0.95),
-        )
+        (resolve(self.alpha_low, 0.0), resolve(self.alpha_high, 0.95))
     }
 
     /// Generates a K-table family with the given shared fraction.
@@ -490,9 +487,7 @@ pub fn power_sweep(cfg: &ExperimentConfig) -> Result<Vec<SweepPoint>, PowerError
             }
         }
     }
-    out.sort_by(|a, b| {
-        (a.k, &a.series, a.grade.label()).cmp(&(b.k, &b.series, b.grade.label()))
-    });
+    out.sort_by(|a, b| (a.k, &a.series, a.grade.label()).cmp(&(b.k, &b.series, b.grade.label())));
     Ok(out)
 }
 
@@ -638,7 +633,9 @@ pub fn ablation_stride(cfg: &ExperimentConfig) -> Result<Vec<StrideRow>, PowerEr
         prefixes: cfg.prefixes_per_table,
         seed: cfg.seed,
         distribution: PrefixLenDistribution::edge_default(),
-        clustering: Some(vr_net::synth::ClusterSpec::edge_default(cfg.prefixes_per_table)),
+        clustering: Some(vr_net::synth::ClusterSpec::edge_default(
+            cfg.prefixes_per_table,
+        )),
         include_default_route: true,
         next_hops: 16,
     }
@@ -713,10 +710,7 @@ pub fn tcam_comparison(cfg: &ExperimentConfig) -> Result<Vec<TcamRow>, PowerErro
             k,
             power_w: estimate.total_w(),
             throughput_gbps: scenario.capacity_gbps(),
-            mw_per_gbps: vr_fpga::timing::mw_per_gbps(
-                estimate.total_w(),
-                scenario.capacity_gbps(),
-            ),
+            mw_per_gbps: vr_fpga::timing::mw_per_gbps(estimate.total_w(), scenario.capacity_gbps()),
         });
         let entries = k * cfg.prefixes_per_table;
         for (label, spec) in [
@@ -796,10 +790,8 @@ pub fn update_cost(cfg: &ExperimentConfig, k: usize) -> Result<Vec<UpdateRow>, P
         let write_rate = (0.01 * mean_writes / 29.0).min(1.0); // 29 ≈ path writes at reference
         let pushed = &merged.sweep_stats().by_prefix[k - 1];
         let profile = PipelineProfile::from_stats(pushed, k, cfg.stages, MemoryLayout::default())?;
-        let blocks = vr_fpga::bram::blocks_for_stages(
-            BramMode::K18,
-            &profile.per_stage_memory_bits(),
-        );
+        let blocks =
+            vr_fpga::bram::blocks_for_stages(BramMode::K18, &profile.per_stage_memory_bits());
         rows.push(UpdateRow {
             updates,
             mean_writes_per_update: mean_writes,
@@ -980,10 +972,7 @@ pub fn device_sweep(cfg: &ExperimentConfig, k: usize) -> Result<Vec<DeviceRow>, 
                     max_vs_engines,
                     fits: true,
                     power_w: Some(estimate.total_w()),
-                    mw_per_gbps: Some(vr_fpga::timing::mw_per_gbps(
-                        estimate.total_w(),
-                        capacity,
-                    )),
+                    mw_per_gbps: Some(vr_fpga::timing::mw_per_gbps(estimate.total_w(), capacity)),
                 }
             }
             Err(_) => DeviceRow {
@@ -1141,8 +1130,7 @@ mod tests {
         let cfg = ExperimentConfig::quick();
         let points = fig4_series(&cfg).unwrap();
         let series = |name: &str| -> Vec<&Fig4Point> {
-            let mut v: Vec<&Fig4Point> =
-                points.iter().filter(|p| p.series == name).collect();
+            let mut v: Vec<&Fig4Point> = points.iter().filter(|p| p.series == name).collect();
             v.sort_by_key(|p| p.k);
             v
         };
@@ -1161,9 +1149,7 @@ mod tests {
         // Merged NHI memory (K-wide vectors) exceeds separate NHI memory.
         assert!(hi[last].nhi_mbits > sep[last].nhi_mbits * 0.8);
         // α ordering is realized.
-        assert!(
-            hi[last].measured_alpha.unwrap() > lo[last].measured_alpha.unwrap()
-        );
+        assert!(hi[last].measured_alpha.unwrap() > lo[last].measured_alpha.unwrap());
     }
 
     #[test]
@@ -1263,13 +1249,9 @@ mod tests {
         };
         let k = cfg.k_max;
         // §II-B: TCAM is the power-hungry option.
-        assert!(
-            at("TCAM monolithic", k).mw_per_gbps > at("FPGA trie (VS)", k).mw_per_gbps
-        );
+        assert!(at("TCAM monolithic", k).mw_per_gbps > at("FPGA trie (VS)", k).mw_per_gbps);
         // Ref. [20]: partitioning recovers most of the dynamic power.
-        assert!(
-            at("TCAM partitioned (8)", k).power_w < at("TCAM monolithic", k).power_w
-        );
+        assert!(at("TCAM partitioned (8)", k).power_w < at("TCAM monolithic", k).power_w);
         // Ref. [10]: IPStash sits between monolithic TCAM and partitioned.
         assert!(at("IPStash-like", k).power_w < at("TCAM monolithic", k).power_w);
     }

@@ -83,11 +83,7 @@ pub fn analytical_power(scenario: &Scenario) -> PowerEstimate {
                 logic_w += mu * logic_full_w;
                 memory_w += mu * engine_mem_full_w(bits);
             }
-            (
-                static_per_device_w * scenario.k() as f64,
-                logic_w,
-                memory_w,
-            )
+            (static_per_device_w * scenario.k() as f64, logic_w, memory_w)
         }
         SchemeKind::Separate => {
             // Eq. 4: one shared device leaks once.
@@ -135,7 +131,10 @@ pub fn experimental_power_w(scenario: &Scenario, par: &ParSimulator) -> f64 {
 /// analytical total and the scheme's aggregate capacity.
 #[must_use]
 pub fn efficiency_mw_per_gbps(scenario: &Scenario) -> f64 {
-    mw_per_gbps(analytical_power(scenario).total_w(), scenario.capacity_gbps())
+    mw_per_gbps(
+        analytical_power(scenario).total_w(),
+        scenario.capacity_gbps(),
+    )
 }
 
 /// Memory-power delta (watts) between a baseline table footprint and the
@@ -224,7 +223,7 @@ mod tests {
     }
 
     #[test]
-    fn vs_total_power_stays_near_one_device(){
+    fn vs_total_power_stays_near_one_device() {
         // Fig. 6: virtualized schemes sit near one device's static power.
         for k in [1usize, 4, 8, 15] {
             let p = estimate(SchemeKind::Separate, k, SpeedGrade::Minus2);
@@ -244,10 +243,7 @@ mod tests {
             let nv = estimate(SchemeKind::NonVirtualized, k, SpeedGrade::Minus2);
             let vs = estimate(SchemeKind::Separate, k, SpeedGrade::Minus2);
             let ratio = nv.total_w() / vs.total_w();
-            assert!(
-                ratio > 0.6 * k as f64,
-                "K={k}: ratio {ratio} not ∝ K"
-            );
+            assert!(ratio > 0.6 * k as f64, "K={k}: ratio {ratio} not ∝ K");
         }
     }
 
@@ -309,10 +305,7 @@ mod tests {
             let hi = estimate(scheme, 6, SpeedGrade::Minus2);
             let lo = estimate(scheme, 6, SpeedGrade::Minus1L);
             let saving = 1.0 - lo.total_w() / hi.total_w();
-            assert!(
-                (0.2..=0.4).contains(&saving),
-                "{scheme}: saving {saving}"
-            );
+            assert!((0.2..=0.4).contains(&saving), "{scheme}: saving {saving}");
         }
     }
 

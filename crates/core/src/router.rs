@@ -142,7 +142,9 @@ impl VirtualRouterSim {
                 return Err(PowerError::InvalidParameter("burst length must be ≥ 1"));
             }
             if !(0.0..=1.0).contains(&probability) {
-                return Err(PowerError::InvalidParameter("arrival probability must be in [0, 1]"));
+                return Err(PowerError::InvalidParameter(
+                    "arrival probability must be in [0, 1]",
+                ));
             }
             if probability == 0.0 && packets > 0 {
                 return Err(PowerError::InvalidParameter(
@@ -202,7 +204,8 @@ impl VirtualRouterSim {
                 }
                 Some(_) => {}
             }
-            max_queue_depth = max_queue_depth.max(queues.iter().map(VecDeque::len).max().unwrap_or(0));
+            max_queue_depth =
+                max_queue_depth.max(queues.iter().map(VecDeque::len).max().unwrap_or(0));
 
             // Each engine accepts one queued packet per cycle.
             let inputs: Vec<Option<(vr_net::VnId, u32)>> = queues
@@ -491,7 +494,11 @@ mod tests {
         assert!(report.is_fully_correct());
         // Bursts of 8 over 2 engines: same-engine collisions are certain,
         // so queues must have built and packets must have waited.
-        assert!(report.max_queue_depth >= 2, "depth {}", report.max_queue_depth);
+        assert!(
+            report.max_queue_depth >= 2,
+            "depth {}",
+            report.max_queue_depth
+        );
         assert!(report.mean_queue_wait_cycles() > 0.0);
     }
 
@@ -568,10 +575,17 @@ mod tests {
             let mut engines = engines(&tables, &cfg).unwrap();
             let reference: Vec<LeafPushedTrie> = match org {
                 SchemeKind::Merged => vec![pushed(&tables)],
-                _ => tables.iter().map(|t| pushed(std::slice::from_ref(t))).collect(),
+                _ => tables
+                    .iter()
+                    .map(|t| pushed(std::slice::from_ref(t)))
+                    .collect(),
             };
             for &(vnid, dst) in &probes {
-                let at = if org == SchemeKind::Merged { 0 } else { usize::from(vnid) };
+                let at = if org == SchemeKind::Merged {
+                    0
+                } else {
+                    usize::from(vnid)
+                };
                 let engine = &mut engines[at];
                 let before = engine.stats().memory_reads;
                 engine.tick(Some((vnid, dst)));

@@ -168,8 +168,7 @@ mod tests {
         // matching Fig. 2's curve ordering.
         for grade in SpeedGrade::ALL {
             assert!(
-                2.0 * BramMode::K18.uw_per_block_mhz(grade)
-                    > BramMode::K36.uw_per_block_mhz(grade)
+                2.0 * BramMode::K18.uw_per_block_mhz(grade) > BramMode::K36.uw_per_block_mhz(grade)
             );
         }
     }
@@ -220,18 +219,15 @@ mod tests {
         );
         assert!((base - at_ref).abs() < 1e-15);
         // Heavier updates cost more; a read-only table costs slightly less.
-        let heavy =
-            bram_power_w_with_writes(BramMode::K18, SpeedGrade::Minus2, 10, 300.0, 0.20);
-        let read_only =
-            bram_power_w_with_writes(BramMode::K18, SpeedGrade::Minus2, 10, 300.0, 0.0);
+        let heavy = bram_power_w_with_writes(BramMode::K18, SpeedGrade::Minus2, 10, 300.0, 0.20);
+        let read_only = bram_power_w_with_writes(BramMode::K18, SpeedGrade::Minus2, 10, 300.0, 0.0);
         assert!(heavy > base);
         assert!(read_only < base);
         // The correction stays second-order even at an absurd 100 % rate.
         let max = bram_power_w_with_writes(BramMode::K18, SpeedGrade::Minus2, 10, 300.0, 1.0);
         assert!(max < base * 1.31);
         // Out-of-range rates are clamped.
-        let clamped =
-            bram_power_w_with_writes(BramMode::K18, SpeedGrade::Minus2, 10, 300.0, 7.0);
+        let clamped = bram_power_w_with_writes(BramMode::K18, SpeedGrade::Minus2, 10, 300.0, 7.0);
         assert_eq!(clamped, max);
     }
 }

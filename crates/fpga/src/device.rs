@@ -168,7 +168,11 @@ mod tests {
         // Leakage scale roughly tracks die size.
         for d in &catalog {
             let cells_ratio = d.logic_cells as f64 / Device::xc6vlx760().logic_cells as f64;
-            assert!((d.static_power_scale - cells_ratio).abs() < 0.1, "{}", d.name);
+            assert!(
+                (d.static_power_scale - cells_ratio).abs() < 0.1,
+                "{}",
+                d.name
+            );
         }
     }
 }

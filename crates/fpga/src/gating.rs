@@ -99,7 +99,10 @@ mod tests {
     fn gated_power_scales_with_duty() {
         let duty = DutyCycle::new(0.25).unwrap();
         assert_eq!(effective_logic_power_w(4.0, duty, GatingPolicy::PAPER), 1.0);
-        assert_eq!(effective_memory_power_w(8.0, duty, GatingPolicy::PAPER), 2.0);
+        assert_eq!(
+            effective_memory_power_w(8.0, duty, GatingPolicy::PAPER),
+            2.0
+        );
     }
 
     #[test]
@@ -124,6 +127,9 @@ mod tests {
     fn idle_engine_with_gating_burns_nothing_dynamic() {
         let idle = DutyCycle::new(0.0).unwrap();
         assert_eq!(effective_logic_power_w(5.0, idle, GatingPolicy::PAPER), 0.0);
-        assert_eq!(effective_memory_power_w(5.0, idle, GatingPolicy::PAPER), 0.0);
+        assert_eq!(
+            effective_memory_power_w(5.0, idle, GatingPolicy::PAPER),
+            0.0
+        );
     }
 }

@@ -197,10 +197,7 @@ mod tests {
                     let model = 5.0;
                     let exp = sim.measured_power_w(scheme, k, grade, model);
                     let err = percentage_error(model, exp);
-                    assert!(
-                        err.abs() <= 3.0,
-                        "{scheme} {grade} K={k}: error {err:.2}%"
-                    );
+                    assert!(err.abs() <= 3.0, "{scheme} {grade} K={k}: error {err:.2}%");
                 }
             }
         }

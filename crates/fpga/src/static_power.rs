@@ -86,9 +86,7 @@ mod tests {
     #[test]
     fn low_power_grade_has_lower_static_power_everywhere() {
         for u in [0.0, 0.25, 0.5, 0.75, 1.0] {
-            assert!(
-                static_power_w(SpeedGrade::Minus1L, u) < static_power_w(SpeedGrade::Minus2, u)
-            );
+            assert!(static_power_w(SpeedGrade::Minus1L, u) < static_power_w(SpeedGrade::Minus2, u));
         }
     }
 }

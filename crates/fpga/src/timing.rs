@@ -88,7 +88,10 @@ mod tests {
     #[test]
     fn single_engine_runs_at_base_clock() {
         for grade in SpeedGrade::ALL {
-            assert_eq!(clock_mhz(grade, TimingContext::SINGLE), grade.base_clock_mhz());
+            assert_eq!(
+                clock_mhz(grade, TimingContext::SINGLE),
+                grade.base_clock_mhz()
+            );
         }
     }
 
