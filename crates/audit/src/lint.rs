@@ -711,7 +711,7 @@ mod tests {
     #[test]
     fn raw_power_literal_fires_in_power_crates_only() {
         let text = "let static_w = 4.5;\n";
-        let findings = lint_text("crates/fpga/src/xpe.rs", text, "");
+        let findings = lint_text("crates/fpga/src/bram.rs", text, "");
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].rule, LintRule::NoRawPowerLiteral);
         // Outside the power crates the same line is fine.

@@ -46,17 +46,6 @@ pub fn efficiency_point(scenario: &Scenario) -> EfficiencyPoint {
     }
 }
 
-/// Ranks points best-first (ascending mW/Gbps).
-#[must_use]
-pub fn rank_best_first(mut points: Vec<EfficiencyPoint>) -> Vec<EfficiencyPoint> {
-    points.sort_by(|a, b| {
-        a.mw_per_gbps
-            .partial_cmp(&b.mw_per_gbps)
-            .expect("efficiency metric is never NaN")
-    });
-    points
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,18 +100,5 @@ mod tests {
         let e12 = point(SchemeKind::NonVirtualized, 12);
         let rel = (e12.mw_per_gbps - e2.mw_per_gbps).abs() / e2.mw_per_gbps;
         assert!(rel < 0.15, "NV efficiency drifted {rel}");
-    }
-
-    #[test]
-    fn ranking_orders_ascending() {
-        let points = vec![
-            point(SchemeKind::Merged, 10),
-            point(SchemeKind::Separate, 10),
-            point(SchemeKind::NonVirtualized, 10),
-        ];
-        let ranked = rank_best_first(points);
-        assert_eq!(ranked[0].scheme, SchemeKind::Separate);
-        assert_eq!(ranked[2].scheme, SchemeKind::Merged);
-        assert!(ranked[0].mw_per_gbps <= ranked[1].mw_per_gbps);
     }
 }

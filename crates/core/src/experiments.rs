@@ -643,23 +643,29 @@ pub fn ablation_stride(cfg: &ExperimentConfig) -> Result<Vec<StrideRow>, PowerEr
     // One 32-bit stage word: 8-bit NHI + 6-bit original length + 18-bit
     // child pointer.
     const ENTRY_BITS: u32 = 32;
-    let grade = SpeedGrade::Minus2;
-    let f = grade.base_clock_mhz();
     fan_out(vec![1u8, 2, 4, 8], |stride| {
         let entries = stride_stage_entries(&table, &vec![stride; 32 / usize::from(stride)])?;
         let stages = entries.len();
         let per_stage: Vec<u64> = entries.iter().map(|&e| e * u64::from(ENTRY_BITS)).collect();
-        let blocks = vr_fpga::bram::blocks_for_stages(BramMode::K18, &per_stage);
-        let memory_bits: u64 = per_stage.iter().sum();
-        let dynamic_w = vr_fpga::logic::pipeline_logic_power_w(grade, stages, f)
-            + vr_fpga::bram::bram_power_w(BramMode::K18, grade, blocks, f);
+        // One table on its own device: µ = 1 at the base clock.
+        let structure = EngineStructure {
+            k: 1,
+            engine_stage_bits: vec![per_stage],
+            alpha: None,
+        };
+        let spec = ScenarioSpec {
+            stages,
+            ..ScenarioSpec::paper_default(SchemeKind::NonVirtualized, SpeedGrade::Minus2)
+        };
+        let scenario = Scenario::price(structure, spec, Device::xc6vlx760())?;
+        let usage = scenario.resources();
         Ok(StrideRow {
             stride,
             stages,
             entries: entries.iter().sum::<u64>() as usize,
-            memory_mbits: memory_bits as f64 / MBIT,
-            bram_blocks: blocks,
-            dynamic_w,
+            memory_mbits: usage.memory_bits as f64 / MBIT,
+            bram_blocks: usage.bram_blocks_per_device,
+            dynamic_w: analytical_power(&scenario).dynamic_w(),
             latency_cycles: stages,
         })
     })
@@ -1236,6 +1242,13 @@ mod tests {
         // two slots, so monotonicity only binds across the sweep).
         assert!(rows[3].entries > rows[0].entries);
         assert!(rows[3].memory_mbits > 2.0 * rows[0].memory_mbits);
+        // Each row is Eq. 2 at K = 1: µ = 1 at the -2 base clock.
+        let (grade, f) = (SpeedGrade::Minus2, SpeedGrade::Minus2.base_clock_mhz());
+        for r in &rows {
+            let eq2 = vr_fpga::logic::pipeline_logic_power_w(grade, r.stages, f)
+                + vr_fpga::bram::bram_power_w(BramMode::K18, grade, r.bram_blocks, f);
+            assert_eq!(r.dynamic_w, eq2, "stride {}", r.stride);
+        }
     }
 
     #[test]

@@ -114,7 +114,12 @@ mod tests {
     fn error_conversions_and_display() {
         let e: PowerError = vr_trie::TrieError::ZeroStages.into();
         assert!(e.to_string().contains("trie"));
-        let e: PowerError = vr_fpga::FpgaError::InvalidParameter("x").into();
+        let e: PowerError = vr_fpga::FpgaError::ResourceExhausted {
+            resource: "I/O pins",
+            requested: 2,
+            available: 1,
+        }
+        .into();
         assert!(e.to_string().contains("fpga"));
         let e: PowerError = vr_net::NetError::InvalidPrefixLen(99).into();
         assert!(e.to_string().contains("net"));

@@ -16,7 +16,6 @@ use serde::{Deserialize, Serialize};
 use vr_fpga::bram::blocks_for_stages;
 use vr_fpga::logic::pipeline_logic_power_w;
 use vr_fpga::par::ParSimulator;
-use vr_fpga::timing::mw_per_gbps;
 use vr_fpga::{bram, SchemeKind, SpeedGrade};
 
 /// An evaluated power model.
@@ -127,16 +126,6 @@ pub fn experimental_power_w(scenario: &Scenario, par: &ParSimulator) -> f64 {
     )
 }
 
-/// Power efficiency of the scenario in mW/Gbps (§VI-B), using the
-/// analytical total and the scheme's aggregate capacity.
-#[must_use]
-pub fn efficiency_mw_per_gbps(scenario: &Scenario) -> f64 {
-    mw_per_gbps(
-        analytical_power(scenario).total_w(),
-        scenario.capacity_gbps(),
-    )
-}
-
 /// Memory-power delta (watts) between a baseline table footprint and the
 /// current one, priced with the Table III BRAM model at the paper's 1 %
 /// reference write rate.
@@ -201,14 +190,21 @@ mod tests {
         .unwrap()
     }
 
-    fn estimate(scheme: SchemeKind, k: usize, grade: SpeedGrade) -> PowerEstimate {
-        let s = Scenario::build(
+    fn scenario(scheme: SchemeKind, k: usize, grade: SpeedGrade) -> Scenario {
+        Scenario::build(
             &family(k),
             ScenarioSpec::paper_default(scheme, grade),
             Device::xc6vlx760(),
         )
-        .unwrap();
-        analytical_power(&s)
+        .unwrap()
+    }
+
+    fn estimate(scheme: SchemeKind, k: usize, grade: SpeedGrade) -> PowerEstimate {
+        analytical_power(&scenario(scheme, k, grade))
+    }
+
+    fn mw_per_gbps(scheme: SchemeKind, k: usize, grade: SpeedGrade) -> f64 {
+        crate::efficiency::efficiency_point(&scenario(scheme, k, grade)).mw_per_gbps
     }
 
     #[test]
@@ -252,12 +248,7 @@ mod tests {
         // Eq. 6 has no µ: the merged engine's dynamic power equals its
         // full-activity logic + memory power at its (degraded) clock.
         let k = 8;
-        let vm_scenario = Scenario::build(
-            &family(k),
-            ScenarioSpec::paper_default(SchemeKind::Merged, SpeedGrade::Minus2),
-            Device::xc6vlx760(),
-        )
-        .unwrap();
+        let vm_scenario = scenario(SchemeKind::Merged, k, SpeedGrade::Minus2);
         let vm = analytical_power(&vm_scenario);
         let f = vm_scenario.freq_mhz();
         let logic_full = vr_fpga::logic::pipeline_logic_power_w(SpeedGrade::Minus2, 28, f);
@@ -275,12 +266,7 @@ mod tests {
 
         // Eq. 4 is µ-weighted: with uniform µ and equal-size tables, VS
         // dynamic power is ≈ one engine's full-activity power, not K×.
-        let vs_scenario = Scenario::build(
-            &family(k),
-            ScenarioSpec::paper_default(SchemeKind::Separate, SpeedGrade::Minus2),
-            Device::xc6vlx760(),
-        )
-        .unwrap();
+        let vs_scenario = scenario(SchemeKind::Separate, k, SpeedGrade::Minus2);
         let vs = analytical_power(&vs_scenario);
         let f = vs_scenario.freq_mhz();
         let one_engine_full = vr_fpga::logic::pipeline_logic_power_w(SpeedGrade::Minus2, 28, f)
@@ -306,6 +292,10 @@ mod tests {
             let lo = estimate(scheme, 6, SpeedGrade::Minus1L);
             let saving = 1.0 - lo.total_w() / hi.total_w();
             assert!((0.2..=0.4).contains(&saving), "{scheme}: saving {saving}");
+            // −1L is cheaper in every component, not only in total.
+            assert!(lo.static_w < hi.static_w, "{scheme}");
+            assert!(lo.logic_w < hi.logic_w, "{scheme}");
+            assert!(lo.memory_w < hi.memory_w, "{scheme}");
         }
     }
 
@@ -322,12 +312,7 @@ mod tests {
         let par = ParSimulator::default();
         for scheme in SchemeKind::ALL {
             for k in [1usize, 5, 10, 15] {
-                let s = Scenario::build(
-                    &family(k),
-                    ScenarioSpec::paper_default(scheme, SpeedGrade::Minus2),
-                    Device::xc6vlx760(),
-                )
-                .unwrap();
+                let s = scenario(scheme, k, SpeedGrade::Minus2);
                 let model = analytical_power(&s).total_w();
                 let exp = experimental_power_w(&s, &par);
                 let err = vr_fpga::par::percentage_error(model, exp);
@@ -340,33 +325,9 @@ mod tests {
     fn efficiency_ordering_matches_fig8() {
         // §VI-B: separate best, conventional second, merged worst.
         let k = 10;
-        let nv = {
-            let s = Scenario::build(
-                &family(k),
-                ScenarioSpec::paper_default(SchemeKind::NonVirtualized, SpeedGrade::Minus2),
-                Device::xc6vlx760(),
-            )
-            .unwrap();
-            efficiency_mw_per_gbps(&s)
-        };
-        let vs = {
-            let s = Scenario::build(
-                &family(k),
-                ScenarioSpec::paper_default(SchemeKind::Separate, SpeedGrade::Minus2),
-                Device::xc6vlx760(),
-            )
-            .unwrap();
-            efficiency_mw_per_gbps(&s)
-        };
-        let vm = {
-            let s = Scenario::build(
-                &family(k),
-                ScenarioSpec::paper_default(SchemeKind::Merged, SpeedGrade::Minus2),
-                Device::xc6vlx760(),
-            )
-            .unwrap();
-            efficiency_mw_per_gbps(&s)
-        };
+        let nv = mw_per_gbps(SchemeKind::NonVirtualized, k, SpeedGrade::Minus2);
+        let vs = mw_per_gbps(SchemeKind::Separate, k, SpeedGrade::Minus2);
+        let vm = mw_per_gbps(SchemeKind::Merged, k, SpeedGrade::Minus2);
         assert!(vs < nv, "separate ({vs}) must beat NV ({nv})");
         assert!(nv < vm, "NV ({nv}) must beat merged ({vm})");
     }
@@ -375,17 +336,8 @@ mod tests {
     fn grades_have_similar_efficiency() {
         // §VI-B: "The two speed grades perform almost the same way" in
         // mW/Gbps.
-        let build = |grade| {
-            let s = Scenario::build(
-                &family(8),
-                ScenarioSpec::paper_default(SchemeKind::Separate, grade),
-                Device::xc6vlx760(),
-            )
-            .unwrap();
-            efficiency_mw_per_gbps(&s)
-        };
-        let hi = build(SpeedGrade::Minus2);
-        let lo = build(SpeedGrade::Minus1L);
+        let hi = mw_per_gbps(SchemeKind::Separate, 8, SpeedGrade::Minus2);
+        let lo = mw_per_gbps(SchemeKind::Separate, 8, SpeedGrade::Minus1L);
         let rel = (hi - lo).abs() / hi;
         assert!(rel < 0.15, "grades diverge by {rel}");
     }

@@ -93,12 +93,6 @@ impl ResourceUsage {
         }
     }
 
-    /// Total BRAM blocks across all devices.
-    #[must_use]
-    pub fn total_bram_blocks(&self) -> u64 {
-        self.bram_blocks_per_device * self.devices as u64
-    }
-
     /// Checks the per-device demands against `device`.
     ///
     /// # Errors
@@ -127,16 +121,6 @@ impl ResourceUsage {
         }
         io::check(device, self.engines_per_device)?;
         Ok(())
-    }
-
-    /// Device area utilization (input to the §V-A static-power band).
-    #[must_use]
-    pub fn area_utilization(&self, device: &Device) -> f64 {
-        vr_fpga::static_power::area_utilization(
-            device,
-            &self.logic_per_device,
-            self.bram_36k_per_device,
-        )
     }
 }
 
@@ -193,7 +177,7 @@ mod tests {
             PeProfile::PAPER_UNIBIT,
         );
         assert_eq!(usage.devices, 5);
-        assert_eq!(usage.total_bram_blocks(), 5 * 28);
+        assert_eq!(usage.bram_blocks_per_device, 28);
         assert_eq!(usage.memory_bits, 5 * 28 * 10 * 1024);
         // Per-device demands are single-engine.
         assert_eq!(usage.engines_per_device, 1);
@@ -238,6 +222,37 @@ mod tests {
                 ..
             })
         ));
+        // One 28-stage engine needs 1689 × 28 registers and 838 × 28
+        // LUTs: a device one short of either is refused for that class,
+        // and one with exactly enough fits.
+        let one_engine = ResourceUsage::from_stage_bits(
+            SchemeKind::Merged,
+            1,
+            &stage_bits(1, 1024, 28),
+            BramMode::K18,
+            PeProfile::PAPER_UNIBIT,
+        );
+        let logic = one_engine.logic_per_device;
+        let mut short = device.clone();
+        short.slice_registers = logic.slice_registers - 1;
+        assert!(matches!(
+            one_engine.check_fit(&short),
+            Err(FpgaError::ResourceExhausted {
+                resource: "slice registers",
+                ..
+            })
+        ));
+        let mut short = device.clone();
+        short.slice_luts = logic.total_luts() - 1;
+        assert!(matches!(
+            one_engine.check_fit(&short),
+            Err(FpgaError::ResourceExhausted {
+                resource: "slice LUTs",
+                ..
+            })
+        ));
+        short.slice_luts += 1;
+        assert!(one_engine.check_fit(&short).is_ok());
     }
 
     #[test]
@@ -252,26 +267,6 @@ mod tests {
         );
         assert_eq!(paper_literal_merged_stage_bits(&singles, 0.0), vec![0, 0]);
         assert!(paper_literal_merged_stage_bits(&[], 0.5).is_empty());
-    }
-
-    #[test]
-    fn area_utilization_grows_with_engines() {
-        let device = Device::xc6vlx760();
-        let small = ResourceUsage::from_stage_bits(
-            SchemeKind::Separate,
-            1,
-            &stage_bits(1, 10 * 1024, 28),
-            BramMode::K18,
-            PeProfile::PAPER_UNIBIT,
-        );
-        let large = ResourceUsage::from_stage_bits(
-            SchemeKind::Separate,
-            1,
-            &stage_bits(10, 10 * 1024, 28),
-            BramMode::K18,
-            PeProfile::PAPER_UNIBIT,
-        );
-        assert!(large.area_utilization(&device) > small.area_utilization(&device));
     }
 
     #[test]

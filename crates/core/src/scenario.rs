@@ -365,30 +365,6 @@ impl Scenario {
         }
     }
 
-    /// Exports the scenario as an XPE-style [`vr_fpga::DesignSpec`] —
-    /// the handle for per-resource-type reports and device-fit questions
-    /// the analytical equations don't answer. The design carries every
-    /// engine on one device (so NV exports one device's worth).
-    #[must_use]
-    pub fn design_spec(&self) -> vr_fpga::DesignSpec {
-        // Per-stage memory of the *widest* engine, replicated: a
-        // conservative, same-shaped stand-in for near-identical engines
-        // (Assumption 2 keeps them close).
-        let widest = self
-            .engine_stage_bits()
-            .iter()
-            .max_by_key(|bits| bits.iter().sum::<u64>())
-            .cloned()
-            .unwrap_or_default();
-        vr_fpga::DesignSpec::new(
-            self.spec.grade,
-            self.spec.bram_mode,
-            widest,
-            self.engine_stage_bits().len(),
-            self.freq_mhz,
-        )
-    }
-
     /// Aggregate lookup capacity in Gbps at 40-byte packets (§VI-B):
     /// every engine contributes one lookup per cycle.
     #[must_use]
@@ -656,26 +632,6 @@ mod tests {
             price(&short, vs),
             Err(PowerError::InvalidParameter(_))
         ));
-    }
-
-    #[test]
-    fn design_spec_export_agrees_with_the_analytical_memory_model() {
-        // The XPE façade and Eq. 6 price the merged engine's memory with
-        // the same Table III coefficients: full-activity BRAM power must
-        // match exactly; static power differs only by the ±5 % area band.
-        let s = build(SchemeKind::Merged, 5);
-        let design = s.design_spec();
-        let report = design.evaluate(s.device()).unwrap();
-        let estimate = crate::models::analytical_power(&s);
-        assert!((report.bram_w - estimate.memory_w).abs() < 1e-12);
-        assert!((report.logic_w - estimate.logic_w).abs() < 1e-12);
-        let static_rel = (report.static_w - estimate.static_w).abs() / estimate.static_w;
-        assert!(static_rel <= 0.05 + 1e-9, "static gap {static_rel}");
-        // The separate design exports K engines and fits the device.
-        let vs = build(SchemeKind::Separate, 5);
-        let vs_design = vs.design_spec();
-        assert_eq!(vs_design.engines, 5);
-        assert!(vs_design.evaluate(vs.device()).is_ok());
     }
 
     #[test]

@@ -80,12 +80,6 @@ pub fn bram_power_w(mode: BramMode, grade: SpeedGrade, blocks: u64, freq_mhz: f6
     blocks as f64 * mode.uw_per_block_mhz(grade) * freq_mhz * 1e-6
 }
 
-/// Convenience: blocks then power for a memory of `bits` at `freq_mhz`.
-#[must_use]
-pub fn memory_power_w(mode: BramMode, grade: SpeedGrade, bits: u64, freq_mhz: f64) -> f64 {
-    bram_power_w(mode, grade, mode.blocks_for(bits), freq_mhz)
-}
-
 /// The write rate the paper calibrated Table III at (§V-B: "We assumed a
 /// write rate of 1 % (low update rate)").
 pub const REFERENCE_WRITE_RATE: f64 = 0.01;
@@ -154,11 +148,13 @@ mod tests {
     #[test]
     fn power_is_monotonic_in_frequency_and_size() {
         // The paper observed BRAM power monotonically increasing with both.
-        let p100 = memory_power_w(BramMode::K18, SpeedGrade::Minus2, 50_000, 100.0);
-        let p200 = memory_power_w(BramMode::K18, SpeedGrade::Minus2, 50_000, 200.0);
-        assert!(p200 > p100);
-        let small = memory_power_w(BramMode::K18, SpeedGrade::Minus2, 10_000, 100.0);
-        let large = memory_power_w(BramMode::K18, SpeedGrade::Minus2, 500_000, 100.0);
+        let power = |bits: u64, f: f64| {
+            let blocks = BramMode::K18.blocks_for(bits);
+            bram_power_w(BramMode::K18, SpeedGrade::Minus2, blocks, f)
+        };
+        assert!(power(50_000, 200.0) > power(50_000, 100.0));
+        let small = power(10_000, 100.0);
+        let large = power(500_000, 100.0);
         assert!(large > small);
     }
 

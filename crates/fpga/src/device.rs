@@ -120,12 +120,6 @@ impl Device {
     pub fn bram_bits(&self) -> u64 {
         self.bram_36k_blocks * BRAM_36K_BITS
     }
-
-    /// Number of independently usable 18 Kb half-blocks.
-    #[must_use]
-    pub fn bram_18k_blocks(&self) -> u64 {
-        self.bram_36k_blocks * 2
-    }
 }
 
 #[cfg(test)]
@@ -146,7 +140,7 @@ mod tests {
     #[test]
     fn half_blocks_double_full_blocks() {
         let d = Device::xc6vlx760();
-        assert_eq!(d.bram_18k_blocks(), 1440);
+        assert_eq!(d.bram_36k_blocks, 720);
         assert_eq!(BRAM_36K_BITS, 2 * BRAM_18K_BITS);
     }
 

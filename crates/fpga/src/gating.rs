@@ -1,4 +1,4 @@
-//! Clock gating and duty-cycle handling (§IV).
+//! Clock-gating policy (§IV).
 //!
 //! "When the router is not serving any packets, the logic or memory
 //! resources can be sent to an idle mode. Hence, during the off period of
@@ -6,37 +6,10 @@
 //! static power is dissipated constantly." Turning resources off uses
 //! flags (logic) and clock gating (memory). Without gating, dynamic power
 //! burns regardless of utilization — the contrast the ablation bench
-//! `ablation_gating` sweeps.
+//! `ablation_gating` sweeps. The policy is applied cycle by cycle by
+//! `vr-power`'s pipeline engine; the analytical models weight by µ.
 
-use crate::FpgaError;
 use serde::{Deserialize, Serialize};
-
-/// A validated duty cycle in `[0, 1]` — the fraction of time an engine is
-/// actively serving packets (µᵢ under Assumption 1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct DutyCycle(f64);
-
-impl DutyCycle {
-    /// Always-on.
-    pub const FULL: DutyCycle = DutyCycle(1.0);
-
-    /// Creates a duty cycle.
-    ///
-    /// # Errors
-    /// Rejects values outside `[0, 1]` or non-finite values.
-    pub fn new(fraction: f64) -> Result<Self, FpgaError> {
-        if !(0.0..=1.0).contains(&fraction) || !fraction.is_finite() {
-            return Err(FpgaError::InvalidParameter("duty cycle must be in [0, 1]"));
-        }
-        Ok(Self(fraction))
-    }
-
-    /// The duty fraction.
-    #[must_use]
-    pub fn fraction(self) -> f64 {
-        self.0
-    }
-}
 
 /// Power-management configuration of an engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -59,77 +32,4 @@ impl GatingPolicy {
         logic_flags: false,
         memory_clock_gating: false,
     };
-}
-
-/// Effective logic dynamic power under `policy` at `duty`.
-#[must_use]
-pub fn effective_logic_power_w(raw_w: f64, duty: DutyCycle, policy: GatingPolicy) -> f64 {
-    if policy.logic_flags {
-        raw_w * duty.fraction()
-    } else {
-        raw_w
-    }
-}
-
-/// Effective memory dynamic power under `policy` at `duty`.
-#[must_use]
-pub fn effective_memory_power_w(raw_w: f64, duty: DutyCycle, policy: GatingPolicy) -> f64 {
-    if policy.memory_clock_gating {
-        raw_w * duty.fraction()
-    } else {
-        raw_w
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn duty_cycle_validation() {
-        assert!(DutyCycle::new(0.0).is_ok());
-        assert!(DutyCycle::new(1.0).is_ok());
-        assert!(DutyCycle::new(0.5).unwrap().fraction() == 0.5);
-        assert!(DutyCycle::new(-0.1).is_err());
-        assert!(DutyCycle::new(1.1).is_err());
-        assert!(DutyCycle::new(f64::NAN).is_err());
-    }
-
-    #[test]
-    fn gated_power_scales_with_duty() {
-        let duty = DutyCycle::new(0.25).unwrap();
-        assert_eq!(effective_logic_power_w(4.0, duty, GatingPolicy::PAPER), 1.0);
-        assert_eq!(
-            effective_memory_power_w(8.0, duty, GatingPolicy::PAPER),
-            2.0
-        );
-    }
-
-    #[test]
-    fn ungated_power_ignores_duty() {
-        let duty = DutyCycle::new(0.25).unwrap();
-        assert_eq!(effective_logic_power_w(4.0, duty, GatingPolicy::NONE), 4.0);
-        assert_eq!(effective_memory_power_w(8.0, duty, GatingPolicy::NONE), 8.0);
-    }
-
-    #[test]
-    fn mixed_policy() {
-        let duty = DutyCycle::new(0.5).unwrap();
-        let policy = GatingPolicy {
-            logic_flags: true,
-            memory_clock_gating: false,
-        };
-        assert_eq!(effective_logic_power_w(2.0, duty, policy), 1.0);
-        assert_eq!(effective_memory_power_w(2.0, duty, policy), 2.0);
-    }
-
-    #[test]
-    fn idle_engine_with_gating_burns_nothing_dynamic() {
-        let idle = DutyCycle::new(0.0).unwrap();
-        assert_eq!(effective_logic_power_w(5.0, idle, GatingPolicy::PAPER), 0.0);
-        assert_eq!(
-            effective_memory_power_w(5.0, idle, GatingPolicy::PAPER),
-            0.0
-        );
-    }
 }

@@ -15,8 +15,8 @@
 //!   18 Kb halves) and the Table III power model;
 //! * [`logic`] — the per-stage processing-element resource profile and the
 //!   Fig. 3 logic+signal power model;
-//! * [`static_power`] — leakage with the ±5 % area-dependent band (§V-A);
-//! * [`xpe`] — an XPower-Estimator-style façade evaluating a whole design;
+//! * [`static_power`] — the §V-A leakage bases and their ±5 % band, as
+//!   the `statics` table prints them;
 //! * [`timing`] — achievable clock vs. resource pressure, and the
 //!   40-byte-packet throughput metric (§VI-B);
 //! * [`io`] — I/O pin accounting that reproduces the K ≈ 15 separate-
@@ -24,8 +24,13 @@
 //! * [`par`] — a deterministic place-and-route *simulator* producing
 //!   "experimental" power with the bounded, scheme-dependent deviation
 //!   structure of Fig. 7;
-//! * [`gating`] — clock gating / duty-cycle handling (§IV: idle resources
-//!   dissipate no dynamic power).
+//! * [`tcam`] — the TCAM power baseline of §II-B;
+//! * [`units`] — unit-typed wrappers for the calibration constants;
+//! * [`gating`] — the clock-gating policy (§IV: idle resources dissipate
+//!   no dynamic power), applied by `vr-power`'s cycle-level engine.
+//!
+//! The paper's equations (Eqs. 2/4/6) and the device-fit check are not
+//! here: `vr-power` evaluates them from these coefficients, once.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,14 +46,12 @@ pub mod static_power;
 pub mod tcam;
 pub mod timing;
 pub mod units;
-pub mod xpe;
 
 pub use bram::BramMode;
 pub use device::Device;
 pub use grade::SpeedGrade;
 pub use par::{ParSimulator, SchemeKind};
 pub use units::{Megahertz, MicroWattsPerMegahertz, Watts};
-pub use xpe::{DesignSpec, PowerReport};
 
 /// Errors from the FPGA substrate.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -63,8 +66,6 @@ pub enum FpgaError {
         /// Amount available on the device.
         available: u64,
     },
-    /// A parameter was out of its valid domain.
-    InvalidParameter(&'static str),
 }
 
 impl std::fmt::Display for FpgaError {
@@ -78,7 +79,6 @@ impl std::fmt::Display for FpgaError {
                 f,
                 "design needs {requested} {resource} but the device has {available}"
             ),
-            FpgaError::InvalidParameter(msg) => write!(f, "invalid parameter: {msg}"),
         }
     }
 }
@@ -98,6 +98,5 @@ mod tests {
         };
         assert!(e.to_string().contains("1300"));
         assert!(e.to_string().contains("I/O pins"));
-        assert!(FpgaError::InvalidParameter("x").to_string().contains('x'));
     }
 }

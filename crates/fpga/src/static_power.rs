@@ -1,27 +1,14 @@
-//! Static (leakage) power with the ±5 % area-dependent band (§V-A).
+//! Static (leakage) power with the ±5 % band of §V-A.
 //!
 //! Static power is frequency independent but proportional to the area the
 //! design occupies: the paper reports 4.5 W (-2) and 3.1 W (-1L) with "a
 //! maximum of ±5 % deviation ... based on the amount of resources used".
-//! We model exactly that band: the base value scaled linearly from −5 % at
-//! zero utilization to +5 % at full utilization.
+//! The band is the base value scaled linearly from −5 % at zero
+//! utilization to +5 % at full utilization; the `statics` table prints
+//! its ends. The analytical models use the constant base P_L, as the
+//! paper's equations do.
 
-use crate::device::Device;
 use crate::grade::SpeedGrade;
-use crate::logic::PeProfile;
-
-/// Fractional device-area utilization of a design, in `[0, 1]`.
-///
-/// A coarse composite of the three resource classes the paper's designs
-/// consume (registers, LUTs, BRAM), each normalized to the device and
-/// capped at 1.
-#[must_use]
-pub fn area_utilization(device: &Device, logic: &PeProfile, bram_36k_blocks: u64) -> f64 {
-    let reg = logic.slice_registers as f64 / device.slice_registers as f64;
-    let lut = logic.total_luts() as f64 / device.slice_luts as f64;
-    let bram = bram_36k_blocks as f64 / device.bram_36k_blocks as f64;
-    ((reg + lut + bram) / 3.0).min(1.0)
-}
 
 /// Static power in watts: base × (0.95 + 0.10 × utilization), i.e. the
 /// §V-A ±5 % band anchored at the reported base values.
@@ -53,34 +40,6 @@ mod tests {
         let c = static_power_w(SpeedGrade::Minus2, 7.0);
         let d = static_power_w(SpeedGrade::Minus2, 1.0);
         assert_eq!(c, d);
-    }
-
-    #[test]
-    fn area_utilization_composite() {
-        let device = Device::xc6vlx760();
-        let none = area_utilization(&device, &PeProfile::PAPER_UNIBIT, 0);
-        assert!(none > 0.0 && none < 0.01, "one PE is a tiny fraction");
-        // Saturate BRAM only: utilization approaches 1/3.
-        let zero_logic = PeProfile {
-            slice_registers: 0,
-            luts_logic: 0,
-            luts_memory: 0,
-            luts_routing: 0,
-        };
-        let bram_full = area_utilization(&device, &zero_logic, device.bram_36k_blocks);
-        assert!((bram_full - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn utilization_is_capped_at_one() {
-        let device = Device::test_small();
-        let huge = PeProfile {
-            slice_registers: u64::MAX / 4,
-            luts_logic: u64::MAX / 4,
-            luts_memory: 0,
-            luts_routing: 0,
-        };
-        assert_eq!(area_utilization(&device, &huge, 10_000), 1.0);
     }
 
     #[test]
