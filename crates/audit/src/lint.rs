@@ -378,7 +378,9 @@ fn find_float_literal(stripped: &str) -> Option<usize> {
         // A digit run starts here. Runs continuing an identifier, a hex
         // literal, or a tuple-field access (`group.1`) are not floats.
         let glued = i > 0
-            && (bytes[i - 1].is_ascii_alphanumeric() || bytes[i - 1] == b'_' || bytes[i - 1] == b'.');
+            && (bytes[i - 1].is_ascii_alphanumeric()
+                || bytes[i - 1] == b'_'
+                || bytes[i - 1] == b'.');
         let mut j = i;
         let mut saw_dot = false;
         let mut saw_exp = false;
@@ -459,7 +461,11 @@ fn collect_rust_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
 ///
 /// # Errors
 /// Propagates I/O errors from walking or reading the tree.
-pub fn lint_workspace(root: &Path, allowlist: &str, allow_name: &str) -> std::io::Result<LintReport> {
+pub fn lint_workspace(
+    root: &Path,
+    allowlist: &str,
+    allow_name: &str,
+) -> std::io::Result<LintReport> {
     let allows = parse_allowlist(allowlist);
     let mut allow_used = vec![false; allows.len()];
     let mut findings = Vec::new();
@@ -504,8 +510,8 @@ fn lint_file(
 ) {
     let hot_path = path_matches(rel, &HOT_PATH_FILES);
     let timed = path_matches(rel, &TIMED_FILES);
-    let power_scope = POWER_CRATES.iter().any(|c| rel.starts_with(c))
-        && !path_matches(rel, &POWER_LITERAL_HOMES);
+    let power_scope =
+        POWER_CRATES.iter().any(|c| rel.starts_with(c)) && !path_matches(rel, &POWER_LITERAL_HOMES);
     let atomic_home = ATOMIC_HOMES.iter().any(|h| rel.starts_with(h));
     let relaxed_exempt = rel.starts_with(RELAXED_PUBLISH_EXEMPT);
     let mut in_block = false;
@@ -683,7 +689,8 @@ mod tests {
 
     #[test]
     fn unsafe_in_comments_strings_and_attributes_is_ignored() {
-        let text = "// unsafe here\n/* unsafe\n unsafe */\nlet s = \"unsafe\";\n#![forbid(unsafe_code)]\n";
+        let text =
+            "// unsafe here\n/* unsafe\n unsafe */\nlet s = \"unsafe\";\n#![forbid(unsafe_code)]\n";
         assert!(lint_text("crates/x/src/lib.rs", text, "").is_empty());
     }
 
@@ -831,7 +838,9 @@ mod tests {
         assert_eq!(findings[0].line, 2);
         // `.unwrap()` starts at byte 15 → 1-based column 16.
         assert_eq!(findings[0].column, 16);
-        assert!(findings[0].render().starts_with("crates/trie/src/jump.rs:2:16:"));
+        assert!(findings[0]
+            .render()
+            .starts_with("crates/trie/src/jump.rs:2:16:"));
     }
 
     #[test]
@@ -883,7 +892,9 @@ mod tests {
         let text = "self.generation.store(next, Ordering::Relaxed);\n";
         let findings = lint_text("crates/engine/src/service.rs", text, "");
         assert_eq!(findings.len(), 2, "raw atomic AND relaxed publish");
-        assert!(findings.iter().any(|f| f.rule == LintRule::NoRelaxedPublish));
+        assert!(findings
+            .iter()
+            .any(|f| f.rule == LintRule::NoRelaxedPublish));
         let publish = "publish_flag.store(1, Ordering::Relaxed);\n";
         assert!(lint_text("crates/control/src/plane.rs", publish, "")
             .iter()

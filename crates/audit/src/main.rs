@@ -86,7 +86,10 @@ impl<'a> Flags<'a> {
     }
 
     fn value(&mut self, flag: &str) -> Result<&'a str, String> {
-        let v = self.args.get(self.i).ok_or(format!("{flag} needs a value"))?;
+        let v = self
+            .args
+            .get(self.i)
+            .ok_or(format!("{flag} needs a value"))?;
         self.i += 1;
         Ok(v.as_str())
     }
@@ -109,8 +112,9 @@ fn emit(reports: &[AuditReport], out: Option<&str>, pretty: bool) -> Result<bool
     }
     .map_err(|e| format!("serializing reports: {e}"))?;
     match out {
-        Some(path) => std::fs::write(path, json.as_bytes())
-            .map_err(|e| format!("writing {path}: {e}"))?,
+        Some(path) => {
+            std::fs::write(path, json.as_bytes()).map_err(|e| format!("writing {path}: {e}"))?
+        }
         None => println!("{json}"),
     }
     Ok(reports.iter().all(AuditReport::is_clean))
@@ -140,7 +144,9 @@ fn cmd_tables(args: &[String]) -> Result<bool, String> {
     let mut spec = TableSpec::paper_worst_case(seed);
     spec.prefixes = prefixes;
     spec.clustering = Some(ClusterSpec::edge_default(prefixes));
-    let table = spec.generate().map_err(|e| format!("generating table: {e}"))?;
+    let table = spec
+        .generate()
+        .map_err(|e| format!("generating table: {e}"))?;
     eprintln!(
         "auditing every encoding of a {}-prefix table (seed {seed}) and a K={k} family",
         table.len()
@@ -154,18 +160,27 @@ fn cmd_tables(args: &[String]) -> Result<bool, String> {
         .map_err(|e| format!("building the single-table trie: {e}"))?;
     reports.push(audit_merged(&single));
     let leaf_pushed = single.leaf_pushed();
-    reports.push(audit_leaf_pushed(&leaf_pushed, std::slice::from_ref(&table)));
+    reports.push(audit_leaf_pushed(
+        &leaf_pushed,
+        std::slice::from_ref(&table),
+    ));
     // The reference jump trie is the materialised leaf-pushed trie,
     // walked; every trie a service publishes must equal it word for word.
     let reference = JumpTrie::from_leaf_pushed(&leaf_pushed);
     reports.push(audit_jump_with_table(&reference, &table));
     let tables = std::slice::from_ref(&table);
-    reports.push(audit_jump_against(&JumpTrie::from_table(&table), tables, &reference));
+    reports.push(audit_jump_against(
+        &JumpTrie::from_table(&table),
+        tables,
+        &reference,
+    ));
 
     // K-table family: the virtualization (merged) encodings.
     let mut family = FamilySpec::paper_worst_case(k, 0.5, seed ^ 0x5EED);
     family.prefixes_per_table = (prefixes / k).max(64);
-    let tables = family.generate().map_err(|e| format!("generating family: {e}"))?;
+    let tables = family
+        .generate()
+        .map_err(|e| format!("generating family: {e}"))?;
     let (merged, served) =
         MergedTrie::from_tables_with_jump(&tables).map_err(|e| format!("merging: {e}"))?;
     reports.push(audit_merged(&merged));

@@ -71,12 +71,7 @@ mod tests {
         let table: RoutingTable = "10.0.0.0/8 1\n".parse().unwrap();
         let good = JumpTrie::from_table(&table);
         let p = good.raw_parts();
-        let corrupt = JumpTrie::from_raw_parts(
-            p.root.to_vec(),
-            p.tail.to_vec(),
-            Vec::new(),
-            p.k,
-        );
+        let corrupt = JumpTrie::from_raw_parts(p.root.to_vec(), p.tail.to_vec(), Vec::new(), p.k);
         let report = crate::audit_jump(&corrupt);
         assert!(!report.is_clean());
         metrics.observe(&report, 99);

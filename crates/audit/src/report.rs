@@ -201,7 +201,12 @@ impl AuditReport {
                 .filter(|c| !c.passed)
                 .map(|c| format!("{}×{}", c.check.label(), c.errors))
                 .collect();
-            format!("{}: {} violations [{}]", self.structure, self.error_count(), failing.join(", "))
+            format!(
+                "{}: {} violations [{}]",
+                self.structure,
+                self.error_count(),
+                failing.join(", ")
+            )
         }
     }
 }
@@ -275,7 +280,12 @@ impl Audit {
     }
 
     /// Records a structural corruption (fails the audit).
-    pub fn error(&mut self, check: CheckKind, coordinates: Coordinates, message: impl Into<String>) {
+    pub fn error(
+        &mut self,
+        check: CheckKind,
+        coordinates: Coordinates,
+        message: impl Into<String>,
+    ) {
         self.record(check, Severity::Error, coordinates, message.into());
     }
 
@@ -344,11 +354,7 @@ mod tests {
     fn violations_are_capped_not_lost() {
         let mut audit = Audit::new("merged(k=1)");
         for i in 0..(MAX_RECORDED_VIOLATIONS + 10) {
-            audit.error(
-                CheckKind::TagDecode,
-                Coordinates::word(0, i, 0),
-                "bad word",
-            );
+            audit.error(CheckKind::TagDecode, Coordinates::word(0, i, 0), "bad word");
         }
         let report = audit.finish(AuditStats::default());
         assert_eq!(report.violations.len(), MAX_RECORDED_VIOLATIONS);

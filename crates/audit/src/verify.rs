@@ -46,7 +46,10 @@ fn check_nhi_slab(a: &mut Audit, nhis: &[u16], k: usize) -> Option<usize> {
         a.error(
             CheckKind::NhiVector,
             Coordinates::none(),
-            format!("NHI slab length {} is not a multiple of k = {k}", nhis.len()),
+            format!(
+                "NHI slab length {} is not a multiple of k = {k}",
+                nhis.len()
+            ),
         );
         return None;
     }
@@ -108,7 +111,10 @@ impl JumpAudit<'_> {
             a.error(
                 CheckKind::ChildBounds,
                 at,
-                format!("block base {base} is not a multiple of {}", jump::BLOCK_ENTRIES),
+                format!(
+                    "block base {base} is not a multiple of {}",
+                    jump::BLOCK_ENTRIES
+                ),
             );
         } else if base + jump::BLOCK_ENTRIES > self.parts.tail.len() {
             a.error(
@@ -224,7 +230,12 @@ fn check_jump(a: &mut Audit, parts: JumpTrieParts<'_>) -> AuditStats {
     stats.leaves = audit.referenced.len() as u64;
     stats.dead_words = owned(Owner::Nobody) * jump::BLOCK_ENTRIES as u64;
     stats.stale_nhi_vectors = audit.referenced.iter().filter(|r| !**r).count() as u64;
-    for (block, _) in audit.owners.iter().enumerate().filter(|(_, &o)| o == Owner::Nobody) {
+    for (block, _) in audit
+        .owners
+        .iter()
+        .enumerate()
+        .filter(|(_, &o)| o == Owner::Nobody)
+    {
         let base = block * jump::BLOCK_ENTRIES;
         a.error(
             CheckKind::ChildBounds,
@@ -305,7 +316,10 @@ pub fn audit_jump_against(
 }
 
 fn check_same_encoding(a: &mut Audit, parts: JumpTrieParts<'_>, reference: JumpTrieParts<'_>) {
-    fn first_difference<T: Copy + PartialEq + Into<u64>>(ours: &[T], theirs: &[T]) -> Option<(usize, u64)> {
+    fn first_difference<T: Copy + PartialEq + Into<u64>>(
+        ours: &[T],
+        theirs: &[T],
+    ) -> Option<(usize, u64)> {
         let at = ours.iter().zip(theirs).position(|(x, y)| x != y);
         let at = at.or((ours.len() != theirs.len()).then(|| ours.len().min(theirs.len())))?;
         Some((at, ours.get(at).map_or(0, |&word| word.into())))
@@ -315,16 +329,33 @@ fn check_same_encoding(a: &mut Audit, parts: JumpTrieParts<'_>, reference: JumpT
         a.error(CheckKind::OracleParity, Coordinates::none(), message);
     }
     let fields = [
-        ("root", parts.root.len(), reference.root.len(), first_difference(parts.root, reference.root)),
-        ("tail", parts.tail.len(), reference.tail.len(), first_difference(parts.tail, reference.tail)),
-        ("NHI slab", parts.nhis.len(), reference.nhis.len(), first_difference(parts.nhis, reference.nhis)),
+        (
+            "root",
+            parts.root.len(),
+            reference.root.len(),
+            first_difference(parts.root, reference.root),
+        ),
+        (
+            "tail",
+            parts.tail.len(),
+            reference.tail.len(),
+            first_difference(parts.tail, reference.tail),
+        ),
+        (
+            "NHI slab",
+            parts.nhis.len(),
+            reference.nhis.len(),
+            first_difference(parts.nhis, reference.nhis),
+        ),
     ];
     for (level, (field, len, want, difference)) in fields.into_iter().enumerate() {
         if let Some((at, word)) = difference {
             a.error(
                 CheckKind::OracleParity,
                 Coordinates::word(level, at, word),
-                format!("{field} ({len} entries) differs from the reference's ({want}) at entry {at}"),
+                format!(
+                    "{field} ({len} entries) differs from the reference's ({want}) at entry {at}"
+                ),
             );
         }
     }
@@ -352,7 +383,10 @@ fn sweep_full_binary(a: &mut Audit, trie: &LeafPushedTrie) -> (usize, usize, usi
             a.error(
                 CheckKind::Invariants,
                 Coordinates::word(depth as usize, id.raw() as usize, 0),
-                format!("leaf-pushed node {} reached twice (cycle or shared subtree)", id.raw()),
+                format!(
+                    "leaf-pushed node {} reached twice (cycle or shared subtree)",
+                    id.raw()
+                ),
             );
             continue;
         }
@@ -364,7 +398,9 @@ fn sweep_full_binary(a: &mut Audit, trie: &LeafPushedTrie) -> (usize, usize, usi
                     a.error(
                         CheckKind::LeafCompleteness,
                         Coordinates::word(depth as usize, id.raw() as usize, 0),
-                        format!("leaf-pushed internal node at depth {depth} exceeds the address width"),
+                        format!(
+                            "leaf-pushed internal node at depth {depth} exceeds the address width"
+                        ),
                     );
                     continue;
                 }
@@ -562,7 +598,9 @@ mod tests {
 
     /// The deep sample's jump trie with its tail and NHI slab passed
     /// through `mutate`, audited.
-    fn audit_mutated(mutate: impl FnOnce(&mut Vec<u32>, &mut Vec<u32>, &mut Vec<u16>)) -> AuditReport {
+    fn audit_mutated(
+        mutate: impl FnOnce(&mut Vec<u32>, &mut Vec<u32>, &mut Vec<u16>),
+    ) -> AuditReport {
         let jump = JumpTrie::from_table(&deep_sample());
         let p = jump.raw_parts();
         let (mut root, mut tail, mut nhis) = (p.root.to_vec(), p.tail.to_vec(), p.nhis.to_vec());
@@ -571,7 +609,12 @@ mod tests {
     }
 
     fn failed_checks(report: &AuditReport) -> Vec<CheckKind> {
-        report.checks.iter().filter(|c| !c.passed).map(|c| c.check).collect()
+        report
+            .checks
+            .iter()
+            .filter(|c| !c.passed)
+            .map(|c| c.check)
+            .collect()
     }
 
     /// Index in `tail` of the one level-1 entry that opens a level-2
@@ -684,7 +727,10 @@ mod tests {
         };
         let mut nhis = p.nhis.to_vec();
         nhis[..2 * p.k].rotate_left(p.k);
-        let (root, tail) = (p.root.iter().map(|&e| swap(e)), p.tail.iter().map(|&e| swap(e)));
+        let (root, tail) = (
+            p.root.iter().map(|&e| swap(e)),
+            p.tail.iter().map(|&e| swap(e)),
+        );
         let swapped = JumpTrie::from_raw_parts(root.collect(), tail.collect(), nhis, p.k);
         let tables = std::slice::from_ref(&t);
         assert!(audit_jump_with_table(&swapped, &t).is_clean());
@@ -692,7 +738,11 @@ mod tests {
         let report = audit_jump_against(&swapped, tables, &reference);
         assert_eq!(failed_checks(&report), [CheckKind::OracleParity]);
         // The root and the NHI slab differ; the tail may not hold slot 0 or 1.
-        assert!((2..=3).contains(&report.error_count()), "{}", report.summary());
+        assert!(
+            (2..=3).contains(&report.error_count()),
+            "{}",
+            report.summary()
+        );
     }
 
     #[test]

@@ -36,12 +36,12 @@ use std::time::Instant;
 use vr_bench::results_dir;
 use vr_engine::service::lookup_batch_mixed;
 use vr_engine::{LookupService, LpmCache, ServiceConfig, ShardedConfig, ShardedService};
-use vr_telemetry::{Histogram, Stopwatch, TelemetrySnapshot};
 use vr_net::synth::{FamilySpec, TableSpec};
 use vr_net::{SkewedSpec, SkewedTraffic, VnId};
 use vr_power::report::write_json;
-use vr_wire::{replay, ReplayConfig, ServerConfig, TrafficModel, WireClient, WireServer};
+use vr_telemetry::{Histogram, Stopwatch, TelemetrySnapshot};
 use vr_trie::{JumpTrie, LookupBackend, MergedTrie};
+use vr_wire::{replay, ReplayConfig, ServerConfig, TrafficModel, WireClient, WireServer};
 
 /// Number of virtual networks in the merged/per-VN and service rows.
 const FAMILY_K: usize = 4;
@@ -240,7 +240,11 @@ fn push_backend<const VNS: usize>(
     let scalar_ns = time_ns_per_lookup(probes.len(), scale.iters, || {
         probes
             .iter()
-            .filter(|&&ip| backend.lookup_vn(next_vn(), std::hint::black_box(ip)).is_some())
+            .filter(|&&ip| {
+                backend
+                    .lookup_vn(next_vn(), std::hint::black_box(ip))
+                    .is_some()
+            })
             .count()
     });
     let pctl = percentile_pass(PCTL_SCALAR_CHUNK, probes, |chunk| {
@@ -330,7 +334,14 @@ fn push_sharded(
             let _ = service.shutdown();
             rows.push(Row {
                 workers: Some(shards),
-                ..scale.row("sharded_jump", "service", Some(chunk), ns, scalar_ref_ns, pctl)
+                ..scale.row(
+                    "sharded_jump",
+                    "service",
+                    Some(chunk),
+                    ns,
+                    scalar_ref_ns,
+                    pctl,
+                )
             });
             eprintln!(
                 "[bench_lookup] {}/sharded_jump shards={shards} chunk={chunk} done",
@@ -414,7 +425,10 @@ fn push_service(
                 workers: Some(workers),
                 ..scale.row(variant, "service", Some(width), ns, scalar_ref_ns, pctl)
             });
-            eprintln!("[bench_lookup] {}/{variant} workers={workers} done", scale.name);
+            eprintln!(
+                "[bench_lookup] {}/{variant} workers={workers} done",
+                scale.name
+            );
         }
     }
 }
@@ -523,7 +537,12 @@ fn run_scale(
                 }
             }
         }
-        eprintln!("[bench_lookup] {} rep {}/{} done", scale.name, rep + 1, reps.max(1));
+        eprintln!(
+            "[bench_lookup] {} rep {}/{} done",
+            scale.name,
+            rep + 1,
+            reps.max(1)
+        );
     }
 
     // Re-derive throughput and speedups from the merged minima so each
@@ -814,16 +833,24 @@ fn telemetry_smoke() {
         .map(|i| ((i as usize % FAMILY_K) as VnId, i.wrapping_mul(0x9E37_79B9)))
         .collect();
     service.process(&packets);
-    let first = service.telemetry_snapshot().expect("telemetry on by default");
+    let first = service
+        .telemetry_snapshot()
+        .expect("telemetry on by default");
     service.process(&packets);
     // One publish, so the structured event log the CI step checks holds
     // a generation swap.
     service.publish_tables(family).expect("smoke republish");
-    let second = service.telemetry_snapshot().expect("telemetry on by default");
+    let second = service
+        .telemetry_snapshot()
+        .expect("telemetry on by default");
     let _ = service.shutdown();
     // The second pass replays the first pass's packets, so the cache
     // must have both filled (misses) and answered (hits) by now.
-    for name in ["vr_cache_hits_total", "vr_cache_misses_total", "vr_cache_fills_total"] {
+    for name in [
+        "vr_cache_hits_total",
+        "vr_cache_misses_total",
+        "vr_cache_fills_total",
+    ] {
         let v = second.counter(name);
         assert!(
             v.is_some(),
@@ -925,14 +952,13 @@ fn main() {
             &[1, 2, 4],
             reps,
         );
-        run_large(&mut rows, if quick { 1 << 16 } else { 1 << 20 }, iters.min(10));
-        run_cached_rows(&mut rows, iters);
-        run_wire_rows(
+        run_large(
             &mut rows,
-            "paper",
-            3725,
-            if quick { 200 } else { 2000 },
+            if quick { 1 << 16 } else { 1 << 20 },
+            iters.min(10),
         );
+        run_cached_rows(&mut rows, iters);
+        run_wire_rows(&mut rows, "paper", 3725, if quick { 200 } else { 2000 });
         cache_gate(&rows);
     }
 

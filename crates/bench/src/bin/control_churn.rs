@@ -213,7 +213,9 @@ fn main() {
         UpdateStream::new(tables.clone(), UpdateMix::default(), 16, 0xC0FFEE).expect("stream");
     let drawn: Vec<Vec<RouteUpdate>> = (0..batches).map(|_| stream.batch(batch_size)).collect();
 
-    eprintln!("[control_churn] {scale}: K={k} × {prefixes} prefixes, {batches} batches of {batch_size}");
+    eprintln!(
+        "[control_churn] {scale}: K={k} × {prefixes} prefixes, {batches} batches of {batch_size}"
+    );
     let (naive_ups, inc_ups, oracle_checked) = ab_throughput(&tables, &drawn, probes_per_batch);
     let speedup = inc_ups / naive_ups;
     eprintln!(

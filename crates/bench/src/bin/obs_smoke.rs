@@ -39,9 +39,7 @@ fn get(addr: SocketAddr, path: &str) -> String {
     let mut stream = TcpStream::connect(addr).expect("connect obs server");
     write!(stream, "GET {path} HTTP/1.1\r\nHost: obs\r\n\r\n").expect("send request");
     let mut response = String::new();
-    stream
-        .read_to_string(&mut response)
-        .expect("read response");
+    stream.read_to_string(&mut response).expect("read response");
     let (head, body) = response.split_once("\r\n\r\n").expect("split head/body");
     assert!(head.starts_with("HTTP/1.1 200"), "GET {path}: {head}");
     body.to_string()
@@ -197,7 +195,10 @@ fn main() {
 
     // The plane reflects the episode.
     let flight = get(addr, "/flight");
-    assert!(flight.contains("flightrec_"), "/flight misses the dump: {flight}");
+    assert!(
+        flight.contains("flightrec_"),
+        "/flight misses the dump: {flight}"
+    );
 
     drop(server);
     let totals = plane.shutdown().expect("telemetry on");

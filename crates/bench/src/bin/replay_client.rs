@@ -21,9 +21,7 @@ use serde::Serialize;
 use vr_bench::emit;
 use vr_net::synth::FamilySpec;
 use vr_net::{RoutingTable, UpdateMix, UpdateStream};
-use vr_wire::{
-    replay, Message, ReplayConfig, ServerConfig, TrafficModel, WireClient, WireServer,
-};
+use vr_wire::{replay, Message, ReplayConfig, ServerConfig, TrafficModel, WireClient, WireServer};
 
 /// Serialized alongside the table for `results/wire_replay.json`.
 #[derive(Serialize)]
@@ -184,9 +182,7 @@ fn self_contained(
     let (stats, _) = replay(&mut client, &family, cfg).expect("replay");
 
     *stop.lock().expect("stop flag") = true;
-    let churn_acks = churn_thread
-        .and_then(|t| t.join().ok())
-        .unwrap_or_default();
+    let churn_acks = churn_thread.and_then(|t| t.join().ok()).unwrap_or_default();
     drop(server);
     (stats, churn_acks)
 }

@@ -52,10 +52,7 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args::default();
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
+        let mut value = |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
         match flag.as_str() {
             "--k" => args.k = value("--k")?.parse().map_err(|e| format!("--k: {e}"))?,
             "--prefixes" => {
@@ -68,7 +65,11 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--shared: {e}"))?;
             }
-            "--seed" => args.seed = value("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?,
+            "--seed" => {
+                args.seed = value("--seed")?
+                    .parse()
+                    .map_err(|e| format!("--seed: {e}"))?
+            }
             "--stages" => {
                 args.stages = value("--stages")?
                     .parse()
@@ -91,12 +92,7 @@ fn parse_args() -> Result<Args, String> {
                 };
             }
             "--tables" => {
-                args.tables = Some(
-                    value("--tables")?
-                        .split(',')
-                        .map(str::to_owned)
-                        .collect(),
-                );
+                args.tables = Some(value("--tables")?.split(',').map(str::to_owned).collect());
             }
             "--help" | "-h" => {
                 println!("{}", HELP);
@@ -146,8 +142,7 @@ fn report(tables: &[RoutingTable], scheme: SchemeKind, args: &Args) -> Result<()
         stages: args.stages,
         ..ScenarioSpec::paper_default(scheme, args.grade)
     };
-    let scenario =
-        Scenario::build(tables, spec, Device::xc6vlx760()).map_err(|e| e.to_string())?;
+    let scenario = Scenario::build(tables, spec, Device::xc6vlx760()).map_err(|e| e.to_string())?;
     let model = analytical_power(&scenario);
     let measured = experimental_power_w(&scenario, &ParSimulator::default());
     let eff = efficiency_point(&scenario);
@@ -170,7 +165,10 @@ fn report(tables: &[RoutingTable], scheme: SchemeKind, args: &Args) -> Result<()
         model.memory_w
     );
     println!("  power (post-PAR sim)  {measured:.3} W");
-    println!("  capacity              {:.1} Gbps @ 40 B packets", eff.capacity_gbps);
+    println!(
+        "  capacity              {:.1} Gbps @ 40 B packets",
+        eff.capacity_gbps
+    );
     println!("  efficiency            {:.2} mW/Gbps", eff.mw_per_gbps);
     Ok(())
 }

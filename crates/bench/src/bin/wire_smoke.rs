@@ -110,8 +110,8 @@ fn phase1_oracle_parity(obs_addr: SocketAddr, registry: &Arc<MetricsRegistry>) {
     // acked generation. Runs concurrently with the replay below.
     let churn = std::thread::spawn(move || {
         let mut client = WireClient::connect_tcp(addr).expect("churn connect");
-        let mut stream = UpdateStream::new(family(), UpdateMix::default(), 16, 0x0C0DE)
-            .expect("update stream");
+        let mut stream =
+            UpdateStream::new(family(), UpdateMix::default(), 16, 0x0C0DE).expect("update stream");
         let mut mirror = family();
         let mut snapshots: BTreeMap<u64, Vec<RoutingTable>> = BTreeMap::new();
         for _ in 0..CHURN_BATCHES {
@@ -193,13 +193,8 @@ fn phase2_forced_overload(obs_addr: SocketAddr, registry: &Arc<MetricsRegistry>)
         retry_after_ms: 5,
         ..ServerConfig::default()
     };
-    let server = WireServer::serve_tcp(
-        "127.0.0.1:0",
-        control_plane(family()),
-        cfg,
-        Some(registry),
-    )
-    .expect("bind overload server");
+    let server = WireServer::serve_tcp("127.0.0.1:0", control_plane(family()), cfg, Some(registry))
+        .expect("bind overload server");
     let addr = server.local_addr().expect("tcp addr");
     let mut client = WireClient::connect_tcp(addr).expect("connect");
     client
@@ -252,7 +247,9 @@ fn phase2_forced_overload(obs_addr: SocketAddr, registry: &Arc<MetricsRegistry>)
         prefix: vr_net::Ipv4Prefix::new(0xC0A8_0000, 16).expect("prefix"),
         next_hop: 3,
     };
-    let ack = client.apply_updates(&[update]).expect("post-overload update");
+    let ack = client
+        .apply_updates(&[update])
+        .expect("post-overload update");
     assert!(
         matches!(ack, Message::UpdateAck { .. }),
         "post-overload update refused: {ack:?}"

@@ -473,7 +473,7 @@ mod tests {
         let mut out = vec![None; 2];
         c.lookup_batch(&t, 0, &packets, &mut out);
         let _ = c.take_delta(); // flush the cold-start misses
-        // Steady state at generation 0: all hits.
+                                // Steady state at generation 0: all hits.
         c.lookup_batch(&t, 0, &packets, &mut out);
         let warm = c.take_delta();
         assert_eq!((warm.hits, warm.misses, warm.fills), (2, 0, 0));
@@ -500,8 +500,7 @@ mod tests {
         let mut traced = LpmCache::new(256).unwrap();
         let mut plain = LpmCache::new(256).unwrap();
         let tracer = Tracer::new(1, 8);
-        let packets: Vec<(VnId, u32)> =
-            vec![(0, 0x0A01_0001), (0, 0xC0A8_0101), (0, 0x7F00_0001)];
+        let packets: Vec<(VnId, u32)> = vec![(0, 0x0A01_0001), (0, 0xC0A8_0101), (0, 0x7F00_0001)];
         let mut a = vec![None; 3];
         let mut b = vec![None; 3];
         // Pass 1 walks everything; pass 2 is all hits, where the walk

@@ -163,11 +163,7 @@ impl UpdateTelemetry {
 /// walks with its own VN and nothing is grouped, sorted or allocated.
 /// Public so the bench can measure it as the uncached baseline the
 /// result cache is compared against.
-pub fn lookup_batch_mixed(
-    trie: &JumpTrie,
-    packets: &[(VnId, u32)],
-    out: &mut [Option<NextHop>],
-) {
+pub fn lookup_batch_mixed(trie: &JumpTrie, packets: &[(VnId, u32)], out: &mut [Option<NextHop>]) {
     debug_assert_eq!(packets.len(), out.len());
     for (slot, &(vn, dst)) in out.iter_mut().zip(packets) {
         *slot = trie.lookup_vn(usize::from(vn), dst);
@@ -232,7 +228,9 @@ impl LookupService {
         }
         let batch_width = cfg.batch_width.unwrap_or(DEFAULT_BATCH_WIDTH);
         if batch_width == 0 {
-            return Err(EngineError::InvalidParameter("batch width must be positive"));
+            return Err(EngineError::InvalidParameter(
+                "batch width must be positive",
+            ));
         }
         if cfg.full_rebuild {
             return Err(EngineError::InvalidParameter(
@@ -629,8 +627,7 @@ mod tests {
 
     #[test]
     fn updates_swap_without_changing_vn_count() {
-        let mut service =
-            LookupService::new(vec![table("10.0.0.0/8 1\n")], small_cfg(2)).unwrap();
+        let mut service = LookupService::new(vec![table("10.0.0.0/8 1\n")], small_cfg(2)).unwrap();
         assert_eq!(service.generation(), 0);
         let gen = service
             .apply_updates(&[
@@ -749,12 +746,7 @@ mod tests {
         // A corrupt candidate: rejected, counted, ringed where audited.
         let good = JumpTrie::from_table(&t);
         let p = good.raw_parts();
-        let corrupt = JumpTrie::from_raw_parts(
-            p.root.to_vec(),
-            p.tail.to_vec(),
-            Vec::new(),
-            p.k,
-        );
+        let corrupt = JumpTrie::from_raw_parts(p.root.to_vec(), p.tail.to_vec(), Vec::new(), p.k);
         assert_eq!(service.publish_trie(corrupt).is_err(), audited);
         let snap = service.telemetry_snapshot().unwrap();
         assert_eq!(snap.counter("vr_service_swaps_total"), Some(swaps));
@@ -949,10 +941,7 @@ mod tests {
                 assert_serves(&service, &shadow);
             }
             let totals = service.shutdown().unwrap();
-            assert_eq!(
-                totals.counter("vr_service_audit_rejections_total"),
-                Some(2)
-            );
+            assert_eq!(totals.counter("vr_service_audit_rejections_total"), Some(2));
             assert_eq!(
                 totals.counter("vr_service_swaps_total"),
                 Some(6 + u64::from(foreign))
@@ -971,7 +960,9 @@ mod tests {
         let batches = churn_batches(tables, 83, 2, 40);
         service.apply_updates(&batches[0]).unwrap();
         apply_to_shadow(&mut shadow, &batches[0]);
-        service.publish_trie(build_trie(&churn_family(89, 3)).unwrap()).unwrap();
+        service
+            .publish_trie(build_trie(&churn_family(89, 3)).unwrap())
+            .unwrap();
         service.apply_updates(&batches[1]).unwrap();
         apply_to_shadow(&mut shadow, &batches[1]);
         let want = JumpTrie::from_leaf_pushed(&service.merged.leaf_pushed());
@@ -1052,8 +1043,7 @@ mod tests {
     #[test]
     fn alpha_is_live_and_survives_publish_tables() {
         let t = table("10.0.0.0/8 1\n10.1.1.0/24 2\n");
-        let mut service =
-            LookupService::new(vec![t.clone(), t.clone()], small_cfg(1)).unwrap();
+        let mut service = LookupService::new(vec![t.clone(), t.clone()], small_cfg(1)).unwrap();
         assert_serves(&service, &[t.clone(), t.clone()]);
         assert!((service.alpha().unwrap() - 1.0).abs() < 1e-12);
         // Withdrawing everything from VN 1 collapses the common set.
@@ -1097,7 +1087,16 @@ mod tests {
                     ..small_cfg(workers)
                 };
                 let mut service = LookupService::new(tables.clone(), cfg).unwrap();
-                for n in [0, 1, w - 1, w, w + 1, workers * w - 1, workers * w + 1, 4096] {
+                for n in [
+                    0,
+                    1,
+                    w - 1,
+                    w,
+                    w + 1,
+                    workers * w - 1,
+                    workers * w + 1,
+                    4096,
+                ] {
                     let want: Vec<Option<NextHop>> = keys[..n]
                         .iter()
                         .map(|&(vn, dst)| oracle.lookup_vn(usize::from(vn), dst))

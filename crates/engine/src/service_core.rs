@@ -1084,12 +1084,8 @@ pub(crate) mod contract {
                 // vector slot 1. The real audit refuses it.
                 let good = JumpTrie::from_table(&old);
                 let p = good.raw_parts();
-                let corrupt = JumpTrie::from_raw_parts(
-                    p.root.to_vec(),
-                    p.tail.to_vec(),
-                    Vec::new(),
-                    p.k,
-                );
+                let corrupt =
+                    JumpTrie::from_raw_parts(p.root.to_vec(), p.tail.to_vec(), Vec::new(), p.k);
                 let err = svc.publish_trie(corrupt).unwrap_err();
                 assert!(err.to_string().contains("structural audit"));
                 assert_eq!(svc.generation(), 0);

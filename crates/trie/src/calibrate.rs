@@ -80,7 +80,9 @@ impl CalibrationSpec {
     /// errors from family generation / merging.
     pub fn run(&self) -> Result<CalibratedFamily, TrieError> {
         if !(0.0..=1.0).contains(&self.target_alpha) {
-            return Err(TrieError::InvalidParameter("target alpha must be in [0, 1]"));
+            return Err(TrieError::InvalidParameter(
+                "target alpha must be in [0, 1]",
+            ));
         }
         let mut lo = 0.0f64;
         let mut hi = 1.0f64;

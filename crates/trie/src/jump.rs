@@ -268,7 +268,8 @@ impl Painter {
     /// `depth` bits down at the next address, then moves past it.
     fn paint(&mut self, depth: usize, row: usize) {
         if self.entries[row] == 0 {
-            self.entries[row] = LEAF_BIT | self.interner.intern(&self.rows[row * self.k..][..self.k]);
+            self.entries[row] =
+                LEAF_BIT | self.interner.intern(&self.rows[row * self.k..][..self.k]);
         }
         let entry = self.entries[row];
         let at = self.at;
@@ -277,9 +278,17 @@ impl Painter {
             (&mut self.root, (at >> JUMP_BITS) as usize, JUMP_BITS)
         } else if depth <= (JUMP_BITS + TAIL_STRIDE) as usize {
             let index = (at >> TAIL_STRIDE) as usize % BLOCK_ENTRIES;
-            (&mut self.tail, self.blocks[0] + index, JUMP_BITS + TAIL_STRIDE)
+            (
+                &mut self.tail,
+                self.blocks[0] + index,
+                JUMP_BITS + TAIL_STRIDE,
+            )
         } else {
-            (&mut self.tail, self.blocks[1] + at as usize % BLOCK_ENTRIES, u32::BITS)
+            (
+                &mut self.tail,
+                self.blocks[1] + at as usize % BLOCK_ENTRIES,
+                u32::BITS,
+            )
         };
         slab[start..start + (1 << (bits as usize - depth))].fill(entry);
     }
@@ -304,7 +313,12 @@ impl Painter {
     pub(crate) fn finish(self) -> JumpTrie {
         debug_assert_eq!(self.at, 1 << u32::BITS);
         let nhis = self.interner.into_slab();
-        JumpTrie { root: self.root, tail: self.tail, nhis, k: self.k }
+        JumpTrie {
+            root: self.root,
+            tail: self.tail,
+            nhis,
+            k: self.k,
+        }
     }
 
     /// Paints the subtree of `merged` at `id`, open as `node` over the
@@ -384,7 +398,8 @@ impl Painter {
         let new = u32::try_from(self.tail.len()).expect("jump trie tail exceeds u32 entries");
         debug_assert_eq!(new & LEAF_BIT, 0, "jump trie too large");
         let base = base as usize;
-        self.tail.extend_from_slice(&from.live.tail[base..base + BLOCK_ENTRIES]);
+        self.tail
+            .extend_from_slice(&from.live.tail[base..base + BLOCK_ENTRIES]);
         new
     }
 }
@@ -439,7 +454,10 @@ impl Preorder for Painter {
             // The missing left half, in the parent's vector just copied.
             self.paint(depth, depth);
         }
-        Brush { depth: depth as u8, kids: 0 }
+        Brush {
+            depth: depth as u8,
+            kids: 0,
+        }
     }
 
     #[inline]
@@ -546,7 +564,11 @@ impl JumpTrie {
         let (mut painter, root) = Painter::whole(tables.len(), blocks);
         preorder(&routes, root, &mut painter);
         let trie = painter.finish();
-        debug_assert_eq!(trie.tail.len(), blocks * BLOCK_ENTRIES, "the block count is exact");
+        debug_assert_eq!(
+            trie.tail.len(),
+            blocks * BLOCK_ENTRIES,
+            "the block count is exact"
+        );
         Ok(trie)
     }
 
@@ -611,13 +633,22 @@ impl JumpTrie {
     pub fn repaint(&self, merged: &MergedTrie, dirty: &DirtyBuckets) -> JumpTrie {
         let copying = dirty.len() < ROOT_ENTRIES;
         if copying {
-            assert_eq!(self.k, merged.arity(), "a repaint copies only from its own arity");
+            assert_eq!(
+                self.k,
+                merged.arity(),
+                "a repaint copies only from its own arity"
+            );
         }
         let slots = vec![0; if copying { self.leaf_count() } else { 0 }];
         // Room for a new block per dirty bucket, which a batch seldom
         // outgrows: past it the tail is copied to grow.
         let blocks = self.tail.len() / BLOCK_ENTRIES + if copying { dirty.len() } else { 0 };
-        let mut from = Source { live: self, dirty, slots, last: (0, 0) };
+        let mut from = Source {
+            live: self,
+            dirty,
+            slots,
+            last: (0, 0),
+        };
         let (mut painter, mut root) = Painter::whole(merged.arity(), blocks);
         painter.repaint_below(merged, NodeId::ROOT, 0, &mut root, &mut from);
         painter.close(0, root, None);
@@ -768,8 +799,14 @@ mod tests {
         let level_one = parts.root[0x0A01] as usize;
         assert_eq!(level_one & LEAF_BIT as usize, 0);
         let level_two = parts.tail[level_one + 1] as usize;
-        assert_eq!(level_two, level_one + BLOCK_ENTRIES, "level-2 blocks follow their level-1 block");
-        assert!(parts.tail[level_two..level_two + BLOCK_ENTRIES].iter().all(|&e| e & LEAF_BIT != 0));
+        assert_eq!(
+            level_two,
+            level_one + BLOCK_ENTRIES,
+            "level-2 blocks follow their level-1 block"
+        );
+        assert!(parts.tail[level_two..level_two + BLOCK_ENTRIES]
+            .iter()
+            .all(|&e| e & LEAF_BIT != 0));
         for ip in probes(&t) {
             assert_eq!(jump.lookup(ip), t.lookup(ip), "ip {ip:#010x}");
         }
@@ -801,7 +838,11 @@ mod tests {
         assert_eq!(jump.arity(), 3);
         for (vn, t) in tables.iter().enumerate() {
             for ip in probes(t) {
-                assert_eq!(jump.lookup_vn(vn, ip), t.lookup(ip), "vn {vn} ip {ip:#010x}");
+                assert_eq!(
+                    jump.lookup_vn(vn, ip),
+                    t.lookup(ip),
+                    "vn {vn} ip {ip:#010x}"
+                );
             }
         }
     }

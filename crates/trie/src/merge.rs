@@ -258,7 +258,12 @@ impl MergedTrie {
     ///
     /// # Panics
     /// Panics if `vnid ≥ arity`.
-    pub fn insert(&mut self, vnid: usize, prefix: Ipv4Prefix, next_hop: NextHop) -> Option<NextHop> {
+    pub fn insert(
+        &mut self,
+        vnid: usize,
+        prefix: Ipv4Prefix,
+        next_hop: NextHop,
+    ) -> Option<NextHop> {
         assert!(vnid < self.k, "vnid out of range");
         // Walk/create the path: the root, then one node per prefix bit.
         let mut path = [NodeId::ROOT; 33];
@@ -621,7 +626,11 @@ pub(crate) fn sorted_routes(tables: &[RoutingTable]) -> Vec<Route> {
     const DIGIT_BITS: u32 = 10;
     let mut routes = Vec::with_capacity(tables.iter().map(RoutingTable::len).sum());
     for (vn, table) in tables.iter().enumerate() {
-        routes.extend(table.iter().map(|e| Route::new(e.prefix, vn as u8, e.next_hop)));
+        routes.extend(
+            table
+                .iter()
+                .map(|e| Route::new(e.prefix, vn as u8, e.next_hop)),
+        );
     }
     // Least significant digit first over the key: each pass is stable, so
     // a prefix's routes keep the VN order they were gathered in.
@@ -671,12 +680,17 @@ pub(crate) fn preorder<P: Preorder>(routes: &[Route], root: P::Open, pass: &mut 
     // The open path is `prev`'s, so its bit above a node is the node's branch.
     let close = |pass: &mut P, path: &mut [P::Open; 33], depth: usize, prev: Ipv4Prefix| {
         let (above, here) = path.split_at_mut(depth);
-        let up = above.last_mut().map(|parent| (parent, usize::from(prev.bit(depth as u8 - 1))));
+        let up = above
+            .last_mut()
+            .map(|parent| (parent, usize::from(prev.bit(depth as u8 - 1))));
         pass.close(depth, here[0], up);
     };
     for &route in routes {
         let (prefix, vn, next_hop) = (route.prefix(), route.vn(), route.next_hop());
-        let (len, shared) = (usize::from(prefix.len()), usize::from(shared_len(prefix, prev)));
+        let (len, shared) = (
+            usize::from(prefix.len()),
+            usize::from(shared_len(prefix, prev)),
+        );
         while depth > shared {
             close(pass, &mut path, depth, prev);
             depth -= 1;
@@ -811,7 +825,10 @@ impl Preorder for SweepCounter {
 
     fn open(&mut self, parent: OpenNode, _: usize) -> OpenNode {
         // The parent's own routes came before this child was opened.
-        OpenNode { routed: parent.routed, ..OpenNode::default() }
+        OpenNode {
+            routed: parent.routed,
+            ..OpenNode::default()
+        }
     }
 
     fn entry(&mut self, node: &mut OpenNode, vn: u8, _: NextHop) {
@@ -875,13 +892,17 @@ fn node_total(routes: &[Route]) -> usize {
 pub(crate) fn block_total(routes: &[Route]) -> usize {
     let below = |bits: u32| {
         let mut last = None;
-        let longer = routes.iter().map(|route| route.prefix()).filter(|p| u32::from(p.len()) > bits);
+        let longer = routes
+            .iter()
+            .map(|route| route.prefix())
+            .filter(|p| u32::from(p.len()) > bits);
         // Sorted by address, so equal tops are adjacent.
-        longer.filter(|prefix| {
-            let top = prefix.addr() >> (u32::BITS - bits);
-            last.replace(top) != Some(top)
-        })
-        .count()
+        longer
+            .filter(|prefix| {
+                let top = prefix.addr() >> (u32::BITS - bits);
+                last.replace(top) != Some(top)
+            })
+            .count()
     };
     below(JUMP_BITS) + below(JUMP_BITS + TAIL_STRIDE)
 }
@@ -927,13 +948,19 @@ mod tests {
             MergedTrie::from_tables(&[]),
             Err(TrieError::BadMergeArity(0))
         ));
-        assert!(matches!(SweepStats::from_tables(&[]), Err(TrieError::BadMergeArity(0))));
+        assert!(matches!(
+            SweepStats::from_tables(&[]),
+            Err(TrieError::BadMergeArity(0))
+        ));
         let too_many = vec![RoutingTable::new(); 65];
         assert!(matches!(
             MergedTrie::from_tables(&too_many),
             Err(TrieError::BadMergeArity(65))
         ));
-        assert!(matches!(SweepStats::from_tables(&too_many), Err(TrieError::BadMergeArity(65))));
+        assert!(matches!(
+            SweepStats::from_tables(&too_many),
+            Err(TrieError::BadMergeArity(65))
+        ));
     }
 
     /// K identical tables overlay into the single table's K = 1 trie,
@@ -1263,7 +1290,10 @@ mod tests {
         let streamed = SweepStats::from_tables(tables).unwrap();
         assert_eq!(streamed, merged.sweep_stats());
         let alpha = merged.merging_efficiency().to_bits();
-        assert_eq!(streamed.alpha.last().map(|alpha| alpha.to_bits()), Some(alpha));
+        assert_eq!(
+            streamed.alpha.last().map(|alpha| alpha.to_bits()),
+            Some(alpha)
+        );
         assert_eq!(merging_efficiency_of(tables).unwrap().to_bits(), alpha);
     }
 
@@ -1295,7 +1325,10 @@ mod tests {
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
         let mut rng = SmallRng::seed_from_u64(seed);
-        let routes = tables.iter().enumerate().map(|(vn, t)| t.iter().map(move |e| (vn, e)));
+        let routes = tables
+            .iter()
+            .enumerate()
+            .map(|(vn, t)| t.iter().map(move |e| (vn, e)));
         let mut routes: Vec<_> = routes.flatten().collect();
         for i in (1..routes.len()).rev() {
             routes.swap(i, rng.gen_range(0..=i));
@@ -1319,10 +1352,13 @@ mod tests {
     /// and last address and the one just below it, and both ends of the
     /// address space.
     fn probes(tables: &[RoutingTable]) -> Vec<u32> {
-        let edges = tables.iter().flat_map(RoutingTable::prefixes).flat_map(|prefix| {
-            let addr = prefix.addr();
-            [addr, addr | !prefix.netmask(), addr.wrapping_sub(1)]
-        });
+        let edges = tables
+            .iter()
+            .flat_map(RoutingTable::prefixes)
+            .flat_map(|prefix| {
+                let addr = prefix.addr();
+                [addr, addr | !prefix.netmask(), addr.wrapping_sub(1)]
+            });
         edges.chain([0, u32::MAX]).collect()
     }
 
@@ -1340,7 +1376,11 @@ mod tests {
         assert_eq!(bulk.sweep_stats(), grown.sweep_stats());
         for &ip in probes {
             for vn in 0..bulk.arity() {
-                assert_eq!(bulk.lookup(vn, ip), grown.lookup(vn, ip), "vn {vn} ip {ip:#010x}");
+                assert_eq!(
+                    bulk.lookup(vn, ip),
+                    grown.lookup(vn, ip),
+                    "vn {vn} ip {ip:#010x}"
+                );
             }
         }
         let jump = |t: &MergedTrie| crate::JumpTrie::from_leaf_pushed(&t.leaf_pushed());
@@ -1475,7 +1515,10 @@ mod tests {
         let base: Vec<_> = family(1, 1.0, 65)[0].iter().take(30).collect();
         let edge = |vn: u32| {
             let host = Ipv4Prefix::must(0xC633_6400 | (vn % 3), 32);
-            let routes = [(Ipv4Prefix::DEFAULT_ROUTE, vn % 4 == 1), (host, !vn.is_multiple_of(5))];
+            let routes = [
+                (Ipv4Prefix::DEFAULT_ROUTE, vn % 4 == 1),
+                (host, !vn.is_multiple_of(5)),
+            ];
             let routes = routes.into_iter().filter(|&(_, keep)| keep);
             routes.map(move |(prefix, _)| vr_net::RouteEntry::new(prefix, vn as NextHop))
         };
@@ -1499,7 +1542,8 @@ mod tests {
         }
         let with_len = |len| {
             let vns = 1..MAX_MERGE_ARITY as u32;
-            vns.filter(|&vn| edges(vn).prefixes().any(|p| p.len() == len)).count()
+            vns.filter(|&vn| edges(vn).prefixes().any(|p| p.len() == len))
+                .count()
         };
         assert!(with_len(0) > 1 && with_len(32) > 1);
         assert_eq!(alphas[1], 1.0);
@@ -1540,7 +1584,9 @@ mod tests {
 
     #[test]
     fn stats_of_leaf_pushed_merged_are_consistent() {
-        let pushed = MergedTrie::from_tables(&family(3, 0.6, 13)).unwrap().leaf_pushed();
+        let pushed = MergedTrie::from_tables(&family(3, 0.6, 13))
+            .unwrap()
+            .leaf_pushed();
         let s = pushed.stats();
         assert_eq!(s.total_nodes, pushed.node_count());
         assert_eq!(s.leaves, pushed.leaf_count());

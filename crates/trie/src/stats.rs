@@ -113,7 +113,12 @@ impl SweepCounter {
 
     /// The statistics of every node counted.
     pub(crate) fn finish(self) -> SweepStats {
-        let Self { k, mut by_k, per_vn, nodes } = self;
+        let Self {
+            k,
+            mut by_k,
+            per_vn,
+            nodes,
+        } = self;
         for row in LEVELS..by_k.len() {
             let earlier = by_k[row - LEVELS];
             by_k[row] = std::array::from_fn(|i| by_k[row][i] + earlier[i]);
@@ -131,7 +136,16 @@ impl SweepCounter {
             by_prefix: by_k.chunks(LEVELS).skip(1).take(k).map(stats).collect(),
             alpha: (1..=k).map(|k| nodes.alpha(k)).collect(),
             per_vn: (0..k)
-                .map(|vn| stats(&per_vn.iter().skip(vn).step_by(k).copied().collect::<Vec<_>>()))
+                .map(|vn| {
+                    stats(
+                        &per_vn
+                            .iter()
+                            .skip(vn)
+                            .step_by(k)
+                            .copied()
+                            .collect::<Vec<_>>(),
+                    )
+                })
                 .collect(),
         }
     }
@@ -146,7 +160,10 @@ pub(crate) struct NodeCounts {
 
 impl NodeCounts {
     pub(crate) fn new(k: usize) -> Self {
-        Self { per_vn: vec![0; k], ones: vec![0; k + 1] }
+        Self {
+            per_vn: vec![0; k],
+            ones: vec![0; k + 1],
+        }
     }
 
     /// Counts a node whose presence mask (bit v ⇔ the node is in VN v's

@@ -97,7 +97,9 @@ impl DirtyBuckets {
     /// length, is dirty.
     pub(crate) fn any_in(&self, run: Range<usize>) -> bool {
         if run.len() >= 64 {
-            self.bits[run.start / 64..run.end / 64].iter().any(|&word| word != 0)
+            self.bits[run.start / 64..run.end / 64]
+                .iter()
+                .any(|&word| word != 0)
         } else {
             let mask = ((1u64 << run.len()) - 1) << (run.start % 64);
             self.bits[run.start / 64] & mask != 0
@@ -157,10 +159,17 @@ mod tests {
     /// trie, field for field, and answers like the source tables.
     fn assert_parity(repainted: &JumpTrie, merged: &MergedTrie, tables: &[RoutingTable]) {
         let scratch = JumpTrie::from_leaf_pushed(&merged.leaf_pushed());
-        assert!(repainted.raw_parts() == scratch.raw_parts(), "builders disagree");
+        assert!(
+            repainted.raw_parts() == scratch.raw_parts(),
+            "builders disagree"
+        );
         for (vn, table) in tables.iter().enumerate() {
             for ip in probes(tables) {
-                assert_eq!(repainted.lookup_vn(vn, ip), table.lookup(ip), "vn {vn} ip {ip:#010x}");
+                assert_eq!(
+                    repainted.lookup_vn(vn, ip),
+                    table.lookup(ip),
+                    "vn {vn} ip {ip:#010x}"
+                );
             }
         }
     }
@@ -204,10 +213,15 @@ mod tests {
     fn both_builders_publish_one_footprint_for_the_paper_family() {
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
-        let mut tables = FamilySpec::paper_worst_case(15, 0.5, 2012).generate().unwrap();
+        let mut tables = FamilySpec::paper_worst_case(15, 0.5, 2012)
+            .generate()
+            .unwrap();
         let mut merged = MergedTrie::from_tables(&tables).unwrap();
         let scratch = JumpTrie::from_leaf_pushed(&merged.leaf_pushed());
-        assert!(paint_all(&merged).raw_parts() == scratch.raw_parts(), "full paint");
+        assert!(
+            paint_all(&merged).raw_parts() == scratch.raw_parts(),
+            "full paint"
+        );
 
         let mut rng = SmallRng::seed_from_u64(2012);
         let mut dirty = DirtyBuckets::new();

@@ -6,10 +6,10 @@
 //! cargo run --release -p vr-bench --example update_replay
 //! ```
 
-use vr_power::{ArrivalModel, EngineConfig, SimConfig, VirtualRouterSim};
 use vr_net::synth::FamilySpec;
 use vr_net::{SkewedSpec, SkewedTraffic, UpdateMix, UpdateStream};
 use vr_power::SchemeKind;
+use vr_power::{ArrivalModel, EngineConfig, SimConfig, VirtualRouterSim};
 
 fn main() {
     let k = 3usize;

@@ -30,8 +30,8 @@ fn simulator_and_model_agree_on_dynamic_power() {
 /// the offered load halves the simulated dynamic power of a gated engine.
 #[test]
 fn dynamic_power_scales_with_offered_load() {
-    use vr_power::{ArrivalModel, EngineConfig, SimConfig, VirtualRouterSim};
     use vr_net::{SkewedSpec, SkewedTraffic};
+    use vr_power::{ArrivalModel, EngineConfig, SimConfig, VirtualRouterSim};
 
     let tables = family(2, 0.6, 13);
     let run = |load: f64| {
@@ -136,8 +136,8 @@ fn skewed_utilization_changes_only_dynamic_power() {
 /// the engines clears them.
 #[test]
 fn stale_data_plane_is_detected_and_rebuild_clears_it() {
-    use vr_power::{ArrivalModel, EngineConfig, SimConfig, VirtualRouterSim};
     use vr_net::{RouteUpdate, SkewedSpec, SkewedTraffic};
+    use vr_power::{ArrivalModel, EngineConfig, SimConfig, VirtualRouterSim};
 
     let tables = family(2, 0.6, 23);
     let cfg = SimConfig {
@@ -187,8 +187,5 @@ fn merged_arity_limit_is_enforced_end_to_end() {
     }
     assert_eq!(many.len(), 66);
     let result = vr_trie::MergedTrie::from_tables(&many);
-    assert!(matches!(
-        result,
-        Err(vr_trie::TrieError::BadMergeArity(66))
-    ));
+    assert!(matches!(result, Err(vr_trie::TrieError::BadMergeArity(66))));
 }

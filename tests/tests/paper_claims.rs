@@ -18,7 +18,11 @@ use vr_power::{SchemeKind, SpeedGrade};
 fn savings_proportional_to_k() {
     for k in [3usize, 6, 12] {
         let tables = family(k, 0.6, 1);
-        let nv = analytical_power(&scenario(&tables, SchemeKind::NonVirtualized, SpeedGrade::Minus2));
+        let nv = analytical_power(&scenario(
+            &tables,
+            SchemeKind::NonVirtualized,
+            SpeedGrade::Minus2,
+        ));
         let vs = analytical_power(&scenario(&tables, SchemeKind::Separate, SpeedGrade::Minus2));
         let ratio = nv.total_w() / vs.total_w();
         assert!(
@@ -54,7 +58,11 @@ fn model_error_within_three_percent() {
 fn fig5_total_power_shapes() {
     let k = 10;
     let tables = family(k, 0.6, 3);
-    let nv = analytical_power(&scenario(&tables, SchemeKind::NonVirtualized, SpeedGrade::Minus2));
+    let nv = analytical_power(&scenario(
+        &tables,
+        SchemeKind::NonVirtualized,
+        SpeedGrade::Minus2,
+    ));
     let vs = analytical_power(&scenario(&tables, SchemeKind::Separate, SpeedGrade::Minus2));
     let vm = analytical_power(&scenario(&tables, SchemeKind::Merged, SpeedGrade::Minus2));
     // NV ≈ K × one device's static power.
@@ -106,7 +114,10 @@ fn low_power_grade_tradeoff() {
         let hi = efficiency_point(&scenario(&tables, scheme, SpeedGrade::Minus2));
         let lo = efficiency_point(&scenario(&tables, scheme, SpeedGrade::Minus1L));
         let saving = 1.0 - lo.power_w / hi.power_w;
-        assert!((0.2..=0.4).contains(&saving), "{scheme}: power saving {saving}");
+        assert!(
+            (0.2..=0.4).contains(&saving),
+            "{scheme}: power saving {saving}"
+        );
         let eff_gap = (lo.mw_per_gbps - hi.mw_per_gbps).abs() / hi.mw_per_gbps;
         assert!(eff_gap < 0.2, "{scheme}: efficiency gap {eff_gap}");
         // The saving comes at the expense of throughput.
@@ -261,7 +272,9 @@ fn walked_structures_equal_pipelines_of_built_leaf_pushed_tries() {
     let (cfg, layout) = (ExperimentConfig::quick(), MemoryLayout::default());
     let bits = |tables: &[vr_net::RoutingTable]| {
         let pushed = MergedTrie::from_tables(tables).unwrap().leaf_pushed();
-        let profile = PipelineProfile::from_stats(&pushed.stats(), pushed.arity(), cfg.stages, layout).unwrap();
+        let profile =
+            PipelineProfile::from_stats(&pushed.stats(), pushed.arity(), cfg.stages, layout)
+                .unwrap();
         profile.per_stage_memory_bits()
     };
     let (frac_low, frac_high) = cfg.resolve_shared_fractions();
@@ -317,7 +330,11 @@ fn served_trie_equals_the_leaf_pushed_build_at_paper_scale() {
             let reference = JumpTrie::from_leaf_pushed(&merged.leaf_pushed());
             let painted = JumpTrie::from_tables(&tables).unwrap();
             let repainted = served.repaint(&merged, &DirtyBuckets::all());
-            for (feed, trie) in [("routes beside the arena", &served), ("routes", &painted), ("arena repaint", &repainted)] {
+            for (feed, trie) in [
+                ("routes beside the arena", &served),
+                ("routes", &painted),
+                ("arena repaint", &repainted),
+            ] {
                 assert!(
                     trie.raw_parts() == reference.raw_parts(),
                     "{feed}: K = {k}, shared fraction {frac}"

@@ -3,9 +3,7 @@
 //! back into the same values (EXPERIMENTS.md reproducibility contract).
 
 use vr_integration_tests::{family, scenario};
-use vr_power::experiments::{
-    fig2_series, statics_rows, table3_rows, ExperimentConfig, Fig2Point,
-};
+use vr_power::experiments::{fig2_series, statics_rows, table3_rows, ExperimentConfig, Fig2Point};
 use vr_power::models::analytical_power;
 use vr_power::{SchemeKind, SpeedGrade};
 
@@ -50,11 +48,7 @@ fn calibration_rows_round_trip() {
 #[test]
 fn power_estimate_round_trips() {
     let tables = family(3, 0.6, 1);
-    let estimate = analytical_power(&scenario(
-        &tables,
-        SchemeKind::Separate,
-        SpeedGrade::Minus2,
-    ));
+    let estimate = analytical_power(&scenario(&tables, SchemeKind::Separate, SpeedGrade::Minus2));
     let back = round_trip(&estimate);
     assert_eq!(back.scheme, estimate.scheme);
     assert_eq!(back.grade, estimate.grade);
@@ -111,8 +105,8 @@ fn scenario_spec_round_trips() {
 
 #[test]
 fn sim_report_round_trips() {
-    use vr_power::{ArrivalModel, EngineConfig, SimConfig, VirtualRouterSim};
     use vr_net::{SkewedSpec, SkewedTraffic};
+    use vr_power::{ArrivalModel, EngineConfig, SimConfig, VirtualRouterSim};
     let tables = family(2, 0.5, 3);
     let cfg = SimConfig {
         organization: SchemeKind::Merged,

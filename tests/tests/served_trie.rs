@@ -19,7 +19,12 @@ use vr_trie::{DirtyBuckets, JumpTrie, JumpTrieParts, MergedTrie};
 /// NHI word in order.
 fn fingerprint(parts: JumpTrieParts<'_>) -> u64 {
     let fold = |hash: u64, word: u64| (hash ^ word).wrapping_mul(0x0000_0100_0000_01b3);
-    let lens = [parts.k, parts.root.len(), parts.tail.len(), parts.nhis.len()];
+    let lens = [
+        parts.k,
+        parts.root.len(),
+        parts.tail.len(),
+        parts.nhis.len(),
+    ];
     let words = lens.into_iter().map(|n| n as u64);
     let words = words
         .chain(parts.root.iter().chain(parts.tail).map(|&w| u64::from(w)))
@@ -35,16 +40,42 @@ fn fingerprint(parts: JumpTrieParts<'_>) -> u64 {
 #[test]
 fn served_trie_layout_is_pinned() {
     const PINNED: [(f64, [u64; 3]); 3] = [
-        (0.2, [0x1f5f_6dc0_d1ef_d27f, 0x4b26_16f5_4219_9aa9, 0xf305_e9ff_9354_30e0]),
-        (0.5, [0x101f_a773_5024_ea38, 0x88ed_3238_490c_6aac, 0xcdde_8e20_5eff_ddf7]),
-        (0.8, [0x7466_b98c_beae_9e81, 0x41e4_958b_91c6_6f46, 0xb039_12bc_3674_f389]),
+        (
+            0.2,
+            [
+                0x1f5f_6dc0_d1ef_d27f,
+                0x4b26_16f5_4219_9aa9,
+                0xf305_e9ff_9354_30e0,
+            ],
+        ),
+        (
+            0.5,
+            [
+                0x101f_a773_5024_ea38,
+                0x88ed_3238_490c_6aac,
+                0xcdde_8e20_5eff_ddf7,
+            ],
+        ),
+        (
+            0.8,
+            [
+                0x7466_b98c_beae_9e81,
+                0x41e4_958b_91c6_6f46,
+                0xb039_12bc_3674_f389,
+            ],
+        ),
     ];
     for (fraction, pinned) in PINNED {
-        let tables = FamilySpec::paper_worst_case(15, fraction, 2012).generate().unwrap();
+        let tables = FamilySpec::paper_worst_case(15, fraction, 2012)
+            .generate()
+            .unwrap();
         for (k, want) in [1, 4, 15].into_iter().zip(pinned) {
             let jump = JumpTrie::from_tables(&tables[..k]).unwrap();
             let got = fingerprint(jump.raw_parts());
-            assert_eq!(got, want, "K = {k}, shared fraction {fraction}: {got:#018x}");
+            assert_eq!(
+                got, want,
+                "K = {k}, shared fraction {fraction}: {got:#018x}"
+            );
         }
     }
 }
@@ -52,10 +83,13 @@ fn served_trie_layout_is_pinned() {
 /// Addresses that tell tries over `tables` apart: each route's first and
 /// last address and the one just below it, and both ends of the space.
 fn probes(tables: &[RoutingTable]) -> Vec<u32> {
-    let edges = tables.iter().flat_map(RoutingTable::prefixes).flat_map(|prefix| {
-        let addr = prefix.addr();
-        [addr, addr | !prefix.netmask(), addr.wrapping_sub(1)]
-    });
+    let edges = tables
+        .iter()
+        .flat_map(RoutingTable::prefixes)
+        .flat_map(|prefix| {
+            let addr = prefix.addr();
+            [addr, addr | !prefix.netmask(), addr.wrapping_sub(1)]
+        });
     let mut probes: Vec<u32> = edges.chain([0, u32::MAX]).collect();
     probes.sort_unstable();
     probes.dedup();
@@ -70,7 +104,11 @@ fn reference(merged: &MergedTrie, tables: &[RoutingTable]) -> JumpTrie {
     assert!(report.is_clean(), "{}", report.summary());
     for ip in probes(tables) {
         for (vn, table) in tables.iter().enumerate() {
-            assert_eq!(reference.lookup_vn(vn, ip), table.lookup(ip), "vn {vn} ip {ip:#010x}");
+            assert_eq!(
+                reference.lookup_vn(vn, ip),
+                table.lookup(ip),
+                "vn {vn} ip {ip:#010x}"
+            );
         }
     }
     reference
@@ -78,7 +116,10 @@ fn reference(merged: &MergedTrie, tables: &[RoutingTable]) -> JumpTrie {
 
 /// `jump` is `reference` field for field, so it audits and answers alike.
 fn assert_served(jump: &JumpTrie, reference: &JumpTrie, feed: &str) {
-    assert!(jump.raw_parts() == reference.raw_parts(), "{feed}: encoding differs from the reference");
+    assert!(
+        jump.raw_parts() == reference.raw_parts(),
+        "{feed}: encoding differs from the reference"
+    );
 }
 
 /// Every feed of the painter over `tables`, held to the leaf-pushed
@@ -90,7 +131,11 @@ fn assert_every_feed(tables: &[RoutingTable]) -> (MergedTrie, JumpTrie) {
     let want = reference(&merged, tables);
     assert_served(&served, &want, "routes beside the arena");
     assert_served(&JumpTrie::from_tables(tables).unwrap(), &want, "routes");
-    assert_served(&served.repaint(&merged, &DirtyBuckets::all()), &want, "arena repaint");
+    assert_served(
+        &served.repaint(&merged, &DirtyBuckets::all()),
+        &want,
+        "arena repaint",
+    );
     (merged, served)
 }
 
@@ -148,11 +193,17 @@ proptest! {
 /// identical tables, pairwise-disjoint tables, and no route at all.
 #[test]
 fn every_feed_paints_the_reference_at_the_edges() {
-    let spec = FamilySpec { prefixes_per_table: 30, ..FamilySpec::paper_worst_case(1, 1.0, 65) };
+    let spec = FamilySpec {
+        prefixes_per_table: 30,
+        ..FamilySpec::paper_worst_case(1, 1.0, 65)
+    };
     let base: Vec<_> = spec.generate().unwrap()[0].iter().collect();
     let edge = |vn: u32| {
         let host = Ipv4Prefix::must(0xC633_6400 | (vn % 3), 32);
-        let routes = [(Ipv4Prefix::DEFAULT_ROUTE, vn % 4 == 1), (host, !vn.is_multiple_of(5))];
+        let routes = [
+            (Ipv4Prefix::DEFAULT_ROUTE, vn % 4 == 1),
+            (host, !vn.is_multiple_of(5)),
+        ];
         let routes = routes.into_iter().filter(|&(_, keep)| keep);
         routes.map(move |(prefix, _)| RouteEntry::new(prefix, vn as NextHop))
     };
@@ -171,7 +222,11 @@ fn every_feed_paints_the_reference_at_the_edges() {
         let tables: Vec<_> = (0..MAX_MERGE_ARITY as u32).map(table).collect();
         assert_every_feed(&tables);
     }
-    let with_len = |len| (1..64).filter(|&vn| edges(vn).prefixes().any(|p| p.len() == len)).count();
+    let with_len = |len| {
+        (1..64)
+            .filter(|&vn| edges(vn).prefixes().any(|p| p.len() == len))
+            .count()
+    };
     assert!(with_len(0) > 1 && with_len(32) > 1);
 }
 
@@ -183,9 +238,16 @@ fn every_feed_paints_the_reference_at_the_edges() {
 #[test]
 fn rebuilt_buckets_paint_the_reference_at_path_ends() {
     let p = |s: &str| s.parse::<Ipv4Prefix>().unwrap();
-    let mut tables = vec![RoutingTable::new(), "10.3.1.1/32 4\n10.3.2.0/24 5\n".parse().unwrap()];
+    let mut tables = vec![
+        RoutingTable::new(),
+        "10.3.1.1/32 4\n10.3.2.0/24 5\n".parse().unwrap(),
+    ];
     let (mut merged, mut live) = MergedTrie::from_tables_with_jump(&tables).unwrap();
-    for (vn, prefix, nh) in [(0, "10.0.0.0/8", 1), (1, "10.1.128.0/17", 2), (1, "10.2.0.255/32", 3)] {
+    for (vn, prefix, nh) in [
+        (0, "10.0.0.0/8", 1),
+        (1, "10.1.128.0/17", 2),
+        (1, "10.2.0.255/32", 3),
+    ] {
         merged.insert(vn, p(prefix), nh);
         tables[vn].insert(p(prefix), nh);
         let mut dirty = DirtyBuckets::new();

@@ -89,7 +89,10 @@ fn inflight_batches_resolve_old_or_new_never_torn() {
         }
     }
     // The waves behind the swap can only have seen the new snapshot.
-    assert!(seen_new, "post-swap batches must observe the new generation");
+    assert!(
+        seen_new,
+        "post-swap batches must observe the new generation"
+    );
     // (seen_old is timing-dependent: pre-swap batches *may* all drain
     // before publish returns, but usually at least one resolves early.)
     let _ = seen_old;
@@ -149,7 +152,10 @@ fn sharded_inflight_batches_resolve_old_or_new_never_torn() {
     assert_eq!(lanes, 16 * 256);
     // FIFO queues make this deterministic for the sharded service: the
     // waves submitted after the broadcast *must* see the new snapshot.
-    assert!(seen_new, "post-swap batches must observe the new generation");
+    assert!(
+        seen_new,
+        "post-swap batches must observe the new generation"
+    );
 
     let _ = svc.shutdown();
 }

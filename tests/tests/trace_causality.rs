@@ -33,8 +33,15 @@ fn batch(seed: u32, len: usize) -> Vec<(VnId, u32)> {
 /// One step of the interleaving: a traffic batch or a route update.
 #[derive(Debug, Clone)]
 enum Op {
-    Batch { seed: u32, len: usize },
-    Churn { vnid: VnId, octet: u8, announce: bool },
+    Batch {
+        seed: u32,
+        len: usize,
+    },
+    Churn {
+        vnid: VnId,
+        octet: u8,
+        announce: bool,
+    },
 }
 
 /// The vendored proptest has no `prop_oneof`, so the op kind rides in a

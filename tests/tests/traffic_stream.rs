@@ -36,14 +36,23 @@ fn sub_seed(seed: u64, tag: u64) -> u64 {
 /// drawn Zipf(1.0) (the wire workloads) and uniformly (`svc_scan`).
 #[test]
 fn benchmark_key_streams_are_pinned() {
-    let tables = FamilySpec::paper_worst_case(15, 0.5, 2012).generate().unwrap();
+    let tables = FamilySpec::paper_worst_case(15, 0.5, 2012)
+        .generate()
+        .unwrap();
     let seed = sub_seed(2012, 1);
     for (spec, want) in [
         (SkewedSpec::zipf(15, 1.0, seed), 0xbf98_2130_12ff_1e75),
         (SkewedSpec::uniform(15, seed), 0x879e_2f17_faa0_5319),
     ] {
         let s = spec.s;
-        let mut traffic = SkewedTraffic::new(SkewedSpec { expansions: 16, ..spec }, &tables).unwrap();
+        let mut traffic = SkewedTraffic::new(
+            SkewedSpec {
+                expansions: 16,
+                ..spec
+            },
+            &tables,
+        )
+        .unwrap();
         let got = fingerprint(&traffic.pairs(PAIRS));
         assert_eq!(got, want, "s = {s}: {got:#018x}");
     }

@@ -10,7 +10,9 @@ use vr_wire::frame::{
     crc32, decode_payload, encode, encode_lookup_request, encode_lookup_response,
     encode_update_batch, MAGIC, VERSION,
 };
-use vr_wire::{ErrorCode, FrameDecoder, Message, OverloadReason, WireError, HEADER_LEN, MAX_PAYLOAD_BYTES};
+use vr_wire::{
+    ErrorCode, FrameDecoder, Message, OverloadReason, WireError, HEADER_LEN, MAX_PAYLOAD_BYTES,
+};
 
 /// Strategy over every message kind with arbitrary contents. Raw
 /// tuples are mapped into enum payloads so the vendored proptest's
@@ -20,63 +22,68 @@ fn arb_message() -> impl Strategy<Value = Message> {
         (0u8..8, any::<u64>(), any::<u32>()),
         prop::collection::vec((any::<u16>(), any::<u32>()), 0..48),
         prop::collection::vec((any::<u16>(), any::<u8>()), 0..48),
-        prop::collection::vec((0u8..2, any::<u16>(), any::<u32>(), 0u8..33, any::<u8>()), 0..24),
+        prop::collection::vec(
+            (0u8..2, any::<u16>(), any::<u32>(), 0u8..33, any::<u8>()),
+            0..24,
+        ),
         prop::collection::vec(32u8..127, 0..48),
     )
-        .prop_map(|((kind, id, word), packets, raw_results, raw_updates, text)| {
-            let results: Vec<Option<u8>> = raw_results
-                .iter()
-                .map(|&(sel, nh)| if sel & 1 == 0 { None } else { Some(nh) })
-                .collect();
-            let updates: Vec<RouteUpdate> = raw_updates
-                .into_iter()
-                .map(|(k, vnid, addr, plen, next_hop)| {
-                    let prefix = Ipv4Prefix::new(addr, plen).expect("plen <= 32");
-                    if k == 0 {
-                        RouteUpdate::Announce {
-                            vnid,
-                            prefix,
-                            next_hop,
+        .prop_map(
+            |((kind, id, word), packets, raw_results, raw_updates, text)| {
+                let results: Vec<Option<u8>> = raw_results
+                    .iter()
+                    .map(|&(sel, nh)| if sel & 1 == 0 { None } else { Some(nh) })
+                    .collect();
+                let updates: Vec<RouteUpdate> = raw_updates
+                    .into_iter()
+                    .map(|(k, vnid, addr, plen, next_hop)| {
+                        let prefix = Ipv4Prefix::new(addr, plen).expect("plen <= 32");
+                        if k == 0 {
+                            RouteUpdate::Announce {
+                                vnid,
+                                prefix,
+                                next_hop,
+                            }
+                        } else {
+                            RouteUpdate::Withdraw { vnid, prefix }
                         }
-                    } else {
-                        RouteUpdate::Withdraw { vnid, prefix }
-                    }
-                })
-                .collect();
-            match kind {
-                0 => Message::LookupRequest { id, packets },
-                1 => Message::LookupResponse {
-                    id,
-                    generation: u64::from(word),
-                    results,
-                },
-                2 => Message::RouteUpdateBatch { id, updates },
-                3 => Message::UpdateAck {
-                    id,
-                    generation: u64::from(word),
-                },
-                4 => Message::ErrorReply {
-                    id,
-                    code: match word % 3 {
-                        0 => ErrorCode::BadRequest,
-                        1 => ErrorCode::UnknownVn,
-                        _ => ErrorCode::Internal,
+                    })
+                    .collect();
+                match kind {
+                    0 => Message::LookupRequest { id, packets },
+                    1 => Message::LookupResponse {
+                        id,
+                        generation: u64::from(word),
+                        results,
                     },
-                    message: String::from_utf8(text).expect("printable ascii"),
-                },
-                5 => Message::Overloaded {
-                    id,
-                    reason: match word % 3 {
-                        0 => OverloadReason::Connections,
-                        1 => OverloadReason::RateLimited,
-                        _ => OverloadReason::QueueFull,
+                    2 => Message::RouteUpdateBatch { id, updates },
+                    3 => Message::UpdateAck {
+                        id,
+                        generation: u64::from(word),
                     },
-                    retry_after_ms: word,
-                },
-                6 => Message::Ping { id },
-                _ => Message::Pong { id },
-            }
-        })
+                    4 => Message::ErrorReply {
+                        id,
+                        code: match word % 3 {
+                            0 => ErrorCode::BadRequest,
+                            1 => ErrorCode::UnknownVn,
+                            _ => ErrorCode::Internal,
+                        },
+                        message: String::from_utf8(text).expect("printable ascii"),
+                    },
+                    5 => Message::Overloaded {
+                        id,
+                        reason: match word % 3 {
+                            0 => OverloadReason::Connections,
+                            1 => OverloadReason::RateLimited,
+                            _ => OverloadReason::QueueFull,
+                        },
+                        retry_after_ms: word,
+                    },
+                    6 => Message::Ping { id },
+                    _ => Message::Pong { id },
+                }
+            },
+        )
 }
 
 /// Strategy over lookup requests and responses of 500–1 100 records:
@@ -257,7 +264,11 @@ fn crc32_bitwise(bytes: &[u8]) -> u32 {
     for &b in bytes {
         crc ^= u32::from(b);
         for _ in 0..8 {
-            crc = if crc & 1 == 1 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
+            crc = if crc & 1 == 1 {
+                (crc >> 1) ^ 0xEDB8_8320
+            } else {
+                crc >> 1
+            };
         }
     }
     !crc
@@ -270,13 +281,21 @@ fn crc_kernel_equals_the_reference_at_every_length_and_offset() {
     // four-stripe splits with every 0..31-byte remainder, at the 3 084 B
     // of a 512-key request among them — each at every alignment of the
     // first word.
-    let buffer: Vec<u8> =
-        (0..3200u32).map(|i| (i.wrapping_mul(151) ^ (i >> 2) ^ (i >> 9)) as u8).collect();
-    let lengths = (0..=64).chain(480..=576).chain(1024..1056).chain(3072..3104);
+    let buffer: Vec<u8> = (0..3200u32)
+        .map(|i| (i.wrapping_mul(151) ^ (i >> 2) ^ (i >> 9)) as u8)
+        .collect();
+    let lengths = (0..=64)
+        .chain(480..=576)
+        .chain(1024..1056)
+        .chain(3072..3104);
     for len in lengths {
         for start in 0..8 {
             let bytes = &buffer[start..start + len];
-            assert_eq!(crc32(bytes), crc32_bitwise(bytes), "start {start}, len {len}");
+            assert_eq!(
+                crc32(bytes),
+                crc32_bitwise(bytes),
+                "start {start}, len {len}"
+            );
         }
     }
 }
@@ -340,8 +359,9 @@ fn frames_from_the_previous_encoder_still_decode() {
 #[test]
 fn slice_encoders_match_the_message_encoder() {
     for n in [0usize, 1, 512, 8192] {
-        let results: Vec<Option<u8>> =
-            (0..n).map(|i| if i % 7 == 3 { None } else { Some(i as u8) }).collect();
+        let results: Vec<Option<u8>> = (0..n)
+            .map(|i| if i % 7 == 3 { None } else { Some(i as u8) })
+            .collect();
         let mut out = vec![0xAA]; // appends after what the buffer holds
         encode_lookup_response(9, 77, &results, &mut out);
         let msg = Message::LookupResponse {
@@ -351,25 +371,41 @@ fn slice_encoders_match_the_message_encoder() {
         };
         assert_eq!(out[1..], encode(&msg), "{n} results");
 
-        let packets: Vec<(u16, u32)> =
-            (0..n).map(|i| (i as u16, (i as u32).wrapping_mul(0x9E37_79B9))).collect();
+        let packets: Vec<(u16, u32)> = (0..n)
+            .map(|i| (i as u16, (i as u32).wrapping_mul(0x9E37_79B9)))
+            .collect();
         out.clear();
         encode_lookup_request(5, &packets, &mut out);
-        assert_eq!(out, encode(&Message::LookupRequest { id: 5, packets }), "{n} keys");
+        assert_eq!(
+            out,
+            encode(&Message::LookupRequest { id: 5, packets }),
+            "{n} keys"
+        );
 
         let updates: Vec<RouteUpdate> = (0..n.min(512))
             .map(|i| {
                 let prefix = Ipv4Prefix::new((i as u32) << 8, (i % 33) as u8).expect("plen <= 32");
                 if i % 3 == 0 {
-                    RouteUpdate::Withdraw { vnid: i as u16, prefix }
+                    RouteUpdate::Withdraw {
+                        vnid: i as u16,
+                        prefix,
+                    }
                 } else {
-                    RouteUpdate::Announce { vnid: i as u16, prefix, next_hop: i as u8 }
+                    RouteUpdate::Announce {
+                        vnid: i as u16,
+                        prefix,
+                        next_hop: i as u8,
+                    }
                 }
             })
             .collect();
         out.clear();
         encode_update_batch(3, &updates, &mut out);
-        assert_eq!(out, encode(&Message::RouteUpdateBatch { id: 3, updates }), "{n} updates");
+        assert_eq!(
+            out,
+            encode(&Message::RouteUpdateBatch { id: 3, updates }),
+            "{n} updates"
+        );
     }
 }
 
@@ -384,7 +420,12 @@ fn long_error_message_is_cut_at_a_character_boundary() {
         message: "é".repeat(40_000),
     };
     let got = decode_chunked(&encode(&msg), 4096).expect("a cut message still decodes");
-    let [Message::ErrorReply { id: 4, code: ErrorCode::Internal, message }] = got.as_slice() else {
+    let [Message::ErrorReply {
+        id: 4,
+        code: ErrorCode::Internal,
+        message,
+    }] = got.as_slice()
+    else {
         panic!("expected one ErrorReply, got {got:?}");
     };
     assert_eq!(message.len(), 65_534);
@@ -429,7 +470,10 @@ fn unknown_frame_type_is_typed() {
         // Re-CRC is not needed: the type byte sits in the header, and
         // type dispatch happens after the CRC check passes.
     });
-    assert!(matches!(first_error(&frame), WireError::UnknownFrameType(0x6B)));
+    assert!(matches!(
+        first_error(&frame),
+        WireError::UnknownFrameType(0x6B)
+    ));
 }
 
 #[test]

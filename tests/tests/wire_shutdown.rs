@@ -80,7 +80,10 @@ fn shutdown_joins_a_connection_whose_client_never_pauses() {
         .expect("shutdown returns within the write timeout plus one reader tick");
     assert!(returned, "shutdown hands the backend back");
     stopper.join().expect("stopper");
-    assert!(client.join().expect("client") >= 100, "the client ends when its socket closes");
+    assert!(
+        client.join().expect("client") >= 100,
+        "the client ends when its socket closes"
+    );
 
     // Joined threads leave /proc/self/task a moment after `join` returns.
     let mut after = threads();

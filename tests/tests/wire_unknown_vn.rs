@@ -27,7 +27,8 @@ fn two_tables() -> Vec<RoutingTable> {
 }
 
 fn connect(server: &WireServer<LookupService>) -> WireClient {
-    let mut client = WireClient::connect_tcp(server.local_addr().expect("tcp addr")).expect("connect");
+    let mut client =
+        WireClient::connect_tcp(server.local_addr().expect("tcp addr")).expect("connect");
     client
         .set_read_timeout(Some(Duration::from_secs(10)))
         .expect("timeout");
@@ -63,7 +64,9 @@ fn unknown_vn_gets_a_typed_error_and_the_server_keeps_serving() {
         vec![(0, 0x0A00_0001), (2, 0x0A00_0001), (1, 0x0A00_0001)],
         vec![(u16::MAX, 1); 64],
     ] {
-        let reply = client.lookup(&hostile).expect("a reply, not a closed socket");
+        let reply = client
+            .lookup(&hostile)
+            .expect("a reply, not a closed socket");
         assert!(
             matches!(
                 reply,
@@ -79,7 +82,10 @@ fn unknown_vn_gets_a_typed_error_and_the_server_keeps_serving() {
     // The same connection and a fresh one are both still served.
     expect_served(&mut client, &tables, &known);
     expect_served(&mut connect(&server), &tables, &known);
-    assert!(server.shutdown().is_some(), "the server survived and returned the service");
+    assert!(
+        server.shutdown().is_some(),
+        "the server survived and returned the service"
+    );
 }
 
 /// Below the wire tier an unhosted VN is a miss at every entry point: the
@@ -89,7 +95,11 @@ fn unknown_vn_gets_a_typed_error_and_the_server_keeps_serving() {
 fn unhosted_vn_is_a_miss_at_every_tier_below_the_wire() {
     let tables = two_tables();
     let k = tables.len() as u16;
-    let trie = JumpTrie::from_leaf_pushed(&MergedTrie::from_tables(&tables).expect("merge").leaf_pushed());
+    let trie = JumpTrie::from_leaf_pushed(
+        &MergedTrie::from_tables(&tables)
+            .expect("merge")
+            .leaf_pushed(),
+    );
     // Destinations VN 0 routes, so "the next leaf vector's VN 0 column"
     // would read as a hit.
     let packets: Vec<(u16, u32)> = tables[0]
