@@ -68,7 +68,7 @@ use std::path::{Path, PathBuf};
 /// Hot-path modules where `.unwrap()` / `.expect(` are forbidden
 /// (allowlist entries excepted): the per-packet lookup datapath and the
 /// table-swap service.
-pub const HOT_PATH_FILES: [&str; 9] = [
+pub(crate) const HOT_PATH_FILES: [&str; 9] = [
     "crates/trie/src/jump.rs",
     "crates/trie/src/prefetch.rs",
     "crates/engine/src/service.rs",
@@ -89,7 +89,7 @@ pub const HOT_PATH_FILES: [&str; 9] = [
 /// exporter ever sees. The vr-obs modules are held to the same rule —
 /// the tracer stamps every hot-path span, so its clock must be the one
 /// audited epoch (`Stopwatch`), not ad-hoc `Instant` reads.
-pub const TIMED_FILES: [&str; 8] = [
+pub(crate) const TIMED_FILES: [&str; 8] = [
     "crates/engine/src/service.rs",
     "crates/engine/src/service_core.rs",
     "crates/engine/src/sharded.rs",
@@ -106,22 +106,22 @@ pub const TIMED_FILES: [&str; 8] = [
 /// the `#[allow(unsafe_code)]` wrapping it): the bounds-checked hint the
 /// result cache calls. Everywhere else `_mm_prefetch` fires
 /// [`LintRule::NoPrefetchOutsideHome`].
-pub const PREFETCH_HOME: &str = "crates/trie/src/prefetch.rs";
+pub(crate) const PREFETCH_HOME: &str = "crates/trie/src/prefetch.rs";
 
 /// The one engine module allowed to touch a result-cache slot's stored
 /// `.nhi` field: the cache itself, whose probe API pairs every read with
 /// a generation compare. Anywhere else under [`CACHE_SLOT_SCOPE`], a raw
 /// `.nhi` access fires [`LintRule::NoRawCacheSlot`].
-pub const CACHE_HOME: &str = "crates/engine/src/cache.rs";
+pub(crate) const CACHE_HOME: &str = "crates/engine/src/cache.rs";
 
 /// Crate subtree the raw-cache-slot rule covers.
-pub const CACHE_SLOT_SCOPE: &str = "crates/engine/";
+pub(crate) const CACHE_SLOT_SCOPE: &str = "crates/engine/";
 
 /// Subtrees allowed to use raw `std::sync::atomic` types and memory
 /// orderings: the vr-sync wrappers (where ordering is decided, traced,
 /// and model-checked) and the telemetry counters (relaxed-by-design
 /// statistics that never carry a publication).
-pub const ATOMIC_HOMES: [&str; 2] = ["crates/sync/", "crates/telemetry/"];
+pub(crate) const ATOMIC_HOMES: [&str; 2] = ["crates/sync/", "crates/telemetry/"];
 
 /// Tokens that mark a raw atomic usage. Memory orderings are matched by
 /// their variant names so `std::cmp::Ordering::Less` in sort code never
@@ -172,7 +172,7 @@ const POWER_MARKERS: [&str; 6] = ["watt", "_w ", "_uw", "_mw", "uw_per", "mhz"];
 
 /// Which lint rule fired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub enum LintRule {
+pub(crate) enum LintRule {
     /// `unsafe` outside `vendor/`.
     NoUnsafe,
     /// `.unwrap()` / `.expect(` in a hot-path module.
@@ -201,7 +201,7 @@ pub enum LintRule {
 impl LintRule {
     /// Stable lowercase label used in JSON and log lines.
     #[must_use]
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             LintRule::NoUnsafe => "no-unsafe",
             LintRule::NoPanicHotPath => "no-panic-hot-path",
@@ -218,24 +218,24 @@ impl LintRule {
 
 /// One lint finding.
 #[derive(Debug, Clone, Serialize)]
-pub struct LintFinding {
+pub(crate) struct LintFinding {
     /// Which rule fired.
-    pub rule: LintRule,
+    pub(crate) rule: LintRule,
     /// Workspace-relative path.
-    pub file: String,
+    pub(crate) file: String,
     /// 1-based line number.
-    pub line: usize,
+    pub(crate) line: usize,
     /// 1-based byte column of the match within the line.
-    pub column: usize,
+    pub(crate) column: usize,
     /// The offending line, trimmed.
-    pub snippet: String,
+    pub(crate) snippet: String,
 }
 
 impl LintFinding {
     /// `file:line:column: [rule] snippet` — the editor-clickable
     /// rendering.
     #[must_use]
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         format!(
             "{}:{}:{}: [{}] {}",
             self.file,
@@ -249,19 +249,19 @@ impl LintFinding {
 
 /// Result of a lint run.
 #[derive(Debug, Clone, Serialize)]
-pub struct LintReport {
+pub(crate) struct LintReport {
     /// Files scanned.
-    pub files_scanned: usize,
+    pub(crate) files_scanned: usize,
     /// Findings, in file order.
-    pub findings: Vec<LintFinding>,
+    pub(crate) findings: Vec<LintFinding>,
     /// Allowlist entries that matched nothing (candidates for removal).
-    pub unused_allows: Vec<String>,
+    pub(crate) unused_allows: Vec<String>,
 }
 
 impl LintReport {
     /// True when no rule fired.
     #[must_use]
-    pub fn is_clean(&self) -> bool {
+    pub(crate) fn is_clean(&self) -> bool {
         self.findings.is_empty()
     }
 }
@@ -461,7 +461,7 @@ fn collect_rust_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
 ///
 /// # Errors
 /// Propagates I/O errors from walking or reading the tree.
-pub fn lint_workspace(
+pub(crate) fn lint_workspace(
     root: &Path,
     allowlist: &str,
     allow_name: &str,

@@ -1,9 +1,8 @@
-//! `vr-audit` — command-line front end for the structural verifier and
-//! the workspace lints.
+//! `vr-audit` — command-line front end for `vr_trie::audit`'s structural
+//! verifier and the workspace source lints.
 //!
 //! ```text
 //! vr-audit tables   [--prefixes N] [--seed S] [--k K] [--out PATH] [--pretty]
-//! vr-audit artifact <trie.json> [--out PATH] [--pretty]
 //! vr-audit lint     [--root PATH] [--allow PATH] [--out PATH] [--pretty] [--format json|text]
 //! ```
 //!
@@ -15,28 +14,30 @@
 //! publishes to the one walked off the leaf-pushed trie word for word,
 //! and emits the [`AuditReport`]s as a
 //! JSON array — the CI `audit` job runs this at paper scale and uploads
-//! the output. `artifact` audits a
-//! serialized `JumpTrie` from disk. `lint` runs the source rules over the
+//! the output. `lint` runs the source rules of [`lint`] over the
 //! workspace tree. Exit status: 0 clean, 1 violations found, 2 usage or
 //! I/O error.
+
+mod lint;
 
 use std::process::ExitCode;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use vr_audit::{
-    audit_jump, audit_jump_against, audit_jump_with_table, audit_leaf_pushed, audit_merged,
-    lint_workspace, AuditReport,
-};
+use lint::lint_workspace;
 use vr_net::synth::{ClusterSpec, FamilySpec, TableSpec, PAPER_TABLE_PREFIXES};
+use vr_trie::audit::{
+    audit_jump, audit_jump_against, audit_jump_with_table, audit_leaf_pushed, audit_merged,
+    AuditReport,
+};
 use vr_trie::{DirtyBuckets, JumpTrie, MergedTrie};
 
-const USAGE: &str = "vr-audit: structural invariant verifier for lookup-table encodings
+const USAGE: &str =
+    "vr-audit: structural audit of the lookup-table encodings, and the workspace source lints
 
 Usage:
   vr-audit tables   [--prefixes N] [--seed S] [--k K] [--out PATH] [--pretty]
-  vr-audit artifact <trie.json> [--out PATH] [--pretty]
   vr-audit lint     [--root PATH] [--allow PATH] [--out PATH] [--pretty] [--format json|text]
 
 Exit status: 0 clean, 1 violations found, 2 usage or I/O error.";
@@ -45,7 +46,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
         Some("tables") => cmd_tables(&args[1..]),
-        Some("artifact") => cmd_artifact(&args[1..]),
         Some("lint") => cmd_lint(&args[1..]),
         Some("--help" | "-h" | "help") => {
             println!("{USAGE}");
@@ -220,26 +220,6 @@ fn cmd_tables(args: &[String]) -> Result<bool, String> {
     reports.push(audit_jump_against(&repainted, &tables, &reference));
 
     emit(&reports, out.as_deref(), pretty)
-}
-
-fn cmd_artifact(args: &[String]) -> Result<bool, String> {
-    let mut path: Option<&str> = None;
-    let mut out: Option<String> = None;
-    let mut pretty = false;
-    let mut flags = Flags::new(args);
-    while let Some(flag) = flags.next() {
-        match flag {
-            "--out" => out = Some(flags.value(flag)?.to_string()),
-            "--pretty" => pretty = true,
-            other if !other.starts_with("--") && path.is_none() => path = Some(other),
-            other => return Err(format!("unknown flag {other}\n\n{USAGE}")),
-        }
-    }
-    let path = path.ok_or(format!("artifact needs a file path\n\n{USAGE}"))?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let trie = serde_json::from_str::<JumpTrie>(&text)
-        .map_err(|e| format!("{path}: not a serialized JumpTrie: {e}"))?;
-    emit(&[audit_jump(&trie)], out.as_deref(), pretty)
 }
 
 fn cmd_lint(args: &[String]) -> Result<bool, String> {

@@ -960,6 +960,34 @@ mod tests {
         );
     }
 
+    /// `vr-audit` is a binary (the source lints and the audit CLI), so no
+    /// manifest under `crates/` or `tests/` may depend on it, in any
+    /// dependency table: the verifier the services run is
+    /// `vr_trie::audit`, and the lint tables stay out of the server.
+    #[test]
+    fn no_manifest_depends_on_the_audit_binary() {
+        let root = workspace_root();
+        let mut dirs: Vec<_> = manifests(&root)
+            .into_iter()
+            .map(|(_, dir, _)| dir)
+            .collect();
+        dirs.push(root.join("tests"));
+        for dir in dirs {
+            let path = dir.join("Cargo.toml");
+            let manifest = std::fs::read_to_string(&path).expect("manifest");
+            let mut section = "";
+            for line in manifest.lines().map(str::trim) {
+                if line.starts_with('[') {
+                    section = line;
+                    assert!(!section.ends_with(".vr-audit]"), "{}", path.display());
+                } else if section.contains("dependencies") {
+                    let key = line.split(['=', '.']).next().unwrap_or("").trim();
+                    assert_ne!(key, "vr-audit", "{} {section}", path.display());
+                }
+            }
+        }
+    }
+
     /// Every `vr_<crate>::<segment>` the docs cite names a module or a
     /// re-export that exists: `<segment>.rs` or `<segment>/` under the
     /// crate's `src/`, or a `mod`, `pub use` or item of its `lib.rs`. A
@@ -996,7 +1024,7 @@ mod tests {
                     .any(|stmt| words(stmt.split(';').next().unwrap_or("")).any(|w| w == segment))
         };
         let mut cited = 0usize;
-        for doc in ["README.md", "DESIGN.md", "EXPERIMENTS.md"] {
+        for doc in ["README.md", "DESIGN.md", "EXPERIMENTS.md", "PAPER.md"] {
             let text = std::fs::read_to_string(root.join(doc))
                 .expect(doc)
                 .replace("vr-", "vr_");

@@ -30,6 +30,7 @@
 #![warn(missing_docs)]
 
 pub mod cache;
+mod metrics;
 pub mod service;
 mod service_core;
 pub mod sharded;

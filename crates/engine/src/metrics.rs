@@ -1,24 +1,24 @@
 //! Telemetry bridge: audit outcomes as registry metrics.
 //!
-//! The engine runs a structural audit on every candidate table before
-//! the RCU swap. Those runs were invisible outside the one-shot audit
-//! report; this module publishes them as counters and a duration
-//! histogram so a scraper can watch the audit gate's cost and hit rate
-//! alongside the datapath metrics.
+//! The service core runs [`vr_trie::audit::audit_jump`] on every
+//! candidate table before the RCU swap (debug builds, or the
+//! `audit-on-publish` feature). This module publishes those runs as
+//! counters and a duration histogram so a scraper can watch the audit
+//! gate's cost and hit rate alongside the datapath metrics.
 
-use crate::report::AuditReport;
 use vr_telemetry::{Counter, Histogram, MetricsRegistry};
+use vr_trie::audit::AuditReport;
 
-/// Metric names registered by [`AuditMetrics::register`].
-pub const AUDIT_RUNS_METRIC: &str = "vr_audit_runs_total";
+/// Audit runs observed, clean or not.
+pub(crate) const AUDIT_RUNS_METRIC: &str = "vr_audit_runs_total";
 /// Error-severity violations observed across all audit runs.
-pub const AUDIT_VIOLATIONS_METRIC: &str = "vr_audit_violations_total";
+pub(crate) const AUDIT_VIOLATIONS_METRIC: &str = "vr_audit_violations_total";
 /// Wall-clock duration of each audit run, nanoseconds.
-pub const AUDIT_DURATION_METRIC: &str = "vr_audit_ns";
+pub(crate) const AUDIT_DURATION_METRIC: &str = "vr_audit_ns";
 
 /// Cloneable handles onto the audit metrics of one registry.
 #[derive(Debug, Clone)]
-pub struct AuditMetrics {
+pub(crate) struct AuditMetrics {
     runs: Counter,
     violations: Counter,
     duration_ns: Histogram,
@@ -27,7 +27,7 @@ pub struct AuditMetrics {
 impl AuditMetrics {
     /// Registers (or re-attaches to) the audit metrics in `registry`.
     #[must_use]
-    pub fn register(registry: &MetricsRegistry) -> Self {
+    pub(crate) fn register(registry: &MetricsRegistry) -> Self {
         Self {
             runs: registry.counter(AUDIT_RUNS_METRIC),
             violations: registry.counter(AUDIT_VIOLATIONS_METRIC),
@@ -37,7 +37,7 @@ impl AuditMetrics {
 
     /// Records one completed audit run: its duration and however many
     /// error-severity violations it found.
-    pub fn observe(&self, report: &AuditReport, elapsed_ns: u64) {
+    pub(crate) fn observe(&self, report: &AuditReport, elapsed_ns: u64) {
         self.runs.inc(0);
         self.violations.add(0, report.error_count());
         self.duration_ns.record(elapsed_ns);
@@ -48,6 +48,7 @@ impl AuditMetrics {
 mod tests {
     use super::*;
     use vr_net::RoutingTable;
+    use vr_trie::audit::audit_jump;
     use vr_trie::JumpTrie;
 
     #[test]
@@ -55,7 +56,7 @@ mod tests {
         let registry = MetricsRegistry::new(1);
         let metrics = AuditMetrics::register(&registry);
         let table: RoutingTable = "10.0.0.0/8 1\n".parse().unwrap();
-        let report = crate::audit_jump(&JumpTrie::from_table(&table));
+        let report = audit_jump(&JumpTrie::from_table(&table));
         assert!(report.is_clean());
         metrics.observe(&report, 1234);
         let snap = registry.snapshot();
@@ -72,7 +73,7 @@ mod tests {
         let good = JumpTrie::from_table(&table);
         let p = good.raw_parts();
         let corrupt = JumpTrie::from_raw_parts(p.root.to_vec(), p.tail.to_vec(), Vec::new(), p.k);
-        let report = crate::audit_jump(&corrupt);
+        let report = audit_jump(&corrupt);
         assert!(!report.is_clean());
         metrics.observe(&report, 99);
         let snap = registry.snapshot();

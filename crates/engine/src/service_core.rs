@@ -31,8 +31,8 @@
 //!   freed by the last pin's refcount drop.
 //! * **One audit gate.** In debug builds (and in release with the
 //!   `audit-on-publish` feature) every candidate runs through
-//!   `vr-audit`'s structural verifier before the swap; a rejected table
-//!   never goes live and is counted.
+//!   [`vr_trie::audit`]'s structural verifier before the swap; a
+//!   rejected table never goes live and is counted.
 //! * **One lifecycle.** Dropping the core drops lane 0's pending jobs,
 //!   disconnects every queue and joins every worker thread, so neither
 //!   service can leak a thread or keep a snapshot pinned past its own
@@ -41,7 +41,6 @@
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use vr_audit::AuditMetrics;
 use vr_net::table::{NextHop, RoutingTable};
 use vr_net::VnId;
 use vr_obs::{Stage, TraceBuilder, Tracer, DEFAULT_TRACE_CAPACITY};
@@ -54,6 +53,7 @@ use vr_telemetry::{
 use vr_trie::JumpTrie;
 
 use crate::cache::{CacheStats, LpmCache};
+use crate::metrics::AuditMetrics;
 use crate::service::lookup_batch_mixed;
 use crate::EngineError;
 
@@ -85,7 +85,7 @@ fn audit_snapshot(trie: &JumpTrie, metrics: Option<&AuditMetrics>) -> Result<(),
         return Ok(());
     }
     let watch = Stopwatch::start();
-    let report = vr_audit::audit_jump(trie);
+    let report = vr_trie::audit::audit_jump(trie);
     if let Some(m) = metrics {
         m.observe(&report, watch.elapsed_ns());
     }
@@ -371,7 +371,7 @@ impl ServiceCore {
     /// # Errors
     /// Rejects zero lanes, a zero-slot cache, a zero sample rate and
     /// (in audited builds) a structurally invalid trie.
-    pub fn new(
+    pub(crate) fn new(
         trie: JumpTrie,
         cfg: ShardedConfig,
         attribute: fn(&mut TraceBuilder, u64),
@@ -452,38 +452,38 @@ impl ServiceCore {
     }
 
     /// Lane count: the caller plus one per worker thread.
-    pub fn workers(&self) -> usize {
+    pub(crate) fn workers(&self) -> usize {
         self.workers.len() + 1
     }
 
     /// Sequence number the next [`submit`](Self::submit) will stamp.
-    pub fn next_seq(&self) -> u64 {
+    pub(crate) fn next_seq(&self) -> u64 {
         self.next_seq
     }
 
     /// Generation of the currently published snapshot.
-    pub fn generation(&self) -> u64 {
+    pub(crate) fn generation(&self) -> u64 {
         self.current.peek(|s| s.generation)
     }
 
     /// The currently published snapshot (one refcount bump).
-    pub fn snapshot(&self) -> SyncArc<TableSnapshot> {
+    pub(crate) fn snapshot(&self) -> SyncArc<TableSnapshot> {
         self.current.read()
     }
 
     /// The live metrics registry (`None` with telemetry off).
-    pub fn metrics(&self) -> Option<&Arc<MetricsRegistry>> {
+    pub(crate) fn metrics(&self) -> Option<&Arc<MetricsRegistry>> {
         self.telemetry.as_ref().map(|t| &t.registry)
     }
 
     /// The live job tracer (`None` with tracing off).
-    pub fn tracer(&self) -> Option<&Tracer> {
+    pub(crate) fn tracer(&self) -> Option<&Tracer> {
         self.tracer.as_ref()
     }
 
     /// Every registered metric plus the event ring (`None` with
     /// telemetry off).
-    pub fn telemetry_snapshot(&self) -> Option<TelemetrySnapshot> {
+    pub(crate) fn telemetry_snapshot(&self) -> Option<TelemetrySnapshot> {
         self.telemetry.as_ref().map(|t| t.registry.snapshot())
     }
 
@@ -494,7 +494,7 @@ impl ServiceCore {
     /// (`vr_service_queue_stalls_total`) and ringed as a
     /// [`EventKind::WorkerStall`] before the blocking send, so
     /// backpressure is observable while it is happening.
-    pub fn submit(&mut self, worker: usize, mut job: Job) -> u64 {
+    pub(crate) fn submit(&mut self, worker: usize, mut job: Job) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
         job.seq = seq;
@@ -554,7 +554,7 @@ impl ServiceCore {
     /// to the widest gap between the published generation and a drained
     /// job's pinned one — the software analogue of table-reload latency:
     /// how far behind the freshest table the datapath was still serving.
-    pub fn drain(&mut self, mut each: impl FnMut(Done)) {
+    pub(crate) fn drain(&mut self, mut each: impl FnMut(Done)) {
         self.resolve_local();
         let published = self.generation();
         let mut max_lag = None;
@@ -581,7 +581,7 @@ impl ServiceCore {
     /// Drains every submitted job, joins the worker threads (`Drop`) and
     /// scrapes the registry: the final count of everything the core ran,
     /// `None` with telemetry off.
-    pub fn shutdown(mut self) -> Option<TelemetrySnapshot> {
+    pub(crate) fn shutdown(mut self) -> Option<TelemetrySnapshot> {
         self.drain(drop);
         let registry = self.metrics().cloned();
         drop(self);
@@ -597,7 +597,7 @@ impl ServiceCore {
     /// In audited builds, rejects a structurally invalid trie with
     /// [`EngineError::AuditRejected`]; the live snapshot is untouched and
     /// the rejection is counted.
-    pub fn publish(&mut self, trie: JumpTrie) -> Result<u64, EngineError> {
+    pub(crate) fn publish(&mut self, trie: JumpTrie) -> Result<u64, EngineError> {
         self.resolve_local();
         // Guard-style span: audit + swap both land in vr_service_publish_ns
         // (recorded on every exit path, including the rejection return).

@@ -1,11 +1,20 @@
-//! Structural verifiers for every lookup-table encoding in `vr-trie`.
+//! Structural verifiers for every lookup-table encoding in this crate.
+//!
+//! The encodings trade safety margins for speed: [`JumpTrie`] indexes raw
+//! word slabs with no bounds checks beyond the slice's own, and the
+//! services swap whole tables under live traffic. A single corrupt word —
+//! a flipped leaf tag, a block base past the tail — silently misroutes
+//! packets rather than crashing. This module is the counterweight.
 //!
 //! Each `audit_*` function walks one encoding and returns an
 //! [`AuditReport`]. The checks are deliberately independent of the
-//! builders: they re-derive every invariant from the raw slabs (via the
-//! `*Parts` views) or the public node accessors, so a corrupted artifact
-//! — deserialized, hand-built, or mutated by the property tests — is
-//! caught even though the builders could never have produced it.
+//! builders: they re-derive every invariant from the raw slabs (via
+//! [`JumpTrie::raw_parts`]) or the public node accessors, so a corrupted
+//! encoding — hand-built, or mutated by the property tests below — is
+//! caught even though the builders could never have produced it. They
+//! cover tag decodability, child bounds, level order (acyclicity),
+//! leaf-pushing completeness, K-wide NHI vector coverage, jump-table
+//! prefix-expansion consistency and oracle lookup parity.
 //!
 //! Severity policy: anything that can send a lookup out of bounds, into a
 //! cycle, or to a wrong next hop is an `Error` and fails the audit; pure
@@ -14,12 +23,24 @@
 //! [`JumpTrie`] block no entry references is the exception: every block
 //! is born with exactly one referrer, so an orphan means an internal
 //! entry was overwritten and the lookups through it now answer wrongly.
+//!
+//! `vr_engine`'s publish gate runs [`audit_jump`] on every candidate
+//! table in debug builds, before the swap makes it live; the `vr-audit`
+//! binary's `tables` command runs every audit here over freshly built
+//! synthetic tables and emits the reports as JSON.
 
-use crate::report::{Audit, AuditReport, AuditStats, CheckKind, Coordinates};
+mod report;
+
+pub use report::{
+    AuditReport, AuditStats, CheckKind, CheckOutcome, Coordinates, Severity, Violation,
+    MAX_RECORDED_VIOLATIONS,
+};
+
+use crate::jump::{self, JumpTrieParts};
+use crate::{JumpTrie, LeafPushedTrie, LookupBackend, MergedTrie, NodeId};
+use report::Audit;
 use vr_net::table::NextHop;
 use vr_net::{Ipv4Prefix, RoutingTable};
-use vr_trie::jump::{self, JumpTrieParts};
-use vr_trie::{JumpTrie, LeafPushedTrie, LookupBackend, MergedTrie, NodeId};
 
 /// Highest valid encoded NHI code: `0` = no route, `1 + nh` with
 /// `nh: u8`, so anything above `256` silently truncates on decode.
@@ -261,18 +282,12 @@ fn check_jump(a: &mut Audit, parts: JumpTrieParts<'_>) -> AuditStats {
     stats
 }
 
-/// Audits a [`JumpTrie`]'s raw encoding.
-#[must_use]
-pub fn audit_jump_parts(parts: JumpTrieParts<'_>) -> AuditReport {
-    let mut a = Audit::new(format!("jump(k={})", parts.k));
-    let stats = check_jump(&mut a, parts);
-    a.finish(stats)
-}
-
 /// Audits a [`JumpTrie`].
 #[must_use]
 pub fn audit_jump(trie: &JumpTrie) -> AuditReport {
-    audit_jump_parts(trie.raw_parts())
+    let mut a = Audit::new(format!("jump(k={})", trie.arity()));
+    let stats = check_jump(&mut a, trie.raw_parts());
+    a.finish(stats)
 }
 
 /// Audits a [`JumpTrie`] structurally and checks prefix-expansion
@@ -495,7 +510,7 @@ pub fn audit_leaf_pushed(trie: &LeafPushedTrie, tables: &[RoutingTable]) -> Audi
 /// address, the broadcast address, both one-off neighbours, and the /16
 /// bucket edges (which stress the jump-table cut).
 #[must_use]
-pub fn parity_probes(table: &RoutingTable) -> Vec<u32> {
+fn parity_probes(table: &RoutingTable) -> Vec<u32> {
     let mut probes = Vec::with_capacity(table.len() * 5 + 8);
     for prefix in table.prefixes() {
         let addr = prefix.addr();
@@ -563,7 +578,10 @@ fn check_vn_parity(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vr_net::synth::TableSpec;
+    use crate::DirtyBuckets;
+    use proptest::prelude::*;
+    use vr_net::synth::{FamilySpec, TableSpec};
+    use vr_net::table::RouteEntry;
 
     fn table(text: &str) -> RoutingTable {
         text.parse().unwrap()
@@ -764,5 +782,195 @@ mod tests {
         assert!(audit_merged(&merged).is_clean());
         let pushed = merged.leaf_pushed();
         assert!(audit_leaf_pushed(&pushed, &tables).is_clean());
+    }
+
+    // Mutation coverage in two directions, both load-bearing:
+    //
+    // * No false negatives: a corrupted encoding (flipped leaf tag,
+    //   out-of-slab child base, truncated NHI vector, dropped VNID table)
+    //   must fail the audit. Each mutation class gets a property test over
+    //   arbitrary tables and mutation sites, because a verifier that only
+    //   catches the corruption you thought of is a placebo.
+    // * No false positives: every structure the crate can build, through
+    //   every `from_*` constructor, audits clean at paper scale. A
+    //   verifier that cries wolf gets switched off and dies.
+
+    /// Strategy: an arbitrary routing table of 1 to `max` routes.
+    fn arb_table(max: usize) -> impl Strategy<Value = RoutingTable> {
+        prop::collection::vec((any::<u32>(), 0u8..=32, any::<NextHop>()), 1..max).prop_map(
+            |routes| {
+                RoutingTable::from_entries(
+                    routes
+                        .into_iter()
+                        .map(|(addr, len, nh)| RouteEntry::new(Ipv4Prefix::must(addr, len), nh)),
+                )
+            },
+        )
+    }
+
+    fn rebuild_jump(
+        trie: &JumpTrie,
+        mutate: impl FnOnce(&mut Vec<u32>, &mut Vec<u16>),
+    ) -> JumpTrie {
+        let p = trie.raw_parts();
+        let mut tail = p.tail.to_vec();
+        let mut nhis = p.nhis.to_vec();
+        mutate(&mut tail, &mut nhis);
+        JumpTrie::from_raw_parts(p.root.to_vec(), tail, nhis, p.k)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Flipping any block entry's leaf/internal tag bit must be detected:
+        /// a leaf turned internal is a misaligned or already-claimed base (or
+        /// an internal entry in a level-2 block); an internal entry turned
+        /// leaf orphans its block and names an NHI slot that does not exist.
+        #[test]
+        fn jump_detects_flipped_tag(table in arb_table(48), site in any::<usize>()) {
+            let trie = JumpTrie::from_table(&table);
+            let p = trie.raw_parts();
+            if p.tail.is_empty() {
+                continue;
+            }
+            let at = site % p.tail.len();
+            let mutated = rebuild_jump(&trie, |tail, _| tail[at] ^= jump::LEAF_BIT);
+            prop_assert!(!audit_jump(&mutated).is_clean(), "tag flip at entry {at} not caught");
+        }
+
+        /// An internal entry whose block base lands outside the tail must
+        /// trip `ChildBounds`.
+        #[test]
+        fn jump_detects_oob_child_base(table in arb_table(48), site in any::<usize>()) {
+            let trie = JumpTrie::from_table(&table);
+            let p = trie.raw_parts();
+            let internals: Vec<usize> = p
+                .tail
+                .iter()
+                .enumerate()
+                .filter(|(_, w)| *w & jump::LEAF_BIT == 0)
+                .map(|(i, _)| i)
+                .collect();
+            if internals.is_empty() {
+                continue;
+            }
+            let at = internals[site % internals.len()];
+            let mutated = rebuild_jump(&trie, |tail, _| tail[at] = jump::PAYLOAD_MASK);
+            let report = audit_jump(&mutated);
+            prop_assert!(!report.is_clean());
+            prop_assert!(
+                report.checks.iter().any(|c| c.check == CheckKind::ChildBounds && !c.passed),
+                "expected a child_bounds failure, got: {}",
+                report.summary()
+            );
+        }
+
+        /// Truncating the NHI slab strands leaf slots past the end (and, for
+        /// K > 1, breaks the vector-width divisibility): `NhiVector` fails.
+        #[test]
+        fn jump_detects_truncated_nhi_slab(table in arb_table(48), cut in 1usize..8) {
+            let trie = JumpTrie::from_table(&table);
+            if trie.raw_parts().nhis.is_empty() {
+                continue;
+            }
+            let mutated = rebuild_jump(&trie, |_, nhis| {
+                let keep = nhis.len().saturating_sub(cut);
+                nhis.truncate(keep);
+            });
+            let report = audit_jump(&mutated);
+            prop_assert!(!report.is_clean());
+            prop_assert!(
+                report.checks.iter().any(|c| c.check == CheckKind::NhiVector && !c.passed),
+                "expected an nhi_vector failure, got: {}",
+                report.summary()
+            );
+        }
+
+        /// A merged structure presented with a VNID gap (one source table
+        /// missing) must fail the per-VN coverage check rather than silently
+        /// auditing the surviving networks.
+        #[test]
+        fn merged_detects_vnid_gap(tables in prop::collection::vec(arb_table(24), 2..5)) {
+            let merged = MergedTrie::from_tables(&tables).unwrap();
+            let pushed = merged.leaf_pushed();
+            prop_assert!(audit_leaf_pushed(&pushed, &tables).is_clean());
+            let gapped = &tables[..tables.len() - 1];
+            let report = audit_leaf_pushed(&pushed, gapped);
+            prop_assert!(!report.is_clean());
+            prop_assert!(
+                report.checks.iter().any(|c| c.check == CheckKind::NhiVector && !c.passed),
+                "expected an nhi_vector failure, got: {}",
+                report.summary()
+            );
+        }
+
+        /// Arbitrary small tables audit clean through the main constructor
+        /// paths — the verifier's false-positive guard at the fuzz scale.
+        #[test]
+        fn arbitrary_tables_audit_clean(table in arb_table(48)) {
+            let single = MergedTrie::from_tables(std::slice::from_ref(&table)).unwrap();
+            prop_assert!(audit_merged(&single).is_clean());
+            let pushed = single.leaf_pushed();
+            prop_assert!(audit_leaf_pushed(&pushed, std::slice::from_ref(&table)).is_clean());
+            prop_assert!(audit_jump_with_table(&JumpTrie::from_table(&table), &table).is_clean());
+        }
+    }
+
+    /// Every encoding, every constructor path, at the paper's worst-case
+    /// table scale — all clean, no exceptions.
+    #[test]
+    fn every_constructor_audits_clean_at_paper_scale() {
+        let table = TableSpec::paper_worst_case(23).generate().unwrap();
+        let single = MergedTrie::from_tables(std::slice::from_ref(&table)).unwrap();
+        assert!(audit_merged(&single).is_clean());
+        let pushed = single.leaf_pushed();
+        assert!(audit_leaf_pushed(&pushed, std::slice::from_ref(&table)).is_clean());
+
+        for report in [
+            audit_jump_with_table(&JumpTrie::from_table(&table), &table),
+            audit_jump_with_table(&JumpTrie::from_leaf_pushed(&pushed), &table),
+        ] {
+            assert!(report.is_clean(), "{}", report.summary());
+        }
+
+        let tables = FamilySpec::paper_worst_case(4, 0.5, 23).generate().unwrap();
+        let merged = MergedTrie::from_tables(&tables).unwrap();
+        assert!(audit_merged(&merged).is_clean());
+        let mlp = merged.leaf_pushed();
+        let jump = JumpTrie::from_leaf_pushed(&mlp);
+        for report in [
+            audit_leaf_pushed(&mlp, &tables),
+            audit_jump(&jump),
+            audit_jump_with_tables(&jump.repaint(&merged, &DirtyBuckets::all()), &tables),
+        ] {
+            assert!(report.is_clean(), "{}", report.summary());
+        }
+    }
+
+    /// Reports serialize with coordinates a debugger can act on.
+    #[test]
+    fn violation_coordinates_locate_the_damage() {
+        let table: RoutingTable = "10.0.0.0/8 1\n10.1.0.0/16 2\n10.1.1.0/24 3\n10.1.1.128/25 4\n"
+            .parse()
+            .unwrap();
+        let trie = JumpTrie::from_table(&table);
+        let p = trie.raw_parts();
+        let bad_word = p
+            .tail
+            .iter()
+            .position(|w| w & jump::LEAF_BIT == 0)
+            .expect("table deep enough for a level-2 block");
+        let mutated = rebuild_jump(&trie, |tail, _| tail[bad_word] = jump::PAYLOAD_MASK);
+        let report = audit_jump(&mutated);
+        assert!(!report.is_clean());
+        let v = report
+            .violations
+            .iter()
+            .find(|v| v.check == CheckKind::ChildBounds)
+            .expect("a recorded child_bounds violation");
+        assert_eq!(v.coordinates.offset, Some(bad_word as u64));
+        assert_eq!(v.coordinates.word, Some(u64::from(jump::PAYLOAD_MASK)));
+        let json = serde_json::to_string(&report).unwrap();
+        assert!(json.contains("ChildBounds"));
     }
 }

@@ -213,7 +213,7 @@ impl AuditReport {
 
 /// Incremental builder the verifier records findings into.
 #[derive(Debug)]
-pub struct Audit {
+pub(crate) struct Audit {
     structure: String,
     checks: Vec<CheckOutcome>,
     violations: Vec<Violation>,
@@ -223,7 +223,7 @@ pub struct Audit {
 impl Audit {
     /// Starts an audit of the named structure.
     #[must_use]
-    pub fn new(structure: impl Into<String>) -> Self {
+    pub(crate) fn new(structure: impl Into<String>) -> Self {
         Self {
             structure: structure.into(),
             checks: Vec::new(),
@@ -233,7 +233,7 @@ impl Audit {
     }
 
     /// Registers a check as having run (passing until a violation lands).
-    pub fn declare(&mut self, check: CheckKind) {
+    pub(crate) fn declare(&mut self, check: CheckKind) {
         if !self.checks.iter().any(|c| c.check == check) {
             self.checks.push(CheckOutcome {
                 check,
@@ -280,7 +280,7 @@ impl Audit {
     }
 
     /// Records a structural corruption (fails the audit).
-    pub fn error(
+    pub(crate) fn error(
         &mut self,
         check: CheckKind,
         coordinates: Coordinates,
@@ -290,13 +290,18 @@ impl Audit {
     }
 
     /// Records an accounting finding (report only).
-    pub fn info(&mut self, check: CheckKind, coordinates: Coordinates, message: impl Into<String>) {
+    pub(crate) fn info(
+        &mut self,
+        check: CheckKind,
+        coordinates: Coordinates,
+        message: impl Into<String>,
+    ) {
         self.record(check, Severity::Info, coordinates, message.into());
     }
 
     /// Seals the audit into its report.
     #[must_use]
-    pub fn finish(self, stats: AuditStats) -> AuditReport {
+    pub(crate) fn finish(self, stats: AuditStats) -> AuditReport {
         AuditReport {
             structure: self.structure,
             stats,

@@ -51,25 +51,24 @@
 use crate::leafpush::LeafPushedTrie;
 use crate::merge::{block_total, check_arity, preorder, replay, sorted_routes, NodeId, Preorder};
 use crate::{DirtyBuckets, MergedTrie, TrieError};
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 use vr_net::table::{NextHop, RoutingTable};
 
 /// High bit of a root or block entry: set for leaves.
-pub const LEAF_BIT: u32 = 1 << 31;
+pub(crate) const LEAF_BIT: u32 = 1 << 31;
 /// Low 31 bits: child block base (internal) or NHI-slab slot (leaf).
-pub const PAYLOAD_MASK: u32 = LEAF_BIT - 1;
+pub(crate) const PAYLOAD_MASK: u32 = LEAF_BIT - 1;
 
 /// Bits resolved by the direct-index root table.
-pub const JUMP_BITS: u32 = 16;
+pub(crate) const JUMP_BITS: u32 = 16;
 /// Number of root-table entries (2^16).
-pub const ROOT_ENTRIES: usize = 1 << JUMP_BITS;
+pub(crate) const ROOT_ENTRIES: usize = 1 << JUMP_BITS;
 /// Address bits one tail block resolves: two block levels finish the
 /// address below the root.
 pub(crate) const TAIL_STRIDE: u32 = 8;
 const _: () = assert!(JUMP_BITS + 2 * TAIL_STRIDE == u32::BITS);
 /// Entries in one tail block (2^8).
-pub const BLOCK_ENTRIES: usize = 1 << TAIL_STRIDE;
+pub(crate) const BLOCK_ENTRIES: usize = 1 << TAIL_STRIDE;
 
 /// Encoded `Option<NextHop>`: `0` = no route, `1 + nh` = `Some(nh)`.
 pub(crate) type NhiCode = u16;
@@ -494,7 +493,7 @@ impl Preorder for Painter {
 /// assert_eq!(jump.lookup(0x0A02_0000), Some(1)); // 1 load: root entry is final
 /// assert_eq!(jump.lookup(0x0B00_0000), None);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct JumpTrie {
     /// 2^16 direct-index entries, one per /16 bucket.
     root: Vec<u32>,
@@ -507,8 +506,9 @@ pub struct JumpTrie {
     k: usize,
 }
 
-/// Borrowed view of a [`JumpTrie`]'s raw encoding, consumed by the
-/// `vr-audit` structural verifier. Field meanings match the private
+/// Borrowed view of a [`JumpTrie`]'s raw encoding, which the
+/// [`audit`](crate::audit) verifier re-derives every invariant from and
+/// tests compare field for field. Field meanings match the private
 /// fields of [`JumpTrie`] one for one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JumpTrieParts<'a> {
@@ -523,7 +523,8 @@ pub struct JumpTrieParts<'a> {
 }
 
 impl JumpTrie {
-    /// The raw encoding, for structural auditing and serialization.
+    /// The raw encoding, for structural auditing and field-for-field
+    /// comparison.
     #[must_use]
     pub fn raw_parts(&self) -> JumpTrieParts<'_> {
         JumpTrieParts {
@@ -535,11 +536,12 @@ impl JumpTrie {
     }
 
     /// Reassembles a trie from raw encoding parts **without validation** —
-    /// the inverse of [`JumpTrie::raw_parts`]. This is the ingestion path
-    /// for serialized table artifacts (and for the mutation tests that
-    /// feed deliberately corrupt encodings to the verifier): nothing here
-    /// proves the entries well-formed, so callers must run the `vr-audit`
-    /// structural checks before publishing the result to a datapath.
+    /// the inverse of [`JumpTrie::raw_parts`]. It is the seam through
+    /// which tests feed deliberately corrupt encodings to the
+    /// [`audit`](crate::audit) verifier and the services' publish gate:
+    /// nothing here proves the entries well-formed, so a caller must run
+    /// [`audit_jump`](crate::audit::audit_jump) before publishing the
+    /// result to a datapath.
     #[must_use]
     pub fn from_raw_parts(root: Vec<u32>, tail: Vec<u32>, nhis: Vec<u16>, k: usize) -> Self {
         Self {

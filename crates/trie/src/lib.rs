@@ -29,9 +29,9 @@
 //! * [`JumpTrie`] — the serving structure, DIR-16-8-8: a 2^16-entry
 //!   direct-index root resolving the first 16 bits in one load, over a
 //!   tail of 256-entry stride-8 blocks for the > /16 remainder, so a
-//!   lookup is at most three slab loads and one NHI load ([`jump`]
-//!   defines the entry and NHI codec, the block filler and the interning
-//!   NHI-slab writer);
+//!   lookup is at most three slab loads and one NHI load (its private
+//!   `jump` module also holds the entry and NHI codec, the block filler
+//!   and the interning NHI-slab writer);
 //! * [`DirtyBuckets`] — the /16 buckets an update batch touched: the
 //!   batch's [`JumpTrie::repaint`] paints those from the merged trie and
 //!   copies the rest from the live jump trie;
@@ -42,7 +42,11 @@
 //! * [`calibrate`] — searches the synthetic family generator's shared
 //!   fraction for a target α (the paper sweeps α ∈ {0.2, 0.8});
 //! * [`LookupBackend`] — the one-method trait (`lookup_vn`) the
-//!   benchmark and audit drivers are written against.
+//!   benchmark drivers and the audit's oracle parity are written against;
+//! * [`audit`] — the structural verifier for every encoding above: it
+//!   re-derives each invariant a lookup loop relies on from the raw slabs
+//!   and reports violations with their coordinates, so a corrupt table is
+//!   rejected before a service publishes it.
 //!
 //! All structures are index-arena based (no `Box` chains): node identity is
 //! a `u32`, which keeps tries compact and traversals cache-friendly — the
@@ -55,9 +59,10 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod audit;
 pub mod backend;
 pub mod calibrate;
-pub mod jump;
+mod jump;
 pub mod leafpush;
 pub mod merge;
 pub mod pipeline_map;

@@ -33,7 +33,7 @@
 //! and [`MergedTrie::sweep_stats`] reads them off a live trie in one walk.
 //! The pass is written once; it drives the arena, the sweep's counter,
 //! for a calibration step α's node counts alone, or the DIR-16-8-8
-//! painter of [`crate::jump`] — alone ([`JumpTrie::from_tables`]) or
+//! painter of the [`JumpTrie`] — alone ([`JumpTrie::from_tables`]) or
 //! beside the arena ([`MergedTrie::from_tables_with_jump`], what a
 //! service builds). `replay` streams a built leaf-pushed trie's events
 //! in the same order, and [`JumpTrie::repaint`] a live arena's, with the

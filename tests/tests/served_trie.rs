@@ -8,10 +8,10 @@
 //! publish is pinned.
 
 use proptest::prelude::*;
-use vr_audit::audit_jump;
 use vr_net::synth::FamilySpec;
 use vr_net::table::{NextHop, RouteEntry};
 use vr_net::{Ipv4Prefix, RoutingTable};
+use vr_trie::audit::audit_jump;
 use vr_trie::merge::MAX_MERGE_ARITY;
 use vr_trie::{DirtyBuckets, JumpTrie, JumpTrieParts, MergedTrie};
 
