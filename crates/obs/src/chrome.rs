@@ -103,9 +103,9 @@ pub fn check_chrome_trace(text: &str) -> Result<usize, String> {
                 return Err(format!("traceEvents[{i}] missing {key:?}"));
             }
         }
-        let ph_ok = fields
-            .iter()
-            .any(|(k, v)| k == "ph" && matches!(v, Value::Str(s) if s == "X" || s == "i" || s == "I"));
+        let ph_ok = fields.iter().any(|(k, v)| {
+            k == "ph" && matches!(v, Value::Str(s) if s == "X" || s == "i" || s == "I")
+        });
         if !ph_ok {
             return Err(format!("traceEvents[{i}] has unsupported ph"));
         }
@@ -139,14 +139,18 @@ mod tests {
         assert!(json.contains("\"lane_walk\""));
         // Worker spans land on the worker row, enqueue on the control row.
         let value = serde_json::parse(&json).unwrap();
-        let Value::Map(top) = value else { unreachable!() };
-        let Value::Seq(events) = &top[0].1 else { unreachable!() };
+        let Value::Map(top) = value else {
+            unreachable!()
+        };
+        let Value::Seq(events) = &top[0].1 else {
+            unreachable!()
+        };
         let tid_of = |name: &str| {
             events.iter().find_map(|e| {
                 let Value::Map(f) = e else { return None };
-                let matches = f.iter().any(
-                    |(k, v)| k == "name" && matches!(v, Value::Str(s) if s == name),
-                );
+                let matches = f
+                    .iter()
+                    .any(|(k, v)| k == "name" && matches!(v, Value::Str(s) if s == name));
                 if !matches {
                     return None;
                 }

@@ -265,42 +265,36 @@ impl FlightRecorder {
 
         let mut traces: Vec<BatchTrace> = capture.pre.clone();
         traces.extend(capture.post.iter().cloned());
-        let extra = vec![
-            (
-                "flightRecorder".into(),
-                Value::Map(vec![
-                    ("trigger".into(), Value::Str(capture.trigger.name().into())),
-                    ("trigger_ns".into(), Value::U64(capture.trigger_ns)),
-                    ("pre_traces".into(), Value::U64(capture.pre.len() as u64)),
-                    ("post_traces".into(), Value::U64(capture.post.len() as u64)),
-                    ("missed_events".into(), Value::U64(capture.missed_events)),
-                    ("events".into(), serde::to_value(&capture.events)),
-                ]),
-            ),
-        ];
+        let extra = vec![(
+            "flightRecorder".into(),
+            Value::Map(vec![
+                ("trigger".into(), Value::Str(capture.trigger.name().into())),
+                ("trigger_ns".into(), Value::U64(capture.trigger_ns)),
+                ("pre_traces".into(), Value::U64(capture.pre.len() as u64)),
+                ("post_traces".into(), Value::U64(capture.post.len() as u64)),
+                ("missed_events".into(), Value::U64(capture.missed_events)),
+                ("events".into(), serde::to_value(&capture.events)),
+            ]),
+        )];
         let mut value = chrome_trace_value(&traces, extra);
         // Mark the trigger instant on the control row so the episode's
         // cause is visible right in the Perfetto timeline.
         if let Value::Map(top) = &mut value {
-            if let Some((_, Value::Seq(events))) =
-                top.iter_mut().find(|(k, _)| k == "traceEvents")
+            if let Some((_, Value::Seq(events))) = top.iter_mut().find(|(k, _)| k == "traceEvents")
             {
                 events.push(Value::Map(vec![
                     ("name".into(), Value::Str(capture.trigger.name().into())),
                     ("cat".into(), Value::Str("flight".into())),
                     ("ph".into(), Value::Str("i".into())),
-                    (
-                        "ts".into(),
-                        Value::F64(capture.trigger_ns as f64 / 1000.0),
-                    ),
+                    ("ts".into(), Value::F64(capture.trigger_ns as f64 / 1000.0)),
                     ("pid".into(), Value::U64(1)),
                     ("tid".into(), Value::U64(0)),
                     ("s".into(), Value::Str("g".into())),
                 ]));
             }
         }
-        let json = serde_json::to_string_pretty(&value)
-            .map_err(|e| format!("serialize dump: {e:?}"))?;
+        let json =
+            serde_json::to_string_pretty(&value).map_err(|e| format!("serialize dump: {e:?}"))?;
         std::fs::write(&path, json).map_err(|e| format!("write {}: {e}", path.display()))?;
         Ok(path)
     }
@@ -317,11 +311,7 @@ impl FlightRecorder {
             ewma_p99_ns: self.ewma_p99_ns,
             event_cursor: self.event_cursor,
             missed_events: self.missed_events,
-            dumps: self
-                .dumps
-                .iter()
-                .map(|p| p.display().to_string())
-                .collect(),
+            dumps: self.dumps.iter().map(|p| p.display().to_string()).collect(),
         }
     }
 
@@ -419,7 +409,10 @@ mod tests {
         ring.publish(vr_telemetry::EventKind::WorkerStall { worker: 1 });
         rec.scan_events(&ring, None, tracer.now_ns());
         assert!(rec.status().capturing);
-        assert_eq!(rec.status().active_trigger, Some(FlightTrigger::WorkerStall));
+        assert_eq!(
+            rec.status().active_trigger,
+            Some(FlightTrigger::WorkerStall)
+        );
 
         for seq in 6..8 {
             rec.observe_trace(&trace(&tracer, seq));

@@ -199,11 +199,7 @@ fn serve_connection(mut stream: TcpStream, shared: &Arc<ServerShared>) {
     // Ignore any query string: `/metrics?x=1` is still `/metrics`.
     let path = path.split('?').next().unwrap_or(&path).to_string();
     let (status, content_type, body) = match path.as_str() {
-        "/metrics" => (
-            200,
-            "text/plain; version=0.0.4",
-            (shared.routes.metrics)(),
-        ),
+        "/metrics" => (200, "text/plain; version=0.0.4", (shared.routes.metrics)()),
         "/healthz" => (200, "text/plain", "ok\n".to_string()),
         "/snapshot.json" => (200, "application/json", (shared.routes.snapshot)()),
         "/traces.json" => (200, "application/json", (shared.routes.traces)()),
@@ -396,7 +392,10 @@ mod tests {
             }
             std::thread::sleep(Duration::from_millis(20));
         }
-        assert!(recovered, "slot never freed after the held connection closed");
+        assert!(
+            recovered,
+            "slot never freed after the held connection closed"
+        );
     }
 
     #[test]

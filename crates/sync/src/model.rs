@@ -334,7 +334,10 @@ impl Exec {
             for (obj, _) in buf {
                 if !seen.contains(obj) {
                     seen.push(*obj);
-                    out.push(Choice::Flush { thread: t, obj: *obj });
+                    out.push(Choice::Flush {
+                        thread: t,
+                        obj: *obj,
+                    });
                 }
             }
         }

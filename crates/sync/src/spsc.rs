@@ -5,8 +5,8 @@
 //! gives the lint a sanctioned surface (raw `crossbeam::channel` stays
 //! inside this crate and the vendored stand-in).
 
-pub use crossbeam::channel::{TryRecvError, TrySendError};
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvError, SendError, Sender};
+pub use crossbeam::channel::{TryRecvError, TrySendError};
 
 /// Producer half of an SPSC queue.
 pub struct SpscSender<T>(Sender<T>);

@@ -46,12 +46,7 @@ fn wrapper_trace_records_orderings_and_discipline_holds() {
     // The discipline itself: no publication-side op may be Relaxed, and
     // the publish/observe sides carry the orderings the protocol needs.
     trace::assert_no_relaxed_publication(&ops);
-    let ordering_of = |op: &str| {
-        ops.iter()
-            .find(|o| o.op == op)
-            .map(|o| o.ordering)
-            .unwrap()
-    };
+    let ordering_of = |op: &str| ops.iter().find(|o| o.op == op).map(|o| o.ordering).unwrap();
     assert_eq!(ordering_of("publish.store"), "Release");
     assert_eq!(ordering_of("publish.update"), "AcqRel");
     assert_eq!(ordering_of("publish.read"), "Acquire");

@@ -16,19 +16,55 @@ use std::fmt::Write as _;
 /// every family always carries a HELP line (some scrapers warn on its
 /// absence).
 const KNOWN_HELP: &[(&str, &str)] = &[
-    ("vr_service_lookups_total", "Packets looked up by the service workers"),
-    ("vr_service_batches_total", "Batches completed by the service workers"),
-    ("vr_service_lookup_ns", "Per-lookup wall time as seen by the workers"),
-    ("vr_service_queue_stalls_total", "Submits that found a bounded job queue full"),
+    (
+        "vr_service_lookups_total",
+        "Packets looked up by the service workers",
+    ),
+    (
+        "vr_service_batches_total",
+        "Batches completed by the service workers",
+    ),
+    (
+        "vr_service_lookup_ns",
+        "Per-lookup wall time as seen by the workers",
+    ),
+    (
+        "vr_service_queue_stalls_total",
+        "Submits that found a bounded job queue full",
+    ),
     ("vr_service_swaps_total", "RCU table-generation publishes"),
-    ("vr_service_generation", "Table generation currently visible to workers"),
-    ("vr_service_generation_lag", "Newest published generation minus oldest in-flight one"),
-    ("vr_service_updates_total", "Route updates applied through apply_updates"),
-    ("vr_service_update_ns", "Wall time of each apply_updates call"),
-    ("vr_cache_hits_total", "LPM result-cache hits across workers"),
-    ("vr_cache_misses_total", "LPM result-cache misses across workers"),
-    ("vr_cache_fills_total", "LPM result-cache slots filled after a miss walk"),
-    ("vr_cache_hit_rate_permille", "Steady-state LPM cache hit rate, parts per mille"),
+    (
+        "vr_service_generation",
+        "Table generation currently visible to workers",
+    ),
+    (
+        "vr_service_generation_lag",
+        "Newest published generation minus oldest in-flight one",
+    ),
+    (
+        "vr_service_updates_total",
+        "Route updates applied through apply_updates",
+    ),
+    (
+        "vr_service_update_ns",
+        "Wall time of each apply_updates call",
+    ),
+    (
+        "vr_cache_hits_total",
+        "LPM result-cache hits across workers",
+    ),
+    (
+        "vr_cache_misses_total",
+        "LPM result-cache misses across workers",
+    ),
+    (
+        "vr_cache_fills_total",
+        "LPM result-cache slots filled after a miss walk",
+    ),
+    (
+        "vr_cache_hit_rate_permille",
+        "Steady-state LPM cache hit rate, parts per mille",
+    ),
 ];
 
 /// Escapes a `# HELP` string per the Prometheus text exposition rules:
@@ -48,10 +84,10 @@ pub fn escape_help(text: &str) -> String {
 }
 
 fn write_help(out: &mut String, name: &str, kind: &str) {
-    let help = KNOWN_HELP
-        .iter()
-        .find(|(n, _)| *n == name)
-        .map_or_else(|| format!("vr-telemetry {kind} {name}"), |(_, h)| (*h).to_string());
+    let help = KNOWN_HELP.iter().find(|(n, _)| *n == name).map_or_else(
+        || format!("vr-telemetry {kind} {name}"),
+        |(_, h)| (*h).to_string(),
+    );
     let _ = writeln!(out, "# HELP {} {}", name, escape_help(&help));
 }
 
@@ -138,8 +174,7 @@ pub fn check_prometheus(text: &str) -> Result<(), String> {
         }
         if let Some(rest) = line.strip_prefix("# TYPE ") {
             let mut parts = rest.split_whitespace();
-            let (Some(name), Some(kind), None) = (parts.next(), parts.next(), parts.next())
-            else {
+            let (Some(name), Some(kind), None) = (parts.next(), parts.next(), parts.next()) else {
                 return Err(format!("line {lineno}: malformed # TYPE line"));
             };
             let kind = match kind {
@@ -259,10 +294,7 @@ mod tests {
     #[test]
     fn exposition_has_one_type_line_per_metric() {
         let text = to_prometheus(&sample());
-        let type_lines: Vec<&str> = text
-            .lines()
-            .filter(|l| l.starts_with("# TYPE "))
-            .collect();
+        let type_lines: Vec<&str> = text.lines().filter(|l| l.starts_with("# TYPE ")).collect();
         assert_eq!(type_lines.len(), 4);
         assert!(text.contains("# TYPE vr_lookups_total counter"));
         assert!(text.contains("# TYPE vr_generation gauge"));
@@ -340,9 +372,7 @@ mod tests {
     fn checker_rejects_structural_violations() {
         assert!(check_prometheus("vr_orphan 1\n").is_err());
         assert!(check_prometheus("# TYPE vr_x widget\n").is_err());
-        assert!(
-            check_prometheus("# TYPE vr_x counter\n# TYPE vr_x counter\nvr_x 1\n").is_err()
-        );
+        assert!(check_prometheus("# TYPE vr_x counter\n# TYPE vr_x counter\nvr_x 1\n").is_err());
         assert!(check_prometheus("# TYPE vr_x counter\nvr_x abc\n").is_err());
         let non_cumulative = "# TYPE vr_h histogram\n\
              vr_h_bucket{le=\"1\"} 5\n\

@@ -33,7 +33,11 @@ pub fn bucket_index(value: u64) -> usize {
 pub fn bucket_bounds(i: usize) -> (u64, u64) {
     assert!(i < BUCKETS, "bucket index out of range");
     let lo = if i == 0 { 0 } else { 1u64 << i };
-    let hi = if i == 63 { u64::MAX } else { (1u64 << (i + 1)) - 1 };
+    let hi = if i == 63 {
+        u64::MAX
+    } else {
+        (1u64 << (i + 1)) - 1
+    };
     (lo, hi)
 }
 
