@@ -64,7 +64,6 @@ fn main() {
             workers: 2,
             queue_depth: 1,
             trace_sample: Some(1),
-            lookup_cache: Some(vr_engine::DEFAULT_CACHE_SLOTS),
             ..ServiceConfig::default()
         },
     )

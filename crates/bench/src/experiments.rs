@@ -7,7 +7,6 @@
 use crate::{emit, opt_num};
 use serde::Serialize;
 use std::cell::{Cell, OnceCell};
-use vr_engine::service::lookup_batch_mixed;
 use vr_engine::{LpmCache, DEFAULT_CACHE_SLOTS};
 use vr_net::{NextHop, SkewedSpec, SkewedTraffic, VnId};
 use vr_power::claims::{check_claims, ClaimCheck};
@@ -575,23 +574,11 @@ fn merged_scaling_wall(ctx: &Ctx) {
     );
 }
 
-/// Result-cache hit rate, speedup and watts/Gbps vs Zipf skew
-/// (wall-clock timed: rows differ run to run).
+/// Result-cache hit rate and the memory power it would save vs Zipf
+/// skew (deterministic: no column is timed).
 fn cache_skew(ctx: &Ctx) {
     ctx.emit(
-        &[
-            "K",
-            "Zipf s",
-            "Slots",
-            "Hit rate",
-            "ns uncached",
-            "ns cached",
-            "Speedup",
-            "Memory W",
-            "Cached W",
-            "W/Gbps",
-            "W/Gbps cached",
-        ],
+        &["K", "Zipf s", "Slots", "Hit rate", "Memory W", "Cached W"],
         &cache_skew_study(&ctx.cfg, 4).expect("cache skew study"),
         |r| {
             vec![
@@ -599,13 +586,8 @@ fn cache_skew(ctx: &Ctx) {
                 num(r.zipf_s, 2),
                 r.cache_slots.to_string(),
                 num(r.hit_rate, 3),
-                num(r.ns_uncached, 1),
-                num(r.ns_cached, 1),
-                num(r.speedup, 2),
                 num(r.memory_w, 3),
                 num(r.memory_w_cached, 3),
-                num(r.w_per_gbps_uncached, 3),
-                num(r.w_per_gbps_cached, 3),
             ]
         },
     );
@@ -615,9 +597,9 @@ fn cache_skew(ctx: &Ctx) {
 /// (`s = 0`) through strongly skewed (`s = 1.5`).
 const CACHE_SKEW_SWEEP: [f64; 4] = [0.0, 0.5, 1.0, 1.5];
 
-/// One row of the hot-path result-cache skew sweep: how the per-worker
-/// LPM cache converts traffic skew into throughput and into a dynamic
-/// memory-power discount (watts/Gbps vs Zipf `s`).
+/// One row of the result-cache skew sweep: the hit rate an LPM cache in
+/// front of the walk reaches on traffic of one skew, and the dynamic
+/// memory power that hit rate would discount.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 struct CacheSkewRow {
     /// Virtual networks merged into the trie under test.
@@ -630,30 +612,19 @@ struct CacheSkewRow {
     working_set: usize,
     /// Steady-state cache hit rate over the measured stream.
     hit_rate: f64,
-    /// Mean ns per lookup walking the trie for every packet.
-    ns_uncached: f64,
-    /// Mean ns per lookup with the cache probing ahead of the walk.
-    ns_cached: f64,
-    /// Throughput ratio, cached over uncached.
-    speedup: f64,
     /// Analytical dynamic memory power of the merged scheme, in watts.
     memory_w: f64,
     /// Memory power that survives the cache discount, in watts.
     memory_w_cached: f64,
-    /// Power efficiency without the cache, in watts per Gbps.
-    w_per_gbps_uncached: f64,
-    /// Power efficiency with the cache, in watts per Gbps.
-    w_per_gbps_cached: f64,
 }
 
-/// Hot-path cache skew sweep: a merged `JumpTrie` over a K-network
-/// family is driven by seeded [`SkewedTraffic`] streams at each
-/// [`CACHE_SKEW_SWEEP`] exponent, with and without an [`LpmCache`] in
-/// front of the batch walk, at the service's default capacity and a
-/// quarter of it. Each row records the measured hit rate and throughput
-/// alongside the analytical memory power discounted by that hit rate
-/// ([`cache_discounted_memory_w`]) — the watts/Gbps vs-skew figure the
-/// power model contributes to the cache story.
+/// Cache skew sweep: a merged `JumpTrie` over a K-network family is
+/// driven by seeded [`SkewedTraffic`] streams at each
+/// [`CACHE_SKEW_SWEEP`] exponent through an [`LpmCache`] at the default
+/// capacity and a quarter of it. Each row records the hit rate alongside
+/// the analytical memory power discounted by it
+/// ([`cache_discounted_memory_w`]). No service runs this cache (DESIGN
+/// §15); the study prices what one would save in the pipeline's BRAM.
 ///
 /// The hit rate is measured honestly: the cache is warmed on one stream
 /// from the distribution, stats are reset, and the rate is taken over an
@@ -664,19 +635,15 @@ fn cache_skew_study(
     k: usize,
 ) -> Result<Vec<CacheSkewRow>, Box<dyn std::error::Error>> {
     const CHUNK: usize = 512;
-    // The probe/fill path tags slots with the publish generation; any
-    // fixed value works when driving the trie directly.
+    // The probe/fill path tags slots with a generation; any fixed value
+    // works when driving the trie directly.
     const GENERATION: u64 = 1;
 
     let tables = cfg.family(k, 0.5)?;
     let jump = JumpTrie::from_tables(&tables)?;
-    let estimate = quick_estimate(&tables, SchemeKind::Merged, SpeedGrade::Minus2)?;
-    let bits_per_packet = f64::from(vr_net::traffic::MIN_PACKET_BYTES * 8);
-    let ns_per =
-        |start: std::time::Instant, n: usize| start.elapsed().as_secs_f64() * 1e9 / n.max(1) as f64;
-
-    // Enough packets that the timed pass dominates, bounded so the quick
-    // configuration stays fast.
+    let memory_w = quick_estimate(&tables, SchemeKind::Merged, SpeedGrade::Minus2)?.memory_w;
+    // Enough packets that the warm cache reaches its steady state,
+    // bounded so the quick configuration stays fast.
     let measure = (cfg.prefixes_per_table * k * 8).clamp(16_384, 262_144);
 
     let mut rows = Vec::new();
@@ -687,55 +654,23 @@ fn cache_skew_study(
             let warm_pairs: Vec<(VnId, u32)> = traffic.pairs(measure);
             let pairs: Vec<(VnId, u32)> = traffic.pairs(measure);
             let mut out: Vec<Option<NextHop>> = vec![None; CHUNK];
-
-            let start = std::time::Instant::now();
-            for chunk in pairs.chunks(CHUNK) {
-                lookup_batch_mixed(&jump, chunk, &mut out[..chunk.len()]);
-                std::hint::black_box(&out);
-            }
-            let ns_uncached = ns_per(start, pairs.len());
-
             let mut cache = LpmCache::new(slots)?;
             for chunk in warm_pairs.chunks(CHUNK) {
                 cache.lookup_batch(&jump, GENERATION, chunk, &mut out[..chunk.len()]);
             }
             cache.reset_stats();
-            let start = std::time::Instant::now();
             for chunk in pairs.chunks(CHUNK) {
                 cache.lookup_batch(&jump, GENERATION, chunk, &mut out[..chunk.len()]);
-                std::hint::black_box(&out);
             }
-            let ns_cached = ns_per(start, pairs.len());
             let hit_rate = cache.stats().hit_rate();
-
-            let static_logic_w = estimate.static_w + estimate.logic_w;
-            let memory_w = estimate.memory_w;
-            let memory_w_cached = cache_discounted_memory_w(memory_w, hit_rate);
-            // Watts per Gbps at `ns` a lookup (0 when nothing was timed).
-            let eff = |total_w: f64, ns: f64| {
-                if ns > 0.0 {
-                    total_w * ns / bits_per_packet
-                } else {
-                    0.0
-                }
-            };
             rows.push(CacheSkewRow {
                 k,
                 zipf_s: s,
                 cache_slots: cache.capacity(),
                 working_set: traffic.working_set(),
                 hit_rate,
-                ns_uncached,
-                ns_cached,
-                speedup: if ns_cached > 0.0 {
-                    ns_uncached / ns_cached
-                } else {
-                    1.0
-                },
                 memory_w,
-                memory_w_cached,
-                w_per_gbps_uncached: eff(static_logic_w + memory_w, ns_uncached),
-                w_per_gbps_cached: eff(static_logic_w + memory_w_cached, ns_cached),
+                memory_w_cached: cache_discounted_memory_w(memory_w, hit_rate),
             });
         }
     }
@@ -789,10 +724,8 @@ mod tests {
             assert!(row.cache_slots.is_power_of_two());
             assert!(row.working_set > 0);
             assert!((0.0..=1.0).contains(&row.hit_rate));
-            assert!(row.ns_uncached > 0.0 && row.ns_cached > 0.0);
             assert!(row.memory_w > 0.0);
             assert!(row.memory_w_cached <= row.memory_w);
-            assert!(row.w_per_gbps_uncached > 0.0 && row.w_per_gbps_cached > 0.0);
             // The discount is exactly the hit-rate share of memory power.
             let expected = row.memory_w * (1.0 - row.hit_rate);
             assert!((row.memory_w_cached - expected).abs() < 1e-12);
@@ -802,6 +735,8 @@ mod tests {
         // hit often enough to discount meaningfully.
         let skewed = rows.iter().find(|r| r.zipf_s > 1.25).unwrap();
         assert!(skewed.hit_rate > 0.9, "s=1.5 hit rate {}", skewed.hit_rate);
+        // Nothing is timed, so a second run writes the same table.
+        assert_eq!(cache_skew_study(&cfg, 2).unwrap(), rows);
     }
 
     #[test]

@@ -1,24 +1,21 @@
-//! Hot-path LPM result cache with generation invalidation.
+//! LPM result cache with generation invalidation: a standalone
+//! measurement type, not on the serving path.
 //!
-//! Real router traffic is heavily skewed: a small set of hot destinations
-//! dominates, yet every lookup still pays the DIR-16 root load plus up to
-//! two block loads. This module short-circuits the repeat lookups with a
-//! per-worker **result cache** in front of the trie walk
-//! (`lookup_batch_mixed`):
+//! Neither service keeps a result cache: every lane walks the trie
+//! (`lookup_batch_mixed`), as the paper's pipeline gives every lookup
+//! one fixed-depth pass (DESIGN §15 has the measurements that retired
+//! it). [`LpmCache`] stays for the benchmarks that price a cache in
+//! front of that walk (`bench_lookup`'s `cached_jump_mixed` rows, the
+//! `cache_skew` study):
 //!
 //! * **Direct-mapped, fixed-size, power-of-two** slot array keyed by
 //!   `(dst_addr, vnid)` and storing the encoded next-hop result — 16
 //!   bytes per slot, probed with one Fibonacci multiply and one load.
-//! * **Generation-tagged invalidation.** Every slot carries the RCU
-//!   publish generation it was filled under as a vr-sync [`GenTag`]. A
-//!   probe hits only when the
-//!   slot's tag equals the *current* snapshot generation, so
-//!   `publish_tables` / `apply_updates` invalidate the whole cache in
-//!   O(1) by construction: the generation bump makes every existing tag
-//!   mismatch. No flush loop, no epochs, no atomics.
-//! * **Private per worker.** Each `LookupService` worker and each
-//!   `ShardedService` shard thread owns its own cache; nothing is shared,
-//!   so the probe/fill path is plain single-threaded loads and stores.
+//! * **Generation-tagged invalidation.** Every slot carries the
+//!   generation it was filled under as a vr-sync [`GenTag`]. A probe hits
+//!   only when the slot's tag equals the caller's generation, so bumping
+//!   the generation invalidates the whole cache in O(1): no flush loop,
+//!   no epochs, no atomics.
 //! * **Allocation-free batch flow.** [`LpmCache::lookup_batch`] probes
 //!   the whole batch (prefetching slots `SLOT_AHEAD` packets ahead),
 //!   compacts the misses into a dense sub-batch, walks *only the misses*
@@ -36,7 +33,6 @@
 
 use vr_net::table::NextHop;
 use vr_net::VnId;
-use vr_obs::{Stage, TraceBuilder};
 use vr_sync::GenTag;
 use vr_trie::prefetch::prefetch_index;
 use vr_trie::JumpTrie;
@@ -44,9 +40,8 @@ use vr_trie::JumpTrie;
 use crate::service::lookup_batch_mixed;
 use crate::EngineError;
 
-/// Default slot count for service caches when the caller asks for "a
-/// cache" without sizing it: 2^16 slots × 16 B = 1 MiB per worker, which
-/// at paper scale (K=15 × 3725 prefixes ≈ 56 K distinct covered
+/// Default slot count of a measured cache: 2^16 slots × 16 B = 1 MiB,
+/// which at paper scale (K=15 × 3725 prefixes ≈ 56 K distinct covered
 /// destinations) holds the bulk of the working set.
 pub const DEFAULT_CACHE_SLOTS: usize = 1 << 16;
 
@@ -123,8 +118,8 @@ impl CacheStats {
     }
 }
 
-/// A per-worker, allocation-free LPM result cache (see the module docs
-/// for the design).
+/// An allocation-free LPM result cache (see the module docs for the
+/// design).
 ///
 /// ```
 /// use vr_engine::cache::LpmCache;
@@ -151,9 +146,6 @@ pub struct LpmCache {
     slots: Box<[Slot]>,
     mask: usize,
     stats: CacheStats,
-    /// Stats accumulated since the last [`Self::take_delta`], flushed to
-    /// telemetry counters once per batch.
-    delta: CacheStats,
     /// Miss-compaction scratch, reused across batches.
     miss_idx: Vec<u32>,
     miss_packets: Vec<(VnId, u32)>,
@@ -182,7 +174,6 @@ impl LpmCache {
             slots: vec![EMPTY_SLOT; cap].into_boxed_slice(),
             mask: cap - 1,
             stats: CacheStats::default(),
-            delta: CacheStats::default(),
             miss_idx: Vec::new(),
             miss_packets: Vec::new(),
             miss_out: Vec::new(),
@@ -201,19 +192,10 @@ impl LpmCache {
         self.stats
     }
 
-    /// Resets the cumulative and delta counters (slots are untouched —
-    /// used by benchmarks to measure steady-state hit rates after a
-    /// warmup pass).
+    /// Resets the counters (slots are untouched — used by benchmarks to
+    /// measure steady-state hit rates after a warmup pass).
     pub fn reset_stats(&mut self) {
         self.stats = CacheStats::default();
-        self.delta = CacheStats::default();
-    }
-
-    /// Returns and clears the counters accumulated since the last call;
-    /// the worker loop flushes this into its telemetry counters once per
-    /// batch.
-    pub fn take_delta(&mut self) -> CacheStats {
-        std::mem::take(&mut self.delta)
     }
 
     /// Slot index of a key: Fibonacci hash of the packed `(vnid, dst)`
@@ -234,11 +216,9 @@ impl LpmCache {
         let slot = self.slots[self.index(vnid, dst)];
         if slot.generation.matches(generation) && slot.dst == dst && slot.vnid == vnid {
             self.stats.hits += 1;
-            self.delta.hits += 1;
             Some(decode(slot.nhi))
         } else {
             self.stats.misses += 1;
-            self.delta.misses += 1;
             None
         }
     }
@@ -254,7 +234,6 @@ impl LpmCache {
             generation: GenTag::of(generation),
         };
         self.stats.fills += 1;
-        self.delta.fills += 1;
     }
 
     /// Resolves a possibly mixed-VN batch against `trie` at `generation`,
@@ -280,32 +259,6 @@ impl LpmCache {
         }
         self.walk_phase(trie);
         self.scatter_phase(generation, out);
-    }
-
-    /// [`Self::lookup_batch`] with per-phase trace spans: closes
-    /// `CacheProbe`, `LaneWalk`, and `Scatter` marks on `trace` around
-    /// the three phases. An all-hit batch still closes all three spans
-    /// (the walk and scatter come out zero-duration), so the stage
-    /// chain has one shape regardless of hit rate. Results are
-    /// bit-identical to the untraced path.
-    pub fn lookup_batch_traced(
-        &mut self,
-        trie: &JumpTrie,
-        generation: u64,
-        packets: &[(VnId, u32)],
-        out: &mut [Option<NextHop>],
-        trace: &mut TraceBuilder,
-    ) {
-        let misses = self.probe_phase(generation, packets, out);
-        trace.mark(Stage::CacheProbe);
-        if misses > 0 {
-            self.walk_phase(trie);
-        }
-        trace.mark(Stage::LaneWalk);
-        if misses > 0 {
-            self.scatter_phase(generation, out);
-        }
-        trace.mark(Stage::Scatter);
     }
 
     /// Probe phase: answers hits in place, compacts misses into the
@@ -338,9 +291,7 @@ impl LpmCache {
         }
         let m = self.miss_packets.len();
         self.stats.hits += (n - m) as u64;
-        self.delta.hits += (n - m) as u64;
         self.stats.misses += m as u64;
-        self.delta.misses += m as u64;
         m
     }
 
@@ -372,7 +323,6 @@ impl LpmCache {
             };
         }
         self.stats.fills += m as u64;
-        self.delta.fills += m as u64;
     }
 }
 
@@ -450,19 +400,19 @@ mod tests {
     }
 
     #[test]
-    fn take_delta_drains_and_reset_clears() {
+    fn reset_stats_clears_the_counters_not_the_slots() {
         let t = trie();
         let mut c = LpmCache::new(16).unwrap();
         let packets: Vec<(VnId, u32)> = vec![(0, 0x0A01_0001), (0, 0x0A01_0001)];
         let mut out = vec![None; 2];
         c.lookup_batch(&t, 0, &packets, &mut out);
-        let d = c.take_delta();
-        assert_eq!(d.misses, 2);
-        assert_eq!(c.take_delta(), CacheStats::default());
-        c.lookup_batch(&t, 0, &packets, &mut out);
-        assert_eq!(c.take_delta().hits, 2);
+        assert_eq!(c.stats().misses, 2);
         c.reset_stats();
         assert_eq!(c.stats(), CacheStats::default());
+        // The slots survived the reset: the same batch now hits.
+        c.lookup_batch(&t, 0, &packets, &mut out);
+        let s = c.stats();
+        assert_eq!((s.hits, s.misses, s.fills), (2, 0, 0));
     }
 
     #[test]
@@ -471,54 +421,31 @@ mod tests {
         let mut c = LpmCache::new(64).unwrap();
         let packets: Vec<(VnId, u32)> = vec![(0, 0x0A01_0001), (0, 0xC0A8_0101)];
         let mut out = vec![None; 2];
-        c.lookup_batch(&t, 0, &packets, &mut out);
-        let _ = c.take_delta(); // flush the cold-start misses
-                                // Steady state at generation 0: all hits.
-        c.lookup_batch(&t, 0, &packets, &mut out);
-        let warm = c.take_delta();
-        assert_eq!((warm.hits, warm.misses, warm.fills), (2, 0, 0));
-        // Generation bump: the same traffic is all misses + refills, and
-        // the per-batch delta shows exactly that — the invalidation cost
-        // is observable batch by batch, not smeared into cumulative
-        // stats (what the telemetry counters flush per batch).
-        c.lookup_batch(&t, 1, &packets, &mut out);
-        let bumped = c.take_delta();
-        assert_eq!((bumped.hits, bumped.misses, bumped.fills), (0, 2, 2));
-        // The next pass at the new generation hits again...
-        c.lookup_batch(&t, 1, &packets, &mut out);
-        assert_eq!(c.take_delta().hits, 2);
-        // ...and the cumulative stats aggregate the whole history.
-        assert_eq!(c.stats().hits, 4);
-        assert_eq!(c.stats().misses, 4);
-        assert_eq!(c.stats().fills, 4);
-    }
-
-    #[test]
-    fn traced_batch_matches_untraced_and_closes_all_phases() {
-        use vr_obs::Tracer;
-        let t = trie();
-        let mut traced = LpmCache::new(256).unwrap();
-        let mut plain = LpmCache::new(256).unwrap();
-        let tracer = Tracer::new(1, 8);
-        let packets: Vec<(VnId, u32)> = vec![(0, 0x0A01_0001), (0, 0xC0A8_0101), (0, 0x7F00_0001)];
-        let mut a = vec![None; 3];
-        let mut b = vec![None; 3];
-        // Pass 1 walks everything; pass 2 is all hits, where the walk
-        // and scatter spans must still close (zero-duration).
-        for pass in 0..2u64 {
-            let mut tb = tracer.begin(pass, packets.len());
-            tb.mark(Stage::Enqueue);
-            tb.mark(Stage::Dequeue);
-            traced.lookup_batch_traced(&t, 0, &packets, &mut a, &mut tb);
-            tb.set_worker(0);
-            tb.mark(Stage::Complete);
-            plain.lookup_batch(&t, 0, &packets, &mut b);
-            assert_eq!(a, b);
-            let trace = tb.finish();
-            trace.validate().unwrap();
-            assert_eq!(trace.stages.len(), 6, "all phases span, hit or miss");
-        }
-        assert_eq!(traced.stats(), plain.stats());
+        // What one batch at `generation` adds to the counters.
+        let mut batch = |c: &mut LpmCache, generation| {
+            let before = c.stats();
+            c.lookup_batch(&t, generation, &packets, &mut out);
+            let after = c.stats();
+            (
+                after.hits - before.hits,
+                after.misses - before.misses,
+                after.fills - before.fills,
+            )
+        };
+        assert_eq!(batch(&mut c, 0), (0, 2, 2), "cold start");
+        assert_eq!(batch(&mut c, 0), (2, 0, 0), "steady state");
+        // Generation bump: the same traffic is all misses and refills...
+        assert_eq!(batch(&mut c, 1), (0, 2, 2));
+        // ...and the next pass at the new generation hits again.
+        assert_eq!(batch(&mut c, 1), (2, 0, 0));
+        assert_eq!(
+            c.stats(),
+            CacheStats {
+                hits: 4,
+                misses: 4,
+                fills: 4
+            }
+        );
     }
 
     #[test]

@@ -9,15 +9,14 @@
 //! VM and VS organizations do: [`service`]'s [`LookupService`] hands each
 //! worker a contiguous span and owns the incremental route-update path;
 //! [`sharded`]'s [`ShardedService`] hash-scatters packets by destination.
-//! Route updates never stall in-flight lookups. [`cache`] adds the
-//! per-worker LPM result cache in front of the walk — direct-mapped,
-//! generation-tagged so every publish invalidates it in O(1) — which
-//! skewed (Zipf) traffic turns into a multiple of the uncached
-//! throughput. With
+//! Route updates never stall in-flight lookups. Every lookup walks the
+//! trie, with no result cache in front; [`cache`] keeps the
+//! generation-tagged LPM result cache as a standalone type the
+//! benchmarks price against that walk. With
 //! [`ServiceConfig::trace_sample`](service::ServiceConfig::trace_sample)
 //! set, the core threads a sampled `vr-obs` [`Tracer`] through the hot
 //! path: 1-in-N batches carry an owned stage recorder through the queue
-//! (enqueue → dequeue → cache probe → lane walk → scatter → complete),
+//! (enqueue → dequeue → lane walk → complete),
 //! and publishes / update batches land as control-plane spans on the
 //! same timeline — exportable as Chrome trace JSON and servable over the
 //! vr-obs HTTP plane.

@@ -88,20 +88,16 @@ pub struct ServiceConfig {
     /// it stays only until the repo benchmark, which spells it, stops
     /// doing so.
     pub dirty_rebuild_threshold: usize,
-    /// Slot count of the per-worker LPM result cache
-    /// ([`crate::cache::LpmCache`]), rounded up to a power of two;
-    /// `None` disables caching. Every worker owns its own private
-    /// cache; slots are tagged with the publish generation, so route
-    /// updates invalidate them in O(1) without any flush. Worth turning
-    /// on whenever traffic repeats destinations (skewed/Zipf mixes);
-    /// pure one-shot random traffic pays a small probe+fill overhead
-    /// for no hits, which is why the default is off.
+    /// Retired: no lane keeps a result cache, whatever this says; every
+    /// batch walks the trie (DESIGN §15). Nothing reads the field; it
+    /// stays only until the repo benchmark, which spells it, stops doing
+    /// so.
     pub lookup_cache: Option<usize>,
     /// 1-in-N batch-trace sampling rate (`Some(64)` traces every 64th
     /// submitted batch); `None` disables tracing entirely. Sampled
     /// batches carry an owned [`vr_obs::TraceBuilder`] through the
-    /// queue and close stage spans (enqueue → dequeue → cache probe →
-    /// lane walk → scatter → complete) into the service's
+    /// queue and close stage spans (enqueue → dequeue → lane walk →
+    /// complete) into the service's
     /// [`vr_obs::Tracer`] ring; unsampled batches pay one modulo on
     /// submit and an `Option` check per stage. The
     /// `service_jump_traced` bench row holds the sampled hot path
@@ -161,8 +157,8 @@ impl UpdateTelemetry {
 /// pass: the merged trie answers every VN from the same walk and the
 /// VNID only picks a column of the leaf's NHI vector, so each packet
 /// walks with its own VN and nothing is grouped, sorted or allocated.
-/// Public so the bench can measure it as the uncached baseline the
-/// result cache is compared against.
+/// Public so the bench can measure it as the baseline the standalone
+/// [`LpmCache`](crate::LpmCache) is compared against.
 pub fn lookup_batch_mixed(trie: &JumpTrie, packets: &[(VnId, u32)], out: &mut [Option<NextHop>]) {
     debug_assert_eq!(packets.len(), out.len());
     for (slot, &(vn, dst)) in out.iter_mut().zip(packets) {
@@ -218,8 +214,8 @@ impl LookupService {
     /// Builds the jump trie and spawns the threads of lanes 1..N.
     ///
     /// # Errors
-    /// Rejects an empty table set, zero lanes, a zero batch width,
-    /// cache size or sample rate, the retired
+    /// Rejects an empty table set, zero lanes, a zero batch width or
+    /// sample rate, the retired
     /// [`ServiceConfig::full_rebuild`], and merge failures (more than 64
     /// virtual networks).
     pub fn new(tables: Vec<RoutingTable>, cfg: ServiceConfig) -> Result<Self, EngineError> {
@@ -582,7 +578,7 @@ mod tests {
         resolves_like_the_oracle_across_shards => oracle_parity,
         serves_merged_vns_and_mixed_batches => mixed_vn_batches_resolve_per_network,
         empty_tiny_and_ragged_calls_keep_input_order => empty_tiny_and_ragged_calls_keep_input_order,
-        cached_service_matches_uncached_and_counts_hits => cached_matches_uncached_across_a_publish,
+        lookup_cache_is_inert => lookup_cache_is_inert,
         traced_service_records_validating_stage_chains => traced_jobs_record_validating_stage_chains,
         telemetry_off_disables_the_registry => telemetry_off_has_no_registry_and_stays_exact,
         process_after_an_uncollected_submit_returns_only_its_own_results =>
@@ -614,15 +610,6 @@ mod tests {
             ..small_cfg(1)
         };
         assert!(LookupService::new(vec![table("10.0.0.0/8 1\n")], bad).is_err());
-    }
-
-    #[test]
-    fn cache_config_rejects_zero_slots() {
-        let cfg = ServiceConfig {
-            lookup_cache: Some(0),
-            ..small_cfg(1)
-        };
-        assert!(LookupService::new(vec![table("10.0.0.0/8 1\n")], cfg).is_err());
     }
 
     #[test]
@@ -1081,34 +1068,24 @@ mod tests {
             .collect();
         let w = 16;
         for workers in [1, 2, 3] {
-            for cache in [None, Some(512)] {
-                let cfg = ServiceConfig {
-                    lookup_cache: cache,
-                    ..small_cfg(workers)
-                };
-                let mut service = LookupService::new(tables.clone(), cfg).unwrap();
-                for n in [
-                    0,
-                    1,
-                    w - 1,
-                    w,
-                    w + 1,
-                    workers * w - 1,
-                    workers * w + 1,
-                    4096,
-                ] {
-                    let want: Vec<Option<NextHop>> = keys[..n]
-                        .iter()
-                        .map(|&(vn, dst)| oracle.lookup_vn(usize::from(vn), dst))
-                        .collect();
-                    assert_eq!(
-                        service.process(&keys[..n]),
-                        want,
-                        "n {n} workers {workers} cache {cache:?}"
-                    );
-                }
-                let _ = service.shutdown();
+            let mut service = LookupService::new(tables.clone(), small_cfg(workers)).unwrap();
+            for n in [
+                0,
+                1,
+                w - 1,
+                w,
+                w + 1,
+                workers * w - 1,
+                workers * w + 1,
+                4096,
+            ] {
+                let want: Vec<Option<NextHop>> = keys[..n]
+                    .iter()
+                    .map(|&(vn, dst)| oracle.lookup_vn(usize::from(vn), dst))
+                    .collect();
+                assert_eq!(service.process(&keys[..n]), want, "n {n} workers {workers}");
             }
+            let _ = service.shutdown();
         }
     }
 

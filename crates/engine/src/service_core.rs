@@ -16,9 +16,9 @@
 //!   so a one-lane service spawns no thread and a one-span call never
 //!   leaves the caller. Lanes 1..N each own a thread draining a bounded
 //!   FIFO of [`Job`]s. Every lane resolves a job through the same
-//!   `WorkerState::resolve` — its private
-//!   [`LpmCache`](crate::cache::LpmCache) or
-//!   [`lookup_batch_mixed`](crate::service::lookup_batch_mixed) — and
+//!   `WorkerState::resolve` — one
+//!   [`lookup_batch_mixed`](crate::service::lookup_batch_mixed) walk
+//!   against the snapshot it pinned, with no result cache in front — and
 //!   hands the buffers back as a [`Done`].
 //! * **One publish protocol.** The live table sits in a vr-sync
 //!   [`Publish`] slot. A worker pins the current snapshot — one lock,
@@ -52,7 +52,6 @@ use vr_telemetry::{
 };
 use vr_trie::JumpTrie;
 
-use crate::cache::{CacheStats, LpmCache};
 use crate::metrics::AuditMetrics;
 use crate::service::lookup_batch_mixed;
 use crate::EngineError;
@@ -113,11 +112,10 @@ pub struct ShardedConfig {
     /// Whether to run with a live [`MetricsRegistry`] (per-shard
     /// counters, batch/lookup histograms, the event ring).
     pub telemetry: bool,
-    /// Slot count of each shard's private LPM result cache
-    /// ([`crate::cache::LpmCache`]); `None` disables caching. Slots are
-    /// tagged with the publish generation, so a publish invalidates
-    /// every shard's cache in O(1) the moment the shard pins the new
-    /// snapshot.
+    /// Retired: no lane keeps a result cache, whatever this says; every
+    /// job walks the trie (DESIGN §15). Nothing reads the field; it
+    /// stays only until the repo benchmark, which spells it, stops doing
+    /// so.
     pub lookup_cache: Option<usize>,
     /// 1-in-N shard-job trace sampling rate; `None` disables tracing.
     /// Sampled jobs carry an owned [`vr_obs::TraceBuilder`] through
@@ -199,22 +197,14 @@ impl CoreTelemetry {
 
 /// Per-worker handles. Counters are sharded by worker id, so the hot
 /// path never contends on a cache line; everything is recorded once per
-/// *job* (wall time, mean ns/lookup, the cache's stat delta), keeping the
-/// per-packet overhead at a fraction of an atomic op. The hit-rate gauge
-/// is set from the worker's *cumulative* cache stats in per-mille;
-/// workers overwrite each other, but under steady traffic every worker
-/// converges on the same rate, so the gauge reads as the service-wide
-/// figure.
+/// *job* (wall time, mean ns/lookup), keeping the per-packet overhead at
+/// a fraction of an atomic op.
 struct WorkerMetrics {
     lookups: Counter,
     misses: Counter,
     batches: Counter,
     batch_ns: Histogram,
     lookup_ns: Histogram,
-    cache_hits: Counter,
-    cache_misses: Counter,
-    cache_fills: Counter,
-    cache_hit_rate_permille: Gauge,
 }
 
 impl WorkerMetrics {
@@ -225,10 +215,6 @@ impl WorkerMetrics {
             batches: registry.counter("vr_service_batches_total"),
             batch_ns: registry.histogram("vr_service_batch_ns"),
             lookup_ns: registry.histogram("vr_service_lookup_ns"),
-            cache_hits: registry.counter("vr_cache_hits_total"),
-            cache_misses: registry.counter("vr_cache_misses_total"),
-            cache_fills: registry.counter("vr_cache_fills_total"),
-            cache_hit_rate_permille: registry.gauge("vr_cache_hit_rate_permille"),
         }
     }
 
@@ -238,19 +224,6 @@ impl WorkerMetrics {
         self.batches.inc(worker);
         self.batch_ns.record(elapsed_ns);
         self.lookup_ns.record(elapsed_ns / lookups.max(1));
-    }
-
-    fn observe_cache(&self, worker: usize, delta: CacheStats, cumulative: CacheStats) {
-        if delta.hits == 0 && delta.misses == 0 && delta.fills == 0 {
-            return;
-        }
-        self.cache_hits.add(worker, delta.hits);
-        self.cache_misses.add(worker, delta.misses);
-        self.cache_fills.add(worker, delta.fills);
-        let probes = cumulative.hits + cumulative.misses;
-        if let Some(permille) = (cumulative.hits * 1000).checked_div(probes) {
-            self.cache_hit_rate_permille.set(permille);
-        }
     }
 }
 
@@ -268,9 +241,6 @@ struct Worker {
 struct WorkerState {
     id: usize,
     current: Publish<TableSnapshot>,
-    /// Private result cache; nothing about it is shared, so probes and
-    /// fills are plain loads and stores.
-    cache: Option<LpmCache>,
     metrics: Option<WorkerMetrics>,
     tracer: Option<Tracer>,
     attribute: fn(&mut TraceBuilder, u64),
@@ -290,39 +260,14 @@ impl WorkerState {
         let watch = Stopwatch::start();
         job.results.clear();
         job.results.resize(job.packets.len(), None);
-        match self.cache.as_mut() {
-            // Cached path: probe, walk only the misses, scatter + fill.
-            // The snapshot's generation doubles as the slot tag, so a
-            // publish since the last job invalidates every slot for free.
-            Some(c) => match job.trace.as_mut() {
-                Some(tb) => c.lookup_batch_traced(
-                    &snapshot.trie,
-                    snapshot.generation,
-                    &job.packets,
-                    &mut job.results,
-                    tb,
-                ),
-                None => c.lookup_batch(
-                    &snapshot.trie,
-                    snapshot.generation,
-                    &job.packets,
-                    &mut job.results,
-                ),
-            },
-            None => {
-                lookup_batch_mixed(&snapshot.trie, &job.packets, &mut job.results);
-                if let Some(tb) = job.trace.as_mut() {
-                    tb.mark(Stage::LaneWalk);
-                }
-            }
+        lookup_batch_mixed(&snapshot.trie, &job.packets, &mut job.results);
+        if let Some(tb) = job.trace.as_mut() {
+            tb.mark(Stage::LaneWalk);
         }
         let elapsed_ns = watch.elapsed_ns();
         if let Some(m) = &self.metrics {
             let misses = job.results.iter().filter(|nh| nh.is_none()).count() as u64;
             m.observe_batch(self.id, job.results.len() as u64, misses, elapsed_ns);
-            if let Some(c) = self.cache.as_mut() {
-                m.observe_cache(self.id, c.take_delta(), c.stats());
-            }
         }
         if let (Some(mut tb), Some(tr)) = (job.trace.take(), self.tracer.as_ref()) {
             (self.attribute)(&mut tb, self.id as u64);
@@ -369,8 +314,8 @@ impl ServiceCore {
     /// [`TraceBuilder::set_shard`]).
     ///
     /// # Errors
-    /// Rejects zero lanes, a zero-slot cache, a zero sample rate and
-    /// (in audited builds) a structurally invalid trie.
+    /// Rejects zero lanes, a zero sample rate and (in audited builds) a
+    /// structurally invalid trie.
     pub(crate) fn new(
         trie: JumpTrie,
         cfg: ShardedConfig,
@@ -378,11 +323,6 @@ impl ServiceCore {
     ) -> Result<Self, EngineError> {
         if cfg.shards == 0 {
             return Err(EngineError::InvalidParameter("need at least one lane"));
-        }
-        if cfg.lookup_cache == Some(0) {
-            return Err(EngineError::InvalidParameter(
-                "cache capacity must be at least 1 slot",
-            ));
         }
         if cfg.trace_sample == Some(0) {
             return Err(EngineError::InvalidParameter(
@@ -404,8 +344,6 @@ impl ServiceCore {
         let lane = |id| WorkerState {
             id,
             current: current.clone(),
-            // Capacity validated above.
-            cache: cfg.lookup_cache.and_then(|slots| LpmCache::new(slots).ok()),
             metrics: telemetry
                 .as_ref()
                 .map(|t| WorkerMetrics::for_registry(&t.registry)),
@@ -898,114 +836,133 @@ pub(crate) mod contract {
         let _ = svc.shutdown();
     }
 
-    pub(crate) fn cached_matches_uncached_across_a_publish(kind: Kind, lanes: usize) {
+    /// The retired `lookup_cache` field changes nothing: a service built
+    /// with `Some(64)` (or `Some(0)`, once refused) answers and counts
+    /// exactly what one built with `None` does, before and after a
+    /// publish, and none of them registers a `vr_cache_*` series.
+    pub(crate) fn lookup_cache_is_inert(kind: Kind, lanes: usize) {
         let tables = vec![
             table("10.0.0.0/8 1\n10.1.0.0/16 2\n"),
             table("172.16.0.0/12 3\n"),
         ];
-        let cached_pool = ShardedConfig {
-            lookup_cache: Some(512),
-            ..pool(lanes)
-        };
-        let mut cached = kind.build(tables.clone(), cached_pool).unwrap();
-        let mut plain = kind.build(tables.clone(), pool(lanes)).unwrap();
+        let new_tables = vec![
+            table("10.0.0.0/8 9\n10.1.0.0/16 2\n"),
+            table("172.16.0.0/12 3\n"),
+        ];
         let packets: Vec<(VnId, u32)> = (0..256)
             .map(|i| {
                 let dst = if i % 4 == 0 { 0x0A01_0103 } else { 0xAC10_0001 };
                 ((i % 2) as VnId, dst)
             })
             .collect();
-        // Two passes: pass 2 is answered almost entirely from the cache
-        // and must still be bit-identical.
-        for _ in 0..2 {
-            assert_eq!(cached.process(&packets), plain.process(&packets));
+        // Answers of two passes, a publish, and a third pass; then every
+        // registered series with its value (histograms by count, their
+        // sums are wall time).
+        let run = |lookup_cache| {
+            let knobs = ShardedConfig {
+                lookup_cache,
+                ..pool(lanes)
+            };
+            let mut svc = kind.build(tables.clone(), knobs).unwrap();
+            let mut answers = vec![svc.process(&packets), svc.process(&packets)];
+            svc.publish_tables(new_tables.clone()).unwrap();
+            answers.push(svc.process(&packets));
+            let snap = svc.shutdown().unwrap();
+            let series: Vec<(String, u64)> = snap
+                .counters
+                .iter()
+                .map(|c| (c.name.clone(), c.value))
+                .chain(snap.gauges.iter().map(|g| (g.name.clone(), g.value)))
+                .chain(snap.histograms.iter().map(|h| (h.name.clone(), h.count)))
+                .collect();
+            (answers, series)
+        };
+        let (answers, series) = run(None);
+        assert_eq!(answers[0], oracle(&tables, &packets));
+        assert_eq!(answers[1], answers[0]);
+        assert_eq!(answers[2], oracle(&new_tables, &packets));
+        assert!(
+            series
+                .iter()
+                .all(|(name, _)| !name.starts_with("vr_cache_")),
+            "{series:?}"
+        );
+        for cache in [Some(64), Some(0)] {
+            assert_eq!(run(cache), (answers.clone(), series.clone()), "{cache:?}");
         }
-        let snap = cached.telemetry_snapshot().unwrap();
-        let hits = snap.counter("vr_cache_hits_total").unwrap_or(0);
-        let misses = snap.counter("vr_cache_misses_total").unwrap_or(0);
-        let fills = snap.counter("vr_cache_fills_total").unwrap_or(0);
-        assert_eq!(hits + misses, 512, "every probe counted");
-        assert!(hits > 0, "repeat traffic must hit");
-        assert_eq!(misses, fills, "every miss walk fills its slot");
-        // A publish bumps the generation; the next pass must re-walk (no
-        // stale hits) yet still agree with the uncached service.
-        let new_tables = vec![
-            table("10.0.0.0/8 9\n10.1.0.0/16 2\n"),
-            table("172.16.0.0/12 3\n"),
-        ];
-        cached.publish_tables(new_tables.clone()).unwrap();
-        plain.publish_tables(new_tables.clone()).unwrap();
-        let got = cached.process(&packets);
-        assert_eq!(got, plain.process(&packets));
-        assert_eq!(got, oracle(&new_tables, &packets));
-        let _ = cached.shutdown();
-        let _ = plain.shutdown();
     }
 
     pub(crate) fn traced_jobs_record_validating_stage_chains(kind: Kind, lanes: usize) {
         let t = table("10.0.0.0/8 1\n10.1.0.0/16 2\n");
-        // Sample every job so the case is deterministic; exercise both
-        // the cached and the uncached resolve path.
-        for cache in [None, Some(256)] {
-            let knobs = ShardedConfig {
-                trace_sample: Some(1),
-                lookup_cache: cache,
-                ..pool(lanes)
+        // Sample every job so the case is deterministic.
+        let knobs = ShardedConfig {
+            trace_sample: Some(1),
+            ..pool(lanes)
+        };
+        let mut svc = kind.build(vec![t.clone()], knobs).unwrap();
+        let _ = svc.process(&scattered(128));
+        svc.publish_tables(vec![t.clone()]).unwrap();
+        let _ = svc.process(&scattered(128));
+        // A one-span call, all of it destination 0, is one lane-0 job
+        // however many jobs came before it.
+        let first_short = svc.core().next_seq();
+        let short_calls = 2 * lanes;
+        for _ in 0..short_calls {
+            assert_eq!(svc.process(&[(0, 0); 3]).len(), 3);
+        }
+        let snap = svc.tracer().expect("tracer on").snapshot();
+        assert_eq!(snap.sample, 1);
+        for trace in &snap.traces {
+            trace.validate().unwrap();
+        }
+        // Jobs name the lane that ran them the facade's way and only
+        // that way, the caller's as 0, and the post-publish ones
+        // observed the bumped generation.
+        let jobs: Vec<_> = snap
+            .traces
+            .iter()
+            .filter(|tr| tr.worker.is_some() || tr.shard.is_some())
+            .collect();
+        let by_shard = kind == Kind::Hash;
+        for tr in &jobs {
+            let (lane, other) = if by_shard {
+                (tr.shard, tr.worker)
+            } else {
+                (tr.worker, tr.shard)
             };
-            let mut svc = kind.build(vec![t.clone()], knobs).unwrap();
-            let _ = svc.process(&scattered(128));
-            svc.publish_tables(vec![t.clone()]).unwrap();
-            let _ = svc.process(&scattered(128));
-            // A one-span call, all of it destination 0, is one lane-0 job
-            // however many jobs came before it.
-            let first_short = svc.core().next_seq();
-            let short_calls = 2 * lanes;
-            for _ in 0..short_calls {
-                assert_eq!(svc.process(&[(0, 0); 3]).len(), 3);
-            }
-            let snap = svc.tracer().expect("tracer on").snapshot();
-            assert_eq!(snap.sample, 1);
-            for trace in &snap.traces {
-                trace.validate().unwrap();
-            }
-            // Jobs name the lane that ran them the facade's way and only
-            // that way, the caller's as 0, and the post-publish ones
-            // observed the bumped generation.
-            let jobs: Vec<_> = snap
-                .traces
-                .iter()
-                .filter(|tr| tr.worker.is_some() || tr.shard.is_some())
-                .collect();
-            let by_shard = kind == Kind::Hash;
-            for tr in &jobs {
-                let (lane, other) = if by_shard {
-                    (tr.shard, tr.worker)
-                } else {
-                    (tr.worker, tr.shard)
-                };
-                assert!(lane.is_some_and(|lane| lane < lanes as u64), "{tr:?}");
-                assert!(other.is_none(), "{tr:?}");
-                assert_eq!(tr.stages[1].stage, Stage::Dequeue);
-            }
-            let short: Vec<_> = jobs.iter().filter(|tr| tr.seq >= first_short).collect();
-            assert_eq!(short.len(), short_calls);
-            for tr in short {
-                assert_eq!(tr.worker.or(tr.shard), Some(0), "{tr:?}");
-            }
-            assert!(jobs.iter().any(|tr| tr.generation == 1));
-            // The publish lands as a control-plane span on the same
-            // timeline.
-            assert!(snap
-                .traces
-                .iter()
-                .any(|tr| tr.stages[0].stage == Stage::Publish && tr.generation == 1));
-            let totals = svc.shutdown().unwrap();
+            assert!(lane.is_some_and(|lane| lane < lanes as u64), "{tr:?}");
+            assert!(other.is_none(), "{tr:?}");
+            // One walk, no cache probe or scatter around it.
+            let chain: Vec<Stage> = tr.stages.iter().map(|s| s.stage).collect();
             assert_eq!(
-                Some(jobs.len() as u64),
-                totals.counter("vr_service_batches_total"),
-                "every job sampled"
+                chain,
+                [
+                    Stage::Enqueue,
+                    Stage::Dequeue,
+                    Stage::LaneWalk,
+                    Stage::Complete
+                ],
+                "{tr:?}"
             );
         }
+        let short: Vec<_> = jobs.iter().filter(|tr| tr.seq >= first_short).collect();
+        assert_eq!(short.len(), short_calls);
+        for tr in short {
+            assert_eq!(tr.worker.or(tr.shard), Some(0), "{tr:?}");
+        }
+        assert!(jobs.iter().any(|tr| tr.generation == 1));
+        // The publish lands as a control-plane span on the same
+        // timeline.
+        assert!(snap
+            .traces
+            .iter()
+            .any(|tr| tr.stages[0].stage == Stage::Publish && tr.generation == 1));
+        let totals = svc.shutdown().unwrap();
+        assert_eq!(
+            Some(jobs.len() as u64),
+            totals.counter("vr_service_batches_total"),
+            "every job sampled"
+        );
     }
 
     /// Answers are oracle-exact either way. With telemetry on the
@@ -1114,10 +1071,6 @@ pub(crate) mod contract {
         assert!(kind.build(vec![], pool(lanes)).is_err());
         for bad in [
             pool(0),
-            ShardedConfig {
-                lookup_cache: Some(0),
-                ..pool(lanes)
-            },
             ShardedConfig {
                 trace_sample: Some(0),
                 ..pool(lanes)

@@ -11,8 +11,7 @@
 //! same pipeline: the dispatcher routes every packet by a cheap
 //! multiplicative hash of its destination address ([`shard_of`]), so a
 //! given flow always lands on the same shard — order within a flow is
-//! preserved and a shard's private result cache sees all of that flow's
-//! repeats — and the gathered results are written back through each
+//! preserved — and the gathered results are written back through each
 //! job's origin map, restoring input order. Job buffers are recycled
 //! through a spare pool, so the steady-state
 //! [`process_into`](ShardedService::process_into) path allocates
@@ -24,7 +23,7 @@
 //! acceptance tests run against both services) — and a job submitted
 //! after a publish returned can only see the new table.
 //!
-//! Telemetry uses the core's `vr_service_*` / `vr_cache_*` vocabulary
+//! Telemetry uses the core's `vr_service_*` vocabulary
 //! (counters sharded by shard id), so the bench and exporters read both
 //! services identically; sampled traces carry shard (not worker)
 //! attribution.
@@ -124,7 +123,7 @@ impl ShardedService {
     /// vectors.
     ///
     /// # Errors
-    /// Rejects zero shards, a zero cache size or sample rate, and (in
+    /// Rejects zero shards, a zero sample rate, and (in
     /// audited builds) a structurally invalid trie.
     pub fn with_trie(trie: JumpTrie, cfg: ShardedConfig) -> Result<Self, EngineError> {
         Ok(Self {
@@ -325,7 +324,7 @@ mod tests {
         mixed_vn_batches_resolve_per_network => mixed_vn_batches_resolve_per_network,
         process_restores_input_order_with_empty_and_tiny_batches =>
             empty_tiny_and_ragged_calls_keep_input_order,
-        cached_shards_match_uncached_across_publishes => cached_matches_uncached_across_a_publish,
+        lookup_cache_is_inert => lookup_cache_is_inert,
         traced_shards_record_validating_chains_with_shard_attribution =>
             traced_jobs_record_validating_stage_chains,
         telemetry_merges_per_shard_counters => registry_counts_the_input,

@@ -8,8 +8,8 @@
 //! * [`trace`] — sampled per-batch stage tracing. A [`Tracer`] mints a
 //!   `TraceId` at enqueue for 1-in-N batches; an owned
 //!   [`TraceBuilder`] rides inside the job through the queue and the
-//!   worker closes contiguous stage spans (enqueue → dequeue → cache
-//!   probe → lane walk → scatter → complete) with no shared hot-path
+//!   worker closes contiguous stage spans (enqueue → dequeue → lane
+//!   walk → complete) with no shared hot-path
 //!   state. Control-plane publishes and `apply_updates` land as
 //!   standalone spans on the same epoch timeline.
 //! * [`chrome`] — exports traces as Chrome trace-event JSON (the

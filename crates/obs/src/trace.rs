@@ -7,8 +7,8 @@
 //! on the hot path. The builder keeps one running mark; each
 //! [`TraceBuilder::mark`] call closes the span that started at the
 //! previous mark, which makes the stage chain contiguous and
-//! monotonic by construction (enqueue → dequeue → cache probe → lane
-//! walk → scatter → complete). Completed traces return to the tracer's
+//! monotonic by construction (enqueue → dequeue → lane walk →
+//! complete). Completed traces return to the tracer's
 //! bounded ring, where the HTTP plane and the flight recorder read
 //! them at control-plane rate behind a short mutex.
 //!
@@ -41,13 +41,16 @@ pub enum Stage {
     /// Worker-side: queue residency, closed when the worker picks the
     /// job up.
     Dequeue,
-    /// LPM result-cache probe loop over the batch.
+    /// LPM result-cache probe loop over the batch. No service emits it
+    /// since neither keeps a result cache; it stays so stored traces
+    /// and the repo benchmark's stage filter keep their meaning.
     CacheProbe,
-    /// Trie walk (all packets when uncached, misses when cached). Named
-    /// for the lane stepper it first timed; the name stays so stored
-    /// traces keep their meaning.
+    /// Trie walk over the whole batch. Named for the lane stepper it
+    /// first timed; the name stays so stored traces keep their meaning.
     LaneWalk,
     /// Scatter of walk results back into batch order + cache fill.
+    /// Emitted by nothing, like [`Stage::CacheProbe`], and kept for the
+    /// same reason.
     Scatter,
     /// Result hand-back: from end of lookup to the completion send.
     Complete,
@@ -81,8 +84,8 @@ pub struct StageSpan {
     pub stage: Stage,
     /// Start, nanoseconds since the tracer epoch.
     pub start_ns: u64,
-    /// Duration in nanoseconds (0 for skipped stages, e.g. a lane walk
-    /// with zero cache misses).
+    /// Duration in nanoseconds (0 for a stage that closed as it opened,
+    /// e.g. the lane walk of an empty batch).
     pub dur_ns: u64,
 }
 

@@ -9,8 +9,7 @@
 ///
 /// `GenTag::EMPTY` is `u64::MAX`, unreachable by any live generation (the
 /// counter starts at 0 and bumps by 1), so an empty slot can never satisfy
-/// [`GenTag::matches`] — the property the `no_stale_cache_hit` model
-/// program depends on.
+/// [`GenTag::matches`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(transparent)]
 pub struct GenTag(u64);

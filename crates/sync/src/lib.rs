@@ -1,9 +1,8 @@
 //! vr-sync: the concurrency discipline layer of the workspace.
 //!
 //! Every lock-free protocol the engine relies on — the RCU-style `Arc`
-//! snapshot swap both services share, the generation-tagged O(1) cache
-//! invalidation in `LpmCache`, and the queues between dispatcher and
-//! workers — goes through the wrapper types in this crate instead of
+//! snapshot swap both services share and the queues between dispatcher
+//! and workers — goes through the wrapper types in this crate instead of
 //! touching `std::sync` / `crossbeam` primitives directly:
 //!
 //! * [`SyncArc<T>`] — shared immutable snapshot handle (a thin `Arc`).
@@ -11,8 +10,9 @@
 //!   for RCU snapshot swaps; readers pay one lock + one refcount per batch,
 //!   and the generation is derived under the same lock as the swap, so a
 //!   `Relaxed` publication is not expressible.
-//! * [`GenTag`] — the generation tag stored in cache slots, with an
-//!   unreachable `EMPTY` sentinel that can never match a live generation.
+//! * [`GenTag`] — the generation tag stored in the slots of the
+//!   standalone `LpmCache`, with an unreachable `EMPTY` sentinel that can
+//!   never match a live generation.
 //! * [`spsc_bounded`] / [`spsc_unbounded`] — the single-producer queues
 //!   connecting dispatcher to workers and shards.
 //!
@@ -26,9 +26,9 @@
 //! Independently of the cfg, [`model`] contains a loom-style deterministic
 //! executor that exhaustively enumerates bounded interleavings of small
 //! model programs ([`programs`]) over a PSO-like store-buffer memory model,
-//! proving the never-torn / generation-monotonic / no-stale-cache-hit
-//! invariants on every schedule (and catching deliberately seeded bugs,
-//! e.g. a `Relaxed` generation store).
+//! proving the never-torn / generation-monotonic invariants on every
+//! schedule (and catching a deliberately seeded bug, a `Relaxed`
+//! generation store).
 
 mod arc;
 mod genctr;

@@ -49,22 +49,6 @@ const KNOWN_HELP: &[(&str, &str)] = &[
         "vr_service_update_ns",
         "Wall time of each apply_updates call",
     ),
-    (
-        "vr_cache_hits_total",
-        "LPM result-cache hits across workers",
-    ),
-    (
-        "vr_cache_misses_total",
-        "LPM result-cache misses across workers",
-    ),
-    (
-        "vr_cache_fills_total",
-        "LPM result-cache slots filled after a miss walk",
-    ),
-    (
-        "vr_cache_hit_rate_permille",
-        "Steady-state LPM cache hit rate, parts per mille",
-    ),
 ];
 
 /// Escapes a `# HELP` string per the Prometheus text exposition rules:
@@ -345,10 +329,10 @@ mod tests {
         assert!(text.contains("# HELP vr_lookups_total vr-telemetry counter vr_lookups_total"));
         // …and a family from the curated table lands verbatim.
         let reg = MetricsRegistry::new(1);
-        reg.counter("vr_cache_hits_total").inc(0);
+        reg.counter("vr_service_swaps_total").inc(0);
         let curated = to_prometheus(&reg.snapshot());
         check_prometheus(&curated).unwrap();
-        assert!(curated.contains("# HELP vr_cache_hits_total LPM result-cache hits across workers"));
+        assert!(curated.contains("# HELP vr_service_swaps_total RCU table-generation publishes"));
 
         // The checker rejects HELP-specific malformations.
         assert!(check_prometheus("# HELP \n# TYPE vr_x counter\nvr_x 1\n").is_err());

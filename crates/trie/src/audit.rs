@@ -302,18 +302,9 @@ pub fn audit_jump_with_table(trie: &JumpTrie, table: &RoutingTable) -> AuditRepo
     a.finish(stats)
 }
 
-/// Audits a K-way [`JumpTrie`] structurally and checks every virtual
-/// network's lookups against an oracle built from its own table.
-#[must_use]
-pub fn audit_jump_with_tables(trie: &JumpTrie, tables: &[RoutingTable]) -> AuditReport {
-    let mut a = Audit::new(format!("jump(k={})", trie.arity()));
-    let stats = check_jump(&mut a, trie.raw_parts());
-    check_vn_parity(&mut a, CheckKind::OracleParity, tables, trie.arity(), trie);
-    a.finish(stats)
-}
-
-/// Audits a K-way [`JumpTrie`] like [`audit_jump_with_tables`], and holds
-/// its encoding to `reference` — the same tables' trie from another
+/// Audits a K-way [`JumpTrie`] structurally, checks every virtual
+/// network's lookups against an oracle built from its own table, and
+/// holds its encoding to `reference` — the same tables' trie from another
 /// builder — field for field: a field whose words differ is one
 /// [`CheckKind::OracleParity`] violation, located at its first differing
 /// word.
@@ -941,7 +932,11 @@ mod tests {
         for report in [
             audit_leaf_pushed(&mlp, &tables),
             audit_jump(&jump),
-            audit_jump_with_tables(&jump.repaint(&merged, &DirtyBuckets::all()), &tables),
+            audit_jump_against(
+                &jump.repaint(&merged, &DirtyBuckets::all()),
+                &tables,
+                &JumpTrie::from_tables(&tables).unwrap(),
+            ),
         ] {
             assert!(report.is_clean(), "{}", report.summary());
         }

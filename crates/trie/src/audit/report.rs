@@ -106,8 +106,8 @@ impl Coordinates {
     }
 
     /// A whole level, no single word at fault.
-    #[must_use]
-    pub fn level(level: usize) -> Self {
+    #[cfg(test)]
+    fn level(level: usize) -> Self {
         Self {
             level: u32::try_from(level).ok(),
             offset: None,

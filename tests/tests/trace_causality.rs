@@ -67,14 +67,12 @@ proptest! {
         ops in prop::collection::vec(op_strategy(), 1..40),
         workers in 1usize..=3,
         sample in 1u32..=4,
-        cache_toggle in 0u8..2,
     ) {
         let mut svc = LookupService::new(
             tables(),
             ServiceConfig {
                 workers,
                 trace_sample: Some(sample),
-                lookup_cache: (cache_toggle == 1).then_some(64),
                 ..ServiceConfig::default()
             },
         )
