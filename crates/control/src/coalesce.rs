@@ -85,7 +85,10 @@ mod tests {
             withdraw(1, "10.0.0.0/8"),
         ];
         let (out, stats) = coalesce(&batch);
-        assert_eq!(out, vec![announce(0, "10.0.0.0/8", 3), withdraw(1, "10.0.0.0/8")]);
+        assert_eq!(
+            out,
+            vec![announce(0, "10.0.0.0/8", 3), withdraw(1, "10.0.0.0/8")]
+        );
         assert_eq!(
             stats,
             CoalesceStats {
@@ -136,19 +139,19 @@ mod tests {
         }
         .generate()
         .unwrap();
-        let mut stream = vr_net::UpdateStream::new(
-            tables.clone(),
-            vr_net::UpdateMix::default(),
-            8,
-            77,
-        )
-        .unwrap();
+        let mut stream =
+            vr_net::UpdateStream::new(tables.clone(), vr_net::UpdateMix::default(), 8, 77).unwrap();
         let batch = stream.batch(300);
         let mut coalesced_tables = tables.clone();
         let (deduped, stats) = coalesce(&batch);
-        assert!(stats.superseded > 0, "300 updates over 240 routes must collide");
-        for (target, updates) in [(&mut tables, &batch[..]), (&mut coalesced_tables, &deduped[..])]
-        {
+        assert!(
+            stats.superseded > 0,
+            "300 updates over 240 routes must collide"
+        );
+        for (target, updates) in [
+            (&mut tables, &batch[..]),
+            (&mut coalesced_tables, &deduped[..]),
+        ] {
             for u in updates {
                 u.apply_to(target);
             }

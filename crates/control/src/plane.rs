@@ -274,7 +274,9 @@ impl ControlPlane {
             rec.observe_trace(trace);
         }
         if let Some(registry) = self.service.metrics() {
-            let snap = registry.histogram("vr_service_batch_ns").snapshot("vr_service_batch_ns");
+            let snap = registry
+                .histogram("vr_service_batch_ns")
+                .snapshot("vr_service_batch_ns");
             if snap.count > 0 {
                 rec.observe_p99(snap.quantile(0.99), now_ns);
             }
@@ -517,7 +519,12 @@ mod tests {
             .into_iter()
             .map(|e| e.kind)
             .collect();
-        assert_eq!(kinds, [EventKind::GenerationSwap { generation: before + 1 }]);
+        assert_eq!(
+            kinds,
+            [EventKind::GenerationSwap {
+                generation: before + 1
+            }]
+        );
         let cfg = ControlConfig::default();
         let want = vr_power::memory_power_delta_w(
             cfg.bram_mode,
@@ -546,10 +553,8 @@ mod tests {
     #[test]
     fn replay_streams_batches_and_sets_gauges() {
         let tables = paired_tables();
-        let mut stream =
-            UpdateStream::new(tables.clone(), UpdateMix::default(), 8, 33).unwrap();
-        let mut plane =
-            ControlPlane::new(small_service(tables), ControlConfig::default()).unwrap();
+        let mut stream = UpdateStream::new(tables.clone(), UpdateMix::default(), 8, 33).unwrap();
+        let mut plane = ControlPlane::new(small_service(tables), ControlConfig::default()).unwrap();
         let outcomes = plane.replay(&mut stream, 3, 15).unwrap();
         assert_eq!(outcomes.len(), 3);
         assert_serves(&plane, stream.tables());
@@ -627,10 +632,13 @@ mod tests {
             prefix: route.prefix,
             next_hop: route.next_hop,
         }];
-        let mut plane =
-            ControlPlane::new(small_service(tables), ControlConfig::default()).unwrap();
+        let mut plane = ControlPlane::new(small_service(tables), ControlConfig::default()).unwrap();
         let o = plane.apply_batch(&unchanged).unwrap();
-        assert!(o.power_delta_w.abs() < 1e-9, "phantom delta {} W", o.power_delta_w);
+        assert!(
+            o.power_delta_w.abs() < 1e-9,
+            "phantom delta {} W",
+            o.power_delta_w
+        );
         let _ = plane.shutdown();
     }
 

@@ -41,7 +41,7 @@ pub mod update;
 
 pub use error::NetError;
 pub use models::{FlashCrowdStream, SkewedSpec, SkewedTraffic};
-pub use update::{RouteUpdate, UpdateMix, UpdateStream};
 pub use prefix::Ipv4Prefix;
 pub use table::{NextHop, RouteEntry, RoutingTable};
 pub use traffic::{tenant_mix, VnId};
+pub use update::{RouteUpdate, UpdateMix, UpdateStream};

@@ -380,7 +380,11 @@ mod tests {
         let top = g.working_set() / 100;
         let head: HashSet<u32> = g.pools[0][..top].iter().copied().collect();
         const N: usize = 20_000;
-        let hits = g.pairs(N).iter().filter(|(_, dst)| head.contains(dst)).count();
+        let hits = g
+            .pairs(N)
+            .iter()
+            .filter(|(_, dst)| head.contains(dst))
+            .count();
         // Top 1% of ranks must dominate at s = 1.2 (analytic mass ≈ 0.77).
         assert!(hits as f64 / N as f64 > 0.6, "head share {hits}/{N}");
         assert!(g.cdfs[0][top - 1] > 0.7);
@@ -455,7 +459,10 @@ mod tests {
             for _ in 0..300 {
                 let (drawn, dst) = g.packet_for(vn);
                 assert_eq!(drawn, vn);
-                assert!(t[usize::from(vn)].lookup(dst).is_some(), "vn {vn} {dst:#010x}");
+                assert!(
+                    t[usize::from(vn)].lookup(dst).is_some(),
+                    "vn {vn} {dst:#010x}"
+                );
             }
         }
     }
@@ -493,7 +500,11 @@ mod tests {
             for &(_, dst) in pairs {
                 *counts.entry(dst).or_insert(0usize) += 1;
             }
-            counts.into_iter().max_by_key(|&(_, c)| c).map(|(d, _)| d).unwrap()
+            counts
+                .into_iter()
+                .max_by_key(|&(_, c)| c)
+                .map(|(d, _)| d)
+                .unwrap()
         };
         // The dominant destination changes identity across the boundary
         // (the rank-0 slot rotates to a different concrete address).

@@ -53,10 +53,12 @@ pub fn parse_dump(input: &str) -> Result<RoutingTable, NetError> {
         })?;
         let prefix: Ipv4Prefix = prefix_str.parse()?;
         let next_hop = match fields.next() {
-            Some(nh) => nh.parse::<NextHop>().map_err(|_| NetError::InvalidDumpLine {
-                line: line_no,
-                reason: "next hop must be an integer 0..=255",
-            })?,
+            Some(nh) => nh
+                .parse::<NextHop>()
+                .map_err(|_| NetError::InvalidDumpLine {
+                    line: line_no,
+                    reason: "next hop must be an integer 0..=255",
+                })?,
             None => derive_next_hop(&prefix),
         };
         if fields.next().is_some() {

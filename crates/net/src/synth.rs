@@ -325,7 +325,9 @@ impl FamilySpec {
     /// distinct-prefix demands cannot be realized.
     pub fn generate(&self) -> Result<Vec<RoutingTable>, NetError> {
         if self.k == 0 {
-            return Err(NetError::InvalidSpec("family must contain at least one table"));
+            return Err(NetError::InvalidSpec(
+                "family must contain at least one table",
+            ));
         }
         if !(0.0..=1.0).contains(&self.shared_fraction) || !self.shared_fraction.is_finite() {
             return Err(NetError::InvalidSpec("shared fraction must be in [0, 1]"));
@@ -333,8 +335,7 @@ impl FamilySpec {
         if self.next_hops == 0 {
             return Err(NetError::InvalidSpec("next-hop pool must be non-empty"));
         }
-        let core_count =
-            ((self.prefixes_per_table as f64) * self.shared_fraction).round() as usize;
+        let core_count = ((self.prefixes_per_table as f64) * self.shared_fraction).round() as usize;
         let unique_count = self.prefixes_per_table - core_count.min(self.prefixes_per_table);
 
         let mut rng = SmallRng::seed_from_u64(self.seed);
@@ -425,8 +426,7 @@ pub fn generate_heterogeneous(
     let mut tables = Vec::with_capacity(sizes.len());
     for &size in sizes {
         let unique_count = size.saturating_sub(core_count);
-        let unique_clustering =
-            (unique_count > 0).then(|| ClusterSpec::edge_default(unique_count));
+        let unique_clustering = (unique_count > 0).then(|| ClusterSpec::edge_default(unique_count));
         let unique_pool = cluster_pool(&mut rng, unique_clustering);
         let unique = sample_distinct_prefixes(
             &mut rng,
@@ -457,10 +457,15 @@ impl SortedCore {
     /// part's, and its entries handed over as two sorted runs, which the
     /// bulk build's stable sort merges in one pass.
     fn table(&self, rng: &mut SmallRng, unique: &[Ipv4Prefix], next_hops: NextHop) -> RoutingTable {
-        let hops: Vec<NextHop> = (0..self.0.len()).map(|_| rng.gen_range(0..next_hops)).collect();
+        let hops: Vec<NextHop> = (0..self.0.len())
+            .map(|_| rng.gen_range(0..next_hops))
+            .collect();
         let mut own: Vec<RouteEntry> = with_next_hops(rng, unique, next_hops).collect();
         own.sort_unstable_by_key(|e| e.prefix);
-        let shared = self.0.iter().map(|&(prefix, i)| RouteEntry::new(prefix, hops[i]));
+        let shared = self
+            .0
+            .iter()
+            .map(|&(prefix, i)| RouteEntry::new(prefix, hops[i]));
         RoutingTable::from_entries(shared.chain(own))
     }
 }
@@ -748,14 +753,9 @@ mod tests {
     #[test]
     fn heterogeneous_sizes_are_honoured() {
         let sizes = [500usize, 200, 100];
-        let tables = generate_heterogeneous(
-            &sizes,
-            0.5,
-            7,
-            &PrefixLenDistribution::edge_default(),
-            8,
-        )
-        .unwrap();
+        let tables =
+            generate_heterogeneous(&sizes, 0.5, 7, &PrefixLenDistribution::edge_default(), 8)
+                .unwrap();
         assert_eq!(tables.len(), 3);
         for (t, &size) in tables.iter().zip(&sizes) {
             assert_eq!(t.len(), size);

@@ -190,10 +190,7 @@ impl RoutingTable {
     /// prefix level; the trie-level overlap α is computed in `vr-trie`).
     #[must_use]
     pub fn shared_prefix_count(&self, other: &RoutingTable) -> usize {
-        self.entries
-            .keys()
-            .filter(|p| other.contains(p))
-            .count()
+        self.entries.keys().filter(|p| other.contains(p)).count()
     }
 
     /// Validates internal invariants; used by property tests. Always true
@@ -202,9 +199,7 @@ impl RoutingTable {
     pub fn check_invariants(&self) -> bool {
         // BTreeMap keys are unique and sorted by construction; verify
         // canonicalization (host bits zero) survived serde round-trips.
-        self.entries
-            .keys()
-            .all(|p| p.addr() & !p.netmask() == 0)
+        self.entries.keys().all(|p| p.addr() & !p.netmask() == 0)
     }
 }
 

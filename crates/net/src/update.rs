@@ -145,7 +145,11 @@ impl UpdateStream {
     pub fn next_update(&mut self) -> RouteUpdate {
         let vnid = self.rng.gen_range(0..self.tables.len());
         let table = &self.tables[vnid];
-        let weights = [self.mix.announce_new, self.mix.reannounce, self.mix.withdraw];
+        let weights = [
+            self.mix.announce_new,
+            self.mix.reannounce,
+            self.mix.withdraw,
+        ];
         let total: f64 = weights.iter().sum();
         let mut x = self.rng.gen_range(0.0..total);
         let mut kind = 0usize;

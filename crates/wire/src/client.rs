@@ -12,12 +12,10 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::os::unix::net::UnixStream;
 use std::time::Duration;
 
-use vr_net::VnId;
 use vr_net::RouteUpdate;
+use vr_net::VnId;
 
-use crate::frame::{
-    encode_into, encode_lookup_request, encode_update_batch, Message, WireError,
-};
+use crate::frame::{encode_into, encode_lookup_request, encode_update_batch, Message, WireError};
 use crate::FrameDecoder;
 
 enum Conn {

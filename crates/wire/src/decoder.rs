@@ -94,7 +94,9 @@ impl FrameDecoder {
         // with the wrong magic must fail *now*, not after the length
         // field makes us wait for a megabyte that never comes.
         if header[..4] != MAGIC {
-            return Err(WireError::BadMagic([header[0], header[1], header[2], header[3]]));
+            return Err(WireError::BadMagic([
+                header[0], header[1], header[2], header[3],
+            ]));
         }
         if header[4] != VERSION {
             return Err(WireError::BadVersion(header[4]));
@@ -240,6 +242,9 @@ mod tests {
             while dec.next_message().unwrap().is_some() {}
         }
         assert_eq!(dec.buffered(), 0);
-        assert!(dec.at < COMPACT_AT, "consumed prefix must be compacted away");
+        assert!(
+            dec.at < COMPACT_AT,
+            "consumed prefix must be compacted away"
+        );
     }
 }

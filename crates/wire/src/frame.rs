@@ -123,7 +123,10 @@ impl std::fmt::Display for WireError {
                 write!(f, "payload length {length} exceeds the {max}-byte bound")
             }
             WireError::BadCrc { expected, actual } => {
-                write!(f, "payload CRC mismatch: header {expected:#010x}, computed {actual:#010x}")
+                write!(
+                    f,
+                    "payload CRC mismatch: header {expected:#010x}, computed {actual:#010x}"
+                )
             }
             WireError::Malformed(what) => write!(f, "malformed payload: {what}"),
             WireError::Io(e) => write!(f, "i/o: {e}"),
@@ -489,7 +492,10 @@ fn put_frame(out: &mut Vec<u8>, frame_type: u8, payload: impl FnOnce(&mut Vec<u8
     let payload_at = out.len();
     payload(out);
     let payload_len = (out.len() - payload_at) as u32;
-    debug_assert!(payload_len <= MAX_PAYLOAD_BYTES, "encoder produced an oversized frame");
+    debug_assert!(
+        payload_len <= MAX_PAYLOAD_BYTES,
+        "encoder produced an oversized frame"
+    );
     let crc = crc32(&out[payload_at..]);
     out[header_at + 8..header_at + 12].copy_from_slice(&payload_len.to_le_bytes());
     out[header_at + 12..header_at + 16].copy_from_slice(&crc.to_le_bytes());
@@ -655,7 +661,9 @@ impl<'a> Cursor<'a> {
     fn count(&mut self, min_item_bytes: usize) -> Result<usize, WireError> {
         let n = self.u32()? as usize;
         let remaining = self.bytes.len() - self.at;
-        if n.checked_mul(min_item_bytes).is_none_or(|need| need > remaining) {
+        if n.checked_mul(min_item_bytes)
+            .is_none_or(|need| need > remaining)
+        {
             return Err(WireError::Malformed("count exceeds payload"));
         }
         Ok(n)
@@ -688,7 +696,10 @@ pub fn decode_payload(frame_type: u8, payload: &[u8]) -> Result<Message, WireErr
                 .0
                 .iter()
                 .map(|&[v0, v1, d0, d1, d2, d3]| {
-                    (u16::from_le_bytes([v0, v1]), u32::from_le_bytes([d0, d1, d2, d3]))
+                    (
+                        u16::from_le_bytes([v0, v1]),
+                        u32::from_le_bytes([d0, d1, d2, d3]),
+                    )
                 })
                 .collect();
             Message::LookupRequest { id, packets }

@@ -132,7 +132,12 @@ fn build_source(
     // `tables.len()`); the working-set size is shaped through
     // `expansions` — concrete destinations materialized per prefix —
     // so `hot_k` becomes a per-VN pool-size target.
-    let prefixes = tables.iter().map(RoutingTable::len).min().unwrap_or(1).max(1);
+    let prefixes = tables
+        .iter()
+        .map(RoutingTable::len)
+        .min()
+        .unwrap_or(1)
+        .max(1);
     let expansions = hot_k.div_ceil(prefixes).max(1);
     let spec = |s: f64| {
         let mut spec = SkewedSpec::zipf(tables.len(), s, seed);

@@ -270,7 +270,9 @@ impl TokenBucket {
             return true;
         }
         let now = self.clock.elapsed_ns();
-        let gained = now.saturating_sub(self.last_ns).saturating_mul(self.rate_pps);
+        let gained = now
+            .saturating_sub(self.last_ns)
+            .saturating_mul(self.rate_pps);
         self.last_ns = now;
         self.available_tok_ns = self
             .available_tok_ns
@@ -530,7 +532,9 @@ fn serve_connection<B: WireBackend, S: WireStream>(mut stream: S, shared: &Share
             Err(e)
                 if matches!(
                     e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::Interrupted
+                    io::ErrorKind::WouldBlock
+                        | io::ErrorKind::TimedOut
+                        | io::ErrorKind::Interrupted
                 ) =>
             {
                 continue
@@ -539,7 +543,10 @@ fn serve_connection<B: WireBackend, S: WireStream>(mut stream: S, shared: &Share
         }
         let open = conn.serve_frames();
         if let Err(e) = stream.write_all(&conn.out) {
-            if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) {
+            if matches!(
+                e.kind(),
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+            ) {
                 // The peer sends but does not read: the write timeout
                 // ran out. Cut it loose.
                 WireMetrics::bump(&shared.metrics.slow_reader_disconnects, 0, 1);
@@ -616,7 +623,10 @@ impl<B: WireBackend> Connection<'_, B> {
         }
         let reply = match msg {
             Message::LookupRequest { id, packets } => {
-                match packets.iter().find(|&&(vn, _)| usize::from(vn) >= shared.vn_count) {
+                match packets
+                    .iter()
+                    .find(|&&(vn, _)| usize::from(vn) >= shared.vn_count)
+                {
                     Some(&(vn, _)) => Message::ErrorReply {
                         id,
                         code: ErrorCode::UnknownVn,
@@ -829,11 +839,17 @@ mod tests {
             next_hop: 4,
         };
         let ack = client.apply_updates(&[update]).expect("update");
-        assert!(matches!(ack, Message::UpdateAck { generation: 2, .. }), "got {ack:?}");
+        assert!(
+            matches!(ack, Message::UpdateAck { generation: 2, .. }),
+            "got {ack:?}"
+        );
 
         // Lookups after the ack see the new generation.
         let reply = client.lookup(&packets).expect("lookup 2");
-        assert!(matches!(reply, Message::LookupResponse { generation: 2, .. }));
+        assert!(matches!(
+            reply,
+            Message::LookupResponse { generation: 2, .. }
+        ));
 
         let backend = server.shutdown().expect("backend returns");
         assert_eq!(backend.generation, 2);
@@ -902,8 +918,9 @@ mod tests {
     #[test]
     fn uds_round_trip() {
         let path = std::env::temp_dir().join(format!("vr-wire-test-{}.sock", std::process::id()));
-        let server = WireServer::serve_uds(&path, FakeBackend::new(), ServerConfig::default(), None)
-            .expect("bind uds");
+        let server =
+            WireServer::serve_uds(&path, FakeBackend::new(), ServerConfig::default(), None)
+                .expect("bind uds");
         let mut client = crate::WireClient::connect_uds(&path).expect("connect uds");
         let reply = client.lookup(&[(1, 5), (2, 0)]).expect("lookup");
         let Message::LookupResponse { results, .. } = reply else {
@@ -934,7 +951,12 @@ mod tests {
         let backend = server.shutdown().expect("backend");
         assert_eq!(backend.generation, 1);
         let snap = registry.snapshot();
-        let count = |name: &str| snap.counters.iter().find(|c| c.name == name).map(|c| c.value);
+        let count = |name: &str| {
+            snap.counters
+                .iter()
+                .find(|c| c.name == name)
+                .map(|c| c.value)
+        };
         assert_eq!(count("vr_wire_connections_total"), Some(1));
         assert_eq!(count("vr_wire_requests_total"), Some(1));
         assert_eq!(count("vr_wire_lookup_packets_total"), Some(1));
@@ -982,7 +1004,9 @@ mod tests {
 
     /// Opens the gate; the plug's reply comes first.
     fn unplug(client: &mut crate::WireClient, gate: &Gate) {
-        gate.open.send(()).expect("the plug's call waits on the gate");
+        gate.open
+            .send(())
+            .expect("the plug's call waits on the gate");
         expect_lookup_reply(client, PLUG, 1);
     }
 
@@ -990,7 +1014,12 @@ mod tests {
     /// part of a grouped result cannot pass for the right one.
     fn keys_of(id: u64, n: usize) -> Vec<(VnId, u32)> {
         (0..n)
-            .map(|i| ((id % FakeBackend::VNS as u64) as VnId, (id as u32) * 100_000 + i as u32))
+            .map(|i| {
+                (
+                    (id % FakeBackend::VNS as u64) as VnId,
+                    (id as u32) * 100_000 + i as u32,
+                )
+            })
             .collect()
     }
 
@@ -1029,7 +1058,11 @@ mod tests {
             panic!("expected LookupResponse {id}, got {reply:?}");
         };
         assert_eq!(got, id, "replies come back in request order");
-        assert_eq!(results, results_of(id, n), "frame {id} got its own slice of the group's results");
+        assert_eq!(
+            results,
+            results_of(id, n),
+            "frame {id} got its own slice of the group's results"
+        );
         generation
     }
 
@@ -1058,16 +1091,30 @@ mod tests {
         unplug(&mut client, &gate);
 
         for id in 1..=burst {
-            assert_eq!(expect_lookup_reply(&mut client, id, id as usize), 1, "before the update");
+            assert_eq!(
+                expect_lookup_reply(&mut client, id, id as usize),
+                1,
+                "before the update"
+            );
         }
         let ack = client.recv().expect("ack");
         assert!(
-            matches!(ack, Message::UpdateAck { id: 100, generation: 2 }),
+            matches!(
+                ack,
+                Message::UpdateAck {
+                    id: 100,
+                    generation: 2
+                }
+            ),
             "got {ack:?}"
         );
         for id in 101..=100 + burst {
             let n = (id - 100) as usize;
-            assert_eq!(expect_lookup_reply(&mut client, id, n), 2, "after the update");
+            assert_eq!(
+                expect_lookup_reply(&mut client, id, n),
+                2,
+                "after the update"
+            );
         }
         let backend = server.shutdown().expect("backend");
         // The plug, then one call on each side of the update.
@@ -1097,13 +1144,18 @@ mod tests {
         // Groups never span connections: every call's keys come from
         // one connection (A's ids are 1 000.., B's 2 000..).
         let connection_of = |call: &Vec<(VnId, u32)>| {
-            let conns: std::collections::BTreeSet<u64> = call.iter().map(|k| owner(k) / 1_000).collect();
+            let conns: std::collections::BTreeSet<u64> =
+                call.iter().map(|k| owner(k) / 1_000).collect();
             assert_eq!(conns.len(), 1, "a call spans connections: {call:?}");
             conns.into_iter().next()
         };
         let by_conn: Vec<_> = backend.calls.iter().map(connection_of).collect();
         // A's burst, written while A's thread held the gate, is one call.
-        assert_eq!(by_conn.iter().filter(|&&c| c == Some(1)).count(), 1, "{by_conn:?}");
+        assert_eq!(
+            by_conn.iter().filter(|&&c| c == Some(1)).count(),
+            1,
+            "{by_conn:?}"
+        );
         let keys: usize = backend.call_sizes().iter().sum();
         assert_eq!(keys, 1 + per_conn as usize * 8, "every key looked up once");
     }
@@ -1123,8 +1175,15 @@ mod tests {
         expect_lookup_reply(&mut client, 4, 2);
         let backend = server.shutdown().expect("backend");
         let calls = backend.call_sizes();
-        assert_eq!(calls.iter().filter(|&&n| n == big).count(), 1, "alone: {calls:?}");
-        assert!(calls.iter().all(|&n| n == big || n <= GROUP_KEY_CAP), "{calls:?}");
+        assert_eq!(
+            calls.iter().filter(|&&n| n == big).count(),
+            1,
+            "alone: {calls:?}"
+        );
+        assert!(
+            calls.iter().all(|&n| n == big || n <= GROUP_KEY_CAP),
+            "{calls:?}"
+        );
         assert_eq!(calls.iter().sum::<usize>(), big + 6);
     }
 
