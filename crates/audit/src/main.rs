@@ -1,9 +1,8 @@
 //! `vr-audit` — command-line front end for `vr_trie::audit`'s structural
-//! verifier and the workspace source lints.
+//! verifier.
 //!
 //! ```text
 //! vr-audit tables   [--prefixes N] [--seed S] [--k K] [--out PATH] [--pretty]
-//! vr-audit lint     [--root PATH] [--allow PATH] [--out PATH] [--pretty] [--format json|text]
 //! ```
 //!
 //! `tables` generates a synthetic routing table (and a K-table family for
@@ -14,18 +13,14 @@
 //! publishes to the one walked off the leaf-pushed trie word for word,
 //! and emits the [`AuditReport`]s as a
 //! JSON array — the CI `audit` job runs this at paper scale and uploads
-//! the output. `lint` runs the source rules of [`lint`] over the
-//! workspace tree. Exit status: 0 clean, 1 violations found, 2 usage or
-//! I/O error.
-
-mod lint;
+//! the output. Exit status: 0 clean, 1 violations found, 2 usage or I/O
+//! error.
 
 use std::process::ExitCode;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use lint::lint_workspace;
 use vr_net::synth::{ClusterSpec, FamilySpec, TableSpec, PAPER_TABLE_PREFIXES};
 use vr_trie::audit::{
     audit_jump, audit_jump_against, audit_jump_with_table, audit_leaf_pushed, audit_merged,
@@ -33,12 +28,10 @@ use vr_trie::audit::{
 };
 use vr_trie::{DirtyBuckets, JumpTrie, MergedTrie};
 
-const USAGE: &str =
-    "vr-audit: structural audit of the lookup-table encodings, and the workspace source lints
+const USAGE: &str = "vr-audit: structural audit of the lookup-table encodings
 
 Usage:
   vr-audit tables   [--prefixes N] [--seed S] [--k K] [--out PATH] [--pretty]
-  vr-audit lint     [--root PATH] [--allow PATH] [--out PATH] [--pretty] [--format json|text]
 
 Exit status: 0 clean, 1 violations found, 2 usage or I/O error.";
 
@@ -46,7 +39,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
         Some("tables") => cmd_tables(&args[1..]),
-        Some("lint") => cmd_lint(&args[1..]),
         Some("--help" | "-h" | "help") => {
             println!("{USAGE}");
             return ExitCode::SUCCESS;
@@ -220,80 +212,4 @@ fn cmd_tables(args: &[String]) -> Result<bool, String> {
     reports.push(audit_jump_against(&repainted, &tables, &reference));
 
     emit(&reports, out.as_deref(), pretty)
-}
-
-fn cmd_lint(args: &[String]) -> Result<bool, String> {
-    let mut root = ".".to_string();
-    let mut allow_path: Option<String> = None;
-    let mut out: Option<String> = None;
-    let mut pretty = false;
-    let mut format = "json".to_string();
-    let mut flags = Flags::new(args);
-    while let Some(flag) = flags.next() {
-        match flag {
-            "--root" => root = flags.value(flag)?.to_string(),
-            "--allow" => allow_path = Some(flags.value(flag)?.to_string()),
-            "--out" => out = Some(flags.value(flag)?.to_string()),
-            "--pretty" => pretty = true,
-            "--format" => format = flags.value(flag)?.to_string(),
-            other => return Err(format!("unknown flag {other}\n\n{USAGE}")),
-        }
-    }
-    if format != "json" && format != "text" {
-        return Err(format!("unknown --format {format} (json|text)"));
-    }
-    let default_allow = format!("{root}/crates/audit/lint.allow");
-    let allow_path = allow_path.unwrap_or(default_allow);
-    let allowlist = match std::fs::read_to_string(&allow_path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
-        Err(e) => return Err(format!("reading {allow_path}: {e}")),
-    };
-    // Stale entries report against the allowlist's workspace-relative
-    // path so the finding is clickable from the repo root.
-    let allow_name = allow_path
-        .strip_prefix(&format!("{root}/"))
-        .unwrap_or(&allow_path);
-    let report = lint_workspace(std::path::Path::new(&root), &allowlist, allow_name)
-        .map_err(|e| format!("linting {root}: {e}"))?;
-    // Human rendering always goes to stderr (stale-allow findings
-    // included — they are findings, not footnotes).
-    for finding in &report.findings {
-        eprintln!("{}", finding.render());
-    }
-    eprintln!(
-        "lint: {} files scanned, {} findings ({} stale allows)",
-        report.files_scanned,
-        report.findings.len(),
-        report.unused_allows.len()
-    );
-    // `--format text` repeats the findings on stdout for piping; the
-    // default stays machine-readable JSON (what CI archives).
-    if format == "text" {
-        for finding in &report.findings {
-            println!("{}", finding.render());
-        }
-        if let Some(path) = out {
-            let text: String = report
-                .findings
-                .iter()
-                .map(|f| format!("{}\n", f.render()))
-                .collect();
-            std::fs::write(&path, text.as_bytes()).map_err(|e| format!("writing {path}: {e}"))?;
-        }
-        return Ok(report.is_clean());
-    }
-    let json = if pretty {
-        serde_json::to_string_pretty(&report)
-    } else {
-        serde_json::to_string(&report)
-    }
-    .map_err(|e| format!("serializing lint report: {e}"))?;
-    match out {
-        Some(path) => {
-            std::fs::write(&path, json.as_bytes()).map_err(|e| format!("writing {path}: {e}"))?;
-        }
-        None => println!("{json}"),
-    }
-    Ok(report.is_clean())
 }

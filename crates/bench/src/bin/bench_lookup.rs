@@ -32,7 +32,6 @@
 //! and writes `results/TELEMETRY_smoke.prom` / `.json`.
 
 use serde::Serialize;
-use std::time::Instant;
 use vr_bench::results_dir;
 use vr_engine::service::lookup_batch_mixed;
 use vr_engine::{LookupService, LpmCache, ServiceConfig, ShardedConfig, ShardedService};
@@ -106,9 +105,9 @@ fn time_ns_per_lookup(per_iter: usize, iters: usize, mut work: impl FnMut() -> u
     }
     let mut best = f64::INFINITY;
     for _ in 0..iters {
-        let start = Instant::now();
+        let watch = Stopwatch::start();
         sink = sink.wrapping_add(work());
-        best = best.min(start.elapsed().as_nanos() as f64);
+        best = best.min(watch.elapsed_ns() as f64);
     }
     // Keep the accumulated hit count observable so the loop is not elided.
     assert!(sink != usize::MAX);

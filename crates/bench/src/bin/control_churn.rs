@@ -13,13 +13,13 @@
 //! acceptance bar this study exists to demonstrate.
 
 use serde::Serialize;
-use std::time::Instant;
 use vr_bench::results_dir;
 use vr_control::{coalesce, BatchOutcome, ControlConfig, ControlPlane};
 use vr_engine::{LookupService, ServiceConfig};
 use vr_net::synth::FamilySpec;
 use vr_net::{NextHop, RouteUpdate, RoutingTable, UpdateMix, UpdateStream, VnId};
 use vr_power::report::write_json;
+use vr_telemetry::Stopwatch;
 use vr_trie::JumpTrie;
 
 /// One point of the α / power trajectory.
@@ -96,7 +96,7 @@ fn ab_throughput(
 
     let mut naive = LookupService::new(tables.to_vec(), service_cfg).expect("naive service");
     let mut current = tables.to_vec();
-    let start = Instant::now();
+    let watch = Stopwatch::start();
     for batch in batches {
         let (deduped, _) = coalesce(batch);
         total_updates += deduped.len();
@@ -109,7 +109,7 @@ fn ab_throughput(
             .expect("naive publish");
         current = staged;
     }
-    let naive_secs = start.elapsed().as_secs_f64();
+    let naive_secs = watch.elapsed_ns() as f64 * 1e-9;
 
     // Incremental: dirty-bucket repaints. Same batches, same
     // coalescer; lookups are oracle-checked against shadow tables
@@ -120,9 +120,9 @@ fn ab_throughput(
     let mut inc_secs = 0.0f64;
     for (i, batch) in batches.iter().enumerate() {
         let (deduped, _) = coalesce(batch);
-        let start = Instant::now();
+        let watch = Stopwatch::start();
         inc.apply_updates(&deduped).expect("incremental apply");
-        inc_secs += start.elapsed().as_secs_f64();
+        inc_secs += watch.elapsed_ns() as f64 * 1e-9;
 
         for update in &deduped {
             update.apply_to(&mut shadow);

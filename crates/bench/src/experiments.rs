@@ -1044,4 +1044,298 @@ mod tests {
         }
         assert!(cited >= 4, "only {cited} ROADMAP item pointers found");
     }
+
+    /// Blanks line comments and the contents of string literals, so
+    /// `Relaxed` in a doc comment or `"13.65"` in a message cannot fire a
+    /// source rule. Block comments are handled across lines via the
+    /// `in_block` state. The pass is length-preserving: every input byte
+    /// maps to one output byte, non-ASCII bytes becoming spaces.
+    fn strip_line(line: &str, in_block: &mut bool) -> String {
+        let bytes = line.as_bytes();
+        let mut out = Vec::with_capacity(bytes.len());
+        let mut i = 0;
+        let mut in_str = false;
+        while i < bytes.len() {
+            if *in_block {
+                if bytes[i] == b'*' && i + 1 < bytes.len() && bytes[i + 1] == b'/' {
+                    *in_block = false;
+                    out.extend_from_slice(b"  ");
+                    i += 2;
+                } else {
+                    out.push(b' ');
+                    i += 1;
+                }
+                continue;
+            }
+            let c = bytes[i];
+            if in_str {
+                if c == b'\\' && i + 1 < bytes.len() {
+                    out.extend_from_slice(b"  ");
+                    i += 2;
+                    continue;
+                }
+                if c == b'"' {
+                    in_str = false;
+                    out.push(b'"');
+                } else {
+                    out.push(b' ');
+                }
+                i += 1;
+                continue;
+            }
+            match c {
+                b'"' => {
+                    in_str = true;
+                    out.push(b'"');
+                    i += 1;
+                }
+                b'/' if i + 1 < bytes.len() && bytes[i + 1] == b'/' => {
+                    out.resize(bytes.len(), b' ');
+                    break;
+                }
+                b'/' if i + 1 < bytes.len() && bytes[i + 1] == b'*' => {
+                    *in_block = true;
+                    out.extend_from_slice(b"  ");
+                    i += 2;
+                }
+                _ => {
+                    out.push(if c.is_ascii() { c } else { b' ' });
+                    i += 1;
+                }
+            }
+        }
+        String::from_utf8(out).expect("blanked line is pure ASCII")
+    }
+
+    /// Byte offset of the first non-trivial float literal in a stripped
+    /// line: one carrying calibration information. Zero, one and powers
+    /// of ten (`1e-6`, `100.0`) are unit conversions and comparisons.
+    fn find_float_literal(stripped: &str) -> Option<usize> {
+        let bytes = stripped.as_bytes();
+        let mut i = 0;
+        while i < bytes.len() {
+            if !bytes[i].is_ascii_digit() {
+                i += 1;
+                continue;
+            }
+            // Runs continuing an identifier, a hex literal or a tuple
+            // field access (`group.1`) are not floats.
+            let glued = i > 0
+                && (bytes[i - 1].is_ascii_alphanumeric()
+                    || bytes[i - 1] == b'_'
+                    || bytes[i - 1] == b'.');
+            let (mut j, mut saw_dot, mut saw_exp) = (i, false, false);
+            let mut mantissa = String::new();
+            while j < bytes.len() {
+                let c = bytes[j];
+                let next = bytes.get(j + 1).copied().unwrap_or(b' ');
+                if c.is_ascii_digit() {
+                    if !saw_exp {
+                        mantissa.push(c as char);
+                    }
+                    j += 1;
+                } else if c == b'_' && !saw_exp {
+                    j += 1;
+                } else if c == b'.' && !saw_dot && !saw_exp && next.is_ascii_digit() {
+                    saw_dot = true;
+                    j += 1;
+                } else if (c == b'e' || c == b'E')
+                    && !saw_exp
+                    && (next == b'-' || next == b'+' || next.is_ascii_digit())
+                {
+                    saw_exp = true;
+                    j += if next.is_ascii_digit() { 1 } else { 2 };
+                } else {
+                    break;
+                }
+            }
+            let trimmed = mantissa.trim_start_matches('0').trim_end_matches('0');
+            if !glued && (saw_dot || saw_exp) && !trimmed.is_empty() && trimmed != "1" {
+                return Some(i);
+            }
+            i = j;
+        }
+        None
+    }
+
+    /// Byte offset of `word` in `haystack` where it stands alone, not
+    /// inside an identifier (`unsafe` does not match `unsafe_code`).
+    fn find_word(haystack: &str, word: &str) -> Option<usize> {
+        let is_ident = |b: u8| b.is_ascii_alphanumeric() || b == b'_';
+        haystack.match_indices(word).map(|(at, _)| at).find(|&at| {
+            let end = at + word.len();
+            (at == 0 || !is_ident(haystack.as_bytes()[at - 1]))
+                && (end == haystack.len() || !is_ident(haystack.as_bytes()[end]))
+        })
+    }
+
+    /// The two source rules no compiler lint can state, over one file's
+    /// text up to its `#[cfg(test)]` tail (`rel` is workspace-relative):
+    ///
+    /// * `no-raw-power-literal`: in `crates/core` and `crates/fpga`, a
+    ///   non-trivial float literal on a line that names a power unit
+    ///   belongs in `vr_fpga::units` or in `grade.rs`'s Table III
+    ///   calibration, the one source of watts the reproduction has;
+    /// * `no-relaxed-publish`: outside `crates/sync`, `Relaxed` on a line
+    ///   naming `generation` or `publish` is the model checker's seeded
+    ///   bug, a generation published without release ordering.
+    fn source_findings(rel: &str, text: &str) -> Vec<String> {
+        const POWER_MARKERS: [&str; 6] = ["watt", "_w ", "_uw", "_mw", "uw_per", "mhz"];
+        let power_scope = (rel.starts_with("crates/core/") || rel.starts_with("crates/fpga/"))
+            && !rel.ends_with("/units.rs")
+            && !rel.ends_with("/grade.rs");
+        let publish_scope = !rel.starts_with("crates/sync/");
+        let mut in_block = false;
+        let mut findings = Vec::new();
+        let body = text
+            .lines()
+            .take_while(|line| !line.trim_start().starts_with("#[cfg(test)]"));
+        for (n, line) in body.enumerate() {
+            let stripped = strip_line(line, &mut in_block);
+            let lower = stripped.to_ascii_lowercase();
+            let mut fire = |rule: &str| findings.push(format!("{rel}:{}: {rule}: {line}", n + 1));
+            if power_scope
+                && find_float_literal(&stripped).is_some()
+                && POWER_MARKERS.iter().any(|m| lower.contains(m))
+            {
+                fire("no-raw-power-literal");
+            }
+            if publish_scope
+                && find_word(&stripped, "Relaxed").is_some()
+                && ["generation", "publish"].iter().any(|m| lower.contains(m))
+            {
+                fire("no-relaxed-publish");
+            }
+        }
+        findings
+    }
+
+    /// Every first-party `.rs` file keeps the two rules of
+    /// [`source_findings`]; the compiler checks the rest (the root
+    /// `clippy.toml`, `unsafe_code` and module privacy).
+    #[test]
+    fn no_raw_power_literal_or_relaxed_publication() {
+        const SKIP_DIRS: [&str; 4] = ["vendor", "target", ".git", ".claude"];
+        let root = workspace_root();
+        let (mut stack, mut scanned, mut findings) = (vec![root.clone()], 0, Vec::new());
+        while let Some(dir) = stack.pop() {
+            for entry in std::fs::read_dir(&dir).expect("readable directory") {
+                let path = entry.expect("directory entry").path();
+                let name = path.file_name().unwrap_or_default().to_string_lossy();
+                if path.is_dir() && !SKIP_DIRS.contains(&name.as_ref()) {
+                    stack.push(path);
+                } else if name.ends_with(".rs") {
+                    let rel = path.strip_prefix(&root).expect("under the root");
+                    let text = std::fs::read_to_string(&path).expect("source file");
+                    findings.extend(source_findings(&rel.to_string_lossy(), &text));
+                    scanned += 1;
+                }
+            }
+        }
+        assert!(scanned > 100, "only {scanned} files scanned");
+        assert!(findings.is_empty(), "{}", findings.join("\n"));
+    }
+
+    #[test]
+    fn strip_line_is_length_preserving() {
+        let mut in_block = false;
+        for line in [
+            "let x = 1; // trailing comment with unsafe",
+            "let s = \"unsafe in a string\"; let y = 2;",
+            "before /* block unsafe */ after",
+            "plain line",
+        ] {
+            let stripped = strip_line(line, &mut in_block);
+            assert_eq!(stripped.len(), line.len(), "{line:?}");
+        }
+        // An open block comment blanks to the end of the line.
+        let stripped = strip_line("code(); /* starts here", &mut in_block);
+        assert!(in_block);
+        assert_eq!(stripped.len(), "code(); /* starts here".len());
+        assert!(stripped.starts_with("code(); "));
+    }
+
+    #[test]
+    fn unsafe_in_comments_strings_and_attributes_is_ignored() {
+        let mut in_block = false;
+        for line in [
+            "// unsafe here",
+            "/* unsafe",
+            " unsafe */",
+            "let s = \"unsafe\";",
+            "#![forbid(unsafe_code)]",
+        ] {
+            let stripped = strip_line(line, &mut in_block);
+            assert_eq!(find_word(&stripped, "unsafe"), None, "{line:?}");
+        }
+        assert_eq!(find_word("fn f() { unsafe { } }", "unsafe"), Some(9));
+    }
+
+    #[test]
+    fn raw_power_literal_fires_in_power_crates_only() {
+        let text = "let static_w = 4.5;\n";
+        let findings = source_findings("crates/fpga/src/bram.rs", text);
+        assert_eq!(findings.len(), 1);
+        assert!(findings[0].contains("no-raw-power-literal"), "{findings:?}");
+        // Outside the power crates the same line is fine.
+        assert!(source_findings("crates/trie/src/stats.rs", text).is_empty());
+        // In the designated calibration homes it is also fine.
+        assert!(source_findings("crates/fpga/src/grade.rs", text).is_empty());
+        assert!(source_findings("crates/fpga/src/units.rs", text).is_empty());
+    }
+
+    #[test]
+    fn float_without_power_marker_is_fine() {
+        let text = "let ratio = 0.5;\n";
+        assert!(source_findings("crates/fpga/src/par.rs", text).is_empty());
+    }
+
+    #[test]
+    fn float_literal_shapes() {
+        assert_eq!(find_float_literal("let x = 13.65;"), Some(8));
+        assert!(find_float_literal("let x = 0.32;").is_some());
+        assert!(find_float_literal("let x = 2.5e3;").is_some());
+        assert!(find_float_literal("let x = 42;").is_none());
+        assert!(find_float_literal("let x = 0xE5;").is_none());
+        assert!(find_float_literal("foo.bar()").is_none());
+        assert!(find_float_literal("group.1.push(x)").is_none());
+        // Trivial scale factors and identities are not calibration data.
+        assert!(find_float_literal("w * 1e-6").is_none());
+        assert!(find_float_literal("w * 1e3").is_none());
+        assert!(find_float_literal("ratio * 100.0").is_none());
+        assert!(find_float_literal("if x > 0.0 {").is_none());
+        assert!(find_float_literal("1.0 - systematic").is_none());
+    }
+
+    #[test]
+    fn relaxed_publication_fires_outside_the_sync_crate() {
+        // The textual twin of the model checker's RelaxedGenStore seeded
+        // bug: a generation published without release ordering.
+        let text = "self.generation.store(next, Ordering::Relaxed);\n";
+        let findings = source_findings("crates/engine/src/service.rs", text);
+        assert_eq!(findings.len(), 1);
+        assert!(findings[0].contains("no-relaxed-publish"), "{findings:?}");
+        let publish = "publish_flag.store(1, Ordering::Relaxed);\n";
+        assert_eq!(
+            source_findings("crates/control/src/plane.rs", publish).len(),
+            1
+        );
+        // Relaxed without a publication-side name is a statistics counter.
+        let counter = "self.count.fetch_add(1, Ordering::Relaxed);\n";
+        assert!(source_findings("crates/engine/src/service.rs", counter).is_empty());
+        // crates/sync models Relaxed publication deliberately.
+        assert!(source_findings("crates/sync/src/programs.rs", text).is_empty());
+        // A mention in a comment does not fire.
+        let prose = "// a Relaxed generation store would tear\n";
+        assert!(source_findings("crates/engine/src/service.rs", prose).is_empty());
+    }
+
+    #[test]
+    fn test_modules_are_exempt() {
+        let text =
+            "fn f() {}\n#[cfg(test)]\nmod tests { fn g() { gen.store(generation, Relaxed); } }\n";
+        assert!(source_findings("crates/engine/src/service.rs", text).is_empty());
+        let text = "fn f() {}\n    #[cfg(test)]\n    const IDLE_W: f64 = 4.5;\n";
+        assert!(source_findings("crates/fpga/src/bram.rs", text).is_empty());
+    }
 }

@@ -11,6 +11,10 @@ use crate::PowerError;
 use serde::{Deserialize, Serialize};
 use vr_fpga::{Device, SpeedGrade};
 
+/// Claim 3's threshold: the merged clock at K must fall below this share
+/// of its K = 1 clock to count as a significant decrease.
+const VM_CLOCK_COLLAPSE_RATIO: f64 = 0.75;
+
 /// One verified (or refuted) paper claim.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ClaimCheck {
@@ -156,7 +160,7 @@ pub fn check_claims(points: &[SweepPoint], k_max: usize) -> Result<Vec<ClaimChec
             "VM clock: {:.0} MHz at K=1 → {:.0} MHz at K={k}",
             vm_1.freq_mhz, vm_k.freq_mhz
         ),
-        holds: vm_k.freq_mhz < 0.75 * vm_1.freq_mhz,
+        holds: vm_k.freq_mhz < VM_CLOCK_COLLAPSE_RATIO * vm_1.freq_mhz,
     });
 
     Ok(checks)

@@ -26,10 +26,12 @@
 //! Negative results are cached too: "no route" is as deterministic a
 //! function of `(table generation, dst, vnid)` as any next hop.
 //!
-//! Reading a slot's stored result is only legal through the
-//! generation-checked probe API in this module — vr-audit lint rule 7
-//! (`no-raw-cache-slot`) enforces that no other engine module touches a
-//! `.nhi` slot field directly.
+//! Reading a slot's stored result is only possible through the
+//! generation-checked probe API in this module: `Slot` and
+//! `LpmCache::slots` are private, so no other module can read a `.nhi`
+//! slot field directly.
+
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use vr_net::table::NextHop;
 use vr_net::VnId;
@@ -210,8 +212,7 @@ impl LpmCache {
     /// Generation-checked single probe: `Some(result)` when the slot
     /// holds `(vnid, dst)` filled under exactly `generation`, `None`
     /// otherwise. This (and [`Self::lookup_batch`]) is the only legal way
-    /// to read a cached result — lint rule 7 pins raw slot access to this
-    /// module.
+    /// to read a cached result: the slots are private to this module.
     pub fn probe(&mut self, generation: u64, vnid: VnId, dst: u32) -> Option<Option<NextHop>> {
         let slot = self.slots[self.index(vnid, dst)];
         if slot.generation.matches(generation) && slot.dst == dst && slot.vnid == vnid {

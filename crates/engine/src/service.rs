@@ -40,6 +40,8 @@
 //! ([`ServiceConfig::telemetry`]): lookups, misses and batch latencies
 //! per lane, swaps, audit rejections, stalls and route updates.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use vr_net::table::{NextHop, RoutingTable};

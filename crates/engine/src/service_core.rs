@@ -38,6 +38,8 @@
 //!   service can leak a thread or keep a snapshot pinned past its own
 //!   drop.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -472,6 +474,10 @@ impl ServiceCore {
             // Let the blocking send below surface the disconnect.
             Err(TrySendError::Disconnected(job)) => job,
         };
+        #[expect(
+            clippy::expect_used,
+            reason = "the workers live from the core's constructor to its Drop"
+        )]
         target
             .job_tx
             .send(blocked)
@@ -503,6 +509,10 @@ impl ServiceCore {
         self.resolved.drain(..).for_each(&mut observe);
         for worker in &mut self.workers {
             while worker.in_flight > 0 {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the workers live from the core's constructor to its Drop"
+                )]
                 let done = worker
                     .done_rx
                     .recv()

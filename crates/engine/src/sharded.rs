@@ -28,6 +28,8 @@
 //! services identically; sampled traces carry shard (not worker)
 //! attribution.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::sync::Arc;
 use vr_net::table::{NextHop, RoutingTable};
 use vr_net::VnId;
@@ -168,6 +170,10 @@ impl ShardedService {
         for (i, &(vn, dst)) in packets.iter().enumerate() {
             let job = &mut self.scatter[shard_of(dst, shard_count)];
             job.packets.push((vn, dst));
+            #[expect(
+                clippy::expect_used,
+                reason = "a batch past u32::MAX keys is a caller bug, documented under Panics"
+            )]
             job.origins.push(u32::try_from(i).expect("batch too large"));
         }
         let mut issued = 0;

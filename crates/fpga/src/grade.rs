@@ -17,8 +17,9 @@ use serde::{Deserialize, Serialize};
 
 /// Calibration table for one speed grade, every entry unit-typed. This is
 /// the **only** place (together with `units.rs`) where raw power/clock
-/// literals are allowed — `vr-audit lint` flags power literals elsewhere
-/// in `crates/fpga` and `crates/core` that bypass these constructors.
+/// literals are allowed — a vr-bench source check flags power literals
+/// elsewhere in `crates/fpga` and `crates/core` that bypass these
+/// constructors.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GradeCalibration {
     /// Base static power of the XC6VLX760 (§V-A).

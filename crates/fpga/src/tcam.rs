@@ -13,6 +13,7 @@
 //! vendor-measured — the comparison is about the order-of-magnitude gap
 //! and the partitioning trend, which are robust to the exact values.
 
+use crate::units::GBPS_PER_MHZ;
 use serde::{Deserialize, Serialize};
 
 /// Search energy per *triggered* entry, in pJ. Derived from commonly
@@ -121,7 +122,7 @@ impl TcamSpec {
     /// Throughput at 40-byte packets (one lookup per search), in Gbps.
     #[must_use]
     pub fn throughput_gbps(&self) -> f64 {
-        crate::timing::GBPS_PER_MHZ * self.search_rate_msps
+        GBPS_PER_MHZ * self.search_rate_msps
     }
 
     /// The §VI-B efficiency metric, in mW/Gbps.

@@ -16,11 +16,8 @@
 //! raw curves.
 
 use crate::grade::SpeedGrade;
+use crate::units::GBPS_PER_MHZ;
 use serde::{Deserialize, Serialize};
-
-/// Gbps carried per MHz of pipeline clock at 40-byte packets:
-/// 40 B × 8 = 320 bits per lookup, one lookup per cycle.
-pub const GBPS_PER_MHZ: f64 = 0.32;
 
 /// Per-K clock degradation rate of the merged scheme.
 pub const MERGED_DEGRADATION_PER_VN: f64 = 0.08;

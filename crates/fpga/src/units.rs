@@ -8,7 +8,7 @@
 //! afford. These newtypes make the scale part of the constant's type:
 //! calibration values are declared through [`Watts`],
 //! [`MicroWattsPerMegahertz`] and [`Megahertz`] constructors (see
-//! `grade.rs`), and the `vr-audit lint` pass flags raw `f64` power
+//! `grade.rs`), and a vr-bench source check flags raw `f64` power
 //! literals elsewhere in `crates/fpga` / `crates/core` that bypass them.
 //!
 //! The wrappers are `const`-constructible and deliberately minimal: model
@@ -72,6 +72,10 @@ impl Megahertz {
         self.0
     }
 }
+
+/// Gbps carried per MHz of pipeline clock at 40-byte packets:
+/// 40 B × 8 = 320 bits per lookup, one lookup per cycle.
+pub const GBPS_PER_MHZ: f64 = 0.32;
 
 #[cfg(test)]
 mod tests {

@@ -13,8 +13,8 @@
 //! The recorder is driven at control-plane rate (after `collect_all` /
 //! `apply_batch`), never from the per-packet hot path; callers hold it
 //! behind a mutex. Timestamps come in from the caller's [`Tracer`](crate::trace::Tracer)
-//! epoch — this module never reads a clock of its own (the vr-audit
-//! `no-raw-instant` lint covers it).
+//! epoch — this module never reads a clock of its own (the root
+//! `clippy.toml` bans `Instant::now`).
 
 use crate::chrome::chrome_trace_value;
 use crate::trace::BatchTrace;

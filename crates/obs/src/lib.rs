@@ -36,8 +36,8 @@
 //! event ring) and the vendored serde stand-ins — never on
 //! `vr-engine` — so the engine can depend on it without a cycle. The
 //! HTTP plane consumes boxed closures, not engine types, for the same
-//! reason. All timing goes through `vr_telemetry::Stopwatch`: the
-//! vr-audit `no-raw-instant` lint extends to this crate.
+//! reason. All timing goes through `vr_telemetry::Stopwatch`: the root
+//! `clippy.toml` bans `Instant::now` outside it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

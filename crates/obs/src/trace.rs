@@ -12,9 +12,9 @@
 //! bounded ring, where the HTTP plane and the flight recorder read
 //! them at control-plane rate behind a short mutex.
 //!
-//! All timing goes through [`vr_telemetry::Stopwatch`] — the vr-audit
-//! `no-raw-instant` lint extends to this module, so there is exactly
-//! one sanctioned clock. Timestamps are nanoseconds since the tracer's
+//! All timing goes through [`vr_telemetry::Stopwatch`] — the root
+//! `clippy.toml` bans `Instant::now` here as everywhere, so there is
+//! exactly one sanctioned clock. Timestamps are nanoseconds since the tracer's
 //! epoch (the `Stopwatch` started at construction), which keeps every
 //! span of one service on a single comparable timeline.
 

@@ -1,10 +1,9 @@
 //! `SyncArc<T>`: the shared-snapshot handle.
 //!
 //! A thin newtype over `std::sync::Arc` so that every place a snapshot
-//! crosses a thread boundary is visible to the lint (rule 8 bans raw
-//! `std::sync` primitives outside this crate) and, under `--cfg vr_model`,
-//! to the trace. The newtype compiles away: every method is an `#[inline]`
-//! one-liner over the underlying `Arc`.
+//! crosses a thread boundary goes through this crate and, under
+//! `--cfg vr_model`, is visible to the trace. The newtype compiles away:
+//! every method is an `#[inline]` one-liner over the underlying `Arc`.
 
 use std::fmt;
 use std::ops::Deref;

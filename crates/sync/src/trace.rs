@@ -3,12 +3,18 @@
 //!
 //! The wrappers in this crate record every load/store/swap they perform as
 //! an `(op, ordering)` pair. The trace is the dynamic half of the atomics
-//! discipline: the static half (vr-audit lint rules 8/9) proves no code
-//! outside the sanctioned homes touches raw atomics at all, and the trace
-//! proves the wrappers themselves never downgrade a publication to
-//! `Relaxed` at runtime. Recording is off (and free) unless a capture is
-//! in progress, so even a `vr_model` build only pays one relaxed load per
-//! wrapper op outside captures.
+//! discipline: the static half (clippy's `disallowed_types`, and
+//! vr-bench's `no_raw_power_literal_or_relaxed_publication` source
+//! check) proves no code outside the sanctioned homes touches raw
+//! atomics at all, and the trace proves the wrappers themselves never
+//! downgrade a publication to `Relaxed` at runtime. Recording is off
+//! (and free) unless a capture is in progress, so even a `vr_model`
+//! build only pays one relaxed load per wrapper op outside captures.
+
+#![expect(
+    clippy::disallowed_types,
+    reason = "the capture switch is the trace's own flag, not a publication"
+)]
 
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -7,6 +7,11 @@
 //! three relaxed `fetch_add`s — no allocation, no locking, safe to call
 //! from every worker thread concurrently.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "histogram buckets are relaxed statistics that publish nothing"
+)]
+
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

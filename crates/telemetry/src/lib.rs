@@ -21,8 +21,8 @@
 //!   `fetch_add`s; snapshots extract p50/p90/p99/p999 and merge
 //!   losslessly.
 //! * [`Span`] / [`Stopwatch`] — guard-style timers feeding histograms,
-//!   so hot-path code never touches `std::time::Instant` directly
-//!   (`vr-audit lint` enforces this in the engine's timed modules).
+//!   so no code touches `std::time::Instant` directly (the root
+//!   `clippy.toml` bans `Instant::now` outside the `span` module).
 //! * [`EventRing`] — a bounded ring of structured events (generation
 //!   swaps, audit rejections, worker stalls) with
 //!   monotonic sequence numbers, so a scraper can *detect* droppage

@@ -10,6 +10,11 @@
 //! touch different lines and never bounce ownership. A snapshot sums
 //! the cells. Gauges are single last-writer-wins cells.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "counter and gauge cells are relaxed statistics that publish nothing"
+)]
+
 use crate::events::EventRing;
 use crate::histogram::{Histogram, HistogramCore};
 use crate::snapshot::{CounterSnapshot, GaugeSnapshot, TelemetrySnapshot};

@@ -1,10 +1,15 @@
 //! Guard-style timing that feeds histograms.
 //!
-//! Hot-path code should never call `std::time::Instant::now()` ad hoc —
-//! `vr-audit lint` forbids it in the engine's timed modules. Instead it
-//! takes a [`Stopwatch`] (raw elapsed-nanoseconds readings for loops
+//! Code should never call `std::time::Instant::now()` ad hoc — the
+//! root `clippy.toml` bans it everywhere but here. Instead it takes a
+//! [`Stopwatch`] (raw elapsed-nanoseconds readings for loops
 //! that batch their own accounting) or opens a [`Span`] (a guard that
 //! records its lifetime into a histogram when finished or dropped).
+
+#![expect(
+    clippy::disallowed_methods,
+    reason = "Stopwatch is the one wrapper around Instant::now"
+)]
 
 use crate::histogram::Histogram;
 use crate::registry::MetricsRegistry;

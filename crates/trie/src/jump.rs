@@ -48,6 +48,8 @@
 //! `LookupService` RCU-style swap), exactly like the hardware reloads a
 //! shadow bank while the live bank keeps serving.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::leafpush::LeafPushedTrie;
 use crate::merge::{block_total, check_arity, preorder, replay, sorted_routes, NodeId, Preorder};
 use crate::{DirtyBuckets, MergedTrie, TrieError};
@@ -166,6 +168,10 @@ impl NhiInterner {
             }
             i = (i + 1) & mask;
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "a build-time capacity limit: u32 slab addressing, far above any table"
+        )]
         let slot = u32::try_from(self.slab.len() / self.k).expect("NHI slab overflow");
         debug_assert_eq!(slot & LEAF_BIT, 0, "jump trie too large");
         self.slab.extend_from_slice(vector);
@@ -297,6 +303,10 @@ impl Painter {
     fn open_block(&mut self, level: usize) {
         let base = self.tail.len();
         self.tail.resize(base + BLOCK_ENTRIES, 0);
+        #[expect(
+            clippy::expect_used,
+            reason = "a build-time capacity limit: u32 tail addressing, far above any table"
+        )]
         let entry = u32::try_from(base).expect("jump trie tail exceeds u32 entries");
         debug_assert_eq!(entry & LEAF_BIT, 0, "jump trie too large");
         let at = self.at;
@@ -394,6 +404,10 @@ impl Painter {
     /// Appends the block at `base` in `from`'s tail, entries as they are,
     /// and returns its new base.
     fn copy_block(&mut self, from: &Source<'_>, base: u32) -> u32 {
+        #[expect(
+            clippy::expect_used,
+            reason = "a build-time capacity limit: u32 tail addressing, far above any table"
+        )]
         let new = u32::try_from(self.tail.len()).expect("jump trie tail exceeds u32 entries");
         debug_assert_eq!(new & LEAF_BIT, 0, "jump trie too large");
         let base = base as usize;
@@ -576,6 +590,10 @@ impl JumpTrie {
 
     /// Builds directly from a routing table (`K = 1`).
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "a merge fails only for arity 0 or above 64, and one table is arity 1"
+    )]
     pub fn from_table(table: &RoutingTable) -> Self {
         Self::from_tables(std::slice::from_ref(table)).expect("one table is merge arity 1")
     }
@@ -669,13 +687,6 @@ impl JumpTrie {
         self.nhis.len() / self.k
     }
 
-    /// Fraction of root entries that resolve in a single load.
-    #[must_use]
-    pub fn direct_hit_fraction(&self) -> f64 {
-        let direct = self.root.iter().filter(|&&e| e & LEAF_BIT != 0).count();
-        direct as f64 / ROOT_ENTRIES as f64
-    }
-
     /// Memory footprint in bits `(root, tail blocks, NHI entries)`, the
     /// Fig. 4-style split extended with the DIR table. Every block entry
     /// is priced, the `2^(8−d)` copies of an expanded leaf included.
@@ -757,7 +768,6 @@ mod tests {
         assert!(parts.tail.is_empty());
         assert!(parts.root.iter().all(|&e| e & LEAF_BIT != 0));
         assert_eq!(jump.leaf_count(), 1);
-        assert!((jump.direct_hit_fraction() - 1.0).abs() < f64::EPSILON);
         assert_eq!(jump.lookup(0), None);
         assert_eq!(jump.lookup(u32::MAX), None);
     }
@@ -783,7 +793,6 @@ mod tests {
         let t = table("10.0.0.0/8 1\n10.1.0.0/16 2\n0.0.0.0/0 3\n");
         let jump = JumpTrie::from_table(&t);
         assert_eq!(block_count(&jump), 0);
-        assert!((jump.direct_hit_fraction() - 1.0).abs() < f64::EPSILON);
         for ip in probes(&t) {
             assert_eq!(jump.lookup(ip), t.lookup(ip));
         }

@@ -53,9 +53,10 @@
 //! same reasons the paper's hardware keeps per-stage memories dense.
 
 // `deny`, not `forbid`: the prefetch module carries the one sanctioned
-// `#[allow(unsafe_code)]` in the workspace — the prefetch intrinsic
-// behind a bounds-checked wrapper. A `vr-audit` lint rule pins the
-// intrinsic to that module; every other crate keeps `forbid`.
+// `#[expect(unsafe_code)]` in the workspace — the prefetch intrinsic
+// behind a bounds-checked wrapper. The `_mm_prefetch` entry in the
+// root `clippy.toml` pins the intrinsic to that module; every other
+// crate keeps `forbid`.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -14,8 +14,7 @@
 //! `common nodes (present in all K tries) / mean per-trie node count`,
 //! which is 1.0 for identical tries and →0 for structurally disjoint ones,
 //! and coincides with the paper's common/total reading for equal-size
-//! tables. [`MergedTrie::overlap_ratio`] additionally reports the laxer
-//! `shared (≥2 tries) / merged total` metric for comparison.
+//! tables.
 //!
 //! [`MergedTrie::from_tables`] builds the trie in one preorder pass over
 //! the K tables' routes, sorted together; it never inserts route by route.
@@ -385,39 +384,11 @@ impl MergedTrie {
         self.common_nodes
     }
 
-    /// Nodes present in at least two constituent tries.
-    #[must_use]
-    pub fn shared_node_count(&self) -> usize {
-        self.walk()
-            .filter(|(id, _)| self.nodes[id.idx()].presence.count_ones() >= 2)
-            .count()
-    }
-
     /// Measured merging efficiency α ∈ [0, 1]: nodes common to all K tries
     /// over the mean per-trie node count. 1.0 for identical tries.
     #[must_use]
     pub fn merging_efficiency(&self) -> f64 {
         efficiency(&self.per_vn_nodes, self.common_nodes)
-    }
-
-    /// Laxer overlap metric: nodes shared by ≥2 tries over merged total.
-    #[must_use]
-    pub fn overlap_ratio(&self) -> f64 {
-        if self.live_nodes == 0 {
-            return 0.0;
-        }
-        self.shared_node_count() as f64 / self.live_nodes as f64
-    }
-
-    /// Node-count saving vs. keeping the K tries separate:
-    /// `1 − merged / Σ per-trie`.
-    #[must_use]
-    pub fn node_saving(&self) -> f64 {
-        let total: usize = self.per_vn_nodes.iter().sum();
-        if total == 0 {
-            return 0.0;
-        }
-        1.0 - self.node_count() as f64 / total as f64
     }
 
     /// Longest-prefix match for `ip` in virtual network `vnid`; `None`
@@ -972,7 +943,6 @@ mod tests {
         let merged = MergedTrie::from_tables(&[t.clone(), t.clone(), t]).unwrap();
         assert_eq!(merged.node_count(), single.node_count());
         assert!((merged.merging_efficiency() - 1.0).abs() < 1e-12);
-        assert!((merged.node_saving() - 2.0 / 3.0).abs() < 1e-9);
         let (pushed, plain) = (merged.leaf_pushed(), single.leaf_pushed());
         assert_eq!(pushed.node_count(), plain.node_count());
         assert_eq!(pushed.leaf_count(), plain.leaf_count());
@@ -999,7 +969,6 @@ mod tests {
         let merged = MergedTrie::from_tables(&tables).unwrap();
         // Only top-of-trie nodes coincide by chance.
         assert!(merged.merging_efficiency() < 0.35);
-        assert!(merged.node_saving() < 0.45);
     }
 
     #[test]
@@ -1064,14 +1033,6 @@ mod tests {
         let sum: usize = counts.iter().sum();
         assert!(merged.node_count() >= max);
         assert!(merged.node_count() <= sum);
-    }
-
-    #[test]
-    fn overlap_ratio_is_bounded() {
-        let merged = MergedTrie::from_tables(&family(3, 0.4, 2)).unwrap();
-        let r = merged.overlap_ratio();
-        assert!((0.0..=1.0).contains(&r));
-        assert!(merged.shared_node_count() >= merged.common_node_count());
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! The workspace's one software-prefetch hint, behind a safe wrapper.
 //!
-//! The `_mm_prefetch` intrinsic is confined to this module by a
-//! `vr-audit` lint rule; everything else in the workspace keeps
-//! `unsafe_code = forbid`. Its one caller is `vr-engine`'s `LpmCache`,
+//! The `_mm_prefetch` intrinsic is confined to this module by the
+//! `disallowed-methods` entry in the root `clippy.toml`; everything else
+//! in the workspace keeps `unsafe_code = forbid`. Its one caller is `vr-engine`'s `LpmCache`,
 //! which hints the direct-mapped slot a few packets ahead of the probe.
 //! On non-x86_64 targets the hint is a no-op.
+
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 /// Best-effort prefetch of `slab[idx]` into all cache levels.
 ///
@@ -20,7 +22,14 @@ pub fn prefetch_index<T>(slab: &[T], idx: u32) {
         // SAFETY: `ptr` points into a live slice borrow; `_mm_prefetch`
         // only hints the cache hierarchy and performs no access that
         // could fault or race.
-        #[allow(unsafe_code)]
+        #[expect(
+            unsafe_code,
+            reason = "the workspace's one unsafe block: a cache hint that cannot fault"
+        )]
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "this wrapper is the prefetch intrinsic's one home"
+        )]
         unsafe {
             core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_T0 }>(
                 ptr.cast::<i8>(),

@@ -16,6 +16,8 @@
 //! would happily resume in the middle of attacker-controlled payload
 //! bytes. The connection is torn down instead.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::frame::{
     decode_payload, Message, WireError, HEADER_LEN, MAGIC, MAX_PAYLOAD_BYTES, VERSION,
 };

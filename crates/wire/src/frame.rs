@@ -55,6 +55,8 @@
 //! against — the same never-torn guarantee the in-process service
 //! gives, made visible on the wire.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use vr_net::table::NextHop;
 use vr_net::{Ipv4Prefix, RouteUpdate, VnId};
 

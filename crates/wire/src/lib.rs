@@ -32,8 +32,9 @@
 //! Every response batch carries the table generation it was served
 //! from, extending the engine's never-torn batch guarantee across the
 //! wire. Timing goes through `vr_telemetry::Stopwatch` and the hot
-//! paths avoid panics: the vr-audit `no-raw-instant` and
-//! `no-panic-hot-path` lints extend to this crate.
+//! paths avoid panics: the root `clippy.toml` bans `Instant::now`, and
+//! the codec, decoder and server deny `clippy::unwrap_used` and
+//! `clippy::expect_used`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -37,6 +37,8 @@
 //!    disconnects it. The lock is never held across a write, so a
 //!    wedged peer costs only its own thread.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 #[cfg(unix)]
