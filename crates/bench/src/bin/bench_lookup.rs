@@ -36,11 +36,11 @@ use vr_bench::results_dir;
 use vr_engine::service::lookup_batch_mixed;
 use vr_engine::{LookupService, LpmCache, ServiceConfig, ShardedConfig, ShardedService};
 use vr_net::synth::{FamilySpec, TableSpec};
-use vr_net::{SkewedSpec, SkewedTraffic, VnId};
+use vr_net::{RoutingTable, SkewedSpec, SkewedTraffic, VnId};
 use vr_power::report::write_json;
 use vr_telemetry::{Histogram, Stopwatch, TelemetrySnapshot};
 use vr_trie::{JumpTrie, LookupBackend, MergedTrie};
-use vr_wire::{replay, ReplayConfig, ServerConfig, TrafficModel, WireClient, WireServer};
+use vr_wire::{replay, ServerConfig, WireClient, WireServer};
 
 /// Number of virtual networks in the merged/per-VN and service rows.
 const FAMILY_K: usize = 4;
@@ -356,7 +356,7 @@ fn push_sharded(
 fn push_service(
     rows: &mut Vec<Row>,
     scale: &Scale<'_>,
-    tables: &[vr_net::RoutingTable],
+    tables: &[RoutingTable],
     worker_counts: &[usize],
     scalar_ref_ns: f64,
 ) {
@@ -739,24 +739,23 @@ fn run_wire_rows(rows: &mut Vec<Row>, scale: &'static str, prefixes: usize, batc
     .generate()
     .unwrap();
     let n = family[0].prefixes().count();
-    for &(traffic, model) in &[
-        ("uniform", TrafficModel::Uniform),
-        ("zipf", TrafficModel::Zipf { s: 1.0 }),
-    ] {
+    // About 4096 concrete destinations per VN pool.
+    let min_len = family.iter().map(RoutingTable::len).min().unwrap_or(1);
+    let expansions = 4096_usize.div_ceil(min_len);
+    for &(traffic, s) in &[("uniform", 0.0), ("zipf", 1.0)] {
         let service = LookupService::new(family.clone(), ServiceConfig::default())
             .expect("service construction");
         let server = WireServer::serve_tcp("127.0.0.1:0", service, ServerConfig::default(), None)
             .expect("wire server");
         let addr = server.local_addr().expect("tcp addr");
         let mut client = WireClient::connect_tcp(addr).expect("wire client");
-        let cfg = ReplayConfig {
-            model,
-            batch_size: WIRE_BATCH,
-            batches,
-            hot_k: 4096,
-            seed: 2012,
+        let spec = SkewedSpec {
+            expansions,
+            ..SkewedSpec::zipf(FAMILY_K, s, 2012)
         };
-        let (stats, _) = replay(&mut client, &family, &cfg).expect("wire replay");
+        let mut stream = SkewedTraffic::new(spec, &family).expect("skewed traffic");
+        let (stats, _) =
+            replay(&mut client, &mut stream, batches, WIRE_BATCH).expect("wire replay");
         drop(client);
         drop(server);
         let pps = stats.packets_per_sec();
@@ -766,13 +765,13 @@ fn run_wire_rows(rows: &mut Vec<Row>, scale: &'static str, prefixes: usize, batc
             table_prefixes: n,
             variant: "wire_jump",
             mode: "wire",
-            batch_size: Some(cfg.batch_size),
+            batch_size: Some(WIRE_BATCH),
             workers: None,
             ns_per_lookup: ns,
             packets_per_sec: pps,
             speedup_vs_scalar: 1.0,
-            p50_ns: Some(stats.p50_rtt_ns as f64 / cfg.batch_size as f64),
-            p99_ns: Some(stats.p99_rtt_ns as f64 / cfg.batch_size as f64),
+            p50_ns: Some(stats.p50_rtt_ns as f64 / WIRE_BATCH as f64),
+            p99_ns: Some(stats.p99_rtt_ns as f64 / WIRE_BATCH as f64),
             traffic: Some(traffic),
             cache_hit_rate: None,
         });

@@ -27,13 +27,12 @@ use std::time::Duration;
 use vr_control::{ControlConfig, ControlPlane};
 use vr_engine::{LookupService, ServiceConfig};
 use vr_net::synth::FamilySpec;
-use vr_net::{RouteUpdate, RoutingTable, UpdateMix, UpdateStream};
+use vr_net::{RouteUpdate, RoutingTable, SkewedSpec, SkewedTraffic, UpdateMix, UpdateStream};
 use vr_obs::{ObsRoutes, ObsServer};
 use vr_telemetry::export::to_prometheus;
 use vr_telemetry::MetricsRegistry;
 use vr_wire::{
-    replay, Message, OverloadReason, ReplayConfig, ReplayRecord, ServerConfig, TrafficModel,
-    WireClient, WireServer,
+    replay, Message, OverloadReason, ReplayRecord, ServerConfig, WireClient, WireServer,
 };
 
 /// Virtual networks in the smoke family.
@@ -42,6 +41,10 @@ const FAMILY_K: usize = 3;
 const CHURN_BATCHES: usize = 40;
 /// Updates per churn batch.
 const CHURN_BATCH_LEN: usize = 24;
+/// Lookup frames the replay connection sends.
+const REPLAY_FRAMES: usize = 400;
+/// Packets per replayed lookup frame.
+const REPLAY_FRAME_LEN: usize = 32;
 
 fn family() -> Vec<RoutingTable> {
     FamilySpec::paper_worst_case(FAMILY_K, 0.5, 4177)
@@ -145,19 +148,20 @@ fn phase1_oracle_parity(obs_addr: SocketAddr, registry: &Arc<MetricsRegistry>) {
     let Message::LookupResponse { generation: g0, .. } = first else {
         panic!("probe got {first:?}");
     };
-    let replay_cfg = ReplayConfig {
-        model: TrafficModel::Zipf { s: 1.0 },
-        batch_size: 32,
-        batches: 400,
-        hot_k: 2048,
-        seed: 0xFEED,
+    // About 2048 concrete destinations per VN pool.
+    let min_len = tables.iter().map(RoutingTable::len).min().unwrap_or(1);
+    let spec = SkewedSpec {
+        expansions: 2048_usize.div_ceil(min_len),
+        ..SkewedSpec::zipf(FAMILY_K, 1.0, 0xFEED)
     };
-    let (stats, records) = replay(&mut client, &tables, &replay_cfg).expect("replay run");
+    let mut traffic = SkewedTraffic::new(spec, &tables).expect("skewed traffic");
+    let (stats, records) =
+        replay(&mut client, &mut traffic, REPLAY_FRAMES, REPLAY_FRAME_LEN).expect("replay run");
     let mut oracle = churn.join().expect("churn thread");
     oracle.entry(g0).or_insert(tables);
 
     assert_eq!(
-        stats.responses as usize, replay_cfg.batches,
+        stats.responses as usize, REPLAY_FRAMES,
         "default config must admit the whole replay (overloaded={}, errors={})",
         stats.overloaded, stats.errors
     );

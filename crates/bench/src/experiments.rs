@@ -769,9 +769,9 @@ mod tests {
     /// entry in EXPERIMENTS.md.
     #[test]
     fn docs_cite_only_experiments_the_table_has() {
-        // `results/` files written by other binaries (`replay_client`,
-        // the flight recorder's numbered dumps).
-        const NOT_EXPERIMENTS: [&str; 2] = ["wire_replay", "flightrec_NNNN"];
+        // `results/` files written elsewhere: the flight recorder's
+        // numbered dumps.
+        const NOT_EXPERIMENTS: [&str; 1] = ["flightrec_NNNN"];
         let known = names();
         let results = crate::results_dir();
         let root = results.parent().expect("workspace root");

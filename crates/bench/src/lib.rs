@@ -5,8 +5,8 @@
 //! all_experiments -- fig5` prints the series the paper plots and writes
 //! CSV + JSON under `results/`; with no name it runs the whole table.
 //! The other binaries (`bench_lookup`, `control_churn`, `obs_smoke`,
-//! `replay_client`, `vrpower`, `wire_smoke`, `workload_stats`) are tools
-//! and CI smokes, not paper experiments.
+//! `vrpower`, `wire_smoke`, `workload_stats`) are tools and CI smokes,
+//! not paper experiments.
 //!
 //! Every binary accepts `--quick` to run the reduced configuration used
 //! by the test suite instead of the full paper scale.

@@ -157,6 +157,7 @@ impl ControlPlane {
 
     /// Mutable access to the attached flight recorder (e.g. to force a
     /// flush or fire a manual trigger).
+    #[cfg(test)]
     pub fn flight_recorder_mut(&mut self) -> Option<&mut FlightRecorder> {
         self.flight.as_mut()
     }

@@ -20,13 +20,13 @@
 //! serving stack.
 //!
 //! Module map:
-//! * [`engine`] and [`router`] — the cycle-level behavioural simulator
+//! * the cycle-level behavioural simulator
 //!   the models are validated against: one linear lookup pipeline
 //!   ([`PipelineEngine`], §V-D) and the three organizations built from
 //!   it ([`VirtualRouterSim`], §IV), checked against the linear-scan
 //!   oracle and metered with the models' own coefficients;
 //! * [`scenario`] — build a concrete scenario (tables × scheme × grade);
-//! * [`resources`] — Eqs. 1/3/5 plus device-fit checks, including both
+//! * [`ResourceUsage`] — Eqs. 1/3/5 plus device-fit checks, including both
 //!   merged-memory models (structural vs. the paper's literal Eq. 5 —
 //!   see DESIGN.md §3);
 //! * [`models`] — Eqs. 2/4/6 power estimates;
@@ -42,12 +42,12 @@
 
 pub mod claims;
 pub mod efficiency;
-pub mod engine;
+mod engine;
 pub mod experiments;
 pub mod models;
 pub mod report;
-pub mod resources;
-pub mod router;
+mod resources;
+mod router;
 pub mod scenario;
 pub mod validate;
 

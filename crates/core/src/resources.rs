@@ -129,7 +129,10 @@ impl ResourceUsage {
 ///
 /// Returns one per-stage vector for the single merged engine.
 #[must_use]
-pub fn paper_literal_merged_stage_bits(single_stage_bits: &[Vec<u64>], alpha: f64) -> Vec<u64> {
+pub(crate) fn paper_literal_merged_stage_bits(
+    single_stage_bits: &[Vec<u64>],
+    alpha: f64,
+) -> Vec<u64> {
     let stages = single_stage_bits.first().map_or(0, Vec::len);
     (0..stages)
         .map(|j| {

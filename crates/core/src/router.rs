@@ -327,6 +327,7 @@ impl SimReport {
     }
 
     /// Mean pipeline occupancy across engines.
+    #[cfg(test)]
     #[must_use]
     pub fn mean_occupancy(&self) -> f64 {
         if self.per_engine.is_empty() {

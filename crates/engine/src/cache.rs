@@ -124,7 +124,7 @@ impl CacheStats {
 /// design).
 ///
 /// ```
-/// use vr_engine::cache::LpmCache;
+/// use vr_engine::LpmCache;
 /// use vr_net::RoutingTable;
 /// use vr_trie::JumpTrie;
 ///

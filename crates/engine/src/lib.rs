@@ -8,10 +8,10 @@
 //! facades over it that differ only in dispatch policy, as the paper's
 //! VM and VS organizations do: [`service`]'s [`LookupService`] hands each
 //! worker a contiguous span and owns the incremental route-update path;
-//! [`sharded`]'s [`ShardedService`] hash-scatters packets by destination.
+//! [`ShardedService`] hash-scatters packets by destination.
 //! Route updates never stall in-flight lookups. Every lookup walks the
-//! trie, with no result cache in front; [`cache`] keeps the
-//! generation-tagged LPM result cache as a standalone type the
+//! trie, with no result cache in front; [`LpmCache`] is the
+//! generation-tagged LPM result cache, a standalone type the
 //! benchmarks price against that walk. With
 //! [`ServiceConfig::trace_sample`](service::ServiceConfig::trace_sample)
 //! set, the core threads a sampled `vr-obs` [`Tracer`] through the hot
@@ -28,11 +28,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
+mod cache;
 mod metrics;
 pub mod service;
 mod service_core;
-pub mod sharded;
+mod sharded;
 
 pub use cache::{CacheStats, LpmCache, DEFAULT_CACHE_SLOTS};
 pub use service::{CompletedBatch, LookupService, ServiceConfig, TableSnapshot};

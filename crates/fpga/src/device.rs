@@ -101,6 +101,7 @@ impl Device {
 
     /// A deliberately tiny device used in tests to trigger resource
     /// exhaustion without paper-scale workloads.
+    #[cfg(test)]
     #[must_use]
     pub fn test_small() -> Self {
         Self {

@@ -30,12 +30,14 @@ impl Watts {
     }
 
     /// The same power expressed in milliwatts.
+    #[cfg(test)]
     #[must_use]
     pub const fn as_milliwatts(self) -> f64 {
         self.0 * 1e3
     }
 
     /// The same power expressed in microwatts.
+    #[cfg(test)]
     #[must_use]
     pub const fn as_microwatts(self) -> f64 {
         self.0 * 1e6

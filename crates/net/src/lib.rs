@@ -14,13 +14,13 @@
 //!   real edge-network tables (see DESIGN.md, substitution table), including
 //!   K-table *families* with a controllable shared core used to realize a
 //!   target merging efficiency α,
-//! * [`traffic`] — the VNID type and the tenant mix µ, the one
-//!   normaliser of per-network utilization weights (Assumption 1 of the
-//!   paper is the uniform special case µᵢ = 1/K),
+//! * [`VnId`] and [`tenant_mix`] — the VNID type and the tenant mix µ,
+//!   the one normaliser of per-network utilization weights (Assumption 1
+//!   of the paper is the uniform special case µᵢ = 1/K),
 //! * [`models`] — the packet source: seeded Zipf destination sampling over
-//!   fixed per-network pools, the VN drawn from the tenant mix, and
-//!   flash-crowd phase shifts. The pipeline simulator draws it uniformly;
-//!   the result-cache and serving benchmarks draw it skewed,
+//!   fixed per-network pools, the VN drawn from the tenant mix. The
+//!   pipeline simulator draws it uniformly; the result-cache and serving
+//!   benchmarks draw it skewed,
 //! * [`stats`] — prefix-length and coverage statistics.
 //!
 //! Everything is deterministic under a caller-provided seed; no global RNG
@@ -29,18 +29,18 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod error;
+mod error;
 pub mod models;
 pub mod parser;
-pub mod prefix;
+mod prefix;
 pub mod stats;
 pub mod synth;
 pub mod table;
-pub mod traffic;
+mod traffic;
 pub mod update;
 
 pub use error::NetError;
-pub use models::{FlashCrowdStream, SkewedSpec, SkewedTraffic};
+pub use models::{SkewedSpec, SkewedTraffic};
 pub use prefix::Ipv4Prefix;
 pub use table::{NextHop, RouteEntry, RoutingTable};
 pub use traffic::{tenant_mix, VnId};

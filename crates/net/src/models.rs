@@ -1,20 +1,14 @@
 //! Traffic across K virtual networks: the one packet source, drawn from
-//! fixed per-VN destination pools, with Zipf skew, the tenant mix and
-//! flash-crowd phase shifts.
+//! fixed per-VN destination pools with Zipf skew and the tenant mix.
 //!
-//! * [`SkewedTraffic`] — the packet source: per-VN *concrete destination
-//!   pools* (one or more fixed addresses per table prefix, host bits
-//!   randomized once at build time) drawn through per-VN Zipf rank CDFs,
-//!   P(r) ∝ 1/(r+1)^s (`s = 0` is uniform), with each packet's VN drawn
-//!   from the tenant mix µ ([`tenant_mix`]; Assumption 1's µᵢ = 1/K by
-//!   default). Real router traffic repeats destinations, so the stream
-//!   does too, and a result cache in front of the lookup path sees the hit
-//!   rate the skew implies; the cache-less pipeline simulator draws the
-//!   same source with `s = 0`.
-//! * [`FlashCrowdStream`] — a phase-shifted wrapper: every `phase_len`
-//!   packets the rank→destination mapping rotates by a seeded offset, so
-//!   the hot set changes identity abruptly while the skew shape stays
-//!   fixed (a flash crowd / cache-adversarial event).
+//! [`SkewedTraffic`] keeps per-VN *concrete destination pools* (one or
+//! more fixed addresses per table prefix, host bits randomized once at
+//! build time) drawn through per-VN Zipf rank CDFs, P(r) ∝ 1/(r+1)^s
+//! (`s = 0` is uniform), with each packet's VN drawn from the tenant mix
+//! µ ([`tenant_mix`]; Assumption 1's µᵢ = 1/K by default). Real router
+//! traffic repeats destinations, so the stream does too, and a result
+//! cache in front of the lookup path sees the hit rate the skew implies;
+//! the cache-less pipeline simulator draws the same source with `s = 0`.
 //!
 //! Everything is deterministic under the caller-provided seed, matching
 //! the rest of vr-net.
@@ -122,9 +116,6 @@ pub struct SkewedTraffic {
     pools: Vec<Vec<u32>>,
     /// Shared Zipf CDF per VN (pool sizes can differ across VNs).
     cdfs: Vec<Vec<f64>>,
-    /// Per-VN rank rotation, advanced by [`FlashCrowdStream`] at phase
-    /// boundaries; 0 for a plain skewed stream.
-    offsets: Vec<usize>,
     rng: SmallRng,
 }
 
@@ -180,13 +171,11 @@ impl SkewedTraffic {
             cdfs.push(zipf_cdf(pool.len(), spec.s)?);
             pools.push(pool);
         }
-        let offsets = vec![0; spec.k];
         Ok(Self {
             spec,
             vn_cdf,
             pools,
             cdfs,
-            offsets,
             rng,
         })
     }
@@ -228,25 +217,12 @@ impl SkewedTraffic {
         let cdf = &self.cdfs[at];
         let y: f64 = self.rng.gen_range(0.0..1.0);
         let rank = cdf.partition_point(|c| *c <= y).min(cdf.len() - 1);
-        let pool = &self.pools[at];
-        (vn, pool[(rank + self.offsets[at]) % pool.len()])
+        (vn, self.pools[at][rank])
     }
 
     /// Draws `n` packets.
     pub fn pairs(&mut self, n: usize) -> Vec<(VnId, u32)> {
         (0..n).map(|_| self.next_packet()).collect()
-    }
-
-    /// Rotates every network's rank→destination mapping by a seeded
-    /// offset: the skew shape is unchanged but the hot set changes
-    /// identity ([`FlashCrowdStream`]'s phase boundary).
-    fn shift_hot_set(&mut self) {
-        for (vn, offset) in self.offsets.iter_mut().enumerate() {
-            let len = self.pools[vn].len();
-            if len > 1 {
-                *offset = (*offset + self.rng.gen_range(1..len)) % len;
-            }
-        }
     }
 }
 
@@ -262,82 +238,11 @@ fn concrete_destination<R: Rng>(rng: &mut R, addr: u32, len: u8) -> u32 {
     }
 }
 
-/// A flash-crowd stream: Zipf-skewed traffic whose hot set abruptly
-/// changes identity every `phase_len` packets.
-///
-/// Each phase boundary rotates every network's rank→destination mapping
-/// by a seeded offset, modeling a flash crowd (yesterday's cold
-/// destinations become today's hot ones). Caches warmed on the old hot set see a miss burst at every boundary —
-/// the adversarial case for any result cache.
-///
-/// ```
-/// use vr_net::models::{FlashCrowdStream, SkewedSpec};
-/// use vr_net::RoutingTable;
-///
-/// let tables: Vec<RoutingTable> = vec!["10.0.0.0/8 1\n10.1.0.0/16 2\n".parse().unwrap()];
-/// let mut fc = FlashCrowdStream::new(SkewedSpec::zipf(1, 1.2, 9), &tables, 4).unwrap();
-/// for _ in 0..9 {
-///     fc.next_packet();
-/// }
-/// assert_eq!(fc.phase(), 2);
-/// ```
-#[derive(Debug, Clone)]
-pub struct FlashCrowdStream {
-    inner: SkewedTraffic,
-    phase_len: usize,
-    sent: usize,
-    phase: usize,
-}
-
-impl FlashCrowdStream {
-    /// Builds a flash-crowd stream shifting every `phase_len` packets.
-    ///
-    /// # Errors
-    /// Rejects `phase_len == 0` and everything [`SkewedTraffic::new`]
-    /// rejects.
-    pub fn new(
-        spec: SkewedSpec,
-        tables: &[RoutingTable],
-        phase_len: usize,
-    ) -> Result<Self, NetError> {
-        if phase_len == 0 {
-            return Err(NetError::InvalidSpec("phase_len must be at least 1"));
-        }
-        Ok(Self {
-            inner: SkewedTraffic::new(spec, tables)?,
-            phase_len,
-            sent: 0,
-            phase: 0,
-        })
-    }
-
-    /// Completed phase count (increments at every hot-set shift).
-    #[must_use]
-    pub fn phase(&self) -> usize {
-        self.phase
-    }
-
-    /// Draws the next packet, shifting the hot set at phase boundaries.
-    pub fn next_packet(&mut self) -> (VnId, u32) {
-        if self.sent > 0 && self.sent.is_multiple_of(self.phase_len) {
-            self.inner.shift_hot_set();
-            self.phase += 1;
-        }
-        self.sent += 1;
-        self.inner.next_packet()
-    }
-
-    /// Draws `n` packets.
-    pub fn pairs(&mut self, n: usize) -> Vec<(VnId, u32)> {
-        (0..n).map(|_| self.next_packet()).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::synth::TableSpec;
-    use std::collections::{HashMap, HashSet};
+    use std::collections::HashSet;
 
     fn tables(k: usize) -> Vec<RoutingTable> {
         (0..k)
@@ -485,34 +390,5 @@ mod tests {
         spec.expansions = 4;
         let four = SkewedTraffic::new(spec, &t).unwrap();
         assert!(four.working_set() > 2 * one.working_set());
-    }
-
-    #[test]
-    fn flash_crowd_shifts_hot_set_each_phase() {
-        let t = tables(1);
-        let spec = SkewedSpec::zipf(1, 1.5, 13);
-        let mut fc = FlashCrowdStream::new(spec.clone(), &t, 1000).unwrap();
-        let phase_a = fc.pairs(1000);
-        let phase_b = fc.pairs(1000);
-        assert_eq!(fc.phase(), 1);
-        let hot = |pairs: &[(VnId, u32)]| -> u32 {
-            let mut counts = HashMap::new();
-            for &(_, dst) in pairs {
-                *counts.entry(dst).or_insert(0usize) += 1;
-            }
-            counts
-                .into_iter()
-                .max_by_key(|&(_, c)| c)
-                .map(|(d, _)| d)
-                .unwrap()
-        };
-        // The dominant destination changes identity across the boundary
-        // (the rank-0 slot rotates to a different concrete address).
-        assert_ne!(hot(&phase_a), hot(&phase_b));
-        // A plain skewed stream over the same spec keeps it stable.
-        let mut steady = SkewedTraffic::new(spec, &t).unwrap();
-        let s1 = steady.pairs(1000);
-        let s2 = steady.pairs(1000);
-        assert_eq!(hot(&s1), hot(&s2));
     }
 }

@@ -146,7 +146,7 @@ impl Ipv4Prefix {
 
 /// Netmask for a prefix length; `mask(0) == 0`, `mask(32) == u32::MAX`.
 #[must_use]
-pub fn mask(len: u8) -> u32 {
+pub(crate) fn mask(len: u8) -> u32 {
     debug_assert!(len <= 32);
     if len == 0 {
         0
@@ -205,12 +205,6 @@ impl FromStr for Ipv4Prefix {
         }
         Self::new(addr, len)
     }
-}
-
-/// Parses a dotted-quad IPv4 address (no prefix length).
-pub fn parse_ipv4(s: &str) -> Result<u32, NetError> {
-    let p: Ipv4Prefix = format!("{s}/32").parse()?;
-    Ok(p.addr())
 }
 
 #[cfg(test)]
@@ -293,12 +287,6 @@ mod tests {
         assert_eq!(Ipv4Prefix::must(0, 32).address_count(), 1);
         assert_eq!(Ipv4Prefix::must(0, 24).address_count(), 256);
         assert_eq!(Ipv4Prefix::DEFAULT_ROUTE.address_count(), 1u64 << 32);
-    }
-
-    #[test]
-    fn parse_ipv4_plain_address() {
-        assert_eq!(parse_ipv4("1.2.3.4").unwrap(), 0x0102_0304);
-        assert!(parse_ipv4("1.2.3").is_err());
     }
 
     #[test]

@@ -188,6 +188,7 @@ impl RoutingTable {
 
     /// Number of prefixes present in both tables (structural overlap at the
     /// prefix level; the trie-level overlap α is computed in `vr-trie`).
+    #[cfg(test)]
     #[must_use]
     pub fn shared_prefix_count(&self, other: &RoutingTable) -> usize {
         self.entries.keys().filter(|p| other.contains(p)).count()

@@ -15,9 +15,6 @@ use crate::error::NetError;
 /// stream with a VNID used to index per-network NHI vectors (§IV-C).
 pub type VnId = u16;
 
-/// Minimum packet size used for throughput accounting (40 bytes, §VI-B).
-pub const MIN_PACKET_BYTES: u32 = 40;
-
 /// The tenant mix µ over `k` networks: `weights` normalized to sum 1
 /// (each `x / sum`), or the uniform 1/K of Assumption 1 for `None`.
 ///

@@ -34,7 +34,7 @@ use std::time::Duration;
 
 /// Maximum concurrently served connections before new ones are shed
 /// with `503` (the bounded accept queue).
-pub const DEFAULT_MAX_CONNECTIONS: usize = 8;
+pub(crate) const DEFAULT_MAX_CONNECTIONS: usize = 8;
 
 /// Per-connection socket read/write budget: a scraper that stalls past
 /// this holds no thread hostage.

@@ -5,29 +5,29 @@
 //! and histograms). This crate records *where a batch spent its
 //! nanoseconds* and captures state around anomalies:
 //!
-//! * [`trace`] — sampled per-batch stage tracing. A [`Tracer`] mints a
+//! * [`Tracer`] — sampled per-batch stage tracing. It mints a
 //!   `TraceId` at enqueue for 1-in-N batches; an owned
 //!   [`TraceBuilder`] rides inside the job through the queue and the
 //!   worker closes contiguous stage spans (enqueue → dequeue → lane
 //!   walk → complete) with no shared hot-path
 //!   state. Control-plane publishes and `apply_updates` land as
 //!   standalone spans on the same epoch timeline.
-//! * [`chrome`] — exports traces as Chrome trace-event JSON (the
+//! * [`chrome_trace_json`] — exports traces as Chrome trace-event JSON (the
 //!   object format), so a dump opens directly in `about:tracing` or
 //!   Perfetto; [`check_chrome_trace`] is the structural validator CI
 //!   runs over dumps.
-//! * [`flight`] — the anomaly flight recorder: a bounded pre/post
+//! * [`FlightRecorder`] — the anomaly flight recorder: a bounded pre/post
 //!   window of sampled traces plus the service's event tail, frozen
 //!   and dumped to `results/flightrec_*.json` when a `WorkerStall`,
 //!   `AuditRejected`, generation-lag, or p99-vs-EWMA latency spike
 //!   trigger fires.
-//! * [`http`] — a minimal blocking HTTP/1.1 server over `std::net`
+//! * [`ObsServer`] — a minimal blocking HTTP/1.1 server over `std::net`
 //!   (thread-per-connection, bounded accept queue, no dependencies)
 //!   exposing `GET /metrics` (Prometheus text), `/healthz`,
 //!   `/snapshot.json`, `/traces.json`, and `/flight` — the workspace's
 //!   first network-facing surface and the bridge toward the ROADMAP's
 //!   serving tier.
-//! * [`accept`] — the shared bounded-accept-queue ([`AcceptGate`]) and
+//! * [`AcceptGate`] — the shared bounded accept queue, and the
 //!   half-close-drain shed ([`shed_with`]) used by both this crate's
 //!   HTTP plane and the vr-wire binary data-plane server, so the
 //!   admission/shed idiom exists exactly once.
@@ -42,11 +42,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod accept;
-pub mod chrome;
-pub mod flight;
-pub mod http;
-pub mod trace;
+mod accept;
+mod chrome;
+mod flight;
+mod http;
+mod trace;
 
 pub use accept::{shed_with, AcceptGate, AcceptPermit, ShedStream};
 pub use chrome::{check_chrome_trace, chrome_trace_json, chrome_trace_value};

@@ -37,12 +37,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod events;
+mod events;
 pub mod export;
-pub mod histogram;
-pub mod registry;
-pub mod snapshot;
-pub mod span;
+mod histogram;
+mod registry;
+mod snapshot;
+mod span;
 
 pub use events::{EventDrain, EventKind, EventRecord, EventRing, EventRingSnapshot, RingRead};
 pub use histogram::{bucket_bounds, bucket_index, Histogram, HistogramSnapshot, BUCKETS};

@@ -104,6 +104,7 @@ impl Gauge {
     }
 
     /// Raises the level to `value` if it is higher (high-water mark).
+    #[cfg(test)]
     pub fn set_max(&self, value: u64) {
         self.cell.fetch_max(value, Ordering::Relaxed);
     }
@@ -129,7 +130,7 @@ pub struct MetricsRegistry {
 }
 
 /// Default bound on the structured-event ring.
-pub const DEFAULT_EVENT_CAPACITY: usize = 1024;
+pub(crate) const DEFAULT_EVENT_CAPACITY: usize = 1024;
 
 fn valid_metric_name(name: &str) -> bool {
     let mut chars = name.chars();

@@ -80,14 +80,6 @@ impl TelemetrySnapshot {
             })
     }
 
-    /// Serializes to compact JSON.
-    ///
-    /// # Errors
-    /// Propagates serializer errors (non-finite floats).
-    pub fn to_json(&self) -> Result<String, serde_json::Error> {
-        serde_json::to_string(self)
-    }
-
     /// Serializes to pretty-printed JSON.
     ///
     /// # Errors
@@ -118,7 +110,7 @@ mod tests {
     #[test]
     fn json_roundtrip_is_lossless() {
         let snap = sample();
-        let json = snap.to_json().unwrap();
+        let json = serde_json::to_string(&snap).unwrap();
         let back: TelemetrySnapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(back, snap);
         let pretty = snap.to_json_pretty().unwrap();
@@ -132,13 +124,13 @@ mod tests {
             let reg = MetricsRegistry::new(2);
             reg.counter("vr_a_total").inc(0);
             reg.counter("vr_b_total").add(0, 2);
-            reg.snapshot().to_json().unwrap()
+            serde_json::to_string(&reg.snapshot()).unwrap()
         };
         let b = {
             let reg = MetricsRegistry::new(2);
             reg.counter("vr_b_total").add(1, 2);
             reg.counter("vr_a_total").inc(1);
-            reg.snapshot().to_json().unwrap()
+            serde_json::to_string(&reg.snapshot()).unwrap()
         };
         assert_eq!(a, b);
     }

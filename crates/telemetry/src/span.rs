@@ -37,14 +37,6 @@ impl Stopwatch {
     pub fn elapsed_ns(&self) -> u64 {
         u64::try_from(self.started.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
-
-    /// Restarts the clock and returns the nanoseconds elapsed before
-    /// the restart — convenient for per-stage timing in a loop.
-    pub fn lap_ns(&mut self) -> u64 {
-        let ns = self.elapsed_ns();
-        self.started = Instant::now();
-        ns
-    }
 }
 
 impl Default for Stopwatch {
@@ -124,12 +116,10 @@ mod tests {
 
     #[test]
     fn stopwatch_monotonic() {
-        let mut w = Stopwatch::start();
+        let w = Stopwatch::start();
         let a = w.elapsed_ns();
         let b = w.elapsed_ns();
         assert!(b >= a);
-        let lap = w.lap_ns();
-        assert!(lap >= b);
     }
 
     #[test]

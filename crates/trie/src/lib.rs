@@ -61,15 +61,15 @@
 #![warn(missing_docs)]
 
 pub mod audit;
-pub mod backend;
+mod backend;
 pub mod calibrate;
 mod jump;
-pub mod leafpush;
+mod leafpush;
 pub mod merge;
 pub mod pipeline_map;
 pub mod prefetch;
-pub mod stats;
-pub mod subslab;
+mod stats;
+mod subslab;
 
 pub use backend::LookupBackend;
 pub use jump::{JumpTrie, JumpTrieParts};

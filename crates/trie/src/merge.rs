@@ -241,6 +241,7 @@ impl MergedTrie {
     }
 
     /// Live merged nodes belonging to VN `vnid`'s trie.
+    #[cfg(test)]
     #[must_use]
     pub fn vn_node_count(&self, vnid: usize) -> usize {
         self.per_vn_nodes[vnid]
@@ -379,6 +380,7 @@ impl MergedTrie {
     /// maintained incrementally by [`MergedTrie::insert`] /
     /// [`MergedTrie::remove`], so α can be sampled after every update
     /// batch without re-walking the arena.
+    #[cfg(test)]
     #[must_use]
     pub fn common_node_count(&self) -> usize {
         self.common_nodes

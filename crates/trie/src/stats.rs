@@ -264,6 +264,7 @@ impl TrieStats {
     }
 
     /// Total nodes at `level` (0 when the level is beyond the trie).
+    #[cfg(test)]
     #[must_use]
     pub fn nodes_at_level(&self, level: usize) -> usize {
         self.levels.get(level).map_or(0, LevelStats::total)

@@ -12,10 +12,10 @@
 //!   CRC-32) followed by a little-endian payload. Messages cover
 //!   lookup request/response batches, route-update batches with acks,
 //!   typed error and overload replies, and ping/pong liveness.
-//! * [`decoder`] — the zero-copy incremental [`FrameDecoder`]: feed it
+//! * [`FrameDecoder`] — the zero-copy incremental decoder: feed it
 //!   arbitrary socket chunks, pull complete messages; framing errors
 //!   poison the stream (fail-stop, no resynchronization).
-//! * [`server`] — the blocking [`WireServer`] over TCP or Unix-domain
+//! * [`WireServer`] — the blocking server over TCP or Unix-domain
 //!   sockets: thread-per-connection behind the shared
 //!   `vr_obs::AcceptGate`, each connection running its frames to
 //!   completion (decode, walk, encode, write) against a backend held
@@ -23,11 +23,11 @@
 //!   `Overloaded` frames (connection gate, token-bucket rate limit)
 //!   or, for a peer that stops reading, a write timeout, instead of
 //!   stalling.
-//! * [`client`] — a small blocking [`WireClient`] used by the replay
-//!   binary, the smoke harness, and tests.
-//! * [`replay`](mod@replay) — synthetic traffic replay (uniform / Zipf /
-//!   flash-crowd via `vr_net::models`) measuring end-to-end packets
-//!   per second and p50/p99 round-trip latency.
+//! * [`WireClient`] — a small blocking client used by the bench
+//!   binaries, the smoke harness, and tests.
+//! * [`replay()`] — serial replay of a `vr_net::SkewedTraffic` stream
+//!   measuring end-to-end packets per second and p50/p99 round-trip
+//!   latency.
 //!
 //! Every response batch carries the table generation it was served
 //! from, extending the engine's never-torn batch guarantee across the
@@ -39,16 +39,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod client;
-pub mod decoder;
+mod client;
+mod decoder;
 pub mod frame;
-pub mod replay;
-pub mod server;
+mod replay;
+mod server;
 
 pub use client::WireClient;
 pub use decoder::FrameDecoder;
 pub use frame::{
     ErrorCode, Message, OverloadReason, WireError, HEADER_LEN, MAX_PAYLOAD_BYTES, NO_ROUTE,
 };
-pub use replay::{replay, ReplayConfig, ReplayRecord, ReplayStats, TrafficModel};
+pub use replay::{replay, ReplayRecord, ReplayStats};
 pub use server::{ServerConfig, WireBackend, WireServer};

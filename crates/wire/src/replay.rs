@@ -1,78 +1,18 @@
 //! Synthetic traffic replay against a live [`crate::WireServer`].
 //!
-//! Drives a [`crate::WireClient`] with the workspace's standard
-//! traffic models (uniform, Zipf, flash-crowd — the same
-//! `vr_net::models` generators the in-process benches use, so wire
-//! numbers are directly comparable to `bench_lookup` rows) and
-//! measures what the paper's consolidation story needs end to end:
-//! packets per second through the socket and p50/p99 batch round-trip
-//! time. Overload replies are counted, not retried — a replay run at a
-//! fixed offered load reports how much of it the server admitted.
+//! Drives a [`crate::WireClient`] with the caller's
+//! `vr_net::SkewedTraffic` (the one packet source the in-process benches
+//! draw too, so wire numbers are directly comparable to `bench_lookup`
+//! rows) and measures end to end: packets per second through the socket
+//! and p50/p99 frame round-trip time. Overload replies are counted, not
+//! retried — a replay run at a fixed offered load reports how much of it
+//! the server admitted.
 
-use vr_net::{FlashCrowdStream, NetError, NextHop, RoutingTable, SkewedSpec, SkewedTraffic, VnId};
+use vr_net::{NextHop, SkewedTraffic, VnId};
 use vr_telemetry::{Histogram, Stopwatch};
 
 use crate::client::WireClient;
 use crate::frame::{Message, WireError};
-
-/// Which synthetic workload the replay offers.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum TrafficModel {
-    /// Uniform draws over the hot set.
-    Uniform,
-    /// Zipf-skewed draws with exponent `s`.
-    Zipf {
-        /// Zipf exponent (`s = 0` degenerates to uniform).
-        s: f64,
-    },
-    /// Zipf-skewed draws whose hot set shifts every `phase_len`
-    /// packets (cache-adversarial).
-    FlashCrowd {
-        /// Zipf exponent inside each phase.
-        s: f64,
-        /// Packets per phase before the hot set shifts.
-        phase_len: usize,
-    },
-}
-
-impl TrafficModel {
-    /// Short label for bench rows and logs.
-    #[must_use]
-    pub fn label(&self) -> &'static str {
-        match self {
-            TrafficModel::Uniform => "uniform",
-            TrafficModel::Zipf { .. } => "zipf",
-            TrafficModel::FlashCrowd { .. } => "flash_crowd",
-        }
-    }
-}
-
-/// One replay run's shape.
-#[derive(Debug, Clone)]
-pub struct ReplayConfig {
-    /// Workload model.
-    pub model: TrafficModel,
-    /// Packets per `LookupRequest` frame.
-    pub batch_size: usize,
-    /// Frames to send.
-    pub batches: usize,
-    /// Working-set size the model draws from.
-    pub hot_k: usize,
-    /// Deterministic generator seed.
-    pub seed: u64,
-}
-
-impl Default for ReplayConfig {
-    fn default() -> Self {
-        Self {
-            model: TrafficModel::Zipf { s: 1.0 },
-            batch_size: 64,
-            batches: 200,
-            hot_k: 4096,
-            seed: 0xC0FF_EE00,
-        }
-    }
-}
 
 /// What one replay run measured.
 #[derive(Debug, Clone)]
@@ -108,69 +48,20 @@ impl ReplayStats {
     }
 }
 
-enum Source {
-    Skewed(SkewedTraffic),
-    Flash(FlashCrowdStream),
-}
-
-impl Source {
-    fn pairs(&mut self, n: usize) -> Vec<(VnId, u32)> {
-        match self {
-            Source::Skewed(s) => s.pairs(n),
-            Source::Flash(s) => s.pairs(n),
-        }
-    }
-}
-
-fn build_source(
-    model: TrafficModel,
-    tables: &[RoutingTable],
-    hot_k: usize,
-    seed: u64,
-) -> Result<Source, NetError> {
-    // `SkewedSpec`'s first knob is the VN count (must equal
-    // `tables.len()`); the working-set size is shaped through
-    // `expansions` — concrete destinations materialized per prefix —
-    // so `hot_k` becomes a per-VN pool-size target.
-    let prefixes = tables
-        .iter()
-        .map(RoutingTable::len)
-        .min()
-        .unwrap_or(1)
-        .max(1);
-    let expansions = hot_k.div_ceil(prefixes).max(1);
-    let spec = |s: f64| {
-        let mut spec = SkewedSpec::zipf(tables.len(), s, seed);
-        spec.expansions = expansions;
-        spec
-    };
-    match model {
-        TrafficModel::Uniform => Ok(Source::Skewed(SkewedTraffic::new(spec(0.0), tables)?)),
-        TrafficModel::Zipf { s } => Ok(Source::Skewed(SkewedTraffic::new(spec(s), tables)?)),
-        TrafficModel::FlashCrowd { s, phase_len } => Ok(Source::Flash(FlashCrowdStream::new(
-            spec(s),
-            tables,
-            phase_len,
-        )?)),
-    }
-}
-
-/// Replays `cfg` through `client`, strictly serially (one frame in
-/// flight — RTT numbers are per-batch, undiluted by pipelining).
-/// Returns the run's stats plus every response's `(packets, results,
-/// generation)` triple so a caller can check them against an oracle
-/// after the fact.
+/// Sends `frames` lookup frames of `frame_len` packets drawn from
+/// `traffic` through `client`, strictly serially (one frame in flight —
+/// RTT numbers are per-frame, undiluted by pipelining). Returns the
+/// run's stats plus every response's `(packets, results, generation)`
+/// triple so a caller can check them against an oracle after the fact.
 ///
 /// # Errors
-/// Traffic-model construction failure (`hot_k`/table mismatch) mapped
-/// to [`WireError::Protocol`], or any transport/framing failure.
+/// Any transport or framing failure.
 pub fn replay(
     client: &mut WireClient,
-    tables: &[RoutingTable],
-    cfg: &ReplayConfig,
+    traffic: &mut SkewedTraffic,
+    frames: usize,
+    frame_len: usize,
 ) -> Result<(ReplayStats, Vec<ReplayRecord>), WireError> {
-    let mut source = build_source(cfg.model, tables, cfg.hot_k, cfg.seed)
-        .map_err(|_| WireError::Protocol("traffic model construction failed"))?;
     let rtt = Histogram::detached();
     let run = Stopwatch::start();
     let mut stats = ReplayStats {
@@ -185,8 +76,8 @@ pub fn replay(
         max_generation: 0,
     };
     let mut records = Vec::new();
-    for _ in 0..cfg.batches {
-        let packets = source.pairs(cfg.batch_size);
+    for _ in 0..frames {
+        let packets = traffic.pairs(frame_len);
         let frame = Stopwatch::start();
         let reply = client.lookup(&packets)?;
         match reply {
@@ -229,4 +120,44 @@ pub struct ReplayRecord {
     pub results: Vec<Option<NextHop>>,
     /// Generation the server resolved the batch against.
     pub generation: u64,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{ServerConfig, WireServer};
+    use vr_engine::{LookupService, ServiceConfig};
+    use vr_net::synth::FamilySpec;
+    use vr_net::SkewedSpec;
+
+    #[test]
+    fn replay_answers_every_frame_as_the_oracle_does() {
+        const FRAMES: usize = 20;
+        let tables = FamilySpec {
+            prefixes_per_table: 300,
+            ..FamilySpec::paper_worst_case(3, 0.5, 61)
+        }
+        .generate()
+        .unwrap();
+        let service = LookupService::new(tables.clone(), ServiceConfig::default()).unwrap();
+        let server =
+            WireServer::serve_tcp("127.0.0.1:0", service, ServerConfig::default(), None).unwrap();
+        let mut client = WireClient::connect_tcp(server.local_addr().unwrap()).unwrap();
+        let mut traffic = SkewedTraffic::new(SkewedSpec::zipf(3, 1.0, 5), &tables).unwrap();
+
+        let (stats, records) = replay(&mut client, &mut traffic, FRAMES, 16).unwrap();
+        assert_eq!(stats.responses, FRAMES as u64);
+        assert_eq!(stats.packets, (FRAMES * 16) as u64);
+        assert_eq!(stats.overloaded + stats.errors, 0);
+        assert_eq!(records.len(), FRAMES);
+        for record in &records {
+            let want: Vec<Option<NextHop>> = record
+                .packets
+                .iter()
+                .map(|&(vn, dst)| tables[usize::from(vn)].lookup(dst))
+                .collect();
+            assert_eq!(record.results, want);
+        }
+        drop(server);
+    }
 }

@@ -31,7 +31,8 @@
 //!    threads can wait on the backend lock.
 //! 2. **Token bucket** — per-connection packets-per-second budget;
 //!    over-budget frames get `Overloaded(RateLimited)` and the
-//!    connection stays open.
+//!    connection stays open. A frame costing more than the burst, which
+//!    no wait could admit, gets `ErrorReply(BadRequest)` instead.
 //! 3. **Slow reader** — a client that stops reading its replies blocks
 //!    its own thread's write; the write timeout bounds that and then
 //!    disconnects it. The lock is never held across a write, so a
@@ -68,7 +69,7 @@ const READER_TICK: Duration = Duration::from_millis(100);
 const READ_BUF_LEN: usize = 64 * 1024;
 
 /// Tuning for [`WireServer`]. `Default` is sized for tests and the
-/// smoke harness; the replay binary overrides per scenario.
+/// smoke harness; callers override it per scenario.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Concurrent-connection bound enforced by the accept gate.
@@ -83,7 +84,7 @@ pub struct ServerConfig {
     /// `0` disables rate limiting.
     pub rate_limit_pps: u64,
     /// Token-bucket burst capacity in packets; `0` means one second's
-    /// worth of `rate_limit_pps`.
+    /// worth of `rate_limit_pps`. A larger frame is a bad request.
     pub rate_burst: u64,
     /// Back-off hint stamped into `Overloaded` frames.
     pub retry_after_ms: u32,
@@ -253,6 +254,19 @@ struct TokenBucket {
 
 const TOK_NS: u64 = 1_000_000_000;
 
+/// The bucket's answer to a frame's token cost.
+enum Admit {
+    /// Admitted; the tokens are taken.
+    Now,
+    /// Over the current budget; a later retry can be admitted.
+    Later,
+    /// The cost exceeds the bucket's capacity: no wait admits it.
+    Never {
+        /// The capacity, in tokens.
+        burst: u64,
+    },
+}
+
 impl TokenBucket {
     fn new(rate_pps: u64, burst: u64) -> Self {
         let burst = if burst == 0 { rate_pps } else { burst };
@@ -266,10 +280,17 @@ impl TokenBucket {
         }
     }
 
-    /// Takes `cost` tokens if the refilled budget covers them.
-    fn try_take(&mut self, cost: u64) -> bool {
+    /// Takes `cost` tokens if the refilled budget covers them; takes
+    /// none for a cost the full bucket could never cover.
+    fn try_take(&mut self, cost: u64) -> Admit {
         if self.rate_pps == 0 {
-            return true;
+            return Admit::Now;
+        }
+        let need = cost.saturating_mul(TOK_NS);
+        if need > self.capacity_tok_ns {
+            return Admit::Never {
+                burst: self.capacity_tok_ns / TOK_NS,
+            };
         }
         let now = self.clock.elapsed_ns();
         let gained = now
@@ -280,12 +301,11 @@ impl TokenBucket {
             .available_tok_ns
             .saturating_add(gained)
             .min(self.capacity_tok_ns);
-        let need = cost.saturating_mul(TOK_NS);
         if self.available_tok_ns >= need {
             self.available_tok_ns -= need;
-            true
+            Admit::Now
         } else {
-            false
+            Admit::Later
         }
     }
 }
@@ -613,14 +633,28 @@ impl<B: WireBackend> Connection<'_, B> {
         };
         if let Some(cost) = cost {
             WireMetrics::bump(&metrics.requests, 0, 1);
-            if !self.bucket.try_take((cost as u64).max(1)) {
-                WireMetrics::bump(&metrics.shed_rate_limited, 0, 1);
-                self.reply(&Message::Overloaded {
-                    id: msg.id(),
-                    reason: OverloadReason::RateLimited,
-                    retry_after_ms: shared.cfg.retry_after_ms,
-                });
-                return;
+            let cost = (cost as u64).max(1);
+            match self.bucket.try_take(cost) {
+                Admit::Now => {}
+                Admit::Later => {
+                    WireMetrics::bump(&metrics.shed_rate_limited, 0, 1);
+                    self.reply(&Message::Overloaded {
+                        id: msg.id(),
+                        reason: OverloadReason::RateLimited,
+                        retry_after_ms: shared.cfg.retry_after_ms,
+                    });
+                    return;
+                }
+                Admit::Never { burst } => {
+                    self.reply(&Message::ErrorReply {
+                        id: msg.id(),
+                        code: ErrorCode::BadRequest,
+                        message: format!(
+                            "frame costs {cost} tokens, beyond the rate limit's burst of {burst}"
+                        ),
+                    });
+                    return;
+                }
             }
         }
         let reply = match msg {
@@ -913,6 +947,38 @@ mod tests {
         );
         // Pings are free and the connection is still open.
         client.ping().expect("connection survived the shed");
+        drop(server);
+    }
+
+    #[test]
+    fn frame_beyond_the_burst_is_a_bad_request() {
+        let cfg = ServerConfig {
+            rate_limit_pps: 1_000,
+            rate_burst: 4,
+            ..ServerConfig::default()
+        };
+        let (server, addr) = start_tcp(cfg);
+        let mut client = crate::WireClient::connect_tcp(addr).expect("connect");
+        let eight: Vec<(VnId, u32)> = (1..=8).map(|dst| (0, dst)).collect();
+        let refused = client.lookup(&eight).expect("oversized frame replied");
+        let Message::ErrorReply {
+            code: ErrorCode::BadRequest,
+            message,
+            ..
+        } = refused
+        else {
+            panic!("expected ErrorReply(BadRequest), got {refused:?}");
+        };
+        assert!(message.contains('8') && message.contains('4'), "{message}");
+        // It took no tokens: a frame of the full burst is served at once.
+        let served = client
+            .lookup(&eight[..4])
+            .expect("burst-sized frame replied");
+        assert!(
+            matches!(served, Message::LookupResponse { .. }),
+            "got {served:?}"
+        );
+        client.ping().expect("connection stays live");
         drop(server);
     }
 

@@ -1,5 +1,5 @@
 //! The key streams `SkewedTraffic` draws are pinned: the repo benchmark's
-//! two, a tenant-weighted mix and a flash crowd.
+//! two and a tenant-weighted mix.
 //! The source builds its per-VN pools once and then draws a VN and a
 //! rank per packet; a change to the pool build, the tenant CDF or the
 //! order of the RNG draws shows up here as a changed fingerprint. The
@@ -8,7 +8,7 @@
 //! source.
 
 use vr_net::synth::FamilySpec;
-use vr_net::{FlashCrowdStream, SkewedSpec, SkewedTraffic, VnId};
+use vr_net::{SkewedSpec, SkewedTraffic, VnId};
 
 /// Pairs drawn per source.
 const PAIRS: usize = 4096;
@@ -58,10 +58,9 @@ fn benchmark_key_streams_are_pinned() {
     }
 }
 
-/// A tenant-weighted mix (VN 1 never drawn) and a flash crowd shifting
-/// its hot set every 1 000 packets.
+/// A tenant-weighted mix (VN 1 never drawn).
 #[test]
-fn weighted_and_flash_crowd_streams_are_pinned() {
+fn weighted_stream_is_pinned() {
     let tables = vr_integration_tests::family(4, 0.5, 77);
     let weighted = SkewedSpec {
         tenant_weights: Some(vec![3.0, 0.0, 1.0, 0.5]),
@@ -72,9 +71,4 @@ fn weighted_and_flash_crowd_streams_are_pinned() {
     assert!(pairs.iter().all(|&(vn, _)| vn != 1));
     let got = fingerprint(&pairs);
     assert_eq!(got, 0x87e9_0a57_f226_e89e, "weighted: {got:#018x}");
-
-    let mut crowd = FlashCrowdStream::new(SkewedSpec::zipf(4, 1.2, 9), &tables, 1000).unwrap();
-    let got = fingerprint(&crowd.pairs(PAIRS));
-    assert_eq!(crowd.phase(), 4);
-    assert_eq!(got, 0x6831_cf5e_c719_af87, "flash crowd: {got:#018x}");
 }
