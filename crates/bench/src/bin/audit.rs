@@ -1,11 +1,11 @@
-//! `vr-audit` — command-line front end for `vr_trie::audit`'s structural
+//! `audit` — command-line front end for `vr_trie::audit`'s structural
 //! verifier.
 //!
 //! ```text
-//! vr-audit tables   [--prefixes N] [--seed S] [--k K] [--out PATH] [--pretty]
+//! audit [--prefixes N] [--seed S] [--k K] [--out PATH] [--pretty]
 //! ```
 //!
-//! `tables` generates a synthetic routing table (and a K-table family for
+//! It generates a synthetic routing table (and a K-table family for
 //! the virtualization encodings), builds every lookup structure through
 //! every `from_*` constructor the workspace has, audits each one (the
 //! family's trie again after a seeded 1 % of each VN's routes is
@@ -28,31 +28,22 @@ use vr_trie::audit::{
 };
 use vr_trie::{DirtyBuckets, JumpTrie, MergedTrie};
 
-const USAGE: &str = "vr-audit: structural audit of the lookup-table encodings
+const USAGE: &str = "audit: structural audit of the lookup-table encodings
 
 Usage:
-  vr-audit tables   [--prefixes N] [--seed S] [--k K] [--out PATH] [--pretty]
+  audit [--prefixes N] [--seed S] [--k K] [--out PATH] [--pretty]
 
 Exit status: 0 clean, 1 violations found, 2 usage or I/O error.";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
-        Some("tables") => cmd_tables(&args[1..]),
-        Some("--help" | "-h" | "help") => {
-            println!("{USAGE}");
-            return ExitCode::SUCCESS;
-        }
-        _ => Err(USAGE.to_string()),
-    };
-    match result {
-        Ok(clean) => {
-            if clean {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::from(1)
-            }
-        }
+    if matches!(args.first().map(String::as_str), Some("--help" | "-h")) {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
+    match audit_tables(&args) {
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::from(1),
         Err(msg) => {
             eprintln!("{msg}");
             ExitCode::from(2)
@@ -112,7 +103,7 @@ fn emit(reports: &[AuditReport], out: Option<&str>, pretty: bool) -> Result<bool
     Ok(reports.iter().all(AuditReport::is_clean))
 }
 
-fn cmd_tables(args: &[String]) -> Result<bool, String> {
+fn audit_tables(args: &[String]) -> Result<bool, String> {
     let mut prefixes = PAPER_TABLE_PREFIXES;
     let mut seed = 7u64;
     let mut k = 8usize;

@@ -728,9 +728,10 @@ const WIRE_BATCH: usize = 64;
 /// loopback socket — codec, CRC, syscalls, and the backend lock all
 /// included. `ns_per_lookup` here is offered-load throughput seen by a
 /// serial client (one frame in flight); the p50/p99 columns carry the
-/// frame round-trip time amortized per packet, which is transport
-/// latency rather than walk time — compare against service rows'
-/// worker-side histograms with that in mind.
+/// nearest-rank p50/p99 of the answered frames' round trips, divided by
+/// the frame's packets. That is transport latency rather than walk time,
+/// and an exact sample rather than a histogram bucket bound — compare
+/// against service rows' worker-side histograms with both in mind.
 fn run_wire_rows(rows: &mut Vec<Row>, scale: &'static str, prefixes: usize, batches: usize) {
     let family = FamilySpec {
         prefixes_per_table: prefixes,

@@ -14,11 +14,11 @@
 //! ```
 
 use std::process::ExitCode;
-use vr_fpga::par::ParSimulator;
 use vr_net::synth::{FamilySpec, PrefixLenDistribution};
 use vr_net::RoutingTable;
 use vr_power::efficiency::efficiency_point;
 use vr_power::models::{analytical_power, experimental_power_w};
+use vr_power::par::ParSimulator;
 use vr_power::{Device, Scenario, ScenarioSpec, SchemeKind, SpeedGrade};
 
 #[derive(Debug)]

@@ -281,7 +281,6 @@ fn main() {
                     .unwrap_or_else(|e| format!("{{\"error\": \"{e:?}\"}}"))
             }),
             traces: Box::new(|| "[]".to_string()),
-            flight: Box::new(|| "{}".to_string()),
         },
     )
     .expect("obs server start");

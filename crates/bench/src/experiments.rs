@@ -769,9 +769,6 @@ mod tests {
     /// entry in EXPERIMENTS.md.
     #[test]
     fn docs_cite_only_experiments_the_table_has() {
-        // `results/` files written elsewhere: the flight recorder's
-        // numbered dumps.
-        const NOT_EXPERIMENTS: [&str; 1] = ["flightrec_NNNN"];
         let known = names();
         let results = crate::results_dir();
         let root = results.parent().expect("workspace root");
@@ -781,7 +778,6 @@ mod tests {
             .map(|entry| entry.expect("results/ entry").path())
             .filter(|path| path.extension().is_some_and(|ext| ext == "csv"))
             .map(|path| path.file_stem().unwrap().to_string_lossy().into_owned())
-            .filter(|stem| !NOT_EXPERIMENTS.contains(&stem.as_str()))
             .collect();
         on_disk.sort_unstable();
         let mut expected = known.clone();
@@ -812,7 +808,7 @@ mod tests {
                 let is_table = [".csv", ".json", ".{csv,json}"]
                     .iter()
                     .any(|e| ext.starts_with(e));
-                if is_table && !name.is_empty() && !NOT_EXPERIMENTS.contains(&name) {
+                if is_table && !name.is_empty() {
                     assert!(known.contains(&name), "{doc}: results/{name}{ext:.12}");
                     cited += 1;
                 }
@@ -888,39 +884,11 @@ mod tests {
             .map(|(name, _, deps)| (name, deps))
             .collect();
         assert_eq!(rows, declared, "DESIGN §6 vs crates/*/Cargo.toml");
-        let power = ["vr-fpga", "vr-net", "vr-trie"].map(String::from).to_vec();
+        let power = ["vr-net", "vr-trie"].map(String::from).to_vec();
         assert!(
             declared.contains(&("vr-power".to_string(), power)),
             "vr-power's dependencies"
         );
-    }
-
-    /// `vr-audit` is a binary (the source lints and the audit CLI), so no
-    /// manifest under `crates/` or `tests/` may depend on it, in any
-    /// dependency table: the verifier the services run is
-    /// `vr_trie::audit`, and the lint tables stay out of the server.
-    #[test]
-    fn no_manifest_depends_on_the_audit_binary() {
-        let root = workspace_root();
-        let mut dirs: Vec<_> = manifests(&root)
-            .into_iter()
-            .map(|(_, dir, _)| dir)
-            .collect();
-        dirs.push(root.join("tests"));
-        for dir in dirs {
-            let path = dir.join("Cargo.toml");
-            let manifest = std::fs::read_to_string(&path).expect("manifest");
-            let mut section = "";
-            for line in manifest.lines().map(str::trim) {
-                if line.starts_with('[') {
-                    section = line;
-                    assert!(!section.ends_with(".vr-audit]"), "{}", path.display());
-                } else if section.contains("dependencies") {
-                    let key = line.split(['=', '.']).next().unwrap_or("").trim();
-                    assert_ne!(key, "vr-audit", "{} {section}", path.display());
-                }
-            }
-        }
     }
 
     /// Every `vr_<crate>::<segment>` the docs cite names a module or a
@@ -1172,16 +1140,16 @@ mod tests {
     /// The two source rules no compiler lint can state, over one file's
     /// text up to its `#[cfg(test)]` tail (`rel` is workspace-relative):
     ///
-    /// * `no-raw-power-literal`: in `crates/core` and `crates/fpga`, a
+    /// * `no-raw-power-literal`: in `crates/core`, a
     ///   non-trivial float literal on a line that names a power unit
-    ///   belongs in `vr_fpga::units` or in `grade.rs`'s Table III
+    ///   belongs in `vr_power::units` or in `grade.rs`'s Table III
     ///   calibration, the one source of watts the reproduction has;
     /// * `no-relaxed-publish`: outside `crates/sync`, `Relaxed` on a line
     ///   naming `generation` or `publish` is the model checker's seeded
     ///   bug, a generation published without release ordering.
     fn source_findings(rel: &str, text: &str) -> Vec<String> {
         const POWER_MARKERS: [&str; 6] = ["watt", "_w ", "_uw", "_mw", "uw_per", "mhz"];
-        let power_scope = (rel.starts_with("crates/core/") || rel.starts_with("crates/fpga/"))
+        let power_scope = rel.starts_with("crates/core/")
             && !rel.ends_with("/units.rs")
             && !rel.ends_with("/grade.rs");
         let publish_scope = !rel.starts_with("crates/sync/");
@@ -1274,20 +1242,20 @@ mod tests {
     #[test]
     fn raw_power_literal_fires_in_power_crates_only() {
         let text = "let static_w = 4.5;\n";
-        let findings = source_findings("crates/fpga/src/bram.rs", text);
+        let findings = source_findings("crates/core/src/bram.rs", text);
         assert_eq!(findings.len(), 1);
         assert!(findings[0].contains("no-raw-power-literal"), "{findings:?}");
-        // Outside the power crates the same line is fine.
+        // Outside the power crate the same line is fine.
         assert!(source_findings("crates/trie/src/stats.rs", text).is_empty());
         // In the designated calibration homes it is also fine.
-        assert!(source_findings("crates/fpga/src/grade.rs", text).is_empty());
-        assert!(source_findings("crates/fpga/src/units.rs", text).is_empty());
+        assert!(source_findings("crates/core/src/grade.rs", text).is_empty());
+        assert!(source_findings("crates/core/src/units.rs", text).is_empty());
     }
 
     #[test]
     fn float_without_power_marker_is_fine() {
         let text = "let ratio = 0.5;\n";
-        assert!(source_findings("crates/fpga/src/par.rs", text).is_empty());
+        assert!(source_findings("crates/core/src/par.rs", text).is_empty());
     }
 
     #[test]
@@ -1336,6 +1304,6 @@ mod tests {
             "fn f() {}\n#[cfg(test)]\nmod tests { fn g() { gen.store(generation, Relaxed); } }\n";
         assert!(source_findings("crates/engine/src/service.rs", text).is_empty());
         let text = "fn f() {}\n    #[cfg(test)]\n    const IDLE_W: f64 = 4.5;\n";
-        assert!(source_findings("crates/fpga/src/bram.rs", text).is_empty());
+        assert!(source_findings("crates/core/src/bram.rs", text).is_empty());
     }
 }

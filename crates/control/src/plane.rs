@@ -1,5 +1,5 @@
 //! The [`ControlPlane`] supervisor: churn replay, α and memory-power
-//! tracking, and the flight recorder's tick.
+//! tracking.
 //!
 //! Policy lives here; mechanism lives in `vr-engine`. Every batch the
 //! supervisor applies goes through three steps:
@@ -27,16 +27,15 @@ use crate::ControlError;
 use serde::Serialize;
 use vr_engine::LookupService;
 use vr_net::{RouteUpdate, UpdateStream};
-use vr_obs::FlightRecorder;
 use vr_telemetry::{Counter, Gauge, TelemetrySnapshot};
 
 /// Pricing knobs of a [`ControlPlane`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ControlConfig {
     /// BRAM primitive used to price the memory footprint.
-    pub bram_mode: vr_fpga::BramMode,
+    pub bram_mode: vr_power::BramMode,
     /// Speed grade pricing the footprint (Table III coefficients).
-    pub grade: vr_fpga::SpeedGrade,
+    pub grade: vr_power::SpeedGrade,
     /// Operating frequency for the power delta, in MHz.
     pub freq_mhz: f64,
     /// NHI width in bits per next-hop entry when sizing the trie.
@@ -47,9 +46,9 @@ impl Default for ControlConfig {
     /// Paper-flavoured defaults: 18 Kb BRAM at the -2 grade's base clock
     /// like the reference scenarios.
     fn default() -> Self {
-        let grade = vr_fpga::SpeedGrade::Minus2;
+        let grade = vr_power::SpeedGrade::Minus2;
         Self {
-            bram_mode: vr_fpga::BramMode::K18,
+            bram_mode: vr_power::BramMode::K18,
             grade,
             freq_mhz: grade.base_clock_mhz(),
             nhi_bits: 8,
@@ -103,11 +102,6 @@ pub struct ControlPlane {
     /// "as-merged" reference the power delta is priced against.
     baseline_bits: u64,
     telemetry: Option<ControlTelemetry>,
-    /// Attached anomaly flight recorder, driven once per supervised
-    /// batch (see [`Self::attach_flight_recorder`]).
-    flight: Option<FlightRecorder>,
-    /// Trace-ring cursor of the recorder's incremental reads.
-    trace_cursor: u64,
 }
 
 impl ControlPlane {
@@ -129,37 +123,7 @@ impl ControlPlane {
             cfg,
             baseline_bits,
             telemetry,
-            flight: None,
-            trace_cursor: 0,
         })
-    }
-
-    /// Attaches an anomaly flight recorder. From then on every
-    /// [`Self::apply_batch`] tick drains the service's newly completed
-    /// sampled traces into the recorder's pre/post windows, feeds the
-    /// live batch-latency p99 to the EWMA spike detector, and scans the
-    /// event ring (plus the generation-lag gauge) for trigger events —
-    /// so a `WorkerStall`, `AuditRejected`, generation-lag, or latency
-    /// spike anywhere in the wrapped service freezes and dumps an
-    /// episode without any hot-path involvement. Requires the service
-    /// to have both `trace_sample` and telemetry configured to be
-    /// useful; with either off, the corresponding inputs are simply
-    /// never fed.
-    pub fn attach_flight_recorder(&mut self, recorder: FlightRecorder) {
-        self.flight = Some(recorder);
-    }
-
-    /// The attached flight recorder, if any.
-    #[must_use]
-    pub fn flight_recorder(&self) -> Option<&FlightRecorder> {
-        self.flight.as_ref()
-    }
-
-    /// Mutable access to the attached flight recorder (e.g. to force a
-    /// flush or fire a manual trigger).
-    #[cfg(test)]
-    pub fn flight_recorder_mut(&mut self) -> Option<&mut FlightRecorder> {
-        self.flight.as_mut()
     }
 
     /// The wrapped service (e.g. to run lookups mid-churn).
@@ -201,7 +165,6 @@ impl ControlPlane {
             t.superseded.add(0, stats.superseded as u64);
             t.alpha_pm.set(alpha_pm(alpha));
         }
-        self.drive_flight_recorder();
         Ok(BatchOutcome {
             generation,
             coalesce: stats,
@@ -244,46 +207,10 @@ impl ControlPlane {
     }
 
     /// Shuts the wrapped service down and returns its registry's final
-    /// scrape (`None` with telemetry off). An in-flight flight-recorder
-    /// capture is flushed first so a trigger near the end of a run still
-    /// produces its dump.
+    /// scrape (`None` with telemetry off).
     #[must_use]
-    pub fn shutdown(mut self) -> Option<TelemetrySnapshot> {
-        if let Some(rec) = self.flight.as_mut() {
-            rec.force_flush();
-        }
+    pub fn shutdown(self) -> Option<TelemetrySnapshot> {
         self.service.shutdown()
-    }
-
-    /// One flight-recorder tick: drain newly completed traces into the
-    /// recorder's window, feed the batch-latency p99 to the spike
-    /// detector, and scan trigger sources (event ring + generation-lag
-    /// gauge). All timestamps come from the tracer's clock so the
-    /// recorder never reads time itself; without a tracer there is no
-    /// trace window to dump, so the recorder idles.
-    fn drive_flight_recorder(&mut self) {
-        let Some(rec) = self.flight.as_mut() else {
-            return;
-        };
-        let Some(tracer) = self.service.tracer() else {
-            return;
-        };
-        let now_ns = tracer.now_ns();
-        let drain = tracer.drain_since(self.trace_cursor);
-        self.trace_cursor = drain.next_seq;
-        for trace in &drain.traces {
-            rec.observe_trace(trace);
-        }
-        if let Some(registry) = self.service.metrics() {
-            let snap = registry
-                .histogram("vr_service_batch_ns")
-                .snapshot("vr_service_batch_ns");
-            if snap.count > 0 {
-                rec.observe_p99(snap.quantile(0.99), now_ns);
-            }
-            let lag = registry.gauge("vr_service_generation_lag").value();
-            rec.scan_events(registry.events(), Some(lag), now_ns);
-        }
     }
 }
 
@@ -352,106 +279,6 @@ mod tests {
     fn paired_tables() -> Vec<RoutingTable> {
         let t = table("10.0.0.0/8 1\n10.1.1.0/24 2\n172.16.0.0/12 3\n");
         vec![t.clone(), t]
-    }
-
-    #[test]
-    fn seeded_stall_produces_one_validating_flight_dump() {
-        use vr_obs::{check_chrome_trace, FlightConfig, FlightRecorder};
-
-        let dir = std::env::temp_dir().join(format!("vr_control_flight_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        // Two lanes, so round-robin alternates the caller's lane 0 and
-        // lane 1's thread behind a depth-1 queue. Lane 0 gets 1-key jobs,
-        // lane 1 jobs long enough (2^18 keys, milliseconds each) to
-        // outlast a scheduler time slice: a woken worker that preempts
-        // the submitter on a shared CPU cannot finish its job before the
-        // submitter runs again, so a burst of submits is guaranteed to
-        // find lane 1's queue full and publish WorkerStall. (At 4 096
-        // keys a job fit inside one slice and the two threads could run
-        // strictly in turn, never stalling.)
-        let service = LookupService::new(
-            paired_tables(),
-            ServiceConfig {
-                workers: 2,
-                batch_width: Some(8),
-                queue_depth: 1,
-                trace_sample: Some(1),
-                ..ServiceConfig::default()
-            },
-        )
-        .unwrap();
-        let mut plane = ControlPlane::new(service, ControlConfig::default()).unwrap();
-        plane.attach_flight_recorder(FlightRecorder::new(FlightConfig {
-            pre_window: 8,
-            post_window: 2,
-            max_dumps: 1,
-            ..FlightConfig::new(&dir)
-        }));
-
-        let packets: Vec<(VnId, u32)> = (0..1 << 18).map(|i| (0, 0x0A00_0000 | i)).collect();
-        // Four bursts of eight pairs: tens of milliseconds of lane-1
-        // time, well past the few milliseconds a woken worker can run
-        // ahead on its sleeper credit, with at most eight long jobs
-        // held at once. Each burst's jobs are built up front, so a
-        // submit is far cheaper than a lane-1 job.
-        for _ in 0..4 {
-            let jobs = vec![packets.clone(); 8];
-            for job in jobs {
-                let _ = plane.service_mut().submit(packets[..1].to_vec());
-                let _ = plane.service_mut().submit(job);
-            }
-            let _ = plane.service_mut().collect_all();
-        }
-
-        // One control tick sees the stall and freezes the pre-window...
-        let _ = plane.apply_batch(&[]).unwrap();
-        let status = plane.flight_recorder().unwrap().status();
-        assert!(
-            status.capturing || status.dumps.len() == 1,
-            "seeded stall did not trip the recorder: {status:?}"
-        );
-        // ...and post-trigger traffic fills the post-window.
-        for _ in 0..4 {
-            let _ = plane.service_mut().process(&packets[..64]);
-            let _ = plane.apply_batch(&[]).unwrap();
-        }
-        let dumps = plane.flight_recorder().unwrap().dumps().to_vec();
-        assert_eq!(dumps.len(), 1, "expected exactly one flight dump");
-        let text = std::fs::read_to_string(&dumps[0]).unwrap();
-        let events = check_chrome_trace(&text).unwrap();
-        assert!(events > 0);
-        assert!(text.contains("WorkerStall"), "trigger metadata missing");
-        let _ = plane.shutdown();
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn flight_recorder_idles_without_tracer_and_flushes_on_shutdown() {
-        use vr_obs::{FlightConfig, FlightRecorder, FlightTrigger};
-
-        let dir = std::env::temp_dir().join(format!("vr_control_flush_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        // No trace_sample: the drive tick must idle (no timestamps to
-        // anchor a window), leaving the recorder armed and empty.
-        let mut plane =
-            ControlPlane::new(small_service(paired_tables()), ControlConfig::default()).unwrap();
-        plane.attach_flight_recorder(FlightRecorder::new(FlightConfig::new(&dir)));
-        let _ = plane.apply_batch(&[]).unwrap();
-        let status = plane.flight_recorder().unwrap().status();
-        assert!(status.armed && !status.capturing && status.dumps.is_empty());
-
-        // A hand-fired trigger mid-capture is flushed by shutdown even
-        // though the post-window never fills.
-        plane
-            .flight_recorder_mut()
-            .unwrap()
-            .trigger(FlightTrigger::LatencySpike, 1);
-        let _ = plane.shutdown();
-        let dumped: Vec<_> = std::fs::read_dir(&dir)
-            .map(|rd| rd.filter_map(Result::ok).collect())
-            .unwrap_or_default();
-        assert_eq!(dumped.len(), 1, "shutdown must flush the open capture");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

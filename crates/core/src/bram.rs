@@ -68,8 +68,8 @@ impl std::fmt::Display for BramMode {
 /// watts. `P(µW) = blocks × coeff × f`.
 ///
 /// ```
-/// use vr_fpga::bram::bram_power_w;
-/// use vr_fpga::{BramMode, SpeedGrade};
+/// use vr_power::bram::bram_power_w;
+/// use vr_power::{BramMode, SpeedGrade};
 ///
 /// // One 18 Kb block at 350 MHz on the -2 grade: 13.65 µW/MHz × 350.
 /// let w = bram_power_w(BramMode::K18, SpeedGrade::Minus2, 1, 350.0);

@@ -8,8 +8,8 @@
 
 use crate::experiments::{power_sweep, ExperimentConfig, SweepPoint};
 use crate::PowerError;
+use crate::{Device, SpeedGrade};
 use serde::{Deserialize, Serialize};
-use vr_fpga::{Device, SpeedGrade};
 
 /// Claim 3's threshold: the merged clock at K must fall below this share
 /// of its K = 1 clock to count as a significant decrease.
@@ -140,7 +140,7 @@ pub fn check_claims(points: &[SweepPoint], k_max: usize) -> Result<Vec<ClaimChec
     });
 
     // 7. §VI-A: separate hits the pin wall just past K = 15.
-    let pin_limit = vr_fpga::io::max_engines(&Device::xc6vlx760());
+    let pin_limit = crate::io::max_engines(&Device::xc6vlx760());
     checks.push(ClaimCheck {
         id: "vs-pin-limit".into(),
         section: "§VI-A".into(),

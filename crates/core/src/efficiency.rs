@@ -7,9 +7,9 @@
 
 use crate::models::analytical_power;
 use crate::scenario::Scenario;
+use crate::timing::mw_per_gbps;
+use crate::{SchemeKind, SpeedGrade};
 use serde::{Deserialize, Serialize};
-use vr_fpga::timing::mw_per_gbps;
-use vr_fpga::{SchemeKind, SpeedGrade};
 
 /// One scheme's efficiency at one operating point (a point of Fig. 8).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -50,7 +50,7 @@ pub fn efficiency_point(scenario: &Scenario) -> EfficiencyPoint {
 mod tests {
     use super::*;
     use crate::scenario::{Scenario, ScenarioSpec};
-    use vr_fpga::Device;
+    use crate::Device;
     use vr_net::synth::FamilySpec;
     use vr_net::RoutingTable;
 

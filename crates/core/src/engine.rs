@@ -14,15 +14,15 @@
 //! leaf-pushed trie's words off it, as `SweepStats` counts them: a missing
 //! child is a synthetic leaf one level down, holding the best next hop on
 //! its path. Each stage-cycle's energy uses the *same*
-//! coefficients the analytical models use (`vr-fpga`): a Table III
+//! coefficients the analytical models use ([`crate::bram`], [`crate::logic`]): a Table III
 //! µW/MHz coefficient is numerically a pJ/cycle energy, so the measured
 //! dynamic power converges to the model's µ-scaled prediction as
 //! utilization settles.
 
+use crate::bram::BramMode;
+use crate::gating::GatingPolicy;
+use crate::grade::SpeedGrade;
 use serde::{Deserialize, Serialize};
-use vr_fpga::bram::BramMode;
-use vr_fpga::gating::GatingPolicy;
-use vr_fpga::grade::SpeedGrade;
 use vr_net::table::NextHop;
 use vr_net::VnId;
 use vr_trie::{MemoryLayout, MergedTrie, NodeId, PipelineProfile};
@@ -466,11 +466,8 @@ mod tests {
         assert!(stats.logic_energy_pj > 0.0);
         assert!(stats.bram_energy_pj > 0.0);
         // Idle ungated logic power equals the full-pipeline logic power.
-        let expected_logic_w = vr_fpga::logic::pipeline_logic_power_w(
-            SpeedGrade::Minus2,
-            PAPER_PIPELINE_STAGES,
-            350.0,
-        );
+        let expected_logic_w =
+            crate::logic::pipeline_logic_power_w(SpeedGrade::Minus2, PAPER_PIPELINE_STAGES, 350.0);
         let measured_logic_w = stats.logic_energy_pj * 1e-12 / stats.cycles as f64 * 350.0e6;
         assert!((measured_logic_w - expected_logic_w).abs() / expected_logic_w < 1e-9);
     }

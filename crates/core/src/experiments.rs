@@ -30,18 +30,18 @@
 //! | §VI-B low-power saving | derived from [`power_sweep`] |
 //! | Ablations (ours) | [`ablation_merged_memory`], [`ablation_gating`] |
 
+use crate::bram::single_block_power_mw;
+use crate::logic::stage_logic_power_mw;
 use crate::models::analytical_power;
+use crate::par::ParSimulator;
 use crate::resources::MergedMemoryModel;
 use crate::scenario::{EngineStructure, Scenario, ScenarioSpec};
+use crate::static_power::static_power_w;
+use crate::timing::mw_per_gbps;
 use crate::validate::validate_scenario;
 use crate::PowerError;
+use crate::{BramMode, Device, SchemeKind, SpeedGrade};
 use serde::{Deserialize, Serialize};
-use vr_fpga::bram::single_block_power_mw;
-use vr_fpga::logic::stage_logic_power_mw;
-use vr_fpga::par::ParSimulator;
-use vr_fpga::static_power::static_power_w;
-use vr_fpga::timing::mw_per_gbps;
-use vr_fpga::{BramMode, Device, SchemeKind, SpeedGrade};
 use vr_net::synth::{FamilySpec, PrefixLenDistribution};
 use vr_net::RoutingTable;
 use vr_trie::calibrate::CalibrationSpec;
@@ -593,8 +593,8 @@ pub fn ablation_gating(cfg: &ExperimentConfig, k: usize) -> Result<Vec<GatingRow
         };
         Ok(GatingRow {
             offered_load: load,
-            gated_dynamic_w: run(vr_fpga::gating::GatingPolicy::PAPER)?,
-            ungated_dynamic_w: run(vr_fpga::gating::GatingPolicy::NONE)?,
+            gated_dynamic_w: run(crate::gating::GatingPolicy::PAPER)?,
+            ungated_dynamic_w: run(crate::gating::GatingPolicy::NONE)?,
         })
     })
 }
@@ -692,7 +692,7 @@ pub struct TcamRow {
 /// # Errors
 /// Propagates scenario construction errors.
 pub fn tcam_comparison(cfg: &ExperimentConfig) -> Result<Vec<TcamRow>, PowerError> {
-    use vr_fpga::tcam::TcamSpec;
+    use crate::tcam::TcamSpec;
     let (_, frac_high) = cfg.resolve_shared_fractions();
     let ks: Vec<usize> = [1usize, cfg.k_max / 2, cfg.k_max]
         .into_iter()
@@ -716,7 +716,7 @@ pub fn tcam_comparison(cfg: &ExperimentConfig) -> Result<Vec<TcamRow>, PowerErro
             k,
             power_w: estimate.total_w(),
             throughput_gbps: scenario.capacity_gbps(),
-            mw_per_gbps: vr_fpga::timing::mw_per_gbps(estimate.total_w(), scenario.capacity_gbps()),
+            mw_per_gbps: crate::timing::mw_per_gbps(estimate.total_w(), scenario.capacity_gbps()),
         });
         let entries = k * cfg.prefixes_per_table;
         for (label, spec) in [
@@ -797,14 +797,14 @@ pub fn update_cost(cfg: &ExperimentConfig, k: usize) -> Result<Vec<UpdateRow>, P
         let pushed = &merged.sweep_stats().by_prefix[k - 1];
         let profile = PipelineProfile::from_stats(pushed, k, cfg.stages, MemoryLayout::default())?;
         let blocks =
-            vr_fpga::bram::blocks_for_stages(BramMode::K18, &profile.per_stage_memory_bits());
+            crate::bram::blocks_for_stages(BramMode::K18, &profile.per_stage_memory_bits());
         rows.push(UpdateRow {
             updates,
             mean_writes_per_update: mean_writes,
             nodes_before,
             nodes_after,
             write_rate,
-            bram_power_w: vr_fpga::bram::bram_power_w_with_writes(
+            bram_power_w: crate::bram::bram_power_w_with_writes(
                 BramMode::K18,
                 grade,
                 blocks,
@@ -960,7 +960,7 @@ pub fn device_sweep(cfg: &ExperimentConfig, k: usize) -> Result<Vec<DeviceRow>, 
     let (_, frac_high) = cfg.resolve_shared_fractions();
     let tables = cfg.family(k, frac_high)?;
     fan_out(Device::catalog(), |device| {
-        let max_vs_engines = vr_fpga::io::max_engines(&device);
+        let max_vs_engines = crate::io::max_engines(&device);
         let built = Scenario::build(
             &tables,
             ScenarioSpec {
@@ -978,7 +978,7 @@ pub fn device_sweep(cfg: &ExperimentConfig, k: usize) -> Result<Vec<DeviceRow>, 
                     max_vs_engines,
                     fits: true,
                     power_w: Some(estimate.total_w()),
-                    mw_per_gbps: Some(vr_fpga::timing::mw_per_gbps(estimate.total_w(), capacity)),
+                    mw_per_gbps: Some(crate::timing::mw_per_gbps(estimate.total_w(), capacity)),
                 }
             }
             Err(_) => DeviceRow {
@@ -1028,7 +1028,7 @@ pub fn merged_scaling(cfg: &ExperimentConfig) -> Result<Vec<MergedScalingRow>, P
             let profile =
                 PipelineProfile::from_stats(&sweep.by_prefix[k - 1], k, cfg.stages, layout)?;
             let per_stage = profile.per_stage_memory_bits();
-            let blocks18 = vr_fpga::bram::blocks_for_stages(BramMode::K18, &per_stage);
+            let blocks18 = crate::bram::blocks_for_stages(BramMode::K18, &per_stage);
             let bram_36k = blocks18.div_ceil(2);
             Ok(MergedScalingRow {
                 k,
@@ -1245,8 +1245,8 @@ mod tests {
         // Each row is Eq. 2 at K = 1: µ = 1 at the -2 base clock.
         let (grade, f) = (SpeedGrade::Minus2, SpeedGrade::Minus2.base_clock_mhz());
         for r in &rows {
-            let eq2 = vr_fpga::logic::pipeline_logic_power_w(grade, r.stages, f)
-                + vr_fpga::bram::bram_power_w(BramMode::K18, grade, r.bram_blocks, f);
+            let eq2 = crate::logic::pipeline_logic_power_w(grade, r.stages, f)
+                + crate::bram::bram_power_w(BramMode::K18, grade, r.bram_blocks, f);
             assert_eq!(r.dynamic_w, eq2, "stride {}", r.stride);
         }
     }

@@ -18,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// Calibration table for one speed grade, every entry unit-typed. This is
 /// the **only** place (together with `units.rs`) where raw power/clock
 /// literals are allowed — a vr-bench source check flags power literals
-/// elsewhere in `crates/fpga` and `crates/core` that bypass these
+/// elsewhere in `crates/core` that bypass these
 /// constructors.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GradeCalibration {

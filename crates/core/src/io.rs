@@ -3,12 +3,17 @@
 //! The paper caps the separate scheme at 15 virtual networks because "the
 //! I/O pin requirement exceeded when the number of virtual networks was
 //! increased". Each lookup engine needs its own data-in/data-out pins on
-//! top of a shared clock/control budget; with the pin counts below, the
-//! 1200-pin XC6VLX760 fits exactly 15 engines — reproducing the paper's
-//! limit.
+//! top of a shared clock/control budget.
+//!
+//! The paper does not publish its pin budget. [`PINS_PER_ENGINE`] and
+//! [`SHARED_PINS`] were chosen so that the 1200-pin XC6VLX760 fits exactly
+//! the paper's K = 15 engines, so the `vs-pin-limit` claim holds by
+//! construction, not by measurement. With [`SHARED_PINS`] at 60 the claim
+//! holds only for 72 ≤ [`PINS_PER_ENGINE`] ≤ 76, the range where
+//! ⌊1 140 / p⌋ = 15.
 
 use crate::device::Device;
-use crate::FpgaError;
+use crate::PowerError;
 
 /// Pins per lookup engine: 32 destination-address in + 16 VNID/metadata in
 /// + 8 NHI out + 16 handshake/flow control.
@@ -26,11 +31,11 @@ pub fn pins_required(engines: usize) -> u64 {
 /// Checks that the pin budget of `device` accommodates `engines`.
 ///
 /// # Errors
-/// [`FpgaError::ResourceExhausted`] naming the I/O pins when it does not.
-pub fn check(device: &Device, engines: usize) -> Result<(), FpgaError> {
+/// [`PowerError::ResourceExhausted`] naming the I/O pins when it does not.
+pub fn check(device: &Device, engines: usize) -> Result<(), PowerError> {
     let requested = pins_required(engines);
     if requested > device.io_pins {
-        return Err(FpgaError::ResourceExhausted {
+        return Err(PowerError::ResourceExhausted {
             resource: "I/O pins",
             requested,
             available: device.io_pins,
@@ -59,7 +64,7 @@ mod tests {
         assert!(check(&d, 15).is_ok());
         assert!(matches!(
             check(&d, 16),
-            Err(FpgaError::ResourceExhausted {
+            Err(PowerError::ResourceExhausted {
                 resource: "I/O pins",
                 ..
             })

@@ -14,10 +14,8 @@
 //! | VS (virtualized-separate) | Eq. 3: 1 device, K engines | Eq. 4: P_L + Σ µᵢ·Σ(P(L)+P(M)) |
 //! | VM (virtualized-merged) | Eq. 5: 1 device, 1 merged engine | Eq. 6: P_L + Σ(P(L)+P(M_merged)) |
 //!
-//! Everything below the equations comes from the sibling crates: routing
-//! tables (`vr-net`), tries and stage memories (`vr-trie`) and
-//! device/power/timing models (`vr-fpga`). Nothing here links the
-//! serving stack.
+//! Routing tables come from `vr-net` and tries and stage memories from
+//! `vr-trie`. Nothing here links the serving stack.
 //!
 //! Module map:
 //! * the cycle-level behavioural simulator
@@ -36,30 +34,68 @@
 //! * [`experiments`] — one entry point per table/figure of the paper,
 //!   shared by the bench binaries and the integration tests;
 //! * [`report`] — text-table / CSV / JSON rendering of experiment output.
+//!
+//! The paper's experiments run on a Xilinx Virtex-6 XC6VLX760 under speed
+//! grades -2 (high performance) and -1L (low power), with power numbers
+//! from the XPower Analyzer / Estimator tools and post place-and-route
+//! results. None of that silicon or tooling is available to a pure-Rust
+//! reproduction, so these modules stand in for it (see DESIGN.md):
+//! * [`device`] — the resource catalog of Table II (logic cells, BRAM
+//!   blocks, distributed RAM, I/O pins);
+//! * [`grade`] — speed-grade-dependent constants, all taken from the
+//!   paper's own calibration (§V-A..C, Table III);
+//! * [`bram`] — BRAM block quantization (36 Kb blocks, two independent
+//!   18 Kb halves) and the Table III power model;
+//! * [`logic`] — the per-stage processing-element resource profile and the
+//!   Fig. 3 logic+signal power model;
+//! * [`static_power`] — the §V-A leakage bases and their ±5 % band, as
+//!   the `statics` table prints them;
+//! * [`timing`] — achievable clock vs. resource pressure, and the
+//!   40-byte-packet throughput metric (§VI-B);
+//! * [`io`] — I/O pin accounting that reproduces the K ≈ 15 separate-
+//!   engine limit (§VI-A);
+//! * [`par`] — a deterministic place-and-route *simulator* producing
+//!   "experimental" power with the bounded, scheme-dependent deviation
+//!   structure of Fig. 7;
+//! * [`tcam`] — the TCAM power baseline of §II-B;
+//! * [`units`] — unit-typed wrappers for the calibration constants;
+//! * [`gating`] — the clock-gating policy (§IV: idle resources dissipate
+//!   no dynamic power), applied by the cycle-level engine.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod bram;
 pub mod claims;
+pub mod device;
 pub mod efficiency;
 mod engine;
 pub mod experiments;
+pub mod gating;
+pub mod grade;
+pub mod io;
+pub mod logic;
 pub mod models;
+pub mod par;
 pub mod report;
 mod resources;
 mod router;
 pub mod scenario;
+pub mod static_power;
+pub mod tcam;
+pub mod timing;
+pub mod units;
 pub mod validate;
 
+pub use bram::BramMode;
+pub use device::Device;
 pub use engine::{CompletedLookup, EngineConfig, EngineStats, PipelineEngine};
+pub use grade::SpeedGrade;
 pub use models::{cache_discounted_memory_w, memory_power_delta_w, PowerEstimate};
+pub use par::SchemeKind;
 pub use resources::{MergedMemoryModel, ResourceUsage};
 pub use router::{ArrivalModel, SimConfig, SimReport, VirtualRouterSim};
 pub use scenario::{Scenario, ScenarioSpec};
-
-// Re-export the identifiers users need to assemble scenarios without
-// importing every sibling crate.
-pub use vr_fpga::{BramMode, Device, SchemeKind, SpeedGrade};
 
 /// Errors from model construction and evaluation.
 #[derive(Debug, Clone, PartialEq)]
@@ -67,10 +103,17 @@ pub use vr_fpga::{BramMode, Device, SchemeKind, SpeedGrade};
 pub enum PowerError {
     /// An invalid parameter (message explains which).
     InvalidParameter(&'static str),
+    /// The design does not fit on the device (message names the resource).
+    ResourceExhausted {
+        /// Which resource ran out ("BRAM blocks", "I/O pins", ...).
+        resource: &'static str,
+        /// Amount requested.
+        requested: u64,
+        /// Amount available on the device.
+        available: u64,
+    },
     /// Propagated trie error.
     Trie(vr_trie::TrieError),
-    /// Propagated FPGA substrate error (e.g. device fit).
-    Fpga(vr_fpga::FpgaError),
     /// Propagated network-layer error.
     Net(vr_net::NetError),
 }
@@ -79,8 +122,15 @@ impl std::fmt::Display for PowerError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PowerError::InvalidParameter(msg) => write!(f, "invalid parameter: {msg}"),
+            PowerError::ResourceExhausted {
+                resource,
+                requested,
+                available,
+            } => write!(
+                f,
+                "design needs {requested} {resource} but the device has {available}"
+            ),
             PowerError::Trie(e) => write!(f, "trie error: {e}"),
-            PowerError::Fpga(e) => write!(f, "fpga error: {e}"),
             PowerError::Net(e) => write!(f, "net error: {e}"),
         }
     }
@@ -91,12 +141,6 @@ impl std::error::Error for PowerError {}
 impl From<vr_trie::TrieError> for PowerError {
     fn from(e: vr_trie::TrieError) -> Self {
         PowerError::Trie(e)
-    }
-}
-
-impl From<vr_fpga::FpgaError> for PowerError {
-    fn from(e: vr_fpga::FpgaError) -> Self {
-        PowerError::Fpga(e)
     }
 }
 
@@ -114,13 +158,13 @@ mod tests {
     fn error_conversions_and_display() {
         let e: PowerError = vr_trie::TrieError::ZeroStages.into();
         assert!(e.to_string().contains("trie"));
-        let e: PowerError = vr_fpga::FpgaError::ResourceExhausted {
+        let e = PowerError::ResourceExhausted {
             resource: "I/O pins",
-            requested: 2,
-            available: 1,
-        }
-        .into();
-        assert!(e.to_string().contains("fpga"));
+            requested: 1300,
+            available: 1200,
+        };
+        assert!(e.to_string().contains("1300"));
+        assert!(e.to_string().contains("I/O pins"));
         let e: PowerError = vr_net::NetError::InvalidPrefixLen(99).into();
         assert!(e.to_string().contains("net"));
         assert!(PowerError::InvalidParameter("z").to_string().contains('z'));

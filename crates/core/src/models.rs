@@ -11,12 +11,12 @@
 //!   that is *always* active (it carries the whole merged stream), so no µ
 //!   scaling applies to its dynamic power.
 
+use crate::bram::blocks_for_stages;
+use crate::logic::pipeline_logic_power_w;
+use crate::par::ParSimulator;
 use crate::scenario::Scenario;
+use crate::{bram, SchemeKind, SpeedGrade};
 use serde::{Deserialize, Serialize};
-use vr_fpga::bram::blocks_for_stages;
-use vr_fpga::logic::pipeline_logic_power_w;
-use vr_fpga::par::ParSimulator;
-use vr_fpga::{bram, SchemeKind, SpeedGrade};
 
 /// An evaluated power model.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -137,7 +137,7 @@ pub fn experimental_power_w(scenario: &Scenario, par: &ParSimulator) -> f64 {
 /// footprint costs more than the baseline.
 #[must_use]
 pub fn memory_power_delta_w(
-    mode: vr_fpga::BramMode,
+    mode: crate::BramMode,
     grade: SpeedGrade,
     baseline_bits: u64,
     current_bits: u64,
@@ -173,7 +173,7 @@ pub fn cache_discounted_memory_w(memory_w: f64, hit_rate: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::scenario::ScenarioSpec;
-    use vr_fpga::Device;
+    use crate::Device;
     use vr_net::synth::FamilySpec;
     use vr_net::RoutingTable;
 
@@ -251,17 +251,13 @@ mod tests {
         let vm_scenario = scenario(SchemeKind::Merged, k, SpeedGrade::Minus2);
         let vm = analytical_power(&vm_scenario);
         let f = vm_scenario.freq_mhz();
-        let logic_full = vr_fpga::logic::pipeline_logic_power_w(SpeedGrade::Minus2, 28, f);
-        let blocks = vr_fpga::bram::blocks_for_stages(
+        let logic_full = crate::logic::pipeline_logic_power_w(SpeedGrade::Minus2, 28, f);
+        let blocks = crate::bram::blocks_for_stages(
             vm_scenario.spec().bram_mode,
             &vm_scenario.engine_stage_bits()[0],
         );
-        let mem_full = vr_fpga::bram::bram_power_w(
-            vm_scenario.spec().bram_mode,
-            SpeedGrade::Minus2,
-            blocks,
-            f,
-        );
+        let mem_full =
+            crate::bram::bram_power_w(vm_scenario.spec().bram_mode, SpeedGrade::Minus2, blocks, f);
         assert!((vm.dynamic_w() - (logic_full + mem_full)).abs() < 1e-12);
 
         // Eq. 4 is µ-weighted: with uniform µ and equal-size tables, VS
@@ -269,11 +265,11 @@ mod tests {
         let vs_scenario = scenario(SchemeKind::Separate, k, SpeedGrade::Minus2);
         let vs = analytical_power(&vs_scenario);
         let f = vs_scenario.freq_mhz();
-        let one_engine_full = vr_fpga::logic::pipeline_logic_power_w(SpeedGrade::Minus2, 28, f)
-            + vr_fpga::bram::bram_power_w(
+        let one_engine_full = crate::logic::pipeline_logic_power_w(SpeedGrade::Minus2, 28, f)
+            + crate::bram::bram_power_w(
                 vs_scenario.spec().bram_mode,
                 SpeedGrade::Minus2,
-                vr_fpga::bram::blocks_for_stages(
+                crate::bram::blocks_for_stages(
                     vs_scenario.spec().bram_mode,
                     &vs_scenario.engine_stage_bits()[0],
                 ),
@@ -315,7 +311,7 @@ mod tests {
                 let s = scenario(scheme, k, SpeedGrade::Minus2);
                 let model = analytical_power(&s).total_w();
                 let exp = experimental_power_w(&s, &par);
-                let err = vr_fpga::par::percentage_error(model, exp);
+                let err = crate::par::percentage_error(model, exp);
                 assert!(err.abs() <= 3.0, "{scheme} K={k}: {err}%");
             }
         }
@@ -344,7 +340,7 @@ mod tests {
 
     #[test]
     fn memory_power_delta_tracks_footprint_growth() {
-        let mode = vr_fpga::BramMode::K18;
+        let mode = crate::BramMode::K18;
         let grade = SpeedGrade::Minus2;
         let f = grade.base_clock_mhz();
         let same = memory_power_delta_w(mode, grade, 1 << 20, 1 << 20, f);

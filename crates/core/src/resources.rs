@@ -12,11 +12,11 @@
 //! memory from the actually merged trie; [`MergedMemoryModel::PaperLiteral`]
 //! implements the printed equation for the ablation bench.
 
+use crate::bram::blocks_for_stages;
+use crate::device::Device;
+use crate::logic::{total_resources, PeProfile};
+use crate::{io, BramMode, PowerError, SchemeKind};
 use serde::{Deserialize, Serialize};
-use vr_fpga::bram::blocks_for_stages;
-use vr_fpga::device::Device;
-use vr_fpga::logic::{total_resources, PeProfile};
-use vr_fpga::{io, BramMode, FpgaError, SchemeKind};
 
 /// How the merged scheme's memory requirement is computed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -96,24 +96,24 @@ impl ResourceUsage {
     /// Checks the per-device demands against `device`.
     ///
     /// # Errors
-    /// [`FpgaError::ResourceExhausted`] naming the binding resource.
-    pub fn check_fit(&self, device: &Device) -> Result<(), FpgaError> {
+    /// [`PowerError::ResourceExhausted`] naming the binding resource.
+    pub fn check_fit(&self, device: &Device) -> Result<(), PowerError> {
         if self.bram_36k_per_device > device.bram_36k_blocks {
-            return Err(FpgaError::ResourceExhausted {
+            return Err(PowerError::ResourceExhausted {
                 resource: "36 Kb BRAM blocks",
                 requested: self.bram_36k_per_device,
                 available: device.bram_36k_blocks,
             });
         }
         if self.logic_per_device.slice_registers > device.slice_registers {
-            return Err(FpgaError::ResourceExhausted {
+            return Err(PowerError::ResourceExhausted {
                 resource: "slice registers",
                 requested: self.logic_per_device.slice_registers,
                 available: device.slice_registers,
             });
         }
         if self.logic_per_device.total_luts() > device.slice_luts {
-            return Err(FpgaError::ResourceExhausted {
+            return Err(PowerError::ResourceExhausted {
                 resource: "slice LUTs",
                 requested: self.logic_per_device.total_luts(),
                 available: device.slice_luts,
@@ -206,7 +206,7 @@ mod tests {
         );
         assert!(matches!(
             too_many_pins.check_fit(&device),
-            Err(FpgaError::ResourceExhausted {
+            Err(PowerError::ResourceExhausted {
                 resource: "I/O pins",
                 ..
             })
@@ -220,7 +220,7 @@ mod tests {
         );
         assert!(matches!(
             too_much_bram.check_fit(&device),
-            Err(FpgaError::ResourceExhausted {
+            Err(PowerError::ResourceExhausted {
                 resource: "36 Kb BRAM blocks",
                 ..
             })
@@ -240,7 +240,7 @@ mod tests {
         short.slice_registers = logic.slice_registers - 1;
         assert!(matches!(
             one_engine.check_fit(&short),
-            Err(FpgaError::ResourceExhausted {
+            Err(PowerError::ResourceExhausted {
                 resource: "slice registers",
                 ..
             })
@@ -249,7 +249,7 @@ mod tests {
         short.slice_luts = logic.total_luts() - 1;
         assert!(matches!(
             one_engine.check_fit(&short),
-            Err(FpgaError::ResourceExhausted {
+            Err(PowerError::ResourceExhausted {
                 resource: "slice LUTs",
                 ..
             })

@@ -6,7 +6,7 @@
 //! * **VS**: K single-table engines space-sharing one device behind a
 //!   VNID distributor — structurally identical traffic handling to NV;
 //!   the difference is electrical (one device's static power) and is
-//!   accounted in `vr-fpga`/`vr-power`, not here.
+//!   accounted in the power models, not here.
 //! * **VM**: one merged engine; the merged stream enters directly and the
 //!   leaf NHI vector is indexed by VNID.
 //!
@@ -16,11 +16,11 @@
 
 use crate::engine::{EngineConfig, EngineStats, PipelineEngine};
 use crate::PowerError;
+use crate::{timing, SchemeKind};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-use vr_fpga::{timing, SchemeKind};
 use vr_net::{RoutingTable, SkewedTraffic};
 use vr_trie::MergedTrie;
 
@@ -447,7 +447,7 @@ mod tests {
         assert!(occ > 0.9, "occupancy {occ}");
         // Aggregate throughput approaches K × line rate.
         let agg = report.achieved_throughput_gbps();
-        let line = vr_fpga::timing::throughput_gbps(report.freq_mhz);
+        let line = crate::timing::throughput_gbps(report.freq_mhz);
         assert!(agg > 3.5 * line, "aggregate {agg} vs line {line}");
     }
 

@@ -13,12 +13,12 @@
 //! scheme that shares it (NV and VS price the same K single-table
 //! engines).
 
+use crate::logic::PeProfile;
 use crate::resources::{paper_literal_merged_stage_bits, MergedMemoryModel, ResourceUsage};
+use crate::timing::{self, TimingContext};
 use crate::PowerError;
+use crate::{BramMode, Device, SchemeKind, SpeedGrade};
 use serde::{Deserialize, Serialize};
-use vr_fpga::logic::PeProfile;
-use vr_fpga::timing::{self, TimingContext};
-use vr_fpga::{BramMode, Device, SchemeKind, SpeedGrade};
 use vr_net::RoutingTable;
 use vr_trie::pipeline_map::{MemoryLayout, PAPER_PIPELINE_STAGES};
 use vr_trie::{PipelineProfile, SweepStats, TrieStats};
@@ -493,10 +493,10 @@ mod tests {
         );
         assert!(matches!(
             err,
-            Err(PowerError::Fpga(vr_fpga::FpgaError::ResourceExhausted {
+            Err(PowerError::ResourceExhausted {
                 resource: "I/O pins",
                 ..
-            }))
+            })
         ));
         // Merged and NV still fit at K = 16.
         assert!(Scenario::build(

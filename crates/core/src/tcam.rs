@@ -33,7 +33,7 @@ pub const MAX_SEARCH_RATE_MSPS: f64 = 250.0;
 /// A TCAM-based lookup engine configuration.
 ///
 /// ```
-/// use vr_fpga::tcam::TcamSpec;
+/// use vr_power::tcam::TcamSpec;
 ///
 /// let mono = TcamSpec::monolithic(50_000);
 /// let parts = TcamSpec::partitioned(50_000, 8);

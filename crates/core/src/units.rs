@@ -9,7 +9,7 @@
 //! calibration values are declared through [`Watts`],
 //! [`MicroWattsPerMegahertz`] and [`Megahertz`] constructors (see
 //! `grade.rs`), and a vr-bench source check flags raw `f64` power
-//! literals elsewhere in `crates/fpga` / `crates/core` that bypass them.
+//! literals elsewhere in `crates/core` that bypass them.
 //!
 //! The wrappers are `const`-constructible and deliberately minimal: model
 //! arithmetic still happens on `f64` (via [`Watts::value`] and friends),

@@ -13,11 +13,11 @@
 //!    simulated BRAM energy is bounded above by the model's).
 
 use crate::models::{analytical_power, experimental_power_w};
+use crate::par::{percentage_error, ParSimulator};
 use crate::scenario::Scenario;
 use crate::{ArrivalModel, EngineConfig, PowerError, SimConfig, VirtualRouterSim};
+use crate::{SchemeKind, SpeedGrade};
 use serde::{Deserialize, Serialize};
-use vr_fpga::par::{percentage_error, ParSimulator};
-use vr_fpga::{SchemeKind, SpeedGrade};
 use vr_net::{RoutingTable, SkewedSpec, SkewedTraffic};
 
 /// One model-vs-experimental comparison (a point of Fig. 7).
@@ -85,7 +85,7 @@ pub fn behavioral_check(
         engine: EngineConfig {
             grade: spec.grade,
             bram_mode: spec.bram_mode,
-            gating: vr_fpga::gating::GatingPolicy::PAPER,
+            gating: crate::gating::GatingPolicy::PAPER,
             freq_mhz: scenario.freq_mhz(),
         },
         arrivals: ArrivalModel::SharedLine { offered_load: 1.0 },
@@ -114,7 +114,7 @@ pub fn behavioral_check(
 mod tests {
     use super::*;
     use crate::scenario::ScenarioSpec;
-    use vr_fpga::Device;
+    use crate::Device;
     use vr_net::synth::FamilySpec;
 
     fn family(k: usize) -> Vec<RoutingTable> {

@@ -4,9 +4,10 @@ use std::fmt;
 
 /// Errors produced while parsing or constructing network-layer objects.
 ///
-/// Marked `#[non_exhaustive]` (like every workspace error enum) so
-/// downstream wrappers — e.g. `vr-audit`'s error type — can keep matching
-/// with a wildcard arm while new variants are added.
+/// Marked `#[non_exhaustive]` (like every workspace error enum) so code
+/// outside the crate that matches on it — e.g. a caller unwrapping
+/// `vr_power::PowerError::Net` — needs a wildcard arm and keeps
+/// compiling while new variants are added.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum NetError {

@@ -8,11 +8,6 @@
 //! Batches are laid out one thread-row per worker/shard (`tid`), with
 //! the dispatcher/control plane on `tid` 0, so a dump reads like the
 //! service's actual thread structure.
-//!
-//! The object format tolerates unknown top-level keys, which is what
-//! lets the flight recorder attach its trigger metadata
-//! ([`chrome_trace_value`]'s `extra` map) while the dump still
-//! validates as a Chrome trace.
 
 use crate::trace::{BatchTrace, Stage};
 use serde::Value;
@@ -54,35 +49,26 @@ fn event(trace: &BatchTrace, stage: Stage, start_ns: u64, dur_ns: u64) -> Value 
     ])
 }
 
-/// Builds the Chrome trace object as a [`serde::Value`] tree, with
-/// `extra` entries appended as additional top-level keys.
+/// Renders traces as a Chrome trace-event JSON document.
 #[must_use]
-pub fn chrome_trace_value(traces: &[BatchTrace], extra: Vec<(String, Value)>) -> Value {
+pub fn chrome_trace_json(traces: &[BatchTrace]) -> String {
     let mut events = Vec::new();
     for trace in traces {
         for span in &trace.stages {
             events.push(event(trace, span.stage, span.start_ns, span.dur_ns));
         }
     }
-    let mut top = vec![
+    let value = Value::Map(vec![
         ("traceEvents".into(), Value::Seq(events)),
         ("displayTimeUnit".into(), Value::Str("ns".into())),
-    ];
-    top.extend(extra);
-    Value::Map(top)
-}
-
-/// Renders traces as a Chrome trace-event JSON document.
-#[must_use]
-pub fn chrome_trace_json(traces: &[BatchTrace]) -> String {
-    serde_json::to_string_pretty(&chrome_trace_value(traces, Vec::new()))
-        .unwrap_or_else(|_| String::from("{\"traceEvents\": []}"))
+    ]);
+    serde_json::to_string_pretty(&value).unwrap_or_else(|_| String::from("{\"traceEvents\": []}"))
 }
 
 /// Structurally validates a Chrome trace-event JSON document: the top
 /// level must be an object whose `traceEvents` key holds a sequence of
 /// event objects, each carrying `name`/`ph`/`ts`/`pid`/`tid`. This is
-/// what the CI obs job runs over flight-recorder dumps.
+/// what the CI obs job runs over a scraped `/traces.json`.
 ///
 /// # Errors
 /// Returns a description of the first violation found.
@@ -164,17 +150,6 @@ mod tests {
         };
         assert_eq!(tid_of("enqueue"), Some(0));
         assert_eq!(tid_of("dequeue"), Some(3), "worker 2 -> tid 3");
-    }
-
-    #[test]
-    fn extra_top_level_keys_do_not_break_validation() {
-        let value = chrome_trace_value(
-            &[sample_trace()],
-            vec![("trigger".into(), Value::Str("WorkerStall".into()))],
-        );
-        let json = serde_json::to_string_pretty(&value).unwrap();
-        assert!(check_chrome_trace(&json).is_ok());
-        assert!(json.contains("\"trigger\""));
     }
 
     #[test]

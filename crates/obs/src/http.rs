@@ -18,7 +18,6 @@
 //! | `/healthz`       | `text/plain`                          | `ok\n` |
 //! | `/snapshot.json` | `application/json`                    | full `TelemetrySnapshot` |
 //! | `/traces.json`   | `application/json`                    | Chrome trace object of the tracer ring |
-//! | `/flight`        | `application/json`                    | [`crate::FlightStatus`] |
 //!
 //! Only `GET` is served (`405` otherwise); unknown paths get `404`.
 //! Every response closes the connection (`Connection: close`), which
@@ -55,8 +54,6 @@ pub struct ObsRoutes {
     pub snapshot: Box<dyn Fn() -> String + Send + Sync>,
     /// Body of `GET /traces.json` (Chrome trace-event JSON).
     pub traces: Box<dyn Fn() -> String + Send + Sync>,
-    /// Body of `GET /flight` (flight-recorder status JSON).
-    pub flight: Box<dyn Fn() -> String + Send + Sync>,
 }
 
 struct ServerShared {
@@ -203,7 +200,6 @@ fn serve_connection(mut stream: TcpStream, shared: &Arc<ServerShared>) {
         "/healthz" => (200, "text/plain", "ok\n".to_string()),
         "/snapshot.json" => (200, "application/json", (shared.routes.snapshot)()),
         "/traces.json" => (200, "application/json", (shared.routes.traces)()),
-        "/flight" => (200, "application/json", (shared.routes.flight)()),
         _ => (404, "text/plain", "not found\n".to_string()),
     };
     let _ = write_response(&mut stream, status, content_type, &body);
@@ -271,7 +267,6 @@ mod tests {
             metrics: Box::new(|| "# TYPE vr_up gauge\nvr_up 1\n".to_string()),
             snapshot: Box::new(|| "{\"counters\": []}".to_string()),
             traces: Box::new(|| "{\"traceEvents\": []}".to_string()),
-            flight: Box::new(|| "{\"armed\": true}".to_string()),
         }
     }
 
@@ -324,9 +319,9 @@ mod tests {
         assert_eq!(status, 200);
         assert!(body.contains("traceEvents"));
 
-        let (status, _, body) = get(addr, "/flight");
-        assert_eq!(status, 200);
-        assert!(body.contains("armed"));
+        // Only the four routes above are served.
+        let (status, _, _) = get(addr, "/flight");
+        assert_eq!(status, 404);
 
         // Query strings are ignored, unknown paths 404, non-GET 405.
         let (status, _, _) = get(addr, "/metrics?scrape=1");

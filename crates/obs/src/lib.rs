@@ -3,7 +3,7 @@
 //! The paper argues its power story per-lookup and per-update; the
 //! rest of the workspace measures aggregates (vr-telemetry counters
 //! and histograms). This crate records *where a batch spent its
-//! nanoseconds* and captures state around anomalies:
+//! nanoseconds* and serves what the workspace measures over HTTP:
 //!
 //! * [`Tracer`] — sampled per-batch stage tracing. It mints a
 //!   `TraceId` at enqueue for 1-in-N batches; an owned
@@ -15,16 +15,11 @@
 //! * [`chrome_trace_json`] — exports traces as Chrome trace-event JSON (the
 //!   object format), so a dump opens directly in `about:tracing` or
 //!   Perfetto; [`check_chrome_trace`] is the structural validator CI
-//!   runs over dumps.
-//! * [`FlightRecorder`] — the anomaly flight recorder: a bounded pre/post
-//!   window of sampled traces plus the service's event tail, frozen
-//!   and dumped to `results/flightrec_*.json` when a `WorkerStall`,
-//!   `AuditRejected`, generation-lag, or p99-vs-EWMA latency spike
-//!   trigger fires.
+//!   runs over a scraped `/traces.json`.
 //! * [`ObsServer`] — a minimal blocking HTTP/1.1 server over `std::net`
 //!   (thread-per-connection, bounded accept queue, no dependencies)
 //!   exposing `GET /metrics` (Prometheus text), `/healthz`,
-//!   `/snapshot.json`, `/traces.json`, and `/flight` — the workspace's
+//!   `/snapshot.json` and `/traces.json` — the workspace's
 //!   first network-facing surface and the bridge toward the ROADMAP's
 //!   serving tier.
 //! * [`AcceptGate`] — the shared bounded accept queue, and the
@@ -44,15 +39,13 @@
 
 mod accept;
 mod chrome;
-mod flight;
 mod http;
 mod trace;
 
 pub use accept::{shed_with, AcceptGate, AcceptPermit, ShedStream};
-pub use chrome::{check_chrome_trace, chrome_trace_json, chrome_trace_value};
-pub use flight::{FlightConfig, FlightRecorder, FlightStatus, FlightTrigger};
+pub use chrome::{check_chrome_trace, chrome_trace_json};
 pub use http::{ObsRoutes, ObsServer};
 pub use trace::{
-    BatchTrace, Stage, StageSpan, TraceBuilder, TraceDrain, TraceSnapshot, Tracer, DEFAULT_SAMPLE,
+    BatchTrace, Stage, StageSpan, TraceBuilder, TraceSnapshot, Tracer, DEFAULT_SAMPLE,
     DEFAULT_TRACE_CAPACITY,
 };

@@ -9,8 +9,8 @@
 //! previous mark, which makes the stage chain contiguous and
 //! monotonic by construction (enqueue → dequeue → lane walk →
 //! complete). Completed traces return to the tracer's
-//! bounded ring, where the HTTP plane and the flight recorder read
-//! them at control-plane rate behind a short mutex.
+//! bounded ring, where the HTTP plane reads them at control-plane rate
+//! behind a short mutex.
 //!
 //! All timing goes through [`vr_telemetry::Stopwatch`] — the root
 //! `clippy.toml` bans `Instant::now` here as everywhere, so there is
@@ -359,21 +359,6 @@ impl Tracer {
             traces: read.items,
         }
     }
-
-    /// Cursor-based incremental read over ring sequence numbers (the
-    /// `recorded` counter), [`EventRing::read_since`] over the traces:
-    /// returns retained traces with ring-seq `>= cursor` plus the exact
-    /// count the cursor missed to eviction. Feed `next_seq` back as the
-    /// next cursor.
-    #[must_use]
-    pub fn drain_since(&self, cursor: u64) -> TraceDrain {
-        let read = self.inner.ring.read_since(cursor);
-        TraceDrain {
-            traces: read.items,
-            missed: read.missed,
-            next_seq: read.next_seq,
-        }
-    }
 }
 
 impl std::fmt::Debug for Tracer {
@@ -396,17 +381,6 @@ pub struct TraceSnapshot {
     pub dropped: u64,
     /// Retained traces, oldest first.
     pub traces: Vec<BatchTrace>,
-}
-
-/// Result of an incremental [`Tracer::drain_since`] read.
-#[derive(Debug, Clone)]
-pub struct TraceDrain {
-    /// Retained traces at or past the cursor, oldest first.
-    pub traces: Vec<BatchTrace>,
-    /// Traces the cursor asked for that were already evicted.
-    pub missed: u64,
-    /// Cursor to pass to the next `drain_since` call.
-    pub next_seq: u64,
 }
 
 #[cfg(test)]
@@ -487,7 +461,7 @@ mod tests {
     }
 
     #[test]
-    fn ring_evicts_oldest_and_drain_since_reports_gaps() {
+    fn ring_evicts_oldest() {
         let tracer = Tracer::new(1, 4);
         for seq in 0..10 {
             tracer.record(finished(&tracer, seq));
@@ -497,18 +471,7 @@ mod tests {
         assert_eq!(snap.dropped, 6);
         assert_eq!(snap.traces.len(), 4);
         assert_eq!(snap.traces[0].seq, 6, "oldest retained");
-
-        let d = tracer.drain_since(0);
-        assert_eq!(d.missed, 6);
-        assert_eq!(d.traces.len(), 4);
-        assert_eq!(d.next_seq, 10);
-        // Cursor inside the window: partial read, no gap.
-        let d2 = tracer.drain_since(8);
-        assert_eq!(d2.missed, 0);
-        assert_eq!(d2.traces.len(), 2);
-        // Caught up: empty, no gap.
-        let d3 = tracer.drain_since(d.next_seq);
-        assert_eq!((d3.traces.len(), d3.missed), (0, 0));
+        assert_eq!(snap.traces[3].seq, 9, "newest retained");
     }
 
     #[test]

@@ -25,9 +25,9 @@
 //! entry was overwritten and the lookups through it now answer wrongly.
 //!
 //! `vr_engine`'s publish gate runs [`audit_jump`] on every candidate
-//! table in debug builds, before the swap makes it live; the `vr-audit`
-//! binary's `tables` command runs every audit here over freshly built
-//! synthetic tables and emits the reports as JSON.
+//! table in debug builds, before the swap makes it live; vr-bench's
+//! `audit` binary runs every audit here over freshly built synthetic
+//! tables and emits the reports as JSON.
 
 mod report;
 

@@ -1,5 +1,5 @@
 //! [`LookupBackend`] — the one interface the "for each encoding" drivers
-//! (`bench_lookup`, `vr-audit`'s parity checks) are written against, so
+//! (`bench_lookup`, this crate's audit parity checks) are written against, so
 //! an encoding is enumerated once per driver instead of once per entry
 //! point.
 //!

@@ -4,12 +4,13 @@
 //! `vr_net::SkewedTraffic` (the one packet source the in-process benches
 //! draw too, so wire numbers are directly comparable to `bench_lookup`
 //! rows) and measures end to end: packets per second through the socket
-//! and p50/p99 frame round-trip time. Overload replies are counted, not
+//! and the p50/p99 frame round-trip time, exact order statistics of the
+//! answered frames' round trips. Overload replies are counted, not
 //! retried — a replay run at a fixed offered load reports how much of it
 //! the server admitted.
 
 use vr_net::{NextHop, SkewedTraffic, VnId};
-use vr_telemetry::{Histogram, Stopwatch};
+use vr_telemetry::Stopwatch;
 
 use crate::client::WireClient;
 use crate::frame::{Message, WireError};
@@ -27,9 +28,11 @@ pub struct ReplayStats {
     pub errors: u64,
     /// Wall time for the whole run, nanoseconds.
     pub elapsed_ns: u64,
-    /// Median batch round-trip, nanoseconds (admitted frames only).
+    /// Median frame round-trip, nanoseconds: the nearest-rank p50 of the
+    /// answered frames' [`ReplayRecord::rtt_ns`] (0 if none was answered).
     pub p50_rtt_ns: u64,
-    /// Tail batch round-trip, nanoseconds.
+    /// Tail frame round-trip, nanoseconds: the nearest-rank p99 of the
+    /// same round trips.
     pub p99_rtt_ns: u64,
     /// Lowest snapshot generation seen in responses.
     pub min_generation: u64,
@@ -62,7 +65,6 @@ pub fn replay(
     frames: usize,
     frame_len: usize,
 ) -> Result<(ReplayStats, Vec<ReplayRecord>), WireError> {
-    let rtt = Histogram::detached();
     let run = Stopwatch::start();
     let mut stats = ReplayStats {
         responses: 0,
@@ -86,7 +88,7 @@ pub fn replay(
                 results,
                 ..
             } => {
-                rtt.record(frame.elapsed_ns());
+                let rtt_ns = frame.elapsed_ns();
                 stats.responses += 1;
                 stats.packets += results.len() as u64;
                 stats.min_generation = stats.min_generation.min(generation);
@@ -95,6 +97,7 @@ pub fn replay(
                     packets,
                     results,
                     generation,
+                    rtt_ns,
                 });
             }
             Message::Overloaded { .. } => stats.overloaded += 1,
@@ -102,13 +105,22 @@ pub fn replay(
         }
     }
     stats.elapsed_ns = run.elapsed_ns();
-    let rtt_snap = rtt.snapshot("wire_rtt_ns");
-    stats.p50_rtt_ns = rtt_snap.p50;
-    stats.p99_rtt_ns = rtt_snap.p99;
+    let mut rtts: Vec<u64> = records.iter().map(|r| r.rtt_ns).collect();
+    rtts.sort_unstable();
+    stats.p50_rtt_ns = nearest_rank(&rtts, 0.50);
+    stats.p99_rtt_ns = nearest_rank(&rtts, 0.99);
     if stats.min_generation == u64::MAX {
         stats.min_generation = 0;
     }
     Ok((stats, records))
+}
+
+/// The nearest-rank `q`-quantile (`q` in (0, 1]) of ascending `sorted`:
+/// its ⌈q·n⌉-th smallest value, so always one of the samples (0 when
+/// empty).
+fn nearest_rank(sorted: &[u64], q: f64) -> u64 {
+    let rank = (q * sorted.len() as f64).ceil() as usize;
+    sorted.get(rank.max(1) - 1).copied().unwrap_or(0)
 }
 
 /// One admitted batch, kept for post-run oracle verification.
@@ -120,6 +132,8 @@ pub struct ReplayRecord {
     pub results: Vec<Option<NextHop>>,
     /// Generation the server resolved the batch against.
     pub generation: u64,
+    /// The frame's round trip, send to decoded reply, in nanoseconds.
+    pub rtt_ns: u64,
 }
 
 #[cfg(test)]
@@ -158,6 +172,12 @@ mod tests {
                 .collect();
             assert_eq!(record.results, want);
         }
+        // The quantiles are order statistics: each is some frame's
+        // round trip, not a bucket bound.
+        for quantile in [stats.p50_rtt_ns, stats.p99_rtt_ns] {
+            assert!(records.iter().any(|r| r.rtt_ns == quantile), "{quantile}");
+        }
+        assert!(stats.p50_rtt_ns <= stats.p99_rtt_ns);
         drop(server);
     }
 }

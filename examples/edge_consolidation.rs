@@ -7,9 +7,9 @@
 //! cargo run --release -p vr-bench --example edge_consolidation
 //! ```
 
-use vr_fpga::par::ParSimulator;
 use vr_net::synth::FamilySpec;
 use vr_power::models::{analytical_power, experimental_power_w};
+use vr_power::par::ParSimulator;
 use vr_power::validate::behavioral_check;
 use vr_power::{Device, Scenario, ScenarioSpec, SchemeKind, SpeedGrade};
 

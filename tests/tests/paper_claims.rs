@@ -4,11 +4,11 @@
 //! run on reduced workloads (300-prefix tables); the bench binaries
 //! regenerate the same quantities at full paper scale.
 
-use vr_fpga::par::ParSimulator;
 use vr_integration_tests::{family, scenario};
 use vr_power::efficiency::efficiency_point;
 use vr_power::experiments::{power_sweep, ExperimentConfig, SweepPoint};
 use vr_power::models::analytical_power;
+use vr_power::par::ParSimulator;
 use vr_power::validate::validate_scenario;
 use vr_power::{SchemeKind, SpeedGrade};
 
@@ -204,7 +204,7 @@ fn rebuild_every_point(cfg: &ExperimentConfig) -> Vec<SweepPoint> {
                     experimental_w: point.experimental_w,
                     error_pct: point.error_pct,
                     capacity_gbps: capacity,
-                    mw_per_gbps: vr_fpga::timing::mw_per_gbps(point.experimental_w, capacity),
+                    mw_per_gbps: vr_power::timing::mw_per_gbps(point.experimental_w, capacity),
                     freq_mhz: scenario.freq_mhz(),
                 });
             }

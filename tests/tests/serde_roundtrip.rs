@@ -90,7 +90,7 @@ fn fpga_types_round_trip() {
     for scheme in SchemeKind::ALL {
         assert_eq!(round_trip(&scheme), scheme);
     }
-    let tcam = vr_fpga::tcam::TcamSpec::partitioned(10_000, 4);
+    let tcam = vr_power::tcam::TcamSpec::partitioned(10_000, 4);
     assert_eq!(round_trip(&tcam), tcam);
 }
 
