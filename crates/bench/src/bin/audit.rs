@@ -26,7 +26,7 @@ use vr_trie::audit::{
     audit_jump, audit_jump_against, audit_jump_with_table, audit_leaf_pushed, audit_merged,
     AuditReport,
 };
-use vr_trie::{DirtyBuckets, JumpTrie, MergedTrie};
+use vr_trie::{DirtyBuckets, JumpTrie, MergedTrie, SortedRoutes};
 
 const USAGE: &str = "audit: structural audit of the lookup-table encodings
 
@@ -164,19 +164,18 @@ fn audit_tables(args: &[String]) -> Result<bool, String> {
     let tables = family
         .generate()
         .map_err(|e| format!("generating family: {e}"))?;
-    let (merged, served) =
-        MergedTrie::from_tables_with_jump(&tables).map_err(|e| format!("merging: {e}"))?;
+    let routes = SortedRoutes::new(&tables).map_err(|e| format!("sorting routes: {e}"))?;
+    let merged = MergedTrie::from_routes(&routes);
     reports.push(audit_merged(&merged));
     let mlp = merged.leaf_pushed();
     reports.push(audit_leaf_pushed(&mlp, &tables));
     let reference = JumpTrie::from_leaf_pushed(&mlp);
     reports.push(audit_jump(&reference));
-    // What the services publish at construction — `LookupService`'s arena
-    // and painter in one pass, `ShardedService`'s painter alone — and
-    // after a foreign publish: every bucket painted from the arena.
+    // What both services publish at construction, painted from the
+    // sorted routes alone, and after a foreign publish: every bucket
+    // painted from the arena.
+    let served = JumpTrie::from_routes(&routes);
     reports.push(audit_jump_against(&served, &tables, &reference));
-    let painted = JumpTrie::from_tables(&tables).map_err(|e| format!("painting: {e}"))?;
-    reports.push(audit_jump_against(&painted, &tables, &reference));
     let repainted = served.repaint(&merged, &DirtyBuckets::all());
     reports.push(audit_jump_against(&repainted, &tables, &reference));
 

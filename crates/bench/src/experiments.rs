@@ -1142,7 +1142,7 @@ mod tests {
     ///
     /// * `no-raw-power-literal`: in `crates/core`, a
     ///   non-trivial float literal on a line that names a power unit
-    ///   belongs in `vr_power::units` or in `grade.rs`'s Table III
+    ///   belongs in `units.rs` or in `grade.rs`'s Table III
     ///   calibration, the one source of watts the reproduction has;
     /// * `no-relaxed-publish`: outside `crates/sync`, `Relaxed` on a line
     ///   naming `generation` or `publish` is the model checker's seeded

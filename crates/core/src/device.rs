@@ -8,13 +8,13 @@
 use serde::{Deserialize, Serialize};
 
 /// One kilobit, in bits.
-pub const KBIT: u64 = 1024;
+pub(crate) const KBIT: u64 = 1024;
 
 /// Capacity of one full BRAM block in bits (36 Kb).
-pub const BRAM_36K_BITS: u64 = 36 * KBIT;
+pub(crate) const BRAM_36K_BITS: u64 = 36 * KBIT;
 
 /// Capacity of one BRAM half-block in bits (18 Kb).
-pub const BRAM_18K_BITS: u64 = 18 * KBIT;
+pub(crate) const BRAM_18K_BITS: u64 = 18 * KBIT;
 
 /// Static description of an FPGA device.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

@@ -35,7 +35,7 @@ pub struct GradeCalibration {
 }
 
 /// §V-A / Table III / §V-C calibration for the `-2` grade.
-pub const MINUS2: GradeCalibration = GradeCalibration {
+pub(crate) const MINUS2: GradeCalibration = GradeCalibration {
     static_base: Watts(4.5),
     bram_18k: MicroWattsPerMegahertz(13.65),
     bram_36k: MicroWattsPerMegahertz(24.60),
@@ -44,7 +44,7 @@ pub const MINUS2: GradeCalibration = GradeCalibration {
 };
 
 /// §V-A / Table III / §V-C calibration for the `-1L` grade.
-pub const MINUS1L: GradeCalibration = GradeCalibration {
+pub(crate) const MINUS1L: GradeCalibration = GradeCalibration {
     static_base: Watts(3.1),
     bram_18k: MicroWattsPerMegahertz(11.00),
     bram_36k: MicroWattsPerMegahertz(19.70),

@@ -17,14 +17,14 @@ use crate::PowerError;
 
 /// Pins per lookup engine: 32 destination-address in + 16 VNID/metadata in
 /// + 8 NHI out + 16 handshake/flow control.
-pub const PINS_PER_ENGINE: u64 = 72;
+pub(crate) const PINS_PER_ENGINE: u64 = 72;
 
 /// Shared pins: clocking, reset, configuration, update interface.
-pub const SHARED_PINS: u64 = 60;
+pub(crate) const SHARED_PINS: u64 = 60;
 
 /// Total user I/O pins required by `engines` parallel lookup engines.
 #[must_use]
-pub fn pins_required(engines: usize) -> u64 {
+pub(crate) fn pins_required(engines: usize) -> u64 {
     SHARED_PINS + PINS_PER_ENGINE * engines as u64
 }
 
@@ -32,7 +32,7 @@ pub fn pins_required(engines: usize) -> u64 {
 ///
 /// # Errors
 /// [`PowerError::ResourceExhausted`] naming the I/O pins when it does not.
-pub fn check(device: &Device, engines: usize) -> Result<(), PowerError> {
+pub(crate) fn check(device: &Device, engines: usize) -> Result<(), PowerError> {
     let requested = pins_required(engines);
     if requested > device.io_pins {
         return Err(PowerError::ResourceExhausted {
@@ -46,7 +46,7 @@ pub fn check(device: &Device, engines: usize) -> Result<(), PowerError> {
 
 /// The largest engine count that fits the device's pin budget.
 #[must_use]
-pub fn max_engines(device: &Device) -> usize {
+pub(crate) fn max_engines(device: &Device) -> usize {
     if device.io_pins < SHARED_PINS {
         return 0;
     }

@@ -39,27 +39,28 @@
 //! grades -2 (high performance) and -1L (low power), with power numbers
 //! from the XPower Analyzer / Estimator tools and post place-and-route
 //! results. None of that silicon or tooling is available to a pure-Rust
-//! reproduction, so these modules stand in for it (see DESIGN.md):
-//! * [`device`] — the resource catalog of Table II (logic cells, BRAM
+//! reproduction, so these modules stand in for it (see DESIGN.md; the
+//! private ones are reached through the re-exports below):
+//! * `device` ([`Device`]) — the resource catalog of Table II (logic cells, BRAM
 //!   blocks, distributed RAM, I/O pins);
-//! * [`grade`] — speed-grade-dependent constants, all taken from the
+//! * `grade` ([`SpeedGrade`]) — speed-grade-dependent constants, all taken from the
 //!   paper's own calibration (§V-A..C, Table III);
 //! * [`bram`] — BRAM block quantization (36 Kb blocks, two independent
 //!   18 Kb halves) and the Table III power model;
-//! * [`logic`] — the per-stage processing-element resource profile and the
+//! * `logic` — the per-stage processing-element resource profile and the
 //!   Fig. 3 logic+signal power model;
-//! * [`static_power`] — the §V-A leakage bases and their ±5 % band, as
+//! * `static_power` — the §V-A leakage bases and their ±5 % band, as
 //!   the `statics` table prints them;
 //! * [`timing`] — achievable clock vs. resource pressure, and the
 //!   40-byte-packet throughput metric (§VI-B);
-//! * [`io`] — I/O pin accounting that reproduces the K ≈ 15 separate-
+//! * `io` — I/O pin accounting that reproduces the K ≈ 15 separate-
 //!   engine limit (§VI-A);
 //! * [`par`] — a deterministic place-and-route *simulator* producing
 //!   "experimental" power with the bounded, scheme-dependent deviation
 //!   structure of Fig. 7;
 //! * [`tcam`] — the TCAM power baseline of §II-B;
-//! * [`units`] — unit-typed wrappers for the calibration constants;
-//! * [`gating`] — the clock-gating policy (§IV: idle resources dissipate
+//! * `units` — unit-typed wrappers for the calibration constants;
+//! * `gating` — the clock-gating policy (§IV: idle resources dissipate
 //!   no dynamic power), applied by the cycle-level engine.
 
 #![forbid(unsafe_code)]
@@ -67,24 +68,24 @@
 
 pub mod bram;
 pub mod claims;
-pub mod device;
+mod device;
 pub mod efficiency;
 mod engine;
 pub mod experiments;
-pub mod gating;
-pub mod grade;
-pub mod io;
-pub mod logic;
+mod gating;
+mod grade;
+mod io;
+mod logic;
 pub mod models;
 pub mod par;
 pub mod report;
 mod resources;
 mod router;
 pub mod scenario;
-pub mod static_power;
+mod static_power;
 pub mod tcam;
 pub mod timing;
-pub mod units;
+mod units;
 pub mod validate;
 
 pub use bram::BramMode;

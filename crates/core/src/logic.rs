@@ -42,27 +42,27 @@ impl PeProfile {
 /// Per-stage logic+signal power at `freq_mhz`, in watts (§V-C):
 /// 5.180·f µW (-2) or 3.937·f µW (-1L).
 #[must_use]
-pub fn stage_logic_power_w(grade: SpeedGrade, freq_mhz: f64) -> f64 {
+pub(crate) fn stage_logic_power_w(grade: SpeedGrade, freq_mhz: f64) -> f64 {
     grade.logic_stage_uw_per_mhz() * freq_mhz * 1e-6
 }
 
 /// Logic power of a whole pipeline: linear in the stage count, as the
 /// paper observed.
 #[must_use]
-pub fn pipeline_logic_power_w(grade: SpeedGrade, stages: usize, freq_mhz: f64) -> f64 {
+pub(crate) fn pipeline_logic_power_w(grade: SpeedGrade, stages: usize, freq_mhz: f64) -> f64 {
     stages as f64 * stage_logic_power_w(grade, freq_mhz)
 }
 
 /// Per-stage logic power in mW, Fig. 3's y-axis.
 #[must_use]
-pub fn stage_logic_power_mw(grade: SpeedGrade, freq_mhz: f64) -> f64 {
+pub(crate) fn stage_logic_power_mw(grade: SpeedGrade, freq_mhz: f64) -> f64 {
     stage_logic_power_w(grade, freq_mhz) * 1e3
 }
 
 /// Total logic resources of `engines` pipelines of `stages` stages each
 /// (Lᵢ,ⱼ summed): used for area-driven static power and fit checks.
 #[must_use]
-pub fn total_resources(pe: PeProfile, engines: usize, stages: usize) -> PeProfile {
+pub(crate) fn total_resources(pe: PeProfile, engines: usize, stages: usize) -> PeProfile {
     let n = (engines * stages) as u64;
     PeProfile {
         slice_registers: pe.slice_registers * n,

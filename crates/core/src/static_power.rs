@@ -13,7 +13,7 @@ use crate::grade::SpeedGrade;
 /// Static power in watts: base × (0.95 + 0.10 × utilization), i.e. the
 /// §V-A ±5 % band anchored at the reported base values.
 #[must_use]
-pub fn static_power_w(grade: SpeedGrade, utilization: f64) -> f64 {
+pub(crate) fn static_power_w(grade: SpeedGrade, utilization: f64) -> f64 {
     let u = utilization.clamp(0.0, 1.0);
     grade.static_base_w() * (0.95 + 0.10 * u)
 }

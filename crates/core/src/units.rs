@@ -77,7 +77,7 @@ impl Megahertz {
 
 /// Gbps carried per MHz of pipeline clock at 40-byte packets:
 /// 40 B × 8 = 320 bits per lookup, one lookup per cycle.
-pub const GBPS_PER_MHZ: f64 = 0.32;
+pub(crate) const GBPS_PER_MHZ: f64 = 0.32;
 
 #[cfg(test)]
 mod tests {

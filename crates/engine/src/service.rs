@@ -15,26 +15,32 @@
 //! time-shared pipeline serving every VN. The first span is the
 //! caller's own, so a one-span call never leaves the calling thread.
 //!
-//! **One routing state.** The service's routes live in exactly one
-//! mutable place: a [`MergedTrie`], the paper's VM structure, whose
-//! nodes carry every VN's next hops (§III). `new` and
-//! [`LookupService::publish_tables`] keep the merged trie they build the
-//! published [`JumpTrie`] from; the VN count is its arity and α its
-//! [`merging_efficiency`](MergedTrie::merging_efficiency). There is no
-//! per-VN table mirror beside it.
+//! **One routing state, built as far as it is needed.** The service's
+//! routes live in exactly one mutable place, and there is no per-VN table
+//! mirror beside it. `new` and [`LookupService::publish_tables`] sort the
+//! tables' routes once ([`SortedRoutes`]), paint the published
+//! [`JumpTrie`] from them and keep them; a service that only looks up
+//! never builds more. The first route update builds the [`MergedTrie`]
+//! from them, the paper's VM structure whose nodes carry every VN's next
+//! hops (§III), and from then on that arena is the routing state. The VN
+//! count is the routing state's arity, and α its merging efficiency:
+//! one pass over the routes before the first update, the arena's O(1)
+//! counters after it, bit for bit the same value.
 //!
 //! **Route updates publish incrementally.** [`LookupService::apply_updates`]
 //! applies announce/withdraw deltas to the merged trie in place and
 //! builds the next [`JumpTrie`] with [`JumpTrie::repaint`]: the dirty /16
 //! buckets are painted from the merged trie and the rest copied from the
 //! live snapshot, so the published trie is the only copy of the served
-//! layout. When the live snapshot is not one this service painted from
-//! its merged trie, every bucket is painted instead. Either way the new
-//! table is built *outside* the core's publish slot, so reconfiguration
-//! never stalls the datapath (the non-blocking reload of the Terabit hybrid
-//! FPGA-ASIC platform in PAPERS.md). A candidate the core's audit gate
-//! refuses is rolled back out of the merged trie, so a rejected publish
-//! leaves routes, table and generation untouched.
+//! layout. The snapshot painted from the routes is the one the arena
+//! would paint (every builder publishes identical slabs), so the first
+//! batch copies its clean buckets too. When the live snapshot is not one
+//! this service painted, every bucket is painted instead. Either way the
+//! new table is built *outside* the core's publish slot, so
+//! reconfiguration never stalls the datapath (the non-blocking reload of
+//! the Terabit hybrid FPGA-ASIC platform in PAPERS.md). A candidate the
+//! core's audit gate refuses is rolled back out of the merged trie, so a
+//! rejected publish leaves routes, table and generation untouched.
 //!
 //! The service counts in one place, the core's metrics registry
 //! ([`ServiceConfig::telemetry`]): lookups, misses and batch latencies
@@ -50,7 +56,7 @@ use vr_net::{RouteUpdate, VnId};
 use vr_obs::{Stage, TraceBuilder, Tracer};
 use vr_sync::SyncArc;
 use vr_telemetry::{Counter, Gauge, Histogram, MetricsRegistry, Stopwatch, TelemetrySnapshot};
-use vr_trie::{DirtyBuckets, JumpTrie, MergedTrie};
+use vr_trie::{DirtyBuckets, JumpTrie, MergedTrie, SortedRoutes};
 
 pub use crate::service_core::TableSnapshot;
 use crate::service_core::{Job, ServiceCore, ShardedConfig};
@@ -191,25 +197,56 @@ pub fn lookup_batch_mixed(trie: &JumpTrie, packets: &[(VnId, u32)], out: &mut [O
 /// ```
 pub struct LookupService {
     core: ServiceCore,
-    /// The routing state: every VN's routes in one merged trie, always
-    /// the family the datapath is serving. Edited in place by
-    /// `apply_updates` (and rolled back if the gate refuses the batch),
-    /// replaced by `publish_tables` once the gate accepts.
-    merged: MergedTrie,
-    /// Generation of the last snapshot this service built from `merged`:
-    /// an update batch copies clean buckets from the live snapshot only
-    /// while it is that one, never from a trie `publish_trie` brought in.
+    /// The routing state, always the family the datapath is serving.
+    /// Edited in place by `apply_updates` (and rolled back if the gate
+    /// refuses the batch), replaced by `publish_tables` once the gate
+    /// accepts.
+    routing: Routing,
+    /// Generation of the last snapshot this service painted from its
+    /// routing state: an update batch copies clean buckets from the live
+    /// snapshot only while it is that one, never from a trie
+    /// `publish_trie` brought in.
     painted: u64,
     batch_width: usize,
     /// `None` when [`ServiceConfig::telemetry`] is off.
     telemetry: Option<UpdateTelemetry>,
 }
 
-/// Merges `tables` and builds the jump trie the service publishes for
-/// them, in one pass over their routes; the merged trie is kept as the
-/// service's routing state.
-fn merge_and_build(tables: &[RoutingTable]) -> Result<(MergedTrie, JumpTrie), EngineError> {
-    Ok(MergedTrie::from_tables_with_jump(tables)?)
+/// A service's routes: sorted, until the first update needs the arena.
+enum Routing {
+    /// The routes the published trie was painted from.
+    Routes(SortedRoutes),
+    /// Every VN's routes in one merged trie, patched by each update.
+    Arena(MergedTrie),
+}
+
+impl Routing {
+    fn arity(&self) -> usize {
+        match self {
+            Routing::Routes(routes) => routes.arity(),
+            Routing::Arena(merged) => merged.arity(),
+        }
+    }
+
+    /// The arena, built from the routes on first need.
+    fn arena(&mut self) -> &mut MergedTrie {
+        if let Routing::Routes(routes) = self {
+            *self = Routing::Arena(MergedTrie::from_routes(routes));
+        }
+        let Routing::Arena(merged) = self else {
+            unreachable!("the arena was just built")
+        };
+        merged
+    }
+}
+
+/// Sorts the routes of `tables` and paints the jump trie the service
+/// publishes for them; the routes are kept as the routing state.
+fn paint(tables: Vec<RoutingTable>) -> Result<(Routing, JumpTrie), EngineError> {
+    let routes = SortedRoutes::new(&tables)?;
+    drop(tables);
+    let trie = JumpTrie::from_routes(&routes);
+    Ok((Routing::Routes(routes), trie))
 }
 
 impl LookupService {
@@ -242,7 +279,7 @@ impl LookupService {
             lookup_cache: cfg.lookup_cache,
             trace_sample: cfg.trace_sample,
         };
-        let (merged, trie) = merge_and_build(&tables)?;
+        let (routing, trie) = paint(tables)?;
         let core = ServiceCore::new(trie, pool, TraceBuilder::set_worker)?;
         let telemetry = core.metrics().map(|registry| {
             registry
@@ -252,7 +289,7 @@ impl LookupService {
         });
         Ok(Self {
             core,
-            merged,
+            routing,
             painted: 0,
             batch_width,
             telemetry,
@@ -282,7 +319,7 @@ impl LookupService {
     /// `0..vn_count()`.
     #[must_use]
     pub fn vn_count(&self) -> usize {
-        self.merged.arity()
+        self.routing.arity()
     }
 
     /// Enqueues one batch on the next lane (round-robin) and returns its
@@ -358,7 +395,7 @@ impl LookupService {
     }
 
     /// Publishes a fresh snapshot built from `tables` and, once the
-    /// audit gate has accepted it, makes their merged trie the routing
+    /// audit gate has accepted it, makes their sorted routes the routing
     /// state. The build runs outside the swap lock; in-flight batches
     /// finish on their pinned snapshot. Returns the new generation.
     ///
@@ -373,9 +410,9 @@ impl LookupService {
                 "table count must not change across a swap",
             ));
         }
-        let (merged, trie) = merge_and_build(&tables)?;
+        let (routing, trie) = paint(tables)?;
         let generation = self.publish_trie(trie)?;
-        self.merged = merged;
+        self.routing = routing;
         self.painted = generation;
         Ok(generation)
     }
@@ -432,12 +469,13 @@ impl LookupService {
         Ok(generation)
     }
 
-    /// Delta-applies the batch to the merged trie, repaints the dirty
-    /// buckets over the live snapshot (every bucket over a snapshot this
-    /// service did not paint), publishes. Returns `(generation, dirty
-    /// buckets)`; on a publish rejection the deltas are rolled back in
-    /// reverse order.
+    /// Delta-applies the batch to the merged trie (built from the routes
+    /// before the first batch), repaints the dirty buckets over the live
+    /// snapshot (every bucket over a snapshot this service did not
+    /// paint), publishes. Returns `(generation, dirty buckets)`; on a
+    /// publish rejection the deltas are rolled back in reverse order.
     fn patch_and_publish(&mut self, updates: &[RouteUpdate]) -> Result<(u64, usize), EngineError> {
+        let merged = self.routing.arena();
         let mut dirty = DirtyBuckets::new();
         // Undo log: pre-update next hop per (VN, prefix), in apply order.
         let mut applied: Vec<(usize, Ipv4Prefix, Option<NextHop>)> =
@@ -450,11 +488,11 @@ impl LookupService {
                     next_hop,
                 } => {
                     let vn = usize::from(vnid);
-                    (vn, prefix, self.merged.insert(vn, prefix, next_hop))
+                    (vn, prefix, merged.insert(vn, prefix, next_hop))
                 }
                 RouteUpdate::Withdraw { vnid, prefix } => {
                     let vn = usize::from(vnid);
-                    (vn, prefix, self.merged.remove(vn, &prefix))
+                    (vn, prefix, merged.remove(vn, &prefix))
                 }
             };
             applied.push((vn, prefix, prev));
@@ -465,7 +503,7 @@ impl LookupService {
         if live.generation != self.painted {
             dirty = DirtyBuckets::all();
         }
-        let trie = live.trie.repaint(&self.merged, &dirty);
+        let trie = live.trie.repaint(merged, &dirty);
         drop(live);
         match self.publish_trie(trie) {
             Ok(generation) => {
@@ -476,10 +514,11 @@ impl LookupService {
                 // Restore the merged trie to the pre-batch state (reverse
                 // order handles repeated keys); the live trie was never
                 // touched.
+                let merged = self.routing.arena();
                 for (vn, prefix, prev) in applied.into_iter().rev() {
                     match prev {
-                        Some(nh) => self.merged.insert(vn, prefix, nh),
-                        None => self.merged.remove(vn, &prefix),
+                        Some(nh) => merged.insert(vn, prefix, nh),
+                        None => merged.remove(vn, &prefix),
                     };
                 }
                 Err(err)
@@ -487,13 +526,18 @@ impl LookupService {
         }
     }
 
-    /// Measured merging efficiency α of the live table family, O(1): the
-    /// merged trie keeps it incrementally.
+    /// Measured merging efficiency α of the live table family. O(1) once
+    /// the first route update has built the merged trie, which keeps it
+    /// incrementally; before that, one pass over the sorted routes that
+    /// allocates no node. Both read the same value, bit for bit.
     ///
     /// # Errors
     /// Never fails; the `Result` is kept for existing callers.
     pub fn alpha(&self) -> Result<f64, EngineError> {
-        Ok(self.merged.merging_efficiency())
+        Ok(match &self.routing {
+            Routing::Routes(routes) => routes.merging_efficiency(),
+            Routing::Arena(merged) => merged.merging_efficiency(),
+        })
     }
 
     /// The currently published snapshot (one refcount bump) — lets the
@@ -573,6 +617,20 @@ mod tests {
     impl LookupService {
         pub(crate) fn core_mut(&mut self) -> &mut ServiceCore {
             &mut self.core
+        }
+
+        /// Whether the routing state is still the sorted routes, no arena
+        /// built.
+        fn holds_routes(&self) -> bool {
+            matches!(self.routing, Routing::Routes(_))
+        }
+
+        /// The arena the first update built.
+        fn merged(&self) -> &MergedTrie {
+            match &self.routing {
+                Routing::Arena(merged) => merged,
+                Routing::Routes(_) => panic!("no update has built the arena"),
+            }
         }
     }
 
@@ -954,7 +1012,7 @@ mod tests {
             .unwrap();
         service.apply_updates(&batches[1]).unwrap();
         apply_to_shadow(&mut shadow, &batches[1]);
-        let want = JumpTrie::from_leaf_pushed(&service.merged.leaf_pushed());
+        let want = JumpTrie::from_leaf_pushed(&service.merged().leaf_pushed());
         assert_eq!(service.snapshot().trie.raw_parts(), want.raw_parts());
         assert_serves(&service, &shadow);
     }
@@ -998,8 +1056,101 @@ mod tests {
             service.apply_updates(batch).unwrap();
         }
         let live = service.snapshot();
-        let repainted = live.trie.repaint(&service.merged, &DirtyBuckets::all());
+        let repainted = live.trie.repaint(service.merged(), &DirtyBuckets::all());
         assert_eq!(repainted.raw_parts(), live.trie.raw_parts());
+        let _ = service.shutdown();
+    }
+
+    /// `new` and `publish_tables` keep the sorted routes and build no
+    /// arena; the first update batch builds it.
+    #[test]
+    fn only_an_update_builds_the_arena() {
+        let tables = churn_family(53, 3);
+        let mut service = LookupService::new(tables.clone(), small_cfg(1)).unwrap();
+        assert!(service.holds_routes());
+        let _ = service.process(&[(2, 0x0A00_0001)]);
+        let _ = service.alpha().unwrap();
+        assert!(service.holds_routes());
+        let batch = &churn_batches(tables.clone(), 53, 1, 16)[0];
+        service.apply_updates(batch).unwrap();
+        assert!(!service.holds_routes());
+        service.publish_tables(tables).unwrap();
+        assert!(service.holds_routes());
+        let _ = service.shutdown();
+    }
+
+    /// A service whose first call is an update batch builds the arena
+    /// then and answers every VN like the updated tables.
+    #[test]
+    fn a_first_update_answers_every_vn_like_the_tables() {
+        let tables = churn_family(59, 4);
+        let mut shadow = tables.clone();
+        let mut service = LookupService::new(tables.clone(), small_cfg(2)).unwrap();
+        let batch = &churn_batches(tables, 59, 1, 40)[0];
+        assert_eq!(service.apply_updates(batch).unwrap(), 1);
+        apply_to_shadow(&mut shadow, batch);
+        assert_serves(&service, &shadow);
+        let probes: Vec<(VnId, u32)> = (0..shadow.len())
+            .flat_map(|vn| {
+                let prefixes = shadow.iter().flat_map(RoutingTable::prefixes);
+                prefixes.flat_map(move |p| {
+                    let ends = [p.addr(), p.addr() | !p.netmask(), p.addr().wrapping_sub(1)];
+                    ends.map(|ip| (vn as VnId, ip))
+                })
+            })
+            .collect();
+        let want: Vec<Option<NextHop>> = probes
+            .iter()
+            .map(|&(vn, ip)| shadow[usize::from(vn)].lookup(ip))
+            .collect();
+        assert_eq!(service.process(&probes), want);
+        let _ = service.shutdown();
+    }
+
+    /// α read off the sorted routes before the first batch, and off the
+    /// arena after it, is the from-scratch arena's, bit for bit, for the
+    /// paper family at shared fractions 0.2, 0.5 and 0.8.
+    #[test]
+    fn alpha_before_and_after_the_first_batch_matches_a_fresh_arena() {
+        for fraction in [0.2, 0.5, 0.8] {
+            let tables = vr_net::synth::FamilySpec::paper_worst_case(15, fraction, 2012)
+                .generate()
+                .unwrap();
+            let alpha = |tables: &[RoutingTable]| {
+                let merged = MergedTrie::from_tables(tables).unwrap();
+                merged.merging_efficiency().to_bits()
+            };
+            let mut shadow = tables.clone();
+            let mut service = LookupService::new(tables.clone(), small_cfg(1)).unwrap();
+            assert_eq!(service.alpha().unwrap().to_bits(), alpha(&shadow));
+            let batch = &churn_batches(tables, 67, 1, 16)[0];
+            service.apply_updates(batch).unwrap();
+            apply_to_shadow(&mut shadow, batch);
+            assert_eq!(
+                service.alpha().unwrap().to_bits(),
+                alpha(&shadow),
+                "shared fraction {fraction}"
+            );
+            let _ = service.shutdown();
+        }
+    }
+
+    /// A trie of other tables published before the first batch is not
+    /// the one the routes painted, so that batch paints every bucket from
+    /// the arena it builds and copies nothing from the foreign trie.
+    #[test]
+    fn a_first_batch_after_a_foreign_publish_paints_every_bucket() {
+        let tables = churn_family(107, 3);
+        let mut shadow = tables.clone();
+        let mut service = LookupService::new(tables.clone(), small_cfg(1)).unwrap();
+        service
+            .publish_trie(build_trie(&churn_family(109, 3)).unwrap())
+            .unwrap();
+        assert!(service.holds_routes());
+        let batch = &churn_batches(tables, 107, 1, 40)[0];
+        service.apply_updates(batch).unwrap();
+        apply_to_shadow(&mut shadow, batch);
+        assert_serves(&service, &shadow);
         let _ = service.shutdown();
     }
 

@@ -12,8 +12,7 @@
 //! search reports the closest achievable value when the target lies
 //! outside `[α(0), α(1)]`.
 
-use crate::merge::merging_efficiency_of;
-use crate::TrieError;
+use crate::{SortedRoutes, TrieError};
 use vr_net::synth::{FamilySpec, PrefixLenDistribution};
 use vr_net::RoutingTable;
 
@@ -87,7 +86,7 @@ impl CalibrationSpec {
         let mut lo = 0.0f64;
         let mut hi = 1.0f64;
         let lo_tables = self.family(lo)?;
-        let lo_alpha = merging_efficiency_of(&lo_tables)?;
+        let lo_alpha = SortedRoutes::new(&lo_tables)?.merging_efficiency();
         if lo_alpha >= self.target_alpha {
             // Even disjoint tables overlap at least this much; accept the
             // closest end point if within tolerance.
@@ -105,7 +104,7 @@ impl CalibrationSpec {
             };
         }
         let hi_tables = self.family(hi)?;
-        let hi_alpha = merging_efficiency_of(&hi_tables)?;
+        let hi_alpha = SortedRoutes::new(&hi_tables)?.merging_efficiency();
         if hi_alpha <= self.target_alpha {
             return if self.target_alpha - hi_alpha <= self.tolerance {
                 Ok(CalibratedFamily {
@@ -125,7 +124,7 @@ impl CalibrationSpec {
         for _ in 0..self.max_iterations {
             let mid = (lo + hi) / 2.0;
             let tables = self.family(mid)?;
-            let alpha = merging_efficiency_of(&tables)?;
+            let alpha = SortedRoutes::new(&tables)?.merging_efficiency();
             let err = (alpha - self.target_alpha).abs();
             if best
                 .as_ref()

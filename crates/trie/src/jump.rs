@@ -33,15 +33,14 @@
 //!
 //! One block filler, the `Painter`, fills the slabs from the preorder
 //! events of a trie, whoever streams them: the bulk build's pass over the
-//! sorted routes ([`JumpTrie::from_tables`], and beside the merge arena
-//! in [`MergedTrie::from_tables_with_jump`](crate::MergedTrie::from_tables_with_jump),
-//! which is what a service builds), a walk of a live merged trie's arena
-//! that copies the /16 buckets an update batch left clean from the live
-//! jump trie ([`JumpTrie::repaint`], what every update publishes), or a
-//! walk of a materialised leaf-pushed trie ([`JumpTrie::from_leaf_pushed`],
-//! the reference). No leaf-pushed trie is built on the way, and leaves
-//! are interned in address order whatever the feed, so every builder
-//! publishes identical slabs for the same tables, field for field.
+//! sorted routes ([`JumpTrie::from_routes`], what a service builds), a
+//! walk of a live merged trie's arena that copies the /16 buckets an
+//! update batch left clean from the live jump trie ([`JumpTrie::repaint`],
+//! what every update publishes), or a walk of a materialised leaf-pushed
+//! trie ([`JumpTrie::from_leaf_pushed`], the reference). No leaf-pushed
+//! trie is built on the way, and leaves are interned in address order
+//! whatever the feed, so every builder publishes identical slabs for the
+//! same tables, field for field.
 //!
 //! The structure is immutable by design: route updates build a fresh
 //! `JumpTrie` and publish it atomically (see `vr-engine`'s
@@ -51,8 +50,8 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::leafpush::LeafPushedTrie;
-use crate::merge::{block_total, check_arity, preorder, replay, sorted_routes, NodeId, Preorder};
-use crate::{DirtyBuckets, MergedTrie, TrieError};
+use crate::merge::{replay, NodeId, Preorder};
+use crate::{DirtyBuckets, MergedTrie, SortedRoutes, TrieError};
 use std::ops::Range;
 use vr_net::table::{NextHop, RoutingTable};
 
@@ -566,26 +565,29 @@ impl JumpTrie {
         }
     }
 
-    /// Builds the jump trie over K routing tables (VNID = index) in one
-    /// preorder pass over their sorted routes, building no other trie —
-    /// what a service publishes for a table family.
+    /// Builds the jump trie over K routing tables (VNID = index):
+    /// [`JumpTrie::from_routes`] over their [`SortedRoutes`].
     ///
     /// # Errors
     /// Rejects arity 0 and arity above
     /// [`MAX_MERGE_ARITY`](crate::merge::MAX_MERGE_ARITY).
     pub fn from_tables(tables: &[RoutingTable]) -> Result<Self, TrieError> {
-        check_arity(tables.len())?;
-        let routes = sorted_routes(tables);
-        let blocks = block_total(&routes);
-        let (mut painter, root) = Painter::whole(tables.len(), blocks);
-        preorder(&routes, root, &mut painter);
-        let trie = painter.finish();
+        Ok(Self::from_routes(&SortedRoutes::new(tables)?))
+    }
+
+    /// Builds the jump trie over `routes` in one preorder pass, building
+    /// no other trie — what a service publishes for a table family.
+    #[must_use]
+    pub fn from_routes(routes: &SortedRoutes) -> Self {
+        let blocks = routes.block_total();
+        let (painter, root) = Painter::whole(routes.arity(), blocks);
+        let trie = routes.pass(root, painter).finish();
         debug_assert_eq!(
             trie.tail.len(),
             blocks * BLOCK_ENTRIES,
             "the block count is exact"
         );
-        Ok(trie)
+        trie
     }
 
     /// Builds directly from a routing table (`K = 1`).

@@ -15,6 +15,9 @@
 //!   announce/withdraw per VN, per-level statistics, and *measured*
 //!   merging efficiency α (Assumption 4); [`MergedTrie::leaf_pushed`] is
 //!   its [`LeafPushedTrie`] of arity K;
+//! * [`SortedRoutes`] — K tables' routes radix-sorted once into the bulk
+//!   build's preorder: the served trie, the arena and α are each one pass
+//!   over them, so a holder builds the arena only when it needs it;
 //! * [`SweepStats`] — the statistics of the leaf-pushed trie over every
 //!   VN prefix `0..k` and of every VN's own, with α at each k: counted
 //!   off K tables' sorted routes in the bulk build's one preorder pass
@@ -74,7 +77,7 @@ mod subslab;
 pub use backend::LookupBackend;
 pub use jump::{JumpTrie, JumpTrieParts};
 pub use leafpush::LeafPushedTrie;
-pub use merge::{MergedTrie, NodeId};
+pub use merge::{MergedTrie, NodeId, SortedRoutes};
 pub use pipeline_map::{MemoryLayout, PipelineProfile, StageProfile};
 pub use stats::{SweepStats, TrieStats};
 pub use subslab::DirtyBuckets;

@@ -30,13 +30,17 @@
 //! `0..k`, and each VN's own, not a trie: [`SweepStats::from_tables`]
 //! counts them in the same preorder pass with nothing allocated per node,
 //! and [`MergedTrie::sweep_stats`] reads them off a live trie in one walk.
-//! The pass is written once; it drives the arena, the sweep's counter,
-//! for a calibration step α's node counts alone, or the DIR-16-8-8
-//! painter of the [`JumpTrie`] — alone ([`JumpTrie::from_tables`]) or
-//! beside the arena ([`MergedTrie::from_tables_with_jump`], what a
-//! service builds). `replay` streams a built leaf-pushed trie's events
-//! in the same order, and [`JumpTrie::repaint`] a live arena's, with the
-//! /16 buckets an update left clean copied from the live jump trie.
+//! The pass is written once, over [`SortedRoutes`] (the routes sorted
+//! once), and drives the arena ([`MergedTrie::from_routes`]), the sweep's
+//! counter, α's node counts alone ([`SortedRoutes::merging_efficiency`])
+//! or the DIR-16-8-8 painter of the served trie
+//! ([`JumpTrie::from_routes`](crate::JumpTrie::from_routes)). A lookup
+//! service paints its served trie from the routes and keeps them; it
+//! builds the arena from them only when its first route update needs
+//! one. `replay` streams a built leaf-pushed trie's events in the same
+//! order, and [`JumpTrie::repaint`](crate::JumpTrie::repaint) a live
+//! arena's, with the /16 buckets an update left clean copied from the
+//! live jump trie.
 //!
 //! Per-VN state lives in one flat slab of `k` NHI entries per node: no
 //! node owns a heap allocation, and an update keeps its root-to-node path
@@ -46,7 +50,7 @@
 //! is its leaf-pushed form, [`MergedTrie::leaf_pushed`] — a
 //! [`LeafPushedTrie`] of arity K.
 
-use crate::jump::{JumpTrie, Painter, JUMP_BITS, TAIL_STRIDE};
+use crate::jump::{JUMP_BITS, TAIL_STRIDE};
 use crate::leafpush::LeafPushedTrie;
 use crate::stats::{efficiency, full_mask, NodeCounts, SweepCounter, SweepStats, TrieStats};
 use crate::TrieError;
@@ -163,38 +167,22 @@ impl MergedTrie {
     }
 
     /// Builds the merged trie from routing tables (VNID = index); one
-    /// table builds the single-table trie.
-    ///
-    /// One preorder pass over the K tables' routes, sorted together.
-    /// Nodes are allocated in preorder, and a closed node's presence is
-    /// final, so it is counted then and folded into its parent's. No route
-    /// goes through [`MergedTrie::insert`].
+    /// table builds the single-table trie: [`MergedTrie::from_routes`]
+    /// over their [`SortedRoutes`].
     ///
     /// # Errors
     /// Same arity constraints as [`MergedTrie::new`].
     pub fn from_tables(tables: &[RoutingTable]) -> Result<Self, TrieError> {
-        check_arity(tables.len())?;
-        let routes = sorted_routes(tables);
-        let mut merged = Self::sized_for(tables.len(), &routes);
-        preorder(&routes, NodeId::ROOT, &mut merged);
-        Ok(merged.built())
+        Ok(Self::from_routes(&SortedRoutes::new(tables)?))
     }
 
-    /// [`MergedTrie::from_tables`] and [`JumpTrie::from_tables`] in one
-    /// preorder pass: the arena and the DIR-16-8-8 painter take the same
-    /// open / entry / close events, so the routing state and the
-    /// structure a service publishes for it cost one walk of the routes.
-    ///
-    /// # Errors
-    /// Same arity constraints as [`MergedTrie::new`].
-    pub fn from_tables_with_jump(tables: &[RoutingTable]) -> Result<(Self, JumpTrie), TrieError> {
-        check_arity(tables.len())?;
-        let routes = sorted_routes(tables);
-        let (painter, brush) = Painter::whole(tables.len(), block_total(&routes));
-        let mut both = (Self::sized_for(tables.len(), &routes), painter);
-        preorder(&routes, (NodeId::ROOT, brush), &mut both);
-        let (merged, painter) = both;
-        Ok((merged.built(), painter.finish()))
+    /// Builds the merged trie over `routes` in one preorder pass. Nodes
+    /// are allocated in preorder, and a closed node's presence is final,
+    /// so it is counted then and folded into its parent's. No route goes
+    /// through [`MergedTrie::insert`].
+    #[must_use]
+    pub fn from_routes(routes: &SortedRoutes) -> Self {
+        routes.pass(NodeId::ROOT, Self::sized_for(routes)).built()
     }
 
     /// An empty arena for the bulk build over `routes`: counted exactly
@@ -202,8 +190,8 @@ impl MergedTrie {
     /// service's first announcements would otherwise copy the whole arena
     /// and slab to grow them (2.5–3 ms on the paper family); a trie that
     /// is never updated never writes the room.
-    fn sized_for(k: usize, routes: &[Route]) -> Self {
-        let total = node_total(routes);
+    fn sized_for(routes: &SortedRoutes) -> Self {
+        let (k, total) = (routes.k, routes.node_total());
         let room = total + total / 8;
         let mut nodes = Vec::with_capacity(room);
         nodes.push(MergedNode::EMPTY);
@@ -547,29 +535,17 @@ impl SweepStats {
     /// # Errors
     /// Same arity constraints as [`MergedTrie::new`].
     pub fn from_tables(tables: &[RoutingTable]) -> Result<Self, TrieError> {
-        check_arity(tables.len())?;
-        let mut counter = SweepCounter::new(tables.len());
-        preorder(&sorted_routes(tables), OpenNode::default(), &mut counter);
-        Ok(counter.finish())
+        let routes = SortedRoutes::new(tables)?;
+        Ok(routes
+            .pass(OpenNode::default(), SweepCounter::new(routes.k))
+            .finish())
     }
-}
-
-/// `MergedTrie::from_tables(tables)?.merging_efficiency()`, counted in the
-/// same preorder pass, which keeps only each open node's presence mask.
-///
-/// # Errors
-/// Same arity constraints as [`MergedTrie::new`].
-pub(crate) fn merging_efficiency_of(tables: &[RoutingTable]) -> Result<f64, TrieError> {
-    check_arity(tables.len())?;
-    let mut counts = NodeCounts::new(tables.len());
-    preorder(&sorted_routes(tables), 0, &mut counts);
-    Ok(counts.alpha(tables.len()))
 }
 
 /// One VN's route as the bulk build sorts them, packed into a word: the
 /// prefix's address and length (the sort key), then VNID and next hop.
 #[derive(Clone, Copy)]
-pub(crate) struct Route(u64);
+struct Route(u64);
 
 impl Route {
     /// Bits below the sort key.
@@ -593,9 +569,111 @@ impl Route {
     }
 }
 
+/// K routing tables' routes (VNID = index), each tagged with its VNID and
+/// radix-sorted once into the preorder every bulk build walks: by
+/// `(addr, len)`, VNs in order within a prefix. The served trie
+/// ([`JumpTrie::from_routes`](crate::JumpTrie::from_routes)), the arena
+/// ([`MergedTrie::from_routes`]) and α
+/// ([`SortedRoutes::merging_efficiency`]) are each one pass over them, so
+/// a holder that needs the arena only later keeps these, 8 bytes a route,
+/// and sorts nothing twice.
+///
+/// ```
+/// use vr_net::RoutingTable;
+/// use vr_trie::{JumpTrie, MergedTrie, SortedRoutes};
+///
+/// let tables: Vec<RoutingTable> = vec![
+///     "10.0.0.0/8 1\n".parse().unwrap(),
+///     "10.0.0.0/8 2\n10.1.0.0/16 3\n".parse().unwrap(),
+/// ];
+/// let routes = SortedRoutes::new(&tables).unwrap();
+/// let served = JumpTrie::from_routes(&routes);
+/// let merged = MergedTrie::from_routes(&routes);
+/// assert_eq!(served.lookup_vn(1, 0x0A01_0000), Some(3));
+/// assert_eq!(merged.lookup(1, 0x0A01_0000), Some(3));
+/// let alpha = merged.merging_efficiency();
+/// assert_eq!(routes.merging_efficiency().to_bits(), alpha.to_bits());
+/// ```
+pub struct SortedRoutes {
+    routes: Vec<Route>,
+    k: usize,
+}
+
+impl SortedRoutes {
+    /// Gathers and sorts the routes of `tables`.
+    ///
+    /// # Errors
+    /// Same arity constraints as [`MergedTrie::new`].
+    pub fn new(tables: &[RoutingTable]) -> Result<Self, TrieError> {
+        check_arity(tables.len())?;
+        Ok(Self {
+            routes: sorted_routes(tables),
+            k: tables.len(),
+        })
+    }
+
+    /// Number of tables the routes came from: the arity K of every trie
+    /// built over them.
+    #[must_use]
+    pub fn arity(&self) -> usize {
+        self.k
+    }
+
+    /// `MergedTrie::from_routes(self).merging_efficiency()`, bit for bit,
+    /// counted in one pass that keeps only each open node's presence mask
+    /// and allocates no node.
+    #[must_use]
+    pub fn merging_efficiency(&self) -> f64 {
+        self.pass(0, NodeCounts::new(self.k)).alpha(self.k)
+    }
+
+    /// Drives `pass` over the routes in preorder, its root open as `root`,
+    /// and hands it back.
+    pub(crate) fn pass<P: Preorder>(&self, root: P::Open, mut pass: P) -> P {
+        preorder(&self.routes, root, &mut pass);
+        pass
+    }
+
+    /// Nodes in the trie over the routes: the root, and for each route
+    /// the levels below the longest prefix it shares with the route
+    /// before it — in preorder no earlier route shares more.
+    fn node_total(&self) -> usize {
+        let mut prev = Ipv4Prefix::DEFAULT_ROUTE;
+        let fresh = self.routes.iter().map(|route| {
+            let prefix = route.prefix();
+            let shared = shared_len(prefix, prev);
+            prev = prefix;
+            usize::from(prefix.len() - shared)
+        });
+        1 + fresh.sum::<usize>()
+    }
+
+    /// Blocks the DIR-16-8-8 slabs over the routes hold: one level-1
+    /// block per /16 and one level-2 block per /24 with a longer route
+    /// below it, for each is an internal node of the trie.
+    pub(crate) fn block_total(&self) -> usize {
+        let below = |bits: u32| {
+            let mut last = None;
+            let longer = self
+                .routes
+                .iter()
+                .map(|route| route.prefix())
+                .filter(|p| u32::from(p.len()) > bits);
+            // Sorted by address, so equal tops are adjacent.
+            longer
+                .filter(|prefix| {
+                    let top = prefix.addr() >> (u32::BITS - bits);
+                    last.replace(top) != Some(top)
+                })
+                .count()
+        };
+        below(JUMP_BITS) + below(JUMP_BITS + TAIL_STRIDE)
+    }
+}
+
 /// The K tables' routes in preorder, each tagged with its VNID: sorted by
 /// `(addr, len)`, VNs in order within a prefix.
-pub(crate) fn sorted_routes(tables: &[RoutingTable]) -> Vec<Route> {
+fn sorted_routes(tables: &[RoutingTable]) -> Vec<Route> {
     const DIGIT_BITS: u32 = 10;
     let mut routes = Vec::with_capacity(tables.iter().map(RoutingTable::len).sum());
     for (vn, table) in tables.iter().enumerate() {
@@ -646,7 +724,7 @@ pub(crate) trait Preorder {
 /// open, and each route closes the nodes below the prefix it shares with
 /// that route and opens its own path below it. A node's own routes arrive
 /// before any below it, and once it is closed nothing more can reach it.
-pub(crate) fn preorder<P: Preorder>(routes: &[Route], root: P::Open, pass: &mut P) {
+fn preorder<P: Preorder>(routes: &[Route], root: P::Open, pass: &mut P) {
     let mut path = [root; 33];
     let mut depth = 0;
     let mut prev = Ipv4Prefix::DEFAULT_ROUTE;
@@ -715,37 +793,6 @@ pub(crate) fn replay<'t, P: Preorder>(
     }
     below(node, id, depth, &mut open, pass);
     pass.close(depth, open, None);
-}
-
-/// Two visitors fed one pass: each event goes to the first, then the
-/// second.
-impl<A: Preorder, B: Preorder> Preorder for (A, B) {
-    type Open = (A::Open, B::Open);
-
-    #[inline]
-    fn open(&mut self, parent: Self::Open, bit: usize) -> Self::Open {
-        (self.0.open(parent.0, bit), self.1.open(parent.1, bit))
-    }
-
-    #[inline]
-    fn entry(&mut self, node: &mut Self::Open, vn: u8, next_hop: NextHop) {
-        self.0.entry(&mut node.0, vn, next_hop);
-        self.1.entry(&mut node.1, vn, next_hop);
-    }
-
-    #[inline]
-    fn close(&mut self, depth: usize, node: Self::Open, up: Option<(&mut Self::Open, usize)>) {
-        match up {
-            Some((parent, bit)) => {
-                self.0.close(depth, node.0, Some((&mut parent.0, bit)));
-                self.1.close(depth, node.1, Some((&mut parent.1, bit)));
-            }
-            None => {
-                self.0.close(depth, node.0, None);
-                self.1.close(depth, node.1, None);
-            }
-        }
-    }
 }
 
 /// The bulk build: each node opened is allocated in preorder, and a closed
@@ -843,41 +890,6 @@ impl Preorder for NodeCounts {
 fn shared_len(a: Ipv4Prefix, b: Ipv4Prefix) -> u8 {
     let diverge = (a.addr() ^ b.addr()).leading_zeros() as u8;
     diverge.min(a.len()).min(b.len())
-}
-
-/// Nodes in the trie over `routes` (sorted in preorder): the root, and
-/// for each route the levels below the longest prefix it shares with the
-/// route before it — in preorder no earlier route shares more.
-fn node_total(routes: &[Route]) -> usize {
-    let mut prev = Ipv4Prefix::DEFAULT_ROUTE;
-    let fresh = routes.iter().map(|route| {
-        let prefix = route.prefix();
-        let shared = shared_len(prefix, prev);
-        prev = prefix;
-        usize::from(prefix.len() - shared)
-    });
-    1 + fresh.sum::<usize>()
-}
-
-/// Blocks the DIR-16-8-8 slabs over `routes` (sorted in preorder) hold:
-/// one level-1 block per /16 and one level-2 block per /24 with a longer
-/// route below it, for each is an internal node of the trie.
-pub(crate) fn block_total(routes: &[Route]) -> usize {
-    let below = |bits: u32| {
-        let mut last = None;
-        let longer = routes
-            .iter()
-            .map(|route| route.prefix())
-            .filter(|p| u32::from(p.len()) > bits);
-        // Sorted by address, so equal tops are adjacent.
-        longer
-            .filter(|prefix| {
-                let top = prefix.addr() >> (u32::BITS - bits);
-                last.replace(top) != Some(top)
-            })
-            .count()
-    };
-    below(JUMP_BITS) + below(JUMP_BITS + TAIL_STRIDE)
 }
 
 impl crate::LookupBackend for MergedTrie {
@@ -1257,7 +1269,8 @@ mod tests {
             streamed.alpha.last().map(|alpha| alpha.to_bits()),
             Some(alpha)
         );
-        assert_eq!(merging_efficiency_of(tables).unwrap().to_bits(), alpha);
+        let routes = SortedRoutes::new(tables).unwrap();
+        assert_eq!(routes.merging_efficiency().to_bits(), alpha);
     }
 
     /// `merged.sweep_stats()` and the streamed pass over `tables` are what

@@ -320,21 +320,18 @@ fn streamed_sweep_stats_equal_the_arena_walk_at_paper_scale() {
 #[test]
 #[ignore = "paper scale: ~0.5 s in release, far longer unoptimised"]
 fn served_trie_equals_the_leaf_pushed_build_at_paper_scale() {
-    use vr_trie::{DirtyBuckets, JumpTrie, MergedTrie};
+    use vr_trie::{DirtyBuckets, JumpTrie, MergedTrie, SortedRoutes};
     let cfg = ExperimentConfig::paper();
     let (frac_low, frac_high) = cfg.resolve_shared_fractions();
     for frac in [frac_low, frac_high] {
         for k in [cfg.k_max, cfg.k_max_fig4] {
             let tables = cfg.family(k, frac).unwrap();
-            let (merged, served) = MergedTrie::from_tables_with_jump(&tables).unwrap();
+            let routes = SortedRoutes::new(&tables).unwrap();
+            let merged = MergedTrie::from_routes(&routes);
             let reference = JumpTrie::from_leaf_pushed(&merged.leaf_pushed());
-            let painted = JumpTrie::from_tables(&tables).unwrap();
-            let repainted = served.repaint(&merged, &DirtyBuckets::all());
-            for (feed, trie) in [
-                ("routes beside the arena", &served),
-                ("routes", &painted),
-                ("arena repaint", &repainted),
-            ] {
+            let painted = JumpTrie::from_routes(&routes);
+            let repainted = painted.repaint(&merged, &DirtyBuckets::all());
+            for (feed, trie) in [("routes", &painted), ("arena repaint", &repainted)] {
                 assert!(
                     trie.raw_parts() == reference.raw_parts(),
                     "{feed}: K = {k}, shared fraction {frac}"

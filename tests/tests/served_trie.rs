@@ -1,9 +1,8 @@
 //! The served DIR-16-8-8 trie is one structure whichever feed paints it:
-//! the bulk build's pass over the sorted routes (alone, or beside the
-//! merge arena), a walk of a live merged trie's arena (every bucket
-//! painted, or the dirty ones painted and the rest copied from the live
-//! jump trie, batch after batch of churn), or a walk of the materialised
-//! leaf-pushed trie. Every feed gives equal `raw_parts()`, answers like
+//! the bulk build's pass over the sorted routes, a walk of a live merged
+//! trie's arena (every bucket painted, or the dirty ones painted and the
+//! rest copied from the live jump trie, batch after batch of churn), or a
+//! walk of the materialised leaf-pushed trie. Every feed gives equal `raw_parts()`, answers like
 //! the tables, and audits clean; and the layout the paper families
 //! publish is pinned.
 
@@ -13,7 +12,7 @@ use vr_net::table::{NextHop, RouteEntry};
 use vr_net::{Ipv4Prefix, RoutingTable};
 use vr_trie::audit::audit_jump;
 use vr_trie::merge::MAX_MERGE_ARITY;
-use vr_trie::{DirtyBuckets, JumpTrie, JumpTrieParts, MergedTrie};
+use vr_trie::{DirtyBuckets, JumpTrie, JumpTrieParts, MergedTrie, SortedRoutes};
 
 /// FNV-1a over the encoding: the four lengths, then every root, tail and
 /// NHI word in order.
@@ -122,15 +121,24 @@ fn assert_served(jump: &JumpTrie, reference: &JumpTrie, feed: &str) {
     );
 }
 
+/// The arena and the served trie a service builds from `tables`' sorted
+/// routes: the arena for its first update, the trie at construction.
+fn built_from_routes(tables: &[RoutingTable]) -> (MergedTrie, JumpTrie) {
+    let routes = SortedRoutes::new(tables).unwrap();
+    (
+        MergedTrie::from_routes(&routes),
+        JumpTrie::from_routes(&routes),
+    )
+}
+
 /// Every feed of the painter over `tables`, held to the leaf-pushed
-/// reference: the routes alone, the routes beside the arena, and a walk
-/// of the arena painting every bucket. Returns the arena and the trie
-/// painted beside it.
+/// reference: the sorted routes, and a walk of the arena built from them
+/// painting every bucket. Returns the arena and the trie painted from the
+/// routes.
 fn assert_every_feed(tables: &[RoutingTable]) -> (MergedTrie, JumpTrie) {
-    let (merged, served) = MergedTrie::from_tables_with_jump(tables).unwrap();
+    let (merged, served) = built_from_routes(tables);
     let want = reference(&merged, tables);
-    assert_served(&served, &want, "routes beside the arena");
-    assert_served(&JumpTrie::from_tables(tables).unwrap(), &want, "routes");
+    assert_served(&served, &want, "routes");
     assert_served(
         &served.repaint(&merged, &DirtyBuckets::all()),
         &want,
@@ -242,7 +250,7 @@ fn rebuilt_buckets_paint_the_reference_at_path_ends() {
         RoutingTable::new(),
         "10.3.1.1/32 4\n10.3.2.0/24 5\n".parse().unwrap(),
     ];
-    let (mut merged, mut live) = MergedTrie::from_tables_with_jump(&tables).unwrap();
+    let (mut merged, mut live) = built_from_routes(&tables);
     for (vn, prefix, nh) in [
         (0, "10.0.0.0/8", 1),
         (1, "10.1.128.0/17", 2),
