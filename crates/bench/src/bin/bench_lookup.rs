@@ -2,8 +2,9 @@
 //! encoding on a paper-scale table — each driven through the one generic
 //! `push_backend` over `vr_trie::LookupBackend` — plus the per-VN
 //! (`lookup_vn`) datapath on merged tries, the mixed-VN batch walk and
-//! result-cache rows (mode `"batch"`), and the concurrent
-//! `LookupService` / `ShardedService` (mode `"service"`). Writes
+//! result-cache rows (mode `"batch"`), and `LookupService` /
+//! `ShardedService`, one row per variant (mode `"service"`; each call
+//! walks on the calling thread). Writes
 //! `BENCH_lookup.json` at the workspace root (packets/sec and ns/lookup
 //! per row) so the numbers travel with the repo.
 //!
@@ -19,10 +20,10 @@
 //!
 //! Latency **distribution** columns (`p50_ns`/`p99_ns`) ride along for
 //! every row except the deliberately registry-free service control,
-//! which counts nothing at all: single-threaded rows run a separate
+//! which counts nothing at all: walk rows run a separate
 //! chunk-granularity instrumented pass through a detached `vr-telemetry`
 //! histogram, service rows read the live `vr_service_lookup_ns`
-//! histogram the workers feed. Service mode is measured three ways —
+//! histogram each call feeds. Service mode is measured three ways —
 //! registry attached (`service_jump`), detached, with no accounting at
 //! all (`service_jump_notel`), and attached with 1-in-64 batch
 //! tracing (`service_jump_traced`) — so the record-path and trace-path
@@ -59,23 +60,20 @@ struct Row {
     /// `"scalar"`, `"batch"`, `"service"`, or `"wire"` (the end-to-end
     /// socket path through `vr-wire`).
     mode: &'static str,
-    /// Keys per call (`null` for scalar; the chunk width for batch rows;
-    /// the span floor (`ServiceConfig::batch_width`) for channel-service
-    /// rows; the dispatcher chunk width for sharded rows).
+    /// Keys per call (`null` for scalar; the chunk width for batch and
+    /// sharded rows; the whole probe cycle for the other service rows).
     batch_size: Option<usize>,
-    /// Worker/shard-thread count (`null` for the single-threaded modes).
-    workers: Option<usize>,
     ns_per_lookup: f64,
     packets_per_sec: f64,
     /// Speedup over the reference row (1.0 for scalar and `jump_mixed`):
     /// service and sharded rows compare against the merged jump scalar
-    /// walk — the same datapath the workers run, minus threads and
-    /// channels — and the `cached_jump_mixed` rows against the uncached
+    /// walk — the same walk each call runs, minus the snapshot pin and
+    /// the counting — and the `cached_jump_mixed` rows against the uncached
     /// `jump_mixed` walk of the same stream, measured in the same run.
     speedup_vs_scalar: f64,
-    /// Median ns/lookup from the instrumented pass. Single-threaded
-    /// rows: chunk-granularity wall time through a detached histogram.
-    /// Registry-attached service rows: the workers' live
+    /// Median ns/lookup from the instrumented pass. Walk rows:
+    /// chunk-granularity wall time through a detached histogram.
+    /// Registry-attached service rows: the service's live
     /// `vr_service_lookup_ns` histogram. The registry-free
     /// `service_jump_notel` control, which counts nothing: a separate
     /// detached chunk-granularity pass over `process` — timer-free during the
@@ -185,7 +183,7 @@ struct Scale<'a> {
 }
 
 impl Scale<'_> {
-    /// A single-threaded probe-cycle row; service rows fill `workers` in.
+    /// A probe-cycle row.
     fn row(
         &self,
         variant: &'static str,
@@ -201,7 +199,6 @@ impl Scale<'_> {
             variant,
             mode,
             batch_size,
-            workers: None,
             ns_per_lookup: ns,
             packets_per_sec: 1e9 / ns,
             speedup_vs_scalar: scalar_ref_ns / ns,
@@ -270,9 +267,9 @@ fn vn_cycled_packets(probes: &[u32]) -> Vec<(VnId, u32)> {
         .collect()
 }
 
-/// `(p50, p99)` of the live `vr_service_lookup_ns` histogram the workers
-/// feed — the service's real per-lookup distribution, timer-free on the
-/// measuring thread.
+/// `(p50, p99)` of the live `vr_service_lookup_ns` histogram each call
+/// feeds — the service's real per-lookup distribution, timer-free on
+/// the measuring loop.
 fn live_percentiles(snapshot: Option<TelemetrySnapshot>) -> (Option<f64>, Option<f64>) {
     snapshot
         .and_then(|s| {
@@ -282,162 +279,131 @@ fn live_percentiles(snapshot: Option<TelemetrySnapshot>) -> (Option<f64>, Option
         .unwrap_or((None, None))
 }
 
-/// Sub-batch widths driven through `ShardedService::process_into`: one
-/// dispatcher call scatters a chunk across the shard queues, so the
-/// width sets the per-shard job size and how far the channel hops
-/// amortize.
-const SHARDED_CHUNKS: [usize; 2] = [512, 2048];
+/// Keys per `ShardedService::process_into` call: `wire_bulk`'s frame.
+const SHARDED_CHUNK: usize = 512;
 
-/// Measures the sharded service end to end (hash scatter, per-shard
-/// SPSC queues, gather) at each shards × chunk-width point. Every
-/// service at one scale reuses the same prebuilt merged trie
-/// (`with_trie`), so construction never shadows the steady-state
-/// measurement; p50/p99 come from the live `vr_service_lookup_ns`
-/// histogram the shards feed.
+/// Measures the sharded service end to end (snapshot pin, walk,
+/// counting) at [`SHARDED_CHUNK`] keys a call. Every service at one
+/// scale reuses the same prebuilt merged trie (`with_trie`), so
+/// construction never shadows the steady-state measurement; p50/p99 come
+/// from the live `vr_service_lookup_ns` histogram.
 fn push_sharded(
     rows: &mut Vec<Row>,
     scale: &Scale<'_>,
     merged_jump: &JumpTrie,
-    worker_counts: &[usize],
     scalar_ref_ns: f64,
 ) {
     let packets = vn_cycled_packets(scale.probes);
-    // Same iteration floor as the channel-service rows: the
-    // multi-threaded min only sees through scheduler noise with enough
-    // samples.
+    // Same iteration floor as the other service rows.
     let iters = scale.iters.max(16);
-    for &shards in worker_counts {
-        for &chunk in &SHARDED_CHUNKS {
-            let cfg = ShardedConfig {
-                shards,
-                ..ShardedConfig::default()
-            };
-            let mut service = ShardedService::with_trie(merged_jump.clone(), cfg)
-                .expect("sharded service construction");
-            let mut out = vec![None; chunk.min(packets.len()).max(1)];
-            // Like the channel-service rows: back-to-back calls per
-            // timed sample so each covers milliseconds, not wakeup luck.
-            let repeat = (1usize << 16).div_ceil(packets.len().max(1));
-            let ns = time_ns_per_lookup(packets.len() * repeat, iters, || {
-                let mut hits = 0usize;
-                for _ in 0..repeat {
-                    for pchunk in packets.chunks(chunk) {
-                        let slot = &mut out[..pchunk.len()];
-                        service.process_into(std::hint::black_box(pchunk), slot);
-                        hits += slot.iter().filter(|nh| nh.is_some()).count();
-                    }
-                }
-                hits
-            });
-            let pctl = live_percentiles(service.telemetry_snapshot());
-            let _ = service.shutdown();
-            rows.push(Row {
-                workers: Some(shards),
-                ..scale.row(
-                    "sharded_jump",
-                    "service",
-                    Some(chunk),
-                    ns,
-                    scalar_ref_ns,
-                    pctl,
-                )
-            });
-            eprintln!(
-                "[bench_lookup] {}/sharded_jump shards={shards} chunk={chunk} done",
-                scale.name
-            );
+    let mut service = ShardedService::with_trie(merged_jump.clone(), ShardedConfig::default())
+        .expect("sharded service construction");
+    let mut out = vec![None; SHARDED_CHUNK.min(packets.len()).max(1)];
+    // Like the other service rows: back-to-back calls per timed sample
+    // so each covers milliseconds.
+    let repeat = (1usize << 16).div_ceil(packets.len().max(1));
+    let ns = time_ns_per_lookup(packets.len() * repeat, iters, || {
+        let mut hits = 0usize;
+        for _ in 0..repeat {
+            for chunk in packets.chunks(SHARDED_CHUNK) {
+                let slot = &mut out[..chunk.len()];
+                service.process_into(std::hint::black_box(chunk), slot);
+                hits += slot.iter().filter(|nh| nh.is_some()).count();
+            }
         }
-    }
+        hits
+    });
+    let pctl = live_percentiles(service.telemetry_snapshot());
+    let _ = service.shutdown();
+    rows.push(scale.row(
+        "sharded_jump",
+        "service",
+        Some(SHARDED_CHUNK),
+        ns,
+        scalar_ref_ns,
+        pctl,
+    ));
+    eprintln!("[bench_lookup] {}/sharded_jump done", scale.name);
 }
 
-/// Measures `LookupService::process` end to end (the caller's own span,
-/// channel hops to the other lanes' threads, snapshot pins, gather) at
-/// each lane count.
+/// Measures `LookupService::process` end to end (snapshot pin, walk,
+/// counting, the result vector) over the whole probe cycle a call.
 fn push_service(
     rows: &mut Vec<Row>,
     scale: &Scale<'_>,
     tables: &[RoutingTable],
-    worker_counts: &[usize],
     scalar_ref_ns: f64,
 ) {
     let packets = vn_cycled_packets(scale.probes);
-    // Each worker count is measured three times: registry attached
-    // (`service_jump`), detached (`service_jump_notel`), and attached
-    // with 1-in-64 batch tracing (`service_jump_traced`). The triple
-    // makes both observability costs first-class numbers in the
-    // artifact — the acceptance budgets are the attached row staying
-    // within 5% of the detached one, and the traced row within 5% of
-    // the detached one as well. Paired rows differ in exactly one
-    // thing — the record or trace path.
+    // Measured three times: registry attached (`service_jump`), detached
+    // (`service_jump_notel`), and attached with 1-in-64 call tracing
+    // (`service_jump_traced`). The triple makes both observability
+    // costs first-class numbers in the artifact — the acceptance
+    // budgets are the attached row staying within 5% of the detached
+    // one, and the traced row within 5% of the detached one as well.
+    // Paired rows differ in exactly one thing — the record or trace
+    // path.
     //
     // Service rows get an iteration floor: they carry the overhead
     // acceptance budget, and min-of-N only sees through scheduler noise
-    // on multi-threaded runs with enough samples.
+    // with enough samples.
     let iters = scale.iters.max(16);
-    for &workers in worker_counts {
-        for &(variant, telemetry, trace_sample) in &[
-            ("service_jump", true, None),
-            ("service_jump_notel", false, None),
-            ("service_jump_traced", true, Some(vr_obs::DEFAULT_SAMPLE)),
-        ] {
-            let cfg = ServiceConfig {
-                workers,
-                telemetry,
-                trace_sample,
-                ..ServiceConfig::default()
-            };
-            let mut service =
-                LookupService::new(tables.to_vec(), cfg).expect("service construction");
-            let width = service.batch_width();
-            // One process() call spans only tens of µs — below the
-            // scheduler jitter of a multi-threaded path. Time runs of
-            // `repeat` back-to-back calls so each sample covers
-            // milliseconds and the min converges on steady state
-            // instead of on wakeup luck.
-            let repeat = (1usize << 16).div_ceil(packets.len().max(1));
-            let ns = time_ns_per_lookup(packets.len() * repeat, iters, || {
-                let mut hits = 0usize;
-                for _ in 0..repeat {
-                    hits += service
-                        .process(std::hint::black_box(&packets))
-                        .iter()
-                        .filter(|nh| nh.is_some())
-                        .count();
-                }
-                hits
-            });
-            // Attached rows: the lanes have been feeding
-            // vr_service_lookup_ns the whole run; its quantiles are the
-            // service's real per-lookup distribution, timer-free on this
-            // thread. The registry-free control has no histogram to
-            // read, so it gets a *separate* detached chunk-granularity
-            // pass — run after the throughput timing above, so the
-            // per-chunk timer reads never touch the ns_per_lookup
-            // column that carries the overhead budget.
-            let pctl = if telemetry {
-                live_percentiles(service.telemetry_snapshot())
-            } else {
-                service_percentile_pass(&mut service, &packets, repeat)
-            };
-            let _ = service.shutdown();
-            rows.push(Row {
-                workers: Some(workers),
-                ..scale.row(variant, "service", Some(width), ns, scalar_ref_ns, pctl)
-            });
-            eprintln!(
-                "[bench_lookup] {}/{variant} workers={workers} done",
-                scale.name
-            );
-        }
+    for &(variant, telemetry, trace_sample) in &[
+        ("service_jump", true, None),
+        ("service_jump_notel", false, None),
+        ("service_jump_traced", true, Some(vr_obs::DEFAULT_SAMPLE)),
+    ] {
+        let cfg = ServiceConfig {
+            telemetry,
+            trace_sample,
+            ..ServiceConfig::default()
+        };
+        let mut service = LookupService::new(tables.to_vec(), cfg).expect("service construction");
+        // One process() call spans only tens of µs. Time runs of
+        // `repeat` back-to-back calls so each sample covers
+        // milliseconds and the min converges on steady state.
+        let repeat = (1usize << 16).div_ceil(packets.len().max(1));
+        let ns = time_ns_per_lookup(packets.len() * repeat, iters, || {
+            let mut hits = 0usize;
+            for _ in 0..repeat {
+                hits += service
+                    .process(std::hint::black_box(&packets))
+                    .iter()
+                    .filter(|nh| nh.is_some())
+                    .count();
+            }
+            hits
+        });
+        // Attached rows: every call has been feeding
+        // vr_service_lookup_ns the whole run; its quantiles are the
+        // service's real per-lookup distribution. The registry-free
+        // control has no histogram to read, so it gets a *separate*
+        // detached chunk-granularity pass — run after the throughput
+        // timing above, so the per-chunk timer reads never touch the
+        // ns_per_lookup column that carries the overhead budget.
+        let pctl = if telemetry {
+            live_percentiles(service.telemetry_snapshot())
+        } else {
+            service_percentile_pass(&mut service, &packets, repeat)
+        };
+        let _ = service.shutdown();
+        rows.push(scale.row(
+            variant,
+            "service",
+            Some(packets.len()),
+            ns,
+            scalar_ref_ns,
+            pctl,
+        ));
+        eprintln!("[bench_lookup] {}/{variant} done", scale.name);
     }
 }
 
 /// Detached percentile pass for the registry-free service control:
 /// drives `process` in [`PCTL_BATCH_CHUNK`]-wide chunks through a
-/// [`PercentileSampler`]. The chunk spans the whole channel round trip,
-/// so these quantiles sit above the workers' live
-/// `vr_service_lookup_ns` numbers — they bound the dispatch latency the
-/// attached rows' worker-side histogram cannot see.
+/// [`PercentileSampler`]. The chunk spans the whole call, result
+/// vector included, so these quantiles sit above the attached rows'
+/// `vr_service_lookup_ns` numbers.
 fn service_percentile_pass(
     service: &mut LookupService,
     packets: &[(VnId, u32)],
@@ -460,7 +426,7 @@ fn service_percentile_pass(
 
 /// Maps a derived row's variant to the scalar row its speedup compares
 /// against: service and sharded rows against the merged jump scalar walk
-/// — the datapath the workers run, minus threads and channels.
+/// — the walk each call runs.
 fn scalar_base(variant: &str) -> &str {
     match variant {
         "service_jump" | "service_jump_notel" | "service_jump_traced" | "sharded_jump" => {
@@ -476,7 +442,6 @@ fn run_scale(
     spec: &TableSpec,
     probe_count: usize,
     iters: usize,
-    worker_counts: &[usize],
     reps: usize,
 ) {
     let table = spec.generate().unwrap();
@@ -525,8 +490,8 @@ fn run_scale(
         push_backend::<1>(&mut pass, &scale, "jump", &jump);
         let jump_vn_ns =
             push_backend::<FAMILY_K>(&mut pass, &scale, "merged_jump_vn", &merged_jump);
-        push_service(&mut pass, &scale, &family, worker_counts, jump_vn_ns);
-        push_sharded(&mut pass, &scale, &merged_jump, worker_counts, jump_vn_ns);
+        push_service(&mut pass, &scale, &family, jump_vn_ns);
+        push_sharded(&mut pass, &scale, &merged_jump, jump_vn_ns);
         if best.is_empty() {
             best = pass;
         } else {
@@ -664,7 +629,6 @@ fn run_cached_rows(rows: &mut Vec<Row>, iters: usize) {
             variant: "jump_mixed",
             mode: "batch",
             batch_size: Some(CACHE_CHUNK),
-            workers: None,
             ns_per_lookup: uncached_ns,
             packets_per_sec: 1e9 / uncached_ns,
             speedup_vs_scalar: 1.0,
@@ -701,7 +665,6 @@ fn run_cached_rows(rows: &mut Vec<Row>, iters: usize) {
             variant: "cached_jump_mixed",
             mode: "batch",
             batch_size: Some(CACHE_CHUNK),
-            workers: None,
             ns_per_lookup: cached_ns,
             packets_per_sec: 1e9 / cached_ns,
             speedup_vs_scalar: uncached_ns / cached_ns,
@@ -767,7 +730,6 @@ fn run_wire_rows(rows: &mut Vec<Row>, scale: &'static str, prefixes: usize, batc
             variant: "wire_jump",
             mode: "wire",
             batch_size: Some(WIRE_BATCH),
-            workers: None,
             ns_per_lookup: ns,
             packets_per_sec: pps,
             speedup_vs_scalar: 1.0,
@@ -816,14 +778,8 @@ fn telemetry_smoke() {
     }
     .generate()
     .unwrap();
-    let mut service = LookupService::new(
-        family.clone(),
-        ServiceConfig {
-            workers: 2,
-            ..ServiceConfig::default()
-        },
-    )
-    .expect("smoke service construction");
+    let mut service = LookupService::new(family.clone(), ServiceConfig::default())
+        .expect("smoke service construction");
     let packets: Vec<(VnId, u32)> = (0..512u32)
         .map(|i| ((i as usize % FAMILY_K) as VnId, i.wrapping_mul(0x9E37_79B9)))
         .collect();
@@ -839,8 +795,8 @@ fn telemetry_smoke() {
         .telemetry_snapshot()
         .expect("telemetry on by default");
     let _ = service.shutdown();
-    // Both passes are counted, and every lane walked its jobs: no
-    // service keeps a result cache, so none registers its series.
+    // Both passes are counted: no service keeps a result cache, so none
+    // registers its series.
     assert_eq!(
         second.counter("vr_service_lookups_total"),
         Some(2 * packets.len() as u64),
@@ -895,7 +851,7 @@ fn main() {
             prefixes: 512,
             ..TableSpec::paper_worst_case(2012)
         };
-        run_scale(&mut rows, "smoke", &tiny, 256, 4, &[1, 2], 1);
+        run_scale(&mut rows, "smoke", &tiny, 256, 4, 1);
         // The cache's hit-rate floor is quoted at paper scale, so even
         // the smoke run measures the cached rows there — the K=15 family
         // builds in well under a second.
@@ -918,7 +874,6 @@ fn main() {
             &TableSpec::paper_worst_case(2012),
             probe_count,
             iters,
-            &[1, 2, 4],
             reps,
         );
         // A backbone-scale table whose slabs exceed L2. `run_scale`
@@ -938,7 +893,6 @@ fn main() {
             &backbone,
             probe_count * 4,
             iters,
-            &[1, 2, 4],
             reps,
         );
         run_large(
@@ -952,12 +906,11 @@ fn main() {
     }
 
     println!(
-        "{:<9} {:<18} {:>8} {:>8} {:>8} {:>12} {:>16} {:>8} {:>9} {:>9}",
+        "{:<9} {:<18} {:>8} {:>8} {:>12} {:>16} {:>8} {:>9} {:>9}",
         "scale",
         "variant",
         "mode",
         "batch",
-        "workers",
         "ns/lookup",
         "packets/sec",
         "speedup",
@@ -967,12 +920,11 @@ fn main() {
     let pctl = |v: Option<f64>| v.map_or_else(|| "-".into(), |p| format!("{p:.1}"));
     for r in &rows {
         println!(
-            "{:<9} {:<18} {:>8} {:>8} {:>8} {:>12.2} {:>16.0} {:>7.2}x {:>9} {:>9}",
+            "{:<9} {:<18} {:>8} {:>8} {:>12.2} {:>16.0} {:>7.2}x {:>9} {:>9}",
             r.scale,
             r.variant,
             r.mode,
             r.batch_size.map_or_else(|| "-".into(), |b| b.to_string()),
-            r.workers.map_or_else(|| "-".into(), |w| w.to_string()),
             r.ns_per_lookup,
             r.packets_per_sec,
             r.speedup_vs_scalar,

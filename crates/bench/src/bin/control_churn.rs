@@ -87,11 +87,7 @@ fn ab_throughput(
     batches: &[Vec<RouteUpdate>],
     probes_per_batch: usize,
 ) -> (f64, f64, usize) {
-    let service_cfg = ServiceConfig {
-        workers: 1,
-        batch_width: Some(32),
-        ..ServiceConfig::default()
-    };
+    let service_cfg = ServiceConfig::default();
     let mut total_updates = 0usize;
 
     let mut naive = LookupService::new(tables.to_vec(), service_cfg).expect("naive service");
@@ -158,15 +154,8 @@ fn trajectory(
     batches: usize,
     batch_size: usize,
 ) -> Vec<AlphaPoint> {
-    let service = LookupService::new(
-        tables.to_vec(),
-        ServiceConfig {
-            workers: 1,
-            batch_width: Some(32),
-            ..ServiceConfig::default()
-        },
-    )
-    .expect("trajectory service");
+    let service =
+        LookupService::new(tables.to_vec(), ServiceConfig::default()).expect("trajectory service");
     let mut plane = ControlPlane::new(service, ControlConfig::default()).expect("control plane");
     let mut stream = UpdateStream::new(tables.to_vec(), UpdateMix::default(), 16, seed ^ 0x5EED)
         .expect("update stream");

@@ -251,15 +251,7 @@ mod tests {
     }
 
     fn small_service(tables: Vec<RoutingTable>) -> LookupService {
-        LookupService::new(
-            tables,
-            ServiceConfig {
-                workers: 1,
-                batch_width: Some(8),
-                ..ServiceConfig::default()
-            },
-        )
-        .unwrap()
+        LookupService::new(tables, ServiceConfig::default()).unwrap()
     }
 
     /// Asserts the plane serves exactly a from-scratch build of `tables`.

@@ -1,25 +1,24 @@
 //! # vr-engine — the serving datapath
 //!
 //! The production-shaped lookup datapath over the `vr-trie` structures:
-//! one private service core — a worker pool resolving packet batches
-//! against an immutable `JumpTrie` behind an RCU-style generation-counted
-//! snapshot swap, with one publish protocol, one audit gate, one
-//! telemetry vocabulary and a join-on-drop lifecycle — and two public
-//! facades over it that differ only in dispatch policy, as the paper's
-//! VM and VS organizations do: [`service`]'s [`LookupService`] hands each
-//! worker a contiguous span and owns the incremental route-update path;
-//! [`ShardedService`] hash-scatters packets by destination.
-//! Route updates never stall in-flight lookups. Every lookup walks the
-//! trie, with no result cache in front; [`LpmCache`] is the
-//! generation-tagged LPM result cache, a standalone type the
-//! benchmarks price against that walk. With
+//! one private service core — an immutable `JumpTrie` behind an
+//! RCU-style generation-counted snapshot swap, with one lookup path that
+//! pins the published snapshot once per call and walks on the calling
+//! thread, one publish protocol, one audit gate and one telemetry
+//! vocabulary — and two public facades over it, as the paper's VM and VS
+//! organizations are one pipeline reached two ways: [`service`]'s
+//! [`LookupService`] owns the incremental route-update path;
+//! [`ShardedService`] serves whole-table publishes only. No service
+//! spawns a thread. Route updates never stall a lookup in progress.
+//! Every lookup walks the trie, with no result cache in front;
+//! [`LpmCache`] is the generation-tagged LPM result cache, a standalone
+//! type the benchmarks price against that walk. With
 //! [`ServiceConfig::trace_sample`](service::ServiceConfig::trace_sample)
-//! set, the core threads a sampled `vr-obs` [`Tracer`] through the hot
-//! path: 1-in-N batches carry an owned stage recorder through the queue
-//! (enqueue → dequeue → lane walk → complete),
-//! and publishes / update batches land as control-plane spans on the
-//! same timeline — exportable as Chrome trace JSON and servable over the
-//! vr-obs HTTP plane.
+//! set, the core records a sampled `vr-obs` [`Tracer`] stage chain
+//! (lane walk → complete) for 1-in-N calls, and publishes / update
+//! batches land as control-plane spans on the same timeline —
+//! exportable as Chrome trace JSON and servable over the vr-obs HTTP
+//! plane.
 //!
 //! The paper's hardware is modelled elsewhere: the cycle-level pipeline
 //! simulator lives in `vr-power` beside the equations it validates, and
@@ -35,8 +34,8 @@ mod service_core;
 mod sharded;
 
 pub use cache::{CacheStats, LpmCache, DEFAULT_CACHE_SLOTS};
-pub use service::{CompletedBatch, LookupService, ServiceConfig, TableSnapshot};
-pub use sharded::{shard_of, ShardedBatch, ShardedConfig, ShardedService};
+pub use service::{LookupService, ServiceConfig, TableSnapshot};
+pub use sharded::{ShardedConfig, ShardedService};
 // Re-exported so service users can consume traces without naming the
 // observability crate themselves.
 pub use vr_obs::{BatchTrace, Stage, TraceSnapshot, Tracer};

@@ -3,17 +3,15 @@
 //! The cycle-level pipeline simulator in `vr-power` models the paper's
 //! hardware; this module is the *production* datapath the ROADMAP asks
 //! for. [`LookupService`] is one of the two facades over the shared
-//! service core (lanes — the calling thread and `workers − 1` worker
-//! threads — `Publish`-slot table swap, audit gate, telemetry,
-//! join-on-drop — see `service_core.rs`); what it adds is how packets
-//! reach the lanes and how routes change:
+//! service core (the one lookup path, `Publish`-slot table swap, audit
+//! gate, telemetry — see `service_core.rs`); what it adds is how routes
+//! change:
 //!
-//! **Span dispatch.** [`LookupService::process`] cuts a call into at most
-//! `workers` contiguous spans of at least
-//! [`ServiceConfig::batch_width`] keys, one job per span, and
-//! concatenates the results in order — the paper's VM organization, one
-//! time-shared pipeline serving every VN. The first span is the
-//! caller's own, so a one-span call never leaves the calling thread.
+//! **One walk per call, on the caller's thread.**
+//! [`LookupService::process`] pins the published snapshot once and
+//! walks every key of the call in input order on the calling thread —
+//! the paper's VM organization, one time-shared pipeline serving every
+//! VN. No call is cut into spans or handed to another thread.
 //!
 //! **One routing state, built as far as it is needed.** The service's
 //! routes live in exactly one mutable place, and there is no per-VN table
@@ -43,8 +41,8 @@
 //! rejected publish leaves routes, table and generation untouched.
 //!
 //! The service counts in one place, the core's metrics registry
-//! ([`ServiceConfig::telemetry`]): lookups, misses and batch latencies
-//! per lane, swaps, audit rejections, stalls and route updates.
+//! ([`ServiceConfig::telemetry`]): lookups, misses and call latencies,
+//! swaps, audit rejections and route updates.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
@@ -59,32 +57,30 @@ use vr_telemetry::{Counter, Gauge, Histogram, MetricsRegistry, Stopwatch, Teleme
 use vr_trie::{DirtyBuckets, JumpTrie, MergedTrie, SortedRoutes};
 
 pub use crate::service_core::TableSnapshot;
-use crate::service_core::{Job, ServiceCore, ShardedConfig};
+use crate::service_core::{ServiceCore, ShardedConfig};
 use crate::EngineError;
-
-/// Span floor used when [`ServiceConfig::batch_width`] is `None`.
-const DEFAULT_BATCH_WIDTH: usize = 64;
 
 /// Tuning knobs of a [`LookupService`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ServiceConfig {
-    /// Lanes: the calling thread plus `workers − 1` worker threads, each
-    /// lane with an order-preserving input FIFO. One lane spawns no
-    /// thread.
+    /// Retired: every lookup walks on the calling thread, so no lane has
+    /// a thread of its own and nothing reads this field beyond refusing
+    /// `0`, as it always has. It stays only until the repo benchmark,
+    /// which spells it, stops doing so.
     pub workers: usize,
-    /// Fewest keys worth a lane of their own: [`LookupService::process`]
-    /// cuts a call into at most `workers` spans of at least this many
-    /// keys. `None` means 64.
+    /// Retired: no call is cut into spans, and nothing reads this field
+    /// beyond refusing `Some(0)`, as it always has. It stays only until
+    /// the repo benchmark, which spells it, stops doing so.
     pub batch_width: Option<usize>,
-    /// Depth of each lane's input queue, in batches. Producers block
-    /// (backpressure) once a worker thread is this far behind; lane 0's
-    /// queue is resolved by the caller instead.
+    /// Retired: there is no lane queue to bound, and nothing reads the
+    /// field; it stays only until the repo benchmark, which spells it,
+    /// stops doing so.
     pub queue_depth: usize,
     /// Whether to run the service with a live [`MetricsRegistry`]:
-    /// per-worker sharded counters, batch/lookup latency histograms, the
+    /// lookup counters, call/lookup latency histograms, the
     /// structured-event ring, and publish/audit spans. The registry is
     /// the service's only count. The record path is a handful of relaxed
-    /// atomics per *batch*, so this defaults on; `false` counts nothing
+    /// atomics per *call*, so this defaults on; `false` counts nothing
     /// at all (used by the bench to measure the overhead delta).
     pub telemetry: bool,
     /// Retired: route updates always patch the merged trie in place.
@@ -96,18 +92,16 @@ pub struct ServiceConfig {
     /// it stays only until the repo benchmark, which spells it, stops
     /// doing so.
     pub dirty_rebuild_threshold: usize,
-    /// Retired: no lane keeps a result cache, whatever this says; every
-    /// batch walks the trie (DESIGN §15). Nothing reads the field; it
-    /// stays only until the repo benchmark, which spells it, stops doing
-    /// so.
+    /// Retired: no service keeps a result cache, whatever this says;
+    /// every call walks the trie (DESIGN §15). Nothing reads the field;
+    /// it stays only until the repo benchmark, which spells it, stops
+    /// doing so.
     pub lookup_cache: Option<usize>,
-    /// 1-in-N batch-trace sampling rate (`Some(64)` traces every 64th
-    /// submitted batch); `None` disables tracing entirely. Sampled
-    /// batches carry an owned [`vr_obs::TraceBuilder`] through the
-    /// queue and close stage spans (enqueue → dequeue → lane walk →
-    /// complete) into the service's
-    /// [`vr_obs::Tracer`] ring; unsampled batches pay one modulo on
-    /// submit and an `Option` check per stage. The
+    /// 1-in-N call-trace sampling rate (`Some(64)` traces every 64th
+    /// call that resolves keys); `None` disables tracing entirely. A
+    /// sampled call records its stage spans (lane walk → complete) into
+    /// the service's [`vr_obs::Tracer`] ring; an unsampled one pays one
+    /// modulo and an `Option` check per stage. The
     /// `service_jump_traced` bench row holds the sampled hot path
     /// within 5% of the untraced one at the default 1-in-64.
     pub trace_sample: Option<u32>,
@@ -116,7 +110,7 @@ pub struct ServiceConfig {
 impl Default for ServiceConfig {
     fn default() -> Self {
         Self {
-            workers: std::thread::available_parallelism().map_or(2, |n| n.get().min(8)),
+            workers: 1,
             batch_width: None,
             queue_depth: 64,
             telemetry: true,
@@ -128,23 +122,8 @@ impl Default for ServiceConfig {
     }
 }
 
-/// One resolved batch leaving a worker.
-#[derive(Debug, Clone)]
-pub struct CompletedBatch {
-    /// Submission sequence number (global, monotonically increasing).
-    pub seq: u64,
-    /// Per-packet results, in submission order.
-    pub results: Vec<Option<NextHop>>,
-    /// Generation of the snapshot the whole batch resolved against.
-    pub generation: u64,
-    /// Wall time the worker spent resolving the batch, in nanoseconds.
-    pub elapsed_ns: u64,
-    /// Worker (shard) that served the batch.
-    pub worker: usize,
-}
-
 /// Registry handles of the route-update path, bound on the core's
-/// registry; the core itself counts swaps, rejections and stalls.
+/// registry; the core itself counts lookups, swaps and rejections.
 struct UpdateTelemetry {
     updates: Counter,
     update_ns: Histogram,
@@ -174,21 +153,20 @@ pub fn lookup_batch_mixed(trie: &JumpTrie, packets: &[(VnId, u32)], out: &mut [O
     }
 }
 
-/// N-shard concurrent lookup service over an immutable, atomically
-/// swappable [`JumpTrie`].
+/// Lookup service with incremental route updates over an immutable,
+/// atomically swappable [`JumpTrie`].
 ///
 /// ```
 /// use vr_engine::service::{LookupService, ServiceConfig};
 /// use vr_net::RoutingTable;
 ///
 /// let table: RoutingTable = "10.0.0.0/8 1\n10.1.1.0/24 2\n".parse().unwrap();
-/// let cfg = ServiceConfig { workers: 2, ..ServiceConfig::default() };
-/// let mut service = LookupService::new(vec![table], cfg).unwrap();
+/// let mut service = LookupService::new(vec![table], ServiceConfig::default()).unwrap();
 ///
 /// let packets = vec![(0, 0x0A01_0103), (0, 0x0A02_0000), (0, 0x0B00_0000)];
 /// assert_eq!(service.process(&packets), vec![Some(2), Some(1), None]);
 ///
-/// // Publish a route change: in-flight lookups keep their snapshot.
+/// // Publish a route change: a call in progress keeps its snapshot.
 /// let updated: RoutingTable = "10.0.0.0/8 5\n".parse().unwrap();
 /// service.publish_tables(vec![updated]).unwrap();
 /// assert_eq!(service.process(&[(0, 0x0A01_0103)]), vec![Some(5)]);
@@ -207,7 +185,6 @@ pub struct LookupService {
     /// snapshot only while it is that one, never from a trie
     /// `publish_trie` brought in.
     painted: u64,
-    batch_width: usize,
     /// `None` when [`ServiceConfig::telemetry`] is off.
     telemetry: Option<UpdateTelemetry>,
 }
@@ -250,19 +227,18 @@ fn paint(tables: Vec<RoutingTable>) -> Result<(Routing, JumpTrie), EngineError> 
 }
 
 impl LookupService {
-    /// Builds the jump trie and spawns the threads of lanes 1..N.
+    /// Builds the jump trie and publishes it.
     ///
     /// # Errors
     /// Rejects an empty table set, zero lanes, a zero batch width or
-    /// sample rate, the retired
+    /// sample rate (three of them retired fields), the retired
     /// [`ServiceConfig::full_rebuild`], and merge failures (more than 64
     /// virtual networks).
     pub fn new(tables: Vec<RoutingTable>, cfg: ServiceConfig) -> Result<Self, EngineError> {
         if tables.is_empty() {
             return Err(EngineError::InvalidParameter("need at least one table"));
         }
-        let batch_width = cfg.batch_width.unwrap_or(DEFAULT_BATCH_WIDTH);
-        if batch_width == 0 {
+        if cfg.batch_width == Some(0) {
             return Err(EngineError::InvalidParameter(
                 "batch width must be positive",
             ));
@@ -281,32 +257,13 @@ impl LookupService {
         };
         let (routing, trie) = paint(tables)?;
         let core = ServiceCore::new(trie, pool, TraceBuilder::set_worker)?;
-        let telemetry = core.metrics().map(|registry| {
-            registry
-                .gauge("vr_service_batch_width")
-                .set(batch_width as u64);
-            UpdateTelemetry::for_registry(registry)
-        });
+        let telemetry = core.metrics().map(|r| UpdateTelemetry::for_registry(r));
         Ok(Self {
             core,
             routing,
             painted: 0,
-            batch_width,
             telemetry,
         })
-    }
-
-    /// Lane count: the caller plus one per worker thread.
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        self.core.workers()
-    }
-
-    /// Span floor in effect: the fewest keys [`process`](Self::process)
-    /// hands a lane as a job of their own.
-    #[must_use]
-    pub fn batch_width(&self) -> usize {
-        self.batch_width
     }
 
     /// Generation of the currently published snapshot.
@@ -322,88 +279,34 @@ impl LookupService {
         self.routing.arity()
     }
 
-    /// Enqueues one batch on the next lane (round-robin) and returns its
-    /// sequence number. Lane 0 is the caller's: a full lane-0 queue is
-    /// resolved on the spot, never waited on. Another lane blocks only
-    /// when its queue is full; the stall is counted
-    /// (`vr_service_queue_stalls_total`) and ringed as a
-    /// [`WorkerStall`](vr_telemetry::EventKind::WorkerStall) before the
-    /// blocking send, so backpressure is observable while it is
-    /// happening.
-    pub fn submit(&mut self, packets: Vec<(VnId, u32)>) -> u64 {
-        let lane = (self.core.next_seq() % self.core.workers() as u64) as usize;
-        self.submit_to(lane, packets)
-    }
-
-    /// Enqueues one batch on lane `lane` and returns its sequence number.
-    fn submit_to(&mut self, lane: usize, packets: Vec<(VnId, u32)>) -> u64 {
-        self.core.submit(
-            lane,
-            Job {
-                packets,
-                ..Job::default()
-            },
-        )
-    }
-
-    /// Waits for every submitted batch and returns the batches sorted by
-    /// submission sequence.
-    pub fn collect_all(&mut self) -> Vec<CompletedBatch> {
-        let mut done: Vec<CompletedBatch> = Vec::new();
-        self.core.drain(|batch| {
-            done.push(CompletedBatch {
-                seq: batch.job.seq,
-                results: batch.job.results,
-                generation: batch.generation,
-                elapsed_ns: batch.elapsed_ns,
-                worker: batch.worker,
-            });
-        });
-        done.sort_by_key(|b| b.seq);
-        done
-    }
-
-    /// Resolves a packet stream end to end and returns per-packet results
-    /// in input order. The call is cut into at most `workers` contiguous
-    /// spans of at least [`batch_width`](Self::batch_width) keys (one
-    /// shorter span when the whole call is shorter), span `i` is one job
-    /// on lane `i`, and each lane resolves its span against the one
-    /// snapshot it pins. The first span runs on the calling thread, so a
-    /// one-span call makes no hand-off at any lane count and a longer one
-    /// makes one per other lane, not one per chunk.
-    /// Batches a caller [`submit`](Self::submit)ted and never collected
-    /// are drained and counted, but are not part of the result.
+    /// Resolves a packet stream on the calling thread and returns
+    /// per-packet results in input order, all against the one snapshot
+    /// the call pinned.
     pub fn process(&mut self, packets: &[(VnId, u32)]) -> Vec<Option<NextHop>> {
-        let first_seq = self.core.next_seq();
-        let spans = (packets.len() / self.batch_width).clamp(1, self.core.workers());
-        let (len, longer) = (packets.len() / spans, packets.len() % spans);
-        let mut rest = packets;
-        for span in 0..spans {
-            let (head, tail) = rest.split_at(len + usize::from(span < longer));
-            rest = tail;
-            if !head.is_empty() {
-                self.submit_to(span, head.to_vec());
-            }
-        }
-        let mut out = Vec::with_capacity(packets.len());
-        for batch in self.collect_all() {
-            if batch.seq >= first_seq {
-                out.extend(batch.results);
-            }
-        }
+        let mut out = vec![None; packets.len()];
+        self.process_into(packets, &mut out);
         out
+    }
+
+    /// [`Self::process`] into a caller-owned output slice; returns the
+    /// generation of the one snapshot the whole call resolved against.
+    ///
+    /// # Panics
+    /// If `packets` and `out` differ in length.
+    pub fn process_into(&mut self, packets: &[(VnId, u32)], out: &mut [Option<NextHop>]) -> u64 {
+        self.core.lookup_into(packets, out)
     }
 
     /// Publishes a fresh snapshot built from `tables` and, once the
     /// audit gate has accepted it, makes their sorted routes the routing
-    /// state. The build runs outside the swap lock; in-flight batches
-    /// finish on their pinned snapshot. Returns the new generation.
+    /// state. The build runs outside the swap lock. Returns the new
+    /// generation.
     ///
     /// # Errors
     /// Propagates trie construction failures and audit rejections; the
     /// live table and the routing state are untouched on error. The VN
-    /// count must not change — workers' batches carry VN ids that must
-    /// stay valid across swaps.
+    /// count must not change: callers hold VN ids that must stay valid
+    /// across swaps.
     pub fn publish_tables(&mut self, tables: Vec<RoutingTable>) -> Result<u64, EngineError> {
         if tables.len() != self.vn_count() {
             return Err(EngineError::InvalidParameter(
@@ -430,7 +333,7 @@ impl LookupService {
 
     /// Applies a route-update stream (`vr_net::update`) to the merged
     /// trie and publishes a fresh snapshot — announce/withdraw never
-    /// stalls in-flight lookups. Returns the new generation.
+    /// stalls a lookup. Returns the new generation.
     ///
     /// Updates are applied in slice order, so a batch carrying several
     /// updates for the same (VN, prefix) resolves last-writer-wins (the
@@ -555,7 +458,7 @@ impl LookupService {
         self.core.metrics()
     }
 
-    /// The live batch tracer, when the service was configured with
+    /// The live call tracer, when the service was configured with
     /// [`ServiceConfig::trace_sample`]. Clone it to read completed
     /// traces (or export them over the vr-obs HTTP plane) from another
     /// thread while the service keeps running.
@@ -571,21 +474,17 @@ impl LookupService {
         self.core.telemetry_snapshot()
     }
 
-    /// Drains outstanding batches, stops and joins the workers (the
-    /// core's `Drop`, which also runs when the service is simply
-    /// dropped), and returns the registry's final scrape (`None` with
-    /// telemetry off).
+    /// Returns the registry's final scrape (`None` with telemetry off)
+    /// and drops the service.
     #[must_use]
     pub fn shutdown(self) -> Option<TelemetrySnapshot> {
-        self.core.shutdown()
+        self.core.telemetry_snapshot()
     }
 }
 
 impl std::fmt::Debug for LookupService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LookupService")
-            .field("workers", &self.workers())
-            .field("batch_width", &self.batch_width)
             .field("generation", &self.generation())
             .field("vns", &self.vn_count())
             .finish_non_exhaustive()
@@ -597,21 +496,14 @@ mod tests {
     use super::*;
     use crate::service_core::build_trie;
     use crate::service_core::contract::{self, contract_tests, Kind};
-    use vr_net::synth::TableSpec;
     use vr_telemetry::EventKind;
 
     fn table(text: &str) -> RoutingTable {
         text.parse().unwrap()
     }
 
-    fn small_cfg(workers: usize) -> ServiceConfig {
-        ServiceConfig {
-            workers,
-            batch_width: Some(16),
-            queue_depth: 8,
-            telemetry: true,
-            ..ServiceConfig::default()
-        }
+    fn small_cfg() -> ServiceConfig {
+        ServiceConfig::default()
     }
 
     impl LookupService {
@@ -634,16 +526,15 @@ mod tests {
         }
     }
 
-    contract_tests! { Kind::Spans;
+    contract_tests! { Kind::Service;
         resolves_like_the_oracle_across_shards => oracle_parity,
+        four_workers_walk_on_the_calling_thread => four_lanes_walk_on_the_calling_thread,
         serves_merged_vns_and_mixed_batches => mixed_vn_batches_resolve_per_network,
         empty_tiny_and_ragged_calls_keep_input_order => empty_tiny_and_ragged_calls_keep_input_order,
         lookup_cache_is_inert => lookup_cache_is_inert,
         traced_service_records_validating_stage_chains => traced_jobs_record_validating_stage_chains,
         telemetry_off_disables_the_registry => telemetry_off_has_no_registry_and_stays_exact,
-        process_after_an_uncollected_submit_returns_only_its_own_results =>
-            process_after_an_uncollected_submit_returns_only_its_own_results,
-        drop_joins_the_workers_and_frees_the_snapshot => drop_joins_the_workers_and_frees_the_snapshot,
+        drop_frees_the_snapshot => drop_frees_the_snapshot,
         lane_zero_jobs_resolve_on_the_generation_they_were_submitted_under =>
             lane_zero_jobs_resolve_on_the_generation_they_were_submitted_under,
     }
@@ -652,29 +543,28 @@ mod tests {
     fn trace_sampling_is_one_in_n_and_zero_rate_is_rejected() {
         let cfg = ServiceConfig {
             trace_sample: Some(4),
-            ..small_cfg(1)
+            ..small_cfg()
         };
         let mut service = LookupService::new(vec![table("10.0.0.0/8 1\n")], cfg).unwrap();
         let packets: Vec<(VnId, u32)> = (0..16u32).map(|i| (0, 0x0A00_0000 | i)).collect();
         for _ in 0..16 {
-            service.submit(packets.clone());
+            assert_eq!(service.process(&packets), vec![Some(1); 16]);
         }
-        let _ = service.collect_all();
         let snap = service.tracer().unwrap().snapshot();
-        assert_eq!(snap.recorded, 4, "every 4th of 16 batches");
+        assert_eq!(snap.recorded, 4, "every 4th of 16 calls");
         assert!(snap.traces.iter().all(|t| t.seq % 4 == 0));
         let _ = service.shutdown();
 
         let bad = ServiceConfig {
             trace_sample: Some(0),
-            ..small_cfg(1)
+            ..small_cfg()
         };
         assert!(LookupService::new(vec![table("10.0.0.0/8 1\n")], bad).is_err());
     }
 
     #[test]
     fn updates_swap_without_changing_vn_count() {
-        let mut service = LookupService::new(vec![table("10.0.0.0/8 1\n")], small_cfg(2)).unwrap();
+        let mut service = LookupService::new(vec![table("10.0.0.0/8 1\n")], small_cfg()).unwrap();
         assert_eq!(service.generation(), 0);
         let gen = service
             .apply_updates(&[
@@ -709,14 +599,11 @@ mod tests {
 
     #[test]
     fn audit_gate_rejects_corrupt_trie_and_keeps_serving() {
-        contract::run(
-            contract::rejected_publish_changes_nothing_and_is_counted,
-            Kind::Spans,
-        );
+        contract::rejected_publish_changes_nothing_and_is_counted(Kind::Service);
         // A refused table build leaves the routing state alone: the next
         // update batch still patches the family that was serving.
         let t = table("10.0.0.0/8 1\n");
-        let mut service = LookupService::new(vec![t.clone(), t.clone()], small_cfg(1)).unwrap();
+        let mut service = LookupService::new(vec![t.clone(), t.clone()], small_cfg()).unwrap();
         let gate = service.core.gate;
         service.core.gate = contract::refuse;
         assert!(service
@@ -739,43 +626,22 @@ mod tests {
 
     #[test]
     fn rejects_bad_configs() {
-        contract::run(contract::bad_configurations_are_rejected, Kind::Spans);
+        contract::bad_configurations_are_rejected(Kind::Service);
         let zero_width = ServiceConfig {
             batch_width: Some(0),
-            ..small_cfg(1)
+            ..small_cfg()
         };
         assert!(LookupService::new(vec![table("10.0.0.0/8 1\n")], zero_width).is_err());
         let full_rebuild = ServiceConfig {
             full_rebuild: true,
-            ..small_cfg(1)
+            ..small_cfg()
         };
         assert!(LookupService::new(vec![table("10.0.0.0/8 1\n")], full_rebuild).is_err());
     }
 
     #[test]
-    fn unset_batch_width_means_64() {
-        let cfg = ServiceConfig {
-            workers: 1,
-            batch_width: None,
-            queue_depth: 4,
-            ..ServiceConfig::default()
-        };
-        let service = LookupService::new(vec![table("10.0.0.0/8 1\n")], cfg).unwrap();
-        assert_eq!(service.batch_width(), 64);
-        let snap = service.telemetry_snapshot().unwrap();
-        assert_eq!(snap.gauge("vr_service_batch_width"), Some(64));
-        let _ = service.shutdown();
-    }
-
-    #[test]
     fn registry_counts_the_input() {
-        contract::run(contract::registry_counts_the_input, Kind::Spans);
-        let t = table("10.0.0.0/8 1\n");
-        let mut service = LookupService::new(vec![t], small_cfg(2)).unwrap();
-        let _ = service.process(&[(0, 0x0A00_0001); 40]);
-        let totals = service.shutdown().unwrap();
-        assert_eq!(totals.gauge("vr_service_batch_width"), Some(16));
-        assert_eq!(totals.gauge("vr_service_generation_lag"), Some(0));
+        contract::registry_counts_the_input(Kind::Service);
     }
 
     #[test]
@@ -786,7 +652,7 @@ mod tests {
         let audited = cfg!(any(debug_assertions, feature = "audit-on-publish"));
         let (swaps, rejections) = if audited { (1, 1) } else { (2, 0) };
         let t = table("10.0.0.0/8 1\n");
-        let mut service = LookupService::new(vec![t.clone()], small_cfg(1)).unwrap();
+        let mut service = LookupService::new(vec![t.clone()], small_cfg()).unwrap();
         service
             .publish_tables(vec![table("10.0.0.0/8 2\n")])
             .unwrap();
@@ -815,65 +681,7 @@ mod tests {
         assert!(kinds.iter().any(|k| match k {
             EventKind::AuditRejected { generation } => audited && *generation == 2,
             EventKind::GenerationSwap { generation } => !audited && *generation == 2,
-            _ => false,
         }));
-        let _ = service.shutdown();
-    }
-
-    #[test]
-    fn queue_stalls_are_counted_when_a_shard_backs_up() {
-        let t = TableSpec::paper_worst_case(17).generate().unwrap();
-        let base: Vec<(VnId, u32)> = t.prefixes().map(|p| (0, p.addr())).collect();
-        let long: Vec<(VnId, u32)> = base.iter().copied().cycle().take(1 << 15).collect();
-        let cfg = ServiceConfig {
-            workers: 2,
-            batch_width: Some(64),
-            queue_depth: 1,
-            ..ServiceConfig::default()
-        };
-        let mut service = LookupService::new(vec![t], cfg).unwrap();
-        // Submitted directly, round-robin alternates the lanes: the
-        // caller resolves a 1-key lane-0 job between two 2^15-key jobs
-        // for lane 1's depth-1 queue, built up front so a submit is far
-        // cheaper than a lane-1 job. The burst is milliseconds of lane-1
-        // time, longer than a woken thread can run ahead of its submitter
-        // on a shared CPU.
-        let jobs = vec![long; 64];
-        for job in jobs {
-            service.submit(base[..1].to_vec());
-            service.submit(job);
-        }
-        let _ = service.collect_all();
-        // The submitter must have outrun lane 1 at least once.
-        let snap = service.shutdown().unwrap();
-        assert!(snap.counter("vr_service_queue_stalls_total").unwrap() > 0);
-        assert!(snap
-            .events
-            .events
-            .iter()
-            .any(|e| matches!(e.kind, EventKind::WorkerStall { worker: 1 })));
-    }
-
-    #[test]
-    fn the_calling_lane_never_stalls_and_holds_at_most_its_depth() {
-        let t = table("10.0.0.0/8 1\n");
-        let depth = 4;
-        let cfg = ServiceConfig {
-            queue_depth: depth,
-            ..small_cfg(1)
-        };
-        let mut service = LookupService::new(vec![t], cfg).unwrap();
-        for i in 0..256 {
-            service.submit(vec![(0, 0x0A00_0000 | i)]);
-            assert!(service.core.unresolved_local() <= depth);
-        }
-        let batches = service.collect_all();
-        assert_eq!(batches.len(), 256);
-        assert!(batches
-            .iter()
-            .all(|b| b.worker == 0 && b.results == [Some(1)]));
-        let snap = service.telemetry_snapshot().unwrap();
-        assert_eq!(snap.counter("vr_service_queue_stalls_total"), Some(0));
         let _ = service.shutdown();
     }
 
@@ -929,7 +737,7 @@ mod tests {
     fn incremental_updates_match_the_full_rebuild_baseline() {
         let tables = churn_family(61, 3);
         let mut shadow = tables.clone();
-        let mut inc = LookupService::new(tables.clone(), small_cfg(1)).unwrap();
+        let mut inc = LookupService::new(tables.clone(), small_cfg()).unwrap();
         for (i, batch) in churn_batches(tables, 61, 6, 40).iter().enumerate() {
             assert_eq!(inc.apply_updates(batch).unwrap(), i as u64 + 1);
             apply_to_shadow(&mut shadow, batch);
@@ -963,7 +771,7 @@ mod tests {
         for foreign in [false, true] {
             let tables = churn_family(71, 3);
             let mut shadow = tables.clone();
-            let mut service = LookupService::new(tables.clone(), small_cfg(1)).unwrap();
+            let mut service = LookupService::new(tables.clone(), small_cfg()).unwrap();
             if foreign {
                 service.publish_trie(build_trie(&tables).unwrap()).unwrap();
             }
@@ -1003,7 +811,7 @@ mod tests {
     fn an_update_after_a_foreign_publish_serves_the_routing_state() {
         let tables = churn_family(83, 3);
         let mut shadow = tables.clone();
-        let mut service = LookupService::new(tables.clone(), small_cfg(1)).unwrap();
+        let mut service = LookupService::new(tables.clone(), small_cfg()).unwrap();
         let batches = churn_batches(tables, 83, 2, 40);
         service.apply_updates(&batches[0]).unwrap();
         apply_to_shadow(&mut shadow, &batches[0]);
@@ -1024,7 +832,7 @@ mod tests {
     fn a_corrupt_foreign_trie_is_never_read_by_the_next_batch() {
         let tables = churn_family(101, 2);
         let mut shadow = tables.clone();
-        let mut service = LookupService::new(tables.clone(), small_cfg(1)).unwrap();
+        let mut service = LookupService::new(tables.clone(), small_cfg()).unwrap();
         let gate = service.core.gate;
         service.core.gate = |_, _| Ok(());
         // Every root entry names a block past the empty tail, arity 0.
@@ -1044,7 +852,7 @@ mod tests {
     #[test]
     fn an_all_dirty_repaint_equals_the_live_structure() {
         let tables = churn_family(97, 4);
-        let mut service = LookupService::new(tables.clone(), small_cfg(1)).unwrap();
+        let mut service = LookupService::new(tables.clone(), small_cfg()).unwrap();
         let batches = churn_batches(tables, 97, 8, 64);
         let withdrawals = batches
             .iter()
@@ -1066,7 +874,7 @@ mod tests {
     #[test]
     fn only_an_update_builds_the_arena() {
         let tables = churn_family(53, 3);
-        let mut service = LookupService::new(tables.clone(), small_cfg(1)).unwrap();
+        let mut service = LookupService::new(tables.clone(), small_cfg()).unwrap();
         assert!(service.holds_routes());
         let _ = service.process(&[(2, 0x0A00_0001)]);
         let _ = service.alpha().unwrap();
@@ -1085,7 +893,7 @@ mod tests {
     fn a_first_update_answers_every_vn_like_the_tables() {
         let tables = churn_family(59, 4);
         let mut shadow = tables.clone();
-        let mut service = LookupService::new(tables.clone(), small_cfg(2)).unwrap();
+        let mut service = LookupService::new(tables.clone(), small_cfg()).unwrap();
         let batch = &churn_batches(tables, 59, 1, 40)[0];
         assert_eq!(service.apply_updates(batch).unwrap(), 1);
         apply_to_shadow(&mut shadow, batch);
@@ -1121,7 +929,7 @@ mod tests {
                 merged.merging_efficiency().to_bits()
             };
             let mut shadow = tables.clone();
-            let mut service = LookupService::new(tables.clone(), small_cfg(1)).unwrap();
+            let mut service = LookupService::new(tables.clone(), small_cfg()).unwrap();
             assert_eq!(service.alpha().unwrap().to_bits(), alpha(&shadow));
             let batch = &churn_batches(tables, 67, 1, 16)[0];
             service.apply_updates(batch).unwrap();
@@ -1142,7 +950,7 @@ mod tests {
     fn a_first_batch_after_a_foreign_publish_paints_every_bucket() {
         let tables = churn_family(107, 3);
         let mut shadow = tables.clone();
-        let mut service = LookupService::new(tables.clone(), small_cfg(1)).unwrap();
+        let mut service = LookupService::new(tables.clone(), small_cfg()).unwrap();
         service
             .publish_trie(build_trie(&churn_family(109, 3)).unwrap())
             .unwrap();
@@ -1157,7 +965,7 @@ mod tests {
     #[test]
     fn update_telemetry_tracks_each_batch() {
         let t = table("10.0.0.0/8 1\n");
-        let mut service = LookupService::new(vec![t], small_cfg(1)).unwrap();
+        let mut service = LookupService::new(vec![t], small_cfg()).unwrap();
         let updates = [
             RouteUpdate::Announce {
                 vnid: 0,
@@ -1183,7 +991,7 @@ mod tests {
     #[test]
     fn alpha_is_live_and_survives_publish_tables() {
         let t = table("10.0.0.0/8 1\n10.1.1.0/24 2\n");
-        let mut service = LookupService::new(vec![t.clone(), t.clone()], small_cfg(1)).unwrap();
+        let mut service = LookupService::new(vec![t.clone(), t.clone()], small_cfg()).unwrap();
         assert_serves(&service, &[t.clone(), t.clone()]);
         assert!((service.alpha().unwrap() - 1.0).abs() < 1e-12);
         // Withdrawing everything from VN 1 collapses the common set.
@@ -1219,9 +1027,16 @@ mod tests {
                 (vn, prefix.addr() | (i.wrapping_mul(0x9E37_79B9) >> 24))
             })
             .collect();
+        // The lengths the retired span cut turned on (width 16, up to 3
+        // lanes) are lengths like any other.
         let w = 16;
         for workers in [1, 2, 3] {
-            let mut service = LookupService::new(tables.clone(), small_cfg(workers)).unwrap();
+            let cfg = ServiceConfig {
+                workers,
+                batch_width: Some(w),
+                ..small_cfg()
+            };
+            let mut service = LookupService::new(tables.clone(), cfg).unwrap();
             for n in [
                 0,
                 1,
@@ -1240,43 +1055,5 @@ mod tests {
             }
             let _ = service.shutdown();
         }
-    }
-
-    #[test]
-    fn process_hands_each_worker_one_span_per_call() {
-        let t = TableSpec::paper_worst_case(13).generate().unwrap();
-        let packets: Vec<(VnId, u32)> = (0..4096u32)
-            .map(|i| (0, i.wrapping_mul(0x9E37_79B9)))
-            .collect();
-        for workers in [1, 3] {
-            let mut service = LookupService::new(vec![t.clone()], small_cfg(workers)).unwrap();
-            assert_eq!(service.process(&packets).len(), 4096);
-            let totals = service.shutdown().unwrap();
-            assert_eq!(
-                totals.counter("vr_service_batches_total"),
-                Some(workers as u64)
-            );
-            assert_eq!(totals.counter("vr_service_lookups_total"), Some(4096));
-        }
-    }
-
-    #[test]
-    fn process_spans_are_never_shorter_than_the_width() {
-        let t = table("10.0.0.0/8 1\n");
-        // 3 workers, width 16: 40 keys fill two spans of 20, not 16+16+8.
-        let mut service = LookupService::new(vec![t], small_cfg(3)).unwrap();
-        let packets = vec![(0, 0x0A00_0001); 40];
-        let batches = |service: &LookupService| {
-            let snap = service.telemetry_snapshot().unwrap();
-            snap.counter("vr_service_batches_total").unwrap()
-        };
-        assert_eq!(service.process(&packets), vec![Some(1); 40]);
-        assert_eq!(batches(&service), 2);
-        // Shorter than the width: still one span, and nothing for no keys.
-        assert_eq!(service.process(&packets[..5]), vec![Some(1); 5]);
-        assert_eq!(batches(&service), 3);
-        assert!(service.process(&[]).is_empty());
-        assert_eq!(batches(&service), 3);
-        let _ = service.shutdown();
     }
 }

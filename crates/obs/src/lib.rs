@@ -6,12 +6,11 @@
 //! nanoseconds* and serves what the workspace measures over HTTP:
 //!
 //! * [`Tracer`] — sampled per-batch stage tracing. It mints a
-//!   `TraceId` at enqueue for 1-in-N batches; an owned
-//!   [`TraceBuilder`] rides inside the job through the queue and the
-//!   worker closes contiguous stage spans (enqueue → dequeue → lane
-//!   walk → complete) with no shared hot-path
-//!   state. Control-plane publishes and `apply_updates` land as
-//!   standalone spans on the same epoch timeline.
+//!   `TraceId` for 1-in-N batches as each starts; an owned
+//!   [`TraceBuilder`] closes contiguous stage spans (lane walk →
+//!   complete) with no shared hot-path state. Control-plane publishes
+//!   and `apply_updates` land as standalone spans on the same epoch
+//!   timeline.
 //! * [`chrome_trace_json`] — exports traces as Chrome trace-event JSON (the
 //!   object format), so a dump opens directly in `about:tracing` or
 //!   Perfetto; [`check_chrome_trace`] is the structural validator CI

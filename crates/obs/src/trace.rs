@@ -1,14 +1,13 @@
 //! Sampled per-batch stage tracing.
 //!
-//! A [`Tracer`] mints a `trace_id` for every sampled batch at enqueue
-//! time and hands the dispatcher a [`TraceBuilder`] — a small owned
-//! recorder that travels *with the job* through the channel, so the
-//! worker appends stage spans without ever touching a shared structure
+//! A [`Tracer`] mints a `trace_id` for every sampled batch as it starts
+//! and hands the caller a [`TraceBuilder`] — a small owned recorder, so
+//! stage spans are appended without ever touching a shared structure
 //! on the hot path. The builder keeps one running mark; each
 //! [`TraceBuilder::mark`] call closes the span that started at the
 //! previous mark, which makes the stage chain contiguous and
-//! monotonic by construction (enqueue → dequeue → lane walk →
-//! complete). Completed traces return to the tracer's
+//! monotonic by construction (lane walk → complete for a call walked
+//! on its own thread). Completed traces return to the tracer's
 //! bounded ring, where the HTTP plane reads them at control-plane rate
 //! behind a short mutex.
 //!
@@ -36,23 +35,29 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 256;
 /// control-plane spans recorded as standalone single-span traces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Stage {
-    /// Dispatcher-side: from trace start to the job entering the queue.
+    /// Dispatcher-side: from trace start to the job entering a queue.
+    /// No service queues a lookup any more, so nothing emits it; it
+    /// stays so stored traces and the repo benchmark's stage filter keep
+    /// their meaning.
     Enqueue,
-    /// Worker-side: queue residency, closed when the worker picks the
-    /// job up.
+    /// Worker-side queue residency. Emitted by nothing, like
+    /// [`Stage::Enqueue`], and kept for the same reason.
     Dequeue,
     /// LPM result-cache probe loop over the batch. No service emits it
     /// since neither keeps a result cache; it stays so stored traces
     /// and the repo benchmark's stage filter keep their meaning.
     CacheProbe,
-    /// Trie walk over the whole batch. Named for the lane stepper it
-    /// first timed; the name stays so stored traces keep their meaning.
+    /// Trie walk over the whole batch, snapshot pin included; it opens
+    /// the chain of a call walked on the calling thread. Named for the
+    /// lane stepper it first timed; the name stays so stored traces keep
+    /// their meaning.
     LaneWalk,
     /// Scatter of walk results back into batch order + cache fill.
     /// Emitted by nothing, like [`Stage::CacheProbe`], and kept for the
     /// same reason.
     Scatter,
-    /// Result hand-back: from end of lookup to the completion send.
+    /// Result hand-back: from the end of the walk to the trace's close
+    /// (the call's counting included).
     Complete,
     /// An RCU table publish (audit + snapshot swap).
     Publish,
@@ -92,11 +97,11 @@ pub struct StageSpan {
 /// A completed per-batch trace: the stage chain plus attribution.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BatchTrace {
-    /// Tracer-unique id minted at enqueue.
+    /// Tracer-unique id minted when the trace began.
     pub trace_id: u64,
     /// The service's batch sequence number.
     pub seq: u64,
-    /// Worker that ran the batch (channel service), if any.
+    /// Worker that ran the batch (`LookupService`), if any.
     pub worker: Option<u64>,
     /// Shard that ran the batch (sharded service), if any.
     pub shard: Option<u64>,
@@ -130,8 +135,10 @@ impl BatchTrace {
     }
 
     /// Structural causality check used by tests and the proptest suite:
-    /// a worker/shard batch trace must open with `Enqueue`, close with
-    /// `Complete`, have contiguous monotonic spans, and carry exactly
+    /// a worker/shard batch trace must open with `LaneWalk` (a call
+    /// walked on its own thread) or `Enqueue` (a queued job, as stored
+    /// traces hold), close with `Complete`, have contiguous monotonic
+    /// spans, and carry exactly
     /// one of worker/shard attribution. Control-plane span traces
     /// (`Publish` / `ApplyUpdates`) must be single-span and unattributed.
     ///
@@ -157,9 +164,9 @@ impl BatchTrace {
             }
             return Ok(());
         }
-        if first.stage != Stage::Enqueue {
+        if !matches!(first.stage, Stage::LaneWalk | Stage::Enqueue) {
             return Err(format!(
-                "trace {} opens with {:?}, not Enqueue",
+                "trace {} opens with {:?}, not LaneWalk or Enqueue",
                 self.trace_id, first.stage
             ));
         }
@@ -197,9 +204,9 @@ impl BatchTrace {
     }
 }
 
-/// Owned per-batch recorder that rides inside the job through the
-/// queue. Creation and completion touch the tracer's mutex; every
-/// `mark` in between is plain arithmetic on owned memory.
+/// Owned per-batch recorder. Creation and completion touch the
+/// tracer's mutex; every `mark` in between is plain arithmetic on owned
+/// memory.
 #[derive(Debug)]
 pub struct TraceBuilder {
     epoch: Stopwatch,
@@ -295,7 +302,7 @@ impl Tracer {
     }
 
     /// Mints a trace id and opens a builder for batch `seq`. The
-    /// builder's first mark should be [`Stage::Enqueue`].
+    /// builder's first mark should be [`Stage::LaneWalk`].
     #[must_use]
     pub fn begin(&self, seq: u64, packets: usize) -> TraceBuilder {
         let trace_id = self.mint_trace_id();
@@ -430,6 +437,13 @@ mod tests {
         let mut wrong_open = good.clone();
         wrong_open.stages[0].stage = Stage::Dequeue;
         assert!(wrong_open.validate().is_err());
+
+        // A call walked on its own thread opens with the walk.
+        let mut walked = tracer.begin(1, 4);
+        walked.mark(Stage::LaneWalk);
+        walked.set_shard(0);
+        walked.mark(Stage::Complete);
+        walked.finish().validate().unwrap();
 
         let mut wrong_close = good.clone();
         wrong_close.stages.last_mut().unwrap().stage = Stage::Scatter;

@@ -1,9 +1,8 @@
 //! vr-sync: the concurrency discipline layer of the workspace.
 //!
-//! Every lock-free protocol the engine relies on — the RCU-style `Arc`
-//! snapshot swap both services share and the queues between dispatcher
-//! and workers — goes through the wrapper types in this crate instead of
-//! touching `std::sync` / `crossbeam` primitives directly:
+//! The one lock-free protocol the engine relies on — the RCU-style `Arc`
+//! snapshot swap both services share — goes through the wrapper types in
+//! this crate instead of touching `std::sync` primitives directly:
 //!
 //! * [`SyncArc<T>`] — shared immutable snapshot handle (a thin `Arc`).
 //! * [`Publish<T>`] — the single-writer/multi-reader publication slot used
@@ -13,8 +12,6 @@
 //! * [`GenTag`] — the generation tag stored in the slots of the
 //!   standalone `LpmCache`, with an unreachable `EMPTY` sentinel that can
 //!   never match a live generation.
-//! * [`spsc_bounded`] / [`spsc_unbounded`] — the single-producer queues
-//!   connecting dispatcher to workers and shards.
 //!
 //! In a normal build the wrappers compile to the underlying primitive with
 //! `#[inline]` delegation — zero cost, verified by the bench-regression
@@ -35,13 +32,9 @@ mod genctr;
 pub mod model;
 pub mod programs;
 mod publish;
-mod spsc;
 #[cfg(any(vr_model, test))]
 pub mod trace;
 
 pub use arc::SyncArc;
 pub use genctr::GenTag;
 pub use publish::Publish;
-pub use spsc::{
-    spsc_bounded, spsc_unbounded, SpscReceiver, SpscSender, TryRecvError, TrySendError,
-};

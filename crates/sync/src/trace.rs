@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// One recorded wrapper operation.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TraceOp {
-    /// Wrapper operation label, e.g. `"publish.store"` or `"spsc.send"`.
+    /// Wrapper operation label, e.g. `"publish.store"` or `"arc.clone"`.
     pub op: &'static str,
     /// Memory-ordering label the wrapper used, e.g. `"Release"`.
     pub ordering: &'static str,

@@ -19,18 +19,13 @@ use std::collections::VecDeque;
 pub enum EventKind {
     /// A new table generation was published (RCU snapshot swap).
     GenerationSwap {
-        /// Generation number now visible to workers.
+        /// Generation number now visible to lookups.
         generation: u64,
     },
     /// A publish was rejected by the audit gate; no swap happened.
     AuditRejected {
         /// Generation that would have been published.
         generation: u64,
-    },
-    /// A submit found the bounded job queue full (backpressure signal).
-    WorkerStall {
-        /// Worker the batch was destined for.
-        worker: u64,
     },
 }
 
@@ -44,7 +39,7 @@ pub struct EventRecord {
 }
 
 /// Bounded MPMC buffer of `T`s (by default [`EventKind`]s). Publishing
-/// takes a short mutex (events are control-plane rate — swaps, stalls,
+/// takes a short mutex (events are control-plane rate — swaps, rejections,
 /// sampled traces — not per-packet), keeping the data-plane record path
 /// atomic-only.
 pub struct EventRing<T = EventKind> {
@@ -292,7 +287,7 @@ mod tests {
         assert_eq!(seqs, vec![0, 1, 2]);
 
         // Incremental read from the returned cursor: only the new events.
-        ring.publish(EventKind::WorkerStall { worker: 7 });
+        ring.publish(EventKind::AuditRejected { generation: 7 });
         let d2 = ring.drain_since(d.next_seq);
         assert_eq!(d2.missed, 0);
         assert_eq!(d2.events.len(), 1);
@@ -331,7 +326,7 @@ mod tests {
                 let ring = &ring;
                 s.spawn(move || {
                     for _ in 0..100 {
-                        ring.publish(EventKind::WorkerStall { worker: w });
+                        ring.publish(EventKind::AuditRejected { generation: w });
                     }
                 });
             }

@@ -18,28 +18,17 @@ use std::fmt::Write as _;
 const KNOWN_HELP: &[(&str, &str)] = &[
     (
         "vr_service_lookups_total",
-        "Packets looked up by the service workers",
+        "Packets looked up by the service",
     ),
     (
         "vr_service_batches_total",
-        "Batches completed by the service workers",
+        "Lookup calls the service resolved",
     ),
-    (
-        "vr_service_lookup_ns",
-        "Per-lookup wall time as seen by the workers",
-    ),
-    (
-        "vr_service_queue_stalls_total",
-        "Submits that found a bounded job queue full",
-    ),
+    ("vr_service_lookup_ns", "Per-lookup wall time of each call"),
     ("vr_service_swaps_total", "RCU table-generation publishes"),
     (
         "vr_service_generation",
-        "Table generation currently visible to workers",
-    ),
-    (
-        "vr_service_generation_lag",
-        "Newest published generation minus oldest in-flight one",
+        "Table generation currently visible to lookups",
     ),
     (
         "vr_service_updates_total",

@@ -24,7 +24,7 @@
 //!   so no code touches `std::time::Instant` directly (the root
 //!   `clippy.toml` bans `Instant::now` outside the `span` module).
 //! * [`EventRing`] — a bounded ring of structured events (generation
-//!   swaps, audit rejections, worker stalls) with
+//!   swaps, audit rejections) with
 //!   monotonic sequence numbers, so a scraper can *detect* droppage
 //!   instead of silently missing history.
 //!

@@ -103,7 +103,8 @@ mod tests {
         reg.histogram("vr_lookup_ns").record(900);
         reg.events()
             .publish(EventKind::GenerationSwap { generation: 7 });
-        reg.events().publish(EventKind::WorkerStall { worker: 1 });
+        reg.events()
+            .publish(EventKind::AuditRejected { generation: 8 });
         reg.snapshot()
     }
 

@@ -2,11 +2,12 @@
 //!
 //! A socket read hands the decoder an arbitrary byte chunk — half a
 //! header, three frames and a tail, anything. [`FrameDecoder::feed`]
-//! appends it; [`FrameDecoder::next_message`] yields complete messages
-//! until the buffer runs dry. Header fields are parsed in place and
-//! the payload is handed to [`crate::frame::decode_payload`] as a
-//! borrowed slice of the internal buffer — no per-frame intermediate
-//! copy; only the decoded message's own vectors allocate.
+//! appends it; [`FrameDecoder::next_frame`] yields each complete,
+//! CRC-checked frame as its type byte and a payload borrowed from the
+//! internal buffer, until the buffer runs dry — nothing is copied or
+//! allocated. [`FrameDecoder::next_message`] is built on it and hands
+//! the payload to [`crate::frame::decode_payload`]; only the decoded
+//! message's own vectors allocate.
 //!
 //! The decoder is *fail-stop*: any framing error (bad magic, bad
 //! version, oversized length, CRC mismatch, malformed payload) poisons
@@ -75,11 +76,39 @@ impl FrameDecoder {
     /// # Errors
     /// Any framing or payload error; the decoder stays poisoned with it.
     pub fn next_message(&mut self) -> Result<Option<Message>, WireError> {
+        let decoded = match self.next_frame()? {
+            Some((frame_type, payload)) => decode_payload(frame_type, payload).map(Some),
+            None => Ok(None),
+        };
+        decoded.inspect_err(|err| self.poisoned = Some(err.clone()))
+    }
+
+    /// The next complete frame whose header and CRC check out, as its
+    /// frame type and its payload borrowed from the decoder's buffer, or
+    /// `Ok(None)` when more bytes are needed. The frame is consumed; the
+    /// payload is not decoded. A caller that finds it malformed reports
+    /// that itself (the server closes the connection).
+    ///
+    /// # Errors
+    /// Any framing error (magic, version, flags, length, CRC); the
+    /// decoder stays poisoned with it.
+    pub fn next_frame(&mut self) -> Result<Option<(u8, &[u8])>, WireError> {
         if let Some(err) = &self.poisoned {
             return Err(err.clone());
         }
-        match self.try_next() {
-            Ok(msg) => Ok(msg),
+        // Consumed bytes are shifted out here, not when the frame that
+        // crossed the threshold is handed out: its payload is borrowed
+        // until this call.
+        if self.at >= COMPACT_AT {
+            self.buf.drain(..self.at);
+            self.at = 0;
+        }
+        match self.frame_bounds() {
+            Ok(Some((frame_type, start, end))) => {
+                self.at = end;
+                Ok(Some((frame_type, &self.buf[start..end])))
+            }
+            Ok(None) => Ok(None),
             Err(err) => {
                 self.poisoned = Some(err.clone());
                 Err(err)
@@ -87,7 +116,8 @@ impl FrameDecoder {
         }
     }
 
-    fn try_next(&mut self) -> Result<Option<Message>, WireError> {
+    /// The type and payload range of the next complete frame, checked.
+    fn frame_bounds(&self) -> Result<Option<(u8, usize, usize)>, WireError> {
         if self.buffered() < HEADER_LEN {
             return Ok(None);
         }
@@ -120,21 +150,15 @@ impl FrameDecoder {
         if self.buffered() < total {
             return Ok(None);
         }
-        let payload = &self.buf[self.at + HEADER_LEN..self.at + total];
-        let actual_crc = crate::frame::crc32(payload);
+        let (start, end) = (self.at + HEADER_LEN, self.at + total);
+        let actual_crc = crate::frame::crc32(&self.buf[start..end]);
         if actual_crc != expected_crc {
             return Err(WireError::BadCrc {
                 expected: expected_crc,
                 actual: actual_crc,
             });
         }
-        let msg = decode_payload(frame_type, payload)?;
-        self.at += total;
-        if self.at >= COMPACT_AT {
-            self.buf.drain(..self.at);
-            self.at = 0;
-        }
-        Ok(Some(msg))
+        Ok(Some((frame_type, start, end)))
     }
 }
 

@@ -680,6 +680,36 @@ impl<'a> Cursor<'a> {
     }
 }
 
+/// One `LookupRequest` record: `vnid u16, dst u32`, little-endian.
+pub type LookupRecord = [u8; 6];
+
+/// The key a `LookupRequest` record carries.
+#[inline]
+#[must_use]
+pub fn lookup_key(&[v0, v1, d0, d1, d2, d3]: &LookupRecord) -> (VnId, u32) {
+    (
+        u16::from_le_bytes([v0, v1]),
+        u32::from_le_bytes([d0, d1, d2, d3]),
+    )
+}
+
+/// Parses a `LookupRequest` payload into its correlation id and its
+/// records, borrowed from `payload`; nothing is copied. The one parser
+/// of the frame: [`decode_payload`] builds its message from it, and the
+/// server appends the records' keys straight into its batch.
+///
+/// # Errors
+/// [`WireError::Malformed`] on a truncated id, a count the payload
+/// cannot hold, or trailing bytes.
+pub fn lookup_request_records(payload: &[u8]) -> Result<(u64, &[LookupRecord]), WireError> {
+    let mut cur = Cursor::new(payload);
+    let id = cur.u64()?;
+    let n = cur.count(6)?;
+    let records = cur.take(n * 6)?.as_chunks().0;
+    cur.finish()?;
+    Ok((id, records))
+}
+
 /// Decodes a payload of the given frame type. The slice borrows from
 /// the decoder's buffer; only the message's own vectors allocate.
 ///
@@ -687,25 +717,13 @@ impl<'a> Cursor<'a> {
 /// [`WireError::UnknownFrameType`] / [`WireError::Malformed`] on
 /// anything but a structurally exact payload.
 pub fn decode_payload(frame_type: u8, payload: &[u8]) -> Result<Message, WireError> {
+    if frame_type == 0x01 {
+        let (id, records) = lookup_request_records(payload)?;
+        let packets = records.iter().map(lookup_key).collect();
+        return Ok(Message::LookupRequest { id, packets });
+    }
     let mut cur = Cursor::new(payload);
     let msg = match frame_type {
-        0x01 => {
-            let id = cur.u64()?;
-            let n = cur.count(6)?;
-            let packets = cur
-                .take(n * 6)?
-                .as_chunks()
-                .0
-                .iter()
-                .map(|&[v0, v1, d0, d1, d2, d3]| {
-                    (
-                        u16::from_le_bytes([v0, v1]),
-                        u32::from_le_bytes([d0, d1, d2, d3]),
-                    )
-                })
-                .collect();
-            Message::LookupRequest { id, packets }
-        }
         0x02 => {
             let id = cur.u64()?;
             let generation = cur.u64()?;

@@ -11,17 +11,21 @@
 //! is torn-free by construction, extending the engine's never-torn batch
 //! guarantee across the wire.
 //!
-//! A connection makes one `lookup` call per *socket read*, not per
+//! A connection makes one `lookup_into` call per *socket read*, not per
 //! frame: the lookup frames one read delivered (a client's pipelined
 //! burst) are resolved together, up to a fixed key cap, under one
 //! acquisition of the lock, and answered one `LookupResponse` each, all
-//! tagged with the one generation that call resolved against, so
-//! never-torn spans the frames of a group. Every reply goes out in
-//! request order, encoded into one reused buffer and sent with one
-//! write per read. An update frame closes the open group and runs after
-//! it: updates stay barriers on their connection. A frame naming a VN
-//! the backend does not host is answered `ErrorReply(UnknownVn)` by
-//! itself and never reaches the engine.
+//! tagged with the one generation that call pinned, so never-torn spans
+//! the frames of a group. A lookup frame is never decoded into a
+//! message: its records are checked where the decoder's buffer holds
+//! them and their keys appended straight into the group's reused key
+//! buffer, and the call writes into a reused result buffer, so serving
+//! one allocates nothing. Every reply goes out in request order, encoded
+//! into one reused buffer and sent with one write per read. An update
+//! frame closes the open group and runs after it: updates stay barriers
+//! on their connection. A frame naming a VN the backend does not host is
+//! answered `ErrorReply(UnknownVn)` by itself and never reaches the
+//! engine.
 //!
 //! Admission control sheds, it never stalls:
 //!
@@ -55,7 +59,8 @@ use vr_obs::{shed_with, AcceptGate, ShedStream};
 use vr_telemetry::{Counter, MetricsRegistry, Stopwatch};
 
 use crate::frame::{
-    encode, encode_into, encode_lookup_response, ErrorCode, Message, OverloadReason,
+    decode_payload, encode, encode_into, encode_lookup_response, lookup_key,
+    lookup_request_records, ErrorCode, LookupRecord, Message, OverloadReason,
 };
 use crate::FrameDecoder;
 
@@ -111,33 +116,33 @@ impl Default for ServerConfig {
 /// it behind one lock, so `&mut self` methods are serialized across
 /// connections — a lookup can never interleave with an update publish.
 pub trait WireBackend: Send + 'static {
-    /// Resolves a packet batch; returns per-packet next hops in input
-    /// order plus the snapshot generation the whole batch used.
-    fn lookup(&mut self, packets: &[(VnId, u32)]) -> (Vec<Option<NextHop>>, u64);
+    /// Resolves `keys` into `results` (the same length) in input order;
+    /// returns the generation of the one snapshot the whole call pinned.
+    fn lookup_into(&mut self, keys: &[(VnId, u32)], results: &mut [Option<NextHop>]) -> u64;
+    /// [`Self::lookup_into`] into a fresh vector, returned with the
+    /// generation.
+    fn lookup(&mut self, keys: &[(VnId, u32)]) -> (Vec<Option<NextHop>>, u64) {
+        let mut results = vec![None; keys.len()];
+        let generation = self.lookup_into(keys, &mut results);
+        (results, generation)
+    }
     /// Applies a route-update batch atomically (one publish); returns
     /// the generation now live, or a human-readable refusal.
     fn apply_updates(&mut self, updates: &[RouteUpdate]) -> Result<u64, String>;
-    /// The currently live generation.
-    fn generation(&self) -> u64;
     /// How many virtual networks are hosted: a lookup may name VN ids
     /// `0..vn_count()` and nothing else. The server reads it once, when
     /// it starts (updates never add a VN), and checks every frame
-    /// against it, so [`Self::lookup`] never sees an unhosted VN.
+    /// against it, so [`Self::lookup_into`] never sees an unhosted VN.
     fn vn_count(&self) -> usize;
 }
 
 impl WireBackend for LookupService {
-    fn lookup(&mut self, packets: &[(VnId, u32)]) -> (Vec<Option<NextHop>>, u64) {
-        let generation = self.generation();
-        (self.process(packets), generation)
+    fn lookup_into(&mut self, keys: &[(VnId, u32)], results: &mut [Option<NextHop>]) -> u64 {
+        self.process_into(keys, results)
     }
 
     fn apply_updates(&mut self, updates: &[RouteUpdate]) -> Result<u64, String> {
         LookupService::apply_updates(self, updates).map_err(|e| e.to_string())
-    }
-
-    fn generation(&self) -> u64 {
-        LookupService::generation(self)
     }
 
     fn vn_count(&self) -> usize {
@@ -146,17 +151,12 @@ impl WireBackend for LookupService {
 }
 
 impl WireBackend for ShardedService {
-    fn lookup(&mut self, packets: &[(VnId, u32)]) -> (Vec<Option<NextHop>>, u64) {
-        let generation = self.generation();
-        (self.process(packets), generation)
+    fn lookup_into(&mut self, keys: &[(VnId, u32)], results: &mut [Option<NextHop>]) -> u64 {
+        self.process_into(keys, results)
     }
 
     fn apply_updates(&mut self, _updates: &[RouteUpdate]) -> Result<u64, String> {
         Err("sharded backend is lookup-only; route updates need the control plane".into())
-    }
-
-    fn generation(&self) -> u64 {
-        ShardedService::generation(self)
     }
 
     fn vn_count(&self) -> usize {
@@ -165,19 +165,14 @@ impl WireBackend for ShardedService {
 }
 
 impl WireBackend for vr_control::ControlPlane {
-    fn lookup(&mut self, packets: &[(VnId, u32)]) -> (Vec<Option<NextHop>>, u64) {
-        let generation = self.service().generation();
-        (self.service_mut().process(packets), generation)
+    fn lookup_into(&mut self, keys: &[(VnId, u32)], results: &mut [Option<NextHop>]) -> u64 {
+        self.service_mut().process_into(keys, results)
     }
 
     fn apply_updates(&mut self, updates: &[RouteUpdate]) -> Result<u64, String> {
         self.apply_batch(updates)
             .map(|outcome| outcome.generation)
             .map_err(|e| e.to_string())
-    }
-
-    fn generation(&self) -> u64 {
-        self.service().generation()
     }
 
     fn vn_count(&self) -> usize {
@@ -318,7 +313,7 @@ struct Shared<B> {
     metrics: WireMetrics,
     /// [`WireBackend::vn_count`], read once at start.
     vn_count: usize,
-    /// Held for one group's `lookup` or one `apply_updates`, never
+    /// Held for one group's `lookup_into` or one `apply_updates`, never
     /// across a socket read or write.
     backend: Mutex<B>,
 }
@@ -535,9 +530,9 @@ fn serve_connection<B: WireBackend, S: WireStream>(mut stream: S, shared: &Share
         READER_TICK,
         Duration::from_millis(shared.cfg.write_timeout_ms),
     );
+    let mut decoder = FrameDecoder::new();
     let mut conn = Connection {
         shared,
-        decoder: FrameDecoder::new(),
         bucket: TokenBucket::new(shared.cfg.rate_limit_pps, shared.cfg.rate_burst),
         group: Group::default(),
         out: Vec::with_capacity(4 * 1024),
@@ -550,7 +545,7 @@ fn serve_connection<B: WireBackend, S: WireStream>(mut stream: S, shared: &Share
         }
         match read {
             Ok(0) => return,
-            Ok(n) => conn.decoder.feed(&read_buf[..n]),
+            Ok(n) => decoder.feed(&read_buf[..n]),
             Err(e)
                 if matches!(
                     e.kind(),
@@ -563,7 +558,7 @@ fn serve_connection<B: WireBackend, S: WireStream>(mut stream: S, shared: &Share
             }
             Err(_) => return,
         }
-        let open = conn.serve_frames();
+        let open = conn.serve_frames(&mut decoder);
         if let Err(e) = stream.write_all(&conn.out) {
             if matches!(
                 e.kind(),
@@ -582,10 +577,10 @@ fn serve_connection<B: WireBackend, S: WireStream>(mut stream: S, shared: &Share
     }
 }
 
-/// What one connection's thread keeps between reads.
+/// What one connection's thread keeps between reads, beside its
+/// decoder.
 struct Connection<'a, B> {
     shared: &'a Shared<B>,
-    decoder: FrameDecoder,
     bucket: TokenBucket,
     group: Group,
     /// The replies to the current read's frames, encoded back to back.
@@ -593,96 +588,109 @@ struct Connection<'a, B> {
 }
 
 impl<B: WireBackend> Connection<'_, B> {
-    /// Serves every complete frame the decoder holds, appending each
-    /// reply to `out` in request order. Returns `false` when the stream
-    /// is poisoned and the connection must close.
-    fn serve_frames(&mut self) -> bool {
+    /// Serves every complete frame `decoder` holds, appending each reply
+    /// to `out` in request order. Returns `false` when the stream is
+    /// poisoned and the connection must close.
+    fn serve_frames(&mut self, decoder: &mut FrameDecoder) -> bool {
         loop {
-            match self.decoder.next_message() {
-                Ok(Some(msg)) => self.handle(msg),
+            let served = match decoder.next_frame() {
+                // A LookupRequest: its records join the group as they
+                // lie in the decoder's buffer.
+                Ok(Some((0x01, payload))) => {
+                    lookup_request_records(payload).map(|(id, records)| self.lookup(id, records))
+                }
+                Ok(Some((frame_type, payload))) => {
+                    decode_payload(frame_type, payload).map(|msg| self.handle(msg))
+                }
                 Ok(None) => {
                     self.group.serve(&self.shared.backend, &mut self.out);
                     return true;
                 }
-                Err(err) => {
-                    // Framing is unrecoverable: report once, then tear
-                    // the connection down (fail-stop, no resync).
-                    WireMetrics::bump(&self.shared.metrics.decode_errors, 0, 1);
-                    self.reply(&Message::ErrorReply {
-                        id: 0,
-                        code: ErrorCode::BadRequest,
-                        message: err.to_string(),
-                    });
-                    return false;
-                }
+                Err(err) => Err(err),
+            };
+            if let Err(err) = served {
+                // Framing is unrecoverable: report once, then tear the
+                // connection down (fail-stop, no resync).
+                WireMetrics::bump(&self.shared.metrics.decode_errors, 0, 1);
+                self.reply(&Message::ErrorReply {
+                    id: 0,
+                    code: ErrorCode::BadRequest,
+                    message: err.to_string(),
+                });
+                return false;
             }
         }
     }
 
-    /// Routes one decoded frame: a hosted lookup joins the open group;
-    /// everything else is answered after it.
-    fn handle(&mut self, msg: Message) {
+    /// Admits a work frame (lookups or updates) of `cost` items against
+    /// the token bucket; a refused one is answered here.
+    fn admit(&mut self, id: u64, cost: usize) -> bool {
         let shared = self.shared;
-        let metrics = &shared.metrics;
-        // Token cost of the two work-frame kinds; pings and the rest
-        // are free.
-        let cost = match &msg {
-            Message::LookupRequest { packets, .. } => Some(packets.len()),
-            Message::RouteUpdateBatch { updates, .. } => Some(updates.len()),
-            _ => None,
-        };
-        if let Some(cost) = cost {
-            WireMetrics::bump(&metrics.requests, 0, 1);
-            let cost = (cost as u64).max(1);
-            match self.bucket.try_take(cost) {
-                Admit::Now => {}
-                Admit::Later => {
-                    WireMetrics::bump(&metrics.shed_rate_limited, 0, 1);
-                    self.reply(&Message::Overloaded {
-                        id: msg.id(),
-                        reason: OverloadReason::RateLimited,
-                        retry_after_ms: shared.cfg.retry_after_ms,
-                    });
-                    return;
-                }
-                Admit::Never { burst } => {
-                    self.reply(&Message::ErrorReply {
-                        id: msg.id(),
-                        code: ErrorCode::BadRequest,
-                        message: format!(
-                            "frame costs {cost} tokens, beyond the rate limit's burst of {burst}"
-                        ),
-                    });
-                    return;
-                }
+        WireMetrics::bump(&shared.metrics.requests, 0, 1);
+        let cost = (cost as u64).max(1);
+        match self.bucket.try_take(cost) {
+            Admit::Now => true,
+            Admit::Later => {
+                WireMetrics::bump(&shared.metrics.shed_rate_limited, 0, 1);
+                self.reply(&Message::Overloaded {
+                    id,
+                    reason: OverloadReason::RateLimited,
+                    retry_after_ms: shared.cfg.retry_after_ms,
+                });
+                false
+            }
+            Admit::Never { burst } => {
+                self.reply(&Message::ErrorReply {
+                    id,
+                    code: ErrorCode::BadRequest,
+                    message: format!(
+                        "frame costs {cost} tokens, beyond the rate limit's burst of {burst}"
+                    ),
+                });
+                false
             }
         }
+    }
+
+    /// One lookup frame: an admitted frame whose VNs are all hosted joins
+    /// the open group, key by key from its records; one naming an
+    /// unhosted VN is refused alone.
+    fn lookup(&mut self, id: u64, records: &[LookupRecord]) {
+        if !self.admit(id, records.len()) {
+            return;
+        }
+        let shared = self.shared;
+        let unhosted = records
+            .iter()
+            .map(lookup_key)
+            .find(|&(vn, _)| usize::from(vn) >= shared.vn_count);
+        if let Some((vn, _)) = unhosted {
+            self.reply(&Message::ErrorReply {
+                id,
+                code: ErrorCode::UnknownVn,
+                message: format!("vn {vn} is not hosted ({} are)", shared.vn_count),
+            });
+            return;
+        }
+        if !self.group.admits(records.len()) {
+            self.group.serve(&shared.backend, &mut self.out);
+        }
+        WireMetrics::bump(&shared.metrics.lookup_packets, 0, records.len() as u64);
+        self.group.keys.extend(records.iter().map(lookup_key));
+        self.group.frames.push((id, records.len()));
+    }
+
+    /// Every frame but a lookup, answered after the open group.
+    fn handle(&mut self, msg: Message) {
+        let shared = self.shared;
         let reply = match msg {
-            Message::LookupRequest { id, packets } => {
-                match packets
-                    .iter()
-                    .find(|&&(vn, _)| usize::from(vn) >= shared.vn_count)
-                {
-                    Some(&(vn, _)) => Message::ErrorReply {
-                        id,
-                        code: ErrorCode::UnknownVn,
-                        message: format!("vn {vn} is not hosted ({} are)", shared.vn_count),
-                    },
-                    None => {
-                        if !self.group.admits(packets.len()) {
-                            self.group.serve(&shared.backend, &mut self.out);
-                        }
-                        WireMetrics::bump(&metrics.lookup_packets, 0, packets.len() as u64);
-                        self.group.keys.extend_from_slice(&packets);
-                        self.group.frames.push((id, packets.len()));
-                        return;
-                    }
-                }
-            }
             Message::RouteUpdateBatch { id, updates } => {
+                if !self.admit(id, updates.len()) {
+                    return;
+                }
                 // A barrier: the lookups before it resolve first.
                 self.group.serve(&shared.backend, &mut self.out);
-                WireMetrics::bump(&metrics.updates, 0, updates.len() as u64);
+                WireMetrics::bump(&shared.metrics.updates, 0, updates.len() as u64);
                 match shared.backend.lock().apply_updates(&updates) {
                     Ok(generation) => Message::UpdateAck { id, generation },
                     Err(message) => Message::ErrorReply {
@@ -718,12 +726,15 @@ impl<B: WireBackend> Connection<'_, B> {
 const GROUP_KEY_CAP: usize = 8 * 1024;
 
 /// The lookup frames one backend call serves: their keys back to back
-/// in one reused buffer, and per frame what the reply needs.
+/// in one reused buffer, per frame what the reply needs, and the reused
+/// buffer the call writes its results into.
 #[derive(Default)]
 struct Group {
     keys: Vec<(VnId, u32)>,
     /// (correlation id, key count), in request order.
     frames: Vec<(u64, usize)>,
+    /// The last call's results, kept for the capacity.
+    results: Vec<Option<NextHop>>,
 }
 
 impl Group {
@@ -737,29 +748,21 @@ impl Group {
     /// One backend call for the whole group under one acquisition of
     /// the lock, then one `LookupResponse` per frame appended to `out`,
     /// encoded straight from that frame's share of the results and all
-    /// tagged with the generation the call resolved against. Leaves the
-    /// group empty.
+    /// tagged with the generation the call pinned. Leaves the group
+    /// empty.
     fn serve<B: WireBackend>(&mut self, backend: &Mutex<B>, out: &mut Vec<u8>) {
         if self.frames.is_empty() {
             return;
         }
-        let (results, generation) = backend.lock().lookup(&self.keys);
-        let mut rest = results.as_slice();
+        self.results.clear();
+        self.results.resize(self.keys.len(), None);
+        let generation = backend.lock().lookup_into(&self.keys, &mut self.results);
+        // The frames' key counts sum to the keys the results answer.
+        let mut rest = self.results.as_slice();
         for (id, n) in self.frames.drain(..) {
-            match rest.split_at_checked(n) {
-                Some((own, tail)) => {
-                    rest = tail;
-                    encode_lookup_response(id, generation, own, out);
-                }
-                None => encode_into(
-                    &Message::ErrorReply {
-                        id,
-                        code: ErrorCode::Internal,
-                        message: "backend returned fewer results than keys".into(),
-                    },
-                    out,
-                ),
-            }
+            let (own, tail) = rest.split_at(n);
+            rest = tail;
+            encode_lookup_response(id, generation, own, out);
         }
         self.keys.clear();
     }
@@ -775,9 +778,9 @@ mod tests {
     /// zero dst = no route; updates bump the generation.
     struct FakeBackend {
         generation: u64,
-        /// The keys of every `lookup` call, in call order.
+        /// The keys of every `lookup_into` call, in call order.
         calls: Vec<Vec<(VnId, u32)>>,
-        /// The first `lookup` call reports that it holds the lock, then
+        /// The first `lookup_into` call reports that it holds the lock, then
         /// waits until the test opens the gate (see [`plug`]).
         first_call_gate: Option<(Sender<()>, Receiver<()>)>,
     }
@@ -809,17 +812,16 @@ mod tests {
     }
 
     impl WireBackend for FakeBackend {
-        fn lookup(&mut self, packets: &[(VnId, u32)]) -> (Vec<Option<NextHop>>, u64) {
-            self.calls.push(packets.to_vec());
+        fn lookup_into(&mut self, keys: &[(VnId, u32)], results: &mut [Option<NextHop>]) -> u64 {
+            self.calls.push(keys.to_vec());
             if let Some((entered, open)) = self.first_call_gate.take() {
                 let _ = entered.send(());
                 let _ = open.recv();
             }
-            let results = packets
-                .iter()
-                .map(|&(vn, dst)| Self::expected(vn, dst))
-                .collect();
-            (results, self.generation)
+            for (slot, &(vn, dst)) in results.iter_mut().zip(keys) {
+                *slot = Self::expected(vn, dst);
+            }
+            self.generation
         }
 
         fn apply_updates(&mut self, updates: &[RouteUpdate]) -> Result<u64, String> {
@@ -828,10 +830,6 @@ mod tests {
             }
             self.generation += 1;
             Ok(self.generation)
-        }
-
-        fn generation(&self) -> u64 {
-            self.generation
         }
 
         fn vn_count(&self) -> usize {
@@ -1036,17 +1034,23 @@ mod tests {
         open: Sender<()>,
     }
 
-    /// A server whose first `lookup` call holds the backend lock until
-    /// the test opens the gate.
-    fn start_gated() -> (WireServer<FakeBackend>, crate::WireClient, Gate) {
+    /// A server whose first `lookup_into` call holds the backend lock
+    /// until the test opens the gate.
+    fn gated() -> (WireServer<FakeBackend>, Gate) {
         let (entered_tx, entered) = channel();
         let (open, open_rx) = channel();
         let mut backend = FakeBackend::new();
         backend.first_call_gate = Some((entered_tx, open_rx));
         let server = WireServer::serve_tcp("127.0.0.1:0", backend, ServerConfig::default(), None)
             .expect("bind");
+        (server, Gate { entered, open })
+    }
+
+    /// [`gated`], with a client connected.
+    fn start_gated() -> (WireServer<FakeBackend>, crate::WireClient, Gate) {
+        let (server, gate) = gated();
         let client = connect(&server);
-        (server, client, Gate { entered, open })
+        (server, client, gate)
     }
 
     fn connect(server: &WireServer<FakeBackend>) -> crate::WireClient {
@@ -1298,5 +1302,76 @@ mod tests {
         // Refused keys never reach the backend; the refusal closes the
         // group of 1 and 2, and 4 and 5 open the next.
         assert_eq!(backend.call_sizes(), vec![1, 8, 8]);
+    }
+
+    /// The bytes of [`send_lookup`]'s frame.
+    fn frame_of(id: u64, n: usize) -> Vec<u8> {
+        encode(&Message::LookupRequest {
+            id,
+            packets: keys_of(id, n),
+        })
+    }
+
+    /// A burst whose third lookup frame fails its CRC, or carries a
+    /// count its payload cannot hold behind a valid CRC: the two frames
+    /// before it are answered from one call, then one
+    /// `ErrorReply(BadRequest)` with id 0 names the framing error, and
+    /// the connection closes; the frame after it is never served.
+    #[test]
+    fn a_bad_lookup_frame_inside_a_burst_ends_the_stream_after_its_predecessors() {
+        use crate::frame::{crc32, HEADER_LEN};
+        use std::io::{Read, Write};
+        let mut bad_crc = frame_of(3, 4);
+        let last = bad_crc.len() - 1;
+        bad_crc[last] ^= 0x40;
+        let mut long_count = frame_of(3, 4);
+        long_count[HEADER_LEN + 8..HEADER_LEN + 12].copy_from_slice(&5u32.to_le_bytes());
+        let crc = crc32(&long_count[HEADER_LEN..]);
+        long_count[12..HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
+        for bad in [bad_crc, long_count] {
+            let mut alone = FrameDecoder::new();
+            alone.feed(&bad);
+            let err = alone.next_message().expect_err("the frame is bad");
+            let (server, gate) = gated();
+            let mut stream =
+                TcpStream::connect(server.local_addr().expect("addr")).expect("connect");
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .expect("timeout");
+            stream.write_all(&frame_of(PLUG, 1)).expect("send plug");
+            gate.entered.recv().expect("the plug's call holds the lock");
+            let burst = [frame_of(1, 4), frame_of(2, 4), bad, frame_of(4, 4)].concat();
+            stream.write_all(&burst).expect("send burst");
+            gate.open
+                .send(())
+                .expect("the plug's call waits on the gate");
+            let mut bytes = Vec::new();
+            let mut chunk = [0u8; 4096];
+            loop {
+                match stream.read(&mut chunk) {
+                    Ok(0) | Err(_) => break,
+                    Ok(n) => bytes.extend_from_slice(&chunk[..n]),
+                }
+            }
+            let mut replies = FrameDecoder::new();
+            replies.feed(&bytes);
+            let mut got = Vec::new();
+            while let Some(msg) = replies.next_message().expect("replies decode") {
+                got.push(msg);
+            }
+            let answer = |id: u64, n: usize| Message::LookupResponse {
+                id,
+                generation: 1,
+                results: results_of(id, n),
+            };
+            let refusal = Message::ErrorReply {
+                id: 0,
+                code: ErrorCode::BadRequest,
+                message: err.to_string(),
+            };
+            assert_eq!(got, [answer(PLUG, 1), answer(1, 4), answer(2, 4), refusal]);
+            let backend = server.shutdown().expect("backend");
+            assert_eq!(backend.call_sizes(), vec![1, 8]);
+        }
     }
 }

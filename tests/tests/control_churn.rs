@@ -80,14 +80,7 @@ proptest! {
         extra_probes in prop::collection::vec(any::<u32>(), 8),
     ) {
         let mut shadow = tables.clone();
-        let service = LookupService::new(
-            tables,
-            ServiceConfig {
-                workers: 1,
-                ..ServiceConfig::default()
-            },
-        )
-        .expect("service");
+        let service = LookupService::new(tables, ServiceConfig::default()).expect("service");
         let mut inc = ControlPlane::new(service, ControlConfig::default()).expect("plane");
 
         let mut published_batches = 0;

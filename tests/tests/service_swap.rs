@@ -1,6 +1,6 @@
-//! RCU-swap acceptance: batches in flight while a new table generation
-//! is published must resolve against a single consistent snapshot — all
-//! old or all new, never a torn mix — and post-swap lookups must reflect
+//! RCU-swap acceptance: every lookup call resolves against a single
+//! consistent snapshot — all old or all new, never a torn mix — names
+//! the generation it resolved against, and post-swap lookups reflect
 //! the announced/withdrawn routes exactly.
 
 use vr_engine::{LookupService, ServiceConfig, ShardedConfig, ShardedService};
@@ -20,6 +20,7 @@ fn uniform_table(nh: NextHop) -> RoutingTable {
     )
 }
 
+/// A service whose retired lane count is `workers`: it changes nothing.
 fn service(workers: usize) -> LookupService {
     let tables = vec![uniform_table(OLD_NH); K];
     let cfg = ServiceConfig {
@@ -38,73 +39,73 @@ fn batch(seed: u32, len: usize) -> Vec<(VnId, u32)> {
         .collect()
 }
 
-/// Batches submitted before, during, and after a swap each carry a
-/// generation tag; every result in a batch must match that generation's
-/// next hop. A torn read (old root table, new tail blocks, or vice versa)
-/// would surface as a mixed or empty result inside one batch.
+/// What the never-torn acceptance needs of either service.
+trait Served {
+    /// Resolves `keys` into `out`; returns the generation pinned.
+    fn lookup_into(&mut self, keys: &[(VnId, u32)], out: &mut [Option<NextHop>]) -> u64;
+    /// Publishes the all-`NEW_NH` tables; returns the new generation.
+    fn publish_new(&mut self) -> u64;
+}
+
+impl Served for LookupService {
+    fn lookup_into(&mut self, keys: &[(VnId, u32)], out: &mut [Option<NextHop>]) -> u64 {
+        self.process_into(keys, out)
+    }
+
+    fn publish_new(&mut self) -> u64 {
+        self.publish_tables(vec![uniform_table(NEW_NH); K])
+            .expect("publish")
+    }
+}
+
+impl Served for ShardedService {
+    fn lookup_into(&mut self, keys: &[(VnId, u32)], out: &mut [Option<NextHop>]) -> u64 {
+        self.process_into(keys, out)
+    }
+
+    fn publish_new(&mut self) -> u64 {
+        self.publish_tables(vec![uniform_table(NEW_NH); K])
+            .expect("publish")
+    }
+}
+
+/// Waves of calls before and after a publish: each call returns the
+/// generation it pinned, and every result in it must be that
+/// generation's next hop. A torn read (old root table, new tail blocks,
+/// or vice versa) would surface as a mixed or empty result inside one
+/// call. The calls before the publish see the old generation, the ones
+/// after it the new one.
+fn waves_resolve_old_or_new_never_torn(svc: &mut impl Served) {
+    let mut out = vec![None; 256];
+    let mut wave = |svc: &mut dyn Served, seed: u32, want_generation: u64, want: NextHop| {
+        let generation = svc.lookup_into(&batch(seed, 256), &mut out);
+        assert_eq!(generation, want_generation, "wave {seed}");
+        for (i, nh) in out.iter().enumerate() {
+            assert_eq!(
+                *nh,
+                Some(want),
+                "wave {seed} lane {i} torn against generation {generation}"
+            );
+        }
+    };
+    for seed in 0..8u32 {
+        wave(svc, seed * 1000, 0, OLD_NH);
+    }
+    assert_eq!(svc.publish_new(), 1);
+    for seed in 8..16u32 {
+        wave(svc, seed * 1000, 1, NEW_NH);
+    }
+}
+
 #[test]
 fn inflight_batches_resolve_old_or_new_never_torn() {
     let mut svc = service(4);
-    let base_gen = {
-        // Prime each worker once so snapshots are demonstrably shared.
-        svc.submit(batch(0, 64));
-        let first = svc.collect_all();
-        first[0].generation
-    };
-
-    // Keep the workers busy: enqueue a wave of batches, publish the new
-    // generation while they drain, enqueue another wave behind the swap.
-    for wave in 0..8u32 {
-        svc.submit(batch(wave * 1000, 256));
-    }
-    let new_gen = svc
-        .publish_tables(vec![uniform_table(NEW_NH); K])
-        .expect("publish");
-    assert_eq!(new_gen, base_gen + 1);
-    for wave in 8..16u32 {
-        svc.submit(batch(wave * 1000, 256));
-    }
-
-    let done = svc.collect_all();
-    assert_eq!(done.len(), 16);
-    let mut seen_old = false;
-    let mut seen_new = false;
-    for b in &done {
-        let expect = if b.generation == base_gen {
-            seen_old = true;
-            OLD_NH
-        } else {
-            assert_eq!(b.generation, new_gen, "unknown generation {}", b.generation);
-            seen_new = true;
-            NEW_NH
-        };
-        for (i, nh) in b.results.iter().enumerate() {
-            assert_eq!(
-                *nh,
-                Some(expect),
-                "batch seq {} lane {i} torn against generation {}",
-                b.seq,
-                b.generation
-            );
-        }
-    }
-    // The waves behind the swap can only have seen the new snapshot.
-    assert!(
-        seen_new,
-        "post-swap batches must observe the new generation"
-    );
-    // (seen_old is timing-dependent: pre-swap batches *may* all drain
-    // before publish returns, but usually at least one resolves early.)
-    let _ = seen_old;
-
-    let _ = svc.shutdown();
+    waves_resolve_old_or_new_never_torn(&mut svc);
+    let totals = svc.shutdown().expect("telemetry on");
+    assert_eq!(totals.counter("vr_service_batches_total"), Some(16));
 }
 
-/// The same acceptance for the sharded service: publishes travel the
-/// shard queues as FIFO broadcast messages, so every sub-batch resolves
-/// against exactly the snapshot queued ahead of it — all old or all
-/// new, never torn — and the post-broadcast waves can only see the new
-/// generation.
+/// The same acceptance for the sharded service.
 #[test]
 fn sharded_inflight_batches_resolve_old_or_new_never_torn() {
     let tables = vec![uniform_table(OLD_NH); K];
@@ -113,51 +114,9 @@ fn sharded_inflight_batches_resolve_old_or_new_never_torn() {
         ..ShardedConfig::default()
     };
     let mut svc = ShardedService::new(tables, cfg).expect("sharded service");
-
-    for wave in 0..8u32 {
-        svc.submit(&batch(wave * 1000, 256));
-    }
-    let new_gen = svc
-        .publish_tables(vec![uniform_table(NEW_NH); K])
-        .expect("publish");
-    assert_eq!(new_gen, 1);
-    for wave in 8..16u32 {
-        svc.submit(&batch(wave * 1000, 256));
-    }
-
-    let done = svc.collect_all();
-    let mut lanes = 0usize;
-    let mut seen_new = false;
-    for b in &done {
-        let expect = if b.generation == 0 {
-            OLD_NH
-        } else {
-            assert_eq!(b.generation, new_gen, "unknown generation {}", b.generation);
-            seen_new = true;
-            NEW_NH
-        };
-        assert_eq!(b.results.len(), b.origins.len());
-        lanes += b.results.len();
-        for (i, nh) in b.results.iter().enumerate() {
-            assert_eq!(
-                *nh,
-                Some(expect),
-                "batch seq {} lane {i} torn against generation {}",
-                b.seq,
-                b.generation
-            );
-        }
-    }
-    // Scatter loses no packets: every submitted lane comes back once.
-    assert_eq!(lanes, 16 * 256);
-    // FIFO queues make this deterministic for the sharded service: the
-    // waves submitted after the broadcast *must* see the new snapshot.
-    assert!(
-        seen_new,
-        "post-swap batches must observe the new generation"
-    );
-
-    let _ = svc.shutdown();
+    waves_resolve_old_or_new_never_torn(&mut svc);
+    let totals = svc.shutdown().expect("telemetry on");
+    assert_eq!(totals.counter("vr_service_lookups_total"), Some(16 * 256));
 }
 
 /// After `apply_updates`, service lookups reflect each announce and
@@ -190,9 +149,8 @@ fn post_swap_lookups_reflect_route_updates() {
     let _ = svc.shutdown();
 }
 
-/// Sharded post-swap semantics: after a broadcast republish of edited
-/// tables, hash-scattered lookups reflect the announce and the
-/// withdraw in input order, on every shard.
+/// Sharded post-swap semantics: after a republish of edited tables,
+/// lookups reflect the announce and the withdraw in input order.
 #[test]
 fn sharded_post_swap_lookups_reflect_table_edits() {
     let cfg = ShardedConfig {

@@ -1,10 +1,11 @@
-//! Trace-causality property: under arbitrary interleavings of traffic
-//! and route churn, every sampled batch trace the service records must
-//! be a well-formed causal chain — opened at enqueue, closed at
-//! complete, contiguous and monotonic in between, attributed to exactly
-//! one worker — the 1-in-N sampling decision must be exact in the batch
-//! sequence number, and every successful update batch must land as its
-//! own single-span control trace carrying the generation it produced.
+//! Trace-causality property: under arbitrary interleavings of lookup
+//! calls and route churn, every sampled call trace the service records
+//! must be a well-formed causal chain — opened by the walk, closed at
+//! complete, contiguous and monotonic in between, attributed to the
+//! calling thread as worker 0 — the 1-in-N sampling decision must be
+//! exact in the call sequence number, and every successful update batch
+//! must land as its own single-span control trace carrying the
+//! generation it produced.
 
 use proptest::prelude::*;
 use vr_engine::{LookupService, ServiceConfig, Stage};
@@ -65,24 +66,28 @@ proptest! {
     #[test]
     fn sampled_traces_stay_causal_under_churn(
         ops in prop::collection::vec(op_strategy(), 1..40),
-        workers in 1usize..=3,
         sample in 1u32..=4,
     ) {
         let mut svc = LookupService::new(
             tables(),
             ServiceConfig {
-                workers,
                 trace_sample: Some(sample),
                 ..ServiceConfig::default()
             },
         )
         .expect("service construction");
 
-        let mut submitted = Vec::new();
+        // Every call resolves keys, so the calls are numbered 0, 1, ...;
+        // each one's pinned generation, by number.
+        let mut generations = Vec::new();
         let mut publishes = 0u64;
         for op in &ops {
             match *op {
-                Op::Batch { seed, len } => submitted.push(svc.submit(batch(seed, len))),
+                Op::Batch { seed, len } => {
+                    let mut out = vec![None; len];
+                    generations.push(svc.process_into(&batch(seed, len), &mut out));
+                    prop_assert!(out.iter().all(Option::is_some), "full-coverage tables");
+                }
                 Op::Churn { vnid, octet, announce } => {
                     // A /16 inside an existing /8 so withdrawals of a
                     // never-announced prefix stay harmless no-ops.
@@ -98,7 +103,6 @@ proptest! {
                 }
             }
         }
-        let _ = svc.collect_all();
         let final_generation = svc.generation();
         let snap = svc.tracer().expect("tracing configured").snapshot();
 
@@ -113,22 +117,22 @@ proptest! {
             prop_assert!(trace.generation <= final_generation);
         }
 
-        // Sampling is exact in the sequence number: the batch traces
-        // are precisely the submitted seqs divisible by the rate, and
-        // each is attributed to a worker with its full stage chain.
-        let expected: Vec<u64> = submitted
-            .iter()
-            .copied()
+        // Sampling is exact in the sequence number: the call traces are
+        // precisely the call seqs divisible by the rate, and each is
+        // attributed to the caller as worker 0 with its full stage chain
+        // and the generation the call pinned.
+        let expected: Vec<u64> = (0..generations.len() as u64)
             .filter(|seq| seq % u64::from(sample) == 0)
             .collect();
         let mut traced = Vec::new();
         for trace in &snap.traces {
-            if trace.stages.first().is_some_and(|s| s.stage == Stage::Enqueue) {
-                prop_assert!(trace.worker.is_some(), "batch trace without a worker");
+            if trace.stages.first().is_some_and(|s| s.stage == Stage::LaneWalk) {
+                prop_assert_eq!(trace.worker, Some(0), "call trace not the caller's");
                 prop_assert!(
                     trace.stages.last().is_some_and(|s| s.stage == Stage::Complete),
                     "batch trace not closed"
                 );
+                prop_assert_eq!(Some(&trace.generation), generations.get(trace.seq as usize));
                 traced.push(trace.seq);
             }
         }

@@ -17,16 +17,13 @@ use vr_wire::{Message, ServerConfig, WireBackend, WireClient, WireServer};
 struct Misses;
 
 impl WireBackend for Misses {
-    fn lookup(&mut self, packets: &[(VnId, u32)]) -> (Vec<Option<NextHop>>, u64) {
-        (vec![None; packets.len()], 1)
+    fn lookup_into(&mut self, _keys: &[(VnId, u32)], results: &mut [Option<NextHop>]) -> u64 {
+        results.fill(None);
+        1
     }
 
     fn apply_updates(&mut self, _updates: &[RouteUpdate]) -> Result<u64, String> {
         Err("read-only".into())
-    }
-
-    fn generation(&self) -> u64 {
-        1
     }
 
     fn vn_count(&self) -> usize {
