@@ -1,8 +1,9 @@
 //! Lookup datapath microbenchmark: the scalar walk of every trie
 //! encoding on a paper-scale table — each driven through the one generic
 //! `push_backend` over `vr_trie::LookupBackend` — plus the per-VN
-//! (`lookup_vn`) datapath on merged tries, the mixed-VN batch walk and
-//! result-cache rows (mode `"batch"`), and `LookupService` /
+//! (`lookup_vn`) datapath on merged tries, the mixed-VN batch walk (the
+//! service rows' reference) and result-cache rows (mode `"batch"`), and
+//! `LookupService` /
 //! `ShardedService`, one row per variant (mode `"service"`; each call
 //! walks on the calling thread). Writes
 //! `BENCH_lookup.json` at the workspace root (packets/sec and ns/lookup
@@ -66,10 +67,11 @@ struct Row {
     ns_per_lookup: f64,
     packets_per_sec: f64,
     /// Speedup over the reference row (1.0 for scalar and `jump_mixed`):
-    /// service and sharded rows compare against the merged jump scalar
-    /// walk — the same walk each call runs, minus the snapshot pin and
-    /// the counting — and the `cached_jump_mixed` rows against the uncached
-    /// `jump_mixed` walk of the same stream, measured in the same run.
+    /// service and sharded rows compare against the same scale's
+    /// `jump_mixed` row — `lookup_batch_mixed` over the same packets, the
+    /// walk each call runs, minus the call's counting and result vector —
+    /// and the `cached_jump_mixed` rows against the uncached `jump_mixed`
+    /// walk of the same stream, measured in the same run.
     speedup_vs_scalar: f64,
     /// Median ns/lookup from the instrumented pass. Walk rows:
     /// chunk-granularity wall time through a detached histogram.
@@ -279,6 +281,40 @@ fn live_percentiles(snapshot: Option<TelemetrySnapshot>) -> (Option<f64>, Option
         .unwrap_or((None, None))
 }
 
+/// Measures `lookup_batch_mixed` over the merged family's trie — the walk
+/// every service call runs — on the service rows' packets, at
+/// [`PCTL_BATCH_CHUNK`] keys a call, and returns its ns/lookup: the
+/// reference of the service and sharded rows, so it is timed the way
+/// they are (the same iteration floor and back-to-back repeats).
+fn push_mixed(rows: &mut Vec<Row>, scale: &Scale<'_>, merged_jump: &JumpTrie) -> f64 {
+    let packets = vn_cycled_packets(scale.probes);
+    let mut out = vec![None; PCTL_BATCH_CHUNK];
+    let mut walk = |chunk: &[(VnId, u32)]| {
+        let slot = &mut out[..chunk.len()];
+        lookup_batch_mixed(merged_jump, std::hint::black_box(chunk), slot);
+        slot.iter().filter(|nh| nh.is_some()).count()
+    };
+    let repeat = (1usize << 16).div_ceil(packets.len().max(1));
+    let ns = time_ns_per_lookup(packets.len() * repeat, scale.iters.max(16), || {
+        let mut hits = 0usize;
+        for _ in 0..repeat {
+            hits += packets
+                .chunks(PCTL_BATCH_CHUNK)
+                .map(&mut walk)
+                .sum::<usize>();
+        }
+        hits
+    });
+    let mut pass = PercentileSampler::new(PCTL_BATCH_CHUNK);
+    for chunk in packets.chunks(PCTL_BATCH_CHUNK) {
+        pass.time_chunk(chunk.len(), || walk(chunk));
+    }
+    let pctl = pass.finish("jump_mixed_pctl");
+    rows.push(scale.row("jump_mixed", "batch", Some(PCTL_BATCH_CHUNK), ns, ns, pctl));
+    eprintln!("[bench_lookup] {}/jump_mixed done", scale.name);
+    ns
+}
+
 /// Keys per `ShardedService::process_into` call: `wire_bulk`'s frame.
 const SHARDED_CHUNK: usize = 512;
 
@@ -424,13 +460,13 @@ fn service_percentile_pass(
     pass.finish("service_notel_pctl")
 }
 
-/// Maps a derived row's variant to the scalar row its speedup compares
-/// against: service and sharded rows against the merged jump scalar walk
-/// — the walk each call runs.
-fn scalar_base(variant: &str) -> &str {
+/// Maps a row's variant to the row its speedup compares against: service
+/// and sharded rows against the same scale's `jump_mixed` batch walk —
+/// the walk each call runs — and every other row against itself.
+fn speedup_base(variant: &str) -> &str {
     match variant {
         "service_jump" | "service_jump_notel" | "service_jump_traced" | "sharded_jump" => {
-            "merged_jump_vn"
+            "jump_mixed"
         }
         v => v,
     }
@@ -488,10 +524,10 @@ fn run_scale(
         push_backend::<1>(&mut pass, &scale, "unibit", &unibit);
         push_backend::<1>(&mut pass, &scale, "leaf_pushed", &pushed);
         push_backend::<1>(&mut pass, &scale, "jump", &jump);
-        let jump_vn_ns =
-            push_backend::<FAMILY_K>(&mut pass, &scale, "merged_jump_vn", &merged_jump);
-        push_service(&mut pass, &scale, &family, jump_vn_ns);
-        push_sharded(&mut pass, &scale, &merged_jump, jump_vn_ns);
+        push_backend::<FAMILY_K>(&mut pass, &scale, "merged_jump_vn", &merged_jump);
+        let mixed_ns = push_mixed(&mut pass, &scale, &merged_jump);
+        push_service(&mut pass, &scale, &family, mixed_ns);
+        push_sharded(&mut pass, &scale, &merged_jump, mixed_ns);
         if best.is_empty() {
             best = pass;
         } else {
@@ -511,25 +547,15 @@ fn run_scale(
 
     // Re-derive throughput and speedups from the merged minima so each
     // ratio compares rows from a consistent timing floor.
-    let scalar_ns: Vec<(&'static str, f64)> = best
+    let base_ns: Vec<(&'static str, f64)> = best
         .iter()
-        .filter(|r| r.mode == "scalar")
+        .filter(|r| r.mode == "scalar" || r.variant == "jump_mixed")
         .map(|r| (r.variant, r.ns_per_lookup))
         .collect();
-    let lookup_scalar = |variant: &str| {
-        scalar_ns
-            .iter()
-            .find(|(v, _)| *v == variant)
-            .map(|&(_, ns)| ns)
-    };
     for row in &mut best {
-        let reference = if row.mode == "scalar" {
-            Some(row.ns_per_lookup)
-        } else {
-            lookup_scalar(scalar_base(row.variant))
-        };
         row.packets_per_sec = 1e9 / row.ns_per_lookup;
-        if let Some(ns) = reference {
+        let base = speedup_base(row.variant);
+        if let Some(&(_, ns)) = base_ns.iter().find(|(v, _)| *v == base) {
             row.speedup_vs_scalar = ns / row.ns_per_lookup;
         }
     }

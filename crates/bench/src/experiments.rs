@@ -1144,15 +1144,14 @@ mod tests {
     ///   non-trivial float literal on a line that names a power unit
     ///   belongs in `units.rs` or in `grade.rs`'s Table III
     ///   calibration, the one source of watts the reproduction has;
-    /// * `no-relaxed-publish`: outside `crates/sync`, `Relaxed` on a line
-    ///   naming `generation` or `publish` is the model checker's seeded
-    ///   bug, a generation published without release ordering.
+    /// * `no-relaxed-publish`: anywhere, `Relaxed` on a line naming
+    ///   `generation` or `publish` is a generation published without
+    ///   release ordering.
     fn source_findings(rel: &str, text: &str) -> Vec<String> {
         const POWER_MARKERS: [&str; 6] = ["watt", "_w ", "_uw", "_mw", "uw_per", "mhz"];
         let power_scope = rel.starts_with("crates/core/")
             && !rel.ends_with("/units.rs")
             && !rel.ends_with("/grade.rs");
-        let publish_scope = !rel.starts_with("crates/sync/");
         let mut in_block = false;
         let mut findings = Vec::new();
         let body = text
@@ -1168,8 +1167,7 @@ mod tests {
             {
                 fire("no-raw-power-literal");
             }
-            if publish_scope
-                && find_word(&stripped, "Relaxed").is_some()
+            if find_word(&stripped, "Relaxed").is_some()
                 && ["generation", "publish"].iter().any(|m| lower.contains(m))
             {
                 fire("no-relaxed-publish");
@@ -1276,9 +1274,8 @@ mod tests {
     }
 
     #[test]
-    fn relaxed_publication_fires_outside_the_sync_crate() {
-        // The textual twin of the model checker's RelaxedGenStore seeded
-        // bug: a generation published without release ordering.
+    fn relaxed_publication_fires_in_every_crate() {
+        // A generation published without release ordering.
         let text = "self.generation.store(next, Ordering::Relaxed);\n";
         let findings = source_findings("crates/engine/src/service.rs", text);
         assert_eq!(findings.len(), 1);
@@ -1291,8 +1288,6 @@ mod tests {
         // Relaxed without a publication-side name is a statistics counter.
         let counter = "self.count.fetch_add(1, Ordering::Relaxed);\n";
         assert!(source_findings("crates/engine/src/service.rs", counter).is_empty());
-        // crates/sync models Relaxed publication deliberately.
-        assert!(source_findings("crates/sync/src/programs.rs", text).is_empty());
         // A mention in a comment does not fire.
         let prose = "// a Relaxed generation store would tear\n";
         assert!(source_findings("crates/engine/src/service.rs", prose).is_empty());

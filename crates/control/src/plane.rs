@@ -160,9 +160,9 @@ impl ControlPlane {
         let alpha = self.service.alpha()?;
         let power_delta_w = self.power_delta_w();
         if let Some(t) = &self.telemetry {
-            t.batches.inc(0);
-            t.updates_in.add(0, stats.input as u64);
-            t.superseded.add(0, stats.superseded as u64);
+            t.batches.inc();
+            t.updates_in.add(stats.input as u64);
+            t.superseded.add(stats.superseded as u64);
             t.alpha_pm.set(alpha_pm(alpha));
         }
         Ok(BatchOutcome {

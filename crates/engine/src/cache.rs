@@ -12,7 +12,7 @@
 //!   `(dst_addr, vnid)` and storing the encoded next-hop result — 16
 //!   bytes per slot, probed with one Fibonacci multiply and one load.
 //! * **Generation-tagged invalidation.** Every slot carries the
-//!   generation it was filled under as a vr-sync [`GenTag`]. A probe hits
+//!   generation it was filled under as a `GenTag`. A probe hits
 //!   only when the slot's tag equals the caller's generation, so bumping
 //!   the generation invalidates the whole cache in O(1): no flush loop,
 //!   no epochs, no atomics.
@@ -35,7 +35,6 @@
 
 use vr_net::table::NextHop;
 use vr_net::VnId;
-use vr_sync::GenTag;
 use vr_trie::prefetch::prefetch_index;
 use vr_trie::JumpTrie;
 
@@ -75,6 +74,33 @@ fn decode(code: CacheCode) -> Option<NextHop> {
         None
     } else {
         Some((code - 1) as NextHop)
+    }
+}
+
+/// Generation tag stored in a cache slot: the generation that filled it.
+///
+/// `GenTag::EMPTY` is `u64::MAX`, unreachable by any live generation (a
+/// service's counter starts at 0 and bumps by 1), so an empty slot can
+/// never satisfy [`GenTag::matches`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct GenTag(u64);
+
+impl GenTag {
+    /// Sentinel for "slot never filled".
+    const EMPTY: GenTag = GenTag(u64::MAX);
+
+    /// Tags a fill with the generation it was computed under.
+    #[inline]
+    fn of(generation: u64) -> Self {
+        GenTag(generation)
+    }
+
+    /// Does this slot's fill generation match the caller's? A mismatch
+    /// (including `EMPTY`) is a miss, so bumping the generation
+    /// invalidates the whole cache in O(1).
+    #[inline]
+    fn matches(self, generation: u64) -> bool {
+        self.0 == generation
     }
 }
 
@@ -337,6 +363,14 @@ mod tests {
             .parse()
             .unwrap();
         JumpTrie::from_table(&table)
+    }
+
+    #[test]
+    fn empty_tag_never_matches_a_live_generation() {
+        assert!(!GenTag::EMPTY.matches(0));
+        assert!(!GenTag::EMPTY.matches(1));
+        assert!(GenTag::of(3).matches(3));
+        assert!(!GenTag::of(3).matches(4));
     }
 
     #[test]

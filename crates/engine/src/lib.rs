@@ -3,8 +3,8 @@
 //! The production-shaped lookup datapath over the `vr-trie` structures:
 //! one private service core — an immutable `JumpTrie` behind an
 //! RCU-style generation-counted snapshot swap, with one lookup path that
-//! pins the published snapshot once per call and walks on the calling
-//! thread, one publish protocol, one audit gate and one telemetry
+//! walks the published snapshot in place on the calling thread, one
+//! publish protocol, one audit gate and one telemetry
 //! vocabulary — and two public facades over it, as the paper's VM and VS
 //! organizations are one pipeline reached two ways: [`service`]'s
 //! [`LookupService`] owns the incremental route-update path;

@@ -38,8 +38,8 @@ impl AuditMetrics {
     /// Records one completed audit run: its duration and however many
     /// error-severity violations it found.
     pub(crate) fn observe(&self, report: &AuditReport, elapsed_ns: u64) {
-        self.runs.inc(0);
-        self.violations.add(0, report.error_count());
+        self.runs.inc();
+        self.violations.add(report.error_count());
         self.duration_ns.record(elapsed_ns);
     }
 }

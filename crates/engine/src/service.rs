@@ -8,8 +8,8 @@
 //! change:
 //!
 //! **One walk per call, on the caller's thread.**
-//! [`LookupService::process`] pins the published snapshot once and
-//! walks every key of the call in input order on the calling thread —
+//! [`LookupService::process`] walks every key of the call through the
+//! published snapshot in input order on the calling thread —
 //! the paper's VM organization, one time-shared pipeline serving every
 //! VN. No call is cut into spans or handed to another thread.
 //!
@@ -52,7 +52,6 @@ use vr_net::table::{NextHop, RoutingTable};
 use vr_net::Ipv4Prefix;
 use vr_net::{RouteUpdate, VnId};
 use vr_obs::{Stage, TraceBuilder, Tracer};
-use vr_sync::SyncArc;
 use vr_telemetry::{Counter, Gauge, Histogram, MetricsRegistry, Stopwatch, TelemetrySnapshot};
 use vr_trie::{DirtyBuckets, JumpTrie, MergedTrie, SortedRoutes};
 
@@ -281,7 +280,7 @@ impl LookupService {
 
     /// Resolves a packet stream on the calling thread and returns
     /// per-packet results in input order, all against the one snapshot
-    /// the call pinned.
+    /// published when the call began.
     pub fn process(&mut self, packets: &[(VnId, u32)]) -> Vec<Option<NextHop>> {
         let mut out = vec![None; packets.len()];
         self.process_into(packets, &mut out);
@@ -320,8 +319,8 @@ impl LookupService {
         Ok(generation)
     }
 
-    /// Atomically swaps in an already-built trie (the RCU write side) and
-    /// returns the new generation.
+    /// Swaps in an already-built trie as the next generation and returns
+    /// that generation.
     ///
     /// # Errors
     /// In audited builds (debug, or release with `audit-on-publish`),
@@ -362,7 +361,7 @@ impl LookupService {
         }
         let (generation, dirty) = self.patch_and_publish(updates)?;
         if let Some(t) = &self.telemetry {
-            t.updates.add(0, updates.len() as u64);
+            t.updates.add(updates.len() as u64);
             t.dirty_buckets.set(dirty as u64);
             t.update_ns.record(watch.elapsed_ns());
         }
@@ -446,7 +445,7 @@ impl LookupService {
     /// The currently published snapshot (one refcount bump) — lets the
     /// control plane size the live structure without re-building it.
     #[must_use]
-    pub fn snapshot(&self) -> SyncArc<TableSnapshot> {
+    pub fn snapshot(&self) -> Arc<TableSnapshot> {
         self.core.snapshot()
     }
 
@@ -535,6 +534,7 @@ mod tests {
         traced_service_records_validating_stage_chains => traced_jobs_record_validating_stage_chains,
         telemetry_off_disables_the_registry => telemetry_off_has_no_registry_and_stays_exact,
         drop_frees_the_snapshot => drop_frees_the_snapshot,
+        pins_keep_the_old_table_across_a_publish => pins_keep_the_old_table_across_a_publish,
         lane_zero_jobs_resolve_on_the_generation_they_were_submitted_under =>
             lane_zero_jobs_resolve_on_the_generation_they_were_submitted_under,
     }

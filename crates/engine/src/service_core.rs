@@ -7,20 +7,22 @@
 //! and [`ShardedService`](crate::ShardedService) are two facades over
 //! this core, so everything behind them lives here, once:
 //!
-//! * **One lookup path.** [`ServiceCore::lookup_into`] pins the
-//!   published snapshot once per call — one lock, one refcount
-//!   increment — and walks every key on the calling thread with one
+//! * **One lookup path.** [`ServiceCore::lookup_into`] walks every key
+//!   of a call through the published table on the calling thread — no
+//!   lock, no refcount — with one
 //!   [`lookup_batch_mixed`](crate::service::lookup_batch_mixed) pass,
 //!   straight into the caller's output, with no result cache in front.
 //!   No call is cut into spans, scattered or queued, and the core owns
 //!   no thread.
-//! * **One publish protocol.** The live table sits in a vr-sync
-//!   [`Publish`] slot. [`ServiceCore::publish`] builds nothing, audits
-//!   the candidate, and swaps it in with `generation + 1` derived under
-//!   the slot's lock. A lookup never blocks on a rebuild, a call never
-//!   sees a torn mix of generations (`vr_sync::programs::PublishVsLookup`
-//!   checks this over every bounded interleaving), and the old table is
-//!   freed by the last pin's refcount drop.
+//! * **One publish protocol.** The core owns the live table as an
+//!   `Arc<TableSnapshot>`. [`ServiceCore::publish`] builds nothing,
+//!   audits the candidate, and replaces that `Arc` with one at
+//!   `generation + 1`. Lookups and publishes both take `&mut self`, so
+//!   no call can overlap a publish and none sees a torn mix of
+//!   generations: the borrow checker rules it out, and across the wire
+//!   the server's one backend lock serialises every call. A pin taken
+//!   with [`ServiceCore::snapshot`] keeps the old table alive until it
+//!   drops.
 //! * **One audit gate.** In debug builds (and in release with the
 //!   `audit-on-publish` feature) every candidate runs through
 //!   [`vr_trie::audit`]'s structural verifier before the swap; a
@@ -33,7 +35,6 @@ use std::sync::Arc;
 use vr_net::table::{NextHop, RoutingTable};
 use vr_net::VnId;
 use vr_obs::{Stage, TraceBuilder, Tracer, DEFAULT_TRACE_CAPACITY};
-use vr_sync::{Publish, SyncArc};
 use vr_telemetry::{
     Counter, EventKind, Gauge, Histogram, MetricsRegistry, Stopwatch, TelemetrySnapshot,
 };
@@ -44,7 +45,7 @@ use crate::service::lookup_batch_mixed;
 use crate::EngineError;
 
 /// An immutable routing snapshot: one [`JumpTrie`] plus the generation
-/// that published it. A lookup call pins one snapshot; publishers swap
+/// that published it. A lookup call reads one snapshot; publishers swap
 /// whole snapshots, so trie and generation can never tear apart.
 #[derive(Debug)]
 pub struct TableSnapshot {
@@ -160,9 +161,9 @@ impl CoreTelemetry {
     fn observe_batch(&self, results: &[Option<NextHop>], elapsed_ns: u64) {
         let lookups = results.len() as u64;
         let misses = results.iter().filter(|nh| nh.is_none()).count() as u64;
-        self.lookups.add(0, lookups);
-        self.misses.add(0, misses);
-        self.batches.inc(0);
+        self.lookups.add(lookups);
+        self.misses.add(misses);
+        self.batches.inc();
         self.batch_ns.record(elapsed_ns);
         self.lookup_ns.record(elapsed_ns / lookups.max(1));
     }
@@ -170,7 +171,8 @@ impl CoreTelemetry {
 
 /// The published table, the gate in front of it, and the lookup path.
 pub(crate) struct ServiceCore {
-    current: Publish<TableSnapshot>,
+    /// The live table; replaced whole by [`ServiceCore::publish`].
+    current: Arc<TableSnapshot>,
     /// Sequence number of the next call that resolves keys; a sampled
     /// trace carries it.
     next_seq: u64,
@@ -219,7 +221,7 @@ impl ServiceCore {
             t.generation.set(0);
         }
         Ok(Self {
-            current: Publish::new(TableSnapshot {
+            current: Arc::new(TableSnapshot {
                 trie,
                 generation: 0,
             }),
@@ -235,12 +237,13 @@ impl ServiceCore {
 
     /// Generation of the currently published snapshot.
     pub(crate) fn generation(&self) -> u64 {
-        self.current.peek(|s| s.generation)
+        self.current.generation
     }
 
-    /// The currently published snapshot (one refcount bump).
-    pub(crate) fn snapshot(&self) -> SyncArc<TableSnapshot> {
-        self.current.read()
+    /// The currently published snapshot (one refcount bump): a pin that
+    /// outlives the call and keeps its table across later publishes.
+    pub(crate) fn snapshot(&self) -> Arc<TableSnapshot> {
+        Arc::clone(&self.current)
     }
 
     /// The live metrics registry (`None` with telemetry off).
@@ -260,9 +263,10 @@ impl ServiceCore {
     }
 
     /// Resolves `packets` into `out`, in input order, on the calling
-    /// thread, against the one snapshot pinned for the whole call, and
-    /// returns that snapshot's generation. A call with no keys pins,
-    /// counts and traces nothing and returns the published generation.
+    /// thread, against the one published snapshot (`&mut self` keeps any
+    /// publish out for the whole call), and returns that snapshot's
+    /// generation. A call with no keys counts and traces nothing and
+    /// returns the published generation.
     ///
     /// # Panics
     /// If `packets` and `out` differ in length.
@@ -287,10 +291,8 @@ impl ServiceCore {
             .filter(|tr| tr.should_sample(seq))
             .map(|tr| tr.begin(seq, packets.len()));
         let watch = self.telemetry.is_some().then(Stopwatch::start);
-        // RCU read-side critical section: pin the snapshot with one
-        // refcount bump; the slot is never held across the walk.
-        let snapshot: SyncArc<TableSnapshot> = self.current.read();
-        lookup_batch_mixed(&snapshot.trie, packets, out);
+        lookup_batch_mixed(&self.current.trie, packets, out);
+        let generation = self.current.generation;
         #[cfg(test)]
         {
             self.walked_on = Some(std::thread::current().id());
@@ -303,16 +305,16 @@ impl ServiceCore {
         }
         if let (Some(mut tb), Some(tr)) = (trace, self.tracer.as_ref()) {
             (self.attribute)(&mut tb, 0);
-            tb.set_generation(snapshot.generation);
+            tb.set_generation(generation);
             tb.mark(Stage::Complete);
             tr.record(tb.finish());
         }
-        snapshot.generation
+        generation
     }
 
-    /// Atomically swaps in an already-built trie (the RCU write side) and
-    /// returns the new generation. A call that pinned the old snapshot
-    /// finishes on it.
+    /// Swaps in an already-built trie as the next generation and returns
+    /// that generation. A [`snapshot`](Self::snapshot) pinned before
+    /// keeps reading the old table.
     ///
     /// # Errors
     /// In audited builds, rejects a structurally invalid trie with
@@ -328,21 +330,17 @@ impl ServiceCore {
         let trace_start = self.tracer.as_ref().map(Tracer::now_ns);
         if let Err(err) = (self.gate)(&trie, self.telemetry.as_ref().map(|t| &t.audit)) {
             if let Some(t) = &self.telemetry {
-                t.audit_rejections.inc(0);
+                t.audit_rejections.inc();
                 t.registry.events().publish(EventKind::AuditRejected {
                     generation: self.generation() + 1,
                 });
             }
             return Err(err);
         }
-        // Read-modify-publish in one critical section: the new generation
-        // is derived from the outgoing snapshot atomically with the swap.
-        let generation = self.current.update(|cur| {
-            let generation = cur.generation + 1;
-            (SyncArc::new(TableSnapshot { trie, generation }), generation)
-        });
+        let generation = self.current.generation + 1;
+        self.current = Arc::new(TableSnapshot { trie, generation });
         if let Some(t) = &self.telemetry {
-            t.swaps.inc(0);
+            t.swaps.inc();
             t.generation.set(generation);
             t.registry
                 .events()
@@ -826,13 +824,26 @@ pub(crate) mod contract {
         let mut svc = kind.build(vec![t], pool()).unwrap();
         let pin = svc.core().snapshot();
         let _ = svc.process(&scattered(2048));
-        assert_eq!(SyncArc::strong_count(&pin), 2, "the slot and this pin");
+        assert_eq!(Arc::strong_count(&pin), 2, "the core and this pin");
         drop(svc);
         assert_eq!(
-            SyncArc::strong_count(&pin),
+            Arc::strong_count(&pin),
             1,
             "the service outlived its drop and still pins its table"
         );
+    }
+
+    /// A pin taken before a publish still reads the table and generation
+    /// it pinned, while the service serves the new one.
+    pub(crate) fn pins_keep_the_old_table_across_a_publish(kind: Kind) {
+        let mut svc = kind.build(vec![table("0.0.0.0/0 1\n")], pool()).unwrap();
+        let pinned = svc.core().snapshot();
+        svc.publish_tables(vec![table("0.0.0.0/0 2\n")]).unwrap();
+        assert_eq!((pinned.generation, pinned.trie.lookup(0)), (0, Some(1)));
+        let live = svc.core().snapshot();
+        assert_eq!((live.generation, live.trie.lookup(0)), (1, Some(2)));
+        assert_eq!(svc.process(&[(0, 0)]), vec![Some(2)]);
+        let _ = svc.shutdown();
     }
 
     /// Every call is the caller's own (lane 0's) and resolves on the

@@ -8,8 +8,8 @@
 //! calling thread through the core's one lookup path, so
 //! [`process_into`](ShardedService::process_into) allocates nothing.
 //!
-//! Publishing is the core's one protocol: a call pins the published
-//! snapshot once, so it resolves against exactly one generation — old
+//! Publishing is the core's one protocol: a call and a publish both take
+//! `&mut self`, so a call resolves against exactly one generation — old
 //! or new, never a torn mix (the `service_swap` acceptance tests run
 //! against both services) — and a call made after a publish returned can
 //! only see the new table.
@@ -127,8 +127,8 @@ impl ShardedService {
         self.publish_trie(build_trie(&tables)?)
     }
 
-    /// Atomically swaps in an already-built trie (the RCU write side)
-    /// and returns the new generation.
+    /// Swaps in an already-built trie as the next generation and returns
+    /// that generation.
     ///
     /// # Errors
     /// In audited builds, rejects a structurally invalid trie with
@@ -194,6 +194,7 @@ mod tests {
             telemetry_off_has_no_registry_and_stays_exact,
         audit_gate_rejects_corrupt_trie_in_debug => rejected_publish_changes_nothing_and_is_counted,
         drop_frees_the_snapshot => drop_frees_the_snapshot,
+        pins_keep_the_old_table_across_a_publish => pins_keep_the_old_table_across_a_publish,
         lane_zero_jobs_resolve_on_the_generation_they_were_submitted_under =>
             lane_zero_jobs_resolve_on_the_generation_they_were_submitted_under,
     }

@@ -47,7 +47,7 @@ pub enum Stage {
     /// since neither keeps a result cache; it stays so stored traces
     /// and the repo benchmark's stage filter keep their meaning.
     CacheProbe,
-    /// Trie walk over the whole batch, snapshot pin included; it opens
+    /// Trie walk over the whole batch; it opens
     /// the chain of a call walked on the calling thread. Named for the
     /// lane stepper it first timed; the name stays so stored traces keep
     /// their meaning.

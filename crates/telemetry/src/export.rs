@@ -251,9 +251,9 @@ mod tests {
     use crate::registry::MetricsRegistry;
 
     fn sample() -> TelemetrySnapshot {
-        let reg = MetricsRegistry::new(2);
-        reg.counter("vr_lookups_total").add(0, 100);
-        reg.counter("vr_misses_total").inc(1);
+        let reg = MetricsRegistry::new(1);
+        reg.counter("vr_lookups_total").add(100);
+        reg.counter("vr_misses_total").inc();
         reg.gauge("vr_generation").set(3);
         let h = reg.histogram("vr_lookup_ns");
         for v in [1u64, 5, 300, 300, 9000] {
@@ -318,7 +318,7 @@ mod tests {
         assert!(text.contains("# HELP vr_lookups_total vr-telemetry counter vr_lookups_total"));
         // …and a family from the curated table lands verbatim.
         let reg = MetricsRegistry::new(1);
-        reg.counter("vr_service_swaps_total").inc(0);
+        reg.counter("vr_service_swaps_total").inc();
         let curated = to_prometheus(&reg.snapshot());
         check_prometheus(&curated).unwrap();
         assert!(curated.contains("# HELP vr_service_swaps_total RCU table-generation publishes"));

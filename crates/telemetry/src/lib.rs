@@ -13,9 +13,7 @@
 //! atomic operations and never allocates:
 //!
 //! * [`MetricsRegistry`] — a global-free registry of named counters,
-//!   gauges, and histograms. Counters are **sharded**: one cache-line
-//!   padded `AtomicU64` cell per worker shard, so concurrent workers
-//!   never contend on a line; a snapshot sums the cells.
+//!   gauges, and histograms. A counter is one relaxed `AtomicU64`.
 //! * [`Histogram`] — fixed 64-bucket log₂ latency histograms (HDR
 //!   style): `record(ns)` is one `leading_zeros` plus three relaxed
 //!   `fetch_add`s; snapshots extract p50/p90/p99/p999 and merge

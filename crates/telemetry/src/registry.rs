@@ -2,13 +2,12 @@
 //!
 //! No global state — a [`MetricsRegistry`] is constructed by whoever
 //! owns the instrumented subsystem (the `LookupService` builds one per
-//! instance) and handles are cloned out to worker threads. Registration
+//! instance) and handles are cloned out to whoever records. Registration
 //! takes a lock once; recording never does.
 //!
-//! Counters are sharded: each holds one cache-line padded `AtomicU64`
-//! per shard (worker), so concurrent increments from different workers
-//! touch different lines and never bounce ownership. A snapshot sums
-//! the cells. Gauges are single last-writer-wins cells.
+//! A counter is one monotonic `AtomicU64` and a gauge one
+//! last-writer-wins cell, both relaxed: they are statistics that publish
+//! nothing.
 
 #![expect(
     clippy::disallowed_types,
@@ -22,56 +21,27 @@ use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// One counter cell, padded to two cache lines so adjacent shards never
-/// share a line (128 B covers the adjacent-line prefetcher on x86).
-#[repr(align(128))]
-struct PaddedCell(AtomicU64);
-
-/// Shared state of one sharded counter.
-pub(crate) struct CounterCore {
-    cells: Box<[PaddedCell]>,
-    /// Bitmask for shard selection; `cells.len()` is a power of two.
-    mask: usize,
-}
-
-impl CounterCore {
-    fn new(shards: usize) -> Self {
-        let n = shards.max(1).next_power_of_two();
-        Self {
-            cells: (0..n).map(|_| PaddedCell(AtomicU64::new(0))).collect(),
-            mask: n - 1,
-        }
-    }
-}
-
-/// A cloneable handle onto one sharded monotonic counter.
+/// A cloneable handle onto one monotonic counter.
 #[derive(Clone)]
 pub struct Counter {
-    core: Arc<CounterCore>,
+    cell: Arc<AtomicU64>,
 }
 
 impl Counter {
-    /// Adds 1 on the caller's shard. Relaxed atomics; lock-free.
-    pub fn inc(&self, shard: usize) {
-        self.add(shard, 1);
+    /// Adds 1. Relaxed atomics; lock-free.
+    pub fn inc(&self) {
+        self.add(1);
     }
 
-    /// Adds `n` on the caller's shard. Out-of-range shard indexes wrap
-    /// (mask), so a handle can never index out of bounds.
-    pub fn add(&self, shard: usize, n: u64) {
-        self.core.cells[shard & self.core.mask]
-            .0
-            .fetch_add(n, Ordering::Relaxed);
+    /// Adds `n`.
+    pub fn add(&self, n: u64) {
+        self.cell.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// The counter's current value: the sum over all shard cells.
+    /// The counter's current value.
     #[must_use]
     pub fn value(&self) -> u64 {
-        self.core
-            .cells
-            .iter()
-            .map(|c| c.0.load(Ordering::Relaxed))
-            .sum()
+        self.cell.load(Ordering::Relaxed)
     }
 }
 
@@ -122,15 +92,14 @@ impl Gauge {
 /// registering the same name twice returns a handle onto the same
 /// state, so independent subsystems can share a metric safely.
 pub struct MetricsRegistry {
-    shards: usize,
-    counters: Mutex<Vec<(String, Arc<CounterCore>)>>,
+    counters: Mutex<Vec<(String, Arc<AtomicU64>)>>,
     gauges: Mutex<Vec<(String, Arc<AtomicU64>)>>,
     histograms: Mutex<Vec<(String, Arc<HistogramCore>)>>,
     events: EventRing,
 }
 
-/// Default bound on the structured-event ring.
-pub(crate) const DEFAULT_EVENT_CAPACITY: usize = 1024;
+/// Bound on the structured-event ring.
+const EVENT_CAPACITY: usize = 1024;
 
 fn valid_metric_name(name: &str) -> bool {
     let mut chars = name.chars();
@@ -142,29 +111,18 @@ fn valid_metric_name(name: &str) -> bool {
 }
 
 impl MetricsRegistry {
-    /// Creates a registry whose counters are sharded `shards` ways
-    /// (rounded up to a power of two), with the default event capacity.
+    /// Creates an empty registry.
+    ///
+    /// The argument is retired: nothing reads it. It stays only until the
+    /// repo benchmark, which spells it, stops doing so.
     #[must_use]
-    pub fn new(shards: usize) -> Self {
-        Self::with_event_capacity(shards, DEFAULT_EVENT_CAPACITY)
-    }
-
-    /// Creates a registry with an explicit event-ring bound.
-    #[must_use]
-    pub fn with_event_capacity(shards: usize, event_capacity: usize) -> Self {
+    pub fn new(_retired_shards: usize) -> Self {
         Self {
-            shards: shards.max(1).next_power_of_two(),
             counters: Mutex::new(Vec::new()),
             gauges: Mutex::new(Vec::new()),
             histograms: Mutex::new(Vec::new()),
-            events: EventRing::new(event_capacity),
+            events: EventRing::new(EVENT_CAPACITY),
         }
-    }
-
-    /// Shard count counters are padded to.
-    #[must_use]
-    pub fn shards(&self) -> usize {
-        self.shards
     }
 
     /// Gets or registers the counter `name`.
@@ -176,14 +134,14 @@ impl MetricsRegistry {
     pub fn counter(&self, name: &str) -> Counter {
         assert!(valid_metric_name(name), "invalid metric name: {name:?}");
         let mut counters = self.counters.lock();
-        if let Some((_, core)) = counters.iter().find(|(n, _)| n == name) {
+        if let Some((_, cell)) = counters.iter().find(|(n, _)| n == name) {
             return Counter {
-                core: Arc::clone(core),
+                cell: Arc::clone(cell),
             };
         }
-        let core = Arc::new(CounterCore::new(self.shards));
-        counters.push((name.to_string(), Arc::clone(&core)));
-        Counter { core }
+        let cell = Arc::new(AtomicU64::new(0));
+        counters.push((name.to_string(), Arc::clone(&cell)));
+        Counter { cell }
     }
 
     /// Gets or registers the gauge `name`.
@@ -238,12 +196,9 @@ impl MetricsRegistry {
             .counters
             .lock()
             .iter()
-            .map(|(name, core)| CounterSnapshot {
+            .map(|(name, cell)| CounterSnapshot {
                 name: name.clone(),
-                value: Counter {
-                    core: Arc::clone(core),
-                }
-                .value(),
+                value: cell.load(Ordering::Relaxed),
             })
             .collect();
         counters.sort_by(|a, b| a.name.cmp(&b.name));
@@ -270,7 +225,6 @@ impl MetricsRegistry {
             .collect();
         histograms.sort_by(|a, b| a.name.cmp(&b.name));
         TelemetrySnapshot {
-            shards: self.shards as u64,
             counters,
             gauges,
             histograms,
@@ -282,7 +236,6 @@ impl MetricsRegistry {
 impl std::fmt::Debug for MetricsRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MetricsRegistry")
-            .field("shards", &self.shards)
             .field("counters", &self.counters.lock().len())
             .field("gauges", &self.gauges.lock().len())
             .field("histograms", &self.histograms.lock().len())
@@ -295,13 +248,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_shard_and_sum() {
-        let reg = MetricsRegistry::new(4);
+    fn counters_add_and_sum() {
+        let reg = MetricsRegistry::new(1);
         let c = reg.counter("vr_test_total");
-        for shard in 0..4 {
-            c.add(shard, 10);
+        for _ in 0..4 {
+            c.add(10);
         }
-        c.inc(999); // wraps into range via the mask
+        c.inc();
         assert_eq!(c.value(), 41);
         // Same name → same underlying state.
         assert_eq!(reg.counter("vr_test_total").value(), 41);
@@ -327,28 +280,27 @@ mod tests {
 
     #[test]
     fn snapshot_sorts_names() {
-        let reg = MetricsRegistry::new(2);
-        reg.counter("vr_b_total").inc(0);
-        reg.counter("vr_a_total").inc(0);
+        let reg = MetricsRegistry::new(1);
+        reg.counter("vr_b_total").inc();
+        reg.counter("vr_a_total").inc();
         reg.gauge("vr_z").set(1);
         let _ = reg.histogram("vr_h_ns");
         let snap = reg.snapshot();
         assert_eq!(snap.counters[0].name, "vr_a_total");
         assert_eq!(snap.counters[1].name, "vr_b_total");
-        assert_eq!(snap.shards, 2);
         assert_eq!(snap.histograms[0].name, "vr_h_ns");
     }
 
     #[test]
     fn concurrent_increments_lose_nothing() {
-        let reg = MetricsRegistry::new(8);
+        let reg = MetricsRegistry::new(1);
         let c = reg.counter("vr_conc_total");
         std::thread::scope(|s| {
-            for shard in 0..8usize {
+            for _ in 0..8 {
                 let c = c.clone();
                 s.spawn(move || {
                     for _ in 0..100_000 {
-                        c.inc(shard);
+                        c.inc();
                     }
                 });
             }

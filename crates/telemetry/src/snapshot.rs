@@ -11,12 +11,12 @@ use crate::events::EventRingSnapshot;
 use crate::histogram::HistogramSnapshot;
 use serde::{Deserialize, Serialize};
 
-/// One counter's name and aggregated (cross-shard) value.
+/// One counter's name and value.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CounterSnapshot {
     /// Registered metric name.
     pub name: String,
-    /// Sum over all shard cells at capture time.
+    /// Value at capture time.
     pub value: u64,
 }
 
@@ -32,8 +32,6 @@ pub struct GaugeSnapshot {
 /// Everything a registry knows, frozen at one capture instant.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TelemetrySnapshot {
-    /// Shard count the registry's counters are padded to.
-    pub shards: u64,
     /// All counters, sorted by name.
     pub counters: Vec<CounterSnapshot>,
     /// All gauges, sorted by name.
@@ -96,9 +94,9 @@ mod tests {
     use crate::registry::MetricsRegistry;
 
     fn sample() -> TelemetrySnapshot {
-        let reg = MetricsRegistry::new(2);
-        reg.counter("vr_lookups_total").add(0, 41);
-        reg.counter("vr_lookups_total").inc(1);
+        let reg = MetricsRegistry::new(1);
+        reg.counter("vr_lookups_total").add(41);
+        reg.counter("vr_lookups_total").inc();
         reg.gauge("vr_generation").set(7);
         reg.histogram("vr_lookup_ns").record(900);
         reg.events()
@@ -122,15 +120,15 @@ mod tests {
     #[test]
     fn serialization_is_deterministic_across_registration_order() {
         let a = {
-            let reg = MetricsRegistry::new(2);
-            reg.counter("vr_a_total").inc(0);
-            reg.counter("vr_b_total").add(0, 2);
+            let reg = MetricsRegistry::new(1);
+            reg.counter("vr_a_total").inc();
+            reg.counter("vr_b_total").add(2);
             serde_json::to_string(&reg.snapshot()).unwrap()
         };
         let b = {
-            let reg = MetricsRegistry::new(2);
-            reg.counter("vr_b_total").add(1, 2);
-            reg.counter("vr_a_total").inc(1);
+            let reg = MetricsRegistry::new(1);
+            reg.counter("vr_b_total").add(2);
+            reg.counter("vr_a_total").inc();
             serde_json::to_string(&reg.snapshot()).unwrap()
         };
         assert_eq!(a, b);
@@ -150,9 +148,9 @@ mod tests {
     fn counter_regression_detection() {
         let reg = MetricsRegistry::new(1);
         let c = reg.counter("vr_x_total");
-        c.add(0, 5);
+        c.add(5);
         let earlier = reg.snapshot();
-        c.add(0, 3);
+        c.add(3);
         let later = reg.snapshot();
         assert_eq!(later.first_counter_regression(&earlier), None);
         // Reversed order: the "later" snapshot has the smaller value.

@@ -15,7 +15,7 @@
 //! frame: the lookup frames one read delivered (a client's pipelined
 //! burst) are resolved together, up to a fixed key cap, under one
 //! acquisition of the lock, and answered one `LookupResponse` each, all
-//! tagged with the one generation that call pinned, so never-torn spans
+//! tagged with the one generation that call resolved against, so never-torn spans
 //! the frames of a group. A lookup frame is never decoded into a
 //! message: its records are checked where the decoder's buffer holds
 //! them and their keys appended straight into the group's reused key
@@ -117,7 +117,8 @@ impl Default for ServerConfig {
 /// connections — a lookup can never interleave with an update publish.
 pub trait WireBackend: Send + 'static {
     /// Resolves `keys` into `results` (the same length) in input order;
-    /// returns the generation of the one snapshot the whole call pinned.
+    /// returns the generation of the one snapshot the whole call resolved
+    /// against.
     fn lookup_into(&mut self, keys: &[(VnId, u32)], results: &mut [Option<NextHop>]) -> u64;
     /// [`Self::lookup_into`] into a fresh vector, returned with the
     /// generation.
@@ -202,7 +203,7 @@ impl WireStream for UnixStream {
 }
 
 /// Counters the server publishes when given a registry. Handles are
-/// cheap clones; shard indexes wrap inside the counter.
+/// cheap clones.
 struct WireMetrics {
     connections: Option<Counter>,
     shed_connections: Option<Counter>,
@@ -229,9 +230,9 @@ impl WireMetrics {
         }
     }
 
-    fn bump(counter: &Option<Counter>, shard: usize, n: u64) {
+    fn bump(counter: &Option<Counter>, n: u64) {
         if let Some(c) = counter {
-            c.add(shard, n);
+            c.add(n);
         }
     }
 }
@@ -496,7 +497,7 @@ fn admit<B: WireBackend, S: WireStream>(
     shared: &Arc<Shared<B>>,
 ) -> Option<JoinHandle<()>> {
     let Some(permit) = shared.gate.try_admit() else {
-        WireMetrics::bump(&shared.metrics.shed_connections, 0, 1);
+        WireMetrics::bump(&shared.metrics.shed_connections, 1);
         let refusal = encode(&Message::Overloaded {
             id: 0,
             reason: OverloadReason::Connections,
@@ -509,7 +510,7 @@ fn admit<B: WireBackend, S: WireStream>(
         );
         return None;
     };
-    WireMetrics::bump(&shared.metrics.connections, 0, 1);
+    WireMetrics::bump(&shared.metrics.connections, 1);
     let shared = Arc::clone(shared);
     // Spawn failure (resource exhaustion): the permit drops with the
     // closure; the socket closes unreplied, which the client sees as a
@@ -566,7 +567,7 @@ fn serve_connection<B: WireBackend, S: WireStream>(mut stream: S, shared: &Share
             ) {
                 // The peer sends but does not read: the write timeout
                 // ran out. Cut it loose.
-                WireMetrics::bump(&shared.metrics.slow_reader_disconnects, 0, 1);
+                WireMetrics::bump(&shared.metrics.slow_reader_disconnects, 1);
             }
             return;
         }
@@ -611,7 +612,7 @@ impl<B: WireBackend> Connection<'_, B> {
             if let Err(err) = served {
                 // Framing is unrecoverable: report once, then tear the
                 // connection down (fail-stop, no resync).
-                WireMetrics::bump(&self.shared.metrics.decode_errors, 0, 1);
+                WireMetrics::bump(&self.shared.metrics.decode_errors, 1);
                 self.reply(&Message::ErrorReply {
                     id: 0,
                     code: ErrorCode::BadRequest,
@@ -626,12 +627,12 @@ impl<B: WireBackend> Connection<'_, B> {
     /// the token bucket; a refused one is answered here.
     fn admit(&mut self, id: u64, cost: usize) -> bool {
         let shared = self.shared;
-        WireMetrics::bump(&shared.metrics.requests, 0, 1);
+        WireMetrics::bump(&shared.metrics.requests, 1);
         let cost = (cost as u64).max(1);
         match self.bucket.try_take(cost) {
             Admit::Now => true,
             Admit::Later => {
-                WireMetrics::bump(&shared.metrics.shed_rate_limited, 0, 1);
+                WireMetrics::bump(&shared.metrics.shed_rate_limited, 1);
                 self.reply(&Message::Overloaded {
                     id,
                     reason: OverloadReason::RateLimited,
@@ -675,7 +676,7 @@ impl<B: WireBackend> Connection<'_, B> {
         if !self.group.admits(records.len()) {
             self.group.serve(&shared.backend, &mut self.out);
         }
-        WireMetrics::bump(&shared.metrics.lookup_packets, 0, records.len() as u64);
+        WireMetrics::bump(&shared.metrics.lookup_packets, records.len() as u64);
         self.group.keys.extend(records.iter().map(lookup_key));
         self.group.frames.push((id, records.len()));
     }
@@ -690,7 +691,7 @@ impl<B: WireBackend> Connection<'_, B> {
                 }
                 // A barrier: the lookups before it resolve first.
                 self.group.serve(&shared.backend, &mut self.out);
-                WireMetrics::bump(&shared.metrics.updates, 0, updates.len() as u64);
+                WireMetrics::bump(&shared.metrics.updates, updates.len() as u64);
                 match shared.backend.lock().apply_updates(&updates) {
                     Ok(generation) => Message::UpdateAck { id, generation },
                     Err(message) => Message::ErrorReply {
@@ -748,7 +749,7 @@ impl Group {
     /// One backend call for the whole group under one acquisition of
     /// the lock, then one `LookupResponse` per frame appended to `out`,
     /// encoded straight from that frame's share of the results and all
-    /// tagged with the generation the call pinned. Leaves the group
+    /// tagged with the generation the call resolved against. Leaves the group
     /// empty.
     fn serve<B: WireBackend>(&mut self, backend: &Mutex<B>, out: &mut Vec<u8>) {
         if self.frames.is_empty() {

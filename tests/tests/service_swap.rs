@@ -1,11 +1,17 @@
 //! RCU-swap acceptance: every lookup call resolves against a single
 //! consistent snapshot — all old or all new, never a torn mix — names
 //! the generation it resolved against, and post-swap lookups reflect
-//! the announced/withdrawn routes exactly.
+//! the announced/withdrawn routes exactly. The last case holds the same
+//! over real threads, through the wire server.
+
+use std::net::SocketAddr;
+use std::sync::{Barrier, OnceLock};
+use std::time::Duration;
 
 use vr_engine::{LookupService, ServiceConfig, ShardedConfig, ShardedService};
 use vr_net::table::{NextHop, RouteEntry};
 use vr_net::{Ipv4Prefix, RouteUpdate, RoutingTable, VnId};
+use vr_wire::{Message, ServerConfig, WireClient, WireServer};
 
 const K: usize = 2;
 const OLD_NH: NextHop = 1;
@@ -174,4 +180,104 @@ fn sharded_post_swap_lookups_reflect_table_edits() {
     let got = svc.process(&probes);
     assert_eq!(got, vec![Some(77), Some(OLD_NH), None, Some(OLD_NH)]);
     let _ = svc.shutdown();
+}
+
+/// Update batches the wire case applies; batch `b` publishes generation
+/// `b`.
+const WIRE_BATCHES: u64 = 200;
+
+/// The hop every route carries at `generation` in the wire case: each
+/// update batch flips every route between the two hops.
+fn hop_at(generation: u64) -> NextHop {
+    if generation.is_multiple_of(2) {
+        OLD_NH
+    } else {
+        NEW_NH
+    }
+}
+
+/// Announces every route of every VN at `next_hop`: one batch, one
+/// publish.
+fn flip_all(next_hop: NextHop) -> Vec<RouteUpdate> {
+    (0..K as VnId)
+        .flat_map(|vnid| {
+            (0u32..256).map(move |i| RouteUpdate::Announce {
+                vnid,
+                prefix: Ipv4Prefix::must(i << 24, 8),
+                next_hop,
+            })
+        })
+        .collect()
+}
+
+fn connect(addr: SocketAddr) -> WireClient {
+    let mut client = WireClient::connect_tcp(addr).expect("connect");
+    client
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    client
+}
+
+/// Never-torn across threads, through the real server: two clients send
+/// lookups while a third applies update batches that flip every route,
+/// all on one `WireServer<LookupService>`. Every `LookupResponse` must
+/// be all one hop, the hop its named generation implies, and each
+/// connection's generations must never go back.
+#[test]
+fn wire_lookups_never_see_a_torn_table_while_updates_flip_it() {
+    let server = WireServer::serve_tcp("127.0.0.1:0", service(1), ServerConfig::default(), None)
+        .expect("server");
+    let addr = server.local_addr().expect("tcp addr");
+    let start = Barrier::new(3);
+    let done = OnceLock::new();
+    std::thread::scope(|s| {
+        let lookers: Vec<_> = (0..2)
+            .map(|seed| {
+                let (start, done) = (&start, &done);
+                s.spawn(move || {
+                    let mut client = connect(addr);
+                    let keys = batch(seed, 256);
+                    start.wait();
+                    let mut last = 0;
+                    loop {
+                        // Read before the send: once set, the frame
+                        // follows the last ack.
+                        let finished = done.get().is_some();
+                        let reply = client.lookup(&keys).expect("reply");
+                        let Message::LookupResponse {
+                            generation,
+                            results,
+                            ..
+                        } = reply
+                        else {
+                            panic!("not a lookup response: {reply:?}");
+                        };
+                        assert!(generation >= last, "generation {last} -> {generation}");
+                        assert!(
+                            results.iter().all(|&nh| nh == Some(hop_at(generation))),
+                            "a frame tagged generation {generation} is torn: {results:?}"
+                        );
+                        last = generation;
+                        if finished {
+                            return last;
+                        }
+                    }
+                })
+            })
+            .collect();
+        let mut client = connect(addr);
+        start.wait();
+        for b in 1..=WIRE_BATCHES {
+            let reply = client.apply_updates(&flip_all(hop_at(b))).expect("ack");
+            assert!(
+                matches!(reply, Message::UpdateAck { generation, .. } if generation == b),
+                "{reply:?}"
+            );
+        }
+        done.set(()).expect("set once");
+        for looker in lookers {
+            assert_eq!(looker.join().expect("lookup client"), WIRE_BATCHES);
+        }
+    });
+    drop(server);
 }
