@@ -6,10 +6,14 @@
 //! (who wins, what grows, where limits bind) on a reduced configuration.
 //!
 //! The sweeps over K build each structure once and price it many times
-//! ([`crate::scenario`]'s two halves). One α family is generated at the
+//! ([`crate::scenario`]'s two halves). One α family is drawn at the
 //! sweep's largest K — families are prefix-nested, so its first K tables
-//! are the family at K — and its statistics are counted in one pass over
-//! its sorted routes ([`SweepStats::from_tables`]), which builds no trie.
+//! are the family at K — straight into its sorted routes
+//! ([`SortedRoutes::from_family`]), which builds no routing table, and its
+//! statistics are counted in one pass over them
+//! ([`SweepStats::from_routes`]), which builds no trie. The calibration
+//! that picks each family's shared fraction reads α off routes drawn the
+//! same way, and a calibration that fails is the sweep's error.
 //! Every structure a sweep prices is read off that pass: NV and VS at K
 //! price the family's first K single-table engines, and the merged engine
 //! at K is the trie over its first K tables. Only the per-family jobs are
@@ -46,7 +50,7 @@ use vr_net::synth::{FamilySpec, PrefixLenDistribution};
 use vr_net::RoutingTable;
 use vr_trie::calibrate::CalibrationSpec;
 use vr_trie::pipeline_map::{MemoryLayout, PAPER_PIPELINE_STAGES};
-use vr_trie::{PipelineProfile, SweepStats, TrieStats};
+use vr_trie::{PipelineProfile, SortedRoutes, SweepStats, TrieStats};
 
 /// Frequencies swept in Figs. 2 and 3 (MHz).
 pub const FREQ_SWEEP_MHZ: [f64; 9] = [
@@ -101,31 +105,40 @@ impl ExperimentConfig {
         }
     }
 
-    /// Resolves the shared-prefix fractions realizing the two α targets,
-    /// via bisection on a moderate-size probe family (α is only weakly K-
-    /// dependent, so one calibration serves the whole sweep).
-    #[must_use]
-    pub fn resolve_shared_fractions(&self) -> (f64, f64) {
+    /// The shared-prefix fractions realizing the two α targets `(low,
+    /// high)`, via bisection on a moderate-size probe family (α is only
+    /// weakly K-dependent, so one calibration serves the whole sweep).
+    ///
+    /// # Errors
+    /// Propagates a calibration that fails: a target outside `[0, 1]`,
+    /// or one no shared fraction reaches within tolerance.
+    pub fn shared_fractions(&self) -> Result<(f64, f64), PowerError> {
         let probe_prefixes = self.prefixes_per_table.min(600);
-        let resolve = |target: f64, fallback: f64| {
+        let resolve = |target: f64| {
             let spec = CalibrationSpec {
                 tolerance: 0.06,
                 ..CalibrationSpec::new(4.min(self.k_max.max(2)), probe_prefixes, target, self.seed)
             };
-            match spec.run() {
-                Ok(fam) => fam.shared_fraction,
-                Err(_) => fallback,
-            }
+            spec.run().map(|family| family.shared_fraction)
         };
-        (resolve(self.alpha_low, 0.0), resolve(self.alpha_high, 0.95))
+        Ok((resolve(self.alpha_low)?, resolve(self.alpha_high)?))
     }
 
-    /// Generates a K-table family with the given shared fraction.
+    /// [`ExperimentConfig::shared_fractions`], for a configuration known
+    /// to calibrate: `benchmark/src/layers.rs` destructures the pair.
     ///
-    /// # Errors
-    /// Propagates family-generation errors.
-    pub fn family(&self, k: usize, shared_fraction: f64) -> Result<Vec<RoutingTable>, PowerError> {
-        Ok(FamilySpec {
+    /// # Panics
+    /// Where [`ExperimentConfig::shared_fractions`] returns an error.
+    #[must_use]
+    pub fn resolve_shared_fractions(&self) -> (f64, f64) {
+        self.shared_fractions()
+            .expect("the α targets calibrate for this configuration")
+    }
+
+    /// The K-table family with the given shared fraction.
+    #[must_use]
+    pub fn family_spec(&self, k: usize, shared_fraction: f64) -> FamilySpec {
+        FamilySpec {
             k,
             prefixes_per_table: self.prefixes_per_table,
             shared_fraction,
@@ -133,7 +146,14 @@ impl ExperimentConfig {
             distribution: PrefixLenDistribution::edge_default(),
             next_hops: 16,
         }
-        .generate()?)
+    }
+
+    /// Generates a K-table family with the given shared fraction.
+    ///
+    /// # Errors
+    /// Propagates family-generation errors.
+    pub fn family(&self, k: usize, shared_fraction: f64) -> Result<Vec<RoutingTable>, PowerError> {
+        Ok(self.family_spec(k, shared_fraction).generate()?)
     }
 }
 
@@ -333,11 +353,13 @@ where
     })
 }
 
-/// One α family's K sweep: its `k` tables are generated at shared
-/// fraction `frac` and counted in one pass over their sorted routes. Every
-/// structure a sweep prices at K ≤ `k` is read off the result.
+/// One α family's K sweep: the routes of its `k` tables at shared fraction
+/// `frac`, gathered from the generator with no table built, sorted once
+/// and counted in one pass. Every structure a sweep prices at K ≤ `k` is
+/// read off the result.
 fn family_sweep(cfg: &ExperimentConfig, k: usize, frac: f64) -> Result<SweepStats, PowerError> {
-    Ok(SweepStats::from_tables(&cfg.family(k, frac)?)?)
+    let routes = SortedRoutes::from_family(&cfg.family_spec(k, frac))?;
+    Ok(SweepStats::from_routes(&routes))
 }
 
 /// Reproduces Fig. 4: memory requirements of the merged scheme (at the two
@@ -357,7 +379,7 @@ pub fn fig4_series(cfg: &ExperimentConfig) -> Result<Vec<Fig4Point>, PowerError>
             "k_max_fig4 must be at least 1",
         ));
     }
-    let (frac_low, frac_high) = cfg.resolve_shared_fractions();
+    let (frac_low, frac_high) = cfg.shared_fractions()?;
     let layout = MemoryLayout::default();
     let sweeps = fan_out(vec![frac_high, frac_low], |frac| {
         family_sweep(cfg, cfg.k_max_fig4, frac)
@@ -441,7 +463,7 @@ pub fn power_sweep(cfg: &ExperimentConfig) -> Result<Vec<SweepPoint>, PowerError
     if cfg.k_max == 0 {
         return Err(PowerError::InvalidParameter("k_max must be at least 1"));
     }
-    let (frac_low, frac_high) = cfg.resolve_shared_fractions();
+    let (frac_low, frac_high) = cfg.shared_fractions()?;
     let layout = MemoryLayout::default();
     let sweeps = fan_out(vec![frac_high, frac_low], |frac| {
         family_sweep(cfg, cfg.k_max, frac)
@@ -519,7 +541,7 @@ pub fn ablation_merged_memory(
     if cfg.k_max == 0 {
         return Err(PowerError::InvalidParameter("k_max must be at least 1"));
     }
-    let (_, frac_high) = cfg.resolve_shared_fractions();
+    let (_, frac_high) = cfg.shared_fractions()?;
     let layout = MemoryLayout::default();
     let sweep = family_sweep(cfg, cfg.k_max, frac_high)?;
     let memory_mbits = |structure: EngineStructure, merged_memory| {
@@ -569,7 +591,7 @@ pub fn ablation_gating(cfg: &ExperimentConfig, k: usize) -> Result<Vec<GatingRow
     use crate::{ArrivalModel, EngineConfig, SimConfig, VirtualRouterSim};
     use vr_net::{SkewedSpec, SkewedTraffic};
 
-    let (_, frac_high) = cfg.resolve_shared_fractions();
+    let (_, frac_high) = cfg.shared_fractions()?;
     let tables = cfg.family(k, frac_high)?;
     let packets = 2000u64;
     fan_out(vec![0.1, 0.25, 0.5, 0.75, 1.0], |load| {
@@ -693,7 +715,7 @@ pub struct TcamRow {
 /// Propagates scenario construction errors.
 pub fn tcam_comparison(cfg: &ExperimentConfig) -> Result<Vec<TcamRow>, PowerError> {
     use crate::tcam::TcamSpec;
-    let (_, frac_high) = cfg.resolve_shared_fractions();
+    let (_, frac_high) = cfg.shared_fractions()?;
     let ks: Vec<usize> = [1usize, cfg.k_max / 2, cfg.k_max]
         .into_iter()
         .map(|k| k.max(1))
@@ -763,7 +785,7 @@ pub struct UpdateRow {
 pub fn update_cost(cfg: &ExperimentConfig, k: usize) -> Result<Vec<UpdateRow>, PowerError> {
     use vr_net::{UpdateMix, UpdateStream};
     use vr_trie::MergedTrie;
-    let (_, frac_high) = cfg.resolve_shared_fractions();
+    let (_, frac_high) = cfg.shared_fractions()?;
     let tables = cfg.family(k, frac_high)?;
     let mut merged = MergedTrie::from_tables(&tables)?;
     let mut stream = UpdateStream::new(tables, UpdateMix::default(), 16, cfg.seed)?;
@@ -907,7 +929,7 @@ pub struct QueueingRow {
 pub fn queueing_study(cfg: &ExperimentConfig, k: usize) -> Result<Vec<QueueingRow>, PowerError> {
     use crate::{ArrivalModel, EngineConfig, SimConfig, VirtualRouterSim};
     use vr_net::{SkewedSpec, SkewedTraffic};
-    let (_, frac_high) = cfg.resolve_shared_fractions();
+    let (_, frac_high) = cfg.shared_fractions()?;
     let tables = cfg.family(k, frac_high)?;
     fan_out(vec![1usize, 2, 4, 8, 16], |burst_len| {
         let sim_cfg = SimConfig {
@@ -957,7 +979,7 @@ pub struct DeviceRow {
 /// Propagates generation errors; per-device fit failures are reported in
 /// the rows, not as errors.
 pub fn device_sweep(cfg: &ExperimentConfig, k: usize) -> Result<Vec<DeviceRow>, PowerError> {
-    let (_, frac_high) = cfg.resolve_shared_fractions();
+    let (_, frac_high) = cfg.shared_fractions()?;
     let tables = cfg.family(k, frac_high)?;
     fan_out(Device::catalog(), |device| {
         let max_vs_engines = crate::io::max_engines(&device);
@@ -1015,7 +1037,7 @@ pub struct MergedScalingRow {
 /// # Errors
 /// Propagates generation and trie errors.
 pub fn merged_scaling(cfg: &ExperimentConfig) -> Result<Vec<MergedScalingRow>, PowerError> {
-    let (frac_low, _) = cfg.resolve_shared_fractions();
+    let (frac_low, _) = cfg.shared_fractions()?;
     let device = Device::xc6vlx760();
     let layout = MemoryLayout::default();
     let ks: Vec<usize> = (2..=cfg.k_max_fig4.max(cfg.k_max)).step_by(4).collect();
@@ -1129,6 +1151,24 @@ mod tests {
             assert!((r.min_w - r.base_w * 0.95).abs() < 1e-12);
             assert!((r.max_w - r.base_w * 1.05).abs() < 1e-12);
         }
+    }
+
+    /// A calibration that fails is the sweep's error: no stand-in
+    /// fraction sweeps an α target the search refused.
+    #[test]
+    fn an_out_of_range_alpha_target_is_a_typed_error() {
+        let cfg = ExperimentConfig {
+            alpha_low: -0.1,
+            ..ExperimentConfig::quick()
+        };
+        let refused = |r: Result<(), PowerError>| {
+            matches!(
+                r,
+                Err(PowerError::Trie(vr_trie::TrieError::InvalidParameter(_)))
+            )
+        };
+        assert!(refused(power_sweep(&cfg).map(drop)));
+        assert!(refused(fig4_series(&cfg).map(drop)));
     }
 
     #[test]

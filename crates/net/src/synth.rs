@@ -152,9 +152,14 @@ impl PrefixLenDistribution {
         Self::new(w)
     }
 
-    /// Samples one prefix length.
-    pub fn sample<R: Rng>(&self, rng: &mut R) -> u8 {
-        let total: f64 = self.weights.iter().sum();
+    /// The sum of the weights, in length order. A generator sums them once
+    /// per call and passes the sum to every draw.
+    fn total(&self) -> f64 {
+        self.weights.iter().sum()
+    }
+
+    /// Samples one prefix length; `total` is [`Self::total`].
+    fn sample<R: Rng>(&self, total: f64, rng: &mut R) -> u8 {
         let mut x = rng.gen_range(0.0..total);
         for (len, w) in self.weights.iter().enumerate() {
             if x < *w {
@@ -252,10 +257,11 @@ impl TableSpec {
             return Err(NetError::InvalidSpec("next-hop pool must be non-empty"));
         }
         let mut rng = SmallRng::seed_from_u64(self.seed);
+        let total = self.distribution.total();
         let pool = cluster_pool(&mut rng, self.clustering);
         let prefixes = sample_distinct_prefixes(
             &mut rng,
-            &self.distribution,
+            &|rng: &mut SmallRng| self.distribution.sample(total, rng),
             self.prefixes,
             &mut prefix_set(self.prefixes),
             self.clustering,
@@ -318,64 +324,46 @@ impl FamilySpec {
         }
     }
 
-    /// Generates the K tables.
+    /// Draws the K tables and hands each one to `table` as it is drawn,
+    /// in VNID order: the shared core's prefixes in draw order, this
+    /// table's next hop for each of them, and the table's own routes in
+    /// draw order. [`FamilySpec::generate`] builds routing tables from
+    /// them; a caller that needs only the routes gathers them straight
+    /// from here and builds no table.
     ///
     /// # Errors
     /// Rejects `k == 0`, an out-of-range shared fraction, and specs whose
     /// distinct-prefix demands cannot be realized.
-    pub fn generate(&self) -> Result<Vec<RoutingTable>, NetError> {
+    pub fn draw(
+        &self,
+        table: impl FnMut(&[Ipv4Prefix], &[NextHop], &[RouteEntry]),
+    ) -> Result<(), NetError> {
         if self.k == 0 {
             return Err(NetError::InvalidSpec(
                 "family must contain at least one table",
             ));
         }
-        if !(0.0..=1.0).contains(&self.shared_fraction) || !self.shared_fraction.is_finite() {
-            return Err(NetError::InvalidSpec("shared fraction must be in [0, 1]"));
-        }
-        if self.next_hops == 0 {
-            return Err(NetError::InvalidSpec("next-hop pool must be non-empty"));
-        }
+        check_family(self.shared_fraction, self.next_hops)?;
         let core_count = ((self.prefixes_per_table as f64) * self.shared_fraction).round() as usize;
         let unique_count = self.prefixes_per_table - core_count.min(self.prefixes_per_table);
-
-        let mut rng = SmallRng::seed_from_u64(self.seed);
-        // Clustering keeps each table's trie in the paper's compactness
-        // regime. The core draws from one shared pool (common allocation
-        // blocks); each table's unique part draws from its own pool, so
-        // low shared fractions still yield structurally distant tables.
-        let core_clustering = (core_count > 0).then(|| ClusterSpec::edge_default(core_count));
-        let core_pool = cluster_pool(&mut rng, core_clustering);
-        // Every prefix the family has drawn: the core and each table's
-        // unique part, so no unique prefix lands in the core or in
-        // another table.
-        let mut taken = prefix_set(core_count + self.k * unique_count);
-        // Shared core prefixes (next hops assigned per table below).
-        let core = sample_distinct_prefixes(
-            &mut rng,
+        draw_family(
+            self.seed,
             &self.distribution,
+            self.next_hops,
             core_count,
-            &mut taken,
-            core_clustering,
-            &core_pool,
-        )?;
+            &vec![unique_count; self.k],
+            table,
+        )
+    }
 
-        let core = SortedCore::new(core);
-        let mut tables = Vec::with_capacity(self.k);
-        for _ in 0..self.k {
-            let unique_clustering =
-                (unique_count > 0).then(|| ClusterSpec::edge_default(unique_count));
-            let unique_pool = cluster_pool(&mut rng, unique_clustering);
-            let unique = sample_distinct_prefixes(
-                &mut rng,
-                &self.distribution,
-                unique_count,
-                &mut taken,
-                unique_clustering,
-                &unique_pool,
-            )?;
-            tables.push(core.table(&mut rng, &unique, self.next_hops));
-        }
-        Ok(tables)
+    /// Generates the K tables.
+    ///
+    /// # Errors
+    /// Same as [`FamilySpec::draw`].
+    pub fn generate(&self) -> Result<Vec<RoutingTable>, NetError> {
+        let mut tables = Tables::default();
+        self.draw(|core, hops, own| tables.push(core, hops, own))?;
+        Ok(tables.built)
     }
 }
 
@@ -395,83 +383,121 @@ pub fn generate_heterogeneous(
     distribution: &PrefixLenDistribution,
     next_hops: NextHop,
 ) -> Result<Vec<RoutingTable>, NetError> {
-    if sizes.is_empty() {
+    let Some(&min_size) = sizes.iter().min() else {
         return Err(NetError::InvalidSpec(
             "family must contain at least one table",
         ));
-    }
+    };
+    check_family(shared_fraction, next_hops)?;
+    let core_count = ((min_size as f64) * shared_fraction).round() as usize;
+    let unique_counts: Vec<usize> = sizes.iter().map(|s| s.saturating_sub(core_count)).collect();
+    let mut tables = Tables::default();
+    draw_family(
+        seed,
+        distribution,
+        next_hops,
+        core_count,
+        &unique_counts,
+        |core, hops, own| tables.push(core, hops, own),
+    )?;
+    Ok(tables.built)
+}
+
+/// Rejects a shared fraction outside `[0, 1]` and an empty next-hop pool.
+fn check_family(shared_fraction: f64, next_hops: NextHop) -> Result<(), NetError> {
     if !(0.0..=1.0).contains(&shared_fraction) || !shared_fraction.is_finite() {
         return Err(NetError::InvalidSpec("shared fraction must be in [0, 1]"));
     }
     if next_hops == 0 {
         return Err(NetError::InvalidSpec("next-hop pool must be non-empty"));
     }
-    let min_size = *sizes.iter().min().expect("non-empty");
-    let core_count = ((min_size as f64) * shared_fraction).round() as usize;
+    Ok(())
+}
 
+/// The one sampling loop behind every family: a shared core of
+/// `core_count` prefixes, then, for each of `unique_counts` in order, one
+/// table of the core and that many prefixes of its own, drawn apart from
+/// the core and from every other table. Each table goes to `table` as
+/// [`FamilySpec::draw`] describes; nothing here depends on what `table`
+/// does with it.
+fn draw_family(
+    seed: u64,
+    distribution: &PrefixLenDistribution,
+    next_hops: NextHop,
+    core_count: usize,
+    unique_counts: &[usize],
+    mut table: impl FnMut(&[Ipv4Prefix], &[NextHop], &[RouteEntry]),
+) -> Result<(), NetError> {
     let mut rng = SmallRng::seed_from_u64(seed);
-    let core_clustering = (core_count > 0).then(|| ClusterSpec::edge_default(core_count));
-    let core_pool = cluster_pool(&mut rng, core_clustering);
-    let mut taken = prefix_set(sizes.iter().sum());
+    let total = distribution.total();
+    let length = |rng: &mut SmallRng| distribution.sample(total, rng);
+    // Clustering keeps each table's trie in the paper's compactness
+    // regime. The core draws from one shared pool (common allocation
+    // blocks); each table's unique part draws from its own pool, so low
+    // shared fractions still yield structurally distant tables.
+    let clustering = |count: usize| (count > 0).then(|| ClusterSpec::edge_default(count));
+    let core_pool = cluster_pool(&mut rng, clustering(core_count));
+    // Every prefix the family has drawn: the core and each table's unique
+    // part, so no unique prefix lands in the core or in another table.
+    let mut taken = prefix_set(core_count + unique_counts.iter().sum::<usize>());
     let core = sample_distinct_prefixes(
         &mut rng,
-        distribution,
+        &length,
         core_count,
         &mut taken,
-        core_clustering,
+        clustering(core_count),
         &core_pool,
     )?;
-
-    let core = SortedCore::new(core);
-    let mut tables = Vec::with_capacity(sizes.len());
-    for &size in sizes {
-        let unique_count = size.saturating_sub(core_count);
-        let unique_clustering = (unique_count > 0).then(|| ClusterSpec::edge_default(unique_count));
-        let unique_pool = cluster_pool(&mut rng, unique_clustering);
+    let (mut hops, mut own) = (Vec::with_capacity(core.len()), Vec::new());
+    for &unique_count in unique_counts {
+        let unique_pool = cluster_pool(&mut rng, clustering(unique_count));
         let unique = sample_distinct_prefixes(
             &mut rng,
-            distribution,
+            &length,
             unique_count,
             &mut taken,
-            unique_clustering,
+            clustering(unique_count),
             &unique_pool,
         )?;
-        tables.push(core.table(&mut rng, &unique, next_hops));
+        // Next hops in draw order: the core's, then the table's own.
+        hops.clear();
+        hops.extend((0..core.len()).map(|_| rng.gen_range(0..next_hops)));
+        own.clear();
+        own.extend(with_next_hops(&mut rng, &unique, next_hops));
+        table(&core, &hops, &own);
     }
-    Ok(tables)
+    Ok(())
 }
 
-/// A family's shared core, sorted once for all its tables: each prefix
-/// with its index in draw order.
-struct SortedCore(Vec<(Ipv4Prefix, usize)>);
+/// The routing tables of a family's draw, built in the order they are
+/// handed over. The shared core is sorted once, at the first table, each
+/// prefix with its index in draw order; each table's entries go to the
+/// bulk build as two sorted runs, the core's and its own, which its
+/// stable sort merges in one pass.
+#[derive(Default)]
+struct Tables {
+    core: Vec<(Ipv4Prefix, usize)>,
+    built: Vec<RoutingTable>,
+}
 
-impl SortedCore {
-    fn new(core: Vec<Ipv4Prefix>) -> Self {
-        let mut sorted: Vec<_> = core.into_iter().zip(0..).collect();
-        sorted.sort_unstable();
-        Self(sorted)
-    }
-
-    /// The table of the core and a `unique` part drawn apart from it. Its
-    /// next hops are drawn in draw order, the core's then the unique
-    /// part's, and its entries handed over as two sorted runs, which the
-    /// bulk build's stable sort merges in one pass.
-    fn table(&self, rng: &mut SmallRng, unique: &[Ipv4Prefix], next_hops: NextHop) -> RoutingTable {
-        let hops: Vec<NextHop> = (0..self.0.len())
-            .map(|_| rng.gen_range(0..next_hops))
-            .collect();
-        let mut own: Vec<RouteEntry> = with_next_hops(rng, unique, next_hops).collect();
+impl Tables {
+    fn push(&mut self, core: &[Ipv4Prefix], hops: &[NextHop], own: &[RouteEntry]) {
+        if self.built.is_empty() {
+            self.core = core.iter().copied().zip(0..).collect();
+            self.core.sort_unstable();
+        }
+        let mut own = own.to_vec();
         own.sort_unstable_by_key(|e| e.prefix);
         let shared = self
-            .0
+            .core
             .iter()
             .map(|&(prefix, i)| RouteEntry::new(prefix, hops[i]));
-        RoutingTable::from_entries(shared.chain(own))
+        self.built
+            .push(RoutingTable::from_entries(shared.chain(own)));
     }
 }
 
-/// Pairs each prefix, in order, with a next hop drawn from `0..next_hops`;
-/// collecting the entries builds the table in one bulk pass.
+/// Pairs each prefix, in order, with a next hop drawn from `0..next_hops`.
 fn with_next_hops<'a>(
     rng: &'a mut SmallRng,
     prefixes: impl IntoIterator<Item = &'a Ipv4Prefix> + 'a,
@@ -498,7 +524,7 @@ fn cluster_pool(rng: &mut SmallRng, clustering: Option<ClusterSpec>) -> Vec<(u32
 }
 
 /// Samples `count` prefixes distinct among themselves and from `taken`,
-/// and adds each one to `taken`.
+/// and adds each one to `taken`; `length` draws a prefix length.
 ///
 /// A generator owns one `taken` set per call and threads it through every
 /// draw, so a family's K tables cost one insert per drawn prefix, not a
@@ -514,7 +540,7 @@ fn cluster_pool(rng: &mut SmallRng, clustering: Option<ClusterSpec>) -> Vec<(u32
 /// every prefix is an independent random draw.
 fn sample_distinct_prefixes(
     rng: &mut SmallRng,
-    dist: &PrefixLenDistribution,
+    length: &impl Fn(&mut SmallRng) -> u8,
     count: usize,
     taken: &mut PrefixSet,
     clustering: Option<ClusterSpec>,
@@ -530,7 +556,7 @@ fn sample_distinct_prefixes(
                 "could not realize the requested number of distinct prefixes",
             ));
         }
-        let len = dist.sample(rng);
+        let len = length(rng);
         if len == 0 {
             continue;
         }
@@ -670,7 +696,7 @@ mod tests {
         let d = PrefixLenDistribution::uniform(10, 12).unwrap();
         let mut rng = SmallRng::seed_from_u64(0);
         for _ in 0..200 {
-            let len = d.sample(&mut rng);
+            let len = d.sample(d.total(), &mut rng);
             assert!((10..=12).contains(&len));
         }
     }

@@ -3,7 +3,8 @@
 //! The paper sweeps α ∈ {0.2, 0.8} as a free parameter (Assumption 4). Our
 //! synthetic families control structural overlap through the *shared
 //! prefix fraction* `s`, and the realized α is the merged trie's, counted in
-//! one pass over the family's sorted routes without building the trie.
+//! one pass over the family's routes as its generator draws them
+//! ([`SortedRoutes::from_family`]), building neither a table nor the trie.
 //! α(s) is monotone non-decreasing, so a bisection over `s` finds the `s`
 //! realizing any reachable α.
 //!
@@ -14,13 +15,10 @@
 
 use crate::{SortedRoutes, TrieError};
 use vr_net::synth::{FamilySpec, PrefixLenDistribution};
-use vr_net::RoutingTable;
 
 /// Outcome of a calibration search.
 #[derive(Debug, Clone)]
 pub struct CalibratedFamily {
-    /// The generated tables realizing the α below.
-    pub tables: Vec<RoutingTable>,
     /// The shared prefix fraction found by the search.
     pub shared_fraction: f64,
     /// The measured merging efficiency of the merged trie.
@@ -58,17 +56,34 @@ impl CalibrationSpec {
         }
     }
 
-    fn family(&self, shared_fraction: f64) -> Result<Vec<RoutingTable>, TrieError> {
-        FamilySpec {
+    /// The family at `shared_fraction`, as calibrated: α read off its
+    /// generated routes.
+    fn family(&self, shared_fraction: f64) -> Result<CalibratedFamily, TrieError> {
+        let spec = FamilySpec {
             k: self.k,
             prefixes_per_table: self.prefixes_per_table,
             shared_fraction,
             seed: self.seed,
             distribution: PrefixLenDistribution::edge_default(),
             next_hops: 16,
+        };
+        Ok(CalibratedFamily {
+            shared_fraction,
+            achieved_alpha: SortedRoutes::from_family(&spec)?.merging_efficiency(),
+        })
+    }
+
+    /// `family` if it lies within tolerance of the target, else the
+    /// failure that reports it as the closest value reached.
+    fn accept(&self, family: CalibratedFamily) -> Result<CalibratedFamily, TrieError> {
+        if (family.achieved_alpha - self.target_alpha).abs() <= self.tolerance {
+            Ok(family)
+        } else {
+            Err(TrieError::CalibrationFailed {
+                target: self.target_alpha,
+                achieved: family.achieved_alpha,
+            })
         }
-        .generate()
-        .map_err(|_| TrieError::InvalidParameter("family generation failed"))
     }
 
     /// Runs the bisection.
@@ -85,56 +100,28 @@ impl CalibrationSpec {
         }
         let mut lo = 0.0f64;
         let mut hi = 1.0f64;
-        let lo_tables = self.family(lo)?;
-        let lo_alpha = SortedRoutes::new(&lo_tables)?.merging_efficiency();
-        if lo_alpha >= self.target_alpha {
+        let lo_family = self.family(lo)?;
+        if lo_family.achieved_alpha >= self.target_alpha {
             // Even disjoint tables overlap at least this much; accept the
             // closest end point if within tolerance.
-            return if lo_alpha - self.target_alpha <= self.tolerance {
-                Ok(CalibratedFamily {
-                    tables: lo_tables,
-                    shared_fraction: lo,
-                    achieved_alpha: lo_alpha,
-                })
-            } else {
-                Err(TrieError::CalibrationFailed {
-                    target: self.target_alpha,
-                    achieved: lo_alpha,
-                })
-            };
+            return self.accept(lo_family);
         }
-        let hi_tables = self.family(hi)?;
-        let hi_alpha = SortedRoutes::new(&hi_tables)?.merging_efficiency();
-        if hi_alpha <= self.target_alpha {
-            return if self.target_alpha - hi_alpha <= self.tolerance {
-                Ok(CalibratedFamily {
-                    tables: hi_tables,
-                    shared_fraction: hi,
-                    achieved_alpha: hi_alpha,
-                })
-            } else {
-                Err(TrieError::CalibrationFailed {
-                    target: self.target_alpha,
-                    achieved: hi_alpha,
-                })
-            };
+        let hi_family = self.family(hi)?;
+        if hi_family.achieved_alpha <= self.target_alpha {
+            return self.accept(hi_family);
         }
 
         let mut best: Option<CalibratedFamily> = None;
         for _ in 0..self.max_iterations {
             let mid = (lo + hi) / 2.0;
-            let tables = self.family(mid)?;
-            let alpha = SortedRoutes::new(&tables)?.merging_efficiency();
+            let family = self.family(mid)?;
+            let alpha = family.achieved_alpha;
             let err = (alpha - self.target_alpha).abs();
             if best
                 .as_ref()
                 .is_none_or(|b| err < (b.achieved_alpha - self.target_alpha).abs())
             {
-                best = Some(CalibratedFamily {
-                    tables,
-                    shared_fraction: mid,
-                    achieved_alpha: alpha,
-                });
+                best = Some(family);
             }
             if err <= self.tolerance {
                 break;
@@ -145,15 +132,7 @@ impl CalibrationSpec {
                 hi = mid;
             }
         }
-        let best = best.expect("at least one bisection iteration ran");
-        if (best.achieved_alpha - self.target_alpha).abs() <= self.tolerance {
-            Ok(best)
-        } else {
-            Err(TrieError::CalibrationFailed {
-                target: self.target_alpha,
-                achieved: best.achieved_alpha,
-            })
-        }
+        self.accept(best.expect("at least one bisection iteration ran"))
     }
 }
 
@@ -169,7 +148,6 @@ mod tests {
         };
         let fam = spec.run().unwrap();
         assert!((fam.achieved_alpha - 0.35).abs() <= 0.05);
-        assert_eq!(fam.tables.len(), 4);
     }
 
     #[test]

@@ -100,6 +100,8 @@ pub enum TrieError {
     },
     /// An invalid parameter was supplied (message explains which).
     InvalidParameter(&'static str),
+    /// A table family could not be generated.
+    Net(vr_net::NetError),
 }
 
 impl std::fmt::Display for TrieError {
@@ -114,11 +116,18 @@ impl std::fmt::Display for TrieError {
                 "could not calibrate merging efficiency to {target} (closest: {achieved})"
             ),
             TrieError::InvalidParameter(msg) => write!(f, "invalid parameter: {msg}"),
+            TrieError::Net(e) => write!(f, "family generation failed: {e}"),
         }
     }
 }
 
 impl std::error::Error for TrieError {}
+
+impl From<vr_net::NetError> for TrieError {
+    fn from(e: vr_net::NetError) -> Self {
+        TrieError::Net(e)
+    }
+}
 
 #[cfg(test)]
 mod tests {

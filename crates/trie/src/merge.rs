@@ -27,7 +27,7 @@
 //! reading its path's entries and children, with no per-VN counters, and
 //! per-VN node counts and pruning stay exact under churn.
 //! A sweep over K needs each k's leaf-pushed statistics and α over VNs
-//! `0..k`, and each VN's own, not a trie: [`SweepStats::from_tables`]
+//! `0..k`, and each VN's own, not a trie: [`SweepStats::from_routes`]
 //! counts them in the same preorder pass with nothing allocated per node,
 //! and [`MergedTrie::sweep_stats`] reads them off a live trie in one walk.
 //! The pass is written once, over [`SortedRoutes`] (the routes sorted
@@ -56,6 +56,7 @@ use crate::stats::{efficiency, full_mask, NodeCounts, SweepCounter, SweepStats, 
 use crate::TrieError;
 use std::num::NonZeroU32;
 use std::ops::Range;
+use vr_net::synth::FamilySpec;
 use vr_net::table::NextHop;
 use vr_net::{Ipv4Prefix, RoutingTable};
 
@@ -535,16 +536,23 @@ impl SweepStats {
     /// # Errors
     /// Same arity constraints as [`MergedTrie::new`].
     pub fn from_tables(tables: &[RoutingTable]) -> Result<Self, TrieError> {
-        let routes = SortedRoutes::new(tables)?;
-        Ok(routes
+        Ok(Self::from_routes(&SortedRoutes::new(tables)?))
+    }
+
+    /// What a sweep over K prices, counted in one pass over `routes`:
+    /// `MergedTrie::from_routes(routes).sweep_stats()`, with no node or
+    /// NHI entry allocated.
+    #[must_use]
+    pub fn from_routes(routes: &SortedRoutes) -> Self {
+        routes
             .pass(OpenNode::default(), SweepCounter::new(routes.k))
-            .finish())
+            .finish()
     }
 }
 
 /// One VN's route as the bulk build sorts them, packed into a word: the
 /// prefix's address and length (the sort key), then VNID and next hop.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Route(u64);
 
 impl Route {
@@ -573,10 +581,12 @@ impl Route {
 /// radix-sorted once into the preorder every bulk build walks: by
 /// `(addr, len)`, VNs in order within a prefix. The served trie
 /// ([`JumpTrie::from_routes`](crate::JumpTrie::from_routes)), the arena
-/// ([`MergedTrie::from_routes`]) and α
-/// ([`SortedRoutes::merging_efficiency`]) are each one pass over them, so
-/// a holder that needs the arena only later keeps these, 8 bytes a route,
-/// and sorts nothing twice.
+/// ([`MergedTrie::from_routes`]), α ([`SortedRoutes::merging_efficiency`])
+/// and a sweep's statistics ([`SweepStats::from_routes`]) are each one
+/// pass over them, so a holder that needs the arena only later keeps
+/// these, 8 bytes a route, and sorts nothing twice. A generated family's
+/// routes are gathered straight from its generator
+/// ([`SortedRoutes::from_family`]), with no routing table built between.
 ///
 /// ```
 /// use vr_net::RoutingTable;
@@ -594,6 +604,7 @@ impl Route {
 /// let alpha = merged.merging_efficiency();
 /// assert_eq!(routes.merging_efficiency().to_bits(), alpha.to_bits());
 /// ```
+#[derive(Debug, PartialEq, Eq)]
 pub struct SortedRoutes {
     routes: Vec<Route>,
     k: usize,
@@ -606,9 +617,41 @@ impl SortedRoutes {
     /// Same arity constraints as [`MergedTrie::new`].
     pub fn new(tables: &[RoutingTable]) -> Result<Self, TrieError> {
         check_arity(tables.len())?;
+        let mut routes = Vec::with_capacity(tables.iter().map(RoutingTable::len).sum());
+        for (vn, table) in tables.iter().enumerate() {
+            routes.extend(
+                table
+                    .iter()
+                    .map(|e| Route::new(e.prefix, vn as u8, e.next_hop)),
+            );
+        }
         Ok(Self {
-            routes: sorted_routes(tables),
+            routes: radix_sorted(routes),
             k: tables.len(),
+        })
+    }
+
+    /// The routes of the family `spec` generates, gathered table by table
+    /// as its generator draws them and sorted once: equal to
+    /// `SortedRoutes::new(&spec.generate()?)`, with no routing table built
+    /// and no table sorted on its own.
+    ///
+    /// # Errors
+    /// Same arity constraints as [`MergedTrie::new`]; propagates the
+    /// generator's errors.
+    pub fn from_family(spec: &FamilySpec) -> Result<Self, TrieError> {
+        check_arity(spec.k)?;
+        let mut routes = Vec::with_capacity(spec.k * spec.prefixes_per_table);
+        let mut vn = 0u8;
+        spec.draw(|core, hops, own| {
+            let shared = core.iter().zip(hops).map(|(&p, &nh)| Route::new(p, vn, nh));
+            routes.extend(shared);
+            routes.extend(own.iter().map(|e| Route::new(e.prefix, vn, e.next_hop)));
+            vn += 1;
+        })?;
+        Ok(Self {
+            routes: radix_sorted(routes),
+            k: spec.k,
         })
     }
 
@@ -671,18 +714,11 @@ impl SortedRoutes {
     }
 }
 
-/// The K tables' routes in preorder, each tagged with its VNID: sorted by
-/// `(addr, len)`, VNs in order within a prefix.
-fn sorted_routes(tables: &[RoutingTable]) -> Vec<Route> {
+/// `routes`, gathered VN by VN, in preorder: sorted by `(addr, len)`, VNs
+/// in order within a prefix. A VN's routes may come in any order, since
+/// no two share a prefix.
+fn radix_sorted(mut routes: Vec<Route>) -> Vec<Route> {
     const DIGIT_BITS: u32 = 10;
-    let mut routes = Vec::with_capacity(tables.iter().map(RoutingTable::len).sum());
-    for (vn, table) in tables.iter().enumerate() {
-        routes.extend(
-            table
-                .iter()
-                .map(|e| Route::new(e.prefix, vn as u8, e.next_hop)),
-        );
-    }
     // Least significant digit first over the key: each pass is stable, so
     // a prefix's routes keep the VN order they were gathered in.
     let mut spare = vec![Route(0); routes.len()];
@@ -945,6 +981,17 @@ mod tests {
         assert!(matches!(
             SweepStats::from_tables(&too_many),
             Err(TrieError::BadMergeArity(65))
+        ));
+        // A family's arity is refused before anything is drawn; the
+        // generator's own refusals come through as they are.
+        for k in [0, 65] {
+            let spec = FamilySpec::paper_worst_case(k, 0.5, 1);
+            let refused = SortedRoutes::from_family(&spec);
+            assert!(matches!(refused, Err(TrieError::BadMergeArity(got)) if got == k));
+        }
+        assert!(matches!(
+            SortedRoutes::from_family(&FamilySpec::paper_worst_case(2, 1.5, 1)),
+            Err(TrieError::Net(vr_net::NetError::InvalidSpec(_)))
         ));
     }
 
@@ -1467,6 +1514,30 @@ mod tests {
         fn bulk_build_equals_insertion(tables in arb_family(), seed in any::<u64>()) {
             let bulk = MergedTrie::from_tables(&tables).unwrap();
             assert_same_trie(&bulk, &inserted(&tables, seed), &probes(&tables));
+        }
+
+        /// A family's routes gathered straight from its generator are its
+        /// generated tables' routes, route for route, and count the same
+        /// sweep.
+        #[test]
+        fn family_routes_equal_the_routes_of_its_tables(
+            k in 1usize..=8,
+            shared_pct in 0u32..=100,
+            prefixes_per_table in 1usize..=120,
+            seed in any::<u64>(),
+        ) {
+            let spec = FamilySpec {
+                k,
+                prefixes_per_table,
+                shared_fraction: f64::from(shared_pct) / 100.0,
+                seed,
+                distribution: vr_net::synth::PrefixLenDistribution::edge_default(),
+                next_hops: 16,
+            };
+            let drawn = SortedRoutes::from_family(&spec).unwrap();
+            let tables = SortedRoutes::new(&spec.generate().unwrap()).unwrap();
+            prop_assert_eq!(SweepStats::from_routes(&drawn), SweepStats::from_routes(&tables));
+            prop_assert_eq!(drawn, tables);
         }
     }
 

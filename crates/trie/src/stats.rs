@@ -26,7 +26,7 @@ impl LevelStats {
 }
 
 /// What a sweep over K prices about K tables: read off their sorted
-/// routes by [`SweepStats::from_tables`], which builds no trie, or off a
+/// routes by [`SweepStats::from_routes`], which builds no trie, or off a
 /// live arity-K [`crate::MergedTrie`] by
 /// [`crate::MergedTrie::sweep_stats`]. Both feed one counter.
 #[derive(Debug, Clone, PartialEq)]

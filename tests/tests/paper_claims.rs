@@ -312,6 +312,29 @@ fn streamed_sweep_stats_equal_the_arena_walk_at_paper_scale() {
     }
 }
 
+/// The sweeps gather each α family's routes straight from its generator
+/// and build no table. For both α families of the paper's configuration,
+/// at the power sweep's K and at Fig. 4's, those routes are the generated
+/// tables' routes, route for route, and count the same statistics; the CI
+/// `reproduce` job runs it with `--release -- --ignored`.
+#[test]
+#[ignore = "paper scale: ~0.1 s in release, far longer unoptimised"]
+fn generated_routes_equal_the_routes_of_the_generated_tables_at_paper_scale() {
+    use vr_trie::{SortedRoutes, SweepStats};
+    let cfg = ExperimentConfig::paper();
+    let (frac_low, frac_high) = cfg.resolve_shared_fractions();
+    for frac in [frac_low, frac_high] {
+        for k in [cfg.k_max, cfg.k_max_fig4] {
+            let drawn = SortedRoutes::from_family(&cfg.family_spec(k, frac)).unwrap();
+            let tables = SortedRoutes::new(&cfg.family(k, frac).unwrap()).unwrap();
+            let who = format!("K = {k}, shared fraction {frac}");
+            assert!(drawn == tables, "routes: {who}");
+            let stats = SweepStats::from_routes(&drawn);
+            assert_eq!(stats, SweepStats::from_routes(&tables), "{who}");
+        }
+    }
+}
+
 /// The trie the services publish for both α families of the paper's
 /// configuration, at the power sweep's K and at Fig. 4's, is the one a
 /// walk of the materialised leaf-pushed trie gives, word for word, from
