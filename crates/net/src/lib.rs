@@ -21,6 +21,8 @@
 //!   fixed per-network pools, the VN drawn from the tenant mix. The
 //!   pipeline simulator draws it uniformly; the result-cache and serving
 //!   benchmarks draw it skewed,
+//! * [`radix_sort_by_prefix`] — the stable prefix-order sort every bulk
+//!   build shares,
 //! * [`stats`] — prefix-length and coverage statistics.
 //!
 //! Everything is deterministic under a caller-provided seed; no global RNG
@@ -33,6 +35,7 @@ mod error;
 pub mod models;
 pub mod parser;
 mod prefix;
+mod sort;
 pub mod stats;
 pub mod synth;
 pub mod table;
@@ -42,6 +45,7 @@ pub mod update;
 pub use error::NetError;
 pub use models::{SkewedSpec, SkewedTraffic};
 pub use prefix::Ipv4Prefix;
+pub use sort::radix_sort_by_prefix;
 pub use table::{NextHop, RouteEntry, RoutingTable};
 pub use traffic::{tenant_mix, VnId};
 pub use update::{RouteUpdate, UpdateMix, UpdateStream};

@@ -72,6 +72,14 @@ impl Ipv4Prefix {
         self.len
     }
 
+    /// The prefix as one integer in its order: the address above the
+    /// length, 40 bits. The key [`radix_sort_by_prefix`](crate::radix_sort_by_prefix)
+    /// sorts by.
+    #[must_use]
+    pub fn sort_key(&self) -> u64 {
+        u64::from(self.addr) << 8 | u64::from(self.len)
+    }
+
     /// The netmask corresponding to the prefix length.
     #[must_use]
     pub fn netmask(&self) -> u32 {

@@ -19,6 +19,7 @@
 
 use crate::error::NetError;
 use crate::prefix::Ipv4Prefix;
+use crate::radix_sort_by_prefix;
 use crate::table::{NextHop, RouteEntry, RoutingTable};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -487,7 +488,7 @@ impl Tables {
             self.core.sort_unstable();
         }
         let mut own = own.to_vec();
-        own.sort_unstable_by_key(|e| e.prefix);
+        radix_sort_by_prefix(&mut own, |e| e.prefix.sort_key());
         let shared = self
             .core
             .iter()

@@ -94,17 +94,21 @@ pub(crate) fn decode_nhi(code: NhiCode) -> Option<NextHop> {
 /// same-sized structure whichever path built it — the hardware's shared
 /// NHI memory, and the footprint the control plane prices in watts.
 ///
-/// It is called at most once per leaf of the leaf-pushed view — never
-/// once per block entry, which outnumber leaves tenfold — while the
-/// distinct-vector count is orders of magnitude smaller, and repeats
-/// arrive in long address-space runs. Two levels exploit the shape:
+/// A paint calls it at most once per node with entries (and once for the
+/// root): the [`Painter`] keeps each open node's slot, so a vector is
+/// interned once however many leaves below its owner paint it, and block
+/// entries, which outnumber leaves tenfold, never reach it. A repaint's
+/// copy calls it once per live slot it meets. The distinct-vector count
+/// is orders of magnitude smaller still, and repeats arrive in long
+/// address-space runs. Two levels exploit the shape:
 ///
 /// * a **last-vector memo** short-circuits consecutive repeats with one
 ///   slice compare, no hashing;
-/// * misses go through an open-addressed table keyed by an FNV-1a hash,
-///   with keys stored as slots into the slab itself (no owned `Vec`
-///   keys, no `SipHash`) — every update batch's repaint interns its
-///   whole slab again, so constant factors here are throughput.
+/// * misses go through an open-addressed table keyed by a word-wise hash
+///   (four codes a word, each word mixed on its own), with keys stored
+///   as slots into the slab itself (no owned `Vec` keys, no `SipHash`) —
+///   every update batch's repaint interns its whole slab again, so
+///   constant factors here are throughput.
 pub(crate) struct NhiInterner {
     k: usize,
     /// The growing NHI slab (k entries per interned vector).
@@ -130,14 +134,33 @@ impl NhiInterner {
         }
     }
 
-    /// The FNV-1a hash's high half, its best-mixed bits: the table indexes
-    /// by it and keeps it, so growing re-reads no vector.
+    /// Packs the codes four to a `u64` word (the last word zero-padded),
+    /// multiplies each word, keyed by its position, into a 128-bit
+    /// product on its own and sums the folded products: no word waits on
+    /// the one before, as each code did on FNV-1a's chain. The table
+    /// indexes by the sum's two halves folded and keeps them, so growing
+    /// re-reads no vector.
     fn hash(vector: &[NhiCode]) -> u32 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for &x in vector {
-            h = (h ^ u64::from(x)).wrapping_mul(0x0000_0100_0000_01b3);
+        const MIX: u64 = 0x9e37_79b9_7f4a_7c15;
+        let word = |codes: &[NhiCode]| {
+            let codes = codes.iter().rev();
+            codes.fold(0u64, |word, &code| word << NhiCode::BITS | u64::from(code))
+        };
+        let mix = |word: u64, at: u64| {
+            let product = u128::from(word ^ at.wrapping_mul(MIX)) * u128::from(MIX);
+            (product >> 64) as u64 ^ product as u64
+        };
+        let mut words = vector.chunks_exact(4);
+        let mut sum = 0u64;
+        let mut at = 1;
+        for codes in &mut words {
+            sum = sum.wrapping_add(mix(word(codes), at));
+            at += 1;
         }
-        (h >> 32) as u32
+        if !words.remainder().is_empty() {
+            sum = sum.wrapping_add(mix(word(words.remainder()), at));
+        }
+        (sum >> 32) as u32 ^ sum as u32
     }
 
     fn slot_slice(&self, slot: u32) -> &[NhiCode] {
@@ -218,8 +241,9 @@ pub(crate) struct Brush {
 ///
 /// The leaves of the leaf-pushed view tile the address space, and a
 /// preorder pass meets them in address order, so the painter keeps only
-/// the next address to paint, one K-wide row per depth (the vector in
-/// effect at the open node there: its own entries over its ancestors'),
+/// the next address to paint, one K-wide row per depth (the vector of
+/// the open node there that has entries: its own over its ancestors'),
+/// which row each open node's vector is in, with its slot once interned,
 /// and the bases of the open level-1 and level-2 blocks. Nothing is
 /// allocated per node, and no leaf-pushed trie is built:
 ///
@@ -236,11 +260,18 @@ pub(crate) struct Brush {
 /// live trie between the events, in address order too.
 pub(crate) struct Painter {
     k: usize,
-    /// Row `d`: the vector in effect at the open node of depth `d`.
+    /// Row `d`: the vector of the open node of depth `d`, its own entries
+    /// over its ancestors', written only once the node has entries.
     rows: Vec<NhiCode>,
+    /// The row holding the vector in effect at the open node of depth
+    /// `d`: `d` once the node has entries, its parent's source until
+    /// then. A node without entries has its parent's vector, so it reads
+    /// it where the parent keeps it and no row is copied per node.
+    src: [u8; u32::BITS as usize + 1],
     /// Row `d`'s leaf entry once interned, `0` (no leaf bit) until then.
-    /// A node without entries has its parent's vector, so it takes its
-    /// parent's entry and most leaves skip the interner.
+    /// Every leaf painted in a row's vector, the owner's or a
+    /// descendant's painted before the owner's own, finds it here, so
+    /// each open node's vector reaches the interner at most once.
     entries: [u32; u32::BITS as usize + 1],
     root: Vec<u32>,
     tail: Vec<u32>,
@@ -258,6 +289,7 @@ impl Painter {
         let painter = Self {
             k,
             rows: vec![0; (u32::BITS as usize + 1) * k],
+            src: [0; u32::BITS as usize + 1],
             entries: [0; u32::BITS as usize + 1],
             root: vec![0; ROOT_ENTRIES],
             tail: Vec::with_capacity(blocks * BLOCK_ENTRIES),
@@ -268,9 +300,11 @@ impl Painter {
         (painter, Brush { depth: 0, kids: 0 })
     }
 
-    /// Interns row `row`'s vector and writes it over the run of the leaf
-    /// `depth` bits down at the next address, then moves past it.
+    /// Writes the vector in effect at the open node of depth `row` over
+    /// the run of the leaf `depth` bits down at the next address, interned
+    /// on its first leaf, then moves past it.
     fn paint(&mut self, depth: usize, row: usize) {
+        let row = usize::from(self.src[row]);
         if self.entries[row] == 0 {
             self.entries[row] =
                 LEAF_BIT | self.interner.intern(&self.rows[row * self.k..][..self.k]);
@@ -452,9 +486,7 @@ impl Preorder for Painter {
     #[inline]
     fn open(&mut self, parent: Brush, bit: usize) -> Brush {
         let depth = usize::from(parent.depth) + 1;
-        let k = self.k;
-        self.rows.copy_within((depth - 1) * k..depth * k, depth * k);
-        self.entries[depth] = self.entries[depth - 1];
+        self.src[depth] = self.src[depth - 1];
         if parent.kids == 0 {
             if depth == (JUMP_BITS + 1) as usize {
                 self.open_block(0);
@@ -463,7 +495,7 @@ impl Preorder for Painter {
             }
         }
         if bit == 1 && parent.kids & 1 == 0 {
-            // The missing left half, in the parent's vector just copied.
+            // The missing left half, in the parent's vector.
             self.paint(depth, depth);
         }
         Brush {
@@ -475,7 +507,13 @@ impl Preorder for Painter {
     #[inline]
     fn entry(&mut self, node: &mut Brush, vn: u8, next_hop: NextHop) {
         let depth = usize::from(node.depth);
-        self.rows[depth * self.k + usize::from(vn)] = encode_nhi(Some(next_hop));
+        let (k, src) = (self.k, usize::from(self.src[depth]));
+        if src != depth {
+            // The node's first entry: its vector starts as its parent's.
+            self.rows.copy_within(src * k..(src + 1) * k, depth * k);
+            self.src[depth] = node.depth;
+        }
+        self.rows[depth * k + usize::from(vn)] = encode_nhi(Some(next_hop));
         self.entries[depth] = 0;
     }
 
@@ -872,6 +910,52 @@ mod tests {
             assert_eq!(jump.lookup_vn(1, ip), jump.lookup_vn(0, ip));
             assert_eq!(jump.lookup_vn(2, ip), None);
             assert_eq!(jump.lookup_vn(usize::MAX, ip), None);
+        }
+    }
+
+    /// The interner against a first-seen map, at every K the word-wise
+    /// hash treats apart: one code, a partial word only, whole words, and
+    /// whole words with a one-, two- or three-code tail. A thousand
+    /// distinct vectors double the table five times, and each keeps its
+    /// slot through every doubling; a vector one code away from another,
+    /// at any position, gets a slot of its own.
+    #[test]
+    fn interner_slots_vectors_in_first_seen_order_at_every_word_tail() {
+        use std::collections::HashMap;
+        for k in [1, 3, 4, 5, 15, 16, 17, 64] {
+            let mut interner = NhiInterner::new(k);
+            let mut seen: HashMap<Vec<NhiCode>, u32> = HashMap::new();
+            let mut intern = |vector: &[NhiCode]| {
+                let next = seen.len() as u32;
+                let want = *seen.entry(vector.to_vec()).or_insert(next);
+                let got = interner.intern(vector);
+                assert_eq!(got, want, "K = {k}, vector {vector:?}");
+                got
+            };
+            let distinct: Vec<Vec<NhiCode>> = (0..1000u16)
+                .map(|i| {
+                    (0..k as u16)
+                        .map(|j| if j == 0 { i } else { i * j % 13 })
+                        .collect()
+                })
+                .collect();
+            let slots: Vec<u32> = distinct.iter().map(|v| intern(v)).collect();
+            assert!(slots.iter().copied().eq(0..1000), "first-seen order");
+            for (vector, &slot) in distinct.iter().zip(&slots).rev() {
+                assert_eq!(intern(vector), slot, "K = {k}: repeat after growth");
+            }
+            for (vector, &slot) in distinct.iter().zip(&slots).take(8) {
+                for at in 0..k {
+                    let mut near = vector.clone();
+                    near[at] ^= 0x8000;
+                    assert_ne!(intern(&near), slot, "K = {k}: code {at} differs");
+                }
+            }
+            assert!(interner.table.len() >= 64 << 5, "K = {k}: five doublings");
+            let mut slab: Vec<_> = seen.into_iter().map(|(v, slot)| (slot, v)).collect();
+            slab.sort_unstable();
+            let slab: Vec<NhiCode> = slab.into_iter().flat_map(|(_, v)| v).collect();
+            assert_eq!(interner.into_slab(), slab, "K = {k}");
         }
     }
 

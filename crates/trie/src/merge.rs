@@ -58,7 +58,7 @@ use std::num::NonZeroU32;
 use std::ops::Range;
 use vr_net::synth::FamilySpec;
 use vr_net::table::NextHop;
-use vr_net::{Ipv4Prefix, RoutingTable};
+use vr_net::{radix_sort_by_prefix, Ipv4Prefix, RoutingTable};
 
 /// Maximum number of tables a merge supports (presence mask is 64-bit; the
 /// paper evaluates K ≤ 15, Fig. 4 sweeps to 30).
@@ -560,8 +560,7 @@ impl Route {
     const KEY_SHIFT: u32 = 24;
 
     fn new(prefix: Ipv4Prefix, vn: u8, next_hop: NextHop) -> Self {
-        let key = u64::from(prefix.addr()) << 8 | u64::from(prefix.len());
-        Self(key << Self::KEY_SHIFT | u64::from(vn) << 8 | u64::from(next_hop))
+        Self(prefix.sort_key() << Self::KEY_SHIFT | u64::from(vn) << 8 | u64::from(next_hop))
     }
 
     fn prefix(self) -> Ipv4Prefix {
@@ -625,8 +624,12 @@ impl SortedRoutes {
                     .map(|e| Route::new(e.prefix, vn as u8, e.next_hop)),
             );
         }
+        // Gathered VN by VN, so the stable sort keeps a prefix's VNs in
+        // order; a VN's routes may come in any order, no two sharing a
+        // prefix.
+        radix_sort_by_prefix(&mut routes, |route| route.0 >> Route::KEY_SHIFT);
         Ok(Self {
-            routes: radix_sorted(routes),
+            routes,
             k: tables.len(),
         })
     }
@@ -649,10 +652,8 @@ impl SortedRoutes {
             routes.extend(own.iter().map(|e| Route::new(e.prefix, vn, e.next_hop)));
             vn += 1;
         })?;
-        Ok(Self {
-            routes: radix_sorted(routes),
-            k: spec.k,
-        })
+        radix_sort_by_prefix(&mut routes, |route| route.0 >> Route::KEY_SHIFT);
+        Ok(Self { routes, k: spec.k })
     }
 
     /// Number of tables the routes came from: the arity K of every trie
@@ -712,34 +713,6 @@ impl SortedRoutes {
         };
         below(JUMP_BITS) + below(JUMP_BITS + TAIL_STRIDE)
     }
-}
-
-/// `routes`, gathered VN by VN, in preorder: sorted by `(addr, len)`, VNs
-/// in order within a prefix. A VN's routes may come in any order, since
-/// no two share a prefix.
-fn radix_sorted(mut routes: Vec<Route>) -> Vec<Route> {
-    const DIGIT_BITS: u32 = 10;
-    // Least significant digit first over the key: each pass is stable, so
-    // a prefix's routes keep the VN order they were gathered in.
-    let mut spare = vec![Route(0); routes.len()];
-    for shift in (Route::KEY_SHIFT..u64::BITS).step_by(DIGIT_BITS as usize) {
-        let digit = |route: &Route| (route.0 >> shift) as usize % (1 << DIGIT_BITS);
-        let mut starts = [0usize; 1 << DIGIT_BITS];
-        for route in &routes {
-            starts[digit(route)] += 1;
-        }
-        let mut at = 0;
-        for start in &mut starts {
-            (*start, at) = (at, at + *start);
-        }
-        for &route in &routes {
-            let start = &mut starts[digit(&route)];
-            spare[*start] = route;
-            *start += 1;
-        }
-        std::mem::swap(&mut routes, &mut spare);
-    }
-    routes
 }
 
 /// What [`preorder`] drives over the trie of sorted routes, and [`replay`]

@@ -336,25 +336,67 @@ fn generated_routes_equal_the_routes_of_the_generated_tables_at_paper_scale() {
 }
 
 /// The trie the services publish for both α families of the paper's
-/// configuration, at the power sweep's K and at Fig. 4's, is the one a
-/// walk of the materialised leaf-pushed trie gives, word for word, from
-/// each of the painter's feeds; the CI `reproduce` job runs it with
-/// `--release -- --ignored`.
+/// configuration, at the power sweep's K, at Fig. 4's and at the largest
+/// merge arity, is the one a walk of the materialised leaf-pushed trie
+/// gives, word for word, from each of the painter's feeds, and so is the
+/// partial repaint that publishes one seeded `UpdateStream` batch; the CI
+/// `reproduce` job runs it with `--release -- --ignored`.
 #[test]
-#[ignore = "paper scale: ~0.5 s in release, far longer unoptimised"]
+#[ignore = "paper scale: ~2 s in release, far longer unoptimised"]
 fn served_trie_equals_the_leaf_pushed_build_at_paper_scale() {
+    use vr_net::{RouteUpdate, UpdateMix, UpdateStream};
+    use vr_trie::merge::MAX_MERGE_ARITY;
     use vr_trie::{DirtyBuckets, JumpTrie, MergedTrie, SortedRoutes};
     let cfg = ExperimentConfig::paper();
     let (frac_low, frac_high) = cfg.resolve_shared_fractions();
     for frac in [frac_low, frac_high] {
-        for k in [cfg.k_max, cfg.k_max_fig4] {
+        for k in [cfg.k_max, cfg.k_max_fig4, MAX_MERGE_ARITY] {
             let tables = cfg.family(k, frac).unwrap();
             let routes = SortedRoutes::new(&tables).unwrap();
-            let merged = MergedTrie::from_routes(&routes);
+            let mut merged = MergedTrie::from_routes(&routes);
             let reference = JumpTrie::from_leaf_pushed(&merged.leaf_pushed());
             let painted = JumpTrie::from_routes(&routes);
             let repainted = painted.repaint(&merged, &DirtyBuckets::all());
             for (feed, trie) in [("routes", &painted), ("arena repaint", &repainted)] {
+                assert!(
+                    trie.raw_parts() == reference.raw_parts(),
+                    "{feed}: K = {k}, shared fraction {frac}"
+                );
+            }
+            // One batch as a service applies it: each update to the arena,
+            // its bucket marked dirty, then the dirty buckets repainted
+            // over the live trie and the rest copied.
+            let mut stream = UpdateStream::new(tables, UpdateMix::default(), 16, 2012).unwrap();
+            let mut dirty = DirtyBuckets::new();
+            for update in stream.batch(256) {
+                let prefix = match update {
+                    RouteUpdate::Announce {
+                        vnid,
+                        prefix,
+                        next_hop,
+                    } => {
+                        merged.insert(usize::from(vnid), prefix, next_hop);
+                        prefix
+                    }
+                    RouteUpdate::Withdraw { vnid, prefix } => {
+                        merged.remove(usize::from(vnid), &prefix);
+                        prefix
+                    }
+                };
+                dirty.mark_prefix(&prefix);
+            }
+            assert!(
+                dirty.len() > 1 && dirty.len() < 1 << 16,
+                "a partial repaint: {}",
+                dirty.len()
+            );
+            let reference = JumpTrie::from_leaf_pushed(&merged.leaf_pushed());
+            let routes = SortedRoutes::new(stream.tables()).unwrap();
+            let published = painted.repaint(&merged, &dirty);
+            for (feed, trie) in [
+                ("partial repaint", &published),
+                ("routes after the batch", &JumpTrie::from_routes(&routes)),
+            ] {
                 assert!(
                     trie.raw_parts() == reference.raw_parts(),
                     "{feed}: K = {k}, shared fraction {frac}"

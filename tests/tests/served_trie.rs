@@ -264,3 +264,55 @@ fn rebuilt_buckets_paint_the_reference_at_path_ends() {
         assert_served(&live, &reference(&merged, &tables), prefix);
     }
 }
+
+/// A parent's vector painted first far below it: every VN's /8 sets the
+/// entries, and chains of more-specifics below it (to a /20, into a /16
+/// with entries of its own and a /24 under that, to a /32) leave the
+/// /8's vector in effect on the missing halves along each chain, which
+/// close, and so paint, before the /8 does. A repaint then dirties the
+/// buckets on each side of clean ones, which are copied between painted
+/// runs of that vector. At K = 1, 2 and 64 the bulk build and the
+/// partial repaint equal the leaf-pushed reference field for field.
+#[test]
+fn a_vector_painted_below_its_owner_and_around_a_copy_paints_the_reference() {
+    let p = |s: &str| s.parse::<Ipv4Prefix>().unwrap();
+    for k in [1, 2, MAX_MERGE_ARITY] {
+        let (last, mid) = (k - 1, k / 2);
+        let mut tables: Vec<RoutingTable> = (0..k)
+            .map(|vn| {
+                let mut table = RoutingTable::new();
+                table.insert(p("10.0.0.0/8"), 1 + vn as NextHop % 3);
+                let chains = [
+                    (last, "10.0.0.0/20", 4),
+                    (0, "10.1.128.0/17", 5),
+                    (0, "10.2.3.4/32", 6),
+                    (mid, "10.3.0.0/16", 7),
+                    (mid, "10.3.3.0/24", 8),
+                ];
+                for (owner, prefix, nh) in chains {
+                    if vn == owner {
+                        table.insert(p(prefix), nh);
+                    }
+                }
+                table
+            })
+            .collect();
+        let (mut merged, live) = assert_every_feed(&tables);
+        let mut dirty = DirtyBuckets::new();
+        for (vn, prefix, nh) in [(0, "10.0.64.0/18", 11), (last, "10.2.7.0/24", 12)] {
+            merged.insert(vn, p(prefix), nh);
+            tables[vn].insert(p(prefix), nh);
+            dirty.mark_prefix(&p(prefix));
+        }
+        assert_eq!(
+            dirty.len(),
+            2,
+            "buckets 10.0 and 10.2; 10.1 and 10.3 copied"
+        );
+        let published = live.repaint(&merged, &dirty);
+        let want = reference(&merged, &tables);
+        assert_served(&published, &want, &format!("K = {k}: partial repaint"));
+        let (_, rebuilt) = built_from_routes(&tables);
+        assert_served(&rebuilt, &want, &format!("K = {k}: routes"));
+    }
+}
